@@ -85,6 +85,46 @@ fn fdtd2d_seconds(q: &Queue, p: &altis_data::Fdtd2dParams, mode: ExecMode) -> f6
     samples[1]
 }
 
+/// `(median a, median b, median of a/b)` over `pairs` runs of each mode,
+/// timed back to back in alternating order. With row kernels a fused
+/// step saves one node dispatch — a few percent — which drift between
+/// two separate measurements (this host's speed moves 5-12% within
+/// seconds) would otherwise decide; the fusion gate reads the median
+/// pair ratio.
+fn fdtd2d_paired(
+    q: &Queue,
+    p: &altis_data::Fdtd2dParams,
+    a: ExecMode,
+    b: ExecMode,
+    pairs: usize,
+) -> (f64, f64, f64) {
+    let once = |mode: ExecMode| {
+        let t0 = Instant::now();
+        let out = altis_core::fdtd2d::run_with(q, p, AppVersion::SyclOptimized, mode);
+        let dt = t0.elapsed().as_secs_f64();
+        assert!(out.ez.iter().all(|v| v.is_finite()));
+        dt
+    };
+    let (mut ta, mut tb, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (x, y) = if i % 2 == 0 {
+            let x = once(a);
+            (x, once(b))
+        } else {
+            let y = once(b);
+            (once(a), y)
+        };
+        ta.push(x);
+        tb.push(y);
+        ratio.push(x / y);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut ta), median(&mut tb), median(&mut ratio))
+}
+
 fn main() {
     // Like launch_storm: overhead comparison is meaningless on a
     // single-threaded pool; force at least 4 workers before the first
@@ -169,10 +209,11 @@ fn main() {
         fdtd_graph * 1e3
     );
     // Figure 1's overhead-bound regime, exaggerated: a grid small enough
-    // that each kernel is a few microseconds, over thousands of steps.
-    // Here the non-kernel share is the majority of the runtime and the
-    // recorded graph's advantage is well clear of scheduler noise.
-    let lb = altis_data::Fdtd2dParams { dim: 32, steps: 2_000 };
+    // that each kernel is under a microsecond (15 rows of one lane window
+    // plus tail), over thousands of steps. Here the non-kernel share is
+    // the majority of the runtime, so the recorded graph's advantage —
+    // and the one node dispatch hx+hy fusion removes — stay measurable.
+    let lb = altis_data::Fdtd2dParams { dim: 16, steps: 4_000 };
     let lb_per_launch = fdtd2d_seconds(&q, &lb, ExecMode::PerLaunch);
     let lb_graph = fdtd2d_seconds(&q, &lb, ExecMode::Graph);
     let lb_speedup = lb_per_launch / lb_graph;
@@ -242,11 +283,11 @@ fn main() {
     // FDTD2D fused end-to-end at the launch-bound configuration: the
     // optimizer fuses hx+hy, cutting 3 launches/step to 2, on top of
     // the replay win already measured above.
-    let lb_fused = fdtd2d_seconds(&q, &lb, ExecMode::GraphOptimized);
-    let fdtd_fused_speedup = lb_graph / lb_fused;
+    let (lb_graph_paired, lb_fused, fdtd_fused_speedup) =
+        fdtd2d_paired(&q, &lb, ExecMode::Graph, ExecMode::GraphOptimized, 31);
     println!(
-        "  FDTD2D launch-bound fused: graph {:.1} ms, graph-opt {:.1} ms, fused speedup {fdtd_fused_speedup:.2}x",
-        lb_graph * 1e3,
+        "  FDTD2D launch-bound fused (31 alternating pairs): graph {:.1} ms, graph-opt {:.1} ms, fused speedup {fdtd_fused_speedup:.3}x",
+        lb_graph_paired * 1e3,
         lb_fused * 1e3
     );
 
@@ -362,9 +403,9 @@ fn main() {
     }
     if let Some(g) = fusion_gate {
         if fdtd_fused_speedup < g {
-            eprintln!("FAIL: FDTD2D fused speedup {fdtd_fused_speedup:.2}x below gate {g}x");
+            eprintln!("FAIL: FDTD2D fused speedup {fdtd_fused_speedup:.3}x below gate {g}x");
             std::process::exit(1);
         }
-        println!("fusion gate {g}x passed ({fdtd_fused_speedup:.2}x)");
+        println!("fusion gate {g}x passed ({fdtd_fused_speedup:.3}x)");
     }
 }

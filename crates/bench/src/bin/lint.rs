@@ -2,8 +2,10 @@
 //!
 //! A zero-dependency scanner (the workspace is offline, so no `syn`)
 //! that walks `crates/core/src` and enforces portability rules inside
-//! the closures passed to runtime launch calls — the code that models
-//! device kernels and must stay free of host-only idioms:
+//! the closures passed to runtime launch calls, and in kernels bound to
+//! a name first (`move |it: Item| { … }`, launched on several routes) —
+//! the code that models device kernels and must stay free of host-only
+//! idioms:
 //!
 //! * **no-unwrap** — no `unwrap()` / `expect(...)` inside kernel bodies.
 //!   A device kernel cannot print-and-abort; the runtime's containment
@@ -990,6 +992,21 @@ fn lint_file(file: &Path, text: &str, violations: &mut Vec<Violation>) -> usize 
             scanned += bodies.len();
             for (lo, hi) in bodies {
                 lint_body(file, text, &masked, &allows, lo, hi, violations);
+            }
+        }
+    }
+    // Kernels bound to a name before any launch call sees them.
+    let mut from = 0;
+    while let Some(p) = find(&masked, b": Item|", from) {
+        from = p + b": Item|".len();
+        let mut b = from;
+        while b < masked.len() && masked[b].is_ascii_whitespace() {
+            b += 1;
+        }
+        if masked.get(b) == Some(&b'{') {
+            if let Some(end) = matching_bracket(&masked, b) {
+                scanned += 1;
+                lint_body(file, text, &masked, &allows, b, end + 1, violations);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! Altis-SYCL tables is normalized to, measured rather than quoted from
 //! a datasheet. Each converted kernel is then timed twice **in one
 //! process**: once with lane paths forced off ([`hetero_rt::lanes::force`]
-//! selects the scalar arms, i.e. the pre-conversion data path) and once
+//! selects each kernel's scalar arm over the same launches) and once
 //! with lanes forced on. Reported per kernel: effective GB/s for both
 //! variants (from an analytic byte count of the kernel's traffic), the
 //! lane-over-scalar speedup, and the lane variant's fraction of the

@@ -21,11 +21,11 @@
 //!      (`non_delivered <= faults injected`), and at the high rate
 //!      faults were actually exercised (`non_delivered > 0`).
 //!
-//!    A third run per app injects *permanent stuck-group panics*
-//!    (`KernelPanic` at 0.01): affected windows can never deliver from
-//!    the primary path, so every one of them exercises checkpoint
-//!    rollback — that run is where rollback cost is measured. Same
-//!    containment and bit-exactness gates apply.
+//!    A third run per app has a *permanently stuck work-group* (group 0
+//!    of the window graph's first kernel panics every time): no window
+//!    can deliver from the primary path, so every one exercises
+//!    checkpoint rollback — that run is where rollback cost is
+//!    measured. Same containment and bit-exactness gates apply.
 //! 3. **Backpressure** — drive one app through `run_piped` with `Shed`
 //!    ingress and a tiny pipe so overrun windows shed instead of
 //!    queuing. *Gate*: every window still gets a verdict and the final
@@ -105,26 +105,33 @@ struct FaultedResult {
     rollback_cost_us: f64,
 }
 
+/// First kernel of each app's window graph, in [`STREAM_APPS`] order:
+/// the stuck-group run panics its work-group 0. (Named, not drawn from a
+/// per-(kernel, group) rate: a row kernel's launch is a single group at
+/// size 1, so a 1% draw finds no site.)
+const STUCK_KERNELS: [&str; 4] =
+    ["srad_1", "fdtd_hx", "stream_map_centers", "pf_propagate_weight"];
+
 /// Live-fault run against the golden trail; applies every gate.
-/// `kinds = None` injects transient launch failures (per-launch rate,
-/// absorbed by window retry); `Some` restricts to the given kinds —
-/// used for the permanent stuck-group panic run that exercises
-/// rollback on every affected window.
+/// `stuck = None` injects transient launch failures (per-launch rate,
+/// absorbed by window retry); `Some(kernel)` makes work-group 0 of
+/// `kernel` panic on every launch — the permanent stuck-group run that
+/// exercises rollback on every window (`rate` is then only a label).
 fn faulted_run(
     app: &str,
     windows: u64,
     cfg: StreamConfig,
     seed: u64,
     rate: f64,
-    kinds: Option<&[FaultKind]>,
+    stuck: Option<&'static str>,
     trail: &[u64],
 ) -> FaultedResult {
-    let (kind_label, plan) = match kinds {
+    let (kind_label, plan) = match stuck {
         None => (
             "transient",
             FaultPlan::new(seed, rate).with_kinds(&[FaultKind::LaunchTransient]),
         ),
-        Some(k) => ("stuck-group", FaultPlan::new(seed, rate).with_kinds(k)),
+        Some(kernel) => ("stuck-group", FaultPlan::panic_at(kernel, 0)),
     };
     let plan = Arc::new(plan);
     let scenario = StreamScenario { fault: Some(plan.clone()), ..StreamScenario::default() };
@@ -163,7 +170,7 @@ fn faulted_run(
             st.non_delivered()
         ));
     }
-    if kinds.is_none() && rate >= 0.05 && st.non_delivered() == 0 {
+    if stuck.is_none() && rate >= 0.05 && st.non_delivered() == 0 {
         fail(&format!(
             "{app} rate {rate}: no window ever needed containment — injection is not live"
         ));
@@ -273,15 +280,15 @@ fn main() {
             runs.push(faulted_run(app, windows, cfg, seed + ri as u64, rate, None, &trail));
             total_windows += windows;
         }
-        // Permanent stuck-group panics: every affected window rolls
-        // back, so this run measures rollback cost under sustained load.
+        // A permanently stuck group: every window rolls back, so this
+        // run measures rollback cost under sustained load.
         runs.push(faulted_run(
             app,
             windows,
             cfg,
             seed + rates.len() as u64,
-            0.01,
-            Some(&[FaultKind::KernelPanic]),
+            1.0,
+            Some(STUCK_KERNELS[ai]),
             &trail,
         ));
         total_windows += windows;

@@ -77,233 +77,206 @@ pub fn run(q: &Queue, p: &Fdtd2dParams, version: AppVersion) -> Fields {
     run_with(q, p, version, ExecMode::Graph)
 }
 
-/// [`run`] with an explicit execution mode. Both modes submit the same
-/// three kernels per step; `Graph` records them once and replays, with
-/// the per-step source injection staying a host-side write between
-/// replays (the graph reads buffer *contents* at replay, so the
-/// injected energy is picked up by the next step's H updates).
+/// [`run`] with an explicit execution mode. Every mode submits the same
+/// three row kernels per step; `Graph` records them once and replays,
+/// with the per-step source injection staying a host-side store between
+/// replays (the graph reads buffer *contents* at replay, so the injected
+/// energy is picked up by the next step's H updates).
 pub fn run_with(q: &Queue, p: &Fdtd2dParams, _version: AppVersion, mode: ExecMode) -> Fields {
     let n = p.dim;
     let ez = Buffer::<f32>::new(n * n);
     let hx = Buffer::<f32>::new(n * n);
     let hy = Buffer::<f32>::new(n * n);
-    let (ezv, hxv, hyv) = (ez.view(), hx.view(), hy.view());
-
-    // One elision gate per kernel: every access below is affine in the
-    // item id, so the record-time contract proof closes and fast-path
-    // replays run these views unchecked (checked everywhere else).
-    let gates = [Gate::new(), Gate::new(), Gate::new()];
-
-    let hx_kernel = {
-        let (ezv2, hxv2) = (gates[0].view(ezv.clone()), gates[0].view(hxv.clone()));
-        move |it: Item| {
-            let i = it.gid(1) * n + it.gid(0);
-            hxv2.update(i, |h| h - C_H * (ezv2.get(i + n) - ezv2.get(i)));
-        }
-    };
-    let hy_kernel = {
-        let (ezv2, hyv2) = (gates[1].view(ezv.clone()), gates[1].view(hyv.clone()));
-        move |it: Item| {
-            let i = it.gid(1) * n + it.gid(0);
-            hyv2.update(i, |h| h + C_H * (ezv2.get(i + 1) - ezv2.get(i)));
-        }
-    };
-    let ez_kernel = {
-        let (ezv2, hxv2, hyv2) =
-            (gates[2].view(ezv.clone()), gates[2].view(hxv.clone()), gates[2].view(hyv.clone()));
-        move |it: Item| {
-            let (x, y) = (it.gid(0) + 1, it.gid(1) + 1);
-            let i = y * n + x;
-            ezv2.update(i, |e| {
-                e + C_E * ((hyv2.get(i) - hyv2.get(i - 1)) - (hxv2.get(i) - hxv2.get(i - n)))
-            });
-        }
-    };
-
-    // Per-launch mode runs row kernels: one work-item per lattice row,
-    // lane loop over x. Each lane op keeps the scalar op sequence per
-    // element (sub, mul, sub — no FMA), so results are bit-identical to
-    // the per-item kernels above, which the graph path still records
-    // (its contracts, fusion preconditions, and elision proofs are
-    // stated over the per-item shape).
-    use hetero_rt::lanes::{self, F32x8, LANES};
-    let hx_row = {
-        let (ezv2, hxv2) = (ezv.clone(), hxv.clone());
-        move |it: Item| {
-            let row = it.gid(0) * n;
-            let w = n - 1;
-            let mut x = 0;
-            if lanes::enabled() {
-                let ch = F32x8::splat(C_H);
-                while x + LANES <= w {
-                    let i = row + x;
-                    let e0 = F32x8::from(ezv2.get_lanes(i));
-                    let e1 = F32x8::from(ezv2.get_lanes(i + n));
-                    let h = F32x8::from(hxv2.get_lanes(i));
-                    hxv2.set_lanes(i, (h - ch * (e1 - e0)).to_array());
-                    x += LANES;
-                }
-            }
-            while x < w {
-                let i = row + x;
-                hxv2.update(i, |h| h - C_H * (ezv2.get(i + n) - ezv2.get(i)));
-                x += 1;
-            }
-        }
-    };
-    let hy_row = {
-        let (ezv2, hyv2) = (ezv.clone(), hyv.clone());
-        move |it: Item| {
-            let row = it.gid(0) * n;
-            let w = n - 1;
-            let mut x = 0;
-            if lanes::enabled() {
-                let ch = F32x8::splat(C_H);
-                while x + LANES <= w {
-                    let i = row + x;
-                    let e0 = F32x8::from(ezv2.get_lanes(i));
-                    let e1 = F32x8::from(ezv2.get_lanes(i + 1));
-                    let h = F32x8::from(hyv2.get_lanes(i));
-                    hyv2.set_lanes(i, (h + ch * (e1 - e0)).to_array());
-                    x += LANES;
-                }
-            }
-            while x < w {
-                let i = row + x;
-                hyv2.update(i, |h| h + C_H * (ezv2.get(i + 1) - ezv2.get(i)));
-                x += 1;
-            }
-        }
-    };
-    let ez_row = {
-        let (ezv2, hxv2, hyv2) = (ezv.clone(), hxv.clone(), hyv.clone());
-        move |it: Item| {
-            let y = it.gid(0) + 1;
-            let row = y * n;
-            let mut x = 1;
-            if lanes::enabled() {
-                let ce = F32x8::splat(C_E);
-                while x + LANES < n {
-                    let i = row + x;
-                    let hy0 = F32x8::from(hyv2.get_lanes(i));
-                    let hy1 = F32x8::from(hyv2.get_lanes(i - 1));
-                    let hx0 = F32x8::from(hxv2.get_lanes(i));
-                    let hx1 = F32x8::from(hxv2.get_lanes(i - n));
-                    let e = F32x8::from(ezv2.get_lanes(i));
-                    ezv2.set_lanes(i, (e + ce * ((hy0 - hy1) - (hx0 - hx1))).to_array());
-                    x += LANES;
-                }
-            }
-            while x < n - 1 {
-                let i = row + x;
-                ezv2.update(i, |e| {
-                    e + C_E * ((hyv2.get(i) - hyv2.get(i - 1)) - (hxv2.get(i) - hxv2.get(i - n)))
-                });
-                x += 1;
-            }
-        }
-    };
+    // Source injection (host-side single-element update, as the original
+    // does with a tiny kernel).
+    let centre = (n / 2) * n + n / 2;
+    let inject = |t: usize| ez.host_set(centre, ez.read(|e| e[centre]) + source(t));
 
     match mode {
         ExecMode::PerLaunch => {
-            // With lanes disabled the pre-conversion data path runs
-            // verbatim — one work-item per lattice point — which is also
-            // the scalar baseline the roofline benchmark measures.
-            let lanes_on = lanes::enabled();
+            // Never armed outside a graph replay: the views stay checked.
+            let gates = [Gate::new(), Gate::new(), Gate::new()];
+            let (hx_row, hy_row, ez_row) = row_kernels(n, &ez, &hx, &hy, &gates);
             for t in 0..p.steps {
-                if lanes_on {
-                    q.parallel_for("fdtd_hx", Range::d1(n - 1), hx_row.clone());
-                    q.parallel_for("fdtd_hy", Range::d1(n - 1), hy_row.clone());
-                    q.parallel_for("fdtd_ez", Range::d1(n - 2), ez_row.clone());
-                } else {
-                    q.parallel_for("fdtd_hx", Range::d2(n - 1, n - 1), hx_kernel.clone());
-                    q.parallel_for("fdtd_hy", Range::d2(n - 1, n - 1), hy_kernel.clone());
-                    q.parallel_for("fdtd_ez", Range::d2(n - 2, n - 2), ez_kernel.clone());
-                }
-                // Source injection (host-side single-element update, as
-                // the original does with a tiny kernel).
-                ezv.update((n / 2) * n + n / 2, |e| e + source(t));
+                q.parallel_for("fdtd_hx", Range::d1(n - 1), hx_row.clone());
+                q.parallel_for("fdtd_hy", Range::d1(n - 1), hy_row.clone());
+                q.parallel_for("fdtd_ez", Range::d1(n - 2), ez_row.clone());
+                inject(t);
             }
         }
         ExecMode::Graph | ExecMode::GraphOptimized => {
             let level = mode.graph_opt_level().unwrap_or_default();
-            let graph = step_graph(q, n, &ez, &hx, &hy, &gates, hx_kernel, hy_kernel, ez_kernel)
+            let graph = step_graph(q, n, &ez, &hx, &hy)
                 .and_then(|g| hetero_rt::OptimizedGraph::compile(g, level))
                 .unwrap_or_else(|e| std::panic::panic_any(e));
             for t in 0..p.steps {
                 graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-                ezv.update((n / 2) * n + n / 2, |e| e + source(t));
+                inject(t);
             }
         }
     }
     Fields { ez: ez.to_vec(), hx: hx.to_vec(), hy: hy.to_vec() }
 }
 
-/// Record one timestep. hx and hy only share a *read* of ez and touch
-/// their own field at item-disjoint indices, so they replay in one phase
-/// and are horizontally fusible (3 recorded launches → 2 optimized); ez
-/// depends on both but runs over a smaller range, which correctly
-/// defeats vertical fusion. All three fields are declared outputs (the
-/// host reads them after the loop, and ez is also *written* between
-/// replays by the source injection).
-///
-/// Each launch attaches its static access contract (the affine index
-/// structure of the kernels above), so the recording is cross-checked
-/// by [`hetero_rt::prove`] and each kernel's elision gate is certified:
-/// fast-path replays run bounds-check-free.
-#[allow(clippy::too_many_arguments)]
-fn step_graph(
-    q: &Queue,
+/// The three kernels of one timestep, one work-item per lattice row: an
+/// 8-wide lane sweep over x with a scalar arm for the `w % LANES` tail —
+/// and for the whole row under `HETERO_RT_LANES=0`. Each lane op keeps
+/// the scalar op sequence per element (sub, mul, sub — no FMA), so both
+/// arms are bit-identical. Views go through `gates[k]`, which only a
+/// fast-path graph replay arms.
+fn row_kernels(
     n: usize,
     ez: &Buffer<f32>,
     hx: &Buffer<f32>,
     hy: &Buffer<f32>,
     gates: &[Gate; 3],
-    hx_kernel: impl Fn(Item) + Send + Sync + 'static,
-    hy_kernel: impl Fn(Item) + Send + Sync + 'static,
-    ez_kernel: impl Fn(Item) + Send + Sync + 'static,
+) -> (
+    impl Fn(Item) + Clone + Send + Sync + 'static,
+    impl Fn(Item) + Clone + Send + Sync + 'static,
+    impl Fn(Item) + Clone + Send + Sync + 'static,
+) {
+    use hetero_rt::lanes::{self, F32x8, LANES};
+    let hx_row = {
+        let (ezv, hxv) = (gates[0].view(ez.view()), gates[0].view(hx.view()));
+        move |it: Item| {
+            let row = it.gid(0) * n;
+            let w = n - 1;
+            let mut x = 0;
+            if lanes::enabled() {
+                let ch = F32x8::splat(C_H);
+                while x + LANES <= w {
+                    let i = row + x;
+                    let e0 = F32x8::from(ezv.get_lanes(i));
+                    let e1 = F32x8::from(ezv.get_lanes(i + n));
+                    let h = F32x8::from(hxv.get_lanes(i));
+                    hxv.set_lanes(i, (h - ch * (e1 - e0)).to_array());
+                    x += LANES;
+                }
+            }
+            while x < w {
+                let i = row + x;
+                hxv.update(i, |h| h - C_H * (ezv.get(i + n) - ezv.get(i)));
+                x += 1;
+            }
+        }
+    };
+    let hy_row = {
+        let (ezv, hyv) = (gates[1].view(ez.view()), gates[1].view(hy.view()));
+        move |it: Item| {
+            let row = it.gid(0) * n;
+            let w = n - 1;
+            let mut x = 0;
+            if lanes::enabled() {
+                let ch = F32x8::splat(C_H);
+                while x + LANES <= w {
+                    let i = row + x;
+                    let e0 = F32x8::from(ezv.get_lanes(i));
+                    let e1 = F32x8::from(ezv.get_lanes(i + 1));
+                    let h = F32x8::from(hyv.get_lanes(i));
+                    hyv.set_lanes(i, (h + ch * (e1 - e0)).to_array());
+                    x += LANES;
+                }
+            }
+            while x < w {
+                let i = row + x;
+                hyv.update(i, |h| h + C_H * (ezv.get(i + 1) - ezv.get(i)));
+                x += 1;
+            }
+        }
+    };
+    let ez_row = {
+        let (ezv, hxv, hyv) =
+            (gates[2].view(ez.view()), gates[2].view(hx.view()), gates[2].view(hy.view()));
+        move |it: Item| {
+            let row = (it.gid(0) + 1) * n;
+            let mut x = 1;
+            if lanes::enabled() {
+                let ce = F32x8::splat(C_E);
+                while x + LANES < n {
+                    let i = row + x;
+                    let hy0 = F32x8::from(hyv.get_lanes(i));
+                    let hy1 = F32x8::from(hyv.get_lanes(i - 1));
+                    let hx0 = F32x8::from(hxv.get_lanes(i));
+                    let hx1 = F32x8::from(hxv.get_lanes(i - n));
+                    let e = F32x8::from(ezv.get_lanes(i));
+                    ezv.set_lanes(i, (e + ce * ((hy0 - hy1) - (hx0 - hx1))).to_array());
+                    x += LANES;
+                }
+            }
+            while x < n - 1 {
+                let i = row + x;
+                ezv.update(i, |e| {
+                    e + C_E * ((hyv.get(i) - hyv.get(i - 1)) - (hxv.get(i) - hxv.get(i - n)))
+                });
+                x += 1;
+            }
+        }
+    };
+    (hx_row, hy_row, ez_row)
+}
+
+/// Record one timestep (batch runs and [`streaming`] replay the same
+/// recording). hx and hy only share a *read* of ez and touch their own
+/// field at row-disjoint indices, so they replay in one phase and are
+/// horizontally fusible (3 recorded launches → 2 optimized); ez depends
+/// on both but runs over a smaller range, which correctly defeats
+/// vertical fusion. All three fields are declared outputs (the host
+/// reads them after the loop, and ez is also *written* between replays
+/// by the source injection).
+///
+/// Each launch attaches its static access contract — `row(off, w)` is
+/// the index set `off + n·gid + x`, `x < w`, a row kernel sweeps — so
+/// the recording is cross-checked by [`hetero_rt::prove`] and each
+/// kernel's elision gate is certified: fast-path replays run the scalar
+/// arm bounds-check-free (lane windows keep their one check per 8).
+pub(crate) fn step_graph(
+    q: &Queue,
+    n: usize,
+    ez: &Buffer<f32>,
+    hx: &Buffer<f32>,
+    hy: &Buffer<f32>,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, LaunchSpec};
+    use hetero_rt::prove::{at, Index, LaunchSpec};
     let nn = n * n;
-    // `own(off)` is the linearized stencil index off + gid0 + n*gid1 the
-    // three kernels share (ez shifts the whole lattice by n+1).
-    let own = |off: usize| at(off).item(0, 1).item(1, n);
+    let gates = [Gate::new(), Gate::new(), Gate::new()];
+    let (hx_row, hy_row, ez_row) = row_kernels(n, ez, hx, hy, &gates);
+    let row = |off: usize, w: usize| -> Index { at(off).item(0, n).aux(1, w).into() };
     Graph::record(q, |g| {
         g.parallel_for(
             "fdtd_hx",
-            Range::d2(n - 1, n - 1),
+            Range::d1(n - 1),
             &[reads(ez), reads_writes_item(hx)],
-            hx_kernel,
+            hx_row,
         )
         .contract_gated(
             LaunchSpec::new()
-                .slot("ez", nn, vec![own(n).into(), own(0).into()], vec![])
-                .slot("hx", nn, vec![own(0).into()], vec![own(0).into()]),
+                .slot("ez", nn, vec![row(n, n - 1), row(0, n - 1)], vec![])
+                .slot("hx", nn, vec![row(0, n - 1)], vec![row(0, n - 1)]),
             &gates[0],
         )
         .parallel_for(
             "fdtd_hy",
-            Range::d2(n - 1, n - 1),
+            Range::d1(n - 1),
             &[reads(ez), reads_writes_item(hy)],
-            hy_kernel,
+            hy_row,
         )
         .contract_gated(
             LaunchSpec::new()
-                .slot("ez", nn, vec![own(1).into(), own(0).into()], vec![])
-                .slot("hy", nn, vec![own(0).into()], vec![own(0).into()]),
+                .slot("ez", nn, vec![row(1, n - 1), row(0, n - 1)], vec![])
+                .slot("hy", nn, vec![row(0, n - 1)], vec![row(0, n - 1)]),
             &gates[1],
         )
         .parallel_for(
             "fdtd_ez",
-            Range::d2(n - 2, n - 2),
+            Range::d1(n - 2),
             &[reads(hx), reads(hy), reads_writes_item(ez)],
-            ez_kernel,
+            ez_row,
         )
         .contract_gated(
             LaunchSpec::new()
-                .slot("hx", nn, vec![own(n + 1).into(), own(1).into()], vec![])
-                .slot("hy", nn, vec![own(n + 1).into(), own(n).into()], vec![])
-                .slot("ez", nn, vec![own(n + 1).into()], vec![own(n + 1).into()]),
+                .slot("hx", nn, vec![row(n + 1, n - 2), row(1, n - 2)], vec![])
+                .slot("hy", nn, vec![row(n + 1, n - 2), row(n, n - 2)], vec![])
+                .slot("ez", nn, vec![row(n + 1, n - 2)], vec![row(n + 1, n - 2)]),
             &gates[2],
         )
         .output(ez)
@@ -428,13 +401,11 @@ mod tests {
         // The compiled timestep graph replays strictly fewer launches
         // than recorded: hx+hy fuse horizontally (same range, disjoint
         // writes, shared read of ez) while ez's smaller range correctly
-        // defeats fusing it in. Kernel bodies don't affect the plan, so
-        // no-op closures suffice here.
+        // defeats fusing it in.
         let n = p.dim;
         let (ez, hx, hy) =
             (Buffer::<f32>::new(n * n), Buffer::<f32>::new(n * n), Buffer::<f32>::new(n * n));
-        let gates = [Gate::new(), Gate::new(), Gate::new()];
-        let g = step_graph(&q, n, &ez, &hx, &hy, &gates, |_| (), |_| (), |_| ()).unwrap();
+        let g = step_graph(&q, n, &ez, &hx, &hy).unwrap();
         let og =
             hetero_rt::OptimizedGraph::compile(g, hetero_rt::GraphOptLevel::full()).unwrap();
         assert_eq!(og.recorded_launches(), 3);

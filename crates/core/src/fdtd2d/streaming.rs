@@ -1,6 +1,7 @@
 //! FDTD2D streaming: each window is one leapfrog timestep of the
 //! carried field state (an electromagnetic solver fed an endless frame
-//! clock). The recorded three-kernel step replays bit-identically to the
+//! clock). The batch runner's recorded three-kernel step
+//! ([`super::step_graph`]) replays bit-identically to the
 //! sequential golden loop body, so the hardened, recovery and reference
 //! paths all agree bit-for-bit — the strongest possible footing for the
 //! runner's rollback-equivalence invariant.
@@ -29,44 +30,7 @@ impl FdtdStream {
         let ez = Buffer::<f32>::new(n * n);
         let hx = Buffer::<f32>::new(n * n);
         let hy = Buffer::<f32>::new(n * n);
-        let graph = Graph::record(clean, |g| {
-            let (ezv, hxv) = (ez.view(), hx.view());
-            g.parallel_for(
-                "fdtd_hx",
-                Range::d2(n - 1, n - 1),
-                &[reads(&ez), reads_writes_item(&hx)],
-                move |it| {
-                    let i = it.gid(1) * n + it.gid(0);
-                    hxv.update(i, |h| h - C_H * (ezv.get(i + n) - ezv.get(i)));
-                },
-            );
-            let (ezv, hyv) = (ez.view(), hy.view());
-            g.parallel_for(
-                "fdtd_hy",
-                Range::d2(n - 1, n - 1),
-                &[reads(&ez), reads_writes_item(&hy)],
-                move |it| {
-                    let i = it.gid(1) * n + it.gid(0);
-                    hyv.update(i, |h| h + C_H * (ezv.get(i + 1) - ezv.get(i)));
-                },
-            );
-            let (ezv, hxv, hyv) = (ez.view(), hx.view(), hy.view());
-            g.parallel_for(
-                "fdtd_ez",
-                Range::d2(n - 2, n - 2),
-                &[reads(&hx), reads(&hy), reads_writes_item(&ez)],
-                move |it| {
-                    let (x, y) = (it.gid(0) + 1, it.gid(1) + 1);
-                    let i = y * n + x;
-                    ezv.update(i, |e| {
-                        e + C_E * ((hyv.get(i) - hyv.get(i - 1)) - (hxv.get(i) - hxv.get(i - n)))
-                    });
-                },
-            );
-            g.output(&ez);
-            g.output(&hx);
-            g.output(&hy);
-        })?;
+        let graph = super::step_graph(clean, n, &ez, &hx, &hy)?;
         Ok(FdtdStream { n, primary: primary.clone(), clean: clean.clone(), ez, hx, hy, graph })
     }
 
@@ -80,7 +44,7 @@ impl FdtdStream {
         self.ez.write_from(&state.ez);
         self.hx.write_from(&state.hx);
         self.hy.write_from(&state.hy);
-        self.graph.replay(q)?;
+        crate::streaming::replay_verified(&self.graph, q)?;
         let n = self.n;
         let mut ez = self.ez.to_vec();
         // The point source is a host-side single-element update, exactly

@@ -24,6 +24,11 @@ use crate::common::{AppVersion, ExecMode};
 
 pub mod streaming;
 
+/// Points one `accumulate` work-item folds before it publishes.
+const ACC_BLOCK: usize = 256;
+/// Words of the private accumulator table (stack arrays; 5 × 16 fits).
+const ACC_WORDS: usize = 128;
+
 /// Clustering result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KmeansOutput {
@@ -79,9 +84,12 @@ fn nearest_center(
 
 /// Golden reference: sequential Lloyd iterations.
 pub fn golden(p: &KmeansParams) -> KmeansOutput {
-    let points = generate_points(p);
+    golden_on(p, &generate_points(p))
+}
+
+fn golden_on(p: &KmeansParams, points: &[f32]) -> KmeansOutput {
     let (k, nf) = (p.k, p.n_features);
-    let mut centers = initial_centers(p, &points);
+    let mut centers = initial_centers(p, points);
     let mut membership = vec![0u32; p.n_points];
     for _ in 0..p.iterations {
         for (i, m) in membership.iter_mut().enumerate() {
@@ -109,8 +117,10 @@ pub fn golden(p: &KmeansParams) -> KmeansOutput {
 /// Runtime version.
 ///
 /// * `SyclBaseline` / `SyclOptimized`: mapCenters as a parallel kernel;
-///   reset/accumulate/finalize as separate launches (accumulate uses
-///   atomics, matching the GPU implementation).
+///   reset/accumulate/finalize as separate launches. accumulate folds
+///   each block of [`ACC_BLOCK`] points into a private table and
+///   publishes it once with atomics — the CPU-sized form of Figure 3b's
+///   on-chip accumulator: per-point updates never cross shared memory.
 /// * On FPGA-capable queues the optimized path runs mapCenters and the
 ///   fused resetAccFin concurrently, streaming assignments through a
 ///   pipe (Figure 3b).
@@ -132,10 +142,14 @@ pub fn run_with(
     if version == AppVersion::SyclOptimized && q.device().caps().supports_pipes {
         return run_piped(q, p);
     }
-    let points = generate_points(p);
+    run_on(q, p, &generate_points(p), mode)
+}
+
+/// The four-kernel path of [`run_with`] over a given point cloud.
+fn run_on(q: &Queue, p: &KmeansParams, points: &[f32], mode: ExecMode) -> KmeansOutput {
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
-    let pts = Buffer::from_slice(&points);
-    let centers = Buffer::from_slice(&initial_centers(p, &points));
+    let pts = Buffer::from_slice(points);
+    let centers = Buffer::from_slice(&initial_centers(p, points));
     let membership = Buffer::<u32>::new(n);
     let acc = Buffer::<f32>::new(k * nf);
     let counts = Buffer::<u32>::new(k);
@@ -177,12 +191,42 @@ pub fn run_with(
     };
     let acc_kernel = {
         let (pv, mv, av, ctv) = (pts.view(), membership.view(), acc.view(), counts.view());
+        let table = k * nf;
         move |it: Item| {
-            let i = it.gid(0);
-            let m = mv.get(i) as usize;
-            ctv.atomic_add_u32(m, 1);
-            for f in 0..nf {
-                av.atomic_add_f32(m * nf + f, pv.get(i * nf + f));
+            let lo = it.gid(0) * ACC_BLOCK;
+            let hi = (lo + ACC_BLOCK).min(n);
+            // The private table holds words [base, end) of the k × nf
+            // sums; a larger table is folded in several sweeps of the
+            // block. `hits` counts a cluster at its row's first word.
+            for base in (0..table).step_by(ACC_WORDS) {
+                let end = (base + ACC_WORDS).min(table);
+                let mut sums = [0f32; ACC_WORDS];
+                let mut hits = [0u32; ACC_WORDS];
+                for i in lo..hi {
+                    let m = mv.get(i) as usize;
+                    let row = m * nf;
+                    if row >= table {
+                        // A corrupted assignment: the checked accessor
+                        // raises the typed out-of-bounds payload.
+                        ctv.atomic_add_u32(m, 1);
+                    }
+                    if (base..end).contains(&row) {
+                        hits[row - base] += 1;
+                    }
+                    for w in row.max(base)..(row + nf).min(end) {
+                        sums[w - base] += pv.get(i * nf + (w - row));
+                    }
+                }
+                // Publish once per block; words the block left at zero
+                // have nothing to add.
+                for w in base..end {
+                    if hits[w - base] > 0 {
+                        ctv.atomic_add_u32(w / nf, hits[w - base]);
+                    }
+                    if sums[w - base] != 0.0 {
+                        av.atomic_add_f32(w, sums[w - base]);
+                    }
+                }
             }
         }
     };
@@ -205,7 +249,7 @@ pub fn run_with(
             for _ in 0..p.iterations {
                 q.parallel_for("map_centers", Range::d1(n), map_kernel.clone());
                 q.parallel_for("reset", Range::d1(k * nf), reset_kernel.clone());
-                q.parallel_for("accumulate", Range::d1(n), acc_kernel.clone());
+                q.parallel_for("accumulate", Range::d1(n.div_ceil(ACC_BLOCK)), acc_kernel.clone());
                 q.parallel_for("finalize", Range::d1(k), fin_kernel.clone());
             }
         }
@@ -215,6 +259,10 @@ pub fn run_with(
                 // Per-feature affine slice of a point/centre row: i*nf + f.
                 let feat = |w: usize| -> Vec<Index> {
                     (0..w).map(|f| at(f).item(0, w).into()).collect()
+                };
+                // `w` words of each of an accumulate block's points.
+                let block = |w: usize| -> Index {
+                    at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w).into()
                 };
                 g.parallel_for(
                     "map_centers",
@@ -249,13 +297,13 @@ pub fn run_with(
                     &reset_gate,
                 )
                 // The atomic scatter keeps whole-buffer read-write
-                // footprints: any item may bump any cluster, so fusing
+                // footprints: any block may bump any cluster, so fusing
                 // or hoisting around it is (correctly) illegal. Reset is
                 // likewise pinned in the steady schedule because
                 // accumulate also writes acc/counts.
                 .parallel_for(
                     "accumulate",
-                    Range::d1(n),
+                    Range::d1(n.div_ceil(ACC_BLOCK)),
                     &[
                         reads(&pts),
                         reads_item(&membership),
@@ -266,9 +314,11 @@ pub fn run_with(
                 )
                 .contract(
                     LaunchSpec::new()
-                        .slot("pts", n * nf, feat(nf), vec![])
-                        .slot("membership", n, vec![at(0).item(0, 1).into()], vec![])
-                        // Data-dependent atomic scatter: any item may bump
+                        // A block of ACC_BLOCK points per item, the last
+                        // one clipped to n.
+                        .slot("pts", n * nf, vec![block(nf)], vec![])
+                        .slot("membership", n, vec![block(1)], vec![])
+                        // Data-dependent atomic scatter: any block may bump
                         // any cluster row, so both slots stay Bounded/Whole.
                         .slot("acc", k * nf, vec![bounded(k * nf)], vec![bounded(k * nf)])
                         .slot("counts", k, vec![bounded(k)], vec![bounded(k)]),
@@ -562,6 +612,53 @@ mod tests {
         assert_eq!(a.membership, b.membership);
         for (x, y) in a.centers.iter().zip(b.centers.iter()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn blocked_accumulate_matches_golden_on_every_route() {
+        // Shapes no app size reaches: a ragged last block, a single
+        // partial block, one cluster, a table wider than ACC_WORDS whose
+        // row 10 straddles the window edge, and a cluster the first pass
+        // leaves empty (its centre duplicates an earlier one, which wins
+        // every tie) so finalize must keep its centre.
+        let shape = |n, nf, k| KmeansParams { n_points: n, n_features: nf, k, iterations: 4 };
+        let mut cases: Vec<(&str, KmeansParams, Vec<f32>)> = [
+            ("ragged tail", shape(2 * ACC_BLOCK + 77, 8, 5)),
+            ("n < block", shape(100, 4, 3)),
+            ("k = 1", shape(300, 4, 1)),
+            ("wide table", shape(600, 12, 12)),
+        ]
+        .into_iter()
+        .map(|(name, p)| (name, p, generate_points(&p)))
+        .collect();
+        const { assert!(12 * 12 > ACC_WORDS && !ACC_WORDS.is_multiple_of(12)) };
+        let p = shape(300, 4, 4);
+        let mut points = generate_points(&p);
+        points.copy_within(0..4, 4);
+        cases.push(("empty cluster", p, points));
+
+        let seq = Queue::new(Device::cpu())
+            .with_parallelism(hetero_rt::executor::Parallelism::Sequential);
+        let pooled = Queue::new(Device::cpu());
+        for (name, p, points) in &cases {
+            let g = golden_on(p, points);
+            if *name == "empty cluster" {
+                let first = golden_on(&KmeansParams { iterations: 1, ..*p }, points);
+                assert!(!first.membership.contains(&1), "pass 1 should leave cluster 1 empty");
+            }
+            for (q, mode) in [
+                (&seq, ExecMode::PerLaunch),
+                (&pooled, ExecMode::PerLaunch),
+                (&pooled, ExecMode::Graph),
+                (&pooled, ExecMode::GraphOptimized),
+            ] {
+                let r = run_on(q, p, points, mode);
+                assert_eq!(r.membership, g.membership, "{name} {mode:?}");
+                for (a, b) in r.centers.iter().zip(&g.centers) {
+                    assert!((a - b).abs() < 1e-4, "{name} {mode:?}: {a} vs {b}");
+                }
+            }
         }
     }
 

@@ -38,6 +38,7 @@ pub struct KmeansStream {
     points: Vec<f32>,
     primary: Queue,
     clean: Queue,
+    pts: Buffer<f32>,
     centers_buf: Buffer<f32>,
     batch_params: Buffer<u32>,
     memb_batch: Buffer<u32>,
@@ -101,6 +102,7 @@ impl KmeansStream {
             points,
             primary: primary.clone(),
             clean: clean.clone(),
+            pts,
             centers_buf,
             batch_params,
             memb_batch,
@@ -174,10 +176,17 @@ impl KmeansStream {
         let (start, end) = self.batch_bounds(window);
         let len = end - start;
         self.centers_buf.write_from(&state.centers);
-        let bv = self.batch_params.view();
-        bv.set(0, start as u32);
-        bv.set(1, len as u32);
-        self.graph.replay(q)?;
+        self.batch_params.write_from(&[start as u32, len as u32]);
+        if let Err(e) = crate::streaming::replay_verified(&self.graph, q) {
+            // The point cloud is the one buffer no window rewrites, and a
+            // detection reseals whatever it found: restore it from the
+            // host copy so neither the retry nor the recovery replay
+            // reads corrupted points.
+            if matches!(e, Error::DataCorruption { .. }) {
+                self.pts.write_from(&self.points);
+            }
+            return Err(e);
+        }
         let mb = self.memb_batch.to_vec();
         self.commit_batch(state, window, start, &mb[..len]);
         Ok(())

@@ -326,9 +326,8 @@ pub fn run_with(
         let (tx, ty) = true_pos(p, frame);
         match &graphs {
             Some((propagate, _)) => {
-                let pv = params.view();
-                pv.set(0, tx);
-                pv.set(1, ty);
+                params.host_set(0, tx);
+                params.host_set(1, ty);
                 propagate.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
             }
             None => {
@@ -369,7 +368,7 @@ pub fn run_with(
         let u0 = rng.uniform() / n as f32;
         match &graphs {
             Some((_, resample)) => {
-                params.view().set(2, u0);
+                params.host_set(2, u0);
                 resample.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
             }
             None => {

@@ -195,18 +195,15 @@ impl PfStream {
         self.xs.write_from(&state.xs);
         self.ys.write_from(&state.ys);
         self.seeds.write_from(&state.seeds);
-        let pv = self.frame_params.view();
-        pv.set(0, tx);
-        pv.set(1, ty);
-        self.propagate.replay(q)?;
+        self.frame_params.write_from(&[tx, ty, Self::frame_u0(frame, n)]);
+        crate::streaming::replay_verified(&self.propagate, q)?;
         let mut w = self.weights.to_vec();
         let xs_v = self.xs.to_vec();
         let ys_v = self.ys.to_vec();
         let seeds_v = self.seeds.to_vec();
         let (cdf, xe, ye) = Self::frame_tail(&mut w, &xs_v, &ys_v);
         self.cdfb.write_from(&cdf);
-        pv.set(2, Self::frame_u0(frame, n));
-        self.resample.replay(q)?;
+        crate::streaming::replay_verified(&self.resample, q)?;
         // Commit only after *both* replays succeeded (state-on-success).
         state.xs = self.nxs.to_vec();
         state.ys = self.nys.to_vec();

@@ -109,331 +109,269 @@ pub fn run(q: &Queue, p: &SradParams, version: AppVersion) -> Vec<f32> {
 }
 
 /// [`run`] with an explicit execution mode. The ROI reduction stays a
-/// per-iteration queue submission in both modes (its result feeds host
-/// statistics); in `Graph` mode the iteration-varying `q0` scalar
-/// travels through a one-element parameter buffer written before each
-/// replay instead of being captured by value at submission.
+/// per-iteration queue submission in every mode (its result feeds host
+/// statistics); the iteration-varying `q0` scalar travels through a
+/// one-element parameter buffer written before each step, so the
+/// per-launch and recorded routes run the same two row kernels.
 pub fn run_with(q: &Queue, p: &SradParams, _version: AppVersion, mode: ExecMode) -> Vec<f32> {
     let n = p.dim;
-    let img = Buffer::from_slice(&generate_image(p));
-    let c = Buffer::<f32>::new(n * n);
-    let dn = Buffer::<f32>::new(n * n);
-    let ds = Buffer::<f32>::new(n * n);
-    let de = Buffer::<f32>::new(n * n);
-    let dw = Buffer::<f32>::new(n * n);
-    let lambda = p.lambda;
-
+    let planes = Planes::new(&generate_image(p));
     match mode {
         ExecMode::PerLaunch => {
-            // Row kernels with lane interiors: the north/south row offsets
-            // and the clamped west/east columns are uniform per row, so
-            // each row is a scalar west edge, an 8-wide lane sweep over
-            // the interior, and a scalar tail through the east edge. Every
-            // lane expression mirrors the scalar op sequence literally
-            // (same associativity, no FMA), keeping results bit-identical.
-            use hetero_rt::lanes::{self, F32x8, LANES};
-            // With lanes disabled the pre-conversion data path runs
-            // verbatim — one work-item per pixel — which is also the
-            // scalar baseline the roofline benchmark measures.
-            let lanes_on = lanes::enabled();
+            // Never armed outside a graph replay: the views stay checked.
+            let gates = [Gate::new(), Gate::new()];
+            let (srad_1, srad_2) = row_kernels(n, p.lambda, &planes, &gates);
             for _ in 0..p.iterations {
-                let q0 = roi_q0(q, &img, n);
-
-                if !lanes_on {
-                    let (iv, cv, dnv, dsv, dev, dwv) =
-                        (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-                    q.parallel_for("srad_1", Range::d2(n, n), move |it| {
-                        let (x, y) = (it.gid(0), it.gid(1));
-                        let i = y * n + x;
-                        let j = iv.get(i);
-                        let jn = iv.get(y.saturating_sub(1) * n + x);
-                        let js = iv.get((y + 1).min(n - 1) * n + x);
-                        let jw = iv.get(y * n + x.saturating_sub(1));
-                        let je = iv.get(y * n + (x + 1).min(n - 1));
-                        let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                        dnv.set(i, vn);
-                        dsv.set(i, vs);
-                        dwv.set(i, vw);
-                        dev.set(i, ve);
-                        let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                        let l = (vn + vs + vw + ve) / j;
-                        let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-                        let den = 1.0 + 0.25 * l;
-                        let qsq = num / (den * den);
-                        let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                        cv.set(i, cf.clamp(0.0, 1.0));
-                    });
-
-                    let (iv, cv, dnv, dsv, dev, dwv) =
-                        (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-                    q.parallel_for("srad_2", Range::d2(n, n), move |it| {
-                        let (x, y) = (it.gid(0), it.gid(1));
-                        let i = y * n + x;
-                        let cn = cv.get(i);
-                        let cs = cv.get((y + 1).min(n - 1) * n + x);
-                        let cw = cv.get(i);
-                        let ce = cv.get(y * n + (x + 1).min(n - 1));
-                        let d = cn * dnv.get(i)
-                            + cs * dsv.get(i)
-                            + cw * dwv.get(i)
-                            + ce * dev.get(i);
-                        iv.update(i, |v| v + 0.25 * lambda * d);
-                    });
-                    continue;
-                }
-
-                let (iv, cv, dnv, dsv, dev, dwv) =
-                    (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-                q.parallel_for("srad_1", Range::d1(n), move |it| {
-                    let y = it.gid(0);
-                    let row = y * n;
-                    let rn = y.saturating_sub(1) * n;
-                    let rs = (y + 1).min(n - 1) * n;
-                    let scalar = |x: usize| {
-                        let i = row + x;
-                        let j = iv.get(i);
-                        let jn = iv.get(rn + x);
-                        let js = iv.get(rs + x);
-                        let jw = iv.get(row + x.saturating_sub(1));
-                        let je = iv.get(row + (x + 1).min(n - 1));
-                        let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                        dnv.set(i, vn);
-                        dsv.set(i, vs);
-                        dwv.set(i, vw);
-                        dev.set(i, ve);
-                        let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                        let l = (vn + vs + vw + ve) / j;
-                        let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-                        let den = 1.0 + 0.25 * l;
-                        let qsq = num / (den * den);
-                        let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                        cv.set(i, cf.clamp(0.0, 1.0));
-                    };
-                    scalar(0);
-                    let mut x = 1;
-                    if lanes::enabled() {
-                        let inv_den = q0 * (1.0 + q0);
-                        while x + LANES < n {
-                            let i = row + x;
-                            let j = F32x8::from(iv.get_lanes(i));
-                            let jn = F32x8::from(iv.get_lanes(rn + x));
-                            let js = F32x8::from(iv.get_lanes(rs + x));
-                            let jw = F32x8::from(iv.get_lanes(i - 1));
-                            let je = F32x8::from(iv.get_lanes(i + 1));
-                            let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                            dnv.set_lanes(i, vn.to_array());
-                            dsv.set_lanes(i, vs.to_array());
-                            dwv.set_lanes(i, vw.to_array());
-                            dev.set_lanes(i, ve.to_array());
-                            let g2 =
-                                (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                            let l = (vn + vs + vw + ve) / j;
-                            let num = F32x8::splat(0.5) * g2
-                                - F32x8::splat(1.0 / 16.0) * l * l;
-                            let den = F32x8::splat(1.0) + F32x8::splat(0.25) * l;
-                            let qsq = num / (den * den);
-                            let cf = F32x8::splat(1.0)
-                                / (F32x8::splat(1.0)
-                                    + (qsq - F32x8::splat(q0)) / F32x8::splat(inv_den));
-                            cv.set_lanes(i, cf.clamp(0.0, 1.0).to_array());
-                            x += LANES;
-                        }
-                    }
-                    while x < n {
-                        scalar(x);
-                        x += 1;
-                    }
-                });
-
-                let (iv, cv, dnv, dsv, dev, dwv) =
-                    (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-                q.parallel_for("srad_2", Range::d1(n), move |it| {
-                    let y = it.gid(0);
-                    let row = y * n;
-                    let rs = (y + 1).min(n - 1) * n;
-                    let scalar = |x: usize| {
-                        let i = row + x;
-                        let cn = cv.get(i);
-                        let cs = cv.get(rs + x);
-                        let cw = cv.get(i);
-                        let ce = cv.get(row + (x + 1).min(n - 1));
-                        let d =
-                            cn * dnv.get(i) + cs * dsv.get(i) + cw * dwv.get(i) + ce * dev.get(i);
-                        iv.update(i, |v| v + 0.25 * lambda * d);
-                    };
-                    let mut x = 0;
-                    if lanes::enabled() {
-                        let lscale = F32x8::splat(0.25 * lambda);
-                        while x + LANES < n {
-                            let i = row + x;
-                            let cn = F32x8::from(cv.get_lanes(i));
-                            let cs = F32x8::from(cv.get_lanes(rs + x));
-                            let cw = cn;
-                            let ce = F32x8::from(cv.get_lanes(i + 1));
-                            let d = cn * F32x8::from(dnv.get_lanes(i))
-                                + cs * F32x8::from(dsv.get_lanes(i))
-                                + cw * F32x8::from(dwv.get_lanes(i))
-                                + ce * F32x8::from(dev.get_lanes(i));
-                            let v = F32x8::from(iv.get_lanes(i));
-                            iv.set_lanes(i, (v + lscale * d).to_array());
-                            x += LANES;
-                        }
-                    }
-                    while x < n {
-                        scalar(x);
-                        x += 1;
-                    }
-                });
+                planes.q0.write_from(&[roi_q0(q, &planes.img, n)]);
+                q.parallel_for("srad_1", Range::d1(n), srad_1.clone());
+                q.parallel_for("srad_2", Range::d1(n), srad_2.clone());
             }
         }
         ExecMode::Graph | ExecMode::GraphOptimized => {
-            // q0 changes every iteration, so it rides in a one-element
-            // parameter buffer the recorded kernel reads at replay time.
-            let q0b = Buffer::<f32>::new(1);
-            let q0h = q0b.view();
-            // Per-kernel elision gates: every access is either affine in
-            // the item id or explicitly clamped below n*n, so both
-            // contract proofs close and fast-path replays run the
-            // stencils bounds-check-free.
-            let (gate1, gate2) = (Gate::new(), Gate::new());
-            let graph = Graph::record(q, |g| {
-                use hetero_rt::prove::{at, bounded, LaunchSpec};
-                let nn = n * n;
-                let own = || at(0).item(0, 1).item(1, n);
-                let (iv, cv, dnv, dsv, dev, dwv) = (
-                    gate1.view(img.view()),
-                    gate1.view(c.view()),
-                    gate1.view(dn.view()),
-                    gate1.view(ds.view()),
-                    gate1.view(de.view()),
-                    gate1.view(dw.view()),
-                );
-                let q0v = gate1.view(q0b.view());
-                g.parallel_for(
-                    "srad_1",
-                    Range::d2(n, n),
-                    // Each item writes exactly its own cell of the five
-                    // derivative planes: dense item footprints. The image
-                    // is a neighbourhood gather, so its read stays Whole.
-                    &[
-                        reads(&img),
-                        reads(&q0b),
-                        writes_dense(&c),
-                        writes_dense(&dn),
-                        writes_dense(&ds),
-                        writes_dense(&de),
-                        writes_dense(&dw),
-                    ],
-                    move |it| {
-                        let q0 = q0v.get(0);
-                        let (x, y) = (it.gid(0), it.gid(1));
-                        let i = y * n + x;
-                        let j = iv.get(i);
-                        let jn = iv.get(y.saturating_sub(1) * n + x);
-                        let js = iv.get((y + 1).min(n - 1) * n + x);
-                        let jw = iv.get(y * n + x.saturating_sub(1));
-                        let je = iv.get(y * n + (x + 1).min(n - 1));
-                        let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                        dnv.set(i, vn);
-                        dsv.set(i, vs);
-                        dwv.set(i, vw);
-                        dev.set(i, ve);
-                        let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                        let l = (vn + vs + vw + ve) / j;
-                        let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-                        let den = 1.0 + 0.25 * l;
-                        let qsq = num / (den * den);
-                        let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                        cv.set(i, cf.clamp(0.0, 1.0));
-                    },
-                );
-                g.contract_gated(
-                    LaunchSpec::new()
-                        .slot(
-                            "img",
-                            nn,
-                            vec![
-                                own().into(),
-                                bounded(nn),
-                                bounded(nn),
-                                bounded(nn),
-                                bounded(nn),
-                            ],
-                            vec![],
-                        )
-                        .slot("q0", 1, vec![at(0).into()], vec![])
-                        .slot("c", nn, vec![], vec![own().into()])
-                        .slot("dn", nn, vec![], vec![own().into()])
-                        .slot("ds", nn, vec![], vec![own().into()])
-                        .slot("de", nn, vec![], vec![own().into()])
-                        .slot("dw", nn, vec![], vec![own().into()]),
-                    &gate1,
-                );
-                let (iv, cv, dnv, dsv, dev, dwv) = (
-                    gate2.view(img.view()),
-                    gate2.view(c.view()),
-                    gate2.view(dn.view()),
-                    gate2.view(ds.view()),
-                    gate2.view(de.view()),
-                    gate2.view(dw.view()),
-                );
-                g.parallel_for(
-                    "srad_2",
-                    Range::d2(n, n),
-                    // c is gathered at neighbours (Whole read) — this is
-                    // exactly what makes fusing srad_1+srad_2 illegal:
-                    // srad_1 dense-writes what srad_2 gathers. The
-                    // derivative planes are read at the item's own cell.
-                    &[
-                        reads(&c),
-                        reads_item(&dn),
-                        reads_item(&ds),
-                        reads_item(&de),
-                        reads_item(&dw),
-                        reads_writes_item(&img),
-                    ],
-                    move |it| {
-                        let (x, y) = (it.gid(0), it.gid(1));
-                        let i = y * n + x;
-                        let cn = cv.get(i);
-                        let cs = cv.get((y + 1).min(n - 1) * n + x);
-                        let cw = cv.get(i);
-                        let ce = cv.get(y * n + (x + 1).min(n - 1));
-                        let d = cn * dnv.get(i)
-                            + cs * dsv.get(i)
-                            + cw * dwv.get(i)
-                            + ce * dev.get(i);
-                        iv.update(i, |v| v + 0.25 * lambda * d);
-                    },
-                );
-                g.contract_gated(
-                    LaunchSpec::new()
-                        .slot(
-                            "c",
-                            nn,
-                            vec![own().into(), own().into(), bounded(nn), bounded(nn)],
-                            vec![],
-                        )
-                        .slot("dn", nn, vec![own().into()], vec![])
-                        .slot("ds", nn, vec![own().into()], vec![])
-                        .slot("de", nn, vec![own().into()], vec![])
-                        .slot("dw", nn, vec![own().into()], vec![])
-                        .slot("img", nn, vec![own().into()], vec![own().into()]),
-                    &gate2,
-                );
-                g.output(&img);
-            })
-            .and_then(|g| {
-                hetero_rt::OptimizedGraph::compile(g, mode.graph_opt_level().unwrap_or_default())
-            })
-            .unwrap_or_else(|e| std::panic::panic_any(e));
+            let level = mode.graph_opt_level().unwrap_or_default();
+            let graph = step_graph(q, n, p.lambda, &planes)
+                .and_then(|g| hetero_rt::OptimizedGraph::compile(g, level))
+                .unwrap_or_else(|e| std::panic::panic_any(e));
             for _ in 0..p.iterations {
-                q0h.set(0, roi_q0(q, &img, n));
+                planes.q0.write_from(&[roi_q0(q, &planes.img, n)]);
                 graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
             }
         }
     }
-    img.to_vec()
+    planes.img.to_vec()
+}
+
+/// Device state of the diffusion step: the carried image, the
+/// one-element `q0` parameter buffer the host writes before each step,
+/// and the coefficient and derivative planes `srad_1` hands to `srad_2`.
+pub(crate) struct Planes {
+    pub(crate) img: Buffer<f32>,
+    pub(crate) q0: Buffer<f32>,
+    c: Buffer<f32>,
+    dn: Buffer<f32>,
+    ds: Buffer<f32>,
+    de: Buffer<f32>,
+    dw: Buffer<f32>,
+}
+
+impl Planes {
+    pub(crate) fn new(image: &[f32]) -> Self {
+        let plane = || Buffer::<f32>::new(image.len());
+        Planes {
+            img: Buffer::from_slice(image),
+            q0: Buffer::new(1),
+            c: plane(),
+            dn: plane(),
+            ds: plane(),
+            de: plane(),
+            dw: plane(),
+        }
+    }
+}
+
+/// The two kernels of one diffusion step, one work-item per image row.
+/// The north/south row offsets and the clamped west/east columns are
+/// uniform per row, so each row is a scalar west edge, an 8-wide lane
+/// sweep over the interior, and a scalar arm through the east edge — and
+/// over the whole row under `HETERO_RT_LANES=0`. Every lane expression
+/// mirrors the scalar op sequence literally (same associativity, no
+/// FMA), keeping both arms bit-identical. Views go through `gates[k]`,
+/// which only a fast-path graph replay arms.
+fn row_kernels(
+    n: usize,
+    lambda: f32,
+    planes: &Planes,
+    gates: &[Gate; 2],
+) -> (
+    impl Fn(Item) + Clone + Send + Sync + 'static,
+    impl Fn(Item) + Clone + Send + Sync + 'static,
+) {
+    use hetero_rt::lanes::{self, F32x8, LANES};
+    let views = |g: &Gate| {
+        let v = |b: &Buffer<f32>| g.view(b.view());
+        (v(&planes.img), v(&planes.c), v(&planes.dn), v(&planes.ds), v(&planes.de), v(&planes.dw))
+    };
+    let srad_1 = {
+        let (iv, cv, dnv, dsv, dev, dwv) = views(&gates[0]);
+        let q0v = gates[0].view(planes.q0.view());
+        move |it: Item| {
+            let q0 = q0v.get(0);
+            let y = it.gid(0);
+            let row = y * n;
+            let rn = y.saturating_sub(1) * n;
+            let rs = (y + 1).min(n - 1) * n;
+            let scalar = |x: usize| {
+                let i = row + x;
+                let j = iv.get(i);
+                let jn = iv.get(rn + x);
+                let js = iv.get(rs + x);
+                let jw = iv.get(row + x.saturating_sub(1));
+                let je = iv.get(row + (x + 1).min(n - 1));
+                let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
+                dnv.set(i, vn);
+                dsv.set(i, vs);
+                dwv.set(i, vw);
+                dev.set(i, ve);
+                let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
+                let l = (vn + vs + vw + ve) / j;
+                let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
+                let den = 1.0 + 0.25 * l;
+                let qsq = num / (den * den);
+                let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
+                cv.set(i, cf.clamp(0.0, 1.0));
+            };
+            scalar(0);
+            let mut x = 1;
+            if lanes::enabled() {
+                let inv_den = q0 * (1.0 + q0);
+                while x + LANES < n {
+                    let i = row + x;
+                    let j = F32x8::from(iv.get_lanes(i));
+                    let jn = F32x8::from(iv.get_lanes(rn + x));
+                    let js = F32x8::from(iv.get_lanes(rs + x));
+                    let jw = F32x8::from(iv.get_lanes(i - 1));
+                    let je = F32x8::from(iv.get_lanes(i + 1));
+                    let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
+                    dnv.set_lanes(i, vn.to_array());
+                    dsv.set_lanes(i, vs.to_array());
+                    dwv.set_lanes(i, vw.to_array());
+                    dev.set_lanes(i, ve.to_array());
+                    let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
+                    let l = (vn + vs + vw + ve) / j;
+                    let num = F32x8::splat(0.5) * g2 - F32x8::splat(1.0 / 16.0) * l * l;
+                    let den = F32x8::splat(1.0) + F32x8::splat(0.25) * l;
+                    let qsq = num / (den * den);
+                    let cf = F32x8::splat(1.0)
+                        / (F32x8::splat(1.0) + (qsq - F32x8::splat(q0)) / F32x8::splat(inv_den));
+                    cv.set_lanes(i, cf.clamp(0.0, 1.0).to_array());
+                    x += LANES;
+                }
+            }
+            while x < n {
+                scalar(x);
+                x += 1;
+            }
+        }
+    };
+    let srad_2 = {
+        let (iv, cv, dnv, dsv, dev, dwv) = views(&gates[1]);
+        move |it: Item| {
+            let y = it.gid(0);
+            let row = y * n;
+            let rs = (y + 1).min(n - 1) * n;
+            let scalar = |x: usize| {
+                let i = row + x;
+                let cn = cv.get(i);
+                let cs = cv.get(rs + x);
+                let cw = cv.get(i);
+                let ce = cv.get(row + (x + 1).min(n - 1));
+                let d = cn * dnv.get(i) + cs * dsv.get(i) + cw * dwv.get(i) + ce * dev.get(i);
+                iv.update(i, |v| v + 0.25 * lambda * d);
+            };
+            let mut x = 0;
+            if lanes::enabled() {
+                let lscale = F32x8::splat(0.25 * lambda);
+                while x + LANES < n {
+                    let i = row + x;
+                    let cn = F32x8::from(cv.get_lanes(i));
+                    let cs = F32x8::from(cv.get_lanes(rs + x));
+                    let cw = cn;
+                    let ce = F32x8::from(cv.get_lanes(i + 1));
+                    let d = cn * F32x8::from(dnv.get_lanes(i))
+                        + cs * F32x8::from(dsv.get_lanes(i))
+                        + cw * F32x8::from(dwv.get_lanes(i))
+                        + ce * F32x8::from(dev.get_lanes(i));
+                    let v = F32x8::from(iv.get_lanes(i));
+                    iv.set_lanes(i, (v + lscale * d).to_array());
+                    x += LANES;
+                }
+            }
+            while x < n {
+                scalar(x);
+                x += 1;
+            }
+        }
+    };
+    (srad_1, srad_2)
+}
+
+/// Record one diffusion step (batch runs and [`streaming`] replay the
+/// same recording). `own` is the full row `n·gid + x`, `x < n`, each
+/// work-item sweeps; the north/south rows and west/east columns are
+/// clamped into the image, hence `bounded(nn)`. Every access is affine
+/// or clamped below `n·n`, so both contract proofs close and fast-path
+/// replays run the stencils' scalar accesses bounds-check-free (lane
+/// windows keep their one check per 8).
+pub(crate) fn step_graph(
+    q: &Queue,
+    n: usize,
+    lambda: f32,
+    planes: &Planes,
+) -> hetero_rt::Result<Graph> {
+    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
+    let nn = n * n;
+    let gates = [Gate::new(), Gate::new()];
+    let (srad_1, srad_2) = row_kernels(n, lambda, planes, &gates);
+    let own = || -> Index { at(0).item(0, n).aux(1, n).into() };
+    let Planes { img, q0, c, dn, ds, de, dw } = planes;
+    Graph::record(q, |g| {
+        g.parallel_for(
+            "srad_1",
+            Range::d1(n),
+            // Each row writes exactly its own cells of the five
+            // derivative planes: dense item footprints. The image is a
+            // neighbourhood gather, so its read stays Whole.
+            &[
+                reads(img),
+                reads(q0),
+                writes_dense(c),
+                writes_dense(dn),
+                writes_dense(ds),
+                writes_dense(de),
+                writes_dense(dw),
+            ],
+            srad_1,
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("img", nn, vec![own(), bounded(nn), bounded(nn), bounded(nn), bounded(nn)], vec![])
+                .slot("q0", 1, vec![at(0).into()], vec![])
+                .slot("c", nn, vec![], vec![own()])
+                .slot("dn", nn, vec![], vec![own()])
+                .slot("ds", nn, vec![], vec![own()])
+                .slot("de", nn, vec![], vec![own()])
+                .slot("dw", nn, vec![], vec![own()]),
+            &gates[0],
+        )
+        .parallel_for(
+            "srad_2",
+            Range::d1(n),
+            // c is gathered at the south row (Whole read) — this is
+            // exactly what makes fusing srad_1+srad_2 illegal: srad_1
+            // dense-writes what srad_2 gathers. The derivative planes
+            // are read at the row's own cells.
+            &[
+                reads(c),
+                reads_item(dn),
+                reads_item(ds),
+                reads_item(de),
+                reads_item(dw),
+                reads_writes_item(img),
+            ],
+            srad_2,
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("c", nn, vec![own(), bounded(nn), bounded(nn)], vec![])
+                .slot("dn", nn, vec![own()], vec![])
+                .slot("ds", nn, vec![own()], vec![])
+                .slot("de", nn, vec![own()], vec![])
+                .slot("dw", nn, vec![own()], vec![])
+                .slot("img", nn, vec![own()], vec![own()]),
+            &gates[1],
+        )
+        .output(img);
+    })
 }
 
 /// Analytic work profile.
@@ -566,8 +504,8 @@ mod tests {
 
     #[test]
     fn per_launch_and_graph_modes_agree_exactly() {
-        // Same kernels, same chunk partition, same q0 value (delivered
-        // via parameter buffer instead of capture): bit-identical.
+        // Same kernels, same chunk partition, same q0 parameter buffer:
+        // bit-identical.
         let p = tiny();
         let q = Queue::new(Device::cpu());
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);

@@ -13,106 +13,29 @@ use altis_data::SradParams;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
+use super::Planes;
+
 /// Streaming stage for SRAD. State is the carried image (`dim × dim`).
 pub struct SradStream {
     n: usize,
     lambda: f32,
     primary: Queue,
     clean: Queue,
-    img: Buffer<f32>,
-    q0b: Buffer<f32>,
+    planes: Planes,
     graph: Graph,
 }
 
 impl SradStream {
-    /// Record the two-kernel diffusion step once and build the stage.
+    /// Record the two-kernel diffusion step ([`super::step_graph`], the
+    /// batch runner's recording) once and build the stage.
     /// `primary` is the hardened queue faults are injected on; `clean`
     /// is the fault-free recovery queue. Both replay the same recording.
     pub fn new(p: &SradParams, primary: &Queue, clean: &Queue) -> hetero_rt::Result<Self> {
         let n = p.dim;
         let lambda = p.lambda;
-        let img = Buffer::from_slice(&super::generate_image(p));
-        let c = Buffer::<f32>::new(n * n);
-        let dn = Buffer::<f32>::new(n * n);
-        let ds = Buffer::<f32>::new(n * n);
-        let de = Buffer::<f32>::new(n * n);
-        let dw = Buffer::<f32>::new(n * n);
-        let q0b = Buffer::<f32>::new(1);
-        let graph = Graph::record(clean, |g| {
-            let (iv, cv, dnv, dsv, dev, dwv) =
-                (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-            let q0v = q0b.view();
-            g.parallel_for(
-                "srad_1",
-                Range::d2(n, n),
-                &[
-                    reads(&img),
-                    reads(&q0b),
-                    writes_dense(&c),
-                    writes_dense(&dn),
-                    writes_dense(&ds),
-                    writes_dense(&de),
-                    writes_dense(&dw),
-                ],
-                move |it| {
-                    let q0 = q0v.get(0);
-                    let (x, y) = (it.gid(0), it.gid(1));
-                    let i = y * n + x;
-                    let j = iv.get(i);
-                    let jn = iv.get(y.saturating_sub(1) * n + x);
-                    let js = iv.get((y + 1).min(n - 1) * n + x);
-                    let jw = iv.get(y * n + x.saturating_sub(1));
-                    let je = iv.get(y * n + (x + 1).min(n - 1));
-                    let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                    dnv.set(i, vn);
-                    dsv.set(i, vs);
-                    dwv.set(i, vw);
-                    dev.set(i, ve);
-                    let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                    let l = (vn + vs + vw + ve) / j;
-                    let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-                    let den = 1.0 + 0.25 * l;
-                    let qsq = num / (den * den);
-                    let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                    cv.set(i, cf.clamp(0.0, 1.0));
-                },
-            );
-            let (iv, cv, dnv, dsv, dev, dwv) =
-                (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
-            g.parallel_for(
-                "srad_2",
-                Range::d2(n, n),
-                &[
-                    reads(&c),
-                    reads_item(&dn),
-                    reads_item(&ds),
-                    reads_item(&de),
-                    reads_item(&dw),
-                    reads_writes_item(&img),
-                ],
-                move |it| {
-                    let (x, y) = (it.gid(0), it.gid(1));
-                    let i = y * n + x;
-                    let cn = cv.get(i);
-                    let cs = cv.get((y + 1).min(n - 1) * n + x);
-                    let cw = cv.get(i);
-                    let ce = cv.get(y * n + (x + 1).min(n - 1));
-                    let d =
-                        cn * dnv.get(i) + cs * dsv.get(i) + cw * dwv.get(i) + ce * dev.get(i);
-                    iv.update(i, |v| v + 0.25 * lambda * d);
-                },
-            );
-            g.output(&img);
-        })?;
-        Ok(SradStream {
-            n,
-            lambda,
-            primary: primary.clone(),
-            clean: clean.clone(),
-            img,
-            q0b,
-            graph,
-        })
+        let planes = Planes::new(&super::generate_image(p));
+        let graph = super::step_graph(clean, n, lambda, &planes)?;
+        Ok(SradStream { n, lambda, primary: primary.clone(), clean: clean.clone(), planes, graph })
     }
 
     /// Initial stream state: the speckled input image.
@@ -136,10 +59,10 @@ impl SradStream {
         // State-on-success: buffers are rewritten from host state before
         // every launch, so a failed replay leaves `state` untouched and
         // partial device writes are harmless.
-        self.q0b.view().set(0, self.host_q0(state));
-        self.img.write_from(state);
-        self.graph.replay(q)?;
-        *state = self.img.to_vec();
+        self.planes.q0.write_from(&[self.host_q0(state)]);
+        self.planes.img.write_from(state);
+        crate::streaming::replay_verified(&self.graph, q)?;
+        *state = self.planes.img.to_vec();
         Ok(())
     }
 }

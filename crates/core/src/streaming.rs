@@ -92,6 +92,20 @@ pub fn clean_queue(cancel: Option<CancelToken>) -> Queue {
         .with_cancel_token(cancel)
 }
 
+/// Replay `graph` on `q`, then — on an integrity queue — verify every
+/// sealed region before the stage reads results back into carried
+/// state. The launch protocol only verifies at the *next* launch entry,
+/// so a flip or stuck page landing after a window's last reseal would
+/// otherwise reach the state unseen; here it fails the window with the
+/// typed `DataCorruption` the runner rolls back from.
+pub(crate) fn replay_verified(graph: &Graph, q: &Queue) -> hetero_rt::Result<()> {
+    graph.replay(q)?;
+    if q.integrity_enabled() {
+        hetero_rt::integrity::verify_quiescent()?;
+    }
+    Ok(())
+}
+
 /// Object-safe facade over [`StreamRunner`] so callers can drive any
 /// app's stream without knowing its state type.
 pub trait AppStream {

@@ -1089,6 +1089,53 @@ mod tests {
     }
 
     #[test]
+    fn row_sweeps_infer_item_and_full_rows_dense() {
+        // The FDTD2D hx row shape: one item per row, x in 0..n-1 of the
+        // n columns; reads ez on the row and the row below, RMW hx.
+        let n = 64usize;
+        let row = |off: usize, w: usize| -> Index { at(off).item(0, n).aux(1, w).into() };
+        let spec = LaunchSpec::new()
+            .slot("ez", n * n, vec![row(n, n - 1), row(0, n - 1)], vec![])
+            .slot("hx", n * n, vec![row(0, n - 1)], vec![row(0, n - 1)]);
+        let r = infer_contract("fdtd_hx", [n - 1, 1, 1], &spec);
+        // ez spans two rows per item (width 2n-1 > stride n): a gather.
+        assert_eq!(r.slots[0].footprint, PlanFootprint::Whole);
+        // hx leaves the last column (and row) unwritten: Item, not dense.
+        assert_eq!(r.slots[1].access, Some(PlanAccess::ReadWrite));
+        assert_eq!(r.slots[1].footprint, PlanFootprint::Item);
+        assert!(r.proven_in_bounds());
+        assert_eq!(r.slots[0].max_index, Some(n * n - 2));
+
+        // The SRAD-1 row shape: every row written full width over n rows.
+        let spec = LaunchSpec::new().slot("c", n * n, vec![], vec![row(0, n)]);
+        let r = infer_contract("srad_1", [n, 1, 1], &spec);
+        assert_eq!(r.slots[0].footprint, PlanFootprint::ItemDense);
+        assert!(r.proven_in_bounds());
+    }
+
+    #[test]
+    fn guarded_block_read_proves_a_ragged_tail_in_bounds() {
+        // The KMeans accumulate shape: item b reads the nf words of
+        // points b*B..(b+1)*B, the last block clipped to n.
+        let (n, nf, b) = (1000usize, 16usize, 256usize);
+        let blocks = n.div_ceil(b);
+        let block = |w: usize| -> Index { at(0).item(0, b * w).aux(1, b * w).guard(n * w).into() };
+        let spec = LaunchSpec::new()
+            .slot("pts", n * nf, vec![block(nf)], vec![])
+            .slot("membership", n, vec![block(1)], vec![]);
+        let r = infer_contract("accumulate", [blocks, 1, 1], &spec);
+        assert!(blocks * b > n, "the last block is ragged");
+        assert!(r.proven_in_bounds());
+        assert_eq!(r.slots[0].max_index, Some(n * nf - 1));
+        assert_eq!(r.slots[1].max_index, Some(n - 1));
+        assert_eq!(r.slots[1].footprint, PlanFootprint::Item);
+        // Without the guard the same sweep runs past the cloud.
+        let open = LaunchSpec::new()
+            .slot("membership", n, vec![at(0).item(0, b).aux(1, b).into()], vec![]);
+        assert!(!infer_contract("accumulate", [blocks, 1, 1], &open).proven_in_bounds());
+    }
+
+    #[test]
     fn aux_loop_slices_infer_item_and_dense() {
         // The CFD time_step shape: write vars[e*NVAR + v], v in 0..NVAR.
         let (n, nvar) = (32usize, 4usize);

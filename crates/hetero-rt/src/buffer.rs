@@ -222,6 +222,37 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         r
     }
 
+    /// Host-side store of element `i` between launches (a point-source
+    /// injection, one scalar of a larger parameter block). Unlike a
+    /// store through a [`GlobalView`], it keeps an armed integrity seal
+    /// truthful: the element's page is verified, written and resealed
+    /// alone, so the next launch neither flags this write as corruption
+    /// nor loses protection of the rest of the buffer. An out-of-range
+    /// `i` or a page found corrupted raises the typed [`Error`] payload
+    /// ([`Error::AccessOutOfBounds`] / [`Error::DataCorruption`]). To
+    /// replace a whole buffer use [`Buffer::write_from`], which has
+    /// nothing old to verify.
+    pub fn host_set(&self, i: usize, v: T) {
+        let mut guard = self.storage.host();
+        if i >= guard.len() {
+            let len = guard.len();
+            drop(guard);
+            oob(i, 1, len);
+        }
+        let stored = match &self.storage.region {
+            Some(region) => {
+                let size = std::mem::size_of::<T>();
+                region.host_store(i * size, size, || guard[i] = v)
+            }
+            None => {
+                guard[i] = v;
+                Ok(())
+            }
+        };
+        drop(guard);
+        stored.unwrap_or_else(|e| std::panic::panic_any(e));
+    }
+
     /// Create a device-side view over the whole buffer for use inside a
     /// kernel. The view is `Copy + Send + Sync` so it can be captured by
     /// kernel closures running on multiple threads.

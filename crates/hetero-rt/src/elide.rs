@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::buffer::GlobalView;
+use crate::lanes::LANES;
 
 /// Global elision kill switch (default: enabled). Disabling never makes
 /// a program less checked — gates simply stay disarmed.
@@ -149,6 +150,22 @@ impl<T: Copy> ProvenView<T> {
     pub fn update(&self, i: usize, f: impl FnOnce(T) -> T) {
         self.set(i, f(self.get(i)));
     }
+
+    /// Load [`LANES`] consecutive elements starting at `i` through
+    /// [`GlobalView::get_lanes`], armed or not: a lane window pays one
+    /// bounds check per [`LANES`] elements, and eliding that one moved no
+    /// end-to-end metric.
+    #[inline]
+    pub fn get_lanes(&self, i: usize) -> [T; LANES] {
+        self.inner.get_lanes(i)
+    }
+
+    /// Store [`LANES`] consecutive elements starting at `i`; the
+    /// vector-store counterpart of [`ProvenView::get_lanes`].
+    #[inline]
+    pub fn set_lanes(&self, i: usize, v: [T; LANES]) {
+        self.inner.set_lanes(i, v);
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +200,27 @@ mod tests {
         gate.disarm();
         assert_eq!(b.to_vec(), vec![5, 16, 7]);
         assert!(!gate.is_armed());
+    }
+
+    #[test]
+    fn lane_accessors_stay_checked_while_armed() {
+        crate::fault::install_quiet_hook();
+        let b = Buffer::<u32>::from_slice(&(0..12).collect::<Vec<u32>>());
+        let gate = Gate::new();
+        let v = gate.view(b.view());
+        gate.arm();
+        v.set_lanes(4, [9; LANES]);
+        assert_eq!(v.get_lanes(4), [9; LANES]);
+        // A lane window that runs off the end raises the typed payload
+        // with the window's offset and width even under an armed gate.
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| v.get_lanes(5))).unwrap_err();
+        assert_eq!(
+            *payload.downcast::<crate::Error>().expect("typed payload"),
+            crate::Error::AccessOutOfBounds { offset: 5, len: LANES, buffer_len: 12 }
+        );
+        gate.disarm();
+        assert_eq!(b.to_vec(), vec![0, 1, 2, 3, 9, 9, 9, 9, 9, 9, 9, 9]);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! Coarse host mutations (`Buffer::write_from`, `Buffer::write`,
 //! `UsmAlloc::set`, `as_mut_slice`, …) reseal or unseal their region, so
 //! ordinary host-side initialization between launches never trips
-//! verification. Raw [`crate::GlobalView`] writes from host code outside
+//! verification; a store of one element of a larger buffer between
+//! replays (a point source) goes through `Buffer::host_set`, which
+//! verifies and reseals only the page it touches. Raw
+//! [`crate::GlobalView`] writes from host code outside
 //! a kernel are **not** hooked — while armed they are indistinguishable
 //! from corruption, which is exactly why the SDC tests use them as the
 //! corruption primitive. Application code keeps host writes on the
@@ -194,6 +197,38 @@ impl Region {
         if self.sealed_hint.swap(false, Ordering::AcqRel) {
             lock(&self.state).seal = None;
         }
+    }
+
+    /// Host store of `len` bytes at byte `offset`, between launches:
+    /// the pages it touches are verified against the seal, `write` runs,
+    /// and only those pages are resealed — the rest of the region keeps
+    /// the protection of its last seal. A page that already diverged is
+    /// reported once as [`Error::DataCorruption`] (region resealed to its
+    /// current contents, `write` not run). Unsealed regions just write.
+    pub(crate) fn host_store(
+        &self,
+        offset: usize,
+        len: usize,
+        write: impl FnOnce(),
+    ) -> Result<(), Error> {
+        let mut st = lock(&self.state);
+        let pages = offset / PAGE_BYTES..(offset + len).div_ceil(PAGE_BYTES);
+        let page = |p: usize| &self.bytes_slice()[p * PAGE_BYTES..((p + 1) * PAGE_BYTES).min(self.bytes)];
+        if let Some(seal) = &st.seal {
+            if let Some(p) = pages.clone().find(|&p| seal.get(p).copied() != Some(page_checksum(page(p)))) {
+                let epoch = st.epoch;
+                DETECTIONS.fetch_add(1, Ordering::Relaxed);
+                self.reseal_locked(&mut st);
+                return Err(Error::DataCorruption { region: self.id, page: p, epoch });
+            }
+        }
+        write();
+        if let Some(seal) = &mut st.seal {
+            for (p, sum) in seal.iter_mut().enumerate().take(pages.end).skip(pages.start) {
+                *sum = page_checksum(page(p));
+            }
+        }
+        Ok(())
     }
 
     /// First page whose checksum no longer matches the seal, if any.
@@ -368,6 +403,21 @@ pub fn verify_all() -> Result<(), Error> {
         }
     }
     Ok(())
+}
+
+/// [`verify_all`] for host code about to consume results between
+/// launches (a stream stage reading a window's output into carried
+/// state): the walk reads every region's bytes, so — like the launch
+/// boundaries and the scrubber — it only runs while no launch is in
+/// flight anywhere in the process. With one in flight it is skipped and
+/// returns `Ok`; the next exclusive launch entry still verifies.
+pub fn verify_quiescent() -> Result<(), Error> {
+    let scope = LaunchScope::enter();
+    if scope.exclusive() {
+        verify_all()
+    } else {
+        Ok(())
+    }
 }
 
 /// Reseal every live region to its current contents (launch exit).

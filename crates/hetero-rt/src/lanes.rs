@@ -20,16 +20,18 @@
 //! Order-sensitive `f32` sum reductions are *refused* vectorization and
 //! keep their deterministic chunk-order tree (see DESIGN.md §10).
 //!
-//! # Opt-in
+//! # One kernel, two arms
 //!
-//! Conversion is per-kernel: a kernel opts in by branching on
-//! [`enabled`] between its lane path and its scalar path, and every lane
-//! loop carries a scalar remainder arm (enforced by the `lanes-remainder`
-//! lint). `HETERO_RT_LANES=0` disables all lane paths at once — the
-//! scalar arms then run the full range, which is also how the roofline
-//! benchmark measures the scalar baseline in-process via [`force`].
+//! A converted launch has one kernel: a coarse work-item (a lattice row,
+//! a block of records) whose body is a lane sweep guarded by [`enabled`]
+//! plus a scalar arm for the remainder (enforced by the `lanes-remainder`
+//! lint). `HETERO_RT_LANES=0` disables all lane sweeps at once — the
+//! scalar arms then run the full range of the same launches, which is
+//! also how the roofline benchmark measures the scalar baseline
+//! in-process via [`force`].
 //!
-//! Lane accessors on [`crate::GlobalView`] amortize the bounds check to
+//! Lane accessors on [`crate::GlobalView`] (and their pass-throughs on
+//! [`crate::elide::ProvenView`]) amortize the bounds check to
 //! one per [`LANES`] elements but still record **per-element** sanitizer
 //! accesses while a sanitized launch is armed, so race reports are
 //! identical whether a kernel ran its lane path or its scalar path.

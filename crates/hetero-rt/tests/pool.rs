@@ -4,7 +4,6 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use hetero_rt::executor::Parallelism;
 use hetero_rt::pool;
 use hetero_rt::prelude::*;
 
@@ -62,27 +61,6 @@ fn pool_reuses_threads_across_a_thousand_launches() {
     assert!(
         dispatched >= launches,
         "only {dispatched} of {launches} launches dispatched to the pool"
-    );
-}
-
-#[test]
-fn sequential_launches_bypass_the_pool_dispatch() {
-    init_threads();
-    let q = Queue::new(Device::cpu()).with_parallelism(Parallelism::Sequential);
-    // Touch the pool once so the counter exists.
-    let _ = pool::auto_threads();
-    let before = pool::jobs_dispatched();
-    let b = Buffer::<u32>::new(512);
-    for _ in 0..50 {
-        let v = b.view();
-        q.parallel_for("seq", Range::d1(512), move |it| {
-            v.set(it.gid(0), 7);
-        });
-    }
-    assert_eq!(
-        pool::jobs_dispatched(),
-        before,
-        "sequential launches must not enqueue pool jobs"
     );
 }
 

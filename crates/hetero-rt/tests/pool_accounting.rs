@@ -7,11 +7,25 @@
 //! because empty jobs were counted as dispatches.
 
 use hetero_rt::pool;
+use hetero_rt::executor::Parallelism;
+use hetero_rt::prelude::*;
 
 #[test]
 fn dispatch_and_allocation_counts_are_exact() {
     // Warm the pool (spawns workers, may allocate the first scratch Job).
     pool::run_job(64, pool::auto_threads(), &|_, _| {});
+
+    // 0. Sequential launches bypass the pool: no job is enqueued. (Lived
+    //    in tests/pool.rs, where sibling tests' launches raced the
+    //    process-wide counter.)
+    let before = pool::jobs_dispatched();
+    let q = Queue::new(Device::cpu()).with_parallelism(Parallelism::Sequential);
+    let b = Buffer::<u32>::new(512);
+    for _ in 0..50 {
+        let v = b.view();
+        q.parallel_for("seq", Range::d1(512), move |it| v.set(it.gid(0), 7));
+    }
+    assert_eq!(pool::jobs_dispatched(), before, "sequential launches must not enqueue pool jobs");
 
     // 1. Empty jobs are not dispatches: they return before touching the
     //    pool.

@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hetero_rt::prelude::*;
 use hetero_rt::prove::{self, at, LaunchSpec};
-use hetero_rt::{elide, RaceKind};
+use hetero_rt::{elide, RaceKind, LANES};
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -354,6 +354,83 @@ fn kill_switch_disables_arming_on_fast_path() {
     assert!(!gate.is_armed());
     assert!(flags.to_vec().iter().all(|&f| f == 0), "kill switch must suppress arming");
     assert_eq!(data.to_vec(), vec![2u32; n]);
+}
+
+/// Record a row kernel — one work-item per row of `w` elements, swept
+/// in lane windows `x < sweep` — with the honest contract of that sweep
+/// and a probe of the gate. Returns `(graph, data, flags)`.
+fn lane_row_graph(q: &Queue, rows: usize, w: usize, sweep: usize) -> (Graph, Buffer<u32>, Buffer<u32>) {
+    let data = Buffer::from_slice(&vec![1u32; rows * w]);
+    let flags = Buffer::<u32>::new(rows);
+    let gate = elide::Gate::new();
+    let (dv, fv) = (gate.view(data.view()), gate.view(flags.view()));
+    let probe = gate.clone();
+    let graph = Graph::record(q, |g| {
+        g.parallel_for(
+            "lane_rows",
+            Range::d1(rows),
+            &[reads_writes(&data), writes_dense(&flags)],
+            move |it| {
+                fv.set(it.gid(0), probe.is_armed() as u32);
+                for x in (0..sweep).step_by(LANES) {
+                    let i = it.gid(0) * w + x;
+                    dv.set_lanes(i, dv.get_lanes(i).map(|e| e + 1));
+                }
+            },
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot(
+                    "data",
+                    rows * w,
+                    vec![at(0).item(0, w).aux(1, sweep).into()],
+                    vec![at(0).item(0, w).aux(1, sweep).into()],
+                )
+                .slot("flags", rows, vec![], vec![at(0).item(0, 1).into()]),
+            &gate,
+        )
+        .output(&data)
+        .output(&flags);
+    })
+    .unwrap();
+    (graph, data, flags)
+}
+
+/// A gated row kernel built on `ProvenView::get_lanes`/`set_lanes`
+/// certifies and replays armed on the fast path (the lane accessors
+/// themselves stay checked; the gate elides the scalar accessors only),
+/// and degrades to a disarmed, sanitized walk on an armed queue.
+#[test]
+fn gated_lane_rows_certify_and_replay_on_both_paths() {
+    let _s = serial();
+    let (rows, w) = (8, 2 * LANES);
+    let q = disarmed();
+    let (graph, data, flags) = lane_row_graph(&q, rows, w, w);
+    graph.replay(&q).unwrap();
+    assert!(flags.to_vec().iter().all(|&f| f == 1), "fast path replays the lane rows armed");
+    assert_eq!(data.to_vec(), vec![2u32; rows * w]);
+    graph.replay(&Queue::new(Device::cpu()).with_sanitizer(true)).unwrap();
+    assert!(flags.to_vec().iter().all(|&f| f == 0), "armed queue must not elide");
+    assert_eq!(data.to_vec(), vec![3u32; rows * w]);
+}
+
+/// A lane sweep that runs one window past the last row: the proof stays
+/// open, no certificate is issued, and the lane load raises the typed
+/// out-of-bounds payload instead of reading past the buffer.
+#[test]
+fn unproven_lane_sweep_stays_checked_and_raises_typed_oob() {
+    let _s = serial();
+    let (rows, w) = (4, 2 * LANES);
+    let q = disarmed();
+    let before = prove::certificates_issued();
+    let (graph, _data, flags) = lane_row_graph(&q, rows, w, w + LANES);
+    assert_eq!(prove::certificates_issued(), before, "an open proof must not certify");
+    let err = graph.replay(&q).unwrap_err();
+    assert_eq!(
+        err,
+        Error::AccessOutOfBounds { offset: rows * w, len: LANES, buffer_len: rows * w }
+    );
+    assert!(flags.to_vec().iter().all(|&f| f == 0), "gate never armed");
 }
 
 /// Contracts are load-bearing in this build: the prove counters move

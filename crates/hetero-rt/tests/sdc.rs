@@ -282,3 +282,77 @@ fn usm_and_buffer_host_apis_keep_protection_coherent() {
     assert!(matches!(err, Error::DataCorruption { region, .. } if region == b.object_id()));
     let _ = u.as_slice();
 }
+
+#[test]
+fn host_set_reseals_its_page_and_keeps_the_rest_protected() {
+    let _g = serial();
+    let _a = Armed::new();
+    let b = Buffer::<u32>::new(600); // 2400 B -> pages 0..=2
+    // A host store between launches is not corruption...
+    b.host_set(300, 9); // byte 1200 -> page 1
+    assert!(integrity::verify_all().is_ok());
+    assert_eq!(b.to_vec()[300], 9);
+    // ...and the other pages keep their seal: a raw write to page 2 is
+    // still caught afterwards, at its exact page.
+    b.view().set(599, 1);
+    assert!(matches!(
+        integrity::verify_all(),
+        Err(Error::DataCorruption { region, page: 2, .. }) if region == b.object_id()
+    ));
+    // A store into a page that already diverged reports it (once) and
+    // writes nothing.
+    b.view().set(0, 5);
+    let payload =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.host_set(1, 7))).unwrap_err();
+    assert!(matches!(
+        payload.downcast_ref::<Error>(),
+        Some(Error::DataCorruption { region, page: 0, .. }) if *region == b.object_id()
+    ));
+    assert_eq!(b.to_vec()[1], 0);
+    b.host_set(1, 7);
+    assert_eq!(b.to_vec()[..2], [5, 7]);
+    assert!(integrity::verify_all().is_ok());
+}
+
+#[test]
+fn verify_quiescent_leaves_an_in_flight_launch_alone() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let _g = serial();
+    let _a = Armed::new();
+    let q = Queue::new(Device::cpu()).with_integrity(true);
+    let hot = Buffer::<u32>::new(256);
+    let (started, release) = (AtomicBool::new(false), AtomicBool::new(false));
+    let hv = hot.view();
+    std::thread::scope(|s| {
+        let launch = s.spawn(|| {
+            q.try_parallel_for("in_flight", Range::d1(1), |_| {
+                // A sealed page, half-written: to a global walk this is
+                // indistinguishable from corruption.
+                hv.set(0, 7);
+                started.store(true, Ordering::Release);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            })
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !started.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "launch never started");
+            std::thread::yield_now();
+        }
+        let before = integrity::detections_total();
+        let skipped = integrity::verify_quiescent();
+        release.store(true, Ordering::Release);
+        assert!(skipped.is_ok(), "walked a region with a launch in flight: {skipped:?}");
+        assert_eq!(integrity::detections_total(), before);
+        launch.join().unwrap().unwrap();
+    });
+    // Quiescent again: the launch-exit seal covers its write, and a raw
+    // write behind the host APIs is reported at its region and page.
+    assert!(integrity::verify_quiescent().is_ok());
+    hot.view().set(255, 1);
+    assert!(matches!(
+        integrity::verify_quiescent(),
+        Err(Error::DataCorruption { region, page: 0, .. }) if region == hot.object_id()
+    ));
+}

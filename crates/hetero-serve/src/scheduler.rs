@@ -178,6 +178,11 @@ struct Shared {
     work_cv: Condvar,
     counters: Counters,
     running: AtomicU64,
+    /// Sink calls in flight. Raised before the verdict is counted and
+    /// dropped after the sink returns, both under the idle lock
+    /// `wait_idle` checks under: a waiter that finds every job accounted
+    /// for also finds every result delivered.
+    delivering: AtomicU64,
     /// Signaled on every verdict delivery and every running-count drop;
     /// `wait_idle` sleeps on it.
     idle: (Mutex<()>, Condvar),
@@ -201,6 +206,10 @@ impl Shared {
     /// deliver the result. Every submitted job passes through here
     /// exactly once.
     fn finish(&self, job: &Job, verdict: Verdict, degraded: bool, run_ms: u64) {
+        {
+            let _g = self.idle.0.lock().unwrap();
+            self.delivering.fetch_add(1, Ordering::Relaxed);
+        }
         let c = &self.counters;
         match &verdict {
             Verdict::Completed => c.completed.fetch_add(1, Ordering::Relaxed),
@@ -232,6 +241,7 @@ impl Shared {
         (job.sink)(result);
         let (lock, cv) = &self.idle;
         let _g = lock.lock().unwrap();
+        self.delivering.fetch_sub(1, Ordering::Relaxed);
         cv.notify_all();
     }
 
@@ -596,6 +606,7 @@ impl Scheduler {
             work_cv: Condvar::new(),
             counters: Counters::default(),
             running: AtomicU64::new(0),
+            delivering: AtomicU64::new(0),
             idle: (Mutex::new(()), Condvar::new()),
             tenants: Mutex::new(HashMap::new()),
             breakers: Mutex::new(HashMap::new()),
@@ -787,7 +798,11 @@ impl Scheduler {
         loop {
             let s = sh.stats();
             let queued = sh.lanes.lock().unwrap().len;
-            if s.unaccounted() == 0 && queued == 0 && sh.running.load(Ordering::Acquire) == 0 {
+            if s.unaccounted() == 0
+                && queued == 0
+                && sh.running.load(Ordering::Acquire) == 0
+                && sh.delivering.load(Ordering::Relaxed) == 0
+            {
                 return;
             }
             let (guard, _timeout) = cv

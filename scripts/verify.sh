@@ -55,7 +55,9 @@ done
 # overhead than the hardened per-launch path; the fusion gate requires
 # the fully optimized FDTD2D replay (hx+hy fused, 3 -> 2 launches/step)
 # to be at least as fast as the unfused recorded graph at the
-# launch-bound configuration; and --matrix re-verifies the five
+# launch-bound configuration (dim 16: with row kernels the fused step
+# saves one node dispatch, 3-4% there, read as the median ratio of 31
+# alternating pairs); and --matrix re-verifies the five
 # converted apps (FDTD2D, SRAD, CFD, KMeans, ParticleFilter) against
 # golden under sequential, pooled per-launch, pooled graph, AND pooled
 # graph-opt (full pass pipeline) execution at size 1 — any diverging
@@ -100,8 +102,8 @@ done
 ./target/release/prove /tmp/BENCH_prove_elision.json --gate 1.05 > /dev/null
 
 # Data-path gates. roofline measures every lane-converted kernel's GB/s
-# against the pool-parallel memcpy peak, with the scalar (pre-conversion)
-# path timed in-process via lanes::force: at least two kernels must show
+# against the pool-parallel memcpy peak, with each kernel's scalar arm
+# timed in-process via lanes::force: at least two kernels must show
 # a >= 1.5x lane-over-scalar speedup. launch_storm --steal runs the
 # NW-wavefront-shaped imbalanced job (per-item cost ~ index) and
 # requires the work-stealing deques to beat static whole-span chunking
@@ -110,4 +112,12 @@ done
 ./target/release/roofline /tmp/BENCH_roofline.json --gate 1.5 > /dev/null
 ./target/release/launch_storm /tmp/BENCH_launch_storm.json --steal > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + sdc overhead gate + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate all green"
+# End-to-end benchmark package (own manifest, own lock file): its pure
+# unit tests, then a 2 s smoke of the launch-bound workload through the
+# real worker processes — `run` exits nonzero on `correct: false` or a
+# lost worker.
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
+  run --workload launch_bound_s1 --seconds 2 > /dev/null
+
+echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + sdc overhead gate + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"

@@ -2,15 +2,67 @@
 //! state, so the lane/scalar parity sweep cannot share a process with
 //! the default parallel test runner.
 //!
-//! Pins the PR's central bit-exactness claim from both sides: with lanes
-//! forced *off* every converted kernel runs its pre-conversion data path
-//! (per-item kernels, scalar folds) and must still verify against the
-//! goldens; with lanes forced *on* the outputs must be **bitwise
-//! identical** to the scalar run — not merely within tolerance.
+//! Pins the lane conversion's bit-exactness claim from both sides: with
+//! lanes forced *off* every converted kernel runs its scalar arm (whole
+//! rows, scalar folds) and must still verify against the goldens; with
+//! lanes forced *on* the outputs must be **bitwise identical** to the
+//! scalar run — not merely within tolerance. Under either setting
+//! FDTD2D's and SRAD's row kernels must also give the same bits on every
+//! route that runs them: per launch, recorded graph, optimized graph,
+//! the armed per-node walk, and the window stream.
+
+use std::sync::Arc;
 
 use altis_core::common::{AppVersion, ExecMode};
-use altis_data::InputSize;
+use altis_data::{Fdtd2dParams, InputSize, SradParams};
 use hetero_rt::prelude::*;
+use hetero_rt::StreamConfig;
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Bit pattern of all three fields, ez then hx then hy.
+fn field_bits(f: &altis_core::fdtd2d::Fields) -> Vec<u32> {
+    [&f.ez, &f.hx, &f.hy].into_iter().flat_map(|v| bits(v)).collect()
+}
+
+/// Run both apps per launch and check every other route against it,
+/// under whatever lane setting is in force. Returns the per-launch
+/// outputs.
+fn routes_agree(
+    q: &Queue,
+    fp: &Fdtd2dParams,
+    sp: &SradParams,
+    what: &str,
+) -> (altis_core::fdtd2d::Fields, Vec<f32>) {
+    let v = AppVersion::SyclOptimized;
+    // A rate-0 fault plan arms the queue: replay degrades to the checked
+    // node-by-node walk (`submit_each`) and never arms an elision gate.
+    let armed = q.clone().with_fault_plan(Some(Arc::new(FaultPlan::new(1, 0.0))));
+    let fdtd = altis_core::fdtd2d::run_with(q, fp, v, ExecMode::PerLaunch);
+    let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
+    for (route, rq, mode) in [
+        ("graph", q, ExecMode::Graph),
+        ("graph-opt", q, ExecMode::GraphOptimized),
+        ("armed", &armed, ExecMode::Graph),
+    ] {
+        let f = altis_core::fdtd2d::run_with(rq, fp, v, mode);
+        assert_eq!(field_bits(&f), field_bits(&fdtd), "FDTD2D: {route} vs per-launch, {what}");
+        let s = altis_core::srad::run_with(rq, sp, v, mode);
+        assert_eq!(bits(&s), bits(&srad), "SRAD: {route} vs per-launch, {what}");
+    }
+    let cfg = StreamConfig::default;
+    let (f, _) =
+        altis_core::fdtd2d::streaming::run_streaming(q, q, fp, fp.steps as u64, cfg()).unwrap();
+    assert_eq!(field_bits(&f), field_bits(&fdtd), "FDTD2D: streamed vs per-launch, {what}");
+    // The stream folds q0 on the host in f64; at size 1 that rounds to
+    // the device reduction's q0 (both equal the golden bitwise, below).
+    let (s, _) =
+        altis_core::srad::streaming::run_streaming(q, q, sp, sp.iterations as u64, cfg()).unwrap();
+    assert_eq!(bits(&s), bits(&srad), "SRAD: streamed vs per-launch, {what}");
+    (fdtd, srad)
+}
 
 #[test]
 fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
@@ -19,8 +71,7 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
     let sp = altis_data::srad(InputSize::S1);
 
     hetero_rt::lanes::force(false);
-    let fdtd_scalar = altis_core::fdtd2d::run_with(&q, &fp, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-    let srad_scalar = altis_core::srad::run_with(&q, &sp, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+    let (fdtd_scalar, srad_scalar) = routes_agree(&q, &fp, &sp, "lanes off");
     let scan_scalar = {
         let input: Vec<u32> = (0..100_000u32).map(|i| i.wrapping_mul(0x9E37_79B9) >> 20).collect();
         let mut out = vec![0u32; input.len()];
@@ -35,7 +86,7 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
         257,
     );
 
-    // The scalar path *is* the pre-conversion path; it must still verify.
+    // The scalar arm is the honest baseline; it must still verify.
     let golden = altis_core::fdtd2d::golden(&fp);
     assert_eq!(
         fdtd_scalar.ez.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -50,8 +101,7 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
     );
 
     hetero_rt::lanes::force(true);
-    let fdtd_lanes = altis_core::fdtd2d::run_with(&q, &fp, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-    let srad_lanes = altis_core::srad::run_with(&q, &sp, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+    let (fdtd_lanes, srad_lanes) = routes_agree(&q, &fp, &sp, "lanes on");
     let scan_lanes = {
         let input: Vec<u32> = (0..100_000u32).map(|i| i.wrapping_mul(0x9E37_79B9) >> 20).collect();
         let mut out = vec![0u32; input.len()];

@@ -79,6 +79,32 @@ fn armed_rate_zero_suite_slice_is_correct() {
 }
 
 #[test]
+fn fault_free_armed_graph_apps_raise_no_detections() {
+    let _g = serial();
+    let _a = Armed::new();
+    // Integrity armed, nothing injected and *no* retry policy to absorb
+    // a false alarm: the host stores between replays (FDTD2D's source
+    // injection, SRAD's q0, the particle filter's frame scalars) must
+    // leave every page seal truthful, so the run is Correct outright —
+    // not Corrected, and not Quarantined on the first stale page.
+    let picks = ["FDTD2D", "SRAD", "CFD FP32", "KMeans", "PF Naive"];
+    let apps = all_apps();
+    for name in picks {
+        let app = apps.iter().find(|a| a.name == name).expect("graph app is registered");
+        let before = integrity::detections_total();
+        let o = run_sdc(
+            app,
+            Queue::new(Device::cpu()).with_fault_plan(None).with_integrity(true),
+            InputSize::S1,
+            AppVersion::SyclOptimized,
+            Duration::from_secs(120),
+        );
+        assert_eq!(o, SdcOutcome::Correct, "{name}: {o:?}");
+        assert_eq!(integrity::detections_total(), before, "{name}: false detections");
+    }
+}
+
+#[test]
 fn injected_silent_faults_are_never_silently_wrong() {
     let _g = serial();
     let _a = Armed::new();
