@@ -21,21 +21,21 @@
 //! watch containment live; `all` streams every converted app and skips
 //! the rest.
 
+use std::process::ExitCode;
+use std::time::Instant;
+
+use altis_bench::report::{self, Args, UsageError, SIZES, VERSIONS};
 use altis_core::common::AppVersion;
 use altis_core::streaming::{open_stream, supports_streaming, StreamScenario};
 use altis_core::suite::{all_apps, AppEntry};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
-use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  altis list\n  altis run <app|all> [--size 1|2|3] [--device cpu|gpu|fpga] \
-         [--version baseline|optimized] [--iterations N]\n  altis run <app|all> --stream \
-         [--windows N] [--fault-rate R] [--seed N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\n  altis list\n  altis run <app|all> [--size 1|2|3] [--device cpu|gpu|fpga] \
+     [--version baseline|optimized] [--iterations N]\n  altis run <app|all> --stream \
+     [--windows N] [--fault-rate R] [--seed N]";
+const VALUE_FLAGS: [&str; 7] =
+    ["--size", "--device", "--version", "--iterations", "--windows", "--fault-rate", "--seed"];
 
 struct Options {
     size: InputSize,
@@ -48,82 +48,22 @@ struct Options {
     seed: u64,
 }
 
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        size: InputSize::S1,
-        device: Device::cpu(),
-        version: AppVersion::SyclOptimized,
-        iterations: 3,
-        stream: false,
-        windows: 64,
-        fault_rate: 0.0,
-        seed: 1,
+fn parse_options(args: &Args) -> std::result::Result<Options, UsageError> {
+    let devices = [("cpu", Device::cpu()), ("gpu", Device::rtx_2080()), ("fpga", Device::stratix10())];
+    let opts = Options {
+        size: args.choice("--size", &SIZES)?.unwrap_or(InputSize::S1),
+        device: args.choice("--device", &devices)?.unwrap_or_else(Device::cpu),
+        version: args.choice("--version", &VERSIONS)?.unwrap_or(AppVersion::SyclOptimized),
+        iterations: args.get("--iterations", 3)?,
+        stream: args.has("--stream"),
+        windows: args.get("--windows", 64)?,
+        fault_rate: args.get("--fault-rate", 0.0)?,
+        seed: args.get("--seed", 1)?,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                i += 1;
-                opts.size = match args.get(i).map(String::as_str) {
-                    Some("1") => InputSize::S1,
-                    Some("2") => InputSize::S2,
-                    Some("3") => InputSize::S3,
-                    _ => usage(),
-                };
-            }
-            "--device" => {
-                i += 1;
-                opts.device = match args.get(i).map(String::as_str) {
-                    Some("cpu") => Device::cpu(),
-                    Some("gpu") => Device::rtx_2080(),
-                    Some("fpga") => Device::stratix10(),
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                opts.version = match args.get(i).map(String::as_str) {
-                    Some("baseline") => AppVersion::SyclBaseline,
-                    Some("optimized") => AppVersion::SyclOptimized,
-                    _ => usage(),
-                };
-            }
-            "--iterations" => {
-                i += 1;
-                opts.iterations = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--stream" => opts.stream = true,
-            "--windows" => {
-                i += 1;
-                opts.windows = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--fault-rate" => {
-                i += 1;
-                opts.fault_rate = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
+    if opts.windows == 0 || !(0.0..=1.0).contains(&opts.fault_rate) {
+        return Err(UsageError("--windows must be positive, --fault-rate within [0, 1]".into()));
     }
-    opts
+    Ok(opts)
 }
 
 fn run_app(app: &AppEntry, opts: &Options) -> bool {
@@ -211,75 +151,65 @@ fn stream_app(app: &AppEntry, opts: &Options) -> bool {
     ok
 }
 
-fn main() {
+fn main() -> ExitCode {
     quiet_broken_pipe();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
+    report::run(USAGE, &VALUE_FLAGS, &["--stream"], |args| match args.positional() {
+        [cmd] if cmd == "list" => {
             println!("Altis-SYCL-rs Level-2 applications:");
             for app in all_apps() {
                 println!("  {}", app.name);
             }
+            Ok(ExitCode::SUCCESS)
         }
-        Some("run") => {
-            let Some(target) = args.get(1) else { usage() };
-            let opts = parse_options(&args[2..]);
-            // hetero-san layer 2: fail fast on defective kernel IR
-            // before running anything.
-            if let Err(errs) = altis_core::suite::verify_suite_ir() {
-                eprintln!("static IR verification failed:");
-                for e in errs {
-                    eprintln!("  {e}");
-                }
-                std::process::exit(1);
-            }
-            if opts.stream {
-                println!(
-                    "streaming: {} windows, fault rate {}, seed {}",
-                    opts.windows, opts.fault_rate, opts.seed
-                );
-            } else {
-                println!(
-                    "device: {}   version: {:?}   iterations: {}",
-                    opts.device, opts.version, opts.iterations
-                );
-            }
-            let apps = all_apps();
-            let selected: Vec<&AppEntry> = if target == "all" {
-                apps.iter()
-                    .filter(|a| !opts.stream || supports_streaming(a.name))
-                    .collect()
-            } else {
-                let matched: Vec<&AppEntry> = apps
-                    .iter()
-                    .filter(|a| a.name.eq_ignore_ascii_case(target))
-                    .collect();
-                if matched.is_empty() {
-                    eprintln!("unknown app '{target}'; try `altis list`");
-                    std::process::exit(2);
-                }
-                if opts.stream {
-                    if let Some(a) = matched.iter().find(|a| !supports_streaming(a.name)) {
-                        eprintln!(
-                            "app '{}' has no streaming conversion; streaming apps: SRAD, \
-                             FDTD2D, KMeans, PF Naive",
-                            a.name
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                matched
-            };
-            let mut all_ok = true;
-            for app in selected {
-                all_ok &= if opts.stream { stream_app(app, &opts) } else { run_app(app, &opts) };
-            }
-            if !all_ok {
-                std::process::exit(1);
-            }
+        [cmd, target] if cmd == "run" => run(target, &parse_options(args)?),
+        _ => Err(UsageError("expected `list` or `run <app|all>`".into())),
+    })
+}
+
+fn run(target: &str, opts: &Options) -> std::result::Result<ExitCode, UsageError> {
+    // hetero-san layer 2: fail fast on defective kernel IR before
+    // running anything.
+    if let Err(errs) = altis_core::suite::verify_suite_ir() {
+        eprintln!("static IR verification failed:");
+        for e in errs {
+            eprintln!("  {e}");
         }
-        _ => usage(),
+        return Ok(ExitCode::FAILURE);
     }
+    if opts.stream {
+        println!(
+            "streaming: {} windows, fault rate {}, seed {}",
+            opts.windows, opts.fault_rate, opts.seed
+        );
+    } else {
+        println!(
+            "device: {}   version: {:?}   iterations: {}",
+            opts.device, opts.version, opts.iterations
+        );
+    }
+    let apps = all_apps();
+    let selected: Vec<&AppEntry> = if target == "all" {
+        apps.iter().filter(|a| !opts.stream || supports_streaming(a.name)).collect()
+    } else {
+        let matched: Vec<&AppEntry> =
+            apps.iter().filter(|a| a.name.eq_ignore_ascii_case(target)).collect();
+        if matched.is_empty() {
+            return Err(UsageError(format!("unknown app '{target}'; try `altis list`")));
+        }
+        if let Some(a) = matched.iter().find(|a| opts.stream && !supports_streaming(a.name)) {
+            return Err(UsageError(format!(
+                "app '{}' has no streaming conversion; streaming apps: SRAD, FDTD2D, KMeans, \
+                 PF Naive",
+                a.name
+            )));
+        }
+        matched
+    };
+    let mut all_ok = true;
+    for app in selected {
+        all_ok &= if opts.stream { stream_app(app, opts) } else { run_app(app, opts) };
+    }
+    Ok(if all_ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 /// Exit quietly when stdout is closed early (`altis run all | head`).

@@ -12,11 +12,6 @@
 //! construction (together with a resilient retry policy), so the same
 //! binary drives the whole smoke matrix in `scripts/verify.sh`.
 //!
-//! Usage:
-//! ```text
-//! chaos [--seed N] [--rate R] [--app SUBSTRING] [--timeout-secs T]
-//!       [--serve] [--stream] [--windows N]
-//! ```
 //! `--seed`/`--rate` set the environment variables before the first
 //! queue is created; without them the pre-set environment is used
 //! (defaulting to seed 1, rate 0.05). Exits nonzero if any run breaks
@@ -39,12 +34,18 @@
 //! Delivered window is bit-equal to a fault-free golden trail, and the
 //! shared pool stays healthy after each cell.
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use altis_bench::json::Obj;
+use altis_bench::report::{self, app_matches, golden_registry_ok, verdict, Args, UsageError};
 use altis_core::common::AppVersion;
 use altis_core::suite::{all_apps, run_resilient, ResilienceOutcome};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
+
+const USAGE: &str = "chaos [--seed N] [--rate R] [--app SUBSTRING] [--timeout-secs T]\n\
+     \x20            [--serve] [--stream] [--windows N]";
 
 fn pool_is_healthy() -> bool {
     // A clean, plan-free launch through the shared pool must still
@@ -81,10 +82,8 @@ fn serve_matrix(seed: u64, rate: f64, filter: Option<&str>) -> u32 {
 
     let mut submitted = 0u32;
     for (i, app) in all_apps().iter().enumerate() {
-        if let Some(f) = filter {
-            if !app.name.to_lowercase().contains(&f.to_lowercase()) {
-                continue;
-            }
+        if !app_matches(filter, app.name) {
+            continue;
         }
         // Build the actual wire line, then push it through the protocol
         // stack — the point is to exercise what a client would send.
@@ -178,10 +177,8 @@ fn stream_matrix(seed: u64, rate: f64, windows: u64, filter: Option<&str>) -> (u
     let mut broken = 0u32;
     let mut injected_total = 0u64;
     for app in STREAM_APPS {
-        if let Some(f) = filter {
-            if !app.to_lowercase().contains(&f.to_lowercase()) {
-                continue;
-            }
+        if !app_matches(filter, app) {
+            continue;
         }
         // Fault-free golden trail: the bit-exactness oracle for every
         // cell of this app's row.
@@ -285,187 +282,114 @@ fn stream_matrix(seed: u64, rate: f64, windows: u64, filter: Option<&str>) -> (u
     (broken, injected_total)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut filter: Option<String> = None;
-    let mut timeout = Duration::from_secs(60);
-    let mut serve = false;
-    let mut stream = false;
-    let mut windows = 40u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serve" => serve = true,
-            "--stream" => stream = true,
-            "--windows" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    windows = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = it.next() {
-                    std::env::set_var("HETERO_RT_FAULT_SEED", v);
-                }
-            }
-            "--rate" => {
-                if let Some(v) = it.next() {
-                    std::env::set_var("HETERO_RT_FAULT_RATE", v);
-                }
-            }
-            "--app" => filter = it.next().cloned(),
-            "--timeout-secs" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    timeout = Duration::from_secs(v);
-                }
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    if std::env::var_os("HETERO_RT_FAULT_SEED").is_none() {
-        std::env::set_var("HETERO_RT_FAULT_SEED", "1");
-    }
-    if std::env::var_os("HETERO_RT_FAULT_RATE").is_none() {
-        std::env::set_var("HETERO_RT_FAULT_RATE", "0.05");
-    }
+/// One parameter of the fault plan, which reaches the queues through
+/// the environment: the flag overrides a pre-set variable, which
+/// overrides the default, and the variable is left holding the result.
+fn plan_param<T: std::str::FromStr + ToString>(
+    args: &Args,
+    flag: &str,
+    var: &str,
+    default: T,
+) -> std::result::Result<T, UsageError> {
+    let from_env = || std::env::var(var).ok()?.parse().ok();
+    let v = args.opt(flag)?.or_else(from_env).unwrap_or(default);
+    std::env::set_var(var, v.to_string());
+    Ok(v)
+}
 
-    if stream {
-        let seed: u64 = std::env::var("HETERO_RT_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let rate: f64 = std::env::var("HETERO_RT_FAULT_RATE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.05);
+fn main() -> ExitCode {
+    let value_flags = ["--seed", "--rate", "--app", "--timeout-secs", "--windows"];
+    report::run(USAGE, &value_flags, &["--serve", "--stream"], |args| {
+        args.no_positional()?;
+        let filter: Option<String> = args.opt("--app")?;
+        let timeout = Duration::from_secs(args.get("--timeout-secs", 60)?);
+        let windows: u64 = args.get("--windows", 40)?;
+        let seed: u64 = plan_param(args, "--seed", "HETERO_RT_FAULT_SEED", 1)?;
+        let rate: f64 = plan_param(args, "--rate", "HETERO_RT_FAULT_RATE", 0.05)?;
+        let line = |harness: &str| Obj::new().set("harness", harness);
+
+        if args.has("--stream") {
+            println!(
+                "chaos --stream: seed {seed} rate {rate}, {windows} windows per cell, \
+                 4 fault kinds x streaming apps"
+            );
+            let t0 = Instant::now();
+            let (broken, injected) = stream_matrix(seed, rate, windows, filter.as_deref());
+            println!(
+                "chaos --stream: done in {:.2?}, {injected} faults injected, \
+                 {broken} containment violation(s)",
+                t0.elapsed()
+            );
+            let line = line("chaos-stream")
+                .set("seed", seed)
+                .set("rate", rate)
+                .set("windows", windows)
+                .set("faults_injected", injected)
+                .set("violations", broken);
+            return Ok(verdict(line, "contained", broken == 0));
+        }
+
+        if args.has("--serve") {
+            println!(
+                "chaos --serve: seed {seed} rate {rate} over the {}-app suite via the service protocol",
+                all_apps().len()
+            );
+            let t0 = Instant::now();
+            let broken = serve_matrix(seed, rate, filter.as_deref());
+            println!("chaos --serve: done in {:.2?}, {broken} contract violation(s)", t0.elapsed());
+            let line = line("chaos-serve").set("seed", seed).set("rate", rate).set("violations", broken);
+            return Ok(verdict(line, "contained", broken == 0));
+        }
+
+        let plan = FaultPlan::env_plan().expect("fault plan from environment");
         println!(
-            "chaos --stream: seed {seed} rate {rate}, {windows} windows per cell, \
-             4 fault kinds x streaming apps"
+            "chaos: seed {} rate {} over the {}-app suite (timeout {}s/app)",
+            plan.seed(),
+            plan.rate(),
+            all_apps().len(),
+            timeout.as_secs()
         );
+        // Scoped to the size this matrix runs.
+        let golden_ok = golden_registry_ok("chaos", &[InputSize::S1]);
+
+        let mut broken = 0u32;
+        let mut runs = 0u32;
         let t0 = Instant::now();
-        let (broken, injected) = stream_matrix(seed, rate, windows, filter.as_deref());
-        println!(
-            "chaos --stream: done in {:.2?}, {injected} faults injected, \
-             {broken} containment violation(s)",
-            t0.elapsed()
-        );
-        println!(
-            "{{\"harness\":\"chaos-stream\",\"seed\":{seed},\"rate\":{rate},\
-             \"windows\":{windows},\"faults_injected\":{injected},\
-             \"violations\":{broken},\"contained\":{}}}",
-            broken == 0
-        );
-        if broken > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if serve {
-        let seed: u64 = std::env::var("HETERO_RT_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let rate: f64 = std::env::var("HETERO_RT_FAULT_RATE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.05);
-        println!(
-            "chaos --serve: seed {seed} rate {rate} over the {}-app suite via the service protocol",
-            all_apps().len()
-        );
-        let t0 = Instant::now();
-        let broken = serve_matrix(seed, rate, filter.as_deref());
-        println!(
-            "chaos --serve: done in {:.2?}, {broken} contract violation(s)",
-            t0.elapsed()
-        );
-        println!(
-            "{{\"harness\":\"chaos-serve\",\"seed\":{seed},\"rate\":{rate},\
-             \"violations\":{broken},\"contained\":{}}}",
-            broken == 0
-        );
-        if broken > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let plan = FaultPlan::env_plan().expect("fault plan from environment");
-    println!(
-        "chaos: seed {} rate {} over the {}-app suite (timeout {}s/app)",
-        plan.seed(),
-        plan.rate(),
-        all_apps().len(),
-        timeout.as_secs()
-    );
-
-    // Shared golden-checksum registry, scoped to the size this matrix
-    // runs: "correct results" below means "matches a reference that has
-    // not silently drifted".
-    let golden_ok = match altis_core::suite::check_golden_registry_sizes(&[InputSize::S1]) {
-        Ok(n) => {
-            println!("chaos: golden-checksum registry ok ({n} digests match)");
-            true
-        }
-        Err(errs) => {
-            for e in &errs {
-                eprintln!("chaos: GOLDEN DRIFT: {e}");
-            }
-            false
-        }
-    };
-
-    let mut broken = 0u32;
-    let mut runs = 0u32;
-    let t0 = Instant::now();
-    for app in all_apps() {
-        if let Some(f) = &filter {
-            if !app.name.to_lowercase().contains(&f.to_lowercase()) {
-                continue;
+        for app in all_apps().iter().filter(|a| app_matches(filter.as_deref(), a.name)) {
+            runs += 1;
+            let q = Queue::new(Device::cpu());
+            let outcome = run_resilient(app, q, InputSize::S1, AppVersion::SyclBaseline, timeout);
+            let healthy = pool_is_healthy();
+            let verdict = match (&outcome, healthy) {
+                (o, true) if o.is_contained() => "contained",
+                (_, false) => "POOL BROKEN",
+                _ => "NOT CONTAINED",
+            };
+            let detail = match &outcome {
+                ResilienceOutcome::Correct => "correct results".to_string(),
+                ResilienceOutcome::TypedError(e) => format!("typed error: {e}"),
+                ResilienceOutcome::Incorrect => "INCORRECT RESULTS".to_string(),
+                ResilienceOutcome::Panicked(m) => format!("UNTYPED PANIC: {m}"),
+                ResilienceOutcome::TimedOut => "HANG (watchdog fired)".to_string(),
+            };
+            println!("  {:<12} {verdict:<14} {detail}", app.name);
+            if !outcome.is_contained() || !healthy {
+                broken += 1;
             }
         }
-        runs += 1;
-        let q = Queue::new(Device::cpu());
-        let outcome = run_resilient(&app, q, InputSize::S1, AppVersion::SyclBaseline, timeout);
-        let healthy = pool_is_healthy();
-        let verdict = match (&outcome, healthy) {
-            (o, true) if o.is_contained() => "contained",
-            (_, false) => "POOL BROKEN",
-            _ => "NOT CONTAINED",
-        };
-        let detail = match &outcome {
-            ResilienceOutcome::Correct => "correct results".to_string(),
-            ResilienceOutcome::TypedError(e) => format!("typed error: {e}"),
-            ResilienceOutcome::Incorrect => "INCORRECT RESULTS".to_string(),
-            ResilienceOutcome::Panicked(m) => format!("UNTYPED PANIC: {m}"),
-            ResilienceOutcome::TimedOut => "HANG (watchdog fired)".to_string(),
-        };
-        println!("  {:<12} {verdict:<14} {detail}", app.name);
-        if !outcome.is_contained() || !healthy {
-            broken += 1;
-        }
-    }
-    println!(
-        "chaos: done in {:.2?}, {} faults injected, {} containment violation(s)",
-        t0.elapsed(),
-        plan.injected(),
-        broken
-    );
-    // Machine-readable verdict: always the last stdout line.
-    println!(
-        "{{\"harness\":\"chaos\",\"runs\":{runs},\"seed\":{},\"rate\":{},\
-         \"faults_injected\":{},\"violations\":{broken},\"golden_registry\":\"{}\",\
-         \"contained\":{}}}",
-        plan.seed(),
-        plan.rate(),
-        plan.injected(),
-        if golden_ok { "ok" } else { "drifted" },
-        broken == 0 && golden_ok
-    );
-    if broken > 0 || !golden_ok {
-        std::process::exit(1);
-    }
+        println!(
+            "chaos: done in {:.2?}, {} faults injected, {} containment violation(s)",
+            t0.elapsed(),
+            plan.injected(),
+            broken
+        );
+        let line = line("chaos")
+            .set("runs", runs)
+            .set("seed", plan.seed())
+            .set("rate", plan.rate())
+            .set("faults_injected", plan.injected())
+            .set("violations", broken)
+            .set("golden_registry", if golden_ok { "ok" } else { "drifted" });
+        Ok(verdict(line, "contained", broken == 0 && golden_ok))
+    })
 }

@@ -1,0 +1,210 @@
+//! `hook_overhead` — what the three robustness layers cost a process
+//! that never turns them on, on the `launch_storm` workload (many small
+//! launches through the persistent pool).
+//!
+//! Each gate is one hook's own cost per launch held against the cost of
+//! a pooled launch, and must stay **under 2%**:
+//!
+//! * **fault hooks** — the hardened executor consults an optional fault
+//!   plan on every launch and work-group: an idle plan (rate 0, every
+//!   hook runs, nothing injects) against no plan;
+//! * **sanitizer hook** — every `GlobalView` accessor calls into
+//!   `hetero_rt::sanitize` (one relaxed load and a predictable branch
+//!   when disarmed): the ordinary `set` against `set_unhooked`, the
+//!   same accessor with the hook compiled out;
+//! * **SDC hooks** — a disarmed queue launch pays one launch-scope
+//!   counter enter/exit and the armed/exclusive branch loads; that
+//!   sequence is timed directly.
+//!
+//! Every comparison is [`paired`] launch by launch — one launch of each
+//! arm per round, alternating which goes first — and read as the median
+//! pair ratio: clock drift between separately timed blocks easily
+//! exceeds the 2% being measured, while wake-up jitter on single
+//! launches only widens a spread the median ignores. The fault and
+//! sanitizer hooks are isolated on the executor's inline
+//! (`Parallelism::Sequential`) path: pooled, a few nanoseconds per group
+//! tip the work-stealing schedule into a different regime for the life
+//! of the process and the same pair reads anywhere from −5% to +8%
+//! (EXPERIMENTS.md, PR 13), which measures the pool, not the hook.
+//!
+//! Reported, not gated: the disarmed queue against the bare executor
+//! (the whole queue layer — retry loop, event and stats bookkeeping —
+//! mostly predating the defense) and the armed arms: page-checksum
+//! verify and reseal per launch, and DMR voting on top (about 2x by
+//! construction).
+//!
+//! Writes `BENCH_hook_overhead.json` (or the positional argument).
+
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
+
+use altis_bench::json::Obj;
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::{paired, Paired};
+use hetero_rt::executor::{run_groups_contained, Parallelism};
+use hetero_rt::{integrity, Buffer, Device, FaultPlan, GroupCtx, NdRange, Queue, Redundancy};
+
+const USAGE: &str = "hook_overhead [out.json] [--launches N]";
+const ITEMS: usize = 4096;
+const GROUP: usize = 64;
+
+/// One launch straight through the executor, monomorphised per kernel
+/// so each arm's body inlines as it would in an application.
+fn launch<K: Fn(&GroupCtx) + Sync>(how: Parallelism, plan: Option<&FaultPlan>, kernel: &K) {
+    let nd = NdRange::d1(ITEMS, GROUP);
+    run_groups_contained(nd, how, 1 << 20, "storm", plan, false, None, kernel)
+        .expect("clean launch");
+}
+
+/// One launch through a queue.
+fn enqueue<K: Fn(&GroupCtx) + Sync>(q: &Queue, kernel: &K) {
+    q.nd_range("storm", NdRange::d1(ITEMS, GROUP), |ctx| kernel(ctx)).expect("clean launch");
+}
+
+fn main() -> ExitCode {
+    report::run(USAGE, &["--launches"], &[], |args| {
+        let launches: usize = args.get("--launches", 20_000)?;
+        // The disarmed hooks are what is measured; make sure nothing in
+        // the environment arms one behind our back.
+        std::env::remove_var("HETERO_RT_SANITIZE");
+        let mut report = Report::new("hook_overhead");
+        println!(
+            "hook overhead: {launches} paired launches x {ITEMS} items / {GROUP}-item groups, \
+             {} threads",
+            report.threads()
+        );
+        report
+            .set("launches", launches)
+            .set("items_per_launch", ITEMS)
+            .set("group_size", GROUP)
+            .set("target_pct", 2.0);
+
+        let buf = Buffer::<f32>::new(ITEMS);
+        let (hooked_view, unhooked_view) = (buf.view(), buf.view());
+        let kernel = move |ctx: &GroupCtx| {
+            ctx.items(|item| {
+                let i = item.global_linear;
+                hooked_view.set(i, (i as f32).mul_add(1.5, 0.25));
+            });
+        };
+        let unhooked_kernel = move |ctx: &GroupCtx| {
+            ctx.items(|item| {
+                let i = item.global_linear;
+                unhooked_view.set_unhooked(i, (i as f32).mul_add(1.5, 0.25));
+            });
+        };
+        let us = |s: f64| s * 1e6;
+        let pct = |ratio: f64| (ratio - 1.0) * 100.0;
+
+        // The pooled launch every hook cost is held against: the bare
+        // executor, paired with the same launch through a disarmed queue.
+        assert!(!integrity::armed(), "benchmark must start disarmed");
+        let q = Queue::new(Device::cpu());
+        let pooled = Parallelism::Auto;
+        let layer = paired(launches, || enqueue(&q, &kernel), || launch(pooled, None, &kernel));
+        let (disarmed_s, floor_s) = (layer.a_s, layer.b_s);
+        println!("  executor direct   : {:>8.2} us/launch", us(floor_s));
+        println!(
+            "  queue, disarmed   : {:>8.2} us/launch  ({:+.2}% vs floor: whole queue layer)",
+            us(disarmed_s),
+            pct(layer.ratio)
+        );
+
+        // A hook isolated inline: its cost per launch is the pair ratio's
+        // excess over the unhooked inline launch, as a share of a pooled one.
+        let mut isolated = |name: &str, gate: &str, t: Paired| {
+            let hook_s = (t.ratio - 1.0) * t.b_s;
+            let overhead_pct = hook_s / floor_s * 100.0;
+            println!(
+                "  {name:<18}: {:>8.4} us/launch  ({overhead_pct:.3}% of a pooled launch; \
+                 {:+.2}% inline, spread {:.1}%)",
+                us(hook_s),
+                pct(t.ratio),
+                t.spread * 100.0
+            );
+            report.set(
+                name,
+                Obj::new()
+                    .set("hooked_inline_us_per_launch", us(t.a_s))
+                    .set("unhooked_inline_us_per_launch", us(t.b_s))
+                    .set("inline_overhead_pct", pct(t.ratio))
+                    .set("spread", t.spread)
+                    .set("hook_us_per_launch", us(hook_s))
+                    .set("overhead_pct", overhead_pct),
+            );
+            report.gate(gate, overhead_pct, Op::Lt, 2.0);
+        };
+        let inline = Parallelism::Sequential;
+        // On the heap, as a queue holds its plan.
+        let idle_plan = Arc::new(FaultPlan::new(1, 0.0));
+        let fault = paired(
+            launches,
+            || launch(inline, Some(&idle_plan), &kernel),
+            || launch(inline, None, &kernel),
+        );
+        assert_eq!(idle_plan.injected(), 0, "an idle plan must never inject");
+        isolated("fault", "idle fault plan overhead_pct", fault);
+        let sanitizer = paired(
+            launches,
+            || launch(inline, None, &kernel),
+            || launch(inline, None, &unhooked_kernel),
+        );
+        assert!(
+            hetero_rt::sanitize::take_last_reports().is_empty(),
+            "a disarmed sanitizer must never record"
+        );
+        isolated("sanitizer", "disarmed sanitizer hook overhead_pct", sanitizer);
+
+        // The exact instructions a disarmed launch pays for the SDC
+        // defense, timed directly, against the disarmed launch cost.
+        let hook_s = {
+            let reps = 1_000_000u32;
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(integrity::disarmed_hook_probe());
+            }
+            t0.elapsed().as_secs_f64() / f64::from(reps)
+        };
+        let hook_pct = hook_s / disarmed_s * 100.0;
+        println!(
+            "  disarmed SDC hooks: {:>8.4} us/launch  ({hook_pct:.4}% of a disarmed launch)",
+            us(hook_s)
+        );
+
+        // A fresh buffer registered after arming, so every launch seals
+        // real pages.
+        integrity::arm();
+        let armed_buf = Buffer::<f32>::new(ITEMS);
+        let armed_view = armed_buf.view();
+        let armed_kernel = move |ctx: &GroupCtx| {
+            ctx.items(|item| {
+                let i = item.global_linear;
+                armed_view.set(i, (i as f32).mul_add(1.5, 0.25));
+            });
+        };
+        let qa = Queue::new(Device::cpu()).with_integrity(true);
+        let qd = Queue::new(Device::cpu()).with_integrity(true).with_redundancy(Redundancy::Dmr);
+        let dmr =
+            paired(launches, || enqueue(&qd, &armed_kernel), || enqueue(&qa, &armed_kernel));
+        integrity::disarm();
+        let armed_pct = pct(dmr.b_s / disarmed_s);
+        println!("  queue, armed      : {:>8.2} us/launch  ({armed_pct:+.2}% vs disarmed)", us(dmr.b_s));
+        println!("  queue, armed + DMR: {:>8.2} us/launch  ({:.2}x armed)", us(dmr.a_s), dmr.ratio);
+        report.set(
+            "sdc",
+            Obj::new()
+                .set("executor_direct_us_per_launch", us(floor_s))
+                .set("queue_disarmed_us_per_launch", us(disarmed_s))
+                .set("queue_armed_us_per_launch", us(dmr.b_s))
+                .set("queue_armed_dmr_us_per_launch", us(dmr.a_s))
+                .set("queue_layer_vs_floor_pct", pct(layer.ratio))
+                .set("disarmed_hook_us_per_launch", us(hook_s))
+                .set("disarmed_hook_overhead_pct", hook_pct)
+                .set("armed_vs_disarmed_pct", armed_pct)
+                .set("dmr_vs_armed_ratio", dmr.ratio),
+        );
+        report.gate("disarmed SDC hook overhead_pct", hook_pct, Op::Lt, 2.0);
+        Ok(report.finish(&args.out("BENCH_hook_overhead.json")))
+    })
+}

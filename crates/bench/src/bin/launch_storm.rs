@@ -10,8 +10,9 @@
 //! * **spawning** — the pre-pool baseline (`run_groups_spawning`): a
 //!   fresh `std::thread::scope` with N OS threads per launch.
 //!
-//! Prints both per-launch medians and the speedup, and writes
-//! `BENCH_launch_storm.json` (or the path given as the first argument).
+//! Prints both per-launch medians and the speedup (median ratio of
+//! alternating pairs), and writes `BENCH_launch_storm.json` (or the
+//! path given as the first argument).
 //!
 //! A second, *imbalanced* phase compares static chunking against the
 //! work-stealing claim mode on a workload whose per-item cost grows
@@ -19,200 +20,130 @@
 //! wavefronts, where static spans leave the last worker holding most of
 //! the work. `--steal` turns the phase's speedup into a hard ≥1.2× gate.
 //!
-//! Usage:
-//! ```text
-//! launch_storm [out.json] [--launches N] [--steal]
-//! ```
+use std::process::ExitCode;
+use std::time::Duration;
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::paired;
 use hetero_rt::executor::{run_groups, run_groups_spawning, Parallelism};
-use hetero_rt::{Buffer, GroupCtx, NdRange};
+use hetero_rt::{pool, Buffer, GroupCtx, NdRange};
 
-const DEFAULT_LAUNCHES: usize = 10_000;
+const USAGE: &str = "launch_storm [out.json] [--launches N] [--steal]";
 const ITEMS: usize = 4096;
 const GROUP: usize = 64;
+const ROUNDS: usize = 3;
+const STEAL_GATE: f64 = 1.2;
 
-/// Median of three timed runs of `launches` back-to-back launches,
-/// plus the pool's dispatched/allocated deltas across the three timed
-/// rounds (warm-up excluded). A pooled storm must dispatch *exactly*
-/// 3 × launches jobs — the accounting is part of what this bench pins —
-/// and with scratch reuse the allocation delta stays near zero.
-fn storm(launches: usize, f: impl Fn()) -> (Duration, usize, usize) {
-    f(); // warm-up (first pooled launch spawns the workers)
-    let d0 = hetero_rt::pool::jobs_dispatched();
-    let a0 = hetero_rt::pool::jobs_allocated();
-    let mut samples: Vec<Duration> = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..launches {
-                f();
+fn main() -> ExitCode {
+    report::run(USAGE, &["--launches"], &["--steal"], |args| {
+        let launches: usize = args.get("--launches", 10_000)?;
+        let mut report = Report::new("launch_storm");
+        let threads = report.threads();
+
+        let nd = NdRange::d1(ITEMS, GROUP);
+        let buf = Buffer::<f32>::new(ITEMS);
+        let view = buf.view();
+        let kernel = |ctx: &GroupCtx| {
+            ctx.items(|item| {
+                let i = item.global_linear;
+                view.set(i, (i as f32).mul_add(1.5, 0.25));
+            });
+        };
+        println!(
+            "launch storm: {launches} launches x {ITEMS} items / {GROUP}-item groups, {threads} threads"
+        );
+
+        // The pool's dispatched/allocated deltas across the pooled
+        // storms: one warm-up plus ROUNDS timed ones (the spawning side
+        // never touches the pool).
+        let (d0, a0) = (pool::jobs_dispatched(), pool::jobs_allocated());
+        let storm = paired(
+            ROUNDS,
+            || {
+                for _ in 0..launches {
+                    run_groups_spawning(nd, Parallelism::Auto, 1 << 20, &kernel);
+                }
+            },
+            || {
+                for _ in 0..launches {
+                    run_groups(nd, Parallelism::Auto, 1 << 20, &kernel);
+                }
+            },
+        );
+        let dispatched = pool::jobs_dispatched() - d0;
+        let allocated = pool::jobs_allocated() - a0;
+        let (spawning, pooled) = (storm.a_s, storm.b_s);
+
+        let per = |s: f64| s / launches as f64 * 1e6;
+        println!("  pooled   (persistent pool): {pooled:>9.4}s total, {:>8.2} us/launch", per(pooled));
+        println!("  spawning (scope per launch):{spawning:>9.4}s total, {:>8.2} us/launch", per(spawning));
+        println!("  speedup: {:.2}x  (spawn-per-launch / pooled)", storm.ratio);
+        println!(
+            "  pool: {} worker threads spawned once; pooled storms dispatched {dispatched} jobs, \
+             allocated {allocated} job blocks",
+            pool::spawned_threads(),
+        );
+        report
+            .set("launches", launches)
+            .set("items_per_launch", ITEMS)
+            .set("group_size", GROUP)
+            .set("pooled_total_s", pooled)
+            .set("spawning_total_s", spawning)
+            .set("pooled_us_per_launch", per(pooled))
+            .set("spawning_us_per_launch", per(spawning))
+            .set("speedup", storm.ratio)
+            .set("speedup_spread", storm.spread)
+            .set("pool_threads_spawned", pool::spawned_threads())
+            .set("pooled_dispatch_delta", dispatched)
+            .set("pooled_alloc_delta", allocated);
+        // Accounting gates: every pooled launch dispatches exactly one
+        // job (no double-count, no dropped empty-job count), and
+        // thread-local scratch reuse keeps fresh job allocations to a
+        // sliver of the dispatch count.
+        let expected = ((ROUNDS + 1) * launches) as f64;
+        report.gate("pooled jobs dispatched", dispatched as f64, Op::Eq, expected);
+        report.gate("pooled job blocks allocated", allocated as f64, Op::Le, expected / 2.0);
+
+        // Imbalanced phase: per-item cost ∝ index — the triangular profile of
+        // an NW wavefront, where the last static span carries (2T−1)/T² of
+        // the total work (75% at T = 2, ≈ 44% at T = 4) while stealing
+        // redistributes its back half. Per-item cost is a simulated
+        // device-occupancy delay (sleep, like a kernel holding an
+        // accelerator lane), not a CPU spin: a spin would serialize on
+        // single-core CI boxes and measure the OS scheduler's time-slicing
+        // instead of the pool's schedule quality. Delays overlap across
+        // participants regardless of host core count, so the phase measures
+        // the schedule's wall-clock shape everywhere.
+        const STEAL_ITEMS: usize = 32;
+        const STEAL_US_PER_STEP: u64 = 200;
+        let wave = |s: usize, e: usize| {
+            for i in s..e {
+                std::thread::sleep(Duration::from_micros((i as u64 + 1) * STEAL_US_PER_STEP));
             }
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    let dispatched = hetero_rt::pool::jobs_dispatched() - d0;
-    let allocated = hetero_rt::pool::jobs_allocated() - a0;
-    (samples[1], dispatched, allocated)
-}
-
-fn main() {
-    // A launch-overhead benchmark is meaningless single-threaded (both
-    // executors degenerate to an inline loop); on small machines force a
-    // 4-thread pool via the runtime's env override. Must happen before
-    // the first pool access, which caches the value.
-    if std::env::var_os("HETERO_RT_THREADS").is_none() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::env::set_var("HETERO_RT_THREADS", hw.max(4).to_string());
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_launch_storm.json".to_string();
-    let mut launches = DEFAULT_LAUNCHES;
-    let mut gate_steal = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--launches" {
-            launches = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_LAUNCHES);
-        } else if a == "--steal" {
-            gate_steal = true;
-        } else {
-            out_path = a.clone();
-        }
-    }
-
-    let nd = NdRange::d1(ITEMS, GROUP);
-    let buf = Buffer::<f32>::new(ITEMS);
-    let view = buf.view();
-    let kernel = |ctx: &GroupCtx| {
-        ctx.items(|item| {
-            let i = item.global_linear;
-            view.set(i, (i as f32).mul_add(1.5, 0.25));
-        });
-    };
-
-    let threads = hetero_rt::pool::auto_threads();
-    println!(
-        "launch storm: {launches} launches x {ITEMS} items / {GROUP}-item groups, {threads} threads"
-    );
-
-    let (pooled, pooled_dispatched, pooled_allocated) = storm(launches, || {
-        run_groups(nd, Parallelism::Auto, 1 << 20, &kernel);
-    });
-    let (spawning, _, _) = storm(launches, || {
-        run_groups_spawning(nd, Parallelism::Auto, 1 << 20, &kernel);
-    });
-
-    let per = |d: Duration| d.as_secs_f64() / launches as f64 * 1e6;
-    let speedup = spawning.as_secs_f64() / pooled.as_secs_f64();
-    println!("  pooled   (persistent pool): {pooled:>10.3?} total, {:>8.2} us/launch", per(pooled));
-    println!("  spawning (scope per launch):{spawning:>10.3?} total, {:>8.2} us/launch", per(spawning));
-    println!("  speedup: {speedup:.2}x  (spawn-per-launch / pooled)");
-    println!(
-        "  pool: {} worker threads spawned once; timed pooled phase dispatched {} jobs, allocated {} job blocks",
-        hetero_rt::pool::spawned_threads(),
-        pooled_dispatched,
-        pooled_allocated,
-    );
-
-    // Accounting gates: 3 timed rounds of `launches` dispatch exactly
-    // 3 × launches jobs (no double-count, no dropped empty-job count),
-    // and thread-local scratch reuse keeps fresh job allocations to a
-    // sliver of the dispatch count.
-    let expected = 3 * launches;
-    if pooled_dispatched != expected {
-        eprintln!("FAIL: pooled phase dispatched {pooled_dispatched} jobs, expected exactly {expected}");
-        std::process::exit(1);
-    }
-    if pooled_allocated > expected / 2 {
-        eprintln!(
-            "FAIL: {pooled_allocated} job allocations for {expected} dispatches — scratch reuse regressed"
+        };
+        let steal = paired(
+            ROUNDS,
+            || pool::run_job_static(STEAL_ITEMS, threads, &wave),
+            || pool::run_job(STEAL_ITEMS, threads, &wave),
         );
-        std::process::exit(1);
-    }
-
-    // Imbalanced phase: per-item cost ∝ index — the triangular profile of
-    // an NW wavefront, where the last static span carries (2T−1)/T² of
-    // the total work (≈ 44% at T = 4) while stealing redistributes its
-    // back half. Per-item cost is a simulated device-occupancy delay
-    // (sleep, like a kernel holding an accelerator lane), not a CPU spin:
-    // a spin would serialize on single-core CI boxes and measure the OS
-    // scheduler's time-slicing instead of the pool's schedule quality.
-    // Delays overlap across participants regardless of host core count,
-    // so the phase measures the schedule's wall-clock shape everywhere.
-    const STEAL_ITEMS: usize = 32;
-    const STEAL_US_PER_STEP: u64 = 200;
-    let wave = |s: usize, e: usize| {
-        for i in s..e {
-            std::thread::sleep(Duration::from_micros((i as u64 + 1) * STEAL_US_PER_STEP));
-        }
-    };
-    let time3 = |f: &dyn Fn()| {
-        f(); // warm-up
-        let mut s: Vec<Duration> = (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed()
-            })
-            .collect();
-        s.sort();
-        s[1]
-    };
-    let static_t = time3(&|| {
-        hetero_rt::pool::run_job_static(STEAL_ITEMS, threads, &wave);
-    });
-    let stealing_t = time3(&|| {
-        hetero_rt::pool::run_job(STEAL_ITEMS, threads, &wave);
-    });
-    let (_, steal_stats) = hetero_rt::pool::run_job_counted(STEAL_ITEMS, threads, &wave);
-    let steal_speedup = static_t.as_secs_f64() / stealing_t.as_secs_f64();
-    println!(
-        "  imbalanced (cost ∝ index, {STEAL_ITEMS} items, {STEAL_US_PER_STEP} us/step): \
-         static {static_t:.3?}, stealing {stealing_t:.3?}, speedup {steal_speedup:.2}x \
-         ({} claims, {} steals per job)",
-        steal_stats.claims, steal_stats.steals
-    );
-    if gate_steal && steal_speedup < 1.2 {
-        eprintln!(
-            "FAIL: stealing speedup {steal_speedup:.2}x on the imbalanced phase is below the 1.2x gate"
+        let (_, steal_stats) = pool::run_job_counted(STEAL_ITEMS, threads, &wave);
+        println!(
+            "  imbalanced (cost ∝ index, {STEAL_ITEMS} items, {STEAL_US_PER_STEP} us/step): \
+             static {:.4}s, stealing {:.4}s, speedup {:.2}x ({} claims, {} steals per job)",
+            steal.a_s, steal.b_s, steal.ratio, steal_stats.claims, steal_stats.steals
         );
-        std::process::exit(1);
-    }
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"launch_storm\",\n  \"launches\": {launches},\n  \
-         \"items_per_launch\": {ITEMS},\n  \"group_size\": {GROUP},\n  \"threads\": {threads},\n  \
-         \"pooled_total_s\": {:.6},\n  \"spawning_total_s\": {:.6},\n  \
-         \"pooled_us_per_launch\": {:.3},\n  \"spawning_us_per_launch\": {:.3},\n  \
-         \"speedup\": {:.3},\n  \"pool_threads_spawned\": {},\n  \
-         \"pooled_dispatch_delta\": {pooled_dispatched},\n  \
-         \"pooled_alloc_delta\": {pooled_allocated},\n  \
-         \"steal_items\": {STEAL_ITEMS},\n  \"steal_us_per_step\": {STEAL_US_PER_STEP},\n  \
-         \"steal_static_s\": {:.6},\n  \"steal_stealing_s\": {:.6},\n  \
-         \"steal_speedup\": {:.3},\n  \"steal_claims_per_job\": {},\n  \
-         \"steal_steals_per_job\": {}\n}}\n",
-        pooled.as_secs_f64(),
-        spawning.as_secs_f64(),
-        per(pooled),
-        per(spawning),
-        speedup,
-        hetero_rt::pool::spawned_threads(),
-        static_t.as_secs_f64(),
-        stealing_t.as_secs_f64(),
-        steal_speedup,
-        steal_stats.claims,
-        steal_stats.steals,
-    );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+        report
+            .set("steal_items", STEAL_ITEMS)
+            .set("steal_us_per_step", STEAL_US_PER_STEP)
+            .set("steal_static_s", steal.a_s)
+            .set("steal_stealing_s", steal.b_s)
+            .set("steal_speedup", steal.ratio)
+            .set("steal_speedup_spread", steal.spread)
+            .set("steal_claims_per_job", steal_stats.claims)
+            .set("steal_steals_per_job", steal_stats.steals);
+        if args.has("--steal") {
+            report.gate("stealing speedup on the imbalanced phase", steal.ratio, Op::Ge, STEAL_GATE);
+        }
+        Ok(report.finish(&args.out("BENCH_launch_storm.json")))
+    })
 }

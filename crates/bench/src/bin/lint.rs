@@ -115,7 +115,7 @@ struct Violation {
     snippet: String,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     // Anchor on the bench crate's manifest dir so the binary works from
     // any cwd.
     let core_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
@@ -124,7 +124,7 @@ fn main() {
     files.sort();
     if files.is_empty() {
         eprintln!("lint: no sources under {}", core_src.display());
-        std::process::exit(2);
+        return std::process::ExitCode::from(2);
     }
 
     let mut violations = Vec::new();
@@ -177,8 +177,10 @@ fn main() {
         lib_files.len(),
         violations.len()
     );
-    if !violations.is_empty() {
-        std::process::exit(1);
+    if violations.is_empty() {
+        std::process::ExitCode::SUCCESS
+    } else {
+        std::process::ExitCode::FAILURE
     }
 }
 

@@ -36,15 +36,13 @@
 //!   checked and bit-equal.
 //!
 //! Writes `BENCH_prove_elision.json` (or the first positional arg).
-//!
-//! Usage:
-//! ```text
-//! prove [out.json] [--gate X]
-//! ```
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use altis_bench::json::{arr, Obj};
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::{paired, Paired};
 use altis_core::common::{AppVersion, ExecMode};
 use altis_core::suite::{all_apps, graph_mode_matrix, verify_suite_ir, DPCT_BASELINE_DEVIATIONS};
 use altis_data::InputSize;
@@ -52,110 +50,66 @@ use hetero_ir::{PlanAccess, PlanFootprint};
 use hetero_rt::prelude::*;
 use hetero_rt::{elide, prove};
 
-/// Median of an odd-length sample.
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
+const USAGE: &str = "prove [out.json] [--gate X]";
 
 struct ElisionRow {
     app: &'static str,
     config: String,
-    checked_s: f64,
-    proven_s: f64,
-    speedup: f64,
+    /// `a` is the checked replay, `b` the proven one, seven alternating
+    /// pairs: host drift between two separate measurements cannot pass
+    /// (or fail) a row.
+    t: Paired,
     /// Default-route rows count toward the gate; scalar-arm rows are
     /// reported only.
     gated: bool,
 }
 
 impl ElisionRow {
-    /// Time `run` with elision off and on, seven times each, back to
-    /// back in alternating order: medians per side, and the median pair
-    /// ratio as the speedup, so host drift between two separate
-    /// measurements cannot pass (or fail) a row.
     fn measure(app: &'static str, config: String, gated: bool, run: impl Fn()) -> Self {
-        let timed = |proven: bool| {
+        let with = |proven: bool| {
             elide::set_enabled(proven);
-            let t0 = Instant::now();
             run();
-            t0.elapsed().as_secs_f64()
         };
-        timed(true); // warm-up
-        let (mut checked, mut proven, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..7 {
-            let (c, p) = if i % 2 == 0 {
-                let c = timed(false);
-                (c, timed(true))
-            } else {
-                let p = timed(true);
-                (timed(false), p)
-            };
-            checked.push(c);
-            proven.push(p);
-            ratio.push(c / p);
-        }
+        let t = paired(7, || with(false), || with(true));
         elide::set_enabled(true);
-        ElisionRow {
-            app,
-            config,
-            checked_s: median(checked),
-            proven_s: median(proven),
-            speedup: median(ratio),
-            gated,
-        }
+        ElisionRow { app, config, t, gated }
     }
 }
 
-fn main() {
-    if std::env::var_os("HETERO_RT_THREADS").is_none() {
-        std::env::set_var("HETERO_RT_THREADS", "4");
-    }
+fn main() -> ExitCode {
+    report::run(USAGE, &["--gate"], &[], |args| {
+        Ok(sweep(args.get("--gate", 1.05)?, &args.out("BENCH_prove_elision.json")))
+    })
+}
+
+fn sweep(gate: f64, out_path: &str) -> ExitCode {
+    let mut report = Report::new("prove");
     // Enforcement on for the whole process — this is the point of the
     // sweep: release builds check every recorded contract too.
     prove::force_enable();
 
-    let mut out_path = "BENCH_prove_elision.json".to_string();
-    let mut gate = 1.05f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--gate" => {
-                gate = args[i + 1].parse().expect("--gate takes a float");
-                i += 2;
-            }
-            p if !p.starts_with("--") => {
-                out_path = p.to_string();
-                i += 1;
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    let mut failures: Vec<String> = Vec::new();
-
     // --- Phase 1: app binding sweep under enforcement ------------------
     println!("== binding-contract sweep (13 apps, enforcement on) ==");
     let q = Queue::new(Device::cpu());
+    let apps = all_apps();
     let mut apps_ok = 0usize;
-    for app in all_apps() {
+    for app in &apps {
         let ok = (app.verify)(&q, InputSize::S1, AppVersion::SyclOptimized);
         println!("  {:<12} {}", app.name, if ok { "ok" } else { "FAILED" });
-        if ok {
-            apps_ok += 1;
-        } else {
-            failures.push(format!("app {} failed golden verification", app.name));
-        }
+        apps_ok += usize::from(ok);
     }
+    report.gate("apps verified against golden", apps_ok as f64, Op::Eq, apps.len() as f64);
     // The matrix additionally drives every graph app through Graph and
     // GraphOptimized — the recording paths where contracts and the
     // translation-validation gate live.
+    let mut diverged = 0usize;
     for (name, flavor, ok) in graph_mode_matrix(InputSize::S1) {
         if !ok {
-            failures.push(format!("graph matrix cell {name}/{flavor:?} diverged"));
+            eprintln!("prove: graph matrix cell {name}/{flavor:?} diverged");
+            diverged += 1;
         }
     }
+    report.gate("graph matrix cells diverged", diverged as f64, Op::Eq, 0.0);
     let (checked, violations, certs) = (
         prove::contracts_checked(),
         prove::violations_found(),
@@ -166,38 +120,31 @@ fn main() {
         "  contracts checked {checked}, violations {violations}, certificates {certs}, \
          tv accepted {tv_ok}, tv rejected {tv_rej}"
     );
-    if checked == 0 {
-        failures.push("sweep checked zero contracts — enforcement not wired".into());
-    }
-    if violations != 0 {
-        failures.push(format!("{violations} binding-contract violations in the suite"));
-    }
-    if certs == 0 {
-        failures.push("no elision certificates issued — proofs stopped closing".into());
-    }
-    if tv_ok == 0 {
-        failures.push("translation validator never ran over an optimized plan".into());
-    }
-    if tv_rej != 0 {
-        let detail = hetero_rt::graph_opt::last_tv_rejection().unwrap_or_default();
-        failures.push(format!("{tv_rej} optimizer outputs rejected by TV: {detail}"));
+    // Enforcement wired, no violations, proofs still closing, and the
+    // translation validator ran over every optimized plan and accepted it.
+    report.gate("contracts checked", checked as f64, Op::Ge, 1.0);
+    report.gate("binding-contract violations", violations as f64, Op::Eq, 0.0);
+    report.gate("elision certificates issued", certs as f64, Op::Ge, 1.0);
+    report.gate("optimized plans accepted by TV", tv_ok as f64, Op::Ge, 1.0);
+    if !report.gate("optimized plans rejected by TV", tv_rej as f64, Op::Eq, 0.0) {
+        eprintln!("prove: {}", hetero_rt::graph_opt::last_tv_rejection().unwrap_or_default());
     }
 
     // --- Phase 2: FPGA design sweep with the explicit allowlist --------
     println!("== FPGA design sweep (26 designs, {} allowlisted deviations) ==", DPCT_BASELINE_DEVIATIONS.len());
-    let fpga_checked = match verify_suite_ir() {
+    let (fpga_checked, fpga_findings) = match verify_suite_ir() {
         Ok(n) => {
             println!("  {n} kernel instances verified");
-            n
+            (n, 0)
         }
         Err(errs) => {
             for e in &errs {
                 println!("  FAILED: {e}");
             }
-            failures.push(format!("{} FPGA verifier findings outside the allowlist", errs.len()));
-            0
+            (0, errs.len())
         }
     };
+    report.gate("FPGA verifier findings outside the allowlist", fpga_findings as f64, Op::Eq, 0.0);
 
     // --- Phase 3: record-check overhead --------------------------------
     // The FDTD2D hx contract (the largest spec in the suite's hot
@@ -215,8 +162,8 @@ fn main() {
     let reps = 2_000u32;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let report = prove::infer_contract("fdtd_hx", [n - 1, n - 1, 1], &spec);
-        assert!(prove::check_contract(&report, &declared).is_empty());
+        let inferred = prove::infer_contract("fdtd_hx", [n - 1, n - 1, 1], &spec);
+        assert!(prove::check_contract(&inferred, &declared).is_empty());
     }
     let check_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
     println!("== record-check overhead: {check_us:.1} µs per contract ==");
@@ -262,35 +209,26 @@ fn main() {
             "  {:<7} {:<29} checked {:>8.4}s  proven {:>8.4}s  speedup {:.3}x{}",
             r.app,
             r.config,
-            r.checked_s,
-            r.proven_s,
-            r.speedup,
+            r.t.a_s,
+            r.t.b_s,
+            r.t.ratio,
             if r.gated { "" } else { "  (not gated)" }
         );
     }
-    let best = rows.iter().filter(|r| r.gated).map(|r| r.speedup).fold(0.0f64, f64::max);
-    if best < gate {
-        failures.push(format!(
-            "elision gate: best default-route proven-path speedup {best:.3}x is below the {gate:.2}x gate"
-        ));
-    }
+    let best = rows.iter().filter(|r| r.gated).map(|r| r.t.ratio).fold(0.0f64, f64::max);
+    report.gate("best default-route proven-path speedup", best, Op::Ge, gate);
 
     // Amortization: one size-1 FDTD2D recording runs 3 contract checks
     // and replays `steps` times; the per-replay share of the checks must
     // be negligible against a measured replay.
     let (dim, steps) = fdtd_configs[0];
-    let replay_s = rows[0].proven_s / steps as f64;
+    let replay_s = rows[0].t.b_s / steps as f64;
     let amortized_frac = (3.0 * check_us * 1e-6 / steps as f64) / replay_s;
     println!(
         "  record-check amortization at dim={dim}: {:.5}% of one replay",
         amortized_frac * 100.0
     );
-    if amortized_frac > 0.01 {
-        failures.push(format!(
-            "record-time contract checks cost {:.2}% of a replay — not amortized",
-            amortized_frac * 100.0
-        ));
-    }
+    report.gate("record-check share of one replay", amortized_frac, Op::Le, 0.01);
 
     // Fallback verification: the same certified FDTD2D run on a
     // sanitizer-armed queue must still succeed (checked accessors, no
@@ -299,51 +237,48 @@ fn main() {
     let fast = altis_core::fdtd2d::run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
     let sanitized = Queue::new(Device::cpu()).with_sanitizer(true);
     let safe = altis_core::fdtd2d::run_with(&sanitized, &p, AppVersion::SyclOptimized, ExecMode::Graph);
-    if fast.ez != safe.ez {
-        failures.push("armed-queue fallback diverged from the proven fast path".into());
-    } else {
+    if report.require("armed-queue fallback bit-equal to the proven fast path", fast.ez == safe.ez) {
         println!("  armed-queue fallback verified: checked replay bit-equal to proven replay");
     }
 
     // --- Report ---------------------------------------------------------
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"sweep\": {{");
-    let _ = writeln!(json, "    \"apps_verified\": {apps_ok},");
-    // Phase 1's counts alone: the elision bench records more graphs, and
-    // how many depends on its row list, not on the suite.
-    let _ = writeln!(json, "    \"contracts_checked\": {checked},");
-    let _ = writeln!(json, "    \"violations_found\": {},", prove::violations_found());
-    let _ = writeln!(json, "    \"certificates_issued\": {certs},");
-    let _ = writeln!(json, "    \"tv_accepted\": {tv_ok},");
-    let _ = writeln!(json, "    \"tv_rejected\": {},", hetero_rt::graph_opt::tv_rejected());
-    let _ = writeln!(json, "    \"fpga_instances_checked\": {fpga_checked},");
-    let _ = writeln!(json, "    \"fpga_allowlist_entries\": {}", DPCT_BASELINE_DEVIATIONS.len());
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"record_check_us\": {check_us:.2},");
-    let _ = writeln!(json, "  \"record_check_amortized_frac\": {amortized_frac:.6},");
-    let _ = writeln!(json, "  \"elision\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"app\": \"{}\", \"config\": \"{}\", \"gated\": {}, \"checked_s\": {:.6}, \"proven_s\": {:.6}, \"speedup\": {:.4}}}{comma}",
-            r.app, r.config, r.gated, r.checked_s, r.proven_s, r.speedup
-        );
+    let passed = report.passed();
+    report
+        .set(
+            "sweep",
+            Obj::new()
+                .set("apps_verified", apps_ok)
+                // Phase 1's counts alone: the elision bench records more
+                // graphs, and how many depends on its row list, not on
+                // the suite.
+                .set("contracts_checked", checked)
+                .set("violations_found", prove::violations_found())
+                .set("certificates_issued", certs)
+                .set("tv_accepted", tv_ok)
+                .set("tv_rejected", hetero_rt::graph_opt::tv_rejected())
+                .set("fpga_instances_checked", fpga_checked)
+                .set("fpga_allowlist_entries", DPCT_BASELINE_DEVIATIONS.len()),
+        )
+        .set("record_check_us", check_us)
+        .set("record_check_amortized_frac", amortized_frac)
+        .set(
+            "elision",
+            arr(rows.iter().map(|r| {
+                Obj::new()
+                    .set("app", r.app)
+                    .set("config", r.config.as_str())
+                    .set("gated", r.gated)
+                    .set("checked_s", r.t.a_s)
+                    .set("proven_s", r.t.b_s)
+                    .set("speedup", r.t.ratio)
+                    .set("spread", r.t.spread)
+            })),
+        )
+        .set("best_speedup", best)
+        .set("gate", gate)
+        .set("passed", passed);
+    if passed {
+        println!("prove: all gates passed (best elision speedup {best:.3}x >= {gate:.2}x)");
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"best_speedup\": {best:.4},");
-    let _ = writeln!(json, "  \"gate\": {gate:.2},");
-    let _ = writeln!(json, "  \"passed\": {}", failures.is_empty());
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("prove: FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("prove: all gates passed (best elision speedup {best:.3}x >= {gate:.2}x)");
+    report.finish(out_path)
 }

@@ -4,13 +4,13 @@
 //! The roofline's ceiling is what the host moves with a pool-parallel
 //! `memcpy` — the same "achievable peak" a `%peak` column in the
 //! Altis-SYCL tables is normalized to, measured rather than quoted from
-//! a datasheet. Each converted kernel is then timed twice **in one
-//! process**: once with lane paths forced off ([`hetero_rt::lanes::force`]
-//! selects each kernel's scalar arm over the same launches) and once
-//! with lanes forced on. Reported per kernel: effective GB/s for both
-//! variants (from an analytic byte count of the kernel's traffic), the
-//! lane-over-scalar speedup, and the lane variant's fraction of the
-//! memcpy peak.
+//! a datasheet. Each converted kernel is then timed **in one process**
+//! as alternating pairs ([`paired`]): with lane paths forced off
+//! ([`hetero_rt::lanes::force`] selects each kernel's scalar arm over
+//! the same launches) and with lanes forced on. Reported per kernel:
+//! effective GB/s for both variants (from an analytic byte count of the
+//! kernel's traffic), the lane-over-scalar speedup (median pair ratio),
+//! and the lane variant's fraction of the memcpy peak.
 //!
 //! `--gate R` turns the conversion's payoff into a hard gate: at least
 //! two kernels must reach a lane-over-scalar speedup ≥ R (the PR's
@@ -18,31 +18,16 @@
 //! (integer folds LLVM autovectorizes on its own, like the scan's
 //! accumulate phase) are expected to sit near 1.0× and are listed, not
 //! gated.
-//!
-//! Usage:
-//! ```text
-//! roofline [out.json] [--gate R]
-//! ```
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
 
+use altis_bench::json::{arr, Obj};
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::{median, paired, samples};
 use altis_core::common::{AppVersion, ExecMode};
 use hetero_rt::prelude::*;
 
-/// Median of three timed runs of `f`.
-fn median3(f: &dyn Fn()) -> Duration {
-    f(); // warm-up
-    let mut samples: Vec<Duration> = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[1]
-}
+const USAGE: &str = "roofline [out.json] [--gate R]";
 
 /// Pool-parallel memcpy bandwidth in GB/s: the measured ceiling every
 /// kernel row is normalized against. Counts both the read and the write
@@ -53,7 +38,7 @@ fn memcpy_peak_gbps(threads: usize) -> f64 {
     let mut dst = vec![0.0f32; N];
     let dst_addr = dst.as_mut_ptr() as usize;
     let src_ref = &src;
-    let t = median3(&|| {
+    let t = median(&samples(3, || {
         hetero_rt::pool::run_job(N, threads, &|s, e| unsafe {
             // Disjoint [s, e) chunks; the job barrier orders all writes
             // before `dst` is touched again.
@@ -63,9 +48,9 @@ fn memcpy_peak_gbps(threads: usize) -> f64 {
                 e - s,
             );
         });
-    });
+    }));
     std::hint::black_box(&dst);
-    (2 * N * 4) as f64 / t.as_secs_f64() / 1e9
+    (2 * N * 4) as f64 / t / 1e9
 }
 
 struct KernelRow {
@@ -74,42 +59,32 @@ struct KernelRow {
     scalar_gbps: f64,
     lanes_gbps: f64,
     speedup: f64,
+    spread: f64,
 }
 
 fn measure(name: &'static str, bytes: f64, run: &dyn Fn()) -> KernelRow {
-    hetero_rt::lanes::force(false);
-    let scalar = median3(run);
-    hetero_rt::lanes::force(true);
-    let lanes = median3(run);
-    let scalar_gbps = bytes / scalar.as_secs_f64() / 1e9;
-    let lanes_gbps = bytes / lanes.as_secs_f64() / 1e9;
-    let speedup = scalar.as_secs_f64() / lanes.as_secs_f64();
+    let with = |lanes: bool| {
+        hetero_rt::lanes::force(lanes);
+        run();
+    };
+    let t = paired(5, || with(false), || with(true));
+    let (scalar_gbps, lanes_gbps) = (bytes / t.a_s / 1e9, bytes / t.b_s / 1e9);
     println!(
-        "  {name:<14} scalar {scalar_gbps:>7.2} GB/s   lanes {lanes_gbps:>7.2} GB/s   {speedup:.2}x"
+        "  {name:<14} scalar {scalar_gbps:>7.2} GB/s   lanes {lanes_gbps:>7.2} GB/s   {:.2}x",
+        t.ratio
     );
-    KernelRow { name, bytes, scalar_gbps, lanes_gbps, speedup }
+    KernelRow { name, bytes, scalar_gbps, lanes_gbps, speedup: t.ratio, spread: t.spread }
 }
 
-fn main() {
-    // Same pool sizing as the other storm benches; must precede the
-    // first pool access, which caches the value.
-    if std::env::var_os("HETERO_RT_THREADS").is_none() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::env::set_var("HETERO_RT_THREADS", hw.max(4).to_string());
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_roofline.json".to_string();
-    let mut gate: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--gate" {
-            gate = it.next().and_then(|v| v.parse().ok());
-        } else {
-            out_path = a.clone();
-        }
-    }
+fn main() -> ExitCode {
+    report::run(USAGE, &["--gate"], &[], |args| {
+        Ok(roofline(args.opt("--gate")?, &args.out("BENCH_roofline.json")))
+    })
+}
 
-    let threads = hetero_rt::pool::auto_threads();
+fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
+    let mut report = Report::new("roofline");
+    let threads = report.threads();
     let q = Queue::new(Device::cpu());
 
     let peak = memcpy_peak_gbps(threads);
@@ -182,45 +157,30 @@ fn main() {
         }));
     }
 
+    hetero_rt::lanes::force(true);
     let at_gate = |r: f64| rows.iter().filter(|k| k.speedup >= r).count();
+    report
+        .set("memcpy_peak_gbps", peak)
+        .set(
+            "kernels",
+            arr(rows.iter().map(|k| {
+                Obj::new()
+                    .set("name", k.name)
+                    .set("bytes", k.bytes)
+                    .set("scalar_gbps", k.scalar_gbps)
+                    .set("lanes_gbps", k.lanes_gbps)
+                    .set("speedup", k.speedup)
+                    .set("spread", k.spread)
+                    .set("lanes_frac_of_peak", k.lanes_gbps / peak)
+            })),
+        )
+        .set("kernels_at_1_5x", at_gate(1.5))
+        .set("gate", gate);
     if let Some(r) = gate {
         let n = at_gate(r);
-        if n < 2 {
-            eprintln!("FAIL: only {n} kernel(s) reached a {r:.2}x lane-over-scalar speedup (need 2)");
-            std::process::exit(1);
+        if report.gate(&format!("kernels at >= {r:.2}x lane-over-scalar"), n as f64, Op::Ge, 2.0) {
+            println!("  gate: {n} kernels at >= {r:.2}x");
         }
-        println!("  gate: {n} kernels at >= {r:.2}x");
     }
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"roofline\",\n  \"threads\": {threads},\n  \
-         \"memcpy_peak_gbps\": {peak:.3},\n  \"kernels\": [\n"
-    );
-    for (i, k) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"bytes\": {:.0}, \"scalar_gbps\": {:.3}, \
-             \"lanes_gbps\": {:.3}, \"speedup\": {:.3}, \"lanes_frac_of_peak\": {:.3}}}{}",
-            k.name,
-            k.bytes,
-            k.scalar_gbps,
-            k.lanes_gbps,
-            k.speedup,
-            k.lanes_gbps / peak,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"kernels_at_1_5x\": {},\n  \"gate\": {}\n}}\n",
-        at_gate(1.5),
-        gate.map_or("null".to_string(), |r| format!("{r:.2}")),
-    );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    report.finish(out_path)
 }

@@ -7,135 +7,77 @@
 //! (hetero-san layer 2) sweeps every configuration's kernel
 //! descriptors.
 //!
-//! Usage:
-//! ```text
-//! sanitize [--size 1|2|3] [--app SUBSTRING] [--version baseline|optimized|both]
-//!          [--timeout-secs T]
-//! ```
 //! Without `--size` the full 13-configuration x 3-size matrix runs.
 //! Exits nonzero if any run reports a race, fails verification, or
 //! breaks containment.
 
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
+use std::time::Instant;
 
+use altis_bench::report::{self, golden_registry_ok, Suite};
 use altis_core::common::AppVersion;
-use altis_core::suite::{all_apps, run_resilient, verify_suite_ir, ResilienceOutcome};
-use altis_data::InputSize;
+use altis_core::suite::{run_resilient, verify_suite_ir, ResilienceOutcome};
 use hetero_rt::prelude::*;
 
-fn main() {
+const USAGE: &str = "sanitize [--size 1|2|3|all] [--app SUBSTRING] \
+                     [--version baseline|optimized|both] [--timeout-secs T]";
+
+fn main() -> ExitCode {
     // Default on for every queue the applications construct themselves;
     // the explicitly-built queues below opt in regardless.
     std::env::set_var("HETERO_RT_SANITIZE", "1");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sizes = vec![InputSize::S1, InputSize::S2, InputSize::S3];
-    let mut versions = vec![AppVersion::SyclOptimized];
-    let mut filter: Option<String> = None;
-    let mut timeout = Duration::from_secs(900);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--size" => match it.next().map(String::as_str) {
-                Some("1") => sizes = vec![InputSize::S1],
-                Some("2") => sizes = vec![InputSize::S2],
-                Some("3") => sizes = vec![InputSize::S3],
-                _ => usage(),
-            },
-            "--version" => match it.next().map(String::as_str) {
-                Some("baseline") => versions = vec![AppVersion::SyclBaseline],
-                Some("optimized") => versions = vec![AppVersion::SyclOptimized],
-                Some("both") => {
-                    versions = vec![AppVersion::SyclBaseline, AppVersion::SyclOptimized];
+    report::run(USAGE, &["--size", "--app", "--version", "--timeout-secs"], &[], |args| {
+        args.no_positional()?;
+        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 1, 900)?;
+
+        match verify_suite_ir() {
+            Ok(n) => println!("static IR verification: {n} kernel instances clean"),
+            Err(errs) => {
+                eprintln!("static IR verification failed:");
+                for e in errs {
+                    eprintln!("  {e}");
                 }
-                _ => usage(),
-            },
-            "--app" => filter = it.next().cloned(),
-            "--timeout-secs" => {
-                let t = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                timeout = Duration::from_secs(t);
+                return Ok(ExitCode::FAILURE);
             }
-            _ => usage(),
         }
-    }
+        // Scoped to the sizes this matrix runs, so the check stays cheap.
+        if !golden_registry_ok("sanitize", &suite.sizes) {
+            return Ok(ExitCode::FAILURE);
+        }
 
-    match verify_suite_ir() {
-        Ok(n) => println!("static IR verification: {n} kernel instances clean"),
-        Err(errs) => {
-            eprintln!("static IR verification failed:");
-            for e in errs {
-                eprintln!("  {e}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    // Shared golden-checksum registry (tests/golden_checksums.tsv),
-    // scoped to the sizes this matrix runs: the references the race
-    // detector's "clean" verdicts compare against must not have
-    // silently drifted.
-    match altis_core::suite::check_golden_registry_sizes(&sizes) {
-        Ok(n) => println!("golden-checksum registry: {n} digests match"),
-        Err(errs) => {
-            eprintln!("golden-checksum registry drifted:");
-            for e in errs {
-                eprintln!("  {e}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    let apps = all_apps();
-    let mut failures = 0usize;
-    let mut runs = 0usize;
-    for app in &apps {
-        if let Some(f) = &filter {
-            if !app.name.to_lowercase().contains(&f.to_lowercase()) {
-                continue;
-            }
-        }
-        for &size in &sizes {
-            for &version in &versions {
-                runs += 1;
-                let q = Queue::new(Device::cpu()).with_sanitizer(true);
-                let t0 = Instant::now();
-                let outcome = run_resilient(app, q, size, version, timeout);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                let (verdict, detail) = match &outcome {
-                    ResilienceOutcome::Correct => ("clean", String::new()),
-                    ResilienceOutcome::TypedError(e) => ("RACE/ERROR", e.clone()),
-                    ResilienceOutcome::Incorrect => {
-                        ("INCORRECT", "result diverged from golden".to_string())
-                    }
-                    ResilienceOutcome::Panicked(m) => ("PANICKED", m.clone()),
-                    ResilienceOutcome::TimedOut => ("TIMEOUT", String::new()),
-                };
-                if outcome != ResilienceOutcome::Correct {
-                    failures += 1;
+        let mut failures = 0usize;
+        let mut runs = 0usize;
+        for (_, app, size, version) in suite.cells() {
+            runs += 1;
+            let q = Queue::new(Device::cpu()).with_sanitizer(true);
+            let t0 = Instant::now();
+            let outcome = run_resilient(app, q, size, version, suite.timeout);
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            let (verdict, detail) = match &outcome {
+                ResilienceOutcome::Correct => ("clean", String::new()),
+                ResilienceOutcome::TypedError(e) => ("RACE/ERROR", e.clone()),
+                ResilienceOutcome::Incorrect => {
+                    ("INCORRECT", "result diverged from golden".to_string())
                 }
-                println!(
-                    "{:<12} {:<8} {:<14} {:>10.1} ms  {verdict} {detail}",
-                    app.name,
-                    size.to_string(),
-                    format!("{version:?}"),
-                    ms
-                );
+                ResilienceOutcome::Panicked(m) => ("PANICKED", m.clone()),
+                ResilienceOutcome::TimedOut => ("TIMEOUT", String::new()),
+            };
+            if outcome != ResilienceOutcome::Correct {
+                failures += 1;
             }
+            println!(
+                "{:<12} {:<8} {:<14} {:>10.1} ms  {verdict} {detail}",
+                app.name,
+                size.to_string(),
+                format!("{version:?}"),
+                ms
+            );
         }
-    }
-    println!(
-        "sanitize: {runs} runs, {failures} failures{}",
-        if failures == 0 { " — suite is race-clean" } else { "" }
-    );
-    if failures > 0 {
-        std::process::exit(1);
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: sanitize [--size 1|2|3] [--app SUBSTRING] \
-         [--version baseline|optimized|both] [--timeout-secs T]"
-    );
-    std::process::exit(2);
+        println!(
+            "sanitize: {runs} runs, {failures} failures{}",
+            if failures == 0 { " — suite is race-clean" } else { "" }
+        );
+        Ok(if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    })
 }

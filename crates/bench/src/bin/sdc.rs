@@ -20,201 +20,134 @@
 //! silently drifting reference implementation fails just as loudly as
 //! a corrupted run.
 //!
-//! Usage:
-//! ```text
-//! sdc [--seeds N | --seed N] [--size 1|2|3|all] [--app SUBSTRING]
-//!     [--version baseline|optimized] [--redundancy none|dmr|tmr]
-//!     [--rate R] [--timeout-secs T] [--skip-golden] [--write-golden]
-//! ```
 //! Defaults: seeds 1..=5, all three sizes, optimized versions, DMR,
 //! rate 0.05. `--write-golden` regenerates the registry and exits.
 //! The last stdout line is a one-line JSON verdict; the exit status is
 //! nonzero if any run was undefended or the registry drifted.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use altis_bench::json::Obj;
+use altis_bench::report::{self, golden_registry_ok, verdict, Suite};
 use altis_core::common::AppVersion;
 use altis_core::suite::{
-    all_apps, check_golden_registry, compute_golden_registry, golden_registry_path,
-    render_golden_registry, run_sdc, SdcOutcome,
+    compute_golden_registry, golden_registry_path, render_golden_registry, run_sdc, SdcOutcome,
 };
 use altis_data::InputSize;
 use hetero_rt::{integrity, Device, FaultPlan, Queue, Redundancy, RetryPolicy};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sdc [--seeds N | --seed N] [--size 1|2|3|all] [--app SUBSTRING]\n\
-         \x20          [--version baseline|optimized] [--redundancy none|dmr|tmr]\n\
-         \x20          [--rate R] [--timeout-secs T] [--skip-golden] [--write-golden]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "sdc [--seeds N | --seed N] [--size 1|2|3|all] [--app SUBSTRING]\n\
+     \x20          [--version baseline|optimized|both] [--redundancy none|dmr|tmr]\n\
+     \x20          [--rate R] [--timeout-secs T] [--skip-golden] [--write-golden]";
+const VALUE_FLAGS: [&str; 8] =
+    ["--seeds", "--seed", "--size", "--app", "--version", "--redundancy", "--rate", "--timeout-secs"];
+const REDUNDANCY: [(&str, Redundancy); 3] =
+    [("none", Redundancy::None), ("dmr", Redundancy::Dmr), ("tmr", Redundancy::Tmr)];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: Vec<u64> = (1..=5).collect();
-    let mut sizes = vec![InputSize::S1, InputSize::S2, InputSize::S3];
-    let mut version = AppVersion::SyclOptimized;
-    let mut redundancy = Redundancy::Dmr;
-    let mut rate = 0.05f64;
-    let mut filter: Option<String> = None;
-    let mut timeout = Duration::from_secs(900);
-    let mut skip_golden = false;
-    let mut write_golden = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                seeds = (1..=n.max(1)).collect();
+fn main() -> ExitCode {
+    report::run(USAGE, &VALUE_FLAGS, &["--skip-golden", "--write-golden"], |args| {
+        args.no_positional()?;
+        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 5, 900)?;
+        let redundancy = args.choice("--redundancy", &REDUNDANCY)?.unwrap_or(Redundancy::Dmr);
+        let rate: f64 = args.get("--rate", 0.05)?;
+        let skip_golden = args.has("--skip-golden");
+
+        if args.has("--write-golden") {
+            let path = golden_registry_path();
+            let rows = compute_golden_registry();
+            if let Err(e) = std::fs::write(&path, render_golden_registry(&rows)) {
+                eprintln!("cannot write {}: {e}", path.display());
+                return Ok(ExitCode::FAILURE);
             }
-            "--seed" => {
-                let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                seeds = vec![n];
-            }
-            "--size" => match it.next().map(String::as_str) {
-                Some("1") => sizes = vec![InputSize::S1],
-                Some("2") => sizes = vec![InputSize::S2],
-                Some("3") => sizes = vec![InputSize::S3],
-                Some("all") => {}
-                _ => usage(),
-            },
-            "--version" => match it.next().map(String::as_str) {
-                Some("baseline") => version = AppVersion::SyclBaseline,
-                Some("optimized") => version = AppVersion::SyclOptimized,
-                _ => usage(),
-            },
-            "--redundancy" => match it.next().map(String::as_str) {
-                Some("none") => redundancy = Redundancy::None,
-                Some("dmr") => redundancy = Redundancy::Dmr,
-                Some("tmr") => redundancy = Redundancy::Tmr,
-                _ => usage(),
-            },
-            "--rate" => rate = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
-            "--timeout-secs" => {
-                let t = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                timeout = Duration::from_secs(t);
-            }
-            "--app" => filter = it.next().cloned(),
-            "--skip-golden" => skip_golden = true,
-            "--write-golden" => write_golden = true,
-            _ => usage(),
+            println!("wrote {} rows to {}", rows.len(), path.display());
+            return Ok(ExitCode::SUCCESS);
         }
-    }
 
-    if write_golden {
-        let path = golden_registry_path();
-        let rows = compute_golden_registry();
-        let text = render_golden_registry(&rows);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {} rows to {}", rows.len(), path.display());
-        return;
-    }
-
-    // The registry check re-derives every reference output, so it
-    // doubles as a warm-up of the (cached, host-side) goldens.
-    let mut golden_ok = true;
-    if skip_golden {
-        println!("sdc: golden-checksum registry check skipped (--skip-golden)");
-    } else {
-        match check_golden_registry() {
-            Ok(n) => println!("sdc: golden-checksum registry ok ({n} digests match)"),
-            Err(errs) => {
-                golden_ok = false;
-                for e in &errs {
-                    eprintln!("sdc: GOLDEN DRIFT: {e}");
-                }
-            }
-        }
-    }
-
-    println!(
-        "sdc: {} seed(s) x {} size(s), rate {rate}, {redundancy:?}, timeout {}s/run",
-        seeds.len(),
-        sizes.len(),
-        timeout.as_secs()
-    );
-
-    let (mut correct, mut corrected, mut quarantined, mut uncontained) = (0u32, 0u32, 0u32, 0u32);
-    let (mut flips, mut stuck) = (0u64, 0u64);
-    let t0 = Instant::now();
-    for &seed in &seeds {
-        for app in all_apps() {
-            if let Some(f) = &filter {
-                if !app.name.to_lowercase().contains(&f.to_lowercase()) {
-                    continue;
-                }
-            }
-            for &size in &sizes {
-                let plan = Arc::new(FaultPlan::sdc(seed, rate));
-                let q = Queue::new(Device::cpu())
-                    .with_integrity(true)
-                    .with_redundancy(redundancy)
-                    .with_retry_policy(RetryPolicy::resilient())
-                    .with_fault_plan(Some(Arc::clone(&plan)));
-                let outcome = run_sdc(&app, q, size, version, timeout);
-                flips += plan.flips_injected();
-                stuck += plan.stuck_applications();
-                let detail = match &outcome {
-                    SdcOutcome::Correct => {
-                        correct += 1;
-                        "correct".to_string()
-                    }
-                    SdcOutcome::Corrected { events } => {
-                        corrected += 1;
-                        format!("corrected ({events} events)")
-                    }
-                    SdcOutcome::Quarantined { reason } => {
-                        quarantined += 1;
-                        format!("quarantined: {reason}")
-                    }
-                    SdcOutcome::Uncontained { what } => {
-                        uncontained += 1;
-                        format!("UNDEFENDED: {what}")
-                    }
-                };
-                println!(
-                    "  seed {seed:<3} {:<12} size {} [{} flips, {} stuck]  {detail}",
-                    app.name,
-                    size.index(),
-                    plan.flips_injected(),
-                    plan.stuck_applications()
-                );
-            }
-        }
-    }
-    integrity::disarm();
-    let _ = integrity::take_scrub_reports();
-
-    let runs = correct + corrected + quarantined + uncontained;
-    let defended = uncontained == 0 && golden_ok;
-    println!(
-        "sdc: {runs} runs in {:.2?}: {correct} correct, {corrected} corrected, \
-         {quarantined} quarantined, {uncontained} undefended; {flips} flips + {stuck} \
-         stuck pages injected, {} detections / {} corrections total",
-        t0.elapsed(),
-        integrity::detections_total(),
-        integrity::corrected_total()
-    );
-    // Machine-readable verdict: always the last stdout line.
-    println!(
-        "{{\"harness\":\"sdc\",\"runs\":{runs},\"correct\":{correct},\"corrected\":{corrected},\
-         \"quarantined\":{quarantined},\"uncontained\":{uncontained},\
-         \"flips_injected\":{flips},\"stuck_pages\":{stuck},\
-         \"golden_registry\":\"{}\",\"defended\":{defended}}}",
-        if skip_golden {
-            "skipped"
-        } else if golden_ok {
-            "ok"
+        // The whole registry whatever `--size` says: the check re-derives
+        // every reference output, so it doubles as a warm-up of the
+        // (cached, host-side) goldens.
+        let golden_ok = if skip_golden {
+            println!("sdc: golden-checksum registry check skipped (--skip-golden)");
+            true
         } else {
-            "drifted"
+            golden_registry_ok("sdc", &InputSize::all())
+        };
+
+        println!(
+            "sdc: {} seed(s) x {} size(s), rate {rate}, {redundancy:?}, timeout {}s/run",
+            suite.seeds.len(),
+            suite.sizes.len(),
+            suite.timeout.as_secs()
+        );
+
+        let (mut correct, mut corrected, mut quarantined, mut uncontained) = (0u32, 0u32, 0u32, 0u32);
+        let (mut flips, mut stuck) = (0u64, 0u64);
+        let t0 = Instant::now();
+        for (seed, app, size, version) in suite.cells() {
+            let plan = Arc::new(FaultPlan::sdc(seed, rate));
+            let q = Queue::new(Device::cpu())
+                .with_integrity(true)
+                .with_redundancy(redundancy)
+                .with_retry_policy(RetryPolicy::resilient())
+                .with_fault_plan(Some(Arc::clone(&plan)));
+            let outcome = run_sdc(app, q, size, version, suite.timeout);
+            flips += plan.flips_injected();
+            stuck += plan.stuck_applications();
+            let detail = match &outcome {
+                SdcOutcome::Correct => {
+                    correct += 1;
+                    "correct".to_string()
+                }
+                SdcOutcome::Corrected { events } => {
+                    corrected += 1;
+                    format!("corrected ({events} events)")
+                }
+                SdcOutcome::Quarantined { reason } => {
+                    quarantined += 1;
+                    format!("quarantined: {reason}")
+                }
+                SdcOutcome::Uncontained { what } => {
+                    uncontained += 1;
+                    format!("UNDEFENDED: {what}")
+                }
+            };
+            println!(
+                "  seed {seed:<3} {:<12} size {} [{} flips, {} stuck]  {detail}",
+                app.name,
+                size.index(),
+                plan.flips_injected(),
+                plan.stuck_applications()
+            );
         }
-    );
-    if !defended {
-        std::process::exit(1);
-    }
+        integrity::disarm();
+        let _ = integrity::take_scrub_reports();
+
+        let runs = correct + corrected + quarantined + uncontained;
+        println!(
+            "sdc: {runs} runs in {:.2?}: {correct} correct, {corrected} corrected, \
+             {quarantined} quarantined, {uncontained} undefended; {flips} flips + {stuck} \
+             stuck pages injected, {} detections / {} corrections total",
+            t0.elapsed(),
+            integrity::detections_total(),
+            integrity::corrected_total()
+        );
+        let registry = match (skip_golden, golden_ok) {
+            (true, _) => "skipped",
+            (_, true) => "ok",
+            _ => "drifted",
+        };
+        let line = Obj::new()
+            .set("harness", "sdc")
+            .set("runs", runs)
+            .set("correct", correct)
+            .set("corrected", corrected)
+            .set("quarantined", quarantined)
+            .set("uncontained", uncontained)
+            .set("flips_injected", flips)
+            .set("stuck_pages", stuck)
+            .set("golden_registry", registry);
+        Ok(verdict(line, "defended", uncontained == 0 && golden_ok))
+    })
 }

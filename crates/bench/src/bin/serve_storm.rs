@@ -21,19 +21,17 @@
 //! Writes `BENCH_serve_storm.json` (or the path given as the first
 //! argument).
 //!
-//! Usage:
-//! ```text
-//! serve_storm [out.json] [--jobs N]... [--samples N] [--rounds N]
-//!             [--workers N] [--skip-isolation]
-//! ```
 //! `--jobs` may repeat to set the storm sweep sizes (default 1000 and
 //! 10000).
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
+use altis_bench::json::{arr, Obj};
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::{median, percentile};
 use hetero_serve::{
     FaultKindSel, Hardening, JobRequest, MonotonicClock, Priority, ResultSink, Scheduler,
     ServeConfig, Verdict,
@@ -42,6 +40,8 @@ use hetero_serve::{
 const STORM_APPS: [&str; 2] = ["Where", "DWT2D"];
 const CLEAN_APP: &str = "KMeans";
 const HOSTILE_APP: &str = "Where";
+const USAGE: &str = "serve_storm [out.json] [--jobs N]... [--samples N] [--rounds N] \
+                     [--workers N] [--skip-isolation]";
 
 fn req(tenant: &str, app: &str) -> JobRequest {
     JobRequest {
@@ -51,31 +51,11 @@ fn req(tenant: &str, app: &str) -> JobRequest {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.total_cmp(b));
-    percentile(&v, 0.5)
-}
-
-struct StormResult {
-    jobs: usize,
-    wall_s: f64,
-    jobs_per_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-/// Queue `jobs` cheap jobs across tenants/apps/lanes, drain, and check
-/// the accounting gates. Latencies come from the scheduler's own
-/// `latency_ms` (enqueue → verdict).
-fn storm(jobs: usize, workers: usize) -> StormResult {
+/// Queue `jobs` cheap jobs across tenants/apps/lanes, drain, and gate
+/// the accounting: every submitted job resolves to exactly one verdict,
+/// all of them `Completed`, none uncontained. Latencies come from the
+/// scheduler's own `latency_ms` (enqueue → verdict).
+fn storm(jobs: usize, workers: usize, report: &mut Report) -> Obj {
     let s = Scheduler::new(
         ServeConfig {
             workers,
@@ -105,37 +85,35 @@ fn storm(jobs: usize, workers: usize) -> StormResult {
     let stats = s.stats();
     s.shutdown();
 
-    // --- the zero-unaccounted gate ---
-    if stats.submitted != jobs as u64 || stats.unaccounted() != 0 {
-        eprintln!(
-            "FAIL: storm({jobs}) submitted={} accounted={} — every job must get exactly one verdict",
-            stats.submitted,
-            stats.accounted()
-        );
-        std::process::exit(1);
-    }
-    if stats.completed != jobs as u64 || stats.uncontained != 0 {
-        eprintln!(
-            "FAIL: storm({jobs}) expected {jobs} Completed/0 uncontained, got {stats:?}"
-        );
-        std::process::exit(1);
-    }
-    let mut lat = latencies.lock().unwrap().clone();
-    lat.sort_by(|a, b| a.total_cmp(b));
-    StormResult {
-        jobs,
-        wall_s,
-        jobs_per_s: jobs as f64 / wall_s,
-        p50_ms: percentile(&lat, 0.50),
-        p99_ms: percentile(&lat, 0.99),
-    }
+    report.gate(&format!("storm({jobs}) submitted"), stats.submitted as f64, Op::Eq, jobs as f64);
+    report.gate(&format!("storm({jobs}) unaccounted"), stats.unaccounted() as f64, Op::Eq, 0.0);
+    report.gate(&format!("storm({jobs}) completed"), stats.completed as f64, Op::Eq, jobs as f64);
+    report.gate(&format!("storm({jobs}) uncontained"), stats.uncontained as f64, Op::Eq, 0.0);
+    let lat = latencies.lock().unwrap().clone();
+    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
+    println!(
+        "  {jobs:>6} jobs: {:>7.2} jobs/s, p50 {p50:>7.1} ms, p99 {p99:>7.1} ms, wall {wall_s:.2}s, \
+         {} unaccounted",
+        jobs as f64 / wall_s,
+        stats.unaccounted()
+    );
+    Obj::new()
+        .set("jobs", jobs)
+        .set("wall_s", wall_s)
+        .set("jobs_per_s", jobs as f64 / wall_s)
+        .set("p50_ms", p50)
+        .set("p99_ms", p99)
+        .set("unaccounted", stats.unaccounted())
+        .set("uncontained", stats.uncontained)
 }
 
 /// One closed-loop clean-tenant round: `samples` jobs, one in flight,
 /// client-side latency in ms. When `hostile` is set, `2 × workers`
 /// hostile closed-loop clients keep panic-injected jobs in flight the
-/// whole time.
-fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64) {
+/// whole time. Returns the clean p99, the hostile job count, and how
+/// many clean jobs did not complete or were left unaccounted (hostile
+/// faults leaking).
+fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64, u64) {
     let s = Arc::new(Scheduler::new(
         ServeConfig {
             workers,
@@ -189,6 +167,7 @@ fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64) 
     }
 
     let mut lat_ms = Vec::with_capacity(samples);
+    let mut leaked = 0u64;
     let (tx, rx) = mpsc::sync_channel::<Verdict>(1);
     let sink: ResultSink = Arc::new(move |res| {
         let _ = tx.try_send(res.verdict);
@@ -202,8 +181,8 @@ fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64) 
         let verdict = rx.recv().expect("clean job verdict");
         lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         if verdict != Verdict::Completed {
-            eprintln!("FAIL: clean tenant job {i} got {verdict:?} — hostile faults leaked");
-            std::process::exit(1);
+            eprintln!("clean tenant job {i} got {verdict:?} — hostile faults leaked");
+            leaked += 1;
         }
     }
 
@@ -214,112 +193,70 @@ fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64) 
     s.wait_idle();
     let stats = s.stats();
     if stats.unaccounted() != 0 || stats.uncontained != 0 {
-        eprintln!("FAIL: isolation round left unaccounted/uncontained jobs: {stats:?}");
-        std::process::exit(1);
+        eprintln!("isolation round left unaccounted/uncontained jobs: {stats:?}");
+        leaked += stats.unaccounted() + stats.uncontained;
     }
     s.shutdown();
-    lat_ms.sort_by(|a, b| a.total_cmp(b));
-    (percentile(&lat_ms, 0.99), hostile_jobs.load(Ordering::Relaxed))
+    (percentile(&lat_ms, 0.99), hostile_jobs.load(Ordering::Relaxed), leaked)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_serve_storm.json".to_string();
-    let mut storm_sizes: Vec<usize> = Vec::new();
-    let mut samples = 60usize;
-    let mut rounds = 3usize;
-    let mut workers = ServeConfig::default().workers;
-    let mut skip_isolation = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |d: usize| it.next().and_then(|v| v.parse().ok()).unwrap_or(d);
-        match a.as_str() {
-            "--jobs" => storm_sizes.push(num(10_000)),
-            "--samples" => samples = num(60),
-            "--rounds" => rounds = num(3),
-            "--workers" => workers = num(workers),
-            "--skip-isolation" => skip_isolation = true,
-            other => out_path = other.to_string(),
+fn main() -> ExitCode {
+    let flags = ["--jobs", "--samples", "--rounds", "--workers"];
+    report::run(USAGE, &flags, &["--skip-isolation"], |args| {
+        let mut storm_sizes: Vec<usize> = args.all("--jobs")?;
+        if storm_sizes.is_empty() {
+            storm_sizes = vec![1_000, 10_000];
         }
-    }
-    if storm_sizes.is_empty() {
-        storm_sizes = vec![1_000, 10_000];
-    }
+        let samples: usize = args.get("--samples", 60)?;
+        let rounds: usize = args.get("--rounds", 3)?;
+        let workers: usize = args.get("--workers", ServeConfig::default().workers)?;
+        let mut report = Report::new("serve_storm");
+        report.set("workers", workers);
 
-    println!("serve storm: {workers} workers, sweep {storm_sizes:?}");
-    let mut storms = Vec::new();
-    for &jobs in &storm_sizes {
-        let r = storm(jobs, workers);
-        println!(
-            "  {:>6} jobs: {:>7.2} jobs/s, p50 {:>7.1} ms, p99 {:>7.1} ms, wall {:.2}s, 0 unaccounted",
-            r.jobs, r.jobs_per_s, r.p50_ms, r.p99_ms, r.wall_s
-        );
-        storms.push(r);
-    }
+        println!("serve storm: {workers} workers, sweep {storm_sizes:?}");
+        let storms: Vec<Obj> =
+            storm_sizes.iter().map(|&jobs| storm(jobs, workers, &mut report)).collect();
+        report.set("storms", arr(storms));
 
-    let mut isolation_json = "null".to_string();
-    if !skip_isolation {
-        println!("isolation gate: {rounds} paired rounds x {samples} clean samples");
-        let mut solo = Vec::new();
-        let mut mixed = Vec::new();
-        let mut hostile_total = 0u64;
-        for round in 0..rounds {
-            let (s, _) = isolation_round(samples, workers, false);
-            let (m, h) = isolation_round(samples, workers, true);
-            hostile_total += h;
-            println!("  round {round}: solo p99 {s:>7.2} ms, hostile p99 {m:>7.2} ms");
-            solo.push(s);
-            mixed.push(m);
-        }
-        let solo_p99 = median(solo);
-        let mixed_p99 = median(mixed);
-        let delta_pct = (mixed_p99 / solo_p99 - 1.0) * 100.0;
-        let pass = mixed_p99 <= solo_p99 * 1.10;
-        println!(
-            "  clean-tenant p99: solo {solo_p99:.2} ms, under hostile storm {mixed_p99:.2} ms \
-             ({delta_pct:+.1}%, {hostile_total} hostile jobs) -> {}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-        if !pass {
-            eprintln!(
-                "FAIL: hostile tenant moved the clean tenant's p99 by {delta_pct:.1}% (> 10%)"
+        let mut isolation = None;
+        if !args.has("--skip-isolation") {
+            println!("isolation gate: {rounds} paired rounds x {samples} clean samples");
+            let (mut solo, mut mixed) = (Vec::new(), Vec::new());
+            let (mut hostile_total, mut leaked) = (0u64, 0u64);
+            for round in 0..rounds {
+                let (s, _, l0) = isolation_round(samples, workers, false);
+                let (m, h, l1) = isolation_round(samples, workers, true);
+                hostile_total += h;
+                leaked += l0 + l1;
+                println!("  round {round}: solo p99 {s:>7.2} ms, hostile p99 {m:>7.2} ms");
+                solo.push(s);
+                mixed.push(m);
+            }
+            let (solo_p99, mixed_p99) = (median(&solo), median(&mixed));
+            let delta_pct = (mixed_p99 / solo_p99 - 1.0) * 100.0;
+            report.gate("clean-tenant jobs lost to hostile faults", leaked as f64, Op::Eq, 0.0);
+            let pass =
+                report.gate("clean-tenant p99 moved by the hostile tenant (%)", delta_pct, Op::Le, 10.0);
+            println!(
+                "  clean-tenant p99: solo {solo_p99:.2} ms, under hostile storm {mixed_p99:.2} ms \
+                 ({delta_pct:+.1}%, {hostile_total} hostile jobs) -> {}",
+                if pass { "PASS" } else { "FAIL" }
             );
-            std::process::exit(1);
+            isolation = Some(
+                Obj::new()
+                    .set("rounds", rounds)
+                    .set("samples_per_round", samples)
+                    .set("clean_app", CLEAN_APP)
+                    .set("hostile_app", HOSTILE_APP)
+                    .set("hostile_jobs", hostile_total)
+                    .set("solo_p99_ms", solo_p99)
+                    .set("hostile_p99_ms", mixed_p99)
+                    .set("delta_pct", delta_pct)
+                    .set("gate_pct", 10.0)
+                    .set("pass", pass),
+            );
         }
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n    \"rounds\": {rounds},\n    \"samples_per_round\": {samples},\n    \
-             \"clean_app\": \"{CLEAN_APP}\",\n    \"hostile_app\": \"{HOSTILE_APP}\",\n    \
-             \"hostile_jobs\": {hostile_total},\n    \"solo_p99_ms\": {solo_p99:.3},\n    \
-             \"hostile_p99_ms\": {mixed_p99:.3},\n    \"delta_pct\": {delta_pct:.2},\n    \
-             \"gate_pct\": 10.0,\n    \"pass\": {pass}\n  }}"
-        );
-        isolation_json = j;
-    }
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"serve_storm\",\n  \"workers\": {workers},\n  \"storms\": [\n"
-    );
-    for (i, r) in storms.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"jobs\": {}, \"wall_s\": {:.3}, \"jobs_per_s\": {:.1}, \
-             \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, \"unaccounted\": 0, \"uncontained\": 0}}{}",
-            r.jobs,
-            r.wall_s,
-            r.jobs_per_s,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < storms.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(json, "  ],\n  \"isolation\": {isolation_json}\n}}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+        report.set("isolation", isolation);
+        Ok(report.finish(&args.out("BENCH_serve_storm.json")))
+    })
 }

@@ -36,48 +36,37 @@
 //! rollback count and mean rollback cost. Writes
 //! `BENCH_stream_storm.json` (or the path given as the first argument).
 //!
-//! Usage:
-//! ```text
-//! stream_storm [out.json] [--windows N] [--rate R]... [--seed N]
-//!              [--skip-shed]
-//! ```
 //! Default 1280 windows per (app, rate): 4 apps x 2 rates x 1280 =
 //! 10240 faulted windows per full run.
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use altis_bench::json::{arr, Obj};
+use altis_bench::report::{self, Op, Report};
+use altis_bench::timing::percentile;
 use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
 use altis_data::InputSize;
 use hetero_rt::{FaultKind, FaultPlan, StreamConfig};
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
+const USAGE: &str =
+    "stream_storm [out.json] [--windows N] [--rate R]... [--seed N] [--skip-shed]";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
-/// Fault-free run: per-window digest trail plus clean throughput.
-fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> (Vec<u64>, f64) {
+/// Fault-free run: per-window digest trail plus clean throughput. `Err`
+/// says why the oracle could not be built.
+fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> Result<(Vec<u64>, f64), String> {
     let mut s = open_stream(app, InputSize::S1, cfg, &StreamScenario::default())
-        .unwrap_or_else(|e| fail(&format!("{app}: clean stream failed to open: {e}")))
-        .unwrap_or_else(|| fail(&format!("{app}: no streaming conversion")));
+        .map_err(|e| format!("{app}: clean stream failed to open: {e}"))?
+        .ok_or_else(|| format!("{app}: no streaming conversion"))?;
     let mut trail = Vec::with_capacity(windows as usize);
     let t0 = Instant::now();
     for w in 0..windows {
         let r = s
             .next_window()
-            .unwrap_or_else(|e| fail(&format!("{app}: clean stream died at window {w}: {e}")));
+            .map_err(|e| format!("{app}: clean stream died at window {w}: {e}"))?;
         if !r.verdict.is_delivered() {
-            fail(&format!(
+            return Err(format!(
                 "{app}: fault-free stream produced a non-Delivered window {w}: {:?}",
                 r.verdict
             ));
@@ -85,24 +74,7 @@ fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> (Vec<u64>, f64) {
         trail.push(r.digest);
     }
     let clean_wps = windows as f64 / t0.elapsed().as_secs_f64();
-    (trail, clean_wps)
-}
-
-struct FaultedResult {
-    kind: &'static str,
-    rate: f64,
-    wall_s: f64,
-    windows_per_s: f64,
-    p50_us: f64,
-    p99_us: f64,
-    delivered: u64,
-    retried: u64,
-    quarantined: u64,
-    rollbacks: u64,
-    replayed: u64,
-    checkpoints: u64,
-    injected: u64,
-    rollback_cost_us: f64,
+    Ok((trail, clean_wps))
 }
 
 /// First kernel of each app's window graph, in [`STREAM_APPS`] order:
@@ -112,261 +84,212 @@ struct FaultedResult {
 const STUCK_KERNELS: [&str; 4] =
     ["srad_1", "fdtd_hx", "stream_map_centers", "pf_propagate_weight"];
 
-/// Live-fault run against the golden trail; applies every gate.
+/// Live-fault run against the golden trail; records every gate under
+/// the run's tag and returns its row and rollback count.
 /// `stuck = None` injects transient launch failures (per-launch rate,
 /// absorbed by window retry); `Some(kernel)` makes work-group 0 of
 /// `kernel` panic on every launch — the permanent stuck-group run that
 /// exercises rollback on every window (`rate` is then only a label).
 fn faulted_run(
     app: &str,
-    windows: u64,
     cfg: StreamConfig,
     seed: u64,
     rate: f64,
     stuck: Option<&'static str>,
     trail: &[u64],
-) -> FaultedResult {
-    let (kind_label, plan) = match stuck {
+    report: &mut Report,
+) -> Result<(Obj, u64), String> {
+    let (kind, plan) = match stuck {
         None => (
             "transient",
             FaultPlan::new(seed, rate).with_kinds(&[FaultKind::LaunchTransient]),
         ),
         Some(kernel) => ("stuck-group", FaultPlan::panic_at(kernel, 0)),
     };
+    let tag = format!("{app} {kind} {rate}");
+    let windows = trail.len() as u64;
     let plan = Arc::new(plan);
     let scenario = StreamScenario { fault: Some(plan.clone()), ..StreamScenario::default() };
     let mut s = open_stream(app, InputSize::S1, cfg, &scenario)
-        .unwrap_or_else(|e| fail(&format!("{app}: faulted stream failed to open: {e}")))
-        .unwrap_or_else(|| fail(&format!("{app}: no streaming conversion")));
-    let mut lat_us = Vec::with_capacity(windows as usize);
+        .map_err(|e| format!("{tag}: faulted stream failed to open: {e}"))?
+        .ok_or_else(|| format!("{tag}: no streaming conversion"))?;
+    let mut lat_us = Vec::with_capacity(trail.len());
+    let mut diverged = 0u64;
     let t0 = Instant::now();
-    for w in 0..windows {
-        let r = s.next_window().unwrap_or_else(|e| {
-            fail(&format!(
-                "{app} rate {rate}: stream died at window {w}: {e} — faults must be contained"
-            ))
-        });
+    for (w, golden) in trail.iter().enumerate() {
+        // Faults are contained to windows; only cancellation may stop a
+        // stream.
+        let r = s.next_window().map_err(|e| format!("{tag}: stream died at window {w}: {e}"))?;
         lat_us.push(r.micros as f64);
-        // The bit-exactness gate: whatever was delivered is golden.
-        if r.verdict.is_delivered() && r.digest != trail[w as usize] {
-            fail(&format!(
-                "{app} rate {rate}: window {w} Delivered but diverged from the golden trail"
-            ));
-        }
+        diverged += u64::from(r.verdict.is_delivered() && r.digest != *golden);
     }
     let wall_s = t0.elapsed().as_secs_f64();
     let st = s.stats();
-    if st.dropped != 0 {
-        fail(&format!("{app} rate {rate}: {} window(s) Dropped", st.dropped));
-    }
-    if st.windows != windows {
-        fail(&format!("{app} rate {rate}: {} verdicts for {windows} windows", st.windows));
-    }
     let injected = plan.injected();
-    if st.non_delivered() > injected {
-        fail(&format!(
-            "{app} rate {rate}: {} non-Delivered windows but only {injected} injected faults \
-             — a healthy window was not delivered",
-            st.non_delivered()
-        ));
+    // Whatever was delivered is golden, no window is lost, and every
+    // non-Delivered window traces back to an injected fault.
+    report.gate(&format!("{tag}: delivered windows off the golden trail"), diverged as f64, Op::Eq, 0.0);
+    report.gate(&format!("{tag}: windows dropped"), st.dropped as f64, Op::Eq, 0.0);
+    report.gate(&format!("{tag}: verdicts"), st.windows as f64, Op::Eq, windows as f64);
+    report.gate(
+        &format!("{tag}: non-delivered windows within injected faults"),
+        st.non_delivered() as f64,
+        Op::Le,
+        injected as f64,
+    );
+    if stuck.is_none() && rate >= 0.05 {
+        // Injection is live: at the high rate some window needed containment.
+        report.gate(&format!("{tag}: windows contained"), st.non_delivered() as f64, Op::Ge, 1.0);
     }
-    if stuck.is_none() && rate >= 0.05 && st.non_delivered() == 0 {
-        fail(&format!(
-            "{app} rate {rate}: no window ever needed containment — injection is not live"
-        ));
-    }
-    lat_us.sort_by(|a, b| a.total_cmp(b));
-    FaultedResult {
-        kind: kind_label,
-        rate,
-        wall_s,
-        windows_per_s: windows as f64 / wall_s,
-        p50_us: percentile(&lat_us, 0.50),
-        p99_us: percentile(&lat_us, 0.99),
-        delivered: st.delivered,
-        retried: st.retried,
-        quarantined: st.quarantined,
-        rollbacks: st.rollbacks,
-        replayed: st.replayed,
-        checkpoints: st.checkpoints,
-        injected,
-        rollback_cost_us: if st.rollbacks > 0 {
-            st.rollback_nanos as f64 / 1e3 / st.rollbacks as f64
-        } else {
-            0.0
-        },
-    }
+    let windows_per_s = windows as f64 / wall_s;
+    let (p50_us, p99_us) = (percentile(&lat_us, 0.50), percentile(&lat_us, 0.99));
+    let rollback_cost_us = if st.rollbacks > 0 {
+        st.rollback_nanos as f64 / 1e3 / st.rollbacks as f64
+    } else {
+        0.0
+    };
+    println!(
+        "    {kind:>11} rate {rate:>4}: {windows_per_s:>8.1} w/s, p50 {p50_us:>7.1} us, p99 {p99_us:>8.1} us, \
+         {} retried + {} quarantined / {injected} injected, {} rollbacks ({rollback_cost_us:.1} us each)",
+        st.retried, st.quarantined, st.rollbacks
+    );
+    let row = Obj::new()
+        .set("kind", kind)
+        .set("rate", rate)
+        .set("wall_s", wall_s)
+        .set("windows_per_s", windows_per_s)
+        .set("p50_us", p50_us)
+        .set("p99_us", p99_us)
+        .set("delivered", st.delivered)
+        .set("retried", st.retried)
+        .set("quarantined", st.quarantined)
+        .set("dropped", st.dropped)
+        .set("rollbacks", st.rollbacks)
+        .set("replayed", st.replayed)
+        .set("checkpoints", st.checkpoints)
+        .set("injected", injected)
+        .set("rollback_cost_us", rollback_cost_us);
+    Ok((row, st.rollbacks))
 }
 
 /// Backpressure phase: a small pipe with `Shed` ingress. Overrun
 /// windows shed (clean-path state advance) instead of queuing, and the
 /// final digest must still match the golden trail's.
-fn shed_run(app: &str, windows: u64, cfg: StreamConfig, trail: &[u64]) -> (u64, u64) {
-    use altis_core::streaming::{clean_queue, primary_queue, StreamScenario};
+fn shed_run(cfg: StreamConfig, trail: &[u64], report: &mut Report) -> Result<Obj, String> {
+    use altis_core::streaming::{clean_queue, primary_queue};
     use hetero_rt::{run_piped, Ingress, StreamRunner};
     // run_piped needs the concrete runner, not the boxed facade; SRAD
     // is the representative app for the shed gate.
-    assert_eq!(app, "SRAD");
+    let windows = trail.len() as u64;
     let scenario = StreamScenario::default();
     let (primary, clean) = (primary_queue(&scenario), clean_queue(None));
     let p = altis_data::srad(InputSize::S1);
     let stage = altis_core::srad::streaming::SradStream::new(&p, &primary, &clean)
-        .unwrap_or_else(|e| fail(&format!("shed phase: SRAD stream failed to open: {e}")));
+        .map_err(|e| format!("shed phase: SRAD stream failed to open: {e}"))?;
     let initial = altis_core::srad::streaming::SradStream::initial_state(&p);
     let mut runner = StreamRunner::new(stage, initial, cfg);
     let mut verdicts = 0u64;
     let stats = run_piped(&mut runner, windows, 2, Ingress::Shed, |_r| {
         verdicts += 1;
     })
-    .unwrap_or_else(|e| fail(&format!("shed phase: stream died: {e}")));
-    if verdicts != windows || stats.windows != windows {
-        fail(&format!("shed phase: {verdicts} verdicts for {windows} windows"));
-    }
-    if stats.dropped != 0 {
-        fail(&format!("shed phase: {} window(s) Dropped", stats.dropped));
-    }
-    if runner.digest() != trail[windows as usize - 1] {
-        fail("shed phase: final digest diverged from the golden trail — shed windows must advance state");
-    }
-    (stats.delivered, stats.shed)
+    .map_err(|e| format!("shed phase: stream died: {e}"))?;
+    report.gate("shed phase: verdicts delivered to the sink", verdicts as f64, Op::Eq, windows as f64);
+    report.gate("shed phase: verdicts counted", stats.windows as f64, Op::Eq, windows as f64);
+    report.gate("shed phase: windows dropped", stats.dropped as f64, Op::Eq, 0.0);
+    // Shed windows must advance carried state.
+    let golden = report.require(
+        "shed phase: final digest equals the golden trail's",
+        trail.last() == Some(&runner.digest()),
+    );
+    println!(
+        "  backpressure (SRAD, pipe capacity 2, Shed ingress): {} delivered, {} shed, final state {}",
+        stats.delivered,
+        stats.shed,
+        if golden { "golden" } else { "DIVERGED" }
+    );
+    Ok(Obj::new()
+        .set("app", "SRAD")
+        .set("pipe_capacity", 2)
+        .set("windows", windows)
+        .set("delivered", stats.delivered)
+        .set("shed", stats.shed)
+        .set("dropped", stats.dropped)
+        .set("final_digest_golden", golden))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_stream_storm.json".to_string();
-    let mut windows = 1_280u64;
-    let mut rates: Vec<f64> = Vec::new();
-    let mut seed = 0xA1715u64;
-    let mut skip_shed = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--windows" => windows = it.next().and_then(|v| v.parse().ok()).unwrap_or(windows),
-            "--rate" => {
-                if let Some(r) = it.next().and_then(|v| v.parse().ok()) {
-                    rates.push(r);
+fn main() -> ExitCode {
+    report::run(USAGE, &["--windows", "--rate", "--seed"], &["--skip-shed"], |args| {
+        let windows: u64 = args.get("--windows", 1_280)?;
+        let mut rates: Vec<f64> = args.all("--rate")?;
+        if rates.is_empty() {
+            rates = vec![0.01, 0.05];
+        }
+        let seed: u64 = args.get("--seed", 0xA1715)?;
+        let cfg = StreamConfig::default();
+        let mut report = Report::new("stream_storm");
+        println!(
+            "stream storm: {} apps x {:?} faults/launch x {windows} windows (checkpoint every {})",
+            STREAM_APPS.len(),
+            rates,
+            cfg.checkpoint_every
+        );
+        report
+            .set("windows_per_run", windows)
+            .set("checkpoint_every", cfg.checkpoint_every)
+            .set("seed", seed);
+
+        let mut apps = Vec::new();
+        let (mut total_windows, mut total_rollbacks) = (0u64, 0u64);
+        for (app, stuck_kernel) in STREAM_APPS.iter().zip(STUCK_KERNELS) {
+            let (trail, clean_wps) = match golden_trail(app, windows, cfg) {
+                Ok(t) => t,
+                Err(why) => {
+                    report.require(&why, false);
+                    continue;
+                }
+            };
+            println!("  {app}: clean {clean_wps:>8.1} windows/s");
+            // The rate sweep, then a permanently stuck group: every
+            // window rolls back, so that run measures rollback cost
+            // under sustained load.
+            let sweep = rates.iter().map(|&r| (r, None)).chain([(1.0, Some(stuck_kernel))]);
+            let mut runs = Vec::new();
+            for (i, (rate, stuck)) in sweep.enumerate() {
+                match faulted_run(app, cfg, seed + i as u64, rate, stuck, &trail, &mut report) {
+                    Ok((row, rollbacks)) => {
+                        runs.push(row);
+                        total_windows += windows;
+                        total_rollbacks += rollbacks;
+                    }
+                    Err(why) => {
+                        report.require(&why, false);
+                    }
                 }
             }
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--skip-shed" => skip_shed = true,
-            other => out_path = other.to_string(),
+            apps.push(
+                Obj::new()
+                    .set("app", *app)
+                    .set("clean_windows_per_s", clean_wps)
+                    .set("runs", arr(runs)),
+            );
         }
-    }
-    if rates.is_empty() {
-        rates = vec![0.01, 0.05];
-    }
-    let cfg = StreamConfig::default();
-    println!(
-        "stream storm: {} apps x {:?} faults/launch x {windows} windows (checkpoint every {})",
-        STREAM_APPS.len(),
-        rates,
-        cfg.checkpoint_every
-    );
+        // The rollback-cost measurement is live.
+        report.gate("windows rolled back across all runs", total_rollbacks as f64, Op::Ge, 1.0);
+        report.set("apps", arr(apps)).set("total_faulted_windows", total_windows);
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"stream_storm\",\n  \"windows_per_run\": {windows},\n  \
-         \"checkpoint_every\": {},\n  \"seed\": {seed},\n  \"apps\": [\n",
-        cfg.checkpoint_every
-    );
-    let mut total_windows = 0u64;
-    let mut total_rollbacks = 0u64;
-    for (ai, app) in STREAM_APPS.iter().enumerate() {
-        let (trail, clean_wps) = golden_trail(app, windows, cfg);
-        println!("  {app}: clean {clean_wps:>8.1} windows/s");
-        let mut runs = Vec::new();
-        for (ri, &rate) in rates.iter().enumerate() {
-            runs.push(faulted_run(app, windows, cfg, seed + ri as u64, rate, None, &trail));
-            total_windows += windows;
+        let mut backpressure = None;
+        if !args.has("--skip-shed") {
+            match golden_trail("SRAD", windows, cfg).and_then(|(t, _)| shed_run(cfg, &t, &mut report)) {
+                Ok(row) => backpressure = Some(row),
+                Err(why) => {
+                    report.require(&why, false);
+                }
+            }
         }
-        // A permanently stuck group: every window rolls back, so this
-        // run measures rollback cost under sustained load.
-        runs.push(faulted_run(
-            app,
-            windows,
-            cfg,
-            seed + rates.len() as u64,
-            1.0,
-            Some(STUCK_KERNELS[ai]),
-            &trail,
-        ));
-        total_windows += windows;
-        total_rollbacks += runs.iter().map(|r| r.rollbacks).sum::<u64>();
-        for r in &runs {
-            println!(
-                "    {:>11} rate {:>4}: {:>8.1} w/s, p50 {:>7.1} us, p99 {:>8.1} us, \
-                 {} retried + {} quarantined / {} injected, {} rollbacks ({:.1} us each)",
-                r.kind,
-                r.rate,
-                r.windows_per_s,
-                r.p50_us,
-                r.p99_us,
-                r.retried,
-                r.quarantined,
-                r.injected,
-                r.rollbacks,
-                r.rollback_cost_us
-            );
+        report.set("backpressure", backpressure);
+        if report.passed() {
+            println!("all gates passed over {total_windows} faulted windows");
         }
-        let _ = writeln!(
-            json,
-            "    {{\"app\": \"{app}\", \"clean_windows_per_s\": {clean_wps:.1}, \"runs\": ["
-        );
-        for (i, r) in runs.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "      {{\"kind\": \"{}\", \"rate\": {}, \"wall_s\": {:.3}, \"windows_per_s\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"delivered\": {}, \"retried\": {}, \
-                 \"quarantined\": {}, \"dropped\": 0, \"rollbacks\": {}, \"replayed\": {}, \
-                 \"checkpoints\": {}, \"injected\": {}, \"rollback_cost_us\": {:.1}}}{}",
-                r.kind,
-                r.rate,
-                r.wall_s,
-                r.windows_per_s,
-                r.p50_us,
-                r.p99_us,
-                r.delivered,
-                r.retried,
-                r.quarantined,
-                r.rollbacks,
-                r.replayed,
-                r.checkpoints,
-                r.injected,
-                r.rollback_cost_us,
-                if i + 1 < runs.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    ]}}{}",
-            if ai + 1 < STREAM_APPS.len() { "," } else { "" }
-        );
-    }
-    if total_rollbacks == 0 {
-        fail("no run ever exercised checkpoint rollback — the cost measurement is not live");
-    }
-    let mut shed_json = "null".to_string();
-    if !skip_shed {
-        let (trail, _) = golden_trail("SRAD", windows, cfg);
-        let (delivered, shed) = shed_run("SRAD", windows, cfg, &trail);
-        println!(
-            "  backpressure (SRAD, pipe capacity 2, Shed ingress): {delivered} delivered, \
-             {shed} shed, final state golden"
-        );
-        shed_json = format!(
-            "{{\"app\": \"SRAD\", \"pipe_capacity\": 2, \"windows\": {windows}, \
-             \"delivered\": {delivered}, \"shed\": {shed}, \"dropped\": 0, \
-             \"final_digest_golden\": true}}"
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"total_faulted_windows\": {total_windows},\n  \"backpressure\": {shed_json}\n}}\n"
-    );
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("cannot write '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("all gates passed over {total_windows} faulted windows; wrote {out_path}");
+        Ok(report.finish(&args.out("BENCH_stream_storm.json")))
+    })
 }

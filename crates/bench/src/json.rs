@@ -1,213 +1,267 @@
-//! Minimal JSON emission for the harness results (no external JSON
-//! crate — the structures are flat and the emitter is 60 lines).
+//! JSON emission for everything the bench crate writes: a small
+//! insertion-ordered value builder ([`Obj`] / [`Val`]) and, on top of
+//! it, `repro --json`'s document of every regenerated artifact.
 //!
-//! `repro --json results.json` writes every regenerated artifact so
-//! downstream tooling (plots, CI diffing) can consume the reproduction
-//! without parsing console tables.
-
-use std::fmt::Write as _;
+//! No external JSON crate (the workspace builds offline); strings are
+//! escaped by `hetero_serve::json::escape`, whose parser is what the
+//! tests read the output back with.
 
 use crate::harness::*;
 use altis_data::InputSize;
+use hetero_serve::json::escape;
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.6}");
-    } else {
-        out.push_str("null");
+/// One JSON value. Numbers are `f64`: integral values print without a
+/// fraction, others rounded to six significant digits, non-finite ones
+/// as `null`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Val {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number.
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Val>),
+    /// An object, keys in insertion order.
+    Obj(Obj),
+}
+
+/// A JSON object under construction: `Obj::new().set("k", v).set(…)`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Obj(Vec<(String, Val)>);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `key: value` (no de-duplication; callers name each key once).
+    pub fn set(mut self, key: &str, value: impl Into<Val>) -> Self {
+        self.push(key, value);
+        self
+    }
+
+    /// [`Obj::set`] through a mutable reference.
+    pub fn push(&mut self, key: &str, value: impl Into<Val>) {
+        self.0.push((key.to_string(), value.into()));
+    }
+
+    /// The object on one line with no spaces: the verdict-line form.
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        write_obj(self, None, "", &mut out);
+        out
+    }
+
+    /// The object as a file: one top-level key per line, arrays of
+    /// composites one element per line, everything deeper inline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        write_obj(self, Some(0), " ", &mut out);
+        out.push('\n');
+        out
     }
 }
 
-fn push_opt(out: &mut String, v: Option<f64>) {
+/// `depth`: `Some(n)` while line breaks are allowed, `n` being the
+/// indent of the line the value starts on (the top-level object and
+/// arrays of composites break); `None` stays inline.
+fn write_val(v: &Val, depth: Option<usize>, sp: &str, out: &mut String) {
     match v {
-        Some(x) => push_f64(out, x),
-        None => out.push_str("null"),
+        Val::Null => out.push_str("null"),
+        Val::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Val::Num(n) if !n.is_finite() => out.push_str("null"),
+        Val::Num(n) if n.fract() == 0.0 => out.push_str(&n.to_string()),
+        Val::Num(n) => {
+            // Six significant digits: timings carry no more than that.
+            let rounded: f64 = format!("{n:.5e}").parse().expect("formatted float parses");
+            out.push_str(&rounded.to_string());
+        }
+        Val::Str(s) => {
+            out.push('"');
+            out.push_str(&escape(s));
+            out.push('"');
+        }
+        Val::Arr(items) => {
+            let composite = items.iter().any(|i| matches!(i, Val::Arr(_) | Val::Obj(_)));
+            let broken = depth.filter(|_| composite);
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match broken {
+                    Some(d) => newline(d + 1, out),
+                    None if i > 0 => out.push_str(sp),
+                    None => {}
+                }
+                write_val(item, broken.map(|d| d + 1), sp, out);
+            }
+            if let (Some(d), false) = (broken, items.is_empty()) {
+                newline(d, out);
+            }
+            out.push(']');
+        }
+        Val::Obj(o) => write_obj(o, depth, sp, out),
     }
 }
 
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn write_obj(o: &Obj, depth: Option<usize>, sp: &str, out: &mut String) {
+    let broken = depth.filter(|&d| d == 0);
+    out.push('{');
+    for (i, (k, v)) in o.0.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        match broken {
+            Some(d) => newline(d + 1, out),
+            None if i > 0 => out.push_str(sp),
+            None => {}
+        }
+        out.push('"');
+        out.push_str(&escape(k));
+        out.push_str("\":");
+        out.push_str(sp);
+        write_val(v, depth.map(|d| d + broken.map_or(0, |_| 1)), sp, out);
     }
-    out.push('"');
+    if let (Some(d), false) = (broken, o.0.is_empty()) {
+        newline(d, out);
+    }
+    out.push('}');
+}
+
+fn newline(depth: usize, out: &mut String) {
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+}
+
+macro_rules! val_from_num {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Val {
+            fn from(n: $t) -> Val {
+                Val::Num(n as f64)
+            }
+        }
+    )*};
+}
+val_from_num!(f64, u32, u64, usize, i32);
+
+impl From<bool> for Val {
+    fn from(b: bool) -> Val {
+        Val::Bool(b)
+    }
+}
+
+impl From<&str> for Val {
+    fn from(s: &str) -> Val {
+        Val::Str(s.to_string())
+    }
+}
+
+impl From<String> for Val {
+    fn from(s: String) -> Val {
+        Val::Str(s)
+    }
+}
+
+impl From<Obj> for Val {
+    fn from(o: Obj) -> Val {
+        Val::Obj(o)
+    }
+}
+
+impl<T: Into<Val>> From<Option<T>> for Val {
+    fn from(o: Option<T>) -> Val {
+        o.map_or(Val::Null, Into::into)
+    }
+}
+
+/// An array value from any iterator of convertible items.
+pub fn arr<T: Into<Val>>(items: impl IntoIterator<Item = T>) -> Val {
+    Val::Arr(items.into_iter().map(Into::into).collect())
 }
 
 /// Render every harness artifact as one JSON document.
 pub fn results_json() -> String {
-    let mut o = String::with_capacity(64 * 1024);
-    o.push_str("{\n");
-
-    // Table 2.
-    o.push_str("  \"table2\": [\n");
-    let t2 = table2();
-    for (i, r) in t2.iter().enumerate() {
-        o.push_str("    {\"device\": ");
-        push_str(&mut o, r.device);
-        let _ = write!(o, ", \"process_nm\": {}, \"peak_f32_tflops\": ", r.process_nm);
-        push_f64(&mut o, r.peak_f32_tflops);
-        o.push_str(", \"peak_bw_gbs\": ");
-        push_f64(&mut o, r.peak_bw_gbs);
-        o.push('}');
-        if i + 1 < t2.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ],\n");
-
-    // Figure 1.
-    o.push_str("  \"fig1\": [\n");
-    let f1 = fig1();
-    for (i, b) in f1.iter().enumerate() {
-        o.push_str("    {\"stack\": ");
-        push_str(&mut o, b.stack);
-        let _ = write!(o, ", \"size\": {}, \"kernel_ms\": ", b.size.index());
-        push_f64(&mut o, b.kernel_ms);
-        o.push_str(", \"non_kernel_ms\": ");
-        push_f64(&mut o, b.non_kernel_ms);
-        o.push('}');
-        if i + 1 < f1.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ],\n");
-
-    // Figure 2.
-    o.push_str("  \"fig2\": [\n");
-    let f2 = fig2();
-    for (i, r) in f2.iter().enumerate() {
-        o.push_str("    {\"app\": ");
-        push_str(&mut o, r.app);
-        o.push_str(", \"baseline\": [");
-        for (k, v) in r.baseline.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            push_f64(&mut o, *v);
-        }
-        o.push_str("], \"optimized\": [");
-        for (k, v) in r.optimized.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            push_f64(&mut o, *v);
-        }
-        o.push_str("]}");
-        if i + 1 < f2.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ],\n");
-
-    // Figure 4.
-    o.push_str("  \"fig4\": [\n");
-    let f4 = fig4();
-    for (i, r) in f4.iter().enumerate() {
-        o.push_str("    {\"app\": ");
-        push_str(&mut o, r.app);
-        o.push_str(", \"speedup\": [");
-        for (k, v) in r.speedup.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            push_opt(&mut o, *v);
-        }
-        o.push_str("]}");
-        if i + 1 < f4.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ],\n");
-
-    // Figure 5.
-    o.push_str("  \"fig5\": [\n");
     let f5 = fig5();
-    for (i, r) in f5.iter().enumerate() {
-        o.push_str("    {\"app\": ");
-        push_str(&mut o, r.app);
-        let _ = write!(o, ", \"size\": {}, \"speedup\": [", r.size.index());
-        for (k, v) in r.speedup.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            push_opt(&mut o, *v);
-        }
-        o.push_str("]}");
-        if i + 1 < f5.len() {
-            o.push(',');
-        }
-        o.push('\n');
+    let mut geomeans = Obj::new();
+    for size in InputSize::all() {
+        geomeans.push(&format!("size{}", size.index()), arr(fig5_geomeans(&f5, size)));
     }
-    o.push_str("  ],\n");
-
-    // Figure 5 geomeans (convenience for plots).
-    o.push_str("  \"fig5_geomeans\": {");
-    for (si, size) in InputSize::all().into_iter().enumerate() {
-        if si > 0 {
-            o.push_str(", ");
-        }
-        let gm = fig5_geomeans(&f5, size);
-        let _ = write!(o, "\"size{}\": [", size.index());
-        for (k, v) in gm.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            push_f64(&mut o, *v);
-        }
-        o.push(']');
-    }
-    o.push_str("},\n");
-
-    // Table 3.
-    o.push_str("  \"table3\": [\n");
-    let t3 = table3();
-    for (i, (s10, agx)) in t3.iter().enumerate() {
-        o.push_str("    {\"design\": ");
-        push_str(&mut o, &s10.design);
-        for (label, r) in [("s10", s10), ("agilex", agx)] {
-            let _ = write!(
-                o,
-                ", \"{label}\": {{\"alm_pct\": {:.2}, \"bram_pct\": {:.2}, \"dsp_pct\": {:.2}, \"fmax_mhz\": {:.1}}}",
-                r.alm_pct, r.bram_pct, r.dsp_pct, r.fmax_mhz
-            );
-        }
-        o.push('}');
-        if i + 1 < t3.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ],\n");
-
-    // Micro studies.
-    o.push_str("  \"micro\": [\n");
-    let micro = micro_studies();
-    for (i, r) in micro.iter().enumerate() {
-        o.push_str("    {\"study\": ");
-        push_str(&mut o, r.study);
-        o.push_str(", \"measured\": ");
-        push_f64(&mut o, r.measured_factor);
-        o.push_str(", \"paper\": ");
-        push_f64(&mut o, r.paper_factor);
-        o.push('}');
-        if i + 1 < micro.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("  ]\n}\n");
-    o
+    let fpga = |r: &fpga_sim::Table3Row| {
+        Obj::new()
+            .set("alm_pct", r.alm_pct)
+            .set("bram_pct", r.bram_pct)
+            .set("dsp_pct", r.dsp_pct)
+            .set("fmax_mhz", r.fmax_mhz)
+    };
+    Obj::new()
+        .set(
+            "table2",
+            arr(table2().iter().map(|r| {
+                Obj::new()
+                    .set("device", r.device)
+                    .set("process_nm", r.process_nm)
+                    .set("peak_f32_tflops", r.peak_f32_tflops)
+                    .set("peak_bw_gbs", r.peak_bw_gbs)
+            })),
+        )
+        .set(
+            "fig1",
+            arr(fig1().iter().map(|b| {
+                Obj::new()
+                    .set("stack", b.stack)
+                    .set("size", b.size.index())
+                    .set("kernel_ms", b.kernel_ms)
+                    .set("non_kernel_ms", b.non_kernel_ms)
+            })),
+        )
+        .set(
+            "fig2",
+            arr(fig2().iter().map(|r| {
+                Obj::new()
+                    .set("app", r.app)
+                    .set("baseline", arr(r.baseline))
+                    .set("optimized", arr(r.optimized))
+            })),
+        )
+        .set(
+            "fig4",
+            arr(fig4().iter().map(|r| Obj::new().set("app", r.app).set("speedup", arr(r.speedup)))),
+        )
+        .set(
+            "fig5",
+            arr(f5.iter().map(|r| {
+                Obj::new()
+                    .set("app", r.app)
+                    .set("size", r.size.index())
+                    .set("speedup", arr(r.speedup))
+            })),
+        )
+        .set("fig5_geomeans", geomeans)
+        .set(
+            "table3",
+            arr(table3().iter().map(|(s10, agx)| {
+                Obj::new()
+                    .set("design", s10.design.as_str())
+                    .set("s10", fpga(s10))
+                    .set("agilex", fpga(agx))
+            })),
+        )
+        .set(
+            "micro",
+            arr(micro_studies().iter().map(|r| {
+                Obj::new()
+                    .set("study", r.study)
+                    .set("measured", r.measured_factor)
+                    .set("paper", r.paper_factor)
+            })),
+        )
+        .pretty()
 }
 
 #[cfg(test)]
@@ -222,13 +276,12 @@ mod tests {
         for key in ["table2", "fig1", "fig2", "fig4", "fig5", "fig5_geomeans", "table3", "micro"] {
             assert!(j.contains(&format!("\"{key}\"")), "missing {key}");
         }
+        hetero_serve::json::parse(&j).expect("results parse");
     }
 
     #[test]
     fn json_escapes_strings() {
-        let mut s = String::new();
-        push_str(&mut s, "a\"b\\c\n");
-        assert_eq!(s, "\"a\\\"b\\\\c\\u000a\"");
+        assert_eq!(Obj::new().set("s", "a\"b\\c\n").line(), "{\"s\":\"a\\\"b\\\\c\\n\"}");
     }
 
     #[test]

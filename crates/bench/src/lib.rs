@@ -2,8 +2,9 @@
 //!
 //! One function per table/figure of the paper's evaluation, returning
 //! structured rows. The `repro` binary prints them; the plain-`main`
-//! benches (see [`timing`]) time the underlying executable kernels;
-//! integration tests assert the headline shapes.
+//! benches and the `src/bin` microbenchmarks measure through [`timing`]
+//! and write through [`report`]; integration tests assert the headline
+//! shapes.
 
 #![warn(missing_docs)]
 
@@ -13,6 +14,7 @@
 
 pub mod harness;
 pub mod json;
+pub mod report;
 pub mod timing;
 
 pub use harness::*;

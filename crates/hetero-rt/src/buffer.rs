@@ -478,7 +478,7 @@ impl<T: Copy> GlobalView<T> {
     }
 
     /// Store without the sanitizer hook (bounds check still applies).
-    /// Exists solely so `sanitize_overhead` can measure the hook's cost
+    /// Exists solely so `hook_overhead` can measure the hook's cost
     /// against an otherwise identical accessor; not part of the public
     /// API surface.
     #[doc(hidden)]

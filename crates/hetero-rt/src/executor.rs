@@ -117,7 +117,7 @@ where
 /// When `plan` is `Some`, the fault layer is consulted before every group
 /// (a stateless hash decision, see [`FaultPlan::should_panic`]); when
 /// `None`, the per-group cost is one branch — the overhead bounded by the
-/// `chaos_overhead` microbenchmark.
+/// `hook_overhead` microbenchmark.
 ///
 /// When `sanitize` is true, the launch runs under the dynamic race
 /// detector ([`crate::sanitize`]): every group records shadow access

@@ -56,7 +56,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex};
 
 use hetero_ir::prove::{check_contract, infer_contract, ContractViolation, LaunchSpec};
-use hetero_ir::{PlanAccess, PlanFootprint};
 
 use crate::buffer::Buffer;
 use crate::device::DeviceCaps;
@@ -69,39 +68,17 @@ use crate::queue::{Fallback, Queue, Redundancy};
 use crate::usm::UsmAlloc;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Declared access mode of one recorded launch on one object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// The kernel only reads the object.
-    Read,
-    /// The kernel only writes the object.
-    Write,
-    /// The kernel both reads and writes the object.
-    ReadWrite,
-}
-
-/// Declared access *footprint* of one recorded launch on one object:
-/// how far the launch's accesses to that object may reach. Footprints
-/// are what make kernel fusion legality provable — see
+/// Declared access mode ([`Access`]) and reach ([`Footprint`]) of one
+/// recorded launch on one object: the lattice the optimizer's plan IR
+/// defines, under the names recording code uses. `Footprint::Whole` is
+/// the conservative default of [`reads`] / [`writes`] / [`reads_writes`];
+/// footprints are what make kernel fusion legality provable — see
 /// [`crate::graph_opt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Footprint {
-    /// Accesses may touch any element (gathers, scatters, stencils).
-    /// The conservative default of [`reads`] / [`writes`] /
-    /// [`reads_writes`].
-    Whole,
-    /// Every work-item touches only its own canonical slice of the
-    /// object — the same item→slice mapping in every launch that
-    /// declares an item footprint on this object over the same range.
-    Item,
-    /// [`Footprint::Item`], and the union of all items' slices covers
-    /// the entire object (a dense per-item overwrite).
-    ItemDense,
-}
+pub use hetero_ir::{PlanAccess as Access, PlanFootprint as Footprint};
 
 /// One (object, access-mode, footprint) declaration attached to a
 /// recorded launch; built with [`reads`], [`writes`], [`reads_writes`]
@@ -394,24 +371,8 @@ impl GraphBuilder {
         // global ND-range otherwise.
         let range = node.item.as_ref().map(|ik| ik.range.dims).unwrap_or(node.nd.global.dims);
         let report = infer_contract(node.name, range, &spec);
-        let declared: Vec<(PlanAccess, PlanFootprint)> = node
-            .bindings
-            .iter()
-            .map(|b| {
-                (
-                    match b.access {
-                        Access::Read => PlanAccess::Read,
-                        Access::Write => PlanAccess::Write,
-                        Access::ReadWrite => PlanAccess::ReadWrite,
-                    },
-                    match b.footprint {
-                        Footprint::Whole => PlanFootprint::Whole,
-                        Footprint::Item => PlanFootprint::Item,
-                        Footprint::ItemDense => PlanFootprint::ItemDense,
-                    },
-                )
-            })
-            .collect();
+        let declared: Vec<(Access, Footprint)> =
+            node.bindings.iter().map(|b| (b.access, b.footprint)).collect();
         crate::prove::note_checked();
         let violations = check_contract(&report, &declared);
         if !violations.is_empty() {

@@ -55,20 +55,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hetero_ir::{
-    optimize_plan, validate_translation, OptReport, OptimizedPlan, PassToggles, PlanAccess,
-    PlanBinding, PlanFootprint, PlanGraph, PlanNode, PlanStep,
+    optimize_plan, validate_translation, OptReport, OptimizedPlan, PassToggles, PlanBinding,
+    PlanGraph, PlanNode, PlanStep,
 };
 
 use crate::device::DeviceCaps;
 use crate::error::Result;
-use crate::graph::{Access, Binding, Footprint, Graph, GraphBuilder, Node};
+use crate::graph::{lock, Access, Binding, Footprint, Graph, GraphBuilder, Node};
 use crate::ndrange::Item;
 use crate::queue::Queue;
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Optimized schedules accepted by the independent translation-validation
 /// checker since process start.
@@ -176,16 +171,8 @@ fn lower(g: &Graph) -> PlanGraph {
                     .iter()
                     .map(|b| PlanBinding {
                         object: b.object,
-                        access: match b.access {
-                            Access::Read => PlanAccess::Read,
-                            Access::Write => PlanAccess::Write,
-                            Access::ReadWrite => PlanAccess::ReadWrite,
-                        },
-                        footprint: match b.footprint {
-                            Footprint::Whole => PlanFootprint::Whole,
-                            Footprint::Item => PlanFootprint::Item,
-                            Footprint::ItemDense => PlanFootprint::ItemDense,
-                        },
+                        access: b.access,
+                        footprint: b.footprint,
                     })
                     .collect(),
                 range: n.item.as_ref().map(|ik| ik.range.dims),

@@ -61,7 +61,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Whether the integrity layer is armed process-wide. Disarmed (the
 /// default), registration is skipped entirely and every hook is a single
-/// relaxed atomic load — the configuration `sdc_overhead` pins <2%.
+/// relaxed atomic load — the configuration `hook_overhead` pins <2%.
 static ARMED: AtomicBool = AtomicBool::new(false);
 /// Launches currently in flight (counted only while armed). Boundary
 /// verification and the scrubber only touch memory when they hold the
@@ -334,7 +334,7 @@ fn live_regions() -> Vec<Arc<Region>> {
 /// Execute exactly the per-launch work the defense performs when it is
 /// disarmed — the launch-scope enter/exit and the armed/exclusive
 /// branch loads — and report whether the boundary protocol would run.
-/// Exists so the `sdc_overhead` benchmark can time the dormant hook
+/// Exists so the `hook_overhead` benchmark can time the dormant hook
 /// sequence directly; it is not part of the defense API.
 pub fn disarmed_hook_probe() -> bool {
     let scope = LaunchScope::enter();

@@ -54,7 +54,7 @@
 //! Every accessor hook first checks one process-wide relaxed atomic
 //! ([`hooks_armed`]): with no sanitized launch in flight the hook is a
 //! single predictable branch, bounded <2% on the `launch_storm`
-//! microbenchmark (`BENCH_sanitize_overhead.json`).
+//! microbenchmark (`BENCH_hook_overhead.json`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -44,15 +44,18 @@ done
 ./target/release/sdc --seed 2 --size 1 --skip-golden > /dev/null
 ./target/release/sdc --seed 3 --size 1 --skip-golden > /dev/null
 
-# Disarmed-hook cost gate: a process that never arms the SDC defense
-# pays only the launch-scope counter and two branch loads per launch;
-# sdc_overhead times that sequence and fails if it reaches 2% of a
-# disarmed launch (writes BENCH_sdc_overhead.json).
-./target/release/sdc_overhead > /dev/null
+# Disabled-hook cost gates: a process that never turns a robustness
+# layer on pays an idle fault-plan check per launch and group, one
+# relaxed load per accessor call, and the SDC launch-scope counter plus
+# two branch loads per launch. hook_overhead isolates each by paired
+# launches and fails if any reaches 2% of a pooled launch_storm launch.
+./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null
 
 # Record-and-replay + graph-optimizer gates: the graph_replay microbench
-# must show the single-wake-up replay path at >= 5x lower per-launch
-# overhead than the hardened per-launch path; the fusion gate requires
+# must show the single-wake-up replay path at >= 3x lower per-launch
+# overhead than the hardened per-launch path (median ratio of 9
+# alternating pairs at min(nproc, 4) pool threads; ten-run table in
+# EXPERIMENTS.md); the fusion gate requires
 # the fully optimized FDTD2D replay (hx+hy fused, 3 -> 2 launches/step)
 # to be at least as fast as the unfused recorded graph at the
 # launch-bound configuration (dim 16: with row kernels the fused step
@@ -62,7 +65,7 @@ done
 # golden under sequential, pooled per-launch, pooled graph, AND pooled
 # graph-opt (full pass pipeline) execution at size 1 — any diverging
 # cell or a missed gate exits nonzero.
-./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 5 --fusion-gate 1.0 --matrix > /dev/null
+./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --fusion-gate 1.0 --matrix > /dev/null
 
 # Service-layer gates. chaos --serve replays the 13-config fault matrix
 # through the real JSON protocol and an in-process scheduler: every job
@@ -120,4 +123,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + sdc overhead gate + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"
