@@ -34,6 +34,17 @@
 //!   scale: allocations inside a timestep loop defeat the recycling
 //!   slab and the recorded-graph fast path. Hoist the allocation above
 //!   the loop, or route it through `Queue::recycled_buffer`.
+//! * **staging-copy** — no whole-array copy to stage run-scoped host
+//!   data (library code under `crates/core/src`, `#[cfg(test)]` modules
+//!   excluded): `Buffer::from_slice(&<temporary>)` where the borrowed
+//!   expression is a call, a `.collect()` or a `vec![…]` that dies
+//!   right after the copy, and `.write_from(&<expr>.to_vec())`, which
+//!   copies twice. Same Figure-1 rationale as `no-alloc-in-loop`: on a
+//!   bandwidth-bound run these copies cost more than the kernels.
+//!   Adopt the temporary with `Buffer::from_vec`, or borrow the source
+//!   through `Buffer::read`. Suppress with
+//!   `// lint:allow(staging-copy)` plus the reason the source has to
+//!   outlive the copy (a stream stage whose buffers persist).
 //! * **graph-empty-bindings** — no literal `&[]` binding list in a
 //!   launch call. An empty binding list hides the launch's data
 //!   accesses from record-time dependency analysis and from the graph
@@ -641,6 +652,48 @@ fn cfg_test_spans(masked: &[u8]) -> Vec<(usize, usize)> {
     out
 }
 
+/// Associated-function paths on type prefix `ty` (`b"Buffer::"`), with
+/// or without a turbofish (`Buffer::<f32>::new`): the offset of the
+/// path, the function name, and the offset just past the name.
+fn assoc_calls<'a>(masked: &'a [u8], ty: &[u8]) -> Vec<(usize, &'a [u8], usize)> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(p) = find(masked, ty, from) {
+        from = p + ty.len();
+        if p > 0 && is_ident_byte(masked[p - 1]) {
+            continue;
+        }
+        let mut j = p + ty.len();
+        if masked.get(j) == Some(&b'<') {
+            let mut depth = 0usize;
+            while j < masked.len() {
+                match masked[j] {
+                    b'<' => depth += 1,
+                    b'>' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            j += 1;
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                j += 1;
+            }
+            if !masked[j..].starts_with(b"::") {
+                continue;
+            }
+            j += 2;
+        }
+        let s = j;
+        while j < masked.len() && is_ident_byte(masked[j]) {
+            j += 1;
+        }
+        out.push((p, &masked[s..j], j));
+    }
+    out
+}
+
 /// The `no-alloc-in-loop` rule: runtime allocation calls inside loop
 /// bodies, file-wide (host code is where the timestep loops live).
 fn lint_allocs_in_loops(
@@ -657,42 +710,8 @@ fn lint_allocs_in_loops(
     let tests = cfg_test_spans(masked);
     let mut sites: Vec<usize> = Vec::new();
 
-    // `Buffer::new` / `Buffer::from_slice`, with or without a turbofish
-    // (`Buffer::<f32>::new`); same shapes for `UsmAlloc`.
     for ty in [&b"Buffer::"[..], &b"UsmAlloc::"[..]] {
-        let mut from = 0;
-        while let Some(p) = find(masked, ty, from) {
-            from = p + ty.len();
-            if p > 0 && is_ident_byte(masked[p - 1]) {
-                continue;
-            }
-            let mut j = p + ty.len();
-            if masked.get(j) == Some(&b'<') {
-                let mut depth = 0usize;
-                while j < masked.len() {
-                    match masked[j] {
-                        b'<' => depth += 1,
-                        b'>' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if !masked[j..].starts_with(b"::") {
-                    continue;
-                }
-                j += 2;
-            }
-            let s = j;
-            while j < masked.len() && is_ident_byte(masked[j]) {
-                j += 1;
-            }
-            let meth = &masked[s..j];
+        for (p, meth, _) in assoc_calls(masked, ty) {
             if meth == b"new" || meth == b"new_with_fault" || meth == b"from_slice" {
                 sites.push(p);
             }
@@ -724,6 +743,63 @@ fn lint_allocs_in_loops(
             line,
             offset: p,
             rule: "no-alloc-in-loop",
+            snippet,
+        });
+    }
+}
+
+/// The `staging-copy` rule: a buffer staged by copying a host array that
+/// dies right after (`Buffer::from_slice(&<temporary>)`), or refilled
+/// through a read-back copy (`.write_from(&<expr>.to_vec())`).
+fn lint_staging_copies(
+    file: &Path,
+    text: &str,
+    masked: &[u8],
+    allows: &[(usize, String)],
+    violations: &mut Vec<Violation>,
+) {
+    // The argument of the call whose `(` is at or after `from`, trimmed,
+    // when it is a borrow: the borrowed expression.
+    let borrowed_arg = |from: usize| -> Option<&[u8]> {
+        let open = from + masked[from..].iter().position(|b| !b.is_ascii_whitespace())?;
+        if masked[open] != b'(' {
+            return None;
+        }
+        let close = matching_bracket(masked, open)?;
+        let arg = masked[open + 1..close].trim_ascii();
+        let arg = arg.strip_suffix(b",").unwrap_or(arg);
+        arg.strip_prefix(b"&").map(<[u8]>::trim_ascii)
+    };
+    // A call or `.collect()` ends in `)`; `vec![…]` is the other shape.
+    let temporary =
+        |e: &[u8]| e.ends_with(b")") || (e.starts_with(b"vec!") && e.ends_with(b"]"));
+    let mut sites: Vec<usize> = Vec::new();
+    for (p, meth, end) in assoc_calls(masked, b"Buffer::") {
+        if meth == b"from_slice" && borrowed_arg(end).is_some_and(temporary) {
+            sites.push(p);
+        }
+    }
+    let mut from = 0;
+    while let Some(p) = find(masked, b".write_from", from) {
+        from = p + b".write_from".len();
+        if borrowed_arg(from).is_some_and(|e| e.ends_with(b".to_vec()")) {
+            sites.push(p);
+        }
+    }
+
+    let tests = cfg_test_spans(masked);
+    for p in sites {
+        let line = line_of(text, p);
+        let in_test = tests.iter().any(|&(lo, hi)| p >= lo && p < hi);
+        if in_test || allowed(allows, "staging-copy", line) {
+            continue;
+        }
+        let snippet = text.lines().nth(line - 1).unwrap_or("").to_string();
+        violations.push(Violation {
+            file: file.to_path_buf(),
+            line,
+            offset: p,
+            rule: "staging-copy",
             snippet,
         });
     }
@@ -1013,5 +1089,60 @@ fn lint_file(file: &Path, text: &str, violations: &mut Vec<Violation>) -> usize 
         }
     }
     lint_allocs_in_loops(file, text, &masked, &allows, violations);
+    lint_staging_copies(file, text, &masked, &allows, violations);
     scanned
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn staging(src: &str) -> Vec<(usize, String)> {
+        let mut v = Vec::new();
+        lint_file(Path::new("app/mod.rs"), src, &mut v);
+        v.retain(|x| x.rule == "staging-copy");
+        v.into_iter().map(|x| (x.line, x.snippet.trim().to_string())).collect()
+    }
+
+    #[test]
+    fn staging_copy_fires_on_copied_temporaries() {
+        let src = "fn run() {\n\
+            let a = Buffer::from_slice(&generate_image(p));\n\
+            let b = Buffer::<u32>::from_slice(\n&recs.iter().map(|r| r.value).collect::<Vec<_>>(),\n);\n\
+            let c = Buffer::from_slice(&vec![0.25f32; n]);\n\
+            xs.write_from(&nxs.to_vec());\n\
+            }\n";
+        let lines: Vec<usize> = staging(src).into_iter().map(|(l, _)| l).collect();
+        assert_eq!(lines, vec![2, 3, 6, 7]);
+    }
+
+    #[test]
+    fn staging_copy_allows_borrows_of_data_that_lives_on() {
+        // A named array, a field, a sub-slice, a fixed-size literal, a
+        // read-back that is kept, and anything inside a test module.
+        let src = "fn run() {\n\
+            let a = Buffer::from_slice(&points);\n\
+            let b = Buffer::from_slice(&input.normals);\n\
+            let c = Buffer::from_slice(&points[..k * nf]);\n\
+            q0.write_from(&[roi_q0(q, &img, n)]);\n\
+            img.write_from(state);\n\
+            let w = weights.to_vec();\n\
+            let d = Buffer::from_vec(generate_image(p));\n\
+            }\n\
+            #[cfg(test)]\nmod tests {\nfn t() { let b = Buffer::from_slice(&generate_image(p)); }\n}\n";
+        assert_eq!(staging(src), vec![]);
+    }
+
+    #[test]
+    fn staging_copy_is_suppressed_by_an_allow_comment() {
+        let src = "fn new() {\n\
+            // lint:allow(staging-copy) the stage keeps `points` to restore from\n\
+            let a = Buffer::from_slice(&load(p));\n\
+            let b = Buffer::from_slice(&load(p)); // lint:allow(staging-copy) same\n\
+            // lint:allow(no-alloc-in-loop) a different rule does not cover it\n\
+            let c = Buffer::from_slice(&load(p));\n\
+            }\n";
+        let lines: Vec<usize> = staging(src).into_iter().map(|(l, _)| l).collect();
+        assert_eq!(lines, vec![6]);
+    }
 }

@@ -20,7 +20,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{AppVersion, ExecMode, Real};
+use crate::common::{egress, AppVersion, ExecMode, Real};
 
 /// Neighbours per element (tetrahedral mesh faces).
 pub const NNB: usize = 4;
@@ -270,69 +270,70 @@ pub fn run_with<T: Real>(
 ) -> Vec<T> {
     let input = generate::<T>(p);
     let n = input.nelr;
-    let vars = Buffer::from_slice(&input.variables);
+    let vars = Buffer::from_vec(input.variables);
     let fluxes = Buffer::<T>::new(n * NVAR);
-    let nbrs = Buffer::from_slice(&input.neighbors);
-    let norms = Buffer::from_slice(&input.normals);
-    let vols = Buffer::from_slice(&input.volumes);
-
-    let flux_kernel = {
-        let (vv, fv, nbv, nov) = (vars.view(), fluxes.view(), nbrs.view(), norms.view());
-        move |it: Item| {
-            let e = it.gid(0);
-            let load = |idx: usize| -> [T; NVAR] {
-                [
-                    vv.get(idx * NVAR),
-                    vv.get(idx * NVAR + 1),
-                    vv.get(idx * NVAR + 2),
-                    vv.get(idx * NVAR + 3),
-                    vv.get(idx * NVAR + 4),
-                ]
-            };
-            let far = {
-                let density = T::from_f64(1.0);
-                let vx = T::from_f64(0.3);
-                let energy = T::from_f64(1.0 / (GAMMA - 1.0))
-                    + T::from_f64(0.5) * density * vx * vx;
-                [density, density * vx, T::default(), T::default(), energy]
-            };
-            let ve = load(e);
-            let mut flux = [T::default(); NVAR];
-            for f in 0..NNB {
-                let nb = nbv.get(e * NNB + f);
-                let normal = [
-                    nov.get((e * NNB + f) * 3),
-                    nov.get((e * NNB + f) * 3 + 1),
-                    nov.get((e * NNB + f) * 3 + 2),
-                ];
-                let vn = if nb >= 0 { load(nb as usize) } else { far };
-                let fe = flux_contribution(&ve, &normal);
-                let fn_ = flux_contribution(&vn, &normal);
-                for v in 0..NVAR {
-                    flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
-                }
-            }
-            for v in 0..NVAR {
-                fv.set(e * NVAR + v, flux[v]);
-            }
-        }
-    };
-    let ts_kernel = {
-        let (vv, fv, vov) = (vars.view(), fluxes.view(), vols.view());
-        move |it: Item| {
-            let e = it.gid(0);
-            let factor = T::from_f64(CFL * 0.01) / vov.get(e);
-            for v in 0..NVAR {
-                vv.update(e * NVAR + v, |x| x - factor * fv.get(e * NVAR + v));
-            }
-        }
-    };
+    let nbrs = Buffer::from_vec(input.neighbors);
+    let norms = Buffer::from_vec(input.normals);
+    let vols = Buffer::from_vec(input.volumes);
 
     match mode {
         ExecMode::PerLaunch => {
+            // This arm's kernels live (and die) here: a view of `vars`
+            // left alive past the match would turn the egress into a copy.
+            let flux_kernel = {
+                let (vv, fv, nbv, nov) = (vars.view(), fluxes.view(), nbrs.view(), norms.view());
+                move |it: Item| {
+                    let e = it.gid(0);
+                    let load = |idx: usize| -> [T; NVAR] {
+                        [
+                            vv.get(idx * NVAR),
+                            vv.get(idx * NVAR + 1),
+                            vv.get(idx * NVAR + 2),
+                            vv.get(idx * NVAR + 3),
+                            vv.get(idx * NVAR + 4),
+                        ]
+                    };
+                    let far = {
+                        let density = T::from_f64(1.0);
+                        let vx = T::from_f64(0.3);
+                        let energy = T::from_f64(1.0 / (GAMMA - 1.0))
+                            + T::from_f64(0.5) * density * vx * vx;
+                        [density, density * vx, T::default(), T::default(), energy]
+                    };
+                    let ve = load(e);
+                    let mut flux = [T::default(); NVAR];
+                    for f in 0..NNB {
+                        let nb = nbv.get(e * NNB + f);
+                        let normal = [
+                            nov.get((e * NNB + f) * 3),
+                            nov.get((e * NNB + f) * 3 + 1),
+                            nov.get((e * NNB + f) * 3 + 2),
+                        ];
+                        let vn = if nb >= 0 { load(nb as usize) } else { far };
+                        let fe = flux_contribution(&ve, &normal);
+                        let fn_ = flux_contribution(&vn, &normal);
+                        for v in 0..NVAR {
+                            flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
+                        }
+                    }
+                    for v in 0..NVAR {
+                        fv.set(e * NVAR + v, flux[v]);
+                    }
+                }
+            };
+            let ts_kernel = {
+                let (vv, fv, vov) = (vars.view(), fluxes.view(), vols.view());
+                move |it: Item| {
+                    let e = it.gid(0);
+                    let factor = T::from_f64(CFL * 0.01) / vov.get(e);
+                    for v in 0..NVAR {
+                        vv.update(e * NVAR + v, |x| x - factor * fv.get(e * NVAR + v));
+                    }
+                }
+            };
             for _ in 0..p.iterations {
-                q.parallel_for("compute_flux", Range::d1(n), flux_kernel.clone());
-                q.parallel_for("time_step", Range::d1(n), ts_kernel.clone());
+                q.parallel_for("compute_flux", Range::d1(n), &flux_kernel);
+                q.parallel_for("time_step", Range::d1(n), &ts_kernel);
             }
         }
         ExecMode::Graph | ExecMode::GraphOptimized => {
@@ -465,7 +466,7 @@ pub fn run_with<T: Real>(
             }
         }
     }
-    vars.to_vec()
+    egress(vars)
 }
 
 /// Analytic work profile (FP32 or FP64 depending on `is_f64`).

@@ -54,6 +54,19 @@ impl ExecMode {
     }
 }
 
+/// Terminal egress of a run-scoped buffer: move its contents out as the
+/// run's result. [`hetero_rt::Buffer::into_vec`] only takes the move as
+/// sole owner, so the assertion makes the debug-profile app tests fail
+/// when a later change leaves a view, kernel closure or graph alive past
+/// this point and silently reintroduces the whole-array copy.
+pub(crate) fn egress<T: Copy + Default + Send + 'static>(buf: hetero_rt::Buffer<T>) -> Vec<T> {
+    debug_assert!(
+        buf.is_sole_owner(),
+        "egress would copy: a view, kernel closure or graph is still alive"
+    );
+    buf.into_vec()
+}
+
 /// Which FPGA design of an application to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpgaVariant {

@@ -16,7 +16,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::AppVersion;
+use crate::common::{egress, AppVersion};
 
 /// Generate the input image.
 pub fn generate_image(p: &Dwt2dParams) -> Vec<f32> {
@@ -144,7 +144,7 @@ pub fn inverse(p: &Dwt2dParams, coeffs: &[f32]) -> Vec<f32> {
 /// original maps to the per-line lifting here).
 pub fn run(q: &Queue, p: &Dwt2dParams, _version: AppVersion) -> Vec<f32> {
     let full = p.dim;
-    let img = Buffer::from_slice(&generate_image(p));
+    let img = Buffer::from_vec(generate_image(p));
     let mut dim = p.dim;
     for _ in 0..p.levels {
         let v = img.view();
@@ -173,7 +173,7 @@ pub fn run(q: &Queue, p: &Dwt2dParams, _version: AppVersion) -> Vec<f32> {
         });
         dim /= 2;
     }
-    img.to_vec()
+    egress(img)
 }
 
 /// Analytic work profile.

@@ -20,7 +20,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{AppVersion, ExecMode};
+use crate::common::{egress, AppVersion, ExecMode};
 
 pub mod streaming;
 
@@ -56,7 +56,9 @@ pub fn generate_points(p: &KmeansParams) -> Vec<f32> {
 }
 
 fn initial_centers(p: &KmeansParams, points: &[f32]) -> Vec<f32> {
-    // First k points, the classic Rodinia initialisation.
+    // First k points, the classic Rodinia initialisation: k·nf words
+    // copied out of the cloud its buffer adopts whole, not a buffer
+    // read-back. lint:allow(staging-copy)
     points[..p.k * p.n_features].to_vec()
 }
 
@@ -142,14 +144,15 @@ pub fn run_with(
     if version == AppVersion::SyclOptimized && q.device().caps().supports_pipes {
         return run_piped(q, p);
     }
-    run_on(q, p, &generate_points(p), mode)
+    run_on(q, p, generate_points(p), mode)
 }
 
 /// The four-kernel path of [`run_with`] over a given point cloud.
-fn run_on(q: &Queue, p: &KmeansParams, points: &[f32], mode: ExecMode) -> KmeansOutput {
+fn run_on(q: &Queue, p: &KmeansParams, points: Vec<f32>, mode: ExecMode) -> KmeansOutput {
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
-    let pts = Buffer::from_slice(points);
-    let centers = Buffer::from_slice(&initial_centers(p, points));
+    let initial = initial_centers(p, &points);
+    let pts = Buffer::from_vec(points);
+    let centers = Buffer::from_vec(initial);
     let membership = Buffer::<u32>::new(n);
     let acc = Buffer::<f32>::new(k * nf);
     let counts = Buffer::<u32>::new(k);
@@ -247,11 +250,14 @@ fn run_on(q: &Queue, p: &KmeansParams, points: &[f32], mode: ExecMode) -> Kmeans
     match mode {
         ExecMode::PerLaunch => {
             for _ in 0..p.iterations {
-                q.parallel_for("map_centers", Range::d1(n), map_kernel.clone());
-                q.parallel_for("reset", Range::d1(k * nf), reset_kernel.clone());
-                q.parallel_for("accumulate", Range::d1(n.div_ceil(ACC_BLOCK)), acc_kernel.clone());
-                q.parallel_for("finalize", Range::d1(k), fin_kernel.clone());
+                q.parallel_for("map_centers", Range::d1(n), &map_kernel);
+                q.parallel_for("reset", Range::d1(k * nf), &reset_kernel);
+                q.parallel_for("accumulate", Range::d1(n.div_ceil(ACC_BLOCK)), &acc_kernel);
+                q.parallel_for("finalize", Range::d1(k), &fin_kernel);
             }
+            // The graph arm moves the kernels into its recording; here
+            // they (and their views) have to die before the egress.
+            drop((map_kernel, reset_kernel, acc_kernel, fin_kernel));
         }
         ExecMode::Graph | ExecMode::GraphOptimized => {
             let graph = Graph::record(q, |g| {
@@ -354,7 +360,7 @@ fn run_on(q: &Queue, p: &KmeansParams, points: &[f32], mode: ExecMode) -> Kmeans
             }
         }
     }
-    KmeansOutput { centers: centers.to_vec(), membership: membership.to_vec() }
+    KmeansOutput { centers: egress(centers), membership: egress(membership) }
 }
 
 /// Figure 3b: mapCenters ⇄ resetAccFin over pipes, concurrently.
@@ -362,10 +368,10 @@ fn run_piped(q: &Queue, p: &KmeansParams) -> KmeansOutput {
     let points = generate_points(p);
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let mut centers = initial_centers(p, &points);
-    let mut membership = vec![0u32; n];
-    // The point data and membership scratch are loop-invariant: allocate
-    // once and let mapCenters rewrite every assignment each iteration.
-    let pts = Buffer::from_slice(&points);
+    // The point data and the membership are loop-invariant allocations:
+    // mapCenters rewrites every assignment each iteration, and the last
+    // iteration's assignments move out as the result.
+    let pts = Buffer::from_vec(points);
     let membership_out = Buffer::<u32>::new(n);
 
     for _ in 0..p.iterations {
@@ -435,10 +441,9 @@ fn run_piped(q: &Queue, p: &KmeansParams) -> KmeansOutput {
                 *c = v;
             }
         }
-        membership = membership_out.to_vec();
         centers = new_centers;
     }
-    KmeansOutput { centers, membership }
+    KmeansOutput { centers, membership: egress(membership_out) }
 }
 
 /// Analytic work profile.
@@ -653,7 +658,7 @@ mod tests {
                 (&pooled, ExecMode::Graph),
                 (&pooled, ExecMode::GraphOptimized),
             ] {
-                let r = run_on(q, p, points, mode);
+                let r = run_on(q, p, points.clone(), mode);
                 assert_eq!(r.membership, g.membership, "{name} {mode:?}");
                 for (a, b) in r.centers.iter().zip(&g.centers) {
                     assert!((a - b).abs() < 1e-4, "{name} {mode:?}: {a} vs {b}");

@@ -58,7 +58,7 @@ impl KmeansStream {
             .max()
             .unwrap_or(0);
         let pts = Buffer::from_slice(&points);
-        let centers_buf = Buffer::from_slice(&super::initial_centers(p, &points));
+        let centers_buf = Buffer::from_vec(super::initial_centers(p, &points));
         // [start, len] of the window's batch, written before each replay.
         let batch_params = Buffer::<u32>::new(2);
         let memb_batch = Buffer::<u32>::new(max_len);

@@ -175,9 +175,9 @@ pub fn run(q: &Queue, p: &LavamdParams, version: AppVersion) -> Vec<ForceOut> {
         nbr_off.push(nbr_flat.len() as u32);
     }
 
-    let parts = Buffer::from_slice(&flat);
-    let nbrs = Buffer::from_slice(&nbr_flat);
-    let offs = Buffer::from_slice(&nbr_off);
+    let parts = Buffer::from_vec(flat);
+    let nbrs = Buffer::from_vec(nbr_flat);
+    let offs = Buffer::from_vec(nbr_off);
     let out = Buffer::<f32>::new(input.particles.len() * 4);
 
     let (pv, nv, ov, outv) = (parts.view(), nbrs.view(), offs.view(), out.view());

@@ -17,7 +17,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::AppVersion;
+use crate::common::{egress, AppVersion};
 
 /// Complex-plane viewport the image maps onto.
 const X_MIN: f64 = -2.0;
@@ -77,7 +77,7 @@ pub fn run(q: &Queue, p: &MandelbrotParams, _version: AppVersion) -> Vec<u32> {
         let (cx, cy) = pixel_coords(&pp, x, y);
         v.set(y * dim + x, escape(cx, cy, max_iters));
     });
-    out.to_vec()
+    egress(out)
 }
 
 /// Analytic work profile for the device models. Average escape count is

@@ -19,7 +19,7 @@ use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::ndrange::FenceSpace;
 use hetero_rt::prelude::*;
 
-use crate::common::AppVersion;
+use crate::common::{egress, AppVersion};
 
 /// Tile edge for the blocked wavefront kernel (Altis uses 16).
 pub const BLOCK: usize = 16;
@@ -139,8 +139,8 @@ pub fn run(q: &Queue, p: &NwParams, version: AppVersion) -> Vec<i32> {
             m[i] = -(p.penalty) * i as i32;
         }
     });
-    let s1b = Buffer::from_slice(&s1);
-    let s2b = Buffer::from_slice(&s2);
+    let s1b = Buffer::from_vec(s1);
+    let s2b = Buffer::from_vec(s2);
     let penalty = p.penalty;
 
     // The wavefront schedule rides in a buffer so each group's lookup
@@ -223,7 +223,7 @@ pub fn run(q: &Queue, p: &NwParams, version: AppVersion) -> Vec<i32> {
         )
         .expect("nw launch failed");
     }
-    matrix.to_vec()
+    egress(matrix)
 }
 
 /// Analytic work profile.

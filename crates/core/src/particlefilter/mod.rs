@@ -188,12 +188,10 @@ pub fn run_with(
     mode: ExecMode,
 ) -> PfOutput {
     let n = p.n_particles;
-    let xs = Buffer::from_slice(&vec![(p.dim as f32) * 0.25; n]);
-    let ys = Buffer::from_slice(&vec![(p.dim as f32) * 0.25; n]);
+    let xs = Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]);
+    let ys = Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]);
     let weights = Buffer::<f32>::new(n);
-    let seeds = Buffer::from_slice(
-        &(0..n).map(|i| Lcg::new(i as u64 + 17).state).collect::<Vec<u64>>(),
-    );
+    let seeds = Buffer::from_vec((0..n).map(|i| Lcg::new(i as u64 + 17).state).collect());
     // Resampling scratch: loop-invariant shape, rewritten every frame.
     let cdfb = Buffer::<f32>::new(n);
     let nxs = Buffer::<f32>::new(n);
@@ -346,24 +344,26 @@ pub fn run_with(
         // Normalise + estimate, using the library reductions (the
         // original uses reduction kernels; par-dpl's primitives are the
         // oneDPL stand-ins).
-        let w = weights.to_vec();
-        let sum = par_dpl::reduce_sum(&w);
-        let sum = if sum <= 0.0 { 1.0 } else { sum };
-        let xsv = xs.to_vec();
-        let ysv = ys.to_vec();
-        let xe: f32 = par_dpl::dot_f32(&xsv, &w) / sum;
-        let ye: f32 = par_dpl::dot_f32(&ysv, &w) / sum;
+        // The host reductions borrow the three arrays where the kernel
+        // left them; the CDF is built straight into its buffer.
+        let (xe, ye) = weights.read(|w| {
+            let sum = par_dpl::reduce_sum(w);
+            let sum = if sum <= 0.0 { 1.0 } else { sum };
+            let xe: f32 = xs.read(|x| par_dpl::dot_f32(x, w)) / sum;
+            let ye: f32 = ys.read(|y| par_dpl::dot_f32(y, w)) / sum;
+
+            // CDF + systematic resample.
+            cdfb.write(|cdf| {
+                let mut acc = 0.0;
+                for i in 0..n {
+                    acc += w[i] / sum;
+                    cdf[i] = acc;
+                }
+            });
+            (xe, ye)
+        });
         out.xe.push(xe);
         out.ye.push(ye);
-
-        // CDF + systematic resample.
-        let mut cdf = vec![0f32; n];
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += w[i] / sum;
-            cdf[i] = acc;
-        }
-        cdfb.write_from(&cdf);
         let mut rng = Lcg::new(frame as u64 * 7919);
         let u0 = rng.uniform() / n as f32;
         match &graphs {
@@ -390,8 +390,8 @@ pub fn run_with(
                 });
             }
         }
-        xs.write_from(&nxs.to_vec());
-        ys.write_from(&nys.to_vec());
+        nxs.read(|v| xs.write_from(v));
+        nys.read(|v| ys.write_from(v));
     }
     out
 }

@@ -21,7 +21,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::AppVersion;
+use crate::common::{egress, AppVersion};
 
 pub mod virtual_dispatch;
 
@@ -391,7 +391,7 @@ pub fn run(q: &Queue, p: &RaytracingParams, _version: AppVersion) -> Vec<f32> {
         v.set(i + 1, c.y);
         v.set(i + 2, c.z);
     });
-    out.to_vec()
+    egress(out)
 }
 
 /// Analytic work profile.

@@ -17,7 +17,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{AppVersion, ExecMode};
+use crate::common::{egress, AppVersion, ExecMode};
 
 pub mod streaming;
 
@@ -115,7 +115,7 @@ pub fn run(q: &Queue, p: &SradParams, version: AppVersion) -> Vec<f32> {
 /// per-launch and recorded routes run the same two row kernels.
 pub fn run_with(q: &Queue, p: &SradParams, _version: AppVersion, mode: ExecMode) -> Vec<f32> {
     let n = p.dim;
-    let planes = Planes::new(&generate_image(p));
+    let planes = Planes::new(generate_image(p));
     match mode {
         ExecMode::PerLaunch => {
             // Never armed outside a graph replay: the views stay checked.
@@ -138,7 +138,7 @@ pub fn run_with(q: &Queue, p: &SradParams, _version: AppVersion, mode: ExecMode)
             }
         }
     }
-    planes.img.to_vec()
+    egress(planes.img)
 }
 
 /// Device state of the diffusion step: the carried image, the
@@ -155,10 +155,11 @@ pub(crate) struct Planes {
 }
 
 impl Planes {
-    pub(crate) fn new(image: &[f32]) -> Self {
-        let plane = || Buffer::<f32>::new(image.len());
+    pub(crate) fn new(image: Vec<f32>) -> Self {
+        let len = image.len();
+        let plane = || Buffer::<f32>::new(len);
         Planes {
-            img: Buffer::from_slice(image),
+            img: Buffer::from_vec(image),
             q0: Buffer::new(1),
             c: plane(),
             dn: plane(),

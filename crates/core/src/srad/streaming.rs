@@ -33,7 +33,7 @@ impl SradStream {
     pub fn new(p: &SradParams, primary: &Queue, clean: &Queue) -> hetero_rt::Result<Self> {
         let n = p.dim;
         let lambda = p.lambda;
-        let planes = Planes::new(&super::generate_image(p));
+        let planes = Planes::new(super::generate_image(p));
         let graph = super::step_graph(clean, n, lambda, &planes)?;
         Ok(SradStream { n, lambda, primary: primary.clone(), clean: clean.clone(), planes, graph })
     }

@@ -18,7 +18,7 @@ use hetero_ir::ir::OpMix;
 use hetero_rt::prelude::*;
 use par_dpl::scan::{exclusive_scan, ScanFlavor};
 
-use crate::common::AppVersion;
+use crate::common::{egress, AppVersion};
 
 /// A data record (the Altis benchmark filters on integer fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,10 +69,24 @@ pub fn scan_flavor_for(version: AppVersion, device: &Device) -> ScanFlavor {
 
 /// Runtime version: flag kernel → scan (flavoured) → scatter kernel.
 pub fn run(q: &Queue, p: &WhereParams, version: AppVersion) -> Vec<Record> {
+    run_staged(q, p, version, |_| {})
+}
+
+/// [`run`] with a host hook between the scan and the scatter, handed the
+/// flag buffer: the seam the SDC test corrupts a flag through. No array
+/// is copied on the way — `values`, `offsets` and `records` are adopted
+/// by their buffers, the scan reads the flags in place, the scatter
+/// re-views the same flag buffer, and the output moves out.
+fn run_staged(
+    q: &Queue,
+    p: &WhereParams,
+    version: AppVersion,
+    after_scan: impl FnOnce(&Buffer<u32>),
+) -> Vec<Record> {
     let records = generate_records(p);
     let n = records.len();
     let flags_buf = Buffer::<u32>::new(n);
-    let values = Buffer::from_slice(&records.iter().map(|r| r.value).collect::<Vec<_>>());
+    let values = Buffer::from_vec(records.iter().map(|r| r.value).collect());
     let (fv, vv) = (flags_buf.view(), values.view());
     let sel = p.selectivity_pct;
     // Chunked flag kernel: each item flags a contiguous block so the
@@ -104,35 +118,40 @@ pub fn run(q: &Queue, p: &WhereParams, version: AppVersion) -> Vec<Record> {
         });
     }
 
-    // Scan on the host path of the selected library flavour.
-    let flags = flags_buf.to_vec();
+    // Scan on the host path of the selected library flavour, reading the
+    // flags where the kernel left them.
     let mut offsets = vec![0u32; n];
-    exclusive_scan(scan_flavor_for(version, q.device()), &flags, &mut offsets);
-    // A compaction can never select more than its input. Under the SDC
-    // fault plans a stuck-at page or bit flip landing in `flags` between
-    // launches inflates the scanned sum arbitrarily (up to ~2^32): clamp
-    // before sizing the output so a corrupted count cannot demand a
-    // multi-gigabyte allocation. The corrupted contents still reach
-    // validation, which quarantines on divergence.
-    let total = if n == 0 {
-        0
-    } else {
-        ((offsets[n - 1].wrapping_add(flags[n - 1])) as usize).min(n)
-    };
+    let total = flags_buf.read(|flags| {
+        exclusive_scan(scan_flavor_for(version, q.device()), flags, &mut offsets);
+        // A compaction can never select more than its input. Under the SDC
+        // fault plans a stuck-at page or bit flip landing in `flags` between
+        // launches inflates the scanned sum arbitrarily (up to ~2^32): clamp
+        // before sizing the output so a corrupted count cannot demand a
+        // multi-gigabyte allocation. The corrupted contents still reach
+        // validation, which quarantines on divergence.
+        if n == 0 {
+            0
+        } else {
+            ((offsets[n - 1].wrapping_add(flags[n - 1])) as usize).min(n)
+        }
+    });
+    after_scan(&flags_buf);
 
-    // Scatter kernel.
+    // Scatter kernel. A flag that changed since the scan can drop a
+    // record, write a slot twice, or point one past `total`, which the
+    // checked store refuses: wrong output for validation to reject, never
+    // a write out of bounds.
     let out = Buffer::<Record>::new(total.max(1));
-    let offs = Buffer::from_slice(&offsets);
-    let recs = Buffer::from_slice(&records);
-    let flagsb = Buffer::from_slice(&flags);
-    let (ov, offv, rv, fv) = (out.view(), offs.view(), recs.view(), flagsb.view());
+    let offs = Buffer::from_vec(offsets);
+    let recs = Buffer::from_vec(records);
+    let (ov, offv, rv, fv) = (out.view(), offs.view(), recs.view(), flags_buf.view());
     q.parallel_for("where_scatter", Range::d1(n), move |it| {
         let i = it.gid(0);
         if fv.get(i) == 1 {
             ov.set(offv.get(i) as usize, rv.get(i));
         }
     });
-    let mut result = out.to_vec();
+    let mut result = egress(out);
     result.truncate(total);
     result
 }
@@ -309,6 +328,43 @@ mod tests {
         let hist = selectivity_histogram(&p, 100);
         let predicted: u64 = hist[..30].iter().sum();
         assert_eq!(predicted as usize, golden(&p).len());
+    }
+
+    #[test]
+    fn flag_flipped_between_scan_and_scatter_ends_typed() {
+        // The scatter re-reads the flags the scan already consumed, so a
+        // flip in between must stay inside the contract: a typed launch
+        // error, or an output that validation rejects — never an untyped
+        // panic, never more than the `total <= n` records sized before.
+        //
+        // The table: one whose last record the predicate drops.
+        let p = (4096..)
+            .map(|n| WhereParams { n_records: n, selectivity_pct: 30 })
+            .find(|p| !predicate(p, generate_records(p).last().unwrap()))
+            .unwrap();
+        let (g, n) = (golden(&p), p.n_records);
+        let q = Queue::new(Device::cpu()).with_fault_plan(None);
+        let run_flipped = |i: usize, to: u32| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_staged(&q, &p, AppVersion::SyclBaseline, |flags| flags.view().set(i, to))
+            }))
+        };
+
+        // Flagged in after the scan counted it out: the last record's
+        // offset is one past the output, which the checked store refuses.
+        let payload = run_flipped(n - 1, 1).unwrap_err();
+        let e = payload.downcast::<hetero_rt::Error>().expect("typed payload");
+        assert!(
+            matches!(*e, hetero_rt::Error::AccessOutOfBounds { offset, .. } if offset == g.len()),
+            "{e:?}"
+        );
+
+        // Flagged out after the scan counted it in: the slot keeps the
+        // default record, so the output has the golden's length and one
+        // record the suite's validation rejects.
+        let kept = g[0].payload as usize;
+        let r = run_flipped(kept, 0).expect("a dropped record is not a launch error");
+        assert_eq!((r.len(), r[0], &r[1..]), (g.len(), Record::default(), &g[1..]));
     }
 
     #[test]

@@ -93,9 +93,20 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         Buffer::build((0..len).map(|_| T::default()).collect())
     }
 
-    /// Create a buffer initialised from a host slice.
+    /// Create a buffer initialised from a host slice (one copy). For data
+    /// the caller generated only to stage it, [`Buffer::from_vec`] adopts
+    /// the allocation instead.
     pub fn from_slice(src: &[T]) -> Self {
         Buffer::build(src.to_vec().into_boxed_slice())
+    }
+
+    /// Adopt a host `Vec` as the buffer's storage: no copy (spare
+    /// capacity, if any, is shrunk away first). Identity is as fresh as
+    /// [`Buffer::from_slice`]'s — a new sanitizer object id and, while
+    /// the integrity layer is armed, a newly registered and sealed region
+    /// over the adopted bytes.
+    pub fn from_vec(src: Vec<T>) -> Self {
+        Buffer::build(src.into_boxed_slice())
     }
 
     fn build(data: Box<[T]>) -> Self {
@@ -125,26 +136,25 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         Buffer { storage: Arc::new(Storage { data, slot, len, id, generation, region }) }
     }
 
-    /// Reclaim the underlying allocation for recycling. Succeeds only
-    /// when this handle is the *sole* owner — no clones and no
-    /// outstanding [`GlobalView`]s (each view keeps the storage alive) —
-    /// otherwise the buffer is reconstituted untouched and `None` is
-    /// returned. On success the integrity region is unregistered (the
-    /// storage drop path) before the raw bytes are handed back.
-    pub(crate) fn into_raw_parts(self) -> Option<(Box<[T]>, u64)> {
-        let storage = match Arc::try_unwrap(self.storage) {
-            Ok(storage) => storage,
-            Err(shared) => {
-                // Views or clones outstanding: this handle is consumed
-                // but the storage stays alive through the other owners.
-                drop(shared);
-                return None;
-            }
-        };
+    /// Reclaim the underlying allocation (for recycling, or for
+    /// [`Buffer::into_vec`]). Succeeds only when this handle is the
+    /// *sole* owner ([`Buffer::is_sole_owner`]); otherwise the handle
+    /// comes back untouched as the `Err`. On success the integrity region
+    /// is unregistered (the storage drop path) before the raw bytes are
+    /// handed back.
+    pub(crate) fn into_raw_parts(self) -> std::result::Result<(Box<[T]>, u64), Self> {
+        let storage = Arc::try_unwrap(self.storage).map_err(|storage| Buffer { storage })?;
         let generation = storage.generation;
         let data = std::mem::take(&mut *storage.host());
         // `storage` drops here, unregistering the integrity region.
-        Some((data, generation))
+        Ok((data, generation))
+    }
+
+    /// Whether this handle is the only owner of the storage: no clones
+    /// and no outstanding [`GlobalView`]s (each view, and so each kernel
+    /// closure or recorded graph holding one, keeps the storage alive).
+    pub fn is_sole_owner(&self) -> bool {
+        Arc::strong_count(&self.storage) == 1
     }
 
     /// The buffer's process-unique object id (shared between the race
@@ -175,6 +185,19 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
     /// accessor read or `queue.memcpy` to host).
     pub fn to_vec(&self) -> Vec<T> {
         self.storage.host().to_vec()
+    }
+
+    /// Move the contents out as a host `Vec`, consuming the handle. The
+    /// sole owner gets the allocation itself — no copy, and the integrity
+    /// region is unregistered by the storage drop. While clones or views
+    /// are still alive the allocation cannot move from under them, so
+    /// this falls back to the [`Buffer::to_vec`] copy: the result is the
+    /// same either way, only its cost depends on what was dropped first.
+    pub fn into_vec(self) -> Vec<T> {
+        match self.into_raw_parts() {
+            Ok((data, _)) => data.into_vec(),
+            Err(shared) => shared.to_vec(),
+        }
     }
 
     /// Overwrite the buffer from a host slice. Lengths must match; a
@@ -755,6 +778,60 @@ mod tests {
         assert_eq!(b.to_vec(), vec![1.0, 2.0, 3.0]);
         b.write_from(&[4.0, 5.0, 6.0]);
         assert_eq!(b.to_vec(), vec![4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn from_vec_into_vec_moves_the_allocation() {
+        let v: Vec<u32> = (0..1000).collect();
+        let ptr = v.as_ptr();
+        let b = Buffer::from_vec(v);
+        assert_eq!(b.len(), 1000);
+        {
+            // A view that died before the egress does not cost the move.
+            let view = b.view();
+            view.set(3, 99);
+            assert!(!b.is_sole_owner());
+        }
+        assert!(b.is_sole_owner());
+        let out = b.into_vec();
+        assert_eq!(out.as_ptr(), ptr, "sole owner: same allocation, no copy");
+        assert_eq!(out[3], 99);
+        assert!(out.iter().enumerate().all(|(i, &x)| i == 3 || x == i as u32));
+    }
+
+    #[test]
+    fn into_vec_copies_while_a_view_or_clone_is_alive() {
+        let v = vec![1.5f32, 2.5, 3.5];
+        let ptr = v.as_ptr();
+        let b = Buffer::from_vec(v);
+        let view = b.view();
+        let out = b.into_vec();
+        assert_eq!(out, vec![1.5, 2.5, 3.5]);
+        assert_ne!(out.as_ptr(), ptr, "the view still owns the original allocation");
+        // The surviving view stays valid and independent of the copy.
+        view.set(0, -1.0);
+        assert_eq!(view.get(0), -1.0);
+        assert_eq!(out[0], 1.5);
+
+        let b = Buffer::from_slice(&[4u8, 5]);
+        let other = b.clone();
+        assert_eq!(b.into_vec(), vec![4, 5]);
+        assert!(other.is_sole_owner());
+        assert_eq!(other.into_vec(), vec![4, 5]);
+    }
+
+    #[test]
+    fn from_vec_takes_empty_and_over_allocated_vectors() {
+        let b = Buffer::from_vec(Vec::<f64>::new());
+        assert!(b.is_empty());
+        assert!(b.into_vec().is_empty());
+
+        let mut v = Vec::with_capacity(64);
+        v.extend([1u16, 2, 3]);
+        let b = Buffer::from_vec(v);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.view().get(2), 3);
+        assert_eq!(b.into_vec(), vec![1, 2, 3]);
     }
 
     #[test]

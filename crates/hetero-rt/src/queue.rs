@@ -850,11 +850,11 @@ impl Queue {
     /// unbounded memory.
     pub fn recycle_buffer<T: Copy + Default + Send + 'static>(&self, buf: Buffer<T>) -> bool {
         match buf.into_raw_parts() {
-            Some((data, generation)) => {
+            Ok((data, generation)) => {
                 let len = data.len();
                 self.slab.put(len, data, generation)
             }
-            None => {
+            Err(_) => {
                 self.slab.note_rejected();
                 false
             }

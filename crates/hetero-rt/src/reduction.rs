@@ -44,7 +44,7 @@ pub fn reduce_f32(
         pv.set(ctx.group_linear(), r);
     })
     .unwrap_or_else(|e| std::panic::panic_any(e));
-    let out = partials.to_vec().into_iter().fold(identity, op);
+    let out = partials.read(|p| p.iter().copied().fold(identity, op));
     q.recycle_buffer(partials);
     out
 }

@@ -73,6 +73,46 @@ fn targeted_flip_detected_at_exact_region_and_page() {
 }
 
 #[test]
+fn adopted_buffers_are_protected_and_move_out_unregistered() {
+    let _g = serial();
+    let _a = Armed::new();
+    let before = integrity::stats();
+    let adopted = Buffer::from_vec(vec![7u32; 600]);
+    let copied = Buffer::from_slice(&[7u32; 600]);
+    assert_eq!(integrity::stats().regions, before.regions + 2);
+
+    // An adopted allocation is sealed at construction and verified at
+    // launch entry exactly like a copied one.
+    for b in [&adopted, &copied] {
+        let plan = Arc::new(FaultPlan::flip_at(b.object_id(), 1500, 2));
+        let q = Queue::new(Device::cpu()).with_integrity(true).with_fault_plan(Some(plan));
+        let err = q.try_parallel_for("probe", Range::d1(1), |_| {}).unwrap_err();
+        assert!(
+            matches!(err, Error::DataCorruption { region, page: 1, .. } if region == b.object_id()),
+            "{err:?}"
+        );
+    }
+    assert!(integrity::stats().regions_verified > before.regions_verified);
+
+    // Kernel writes through a view that dies with the launch, then the
+    // sole owner moves the bytes out and its region goes with them.
+    let q = Queue::new(Device::cpu()).with_integrity(true);
+    let v = adopted.view();
+    q.try_parallel_for("bump", Range::d1(600), move |it| v.update(it.gid(0), |x| x + 1)).unwrap();
+    let out = adopted.into_vec();
+    assert_eq!(integrity::stats().regions, before.regions + 1);
+    assert_eq!((out.len(), out[0], out[599]), (600, 8, 8));
+    q.try_parallel_for("after", Range::d1(1), |_| {}).unwrap();
+
+    // The copy fallback leaves the region with the surviving handle.
+    let view = copied.view();
+    let _ = copied.into_vec();
+    assert_eq!(integrity::stats().regions, before.regions + 1);
+    drop(view);
+    assert_eq!(integrity::stats().regions, before.regions);
+}
+
+#[test]
 fn detection_is_absorbed_by_retry_budget() {
     let _g = serial();
     let _a = Armed::new();

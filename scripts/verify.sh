@@ -116,11 +116,12 @@ done
 ./target/release/launch_storm /tmp/BENCH_launch_storm.json --steal > /dev/null
 
 # End-to-end benchmark package (own manifest, own lock file): its pure
-# unit tests, then a 2 s smoke of the launch-bound workload through the
-# real worker processes — `run` exits nonzero on `correct: false` or a
-# lost worker.
+# unit tests, then 2 s smokes of the launch-bound and the bandwidth-bound
+# workload through the real worker processes — `run` exits nonzero on
+# `correct: false` or a lost worker, so a staging change that breaks a
+# large-array golden fails here.
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
-  run --workload launch_bound_s1 --seconds 2 > /dev/null
+  run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
 echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use altis_core::common::AppVersion;
-use altis_core::suite::{all_apps, check_golden_registry, run_sdc, SdcOutcome};
+use altis_core::suite::{all_apps, check_golden_registry, run_sdc, run_sdc_inline, SdcOutcome};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
 use hetero_rt::{integrity, Redundancy, RetryPolicy};
@@ -75,6 +75,36 @@ fn armed_rate_zero_suite_slice_is_correct() {
             Duration::from_secs(120),
         );
         assert_eq!(o, SdcOutcome::Correct, "{}: {o:?}", app.name);
+    }
+}
+
+#[test]
+fn every_configuration_verifies_sanitized_and_hardened() {
+    // The staging sites of every app adopt and move host arrays instead
+    // of copying them. Beside the plain queue of `suite_verification`,
+    // the same 13 configurations must come out unchanged of a sanitizer
+    // queue (views that die early, Where's flag buffer viewed twice) and
+    // of an integrity + DMR queue (adopted allocations sealed, moved-out
+    // ones unregistered).
+    let _g = serial();
+    let apps = all_apps();
+    assert_eq!(apps.len(), 13);
+    let plain = Queue::new(Device::cpu()).with_fault_plan(None);
+    let sanitized = plain.clone().with_sanitizer(true);
+    for app in &apps {
+        assert!(
+            (app.verify)(&sanitized, InputSize::S1, AppVersion::SyclOptimized),
+            "{} failed on the sanitizer queue",
+            app.name
+        );
+    }
+    let _a = Armed::new();
+    let hardened = plain.with_integrity(true).with_redundancy(Redundancy::Dmr);
+    let regions = integrity::stats().regions;
+    for app in &apps {
+        let o = run_sdc_inline(app, &hardened, InputSize::S1, AppVersion::SyclOptimized);
+        assert_eq!(o, SdcOutcome::Correct, "{}: {o:?}", app.name);
+        assert_eq!(integrity::stats().regions, regions, "{} left a region behind", app.name);
     }
 }
 
