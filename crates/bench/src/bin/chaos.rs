@@ -38,7 +38,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use altis_bench::json::Obj;
-use altis_bench::report::{self, app_matches, golden_registry_ok, verdict, Args, UsageError};
+use altis_bench::report::{
+    self, app_matches, golden_registry_ok, validation_summary, verdict, Args, UsageError,
+};
 use altis_core::common::AppVersion;
 use altis_core::suite::{all_apps, run_resilient, ResilienceOutcome};
 use altis_data::InputSize;
@@ -336,7 +338,11 @@ fn main() -> ExitCode {
             );
             let t0 = Instant::now();
             let broken = serve_matrix(seed, rate, filter.as_deref());
-            println!("chaos --serve: done in {:.2?}, {broken} contract violation(s)", t0.elapsed());
+            println!(
+                "chaos --serve: done in {:.2?}, {broken} contract violation(s); {}",
+                t0.elapsed(),
+                validation_summary()
+            );
             let line = line("chaos-serve").set("seed", seed).set("rate", rate).set("violations", broken);
             return Ok(verdict(line, "contained", broken == 0));
         }
@@ -378,10 +384,11 @@ fn main() -> ExitCode {
             }
         }
         println!(
-            "chaos: done in {:.2?}, {} faults injected, {} containment violation(s)",
+            "chaos: done in {:.2?}, {} faults injected, {} containment violation(s); {}",
             t0.elapsed(),
             plan.injected(),
-            broken
+            broken,
+            validation_summary()
         );
         let line = line("chaos")
             .set("runs", runs)

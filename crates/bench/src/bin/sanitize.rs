@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use altis_bench::report::{self, golden_registry_ok, Suite};
+use altis_bench::report::{self, golden_registry_ok, validation_summary, Suite};
 use altis_core::common::AppVersion;
 use altis_core::suite::{run_resilient, verify_suite_ir, ResilienceOutcome};
 use hetero_rt::prelude::*;
@@ -75,8 +75,9 @@ fn main() -> ExitCode {
             );
         }
         println!(
-            "sanitize: {runs} runs, {failures} failures{}",
-            if failures == 0 { " — suite is race-clean" } else { "" }
+            "sanitize: {runs} runs, {failures} failures{}; {}",
+            if failures == 0 { " — suite is race-clean" } else { "" },
+            validation_summary()
         );
         Ok(if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
     })

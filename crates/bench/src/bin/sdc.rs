@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use altis_bench::json::Obj;
-use altis_bench::report::{self, golden_registry_ok, verdict, Suite};
+use altis_bench::report::{self, golden_registry_ok, validation_summary, verdict, Suite};
 use altis_core::common::AppVersion;
 use altis_core::suite::{
     compute_golden_registry, golden_registry_path, render_golden_registry, run_sdc, SdcOutcome,
@@ -128,10 +128,11 @@ fn main() -> ExitCode {
         println!(
             "sdc: {runs} runs in {:.2?}: {correct} correct, {corrected} corrected, \
              {quarantined} quarantined, {uncontained} undefended; {flips} flips + {stuck} \
-             stuck pages injected, {} detections / {} corrections total",
+             stuck pages injected, {} detections / {} corrections total; {}",
             t0.elapsed(),
             integrity::detections_total(),
-            integrity::corrected_total()
+            integrity::corrected_total(),
+            validation_summary()
         );
         let registry = match (skip_golden, golden_ok) {
             (true, _) => "skipped",

@@ -8,7 +8,9 @@
 //!    Reports p50/p99 latency and jobs/sec, and *gates* on the
 //!    accounting invariant: every submitted job resolves to exactly one
 //!    verdict (`unaccounted == 0`), all of them `Completed`, none
-//!    uncontained.
+//!    uncontained — and on a count: every output validated, with at
+//!    most one golden comparison per kind of job in the mix
+//!    (`suite::validation_stats`), the rest recognised.
 //!
 //! 2. **Isolation** — paired rounds of a closed-loop clean tenant
 //!    (high-priority KMeans, one job in flight, client-side latency)
@@ -32,6 +34,7 @@ use std::time::Instant;
 use altis_bench::json::{arr, Obj};
 use altis_bench::report::{self, Op, Report};
 use altis_bench::timing::{median, percentile};
+use altis_core::suite::validation_stats;
 use hetero_serve::{
     FaultKindSel, Hardening, JobRequest, MonotonicClock, Priority, ResultSink, Scheduler,
     ServeConfig, Verdict,
@@ -69,6 +72,7 @@ fn storm(jobs: usize, workers: usize, report: &mut Report) -> Obj {
     let l = latencies.clone();
     let sink: ResultSink = Arc::new(move |res| l.lock().unwrap().push(res.latency_ms as f64));
     let priorities = [Priority::High, Priority::Normal, Priority::Low];
+    let before = validation_stats();
     let t0 = Instant::now();
     for i in 0..jobs {
         s.submit(
@@ -79,21 +83,44 @@ fn storm(jobs: usize, workers: usize, report: &mut Report) -> Obj {
             },
             sink.clone(),
         );
+        // The first job of each kind runs alone, so each kind's one
+        // golden comparison cannot be raced by a second cold worker and
+        // the count gate below is exact whatever the worker count.
+        if i < STORM_APPS.len() {
+            s.wait_idle();
+        }
     }
     s.wait_idle();
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = s.stats();
     s.shutdown();
+    let after = validation_stats();
+    let reference_runs = after.reference_runs - before.reference_runs;
+    let recognised = after.recognised - before.recognised;
 
     report.gate(&format!("storm({jobs}) submitted"), stats.submitted as f64, Op::Eq, jobs as f64);
     report.gate(&format!("storm({jobs}) unaccounted"), stats.unaccounted() as f64, Op::Eq, 0.0);
     report.gate(&format!("storm({jobs}) completed"), stats.completed as f64, Op::Eq, jobs as f64);
     report.gate(&format!("storm({jobs}) uncontained"), stats.uncontained as f64, Op::Eq, 0.0);
+    // Every job is validated, but golden is consulted once per kind of
+    // job in the mix (app × size × flavor: the two apps) at most.
+    report.gate(
+        &format!("storm({jobs}) reference_runs"),
+        reference_runs as f64,
+        Op::Le,
+        STORM_APPS.len() as f64,
+    );
+    report.gate(
+        &format!("storm({jobs}) validated"),
+        (reference_runs + recognised) as f64,
+        Op::Eq,
+        jobs as f64,
+    );
     let lat = latencies.lock().unwrap().clone();
     let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
     println!(
         "  {jobs:>6} jobs: {:>7.2} jobs/s, p50 {p50:>7.1} ms, p99 {p99:>7.1} ms, wall {wall_s:.2}s, \
-         {} unaccounted",
+         {} unaccounted, {reference_runs} reference runs, {recognised} recognised",
         jobs as f64 / wall_s,
         stats.unaccounted()
     );
@@ -105,6 +132,8 @@ fn storm(jobs: usize, workers: usize, report: &mut Report) -> Obj {
         .set("p99_ms", p99)
         .set("unaccounted", stats.unaccounted())
         .set("uncontained", stats.uncontained)
+        .set("reference_runs", reference_runs)
+        .set("recognised", recognised)
 }
 
 /// One closed-loop clean-tenant round: `samples` jobs, one in flight,

@@ -371,6 +371,13 @@ pub fn golden_registry_ok(who: &str, sizes: &[InputSize]) -> bool {
     }
 }
 
+/// The suite's validation counters as a summary clause. A matrix that
+/// silently stopped consulting golden reads `0 reference runs` here.
+pub fn validation_summary() -> String {
+    let v = altis_core::suite::validation_stats();
+    format!("validation: {} reference runs, {} recognised", v.reference_runs, v.recognised)
+}
+
 /// Print a harness's machine-readable verdict — always its last stdout
 /// line — closing with `key: ok`, and turn `ok` into the exit status.
 pub fn verdict(line: Obj, key: &str, ok: bool) -> ExitCode {

@@ -26,6 +26,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod common;
+mod memo;
 pub mod migration;
 pub mod streaming;
 pub mod suite;

@@ -15,6 +15,8 @@ use hetero_ir::dpct::CudaModule;
 use hetero_rt::prelude::*;
 
 use crate::common::{AppVersion, ExecMode};
+use crate::memo::{self, pack, Lanes};
+pub use crate::memo::{validation_stats, ValidationStats};
 use crate::particlefilter::PfVariant;
 
 /// One suite entry.
@@ -66,8 +68,9 @@ fn validation_from(matches_reference: bool) -> Validation {
 //
 // Digests are computed over *reference* outputs (deterministic, host-side,
 // sequential), never over app outputs: several kernels accumulate f32
-// atomically, so their bit patterns are schedule-dependent even when
-// numerically correct.
+// atomically, so their bit patterns may depend on the schedule even when
+// numerically correct. (The validated-output memo does fingerprint app
+// outputs; there a schedule-dependent bit pattern only costs a miss.)
 
 pub(crate) fn mix64(h: u64, w: u64) -> u64 {
     let mut x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -93,200 +96,240 @@ fn digest_f64s(v: &[f64]) -> u64 {
     digest_words(v.iter().map(|x| x.to_bits()))
 }
 
-fn verify_cfd_fp32(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::cfd(size);
-    let r = crate::cfd::run::<f32>(q, &p, v);
-    let g = crate::cfd::golden::<f32>(&p);
-    crate::common::rel_l2_error_t(&g, &r) < 1e-4
+// --- outputs, and the one validation path ------------------------------------
+
+/// The thirteen configuration names in Figure 2's order ([`all_apps`]
+/// carries the same names; a unit test holds the two together).
+pub const CONFIGS: [&str; 13] = [
+    "CFD FP32", "CFD FP64", "DWT2D", "FDTD2D", "KMeans", "LavaMD", "Mandelbrot", "NW",
+    "PF Naive", "PF Float", "Raytracing", "SRAD", "Where",
+];
+
+/// What one run of a configuration produced, in the shape its app
+/// returns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Output {
+    /// CFD FP32, DWT2D, Raytracing, SRAD.
+    F32(Vec<f32>),
+    /// CFD FP64.
+    F64(Vec<f64>),
+    /// Mandelbrot.
+    U32(Vec<u32>),
+    /// NW.
+    I32(Vec<i32>),
+    /// FDTD2D.
+    Fields(crate::fdtd2d::Fields),
+    /// KMeans.
+    Kmeans(crate::kmeans::KmeansOutput),
+    /// LavaMD.
+    Forces(Vec<crate::lavamd::ForceOut>),
+    /// PF Naive, PF Float.
+    Pf(crate::particlefilter::PfOutput),
+    /// Where.
+    Records(Vec<crate::where_q::Record>),
 }
 
-fn verify_cfd_fp64(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::cfd(size);
-    let r = crate::cfd::run::<f64>(q, &p, v);
-    let g = crate::cfd::golden::<f64>(&p);
-    crate::common::rel_l2_error_t(&g, &r) < 1e-10
-}
-
-fn verify_dwt2d(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::dwt2d(size);
-    let r = crate::dwt2d::run(q, &p, v);
-    let g = crate::dwt2d::golden(&p);
-    crate::common::rel_l2_error_t(&g, &r) < 1e-4
-}
-
-fn verify_fdtd2d(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::fdtd2d(size);
-    crate::fdtd2d::run(q, &p, v).ez == crate::fdtd2d::golden(&p).ez
-}
-
-fn verify_kmeans(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::kmeans(size);
-    let r = crate::kmeans::run(q, &p, v);
-    let g = crate::kmeans::golden(&p);
-    r.membership == g.membership
-        && crate::common::rel_l2_error_t(&g.centers, &r.centers) < 1e-4
-}
-
-fn verify_lavamd(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::lavamd(size);
-    let r = crate::lavamd::run(q, &p, v);
-    let g = crate::lavamd::golden(&p);
-    let rv: Vec<f32> = r.iter().map(|f| f.v).collect();
-    let gv: Vec<f32> = g.iter().map(|f| f.v).collect();
-    crate::common::rel_l2_error_t(&gv, &rv) < 1e-4
-}
-
-fn verify_mandelbrot(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::mandelbrot(size);
-    crate::mandelbrot::run(q, &p, v) == crate::mandelbrot::golden(&p)
-}
-
-fn verify_nw(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::nw(size);
-    crate::nw::run(q, &p, v) == crate::nw::golden(&p)
-}
-
-fn verify_pf_naive(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::particlefilter(size);
-    let r = crate::particlefilter::run(q, &p, PfVariant::Naive, v);
-    let g = crate::particlefilter::golden(&p, PfVariant::Naive);
-    r.xe.iter().zip(&g.xe).all(|(a, b)| (a - b).abs() < 0.05)
-}
-
-fn verify_pf_float(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::particlefilter(size);
-    let r = crate::particlefilter::run(q, &p, PfVariant::Float, v);
-    let g = crate::particlefilter::golden(&p, PfVariant::Float);
-    r.xe.iter().zip(&g.xe).all(|(a, b)| (a - b).abs() < 0.05)
-}
-
-fn verify_raytracing(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::raytracing(size);
-    crate::raytracing::run(q, &p, v) == crate::raytracing::golden(&p)
-}
-
-fn verify_srad(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::srad(size);
-    let r = crate::srad::run(q, &p, v);
-    let g = crate::srad::golden(&p);
-    crate::common::rel_l2_error_t(&g, &r) < 1e-3
-}
-
-fn verify_where(q: &Queue, size: InputSize, v: AppVersion) -> bool {
-    let p = altis_data::where_q(size);
-    crate::where_q::run(q, &p, v) == crate::where_q::golden(&p)
-}
-
-fn golden_digest_cfd_fp32(size: InputSize) -> u64 {
-    digest_f32s(&crate::cfd::golden::<f32>(&altis_data::cfd(size)))
-}
-
-fn golden_digest_cfd_fp64(size: InputSize) -> u64 {
-    digest_f64s(&crate::cfd::golden::<f64>(&altis_data::cfd(size)))
-}
-
-fn golden_digest_dwt2d(size: InputSize) -> u64 {
-    digest_f32s(&crate::dwt2d::golden(&altis_data::dwt2d(size)))
-}
-
-fn golden_digest_fdtd2d(size: InputSize) -> u64 {
-    let f = crate::fdtd2d::golden(&altis_data::fdtd2d(size));
-    digest_words(
-        f.ez.iter()
-            .chain(&f.hx)
-            .chain(&f.hy)
-            .map(|x| x.to_bits() as u64),
-    )
-}
-
-fn golden_digest_kmeans(size: InputSize) -> u64 {
-    let g = crate::kmeans::golden(&altis_data::kmeans(size));
-    digest_words(
-        g.centers
-            .iter()
-            .map(|x| x.to_bits() as u64)
-            .chain(g.membership.iter().map(|&m| u64::from(m))),
-    )
-}
-
-fn golden_digest_lavamd(size: InputSize) -> u64 {
-    let g = crate::lavamd::golden(&altis_data::lavamd(size));
-    digest_words(g.iter().flat_map(|f| {
-        [f.v, f.fx, f.fy, f.fz].map(|x| x.to_bits() as u64)
-    }))
-}
-
-fn golden_digest_mandelbrot(size: InputSize) -> u64 {
-    let g = crate::mandelbrot::golden(&altis_data::mandelbrot(size));
-    digest_words(g.iter().map(|&x| u64::from(x)))
-}
-
-fn golden_digest_nw(size: InputSize) -> u64 {
-    let g = crate::nw::golden(&altis_data::nw(size));
-    digest_words(g.iter().map(|&x| x as u32 as u64))
-}
-
-fn golden_digest_pf(size: InputSize, variant: PfVariant) -> u64 {
-    let g = crate::particlefilter::golden(&altis_data::particlefilter(size), variant);
-    digest_words(
-        g.xe.iter()
-            .chain(&g.ye)
-            .map(|x| x.to_bits() as u64),
-    )
-}
-
-fn golden_digest_raytracing(size: InputSize) -> u64 {
-    digest_f32s(&crate::raytracing::golden(&altis_data::raytracing(size)))
-}
-
-fn golden_digest_srad(size: InputSize) -> u64 {
-    digest_f32s(&crate::srad::golden(&altis_data::srad(size)))
-}
-
-fn golden_digest_where(size: InputSize) -> u64 {
-    let g = crate::where_q::golden(&altis_data::where_q(size));
-    digest_words(g.iter().flat_map(|r| [u64::from(r.value), u64::from(r.payload)]))
-}
-
-// --- output validators (invariants first, then the reference) --------------
-
-fn validate_kmeans(q: &Queue, size: InputSize, v: AppVersion) -> Validation {
-    let p = altis_data::kmeans(size);
-    let r = crate::kmeans::run(q, &p, v);
-    if let Some(&m) = r.membership.iter().find(|&&m| m as usize >= p.k) {
-        return Validation::Invalid(format!(
-            "membership {m} out of range (k = {})",
-            p.k
-        ));
-    }
-    if r.centers.iter().any(|c| !c.is_finite()) {
-        return Validation::Invalid("non-finite cluster center".to_string());
-    }
-    let g = crate::kmeans::golden(&p);
-    validation_from(
-        r.membership == g.membership
-            && crate::common::rel_l2_error_t(&g.centers, &r.centers) < 1e-4,
-    )
-}
-
-fn validate_nw(q: &Queue, size: InputSize, v: AppVersion) -> Validation {
-    let p = altis_data::nw(size);
-    let r = crate::nw::run(q, &p, v);
-    let n = p.len + 1;
-    // Boundary invariants hold without consulting the reference: the
-    // origin scores 0 and the first row/column step by the gap penalty.
-    if r.first() != Some(&0) {
-        return Validation::Invalid("NW origin cell must score 0".to_string());
-    }
-    for i in 1..n {
-        let expect = -(p.penalty) * i as i32;
-        if r[i] != expect || r[i * n] != expect {
-            return Validation::Invalid(
-                "NW boundary row/column must step by the gap penalty".to_string(),
-            );
+impl Output {
+    /// The registry digest (`tests/golden_checksums.tsv`): one
+    /// [`digest_words`] fold over every field, element by element.
+    fn digest(&self) -> u64 {
+        let f = |x: &f32| u64::from(x.to_bits());
+        match self {
+            Output::F32(v) => digest_f32s(v),
+            Output::F64(v) => digest_f64s(v),
+            Output::U32(v) => digest_words(v.iter().map(|&x| u64::from(x))),
+            Output::I32(v) => digest_words(v.iter().map(|&x| x as u32 as u64)),
+            Output::Fields(o) => digest_words(o.ez.iter().chain(&o.hx).chain(&o.hy).map(f)),
+            Output::Kmeans(o) => digest_words(
+                o.centers.iter().map(f).chain(o.membership.iter().map(|&m| u64::from(m))),
+            ),
+            Output::Forces(v) => {
+                digest_words(v.iter().flat_map(|o| [o.v, o.fx, o.fy, o.fz].map(|x| f(&x))))
+            }
+            Output::Pf(o) => digest_words(o.xe.iter().chain(&o.ye).map(f)),
+            Output::Records(v) => {
+                digest_words(v.iter().flat_map(|r| [u64::from(r.value), u64::from(r.payload)]))
+            }
         }
     }
-    validation_from(r == crate::nw::golden(&p))
+
+    /// 64-bit fingerprint of every bit of every field, for the
+    /// validated-output memo (`memo.rs`, `Lanes`; not the
+    /// registry digest, which is several times slower).
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            Output::F32(v) => Lanes::new(1).words32(v, f32::to_bits),
+            Output::F64(v) => Lanes::new(2).words(v.len(), |i| v[i].to_bits()),
+            Output::U32(v) => Lanes::new(3).words32(v, |x| x),
+            Output::I32(v) => Lanes::new(4).words32(v, |x| x as u32),
+            Output::Fields(o) => Lanes::new(5)
+                .words32(&o.ez, f32::to_bits)
+                .words32(&o.hx, f32::to_bits)
+                .words32(&o.hy, f32::to_bits),
+            Output::Kmeans(o) => {
+                Lanes::new(6).words32(&o.centers, f32::to_bits).words32(&o.membership, |m| m)
+            }
+            Output::Forces(v) => Lanes::new(7).words(2 * v.len(), |i| {
+                let o = &v[i / 2];
+                let [lo, hi] = if i % 2 == 0 { [o.v, o.fx] } else { [o.fy, o.fz] };
+                pack(lo.to_bits(), hi.to_bits())
+            }),
+            Output::Pf(o) => Lanes::new(8).words32(&o.xe, f32::to_bits).words32(&o.ye, f32::to_bits),
+            Output::Records(v) => Lanes::new(9).words(v.len(), |i| pack(v[i].value, v[i].payload)),
+        }
+        .finish()
+    }
+}
+
+/// Run `config` on `q`. `mode` is the route of the five graph-converted
+/// apps ([`GRAPH_FLAVOR_APPS`]; their plain `run` is `ExecMode::Graph`)
+/// and means nothing to the other eight.
+pub fn run_output(
+    config: &str,
+    q: &Queue,
+    size: InputSize,
+    v: AppVersion,
+    mode: ExecMode,
+) -> Output {
+    use crate::particlefilter::run_with as pf;
+    match config {
+        "CFD FP32" => Output::F32(crate::cfd::run_with(q, &altis_data::cfd(size), v, mode)),
+        "CFD FP64" => Output::F64(crate::cfd::run(q, &altis_data::cfd(size), v)),
+        "DWT2D" => Output::F32(crate::dwt2d::run(q, &altis_data::dwt2d(size), v)),
+        "FDTD2D" => Output::Fields(crate::fdtd2d::run_with(q, &altis_data::fdtd2d(size), v, mode)),
+        "KMeans" => Output::Kmeans(crate::kmeans::run_with(q, &altis_data::kmeans(size), v, mode)),
+        "LavaMD" => Output::Forces(crate::lavamd::run(q, &altis_data::lavamd(size), v)),
+        "Mandelbrot" => Output::U32(crate::mandelbrot::run(q, &altis_data::mandelbrot(size), v)),
+        "NW" => Output::I32(crate::nw::run(q, &altis_data::nw(size), v)),
+        "PF Naive" => {
+            Output::Pf(pf(q, &altis_data::particlefilter(size), PfVariant::Naive, v, mode))
+        }
+        "PF Float" => Output::Pf(crate::particlefilter::run(
+            q,
+            &altis_data::particlefilter(size),
+            PfVariant::Float,
+            v,
+        )),
+        "Raytracing" => Output::F32(crate::raytracing::run(q, &altis_data::raytracing(size), v)),
+        "SRAD" => Output::F32(crate::srad::run_with(q, &altis_data::srad(size), v, mode)),
+        "Where" => Output::Records(crate::where_q::run(q, &altis_data::where_q(size), v)),
+        _ => panic!("{config} is not one of the thirteen configurations"),
+    }
+}
+
+/// Invariants an output must satisfy whatever the reference says:
+/// KMeans assigns every point to one of `k` finite centres; NW's origin
+/// scores 0 and its first row and column step by the gap penalty.
+fn broken_invariant(config: &str, size: InputSize, out: &Output) -> Option<String> {
+    match (config, out) {
+        ("KMeans", Output::Kmeans(r)) => {
+            let k = altis_data::kmeans(size).k;
+            if let Some(&m) = r.membership.iter().find(|&&m| m as usize >= k) {
+                return Some(format!("membership {m} out of range (k = {k})"));
+            }
+            if r.centers.iter().any(|c| !c.is_finite()) {
+                return Some("non-finite cluster center".to_string());
+            }
+        }
+        ("NW", Output::I32(r)) => {
+            let p = altis_data::nw(size);
+            let n = p.len + 1;
+            if r.first() != Some(&0) {
+                return Some("NW origin cell must score 0".to_string());
+            }
+            if (1..n).any(|i| [r[i], r[i * n]] != [-p.penalty * i as i32; 2]) {
+                return Some("NW boundary row/column must step by the gap penalty".to_string());
+            }
+        }
+        _ => {}
+    }
+    None
+}
+
+/// Each configuration's comparison against a freshly computed golden
+/// reference, with its tolerance. The only copy; [`check`] is the only
+/// caller.
+fn matches_golden(config: &str, size: InputSize, out: &Output) -> bool {
+    use crate::common::rel_l2_error_t as rel_l2;
+    memo::count_reference_run();
+    match (config, &golden(config, size), out) {
+        ("CFD FP32" | "DWT2D", Output::F32(g), Output::F32(r)) => rel_l2(g, r) < 1e-4,
+        ("CFD FP64", Output::F64(g), Output::F64(r)) => rel_l2(g, r) < 1e-10,
+        ("SRAD", Output::F32(g), Output::F32(r)) => rel_l2(g, r) < 1e-3,
+        ("FDTD2D", Output::Fields(g), Output::Fields(r)) => r.ez == g.ez,
+        ("KMeans", Output::Kmeans(g), Output::Kmeans(r)) => {
+            r.membership == g.membership && rel_l2(&g.centers, &r.centers) < 1e-4
+        }
+        ("LavaMD", Output::Forces(g), Output::Forces(r)) => {
+            let potential = |f: &[crate::lavamd::ForceOut]| f.iter().map(|f| f.v).collect();
+            let (g, r): (Vec<f32>, Vec<f32>) = (potential(g), potential(r));
+            rel_l2(&g, &r) < 1e-4
+        }
+        ("PF Naive" | "PF Float", Output::Pf(g), Output::Pf(r)) => {
+            r.xe.iter().zip(&g.xe).all(|(a, b)| (a - b).abs() < 0.05)
+        }
+        ("Mandelbrot" | "NW" | "Raytracing" | "Where", g, r) => r == g,
+        _ => panic!("{config} does not produce this kind of output"),
+    }
+}
+
+/// Validate one output of `config` at `size`: structural invariants
+/// first, always; then the validated-output memo; on a miss the golden
+/// comparison, whose pass is remembered.
+///
+/// A hit proves bit-equality (up to a 64-bit fingerprint over every
+/// field) with an output the real comparison accepted in this process,
+/// so it returns `Valid` without running `golden()`. Every `Invalid`
+/// comes from a reference computed for this call, and a damaged memo
+/// entry can only turn a hit into a miss.
+pub fn check(config: &str, size: InputSize, out: &Output) -> Validation {
+    if let Some(why) = broken_invariant(config, size, out) {
+        return Validation::Invalid(why);
+    }
+    let Some(at) = CONFIGS.iter().position(|c| *c == config) else {
+        panic!("{config} is not one of the thirteen configurations");
+    };
+    const _: () = assert!(CONFIGS.len() * 3 == memo::KEYS);
+    let (key, fp) = (at * 3 + size.index() - 1, out.fingerprint());
+    if memo::recognises(key, fp) {
+        return Validation::Valid;
+    }
+    // The reference runs with the memo unlocked.
+    let verdict = validation_from(matches_golden(config, size, out));
+    if verdict == Validation::Valid {
+        memo::remember(key, fp);
+    }
+    verdict
+}
+
+fn validate(config: &str, q: &Queue, size: InputSize, v: AppVersion) -> Validation {
+    check(config, size, &run_output(config, q, size, v, ExecMode::Graph))
+}
+
+fn verify(config: &str, q: &Queue, size: InputSize, v: AppVersion) -> bool {
+    validate(config, q, size, v) == Validation::Valid
+}
+
+/// The golden reference of `config` at `size`: host-side, sequential,
+/// never touches the runtime.
+fn golden(config: &str, size: InputSize) -> Output {
+    use crate::particlefilter::golden as pf;
+    match config {
+        "CFD FP32" => Output::F32(crate::cfd::golden(&altis_data::cfd(size))),
+        "CFD FP64" => Output::F64(crate::cfd::golden(&altis_data::cfd(size))),
+        "DWT2D" => Output::F32(crate::dwt2d::golden(&altis_data::dwt2d(size))),
+        "FDTD2D" => Output::Fields(crate::fdtd2d::golden(&altis_data::fdtd2d(size))),
+        "KMeans" => Output::Kmeans(crate::kmeans::golden(&altis_data::kmeans(size))),
+        "LavaMD" => Output::Forces(crate::lavamd::golden(&altis_data::lavamd(size))),
+        "Mandelbrot" => Output::U32(crate::mandelbrot::golden(&altis_data::mandelbrot(size))),
+        "NW" => Output::I32(crate::nw::golden(&altis_data::nw(size))),
+        "PF Naive" => Output::Pf(pf(&altis_data::particlefilter(size), PfVariant::Naive)),
+        "PF Float" => Output::Pf(pf(&altis_data::particlefilter(size), PfVariant::Float)),
+        "Raytracing" => Output::F32(crate::raytracing::golden(&altis_data::raytracing(size))),
+        "SRAD" => Output::F32(crate::srad::golden(&altis_data::srad(size))),
+        "Where" => Output::Records(crate::where_q::golden(&altis_data::where_q(size))),
+        _ => panic!("{config} is not one of the thirteen configurations"),
+    }
 }
 
 /// All thirteen configurations in Figure 2's order.
@@ -297,72 +340,72 @@ pub fn all_apps() -> Vec<AppEntry> {
             work_profile: |s| crate::cfd::work_profile(s, false),
             cuda_module: || crate::cfd::cuda_module(false),
             fpga_design: |s, opt, p| Some(crate::cfd::fpga_design(s, false, opt, p)),
-            verify: verify_cfd_fp32,
-            golden_digest: golden_digest_cfd_fp32,
-            validate: |q, s, v| validation_from(verify_cfd_fp32(q, s, v)),
+            verify: |q, s, v| verify("CFD FP32", q, s, v),
+            golden_digest: |s| golden("CFD FP32", s).digest(),
+            validate: |q, s, v| validate("CFD FP32", q, s, v),
         },
         AppEntry {
             name: "CFD FP64",
             work_profile: |s| crate::cfd::work_profile(s, true),
             cuda_module: || crate::cfd::cuda_module(true),
             fpga_design: |s, opt, p| Some(crate::cfd::fpga_design(s, true, opt, p)),
-            verify: verify_cfd_fp64,
-            golden_digest: golden_digest_cfd_fp64,
-            validate: |q, s, v| validation_from(verify_cfd_fp64(q, s, v)),
+            verify: |q, s, v| verify("CFD FP64", q, s, v),
+            golden_digest: |s| golden("CFD FP64", s).digest(),
+            validate: |q, s, v| validate("CFD FP64", q, s, v),
         },
         AppEntry {
             name: "DWT2D",
             work_profile: crate::dwt2d::work_profile,
             cuda_module: crate::dwt2d::cuda_module,
             fpga_design: crate::dwt2d::fpga_design,
-            verify: verify_dwt2d,
-            golden_digest: golden_digest_dwt2d,
-            validate: |q, s, v| validation_from(verify_dwt2d(q, s, v)),
+            verify: |q, s, v| verify("DWT2D", q, s, v),
+            golden_digest: |s| golden("DWT2D", s).digest(),
+            validate: |q, s, v| validate("DWT2D", q, s, v),
         },
         AppEntry {
             name: "FDTD2D",
             work_profile: crate::fdtd2d::work_profile,
             cuda_module: crate::fdtd2d::cuda_module,
             fpga_design: |s, opt, p| Some(crate::fdtd2d::fpga_design(s, opt, p)),
-            verify: verify_fdtd2d,
-            golden_digest: golden_digest_fdtd2d,
-            validate: |q, s, v| validation_from(verify_fdtd2d(q, s, v)),
+            verify: |q, s, v| verify("FDTD2D", q, s, v),
+            golden_digest: |s| golden("FDTD2D", s).digest(),
+            validate: |q, s, v| validate("FDTD2D", q, s, v),
         },
         AppEntry {
             name: "KMeans",
             work_profile: crate::kmeans::work_profile,
             cuda_module: crate::kmeans::cuda_module,
             fpga_design: |s, opt, p| Some(crate::kmeans::fpga_design(s, opt, p)),
-            verify: verify_kmeans,
-            golden_digest: golden_digest_kmeans,
-            validate: validate_kmeans,
+            verify: |q, s, v| verify("KMeans", q, s, v),
+            golden_digest: |s| golden("KMeans", s).digest(),
+            validate: |q, s, v| validate("KMeans", q, s, v),
         },
         AppEntry {
             name: "LavaMD",
             work_profile: crate::lavamd::work_profile,
             cuda_module: crate::lavamd::cuda_module,
             fpga_design: |s, opt, p| Some(crate::lavamd::fpga_design(s, opt, p)),
-            verify: verify_lavamd,
-            golden_digest: golden_digest_lavamd,
-            validate: |q, s, v| validation_from(verify_lavamd(q, s, v)),
+            verify: |q, s, v| verify("LavaMD", q, s, v),
+            golden_digest: |s| golden("LavaMD", s).digest(),
+            validate: |q, s, v| validate("LavaMD", q, s, v),
         },
         AppEntry {
             name: "Mandelbrot",
             work_profile: crate::mandelbrot::work_profile,
             cuda_module: crate::mandelbrot::cuda_module,
             fpga_design: |s, opt, p| Some(crate::mandelbrot::fpga_design(s, opt, p)),
-            verify: verify_mandelbrot,
-            golden_digest: golden_digest_mandelbrot,
-            validate: |q, s, v| validation_from(verify_mandelbrot(q, s, v)),
+            verify: |q, s, v| verify("Mandelbrot", q, s, v),
+            golden_digest: |s| golden("Mandelbrot", s).digest(),
+            validate: |q, s, v| validate("Mandelbrot", q, s, v),
         },
         AppEntry {
             name: "NW",
             work_profile: crate::nw::work_profile,
             cuda_module: crate::nw::cuda_module,
             fpga_design: |s, opt, p| Some(crate::nw::fpga_design(s, opt, p)),
-            verify: verify_nw,
-            golden_digest: golden_digest_nw,
-            validate: validate_nw,
+            verify: |q, s, v| verify("NW", q, s, v),
+            golden_digest: |s| golden("NW", s).digest(),
+            validate: |q, s, v| validate("NW", q, s, v),
         },
         AppEntry {
             name: "PF Naive",
@@ -371,9 +414,9 @@ pub fn all_apps() -> Vec<AppEntry> {
             fpga_design: |s, opt, p| {
                 Some(crate::particlefilter::fpga_design(s, PfVariant::Naive, opt, p))
             },
-            verify: verify_pf_naive,
-            golden_digest: |s| golden_digest_pf(s, PfVariant::Naive),
-            validate: |q, s, v| validation_from(verify_pf_naive(q, s, v)),
+            verify: |q, s, v| verify("PF Naive", q, s, v),
+            golden_digest: |s| golden("PF Naive", s).digest(),
+            validate: |q, s, v| validate("PF Naive", q, s, v),
         },
         AppEntry {
             name: "PF Float",
@@ -382,36 +425,36 @@ pub fn all_apps() -> Vec<AppEntry> {
             fpga_design: |s, opt, p| {
                 Some(crate::particlefilter::fpga_design(s, PfVariant::Float, opt, p))
             },
-            verify: verify_pf_float,
-            golden_digest: |s| golden_digest_pf(s, PfVariant::Float),
-            validate: |q, s, v| validation_from(verify_pf_float(q, s, v)),
+            verify: |q, s, v| verify("PF Float", q, s, v),
+            golden_digest: |s| golden("PF Float", s).digest(),
+            validate: |q, s, v| validate("PF Float", q, s, v),
         },
         AppEntry {
             name: "Raytracing",
             work_profile: crate::raytracing::work_profile,
             cuda_module: crate::raytracing::cuda_module,
             fpga_design: |s, opt, p| Some(crate::raytracing::fpga_design(s, opt, p)),
-            verify: verify_raytracing,
-            golden_digest: golden_digest_raytracing,
-            validate: |q, s, v| validation_from(verify_raytracing(q, s, v)),
+            verify: |q, s, v| verify("Raytracing", q, s, v),
+            golden_digest: |s| golden("Raytracing", s).digest(),
+            validate: |q, s, v| validate("Raytracing", q, s, v),
         },
         AppEntry {
             name: "SRAD",
             work_profile: crate::srad::work_profile,
             cuda_module: crate::srad::cuda_module,
             fpga_design: |s, opt, p| Some(crate::srad::fpga_design(s, opt, p)),
-            verify: verify_srad,
-            golden_digest: golden_digest_srad,
-            validate: |q, s, v| validation_from(verify_srad(q, s, v)),
+            verify: |q, s, v| verify("SRAD", q, s, v),
+            golden_digest: |s| golden("SRAD", s).digest(),
+            validate: |q, s, v| validate("SRAD", q, s, v),
         },
         AppEntry {
             name: "Where",
             work_profile: crate::where_q::work_profile,
             cuda_module: crate::where_q::cuda_module,
             fpga_design: |s, opt, p| Some(crate::where_q::fpga_design(s, opt, p)),
-            verify: verify_where,
-            golden_digest: golden_digest_where,
-            validate: |q, s, v| validation_from(verify_where(q, s, v)),
+            verify: |q, s, v| verify("Where", q, s, v),
+            golden_digest: |s| golden("Where", s).digest(),
+            validate: |q, s, v| validate("Where", q, s, v),
         },
     ]
 }
@@ -585,6 +628,15 @@ fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> ResilienceOutcome
     }
 }
 
+/// How a caught `verify` call ended.
+fn resilience_outcome(r: std::thread::Result<bool>) -> ResilienceOutcome {
+    match r {
+        Ok(true) => ResilienceOutcome::Correct,
+        Ok(false) => ResilienceOutcome::Incorrect,
+        Err(payload) => classify_payload(payload),
+    }
+}
+
 /// Run one configuration's verify function on `queue` under a watchdog
 /// and classify the outcome. A run past `timeout` is reported as
 /// [`ResilienceOutcome::TimedOut`]; its runaway thread is leaked (this
@@ -603,12 +655,7 @@ pub fn run_resilient(
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| verify(&queue, size, version)));
         let _ = tx.send(r);
     });
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(true)) => ResilienceOutcome::Correct,
-        Ok(Ok(false)) => ResilienceOutcome::Incorrect,
-        Ok(Err(payload)) => classify_payload(payload),
-        Err(_) => ResilienceOutcome::TimedOut,
-    }
+    rx.recv_timeout(timeout).map_or(ResilienceOutcome::TimedOut, resilience_outcome)
 }
 
 /// [`run_resilient`] without the watchdog thread: runs the verify
@@ -625,11 +672,7 @@ pub fn run_resilient_inline(
     version: AppVersion,
 ) -> ResilienceOutcome {
     let verify = app.verify;
-    match std::panic::catch_unwind(AssertUnwindSafe(|| verify(queue, size, version))) {
-        Ok(true) => ResilienceOutcome::Correct,
-        Ok(false) => ResilienceOutcome::Incorrect,
-        Err(payload) => classify_payload(payload),
-    }
+    resilience_outcome(std::panic::catch_unwind(AssertUnwindSafe(|| verify(queue, size, version))))
 }
 
 /// Flavor-aware [`run_resilient_inline`]: `PerLaunch` runs the app's
@@ -652,14 +695,9 @@ pub fn run_flavored_inline(
     if !GRAPH_FLAVOR_APPS.contains(&name) {
         return None;
     }
-    let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    Some(resilience_outcome(std::panic::catch_unwind(AssertUnwindSafe(|| {
         verify_graph_flavor(name, queue, size, mode).expect("graph-converted app")
-    }));
-    Some(match r {
-        Ok(true) => ResilienceOutcome::Correct,
-        Ok(false) => ResilienceOutcome::Incorrect,
-        Err(payload) => classify_payload(payload),
-    })
+    }))))
 }
 
 /// End-to-end verdict of one run under silent-data-corruption
@@ -704,6 +742,28 @@ impl SdcOutcome {
     }
 }
 
+fn integrity_events() -> u64 {
+    hetero_rt::integrity::detections_total() + hetero_rt::integrity::corrected_total()
+}
+
+/// How a caught `validate` call ended, given the integrity events
+/// counted before it began.
+fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
+    match r {
+        Ok(Validation::Valid) => match integrity_events() - before {
+            0 => SdcOutcome::Correct,
+            events => SdcOutcome::Corrected { events },
+        },
+        Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason },
+        Err(payload) => match classify_payload(payload) {
+            ResilienceOutcome::TypedError(reason) => SdcOutcome::Quarantined { reason },
+            other => SdcOutcome::Uncontained {
+                what: format!("{other:?}"),
+            },
+        },
+    }
+}
+
 /// Run one configuration's validator on `queue` under a watchdog and an
 /// SDC verdict. Detection/correction activity is measured as the delta
 /// of the process-global integrity counters across the run, so callers
@@ -717,31 +777,14 @@ pub fn run_sdc(
     timeout: Duration,
 ) -> SdcOutcome {
     let validate = app.validate;
-    let before =
-        hetero_rt::integrity::detections_total() + hetero_rt::integrity::corrected_total();
+    let before = integrity_events();
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| validate(&queue, size, version)));
         let _ = tx.send(r);
     });
     match rx.recv_timeout(timeout) {
-        Ok(Ok(Validation::Valid)) => {
-            let events = hetero_rt::integrity::detections_total()
-                + hetero_rt::integrity::corrected_total()
-                - before;
-            if events == 0 {
-                SdcOutcome::Correct
-            } else {
-                SdcOutcome::Corrected { events }
-            }
-        }
-        Ok(Ok(Validation::Invalid(reason))) => SdcOutcome::Quarantined { reason },
-        Ok(Err(payload)) => match classify_payload(payload) {
-            ResilienceOutcome::TypedError(reason) => SdcOutcome::Quarantined { reason },
-            other => SdcOutcome::Uncontained {
-                what: format!("{other:?}"),
-            },
-        },
+        Ok(r) => sdc_outcome(r, before),
         Err(_) => SdcOutcome::Uncontained {
             what: format!("timed out after {timeout:?}"),
         },
@@ -760,27 +803,8 @@ pub fn run_sdc_inline(
     version: AppVersion,
 ) -> SdcOutcome {
     let validate = app.validate;
-    let before =
-        hetero_rt::integrity::detections_total() + hetero_rt::integrity::corrected_total();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| validate(queue, size, version))) {
-        Ok(Validation::Valid) => {
-            let events = hetero_rt::integrity::detections_total()
-                + hetero_rt::integrity::corrected_total()
-                - before;
-            if events == 0 {
-                SdcOutcome::Correct
-            } else {
-                SdcOutcome::Corrected { events }
-            }
-        }
-        Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason },
-        Err(payload) => match classify_payload(payload) {
-            ResilienceOutcome::TypedError(reason) => SdcOutcome::Quarantined { reason },
-            other => SdcOutcome::Uncontained {
-                what: format!("{other:?}"),
-            },
-        },
-    }
+    let before = integrity_events();
+    sdc_outcome(std::panic::catch_unwind(AssertUnwindSafe(|| validate(queue, size, version))), before)
 }
 
 // --- graph-equivalence matrix ----------------------------------------------
@@ -833,45 +857,15 @@ pub fn verify_graph_flavor(
     size: InputSize,
     mode: ExecMode,
 ) -> Option<bool> {
-    Some(match name {
-        "FDTD2D" => {
-            let p = altis_data::fdtd2d(size);
-            let r = crate::fdtd2d::run_with(q, &p, AppVersion::SyclOptimized, mode);
-            r.ez == crate::fdtd2d::golden(&p).ez
-        }
-        "SRAD" => {
-            let p = altis_data::srad(size);
-            let r = crate::srad::run_with(q, &p, AppVersion::SyclOptimized, mode);
-            crate::common::rel_l2_error_t(&crate::srad::golden(&p), &r) < 1e-3
-        }
-        "CFD FP32" => {
-            let p = altis_data::cfd(size);
-            let r = crate::cfd::run_with::<f32>(q, &p, AppVersion::SyclOptimized, mode);
-            crate::common::rel_l2_error_t(&crate::cfd::golden::<f32>(&p), &r) < 1e-4
-        }
-        "KMeans" => {
-            let p = altis_data::kmeans(size);
-            // SyclBaseline keeps the four-kernel path (SyclOptimized
-            // would reroute to the piped dataflow on pipe-capable
-            // devices, which has its own structure and no graph).
-            let r = crate::kmeans::run_with(q, &p, AppVersion::SyclBaseline, mode);
-            let g = crate::kmeans::golden(&p);
-            r.membership == g.membership
-                && crate::common::rel_l2_error_t(&g.centers, &r.centers) < 1e-4
-        }
-        "PF Naive" => {
-            let p = altis_data::particlefilter(size);
-            let r = crate::particlefilter::run_with(
-                q,
-                &p,
-                PfVariant::Naive,
-                AppVersion::SyclBaseline,
-                mode,
-            );
-            let g = crate::particlefilter::golden(&p, PfVariant::Naive);
-            r.xe.iter().zip(&g.xe).all(|(a, b)| (a - b).abs() < 0.05)
-        }
-        _ => return None,
+    // SyclBaseline keeps KMeans on the four-kernel path (SyclOptimized
+    // would reroute to the piped dataflow on pipe-capable devices, which
+    // has its own structure and no graph).
+    let version = match name {
+        "KMeans" | "PF Naive" => AppVersion::SyclBaseline,
+        _ => AppVersion::SyclOptimized,
+    };
+    GRAPH_FLAVOR_APPS.contains(&name).then(|| {
+        check(name, size, &run_output(name, q, size, version, mode)) == Validation::Valid
     })
 }
 
@@ -1071,9 +1065,7 @@ mod tests {
         let apps = all_apps();
         assert_eq!(apps.len(), 13);
         let names: Vec<_> = apps.iter().map(|a| a.name).collect();
-        assert!(names.contains(&"CFD FP32"));
-        assert!(names.contains(&"CFD FP64"));
-        assert!(names.contains(&"Where"));
+        assert_eq!(names, CONFIGS);
     }
 
     #[test]
@@ -1311,8 +1303,19 @@ mod tests {
         let p = altis_data::kmeans(InputSize::S1);
         let g = crate::kmeans::golden(&p);
         assert!(g.membership.iter().all(|&m| (m as usize) < p.k));
-        assert_eq!(validate_kmeans(&q, InputSize::S1, AppVersion::SyclOptimized), Validation::Valid);
-        assert_eq!(validate_nw(&q, InputSize::S1, AppVersion::SyclOptimized), Validation::Valid);
+        for config in ["KMeans", "NW"] {
+            let v = validate(config, &q, InputSize::S1, AppVersion::SyclOptimized);
+            assert_eq!(v, Validation::Valid, "{config}");
+        }
+        // ...and reject planted corruption by name.
+        let Output::Kmeans(mut r) = golden("KMeans", InputSize::S1) else { unreachable!() };
+        r.membership[0] = p.k as u32;
+        let v = check("KMeans", InputSize::S1, &Output::Kmeans(r));
+        assert!(matches!(&v, Validation::Invalid(why) if why.contains("out of range")), "{v:?}");
+        let Output::I32(mut r) = golden("NW", InputSize::S1) else { unreachable!() };
+        r[1] += 1;
+        let v = check("NW", InputSize::S1, &Output::I32(r));
+        assert!(matches!(&v, Validation::Invalid(why) if why.contains("gap penalty")), "{v:?}");
     }
 
     #[test]

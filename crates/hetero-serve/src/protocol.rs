@@ -390,8 +390,11 @@ pub struct JobResult {
     pub degraded: bool,
     /// Admission-to-verdict latency in milliseconds.
     pub latency_ms: u64,
-    /// Milliseconds spent executing (0 for jobs that never ran).
+    /// Milliseconds spent executing (0 for jobs that never ran); whole
+    /// milliseconds of `run_us`, kept for clients that read it.
     pub run_ms: u64,
+    /// Microseconds spent executing: the median job runs under 3 ms.
+    pub run_us: u64,
 }
 
 impl JobResult {
@@ -406,7 +409,7 @@ impl JobResult {
         };
         format!(
             "{{\"id\":{},\"tenant\":\"{}\",\"app\":\"{}\",\"verdict\":\"{}\",\
-             \"detail\":\"{}\",\"events\":{},\"degraded\":{},\"latency_ms\":{},\"run_ms\":{}}}",
+             \"detail\":\"{}\",\"events\":{},\"degraded\":{},\"latency_ms\":{},\"run_ms\":{},\"run_us\":{}}}",
             self.id,
             escape(&self.tenant),
             escape(&self.app),
@@ -416,6 +419,7 @@ impl JobResult {
             self.degraded,
             self.latency_ms,
             self.run_ms,
+            self.run_us,
         )
     }
 }
@@ -485,11 +489,14 @@ mod tests {
             degraded: true,
             latency_ms: 12,
             run_ms: 7,
+            run_us: 7_412,
         };
         let v = json::parse(&r.to_json_line()).unwrap();
         assert_eq!(v.get("tenant").and_then(Json::as_str), Some("a\"b"));
         assert_eq!(v.get("verdict").and_then(Json::as_str), Some("quarantined"));
         assert_eq!(v.get("detail").and_then(Json::as_str), Some("typed: \"X\"\n"));
         assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("run_ms").and_then(Json::as_u64), Some(7));
+        assert_eq!(v.get("run_us").and_then(Json::as_u64), Some(7_412));
     }
 }

@@ -205,7 +205,7 @@ impl Shared {
     /// The single exit point: account the verdict, update tenant state,
     /// deliver the result. Every submitted job passes through here
     /// exactly once.
-    fn finish(&self, job: &Job, verdict: Verdict, degraded: bool, run_ms: u64) {
+    fn finish(&self, job: &Job, verdict: Verdict, degraded: bool, run_us: u64) {
         {
             let _g = self.idle.0.lock().unwrap();
             self.delivering.fetch_add(1, Ordering::Relaxed);
@@ -236,7 +236,8 @@ impl Shared {
             verdict,
             degraded,
             latency_ms: now.saturating_sub(job.enqueued_ms),
-            run_ms,
+            run_ms: run_us / 1000,
+            run_us,
         };
         (job.sink)(result);
         let (lock, cv) = &self.idle;
@@ -468,7 +469,7 @@ impl Shared {
                 ResilienceOutcome::TimedOut => unreachable!("inline runners cannot time out"),
             }
         };
-        let run_ms = t0.elapsed().as_millis() as u64;
+        let run_us = t0.elapsed().as_micros() as u64;
 
         self.watch.lock().unwrap().remove(&job.uid);
         // Route-health bookkeeping: the verdict is recorded against the
@@ -482,7 +483,7 @@ impl Shared {
             }
         }
         self.release_running(&job);
-        self.finish(&job, verdict, degraded, run_ms);
+        self.finish(&job, verdict, degraded, run_us);
     }
 
     /// Execute a stream job: drive `windows` windows through the app's

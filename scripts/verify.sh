@@ -72,7 +72,9 @@ done
 # must get exactly one typed verdict (none uncontained) and the shared
 # pool must survive. serve_storm floods the scheduler with 1k queued
 # jobs across 8 tenants x 3 priority lanes (zero unaccounted, zero
-# uncontained) and then runs the hostile-tenant isolation gate: a
+# uncontained; a count gate: all 1k outputs validated with at most one
+# golden comparison per kind of job in the mix, the rest recognised)
+# and then runs the hostile-tenant isolation gate: a
 # saturating fault-rate-1.0 tenant must not move a clean tenant's
 # closed-loop p99 by more than 10%.
 ./target/release/chaos --serve > /dev/null
