@@ -27,6 +27,14 @@
 //! of the process and the same pair reads anywhere from −5% to +8%
 //! (EXPERIMENTS.md, PR 13), which measures the pool, not the hook.
 //!
+//! A fourth section, `item_loop`, gates what the runtime itself charges
+//! per work-item: a one-store `parallel_for` over a 1-D and a 2-D range
+//! of 2^20 indices on the same inline path, in ns per work-item, each
+//! **at most 5 ns**. The store is the whole body, so the number is the
+//! work-item loop — id bookkeeping, the flat-range adapter, the checked
+//! accessor — and a division or a thread-local access per item in it
+//! fails the gate (about 11 ns either way with a `delinearize` per item).
+//!
 //! Reported, not gated: the disarmed queue against the bare executor
 //! (the whole queue layer — retry loop, event and stats bookkeeping —
 //! mostly predating the defense) and the armed arms: page-checksum
@@ -41,9 +49,11 @@ use std::time::Instant;
 
 use altis_bench::json::Obj;
 use altis_bench::report::{self, Op, Report};
-use altis_bench::timing::{paired, Paired};
+use altis_bench::timing::{median, paired, samples, Paired};
 use hetero_rt::executor::{run_groups_contained, Parallelism};
-use hetero_rt::{integrity, Buffer, Device, FaultPlan, GroupCtx, NdRange, Queue, Redundancy};
+use hetero_rt::{
+    integrity, Buffer, Device, FaultPlan, GroupCtx, NdRange, Queue, Range, Redundancy,
+};
 
 const USAGE: &str = "hook_overhead [out.json] [--launches N]";
 const ITEMS: usize = 4096;
@@ -155,6 +165,26 @@ fn main() -> ExitCode {
             "a disarmed sanitizer must never record"
         );
         isolated("sanitizer", "disarmed sanitizer hook overhead_pct", sanitizer);
+
+        // What a work-item costs when its body is one store. The value
+        // stored mixes every id the loop carries, so none is dead code.
+        let side = 1usize << 10;
+        let cells = Buffer::<u32>::new(side * side);
+        let cv = cells.view();
+        let qi = Queue::new(Device::cpu()).with_parallelism(inline);
+        let mut item_loop = Obj::new().set("items", side * side);
+        for (key, range) in [("d1", Range::d1(side * side)), ("d2", Range::d2(side, side))] {
+            let per_launch = samples(30, || {
+                qi.parallel_for("item_loop", range, |it| {
+                    cv.set(it.global_linear, (it.gid(0) ^ it.gid(1)) as u32);
+                })
+            });
+            let ns = median(&per_launch) * 1e9 / (side * side) as f64;
+            println!("  item loop, {key}     : {ns:>8.2} ns/work-item (one store, inline)");
+            item_loop.push(&format!("{key}_ns_per_item"), ns);
+            report.gate(&format!("item_loop {key} ns per work-item"), ns, Op::Le, 5.0);
+        }
+        report.set("item_loop", item_loop);
 
         // The exact instructions a disarmed launch pays for the SDC
         // defense, timed directly, against the disarmed launch cost.

@@ -91,11 +91,12 @@ pub fn golden(p: &SradParams) -> Vec<f32> {
     img
 }
 
-/// ROI statistics for one iteration: device-side reduction kernels
-/// folded on the host in f64 (the original uses reduction kernels too).
+/// ROI statistics for one iteration: one device-side reduction kernel
+/// for both moments, folded on the host in f64 (the original uses
+/// reduction kernels too).
 fn roi_q0(q: &Queue, img: &Buffer<f32>, n: usize) -> f32 {
-    let sum = hetero_rt::reduction::sum_f32(q, img) as f64;
-    let sum2 = hetero_rt::reduction::sum_sq_f32(q, img) as f64;
+    let (sum, sum2) = hetero_rt::reduction::moments_f32(q, img);
+    let (sum, sum2) = (sum as f64, sum2 as f64);
     let mean = sum / (n * n) as f64;
     let var = (sum2 / (n * n) as f64 - mean * mean).max(0.0);
     (var / (mean * mean)) as f32
@@ -512,6 +513,22 @@ mod tests {
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
         let b = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn an_iteration_is_the_three_launches_the_work_profile_declares() {
+        // One reduction for both ROI moments plus the two stencils; the
+        // ledger counts what the queue really launched.
+        for size in [InputSize::S1, InputSize::S2] {
+            let declared = work_profile(size).kernel_launches / pparams(size).iterations as u64;
+            assert_eq!(declared, 3);
+            let ledger = std::sync::Arc::new(hetero_rt::ResilienceLedger::new());
+            let q = Queue::new(Device::cpu())
+                .with_resilience_ledger(Some(std::sync::Arc::clone(&ledger)));
+            let p = altis_data::params::srad(size);
+            run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+            assert_eq!(ledger.snapshot().launches, declared * p.iterations as u64, "{size}");
+        }
     }
 
     #[test]

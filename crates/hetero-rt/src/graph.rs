@@ -410,27 +410,11 @@ impl GraphBuilder {
     {
         let f = Arc::new(f);
         let total = range.size();
-        let chunk = 256.min(self.caps.max_work_group_size).min(total.max(1));
-        let padded = total.div_ceil(chunk) * chunk;
-        let nd = NdRange { global: Range::d1(padded), local: Range::d1(chunk) };
+        let nd = NdRange::flat(total, self.caps.max_work_group_size);
         // Static dispatch on the hot path (Arc<F>, not Arc<dyn Fn>); the
         // unsized clone below is only called by *fused* kernels.
         let fk = Arc::clone(&f);
-        let kernel = move |ctx: &GroupCtx| {
-            ctx.items(|it| {
-                let lin = it.global_linear;
-                if lin < total {
-                    let item = Item {
-                        global: range.delinearize(lin),
-                        local: it.local,
-                        group: it.group,
-                        local_linear: it.local_linear,
-                        global_linear: lin,
-                    };
-                    fk(item);
-                }
-            });
-        };
+        let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &*fk);
         let before = self.nodes.len();
         self.push(name, nd, None, bindings, Arc::new(kernel));
         if self.nodes.len() > before {
@@ -824,7 +808,7 @@ impl Graph {
         for node in &self.nodes {
             let k = &node.kernel;
             let wrap = |ctx: &GroupCtx| k(ctx);
-            let (stats, _dispatch, res) =
+            let (stats, _dispatch, res, _started) =
                 q.launch_groups(node.name, node.nd, node.reqd_max, &wrap)?;
             node.slot.store(stats, res);
             node.done.store(node.num_groups, Ordering::Relaxed);
@@ -1137,6 +1121,44 @@ mod tests {
         assert!(b.to_vec().iter().enumerate().all(|(i, &v)| v == i as u32));
         assert_eq!(g.fast_replays(), 1);
         assert_eq!(g.node_stats(0).items, 100);
+    }
+
+    #[test]
+    fn flat_ranges_visit_every_index_once_on_the_queue_and_in_a_graph() {
+        // Sizes that are no multiple of the 256-item chunk, rows shorter
+        // and longer than a chunk: the tail is padding, never an item.
+        let q = disarmed(Queue::new(Device::cpu()));
+        for range in [
+            Range::d1(1000),
+            Range::d2(13, 47),
+            Range::d2(300, 3),
+            Range::d3(5, 7, 11),
+            Range::d3(1, 259, 2),
+        ] {
+            let total = range.size();
+            let visits = Buffer::<u32>::new(total);
+            let vv = visits.view();
+            // Counts a visit only if every id is the one its flat index
+            // stands for; a wrong id leaves a hole the assertion finds.
+            let kernel = move |it: Item| {
+                let chunk = NdRange::flat(total, usize::MAX).group_size();
+                let lin = it.global_linear;
+                let ok = it.global == range.delinearize(lin)
+                    && it.group == [lin / chunk, 0, 0]
+                    && it.local == [lin % chunk, 0, 0]
+                    && it.local_linear == lin % chunk;
+                vv.atomic_add_u32(lin, u32::from(ok));
+            };
+            q.parallel_for("visit", range, kernel.clone());
+            assert!(visits.to_vec().iter().all(|&c| c == 1), "queue, {range:?}");
+            let g = Graph::record(&q, |g| {
+                g.parallel_for("visit", range, &[reads_writes(&visits)], kernel);
+            })
+            .unwrap();
+            g.replay(&q).unwrap();
+            assert!(visits.to_vec().iter().all(|&c| c == 2), "graph, {range:?}");
+            assert_eq!(g.fast_replays(), 1);
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`LocalArray`] models a work-group-shared array, the analogue of CUDA
 //! `__shared__` / SYCL `local_accessor`. Because our runtime executes the
 //! work-items of one group on a single thread (phase-wise), local arrays
-//! need no synchronisation and are plain `Rc`-backed cells.
+//! need no synchronisation: both array types are one `Rc<[Cell<T>]>`
+//! allocation, an access is a bounds check and a plain load or store.
 //!
 //! [`PrivateArray`] carries per-work-item "register" state across barrier
 //! phases (one slot per local id), a standard device-to-CPU porting tool.
@@ -14,7 +15,7 @@
 //! dynamically-sized accessors force the FPGA compiler to assume 16 kB per
 //! shared variable.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::fault::LocalFaultCtx;
@@ -25,7 +26,7 @@ use crate::sanitize::{self, AccessKind};
 /// Cloning shares the underlying storage (all work-items of the group see
 /// the same memory).
 pub struct LocalArray<T> {
-    data: Rc<RefCell<Box<[T]>>>,
+    data: Rc<[Cell<T>]>,
     // Per-group allocation index under the race sanitizer; `None` when
     // the owning launch is not sanitized, making the accessor hooks a
     // single never-taken branch.
@@ -51,6 +52,11 @@ impl<T> Clone for LocalArray<T> {
     }
 }
 
+/// `len` default-initialised cells in one allocation.
+fn default_cells<T: Default>(len: usize) -> Rc<[Cell<T>]> {
+    (0..len).map(|_| Cell::new(T::default())).collect()
+}
+
 /// Flip `bit` of the value's first storage byte. Callers only request
 /// flips for element types where every bit pattern is a valid value
 /// (see `integrity::bit_safe`).
@@ -69,8 +75,7 @@ fn flip_first_byte<T: Copy>(v: T, bit: u8) -> T {
 
 impl<T: Copy + Default> LocalArray<T> {
     pub(crate) fn new(len: usize, san_id: Option<u64>) -> Self {
-        let data: Box<[T]> = (0..len).map(|_| T::default()).collect();
-        LocalArray { data: Rc::new(RefCell::new(data)), san_id, flip: None }
+        LocalArray { data: default_cells(len), san_id, flip: None }
     }
 
     pub(crate) fn with_flip(mut self, site: Option<(usize, u8)>) -> Self {
@@ -89,7 +94,7 @@ impl<T: Copy + Default> LocalArray<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.borrow().len()
+        self.data.len()
     }
 
     /// Whether the array has zero elements.
@@ -101,7 +106,7 @@ impl<T: Copy + Default> LocalArray<T> {
     #[inline]
     pub fn get(&self, i: usize) -> T {
         self.record(i, AccessKind::Read);
-        let v = self.data.borrow()[i];
+        let v = self.data[i].get();
         if let Some(flip) = &self.flip {
             if let Some((fi, bit)) = flip.get() {
                 if fi == i {
@@ -117,19 +122,17 @@ impl<T: Copy + Default> LocalArray<T> {
     #[inline]
     pub fn set(&self, i: usize, v: T) {
         self.record(i, AccessKind::Write);
-        self.data.borrow_mut()[i] = v;
+        self.data[i].set(v);
     }
 
-    /// Read-modify-write element `i`. The closure runs with no borrow
-    /// held, so it may freely read other elements of the same array
-    /// (common in tree reductions).
+    /// Read-modify-write element `i`. The closure may freely read other
+    /// elements of the same array (common in tree reductions).
     #[inline]
     pub fn update(&self, i: usize, f: impl FnOnce(T) -> T) {
         self.record(i, AccessKind::Read);
-        let cur = self.data.borrow()[i];
-        let new = f(cur);
+        let new = f(self.data[i].get());
         self.record(i, AccessKind::Write);
-        self.data.borrow_mut()[i] = new;
+        self.data[i].set(new);
     }
 
     /// Fill the whole array with `v`.
@@ -139,19 +142,19 @@ impl<T: Copy + Default> LocalArray<T> {
                 self.record(i, AccessKind::Write);
             }
         }
-        self.data.borrow_mut().iter_mut().for_each(|x| *x = v);
+        self.data.iter().for_each(|x| x.set(v));
     }
 
     /// Snapshot the contents into a `Vec` (test/diagnostic helper).
     pub fn to_vec(&self) -> Vec<T> {
-        self.data.borrow().to_vec()
+        self.data.iter().map(Cell::get).collect()
     }
 }
 
 /// Per-work-item private state that survives across barrier phases: one
 /// slot per local linear id.
 pub struct PrivateArray<T> {
-    data: Rc<RefCell<Box<[T]>>>,
+    data: Rc<[Cell<T>]>,
 }
 
 impl<T> Clone for PrivateArray<T> {
@@ -162,29 +165,26 @@ impl<T> Clone for PrivateArray<T> {
 
 impl<T: Copy + Default> PrivateArray<T> {
     pub(crate) fn new(group_size: usize) -> Self {
-        let data: Box<[T]> = (0..group_size).map(|_| T::default()).collect();
-        PrivateArray { data: Rc::new(RefCell::new(data)) }
+        PrivateArray { data: default_cells(group_size) }
     }
 
     /// Load the slot of local id `lid`.
     #[inline]
     pub fn get(&self, lid: usize) -> T {
-        self.data.borrow()[lid]
+        self.data[lid].get()
     }
 
     /// Store into the slot of local id `lid`.
     #[inline]
     pub fn set(&self, lid: usize, v: T) {
-        self.data.borrow_mut()[lid] = v;
+        self.data[lid].set(v);
     }
 
     /// Read-modify-write the slot of local id `lid`. As with
-    /// [`LocalArray::update`], the closure runs with no borrow held.
+    /// [`LocalArray::update`], the closure may read other slots.
     #[inline]
     pub fn update(&self, lid: usize, f: impl FnOnce(T) -> T) {
-        let cur = self.data.borrow()[lid];
-        let new = f(cur);
-        self.data.borrow_mut()[lid] = new;
+        self.data[lid].set(f(self.data[lid].get()));
     }
 }
 

@@ -81,6 +81,16 @@ impl NdRange {
         NdRange { global: Range::d3(gx, gy, gz), local: Range::d3(lx, ly, lz) }
     }
 
+    /// The ND-range a flat `parallel_for` over `total` indices runs as:
+    /// implicit 1-D chunks of up to 256 work-items, the last one padded
+    /// ([`GroupCtx::flat_items`] skips the padding). The chunk is an
+    /// implementation detail, not a user-requested group size, so it is
+    /// clamped to the device's limit rather than rejected by it.
+    pub(crate) fn flat(total: usize, max_work_group_size: usize) -> Self {
+        let chunk = 256.min(max_work_group_size).min(total.max(1));
+        NdRange::d1(total.div_ceil(chunk) * chunk, chunk)
+    }
+
     /// Number of work-groups per dimension.
     pub fn groups(&self) -> Range {
         Range {
@@ -239,28 +249,95 @@ impl GroupCtx {
         self.arena.borrow().bytes()
     }
 
-    /// Run `f` once per work-item of this group (one *phase*).
+    /// Run `f` once per work-item of this group (one *phase*), local
+    /// linear ids ascending.
+    ///
+    /// The ids are carried, not recomputed: the group's base ids are
+    /// taken once and every further id is an increment, so an item costs
+    /// no division. The sanitizer's armed flag is read once per phase —
+    /// a sanitized launch holds it for its whole duration, so a phase
+    /// that belongs to one never sees it clear.
+    #[inline]
     pub fn items(&self, mut f: impl FnMut(Item)) {
-        let ls = self.nd.local;
-        for lin in 0..ls.size() {
-            let local = ls.delinearize(lin);
-            let global = [
-                self.group_id[0] * ls.dims[0] + local[0],
-                self.group_id[1] * ls.dims[1] + local[1],
-                self.group_id[2] * ls.dims[2] + local[2],
-            ];
-            let item = Item {
-                global,
-                local,
-                group: self.group_id,
-                local_linear: lin,
-                global_linear: self.nd.global.linearize(global),
-            };
-            crate::sanitize::set_current_item(Some(lin));
-            f(item);
+        let (ls, gs) = (self.nd.local.dims, self.nd.global.dims);
+        let base = [
+            self.group_id[0] * ls[0],
+            self.group_id[1] * ls[1],
+            self.group_id[2] * ls[2],
+        ];
+        let armed = crate::sanitize::hooks_armed();
+        let mut local_linear = 0;
+        for z in 0..ls[2] {
+            for y in 0..ls[1] {
+                let (gy, gz) = (base[1] + y, base[2] + z);
+                let row = gs[0] * (gy + gs[1] * gz);
+                for x in 0..ls[0] {
+                    if armed {
+                        crate::sanitize::set_current_item(Some(local_linear));
+                    }
+                    let gx = base[0] + x;
+                    f(Item {
+                        global: [gx, gy, gz],
+                        local: [x, y, z],
+                        group: self.group_id,
+                        local_linear,
+                        global_linear: row + gx,
+                    });
+                    local_linear += 1;
+                }
+            }
         }
-        crate::sanitize::set_current_item(None);
-        self.items_executed.set(self.items_executed.get() + ls.size() as u64);
+        self.end_phase(armed);
+    }
+
+    /// The flat-range adapter behind every `parallel_for`: this group is
+    /// one chunk of [`NdRange::flat`] over `range` (`total` indices), and
+    /// `f` runs once per index of the chunk that lies inside the range —
+    /// the padding tail of the last chunk is skipped. `global` is the
+    /// index's position in `range` (delinearized once per group, then
+    /// carried), `global_linear` its flat index; `local`/`group` are the
+    /// chunk's own 1-D ids.
+    #[inline]
+    pub(crate) fn flat_items(&self, range: Range, total: usize, mut f: impl FnMut(Item)) {
+        let chunk = self.nd.local.dims[0];
+        let base = self.group_id[0] * chunk;
+        let armed = crate::sanitize::hooks_armed();
+        if base < total {
+            let [mut x, mut y, mut z] = range.delinearize(base);
+            for local_linear in 0..chunk.min(total - base) {
+                if armed {
+                    crate::sanitize::set_current_item(Some(local_linear));
+                }
+                f(Item {
+                    global: [x, y, z],
+                    local: [local_linear, 0, 0],
+                    group: self.group_id,
+                    local_linear,
+                    global_linear: base + local_linear,
+                });
+                x += 1;
+                if x == range.dims[0] {
+                    x = 0;
+                    y += 1;
+                    if y == range.dims[1] {
+                        y = 0;
+                        z += 1;
+                    }
+                }
+            }
+        }
+        self.end_phase(armed);
+    }
+
+    /// Leave per-item context and count the phase's work-items (padding
+    /// slots of a flat chunk included, as the launch statistics always
+    /// have).
+    #[inline]
+    fn end_phase(&self, armed: bool) {
+        if armed {
+            crate::sanitize::set_current_item(None);
+        }
+        self.items_executed.set(self.items_executed.get() + self.nd.local.size() as u64);
     }
 
     /// End the current phase. Since phases already run to completion this
@@ -324,6 +401,38 @@ mod tests {
         assert!(seen.iter().all(|&(gx, gy, _)| (4..8).contains(&gx) && gy < 2));
         // Local linear ids are 0..8 in order.
         assert_eq!(seen.iter().map(|s| s.2).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn carried_ids_equal_their_definition_in_every_dimensionality() {
+        // The ids `items` carries by increment against what they are
+        // defined as, over every group of ranges with non-square locals.
+        for nd in [
+            NdRange::d1(60, 12),
+            NdRange::d2(12, 10, 3, 5),
+            NdRange::d3(6, 8, 6, 3, 2, 6),
+        ] {
+            nd.validate().unwrap();
+            let groups = nd.groups();
+            for g in 0..nd.num_groups() {
+                let group = groups.delinearize(g);
+                let ctx = GroupCtx::new(group, nd, 1 << 20, None);
+                let mut next = 0;
+                ctx.items(|it| {
+                    let local = nd.local.delinearize(next);
+                    let global: [usize; 3] =
+                        std::array::from_fn(|d| group[d] * nd.local.dims[d] + local[d]);
+                    assert_eq!(it.local_linear, next, "{nd:?}: local_linear ascends");
+                    assert_eq!(it.local, local, "{nd:?}");
+                    assert_eq!(it.group, group, "{nd:?}");
+                    assert_eq!(it.global, global, "{nd:?}");
+                    assert_eq!(it.global_linear, nd.global.linearize(global), "{nd:?}");
+                    next += 1;
+                });
+                assert_eq!(next, nd.group_size());
+                assert_eq!(ctx.stats().0, nd.group_size() as u64);
+            }
+        }
     }
 
     #[test]

@@ -533,13 +533,18 @@ impl Queue {
     /// 5. integrity-protocol exit (last launch out): reseal every region,
     ///    then land the plan's exit-window flip and stuck-at page on the
     ///    sealed image so the *next* entry verification must detect them.
+    ///
+    /// The returned [`Instant`] is the event's `started` stamp: taken
+    /// when steps 1–2 are behind the launch (validation, the entry walk,
+    /// absorbed transients and their back-off), immediately before the
+    /// execution that produced the result.
     pub(crate) fn launch_groups<K>(
         &self,
         name: &'static str,
         nd: NdRange,
         reqd_max: Option<usize>,
         kernel: &K,
-    ) -> Result<(LaunchStats, Duration, ResilienceInfo)>
+    ) -> Result<(LaunchStats, Duration, ResilienceInfo, Instant)>
     where
         K: Fn(&GroupCtx) + Sync,
     {
@@ -596,7 +601,8 @@ impl Queue {
                     break Err(e);
                 }
             }
-            break match redundant {
+            let started = Instant::now();
+            let run = match redundant {
                 Redundancy::None => self
                     .run_on(&self.device, plan, name, nd, reqd_max, self.parallelism, kernel),
                 _ => self
@@ -607,9 +613,10 @@ impl Queue {
                         (stats, dispatch)
                     }),
             };
+            break run.map(|(stats, dispatch)| (stats, dispatch, started));
         };
         let result = match primary {
-            Ok((stats, dispatch)) => Ok((
+            Ok((stats, dispatch, started)) => Ok((
                 stats,
                 dispatch,
                 ResilienceInfo {
@@ -619,6 +626,7 @@ impl Queue {
                     replicas,
                     divergences_corrected: corrected,
                 },
+                started,
             )),
             Err(e)
                 if self.fallback == Fallback::Cpu
@@ -626,6 +634,7 @@ impl Queue {
                     && self.device.kind() != DeviceKind::Cpu =>
             {
                 let cpu = Device::cpu();
+                let started = Instant::now();
                 let (stats, dispatch) =
                     self.run_on(&cpu, None, name, nd, reqd_max, self.parallelism, kernel)?;
                 Ok((
@@ -638,6 +647,7 @@ impl Queue {
                         replicas,
                         divergences_corrected: corrected,
                     },
+                    started,
                 ))
             }
             Err(e) => Err(e),
@@ -659,7 +669,7 @@ impl Queue {
         }
         if let Some(ledger) = &self.ledger {
             match &result {
-                Ok((_, _, info)) => ledger.record(info),
+                Ok((_, _, info, _)) => ledger.record(info),
                 Err(e) => ledger.record_error(e),
             }
         }
@@ -689,37 +699,12 @@ impl Queue {
         F: Fn(Item) + Sync,
     {
         let submitted = Instant::now();
-        // Chunk the flat range into implicit groups for the executor. The
-        // chunk is an implementation detail, not a user-requested group
-        // size, so clamp it to the device's limit rather than rejecting.
         let total = range.size();
-        let chunk = 256
-            .min(self.device.caps().max_work_group_size)
-            .min(total.max(1));
-        let padded = total.div_ceil(chunk) * chunk;
-        let nd = NdRange { global: Range::d1(padded), local: Range::d1(chunk) };
-        let started = Instant::now();
-        let (stats, dispatch, resilience) = self.launch_groups(
-            name,
-            nd,
-            None,
-            &|ctx: &GroupCtx| {
-                ctx.items(|it| {
-                    let lin = it.global_linear;
-                    if lin < total {
-                        let idx = range.delinearize(lin);
-                        let item = Item {
-                            global: idx,
-                            local: it.local,
-                            group: it.group,
-                            local_linear: it.local_linear,
-                            global_linear: lin,
-                        };
-                        f(item);
-                    }
-                });
-            },
-        )?;
+        let nd = NdRange::flat(total, self.device.caps().max_work_group_size);
+        let (stats, dispatch, resilience, started) =
+            self.launch_groups(name, nd, None, &|ctx: &GroupCtx| {
+                ctx.flat_items(range, total, &f)
+            })?;
         Ok(self.finish_event(name, submitted, started, dispatch, stats, resilience))
     }
 
@@ -747,8 +732,7 @@ impl Queue {
         K: Fn(&GroupCtx) + Sync,
     {
         let submitted = Instant::now();
-        let started = Instant::now();
-        let (stats, dispatch, resilience) =
+        let (stats, dispatch, resilience, started) =
             self.launch_groups(name, nd, reqd_max, &kernel)?;
         Ok(self.finish_event(name, submitted, started, dispatch, stats, resilience))
     }

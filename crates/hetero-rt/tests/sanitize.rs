@@ -107,6 +107,57 @@ fn seeded_missed_barrier_is_detected_deterministically() {
     }
 }
 
+/// The same intra-group race — the items of each 8-item neighbourhood
+/// store to one global element inside a phase — through `nd_range`'s
+/// item loop, through `parallel_for`'s flat-range adapter, and through
+/// a recorded `parallel_for` on the armed replay route: the typed error
+/// and the full report list must not depend on which loop ran the
+/// items. Both loops read the sanitizer's armed flag once per phase; a
+/// loop that lost the current item would report nothing here.
+#[test]
+fn intra_group_race_reads_the_same_through_every_item_loop() {
+    let n = 600; // three 256-item chunks, the last one padded
+    let q = sanitized_queue();
+    let b = Buffer::<u32>::new(n);
+    let racy = {
+        let v = b.view();
+        move |it: Item| v.set(it.global_linear / 8 * 8, it.local_linear as u32)
+    };
+    let observe = |r: Result<()>| {
+        let Err(Error::DataRace { kernel, element, kind }) = r else {
+            panic!("expected a DataRace, got {r:?}")
+        };
+        let reports: Vec<_> = take_last_reports()
+            .iter()
+            .map(|r| (triple(r), r.space, r.object, r.phase))
+            .collect();
+        ((kernel, element, kind), reports)
+    };
+
+    let k = racy.clone();
+    let grouped = observe(
+        q.nd_range("racy_items", NdRange::d1(768, 256), move |ctx| {
+            ctx.items(|it| {
+                if it.global_linear < n {
+                    k(it)
+                }
+            })
+        })
+        .map(drop),
+    );
+    assert_eq!(grouped.0, ("racy_items", 0, RaceKind::MissedBarrier));
+    assert_eq!(grouped.1.len(), n / 8, "one report per raced element");
+
+    let flat = observe(q.try_parallel_for("racy_items", Range::d1(n), racy.clone()).map(drop));
+    assert_eq!(flat, grouped, "queue parallel_for");
+
+    let graph = Graph::record(&q, |g| {
+        g.parallel_for("racy_items", Range::d1(n), &[reads_writes(&b)], racy);
+    })
+    .unwrap();
+    assert_eq!(observe(graph.replay(&q)), grouped, "recorded parallel_for");
+}
+
 /// The classic tree reduction is exactly the seeded missed-barrier
 /// kernel *fixed*: distinct slots per item, a barrier between write and
 /// read phases. It must run clean under the sanitizer.

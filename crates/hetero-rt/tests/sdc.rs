@@ -396,3 +396,44 @@ fn verify_quiescent_leaves_an_in_flight_launch_alone() {
         Err(Error::DataCorruption { region, page: 0, .. }) if region == hot.object_id()
     ));
 }
+
+/// `started` is stamped when everything that precedes execution is
+/// behind the launch, so an event's `overhead()` is what the launch
+/// spent before its first work-group: the integrity entry walk on an
+/// armed queue, the back-off of an absorbed transient.
+#[test]
+fn launch_overhead_covers_the_entry_walk_and_absorbed_transients() {
+    let _g = serial();
+    let split = |ev: &hetero_rt::Event| {
+        let p = ev.profiling().expect("profiling queue");
+        (p.overhead(), p.kernel_time(), p.invocation_time())
+    };
+
+    let plain = Queue::with_profiling(Device::cpu());
+    let (_, kernel, invocation) =
+        split(&plain.try_parallel_for("plain", Range::d1(64), |_| {}).unwrap());
+    assert!(kernel <= invocation);
+
+    // One absorbed transient: the retry's back-off lies before `started`.
+    let backoff = Duration::from_millis(2);
+    let flaky = Queue::with_profiling(Device::cpu())
+        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(1))))
+        .with_retry_policy(RetryPolicy { max_attempts: 2, backoff });
+    let ev = flaky.try_parallel_for("flaky", Range::d1(64), |_| {}).unwrap();
+    assert_eq!(ev.resilience().faults_absorbed, 1);
+    let (overhead, kernel, invocation) = split(&ev);
+    assert!(overhead >= backoff, "the back-off is launch overhead: {overhead:?}");
+    assert!(kernel < invocation);
+
+    // Armed: 8 MiB of sealed pages are verified before the kernel runs.
+    let _a = Armed::new();
+    let armed = Queue::with_profiling(Device::cpu()).with_integrity(true);
+    let _sealed = Buffer::<u64>::new(1 << 20);
+    let ev = armed.try_parallel_for("armed", Range::d1(64), |_| {}).unwrap();
+    let (overhead, kernel, invocation) = split(&ev);
+    assert!(
+        overhead > Duration::from_micros(50),
+        "the entry walk is launch overhead: {overhead:?}"
+    );
+    assert!(kernel < invocation);
+}

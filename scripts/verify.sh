@@ -49,6 +49,8 @@ done
 # relaxed load per accessor call, and the SDC launch-scope counter plus
 # two branch loads per launch. hook_overhead isolates each by paired
 # launches and fails if any reaches 2% of a pooled launch_storm launch.
+# Its item_loop section gates the runtime's own charge per work-item: a
+# one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns.
 ./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null
 
 # Record-and-replay + graph-optimizer gates: the graph_replay microbench
@@ -64,7 +66,9 @@ done
 # converted apps (FDTD2D, SRAD, CFD, KMeans, ParticleFilter) against
 # golden under sequential, pooled per-launch, pooled graph, AND pooled
 # graph-opt (full pass pipeline) execution at size 1 — any diverging
-# cell or a missed gate exits nonzero.
+# cell or a missed gate exits nonzero. (Since PR 17 the fusion gate reads
+# 0.98-1.01 and misses most runs: the unfused pass got cheaper, the bound
+# was kept; ROADMAP item 1d.)
 ./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --fusion-gate 1.0 --matrix > /dev/null
 
 # Service-layer gates. chaos --serve replays the 13-config fault matrix
