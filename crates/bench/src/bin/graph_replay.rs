@@ -15,16 +15,11 @@
 //!   size 1 and at a launch-bound configuration (tiny grid, thousands
 //!   of steps) where the non-kernel share dominates and the win is
 //!   well clear of scheduler noise.
-//!
-//! * **fusion microbench + fused end-to-end** — a recorded chain of
-//!   four fusible elementwise kernels (plus one dead store) compiled
-//!   with the optimizer off and on (`OptimizedGraph`): the full pipeline
-//!   fuses the chain into a single launch and eliminates the dead store,
-//!   and the replay-time ratio is reported. End-to-end, FDTD2D (3 → 2
-//!   launches/step via hx+hy fusion) and CFD FP32 (copy + 2 launches →
-//!   swap + 1 fused launch) run fused vs unfused at launch-bound
-//!   configurations; `--fusion-gate X` exits nonzero when the FDTD2D
-//!   fused speedup falls below X.
+//! * **CFD optimized end-to-end** — `run_with(..., Graph)` vs
+//!   `run_with(..., GraphOptimized)` at a launch-bound configuration:
+//!   the optimizer turns the recorded save copy into an O(1) buffer
+//!   swap. Reported, not gated: the copy side reads 40–57 ms from run to
+//!   run against a steady 36 for the swap (EXPERIMENTS.md "PR 18").
 //!
 //! `--matrix` additionally runs the 5-app × 4-flavor graph-equivalence
 //! matrix at size 1 (sequential / pooled per-launch / pooled graph /
@@ -44,8 +39,7 @@ use altis_core::suite::graph_mode_matrix;
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
 
-const USAGE: &str =
-    "graph_replay [out.json] [--replays N] [--gate X] [--fusion-gate X] [--matrix]";
+const USAGE: &str = "graph_replay [out.json] [--replays N] [--gate X] [--matrix]";
 
 // Two tiny groups per node: enough to engage the pool on both paths (a
 // single-group launch runs inline and measures nothing), small enough
@@ -54,17 +48,13 @@ const USAGE: &str =
 const NODES: usize = 16;
 const ITEMS: usize = 8;
 const GROUP: usize = 4;
-/// Pairs per microbenchmark and per coarse end-to-end comparison.
+/// Pairs per microbenchmark and per end-to-end comparison.
 const ROUNDS: usize = 9;
-/// Pairs for the fused-FDTD2D gate: a fused step saves one node
-/// dispatch, a few percent, so it takes more pairs to resolve.
-const FUSED_ROUNDS: usize = 31;
 
 fn main() -> ExitCode {
-    report::run(USAGE, &["--replays", "--gate", "--fusion-gate"], &["--matrix"], |args| {
+    report::run(USAGE, &["--replays", "--gate"], &["--matrix"], |args| {
         let replays: usize = args.get("--replays", 2_000)?;
         let gate: Option<f64> = args.opt("--gate")?;
-        let fusion_gate: Option<f64> = args.opt("--fusion-gate")?;
         let mut report = Report::new("graph_replay");
 
         let q = Queue::new(Device::cpu());
@@ -151,8 +141,8 @@ fn main() -> ExitCode {
         // Figure 1's overhead-bound regime, exaggerated: a grid small enough
         // that each kernel is under a microsecond (15 rows of one lane window
         // plus tail), over thousands of steps. Here the non-kernel share is
-        // the majority of the runtime, so the recorded graph's advantage —
-        // and the one node dispatch hx+hy fusion removes — stay measurable.
+        // the majority of the runtime, so the recorded graph's advantage
+        // stays measurable.
         let lb = altis_data::Fdtd2dParams { dim: 16, steps: 4_000 };
         let fdtd_lb =
             paired(ROUNDS, || fdtd(&lb, ExecMode::PerLaunch), || fdtd(&lb, ExecMode::Graph));
@@ -174,108 +164,32 @@ fn main() -> ExitCode {
             .set("fdtd2d_launch_bound_graph_s", fdtd_lb.b_s)
             .set("fdtd2d_launch_bound_speedup", fdtd_lb.ratio);
 
-        // --- graph optimizer: fusion microbench ---
-        //
-        // Four elementwise kernels over the same range, each owning its
-        // buffer, plus one dead store into an undeclared scratch buffer.
-        // The full pipeline eliminates the dead store and fuses the chain
-        // into a single launch; replaying both schedules back-to-back
-        // isolates the per-node dispatch cost the fusion pass removes.
-        const FUSE_NODES: usize = 4;
-        let fuse_bufs: Vec<Buffer<f32>> =
-            (0..FUSE_NODES).map(|_| Buffer::<f32>::new(ITEMS)).collect();
-        let scratch = Buffer::<f32>::new(ITEMS);
-        let record_fusible = || {
-            Graph::record(&q, |g| {
-                for buf in &fuse_bufs {
-                    let view = buf.view();
-                    g.parallel_for(
-                        "fuse_storm",
-                        Range::d1(ITEMS),
-                        &[reads_writes_item(buf)],
-                        move |it: Item| {
-                            let i = it.gid(0);
-                            view.set(i, view.get(i).mul_add(1.0, 0.5));
-                        },
-                    );
-                }
-                let sv = scratch.view();
-                g.parallel_for(
-                    "dead_store",
-                    Range::d1(ITEMS),
-                    &[writes_dense(&scratch)],
-                    move |it: Item| sv.set(it.gid(0), 0.0),
-                );
-                for buf in &fuse_bufs {
-                    g.output(buf);
-                }
-            })
-            .expect("record failed")
-        };
-        let unfused = OptimizedGraph::compile(record_fusible(), GraphOptLevel::none())
-            .expect("compile (level none) failed");
-        let fused = OptimizedGraph::compile(record_fusible(), GraphOptLevel::full())
-            .expect("compile (level full) failed");
-        println!("  optimizer: {}", fused.report());
-        assert_eq!(
-            fused.report().eliminated,
-            vec!["dead_store".to_string()],
-            "dead store should be eliminated"
-        );
-        assert_eq!(fused.report().launches_after, 1, "chain should fuse to one launch");
-        let fusion = paired(
-            ROUNDS,
-            || times(&|| unfused.replay(&q).expect("unfused replay failed")),
-            || times(&|| fused.replay(&q).expect("fused replay failed")),
-        );
-        println!(
-            "  fusion microbench ({FUSE_NODES}+1 nodes -> 1): unfused {:.4}s, fused {:.4}s, ratio {:.2}x",
-            fusion.a_s, fusion.b_s, fusion.ratio
-        );
-
-        // FDTD2D fused end-to-end at the launch-bound configuration: the
-        // optimizer fuses hx+hy, cutting 3 launches/step to 2, on top of
-        // the replay win already measured above.
-        let fdtd_fused = paired(
-            FUSED_ROUNDS,
-            || fdtd(&lb, ExecMode::Graph),
-            || fdtd(&lb, ExecMode::GraphOptimized),
-        );
-        println!(
-            "  FDTD2D launch-bound fused ({FUSED_ROUNDS} alternating pairs): graph {:.1} ms, graph-opt {:.1} ms, fused speedup {:.3}x",
-            fdtd_fused.a_s * 1e3,
-            fdtd_fused.b_s * 1e3,
-            fdtd_fused.ratio
-        );
-
-        // CFD fused end-to-end: the recorded save_state copy becomes an
-        // O(1) buffer swap and flux+time_step fuse, so each replay runs one
-        // launch instead of a full copy plus two launches. Small mesh, many
-        // iterations keeps the run launch-bound.
+        // CFD optimized end-to-end: the recorded save_state copy becomes an
+        // O(1) buffer swap, so each replay runs two launches instead of a
+        // full copy plus two. Small mesh, many iterations keeps the run
+        // launch-bound.
         let cfd_p = altis_data::CfdParams { nelr: 256, iterations: 800 };
         let cfd = |mode: ExecMode| {
             let out = altis_core::cfd::run_with::<f32>(&q, &cfd_p, AppVersion::SyclOptimized, mode);
             assert!(out.iter().all(|v| v.is_finite()));
         };
-        let cfd_fused = paired(ROUNDS, || cfd(ExecMode::Graph), || cfd(ExecMode::GraphOptimized));
+        let cfd_opt = paired(ROUNDS, || cfd(ExecMode::Graph), || cfd(ExecMode::GraphOptimized));
         println!(
-            "  CFD launch-bound (nelr {}, {} iters): graph {:.1} ms, graph-opt {:.1} ms, fused speedup {:.2}x",
+            "  CFD launch-bound (nelr {}, {} iters): graph {:.1} ms, graph-opt {:.1} ms, speedup {:.2}x (spread {:.1}%)",
             cfd_p.nelr,
             cfd_p.iterations,
-            cfd_fused.a_s * 1e3,
-            cfd_fused.b_s * 1e3,
-            cfd_fused.ratio
+            cfd_opt.a_s * 1e3,
+            cfd_opt.b_s * 1e3,
+            cfd_opt.ratio,
+            cfd_opt.spread * 100.0
         );
         report
-            .set("fusion_microbench_ratio", fusion.ratio)
-            .set("fdtd2d_launch_bound_fused_s", fdtd_fused.b_s)
-            .set("fdtd2d_fused_speedup", fdtd_fused.ratio)
-            .set("fdtd2d_fused_speedup_spread", fdtd_fused.spread)
             .set("cfd_nelr", cfd_p.nelr)
             .set("cfd_iterations", cfd_p.iterations)
-            .set("cfd_graph_s", cfd_fused.a_s)
-            .set("cfd_fused_s", cfd_fused.b_s)
-            .set("cfd_fused_speedup", cfd_fused.ratio);
+            .set("cfd_graph_s", cfd_opt.a_s)
+            .set("cfd_optimized_s", cfd_opt.b_s)
+            .set("cfd_optimized_speedup", cfd_opt.ratio)
+            .set("cfd_optimized_speedup_spread", cfd_opt.spread);
 
         let mut matrix = None;
         if args.has("--matrix") {
@@ -298,11 +212,6 @@ fn main() -> ExitCode {
         if let Some(g) = gate {
             if report.gate("replay overhead ratio", micro.ratio, Op::Ge, g) {
                 println!("gate {g}x passed ({:.2}x)", micro.ratio);
-            }
-        }
-        if let Some(g) = fusion_gate {
-            if report.gate("FDTD2D fused speedup", fdtd_fused.ratio, Op::Ge, g) {
-                println!("fusion gate {g}x passed ({:.3}x)", fdtd_fused.ratio);
             }
         }
         Ok(report.finish(&args.out("BENCH_graph_replay.json")))

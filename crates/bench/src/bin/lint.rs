@@ -48,8 +48,8 @@
 //! * **graph-empty-bindings** — no literal `&[]` binding list in a
 //!   launch call. An empty binding list hides the launch's data
 //!   accesses from record-time dependency analysis and from the graph
-//!   optimizer: phases over-serialize conservatively, and fusion /
-//!   dead-launch elimination / ping-pong rewriting all refuse to touch
+//!   optimizer: phases over-serialize conservatively, and dead-launch
+//!   elimination, hoisting and ping-pong rewriting all refuse to touch
 //!   a node whose footprint is undeclared. Declare the accesses
 //!   (`reads` / `writes_dense` / `reads_writes_item` / ...), or justify
 //!   a genuinely access-free body with

@@ -20,7 +20,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode, Real};
+use crate::common::{egress, AppVersion, ExecMode, Real, Step};
 
 /// Neighbours per element (tetrahedral mesh faces).
 pub const NNB: usize = 4;
@@ -261,215 +261,162 @@ pub fn run<T: Real>(q: &Queue, p: &CfdParams, version: AppVersion) -> Vec<T> {
     run_with(q, p, version, ExecMode::Graph)
 }
 
-/// [`run`] with an explicit execution mode.
+/// [`run`] with an explicit execution mode: every mode executes the one
+/// recording of [`step_graph`].
 pub fn run_with<T: Real>(
     q: &Queue,
     p: &CfdParams,
     _version: AppVersion,
     mode: ExecMode,
 ) -> Vec<T> {
-    let input = generate::<T>(p);
-    let n = input.nelr;
-    let vars = Buffer::from_vec(input.variables);
-    let fluxes = Buffer::<T>::new(n * NVAR);
-    let nbrs = Buffer::from_vec(input.neighbors);
-    let norms = Buffer::from_vec(input.normals);
-    let vols = Buffer::from_vec(input.volumes);
-
-    match mode {
-        ExecMode::PerLaunch => {
-            // This arm's kernels live (and die) here: a view of `vars`
-            // left alive past the match would turn the egress into a copy.
-            let flux_kernel = {
-                let (vv, fv, nbv, nov) = (vars.view(), fluxes.view(), nbrs.view(), norms.view());
-                move |it: Item| {
-                    let e = it.gid(0);
-                    let load = |idx: usize| -> [T; NVAR] {
-                        [
-                            vv.get(idx * NVAR),
-                            vv.get(idx * NVAR + 1),
-                            vv.get(idx * NVAR + 2),
-                            vv.get(idx * NVAR + 3),
-                            vv.get(idx * NVAR + 4),
-                        ]
-                    };
-                    let far = {
-                        let density = T::from_f64(1.0);
-                        let vx = T::from_f64(0.3);
-                        let energy = T::from_f64(1.0 / (GAMMA - 1.0))
-                            + T::from_f64(0.5) * density * vx * vx;
-                        [density, density * vx, T::default(), T::default(), energy]
-                    };
-                    let ve = load(e);
-                    let mut flux = [T::default(); NVAR];
-                    for f in 0..NNB {
-                        let nb = nbv.get(e * NNB + f);
-                        let normal = [
-                            nov.get((e * NNB + f) * 3),
-                            nov.get((e * NNB + f) * 3 + 1),
-                            nov.get((e * NNB + f) * 3 + 2),
-                        ];
-                        let vn = if nb >= 0 { load(nb as usize) } else { far };
-                        let fe = flux_contribution(&ve, &normal);
-                        let fn_ = flux_contribution(&vn, &normal);
-                        for v in 0..NVAR {
-                            flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
-                        }
-                    }
-                    for v in 0..NVAR {
-                        fv.set(e * NVAR + v, flux[v]);
-                    }
-                }
-            };
-            let ts_kernel = {
-                let (vv, fv, vov) = (vars.view(), fluxes.view(), vols.view());
-                move |it: Item| {
-                    let e = it.gid(0);
-                    let factor = T::from_f64(CFL * 0.01) / vov.get(e);
-                    for v in 0..NVAR {
-                        vv.update(e * NVAR + v, |x| x - factor * fv.get(e * NVAR + v));
-                    }
-                }
-            };
-            for _ in 0..p.iterations {
-                q.parallel_for("compute_flux", Range::d1(n), &flux_kernel);
-                q.parallel_for("time_step", Range::d1(n), &ts_kernel);
-            }
-        }
-        ExecMode::Graph | ExecMode::GraphOptimized => {
-            // The recording saves the state into `old` and makes the
-            // update a *pure write* of `vars` from `old` — bit-identical
-            // to the per-launch in-place update (which only ever reads
-            // pre-update values), and exactly the shape the optimizer
-            // exploits: the save copy legally becomes an O(1) storage
-            // swap, and the pure-write time_step fuses with compute_flux
-            // (the flux gather reads `old`, never `vars`). Recorded:
-            // copy + 2 launches; optimized: swap + 1 fused launch.
-            let old = Buffer::<T>::new(n * NVAR);
-            let g_flux_kernel = {
-                let (ov, fv, nbv, nov) =
-                    (old.view(), fluxes.view(), nbrs.view(), norms.view());
-                move |it: Item| {
-                    let e = it.gid(0);
-                    let load = |idx: usize| -> [T; NVAR] {
-                        [
-                            ov.get(idx * NVAR),
-                            ov.get(idx * NVAR + 1),
-                            ov.get(idx * NVAR + 2),
-                            ov.get(idx * NVAR + 3),
-                            ov.get(idx * NVAR + 4),
-                        ]
-                    };
-                    let far = {
-                        let density = T::from_f64(1.0);
-                        let vx = T::from_f64(0.3);
-                        let energy = T::from_f64(1.0 / (GAMMA - 1.0))
-                            + T::from_f64(0.5) * density * vx * vx;
-                        [density, density * vx, T::default(), T::default(), energy]
-                    };
-                    let ve = load(e);
-                    let mut flux = [T::default(); NVAR];
-                    for f in 0..NNB {
-                        let nb = nbv.get(e * NNB + f);
-                        let normal = [
-                            nov.get((e * NNB + f) * 3),
-                            nov.get((e * NNB + f) * 3 + 1),
-                            nov.get((e * NNB + f) * 3 + 2),
-                        ];
-                        let vn = if nb >= 0 { load(nb as usize) } else { far };
-                        let fe = flux_contribution(&ve, &normal);
-                        let fn_ = flux_contribution(&vn, &normal);
-                        for v in 0..NVAR {
-                            flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
-                        }
-                    }
-                    for v in 0..NVAR {
-                        fv.set(e * NVAR + v, flux[v]);
-                    }
-                }
-            };
-            // time_step's index structure is fully affine (e*NVAR + v
-            // with v constant-unrolled), so its proof closes and it
-            // earns an elision certificate; compute_flux's neighbour
-            // gather is data-dependent, so it gets a bare (ungated)
-            // contract and stays fully checked.
-            let ts_gate = Gate::new();
-            let g_ts_kernel = {
-                let (vv, ov, fv, vov) = (
-                    ts_gate.view(vars.view()),
-                    ts_gate.view(old.view()),
-                    ts_gate.view(fluxes.view()),
-                    ts_gate.view(vols.view()),
-                );
-                move |it: Item| {
-                    let e = it.gid(0);
-                    let factor = T::from_f64(CFL * 0.01) / vov.get(e);
-                    for v in 0..NVAR {
-                        vv.set(
-                            e * NVAR + v,
-                            ov.get(e * NVAR + v) - factor * fv.get(e * NVAR + v),
-                        );
-                    }
-                }
-            };
-            let graph = Graph::record(q, |g| {
-                use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
-                // One affine index per unrolled state variable: e*w + v.
-                let per_var = |w: usize| -> Vec<Index> {
-                    (0..w).map(|v| at(v).item(0, w).into()).collect()
-                };
-                // The e-slice reads plus the data-dependent neighbour
-                // gather (bounded by the buffer length, never proven).
-                let mut flux_reads = per_var(NVAR);
-                flux_reads.push(bounded(n * NVAR));
-                g.copy("save_state", &vars, &old)
-                    .parallel_for(
-                        "compute_flux",
-                        Range::d1(n),
-                        &[reads(&old), reads(&nbrs), reads(&norms), writes_item(&fluxes)],
-                        g_flux_kernel,
-                    )
-                    .contract(
-                        LaunchSpec::new()
-                            .slot("old", n * NVAR, flux_reads, vec![])
-                            .slot("nbrs", n * NNB, per_var(NNB), vec![])
-                            .slot("norms", n * NNB * 3, per_var(NNB * 3), vec![])
-                            .slot("fluxes", n * NVAR, vec![], per_var(NVAR)),
-                    )
-                    .parallel_for(
-                        "time_step",
-                        Range::d1(n),
-                        &[
-                            reads_item(&old),
-                            reads_item(&vols),
-                            reads_item(&fluxes),
-                            writes_dense(&vars),
-                        ],
-                        g_ts_kernel,
-                    )
-                    .contract_gated(
-                        LaunchSpec::new()
-                            .slot("old", n * NVAR, per_var(NVAR), vec![])
-                            .slot("vols", n, vec![at(0).item(0, 1).into()], vec![])
-                            .slot("fluxes", n * NVAR, per_var(NVAR), vec![])
-                            .slot("vars", n * NVAR, vec![], per_var(NVAR)),
-                        &ts_gate,
-                    )
-                    .output(&vars);
-            })
-            .and_then(|g| {
-                hetero_rt::OptimizedGraph::compile(g, mode.graph_opt_level().unwrap_or_default())
-            })
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-            for _ in 0..p.iterations {
-                graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-            }
-        }
+    let mesh = Mesh::new(generate::<T>(p));
+    let step = Step::compile(step_graph(q, &mesh), mode);
+    for _ in 0..p.iterations {
+        step.run(q);
     }
-    egress(vars)
+    drop(step);
+    egress(mesh.vars)
 }
 
-/// Analytic work profile (FP32 or FP64 depending on `is_f64`).
+/// Device state of the solver: the carried variables, the flux residual
+/// one step hands from `compute_flux` to `time_step`, the read-only
+/// mesh, and the previous iteration's copy of the variables.
+pub(crate) struct Mesh<T: Real> {
+    vars: Buffer<T>,
+    fluxes: Buffer<T>,
+    nbrs: Buffer<i32>,
+    norms: Buffer<T>,
+    vols: Buffer<T>,
+    old: Buffer<T>,
+}
+
+impl<T: Real> Mesh<T> {
+    pub(crate) fn new(input: CfdInput<T>) -> Self {
+        let n = input.nelr;
+        Mesh {
+            vars: Buffer::from_vec(input.variables),
+            fluxes: Buffer::new(n * NVAR),
+            nbrs: Buffer::from_vec(input.neighbors),
+            norms: Buffer::from_vec(input.normals),
+            vols: Buffer::from_vec(input.volumes),
+            old: Buffer::new(n * NVAR),
+        }
+    }
+}
+
+/// Record one explicit-Euler step in the Altis/Rodinia form: save the
+/// state into `old`, gather the flux from `old`, and make the update a
+/// *pure write* of `vars` from `old`. That is the shape the optimizer's
+/// ping-pong pass exploits — the save copy legally becomes an O(1)
+/// storage swap because `time_step` densely rewrites its source.
+pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Result<Graph> {
+    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
+    let Mesh { vars, old, fluxes, nbrs, norms, vols } = mesh;
+    let n = vols.len();
+    let flux_kernel = {
+        let (ov, fv, nbv, nov) = (old.view(), fluxes.view(), nbrs.view(), norms.view());
+        move |it: Item| {
+            let e = it.gid(0);
+            let load = |idx: usize| -> [T; NVAR] {
+                [
+                    ov.get(idx * NVAR),
+                    ov.get(idx * NVAR + 1),
+                    ov.get(idx * NVAR + 2),
+                    ov.get(idx * NVAR + 3),
+                    ov.get(idx * NVAR + 4),
+                ]
+            };
+            let far = {
+                let density = T::from_f64(1.0);
+                let vx = T::from_f64(0.3);
+                let energy =
+                    T::from_f64(1.0 / (GAMMA - 1.0)) + T::from_f64(0.5) * density * vx * vx;
+                [density, density * vx, T::default(), T::default(), energy]
+            };
+            let ve = load(e);
+            let mut flux = [T::default(); NVAR];
+            for f in 0..NNB {
+                let nb = nbv.get(e * NNB + f);
+                let normal = [
+                    nov.get((e * NNB + f) * 3),
+                    nov.get((e * NNB + f) * 3 + 1),
+                    nov.get((e * NNB + f) * 3 + 2),
+                ];
+                let vn = if nb >= 0 { load(nb as usize) } else { far };
+                let fe = flux_contribution(&ve, &normal);
+                let fn_ = flux_contribution(&vn, &normal);
+                for v in 0..NVAR {
+                    flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
+                }
+            }
+            for v in 0..NVAR {
+                fv.set(e * NVAR + v, flux[v]);
+            }
+        }
+    };
+    // time_step's index structure is fully affine (e*NVAR + v with v
+    // constant-unrolled), so its proof closes and it earns an elision
+    // certificate; compute_flux's neighbour gather is data-dependent, so
+    // it gets a bare (ungated) contract and stays fully checked.
+    let ts_gate = Gate::new();
+    let ts_kernel = {
+        let (vv, ov, fv, vov) = (
+            ts_gate.view(vars.view()),
+            ts_gate.view(old.view()),
+            ts_gate.view(fluxes.view()),
+            ts_gate.view(vols.view()),
+        );
+        move |it: Item| {
+            let e = it.gid(0);
+            let factor = T::from_f64(CFL * 0.01) / vov.get(e);
+            for v in 0..NVAR {
+                vv.set(e * NVAR + v, ov.get(e * NVAR + v) - factor * fv.get(e * NVAR + v));
+            }
+        }
+    };
+    // One affine index per unrolled state variable: e*w + v.
+    let per_var = |w: usize| -> Vec<Index> { (0..w).map(|v| at(v).item(0, w).into()).collect() };
+    // The e-slice reads plus the data-dependent neighbour gather
+    // (bounded by the buffer length, never proven).
+    let mut flux_reads = per_var(NVAR);
+    flux_reads.push(bounded(n * NVAR));
+    Graph::record(q, |g| {
+        g.copy("save_state", vars, old)
+            .parallel_for(
+                "compute_flux",
+                Range::d1(n),
+                &[reads(old), reads(nbrs), reads(norms), writes_item(fluxes)],
+                flux_kernel,
+            )
+            .contract(
+                LaunchSpec::new()
+                    .slot("old", n * NVAR, flux_reads, vec![])
+                    .slot("nbrs", n * NNB, per_var(NNB), vec![])
+                    .slot("norms", n * NNB * 3, per_var(NNB * 3), vec![])
+                    .slot("fluxes", n * NVAR, vec![], per_var(NVAR)),
+            )
+            .parallel_for(
+                "time_step",
+                Range::d1(n),
+                &[reads_item(old), reads_item(vols), reads_item(fluxes), writes_dense(vars)],
+                ts_kernel,
+            )
+            .contract_gated(
+                LaunchSpec::new()
+                    .slot("old", n * NVAR, per_var(NVAR), vec![])
+                    .slot("vols", n, vec![at(0).item(0, 1).into()], vec![])
+                    .slot("fluxes", n * NVAR, per_var(NVAR), vec![])
+                    .slot("vars", n * NVAR, vec![], per_var(NVAR)),
+                &ts_gate,
+            )
+            .output(vars);
+    })
+}
+
+/// Analytic work profile (FP32 or FP64 depending on `is_f64`): the
+/// compute_flux + time_step pair, 2 launches an iteration. Every route
+/// executes 3 — the recording's save copy, which the profile's byte and
+/// launch model does not count.
 pub fn work_profile(size: InputSize, is_f64: bool) -> WorkProfile {
     let p = pparams(size);
     let n = p.nelr as u64;
@@ -641,19 +588,21 @@ mod tests {
     fn per_launch_and_graph_modes_agree_exactly() {
         let p = tiny();
         let q = Queue::new(Device::cpu());
-        let a = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
-        assert_eq!(a, b);
-        let a = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
-        assert_eq!(a, b);
+        let seq = q.clone().with_parallelism(hetero_rt::executor::Parallelism::Sequential);
+        let a32 = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+        let a64 = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+        for (q, mode) in
+            [(&q, ExecMode::Graph), (&seq, ExecMode::PerLaunch), (&seq, ExecMode::Graph)]
+        {
+            assert_eq!(a32, run_with::<f32>(q, &p, AppVersion::SyclOptimized, mode), "{mode:?}");
+            assert_eq!(a64, run_with::<f64>(q, &p, AppVersion::SyclOptimized, mode), "{mode:?}");
+        }
     }
 
     #[test]
     fn graph_optimized_mode_agrees_exactly() {
-        // The optimized replay (save copy → O(1) swap, flux+time_step
-        // fused) must be bit-identical to the per-launch baseline in
-        // both precisions.
+        // The optimized replay (save copy → O(1) swap) must be
+        // bit-identical to the per-launch baseline in both precisions.
         let p = tiny();
         let q = Queue::new(Device::cpu());
         let a = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);

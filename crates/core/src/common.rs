@@ -19,38 +19,61 @@ pub enum AppVersion {
 ///
 /// The five launch-heavy apps (FDTD2D, SRAD, CFD, KMeans,
 /// ParticleFilter) expose a `run_with` entry point taking this mode.
-/// Both modes execute the same kernels over the same chunk partition,
-/// so results agree per the golden-checksum registry; the suite's
-/// graph matrix pins that equivalence at every size.
+/// Each records its step once; the mode only chooses the executor of
+/// that recording ([`Step`]), so results agree per the golden-checksum
+/// registry and the suite's graph matrix pins that equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Submit every kernel through the queue each iteration, paying
-    /// validation, chunk planning and dispatch per launch — the
-    /// as-migrated shape of the DPCT output.
+    /// Submit every recorded kernel through the queue each iteration
+    /// ([`hetero_rt::Graph::submit_each`]), paying validation, chunk
+    /// planning and dispatch per launch — the as-migrated shape of the
+    /// DPCT output.
     #[default]
     PerLaunch,
-    /// Record the loop body once into a [`hetero_rt::Graph`] and replay
-    /// it every iteration with a single worker-pool wake-up. The
-    /// optimizer pass pipeline runs at the level selected by the
-    /// `HETERO_RT_GRAPH_OPT` environment variable (default: none).
+    /// Replay the recording every iteration with a single worker-pool
+    /// wake-up ([`hetero_rt::Graph::replay`]).
     Graph,
-    /// Like [`ExecMode::Graph`] with the full optimizer pipeline forced
-    /// on (kernel fusion, dead-launch elimination, ping-pong rewrite,
-    /// invariant hoisting), independent of the environment. The suite's
-    /// graph matrix uses this to pin optimized-replay correctness
-    /// without process-global environment mutation.
+    /// Like [`ExecMode::Graph`] over the recording compiled through the
+    /// optimizer's pass pipeline ([`hetero_rt::OptimizedGraph`]:
+    /// dead-launch elimination, invariant hoisting, ping-pong rewrite).
     GraphOptimized,
 }
 
-impl ExecMode {
-    /// The optimizer level this mode compiles recorded graphs with, or
-    /// `None` when the app submits launches individually.
-    pub fn graph_opt_level(self) -> Option<hetero_rt::GraphOptLevel> {
+/// One app step, recorded once and executed the way an [`ExecMode`]
+/// says. Drop it before [`egress`]: the recording holds views of the
+/// run's buffers.
+pub(crate) enum Step {
+    PerLaunch(hetero_rt::Graph),
+    Replay(hetero_rt::Graph),
+    Optimized(Box<hetero_rt::OptimizedGraph>),
+}
+
+impl Step {
+    /// Pick `mode`'s executor for a recording. A recording or compile
+    /// error unwinds with the typed [`hetero_rt::Error`] as payload, as
+    /// a failed launch does.
+    pub(crate) fn compile(graph: hetero_rt::Result<hetero_rt::Graph>, mode: ExecMode) -> Step {
+        graph
+            .and_then(|g| {
+                Ok(match mode {
+                    ExecMode::PerLaunch => Step::PerLaunch(g),
+                    ExecMode::Graph => Step::Replay(g),
+                    ExecMode::GraphOptimized => {
+                        Step::Optimized(Box::new(hetero_rt::OptimizedGraph::compile(g)?))
+                    }
+                })
+            })
+            .unwrap_or_else(|e| std::panic::panic_any(e))
+    }
+
+    /// Execute the step once on `q`.
+    pub(crate) fn run(&self, q: &hetero_rt::Queue) {
         match self {
-            ExecMode::PerLaunch => None,
-            ExecMode::Graph => Some(hetero_rt::GraphOptLevel::from_env()),
-            ExecMode::GraphOptimized => Some(hetero_rt::GraphOptLevel::full()),
+            Step::PerLaunch(g) => g.submit_each(q),
+            Step::Replay(g) => g.replay(q),
+            Step::Optimized(g) => g.replay(q),
         }
+        .unwrap_or_else(|e| std::panic::panic_any(e))
     }
 }
 

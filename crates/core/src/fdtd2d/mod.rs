@@ -18,7 +18,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::OpMix;
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode};
+use crate::common::{egress, AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
@@ -77,46 +77,27 @@ pub fn run(q: &Queue, p: &Fdtd2dParams, version: AppVersion) -> Fields {
     run_with(q, p, version, ExecMode::Graph)
 }
 
-/// [`run`] with an explicit execution mode. Every mode submits the same
-/// three row kernels per step; `Graph` records them once and replays,
-/// with the per-step source injection staying a host-side store between
-/// replays (the graph reads buffer *contents* at replay, so the injected
-/// energy is picked up by the next step's H updates).
+/// [`run`] with an explicit execution mode. Every mode executes the one
+/// recording of the three row kernels ([`step_graph`]); the per-step
+/// source injection stays a host-side store between steps (the recording
+/// reads buffer *contents* when it runs, so the injected energy is picked
+/// up by the next step's H updates).
 pub fn run_with(q: &Queue, p: &Fdtd2dParams, _version: AppVersion, mode: ExecMode) -> Fields {
     let n = p.dim;
     let ez = Buffer::<f32>::new(n * n);
     let hx = Buffer::<f32>::new(n * n);
     let hy = Buffer::<f32>::new(n * n);
+    let step = Step::compile(step_graph(q, n, &ez, &hx, &hy), mode);
     // Source injection (host-side single-element update, as the original
     // does with a tiny kernel).
     let centre = (n / 2) * n + n / 2;
-    let inject = |t: usize| ez.host_set(centre, ez.read(|e| e[centre]) + source(t));
-
-    match mode {
-        ExecMode::PerLaunch => {
-            // Never armed outside a graph replay: the views stay checked.
-            let gates = [Gate::new(), Gate::new(), Gate::new()];
-            let (hx_row, hy_row, ez_row) = row_kernels(n, &ez, &hx, &hy, &gates);
-            for t in 0..p.steps {
-                q.parallel_for("fdtd_hx", Range::d1(n - 1), hx_row.clone());
-                q.parallel_for("fdtd_hy", Range::d1(n - 1), hy_row.clone());
-                q.parallel_for("fdtd_ez", Range::d1(n - 2), ez_row.clone());
-                inject(t);
-            }
-        }
-        ExecMode::Graph | ExecMode::GraphOptimized => {
-            let level = mode.graph_opt_level().unwrap_or_default();
-            let graph = step_graph(q, n, &ez, &hx, &hy)
-                .and_then(|g| hetero_rt::OptimizedGraph::compile(g, level))
-                .unwrap_or_else(|e| std::panic::panic_any(e));
-            for t in 0..p.steps {
-                graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-                inject(t);
-            }
-        }
+    for t in 0..p.steps {
+        step.run(q);
+        ez.host_set(centre, ez.read(|e| e[centre]) + source(t));
     }
-    // The kernels and the graph died with their match arm, so the three
-    // planes move out instead of being copied.
+    // The recording dies here, so the three planes move out instead of
+    // being copied.
+    drop(step);
     Fields { ez: egress(ez), hx: egress(hx), hy: egress(hy) }
 }
 
@@ -133,9 +114,9 @@ fn row_kernels(
     hy: &Buffer<f32>,
     gates: &[Gate; 3],
 ) -> (
-    impl Fn(Item) + Clone + Send + Sync + 'static,
-    impl Fn(Item) + Clone + Send + Sync + 'static,
-    impl Fn(Item) + Clone + Send + Sync + 'static,
+    impl Fn(Item) + Send + Sync + 'static,
+    impl Fn(Item) + Send + Sync + 'static,
+    impl Fn(Item) + Send + Sync + 'static,
 ) {
     use hetero_rt::lanes::{self, F32x8, LANES};
     let hx_row = {
@@ -217,12 +198,10 @@ fn row_kernels(
     (hx_row, hy_row, ez_row)
 }
 
-/// Record one timestep (batch runs and [`streaming`] replay the same
-/// recording). hx and hy only share a *read* of ez and touch their own
-/// field at row-disjoint indices, so they replay in one phase and are
-/// horizontally fusible (3 recorded launches → 2 optimized); ez depends
-/// on both but runs over a smaller range, which correctly defeats
-/// vertical fusion. All three fields are declared outputs (the host
+/// Record one timestep (every batch route and [`streaming`] execute the
+/// same recording). hx and hy only share a *read* of ez and touch their
+/// own field at row-disjoint indices, so they replay in one phase; ez
+/// depends on both. All three fields are declared outputs (the host
 /// reads them after the loop, and ez is also *written* between replays
 /// by the source injection).
 ///
@@ -380,42 +359,29 @@ mod tests {
 
     #[test]
     fn per_launch_and_graph_modes_agree_exactly() {
-        // The graph replays the identical chunk partition the queue
-        // would compute per launch, so the two modes are bit-identical
-        // (and both match the sequential golden reference).
+        // Two executors of one recording, each row written by one item:
+        // bit-identical on a pooled and on a sequential queue (and both
+        // match the sequential golden reference).
         let p = tiny();
         let q = Queue::new(Device::cpu());
+        let seq = q.clone().with_parallelism(hetero_rt::executor::Parallelism::Sequential);
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
-        assert_eq!(a, b);
+        for (q, mode) in
+            [(&q, ExecMode::Graph), (&seq, ExecMode::PerLaunch), (&seq, ExecMode::Graph)]
+        {
+            assert_eq!(a, run_with(q, &p, AppVersion::SyclOptimized, mode), "{mode:?}");
+        }
         assert_eq!(a.ez, golden(&p).ez);
     }
 
     #[test]
-    fn graph_optimized_mode_fuses_and_stays_bit_equal() {
+    fn graph_optimized_mode_agrees_exactly() {
         let p = tiny();
         let q = Queue::new(Device::cpu());
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
         let b = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::GraphOptimized);
         assert_eq!(a, b);
         assert_eq!(a.ez, golden(&p).ez);
-
-        // The compiled timestep graph replays strictly fewer launches
-        // than recorded: hx+hy fuse horizontally (same range, disjoint
-        // writes, shared read of ez) while ez's smaller range correctly
-        // defeats fusing it in.
-        let n = p.dim;
-        let (ez, hx, hy) =
-            (Buffer::<f32>::new(n * n), Buffer::<f32>::new(n * n), Buffer::<f32>::new(n * n));
-        let g = step_graph(&q, n, &ez, &hx, &hy).unwrap();
-        let og =
-            hetero_rt::OptimizedGraph::compile(g, hetero_rt::GraphOptLevel::full()).unwrap();
-        assert_eq!(og.recorded_launches(), 3);
-        assert_eq!(og.report().launches_after, 2);
-        assert_eq!(
-            og.report().fused,
-            vec![vec!["fdtd_hx".to_string(), "fdtd_hy".to_string()]]
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode};
+use crate::common::{egress, AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
@@ -132,9 +132,8 @@ pub fn run(q: &Queue, p: &KmeansParams, version: AppVersion) -> KmeansOutput {
 
 /// [`run`] with an explicit execution mode for the four-kernel GPU
 /// path (the piped FPGA dataflow has its own concurrency structure and
-/// ignores the mode). In the graph, map_centers and reset are
-/// independent and replay in one phase; accumulate and finalize each
-/// form their own phase.
+/// ignores the mode). Every mode executes the one recording of
+/// [`step_graph`].
 pub fn run_with(
     q: &Queue,
     p: &KmeansParams,
@@ -149,13 +148,44 @@ pub fn run_with(
 
 /// The four-kernel path of [`run_with`] over a given point cloud.
 fn run_on(q: &Queue, p: &KmeansParams, points: Vec<f32>, mode: ExecMode) -> KmeansOutput {
+    let lloyd = Lloyd::new(p, points);
+    let step = Step::compile(step_graph(q, p, &lloyd), mode);
+    for _ in 0..p.iterations {
+        step.run(q);
+    }
+    drop(step);
+    KmeansOutput { centers: egress(lloyd.centers), membership: egress(lloyd.membership) }
+}
+
+/// Device state of a Lloyd pass: the point cloud, the carried centres
+/// and assignments, and the per-cluster sums and counts one pass folds.
+pub(crate) struct Lloyd {
+    pts: Buffer<f32>,
+    centers: Buffer<f32>,
+    membership: Buffer<u32>,
+    acc: Buffer<f32>,
+    counts: Buffer<u32>,
+}
+
+impl Lloyd {
+    pub(crate) fn new(p: &KmeansParams, points: Vec<f32>) -> Self {
+        let initial = initial_centers(p, &points);
+        Lloyd {
+            pts: Buffer::from_vec(points),
+            centers: Buffer::from_vec(initial),
+            membership: Buffer::new(p.n_points),
+            acc: Buffer::new(p.k * p.n_features),
+            counts: Buffer::new(p.k),
+        }
+    }
+}
+
+/// Record one Lloyd pass: map_centers and reset are independent and
+/// replay in one phase; accumulate and finalize each form their own.
+pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
+    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
-    let initial = initial_centers(p, &points);
-    let pts = Buffer::from_vec(points);
-    let centers = Buffer::from_vec(initial);
-    let membership = Buffer::<u32>::new(n);
-    let acc = Buffer::<f32>::new(k * nf);
-    let counts = Buffer::<u32>::new(k);
+    let Lloyd { pts, centers, membership, acc, counts } = lloyd;
 
     // Elision gates for the three launches whose index structure is
     // fully affine (map_centers, reset, finalize). The atomic scatter in
@@ -247,120 +277,82 @@ fn run_on(q: &Queue, p: &KmeansParams, points: Vec<f32>, mode: ExecMode) -> Kmea
         }
     };
 
-    match mode {
-        ExecMode::PerLaunch => {
-            for _ in 0..p.iterations {
-                q.parallel_for("map_centers", Range::d1(n), &map_kernel);
-                q.parallel_for("reset", Range::d1(k * nf), &reset_kernel);
-                q.parallel_for("accumulate", Range::d1(n.div_ceil(ACC_BLOCK)), &acc_kernel);
-                q.parallel_for("finalize", Range::d1(k), &fin_kernel);
-            }
-            // The graph arm moves the kernels into its recording; here
-            // they (and their views) have to die before the egress.
-            drop((map_kernel, reset_kernel, acc_kernel, fin_kernel));
-        }
-        ExecMode::Graph | ExecMode::GraphOptimized => {
-            let graph = Graph::record(q, |g| {
-                use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
-                // Per-feature affine slice of a point/centre row: i*nf + f.
-                let feat = |w: usize| -> Vec<Index> {
-                    (0..w).map(|f| at(f).item(0, w).into()).collect()
-                };
-                // `w` words of each of an accumulate block's points.
-                let block = |w: usize| -> Index {
-                    at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w).into()
-                };
-                g.parallel_for(
-                    "map_centers",
-                    Range::d1(n),
-                    &[reads(&pts), reads(&centers), writes_dense(&membership)],
-                    map_kernel,
-                )
-                .contract_gated(
-                    LaunchSpec::new()
-                        .slot("pts", n * nf, feat(nf), vec![])
-                        // Every item scans the whole centre table.
-                        .slot("centers", k * nf, vec![bounded(k * nf)], vec![])
-                        .slot("membership", n, vec![], vec![at(0).item(0, 1).into()]),
-                    &map_gate,
-                )
-                .parallel_for(
-                    "reset",
-                    Range::d1(k * nf),
-                    &[writes_dense(&acc), writes_item(&counts)],
-                    reset_kernel,
-                )
-                .contract_gated(
-                    LaunchSpec::new()
-                        .slot("acc", k * nf, vec![], vec![at(0).item(0, 1).into()])
-                        // The counts clear is guarded to the first k items.
-                        .slot(
-                            "counts",
-                            k,
-                            vec![],
-                            vec![at(0).item(0, 1).guard(k).into()],
-                        ),
-                    &reset_gate,
-                )
-                // The atomic scatter keeps whole-buffer read-write
-                // footprints: any block may bump any cluster, so fusing
-                // or hoisting around it is (correctly) illegal. Reset is
-                // likewise pinned in the steady schedule because
-                // accumulate also writes acc/counts.
-                .parallel_for(
-                    "accumulate",
-                    Range::d1(n.div_ceil(ACC_BLOCK)),
-                    &[
-                        reads(&pts),
-                        reads_item(&membership),
-                        reads_writes(&acc),
-                        reads_writes(&counts),
-                    ],
-                    acc_kernel,
-                )
-                .contract(
-                    LaunchSpec::new()
-                        // A block of ACC_BLOCK points per item, the last
-                        // one clipped to n.
-                        .slot("pts", n * nf, vec![block(nf)], vec![])
-                        .slot("membership", n, vec![block(1)], vec![])
-                        // Data-dependent atomic scatter: any block may bump
-                        // any cluster row, so both slots stay Bounded/Whole.
-                        .slot("acc", k * nf, vec![bounded(k * nf)], vec![bounded(k * nf)])
-                        .slot("counts", k, vec![bounded(k)], vec![bounded(k)]),
-                )
-                // finalize only *writes* centers (conditionally, so the
-                // footprint stays Item, never ItemDense) — the previous
-                // reads_writes declaration was over-broad.
-                .parallel_for(
-                    "finalize",
-                    Range::d1(k),
-                    &[reads_item(&acc), reads_item(&counts), writes_item(&centers)],
-                    fin_kernel,
-                )
-                .contract_gated(
-                    LaunchSpec::new()
-                        .slot("acc", k * nf, feat(nf), vec![])
-                        .slot("counts", k, vec![at(0).item(0, 1).into()], vec![])
-                        // The write is conditional on a non-empty cluster,
-                        // so the *declared* footprint stays Item even though
-                        // the index structure alone would tile densely.
-                        .slot("centers", k * nf, vec![], feat(nf)),
-                    &fin_gate,
-                )
-                .output(&centers)
-                .output(&membership);
-            })
-            .and_then(|g| {
-                hetero_rt::OptimizedGraph::compile(g, mode.graph_opt_level().unwrap_or_default())
-            })
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-            for _ in 0..p.iterations {
-                graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-            }
-        }
-    }
-    KmeansOutput { centers: egress(centers), membership: egress(membership) }
+    // Per-feature affine slice of a point/centre row: i*nf + f.
+    let feat = |w: usize| -> Vec<Index> { (0..w).map(|f| at(f).item(0, w).into()).collect() };
+    // `w` words of each of an accumulate block's points.
+    let block = |w: usize| -> Index {
+        at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w).into()
+    };
+    Graph::record(q, |g| {
+        g.parallel_for(
+            "map_centers",
+            Range::d1(n),
+            &[reads(pts), reads(centers), writes_dense(membership)],
+            map_kernel,
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("pts", n * nf, feat(nf), vec![])
+                // Every item scans the whole centre table.
+                .slot("centers", k * nf, vec![bounded(k * nf)], vec![])
+                .slot("membership", n, vec![], vec![at(0).item(0, 1).into()]),
+            &map_gate,
+        )
+        .parallel_for(
+            "reset",
+            Range::d1(k * nf),
+            &[writes_dense(acc), writes_item(counts)],
+            reset_kernel,
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("acc", k * nf, vec![], vec![at(0).item(0, 1).into()])
+                // The counts clear is guarded to the first k items.
+                .slot("counts", k, vec![], vec![at(0).item(0, 1).guard(k).into()]),
+            &reset_gate,
+        )
+        // The atomic scatter keeps whole-buffer read-write footprints:
+        // any block may bump any cluster, so hoisting around it is
+        // (correctly) illegal. Reset is likewise pinned in the steady
+        // schedule because accumulate also writes acc/counts.
+        .parallel_for(
+            "accumulate",
+            Range::d1(n.div_ceil(ACC_BLOCK)),
+            &[reads(pts), reads_item(membership), reads_writes(acc), reads_writes(counts)],
+            acc_kernel,
+        )
+        .contract(
+            LaunchSpec::new()
+                // A block of ACC_BLOCK points per item, the last one
+                // clipped to n.
+                .slot("pts", n * nf, vec![block(nf)], vec![])
+                .slot("membership", n, vec![block(1)], vec![])
+                // Data-dependent atomic scatter: any block may bump any
+                // cluster row, so both slots stay Bounded/Whole.
+                .slot("acc", k * nf, vec![bounded(k * nf)], vec![bounded(k * nf)])
+                .slot("counts", k, vec![bounded(k)], vec![bounded(k)]),
+        )
+        // finalize only *writes* centers (conditionally, so the
+        // footprint stays Item, never ItemDense).
+        .parallel_for(
+            "finalize",
+            Range::d1(k),
+            &[reads_item(acc), reads_item(counts), writes_item(centers)],
+            fin_kernel,
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("acc", k * nf, feat(nf), vec![])
+                .slot("counts", k, vec![at(0).item(0, 1).into()], vec![])
+                // The write is conditional on a non-empty cluster, so the
+                // *declared* footprint stays Item even though the index
+                // structure alone would tile densely.
+                .slot("centers", k * nf, vec![], feat(nf)),
+            &fin_gate,
+        )
+        .output(centers)
+        .output(membership);
+    })
 }
 
 /// Figure 3b: mapCenters ⇄ resetAccFin over pipes, concurrently.
@@ -608,15 +600,23 @@ mod tests {
     #[test]
     fn per_launch_and_graph_modes_agree() {
         // accumulate sums f32 atomically, so center bit patterns are
-        // schedule-dependent in *both* modes; membership is exact and
-        // centers agree to the suite tolerance.
+        // schedule-dependent under *every* executor; membership is exact
+        // and centers agree to the suite tolerance.
         let p = tiny();
         let q = Queue::new(Device::cpu());
+        let seq = q.clone().with_parallelism(hetero_rt::executor::Parallelism::Sequential);
         let a = run_with(&q, &p, AppVersion::SyclBaseline, ExecMode::PerLaunch);
-        let b = run_with(&q, &p, AppVersion::SyclBaseline, ExecMode::Graph);
-        assert_eq!(a.membership, b.membership);
-        for (x, y) in a.centers.iter().zip(b.centers.iter()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        for (q, mode) in [
+            (&q, ExecMode::Graph),
+            (&q, ExecMode::GraphOptimized),
+            (&seq, ExecMode::PerLaunch),
+            (&seq, ExecMode::Graph),
+        ] {
+            let b = run_with(q, &p, AppVersion::SyclBaseline, mode);
+            assert_eq!(a.membership, b.membership, "{mode:?}");
+            for (x, y) in a.centers.iter().zip(b.centers.iter()) {
+                assert!((x - y).abs() < 1e-4, "{mode:?}: {x} vs {y}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{AppVersion, ExecMode};
+use crate::common::{AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
@@ -175,11 +175,10 @@ pub fn run(q: &Queue, p: &PfParams, variant: PfVariant, version: AppVersion) -> 
 }
 
 /// [`run`] with an explicit execution mode. The host reductions, CDF
-/// build and particle swap stay between kernels in both modes; in
-/// `Graph` mode the frame-varying scalars (`tx`, `ty`, `u0`) ride in a
-/// three-element parameter buffer written before each replay, and the
-/// resampling scratch (`cdfb`, `nxs`, `nys`) is allocated once instead
-/// of per frame.
+/// build and particle swap stay between kernels in every mode; each
+/// mode executes the one recorded pair ([`propagate_graph`],
+/// [`resample_graph`]), whose frame-varying scalars the host writes
+/// into [`Cloud::frame`] before each step.
 pub fn run_with(
     q: &Queue,
     p: &PfParams,
@@ -188,172 +187,30 @@ pub fn run_with(
     mode: ExecMode,
 ) -> PfOutput {
     let n = p.n_particles;
-    let xs = Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]);
-    let ys = Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]);
-    let weights = Buffer::<f32>::new(n);
-    let seeds = Buffer::from_vec((0..n).map(|i| Lcg::new(i as u64 + 17).state).collect());
-    // Resampling scratch: loop-invariant shape, rewritten every frame.
-    let cdfb = Buffer::<f32>::new(n);
-    let nxs = Buffer::<f32>::new(n);
-    let nys = Buffer::<f32>::new(n);
-    // Frame-varying scalars for the recorded kernels: [tx, ty, u0].
-    let params = Buffer::<f32>::new(3);
+    let cloud = Cloud::new(p);
+    let propagate = Step::compile(propagate_graph(q, variant, &cloud), mode);
+    let resample = Step::compile(resample_graph(q, &cloud), mode);
     let mut out = PfOutput { xe: Vec::new(), ye: Vec::new() };
-
-    let opt = |g: Graph| {
-        hetero_rt::OptimizedGraph::compile(g, mode.graph_opt_level().unwrap_or_default())
-    };
-    let graphs = match mode {
-        ExecMode::PerLaunch => None,
-        ExecMode::Graph | ExecMode::GraphOptimized => {
-            // Both recorded kernels have provable bounds (per-particle
-            // affine state, plus gathers clamped by construction of the
-            // CDF walk), so each earns an elision certificate.
-            let (prop_gate, res_gate) = (Gate::new(), Gate::new());
-            let propagate = Graph::record(q, |g| {
-                use hetero_rt::prove::{at, LaunchSpec};
-                let (xv, yv, wv, sv) = (
-                    prop_gate.view(xs.view()),
-                    prop_gate.view(ys.view()),
-                    prop_gate.view(weights.view()),
-                    prop_gate.view(seeds.view()),
-                );
-                let pv = prop_gate.view(params.view());
-                let own = || at(0).item(0, 1);
-                // Every buffer is observable after the replay (the host
-                // reads weights/positions; seeds carry RNG state into
-                // the next frame), so all four are declared outputs —
-                // dead-launch elimination must keep this sole launch.
-                g.parallel_for(
-                    "pf_propagate_weight",
-                    Range::d1(n),
-                    &[
-                        reads(&params),
-                        reads_writes_item(&xs),
-                        reads_writes_item(&ys),
-                        reads_writes_item(&seeds),
-                        writes_dense(&weights),
-                    ],
-                    move |it| {
-                        let (tx, ty) = (pv.get(0), pv.get(1));
-                        let i = it.gid(0);
-                        let mut rng = Lcg { state: sv.get(i) };
-                        xv.update(i, |x| x + 2.0 + rng.normal());
-                        yv.update(i, |y| y + 1.5 + rng.normal());
-                        sv.set(i, rng.state);
-                        wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
-                    },
-                )
-                .contract_gated(
-                    LaunchSpec::new()
-                        .slot("params", 3, vec![at(0).into(), at(1).into()], vec![])
-                        .slot("xs", n, vec![own().into()], vec![own().into()])
-                        .slot("ys", n, vec![own().into()], vec![own().into()])
-                        .slot("seeds", n, vec![own().into()], vec![own().into()])
-                        .slot("weights", n, vec![], vec![own().into()]),
-                    &prop_gate,
-                )
-                .output(&xs)
-                .output(&ys)
-                .output(&weights)
-                .output(&seeds);
-            })
-            .and_then(&opt)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-            let resample = Graph::record(q, |g| {
-                use hetero_rt::prove::{at, bounded, LaunchSpec};
-                let (cv, xv, yv, nxv, nyv) = (
-                    res_gate.view(cdfb.view()),
-                    res_gate.view(xs.view()),
-                    res_gate.view(ys.view()),
-                    res_gate.view(nxs.view()),
-                    res_gate.view(nys.view()),
-                );
-                let pv = res_gate.view(params.view());
-                g.parallel_for(
-                    "pf_find_index",
-                    Range::d1(n),
-                    // xs/ys are gathered at the CDF-walk index, so their
-                    // reads stay whole-buffer.
-                    &[
-                        reads(&params),
-                        reads(&cdfb),
-                        reads(&xs),
-                        reads(&ys),
-                        writes_dense(&nxs),
-                        writes_dense(&nys),
-                    ],
-                    move |it| {
-                        let u0 = pv.get(2);
-                        let j = it.gid(0);
-                        let u = u0 + j as f32 / n as f32;
-                        // The branch-heavy CDF walk.
-                        let mut idx = cv.len() - 1;
-                        for i in 0..cv.len() {
-                            if cv.get(i) >= u {
-                                idx = i;
-                                break;
-                            }
-                        }
-                        nxv.set(j, xv.get(idx));
-                        nyv.set(j, yv.get(idx));
-                    },
-                )
-                .contract_gated(
-                    LaunchSpec::new()
-                        .slot("params", 3, vec![at(2).into()], vec![])
-                        // The CDF walk scans, and the position gathers
-                        // land on, indices < n by construction.
-                        .slot("cdfb", n, vec![bounded(n)], vec![])
-                        .slot("xs", n, vec![bounded(n)], vec![])
-                        .slot("ys", n, vec![bounded(n)], vec![])
-                        .slot("nxs", n, vec![], vec![at(0).item(0, 1).into()])
-                        .slot("nys", n, vec![], vec![at(0).item(0, 1).into()]),
-                    &res_gate,
-                )
-                .output(&nxs)
-                .output(&nys);
-            })
-            .and_then(&opt)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-            Some((propagate, resample))
-        }
-    };
 
     for frame in 1..=p.frames {
         let (tx, ty) = true_pos(p, frame);
-        match &graphs {
-            Some((propagate, _)) => {
-                params.host_set(0, tx);
-                params.host_set(1, ty);
-                propagate.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-            }
-            None => {
-                let (xv, yv, wv, sv) = (xs.view(), ys.view(), weights.view(), seeds.view());
-                q.parallel_for("pf_propagate_weight", Range::d1(n), move |it| {
-                    let i = it.gid(0);
-                    let mut rng = Lcg { state: sv.get(i) };
-                    xv.update(i, |x| x + 2.0 + rng.normal());
-                    yv.update(i, |y| y + 1.5 + rng.normal());
-                    sv.set(i, rng.state);
-                    wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
-                });
-            }
-        }
+        cloud.frame.host_set(0, tx);
+        cloud.frame.host_set(1, ty);
+        propagate.run(q);
 
         // Normalise + estimate, using the library reductions (the
         // original uses reduction kernels; par-dpl's primitives are the
         // oneDPL stand-ins).
         // The host reductions borrow the three arrays where the kernel
         // left them; the CDF is built straight into its buffer.
-        let (xe, ye) = weights.read(|w| {
+        let (xe, ye) = cloud.weights.read(|w| {
             let sum = par_dpl::reduce_sum(w);
             let sum = if sum <= 0.0 { 1.0 } else { sum };
-            let xe: f32 = xs.read(|x| par_dpl::dot_f32(x, w)) / sum;
-            let ye: f32 = ys.read(|y| par_dpl::dot_f32(y, w)) / sum;
+            let xe: f32 = cloud.xs.read(|x| par_dpl::dot_f32(x, w)) / sum;
+            let ye: f32 = cloud.ys.read(|y| par_dpl::dot_f32(y, w)) / sum;
 
             // CDF + systematic resample.
-            cdfb.write(|cdf| {
+            cloud.cdf.write(|cdf| {
                 let mut acc = 0.0;
                 for i in 0..n {
                     acc += w[i] / sum;
@@ -365,35 +222,160 @@ pub fn run_with(
         out.xe.push(xe);
         out.ye.push(ye);
         let mut rng = Lcg::new(frame as u64 * 7919);
-        let u0 = rng.uniform() / n as f32;
-        match &graphs {
-            Some((_, resample)) => {
-                params.host_set(2, u0);
-                resample.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-            }
-            None => {
-                let (cv, xv, yv, nxv, nyv) =
-                    (cdfb.view(), xs.view(), ys.view(), nxs.view(), nys.view());
-                q.parallel_for("pf_find_index", Range::d1(n), move |it| {
-                    let j = it.gid(0);
-                    let u = u0 + j as f32 / n as f32;
-                    // The branch-heavy CDF walk.
-                    let mut idx = cv.len() - 1;
-                    for i in 0..cv.len() {
-                        if cv.get(i) >= u {
-                            idx = i;
-                            break;
-                        }
-                    }
-                    nxv.set(j, xv.get(idx));
-                    nyv.set(j, yv.get(idx));
-                });
-            }
-        }
-        nxs.read(|v| xs.write_from(v));
-        nys.read(|v| ys.write_from(v));
+        cloud.frame.host_set(2, rng.uniform() / n as f32);
+        resample.run(q);
+        cloud.nxs.read(|v| cloud.xs.write_from(v));
+        cloud.nys.read(|v| cloud.ys.write_from(v));
     }
     out
+}
+
+/// Device state of the filter: the particle cloud with its per-particle
+/// RNG streams, the weights one frame hands to the host folds, the
+/// resampling scratch (rewritten every frame), and the frame-varying
+/// scalars `[tx, ty, u0]` the host writes before each step.
+pub(crate) struct Cloud {
+    pub(crate) xs: Buffer<f32>,
+    pub(crate) ys: Buffer<f32>,
+    pub(crate) weights: Buffer<f32>,
+    pub(crate) seeds: Buffer<u64>,
+    pub(crate) cdf: Buffer<f32>,
+    pub(crate) nxs: Buffer<f32>,
+    pub(crate) nys: Buffer<f32>,
+    pub(crate) frame: Buffer<f32>,
+}
+
+impl Cloud {
+    /// The golden filter's initial cloud.
+    pub(crate) fn new(p: &PfParams) -> Self {
+        let n = p.n_particles;
+        Cloud {
+            xs: Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]),
+            ys: Buffer::from_vec(vec![(p.dim as f32) * 0.25; n]),
+            weights: Buffer::new(n),
+            seeds: Buffer::from_vec((0..n).map(|i| Lcg::new(i as u64 + 17).state).collect()),
+            cdf: Buffer::new(n),
+            nxs: Buffer::new(n),
+            nys: Buffer::new(n),
+            frame: Buffer::new(3),
+        }
+    }
+}
+
+/// Record the propagate/weight launch (every batch route and
+/// [`streaming`] execute the same recording). Per-particle affine state,
+/// so the proof closes and the kernel earns an elision certificate.
+pub(crate) fn propagate_graph(
+    q: &Queue,
+    variant: PfVariant,
+    cloud: &Cloud,
+) -> hetero_rt::Result<Graph> {
+    use hetero_rt::prove::{at, LaunchSpec};
+    let Cloud { xs, ys, seeds, weights, frame, .. } = cloud;
+    let n = xs.len();
+    let gate = Gate::new();
+    let (xv, yv, wv, sv, pv) = (
+        gate.view(xs.view()),
+        gate.view(ys.view()),
+        gate.view(weights.view()),
+        gate.view(seeds.view()),
+        gate.view(frame.view()),
+    );
+    let own = || at(0).item(0, 1);
+    Graph::record(q, |g| {
+        // Every buffer is observable after the replay (the host reads
+        // weights/positions; seeds carry RNG state into the next frame),
+        // so all four are declared outputs — dead-launch elimination
+        // must keep this sole launch.
+        g.parallel_for(
+            "pf_propagate_weight",
+            Range::d1(n),
+            &[
+                reads(frame),
+                reads_writes_item(xs),
+                reads_writes_item(ys),
+                reads_writes_item(seeds),
+                writes_dense(weights),
+            ],
+            move |it| {
+                let (tx, ty) = (pv.get(0), pv.get(1));
+                let i = it.gid(0);
+                let mut rng = Lcg { state: sv.get(i) };
+                xv.update(i, |x| x + 2.0 + rng.normal());
+                yv.update(i, |y| y + 1.5 + rng.normal());
+                sv.set(i, rng.state);
+                wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
+            },
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("frame", 3, vec![at(0).into(), at(1).into()], vec![])
+                .slot("xs", n, vec![own().into()], vec![own().into()])
+                .slot("ys", n, vec![own().into()], vec![own().into()])
+                .slot("seeds", n, vec![own().into()], vec![own().into()])
+                .slot("weights", n, vec![], vec![own().into()]),
+            &gate,
+        )
+        .output(xs)
+        .output(ys)
+        .output(weights)
+        .output(seeds);
+    })
+}
+
+/// Record the resampling launch, the parallel CDF walk. Its gathers are
+/// clamped by construction of the walk, so this proof closes too.
+pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Graph> {
+    use hetero_rt::prove::{at, bounded, LaunchSpec};
+    let Cloud { xs, ys, cdf, nxs, nys, frame, .. } = cloud;
+    let n = xs.len();
+    let gate = Gate::new();
+    let (cv, xv, yv, nxv, nyv, pv) = (
+        gate.view(cdf.view()),
+        gate.view(xs.view()),
+        gate.view(ys.view()),
+        gate.view(nxs.view()),
+        gate.view(nys.view()),
+        gate.view(frame.view()),
+    );
+    Graph::record(q, |g| {
+        g.parallel_for(
+            "pf_find_index",
+            Range::d1(n),
+            // xs/ys are gathered at the CDF-walk index, so their reads
+            // stay whole-buffer.
+            &[reads(frame), reads(cdf), reads(xs), reads(ys), writes_dense(nxs), writes_dense(nys)],
+            move |it| {
+                let u0 = pv.get(2);
+                let j = it.gid(0);
+                let u = u0 + j as f32 / n as f32;
+                // The branch-heavy CDF walk.
+                let mut idx = cv.len() - 1;
+                for i in 0..cv.len() {
+                    if cv.get(i) >= u {
+                        idx = i;
+                        break;
+                    }
+                }
+                nxv.set(j, xv.get(idx));
+                nyv.set(j, yv.get(idx));
+            },
+        )
+        .contract_gated(
+            LaunchSpec::new()
+                .slot("frame", 3, vec![at(2).into()], vec![])
+                // The CDF walk scans, and the position gathers land on,
+                // indices < n by construction.
+                .slot("cdf", n, vec![bounded(n)], vec![])
+                .slot("xs", n, vec![bounded(n)], vec![])
+                .slot("ys", n, vec![bounded(n)], vec![])
+                .slot("nxs", n, vec![], vec![at(0).item(0, 1).into()])
+                .slot("nys", n, vec![], vec![at(0).item(0, 1).into()]),
+            &gate,
+        )
+        .output(nxs)
+        .output(nys);
+    })
 }
 
 /// Analytic work profile.
@@ -578,16 +560,23 @@ mod tests {
 
     #[test]
     fn per_launch_and_graph_modes_agree_exactly() {
-        // Per-particle RNG streams make both modes deterministic; the
-        // frame scalars arrive with identical f32 values either way, so
+        // Per-particle RNG streams make every executor of the recorded
+        // pair deterministic, on a pooled and on a sequential queue, so
         // the estimates are bit-identical.
         let p = tiny();
         let q = Queue::new(Device::cpu());
+        let seq = q.clone().with_parallelism(hetero_rt::executor::Parallelism::Sequential);
         for variant in [PfVariant::Naive, PfVariant::Float] {
             let a = run_with(&q, &p, variant, AppVersion::SyclBaseline, ExecMode::PerLaunch);
-            let b = run_with(&q, &p, variant, AppVersion::SyclBaseline, ExecMode::Graph);
-            assert_eq!(a.xe, b.xe, "{variant:?}");
-            assert_eq!(a.ye, b.ye, "{variant:?}");
+            for (q, mode) in [
+                (&q, ExecMode::Graph),
+                (&q, ExecMode::GraphOptimized),
+                (&seq, ExecMode::PerLaunch),
+                (&seq, ExecMode::Graph),
+            ] {
+                let b = run_with(q, &p, variant, AppVersion::SyclBaseline, mode);
+                assert_eq!(a, b, "{variant:?} {mode:?}");
+            }
         }
     }
 

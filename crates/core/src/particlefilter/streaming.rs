@@ -2,19 +2,20 @@
 //! bootstrap filter (window `w` processes frame `w + 1`, matching the
 //! golden 1-based frame clock).
 //!
-//! The device half replays the recorded propagate/weight and resample
-//! kernels; the normalisation, estimate and CDF build run as *sequential
-//! host folds* (replacing the batch path's parallel reductions), so the
-//! hardened, recovery and reference trails are bit-identical — the
-//! property checkpoint/rollback replay depends on. Estimates track the
-//! golden filter to the suite's 0.05 tolerance (association order of the
-//! host folds differs from the golden text, same as the batch runner).
+//! The device half replays the batch runner's recorded propagate/weight
+//! and resample kernels; the normalisation, estimate and CDF build run as
+//! *sequential host folds* (replacing the batch path's parallel
+//! reductions), so the hardened, recovery and reference trails are
+//! bit-identical — the property checkpoint/rollback replay depends on.
+//! Estimates track the golden filter to the suite's 0.05 tolerance
+//! (association order of the host folds differs from the golden text,
+//! same as the batch runner).
 
 use altis_data::PfParams;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
-use super::{likelihood, true_pos, Lcg, PfVariant};
+use super::{likelihood, true_pos, Cloud, Lcg, PfVariant};
 
 /// Carried filter state across windows.
 #[derive(Clone, Debug)]
@@ -38,110 +39,30 @@ pub struct PfStream {
     variant: PfVariant,
     primary: Queue,
     clean: Queue,
-    xs: Buffer<f32>,
-    ys: Buffer<f32>,
-    weights: Buffer<f32>,
-    seeds: Buffer<u64>,
-    cdfb: Buffer<f32>,
-    nxs: Buffer<f32>,
-    nys: Buffer<f32>,
-    frame_params: Buffer<f32>,
+    cloud: Cloud,
     propagate: Graph,
     resample: Graph,
 }
 
 impl PfStream {
-    /// Record the propagate and resample kernels once and build the stage.
+    /// Record the propagate and resample kernels
+    /// ([`super::propagate_graph`], [`super::resample_graph`], the batch
+    /// runner's recordings) once and build the stage.
     pub fn new(
         p: &PfParams,
         variant: PfVariant,
         primary: &Queue,
         clean: &Queue,
     ) -> hetero_rt::Result<Self> {
-        let n = p.n_particles;
-        let xs = Buffer::<f32>::new(n);
-        let ys = Buffer::<f32>::new(n);
-        let weights = Buffer::<f32>::new(n);
-        let seeds = Buffer::<u64>::new(n);
-        let cdfb = Buffer::<f32>::new(n);
-        let nxs = Buffer::<f32>::new(n);
-        let nys = Buffer::<f32>::new(n);
-        // Frame-varying scalars: [tx, ty, u0].
-        let frame_params = Buffer::<f32>::new(3);
-        let propagate = Graph::record(clean, |g| {
-            let (xv, yv, wv, sv) = (xs.view(), ys.view(), weights.view(), seeds.view());
-            let pv = frame_params.view();
-            g.parallel_for(
-                "pf_propagate_weight",
-                Range::d1(n),
-                &[
-                    reads(&frame_params),
-                    reads_writes_item(&xs),
-                    reads_writes_item(&ys),
-                    reads_writes_item(&seeds),
-                    writes_dense(&weights),
-                ],
-                move |it| {
-                    let (tx, ty) = (pv.get(0), pv.get(1));
-                    let i = it.gid(0);
-                    let mut rng = Lcg { state: sv.get(i) };
-                    xv.update(i, |x| x + 2.0 + rng.normal());
-                    yv.update(i, |y| y + 1.5 + rng.normal());
-                    sv.set(i, rng.state);
-                    wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
-                },
-            );
-            g.output(&xs);
-            g.output(&ys);
-            g.output(&weights);
-            g.output(&seeds);
-        })?;
-        let resample = Graph::record(clean, |g| {
-            let (cv, xv, yv, nxv, nyv) =
-                (cdfb.view(), xs.view(), ys.view(), nxs.view(), nys.view());
-            let pv = frame_params.view();
-            g.parallel_for(
-                "pf_find_index",
-                Range::d1(n),
-                &[
-                    reads(&frame_params),
-                    reads(&cdfb),
-                    reads(&xs),
-                    reads(&ys),
-                    writes_dense(&nxs),
-                    writes_dense(&nys),
-                ],
-                move |it| {
-                    let u0 = pv.get(2);
-                    let j = it.gid(0);
-                    let u = u0 + j as f32 / n as f32;
-                    let mut idx = cv.len() - 1;
-                    for i in 0..cv.len() {
-                        if cv.get(i) >= u {
-                            idx = i;
-                            break;
-                        }
-                    }
-                    nxv.set(j, xv.get(idx));
-                    nyv.set(j, yv.get(idx));
-                },
-            );
-            g.output(&nxs);
-            g.output(&nys);
-        })?;
+        let cloud = Cloud::new(p);
+        let propagate = super::propagate_graph(clean, variant, &cloud)?;
+        let resample = super::resample_graph(clean, &cloud)?;
         Ok(PfStream {
             params: *p,
             variant,
             primary: primary.clone(),
             clean: clean.clone(),
-            xs,
-            ys,
-            weights,
-            seeds,
-            cdfb,
-            nxs,
-            nys,
-            frame_params,
+            cloud,
             propagate,
             resample,
         })
@@ -192,21 +113,22 @@ impl PfStream {
         let n = self.params.n_particles;
         let frame = window as usize + 1;
         let (tx, ty) = true_pos(&self.params, frame);
-        self.xs.write_from(&state.xs);
-        self.ys.write_from(&state.ys);
-        self.seeds.write_from(&state.seeds);
-        self.frame_params.write_from(&[tx, ty, Self::frame_u0(frame, n)]);
+        let cloud = &self.cloud;
+        cloud.xs.write_from(&state.xs);
+        cloud.ys.write_from(&state.ys);
+        cloud.seeds.write_from(&state.seeds);
+        cloud.frame.write_from(&[tx, ty, Self::frame_u0(frame, n)]);
         crate::streaming::replay_verified(&self.propagate, q)?;
-        let mut w = self.weights.to_vec();
-        let xs_v = self.xs.to_vec();
-        let ys_v = self.ys.to_vec();
-        let seeds_v = self.seeds.to_vec();
+        let mut w = cloud.weights.to_vec();
+        let xs_v = cloud.xs.to_vec();
+        let ys_v = cloud.ys.to_vec();
+        let seeds_v = cloud.seeds.to_vec();
         let (cdf, xe, ye) = Self::frame_tail(&mut w, &xs_v, &ys_v);
-        self.cdfb.write_from(&cdf);
+        cloud.cdf.write_from(&cdf);
         crate::streaming::replay_verified(&self.resample, q)?;
         // Commit only after *both* replays succeeded (state-on-success).
-        state.xs = self.nxs.to_vec();
-        state.ys = self.nys.to_vec();
+        state.xs = cloud.nxs.to_vec();
+        state.ys = cloud.nys.to_vec();
         state.seeds = seeds_v;
         state.xe = xe;
         state.ye = ye;

@@ -17,7 +17,7 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode};
+use crate::common::{egress, AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
@@ -112,33 +112,17 @@ pub fn run(q: &Queue, p: &SradParams, version: AppVersion) -> Vec<f32> {
 /// [`run`] with an explicit execution mode. The ROI reduction stays a
 /// per-iteration queue submission in every mode (its result feeds host
 /// statistics); the iteration-varying `q0` scalar travels through a
-/// one-element parameter buffer written before each step, so the
-/// per-launch and recorded routes run the same two row kernels.
+/// one-element parameter buffer written before each step, so every
+/// route executes the one recording of the two row kernels.
 pub fn run_with(q: &Queue, p: &SradParams, _version: AppVersion, mode: ExecMode) -> Vec<f32> {
     let n = p.dim;
     let planes = Planes::new(generate_image(p));
-    match mode {
-        ExecMode::PerLaunch => {
-            // Never armed outside a graph replay: the views stay checked.
-            let gates = [Gate::new(), Gate::new()];
-            let (srad_1, srad_2) = row_kernels(n, p.lambda, &planes, &gates);
-            for _ in 0..p.iterations {
-                planes.q0.write_from(&[roi_q0(q, &planes.img, n)]);
-                q.parallel_for("srad_1", Range::d1(n), srad_1.clone());
-                q.parallel_for("srad_2", Range::d1(n), srad_2.clone());
-            }
-        }
-        ExecMode::Graph | ExecMode::GraphOptimized => {
-            let level = mode.graph_opt_level().unwrap_or_default();
-            let graph = step_graph(q, n, p.lambda, &planes)
-                .and_then(|g| hetero_rt::OptimizedGraph::compile(g, level))
-                .unwrap_or_else(|e| std::panic::panic_any(e));
-            for _ in 0..p.iterations {
-                planes.q0.write_from(&[roi_q0(q, &planes.img, n)]);
-                graph.replay(q).unwrap_or_else(|e| std::panic::panic_any(e));
-            }
-        }
+    let step = Step::compile(step_graph(q, n, p.lambda, &planes), mode);
+    for _ in 0..p.iterations {
+        planes.q0.write_from(&[roi_q0(q, &planes.img, n)]);
+        step.run(q);
     }
+    drop(step);
     egress(planes.img)
 }
 
@@ -185,8 +169,8 @@ fn row_kernels(
     planes: &Planes,
     gates: &[Gate; 2],
 ) -> (
-    impl Fn(Item) + Clone + Send + Sync + 'static,
-    impl Fn(Item) + Clone + Send + Sync + 'static,
+    impl Fn(Item) + Send + Sync + 'static,
+    impl Fn(Item) + Send + Sync + 'static,
 ) {
     use hetero_rt::lanes::{self, F32x8, LANES};
     let views = |g: &Gate| {
@@ -297,13 +281,13 @@ fn row_kernels(
     (srad_1, srad_2)
 }
 
-/// Record one diffusion step (batch runs and [`streaming`] replay the
-/// same recording). `own` is the full row `n·gid + x`, `x < n`, each
-/// work-item sweeps; the north/south rows and west/east columns are
-/// clamped into the image, hence `bounded(nn)`. Every access is affine
-/// or clamped below `n·n`, so both contract proofs close and fast-path
-/// replays run the stencils' scalar accesses bounds-check-free (lane
-/// windows keep their one check per 8).
+/// Record one diffusion step (every batch route and [`streaming`]
+/// execute the same recording). `own` is the full row `n·gid + x`,
+/// `x < n`, each work-item sweeps; the north/south rows and west/east
+/// columns are clamped into the image, hence `bounded(nn)`. Every access
+/// is affine or clamped below `n·n`, so both contract proofs close and
+/// fast-path replays run the stencils' scalar accesses bounds-check-free
+/// (lane windows keep their one check per 8).
 pub(crate) fn step_graph(
     q: &Queue,
     n: usize,
@@ -348,10 +332,8 @@ pub(crate) fn step_graph(
         .parallel_for(
             "srad_2",
             Range::d1(n),
-            // c is gathered at the south row (Whole read) — this is
-            // exactly what makes fusing srad_1+srad_2 illegal: srad_1
-            // dense-writes what srad_2 gathers. The derivative planes
-            // are read at the row's own cells.
+            // c is gathered at the south row (Whole read); the
+            // derivative planes are read at the row's own cells.
             &[
                 reads(c),
                 reads_item(dn),
@@ -506,13 +488,21 @@ mod tests {
 
     #[test]
     fn per_launch_and_graph_modes_agree_exactly() {
-        // Same kernels, same chunk partition, same q0 parameter buffer:
-        // bit-identical.
+        // Three executors of one recording, the same in-order q0
+        // reduction before each step: bit-identical, on a pooled and on a
+        // sequential queue.
         let p = tiny();
         let q = Queue::new(Device::cpu());
+        let seq = q.clone().with_parallelism(hetero_rt::executor::Parallelism::Sequential);
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::Graph);
-        assert_eq!(a, b);
+        for (q, mode) in [
+            (&q, ExecMode::Graph),
+            (&q, ExecMode::GraphOptimized),
+            (&seq, ExecMode::PerLaunch),
+            (&seq, ExecMode::Graph),
+        ] {
+            assert_eq!(a, run_with(q, &p, AppVersion::SyclOptimized, mode), "{mode:?}");
+        }
     }
 
     #[test]

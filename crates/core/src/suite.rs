@@ -819,8 +819,8 @@ pub enum GraphFlavor {
     PerLaunch,
     /// Pooled queue, recorded-graph replay.
     Graph,
-    /// Pooled queue, recorded-graph replay with the full optimizer
-    /// pipeline (fusion, dead-launch elimination, ping-pong, hoisting).
+    /// Pooled queue, recorded-graph replay through the optimizer's pass
+    /// pipeline (dead-launch elimination, hoisting, ping-pong).
     GraphOpt,
 }
 
@@ -884,8 +884,6 @@ pub fn graph_mode_matrix(size: InputSize) -> Vec<GraphMatrixRow> {
         (&seq, GraphFlavor::Sequential, ExecMode::PerLaunch),
         (&pooled, GraphFlavor::PerLaunch, ExecMode::PerLaunch),
         (&pooled, GraphFlavor::Graph, ExecMode::Graph),
-        // GraphOptimized forces the full pass pipeline through the app
-        // code itself — no process-global HETERO_RT_GRAPH_OPT mutation.
         (&pooled, GraphFlavor::GraphOpt, ExecMode::GraphOptimized),
     ];
     let mut rows = Vec::new();
@@ -1118,6 +1116,124 @@ mod tests {
             .map(|(name, flavor, _)| format!("{name} [{}]", flavor.label()))
             .collect();
         assert!(failed.is_empty(), "diverged cells: {failed:?}");
+    }
+
+    /// One graph app at size 1: what one iteration records, what else
+    /// it launches, and how often `run_output` iterates.
+    struct Recorded {
+        name: &'static str,
+        record: fn(&Queue) -> Vec<hetero_rt::Graph>,
+        /// Launches `record` holds.
+        nodes: usize,
+        /// Launches an iteration issues outside its recording.
+        host_launches: u64,
+        iterations: usize,
+    }
+
+    fn recorded_apps() -> [Recorded; 5] {
+        use crate::{cfd, fdtd2d, kmeans, particlefilter as pf, srad};
+        const S1: InputSize = InputSize::S1;
+        [
+            Recorded {
+                name: "FDTD2D",
+                nodes: 3,
+                record: |q| {
+                    let n = altis_data::fdtd2d(S1).dim;
+                    let plane = || Buffer::<f32>::new(n * n);
+                    vec![fdtd2d::step_graph(q, n, &plane(), &plane(), &plane()).unwrap()]
+                },
+                host_launches: 0,
+                iterations: altis_data::fdtd2d(S1).steps,
+            },
+            Recorded {
+                name: "SRAD",
+                nodes: 2,
+                record: |q| {
+                    let p = altis_data::srad(S1);
+                    let planes = srad::Planes::new(srad::generate_image(&p));
+                    vec![srad::step_graph(q, p.dim, p.lambda, &planes).unwrap()]
+                },
+                // The ROI moments reduction.
+                host_launches: 1,
+                iterations: altis_data::srad(S1).iterations,
+            },
+            Recorded {
+                name: "CFD FP32",
+                nodes: 3,
+                record: |q| {
+                    let mesh = cfd::Mesh::new(cfd::generate::<f32>(&altis_data::cfd(S1)));
+                    vec![cfd::step_graph(q, &mesh).unwrap()]
+                },
+                host_launches: 0,
+                iterations: altis_data::cfd(S1).iterations,
+            },
+            Recorded {
+                name: "KMeans",
+                nodes: 4,
+                record: |q| {
+                    let p = altis_data::kmeans(S1);
+                    let lloyd = kmeans::Lloyd::new(&p, kmeans::generate_points(&p));
+                    vec![kmeans::step_graph(q, &p, &lloyd).unwrap()]
+                },
+                host_launches: 0,
+                iterations: altis_data::kmeans(S1).iterations,
+            },
+            Recorded {
+                name: "PF Naive",
+                nodes: 2,
+                record: |q| {
+                    let cloud = pf::Cloud::new(&altis_data::particlefilter(S1));
+                    vec![
+                        pf::propagate_graph(q, PfVariant::Naive, &cloud).unwrap(),
+                        pf::resample_graph(q, &cloud).unwrap(),
+                    ]
+                },
+                host_launches: 0,
+                iterations: altis_data::particlefilter(S1).frames,
+            },
+        ]
+    }
+
+    #[test]
+    fn per_launch_and_an_armed_graph_issue_exactly_the_recorded_launches() {
+        // `PerLaunch` walks the recording node by node, and so does
+        // `Graph` on an armed queue: the ledger counts what the queue
+        // really launched.
+        for app in recorded_apps() {
+            let recorded: usize =
+                (app.record)(&Queue::new(Device::cpu())).iter().map(hetero_rt::Graph::len).sum();
+            assert_eq!(recorded, app.nodes, "{}", app.name);
+            let want = (recorded as u64 + app.host_launches) * app.iterations as u64;
+            for (armed, mode) in [(false, ExecMode::PerLaunch), (true, ExecMode::Graph)] {
+                let ledger = std::sync::Arc::new(hetero_rt::ResilienceLedger::new());
+                let q = Queue::new(Device::cpu())
+                    .with_sanitizer(armed)
+                    .with_resilience_ledger(Some(std::sync::Arc::clone(&ledger)));
+                run_output(app.name, &q, InputSize::S1, AppVersion::SyclBaseline, mode);
+                assert_eq!(ledger.snapshot().launches, want, "{} {mode:?}", app.name);
+            }
+        }
+    }
+
+    #[test]
+    fn the_optimizer_swaps_cfds_save_copy_and_rewrites_no_other_recording() {
+        let q = Queue::new(Device::cpu());
+        for app in recorded_apps() {
+            for graph in (app.record)(&q) {
+                let n = graph.len();
+                let mut want = hetero_rt::OptReport {
+                    launches_before: n,
+                    launches_after: n,
+                    ..Default::default()
+                };
+                if app.name == "CFD FP32" {
+                    want.swapped = vec!["save_state".to_string()];
+                    want.launches_after = 2;
+                }
+                let compiled = hetero_rt::OptimizedGraph::compile(graph).unwrap();
+                assert_eq!(*compiled.report(), want, "{}", app.name);
+            }
+        }
     }
 
     #[test]

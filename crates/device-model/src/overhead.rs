@@ -167,11 +167,11 @@ pub fn non_kernel_seconds_replayed(
     (o.fixed_us + launch_us) * 1e-6 + transfer_s
 }
 
-/// [`non_kernel_seconds_replayed`] when the graph optimizer has fused
-/// or eliminated launches: the replayed share of launches is divided by
+/// [`non_kernel_seconds_replayed`] when the graph optimizer has
+/// eliminated launches: the replayed share of launches is divided by
 /// `launch_reduction` (the recorded-to-optimized launch ratio the
-/// optimizer's `OptReport` gives, e.g. 3/2 for FDTD2D's hx+hy fusion or
-/// 3/1 for CFD's swap + fused flux/update schedule). Only the replayed
+/// optimizer's `OptReport` gives, e.g. 3/2 for CFD's save copy
+/// rewritten into a swap). Only the replayed
 /// launches shrink — an armed queue degrades to the unoptimized
 /// per-launch path, which is exactly the `1 - replay_fraction` share.
 /// Ratios below 1 are clamped to 1 (an optimizer never adds launches).
@@ -303,9 +303,9 @@ mod tests {
         let p = profile(3_000, 800_000);
         let flavor = RuntimeFlavor::SyclOnCuda;
         let plain = non_kernel_seconds_replayed(&p, &dev, flavor, 1.0);
-        // FDTD2D's 3 → 2 fusion: fully-replayed non-kernel time drops,
-        // but by less than the full 1.5× (fixed cost and transfers are
-        // untouched).
+        // CFD's 3 → 2 (save copy → swap): fully-replayed non-kernel time
+        // drops, but by less than the full 1.5× (fixed cost and transfers
+        // are untouched).
         let fused = non_kernel_seconds_optimized(&p, &dev, flavor, 1.0, 1.5);
         assert!(fused < plain, "{fused} vs {plain}");
         assert!(fused > plain / 1.5, "{fused} vs {plain}");

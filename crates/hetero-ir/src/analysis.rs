@@ -94,8 +94,7 @@ pub fn kernel_cost(kernel: &Kernel, global_items: u64) -> KernelCost {
 //
 // A recorded launch graph (hetero-rt) lowers each node into a `PlanNode`:
 // pure data — declared buffer bindings with access modes and footprints,
-// the item-kernel range when the node was recorded elementwise, and the
-// (src, dst) pair when the node is a buffer copy. Passes rewrite a
+// and the (src, dst) pair when the node is a buffer copy. Passes rewrite a
 // schedule over node *indices*; the runtime compiles the schedule back
 // into an executable graph. Keeping the passes here, over plain data,
 // makes every legality rule unit-testable without touching kernels.
@@ -113,7 +112,7 @@ pub enum PlanAccess {
 }
 
 /// How far a node's accesses to one object may reach, the contract that
-/// decides fusion legality.
+/// decides ping-pong legality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanFootprint {
     /// Accesses may touch any element (gathers, scatters). The safe
@@ -126,12 +125,6 @@ pub enum PlanFootprint {
     /// [`PlanFootprint::Item`], and the union over all items covers the
     /// entire object (a dense per-item overwrite).
     ItemDense,
-}
-
-impl PlanFootprint {
-    fn is_item(self) -> bool {
-        matches!(self, PlanFootprint::Item | PlanFootprint::ItemDense)
-    }
 }
 
 /// One (object, access, footprint) declaration on a plan node.
@@ -162,9 +155,6 @@ pub struct PlanNode {
     pub name: String,
     /// Declared buffer bindings.
     pub bindings: Vec<PlanBinding>,
-    /// `Some(dims)` when the node was recorded as an elementwise item
-    /// kernel over this range — the only shape fusion applies to.
-    pub range: Option<[usize; 3]>,
     /// `Some((src, dst))` when the node is a whole-buffer copy with a
     /// prepared O(1) swap alternative (the ping-pong rewrite target).
     pub copy: Option<(u64, u64)>,
@@ -199,9 +189,8 @@ pub struct PlanGraph {
 /// One step of the optimized steady-state schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanStep {
-    /// Launch the listed nodes fused into a single kernel (a single
-    /// original node when the list has one entry).
-    Launch(Vec<usize>),
+    /// Launch recorded node `.0`.
+    Launch(usize),
     /// Execute the O(1) buffer swap prepared by copy node `node` instead
     /// of its element-wise copy.
     Swap {
@@ -221,12 +210,19 @@ pub struct OptimizedPlan {
     pub steady: Vec<PlanStep>,
 }
 
-/// Deterministic record of what the pass pipeline rewrote. Same plan and
-/// toggles always produce the same report.
+impl OptimizedPlan {
+    /// The schedule that replays an `n`-node recording as recorded: no
+    /// prologue, one launch step per node. Every pass pipeline starts
+    /// here, and a rejected rewrite falls back to it.
+    pub fn verbatim(n: usize) -> Self {
+        OptimizedPlan { prologue: Vec::new(), steady: (0..n).map(PlanStep::Launch).collect() }
+    }
+}
+
+/// Deterministic record of what the pass pipeline rewrote. The same plan
+/// always produces the same report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptReport {
-    /// Fused groups, each listing the member node names in launch order.
-    pub fused: Vec<Vec<String>>,
     /// Names of nodes removed as dead launches.
     pub eliminated: Vec<String>,
     /// Names of copy nodes rewritten into O(1) swaps.
@@ -248,9 +244,6 @@ impl fmt::Display for OptReport {
             "graph-opt: {} -> {} launches/replay",
             self.launches_before, self.launches_after
         )?;
-        for g in &self.fused {
-            writeln!(f, "  fused: {}", g.join("+"))?;
-        }
         for n in &self.eliminated {
             writeln!(f, "  eliminated: {n}")?;
         }
@@ -264,35 +257,8 @@ impl fmt::Display for OptReport {
     }
 }
 
-/// Which passes [`optimize_plan`] runs. All off by default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassToggles {
-    /// Fuse adjacent compatible elementwise launches.
-    pub fuse: bool,
-    /// Eliminate launches whose writes are provably unobservable.
-    pub dle: bool,
-    /// Rewrite whole-buffer copies into O(1) swaps where legal.
-    pub ping_pong: bool,
-    /// Hoist loop-invariant write-only launches into the prologue.
-    pub hoist: bool,
-}
-
-impl PassToggles {
-    /// Every pass enabled.
-    pub fn all() -> Self {
-        PassToggles { fuse: true, dle: true, ping_pong: true, hoist: true }
-    }
-
-    /// Every pass disabled (the identity pipeline).
-    pub fn none() -> Self {
-        PassToggles::default()
-    }
-}
-
 /// One rewrite pass over an [`OptimizedPlan`] schedule.
 pub trait PlanPass {
-    /// Stable pass name (matches the `HETERO_RT_GRAPH_OPT` toggle token).
-    fn name(&self) -> &'static str;
     /// Rewrite `sched` in place, appending what was done to `report`.
     fn run(&self, plan: &PlanGraph, sched: &mut OptimizedPlan, report: &mut OptReport);
 }
@@ -303,8 +269,7 @@ fn live_nodes(sched: &OptimizedPlan) -> Vec<usize> {
     let mut live = sched.prologue.clone();
     for step in &sched.steady {
         match step {
-            PlanStep::Launch(group) => live.extend_from_slice(group),
-            PlanStep::Swap { node } => live.push(*node),
+            PlanStep::Launch(node) | PlanStep::Swap { node } => live.push(*node),
         }
     }
     live
@@ -318,10 +283,6 @@ fn live_nodes(sched: &OptimizedPlan) -> Vec<usize> {
 pub struct DeadLaunchElimination;
 
 impl PlanPass for DeadLaunchElimination {
-    fn name(&self) -> &'static str {
-        "dle"
-    }
-
     fn run(&self, plan: &PlanGraph, sched: &mut OptimizedPlan, report: &mut OptReport) {
         if plan.outputs.is_empty() {
             return;
@@ -330,8 +291,7 @@ impl PlanPass for DeadLaunchElimination {
             let live = live_nodes(sched);
             let mut victim = None;
             for (pos, step) in sched.steady.iter().enumerate() {
-                let PlanStep::Launch(group) = step else { continue };
-                let [i] = group[..] else { continue };
+                let &PlanStep::Launch(i) = step else { continue };
                 let node = &plan.nodes[i];
                 if node.bindings.is_empty() {
                     continue;
@@ -362,16 +322,11 @@ impl PlanPass for DeadLaunchElimination {
 pub struct InvariantHoist;
 
 impl PlanPass for InvariantHoist {
-    fn name(&self) -> &'static str {
-        "hoist"
-    }
-
     fn run(&self, plan: &PlanGraph, sched: &mut OptimizedPlan, report: &mut OptReport) {
         let live = live_nodes(sched);
         let mut picks: Vec<(usize, usize)> = Vec::new();
         for (pos, step) in sched.steady.iter().enumerate() {
-            let PlanStep::Launch(group) = step else { continue };
-            let [i] = group[..] else { continue };
+            let &PlanStep::Launch(i) = step else { continue };
             let node = &plan.nodes[i];
             if node.copy.is_some() || node.bindings.is_empty() {
                 continue;
@@ -425,12 +380,9 @@ impl PingPongRewrite {
                         return false;
                     }
                 }
-                PlanStep::Launch(group) => {
-                    let touching: Vec<&PlanBinding> = group
-                        .iter()
-                        .flat_map(|&j| plan.nodes[j].bindings.iter())
-                        .filter(|b| b.object == src)
-                        .collect();
+                PlanStep::Launch(j) => {
+                    let touching: Vec<&PlanBinding> =
+                        plan.nodes[*j].bindings.iter().filter(|b| b.object == src).collect();
                     if touching.is_empty() {
                         continue;
                     }
@@ -449,14 +401,9 @@ impl PingPongRewrite {
 }
 
 impl PlanPass for PingPongRewrite {
-    fn name(&self) -> &'static str {
-        "ping-pong"
-    }
-
     fn run(&self, plan: &PlanGraph, sched: &mut OptimizedPlan, report: &mut OptReport) {
         for p in 0..sched.steady.len() {
-            let PlanStep::Launch(group) = &sched.steady[p] else { continue };
-            let [i] = group[..] else { continue };
+            let PlanStep::Launch(i) = sched.steady[p] else { continue };
             let Some((src, _dst)) = plan.nodes[i].copy else { continue };
             if Self::swap_legal(plan, sched, p, src) {
                 sched.steady[p] = PlanStep::Swap { node: i };
@@ -466,100 +413,12 @@ impl PlanPass for PingPongRewrite {
     }
 }
 
-/// Kernel fusion: greedily merge runs of schedule-adjacent elementwise
-/// launches with identical item ranges into one launch. Legality is
-/// pairwise over every object two chain members share: read/read pairs
-/// are always fine; as soon as either side writes, *both* sides'
-/// footprints must be item-disjoint ([`PlanFootprint::Item`] or
-/// [`PlanFootprint::ItemDense`]) — then running `f1(it); f2(it)` per
-/// item observes exactly the values the separate launches would have.
-pub struct KernelFusion;
-
-impl KernelFusion {
-    fn pair_legal(a: &PlanNode, b: &PlanNode) -> bool {
-        for ba in &a.bindings {
-            for bb in &b.bindings {
-                if ba.object != bb.object {
-                    continue;
-                }
-                if ba.access == PlanAccess::Read && bb.access == PlanAccess::Read {
-                    continue;
-                }
-                if !(ba.footprint.is_item() && bb.footprint.is_item()) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn can_extend(plan: &PlanGraph, chain: &[usize], next: &[usize]) -> bool {
-        let Some(r0) = plan.nodes[chain[0]].range else { return false };
-        for &i in chain.iter().chain(next) {
-            if plan.nodes[i].range != Some(r0) {
-                return false;
-            }
-        }
-        chain
-            .iter()
-            .all(|&a| next.iter().all(|&b| Self::pair_legal(&plan.nodes[a], &plan.nodes[b])))
-    }
-}
-
-impl PlanPass for KernelFusion {
-    fn name(&self) -> &'static str {
-        "fuse"
-    }
-
-    fn run(&self, plan: &PlanGraph, sched: &mut OptimizedPlan, report: &mut OptReport) {
-        let mut out: Vec<PlanStep> = Vec::new();
-        for step in sched.steady.drain(..) {
-            if let PlanStep::Launch(group) = &step {
-                if let Some(PlanStep::Launch(prev)) = out.last_mut() {
-                    if Self::can_extend(plan, prev, group) {
-                        prev.extend_from_slice(group);
-                        continue;
-                    }
-                }
-            }
-            out.push(step);
-        }
-        sched.steady = out;
-        for step in &sched.steady {
-            if let PlanStep::Launch(g) = step {
-                if g.len() > 1 {
-                    report.fused.push(g.iter().map(|&i| plan.nodes[i].name.clone()).collect());
-                }
-            }
-        }
-    }
-}
-
-/// Run the enabled passes over `plan` in the fixed order
-/// DLE → hoist → ping-pong → fusion (elimination first so fusion sees
-/// the tightest adjacency; swaps before fusion so swap steps correctly
-/// break fusion chains) and return the compiled schedule plus the
-/// deterministic report.
-pub fn optimize_plan(plan: &PlanGraph, toggles: PassToggles) -> (OptimizedPlan, OptReport) {
-    let mut sched = OptimizedPlan {
-        prologue: Vec::new(),
-        steady: (0..plan.nodes.len()).map(|i| PlanStep::Launch(vec![i])).collect(),
-    };
+/// Run `passes` in order over the verbatim schedule of `plan` and
+/// return the compiled schedule plus the deterministic report.
+fn run_passes(plan: &PlanGraph, passes: &[&dyn PlanPass]) -> (OptimizedPlan, OptReport) {
+    let mut sched = OptimizedPlan::verbatim(plan.nodes.len());
     let mut report = OptReport { launches_before: plan.nodes.len(), ..OptReport::default() };
-    let mut passes: Vec<Box<dyn PlanPass>> = Vec::new();
-    if toggles.dle {
-        passes.push(Box::new(DeadLaunchElimination));
-    }
-    if toggles.hoist {
-        passes.push(Box::new(InvariantHoist));
-    }
-    if toggles.ping_pong {
-        passes.push(Box::new(PingPongRewrite));
-    }
-    if toggles.fuse {
-        passes.push(Box::new(KernelFusion));
-    }
-    for pass in &passes {
+    for pass in passes {
         pass.run(plan, &mut sched, &mut report);
     }
     report.launches_after = sched
@@ -568,6 +427,12 @@ pub fn optimize_plan(plan: &PlanGraph, toggles: PassToggles) -> (OptimizedPlan, 
         .filter(|s| matches!(s, PlanStep::Launch(_)))
         .count();
     (sched, report)
+}
+
+/// The pass pipeline, in its fixed order DLE → hoist → ping-pong:
+/// elimination first so the later passes see only live nodes.
+pub fn optimize_plan(plan: &PlanGraph) -> (OptimizedPlan, OptReport) {
+    run_passes(plan, &[&DeadLaunchElimination, &InvariantHoist, &PingPongRewrite])
 }
 
 #[cfg(test)]
@@ -634,18 +499,17 @@ mod tests {
         PlanBinding { object, access, footprint }
     }
 
-    fn node(name: &str, bindings: Vec<PlanBinding>, range: Option<[usize; 3]>) -> PlanNode {
-        PlanNode { name: name.to_string(), bindings, range, copy: None }
+    fn node(name: &str, bindings: Vec<PlanBinding>) -> PlanNode {
+        PlanNode { name: name.to_string(), bindings, copy: None }
     }
 
-    fn copy_node(name: &str, src: u64, dst: u64, range: [usize; 3]) -> PlanNode {
+    fn copy_node(name: &str, src: u64, dst: u64) -> PlanNode {
         PlanNode {
             name: name.to_string(),
             bindings: vec![
                 bind(src, PlanAccess::Read, PlanFootprint::Item),
                 bind(dst, PlanAccess::Write, PlanFootprint::ItemDense),
             ],
-            range: Some(range),
             copy: Some((src, dst)),
         }
     }
@@ -656,20 +520,19 @@ mod tests {
 
     #[test]
     fn dle_removes_unread_writes_and_keeps_outputs() {
-        let r = [8, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                node("live", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                node("dead", vec![bind(2, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("live", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)]),
+                node("dead", vec![bind(2, PlanAccess::Write, PlanFootprint::ItemDense)]),
                 // Feeds `dead` only — orphaned once `dead` goes, so the
                 // fixpoint must remove it too.
-                node("feeder", vec![bind(3, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("feeder", vec![bind(3, PlanAccess::Write, PlanFootprint::ItemDense)]),
             ],
             outputs: vec![1],
         };
         let mut plan = plan;
         plan.nodes[1].bindings.push(bind(3, PlanAccess::Read, PlanFootprint::Whole));
-        let (sched, report) = optimize_plan(&plan, PassToggles { dle: true, ..PassToggles::none() });
+        let (sched, report) = run_passes(&plan, &[&DeadLaunchElimination]);
         assert_eq!(report.eliminated, vec!["dead".to_string(), "feeder".to_string()]);
         assert_eq!(launches(&sched), 1);
         assert_eq!(report.launches_after, 1);
@@ -678,14 +541,10 @@ mod tests {
     #[test]
     fn dle_is_disabled_without_declared_outputs() {
         let plan = PlanGraph {
-            nodes: vec![node(
-                "w",
-                vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)],
-                Some([4, 1, 1]),
-            )],
+            nodes: vec![node("w", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)])],
             outputs: vec![],
         };
-        let (_, report) = optimize_plan(&plan, PassToggles { dle: true, ..PassToggles::none() });
+        let (_, report) = run_passes(&plan, &[&DeadLaunchElimination]);
         assert!(report.eliminated.is_empty());
         assert_eq!(report.launches_after, 1);
     }
@@ -694,34 +553,31 @@ mod tests {
     fn dle_keeps_nodes_without_bindings_or_writes() {
         let plan = PlanGraph {
             nodes: vec![
-                node("opaque", vec![], None),
-                node("read_only", vec![bind(9, PlanAccess::Read, PlanFootprint::Whole)], None),
+                node("opaque", vec![]),
+                node("read_only", vec![bind(9, PlanAccess::Read, PlanFootprint::Whole)]),
             ],
             outputs: vec![1],
         };
-        let (_, report) = optimize_plan(&plan, PassToggles::all());
+        let (_, report) = optimize_plan(&plan);
         assert!(report.eliminated.is_empty());
     }
 
     #[test]
     fn hoist_moves_sole_writer_init_to_prologue() {
-        let r = [16, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                node("init", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("init", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)]),
                 node(
                     "use",
                     vec![
                         bind(1, PlanAccess::Read, PlanFootprint::Whole),
                         bind(2, PlanAccess::Write, PlanFootprint::ItemDense),
                     ],
-                    Some(r),
                 ),
             ],
             outputs: vec![2],
         };
-        let (sched, report) =
-            optimize_plan(&plan, PassToggles { hoist: true, ..PassToggles::none() });
+        let (sched, report) = run_passes(&plan, &[&InvariantHoist]);
         assert_eq!(report.hoisted, vec!["init".to_string()]);
         assert_eq!(sched.prologue, vec![0]);
         assert_eq!(launches(&sched), 1);
@@ -729,45 +585,37 @@ mod tests {
 
     #[test]
     fn hoist_rejects_shared_writers_and_readers() {
-        let r = [16, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
                 // Resets an accumulator another node also writes — the
                 // KMeans reset/accumulate shape; must stay per-replay.
-                node("reset", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                node(
-                    "accumulate",
-                    vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Whole)],
-                    Some(r),
-                ),
+                node("reset", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)]),
+                node("accumulate", vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Whole)]),
             ],
             outputs: vec![1],
         };
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
         assert!(report.hoisted.is_empty());
         assert!(sched.prologue.is_empty());
     }
 
     #[test]
     fn ping_pong_rewrites_copy_followed_by_dense_rewrite() {
-        let r = [32, 1, 1];
         // copy(vars -> old); step densely rewrites vars — the CFD shape.
         let plan = PlanGraph {
             nodes: vec![
-                copy_node("save", 1, 2, r),
+                copy_node("save", 1, 2),
                 node(
                     "step",
                     vec![
                         bind(2, PlanAccess::Read, PlanFootprint::Item),
                         bind(1, PlanAccess::Write, PlanFootprint::ItemDense),
                     ],
-                    Some(r),
                 ),
             ],
             outputs: vec![1],
         };
-        let (sched, report) =
-            optimize_plan(&plan, PassToggles { ping_pong: true, ..PassToggles::none() });
+        let (sched, report) = run_passes(&plan, &[&PingPongRewrite]);
         assert_eq!(report.swapped, vec!["save".to_string()]);
         assert!(matches!(sched.steady[0], PlanStep::Swap { node: 0 }));
         assert_eq!(report.launches_after, 1);
@@ -775,178 +623,77 @@ mod tests {
 
     #[test]
     fn ping_pong_rejects_clobbering_a_live_source() {
-        let r = [32, 1, 1];
         // src is an output and never densely rewritten after the copy:
         // swapping would leave src holding the old dst.
         let plan = PlanGraph {
             nodes: vec![
-                copy_node("save", 1, 2, r),
-                node("use", vec![bind(2, PlanAccess::Read, PlanFootprint::Whole)], Some(r)),
+                copy_node("save", 1, 2),
+                node("use", vec![bind(2, PlanAccess::Read, PlanFootprint::Whole)]),
             ],
             outputs: vec![1],
         };
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
         assert!(report.swapped.is_empty());
         assert!(!sched.steady.iter().any(|s| matches!(s, PlanStep::Swap { .. })));
     }
 
     #[test]
     fn ping_pong_rejects_partial_or_reading_rewrites_of_src() {
-        let r = [32, 1, 1];
         // First toucher of src reads it (ReadWrite): swap would feed it
         // stale data.
         let plan = PlanGraph {
             nodes: vec![
-                copy_node("save", 1, 2, r),
-                node(
-                    "rmw",
-                    vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Item)],
-                    Some(r),
-                ),
+                copy_node("save", 1, 2),
+                node("rmw", vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Item)]),
             ],
             outputs: vec![],
         };
-        let (_, report) = optimize_plan(&plan, PassToggles::all());
+        let (_, report) = optimize_plan(&plan);
         assert!(report.swapped.is_empty());
     }
 
     #[test]
-    fn fusion_merges_compatible_chain_and_respects_range_mismatch() {
-        let r = [64, 64, 1];
-        let smaller = [63, 63, 1];
-        // hx/hy both gather-read ez and item-update their own field;
-        // ez runs over a different range — the FDTD2D shape.
-        let plan = PlanGraph {
-            nodes: vec![
-                node(
-                    "hx",
-                    vec![
-                        bind(1, PlanAccess::Read, PlanFootprint::Whole),
-                        bind(2, PlanAccess::ReadWrite, PlanFootprint::Item),
-                    ],
-                    Some(r),
-                ),
-                node(
-                    "hy",
-                    vec![
-                        bind(1, PlanAccess::Read, PlanFootprint::Whole),
-                        bind(3, PlanAccess::ReadWrite, PlanFootprint::Item),
-                    ],
-                    Some(r),
-                ),
-                node(
-                    "ez",
-                    vec![
-                        bind(2, PlanAccess::Read, PlanFootprint::Whole),
-                        bind(3, PlanAccess::Read, PlanFootprint::Whole),
-                        bind(1, PlanAccess::ReadWrite, PlanFootprint::Item),
-                    ],
-                    Some(smaller),
-                ),
-            ],
-            outputs: vec![1, 2, 3],
-        };
-        let (sched, report) =
-            optimize_plan(&plan, PassToggles { fuse: true, ..PassToggles::none() });
-        assert_eq!(report.fused, vec![vec!["hx".to_string(), "hy".to_string()]]);
-        assert_eq!(launches(&sched), 2);
-        assert_eq!(report.launches_before, 3);
-        assert_eq!(report.launches_after, 2);
-    }
-
-    #[test]
-    fn fusion_rejects_whole_footprint_write_overlap() {
-        let r = [64, 64, 1];
-        // Producer densely writes c; consumer gathers c (neighbour
-        // stencil) — the SRAD shape. Must not fuse.
-        let plan = PlanGraph {
-            nodes: vec![
-                node("srad1", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                node("srad2", vec![bind(1, PlanAccess::Read, PlanFootprint::Whole)], Some(r)),
-            ],
-            outputs: vec![],
-        };
-        let (sched, report) =
-            optimize_plan(&plan, PassToggles { fuse: true, ..PassToggles::none() });
-        assert!(report.fused.is_empty());
-        assert_eq!(launches(&sched), 2);
-    }
-
-    #[test]
-    fn fusion_rejects_non_item_kernels_and_swap_breaks_chains() {
-        let r = [8, 1, 1];
-        let plan = PlanGraph {
-            nodes: vec![
-                node("nd", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], None),
-                node("a", vec![bind(2, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                copy_node("save", 3, 4, r),
-                node("b", vec![bind(5, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                node(
-                    "c",
-                    vec![
-                        bind(3, PlanAccess::Write, PlanFootprint::ItemDense),
-                        bind(6, PlanAccess::Write, PlanFootprint::ItemDense),
-                    ],
-                    Some(r),
-                ),
-            ],
-            outputs: vec![],
-        };
-        let (sched, report) =
-            optimize_plan(&plan, PassToggles { fuse: true, ping_pong: true, ..PassToggles::none() });
-        // save became a swap (src 3 densely rewritten by c), so a/b
-        // cannot fuse across it; b+c fuse; nd never fuses.
-        assert_eq!(report.swapped, vec!["save".to_string()]);
-        assert_eq!(report.fused, vec![vec!["b".to_string(), "c".to_string()]]);
-        assert_eq!(launches(&sched), 3);
-    }
-
-    #[test]
     fn full_pipeline_report_is_deterministic_and_displayable() {
-        let r = [16, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)]),
+                copy_node("save", 1, 2),
                 node(
-                    "a",
-                    vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Item)],
-                    Some(r),
+                    "step",
+                    vec![
+                        bind(2, PlanAccess::Read, PlanFootprint::Item),
+                        bind(1, PlanAccess::Write, PlanFootprint::ItemDense),
+                    ],
                 ),
-                node(
-                    "b",
-                    vec![bind(2, PlanAccess::ReadWrite, PlanFootprint::Item)],
-                    Some(r),
-                ),
-            ],
-            outputs: vec![1, 2],
-        };
-        let (s1, r1) = optimize_plan(&plan, PassToggles::all());
-        let (s2, r2) = optimize_plan(&plan, PassToggles::all());
-        assert_eq!(s1, s2);
-        assert_eq!(r1, r2);
-        assert_eq!(r1.eliminated, vec!["dead".to_string()]);
-        assert_eq!(r1.fused, vec![vec!["a".to_string(), "b".to_string()]]);
-        let shown = r1.to_string();
-        assert!(shown.contains("3 -> 1 launches/replay"));
-        assert!(shown.contains("fused: a+b"));
-        assert!(shown.contains("eliminated: dead"));
-    }
-
-    #[test]
-    fn toggles_off_is_identity() {
-        let r = [16, 1, 1];
-        let plan = PlanGraph {
-            nodes: vec![
-                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
-                node("a", vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Item)], Some(r)),
             ],
             outputs: vec![1],
         };
-        let (sched, report) = optimize_plan(&plan, PassToggles::none());
-        assert_eq!(sched.prologue, Vec::<usize>::new());
-        assert_eq!(launches(&sched), 2);
+        let (s1, r1) = optimize_plan(&plan);
+        let (s2, r2) = optimize_plan(&plan);
+        assert_eq!(s1, s2);
+        assert_eq!(r1, r2);
+        assert_eq!(r1.eliminated, vec!["dead".to_string()]);
+        assert_eq!(r1.swapped, vec!["save".to_string()]);
+        let shown = r1.to_string();
+        assert!(shown.contains("3 -> 1 launches/replay"));
+        assert!(shown.contains("eliminated: dead"));
+        assert!(shown.contains("swapped: save"));
+    }
+
+    /// No pass run: the schedule is the recording, one step per node.
+    #[test]
+    fn toggles_off_is_identity() {
+        let plan = PlanGraph {
+            nodes: vec![
+                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)]),
+                node("a", vec![bind(1, PlanAccess::ReadWrite, PlanFootprint::Item)]),
+            ],
+            outputs: vec![1],
+        };
+        let (sched, report) = run_passes(&plan, &[]);
+        assert_eq!(sched, OptimizedPlan::verbatim(2));
         assert_eq!(report.launches_before, 2);
         assert_eq!(report.launches_after, 2);
-        assert!(report.fused.is_empty() && report.eliminated.is_empty());
+        assert!(report.eliminated.is_empty());
     }
 }

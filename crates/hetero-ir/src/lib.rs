@@ -31,9 +31,9 @@ pub mod prove;
 pub mod verify;
 
 pub use analysis::{
-    optimize_plan, DeadLaunchElimination, InvariantHoist, KernelCost, KernelFusion, LoopCost,
-    OptReport, OptimizedPlan, PassToggles, PingPongRewrite, PlanAccess, PlanBinding,
-    PlanFootprint, PlanGraph, PlanNode, PlanPass, PlanStep,
+    optimize_plan, DeadLaunchElimination, InvariantHoist, KernelCost, LoopCost, OptReport,
+    OptimizedPlan, PingPongRewrite, PlanAccess, PlanBinding, PlanFootprint, PlanGraph, PlanNode,
+    PlanPass, PlanStep,
 };
 pub use builder::{KernelBuilder, LoopBuilder};
 pub use printer::{print_kernel, validate_kernel, ValidationError};

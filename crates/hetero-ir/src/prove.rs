@@ -7,7 +7,7 @@
 //! 1. **Binding-contract inference** ([`infer_contract`], [`check_contract`]):
 //!    a recorded launch declares bindings (`reads`/`writes_dense`/…) that
 //!    the graph optimizer trusts blindly — a misdeclared footprint
-//!    silently legalizes an illegal fusion or ping-pong swap. A
+//!    silently legalizes an illegal ping-pong swap. A
 //!    [`LaunchSpec`] describes the same launch's actual accesses as
 //!    affine index expressions ([`IndexExpr`]) over the item id and
 //!    bounded loop counters; an interval/stride abstract interpreter
@@ -25,13 +25,13 @@
 //! 2. **Translation validation** ([`validate_translation`]): the pass
 //!    pipeline's [`OptReport`] is a machine-checkable *justification* —
 //!    per pass it claims exactly what was rewritten (`dle` →
-//!    `eliminated`, `hoist` → `hoisted`, `ping-pong` → `swapped`,
-//!    `fuse` → `fused`). An independent checker re-derives, from the
+//!    `eliminated`, `hoist` → `hoisted`, `ping-pong` → `swapped`).
+//!    An independent checker re-derives, from the
 //!    original [`PlanGraph`] and the produced [`OptimizedPlan`] alone,
 //!    that every claim is legal and that nothing unclaimed happened:
 //!    node accounting, genuine deadness of eliminated launches, hoist
-//!    and swap legality, pairwise fusion legality, and happens-before
-//!    preservation between every pair of conflicting scheduled nodes.
+//!    and swap legality, and happens-before preservation between every
+//!    pair of conflicting scheduled nodes.
 //!    The checker shares no code with the passes; `hetero-rt` gates
 //!    `OptimizedGraph::compile` on its verdict.
 //!
@@ -708,11 +708,6 @@ pub enum TvError {
         /// Node name.
         name: String,
     },
-    /// A fused group fails pairwise fusion legality.
-    IllegalFusion {
-        /// Member names in group order.
-        group: Vec<String>,
-    },
     /// Two conflicting nodes execute in a different order than recorded.
     OrderViolation {
         /// Earlier-recorded node.
@@ -737,9 +732,6 @@ impl fmt::Display for TvError {
             }
             TvError::IllegalHoist { name } => write!(f, "node '{name}' illegally hoisted"),
             TvError::IllegalSwap { name } => write!(f, "copy '{name}' illegally swapped"),
-            TvError::IllegalFusion { group } => {
-                write!(f, "illegal fusion of {}", group.join("+"))
-            }
             TvError::OrderViolation { first, second } => {
                 write!(f, "conflicting nodes reordered: '{second}' now runs before '{first}'")
             }
@@ -796,12 +788,7 @@ pub fn validate_translation(
     }
     for step in &sched.steady {
         match step {
-            PlanStep::Launch(g) => {
-                for &i in g {
-                    bump(i, &mut errors);
-                }
-            }
-            PlanStep::Swap { node } => bump(*node, &mut errors),
+            PlanStep::Launch(node) | PlanStep::Swap { node } => bump(*node, &mut errors),
         }
     }
     if !errors.is_empty() {
@@ -899,12 +886,9 @@ pub fn validate_translation(
                         break;
                     }
                 }
-                PlanStep::Launch(g) => {
-                    let on_src: Vec<_> = g
-                        .iter()
-                        .flat_map(|&j| plan.nodes[j].bindings.iter())
-                        .filter(|b| b.object == src)
-                        .collect();
+                PlanStep::Launch(j) => {
+                    let on_src: Vec<_> =
+                        plan.nodes[*j].bindings.iter().filter(|b| b.object == src).collect();
                     if on_src.is_empty() {
                         continue;
                     }
@@ -924,58 +908,13 @@ pub fn validate_translation(
         errors.push(TvError::ReportMismatch { what: "swapped" });
     }
 
-    // -- Fused groups: recorded order preserved inside the group, one
-    // shared elementwise range, and pairwise legality (shared objects
-    // are read/read or item-disjoint on both sides).
-    let mut fused_claims = Vec::new();
-    for step in &sched.steady {
-        let PlanStep::Launch(g) = step else { continue };
-        if g.len() < 2 {
-            continue;
-        }
-        let names: Vec<String> = g.iter().map(|&i| plan.nodes[i].name.clone()).collect();
-        fused_claims.push(names.clone());
-        let ordered = g.windows(2).all(|w| w[0] < w[1]);
-        let r0 = plan.nodes[g[0]].range;
-        let same_range = r0.is_some() && g.iter().all(|&i| plan.nodes[i].range == r0);
-        let mut pairwise = true;
-        for (ai, &a) in g.iter().enumerate() {
-            for &b in &g[ai + 1..] {
-                for ba in &plan.nodes[a].bindings {
-                    for bb in &plan.nodes[b].bindings {
-                        if ba.object != bb.object {
-                            continue;
-                        }
-                        let both_read =
-                            ba.access == PlanAccess::Read && bb.access == PlanAccess::Read;
-                        let both_item = item_fp(ba.footprint) && item_fp(bb.footprint);
-                        if !(both_read || both_item) {
-                            pairwise = false;
-                        }
-                    }
-                }
-            }
-        }
-        if !(ordered && same_range && pairwise) {
-            errors.push(TvError::IllegalFusion { group: names });
-        }
-    }
-    if fused_claims != report.fused {
-        errors.push(TvError::ReportMismatch { what: "fused" });
-    }
-
     // -- Happens-before preservation: every pair of conflicting nodes
     // scheduled in the steady sequence must run in recorded order.
-    // Within a fused group the in-group order check above covers it.
     let mut pos: Vec<Option<usize>> = vec![None; n];
     let mut swapped_at: Vec<bool> = vec![false; n];
     for (p, step) in sched.steady.iter().enumerate() {
         match step {
-            PlanStep::Launch(g) => {
-                for &i in g {
-                    pos[i] = Some(p);
-                }
-            }
+            PlanStep::Launch(i) => pos[*i] = Some(p),
             PlanStep::Swap { node } => {
                 pos[*node] = Some(p);
                 swapped_at[*node] = true;
@@ -1017,10 +956,6 @@ fn writes_b(a: PlanAccess) -> bool {
     matches!(a, PlanAccess::Write | PlanAccess::ReadWrite)
 }
 
-fn item_fp(fp: PlanFootprint) -> bool {
-    matches!(fp, PlanFootprint::Item | PlanFootprint::ItemDense)
-}
-
 fn reads_object(plan: &PlanGraph, j: usize, obj: u64) -> bool {
     plan.nodes[j].bindings.iter().any(|b| {
         b.object == obj && matches!(b.access, PlanAccess::Read | PlanAccess::ReadWrite)
@@ -1034,24 +969,23 @@ fn writes_object(plan: &PlanGraph, j: usize, obj: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{optimize_plan, PassToggles, PlanBinding, PlanNode};
+    use crate::analysis::{optimize_plan, PlanBinding, PlanNode};
 
     fn bind(object: u64, access: PlanAccess, footprint: PlanFootprint) -> PlanBinding {
         PlanBinding { object, access, footprint }
     }
 
-    fn node(name: &str, bindings: Vec<PlanBinding>, range: Option<[usize; 3]>) -> PlanNode {
-        PlanNode { name: name.to_string(), bindings, range, copy: None }
+    fn node(name: &str, bindings: Vec<PlanBinding>) -> PlanNode {
+        PlanNode { name: name.to_string(), bindings, copy: None }
     }
 
-    fn copy_node(name: &str, src: u64, dst: u64, range: [usize; 3]) -> PlanNode {
+    fn copy_node(name: &str, src: u64, dst: u64) -> PlanNode {
         PlanNode {
             name: name.to_string(),
             bindings: vec![
                 bind(src, PlanAccess::Read, PlanFootprint::Item),
                 bind(dst, PlanAccess::Write, PlanFootprint::ItemDense),
             ],
-            range: Some(range),
             copy: Some((src, dst)),
         }
     }
@@ -1296,8 +1230,6 @@ mod tests {
     // --- translation validation ---
 
     fn fdtd_like_plan() -> PlanGraph {
-        let r = [64, 64, 1];
-        let smaller = [63, 63, 1];
         PlanGraph {
             nodes: vec![
                 node(
@@ -1306,7 +1238,6 @@ mod tests {
                         bind(1, PlanAccess::Read, PlanFootprint::Whole),
                         bind(2, PlanAccess::ReadWrite, PlanFootprint::Item),
                     ],
-                    Some(r),
                 ),
                 node(
                     "hy",
@@ -1314,7 +1245,6 @@ mod tests {
                         bind(1, PlanAccess::Read, PlanFootprint::Whole),
                         bind(3, PlanAccess::ReadWrite, PlanFootprint::Item),
                     ],
-                    Some(r),
                 ),
                 node(
                     "ez",
@@ -1323,7 +1253,6 @@ mod tests {
                         bind(3, PlanAccess::Read, PlanFootprint::Whole),
                         bind(1, PlanAccess::ReadWrite, PlanFootprint::Item),
                     ],
-                    Some(smaller),
                 ),
             ],
             outputs: vec![1, 2, 3],
@@ -1332,66 +1261,58 @@ mod tests {
 
     #[test]
     fn optimizer_outputs_validate() {
-        // Fusion (FDTD2D shape).
+        // Nothing to rewrite (FDTD2D shape).
         let plan = fdtd_like_plan();
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
+        assert_eq!(sched, OptimizedPlan::verbatim(3));
         assert!(validate_translation(&plan, &sched, &report).is_ok());
 
         // Ping-pong (CFD shape).
-        let r = [32, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                copy_node("save", 1, 2, r),
+                copy_node("save", 1, 2),
                 node(
                     "step",
                     vec![
                         bind(2, PlanAccess::Read, PlanFootprint::Item),
                         bind(1, PlanAccess::Write, PlanFootprint::ItemDense),
                     ],
-                    Some(r),
                 ),
             ],
             outputs: vec![1],
         };
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
         assert_eq!(report.swapped, vec!["save".to_string()]);
         assert!(validate_translation(&plan, &sched, &report).is_ok());
 
         // DLE + hoist.
-        let r = [16, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                node("init", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("init", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)]),
                 node(
                     "use",
                     vec![
                         bind(1, PlanAccess::Read, PlanFootprint::Whole),
                         bind(2, PlanAccess::Write, PlanFootprint::ItemDense),
                     ],
-                    Some(r),
                 ),
-                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("dead", vec![bind(7, PlanAccess::Write, PlanFootprint::ItemDense)]),
             ],
             outputs: vec![2],
         };
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
         assert_eq!(report.hoisted, vec!["init".to_string()]);
         assert_eq!(report.eliminated, vec!["dead".to_string()]);
-        assert!(validate_translation(&plan, &sched, &report).is_ok());
-
-        // Identity schedule always validates.
-        let plan = fdtd_like_plan();
-        let (sched, report) = optimize_plan(&plan, PassToggles::none());
         assert!(validate_translation(&plan, &sched, &report).is_ok());
     }
 
     #[test]
     fn hand_mutated_illegal_rewrites_are_rejected() {
         let plan = fdtd_like_plan();
-        let (sched, report) = optimize_plan(&plan, PassToggles::all());
+        let (sched, report) = optimize_plan(&plan);
 
-        // Reordering conflicting launches: run ez before the fused
-        // hx+hy group (ez reads hx's and hy's fields).
+        // Reordering conflicting launches: run ez before hx and hy (ez
+        // reads hx's and hy's fields).
         let mut bad = sched.clone();
         bad.steady.rotate_right(1);
         let errs = validate_translation(&plan, &bad, &report).unwrap_err();
@@ -1404,28 +1325,22 @@ mod tests {
         assert!(errs.iter().any(|e| matches!(e, TvError::EliminatedNotDead { .. })));
         assert!(errs.iter().any(|e| matches!(e, TvError::ReportMismatch { .. })));
 
-        // Fusing across a gather: widen the fused group to include ez.
-        let mut bad = sched.clone();
-        bad.steady = vec![PlanStep::Launch(vec![0, 1, 2])];
-        let errs = validate_translation(&plan, &bad, &report).unwrap_err();
-        assert!(errs.iter().any(|e| matches!(e, TvError::IllegalFusion { .. })));
-
         // Duplicating a node.
         let mut bad = sched.clone();
-        bad.steady.push(PlanStep::Launch(vec![2]));
+        bad.steady.push(PlanStep::Launch(2));
         let errs = validate_translation(&plan, &bad, &report).unwrap_err();
         assert!(errs.iter().any(|e| matches!(e, TvError::DuplicatedNode { .. })));
 
         // A swap whose source is never densely rewritten.
-        let r = [8, 1, 1];
         let plan = PlanGraph {
             nodes: vec![
-                copy_node("save", 1, 2, r),
-                node("use", vec![bind(2, PlanAccess::Read, PlanFootprint::Whole)], Some(r)),
+                copy_node("save", 1, 2),
+                node("use", vec![bind(2, PlanAccess::Read, PlanFootprint::Whole)]),
             ],
             outputs: vec![1],
         };
-        let (sched, mut report) = optimize_plan(&plan, PassToggles::none());
+        let (sched, mut report) = optimize_plan(&plan);
+        assert_eq!(sched, OptimizedPlan::verbatim(2));
         let mut bad = sched.clone();
         bad.steady[0] = PlanStep::Swap { node: 0 };
         report.swapped.push("save".to_string());
@@ -1437,12 +1352,12 @@ mod tests {
         // reads from would change the first replay.
         let plan = PlanGraph {
             nodes: vec![
-                node("reader", vec![bind(1, PlanAccess::Read, PlanFootprint::Whole)], Some(r)),
-                node("writer", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)], Some(r)),
+                node("reader", vec![bind(1, PlanAccess::Read, PlanFootprint::Whole)]),
+                node("writer", vec![bind(1, PlanAccess::Write, PlanFootprint::ItemDense)]),
             ],
             outputs: vec![1],
         };
-        let bad = OptimizedPlan { prologue: vec![1], steady: vec![PlanStep::Launch(vec![0])] };
+        let bad = OptimizedPlan { prologue: vec![1], steady: vec![PlanStep::Launch(0)] };
         let report = OptReport {
             hoisted: vec!["writer".to_string()],
             launches_before: 2,
@@ -1457,8 +1372,8 @@ mod tests {
     fn tv_errors_display() {
         let e = TvError::OrderViolation { first: "a".into(), second: "b".into() };
         assert!(e.to_string().contains("'b' now runs before 'a'"));
-        let e = TvError::IllegalFusion { group: vec!["x".into(), "y".into()] };
-        assert!(e.to_string().contains("x+y"));
+        let e = TvError::IllegalSwap { name: "save".into() };
+        assert!(e.to_string().contains("'save' illegally swapped"));
     }
 
     #[test]

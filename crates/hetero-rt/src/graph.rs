@@ -76,7 +76,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// recorded launch on one object: the lattice the optimizer's plan IR
 /// defines, under the names recording code uses. `Footprint::Whole` is
 /// the conservative default of [`reads`] / [`writes`] / [`reads_writes`];
-/// footprints are what make kernel fusion legality provable — see
+/// a dense footprint is what makes the ping-pong rewrite provable — see
 /// [`crate::graph_opt`].
 pub use hetero_ir::{PlanAccess as Access, PlanFootprint as Footprint};
 
@@ -168,16 +168,6 @@ fn conflicts(a: &[Binding], b: &[Binding]) -> bool {
 
 type GroupKernel = Arc<dyn Fn(&GroupCtx) + Send + Sync>;
 
-/// The elementwise form of a launch recorded via
-/// [`GraphBuilder::parallel_for`], kept alongside the compiled group
-/// kernel so the optimizer's fusion pass can re-compose item kernels
-/// into a single launch (see [`crate::graph_opt`]).
-#[derive(Clone)]
-pub(crate) struct ItemKernel {
-    pub(crate) range: Range,
-    pub(crate) f: Arc<dyn Fn(Item) + Send + Sync>,
-}
-
 /// Copy-node metadata recorded by [`GraphBuilder::copy`]: the (src, dst)
 /// object pair plus a prepared O(1) contents swap
 /// ([`Buffer::swap_contents`]) the ping-pong pass may substitute for the
@@ -239,8 +229,9 @@ pub(crate) struct Node {
     /// Groups retired (executed or abandoned on cancellation).
     done: AtomicUsize,
     slot: NodeSlot,
-    /// Elementwise form when recorded via `parallel_for` (fusion input).
-    pub(crate) item: Option<ItemKernel>,
+    /// The logical item range of a launch recorded via `parallel_for`:
+    /// what its contract's index expressions are written against.
+    item_range: Option<Range>,
     /// Copy metadata when recorded via `copy` (ping-pong input).
     pub(crate) copy: Option<CopyInfo>,
     /// Elision certificate gates, present only when the launch attached
@@ -273,7 +264,7 @@ impl Node {
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
             slot: NodeSlot::default(),
-            item: self.item.clone(),
+            item_range: self.item_range,
             copy: self.copy.clone(),
             gates: self.gates.clone(),
         }
@@ -295,8 +286,8 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// A builder against an explicit capability snapshot; the
-    /// optimizer's compile step uses this to rebuild fused launches with
-    /// the exact chunking the original recording used.
+    /// optimizer's compile step uses this to build swap steps against
+    /// the snapshot the original recording used.
     pub(crate) fn new(caps: DeviceCaps) -> GraphBuilder {
         GraphBuilder { caps, nodes: Vec::new(), outputs: Vec::new(), err: None, contracts: 0 }
     }
@@ -369,7 +360,7 @@ impl GraphBuilder {
         // The contract range is the logical item range for elementwise
         // launches (what the index expressions are written against), the
         // global ND-range otherwise.
-        let range = node.item.as_ref().map(|ik| ik.range.dims).unwrap_or(node.nd.global.dims);
+        let range = node.item_range.unwrap_or(node.nd.global).dims;
         let report = infer_contract(node.name, range, &spec);
         let declared: Vec<(Access, Footprint)> =
             node.bindings.iter().map(|b| (b.access, b.footprint)).collect();
@@ -408,21 +399,10 @@ impl GraphBuilder {
     where
         F: Fn(Item) + Send + Sync + 'static,
     {
-        let f = Arc::new(f);
         let total = range.size();
         let nd = NdRange::flat(total, self.caps.max_work_group_size);
-        // Static dispatch on the hot path (Arc<F>, not Arc<dyn Fn>); the
-        // unsized clone below is only called by *fused* kernels.
-        let fk = Arc::clone(&f);
-        let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &*fk);
-        let before = self.nodes.len();
-        self.push(name, nd, None, bindings, Arc::new(kernel));
-        if self.nodes.len() > before {
-            if let Some(node) = self.nodes.last_mut() {
-                node.item = Some(ItemKernel { range, f });
-            }
-        }
-        self
+        let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &f);
+        self.push(name, nd, None, Some(range), bindings, Arc::new(kernel))
     }
 
     /// Record a whole-buffer copy `src → dst` as an elementwise launch,
@@ -498,7 +478,7 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, None, bindings, Arc::new(kernel))
+        self.push(name, nd, None, None, bindings, Arc::new(kernel))
     }
 
     /// Like [`GraphBuilder::nd_range`] with an explicit
@@ -514,7 +494,7 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, reqd_max, bindings, Arc::new(kernel))
+        self.push(name, nd, reqd_max, None, bindings, Arc::new(kernel))
     }
 
     /// Record a Single-Task launch. Unlike [`Queue::single_task`] the
@@ -525,7 +505,8 @@ impl GraphBuilder {
         F: Fn() + Send + Sync + 'static,
     {
         let nd = NdRange { global: Range::d1(1), local: Range::d1(1) };
-        self.push(name, nd, None, bindings, Arc::new(move |ctx: &GroupCtx| ctx.items(|_| f())))
+        let kernel = move |ctx: &GroupCtx| ctx.items(|_| f());
+        self.push(name, nd, None, None, bindings, Arc::new(kernel))
     }
 
     fn push(
@@ -533,6 +514,7 @@ impl GraphBuilder {
         name: &'static str,
         nd: NdRange,
         reqd_max: Option<usize>,
+        item_range: Option<Range>,
         bindings: &[Binding],
         kernel: GroupKernel,
     ) -> &mut Self {
@@ -561,7 +543,7 @@ impl GraphBuilder {
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
             slot: NodeSlot::default(),
-            item: None,
+            item_range,
             copy: None,
             gates: Vec::new(),
         });

@@ -6,25 +6,18 @@
 //! pass pipeline ([`hetero_ir::optimize_plan`]) over it, and compiles
 //! the optimized schedule back into executable graphs:
 //!
-//! * **Kernel fusion** — schedule-adjacent elementwise launches with
-//!   identical item ranges merge into a single launch (`f1(it); f2(it)`
-//!   per item) when every shared object is either read by both sides or
-//!   declared with item-disjoint footprints on both sides. FDTD2D's
-//!   hx/hy field updates are the canonical win (3 → 2 launches per
-//!   timestep); SRAD's derivative→update pair is the canonical
-//!   *rejection* (the consumer gathers what the producer writes).
 //! * **Dead-launch elimination** — launches whose writes feed neither a
 //!   declared graph output ([`GraphBuilder::output`]) nor any other
 //!   launch are dropped. Only runs on graphs that declare outputs.
+//! * **Loop-invariant hoisting** — pure-write launches over objects no
+//!   other launch writes compute the same values every replay; they move
+//!   to a prologue graph executed once.
 //! * **Ping-pong rewrite** — a recorded whole-buffer copy
 //!   ([`GraphBuilder::copy`]) becomes an O(1) storage swap
 //!   ([`crate::Buffer::swap_contents`]) when the clobbered source is
 //!   provably overwritten densely before its next read. CFD's
-//!   save-state copy is the target (copy + 2 launches → swap + 1 fused
-//!   launch).
-//! * **Loop-invariant hoisting** — pure-write launches over objects no
-//!   other launch writes compute the same values every replay; they move
-//!   to a prologue graph executed once.
+//!   save-state copy is the target (copy + 2 launches → swap + 2
+//!   launches).
 //!
 //! # Armed-queue degradation contract
 //!
@@ -33,36 +26,27 @@
 //! redundancy, CPU fallback, integrity layer) or the device capability
 //! snapshot mismatches, [`OptimizedGraph::replay`] routes through the
 //! *original* recording's hardened [`Graph::submit_each`] path — every
-//! recorded launch, unfused, with every PR 2–4 resilience check active.
+//! recorded launch, with every PR 2–4 resilience check active.
 //! This is sound in both directions because every rewrite preserves
-//! buffer *contents* semantics: fusion and elimination change only
-//! unobservable intermediate schedules, hoisted launches are idempotent,
-//! and a swap leaves the same observable values as the copy it replaced
-//! (the clobbered source is densely rewritten within the replay).
-//! Replays may therefore alternate between the optimized and hardened
-//! paths at any boundary.
-//!
-//! # Toggles
-//!
-//! Passes toggle independently via [`GraphOptLevel`]; the
-//! `HETERO_RT_GRAPH_OPT` environment variable selects a level at
-//! recording sites that opt in via [`GraphOptLevel::from_env`]
-//! (`0`/`none`, `1`/`full`, or a comma list of pass names:
-//! `fuse,dle,ping-pong,hoist`). Every rewrite is reported in a
-//! deterministic [`OptReport`].
+//! buffer *contents* semantics: elimination changes only unobservable
+//! intermediate schedules, hoisted launches are idempotent, and a swap
+//! leaves the same observable values as the copy it replaced (the
+//! clobbered source is densely rewritten within the replay). Replays
+//! may therefore alternate between the optimized and hardened paths at
+//! any boundary. Every rewrite is reported in a deterministic
+//! [`OptReport`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hetero_ir::{
-    optimize_plan, validate_translation, OptReport, OptimizedPlan, PassToggles, PlanBinding,
-    PlanGraph, PlanNode, PlanStep,
+    optimize_plan, validate_translation, OptReport, OptimizedPlan, PlanBinding, PlanGraph,
+    PlanNode, PlanStep,
 };
 
 use crate::device::DeviceCaps;
 use crate::error::Result;
 use crate::graph::{lock, Access, Binding, Footprint, Graph, GraphBuilder, Node};
-use crate::ndrange::Item;
 use crate::queue::Queue;
 
 /// Optimized schedules accepted by the independent translation-validation
@@ -94,69 +78,6 @@ pub fn last_tv_rejection() -> Option<String> {
     lock(last_rejection_slot()).clone()
 }
 
-/// Which optimizer passes [`OptimizedGraph::compile`] runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphOptLevel {
-    /// Fuse adjacent compatible elementwise launches.
-    pub fuse: bool,
-    /// Eliminate launches with provably unobservable writes.
-    pub dle: bool,
-    /// Rewrite recorded copies into O(1) swaps.
-    pub ping_pong: bool,
-    /// Hoist loop-invariant pure-write launches into the prologue.
-    pub hoist: bool,
-}
-
-impl GraphOptLevel {
-    /// Every pass disabled: the compiled schedule replays the recording
-    /// verbatim (PR 5 behaviour).
-    pub fn none() -> Self {
-        GraphOptLevel::default()
-    }
-
-    /// Every pass enabled.
-    pub fn full() -> Self {
-        GraphOptLevel { fuse: true, dle: true, ping_pong: true, hoist: true }
-    }
-
-    /// Read the level from the `HETERO_RT_GRAPH_OPT` environment
-    /// variable; unset means [`GraphOptLevel::none`].
-    pub fn from_env() -> Self {
-        match std::env::var("HETERO_RT_GRAPH_OPT") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Self::none(),
-        }
-    }
-
-    /// Parse a level string: `0`/`none`/`off`/empty → none,
-    /// `1`/`full`/`all`/`on` → full, otherwise a comma-separated list of
-    /// pass names (`fuse`, `dle`, `ping-pong`, `hoist`); unknown tokens
-    /// are ignored.
-    pub fn parse(s: &str) -> Self {
-        let t = s.trim().to_ascii_lowercase();
-        match t.as_str() {
-            "" | "0" | "none" | "off" => return Self::none(),
-            "1" | "full" | "all" | "on" => return Self::full(),
-            _ => {}
-        }
-        let mut level = Self::none();
-        for tok in t.split(',') {
-            match tok.trim() {
-                "fuse" | "fusion" => level.fuse = true,
-                "dle" => level.dle = true,
-                "ping-pong" | "pingpong" | "ping_pong" => level.ping_pong = true,
-                "hoist" => level.hoist = true,
-                _ => {}
-            }
-        }
-        level
-    }
-
-    fn toggles(self) -> PassToggles {
-        PassToggles { fuse: self.fuse, dle: self.dle, ping_pong: self.ping_pong, hoist: self.hoist }
-    }
-}
-
 /// Lower a recorded graph into the pure-data plan representation the
 /// pass pipeline rewrites.
 fn lower(g: &Graph) -> PlanGraph {
@@ -175,7 +96,6 @@ fn lower(g: &Graph) -> PlanGraph {
                         footprint: b.footprint,
                     })
                     .collect(),
-                range: n.item.as_ref().map(|ik| ik.range.dims),
                 copy: n.copy.as_ref().map(|c| (c.src, c.dst)),
             })
             .collect(),
@@ -183,91 +103,11 @@ fn lower(g: &Graph) -> PlanGraph {
     }
 }
 
-/// Union of the access modes two launches declare on one object.
-fn merge_access(a: Access, b: Access) -> Access {
-    if a == b {
-        a
-    } else {
-        Access::ReadWrite
-    }
-}
-
-/// Weakest of two footprints (a merged binding must be safe for both).
-fn merge_footprint(a: Footprint, b: Footprint) -> Footprint {
-    use Footprint::*;
-    match (a, b) {
-        (Whole, _) | (_, Whole) => Whole,
-        (Item, _) | (_, Item) => Item,
-        (ItemDense, ItemDense) => ItemDense,
-    }
-}
-
-/// Union the bindings of a fused group, merging per object.
-fn merge_bindings(nodes: &[Node], group: &[usize]) -> Vec<Binding> {
-    let mut merged: Vec<Binding> = Vec::new();
-    for &i in group {
-        for b in &nodes[i].bindings {
-            match merged.iter_mut().find(|m| m.object == b.object) {
-                Some(m) => {
-                    m.access = merge_access(m.access, b.access);
-                    m.footprint = merge_footprint(m.footprint, b.footprint);
-                }
-                None => merged.push(*b),
-            }
-        }
-    }
-    merged
-}
-
-/// Intern a computed node name. Compilation happens once per graph, so
-/// the leak is bounded by the number of `compile` calls.
-fn leak_name(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
-}
-
-/// Build the single fused node for `group`, or `None` when a member
-/// lacks its elementwise form (a broken invariant compile degrades on
-/// rather than panics).
-fn build_fused(graph: &Graph, group: &[usize], caps: &DeviceCaps) -> Result<Option<Node>> {
-    let nodes = graph.nodes();
-    let mut parts: Vec<Arc<dyn Fn(Item) + Send + Sync>> = Vec::with_capacity(group.len());
-    let mut range = None;
-    for &i in group {
-        let Some(ik) = &nodes[i].item else { return Ok(None) };
-        parts.push(Arc::clone(&ik.f));
-        range.get_or_insert(ik.range);
-    }
-    let Some(range) = range else { return Ok(None) };
-    let name = leak_name(format!(
-        "fused({})",
-        group.iter().map(|&i| nodes[i].name).collect::<Vec<_>>().join("+")
-    ));
-    let merged = merge_bindings(nodes, group);
-    let mut b = GraphBuilder::new(caps.clone());
-    // Recording through the same builder entry point reproduces the
-    // original chunking exactly, so fused replays are bit-compatible
-    // with the separate launches they replace.
-    b.parallel_for(name, range, &merged, move |it| {
-        for f in &parts {
-            f(it);
-        }
-    });
-    let (mut built, _) = b.finish()?;
-    // Fusion preserves each member's per-item accesses and range, so
-    // member elision certificates stay valid: the fused node arms the
-    // union of its members' gates.
-    if let Some(n) = built.last_mut() {
-        n.gates = group.iter().flat_map(|&i| nodes[i].gates.iter().cloned()).collect();
-    }
-    Ok(built.pop())
-}
-
 /// Build the O(1) swap step for rewritten copy node `node`, or `None`
 /// when the node carries no copy metadata.
 fn build_swap(graph: &Graph, node: usize, caps: &DeviceCaps) -> Result<Option<Node>> {
     let nodes = graph.nodes();
     let Some(ci) = nodes[node].copy.clone() else { return Ok(None) };
-    let name = leak_name(format!("swap({})", nodes[node].name));
     // The swap rebinds both storages: declare read-write on both objects
     // with whole footprints so phase derivation serialises it against
     // every launch touching either side.
@@ -277,7 +117,7 @@ fn build_swap(graph: &Graph, node: usize, caps: &DeviceCaps) -> Result<Option<No
     ];
     let swap = Arc::clone(&ci.swap);
     let mut b = GraphBuilder::new(caps.clone());
-    b.single_task(name, &bindings, move || {
+    b.single_task(nodes[node].name, &bindings, move || {
         if let Err(e) = swap() {
             // Containment converts the typed payload into an error
             // return from the replay, as with any kernel failure.
@@ -314,18 +154,17 @@ impl std::fmt::Debug for OptimizedGraph {
 }
 
 impl OptimizedGraph {
-    /// Lower `graph`, run the passes `level` enables, and compile the
-    /// optimized schedule. With [`GraphOptLevel::none`] the steady graph
-    /// is a node-for-node copy of the recording (verbatim PR 5 replay).
-    pub fn compile(graph: Graph, level: GraphOptLevel) -> Result<OptimizedGraph> {
+    /// Lower `graph`, run the pass pipeline and compile the optimized
+    /// schedule. Where no pass fires the steady graph is a node-for-node
+    /// copy of the recording.
+    pub fn compile(graph: Graph) -> Result<OptimizedGraph> {
         let plan = lower(&graph);
-        let (mut sched, mut report) = optimize_plan(&plan, level.toggles());
+        let (mut sched, mut report) = optimize_plan(&plan);
         // Translation-validation gate: an independent checker re-derives
         // each pass's justification and happens-before preservation
         // between the original and optimized plans. A schedule it cannot
         // justify never executes — compile degrades it to a verbatim
-        // node-for-node replay (level-none shape) and counts the
-        // rejection for the CI sweep.
+        // node-for-node replay and counts the rejection for the CI sweep.
         match validate_translation(&plan, &sched, &report) {
             Ok(()) => {
                 TV_ACCEPTED.fetch_add(1, Ordering::Relaxed);
@@ -336,10 +175,7 @@ impl OptimizedGraph {
                     errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ");
                 *lock(last_rejection_slot()) = Some(rendered);
                 let n = plan.nodes.len();
-                sched = OptimizedPlan {
-                    prologue: Vec::new(),
-                    steady: (0..n).map(|i| PlanStep::Launch(vec![i])).collect(),
-                };
+                sched = OptimizedPlan::verbatim(n);
                 report = OptReport {
                     launches_before: n,
                     launches_after: n,
@@ -361,15 +197,7 @@ impl OptimizedGraph {
         let mut nodes: Vec<Node> = Vec::new();
         for step in &sched.steady {
             match step {
-                PlanStep::Launch(group) if group.len() == 1 => {
-                    nodes.push(graph.nodes()[group[0]].replay_clone());
-                }
-                PlanStep::Launch(group) => match build_fused(&graph, group, &caps)? {
-                    Some(n) => nodes.push(n),
-                    None => {
-                        nodes.extend(group.iter().map(|&i| graph.nodes()[i].replay_clone()));
-                    }
-                },
+                PlanStep::Launch(i) => nodes.push(graph.nodes()[*i].replay_clone()),
                 PlanStep::Swap { node } => match build_swap(&graph, *node, &caps)? {
                     Some(n) => nodes.push(n),
                     None => nodes.push(graph.nodes()[*node].replay_clone()),
@@ -413,11 +241,6 @@ impl OptimizedGraph {
         &self.report
     }
 
-    /// Launches in the original recording.
-    pub fn recorded_launches(&self) -> usize {
-        self.original.len()
-    }
-
     /// Nodes in the optimized steady graph. Swap steps count as nodes
     /// here (they occupy a schedule slot) but not as kernel launches in
     /// [`OptReport::launches_after`].
@@ -458,96 +281,6 @@ mod tests {
         q.with_fault_plan(None).with_sanitizer(false)
     }
 
-    fn level_parse_round_trips() -> GraphOptLevel {
-        GraphOptLevel::parse("fuse,ping-pong")
-    }
-
-    #[test]
-    fn parse_levels() {
-        assert_eq!(GraphOptLevel::parse("0"), GraphOptLevel::none());
-        assert_eq!(GraphOptLevel::parse("none"), GraphOptLevel::none());
-        assert_eq!(GraphOptLevel::parse("1"), GraphOptLevel::full());
-        assert_eq!(GraphOptLevel::parse("full"), GraphOptLevel::full());
-        let l = level_parse_round_trips();
-        assert!(l.fuse && l.ping_pong && !l.dle && !l.hoist);
-        let l = GraphOptLevel::parse("dle, hoist, bogus");
-        assert!(l.dle && l.hoist && !l.fuse && !l.ping_pong);
-    }
-
-    /// Two same-range elementwise launches with item-disjoint writes
-    /// fuse into one; results stay bit-equal to the unoptimized path.
-    #[test]
-    fn fusion_merges_and_matches_unfused_results() {
-        let q = disarmed(Queue::new(Device::cpu()));
-        let n = 1000;
-        let a = Buffer::from_slice(&(0..n as u32).collect::<Vec<_>>());
-        let x = Buffer::<u32>::new(n);
-        let y = Buffer::<u32>::new(n);
-        let record = |x: &Buffer<u32>, y: &Buffer<u32>| {
-            let (av1, xv) = (a.view(), x.view());
-            let (av2, yv) = (a.view(), y.view());
-            let (xb, yb) = (x.clone(), y.clone());
-            let ab = a.clone();
-            Graph::record(&q, move |g| {
-                g.parallel_for("wx", Range::d1(n), &[reads(&ab), writes_dense(&xb)], move |it| {
-                    xv.set(it.gid(0), av1.get(it.gid(0)) * 2);
-                })
-                .parallel_for("wy", Range::d1(n), &[reads(&ab), writes_dense(&yb)], move |it| {
-                    yv.set(it.gid(0), av2.get(it.gid(0)) + 7);
-                })
-                .output(&xb)
-                .output(&yb);
-            })
-            .unwrap()
-        };
-
-        let baseline = record(&x, &y);
-        baseline.replay(&q).unwrap();
-        let (bx, by) = (x.to_vec(), y.to_vec());
-
-        x.write_from(&vec![0; n]);
-        y.write_from(&vec![0; n]);
-        let og = OptimizedGraph::compile(record(&x, &y), GraphOptLevel::full()).unwrap();
-        assert_eq!(og.report().launches_before, 2);
-        assert_eq!(og.report().launches_after, 1);
-        assert_eq!(og.report().fused, vec![vec!["wx".to_string(), "wy".to_string()]]);
-        assert_eq!(og.steady_nodes(), 1);
-        og.replay(&q).unwrap();
-        assert_eq!(og.fast_replays(), 1);
-        assert_eq!(x.to_vec(), bx);
-        assert_eq!(y.to_vec(), by);
-    }
-
-    /// Range mismatch defeats fusion even when bindings would allow it.
-    #[test]
-    fn fusion_rejected_on_range_mismatch() {
-        let q = disarmed(Queue::new(Device::cpu()));
-        let x = Buffer::<u32>::new(64);
-        let y = Buffer::<u32>::new(63);
-        let (xv, yv) = (x.view(), y.view());
-        let (xb, yb) = (x.clone(), y.clone());
-        let g = Graph::record(&q, move |g| {
-            g.parallel_for("wx", Range::d1(64), &[writes_dense(&xb)], move |it| {
-                xv.set(it.gid(0), 1);
-            })
-            .parallel_for("wy", Range::d1(63), &[writes_dense(&yb)], move |it| {
-                yv.set(it.gid(0), 2);
-            })
-            .output(&xb)
-            .output(&yb);
-        })
-        .unwrap();
-        // Fuse-only: under `full()` the hoist pass would legally move
-        // both pure-write launches to the prologue instead.
-        let level = GraphOptLevel { fuse: true, ..GraphOptLevel::none() };
-        let og = OptimizedGraph::compile(g, level).unwrap();
-        assert!(og.report().fused.is_empty());
-        assert_eq!(og.report().launches_after, 2);
-        og.replay(&q).unwrap();
-        assert!(x.to_vec().iter().all(|&v| v == 1));
-        assert!(y.to_vec().iter().all(|&v| v == 2));
-    }
-
     /// An armed queue must never run the optimized steady schedule: the
     /// replay degrades to the hardened original recording.
     #[test]
@@ -570,7 +303,7 @@ mod tests {
             .output(&xb);
         })
         .unwrap();
-        let og = OptimizedGraph::compile(g, GraphOptLevel::full()).unwrap();
+        let og = OptimizedGraph::compile(g).unwrap();
 
         let armed = q.clone().with_sanitizer(true);
         og.replay(&armed).unwrap();
@@ -605,7 +338,7 @@ mod tests {
             .output(&ob);
         })
         .unwrap();
-        let og = OptimizedGraph::compile(g, GraphOptLevel::full()).unwrap();
+        let og = OptimizedGraph::compile(g).unwrap();
         assert_eq!(og.report().eliminated, vec!["dead".to_string()]);
         og.replay(&q).unwrap();
         assert!(out.to_vec().iter().all(|&v| v == 11));
@@ -626,7 +359,7 @@ mod tests {
             .output(&sb);
         })
         .unwrap();
-        let og2 = OptimizedGraph::compile(g2, GraphOptLevel::full()).unwrap();
+        let og2 = OptimizedGraph::compile(g2).unwrap();
         assert!(og2.report().eliminated.is_empty());
         og2.replay(&q).unwrap();
         assert!(scratch.to_vec().iter().all(|&v| v == 99));
@@ -669,7 +402,7 @@ mod tests {
 
         vars.write_from(&(0..n as u64).collect::<Vec<_>>());
         old.write_from(&vec![0; n]);
-        let og = OptimizedGraph::compile(record(&vars, &old), GraphOptLevel::full()).unwrap();
+        let og = OptimizedGraph::compile(record(&vars, &old)).unwrap();
         assert_eq!(og.report().swapped, vec!["save".to_string()]);
         assert_eq!(og.report().launches_after, 1);
         for _ in 0..4 {
@@ -708,7 +441,7 @@ mod tests {
             .output(&ab);
         })
         .unwrap();
-        let og = OptimizedGraph::compile(g, GraphOptLevel::full()).unwrap();
+        let og = OptimizedGraph::compile(g).unwrap();
         assert_eq!(og.report().hoisted, vec!["init_lut".to_string()]);
         for _ in 0..3 {
             og.replay(&q).unwrap();
@@ -719,7 +452,7 @@ mod tests {
         assert!(acc_v.iter().enumerate().all(|(i, &v)| v == i as u32 * 30));
     }
 
-    /// A compile at level none replays the recording verbatim.
+    /// A recording no pass rewrites compiles to a verbatim replay.
     #[test]
     fn level_none_is_verbatim() {
         let q = disarmed(Queue::new(Device::cpu()));
@@ -728,16 +461,21 @@ mod tests {
         let xv = x.view();
         let xb = x.clone();
         let g = Graph::record(&q, move |g| {
-            g.parallel_for("w", Range::d1(n), &[writes_dense(&xb)], move |it| {
-                xv.set(it.gid(0), 5);
+            g.parallel_for("w", Range::d1(n), &[reads_writes_item(&xb)], move |it| {
+                xv.update(it.gid(0), |v| v + 5);
             })
             .output(&xb);
         })
         .unwrap();
-        let og = OptimizedGraph::compile(g, GraphOptLevel::none()).unwrap();
-        assert_eq!(og.report().launches_before, og.report().launches_after);
-        assert!(og.report().fused.is_empty() && og.report().eliminated.is_empty());
+        let og = OptimizedGraph::compile(g).unwrap();
+        assert_eq!(
+            *og.report(),
+            OptReport { launches_before: 1, launches_after: 1, ..OptReport::default() }
+        );
+        assert_eq!(og.steady_nodes(), 1);
         og.replay(&q).unwrap();
-        assert!(x.to_vec().iter().all(|&v| v == 5));
+        og.replay(&q).unwrap();
+        assert_eq!(og.prologue_runs(), 0);
+        assert!(x.to_vec().iter().all(|&v| v == 10));
     }
 }

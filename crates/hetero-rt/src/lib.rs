@@ -88,7 +88,7 @@ pub use graph::{
     reads, reads_item, reads_writes, reads_writes_item, writes, writes_dense, writes_item,
     Access, Binding, Footprint, Graph, GraphBuilder,
 };
-pub use graph_opt::{GraphOptLevel, OptimizedGraph};
+pub use graph_opt::OptimizedGraph;
 pub use hetero_ir::OptReport;
 pub use integrity::{IntegrityStats, Violation};
 pub use lanes::{F32x8, I32x8, U32x8, LANES};
@@ -116,7 +116,7 @@ pub mod prelude {
         reads, reads_item, reads_writes, reads_writes_item, writes, writes_dense, writes_item,
         Binding, Footprint, Graph, GraphBuilder,
     };
-    pub use crate::graph_opt::{GraphOptLevel, OptimizedGraph};
+    pub use crate::graph_opt::OptimizedGraph;
     pub use crate::lanes::{F32x8, I32x8, U32x8, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};

