@@ -51,7 +51,7 @@
 //!   optimizer: phases over-serialize conservatively, and dead-launch
 //!   elimination, hoisting and ping-pong rewriting all refuse to touch
 //!   a node whose footprint is undeclared. Declare the accesses
-//!   (`reads` / `writes_dense` / `reads_writes_item` / ...), or justify
+//!   (`reads` / `writes_at` / `reads_writes_at` / ...), or justify
 //!   a genuinely access-free body with
 //!   `// lint:allow(graph-empty-bindings)`.
 //! * **no-process-exit** — no `std::process::exit` in library code
@@ -72,13 +72,9 @@
 //!   plus the bound that caps the collection.
 //! * **no-unchecked-outside-proven** — no unchecked buffer access
 //!   (`get_unchecked`, raw `.elem(` accessor calls) in library code
-//!   outside the audited elision layer. Proof-gated bounds-check
-//!   elision is sound *because* the unsafe accessors are reachable from
-//!   exactly two files: `hetero-rt/src/buffer.rs` (the checked
-//!   accessors' own post-check internals) and `hetero-rt/src/elide.rs`
-//!   (certificate-gated views whose bounds obligation the record-time
-//!   prover discharged). Any other call site would bypass both the
-//!   bounds check and the proof. Suppress with
+//!   outside `hetero-rt/src/buffer.rs`, whose checked accessors run the
+//!   bounds check before they dereference. Any other call site would
+//!   bypass the check. Suppress with
 //!   `// lint:allow(no-unchecked-outside-proven)` plus the invariant
 //!   that discharges the bounds obligation.
 //! * **lanes-remainder** — every lane loop must carry a scalar
@@ -834,14 +830,11 @@ fn lint_no_process_exit(
 
 /// The `no-unchecked-outside-proven` rule: unchecked buffer access
 /// primitives (`get_unchecked`, raw `.elem(` calls) anywhere in library
-/// code outside the audited elision layer. Only two files may touch
-/// them: `hetero-rt/src/buffer.rs` (the checked accessors run the
-/// bounds check *before* dereferencing) and `hetero-rt/src/elide.rs`
-/// (a record-time proof certificate discharges the bounds obligation).
+/// code. Only `hetero-rt/src/buffer.rs` may touch them: its checked
+/// accessors run the bounds check *before* dereferencing.
 fn lint_no_unchecked(file: &Path, text: &str, violations: &mut Vec<Violation>) {
-    let audited = ["hetero-rt/src/buffer.rs", "hetero-rt/src/elide.rs"];
     let path = file.to_string_lossy().replace('\\', "/");
-    if audited.iter().any(|a| path.ends_with(a)) {
+    if path.ends_with("hetero-rt/src/buffer.rs") {
         return;
     }
     let (masked, allows) = mask_source(text);
@@ -1102,6 +1095,30 @@ mod tests {
         lint_file(Path::new("app/mod.rs"), src, &mut v);
         v.retain(|x| x.rule == "staging-copy");
         v.into_iter().map(|x| (x.line, x.snippet.trim().to_string())).collect()
+    }
+
+    #[test]
+    fn unchecked_access_is_audited_in_every_file_but_buffer_rs() {
+        let src = "fn peek(v: &GlobalView<u32>, s: &[u32]) -> u32 {\n\
+            let a = v.elem(3).read();\n\
+            let b = *s.get_unchecked(3);\n\
+            // lint:allow(no-unchecked-outside-proven) i < len checked by the caller\n\
+            let c = *s.get_unchecked_mut(2);\n\
+            a + b + c\n\
+            }\n";
+        let fired = |file: &str| {
+            let mut v = Vec::new();
+            lint_no_unchecked(Path::new(file), src, &mut v);
+            v.into_iter().map(|x| x.line).collect::<Vec<_>>()
+        };
+        assert_eq!(fired("crates/hetero-rt/src/buffer.rs"), vec![]);
+        // No second audited file: what used to be the elision module is
+        // checked like any other.
+        for file in ["crates/hetero-rt/src/elide.rs", "crates/core/src/srad/mod.rs"] {
+            let mut lines = fired(file);
+            lines.sort_unstable();
+            assert_eq!(lines, vec![2, 3], "{file}");
+        }
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl<T: Real> Mesh<T> {
 /// ping-pong pass exploits — the save copy legally becomes an O(1)
 /// storage swap because `time_step` densely rewrites its source.
 pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
+    use hetero_rt::prove::{at, bounded, Index};
     let Mesh { vars, old, fluxes, nbrs, norms, vols } = mesh;
     let n = vols.len();
     let flux_kernel = {
@@ -354,18 +354,8 @@ pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Resul
             }
         }
     };
-    // time_step's index structure is fully affine (e*NVAR + v with v
-    // constant-unrolled), so its proof closes and it earns an elision
-    // certificate; compute_flux's neighbour gather is data-dependent, so
-    // it gets a bare (ungated) contract and stays fully checked.
-    let ts_gate = Gate::new();
     let ts_kernel = {
-        let (vv, ov, fv, vov) = (
-            ts_gate.view(vars.view()),
-            ts_gate.view(old.view()),
-            ts_gate.view(fluxes.view()),
-            ts_gate.view(vols.view()),
-        );
+        let (vv, ov, fv, vov) = (vars.view(), old.view(), fluxes.view(), vols.view());
         move |it: Item| {
             let e = it.gid(0);
             let factor = T::from_f64(CFL * 0.01) / vov.get(e);
@@ -376,8 +366,8 @@ pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Resul
     };
     // One affine index per unrolled state variable: e*w + v.
     let per_var = |w: usize| -> Vec<Index> { (0..w).map(|v| at(v).item(0, w).into()).collect() };
-    // The e-slice reads plus the data-dependent neighbour gather
-    // (bounded by the buffer length, never proven).
+    // The e-slice reads plus the data-dependent neighbour gather, which
+    // makes `old` a whole-object read.
     let mut flux_reads = per_var(NVAR);
     flux_reads.push(bounded(n * NVAR));
     Graph::record(q, |g| {
@@ -385,29 +375,26 @@ pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Resul
             .parallel_for(
                 "compute_flux",
                 Range::d1(n),
-                &[reads(old), reads(nbrs), reads(norms), writes_item(fluxes)],
+                &[
+                    reads_at(old, flux_reads),
+                    reads_at(nbrs, per_var(NNB)),
+                    reads_at(norms, per_var(NNB * 3)),
+                    writes_at(fluxes, per_var(NVAR)),
+                ],
                 flux_kernel,
             )
-            .contract(
-                LaunchSpec::new()
-                    .slot("old", n * NVAR, flux_reads, vec![])
-                    .slot("nbrs", n * NNB, per_var(NNB), vec![])
-                    .slot("norms", n * NNB * 3, per_var(NNB * 3), vec![])
-                    .slot("fluxes", n * NVAR, vec![], per_var(NVAR)),
-            )
+            // Every element's NVAR-slice of `vars` is written: the dense
+            // footprint the ping-pong pass needs to swap the save copy.
             .parallel_for(
                 "time_step",
                 Range::d1(n),
-                &[reads_item(old), reads_item(vols), reads_item(fluxes), writes_dense(vars)],
+                &[
+                    reads_at(old, per_var(NVAR)),
+                    reads_at(vols, [at(0).item(0, 1)]),
+                    reads_at(fluxes, per_var(NVAR)),
+                    writes_at(vars, per_var(NVAR)),
+                ],
                 ts_kernel,
-            )
-            .contract_gated(
-                LaunchSpec::new()
-                    .slot("old", n * NVAR, per_var(NVAR), vec![])
-                    .slot("vols", n, vec![at(0).item(0, 1).into()], vec![])
-                    .slot("fluxes", n * NVAR, per_var(NVAR), vec![])
-                    .slot("vars", n * NVAR, vec![], per_var(NVAR)),
-                &ts_gate,
             )
             .output(vars);
     })

@@ -105,14 +105,12 @@ pub fn run_with(q: &Queue, p: &Fdtd2dParams, _version: AppVersion, mode: ExecMod
 /// 8-wide lane sweep over x with a scalar arm for the `w % LANES` tail —
 /// and for the whole row under `HETERO_RT_LANES=0`. Each lane op keeps
 /// the scalar op sequence per element (sub, mul, sub — no FMA), so both
-/// arms are bit-identical. Views go through `gates[k]`, which only a
-/// fast-path graph replay arms.
+/// arms are bit-identical.
 fn row_kernels(
     n: usize,
     ez: &Buffer<f32>,
     hx: &Buffer<f32>,
     hy: &Buffer<f32>,
-    gates: &[Gate; 3],
 ) -> (
     impl Fn(Item) + Send + Sync + 'static,
     impl Fn(Item) + Send + Sync + 'static,
@@ -120,7 +118,7 @@ fn row_kernels(
 ) {
     use hetero_rt::lanes::{self, F32x8, LANES};
     let hx_row = {
-        let (ezv, hxv) = (gates[0].view(ez.view()), gates[0].view(hx.view()));
+        let (ezv, hxv) = (ez.view(), hx.view());
         move |it: Item| {
             let row = it.gid(0) * n;
             let w = n - 1;
@@ -144,7 +142,7 @@ fn row_kernels(
         }
     };
     let hy_row = {
-        let (ezv, hyv) = (gates[1].view(ez.view()), gates[1].view(hy.view()));
+        let (ezv, hyv) = (ez.view(), hy.view());
         move |it: Item| {
             let row = it.gid(0) * n;
             let w = n - 1;
@@ -168,8 +166,7 @@ fn row_kernels(
         }
     };
     let ez_row = {
-        let (ezv, hxv, hyv) =
-            (gates[2].view(ez.view()), gates[2].view(hx.view()), gates[2].view(hy.view()));
+        let (ezv, hxv, hyv) = (ez.view(), hx.view(), hy.view());
         move |it: Item| {
             let row = (it.gid(0) + 1) * n;
             let mut x = 1;
@@ -205,11 +202,12 @@ fn row_kernels(
 /// reads them after the loop, and ez is also *written* between replays
 /// by the source injection).
 ///
-/// Each launch attaches its static access contract — `row(off, w)` is
-/// the index set `off + n·gid + x`, `x < w`, a row kernel sweeps — so
-/// the recording is cross-checked by [`hetero_rt::prove`] and each
-/// kernel's elision gate is certified: fast-path replays run the scalar
-/// arm bounds-check-free (lane windows keep their one check per 8).
+/// Each launch states its index sets — `row(off, w)` is
+/// `off + n·gid + x`, `x < w`, what a row kernel sweeps — and the
+/// bindings are what [`hetero_rt::prove`] infers from them: a gather
+/// that reaches into the next row (hx's of ez, ez's of hx) is a
+/// whole-object read, one that stays on the item's row an item read, and
+/// each field's own row an item read-write.
 pub(crate) fn step_graph(
     q: &Queue,
     n: usize,
@@ -217,48 +215,37 @@ pub(crate) fn step_graph(
     hx: &Buffer<f32>,
     hy: &Buffer<f32>,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, Index, LaunchSpec};
-    let nn = n * n;
-    let gates = [Gate::new(), Gate::new(), Gate::new()];
-    let (hx_row, hy_row, ez_row) = row_kernels(n, ez, hx, hy, &gates);
-    let row = |off: usize, w: usize| -> Index { at(off).item(0, n).aux(1, w).into() };
+    use hetero_rt::prove::at;
+    let (hx_row, hy_row, ez_row) = row_kernels(n, ez, hx, hy);
+    let row = |off: usize, w: usize| at(off).item(0, n).aux(1, w);
     Graph::record(q, |g| {
         g.parallel_for(
             "fdtd_hx",
             Range::d1(n - 1),
-            &[reads(ez), reads_writes_item(hx)],
+            &[
+                reads_at(ez, [row(n, n - 1), row(0, n - 1)]),
+                reads_writes_at(hx, [row(0, n - 1)], [row(0, n - 1)]),
+            ],
             hx_row,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("ez", nn, vec![row(n, n - 1), row(0, n - 1)], vec![])
-                .slot("hx", nn, vec![row(0, n - 1)], vec![row(0, n - 1)]),
-            &gates[0],
         )
         .parallel_for(
             "fdtd_hy",
             Range::d1(n - 1),
-            &[reads(ez), reads_writes_item(hy)],
+            &[
+                reads_at(ez, [row(1, n - 1), row(0, n - 1)]),
+                reads_writes_at(hy, [row(0, n - 1)], [row(0, n - 1)]),
+            ],
             hy_row,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("ez", nn, vec![row(1, n - 1), row(0, n - 1)], vec![])
-                .slot("hy", nn, vec![row(0, n - 1)], vec![row(0, n - 1)]),
-            &gates[1],
         )
         .parallel_for(
             "fdtd_ez",
             Range::d1(n - 2),
-            &[reads(hx), reads(hy), reads_writes_item(ez)],
+            &[
+                reads_at(hx, [row(n + 1, n - 2), row(1, n - 2)]),
+                reads_at(hy, [row(n + 1, n - 2), row(n, n - 2)]),
+                reads_writes_at(ez, [row(n + 1, n - 2)], [row(n + 1, n - 2)]),
+            ],
             ez_row,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("hx", nn, vec![row(n + 1, n - 2), row(1, n - 2)], vec![])
-                .slot("hy", nn, vec![row(n + 1, n - 2), row(n, n - 2)], vec![])
-                .slot("ez", nn, vec![row(n + 1, n - 2)], vec![row(n + 1, n - 2)]),
-            &gates[2],
         )
         .output(ez)
         .output(hx)

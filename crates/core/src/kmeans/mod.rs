@@ -183,17 +183,12 @@ impl Lloyd {
 /// Record one Lloyd pass: map_centers and reset are independent and
 /// replay in one phase; accumulate and finalize each form their own.
 pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
+    use hetero_rt::prove::{at, bounded, IndexExpr};
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let Lloyd { pts, centers, membership, acc, counts } = lloyd;
 
-    // Elision gates for the three launches whose index structure is
-    // fully affine (map_centers, reset, finalize). The atomic scatter in
-    // accumulate is data-dependent and stays on checked accessors.
-    let (map_gate, reset_gate, fin_gate) = (Gate::new(), Gate::new(), Gate::new());
     let map_kernel = {
-        let (pv, cv, mv) =
-            (map_gate.view(pts.view()), map_gate.view(centers.view()), map_gate.view(membership.view()));
+        let (pv, cv, mv) = (pts.view(), centers.view(), membership.view());
         move |it: Item| {
             let i = it.gid(0);
             let mut best = 0u32;
@@ -214,7 +209,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         }
     };
     let reset_kernel = {
-        let (av, ctv) = (reset_gate.view(acc.view()), reset_gate.view(counts.view()));
+        let (av, ctv) = (acc.view(), counts.view());
         move |it: Item| {
             av.set(it.gid(0), 0.0);
             if it.gid(0) < k {
@@ -264,8 +259,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         }
     };
     let fin_kernel = {
-        let (cv, av, ctv) =
-            (fin_gate.view(centers.view()), fin_gate.view(acc.view()), fin_gate.view(counts.view()));
+        let (cv, av, ctv) = (centers.view(), acc.view(), counts.view());
         move |it: Item| {
             let c = it.gid(0);
             let cnt = ctv.get(c);
@@ -278,77 +272,56 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
     };
 
     // Per-feature affine slice of a point/centre row: i*nf + f.
-    let feat = |w: usize| -> Vec<Index> { (0..w).map(|f| at(f).item(0, w).into()).collect() };
-    // `w` words of each of an accumulate block's points.
-    let block = |w: usize| -> Index {
-        at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w).into()
-    };
+    let feat = |w: usize| (0..w).map(move |f| at(f).item(0, w));
+    // `w` words of each of an accumulate block's points, the last block
+    // clipped to n.
+    let block = |w: usize| at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w);
+    let own = || at(0).item(0, 1);
     Graph::record(q, |g| {
         g.parallel_for(
             "map_centers",
             Range::d1(n),
-            &[reads(pts), reads(centers), writes_dense(membership)],
-            map_kernel,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("pts", n * nf, feat(nf), vec![])
+            &[
+                reads_at(pts, feat(nf)),
                 // Every item scans the whole centre table.
-                .slot("centers", k * nf, vec![bounded(k * nf)], vec![])
-                .slot("membership", n, vec![], vec![at(0).item(0, 1).into()]),
-            &map_gate,
+                reads_at(centers, [bounded(k * nf)]),
+                writes_at(membership, [own()]),
+            ],
+            map_kernel,
         )
         .parallel_for(
             "reset",
             Range::d1(k * nf),
-            &[writes_dense(acc), writes_item(counts)],
+            // The counts clear is guarded to the first k items.
+            &[writes_at(acc, [own()]), writes_at(counts, [own().guard(k)])],
             reset_kernel,
         )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("acc", k * nf, vec![], vec![at(0).item(0, 1).into()])
-                // The counts clear is guarded to the first k items.
-                .slot("counts", k, vec![], vec![at(0).item(0, 1).guard(k).into()]),
-            &reset_gate,
-        )
-        // The atomic scatter keeps whole-buffer read-write footprints:
-        // any block may bump any cluster, so hoisting around it is
-        // (correctly) illegal. Reset is likewise pinned in the steady
-        // schedule because accumulate also writes acc/counts.
+        // Any block may bump any cluster row: the atomic scatter is a
+        // whole-object read-write of acc and counts, so hoisting around
+        // it is (correctly) illegal, and reset stays pinned in the steady
+        // schedule because accumulate also writes both.
         .parallel_for(
             "accumulate",
             Range::d1(n.div_ceil(ACC_BLOCK)),
-            &[reads(pts), reads_item(membership), reads_writes(acc), reads_writes(counts)],
+            &[
+                reads_at(pts, [block(nf)]),
+                reads_at(membership, [block(1)]),
+                reads_writes_at(acc, [bounded(k * nf)], [bounded(k * nf)]),
+                reads_writes_at(counts, [bounded(k)], [bounded(k)]),
+            ],
             acc_kernel,
         )
-        .contract(
-            LaunchSpec::new()
-                // A block of ACC_BLOCK points per item, the last one
-                // clipped to n.
-                .slot("pts", n * nf, vec![block(nf)], vec![])
-                .slot("membership", n, vec![block(1)], vec![])
-                // Data-dependent atomic scatter: any block may bump any
-                // cluster row, so both slots stay Bounded/Whole.
-                .slot("acc", k * nf, vec![bounded(k * nf)], vec![bounded(k * nf)])
-                .slot("counts", k, vec![bounded(k)], vec![bounded(k)]),
-        )
-        // finalize only *writes* centers (conditionally, so the
-        // footprint stays Item, never ItemDense).
+        // finalize writes a centre only for a non-empty cluster: an empty
+        // one keeps its old row, so the write must not read as dense.
         .parallel_for(
             "finalize",
             Range::d1(k),
-            &[reads_item(acc), reads_item(counts), writes_item(centers)],
+            &[
+                reads_at(acc, feat(nf)),
+                reads_at(counts, [own()]),
+                writes_at(centers, feat(nf).map(IndexExpr::conditional)),
+            ],
             fin_kernel,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("acc", k * nf, feat(nf), vec![])
-                .slot("counts", k, vec![at(0).item(0, 1).into()], vec![])
-                // The write is conditional on a non-empty cluster, so the
-                // *declared* footprint stays Item even though the index
-                // structure alone would tile densely.
-                .slot("centers", k * nf, vec![], feat(nf)),
-            &fin_gate,
         )
         .output(centers)
         .output(membership);

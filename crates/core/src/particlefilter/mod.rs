@@ -263,25 +263,18 @@ impl Cloud {
 }
 
 /// Record the propagate/weight launch (every batch route and
-/// [`streaming`] execute the same recording). Per-particle affine state,
-/// so the proof closes and the kernel earns an elision certificate.
+/// [`streaming`] execute the same recording): per-particle state, each
+/// work-item on its own element.
 pub(crate) fn propagate_graph(
     q: &Queue,
     variant: PfVariant,
     cloud: &Cloud,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, LaunchSpec};
+    use hetero_rt::prove::at;
     let Cloud { xs, ys, seeds, weights, frame, .. } = cloud;
     let n = xs.len();
-    let gate = Gate::new();
-    let (xv, yv, wv, sv, pv) = (
-        gate.view(xs.view()),
-        gate.view(ys.view()),
-        gate.view(weights.view()),
-        gate.view(seeds.view()),
-        gate.view(frame.view()),
-    );
-    let own = || at(0).item(0, 1);
+    let (xv, yv, wv, sv, pv) = (xs.view(), ys.view(), weights.view(), seeds.view(), frame.view());
+    let own = || [at(0).item(0, 1)];
     Graph::record(q, |g| {
         // Every buffer is observable after the replay (the host reads
         // weights/positions; seeds carry RNG state into the next frame),
@@ -291,11 +284,11 @@ pub(crate) fn propagate_graph(
             "pf_propagate_weight",
             Range::d1(n),
             &[
-                reads(frame),
-                reads_writes_item(xs),
-                reads_writes_item(ys),
-                reads_writes_item(seeds),
-                writes_dense(weights),
+                reads_at(frame, [at(0), at(1)]),
+                reads_writes_at(xs, own(), own()),
+                reads_writes_at(ys, own(), own()),
+                reads_writes_at(seeds, own(), own()),
+                writes_at(weights, own()),
             ],
             move |it| {
                 let (tx, ty) = (pv.get(0), pv.get(1));
@@ -307,15 +300,6 @@ pub(crate) fn propagate_graph(
                 wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
             },
         )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("frame", 3, vec![at(0).into(), at(1).into()], vec![])
-                .slot("xs", n, vec![own().into()], vec![own().into()])
-                .slot("ys", n, vec![own().into()], vec![own().into()])
-                .slot("seeds", n, vec![own().into()], vec![own().into()])
-                .slot("weights", n, vec![], vec![own().into()]),
-            &gate,
-        )
         .output(xs)
         .output(ys)
         .output(weights)
@@ -323,28 +307,27 @@ pub(crate) fn propagate_graph(
     })
 }
 
-/// Record the resampling launch, the parallel CDF walk. Its gathers are
-/// clamped by construction of the walk, so this proof closes too.
+/// Record the resampling launch, the parallel CDF walk.
 pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, LaunchSpec};
+    use hetero_rt::prove::{at, bounded};
     let Cloud { xs, ys, cdf, nxs, nys, frame, .. } = cloud;
     let n = xs.len();
-    let gate = Gate::new();
-    let (cv, xv, yv, nxv, nyv, pv) = (
-        gate.view(cdf.view()),
-        gate.view(xs.view()),
-        gate.view(ys.view()),
-        gate.view(nxs.view()),
-        gate.view(nys.view()),
-        gate.view(frame.view()),
-    );
+    let (cv, xv, yv, nxv, nyv, pv) =
+        (cdf.view(), xs.view(), ys.view(), nxs.view(), nys.view(), frame.view());
     Graph::record(q, |g| {
         g.parallel_for(
             "pf_find_index",
             Range::d1(n),
-            // xs/ys are gathered at the CDF-walk index, so their reads
-            // stay whole-buffer.
-            &[reads(frame), reads(cdf), reads(xs), reads(ys), writes_dense(nxs), writes_dense(nys)],
+            // The CDF walk scans, and the position gathers land on,
+            // indices < n by construction of the walk.
+            &[
+                reads_at(frame, [at(2)]),
+                reads_at(cdf, [bounded(n)]),
+                reads_at(xs, [bounded(n)]),
+                reads_at(ys, [bounded(n)]),
+                writes_at(nxs, [at(0).item(0, 1)]),
+                writes_at(nys, [at(0).item(0, 1)]),
+            ],
             move |it| {
                 let u0 = pv.get(2);
                 let j = it.gid(0);
@@ -360,18 +343,6 @@ pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Grap
                 nxv.set(j, xv.get(idx));
                 nyv.set(j, yv.get(idx));
             },
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("frame", 3, vec![at(2).into()], vec![])
-                // The CDF walk scans, and the position gathers land on,
-                // indices < n by construction.
-                .slot("cdf", n, vec![bounded(n)], vec![])
-                .slot("xs", n, vec![bounded(n)], vec![])
-                .slot("ys", n, vec![bounded(n)], vec![])
-                .slot("nxs", n, vec![], vec![at(0).item(0, 1).into()])
-                .slot("nys", n, vec![], vec![at(0).item(0, 1).into()]),
-            &gate,
         )
         .output(nxs)
         .output(nys);

@@ -161,25 +161,23 @@ impl Planes {
 /// sweep over the interior, and a scalar arm through the east edge — and
 /// over the whole row under `HETERO_RT_LANES=0`. Every lane expression
 /// mirrors the scalar op sequence literally (same associativity, no
-/// FMA), keeping both arms bit-identical. Views go through `gates[k]`,
-/// which only a fast-path graph replay arms.
+/// FMA), keeping both arms bit-identical.
 fn row_kernels(
     n: usize,
     lambda: f32,
     planes: &Planes,
-    gates: &[Gate; 2],
 ) -> (
     impl Fn(Item) + Send + Sync + 'static,
     impl Fn(Item) + Send + Sync + 'static,
 ) {
     use hetero_rt::lanes::{self, F32x8, LANES};
-    let views = |g: &Gate| {
-        let v = |b: &Buffer<f32>| g.view(b.view());
-        (v(&planes.img), v(&planes.c), v(&planes.dn), v(&planes.ds), v(&planes.de), v(&planes.dw))
+    let views = || {
+        let Planes { img, c, dn, ds, de, dw, .. } = planes;
+        (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view())
     };
     let srad_1 = {
-        let (iv, cv, dnv, dsv, dev, dwv) = views(&gates[0]);
-        let q0v = gates[0].view(planes.q0.view());
+        let (iv, cv, dnv, dsv, dev, dwv) = views();
+        let q0v = planes.q0.view();
         move |it: Item| {
             let q0 = q0v.get(0);
             let y = it.gid(0);
@@ -240,7 +238,7 @@ fn row_kernels(
         }
     };
     let srad_2 = {
-        let (iv, cv, dnv, dsv, dev, dwv) = views(&gates[1]);
+        let (iv, cv, dnv, dsv, dev, dwv) = views();
         move |it: Item| {
             let y = it.gid(0);
             let row = y * n;
@@ -284,75 +282,50 @@ fn row_kernels(
 /// Record one diffusion step (every batch route and [`streaming`]
 /// execute the same recording). `own` is the full row `n·gid + x`,
 /// `x < n`, each work-item sweeps; the north/south rows and west/east
-/// columns are clamped into the image, hence `bounded(nn)`. Every access
-/// is affine or clamped below `n·n`, so both contract proofs close and
-/// fast-path replays run the stencils' scalar accesses bounds-check-free
-/// (lane windows keep their one check per 8).
+/// columns are clamped into the image, hence `bounded(nn)`. The bindings
+/// are inferred from these sets: `srad_1` gathers the image (a
+/// whole-object read) and writes each row's own cells of the five
+/// derivative planes densely; `srad_2` gathers `c` at the south row,
+/// reads the derivatives at the row's own cells and updates the image
+/// there.
 pub(crate) fn step_graph(
     q: &Queue,
     n: usize,
     lambda: f32,
     planes: &Planes,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, Index, LaunchSpec};
+    use hetero_rt::prove::{at, bounded, Index};
     let nn = n * n;
-    let gates = [Gate::new(), Gate::new()];
-    let (srad_1, srad_2) = row_kernels(n, lambda, planes, &gates);
+    let (srad_1, srad_2) = row_kernels(n, lambda, planes);
     let own = || -> Index { at(0).item(0, n).aux(1, n).into() };
     let Planes { img, q0, c, dn, ds, de, dw } = planes;
     Graph::record(q, |g| {
         g.parallel_for(
             "srad_1",
             Range::d1(n),
-            // Each row writes exactly its own cells of the five
-            // derivative planes: dense item footprints. The image is a
-            // neighbourhood gather, so its read stays Whole.
             &[
-                reads(img),
-                reads(q0),
-                writes_dense(c),
-                writes_dense(dn),
-                writes_dense(ds),
-                writes_dense(de),
-                writes_dense(dw),
+                reads_at(img, [own(), bounded(nn), bounded(nn), bounded(nn), bounded(nn)]),
+                reads_at(q0, [at(0)]),
+                writes_at(c, [own()]),
+                writes_at(dn, [own()]),
+                writes_at(ds, [own()]),
+                writes_at(de, [own()]),
+                writes_at(dw, [own()]),
             ],
             srad_1,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("img", nn, vec![own(), bounded(nn), bounded(nn), bounded(nn), bounded(nn)], vec![])
-                .slot("q0", 1, vec![at(0).into()], vec![])
-                .slot("c", nn, vec![], vec![own()])
-                .slot("dn", nn, vec![], vec![own()])
-                .slot("ds", nn, vec![], vec![own()])
-                .slot("de", nn, vec![], vec![own()])
-                .slot("dw", nn, vec![], vec![own()]),
-            &gates[0],
         )
         .parallel_for(
             "srad_2",
             Range::d1(n),
-            // c is gathered at the south row (Whole read); the
-            // derivative planes are read at the row's own cells.
             &[
-                reads(c),
-                reads_item(dn),
-                reads_item(ds),
-                reads_item(de),
-                reads_item(dw),
-                reads_writes_item(img),
+                reads_at(c, [own(), bounded(nn), bounded(nn)]),
+                reads_at(dn, [own()]),
+                reads_at(ds, [own()]),
+                reads_at(de, [own()]),
+                reads_at(dw, [own()]),
+                reads_writes_at(img, [own()], [own()]),
             ],
             srad_2,
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("c", nn, vec![own(), bounded(nn), bounded(nn)], vec![])
-                .slot("dn", nn, vec![own()], vec![])
-                .slot("ds", nn, vec![own()], vec![])
-                .slot("de", nn, vec![own()], vec![])
-                .slot("dw", nn, vec![own()], vec![])
-                .slot("img", nn, vec![own()], vec![own()]),
-            &gates[1],
         )
         .output(img);
     })

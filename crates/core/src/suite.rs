@@ -1125,6 +1125,9 @@ mod tests {
         record: fn(&Queue) -> Vec<hetero_rt::Graph>,
         /// Launches `record` holds.
         nodes: usize,
+        /// `phase_count()` of each recording: what the bindings' access
+        /// modes let run concurrently.
+        phases: &'static [usize],
         /// Launches an iteration issues outside its recording.
         host_launches: u64,
         iterations: usize,
@@ -1137,6 +1140,7 @@ mod tests {
             Recorded {
                 name: "FDTD2D",
                 nodes: 3,
+                phases: &[2],
                 record: |q| {
                     let n = altis_data::fdtd2d(S1).dim;
                     let plane = || Buffer::<f32>::new(n * n);
@@ -1148,6 +1152,7 @@ mod tests {
             Recorded {
                 name: "SRAD",
                 nodes: 2,
+                phases: &[2],
                 record: |q| {
                     let p = altis_data::srad(S1);
                     let planes = srad::Planes::new(srad::generate_image(&p));
@@ -1160,6 +1165,7 @@ mod tests {
             Recorded {
                 name: "CFD FP32",
                 nodes: 3,
+                phases: &[3],
                 record: |q| {
                     let mesh = cfd::Mesh::new(cfd::generate::<f32>(&altis_data::cfd(S1)));
                     vec![cfd::step_graph(q, &mesh).unwrap()]
@@ -1170,6 +1176,7 @@ mod tests {
             Recorded {
                 name: "KMeans",
                 nodes: 4,
+                phases: &[3],
                 record: |q| {
                     let p = altis_data::kmeans(S1);
                     let lloyd = kmeans::Lloyd::new(&p, kmeans::generate_points(&p));
@@ -1181,6 +1188,7 @@ mod tests {
             Recorded {
                 name: "PF Naive",
                 nodes: 2,
+                phases: &[1, 1],
                 record: |q| {
                     let cloud = pf::Cloud::new(&altis_data::particlefilter(S1));
                     vec![
@@ -1200,9 +1208,11 @@ mod tests {
         // `Graph` on an armed queue: the ledger counts what the queue
         // really launched.
         for app in recorded_apps() {
-            let recorded: usize =
-                (app.record)(&Queue::new(Device::cpu())).iter().map(hetero_rt::Graph::len).sum();
+            let graphs = (app.record)(&Queue::new(Device::cpu()));
+            let recorded: usize = graphs.iter().map(hetero_rt::Graph::len).sum();
             assert_eq!(recorded, app.nodes, "{}", app.name);
+            let phases: Vec<usize> = graphs.iter().map(hetero_rt::Graph::phase_count).collect();
+            assert_eq!(phases, app.phases, "{}", app.name);
             let want = (recorded as u64 + app.host_launches) * app.iterations as u64;
             for (armed, mode) in [(false, ExecMode::PerLaunch), (true, ExecMode::Graph)] {
                 let ledger = std::sync::Arc::new(hetero_rt::ResilienceLedger::new());

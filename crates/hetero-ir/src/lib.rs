@@ -38,7 +38,7 @@ pub use analysis::{
 pub use builder::{KernelBuilder, LoopBuilder};
 pub use printer::{print_kernel, validate_kernel, ValidationError};
 pub use prove::{
-    at, bounded, check_contract, infer_contract, validate_translation, ContractReport,
+    at, bounded, infer_contract, validate_translation, ContractReport,
     ContractViolation, Index, IndexExpr, LaunchSpec, SlotReport, SlotSpec, TvError,
 };
 pub use verify::{verify_kernel, verify_kernels, DeviceLimits, KnownDeviation, VerifyError};

@@ -4,23 +4,22 @@
 //! Two provers live here, both pure functions over plain data so every
 //! rule is unit-testable without touching kernels:
 //!
-//! 1. **Binding-contract inference** ([`infer_contract`], [`check_contract`]):
-//!    a recorded launch declares bindings (`reads`/`writes_dense`/…) that
-//!    the graph optimizer trusts blindly — a misdeclared footprint
-//!    silently legalizes an illegal ping-pong swap. A
-//!    [`LaunchSpec`] describes the same launch's actual accesses as
-//!    affine index expressions ([`IndexExpr`]) over the item id and
-//!    bounded loop counters; an interval/stride abstract interpreter
-//!    infers the strongest sound [`PlanAccess`] + [`PlanFootprint`] per
-//!    object and proves (or fails to prove) that every access stays in
-//!    bounds for the recorded range. The checker then requires every
-//!    *declared* binding to be no stronger than the *inferred* contract.
+//! 1. **Binding-contract inference** ([`infer_contract`]): a recorded
+//!    launch states, per bound object, the index sets its kernel body
+//!    may read and write — affine index expressions ([`IndexExpr`]) over
+//!    the item id and bounded loop counters, collected in a
+//!    [`LaunchSpec`]. An interval/stride abstract interpreter infers the
+//!    strongest sound [`PlanAccess`] + [`PlanFootprint`] per object and
+//!    proves (or fails to prove) that every access stays in bounds for
+//!    the recorded range. The runtime records the inferred pair as the
+//!    launch's binding, so the graph optimizer — which trusts bindings
+//!    blindly: a false dense footprint legalizes an illegal ping-pong
+//!    swap — never sees a hand-written claim.
 //!
 //!    The contract lattice per object is `Whole < Item < ItemDense`
-//!    (weakest claim first): declaring something weaker than what holds
-//!    is safe over-approximation (a warning at most); declaring
-//!    something stronger is a [`ContractViolation`] — exactly the lie
-//!    that would legalize an illegal rewrite.
+//!    (weakest claim first); each step up needs a proof over the index
+//!    structure, and whatever the interpreter cannot prove stays at the
+//!    weaker claim.
 //!
 //! 2. **Translation validation** ([`validate_translation`]): the pass
 //!    pipeline's [`OptReport`] is a machine-checkable *justification* —
@@ -76,11 +75,17 @@ pub struct IndexExpr {
     /// `Some(g)`: the kernel performs the access only when the
     /// expression value is `< g` (an explicit guard in the source).
     pub guard_lt: Option<usize>,
+    /// The kernel performs the access only under a condition on *data*
+    /// (KMeans' `finalize` writes a centre only for a non-empty
+    /// cluster). Such an access may be skipped for any item, so it
+    /// never counts toward dense coverage; for bounds and for the access
+    /// direction it counts as if it always executed.
+    pub conditional: bool,
 }
 
 /// Start an affine index expression with constant `offset`.
 pub fn at(offset: usize) -> IndexExpr {
-    IndexExpr { terms: Vec::new(), offset, guard_lt: None }
+    IndexExpr { terms: Vec::new(), offset, guard_lt: None, conditional: false }
 }
 
 impl IndexExpr {
@@ -99,6 +104,12 @@ impl IndexExpr {
     /// Guard the access: it only executes when the value is `< g`.
     pub fn guard(mut self, g: usize) -> Self {
         self.guard_lt = Some(g);
+        self
+    }
+
+    /// Mark the access data-conditional: some items may skip it.
+    pub fn conditional(mut self) -> Self {
+        self.conditional = true;
         self
     }
 
@@ -134,14 +145,9 @@ pub fn bounded(lt: usize) -> Index {
     Index::Bounded { lt }
 }
 
-/// Declared accesses of one launch to one bound object ("slot"). Slots
-/// are positional: slot `i` describes the launch's `i`-th binding.
+/// The index sets of one launch on one bound object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotSpec {
-    /// Stable diagnostic name (the buffer's role, e.g. `"ez"`). Object
-    /// ids are deliberately absent: reports must be deterministic
-    /// across processes.
-    pub name: &'static str,
     /// Object length in elements.
     pub len: usize,
     /// Every read index the kernel body may evaluate.
@@ -151,11 +157,12 @@ pub struct SlotSpec {
 }
 
 /// The access contract of one recorded launch: one [`SlotSpec`] per
-/// binding, in binding order.
+/// bound object. Reports name a slot by its position here (object ids
+/// are deliberately absent: reports must be deterministic across
+/// processes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchSpec {
-    /// Per-binding slot specs, positionally aligned with the launch's
-    /// declared bindings.
+    /// Per-object slot specs.
     pub slots: Vec<SlotSpec>,
 }
 
@@ -165,15 +172,9 @@ impl LaunchSpec {
         LaunchSpec::default()
     }
 
-    /// Append the spec for the next binding slot.
-    pub fn slot(
-        mut self,
-        name: &'static str,
-        len: usize,
-        reads: Vec<Index>,
-        writes: Vec<Index>,
-    ) -> Self {
-        self.slots.push(SlotSpec { name, len, reads, writes });
+    /// Append the spec for the next bound object.
+    pub fn slot(mut self, len: usize, reads: Vec<Index>, writes: Vec<Index>) -> Self {
+        self.slots.push(SlotSpec { len, reads, writes });
         self
     }
 }
@@ -185,8 +186,6 @@ impl LaunchSpec {
 /// What the abstract interpreter concluded about one slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
-    /// Slot name from the spec.
-    pub name: &'static str,
     /// Object length the bounds proof is against.
     pub len: usize,
     /// Inferred access direction; `None` when no declared access can
@@ -210,14 +209,13 @@ pub struct ContractReport {
     pub kernel: String,
     /// The launch range the proof is relative to.
     pub range: [usize; 3],
-    /// Per-slot conclusions, in binding order.
+    /// Per-slot conclusions, in spec order.
     pub slots: Vec<SlotReport>,
 }
 
 impl ContractReport {
     /// Whether every slot's every access is statically proven in
-    /// bounds — the precondition for the bounds-check-elision
-    /// certificate.
+    /// bounds.
     pub fn proven_in_bounds(&self) -> bool {
         self.slots.iter().all(|s| s.bounds_proven)
     }
@@ -234,7 +232,7 @@ impl fmt::Display for ContractReport {
             self.range[2],
             if self.proven_in_bounds() { "proven" } else { "unproven" }
         )?;
-        for s in &self.slots {
+        for (i, s) in self.slots.iter().enumerate() {
             let access = match s.access {
                 None => "unused",
                 Some(PlanAccess::Read) => "read",
@@ -249,15 +247,14 @@ impl fmt::Display for ContractReport {
             match s.max_index {
                 Some(m) => writeln!(
                     f,
-                    "  {}: {} {} max {} / len {} ({})",
-                    s.name,
+                    "  #{i}: {} {} max {} / len {} ({})",
                     access,
                     fp,
                     m,
                     s.len,
                     if s.bounds_proven { "in bounds" } else { "NOT PROVEN" }
                 )?,
-                None => writeln!(f, "  {}: {} {} (no executing access)", s.name, access, fp)?,
+                None => writeln!(f, "  #{i}: {access} {fp} (no executing access)")?,
             }
         }
         Ok(())
@@ -311,7 +308,13 @@ fn decompose(e: &IndexExpr) -> Option<Decomp> {
             _ => None,
         };
     }
-    Some(Decomp { item_coeff, lo: e.offset, hi, covers: w, guarded: e.guard_lt.is_some() })
+    Some(Decomp {
+        item_coeff,
+        lo: e.offset,
+        hi,
+        covers: w,
+        guarded: e.guard_lt.is_some() || e.conditional,
+    })
 }
 
 /// Whether items with distinct ids touch provably disjoint index sets:
@@ -470,7 +473,6 @@ pub fn infer_contract(kernel: &str, range: [usize; 3], spec: &LaunchSpec) -> Con
             (false, None) => false, // an access overflowed the fold
         };
         slots.push(SlotReport {
-            name: slot.name,
             len: slot.len,
             access,
             footprint,
@@ -539,53 +541,15 @@ fn covers_interval(iv: &mut [(usize, usize)], s: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Declared-vs-inferred checking
+// Recording-level violations
 // ---------------------------------------------------------------------------
 
-/// A declared binding lied: it claims something stronger than the
-/// inferred contract supports. Each variant names the kernel and slot
-/// so reports are actionable and deterministic.
+/// What a recording that states index sets can still get wrong. A
+/// launch's bindings are derived from its index sets, so a binding
+/// cannot disagree with them; what inference cannot see is a
+/// declaration about the *graph*.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContractViolation {
-    /// The kernel reads the slot but the binding declares write-only.
-    UndeclaredRead {
-        /// Kernel name.
-        kernel: String,
-        /// Slot name.
-        slot: &'static str,
-    },
-    /// The kernel writes the slot but the binding declares read-only.
-    UndeclaredWrite {
-        /// Kernel name.
-        kernel: String,
-        /// Slot name.
-        slot: &'static str,
-    },
-    /// The binding declares an item footprint but the inferred
-    /// footprint is whole-object (a gather/scatter escaped the slice).
-    OverNarrowFootprint {
-        /// Kernel name.
-        kernel: String,
-        /// Slot name.
-        slot: &'static str,
-    },
-    /// The binding claims dense per-item coverage but the writes do not
-    /// provably cover the object.
-    FalseDenseClaim {
-        /// Kernel name.
-        kernel: String,
-        /// Slot name.
-        slot: &'static str,
-    },
-    /// The spec's slot count does not match the declared binding count.
-    SlotCountMismatch {
-        /// Kernel name.
-        kernel: String,
-        /// Slots in the spec.
-        spec: usize,
-        /// Declared bindings.
-        declared: usize,
-    },
     /// A declared graph output is never written by any recorded node.
     StaleOutput {
         /// Diagnostic identity of the output object.
@@ -596,84 +560,11 @@ pub enum ContractViolation {
 impl fmt::Display for ContractViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ContractViolation::UndeclaredRead { kernel, slot } => {
-                write!(f, "'{kernel}' slot '{slot}': kernel reads it but the binding declares write-only")
-            }
-            ContractViolation::UndeclaredWrite { kernel, slot } => {
-                write!(f, "'{kernel}' slot '{slot}': kernel writes it but the binding declares read-only")
-            }
-            ContractViolation::OverNarrowFootprint { kernel, slot } => {
-                write!(f, "'{kernel}' slot '{slot}': declared item footprint but accesses escape the item slice")
-            }
-            ContractViolation::FalseDenseClaim { kernel, slot } => {
-                write!(f, "'{kernel}' slot '{slot}': declared dense coverage but writes do not provably cover the object")
-            }
-            ContractViolation::SlotCountMismatch { kernel, spec, declared } => {
-                write!(f, "'{kernel}': contract has {spec} slots but the launch declares {declared} bindings")
-            }
             ContractViolation::StaleOutput { object } => {
                 write!(f, "graph output object #{object} is never written by any recorded node")
             }
         }
     }
-}
-
-fn rank(fp: PlanFootprint) -> u8 {
-    match fp {
-        PlanFootprint::Whole => 0,
-        PlanFootprint::Item => 1,
-        PlanFootprint::ItemDense => 2,
-    }
-}
-
-fn declared_reads(a: PlanAccess) -> bool {
-    matches!(a, PlanAccess::Read | PlanAccess::ReadWrite)
-}
-
-fn declared_writes(a: PlanAccess) -> bool {
-    matches!(a, PlanAccess::Write | PlanAccess::ReadWrite)
-}
-
-/// Cross-check one launch's declared `(access, footprint)` pairs (in
-/// binding order) against the inferred report. Over-declaration (a
-/// binding weaker than inferred) is safe and accepted; every returned
-/// violation is a declaration *stronger* than what the interpreter
-/// proved.
-pub fn check_contract(
-    report: &ContractReport,
-    declared: &[(PlanAccess, PlanFootprint)],
-) -> Vec<ContractViolation> {
-    let mut out = Vec::new();
-    if report.slots.len() != declared.len() {
-        out.push(ContractViolation::SlotCountMismatch {
-            kernel: report.kernel.clone(),
-            spec: report.slots.len(),
-            declared: declared.len(),
-        });
-        return out;
-    }
-    for (slot, &(acc, fp)) in report.slots.iter().zip(declared) {
-        let kernel = report.kernel.clone();
-        match slot.access {
-            None => continue, // unused slot: over-declared, safe
-            Some(inf) => {
-                if declared_reads(inf) && !declared_reads(acc) {
-                    out.push(ContractViolation::UndeclaredRead { kernel: kernel.clone(), slot: slot.name });
-                }
-                if declared_writes(inf) && !declared_writes(acc) {
-                    out.push(ContractViolation::UndeclaredWrite { kernel: kernel.clone(), slot: slot.name });
-                }
-            }
-        }
-        if rank(fp) > rank(slot.footprint) {
-            if fp == PlanFootprint::ItemDense && slot.footprint == PlanFootprint::Item {
-                out.push(ContractViolation::FalseDenseClaim { kernel, slot: slot.name });
-            } else {
-                out.push(ContractViolation::OverNarrowFootprint { kernel, slot: slot.name });
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -999,8 +890,8 @@ mod tests {
         let n = 64usize;
         let i = at(0).item(0, 1).item(1, n);
         let spec = LaunchSpec::new()
-            .slot("ez", n * n, vec![i.clone().into(), i.clone().off(n).into()], vec![])
-            .slot("hx", n * n, vec![i.clone().into()], vec![i.into()]);
+            .slot(n * n, vec![i.clone().into(), i.clone().off(n).into()], vec![])
+            .slot(n * n, vec![i.clone().into()], vec![i.into()]);
         let r = infer_contract("fdtd_hx", [n - 1, n - 1, 1], &spec);
         assert_eq!(r.slots[0].access, Some(PlanAccess::Read));
         assert_eq!(r.slots[0].footprint, PlanFootprint::Whole);
@@ -1016,7 +907,7 @@ mod tests {
         // The SRAD-1 shape: write c at own i over n x n, len n*n.
         let n = 16usize;
         let i = at(0).item(0, 1).item(1, n);
-        let spec = LaunchSpec::new().slot("c", n * n, vec![], vec![i.into()]);
+        let spec = LaunchSpec::new().slot(n * n, vec![], vec![i.into()]);
         let r = infer_contract("srad_1", [n, n, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::ItemDense);
         assert!(r.proven_in_bounds());
@@ -1029,8 +920,8 @@ mod tests {
         let n = 64usize;
         let row = |off: usize, w: usize| -> Index { at(off).item(0, n).aux(1, w).into() };
         let spec = LaunchSpec::new()
-            .slot("ez", n * n, vec![row(n, n - 1), row(0, n - 1)], vec![])
-            .slot("hx", n * n, vec![row(0, n - 1)], vec![row(0, n - 1)]);
+            .slot(n * n, vec![row(n, n - 1), row(0, n - 1)], vec![])
+            .slot(n * n, vec![row(0, n - 1)], vec![row(0, n - 1)]);
         let r = infer_contract("fdtd_hx", [n - 1, 1, 1], &spec);
         // ez spans two rows per item (width 2n-1 > stride n): a gather.
         assert_eq!(r.slots[0].footprint, PlanFootprint::Whole);
@@ -1041,7 +932,7 @@ mod tests {
         assert_eq!(r.slots[0].max_index, Some(n * n - 2));
 
         // The SRAD-1 row shape: every row written full width over n rows.
-        let spec = LaunchSpec::new().slot("c", n * n, vec![], vec![row(0, n)]);
+        let spec = LaunchSpec::new().slot(n * n, vec![], vec![row(0, n)]);
         let r = infer_contract("srad_1", [n, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::ItemDense);
         assert!(r.proven_in_bounds());
@@ -1055,8 +946,8 @@ mod tests {
         let blocks = n.div_ceil(b);
         let block = |w: usize| -> Index { at(0).item(0, b * w).aux(1, b * w).guard(n * w).into() };
         let spec = LaunchSpec::new()
-            .slot("pts", n * nf, vec![block(nf)], vec![])
-            .slot("membership", n, vec![block(1)], vec![]);
+            .slot(n * nf, vec![block(nf)], vec![])
+            .slot(n, vec![block(1)], vec![]);
         let r = infer_contract("accumulate", [blocks, 1, 1], &spec);
         assert!(blocks * b > n, "the last block is ragged");
         assert!(r.proven_in_bounds());
@@ -1065,7 +956,7 @@ mod tests {
         assert_eq!(r.slots[1].footprint, PlanFootprint::Item);
         // Without the guard the same sweep runs past the cloud.
         let open = LaunchSpec::new()
-            .slot("membership", n, vec![at(0).item(0, b).aux(1, b).into()], vec![]);
+            .slot(n, vec![at(0).item(0, b).aux(1, b).into()], vec![]);
         assert!(!infer_contract("accumulate", [blocks, 1, 1], &open).proven_in_bounds());
     }
 
@@ -1074,21 +965,70 @@ mod tests {
         // The CFD time_step shape: write vars[e*NVAR + v], v in 0..NVAR.
         let (n, nvar) = (32usize, 4usize);
         let e = at(0).item(0, nvar).aux(1, nvar);
-        let spec = LaunchSpec::new().slot("vars", n * nvar, vec![], vec![e.into()]);
+        let spec = LaunchSpec::new().slot(n * nvar, vec![], vec![e.into()]);
         let r = infer_contract("time_step", [n, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::ItemDense);
         assert!(r.proven_in_bounds());
 
-        // The KMeans finalize shape: conditional writes stay Item (the
-        // guard blocks the dense-coverage proof in spirit; here the
-        // slice is written only when cnt > 0, modelled by marking the
-        // write guarded at the object length — coverage cannot close).
+        // The KMeans finalize shape: the same slices, written only for a
+        // non-empty cluster. The index structure alone would tile
+        // densely; the data-conditional marker keeps the footprint Item.
         let k = 8usize;
-        let c = at(0).item(0, nvar).aux(1, nvar).guard(k * nvar);
-        let spec = LaunchSpec::new().slot("centers", k * nvar, vec![], vec![c.into()]);
+        let c = at(0).item(0, nvar).aux(1, nvar).conditional();
+        let spec = LaunchSpec::new().slot(k * nvar, vec![], vec![c.into()]);
         let r = infer_contract("finalize", [k, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::Item);
         assert!(r.proven_in_bounds());
+    }
+
+    #[test]
+    fn a_conditional_access_blocks_dense_coverage_and_nothing_else() {
+        let n = 12usize;
+        let own = || at(0).item(0, 1);
+        let infer = |reads: Vec<Index>, writes: Vec<Index>| {
+            let spec = LaunchSpec::new().slot(n, reads, writes);
+            infer_contract("k", [n, 1, 1], &spec).slots.remove(0)
+        };
+        // Unmarked, the own-cell write is dense; marked, it is Item with
+        // the same access, bound and proof.
+        let plain = infer(vec![], vec![own().into()]);
+        let cond = infer(vec![], vec![own().conditional().into()]);
+        assert_eq!(plain.footprint, PlanFootprint::ItemDense);
+        assert_eq!(cond.footprint, PlanFootprint::Item);
+        assert_eq!((cond.access, cond.max_index, cond.bounds_proven),
+                   (plain.access, plain.max_index, plain.bounds_proven));
+        // It still counts as an access: a conditional read beside a
+        // write makes the slot read-write, and one that reaches past the
+        // object leaves the proof open.
+        let rw = infer(vec![own().conditional().into()], vec![own().into()]);
+        assert_eq!(rw.access, Some(PlanAccess::ReadWrite));
+        assert_eq!(rw.footprint, PlanFootprint::ItemDense);
+        assert!(!infer(vec![], vec![own().off(1).conditional().into()]).bounds_proven);
+        // An unconditional write of the same cells beside it restores
+        // the cover.
+        let both = infer(vec![], vec![own().conditional().into(), own().into()]);
+        assert_eq!(both.footprint, PlanFootprint::ItemDense);
+    }
+
+    #[test]
+    fn a_slot_no_access_of_which_can_execute_has_no_access() {
+        // A zero-trip loop, a zero guard and an empty `bounded` range
+        // never execute: the slot reports no access (the runtime derives
+        // no binding from it), trivially in bounds.
+        let spec = LaunchSpec::new().slot(
+            8,
+            vec![at(0).item(0, 1).aux(1, 0).into(), bounded(0)],
+            vec![at(0).item(0, 1).guard(0).into()],
+        );
+        let r = infer_contract("idle", [8, 1, 1], &spec);
+        assert_eq!(r.slots[0].access, None);
+        assert_eq!(r.slots[0].footprint, PlanFootprint::Whole);
+        assert_eq!(r.slots[0].max_index, None);
+        assert!(r.proven_in_bounds());
+        assert_eq!(
+            r.to_string(),
+            "contract 'idle' over 8x1x1: proven\n\x20 #0: unused whole (no executing access)\n"
+        );
     }
 
     #[test]
@@ -1097,7 +1037,7 @@ mod tests {
         // kernel writes counts[i] only when i < k.
         let (k, nf) = (8usize, 4usize);
         let i = at(0).item(0, 1).guard(k);
-        let spec = LaunchSpec::new().slot("counts", k, vec![], vec![i.into()]);
+        let spec = LaunchSpec::new().slot(k, vec![], vec![i.into()]);
         let r = infer_contract("reset", [k * nf, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::Item);
         assert!(r.proven_in_bounds());
@@ -1107,13 +1047,13 @@ mod tests {
     #[test]
     fn bounded_gather_is_whole_with_bounds_from_the_clamp() {
         let spec = LaunchSpec::new()
-            .slot("img", 100, vec![bounded(100)], vec![])
-            .slot("out", 100, vec![], vec![at(0).item(0, 1).into()]);
+            .slot(100, vec![bounded(100)], vec![])
+            .slot(100, vec![], vec![at(0).item(0, 1).into()]);
         let r = infer_contract("srad_like", [100, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::Whole);
         assert!(r.proven_in_bounds());
         // A looser clamp does not close the proof.
-        let spec = LaunchSpec::new().slot("img", 100, vec![bounded(101)], vec![]);
+        let spec = LaunchSpec::new().slot(100, vec![bounded(101)], vec![]);
         let r = infer_contract("loose", [100, 1, 1], &spec);
         assert!(!r.proven_in_bounds());
     }
@@ -1126,7 +1066,7 @@ mod tests {
         // bounds, so the proof does not close.
         let n = 10usize;
         let spec =
-            LaunchSpec::new().slot("v", n, vec![], vec![at(1).item(0, 1).into()]);
+            LaunchSpec::new().slot(n, vec![], vec![at(1).item(0, 1).into()]);
         let r = infer_contract("shift", [n, 1, 1], &spec);
         assert_eq!(r.slots[0].footprint, PlanFootprint::Item);
         assert!(!r.proven_in_bounds());
@@ -1135,96 +1075,17 @@ mod tests {
     #[test]
     fn report_display_is_deterministic_and_pinned() {
         let spec = LaunchSpec::new()
-            .slot("in", 8, vec![at(0).item(0, 1).into()], vec![])
-            .slot("out", 8, vec![], vec![at(0).item(0, 1).into()]);
+            .slot(8, vec![at(0).item(0, 1).into()], vec![])
+            .slot(8, vec![], vec![at(0).item(0, 1).into()]);
         let r1 = infer_contract("scale", [8, 1, 1], &spec);
         let r2 = infer_contract("scale", [8, 1, 1], &spec);
         assert_eq!(r1, r2);
         assert_eq!(
             r1.to_string(),
             "contract 'scale' over 8x1x1: proven\n\
-             \x20 in: read item max 7 / len 8 (in bounds)\n\
-             \x20 out: write item-dense max 7 / len 8 (in bounds)\n"
+             \x20 #0: read item max 7 / len 8 (in bounds)\n\
+             \x20 #1: write item-dense max 7 / len 8 (in bounds)\n"
         );
-    }
-
-    // --- declared-vs-inferred checking ---
-
-    #[test]
-    fn honest_declarations_check_clean_and_lies_are_typed() {
-        let n = 16usize;
-        let i = at(0).item(0, 1).item(1, n);
-        let spec = LaunchSpec::new()
-            .slot("ez", n * n, vec![i.clone().into(), i.clone().off(1).into()], vec![])
-            .slot("hy", n * n, vec![i.clone().into()], vec![i.into()]);
-        let report = infer_contract("fdtd_hy", [n - 1, n - 1, 1], &spec);
-
-        // Honest: ez read/whole, hy rw/item.
-        let ok = [
-            (PlanAccess::Read, PlanFootprint::Whole),
-            (PlanAccess::ReadWrite, PlanFootprint::Item),
-        ];
-        assert!(check_contract(&report, &ok).is_empty());
-
-        // Over-narrow: claiming the gathered ez is item-footprint.
-        let narrow = [
-            (PlanAccess::Read, PlanFootprint::Item),
-            (PlanAccess::ReadWrite, PlanFootprint::Item),
-        ];
-        assert_eq!(
-            check_contract(&report, &narrow),
-            vec![ContractViolation::OverNarrowFootprint {
-                kernel: "fdtd_hy".into(),
-                slot: "ez"
-            }]
-        );
-
-        // False dense claim: hy is read-modify-write, not dense.
-        let dense = [
-            (PlanAccess::Read, PlanFootprint::Whole),
-            (PlanAccess::ReadWrite, PlanFootprint::ItemDense),
-        ];
-        assert_eq!(
-            check_contract(&report, &dense),
-            vec![ContractViolation::FalseDenseClaim { kernel: "fdtd_hy".into(), slot: "hy" }]
-        );
-
-        // Undeclared read: declaring hy write-only hides the RMW read.
-        let wronly = [
-            (PlanAccess::Read, PlanFootprint::Whole),
-            (PlanAccess::Write, PlanFootprint::Item),
-        ];
-        assert_eq!(
-            check_contract(&report, &wronly),
-            vec![ContractViolation::UndeclaredRead { kernel: "fdtd_hy".into(), slot: "hy" }]
-        );
-
-        // Undeclared write: declaring hy read-only hides the store.
-        let rdonly = [
-            (PlanAccess::Read, PlanFootprint::Whole),
-            (PlanAccess::Read, PlanFootprint::Item),
-        ];
-        assert_eq!(
-            check_contract(&report, &rdonly),
-            vec![ContractViolation::UndeclaredWrite { kernel: "fdtd_hy".into(), slot: "hy" }]
-        );
-
-        // Slot count mismatch is caught before anything else.
-        let short = [(PlanAccess::Read, PlanFootprint::Whole)];
-        assert!(matches!(
-            check_contract(&report, &short)[..],
-            [ContractViolation::SlotCountMismatch { spec: 2, declared: 1, .. }]
-        ));
-    }
-
-    #[test]
-    fn over_declaration_is_safe() {
-        // Declaring Whole/ReadWrite for an item-footprint pure read is
-        // weaker than inferred — accepted.
-        let spec = LaunchSpec::new().slot("v", 8, vec![at(0).item(0, 1).into()], vec![]);
-        let report = infer_contract("reader", [8, 1, 1], &spec);
-        assert!(check_contract(&report, &[(PlanAccess::ReadWrite, PlanFootprint::Whole)])
-            .is_empty());
     }
 
     // --- translation validation ---

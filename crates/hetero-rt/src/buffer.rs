@@ -427,11 +427,9 @@ fn oob(offset: usize, len: usize, buffer_len: usize) -> ! {
 impl<T: Copy> GlobalView<T> {
     /// Address of element `i` of this view in the current allocation.
     /// Callers bounds-check `i` first; `base + i` is then within the
-    /// allocation published in the slot. Crate-visible solely for the
-    /// audited proof-gated elision module ([`crate::elide`]), whose
-    /// certificates discharge the bounds obligation statically.
+    /// allocation published in the slot.
     #[inline]
-    pub(crate) fn elem(&self, i: usize) -> *mut T {
+    fn elem(&self, i: usize) -> *mut T {
         // SAFETY: in-bounds offset from the published base pointer.
         unsafe { self.slot.load(Ordering::Relaxed).add(self.base + i) }
     }

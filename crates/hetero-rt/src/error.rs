@@ -139,18 +139,16 @@ pub enum Error {
         /// Kernel name the submission was given.
         kernel: &'static str,
     },
-    /// A declared graph binding disagrees with the access contract the
-    /// static prover ([`crate::prove`]) inferred from the launch's index
-    /// structure: an undeclared read or write, an over-narrow footprint
-    /// (`Item` claimed on a gather), a false dense-coverage claim, or a
-    /// stale [`crate::graph::GraphBuilder::output`] declaration nothing
-    /// writes. Raised at `Graph::record` time, before anything executes,
-    /// so it is never CPU-fallback eligible (there is no launch to
-    /// re-run). Each violation string is one deterministic rendered
+    /// A recording that states index sets ([`crate::prove`]) declares
+    /// something about the graph that they refute: a stale
+    /// [`crate::graph::GraphBuilder::output`] nothing writes. Raised at
+    /// `Graph::record` time, before anything executes, so it is never
+    /// CPU-fallback eligible (there is no launch to re-run). Each
+    /// violation string is one deterministic rendered
     /// [`hetero_ir::ContractViolation`].
     BindingContract {
-        /// Kernel (or `<outputs>` for stale-output findings) the
-        /// contract check ran against.
+        /// What the check ran against (`<outputs>` for stale-output
+        /// findings).
         kernel: String,
         /// Deterministically ordered rendered violations.
         violations: Vec<String>,
@@ -346,15 +344,15 @@ mod tests {
     #[test]
     fn binding_contract_displays_violations_and_is_not_fallback_eligible() {
         let e = Error::BindingContract {
-            kernel: "srad_1".into(),
+            kernel: "<outputs>".into(),
             violations: vec![
-                "slot 'c' of 'srad_1': declared ItemDense, inferred Item".into(),
-                "slot 'img' of 'srad_1': read but not declared readable".into(),
+                "graph output object #7 is never written by any recorded node".into(),
+                "graph output object #9 is never written by any recorded node".into(),
             ],
         };
         let s = e.to_string();
-        assert!(s.contains("srad_1") && s.contains("binding contract"), "{s}");
-        assert!(s.contains("ItemDense") && s.contains("not declared readable"), "{s}");
+        assert!(s.contains("<outputs>") && s.contains("binding contract"), "{s}");
+        assert!(s.contains("#7") && s.contains("#9 is never written"), "{s}");
         // Nothing executed; there is no launch to re-run on the CPU.
         assert!(!e.is_cpu_fallback_eligible());
     }

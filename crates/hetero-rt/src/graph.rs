@@ -13,18 +13,23 @@
 //! executes the whole plan with a **single pool wake-up** — the same
 //! shape as CUDA Graphs or the SYCL command-graph extension.
 //!
-//! # Declared access modes drive the schedule
+//! # Bindings drive the schedule
 //!
-//! Each recorded launch names the buffers / USM allocations it touches
-//! via [`reads`] / [`writes`] / [`reads_writes`] bindings. Record time
-//! derives dependency edges from them (read-after-write,
-//! write-after-read, write-after-write on the same object) and merges
-//! consecutive *independent* launches into one phase that executes
-//! concurrently; a phase boundary is a full barrier. Bindings are a
-//! contract: an access the kernel performs but does not declare can be
+//! Each recorded launch names the buffers / USM allocations it touches,
+//! once. A binding is either a whole-object statement ([`reads`] /
+//! [`writes`] / [`reads_writes`]) or the index sets the kernel body may
+//! read and write on the object ([`reads_at`] / [`writes_at`] /
+//! [`reads_writes_at`]), from which record time *infers* the access
+//! mode and footprint ([`hetero_ir::infer_contract`], every build
+//! profile). Record time derives dependency edges from the access modes
+//! (read-after-write, write-after-read, write-after-write on the same
+//! object) and merges consecutive *independent* launches into one phase
+//! that executes concurrently; a phase boundary is a full barrier. The
+//! index sets are a statement about the kernel body that nothing checks
+//! statically: an access the kernel performs but does not state can be
 //! scheduled concurrently with a conflicting launch. The dynamic race
 //! sanitizer still sees every access on the slow path, so a
-//! `with_sanitizer` replay of the same graph will report undeclared
+//! `with_sanitizer` replay of the same graph will report unstated
 //! conflicts as races. A launch recorded with **no** bindings is treated
 //! conservatively as conflicting with everything and gets its own phase.
 //!
@@ -55,11 +60,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hetero_ir::prove::{check_contract, infer_contract, ContractViolation, LaunchSpec};
+use hetero_ir::prove::{at, infer_contract, ContractViolation, Index, LaunchSpec, SlotSpec};
+use hetero_ir::PlanBinding;
 
 use crate::buffer::Buffer;
 use crate::device::DeviceCaps;
-use crate::elide::Gate;
 use crate::error::{Error, Result};
 use crate::event::{LaunchStats, ResilienceInfo};
 use crate::fault::classify_panic;
@@ -72,22 +77,29 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Declared access mode ([`Access`]) and reach ([`Footprint`]) of one
-/// recorded launch on one object: the lattice the optimizer's plan IR
-/// defines, under the names recording code uses. `Footprint::Whole` is
-/// the conservative default of [`reads`] / [`writes`] / [`reads_writes`];
-/// a dense footprint is what makes the ping-pong rewrite provable — see
-/// [`crate::graph_opt`].
+/// Access mode ([`Access`]) and reach ([`Footprint`]) of one recorded
+/// launch on one object: the lattice the optimizer's plan IR defines,
+/// under the names recording code uses. `Footprint::Whole` is what
+/// [`reads`] / [`writes`] / [`reads_writes`] state; anything stronger is
+/// inferred from index sets, and a dense footprint is what makes the
+/// ping-pong rewrite provable — see [`crate::graph_opt`].
 pub use hetero_ir::{PlanAccess as Access, PlanFootprint as Footprint};
 
-/// One (object, access-mode, footprint) declaration attached to a
-/// recorded launch; built with [`reads`], [`writes`], [`reads_writes`]
-/// or their `_item` / `_dense` refinements.
-#[derive(Debug, Clone, Copy)]
+/// What one recorded launch says about one object it touches; built
+/// with [`reads`], [`writes`], [`reads_writes`] or their `_at` forms.
+#[derive(Debug, Clone)]
 pub struct Binding {
     pub(crate) object: u64,
-    pub(crate) access: Access,
-    pub(crate) footprint: Footprint,
+    pub(crate) decl: Decl,
+}
+
+#[derive(Debug, Clone)]
+pub(crate) enum Decl {
+    /// The access mode as stated, whole-object footprint.
+    Whole(Access),
+    /// The index sets the kernel body may touch; record time infers the
+    /// access mode and footprint from them.
+    At(SlotSpec),
 }
 
 /// Anything with a stable runtime object identity a [`Binding`] can name:
@@ -95,11 +107,16 @@ pub struct Binding {
 pub trait GraphResource {
     /// The object id used for dependency-edge derivation.
     fn graph_object_id(&self) -> u64;
+    /// Object length in elements: what index sets are proven against.
+    fn graph_object_len(&self) -> usize;
 }
 
 impl<T: Copy + Default + Send + 'static> GraphResource for Buffer<T> {
     fn graph_object_id(&self) -> u64 {
         self.object_id()
+    }
+    fn graph_object_len(&self) -> usize {
+        self.len()
     }
 }
 
@@ -107,55 +124,69 @@ impl<T: Copy + Default + 'static> GraphResource for UsmAlloc<T> {
     fn graph_object_id(&self) -> u64 {
         self.object_id()
     }
+    fn graph_object_len(&self) -> usize {
+        self.len()
+    }
 }
 
 /// Declare that a recorded launch reads `r` (whole-object footprint).
 pub fn reads(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::Read, footprint: Footprint::Whole }
+    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Read) }
 }
 
 /// Declare that a recorded launch writes `r` (without reading it;
 /// whole-object footprint).
 pub fn writes(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::Write, footprint: Footprint::Whole }
+    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Write) }
 }
 
 /// Declare that a recorded launch both reads and writes `r`
 /// (whole-object footprint).
 pub fn reads_writes(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::ReadWrite, footprint: Footprint::Whole }
+    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::ReadWrite) }
 }
 
-/// Declare that a recorded launch reads `r`, each work-item touching
-/// only its own canonical slice.
-pub fn reads_item(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::Read, footprint: Footprint::Item }
+fn indices<I: Into<Index>>(list: impl IntoIterator<Item = I>) -> Vec<Index> {
+    list.into_iter().map(Into::into).collect()
 }
 
-/// Declare that a recorded launch writes `r`, each work-item touching
-/// only its own canonical slice (some items may write nothing).
-pub fn writes_item(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::Write, footprint: Footprint::Item }
+/// State every index of `r` the launch's kernel body may read and every
+/// index it may write, as expressions over the work-item id
+/// ([`crate::prove::at`], [`crate::prove::bounded`]). Record time infers
+/// the binding from them: read, write or both; whole-object, per-item or
+/// dense — the last being what lets the ping-pong pass prove a clobbered
+/// swap source is rewritten. An object no stated access of which can
+/// execute for the recorded range (a zero-trip loop, a zero guard)
+/// derives no binding at all.
+pub fn reads_writes_at<R: Into<Index>, W: Into<Index>>(
+    r: &impl GraphResource,
+    reads: impl IntoIterator<Item = R>,
+    writes: impl IntoIterator<Item = W>,
+) -> Binding {
+    let spec = SlotSpec { len: r.graph_object_len(), reads: indices(reads), writes: indices(writes) };
+    Binding { object: r.graph_object_id(), decl: Decl::At(spec) }
 }
 
-/// Declare that a recorded launch overwrites `r` densely: every
-/// work-item writes exactly its own canonical slice and the slices
-/// cover the whole object. The strongest declaration — it is what lets
-/// the ping-pong pass prove a clobbered swap source is rewritten.
-pub fn writes_dense(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::Write, footprint: Footprint::ItemDense }
+/// [`reads_writes_at`] for an object the launch only reads.
+pub fn reads_at<I: Into<Index>>(
+    r: &impl GraphResource,
+    reads: impl IntoIterator<Item = I>,
+) -> Binding {
+    reads_writes_at(r, reads, [] as [Index; 0])
 }
 
-/// Declare that a recorded launch both reads and writes `r`, each
-/// work-item confined to its own canonical slice.
-pub fn reads_writes_item(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), access: Access::ReadWrite, footprint: Footprint::Item }
+/// [`reads_writes_at`] for an object the launch only writes.
+pub fn writes_at<I: Into<Index>>(
+    r: &impl GraphResource,
+    writes: impl IntoIterator<Item = I>,
+) -> Binding {
+    reads_writes_at(r, [] as [Index; 0], writes)
 }
 
 /// Can two launches with these binding lists run concurrently?
 /// Conservative on missing information: an empty binding list conflicts
 /// with everything.
-fn conflicts(a: &[Binding], b: &[Binding]) -> bool {
+fn conflicts(a: &[PlanBinding], b: &[PlanBinding]) -> bool {
     if a.is_empty() || b.is_empty() {
         return true;
     }
@@ -219,7 +250,8 @@ pub(crate) struct Node {
     groups_range: Range,
     num_groups: usize,
     reqd_max: Option<usize>,
-    pub(crate) bindings: Vec<Binding>,
+    /// Stated or inferred `(object, access, footprint)` per bound object.
+    pub(crate) bindings: Vec<PlanBinding>,
     /// Indices of earlier nodes this node has a dependency edge to.
     deps: Vec<usize>,
     kernel: GroupKernel,
@@ -229,15 +261,8 @@ pub(crate) struct Node {
     /// Groups retired (executed or abandoned on cancellation).
     done: AtomicUsize,
     slot: NodeSlot,
-    /// The logical item range of a launch recorded via `parallel_for`:
-    /// what its contract's index expressions are written against.
-    item_range: Option<Range>,
     /// Copy metadata when recorded via `copy` (ping-pong input).
     pub(crate) copy: Option<CopyInfo>,
-    /// Elision certificate gates, present only when the launch attached
-    /// a contract whose proof closed ([`GraphBuilder::contract_gated`]).
-    /// Armed by the fast replay path, never by `submit_each`.
-    pub(crate) gates: Vec<Gate>,
 }
 
 impl Node {
@@ -264,9 +289,7 @@ impl Node {
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
             slot: NodeSlot::default(),
-            item_range: self.item_range,
             copy: self.copy.clone(),
-            gates: self.gates.clone(),
         }
     }
 }
@@ -279,9 +302,9 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     outputs: Vec<u64>,
     err: Option<Error>,
-    /// Launches that attached a static access contract; a recording
-    /// with at least one opts into the stale-output check at `finish`.
-    contracts: usize,
+    /// Launches whose bindings stated index sets; a recording with at
+    /// least one has its `output` declarations checked at `finish`.
+    indexed: usize,
 }
 
 impl GraphBuilder {
@@ -289,25 +312,25 @@ impl GraphBuilder {
     /// optimizer's compile step uses this to build swap steps against
     /// the snapshot the original recording used.
     pub(crate) fn new(caps: DeviceCaps) -> GraphBuilder {
-        GraphBuilder { caps, nodes: Vec::new(), outputs: Vec::new(), err: None, contracts: 0 }
+        GraphBuilder { caps, nodes: Vec::new(), outputs: Vec::new(), err: None, indexed: 0 }
     }
 
     /// Surrender the recorded nodes and declared outputs, or the first
-    /// deferred validation error. Recordings that attached at least one
-    /// contract additionally prove their `output` declarations live
-    /// (something must write each declared output) when enforcement is
-    /// on — a stale output otherwise shields dead launches from DLE.
+    /// deferred validation error. A recording that stated index sets
+    /// additionally has its `output` declarations proven live (something
+    /// must write each declared output) — a stale output otherwise
+    /// shields dead launches from DLE.
     pub(crate) fn finish(self) -> Result<(Vec<Node>, Vec<u64>)> {
         if let Some(e) = self.err {
             return Err(e);
         }
-        if self.contracts > 0 && crate::prove::enforcing() {
+        if self.indexed > 0 {
             for &out in &self.outputs {
                 let written = self.nodes.iter().any(|n| {
                     n.bindings.iter().any(|b| b.object == out && b.access != Access::Read)
                 });
                 if !written {
-                    crate::prove::note_violations(1);
+                    crate::prove::note_violation();
                     return Err(Error::BindingContract {
                         kernel: "<outputs>".to_string(),
                         violations: vec![ContractViolation::StaleOutput { object: out }
@@ -319,70 +342,37 @@ impl GraphBuilder {
         Ok((self.nodes, self.outputs))
     }
 
-    /// Attach a static access contract ([`LaunchSpec`], one positional
-    /// slot per binding) to the most recently recorded launch. Under
-    /// enforcement ([`crate::prove::enforcing`]: always in debug builds,
-    /// `HETERO_RT_PROVE=1` or [`crate::prove::force_enable`] in release)
-    /// the contract is inferred from the index structure and
-    /// cross-checked against the declared bindings; any disagreement
-    /// fails the recording with [`Error::BindingContract`].
-    pub fn contract(&mut self, spec: LaunchSpec) -> &mut Self {
-        self.contract_impl(spec, None)
-    }
-
-    /// [`GraphBuilder::contract`], plus an elision certificate request:
-    /// when the proof *closes* (every access statically in-bounds and
-    /// every binding consistent), `gate`'s views switch to unchecked
-    /// access during fast-path replays of this graph — see
-    /// [`crate::elide`]. A proof that does not close simply issues no
-    /// certificate; the gate stays disarmed forever.
-    pub fn contract_gated(&mut self, spec: LaunchSpec, gate: &Gate) -> &mut Self {
-        self.contract_impl(spec, Some(gate.clone()))
-    }
-
-    fn contract_impl(&mut self, spec: LaunchSpec, gate: Option<Gate>) -> &mut Self {
-        if self.err.is_some() {
-            return self;
+    /// The `(object, access, footprint)` list of one launch: whole-object
+    /// bindings as stated, indexed ones as [`infer_contract`] reads them
+    /// for `range`. An object no access of which can execute is left out.
+    fn derive(&mut self, name: &str, range: Range, bindings: &[Binding]) -> Vec<PlanBinding> {
+        let specs: Vec<SlotSpec> = bindings
+            .iter()
+            .filter_map(|b| match &b.decl {
+                Decl::At(spec) => Some(spec.clone()),
+                Decl::Whole(_) => None,
+            })
+            .collect();
+        let mut inferred = Vec::new().into_iter();
+        if !specs.is_empty() {
+            let report = infer_contract(name, range.dims, &LaunchSpec { slots: specs });
+            crate::prove::note_inferred(&report);
+            self.indexed += 1;
+            inferred = report.slots.into_iter();
         }
-        let Some(node) = self.nodes.last_mut() else {
-            self.err = Some(Error::BindingContract {
-                kernel: "<none>".to_string(),
-                violations: vec!["contract attached before any recorded launch".to_string()],
-            });
-            return self;
-        };
-        self.contracts += 1;
-        // A certificate always requires the full proof; bare contracts
-        // cost one branch when enforcement is off.
-        if !crate::prove::enforcing() && gate.is_none() {
-            return self;
-        }
-        // The contract range is the logical item range for elementwise
-        // launches (what the index expressions are written against), the
-        // global ND-range otherwise.
-        let range = node.item_range.unwrap_or(node.nd.global).dims;
-        let report = infer_contract(node.name, range, &spec);
-        let declared: Vec<(Access, Footprint)> =
-            node.bindings.iter().map(|b| (b.access, b.footprint)).collect();
-        crate::prove::note_checked();
-        let violations = check_contract(&report, &declared);
-        if !violations.is_empty() {
-            crate::prove::note_violations(violations.len() as u64);
-            if crate::prove::enforcing() {
-                self.err = Some(Error::BindingContract {
-                    kernel: node.name.to_string(),
-                    violations: violations.iter().map(ToString::to_string).collect(),
-                });
-            }
-            return self;
-        }
-        if let Some(g) = gate {
-            if report.proven_in_bounds() {
-                crate::prove::note_certified();
-                node.gates.push(g);
-            }
-        }
-        self
+        bindings
+            .iter()
+            .filter_map(|b| {
+                let (access, footprint) = match &b.decl {
+                    Decl::Whole(access) => (*access, Footprint::Whole),
+                    Decl::At(_) => {
+                        let slot = inferred.next()?;
+                        (slot.access?, slot.footprint)
+                    }
+                };
+                Some(PlanBinding { object: b.object, access, footprint })
+            })
+            .collect()
     }
 
     /// Record a barrier-free data-parallel launch — the recorded
@@ -406,7 +396,7 @@ impl GraphBuilder {
     }
 
     /// Record a whole-buffer copy `src → dst` as an elementwise launch,
-    /// with item-precise bindings and a prepared O(1) swap alternative
+    /// with its index sets stated and a prepared O(1) swap alternative
     /// the optimizer's ping-pong pass may substitute where legal. A
     /// length mismatch fails the recording.
     pub fn copy<T: Copy + Default + Send + 'static>(
@@ -426,20 +416,16 @@ impl GraphBuilder {
             });
             return self;
         }
-        // The copy's index structure is canonical (`i → i` both sides),
-        // so its contract always proves: record it through gated views
-        // and certify them, making recorded copies bounds-check-free on
-        // the fast replay path.
-        let gate = Gate::new();
-        let (sv, dv) = (gate.view(src.view()), gate.view(dst.view()));
-        let bindings = [reads_item(src), writes_dense(dst)];
+        let (sv, dv) = (src.view(), dst.view());
+        // `i → i` on both sides: an item read of src, a dense write of dst.
+        let own = || at(0).item(0, 1);
+        let bindings = [reads_at(src, [own()]), writes_at(dst, [own()])];
         let (s, d) = (src.clone(), dst.clone());
         let swap: Arc<dyn Fn() -> Result<()> + Send + Sync> =
             Arc::new(move || s.swap_contents(&d));
         let (src_id, dst_id) = (src.object_id(), dst.object_id());
         let before = self.nodes.len();
-        let n = src.len();
-        self.parallel_for(name, Range::d1(n), &bindings, move |it| {
+        self.parallel_for(name, Range::d1(src.len()), &bindings, move |it| {
             let i = it.gid(0);
             dv.set(i, sv.get(i));
         });
@@ -447,11 +433,6 @@ impl GraphBuilder {
             if let Some(node) = self.nodes.last_mut() {
                 node.copy = Some(CopyInfo { src: src_id, dst: dst_id, swap });
             }
-            let own = hetero_ir::prove::at(0).item(0, 1);
-            let spec = LaunchSpec::new()
-                .slot("src", n, vec![own.clone().into()], vec![])
-                .slot("dst", n, vec![], vec![own.into()]);
-            self.contract_gated(spec, &gate);
         }
         self
     }
@@ -531,55 +512,24 @@ impl GraphBuilder {
             return self;
         }
         let num_groups = nd.num_groups();
+        // Index sets are written against the logical item range for
+        // elementwise launches, the global ND-range otherwise.
+        let bindings = self.derive(name, item_range.unwrap_or(nd.global), bindings);
         self.nodes.push(Node {
             name,
             nd,
             groups_range: nd.groups(),
             num_groups,
             reqd_max,
-            bindings: bindings.to_vec(),
+            bindings,
             deps: Vec::new(),
             kernel,
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
             slot: NodeSlot::default(),
-            item_range,
             copy: None,
-            gates: Vec::new(),
         });
         self
-    }
-}
-
-/// Arms every certified node gate for the duration of one fast-path
-/// replay and disarms them on drop — including on panic or error exit,
-/// so checked access is always restored before `replay` returns. Not
-/// constructed at all when the global elision kill switch is off.
-struct ArmGuard<'a> {
-    nodes: &'a [Node],
-}
-
-impl<'a> ArmGuard<'a> {
-    fn arm(nodes: &'a [Node]) -> Option<ArmGuard<'a>> {
-        if !crate::elide::enabled() {
-            return None;
-        }
-        for n in nodes {
-            for g in &n.gates {
-                g.arm();
-            }
-        }
-        Some(ArmGuard { nodes })
-    }
-}
-
-impl Drop for ArmGuard<'_> {
-    fn drop(&mut self) {
-        for n in self.nodes {
-            for g in &n.gates {
-                g.disarm();
-            }
-        }
     }
 }
 
@@ -736,11 +686,6 @@ impl Graph {
         // the per-launch path's scope accounting.
         let _scope = crate::integrity::LaunchScope::enter();
         crate::fault::install_quiet_hook();
-        // Certified nodes run unchecked for exactly this replay: the
-        // fast-eligibility check above established that no hardening
-        // layer is watching, and the guard restores checked access on
-        // every exit path (see `crate::elide` for the soundness rules).
-        let _arm = ArmGuard::arm(&self.nodes);
         for n in &self.nodes {
             n.reset();
         }
@@ -934,6 +879,12 @@ impl Graph {
     /// The recorded name of launch `i`.
     pub fn node_name(&self, i: usize) -> &'static str {
         self.nodes[i].name
+    }
+
+    /// The bindings of launch `i` as recorded: whole-object ones as
+    /// stated, indexed ones as inferred.
+    pub fn node_bindings(&self, i: usize) -> &[PlanBinding] {
+        &self.nodes[i].bindings
     }
 
     /// Launch statistics of node `i` from the most recent execution

@@ -40,13 +40,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hetero_ir::{
-    optimize_plan, validate_translation, OptReport, OptimizedPlan, PlanBinding, PlanGraph,
-    PlanNode, PlanStep,
+    optimize_plan, validate_translation, OptReport, OptimizedPlan, PlanGraph, PlanNode, PlanStep,
 };
 
 use crate::device::DeviceCaps;
 use crate::error::Result;
-use crate::graph::{lock, Access, Binding, Footprint, Graph, GraphBuilder, Node};
+use crate::graph::{lock, Access, Binding, Decl, Graph, GraphBuilder, Node};
 use crate::queue::Queue;
 
 /// Optimized schedules accepted by the independent translation-validation
@@ -87,15 +86,7 @@ fn lower(g: &Graph) -> PlanGraph {
             .iter()
             .map(|n| PlanNode {
                 name: n.name.to_string(),
-                bindings: n
-                    .bindings
-                    .iter()
-                    .map(|b| PlanBinding {
-                        object: b.object,
-                        access: b.access,
-                        footprint: b.footprint,
-                    })
-                    .collect(),
+                bindings: n.bindings.clone(),
                 copy: n.copy.as_ref().map(|c| (c.src, c.dst)),
             })
             .collect(),
@@ -111,10 +102,8 @@ fn build_swap(graph: &Graph, node: usize, caps: &DeviceCaps) -> Result<Option<No
     // The swap rebinds both storages: declare read-write on both objects
     // with whole footprints so phase derivation serialises it against
     // every launch touching either side.
-    let bindings = [
-        Binding { object: ci.src, access: Access::ReadWrite, footprint: Footprint::Whole },
-        Binding { object: ci.dst, access: Access::ReadWrite, footprint: Footprint::Whole },
-    ];
+    let bindings = [ci.src, ci.dst]
+        .map(|object| Binding { object, decl: Decl::Whole(Access::ReadWrite) });
     let swap = Arc::clone(&ci.swap);
     let mut b = GraphBuilder::new(caps.clone());
     b.single_task(nodes[node].name, &bindings, move || {
@@ -274,11 +263,18 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::device::Device;
-    use crate::graph::{reads, reads_item, reads_writes_item, writes_dense};
+    use crate::graph::{reads, reads_at, reads_writes_at, writes_at};
+    use crate::prove::{at, IndexExpr};
     use crate::ndrange::Range;
 
     fn disarmed(q: Queue) -> Queue {
         q.with_fault_plan(None).with_sanitizer(false)
+    }
+
+    /// Every kernel here touches element `gid` of a buffer as long as
+    /// its range.
+    fn own() -> [IndexExpr; 1] {
+        [at(0).item(0, 1)]
     }
 
     /// An armed queue must never run the optimized steady schedule: the
@@ -293,10 +289,10 @@ mod tests {
         let (ab, xb) = (a.clone(), x.clone());
         let av2 = a.view();
         let g = Graph::record(&q, move |g| {
-            g.parallel_for("wx", Range::d1(n), &[reads(&ab), writes_dense(&xb)], move |it| {
+            g.parallel_for("wx", Range::d1(n), &[reads(&ab), writes_at(&xb, own())], move |it| {
                 xv.set(it.gid(0), av.get(it.gid(0)) + 1);
             })
-            .parallel_for("wa", Range::d1(n), &[reads_writes_item(&ab)], move |it| {
+            .parallel_for("wa", Range::d1(n), &[reads_writes_at(&ab, own(), own())], move |it| {
                 av2.update(it.gid(0), |v| v + 1);
             })
             .output(&ab)
@@ -329,10 +325,10 @@ mod tests {
         let (ov, sv) = (out.view(), scratch.view());
         let (ob, sb) = (out.clone(), scratch.clone());
         let g = Graph::record(&q, move |g| {
-            g.parallel_for("live", Range::d1(n), &[writes_dense(&ob)], move |it| {
+            g.parallel_for("live", Range::d1(n), &[writes_at(&ob, own())], move |it| {
                 ov.set(it.gid(0), 11);
             })
-            .parallel_for("dead", Range::d1(n), &[writes_dense(&sb)], move |it| {
+            .parallel_for("dead", Range::d1(n), &[writes_at(&sb, own())], move |it| {
                 sv.set(it.gid(0), 99);
             })
             .output(&ob);
@@ -349,10 +345,10 @@ mod tests {
         let (ov, sv) = (out.view(), scratch.view());
         let (ob, sb) = (out.clone(), scratch.clone());
         let g2 = Graph::record(&q, move |g| {
-            g.parallel_for("live", Range::d1(n), &[writes_dense(&ob)], move |it| {
+            g.parallel_for("live", Range::d1(n), &[writes_at(&ob, own())], move |it| {
                 ov.set(it.gid(0), 11);
             })
-            .parallel_for("kept", Range::d1(n), &[writes_dense(&sb)], move |it| {
+            .parallel_for("kept", Range::d1(n), &[writes_at(&sb, own())], move |it| {
                 sv.set(it.gid(0), 99);
             })
             .output(&ob)
@@ -383,7 +379,7 @@ mod tests {
                     .parallel_for(
                         "step",
                         Range::d1(n),
-                        &[reads_item(&ob), writes_dense(&vb)],
+                        &[reads_at(&ob, own()), writes_at(&vb, own())],
                         move |it| {
                             let i = it.gid(0);
                             vv2.set(i, ov2.get(i) * 3 + 1);
@@ -426,13 +422,13 @@ mod tests {
         let lv2 = lut.view();
         let (lb, ab) = (lut.clone(), acc.clone());
         let g = Graph::record(&q, move |g| {
-            g.parallel_for("init_lut", Range::d1(n), &[writes_dense(&lb)], move |it| {
+            g.parallel_for("init_lut", Range::d1(n), &[writes_at(&lb, own())], move |it| {
                 lv.set(it.gid(0), it.gid(0) as u32 * 10);
             })
             .parallel_for(
                 "accumulate",
                 Range::d1(n),
-                &[reads_item(&lb), reads_writes_item(&ab)],
+                &[reads_at(&lb, own()), reads_writes_at(&ab, own(), own())],
                 move |it| {
                     let i = it.gid(0);
                     av.update(i, |v| v + lv2.get(i));
@@ -461,7 +457,7 @@ mod tests {
         let xv = x.view();
         let xb = x.clone();
         let g = Graph::record(&q, move |g| {
-            g.parallel_for("w", Range::d1(n), &[reads_writes_item(&xb)], move |it| {
+            g.parallel_for("w", Range::d1(n), &[reads_writes_at(&xb, own(), own())], move |it| {
                 xv.update(it.gid(0), |v| v + 5);
             })
             .output(&xb);

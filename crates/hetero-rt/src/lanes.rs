@@ -30,8 +30,7 @@
 //! also how the roofline benchmark measures the scalar baseline
 //! in-process via [`force`].
 //!
-//! Lane accessors on [`crate::GlobalView`] (and their pass-throughs on
-//! [`crate::elide::ProvenView`]) amortize the bounds check to
+//! Lane accessors on [`crate::GlobalView`] amortize the bounds check to
 //! one per [`LANES`] elements but still record **per-element** sanitizer
 //! accesses while a sanitized launch is armed, so race reports are
 //! identical whether a kernel ran its lane path or its scalar path.

@@ -54,7 +54,6 @@ pub mod cancel;
 pub mod constant;
 pub mod cooperative;
 pub mod device;
-pub mod elide;
 pub mod error;
 pub mod event;
 pub mod executor;
@@ -76,7 +75,6 @@ pub mod stream;
 pub mod usm;
 
 pub use buffer::{Buffer, GlobalView, SlabStats};
-pub use elide::{Gate, ProvenView};
 pub use cancel::CancelToken;
 pub use constant::ConstantMemory;
 pub use cooperative::GridCtx;
@@ -85,8 +83,8 @@ pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{
-    reads, reads_item, reads_writes, reads_writes_item, writes, writes_dense, writes_item,
-    Access, Binding, Footprint, Graph, GraphBuilder,
+    reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Access, Binding, Footprint,
+    Graph, GraphBuilder,
 };
 pub use graph_opt::OptimizedGraph;
 pub use hetero_ir::OptReport;
@@ -106,15 +104,14 @@ pub use stream::{
 /// mirroring `sycl.hpp`'s role in the original code base.
 pub mod prelude {
     pub use crate::buffer::{Buffer, GlobalView};
-    pub use crate::elide::{Gate, ProvenView};
     pub use crate::cancel::CancelToken;
     pub use crate::device::{Device, DeviceCaps, DeviceKind};
     pub use crate::error::{Error, Result};
     pub use crate::event::{Event, ResilienceLedger};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::graph::{
-        reads, reads_item, reads_writes, reads_writes_item, writes, writes_dense, writes_item,
-        Binding, Footprint, Graph, GraphBuilder,
+        reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Binding, Footprint,
+        Graph, GraphBuilder,
     };
     pub use crate::graph_opt::OptimizedGraph;
     pub use crate::lanes::{F32x8, I32x8, U32x8, LANES};

@@ -1,80 +1,41 @@
-//! Record-time binding-contract enforcement — the runtime bridge to the
-//! static prover in [`hetero_ir::prove`].
+//! Record-time binding derivation — the runtime bridge to the static
+//! prover in [`hetero_ir::prove`].
 //!
-//! A recorded launch may attach a [`LaunchSpec`] describing the affine
-//! index structure of every object it touches (one positional slot per
-//! binding). At `Graph::record` time the bridge runs
-//! [`hetero_ir::infer_contract`] over the spec and the recorded range,
-//! cross-checks the declared bindings against the inferred contract
-//! with [`hetero_ir::check_contract`], and fails the recording with a
-//! typed [`Error::BindingContract`](crate::Error::BindingContract) on
-//! any disagreement — before anything executes.
+//! A recorded launch states the index sets its kernel touches, once, in
+//! its bindings ([`reads_at`](crate::graph::reads_at) and friends). At
+//! `Graph::record` time, in every build profile, the builder runs
+//! [`hetero_ir::infer_contract`] over them and the recorded range and
+//! stores the inferred `(access, footprint)` pairs as the launch's
+//! bindings — there is no second, hand-written declaration for the
+//! prover to cross-check. What a recording can still get wrong is a
+//! declaration about the graph: an `output` no node writes fails the
+//! recording with a typed
+//! [`Error::BindingContract`](crate::Error::BindingContract).
 //!
-//! # When enforcement runs
-//!
-//! Contract checks are always on in debug builds (so every test
-//! recording is checked), and in release builds when either the
-//! `HETERO_RT_PROVE=1` environment variable is set at first use or
-//! [`force_enable`] has been called (the `prove` CI sweep uses the
-//! latter). When enforcement is off, attaching a contract costs one
-//! branch; the inference and check are skipped entirely *unless* the
-//! launch requests an elision certificate, which always requires the
-//! full proof.
-//!
-//! # Certificates
-//!
-//! Independently of enforcement, a launch recorded with
-//! [`contract_gated`](crate::graph::GraphBuilder::contract_gated) earns
-//! an elision certificate when its proof *closes*: every access proven
-//! in-bounds and every declared binding consistent. Certificates arm
-//! the launch's [`Gate`](crate::elide::Gate) during fast-path replays
-//! only — see [`crate::elide`] for the degradation rules.
+//! The counters below are what the `prove` CI sweep gates as exact
+//! counts. Every element access stays bounds-checked whatever the proof
+//! says; `contracts_proven_in_bounds` is a count, not a licence.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use hetero_ir::prove::{
-    at, bounded, check_contract, infer_contract, AffineVar, ContractReport, ContractViolation,
-    Index, IndexExpr, LaunchSpec, SlotReport, SlotSpec,
+    at, bounded, infer_contract, AffineVar, ContractReport, ContractViolation, Index, IndexExpr,
+    LaunchSpec, SlotReport, SlotSpec,
 };
 
-/// Programmatic enforcement override ([`force_enable`]); lets the
-/// release-built `prove` sweep binary turn checking on without relying
-/// on process environment mutation.
-static FORCE: AtomicBool = AtomicBool::new(false);
+/// Launches whose bindings were inferred from index sets since process
+/// start.
+static INFERRED: AtomicU64 = AtomicU64::new(0);
 
-/// Contracts checked since process start (attached specs that ran the
-/// inference + cross-check, for enforcement or a certificate).
-static CHECKED: AtomicU64 = AtomicU64::new(0);
-
-/// Total contract violations found since process start.
+/// Recording-level violations (stale outputs) found since process start.
 static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Elision certificates issued (proofs that closed) since process start.
-static CERTIFIED: AtomicU64 = AtomicU64::new(0);
+/// Inferred contracts whose every access was proven in bounds.
+static PROVEN: AtomicU64 = AtomicU64::new(0);
 
-/// Turn contract enforcement on for the rest of the process, regardless
-/// of build profile or environment.
-pub fn force_enable() {
-    FORCE.store(true, Ordering::SeqCst);
-}
-
-fn env_enabled() -> bool {
-    static ONCE: OnceLock<bool> = OnceLock::new();
-    *ONCE.get_or_init(|| {
-        matches!(std::env::var("HETERO_RT_PROVE"), Ok(v) if !v.is_empty() && v != "0")
-    })
-}
-
-/// Whether record-time contract checks are enforced: always in debug
-/// builds, and under `HETERO_RT_PROVE=1` or [`force_enable`] otherwise.
-pub fn enforcing() -> bool {
-    cfg!(debug_assertions) || FORCE.load(Ordering::Relaxed) || env_enabled()
-}
-
-/// Number of launch contracts checked since process start.
-pub fn contracts_checked() -> u64 {
-    CHECKED.load(Ordering::Relaxed)
+/// Number of launch contracts inferred since process start.
+pub fn contracts_inferred() -> u64 {
+    INFERRED.load(Ordering::Relaxed)
 }
 
 /// Number of contract violations found since process start.
@@ -82,21 +43,20 @@ pub fn violations_found() -> u64 {
     VIOLATIONS.load(Ordering::Relaxed)
 }
 
-/// Number of elision certificates issued since process start.
-pub fn certificates_issued() -> u64 {
-    CERTIFIED.load(Ordering::Relaxed)
+/// Number of inferred contracts proven in bounds since process start.
+pub fn contracts_proven_in_bounds() -> u64 {
+    PROVEN.load(Ordering::Relaxed)
 }
 
-pub(crate) fn note_checked() {
-    CHECKED.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn note_inferred(report: &ContractReport) {
+    INFERRED.fetch_add(1, Ordering::Relaxed);
+    if report.proven_in_bounds() {
+        PROVEN.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-pub(crate) fn note_violations(n: u64) {
-    VIOLATIONS.fetch_add(n, Ordering::Relaxed);
-}
-
-pub(crate) fn note_certified() {
-    CERTIFIED.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn note_violation() {
+    VIOLATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -104,22 +64,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn debug_builds_always_enforce() {
-        // Tests run under debug assertions, so enforcement must be on
-        // without any environment or force flag.
-        assert!(enforcing());
-    }
-
-    #[test]
     fn counters_are_monotonic() {
-        let before = contracts_checked();
-        note_checked();
-        assert!(contracts_checked() > before);
+        let spec = LaunchSpec::new().slot(4, vec![], vec![at(0).item(0, 1).into()]);
+        let (inferred, proven) = (contracts_inferred(), contracts_proven_in_bounds());
+        note_inferred(&infer_contract("k", [4, 1, 1], &spec));
+        assert!(contracts_inferred() > inferred);
+        assert!(contracts_proven_in_bounds() > proven);
         let before = violations_found();
-        note_violations(2);
-        assert!(violations_found() >= before + 2);
-        let before = certificates_issued();
-        note_certified();
-        assert!(certificates_issued() > before);
+        note_violation();
+        assert!(violations_found() > before);
     }
 }

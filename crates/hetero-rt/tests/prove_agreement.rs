@@ -1,24 +1,30 @@
-//! Static/dynamic agreement suite for binding-contract verification.
+//! Static/dynamic agreement suite for derived bindings.
 //!
-//! Each seeded misdeclaration is a *true positive* twice over: the
-//! static prover rejects it at `Graph::record` time with a typed,
-//! deterministically worded [`Error::BindingContract`], and — when the
-//! same kernel is recorded *without* a contract, so nothing stops the
-//! recording — the dynamic race sanitizer catches the resulting
+//! A recorded launch states its index sets once and its bindings are
+//! inferred from them, so a binding can no longer disagree with the
+//! index sets — but the index sets can still disagree with the kernel
+//! body. The first half pins that side: each seeded lie sails through
+//! `Graph::record` and the dynamic race sanitizer catches the resulting
 //! conflict at replay with the exact same `(kernel, element, kind)`
-//! triple on every run. The suite also pins the elision-certificate
-//! degradation rules: gates arm only on fully disarmed fast-path
-//! replays, fall back to checked accessors on armed queues, and are
-//! always disarmed again before `replay` returns.
+//! triple on every run; a declaration about the *graph* (a stale output)
+//! is still rejected statically with pinned wording; and an index set
+//! whose proof stays open changes nothing about the checked accessors.
 //!
-//! Arming state (gates, the elision kill switch, prove counters) is
-//! process-global, so tests that observe it serialize on one mutex.
+//! The second half generates launch graphs whose kernel bodies are
+//! *interpreted from the same index lists* they state, and checks them
+//! two ways: a brute-force enumeration over all work-items is the oracle
+//! for every derived binding and every dependency edge, and four
+//! executors of one recording must agree bit for bit.
+//!
+//! The prove counters are process-global, so tests serialize on one
+//! mutex.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hetero_rt::prelude::*;
-use hetero_rt::prove::{self, at, LaunchSpec};
-use hetero_rt::{elide, RaceKind, LANES};
+use hetero_rt::prove::{self, at, bounded, AffineVar, Index, IndexExpr, LaunchSpec, SlotSpec};
+use hetero_rt::{Access, RaceKind, LANES};
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -36,45 +42,23 @@ fn disarmed() -> Queue {
     Queue::new(Device::cpu()).with_fault_plan(None).with_sanitizer(false)
 }
 
-fn binding_contract(e: Error) -> (String, Vec<String>) {
-    match e {
-        Error::BindingContract { kernel, violations } => (kernel, violations),
-        other => panic!("expected BindingContract, got {other:?}"),
-    }
+fn sanitized() -> Queue {
+    Queue::new(Device::cpu()).with_sanitizer(true)
+}
+
+fn own() -> [IndexExpr; 1] {
+    [at(0).item(0, 1)]
 }
 
 // ---------------------------------------------------------------------------
-// Seeded true positives: static rejection at record time
+// Lies in the index set: caught dynamically at replay
 // ---------------------------------------------------------------------------
 
-/// Every item writes element 0, but the binding claims a per-item
-/// footprint. The interpreter infers a Whole footprint (the constant
-/// index has no item term), so the declared `Item` is over-narrow.
-#[test]
-fn over_narrow_footprint_caught_statically_at_record() {
-    let _s = serial();
-    let n = 1024;
-    let dst = Buffer::<u32>::new(n);
-    let v = dst.view();
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for("scatter0", Range::d1(n), &[writes_item(&dst)], move |it| {
-            v.set(0, it.gid(0) as u32);
-        })
-        .contract(LaunchSpec::new().slot("dst", n, vec![], vec![at(0).into()]));
-    })
-    .unwrap_err();
-    let (kernel, violations) = binding_contract(err);
-    assert_eq!(kernel, "scatter0");
-    assert_eq!(
-        violations,
-        vec!["'scatter0' slot 'dst': declared item footprint but accesses escape the item slice"]
-    );
-    assert!(prove::violations_found() >= 1);
-}
-
-/// The same scatter recorded *without* a contract sails through record —
-/// and the sanitizer catches the resulting cross-group write/write race
-/// at replay, deterministically naming element 0.
+/// The index set claims each item writes its own element (an item-dense
+/// write), but every item writes element 0. Nothing checks an index set
+/// against the kernel body statically, so the recording succeeds — and
+/// the sanitizer catches the cross-group write/write race at replay,
+/// deterministically naming element 0.
 #[test]
 fn over_narrow_scatter_race_caught_dynamically_at_replay() {
     let _s = serial();
@@ -82,14 +66,14 @@ fn over_narrow_scatter_race_caught_dynamically_at_replay() {
     let dst = Buffer::<u32>::new(n);
     let v = dst.view();
     let graph = Graph::record(&disarmed(), |g| {
-        g.parallel_for("scatter0", Range::d1(n), &[writes_item(&dst)], move |it| {
+        g.parallel_for("scatter0", Range::d1(n), &[writes_at(&dst, own())], move |it| {
             v.set(0, it.gid(0) as u32);
         });
     })
     .unwrap();
+    assert_eq!(graph.node_bindings(0)[0].footprint, Footprint::ItemDense);
     for _ in 0..2 {
-        let q = Queue::new(Device::cpu()).with_sanitizer(true);
-        let e = graph.replay(&q).unwrap_err();
+        let e = graph.replay(&sanitized()).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -101,48 +85,8 @@ fn over_narrow_scatter_race_caught_dynamically_at_replay() {
 }
 
 /// Item 0 reads element 256 (owned by the second implicit group) while
-/// declaring the buffer write-only. Statically: the contract's read
-/// index has no matching read access in the binding.
-#[test]
-fn undeclared_read_caught_statically_at_record() {
-    let _s = serial();
-    let n = 512;
-    let buf = Buffer::<u32>::new(n);
-    let v = buf.view();
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for("peek_far", Range::d1(n), &[writes_item(&buf)], move |it| {
-            let i = it.gid(0);
-            if i == 0 {
-                v.set(0, v.get(256));
-            } else {
-                v.set(i, i as u32);
-            }
-        })
-        .contract(LaunchSpec::new().slot(
-            "buf",
-            n,
-            vec![at(256).guard(1).into()],
-            vec![at(0).item(0, 1).into()],
-        ));
-    })
-    .unwrap_err();
-    let (kernel, violations) = binding_contract(err);
-    assert_eq!(kernel, "peek_far");
-    // Two independent violations, deterministically ordered: the read
-    // is undeclared, and the far element also escapes the declared
-    // per-item footprint.
-    assert_eq!(
-        violations,
-        vec![
-            "'peek_far' slot 'buf': kernel reads it but the binding declares write-only",
-            "'peek_far' slot 'buf': declared item footprint but accesses escape the item slice",
-        ]
-    );
-}
-
-/// The same undeclared read, recorded without a contract: group 0 reads
-/// element 256 while group 1 writes it — a deterministic read/write
-/// race at sanitized replay.
+/// the index set states only the own-element write: group 0 reads what
+/// group 1 writes — a deterministic read/write race at sanitized replay.
 #[test]
 fn undeclared_read_race_caught_dynamically_at_replay() {
     let _s = serial();
@@ -150,7 +94,7 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
     let buf = Buffer::<u32>::new(n);
     let v = buf.view();
     let graph = Graph::record(&disarmed(), |g| {
-        g.parallel_for("peek_far", Range::d1(n), &[writes_item(&buf)], move |it| {
+        g.parallel_for("peek_far", Range::d1(n), &[writes_at(&buf, own())], move |it| {
             let i = it.gid(0);
             if i == 0 {
                 v.set(0, v.get(256));
@@ -160,9 +104,9 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
         });
     })
     .unwrap();
+    assert_eq!(graph.node_bindings(0)[0].access, Access::Write);
     for _ in 0..2 {
-        let q = Queue::new(Device::cpu()).with_sanitizer(true);
-        let e = graph.replay(&q).unwrap_err();
+        let e = graph.replay(&sanitized()).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -173,33 +117,13 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
     }
 }
 
-/// Writing stride-2 slices of a double-length buffer covers only the
-/// even elements: a per-item-disjoint map, but not dense coverage — so
-/// a `writes_dense` binding is a false dense claim.
-#[test]
-fn false_dense_claim_caught_statically_at_record() {
-    let _s = serial();
-    let n = 256;
-    let dst = Buffer::<u32>::new(2 * n);
-    let v = dst.view();
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for("evens", Range::d1(n), &[writes_dense(&dst)], move |it| {
-            v.set(it.gid(0) * 2, 7);
-        })
-        .contract(LaunchSpec::new().slot("dst", 2 * n, vec![], vec![at(0).item(0, 2).into()]));
-    })
-    .unwrap_err();
-    let (kernel, violations) = binding_contract(err);
-    assert_eq!(kernel, "evens");
-    assert_eq!(
-        violations,
-        vec!["'evens' slot 'dst': declared dense coverage but writes do not provably cover the object"]
-    );
-}
+// ---------------------------------------------------------------------------
+// What record time still rejects, and what it leaves alone
+// ---------------------------------------------------------------------------
 
 /// A declared graph output no recorded node ever writes is stale: the
 /// caller would replay the graph and read garbage that the schedule
-/// never produced. Caught at `finish` once any contract is attached.
+/// never produced. Caught at `finish` once any launch states index sets.
 #[test]
 fn stale_output_declaration_caught_statically_at_record() {
     let _s = serial();
@@ -208,25 +132,23 @@ fn stale_output_declaration_caught_statically_at_record() {
     let dst = Buffer::<u32>::new(n);
     let orphan = Buffer::<u32>::new(n);
     let (sv, dv) = (src.view(), dst.view());
+    let before = prove::violations_found();
     let err = Graph::record(&disarmed(), |g| {
         g.parallel_for(
             "double",
             Range::d1(n),
-            &[reads(&src), writes_dense(&dst)],
+            &[reads_at(&src, own()), writes_at(&dst, own())],
             move |it| {
                 dv.set(it.gid(0), sv.get(it.gid(0)) * 2);
             },
-        )
-        .contract(
-            LaunchSpec::new()
-                .slot("src", n, vec![at(0).item(0, 1).into()], vec![])
-                .slot("dst", n, vec![], vec![at(0).item(0, 1).into()]),
         )
         .output(&dst)
         .output(&orphan);
     })
     .unwrap_err();
-    let (kernel, violations) = binding_contract(err);
+    let Error::BindingContract { kernel, violations } = err else {
+        panic!("expected BindingContract, got {err:?}")
+    };
     assert_eq!(kernel, "<outputs>");
     assert_eq!(
         violations,
@@ -235,213 +157,799 @@ fn stale_output_declaration_caught_statically_at_record() {
             orphan.object_id()
         )]
     );
+    assert_eq!(prove::violations_found(), before + 1);
 }
 
-/// A contract whose slot list does not line up positionally with the
-/// launch bindings is rejected outright — no partial checking.
+/// The rule for an object no stated access of which can execute for the
+/// recorded range (a zero-trip loop, a zero guard): it derives no
+/// binding. The launch neither orders against the object's other users
+/// nor counts as a writer of it.
 #[test]
-fn slot_count_mismatch_caught_statically_at_record() {
+fn an_object_no_stated_access_can_reach_derives_no_binding() {
     let _s = serial();
-    let n = 64;
-    let src = Buffer::from_slice(&vec![1u32; n]);
-    let dst = Buffer::<u32>::new(n);
-    let (sv, dv) = (src.view(), dst.view());
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for(
-            "double",
+    let n = 16;
+    let (a, b) = (Buffer::<u32>::new(n), Buffer::<u32>::new(n));
+    let (av, bv) = (a.view(), b.view());
+    let graph = Graph::record(&disarmed(), |g| {
+        g.parallel_for("fill_a", Range::d1(n), &[writes_at(&a, own())], move |it| {
+            av.set(it.gid(0), 1);
+        })
+        .parallel_for(
+            "fill_b",
             Range::d1(n),
-            &[reads(&src), writes_dense(&dst)],
-            move |it| {
-                dv.set(it.gid(0), sv.get(it.gid(0)) * 2);
-            },
+            &[
+                reads_at(&a, [at(0).item(0, 1).aux(1, 0)]),
+                reads_writes_at(&b, [bounded(0)], own()),
+            ],
+            move |it| bv.set(it.gid(0), 2),
         )
-        .contract(LaunchSpec::new().slot("dst", n, vec![], vec![at(0).item(0, 1).into()]));
-    })
-    .unwrap_err();
-    let (kernel, violations) = binding_contract(err);
-    assert_eq!(kernel, "double");
-    assert_eq!(
-        violations,
-        vec!["'double': contract has 1 slots but the launch declares 2 bindings"]
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Certificate arming and degradation
-// ---------------------------------------------------------------------------
-
-/// Record a one-kernel graph whose proof closes, with a probe that
-/// stores the gate's armed state into a flag buffer from inside the
-/// kernel. Returns `(graph, gate, data, flags)`.
-fn probed_graph(
-    q: &Queue,
-    n: usize,
-) -> (Graph, elide::Gate, Buffer<u32>, Buffer<u32>) {
-    let data = Buffer::from_slice(&vec![1u32; n]);
-    let flags = Buffer::<u32>::new(n);
-    let gate = elide::Gate::new();
-    let (dv, fv) = (gate.view(data.view()), gate.view(flags.view()));
-    let probe = gate.clone();
-    let graph = Graph::record(q, |g| {
-        g.parallel_for(
-            "probe",
-            Range::d1(n),
-            &[reads_writes_item(&data), writes_dense(&flags)],
-            move |it| {
-                let i = it.gid(0);
-                fv.set(i, probe.is_armed() as u32);
-                dv.update(i, |x| x + 1);
-            },
-        )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot("data", n, vec![at(0).item(0, 1).into()], vec![at(0).item(0, 1).into()])
-                .slot("flags", n, vec![], vec![at(0).item(0, 1).into()]),
-            &gate,
-        )
-        .output(&data)
-        .output(&flags);
+        .output(&b);
     })
     .unwrap();
-    (graph, gate, data, flags)
+    // `a` is gone from the second launch, `b`'s unreachable read with it.
+    let second = graph.node_bindings(1);
+    assert_eq!(second.len(), 1);
+    assert_eq!((second[0].object, second[0].access), (b.object_id(), Access::Write));
+    assert!(!graph.depends_on(1, 0));
+    assert_eq!(graph.phase_count(), 1);
+    // Nor does a write that cannot execute keep an output alive.
+    let (cv, c) = (b.view(), Buffer::<u32>::new(n));
+    let err = Graph::record(&disarmed(), |g| {
+        g.parallel_for(
+            "idle",
+            Range::d1(n),
+            &[writes_at(&b, own()), writes_at(&c, [at(0).item(0, 1).guard(0)])],
+            move |it| cv.set(it.gid(0), 3),
+        )
+        .output(&c);
+    })
+    .unwrap_err();
+    assert!(matches!(err, Error::BindingContract { .. }), "{err:?}");
 }
 
-/// A closed proof issues a certificate, the fast path replays the
-/// kernel with the gate armed (observed from inside the kernel), and
-/// the drop guard disarms it again before `replay` returns.
+/// A lane sweep that runs one window past the last row: the proof stays
+/// open, which changes nothing — views are checked whatever inference
+/// says, and the lane load raises the typed out-of-bounds payload
+/// instead of reading past the buffer.
 #[test]
-fn certificate_arms_gate_exactly_for_fast_path_replay() {
+fn unproven_lane_sweep_stays_checked_and_raises_typed_oob() {
     let _s = serial();
-    let n = 256;
+    let (rows, w) = (4, 2 * LANES);
+    let sweep = w + LANES;
     let q = disarmed();
-    let before = prove::certificates_issued();
-    let (graph, gate, data, flags) = probed_graph(&q, n);
-    assert!(prove::certificates_issued() > before, "closed proof must certify");
-    assert!(!gate.is_armed(), "gates stay disarmed outside replay");
-    graph.replay(&q).unwrap();
-    assert!(!gate.is_armed(), "drop guard must disarm before replay returns");
-    assert!(flags.to_vec().iter().all(|&f| f == 1), "fast path replays armed");
-    assert_eq!(data.to_vec(), vec![2u32; n]);
-}
-
-/// An armed queue (sanitizer on) degrades to the hardened per-launch
-/// path: same results, but the gate never arms — every access runs
-/// through the fully checked accessors under the sanitizer's watch.
-#[test]
-fn armed_queue_falls_back_to_checked_accessors() {
-    let _s = serial();
-    let n = 256;
-    let (graph, gate, data, flags) = probed_graph(&disarmed(), n);
-    let sanitized = Queue::new(Device::cpu()).with_sanitizer(true);
-    graph.replay(&sanitized).unwrap();
-    assert!(!gate.is_armed());
-    assert!(flags.to_vec().iter().all(|&f| f == 0), "armed queue must not elide");
-    assert_eq!(data.to_vec(), vec![2u32; n]);
-}
-
-/// The global kill switch forces certified graphs back onto checked
-/// accessors even on the fast path, without changing results.
-#[test]
-fn kill_switch_disables_arming_on_fast_path() {
-    let _s = serial();
-    let n = 256;
-    let q = disarmed();
-    let (graph, gate, data, flags) = probed_graph(&q, n);
-    elide::set_enabled(false);
-    let r = graph.replay(&q);
-    elide::set_enabled(true);
-    r.unwrap();
-    assert!(!gate.is_armed());
-    assert!(flags.to_vec().iter().all(|&f| f == 0), "kill switch must suppress arming");
-    assert_eq!(data.to_vec(), vec![2u32; n]);
-}
-
-/// Record a row kernel — one work-item per row of `w` elements, swept
-/// in lane windows `x < sweep` — with the honest contract of that sweep
-/// and a probe of the gate. Returns `(graph, data, flags)`.
-fn lane_row_graph(q: &Queue, rows: usize, w: usize, sweep: usize) -> (Graph, Buffer<u32>, Buffer<u32>) {
     let data = Buffer::from_slice(&vec![1u32; rows * w]);
-    let flags = Buffer::<u32>::new(rows);
-    let gate = elide::Gate::new();
-    let (dv, fv) = (gate.view(data.view()), gate.view(flags.view()));
-    let probe = gate.clone();
-    let graph = Graph::record(q, |g| {
+    let dv = data.view();
+    let (inferred, proven) = (prove::contracts_inferred(), prove::contracts_proven_in_bounds());
+    let row = || [at(0).item(0, w).aux(1, sweep)];
+    let graph = Graph::record(&q, |g| {
         g.parallel_for(
             "lane_rows",
             Range::d1(rows),
-            &[reads_writes(&data), writes_dense(&flags)],
+            &[reads_writes_at(&data, row(), row())],
             move |it| {
-                fv.set(it.gid(0), probe.is_armed() as u32);
                 for x in (0..sweep).step_by(LANES) {
                     let i = it.gid(0) * w + x;
                     dv.set_lanes(i, dv.get_lanes(i).map(|e| e + 1));
                 }
             },
         )
-        .contract_gated(
-            LaunchSpec::new()
-                .slot(
-                    "data",
-                    rows * w,
-                    vec![at(0).item(0, w).aux(1, sweep).into()],
-                    vec![at(0).item(0, w).aux(1, sweep).into()],
-                )
-                .slot("flags", rows, vec![], vec![at(0).item(0, 1).into()]),
-            &gate,
-        )
-        .output(&data)
-        .output(&flags);
+        .output(&data);
     })
     .unwrap();
-    (graph, data, flags)
-}
-
-/// A gated row kernel built on `ProvenView::get_lanes`/`set_lanes`
-/// certifies and replays armed on the fast path (the lane accessors
-/// themselves stay checked; the gate elides the scalar accessors only),
-/// and degrades to a disarmed, sanitized walk on an armed queue.
-#[test]
-fn gated_lane_rows_certify_and_replay_on_both_paths() {
-    let _s = serial();
-    let (rows, w) = (8, 2 * LANES);
-    let q = disarmed();
-    let (graph, data, flags) = lane_row_graph(&q, rows, w, w);
-    graph.replay(&q).unwrap();
-    assert!(flags.to_vec().iter().all(|&f| f == 1), "fast path replays the lane rows armed");
-    assert_eq!(data.to_vec(), vec![2u32; rows * w]);
-    graph.replay(&Queue::new(Device::cpu()).with_sanitizer(true)).unwrap();
-    assert!(flags.to_vec().iter().all(|&f| f == 0), "armed queue must not elide");
-    assert_eq!(data.to_vec(), vec![3u32; rows * w]);
-}
-
-/// A lane sweep that runs one window past the last row: the proof stays
-/// open, no certificate is issued, and the lane load raises the typed
-/// out-of-bounds payload instead of reading past the buffer.
-#[test]
-fn unproven_lane_sweep_stays_checked_and_raises_typed_oob() {
-    let _s = serial();
-    let (rows, w) = (4, 2 * LANES);
-    let q = disarmed();
-    let before = prove::certificates_issued();
-    let (graph, _data, flags) = lane_row_graph(&q, rows, w, w + LANES);
-    assert_eq!(prove::certificates_issued(), before, "an open proof must not certify");
+    assert_eq!(prove::contracts_inferred(), inferred + 1);
+    assert_eq!(prove::contracts_proven_in_bounds(), proven, "an open proof must not count");
     let err = graph.replay(&q).unwrap_err();
     assert_eq!(
         err,
         Error::AccessOutOfBounds { offset: rows * w, len: LANES, buffer_len: rows * w }
     );
-    assert!(flags.to_vec().iter().all(|&f| f == 0), "gate never armed");
 }
 
-/// Contracts are load-bearing in this build: the prove counters move
-/// when recordings check contracts, so a CI sweep asserting
-/// `contracts_checked() > 0 && violations_found() == 0` is meaningful.
+/// Inference is load-bearing in every build: the prove counters move
+/// when recordings state index sets, so a CI sweep asserting exact
+/// counts is meaningful.
 #[test]
 fn prove_counters_track_checked_contracts() {
     let _s = serial();
     let n = 64;
-    let before = prove::contracts_checked();
+    let (inferred, proven) = (prove::contracts_inferred(), prove::contracts_proven_in_bounds());
+    let data = Buffer::<u32>::new(n);
+    let dv = data.view();
+    let _graph = Graph::record(&disarmed(), |g| {
+        g.parallel_for("bump", Range::d1(n), &[reads_writes_at(&data, own(), own())], move |it| {
+            dv.update(it.gid(0), |x| x + 1)
+        });
+    })
+    .unwrap();
+    assert_eq!(prove::contracts_inferred(), inferred + 1);
+    assert_eq!(prove::contracts_proven_in_bounds(), proven + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Generated launch graphs, checked against enumeration and four executors
+// ---------------------------------------------------------------------------
+
+/// Deterministic test-input generator (SplitMix64).
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len())]
+    }
+}
+
+/// How a launch is issued: a flat `parallel_for` over a 1-D or 2-D
+/// range, or an `nd_range` whose small work-groups give the sanitizer
+/// cross-group accesses to compare.
+#[derive(Clone, Copy)]
+enum Shape {
+    Flat(Range),
+    Nd(NdRange),
+}
+
+impl Shape {
+    fn dims(self) -> [usize; 3] {
+        match self {
+            Shape::Flat(r) => r.dims,
+            Shape::Nd(nd) => nd.global.dims,
+        }
+    }
+}
+
+/// One object a launch touches: the index lists are both what the
+/// binding states and what the kernel body is interpreted from. A
+/// `whole` slot states the bare `reads` form instead (read-only slots).
+struct Slot {
+    object: usize,
+    reads: Vec<Index>,
+    writes: Vec<Index>,
+    whole: bool,
+}
+
+enum Step {
+    Launch { name: &'static str, shape: Shape, slots: Vec<Slot> },
+    Copy { src: usize, dst: usize },
+}
+
+struct Case {
+    lens: Vec<usize>,
+    steps: Vec<Step>,
+    outputs: Vec<usize>,
+    /// False when some stated access reaches past its object: inference
+    /// is still checked, nothing is run.
+    runnable: bool,
+    /// `Some(step)` for the copy family: the launch that rewrites the
+    /// copy's source, densely or partially.
+    rewrite: Option<usize>,
+}
+
+const NAMES: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
+
+/// Every value an affine index takes for work-item `gid` — the test's
+/// own reading of [`IndexExpr`], independent of the prover's folding.
+fn affine_values(e: &IndexExpr, gid: [usize; 3]) -> Vec<usize> {
+    let mut vals = vec![e.offset];
+    for &(var, c) in &e.terms {
+        vals = match var {
+            AffineVar::Item(d) => vals.into_iter().map(|v| v + c * gid[d]).collect(),
+            AffineVar::Aux { extent } => {
+                vals.into_iter().flat_map(|v| (0..extent).map(move |a| v + c * a)).collect()
+            }
+        };
+    }
+    vals.retain(|&v| e.guard_lt.is_none_or(|g| v < g));
+    vals
+}
+
+/// Everything the item *may* touch through `idx`: a bounded index may
+/// land anywhere below its bound, a conditional access may execute.
+fn may_touch(idx: &Index, gid: [usize; 3]) -> Vec<usize> {
+    match idx {
+        Index::Affine(e) => affine_values(e, gid),
+        Index::Bounded { lt } => (0..*lt).collect(),
+    }
+}
+
+fn mix(a: usize, b: usize) -> usize {
+    let mut g = Gen((a as u64) << 32 | b as u64);
+    g.next() as usize
+}
+
+/// What the interpreted kernel body does for `idx`: a bounded index is
+/// one data-dependent element, a conditional access flips the item's
+/// coin.
+fn executed(idx: &Index, gid: [usize; 3], lin: usize, salt: usize) -> Vec<usize> {
+    match idx {
+        Index::Affine(e) if e.conditional && mix(lin, 99).is_multiple_of(3) => Vec::new(),
+        Index::Affine(e) => affine_values(e, gid),
+        Index::Bounded { lt } => vec![mix(lin, salt) % lt],
+    }
+}
+
+type BoundSlot = (GlobalView<u32>, Vec<Index>, Vec<Index>);
+
+/// The kernel body of a generated launch: fold every stated read into a
+/// value, then store a function of it at every stated write.
+fn interpret(slots: &[BoundSlot], dims: [usize; 3], it: Item) {
+    let gid = it.global;
+    let lin = gid[0] + dims[0] * gid[1];
+    let mut acc = lin as u32 + 1;
+    for (s, (view, reads, _)) in slots.iter().enumerate() {
+        for (k, idx) in reads.iter().enumerate() {
+            for v in executed(idx, gid, lin, s * 16 + k) {
+                acc = acc.wrapping_mul(31).wrapping_add(view.get(v));
+            }
+        }
+    }
+    for (s, (view, _, writes)) in slots.iter().enumerate() {
+        for (k, idx) in writes.iter().enumerate() {
+            for v in executed(idx, gid, lin, 8 + s * 16 + k) {
+                view.set(v, acc.wrapping_add(v as u32));
+            }
+        }
+    }
+}
+
+/// `e + c · lin`, `lin` the row-major linear item id of `dims`.
+fn lin(e: IndexExpr, c: usize, dims: [usize; 3]) -> IndexExpr {
+    if dims[1] == 1 {
+        e.item(0, c)
+    } else {
+        e.item(0, c).item(1, c * dims[0])
+    }
+}
+
+/// A write family over an object of `len` elements that keeps the `n`
+/// items of `dims` on disjoint elements (so the launch is race-free by
+/// construction), or `None` when the object fits none.
+fn write_family(g: &mut Gen, len: usize, dims: [usize; 3]) -> Option<Vec<Index>> {
+    let n = dims[0] * dims[1];
+    let slice = |s: usize, e: IndexExpr| if s == 1 { e } else { e.aux(1, s) };
+    if n == 1 {
+        // A single item may write anything: a constant cell, or all of it.
+        return Some(match g.below(2) {
+            0 => vec![at(g.below(len)).into()],
+            _ => vec![at(0).aux(1, len).into()],
+        });
+    }
+    if len < n {
+        // More items than elements: guarded to the object.
+        return Some(vec![lin(at(0), 1, dims).guard(len).into()]);
+    }
+    let s = len / n;
+    if !len.is_multiple_of(n) || s > 3 || g.one_in(6) {
+        // One own cell, shifted wherever a padded object has room.
+        return Some(vec![lin(at(g.below(len - n + 1)), 1, dims).into()]);
+    }
+    Some(match g.below(7) {
+        // Own slice: one aux sweep, or one index per unrolled word.
+        0 | 1 => vec![slice(s, lin(at(0), s, dims)).into()],
+        2 => (0..s).map(|f| lin(at(f), s, dims).into()).collect(),
+        // Strided: one word of each slice.
+        3 => vec![lin(at(g.below(s)), s, dims).into()],
+        // The same slice written only for some items, or only below a
+        // guard.
+        4 => vec![slice(s, lin(at(0), s, dims)).conditional().into()],
+        5 => vec![slice(s, lin(at(0), s, dims)).guard(1 + g.below(len)).into()],
+        // Column-major over a 2-D range: a bijection that is not the
+        // canonical tiling.
+        _ if dims[1] > 1 && s == 1 => vec![at(0).item(0, dims[1]).item(1, 1).into()],
+        _ => vec![slice(s, lin(at(0), s, dims)).into()],
+    })
+}
+
+/// A read family over an object of `len` elements; anything goes, items
+/// may overlap. Returns the indices and whether every one stays inside
+/// the object.
+fn read_family(g: &mut Gen, len: usize, dims: [usize; 3]) -> (Vec<Index>, bool) {
+    let n = dims[0] * dims[1];
+    let mut out = Vec::new();
+    let mut inside = true;
+    for _ in 0..1 + g.below(2) {
+        match g.below(8) {
+            // A constant cell every item reads (a parameter buffer).
+            0 => out.push(at(g.below(len)).into()),
+            // A data-dependent gather clamped to the object.
+            1 => out.push(bounded(len)),
+            // A loop that never trips.
+            2 => out.push(lin(at(0), 1, dims).aux(1, 0).into()),
+            // A random affine sweep: own slices, shifted rows, strided
+            // and overlapping gathers. One that would leave the object
+            // is clipped by a guard (a ragged last block) — or, rarely,
+            // left to overreach.
+            _ => {
+                let c = g.pick(&[0, 1, 1, 2, 3, dims[0]]);
+                let (a, extent) = (g.pick(&[1, 1, 2, c.max(1)]), 1 + g.below(4));
+                let mut e = lin(at(g.below(3)), c, dims).aux(a, extent);
+                let max = e.offset + c * (n - 1) + a * (extent - 1);
+                if max >= len {
+                    if g.one_in(8) {
+                        inside = false;
+                    } else {
+                        e = at(0).aux(a, extent);
+                        e = lin(e, c, dims).guard(len);
+                    }
+                }
+                if g.one_in(5) {
+                    e = e.conditional();
+                }
+                out.push(e.into());
+            }
+        }
+    }
+    (out, inside)
+}
+
+fn shape(g: &mut Gen, n: usize) -> Shape {
+    let divisors = |m: usize| (1..=m).filter(|&d| m.is_multiple_of(d)).collect::<Vec<_>>();
+    let w = g.pick(&divisors(n));
+    let (w, h) = if g.one_in(2) { (n, 1) } else { (w, n / w) };
+    if g.one_in(2) {
+        Shape::Flat(Range::d2(w, h))
+    } else {
+        let (lw, lh) = (g.pick(&divisors(w)), g.pick(&divisors(h)));
+        Shape::Nd(NdRange::d2(w, h, lw, lh))
+    }
+}
+
+fn launch(g: &mut Gen, name: &'static str, n: usize, lens: &[usize], case: &mut Case) -> Step {
+    let shape = shape(g, n);
+    let dims = shape.dims();
+    let mut objects: Vec<usize> = (0..lens.len()).collect();
+    let mut slots = Vec::new();
+    for _ in 0..1 + g.below(3) {
+        let object = objects.swap_remove(g.below(objects.len()));
+        let len = lens[object];
+        let written = if g.one_in(2) { write_family(g, len, dims) } else { None };
+        slots.push(match written {
+            Some(writes) => {
+                // Optionally read-modify-write: an item reads only what
+                // it alone writes.
+                let reads = if g.one_in(2) { writes.clone() } else { Vec::new() };
+                Slot { object, reads, writes, whole: false }
+            }
+            None => {
+                let (reads, inside) = read_family(g, len, dims);
+                case.runnable &= inside;
+                Slot { object, reads, writes: Vec::new(), whole: inside && g.one_in(6) }
+            }
+        });
+    }
+    Step::Launch { name, shape, slots }
+}
+
+fn generate(seed: u64) -> Case {
+    let g = &mut Gen(seed);
+    let n: usize = g.pick(&[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]);
+    let lens: Vec<usize> = (0..4 + g.below(3))
+        .map(|_| g.pick(&[n, n, 2 * n, 3 * n, n + 1, n + 3, n.div_ceil(2), 1, 3]))
+        .collect();
+    let mut case =
+        Case { lens: lens.clone(), steps: Vec::new(), outputs: Vec::new(), runnable: true, rewrite: None };
+    if g.one_in(4) {
+        // The copy family: save `a` into `b`, then rewrite `a` from `b`
+        // — densely (the ping-pong pass may swap) or partially (it must
+        // not).
+        let s = 1 + g.below(3);
+        let (a, b) = (case.lens.len(), case.lens.len() + 1);
+        case.lens.extend([n * s, n * s]);
+        if g.one_in(2) {
+            let step = launch(g, NAMES[0], n, &lens, &mut case);
+            case.steps.push(step);
+        }
+        case.steps.push(Step::Copy { src: a, dst: b });
+        let shape = shape(g, n);
+        let dims = shape.dims();
+        let own = |e: IndexExpr| Index::from(if s == 1 { e } else { e.aux(1, s) });
+        let writes = write_family(g, n * s, dims).expect("a slice family fits");
+        let slots = vec![
+            Slot { object: b, reads: vec![own(lin(at(0), s, dims))], writes: Vec::new(), whole: false },
+            Slot { object: a, reads: Vec::new(), writes, whole: false },
+        ];
+        case.rewrite = Some(case.steps.len());
+        case.steps.push(Step::Launch { name: NAMES[2], shape, slots });
+        if g.one_in(2) {
+            let step = launch(g, NAMES[3], n, &lens, &mut case);
+            case.steps.push(step);
+        }
+        case.outputs.push(a);
+    } else {
+        for &name in &NAMES[..1 + g.below(4)] {
+            let step = launch(g, name, n, &lens, &mut case);
+            case.steps.push(step);
+        }
+    }
+    // Outputs: a non-empty subset of what some launch can write (the
+    // rest is fair game for dead-launch elimination).
+    let mut written: Vec<usize> = case
+        .steps
+        .iter()
+        .flat_map(|s| match s {
+            Step::Launch { slots, .. } => {
+                slots.iter().filter(|s| !s.writes.is_empty()).map(|s| s.object).collect()
+            }
+            Step::Copy { dst, .. } => vec![*dst],
+        })
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    while written.len() > 1 && g.one_in(2) {
+        written.swap_remove(g.below(written.len()));
+    }
+    case.outputs.extend(written);
+    case.outputs.sort_unstable();
+    case.outputs.dedup();
+    case
+}
+
+fn record(q: &Queue, case: &Case, bufs: &[Buffer<u32>]) -> Graph {
+    Graph::record(q, |g| {
+        for step in &case.steps {
+            match step {
+                Step::Copy { src, dst } => {
+                    g.copy("copy", &bufs[*src], &bufs[*dst]);
+                }
+                Step::Launch { name, shape, slots } => {
+                    let bindings: Vec<Binding> = slots
+                        .iter()
+                        .map(|s| match s.whole {
+                            true => reads(&bufs[s.object]),
+                            false => {
+                                reads_writes_at(&bufs[s.object], s.reads.clone(), s.writes.clone())
+                            }
+                        })
+                        .collect();
+                    let bound: Vec<BoundSlot> = slots
+                        .iter()
+                        .map(|s| (bufs[s.object].view(), s.reads.clone(), s.writes.clone()))
+                        .collect();
+                    let dims = shape.dims();
+                    match *shape {
+                        Shape::Flat(range) => {
+                            g.parallel_for(name, range, &bindings, move |it| {
+                                interpret(&bound, dims, it)
+                            });
+                        }
+                        Shape::Nd(nd) => {
+                            g.nd_range(name, nd, &bindings, move |ctx: &GroupCtx| {
+                                ctx.items(|it| interpret(&bound, dims, it))
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        for &o in &case.outputs {
+            g.output(&bufs[o]);
+        }
+    })
+    .expect("generated recordings are well-formed")
+}
+
+/// Per-item may-read and may-write sets of one slot, by enumeration.
+struct Touched {
+    reads: Vec<BTreeSet<usize>>,
+    writes: Vec<BTreeSet<usize>>,
+}
+
+impl Touched {
+    fn of(reads: &[Index], writes: &[Index], dims: [usize; 3]) -> Touched {
+        let mut t = Touched { reads: Vec::new(), writes: Vec::new() };
+        for y in 0..dims[1] {
+            for x in 0..dims[0] {
+                let all = |list: &[Index]| {
+                    list.iter().flat_map(|i| may_touch(i, [x, y, 0])).collect::<BTreeSet<_>>()
+                };
+                t.reads.push(all(reads));
+                t.writes.push(all(writes));
+            }
+        }
+        t
+    }
+
+    fn union(sets: &[BTreeSet<usize>]) -> BTreeSet<usize> {
+        sets.iter().flatten().copied().collect()
+    }
+}
+
+/// What the generated cases exercised, so the test can insist the
+/// generator reaches every corner it claims to.
+#[derive(Default, Debug)]
+struct Coverage {
+    launches: u64,
+    whole: usize,
+    item: usize,
+    dense: usize,
+    dropped: usize,
+    open_proofs: usize,
+    swapped: usize,
+    copies_kept: usize,
+    eliminated: usize,
+    hoisted: usize,
+    tv_refused: usize,
+    edges: usize,
+}
+
+/// The brute-force oracle for one recorded launch: every derived binding
+/// against the enumerated per-item sets.
+fn check_launch(
+    seed: u64,
+    graph: &Graph,
+    node: usize,
+    shape: Shape,
+    slots: &[Slot],
+    bufs: &[Buffer<u32>],
+    cov: &mut Coverage,
+) {
+    let dims = shape.dims();
+    let name = graph.node_name(node);
+    let derived = graph.node_bindings(node);
+    // The prover's own report for the indexed slots, for what a binding
+    // does not carry: the bound and whether the proof closed.
+    let spec = LaunchSpec {
+        slots: slots
+            .iter()
+            .filter(|s| !s.whole)
+            .map(|s| SlotSpec {
+                len: bufs[s.object].len(),
+                reads: s.reads.clone(),
+                writes: s.writes.clone(),
+            })
+            .collect(),
+    };
+    let report = prove::infer_contract(name, dims, &spec);
+    cov.launches += u64::from(!report.slots.is_empty());
+    cov.open_proofs += usize::from(!report.proven_in_bounds());
+    let mut reports = report.slots.iter();
+
+    let mut expected = 0;
+    for slot in slots {
+        let at = format!("seed {seed} launch '{name}' object {}", slot.object);
+        let len = bufs[slot.object].len();
+        let t = Touched::of(&slot.reads, &slot.writes, dims);
+        let (all_r, all_w) = (Touched::union(&t.reads), Touched::union(&t.writes));
+        let access = match (!all_r.is_empty(), !all_w.is_empty()) {
+            (false, false) => None,
+            (true, false) => Some(Access::Read),
+            (false, true) => Some(Access::Write),
+            (true, true) => Some(Access::ReadWrite),
+        };
+        let bound = derived.iter().find(|b| b.object == bufs[slot.object].object_id());
+        if slot.whole {
+            let b = bound.unwrap_or_else(|| panic!("{at}: stated binding lost"));
+            assert_eq!((b.access, b.footprint), (Access::Read, Footprint::Whole), "{at}");
+            expected += 1;
+            continue;
+        }
+        let inferred = reports.next().expect("one report per indexed slot");
+
+        // Access: exactly what can execute; nothing at all derives no
+        // binding.
+        assert_eq!(bound.map(|b| b.access), access, "{at}: access");
+        assert_eq!(inferred.access, access, "{at}: inferred access");
+        let Some(b) = bound else {
+            cov.dropped += 1;
+            continue;
+        };
+        expected += 1;
+        assert_eq!(b.footprint, inferred.footprint, "{at}: recorded footprint");
+
+        // Bounds: the folded maximum covers every enumerated index, is
+        // exact without a guard, and the proof closes iff it is inside.
+        let max = all_r.iter().chain(&all_w).max().copied();
+        let folded = inferred.max_index.unwrap_or_else(|| panic!("{at}: no max index"));
+        assert!(max.is_some_and(|m| m <= folded), "{at}: max {max:?} > folded {folded}");
+        let guarded = slot.reads.iter().chain(&slot.writes).any(
+            |i| matches!(i, Index::Affine(e) if e.guard_lt.is_some()),
+        );
+        if !guarded {
+            assert_eq!(max, Some(folded), "{at}: max index");
+        }
+        assert_eq!(inferred.bounds_proven, folded < len, "{at}: bounds");
+
+        // Footprint: item or better means no element has two owners.
+        match b.footprint {
+            Footprint::Whole => cov.whole += 1,
+            Footprint::Item => cov.item += 1,
+            Footprint::ItemDense => cov.dense += 1,
+        }
+        if b.footprint != Footprint::Whole {
+            let mut owner = BTreeMap::new();
+            for (item, set) in t.reads.iter().zip(&t.writes).map(|(r, w)| r | w).enumerate() {
+                for e in set {
+                    let first = *owner.entry(e).or_insert(item);
+                    assert_eq!(first, item, "{at}: element {e} touched by two items");
+                }
+            }
+        }
+        // Dense means the writes that certainly execute cover the object
+        // exactly (conditional and data-dependent ones do not count).
+        if b.footprint == Footprint::ItemDense {
+            let certain: Vec<Index> = slot
+                .writes
+                .iter()
+                .filter(|i| matches!(i, Index::Affine(e) if !e.conditional))
+                .cloned()
+                .collect();
+            let cover = Touched::union(&Touched::of(&[], &certain, dims).writes);
+            assert_eq!(cover, (0..len).collect::<BTreeSet<_>>(), "{at}: dense cover");
+        }
+    }
+    assert_eq!(derived.len(), expected, "seed {seed} launch '{name}': binding count");
+}
+
+/// Every element of one object a node may read, and may write.
+type Reach = (BTreeSet<usize>, BTreeSet<usize>);
+
+/// Per node, the reach on each object it touches.
+fn node_touches(case: &Case) -> Vec<BTreeMap<usize, Reach>> {
+    case.steps
+        .iter()
+        .map(|step| {
+            let mut m = BTreeMap::new();
+            match step {
+                Step::Copy { src, dst } => {
+                    m.insert(*src, ((0..case.lens[*src]).collect(), BTreeSet::new()));
+                    m.insert(*dst, (BTreeSet::new(), (0..case.lens[*dst]).collect()));
+                }
+                Step::Launch { shape, slots, .. } => {
+                    for s in slots {
+                        let t = Touched::of(&s.reads, &s.writes, shape.dims());
+                        m.insert(s.object, (Touched::union(&t.reads), Touched::union(&t.writes)));
+                    }
+                }
+            }
+            m
+        })
+        .collect()
+}
+
+fn check_case(seed: u64, cov: &mut Coverage) {
+    let case = generate(seed);
     let q = disarmed();
-    let (_graph, _gate, _data, _flags) = probed_graph(&q, n);
-    assert!(prove::contracts_checked() > before);
+    let init: Vec<Vec<u32>> = case
+        .lens
+        .iter()
+        .enumerate()
+        .map(|(o, &len)| (0..len).map(|i| mix(o, i) as u32).collect())
+        .collect();
+    let bufs: Vec<Buffer<u32>> = init.iter().map(|v| Buffer::from_slice(v)).collect();
+    let before = prove::contracts_inferred();
+    let graph = record(&q, &case, &bufs);
+
+    // --- Oracle 1: derived bindings and edges against enumeration -----
+    let launches = cov.launches;
+    for (node, step) in case.steps.iter().enumerate() {
+        match step {
+            Step::Launch { shape, slots, .. } => {
+                check_launch(seed, &graph, node, *shape, slots, &bufs, cov)
+            }
+            Step::Copy { src, dst } => {
+                cov.launches += 1;
+                let b = graph.node_bindings(node);
+                assert_eq!(
+                    [(b[0].object, b[0].access, b[0].footprint), (b[1].object, b[1].access, b[1].footprint)],
+                    [
+                        (bufs[*src].object_id(), Access::Read, Footprint::Item),
+                        (bufs[*dst].object_id(), Access::Write, Footprint::ItemDense),
+                    ],
+                    "seed {seed}: copy bindings"
+                );
+            }
+        }
+    }
+    assert_eq!(prove::contracts_inferred() - before, cov.launches - launches, "seed {seed}");
+    let touches = node_touches(&case);
+    for j in 0..touches.len() {
+        for i in 0..j {
+            let conflict = touches[i].iter().any(|(o, (ri, wi))| {
+                touches[j].get(o).is_some_and(|(rj, wj)| {
+                    !wi.is_disjoint(rj) || !wi.is_disjoint(wj) || !ri.is_disjoint(wj)
+                })
+            });
+            if conflict {
+                cov.edges += 1;
+                assert!(graph.depends_on(j, i), "seed {seed}: node {j} must wait for node {i}");
+            }
+        }
+    }
+    if !case.runnable {
+        return;
+    }
+
+    // --- Oracle 2: four executors of one recording ---------------------
+    // The translation validator may refuse what the passes propose (the
+    // hoist pass does not look for an earlier reader of what it hoists;
+    // the validator does): that compile degrades to a verbatim replay.
+    let refused = hetero_rt::graph_opt::tv_rejected();
+    let optimized = OptimizedGraph::compile(record(&q, &case, &bufs)).unwrap();
+    let verbatim = hetero_rt::graph_opt::tv_rejected() > refused;
+    cov.tv_refused += usize::from(verbatim);
+    let report = optimized.report().clone();
+    cov.eliminated += report.eliminated.len();
+    cov.hoisted += report.hoisted.len();
+    if let Some(step) = case.rewrite {
+        // The swap fires exactly when the rewrite of the copy's source
+        // derived a dense pure write (and the plan was not refused).
+        let Step::Launch { slots, .. } = &case.steps[step] else { unreachable!() };
+        let a = bufs[slots[1].object].object_id();
+        let dense = graph
+            .node_bindings(step)
+            .iter()
+            .any(|b| b.object == a && (b.access, b.footprint) == (Access::Write, Footprint::ItemDense));
+        let swap = dense && !verbatim;
+        assert_eq!(report.swapped == ["copy"], swap, "seed {seed}: {report:?}");
+        cov.swapped += usize::from(swap);
+        cov.copies_kept += usize::from(!dense);
+    }
+    let armed = sanitized();
+    let run = |what: &str, step: &dyn Fn() -> hetero_rt::Result<()>| -> Vec<Vec<u32>> {
+        for (b, v) in bufs.iter().zip(&init) {
+            b.write_from(v);
+        }
+        for _ in 0..2 {
+            step().unwrap_or_else(|e| panic!("seed {seed}: {what}: {e:?}"));
+        }
+        // Without declared outputs nothing is eliminated and every
+        // object is observable.
+        let all: Vec<usize> = (0..bufs.len()).collect();
+        let observed = if case.outputs.is_empty() { &all } else { &case.outputs };
+        observed.iter().map(|&o| bufs[o].to_vec()).collect()
+    };
+    let want = run("submit_each", &|| graph.submit_each(&q));
+    assert_eq!(run("replay", &|| graph.replay(&q)), want, "seed {seed}: replay");
+    assert_eq!(run("optimized", &|| optimized.replay(&q)), want, "seed {seed}: {report:?}");
+    assert_eq!(run("sanitized", &|| graph.replay(&armed)), want, "seed {seed}: sanitized");
+}
+
+fn cases(base: u64) -> u64 {
+    if cfg!(feature = "heavy-tests") {
+        base * 8
+    } else {
+        base
+    }
+}
+
+#[test]
+fn generated_graphs_agree_with_enumeration_and_across_executors() {
+    let _s = serial();
+    let mut cov = Coverage::default();
+    for seed in 0..cases(600) {
+        check_case(0x19_0000 + seed, &mut cov);
+    }
+    println!("{cov:?}");
+    // The generator must reach what it claims to: every footprint, the
+    // no-binding rule, open proofs, both outcomes of the copy family and
+    // the other two passes.
+    for (what, count) in [
+        ("whole", cov.whole),
+        ("item", cov.item),
+        ("dense", cov.dense),
+        ("dropped", cov.dropped),
+        ("open proofs", cov.open_proofs),
+        ("swapped", cov.swapped),
+        ("copies kept", cov.copies_kept),
+        ("eliminated", cov.eliminated),
+        ("hoisted", cov.hoisted),
+        ("edges", cov.edges),
+    ] {
+        assert!(count >= 10, "{what}: {count} of {cov:?}");
+    }
 }

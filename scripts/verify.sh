@@ -93,16 +93,12 @@ done
 ./target/release/stream_storm /tmp/BENCH_stream_storm.json --windows 60 > /dev/null
 
 # hetero-prove gates: the binding-contract sweep (13 apps + the graph
-# matrix with enforcement force-enabled, gated as exact counts: 75
-# contracts checked, 0 violations, 64 certificates, 6 optimized plans
-# accepted by translation validation, 0 rejected), the 26-design FPGA
-# verifier sweep against the explicit DPCT_BASELINE_DEVIATIONS
-# allowlist (stale entries fail too), and the proof-gated elision
-# benchmark — the proven (unchecked) fast path must beat the fully
-# checked replay by >= 1.05x on at least one bandwidth-bound FDTD2D /
-# SRAD configuration, with record-time check cost amortized to ~0 per
-# replay and the armed-queue fallback verified bit-equal.
-./target/release/prove /tmp/BENCH_prove_elision.json --gate 1.05 > /dev/null
+# matrix, every indexed launch's bindings inferred at record time, gated
+# as exact counts: 75 contracts inferred, 0 violations, 75 proven in
+# bounds, 6 optimized plans accepted by translation validation, 0
+# rejected) and the 26-design FPGA verifier sweep against the explicit
+# DPCT_BASELINE_DEVIATIONS allowlist (stale entries fail too).
+./target/release/prove /tmp/BENCH_prove.json > /dev/null
 
 # Data-path gates. roofline measures every lane-converted kernel's GB/s
 # against the pool-parallel memcpy peak, with each kernel's scalar arm
@@ -124,4 +120,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + prove sweep + elision gate + roofline gate + steal gate + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + prove sweep + roofline gate + steal gate + e2e tests + e2e smoke all green"
