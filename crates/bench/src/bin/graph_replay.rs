@@ -15,16 +15,10 @@
 //!   size 1 and at a launch-bound configuration (tiny grid, thousands
 //!   of steps) where the non-kernel share dominates and the win is
 //!   well clear of scheduler noise.
-//! * **CFD optimized end-to-end** — `run_with(..., Graph)` vs
-//!   `run_with(..., GraphOptimized)` at a launch-bound configuration:
-//!   the optimizer turns the recorded save copy into an O(1) buffer
-//!   swap. Reported, not gated: the copy side reads 40–57 ms from run to
-//!   run against a steady 36 for the swap (EXPERIMENTS.md "PR 18").
 //!
-//! `--matrix` additionally runs the 5-app × 4-flavor graph-equivalence
-//! matrix at size 1 (sequential / pooled per-launch / pooled graph /
-//! pooled graph-opt, all against golden) and fails on any diverging
-//! cell.
+//! `--matrix` additionally runs the 5-app × 3-flavor graph-equivalence
+//! matrix at size 1 (sequential / pooled per-launch / pooled graph, all
+//! against golden) and fails on any diverging cell.
 //!
 //! Writes `BENCH_graph_replay.json` (or the path given as the first
 //! positional argument).
@@ -163,33 +157,6 @@ fn main() -> ExitCode {
             .set("fdtd2d_launch_bound_per_launch_s", fdtd_lb.a_s)
             .set("fdtd2d_launch_bound_graph_s", fdtd_lb.b_s)
             .set("fdtd2d_launch_bound_speedup", fdtd_lb.ratio);
-
-        // CFD optimized end-to-end: the recorded save_state copy becomes an
-        // O(1) buffer swap, so each replay runs two launches instead of a
-        // full copy plus two. Small mesh, many iterations keeps the run
-        // launch-bound.
-        let cfd_p = altis_data::CfdParams { nelr: 256, iterations: 800 };
-        let cfd = |mode: ExecMode| {
-            let out = altis_core::cfd::run_with::<f32>(&q, &cfd_p, AppVersion::SyclOptimized, mode);
-            assert!(out.iter().all(|v| v.is_finite()));
-        };
-        let cfd_opt = paired(ROUNDS, || cfd(ExecMode::Graph), || cfd(ExecMode::GraphOptimized));
-        println!(
-            "  CFD launch-bound (nelr {}, {} iters): graph {:.1} ms, graph-opt {:.1} ms, speedup {:.2}x (spread {:.1}%)",
-            cfd_p.nelr,
-            cfd_p.iterations,
-            cfd_opt.a_s * 1e3,
-            cfd_opt.b_s * 1e3,
-            cfd_opt.ratio,
-            cfd_opt.spread * 100.0
-        );
-        report
-            .set("cfd_nelr", cfd_p.nelr)
-            .set("cfd_iterations", cfd_p.iterations)
-            .set("cfd_graph_s", cfd_opt.a_s)
-            .set("cfd_optimized_s", cfd_opt.b_s)
-            .set("cfd_optimized_speedup", cfd_opt.ratio)
-            .set("cfd_optimized_speedup_spread", cfd_opt.spread);
 
         let mut matrix = None;
         if args.has("--matrix") {

@@ -47,10 +47,8 @@
 //!   outlive the copy (a stream stage whose buffers persist).
 //! * **graph-empty-bindings** — no literal `&[]` binding list in a
 //!   launch call. An empty binding list hides the launch's data
-//!   accesses from record-time dependency analysis and from the graph
-//!   optimizer: phases over-serialize conservatively, and dead-launch
-//!   elimination, hoisting and ping-pong rewriting all refuse to touch
-//!   a node whose footprint is undeclared. Declare the accesses
+//!   accesses from record-time dependency analysis: the launch
+//!   serializes against every other one. Declare the accesses
 //!   (`reads` / `writes_at` / `reads_writes_at` / ...), or justify
 //!   a genuinely access-free body with
 //!   `// lint:allow(graph-empty-bindings)`.

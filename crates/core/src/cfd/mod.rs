@@ -261,8 +261,9 @@ pub fn run<T: Real>(q: &Queue, p: &CfdParams, version: AppVersion) -> Vec<T> {
     run_with(q, p, version, ExecMode::Graph)
 }
 
-/// [`run`] with an explicit execution mode: every mode executes the one
-/// recording of [`step_graph`].
+/// [`run`] with an explicit execution mode: every mode executes the two
+/// recordings of [`step_graph`], the even and the odd half of the state
+/// ping-pong, in alternation.
 pub fn run_with<T: Real>(
     q: &Queue,
     p: &CfdParams,
@@ -270,48 +271,54 @@ pub fn run_with<T: Real>(
     mode: ExecMode,
 ) -> Vec<T> {
     let mesh = Mesh::new(generate::<T>(p));
-    let step = Step::compile(step_graph(q, &mesh), mode);
-    for _ in 0..p.iterations {
-        step.run(q);
+    let steps =
+        [(0, 1), (1, 0)].map(|(from, to)| Step::compile(step_graph(q, &mesh, from, to), mode));
+    for i in 0..p.iterations {
+        steps[i % 2].run(q);
     }
-    drop(step);
-    egress(mesh.vars)
+    drop(steps);
+    let [even, odd] = mesh.state;
+    egress(if p.iterations.is_multiple_of(2) { even } else { odd })
 }
 
-/// Device state of the solver: the carried variables, the flux residual
-/// one step hands from `compute_flux` to `time_step`, the read-only
-/// mesh, and the previous iteration's copy of the variables.
+/// Device state of the solver: the two halves of the state ping-pong
+/// (iteration `i` reads `state[i % 2]` and writes the other), the flux
+/// residual one step hands from `compute_flux` to `time_step`, and the
+/// read-only mesh.
 pub(crate) struct Mesh<T: Real> {
-    vars: Buffer<T>,
+    state: [Buffer<T>; 2],
     fluxes: Buffer<T>,
     nbrs: Buffer<i32>,
     norms: Buffer<T>,
     vols: Buffer<T>,
-    old: Buffer<T>,
 }
 
 impl<T: Real> Mesh<T> {
     pub(crate) fn new(input: CfdInput<T>) -> Self {
         let n = input.nelr;
         Mesh {
-            vars: Buffer::from_vec(input.variables),
+            state: [Buffer::from_vec(input.variables), Buffer::new(n * NVAR)],
             fluxes: Buffer::new(n * NVAR),
             nbrs: Buffer::from_vec(input.neighbors),
             norms: Buffer::from_vec(input.normals),
             vols: Buffer::from_vec(input.volumes),
-            old: Buffer::new(n * NVAR),
         }
     }
 }
 
-/// Record one explicit-Euler step in the Altis/Rodinia form: save the
-/// state into `old`, gather the flux from `old`, and make the update a
-/// *pure write* of `vars` from `old`. That is the shape the optimizer's
-/// ping-pong pass exploits — the save copy legally becomes an O(1)
-/// storage swap because `time_step` densely rewrites its source.
-pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Result<Graph> {
+/// Record one explicit-Euler step from `state[from]` into `state[to]`:
+/// gather the flux from the old state, then write every element of the
+/// new one from the old state and the flux. Nothing is copied; the caller
+/// alternates the `(0, 1)` and `(1, 0)` recordings.
+pub(crate) fn step_graph<T: Real>(
+    q: &Queue,
+    mesh: &Mesh<T>,
+    from: usize,
+    to: usize,
+) -> hetero_rt::Result<Graph> {
     use hetero_rt::prove::{at, bounded, Index};
-    let Mesh { vars, old, fluxes, nbrs, norms, vols } = mesh;
+    let Mesh { state, fluxes, nbrs, norms, vols } = mesh;
+    let (old, vars) = (&state[from], &state[to]);
     let n = vols.len();
     let flux_kernel = {
         let (ov, fv, nbv, nov) = (old.view(), fluxes.view(), nbrs.view(), norms.view());
@@ -366,44 +373,38 @@ pub(crate) fn step_graph<T: Real>(q: &Queue, mesh: &Mesh<T>) -> hetero_rt::Resul
     };
     // One affine index per unrolled state variable: e*w + v.
     let per_var = |w: usize| -> Vec<Index> { (0..w).map(|v| at(v).item(0, w).into()).collect() };
-    // The e-slice reads plus the data-dependent neighbour gather, which
-    // makes `old` a whole-object read.
+    // The e-slice reads plus the data-dependent neighbour gather.
     let mut flux_reads = per_var(NVAR);
     flux_reads.push(bounded(n * NVAR));
     Graph::record(q, |g| {
-        g.copy("save_state", vars, old)
-            .parallel_for(
-                "compute_flux",
-                Range::d1(n),
-                &[
-                    reads_at(old, flux_reads),
-                    reads_at(nbrs, per_var(NNB)),
-                    reads_at(norms, per_var(NNB * 3)),
-                    writes_at(fluxes, per_var(NVAR)),
-                ],
-                flux_kernel,
-            )
-            // Every element's NVAR-slice of `vars` is written: the dense
-            // footprint the ping-pong pass needs to swap the save copy.
-            .parallel_for(
-                "time_step",
-                Range::d1(n),
-                &[
-                    reads_at(old, per_var(NVAR)),
-                    reads_at(vols, [at(0).item(0, 1)]),
-                    reads_at(fluxes, per_var(NVAR)),
-                    writes_at(vars, per_var(NVAR)),
-                ],
-                ts_kernel,
-            )
-            .output(vars);
+        g.parallel_for(
+            "compute_flux",
+            Range::d1(n),
+            &[
+                reads_at(old, flux_reads),
+                reads_at(nbrs, per_var(NNB)),
+                reads_at(norms, per_var(NNB * 3)),
+                writes_at(fluxes, per_var(NVAR)),
+            ],
+            flux_kernel,
+        )
+        .parallel_for(
+            "time_step",
+            Range::d1(n),
+            &[
+                reads_at(old, per_var(NVAR)),
+                reads_at(vols, [at(0).item(0, 1)]),
+                reads_at(fluxes, per_var(NVAR)),
+                writes_at(vars, per_var(NVAR)),
+            ],
+            ts_kernel,
+        );
     })
 }
 
 /// Analytic work profile (FP32 or FP64 depending on `is_f64`): the
-/// compute_flux + time_step pair, 2 launches an iteration. Every route
-/// executes 3 — the recording's save copy, which the profile's byte and
-/// launch model does not count.
+/// compute_flux + time_step pair, 2 launches an iteration on every
+/// route.
 pub fn work_profile(size: InputSize, is_f64: bool) -> WorkProfile {
     let p = pparams(size);
     let n = p.nelr as u64;
@@ -587,17 +588,17 @@ mod tests {
     }
 
     #[test]
-    fn graph_optimized_mode_agrees_exactly() {
-        // The optimized replay (save copy → O(1) swap) must be
-        // bit-identical to the per-launch baseline in both precisions.
-        let p = tiny();
+    fn the_result_leaves_from_the_right_half_for_odd_and_even_iteration_counts() {
         let q = Queue::new(Device::cpu());
-        let a = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, ExecMode::GraphOptimized);
-        assert_eq!(a, b);
-        let a = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
-        let b = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, ExecMode::GraphOptimized);
-        assert_eq!(a, b);
+        for iterations in [3, 4] {
+            let p = CfdParams { nelr: 256, iterations };
+            for mode in [ExecMode::PerLaunch, ExecMode::Graph] {
+                let r32 = run_with::<f32>(&q, &p, AppVersion::SyclOptimized, mode);
+                assert_eq!(r32, golden::<f32>(&p), "f32 {iterations} {mode:?}");
+                let r64 = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, mode);
+                assert_eq!(r64, golden::<f64>(&p), "f64 {iterations} {mode:?}");
+            }
+        }
     }
 
     #[test]

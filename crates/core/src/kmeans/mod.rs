@@ -183,7 +183,7 @@ impl Lloyd {
 /// Record one Lloyd pass: map_centers and reset are independent and
 /// replay in one phase; accumulate and finalize each form their own.
 pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, IndexExpr};
+    use hetero_rt::prove::{at, bounded};
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let Lloyd { pts, centers, membership, acc, counts } = lloyd;
 
@@ -297,9 +297,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
             reset_kernel,
         )
         // Any block may bump any cluster row: the atomic scatter is a
-        // whole-object read-write of acc and counts, so hoisting around
-        // it is (correctly) illegal, and reset stays pinned in the steady
-        // schedule because accumulate also writes both.
+        // read-write of acc and counts, ordered after reset.
         .parallel_for(
             "accumulate",
             Range::d1(n.div_ceil(ACC_BLOCK)),
@@ -311,20 +309,18 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
             ],
             acc_kernel,
         )
-        // finalize writes a centre only for a non-empty cluster: an empty
-        // one keeps its old row, so the write must not read as dense.
+        // finalize writes a centre only for a non-empty cluster; an empty
+        // one keeps its old row.
         .parallel_for(
             "finalize",
             Range::d1(k),
             &[
                 reads_at(acc, feat(nf)),
                 reads_at(counts, [own()]),
-                writes_at(centers, feat(nf).map(IndexExpr::conditional)),
+                writes_at(centers, feat(nf)),
             ],
             fin_kernel,
-        )
-        .output(centers)
-        .output(membership);
+        );
     })
 }
 
@@ -581,7 +577,6 @@ mod tests {
         let a = run_with(&q, &p, AppVersion::SyclBaseline, ExecMode::PerLaunch);
         for (q, mode) in [
             (&q, ExecMode::Graph),
-            (&q, ExecMode::GraphOptimized),
             (&seq, ExecMode::PerLaunch),
             (&seq, ExecMode::Graph),
         ] {
@@ -629,7 +624,6 @@ mod tests {
                 (&seq, ExecMode::PerLaunch),
                 (&pooled, ExecMode::PerLaunch),
                 (&pooled, ExecMode::Graph),
-                (&pooled, ExecMode::GraphOptimized),
             ] {
                 let r = run_on(q, p, points.clone(), mode);
                 assert_eq!(r.membership, g.membership, "{name} {mode:?}");

@@ -93,7 +93,6 @@ impl KmeansStream {
                     mv.set(t, best);
                 },
             );
-            g.output(&memb_batch);
         })?;
         Ok(KmeansStream {
             k,

@@ -299,11 +299,7 @@ pub(crate) fn propagate_graph(
                 sv.set(i, rng.state);
                 wv.set(i, likelihood(variant, xv.get(i), yv.get(i), tx, ty));
             },
-        )
-        .output(xs)
-        .output(ys)
-        .output(weights)
-        .output(seeds);
+        );
     })
 }
 
@@ -343,9 +339,7 @@ pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Grap
                 nxv.set(j, xv.get(idx));
                 nyv.set(j, yv.get(idx));
             },
-        )
-        .output(nxs)
-        .output(nys);
+        );
     })
 }
 
@@ -541,7 +535,6 @@ mod tests {
             let a = run_with(&q, &p, variant, AppVersion::SyclBaseline, ExecMode::PerLaunch);
             for (q, mode) in [
                 (&q, ExecMode::Graph),
-                (&q, ExecMode::GraphOptimized),
                 (&seq, ExecMode::PerLaunch),
                 (&seq, ExecMode::Graph),
             ] {

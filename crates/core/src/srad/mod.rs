@@ -326,8 +326,7 @@ pub(crate) fn step_graph(
                 reads_writes_at(img, [own()], [own()]),
             ],
             srad_2,
-        )
-        .output(img);
+        );
     })
 }
 
@@ -470,7 +469,6 @@ mod tests {
         let a = run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
         for (q, mode) in [
             (&q, ExecMode::Graph),
-            (&q, ExecMode::GraphOptimized),
             (&seq, ExecMode::PerLaunch),
             (&seq, ExecMode::Graph),
         ] {

@@ -183,7 +183,7 @@ impl Output {
 
 /// Run `config` on `q`. `mode` is the route of the five graph-converted
 /// apps ([`GRAPH_FLAVOR_APPS`]; their plain `run` is `ExecMode::Graph`)
-/// and means nothing to the other eight.
+/// and of CFD FP64, and means nothing to the other seven.
 pub fn run_output(
     config: &str,
     q: &Queue,
@@ -194,7 +194,7 @@ pub fn run_output(
     use crate::particlefilter::run_with as pf;
     match config {
         "CFD FP32" => Output::F32(crate::cfd::run_with(q, &altis_data::cfd(size), v, mode)),
-        "CFD FP64" => Output::F64(crate::cfd::run(q, &altis_data::cfd(size), v)),
+        "CFD FP64" => Output::F64(crate::cfd::run_with(q, &altis_data::cfd(size), v, mode)),
         "DWT2D" => Output::F32(crate::dwt2d::run(q, &altis_data::dwt2d(size), v)),
         "FDTD2D" => Output::Fields(crate::fdtd2d::run_with(q, &altis_data::fdtd2d(size), v, mode)),
         "KMeans" => Output::Kmeans(crate::kmeans::run_with(q, &altis_data::kmeans(size), v, mode)),
@@ -590,8 +590,7 @@ impl ResilienceOutcome {
 
 /// `Error` variant names as they appear in `Debug`/`unwrap` panic text;
 /// used to recognise "`unwrap()` on a typed error" panics as typed.
-const TYPED_ERROR_MARKERS: [&str; 16] = [
-    "BindingContract",
+const TYPED_ERROR_MARKERS: [&str; 15] = [
     "Canceled",
     "DataRace",
     "WorkGroupTooLarge",
@@ -819,9 +818,6 @@ pub enum GraphFlavor {
     PerLaunch,
     /// Pooled queue, recorded-graph replay.
     Graph,
-    /// Pooled queue, recorded-graph replay through the optimizer's pass
-    /// pipeline (dead-launch elimination, hoisting, ping-pong).
-    GraphOpt,
 }
 
 impl GraphFlavor {
@@ -831,7 +827,6 @@ impl GraphFlavor {
             GraphFlavor::Sequential => "sequential",
             GraphFlavor::PerLaunch => "per-launch",
             GraphFlavor::Graph => "graph",
-            GraphFlavor::GraphOpt => "graph-opt",
         }
     }
 }
@@ -840,7 +835,7 @@ impl GraphFlavor {
 pub type GraphMatrixRow = (&'static str, GraphFlavor, bool);
 
 /// The apps with a record-and-replay graph conversion: the only routes
-/// for which a `Graph`/`GraphOpt` execution flavor can be requested
+/// for which a `Graph` execution flavor can be requested
 /// (the serving layer rejects graph-flavored jobs for any other app).
 pub const GRAPH_FLAVOR_APPS: [&str; 5] =
     ["FDTD2D", "SRAD", "CFD FP32", "KMeans", "PF Naive"];
@@ -880,11 +875,10 @@ pub fn graph_mode_matrix(size: InputSize) -> Vec<GraphMatrixRow> {
     let seq = Queue::new(Device::cpu())
         .with_parallelism(hetero_rt::executor::Parallelism::Sequential);
     let pooled = Queue::new(Device::cpu());
-    let cells: [(&Queue, GraphFlavor, ExecMode); 4] = [
+    let cells: [(&Queue, GraphFlavor, ExecMode); 3] = [
         (&seq, GraphFlavor::Sequential, ExecMode::PerLaunch),
         (&pooled, GraphFlavor::PerLaunch, ExecMode::PerLaunch),
         (&pooled, GraphFlavor::Graph, ExecMode::Graph),
-        (&pooled, GraphFlavor::GraphOpt, ExecMode::GraphOptimized),
     ];
     let mut rows = Vec::new();
     for (q, flavor, mode) in cells {
@@ -1108,8 +1102,8 @@ mod tests {
     #[test]
     fn graph_matrix_matches_golden_at_size_1() {
         let rows = graph_mode_matrix(InputSize::S1);
-        // 5 apps × 4 flavors, every cell green.
-        assert_eq!(rows.len(), 20);
+        // 5 apps × 3 flavors, every cell green.
+        assert_eq!(rows.len(), 15);
         let failed: Vec<_> = rows
             .iter()
             .filter(|(_, _, ok)| !ok)
@@ -1133,7 +1127,7 @@ mod tests {
         iterations: usize,
     }
 
-    fn recorded_apps() -> [Recorded; 5] {
+    fn recorded_apps() -> [Recorded; 6] {
         use crate::{cfd, fdtd2d, kmeans, particlefilter as pf, srad};
         const S1: InputSize = InputSize::S1;
         [
@@ -1162,13 +1156,26 @@ mod tests {
                 host_launches: 1,
                 iterations: altis_data::srad(S1).iterations,
             },
+            // An iteration runs one half of the state ping-pong; the
+            // other half is the same two launches with the roles swapped.
             Recorded {
                 name: "CFD FP32",
-                nodes: 3,
-                phases: &[3],
+                nodes: 2,
+                phases: &[2],
                 record: |q| {
                     let mesh = cfd::Mesh::new(cfd::generate::<f32>(&altis_data::cfd(S1)));
-                    vec![cfd::step_graph(q, &mesh).unwrap()]
+                    vec![cfd::step_graph(q, &mesh, 0, 1).unwrap()]
+                },
+                host_launches: 0,
+                iterations: altis_data::cfd(S1).iterations,
+            },
+            Recorded {
+                name: "CFD FP64",
+                nodes: 2,
+                phases: &[2],
+                record: |q| {
+                    let mesh = cfd::Mesh::new(cfd::generate::<f64>(&altis_data::cfd(S1)));
+                    vec![cfd::step_graph(q, &mesh, 1, 0).unwrap()]
                 },
                 host_launches: 0,
                 iterations: altis_data::cfd(S1).iterations,
@@ -1214,6 +1221,14 @@ mod tests {
             let phases: Vec<usize> = graphs.iter().map(hetero_rt::Graph::phase_count).collect();
             assert_eq!(phases, app.phases, "{}", app.name);
             let want = (recorded as u64 + app.host_launches) * app.iterations as u64;
+            if app.name.starts_with("CFD") {
+                // The analytic profile models the same launches an
+                // iteration, at its own (paper-scale) iteration count.
+                let is_f64 = app.name == "CFD FP64";
+                let model = crate::cfd::work_profile(InputSize::S1, is_f64).kernel_launches;
+                let model_iterations = altis_data::paper_scale::cfd(InputSize::S1).iterations;
+                assert_eq!(model * app.iterations as u64, want * model_iterations as u64);
+            }
             for (armed, mode) in [(false, ExecMode::PerLaunch), (true, ExecMode::Graph)] {
                 let ledger = std::sync::Arc::new(hetero_rt::ResilienceLedger::new());
                 let q = Queue::new(Device::cpu())
@@ -1221,27 +1236,6 @@ mod tests {
                     .with_resilience_ledger(Some(std::sync::Arc::clone(&ledger)));
                 run_output(app.name, &q, InputSize::S1, AppVersion::SyclBaseline, mode);
                 assert_eq!(ledger.snapshot().launches, want, "{} {mode:?}", app.name);
-            }
-        }
-    }
-
-    #[test]
-    fn the_optimizer_swaps_cfds_save_copy_and_rewrites_no_other_recording() {
-        let q = Queue::new(Device::cpu());
-        for app in recorded_apps() {
-            for graph in (app.record)(&q) {
-                let n = graph.len();
-                let mut want = hetero_rt::OptReport {
-                    launches_before: n,
-                    launches_after: n,
-                    ..Default::default()
-                };
-                if app.name == "CFD FP32" {
-                    want.swapped = vec!["save_state".to_string()];
-                    want.launches_after = 2;
-                }
-                let compiled = hetero_rt::OptimizedGraph::compile(graph).unwrap();
-                assert_eq!(*compiled.report(), want, "{}", app.name);
             }
         }
     }

@@ -167,35 +167,6 @@ pub fn non_kernel_seconds_replayed(
     (o.fixed_us + launch_us) * 1e-6 + transfer_s
 }
 
-/// [`non_kernel_seconds_replayed`] when the graph optimizer has
-/// eliminated launches: the replayed share of launches is divided by
-/// `launch_reduction` (the recorded-to-optimized launch ratio the
-/// optimizer's `OptReport` gives, e.g. 3/2 for CFD's save copy
-/// rewritten into a swap). Only the replayed
-/// launches shrink — an armed queue degrades to the unoptimized
-/// per-launch path, which is exactly the `1 - replay_fraction` share.
-/// Ratios below 1 are clamped to 1 (an optimizer never adds launches).
-pub fn non_kernel_seconds_optimized(
-    profile: &WorkProfile,
-    device: &DeviceSpec,
-    flavor: RuntimeFlavor,
-    replay_fraction: f64,
-    launch_reduction: f64,
-) -> f64 {
-    let o = flavor.overheads();
-    let f = replay_fraction.clamp(0.0, 1.0);
-    let r = launch_reduction.max(1.0);
-    let launches = profile.kernel_launches as f64;
-    let launch_us = o.per_launch_us * launches * (1.0 - f)
-        + o.replay_per_launch_us() * (launches / r) * f;
-    let transfer_s = if device.pcie_bw_gbs.is_infinite() {
-        0.0
-    } else {
-        o.transfer_factor * profile.transfer_bytes as f64 / (device.pcie_bw_gbs * 1e9)
-    };
-    (o.fixed_us + launch_us) * 1e-6 + transfer_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,36 +266,6 @@ mod tests {
             non_kernel_seconds_replayed(&p, &dev, RuntimeFlavor::SyclOnCuda, 7.0),
             all
         );
-    }
-
-    #[test]
-    fn fused_replay_shaves_the_replay_share() {
-        let dev = DeviceSpec::rtx_2080();
-        let p = profile(3_000, 800_000);
-        let flavor = RuntimeFlavor::SyclOnCuda;
-        let plain = non_kernel_seconds_replayed(&p, &dev, flavor, 1.0);
-        // CFD's 3 → 2 (save copy → swap): fully-replayed non-kernel time
-        // drops, but by less than the full 1.5× (fixed cost and transfers
-        // are untouched).
-        let fused = non_kernel_seconds_optimized(&p, &dev, flavor, 1.0, 1.5);
-        assert!(fused < plain, "{fused} vs {plain}");
-        assert!(fused > plain / 1.5, "{fused} vs {plain}");
-        // A reduction of 1 is exactly the unoptimized replay model, and
-        // sub-1 ratios clamp to it.
-        assert_eq!(non_kernel_seconds_optimized(&p, &dev, flavor, 1.0, 1.0), plain);
-        assert_eq!(non_kernel_seconds_optimized(&p, &dev, flavor, 1.0, 0.2), plain);
-    }
-
-    #[test]
-    fn optimizer_never_touches_the_unreplayed_share() {
-        // With replay_fraction 0 every launch goes through the full API
-        // path (the armed-queue degradation), so the launch reduction
-        // must be irrelevant no matter how aggressive.
-        let dev = DeviceSpec::rtx_2080();
-        let p = profile(500, 0);
-        let flavor = RuntimeFlavor::SyclOnCuda;
-        let a = non_kernel_seconds_optimized(&p, &dev, flavor, 0.0, 3.0);
-        assert_eq!(a, non_kernel_seconds(&p, &dev, flavor));
     }
 
     #[test]

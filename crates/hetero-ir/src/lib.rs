@@ -30,16 +30,12 @@ pub mod printer;
 pub mod prove;
 pub mod verify;
 
-pub use analysis::{
-    optimize_plan, DeadLaunchElimination, InvariantHoist, KernelCost, LoopCost, OptReport,
-    OptimizedPlan, PingPongRewrite, PlanAccess, PlanBinding, PlanFootprint, PlanGraph, PlanNode,
-    PlanPass, PlanStep,
-};
+pub use analysis::{KernelCost, LoopCost};
 pub use builder::{KernelBuilder, LoopBuilder};
 pub use printer::{print_kernel, validate_kernel, ValidationError};
 pub use prove::{
-    at, bounded, infer_contract, validate_translation, ContractReport,
-    ContractViolation, Index, IndexExpr, LaunchSpec, SlotReport, SlotSpec, TvError,
+    at, bounded, infer_contract, ContractReport, Index, IndexExpr, LaunchSpec, PlanAccess,
+    SlotReport, SlotSpec,
 };
 pub use verify::{verify_kernel, verify_kernels, DeviceLimits, KnownDeviation, VerifyError};
 pub use ir::{

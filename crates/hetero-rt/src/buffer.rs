@@ -11,22 +11,16 @@
 //! # Safety architecture
 //!
 //! All `unsafe` in this crate is concentrated here. A `GlobalView`
-//! reaches the allocation through a shared [`AtomicPtr`] slot owned by
-//! the storage (one atomic load per access); the allocation itself is
-//! held alive by an `Arc` and never reallocated. The indirection exists
-//! for [`Buffer::swap_contents`]: swapping two storages' allocations and
-//! republishing the slot pointers retargets every outstanding view in
-//! O(1) — which is what lets the graph optimizer turn recorded
-//! whole-buffer copies into ping-pong swaps without re-capturing the
-//! kernels that hold the views. Data races between work-items are
-//! possible *by design* (they are possible on the modelled hardware
-//! too); the Altis kernels are written, like their CUDA originals, so
-//! that concurrent writes target disjoint elements or go through the
-//! provided atomics.
+//! holds a raw pointer into the storage's allocation, which is held
+//! alive by an `Arc` and never reallocated. Data races between
+//! work-items are possible *by design* (they are possible on the
+//! modelled hardware too); the Altis kernels are written, like their
+//! CUDA originals, so that concurrent writes target disjoint elements or
+//! go through the provided atomics.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
@@ -35,14 +29,10 @@ use crate::sanitize::{self, AccessKind};
 
 struct Storage<T> {
     // Box<[T]> kept alive for the lifetime of every view; never
-    // reallocated after construction (except by an explicit
-    // `swap_contents`, which republishes `slot`), so raw pointers into
-    // it stay valid.
+    // reallocated after construction, so raw pointers into it stay valid.
     data: Mutex<Box<[T]>>,
-    // Published base pointer of `data`'s allocation. Views load it on
-    // every access instead of caching it, so `swap_contents` can
-    // retarget all outstanding views at once.
-    slot: Arc<AtomicPtr<T>>,
+    // Base pointer of `data`'s allocation, handed to views.
+    base: *mut T,
     len: usize,
     // Process-unique id for the race sanitizer's shadow tracking;
     // allocation order is program order, so ids are deterministic. The
@@ -121,9 +111,9 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         let len = data.len();
         let id = sanitize::next_object_id();
         let data = Mutex::new(data);
-        let (slot, region) = {
+        let (base, region) = {
             let mut guard = data.lock().unwrap_or_else(PoisonError::into_inner);
-            let slot = Arc::new(AtomicPtr::new(guard.as_mut_ptr()));
+            let base = guard.as_mut_ptr();
             let region = integrity::register(
                 id,
                 "buffer",
@@ -131,9 +121,9 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
                 std::mem::size_of_val::<[T]>(&guard),
                 integrity::bit_safe::<T>(),
             );
-            (slot, region)
+            (base, region)
         };
-        Buffer { storage: Arc::new(Storage { data, slot, len, id, generation, region }) }
+        Buffer { storage: Arc::new(Storage { data, base, len, id, generation, region }) }
     }
 
     /// Reclaim the underlying allocation (for recycling, or for
@@ -281,7 +271,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
     /// kernel closures running on multiple threads.
     pub fn view(&self) -> GlobalView<T> {
         GlobalView {
-            slot: Arc::clone(&self.storage.slot),
+            ptr: self.storage.base,
             len: self.storage.len,
             object: self.storage.id,
             base: 0,
@@ -299,66 +289,12 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
             });
         }
         Ok(GlobalView {
-            slot: Arc::clone(&self.storage.slot),
+            ptr: self.storage.base.wrapping_add(offset),
             len,
             object: self.storage.id,
             base: offset,
             _keepalive: Arc::clone(&self.storage) as Arc<dyn Send + Sync>,
         })
-    }
-
-    /// Exchange the *contents* of two equal-length buffers. A host-side
-    /// operation (like [`Buffer::write_from`]): object identities,
-    /// sanitizer ids, and every outstanding view stay bound to their
-    /// original buffer — after the call, views of `self` observe what
-    /// `other` held and vice versa.
-    ///
-    /// When neither buffer is under an armed integrity region this is
-    /// O(1): the two allocations are exchanged and the shared view slots
-    /// republished, which is what the graph optimizer's ping-pong
-    /// rewrite executes in place of a recorded whole-buffer copy. With a
-    /// region armed the allocations cannot move (regions pin the page
-    /// addresses registered at construction), so contents are swapped
-    /// element-wise and both regions resealed — slower, but the rewrite
-    /// stays semantically identical. Swapping a buffer with itself is a
-    /// no-op; a length mismatch is `Err(Error::AccessOutOfBounds)`.
-    pub fn swap_contents(&self, other: &Buffer<T>) -> Result<()> {
-        if Arc::ptr_eq(&self.storage, &other.storage) {
-            return Ok(());
-        }
-        if self.storage.len != other.storage.len {
-            return Err(Error::AccessOutOfBounds {
-                offset: 0,
-                len: other.storage.len,
-                buffer_len: self.storage.len,
-            });
-        }
-        // Lock in id order so concurrent swaps of the same pair cannot
-        // deadlock. Ids are process-unique, so the order is total.
-        let (first, second) = if self.storage.id < other.storage.id {
-            (&self.storage, &other.storage)
-        } else {
-            (&other.storage, &self.storage)
-        };
-        let mut ga = first.data.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut gb = second.data.lock().unwrap_or_else(PoisonError::into_inner);
-        if first.region.is_some() || second.region.is_some() {
-            ga.swap_with_slice(&mut gb);
-            if let Some(r) = &first.region {
-                r.reseal_now();
-            }
-            if let Some(r) = &second.region {
-                r.reseal_now();
-            }
-            return Ok(());
-        }
-        std::mem::swap(&mut *ga, &mut *gb);
-        // Release pairs with the pool's job-dispatch synchronisation
-        // (and the mutexes above): workers observing the next launch see
-        // the republished pointers.
-        first.slot.store(ga.as_mut_ptr(), Ordering::Release);
-        second.slot.store(gb.as_mut_ptr(), Ordering::Release);
-        Ok(())
     }
 }
 
@@ -375,10 +311,8 @@ unsafe impl<T: Send> Sync for Storage<T> {}
 /// bounds-checked (indexing past the view panics, the debug behaviour of a
 /// GPU with compute-sanitizer).
 pub struct GlobalView<T> {
-    // Shared, storage-owned base pointer of the current allocation; one
-    // relaxed load per access. Indirect (not cached) so that
-    // [`Buffer::swap_contents`] retargets captured views in O(1).
-    slot: Arc<AtomicPtr<T>>,
+    // Element 0 of the view inside the storage's allocation.
+    ptr: *mut T,
     len: usize,
     // Sanitizer identity: the owning buffer's id and this view's element
     // offset into it, so sub-range views alias correctly in the shadow
@@ -397,7 +331,7 @@ impl<T> std::fmt::Debug for GlobalView<T> {
 impl<T> Clone for GlobalView<T> {
     fn clone(&self) -> Self {
         GlobalView {
-            slot: Arc::clone(&self.slot),
+            ptr: self.ptr,
             len: self.len,
             object: self.object,
             base: self.base,
@@ -425,13 +359,12 @@ fn oob(offset: usize, len: usize, buffer_len: usize) -> ! {
 }
 
 impl<T: Copy> GlobalView<T> {
-    /// Address of element `i` of this view in the current allocation.
-    /// Callers bounds-check `i` first; `base + i` is then within the
-    /// allocation published in the slot.
+    /// Address of element `i` of this view. Callers bounds-check `i`
+    /// first; the result is then within the allocation.
     #[inline]
     fn elem(&self, i: usize) -> *mut T {
-        // SAFETY: in-bounds offset from the published base pointer.
-        unsafe { self.slot.load(Ordering::Relaxed).add(self.base + i) }
+        // SAFETY: in-bounds offset from the view's first element.
+        unsafe { self.ptr.add(i) }
     }
 
     /// Number of elements visible through this view.
@@ -939,49 +872,5 @@ mod tests {
         let b = Buffer::<u16>::new(5);
         b.view().copy_from_slice(1, &[9, 8, 7]);
         assert_eq!(b.to_vec(), vec![0, 9, 8, 7, 0]);
-    }
-
-    #[test]
-    fn swap_contents_retargets_outstanding_views() {
-        let a = Buffer::from_slice(&[1u32, 2, 3]);
-        let b = Buffer::from_slice(&[10u32, 20, 30]);
-        // Views captured *before* the swap must observe the swapped
-        // contents afterwards: recorded graph kernels hold views across
-        // many replays while the optimizer swaps storages between them.
-        let (va, vb) = (a.view(), b.view());
-        a.swap_contents(&b).unwrap();
-        assert_eq!(a.to_vec(), vec![10, 20, 30]);
-        assert_eq!(b.to_vec(), vec![1, 2, 3]);
-        assert_eq!(va.get(0), 10);
-        assert_eq!(vb.get(2), 3);
-        // Writes through old views land in the swapped storage too.
-        va.set(1, 99);
-        assert_eq!(a.to_vec(), vec![10, 99, 30]);
-    }
-
-    #[test]
-    fn swap_contents_self_is_noop() {
-        let a = Buffer::from_slice(&[5u8, 6]);
-        a.swap_contents(&a).unwrap();
-        assert_eq!(a.to_vec(), vec![5, 6]);
-    }
-
-    #[test]
-    fn swap_contents_rejects_length_mismatch() {
-        let a = Buffer::<f32>::new(4);
-        let b = Buffer::<f32>::new(5);
-        assert!(a.swap_contents(&b).is_err());
-    }
-
-    #[test]
-    fn swap_contents_many_iterations_alternate() {
-        let a = Buffer::from_slice(&[1i32; 8]);
-        let b = Buffer::from_slice(&[2i32; 8]);
-        let va = a.view();
-        for i in 0..10 {
-            a.swap_contents(&b).unwrap();
-            let expect = if i % 2 == 0 { 2 } else { 1 };
-            assert_eq!(va.get(0), expect);
-        }
     }
 }

@@ -139,20 +139,6 @@ pub enum Error {
         /// Kernel name the submission was given.
         kernel: &'static str,
     },
-    /// A recording that states index sets ([`crate::prove`]) declares
-    /// something about the graph that they refute: a stale
-    /// [`crate::graph::GraphBuilder::output`] nothing writes. Raised at
-    /// `Graph::record` time, before anything executes, so it is never
-    /// CPU-fallback eligible (there is no launch to re-run). Each
-    /// violation string is one deterministic rendered
-    /// [`hetero_ir::ContractViolation`].
-    BindingContract {
-        /// What the check ran against (`<outputs>` for stale-output
-        /// findings).
-        kernel: String,
-        /// Deterministically ordered rendered violations.
-        violations: Vec<String>,
-    },
     /// A pipe operation failed because the other endpoint disconnected.
     PipeClosed,
     /// A blocking pipe operation timed out; in this runtime that is
@@ -216,11 +202,6 @@ impl fmt::Display for Error {
             Error::Canceled { kernel } => write!(
                 f,
                 "kernel '{kernel}' canceled before completion"
-            ),
-            Error::BindingContract { kernel, violations } => write!(
-                f,
-                "kernel '{kernel}': binding contract violated: {}",
-                violations.join("; ")
             ),
             Error::PipeClosed => write!(f, "pipe endpoint disconnected"),
             Error::PipeDeadlock { waited_secs } => write!(
@@ -339,22 +320,6 @@ mod tests {
         let e = Error::ReplicaDivergence { kernel: "nw_diag", runs: 4 };
         let s = e.to_string();
         assert!(s.contains("nw_diag") && s.contains("4 run"), "{s}");
-    }
-
-    #[test]
-    fn binding_contract_displays_violations_and_is_not_fallback_eligible() {
-        let e = Error::BindingContract {
-            kernel: "<outputs>".into(),
-            violations: vec![
-                "graph output object #7 is never written by any recorded node".into(),
-                "graph output object #9 is never written by any recorded node".into(),
-            ],
-        };
-        let s = e.to_string();
-        assert!(s.contains("<outputs>") && s.contains("binding contract"), "{s}");
-        assert!(s.contains("#7") && s.contains("#9 is never written"), "{s}");
-        // Nothing executed; there is no launch to re-run on the CPU.
-        assert!(!e.is_cpu_fallback_eligible());
     }
 
     #[test]

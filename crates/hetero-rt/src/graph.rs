@@ -20,8 +20,8 @@
 //! [`writes`] / [`reads_writes`]) or the index sets the kernel body may
 //! read and write on the object ([`reads_at`] / [`writes_at`] /
 //! [`reads_writes_at`]), from which record time *infers* the access
-//! mode and footprint ([`hetero_ir::infer_contract`], every build
-//! profile). Record time derives dependency edges from the access modes
+//! mode ([`hetero_ir::infer_contract`], every build profile). Record
+//! time derives dependency edges from the access modes
 //! (read-after-write, write-after-read, write-after-write on the same
 //! object) and merges consecutive *independent* launches into one phase
 //! that executes concurrently; a phase boundary is a full barrier. The
@@ -60,8 +60,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hetero_ir::prove::{at, infer_contract, ContractViolation, Index, LaunchSpec, SlotSpec};
-use hetero_ir::PlanBinding;
+use hetero_ir::prove::{infer_contract, Index, LaunchSpec, SlotSpec};
 
 use crate::buffer::Buffer;
 use crate::device::DeviceCaps;
@@ -73,32 +72,39 @@ use crate::queue::{Fallback, Queue, Redundancy};
 use crate::usm::UsmAlloc;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Access mode ([`Access`]) and reach ([`Footprint`]) of one recorded
-/// launch on one object: the lattice the optimizer's plan IR defines,
-/// under the names recording code uses. `Footprint::Whole` is what
-/// [`reads`] / [`writes`] / [`reads_writes`] state; anything stronger is
-/// inferred from index sets, and a dense footprint is what makes the
-/// ping-pong rewrite provable — see [`crate::graph_opt`].
-pub use hetero_ir::{PlanAccess as Access, PlanFootprint as Footprint};
+/// Access mode of one recorded launch on one object: stated by
+/// [`reads`] / [`writes`] / [`reads_writes`], inferred from the index
+/// sets of their `_at` forms.
+pub use hetero_ir::PlanAccess as Access;
+
+/// One recorded launch's access to one object, as the scheduler reads
+/// it ([`Graph::node_bindings`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeBinding {
+    /// Stable runtime object id of the buffer or allocation.
+    pub object: u64,
+    /// Stated or inferred access mode.
+    pub access: Access,
+}
 
 /// What one recorded launch says about one object it touches; built
 /// with [`reads`], [`writes`], [`reads_writes`] or their `_at` forms.
 #[derive(Debug, Clone)]
 pub struct Binding {
-    pub(crate) object: u64,
-    pub(crate) decl: Decl,
+    object: u64,
+    decl: Decl,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum Decl {
-    /// The access mode as stated, whole-object footprint.
+enum Decl {
+    /// The access mode as stated.
     Whole(Access),
     /// The index sets the kernel body may touch; record time infers the
-    /// access mode and footprint from them.
+    /// access mode from them.
     At(SlotSpec),
 }
 
@@ -129,19 +135,17 @@ impl<T: Copy + Default + 'static> GraphResource for UsmAlloc<T> {
     }
 }
 
-/// Declare that a recorded launch reads `r` (whole-object footprint).
+/// Declare that a recorded launch reads `r`.
 pub fn reads(r: &impl GraphResource) -> Binding {
     Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Read) }
 }
 
-/// Declare that a recorded launch writes `r` (without reading it;
-/// whole-object footprint).
+/// Declare that a recorded launch writes `r` (without reading it).
 pub fn writes(r: &impl GraphResource) -> Binding {
     Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Write) }
 }
 
-/// Declare that a recorded launch both reads and writes `r`
-/// (whole-object footprint).
+/// Declare that a recorded launch both reads and writes `r`.
 pub fn reads_writes(r: &impl GraphResource) -> Binding {
     Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::ReadWrite) }
 }
@@ -153,11 +157,10 @@ fn indices<I: Into<Index>>(list: impl IntoIterator<Item = I>) -> Vec<Index> {
 /// State every index of `r` the launch's kernel body may read and every
 /// index it may write, as expressions over the work-item id
 /// ([`crate::prove::at`], [`crate::prove::bounded`]). Record time infers
-/// the binding from them: read, write or both; whole-object, per-item or
-/// dense — the last being what lets the ping-pong pass prove a clobbered
-/// swap source is rewritten. An object no stated access of which can
-/// execute for the recorded range (a zero-trip loop, a zero guard)
-/// derives no binding at all.
+/// the binding from them — read, write or both — and proves what it can
+/// of their bounds. An object no stated access of which can execute for
+/// the recorded range (a zero-trip loop, a zero guard) derives no
+/// binding at all.
 pub fn reads_writes_at<R: Into<Index>, W: Into<Index>>(
     r: &impl GraphResource,
     reads: impl IntoIterator<Item = R>,
@@ -186,7 +189,7 @@ pub fn writes_at<I: Into<Index>>(
 /// Can two launches with these binding lists run concurrently?
 /// Conservative on missing information: an empty binding list conflicts
 /// with everything.
-fn conflicts(a: &[PlanBinding], b: &[PlanBinding]) -> bool {
+fn conflicts(a: &[NodeBinding], b: &[NodeBinding]) -> bool {
     if a.is_empty() || b.is_empty() {
         return true;
     }
@@ -198,17 +201,6 @@ fn conflicts(a: &[PlanBinding], b: &[PlanBinding]) -> bool {
 }
 
 type GroupKernel = Arc<dyn Fn(&GroupCtx) + Send + Sync>;
-
-/// Copy-node metadata recorded by [`GraphBuilder::copy`]: the (src, dst)
-/// object pair plus a prepared O(1) contents swap
-/// ([`Buffer::swap_contents`]) the ping-pong pass may substitute for the
-/// element-wise copy.
-#[derive(Clone)]
-pub(crate) struct CopyInfo {
-    pub(crate) src: u64,
-    pub(crate) dst: u64,
-    pub(crate) swap: Arc<dyn Fn() -> Result<()> + Send + Sync>,
-}
 
 /// Preallocated per-launch slot: the stats / resilience fields an
 /// [`crate::event::Event`] would carry, reset and refilled on every
@@ -244,25 +236,23 @@ impl NodeSlot {
 }
 
 /// One recorded launch.
-pub(crate) struct Node {
-    pub(crate) name: &'static str,
+struct Node {
+    name: &'static str,
     nd: NdRange,
     groups_range: Range,
     num_groups: usize,
     reqd_max: Option<usize>,
-    /// Stated or inferred `(object, access, footprint)` per bound object.
-    pub(crate) bindings: Vec<PlanBinding>,
+    /// Stated or inferred `(object, access)` per bound object.
+    bindings: Vec<NodeBinding>,
     /// Indices of earlier nodes this node has a dependency edge to.
     deps: Vec<usize>,
     kernel: GroupKernel,
     /// Per-participant stealable work spans over `0..num_groups`
-    /// (initialised by [`Graph::assemble`], re-partitioned per replay).
+    /// (initialised by [`Graph::record`], re-partitioned per replay).
     spans: crate::pool::SpanSet,
     /// Groups retired (executed or abandoned on cancellation).
     done: AtomicUsize,
     slot: NodeSlot,
-    /// Copy metadata when recorded via `copy` (ping-pong input).
-    pub(crate) copy: Option<CopyInfo>,
 }
 
 impl Node {
@@ -270,27 +260,6 @@ impl Node {
         self.spans.reset();
         self.done.store(0, Ordering::Relaxed);
         self.slot.reset();
-    }
-
-    /// A fresh executable copy of this node: shared kernel and metadata,
-    /// new claim/done/stat state and no derived schedule (deps and
-    /// chunks are recomputed by [`Graph::assemble`]). Used when
-    /// compiling optimized schedules.
-    pub(crate) fn replay_clone(&self) -> Node {
-        Node {
-            name: self.name,
-            nd: self.nd,
-            groups_range: self.groups_range,
-            num_groups: self.num_groups,
-            reqd_max: self.reqd_max,
-            bindings: self.bindings.clone(),
-            deps: Vec::new(),
-            kernel: Arc::clone(&self.kernel),
-            spans: crate::pool::SpanSet::empty(),
-            done: AtomicUsize::new(0),
-            slot: NodeSlot::default(),
-            copy: self.copy.clone(),
-        }
     }
 }
 
@@ -300,52 +269,14 @@ impl Node {
 pub struct GraphBuilder {
     caps: DeviceCaps,
     nodes: Vec<Node>,
-    outputs: Vec<u64>,
     err: Option<Error>,
-    /// Launches whose bindings stated index sets; a recording with at
-    /// least one has its `output` declarations checked at `finish`.
-    indexed: usize,
 }
 
 impl GraphBuilder {
-    /// A builder against an explicit capability snapshot; the
-    /// optimizer's compile step uses this to build swap steps against
-    /// the snapshot the original recording used.
-    pub(crate) fn new(caps: DeviceCaps) -> GraphBuilder {
-        GraphBuilder { caps, nodes: Vec::new(), outputs: Vec::new(), err: None, indexed: 0 }
-    }
-
-    /// Surrender the recorded nodes and declared outputs, or the first
-    /// deferred validation error. A recording that stated index sets
-    /// additionally has its `output` declarations proven live (something
-    /// must write each declared output) — a stale output otherwise
-    /// shields dead launches from DLE.
-    pub(crate) fn finish(self) -> Result<(Vec<Node>, Vec<u64>)> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if self.indexed > 0 {
-            for &out in &self.outputs {
-                let written = self.nodes.iter().any(|n| {
-                    n.bindings.iter().any(|b| b.object == out && b.access != Access::Read)
-                });
-                if !written {
-                    crate::prove::note_violation();
-                    return Err(Error::BindingContract {
-                        kernel: "<outputs>".to_string(),
-                        violations: vec![ContractViolation::StaleOutput { object: out }
-                            .to_string()],
-                    });
-                }
-            }
-        }
-        Ok((self.nodes, self.outputs))
-    }
-
-    /// The `(object, access, footprint)` list of one launch: whole-object
-    /// bindings as stated, indexed ones as [`infer_contract`] reads them
-    /// for `range`. An object no access of which can execute is left out.
-    fn derive(&mut self, name: &str, range: Range, bindings: &[Binding]) -> Vec<PlanBinding> {
+    /// The `(object, access)` list of one launch: whole-object bindings
+    /// as stated, indexed ones as [`infer_contract`] reads them for
+    /// `range`. An object no access of which can execute is left out.
+    fn derive(name: &str, range: Range, bindings: &[Binding]) -> Vec<NodeBinding> {
         let specs: Vec<SlotSpec> = bindings
             .iter()
             .filter_map(|b| match &b.decl {
@@ -357,20 +288,16 @@ impl GraphBuilder {
         if !specs.is_empty() {
             let report = infer_contract(name, range.dims, &LaunchSpec { slots: specs });
             crate::prove::note_inferred(&report);
-            self.indexed += 1;
             inferred = report.slots.into_iter();
         }
         bindings
             .iter()
             .filter_map(|b| {
-                let (access, footprint) = match &b.decl {
-                    Decl::Whole(access) => (*access, Footprint::Whole),
-                    Decl::At(_) => {
-                        let slot = inferred.next()?;
-                        (slot.access?, slot.footprint)
-                    }
+                let access = match &b.decl {
+                    Decl::Whole(access) => *access,
+                    Decl::At(_) => inferred.next()?.access?,
                 };
-                Some(PlanBinding { object: b.object, access, footprint })
+                Some(NodeBinding { object: b.object, access })
             })
             .collect()
     }
@@ -393,58 +320,6 @@ impl GraphBuilder {
         let nd = NdRange::flat(total, self.caps.max_work_group_size);
         let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &f);
         self.push(name, nd, None, Some(range), bindings, Arc::new(kernel))
-    }
-
-    /// Record a whole-buffer copy `src → dst` as an elementwise launch,
-    /// with its index sets stated and a prepared O(1) swap alternative
-    /// the optimizer's ping-pong pass may substitute where legal. A
-    /// length mismatch fails the recording.
-    pub fn copy<T: Copy + Default + Send + 'static>(
-        &mut self,
-        name: &'static str,
-        src: &Buffer<T>,
-        dst: &Buffer<T>,
-    ) -> &mut Self {
-        if self.err.is_some() {
-            return self;
-        }
-        if src.len() != dst.len() {
-            self.err = Some(Error::AccessOutOfBounds {
-                offset: 0,
-                len: src.len(),
-                buffer_len: dst.len(),
-            });
-            return self;
-        }
-        let (sv, dv) = (src.view(), dst.view());
-        // `i → i` on both sides: an item read of src, a dense write of dst.
-        let own = || at(0).item(0, 1);
-        let bindings = [reads_at(src, [own()]), writes_at(dst, [own()])];
-        let (s, d) = (src.clone(), dst.clone());
-        let swap: Arc<dyn Fn() -> Result<()> + Send + Sync> =
-            Arc::new(move || s.swap_contents(&d));
-        let (src_id, dst_id) = (src.object_id(), dst.object_id());
-        let before = self.nodes.len();
-        self.parallel_for(name, Range::d1(src.len()), &bindings, move |it| {
-            let i = it.gid(0);
-            dv.set(i, sv.get(i));
-        });
-        if self.nodes.len() > before {
-            if let Some(node) = self.nodes.last_mut() {
-                node.copy = Some(CopyInfo { src: src_id, dst: dst_id, swap });
-            }
-        }
-        self
-    }
-
-    /// Declare `r` as an observable output of the graph: host code reads
-    /// it after replays. The optimizer's dead-launch elimination only
-    /// runs on graphs that declare outputs, and never removes a launch
-    /// whose writes feed one; the ping-pong pass never leaves an output
-    /// clobbered at the end of a replay.
-    pub fn output(&mut self, r: &impl GraphResource) -> &mut Self {
-        self.outputs.push(r.graph_object_id());
-        self
     }
 
     /// Record a work-group launch — the recorded equivalent of
@@ -514,7 +389,7 @@ impl GraphBuilder {
         let num_groups = nd.num_groups();
         // Index sets are written against the logical item range for
         // elementwise launches, the global ND-range otherwise.
-        let bindings = self.derive(name, item_range.unwrap_or(nd.global), bindings);
+        let bindings = Self::derive(name, item_range.unwrap_or(nd.global), bindings);
         self.nodes.push(Node {
             name,
             nd,
@@ -527,7 +402,6 @@ impl GraphBuilder {
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
             slot: NodeSlot::default(),
-            copy: None,
         });
         self
     }
@@ -540,8 +414,6 @@ pub struct Graph {
     /// Half-open node-index ranges; nodes within one phase are mutually
     /// independent and execute concurrently, phases execute in order.
     phases: Vec<(usize, usize)>,
-    /// Object ids declared observable via [`GraphBuilder::output`].
-    outputs: Vec<u64>,
     caps: DeviceCaps,
     local_mem_limit: usize,
     max_groups: usize,
@@ -572,19 +444,14 @@ impl Graph {
     where
         F: FnOnce(&mut GraphBuilder),
     {
-        let caps = q.device().caps().clone();
-        let mut b = GraphBuilder::new(caps.clone());
+        let mut b =
+            GraphBuilder { caps: q.device().caps().clone(), nodes: Vec::new(), err: None };
         build(&mut b);
-        let (nodes, outputs) = b.finish()?;
-        Ok(Graph::assemble(nodes, outputs, caps))
-    }
+        let GraphBuilder { caps, mut nodes, err } = b;
+        if let Some(e) = err {
+            return Err(e);
+        }
 
-    /// Derive the executable plan (dependency edges, phases, chunk
-    /// partitions) over an already-validated node sequence. `record`
-    /// lowers the builder through here; the graph optimizer re-enters it
-    /// to compile rewritten node sequences with identical scheduling
-    /// rules.
-    pub(crate) fn assemble(mut nodes: Vec<Node>, outputs: Vec<u64>, caps: DeviceCaps) -> Graph {
         // Dependency edges from declared access modes.
         for j in 1..nodes.len() {
             let deps: Vec<usize> = (0..j)
@@ -618,10 +485,9 @@ impl Graph {
         }
 
         let max_groups = nodes.iter().map(|n| n.num_groups).max().unwrap_or(0);
-        Graph {
+        Ok(Graph {
             nodes,
             phases,
-            outputs,
             local_mem_limit: caps.local_mem_bytes,
             caps,
             max_groups,
@@ -630,29 +496,14 @@ impl Graph {
             failure: Mutex::new(None),
             replays: AtomicU64::new(0),
             fast_replays: AtomicU64::new(0),
-        }
-    }
-
-    /// The recorded nodes (crate-internal: optimizer lowering input).
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Declared output object ids (crate-internal: optimizer input).
-    pub(crate) fn output_ids(&self) -> &[u64] {
-        &self.outputs
-    }
-
-    /// The capability snapshot the graph was recorded against.
-    pub(crate) fn device_caps(&self) -> &DeviceCaps {
-        &self.caps
+        })
     }
 
     /// Whether the single-wake-up replay path may run on `q`: every
     /// hardening layer must be disarmed and the device capabilities must
     /// match the recorded snapshot. Anything else re-routes through the
     /// fully hardened per-launch path.
-    pub(crate) fn fast_eligible(&self, q: &Queue) -> bool {
+    fn fast_eligible(&self, q: &Queue) -> bool {
         !q.sanitizer_enabled()
             && q.fault_plan().is_none()
             && q.redundancy() == Redundancy::None
@@ -883,7 +734,7 @@ impl Graph {
 
     /// The bindings of launch `i` as recorded: whole-object ones as
     /// stated, indexed ones as inferred.
-    pub fn node_bindings(&self, i: usize) -> &[PlanBinding] {
+    pub fn node_bindings(&self, i: usize) -> &[NodeBinding] {
         &self.nodes[i].bindings
     }
 

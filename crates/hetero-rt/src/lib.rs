@@ -59,7 +59,6 @@ pub mod event;
 pub mod executor;
 pub mod fault;
 pub mod graph;
-pub mod graph_opt;
 pub mod group_algorithms;
 pub mod integrity;
 pub mod lanes;
@@ -83,11 +82,9 @@ pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{
-    reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Access, Binding, Footprint,
-    Graph, GraphBuilder,
+    reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Access, Binding, Graph,
+    GraphBuilder, NodeBinding,
 };
-pub use graph_opt::OptimizedGraph;
-pub use hetero_ir::OptReport;
 pub use integrity::{IntegrityStats, Violation};
 pub use lanes::{F32x8, I32x8, U32x8, LANES};
 pub use local::{LocalArray, PrivateArray};
@@ -110,10 +107,9 @@ pub mod prelude {
     pub use crate::event::{Event, ResilienceLedger};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::graph::{
-        reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Binding, Footprint,
-        Graph, GraphBuilder,
+        reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Binding, Graph,
+        GraphBuilder,
     };
-    pub use crate::graph_opt::OptimizedGraph;
     pub use crate::lanes::{F32x8, I32x8, U32x8, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};

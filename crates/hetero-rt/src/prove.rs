@@ -5,12 +5,8 @@
 //! its bindings ([`reads_at`](crate::graph::reads_at) and friends). At
 //! `Graph::record` time, in every build profile, the builder runs
 //! [`hetero_ir::infer_contract`] over them and the recorded range and
-//! stores the inferred `(access, footprint)` pairs as the launch's
-//! bindings — there is no second, hand-written declaration for the
-//! prover to cross-check. What a recording can still get wrong is a
-//! declaration about the graph: an `output` no node writes fails the
-//! recording with a typed
-//! [`Error::BindingContract`](crate::Error::BindingContract).
+//! stores the inferred access mode as the launch's binding — there is
+//! no second, hand-written declaration for the prover to cross-check.
 //!
 //! The counters below are what the `prove` CI sweep gates as exact
 //! counts. Every element access stays bounds-checked whatever the proof
@@ -19,16 +15,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use hetero_ir::prove::{
-    at, bounded, infer_contract, AffineVar, ContractReport, ContractViolation, Index, IndexExpr,
-    LaunchSpec, SlotReport, SlotSpec,
+    at, bounded, infer_contract, AffineVar, ContractReport, Index, IndexExpr, LaunchSpec,
+    SlotReport, SlotSpec,
 };
 
 /// Launches whose bindings were inferred from index sets since process
 /// start.
 static INFERRED: AtomicU64 = AtomicU64::new(0);
-
-/// Recording-level violations (stale outputs) found since process start.
-static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Inferred contracts whose every access was proven in bounds.
 static PROVEN: AtomicU64 = AtomicU64::new(0);
@@ -36,11 +29,6 @@ static PROVEN: AtomicU64 = AtomicU64::new(0);
 /// Number of launch contracts inferred since process start.
 pub fn contracts_inferred() -> u64 {
     INFERRED.load(Ordering::Relaxed)
-}
-
-/// Number of contract violations found since process start.
-pub fn violations_found() -> u64 {
-    VIOLATIONS.load(Ordering::Relaxed)
 }
 
 /// Number of inferred contracts proven in bounds since process start.
@@ -55,10 +43,6 @@ pub(crate) fn note_inferred(report: &ContractReport) {
     }
 }
 
-pub(crate) fn note_violation() {
-    VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,8 +54,5 @@ mod tests {
         note_inferred(&infer_contract("k", [4, 1, 1], &spec));
         assert!(contracts_inferred() > inferred);
         assert!(contracts_proven_in_bounds() > proven);
-        let before = violations_found();
-        note_violation();
-        assert!(violations_found() > before);
     }
 }

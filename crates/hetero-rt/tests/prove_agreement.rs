@@ -6,15 +6,15 @@
 //! body. The first half pins that side: each seeded lie sails through
 //! `Graph::record` and the dynamic race sanitizer catches the resulting
 //! conflict at replay with the exact same `(kernel, element, kind)`
-//! triple on every run; a declaration about the *graph* (a stale output)
-//! is still rejected statically with pinned wording; and an index set
-//! whose proof stays open changes nothing about the checked accessors.
+//! triple on every run; and an index set whose proof stays open changes
+//! nothing about the checked accessors.
 //!
 //! The second half generates launch graphs whose kernel bodies are
 //! *interpreted from the same index lists* they state, and checks them
 //! two ways: a brute-force enumeration over all work-items is the oracle
 //! for every derived binding and every dependency edge, and four
-//! executors of one recording must agree bit for bit.
+//! executors of one recording (per-launch, pooled replay, sequential
+//! replay, sanitized) must agree bit for bit.
 //!
 //! The prove counters are process-global, so tests serialize on one
 //! mutex.
@@ -22,6 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
+use hetero_rt::executor::Parallelism;
 use hetero_rt::prelude::*;
 use hetero_rt::prove::{self, at, bounded, AffineVar, Index, IndexExpr, LaunchSpec, SlotSpec};
 use hetero_rt::{Access, RaceKind, LANES};
@@ -54,8 +55,8 @@ fn own() -> [IndexExpr; 1] {
 // Lies in the index set: caught dynamically at replay
 // ---------------------------------------------------------------------------
 
-/// The index set claims each item writes its own element (an item-dense
-/// write), but every item writes element 0. Nothing checks an index set
+/// The index set claims each item writes its own element, but every
+/// item writes element 0. Nothing checks an index set
 /// against the kernel body statically, so the recording succeeds — and
 /// the sanitizer catches the cross-group write/write race at replay,
 /// deterministically naming element 0.
@@ -71,7 +72,7 @@ fn over_narrow_scatter_race_caught_dynamically_at_replay() {
         });
     })
     .unwrap();
-    assert_eq!(graph.node_bindings(0)[0].footprint, Footprint::ItemDense);
+    assert_eq!(graph.node_bindings(0)[0].access, Access::Write);
     for _ in 0..2 {
         let e = graph.replay(&sanitized()).unwrap_err();
         assert!(
@@ -118,47 +119,8 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
 }
 
 // ---------------------------------------------------------------------------
-// What record time still rejects, and what it leaves alone
+// What record time derives, and what it leaves alone
 // ---------------------------------------------------------------------------
-
-/// A declared graph output no recorded node ever writes is stale: the
-/// caller would replay the graph and read garbage that the schedule
-/// never produced. Caught at `finish` once any launch states index sets.
-#[test]
-fn stale_output_declaration_caught_statically_at_record() {
-    let _s = serial();
-    let n = 64;
-    let src = Buffer::from_slice(&vec![1u32; n]);
-    let dst = Buffer::<u32>::new(n);
-    let orphan = Buffer::<u32>::new(n);
-    let (sv, dv) = (src.view(), dst.view());
-    let before = prove::violations_found();
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for(
-            "double",
-            Range::d1(n),
-            &[reads_at(&src, own()), writes_at(&dst, own())],
-            move |it| {
-                dv.set(it.gid(0), sv.get(it.gid(0)) * 2);
-            },
-        )
-        .output(&dst)
-        .output(&orphan);
-    })
-    .unwrap_err();
-    let Error::BindingContract { kernel, violations } = err else {
-        panic!("expected BindingContract, got {err:?}")
-    };
-    assert_eq!(kernel, "<outputs>");
-    assert_eq!(
-        violations,
-        vec![format!(
-            "graph output object #{} is never written by any recorded node",
-            orphan.object_id()
-        )]
-    );
-    assert_eq!(prove::violations_found(), before + 1);
-}
 
 /// The rule for an object no stated access of which can execute for the
 /// recorded range (a zero-trip loop, a zero guard): it derives no
@@ -182,8 +144,7 @@ fn an_object_no_stated_access_can_reach_derives_no_binding() {
                 reads_writes_at(&b, [bounded(0)], own()),
             ],
             move |it| bv.set(it.gid(0), 2),
-        )
-        .output(&b);
+        );
     })
     .unwrap();
     // `a` is gone from the second launch, `b`'s unreachable read with it.
@@ -192,19 +153,6 @@ fn an_object_no_stated_access_can_reach_derives_no_binding() {
     assert_eq!((second[0].object, second[0].access), (b.object_id(), Access::Write));
     assert!(!graph.depends_on(1, 0));
     assert_eq!(graph.phase_count(), 1);
-    // Nor does a write that cannot execute keep an output alive.
-    let (cv, c) = (b.view(), Buffer::<u32>::new(n));
-    let err = Graph::record(&disarmed(), |g| {
-        g.parallel_for(
-            "idle",
-            Range::d1(n),
-            &[writes_at(&b, own()), writes_at(&c, [at(0).item(0, 1).guard(0)])],
-            move |it| cv.set(it.gid(0), 3),
-        )
-        .output(&c);
-    })
-    .unwrap_err();
-    assert!(matches!(err, Error::BindingContract { .. }), "{err:?}");
 }
 
 /// A lane sweep that runs one window past the last row: the proof stays
@@ -232,8 +180,7 @@ fn unproven_lane_sweep_stays_checked_and_raises_typed_oob() {
                     dv.set_lanes(i, dv.get_lanes(i).map(|e| e + 1));
                 }
             },
-        )
-        .output(&data);
+        );
     })
     .unwrap();
     assert_eq!(prove::contracts_inferred(), inferred + 1);
@@ -323,24 +270,21 @@ struct Slot {
     whole: bool,
 }
 
-enum Step {
-    Launch { name: &'static str, shape: Shape, slots: Vec<Slot> },
-    Copy { src: usize, dst: usize },
+struct Launch {
+    name: &'static str,
+    shape: Shape,
+    slots: Vec<Slot>,
 }
 
 struct Case {
     lens: Vec<usize>,
-    steps: Vec<Step>,
-    outputs: Vec<usize>,
+    steps: Vec<Launch>,
     /// False when some stated access reaches past its object: inference
     /// is still checked, nothing is run.
     runnable: bool,
-    /// `Some(step)` for the copy family: the launch that rewrites the
-    /// copy's source, densely or partially.
-    rewrite: Option<usize>,
 }
 
-const NAMES: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
+const NAMES: [&str; 4] = ["k0", "k1", "k2", "k3"];
 
 /// Every value an affine index takes for work-item `gid` — the test's
 /// own reading of [`IndexExpr`], independent of the prover's folding.
@@ -359,7 +303,7 @@ fn affine_values(e: &IndexExpr, gid: [usize; 3]) -> Vec<usize> {
 }
 
 /// Everything the item *may* touch through `idx`: a bounded index may
-/// land anywhere below its bound, a conditional access may execute.
+/// land anywhere below its bound.
 fn may_touch(idx: &Index, gid: [usize; 3]) -> Vec<usize> {
     match idx {
         Index::Affine(e) => affine_values(e, gid),
@@ -373,11 +317,9 @@ fn mix(a: usize, b: usize) -> usize {
 }
 
 /// What the interpreted kernel body does for `idx`: a bounded index is
-/// one data-dependent element, a conditional access flips the item's
-/// coin.
+/// one data-dependent element.
 fn executed(idx: &Index, gid: [usize; 3], lin: usize, salt: usize) -> Vec<usize> {
     match idx {
-        Index::Affine(e) if e.conditional && mix(lin, 99).is_multiple_of(3) => Vec::new(),
         Index::Affine(e) => affine_values(e, gid),
         Index::Bounded { lt } => vec![mix(lin, salt) % lt],
     }
@@ -438,16 +380,14 @@ fn write_family(g: &mut Gen, len: usize, dims: [usize; 3]) -> Option<Vec<Index>>
         // One own cell, shifted wherever a padded object has room.
         return Some(vec![lin(at(g.below(len - n + 1)), 1, dims).into()]);
     }
-    Some(match g.below(7) {
+    Some(match g.below(6) {
         // Own slice: one aux sweep, or one index per unrolled word.
         0 | 1 => vec![slice(s, lin(at(0), s, dims)).into()],
         2 => (0..s).map(|f| lin(at(f), s, dims).into()).collect(),
         // Strided: one word of each slice.
         3 => vec![lin(at(g.below(s)), s, dims).into()],
-        // The same slice written only for some items, or only below a
-        // guard.
-        4 => vec![slice(s, lin(at(0), s, dims)).conditional().into()],
-        5 => vec![slice(s, lin(at(0), s, dims)).guard(1 + g.below(len)).into()],
+        // The same slice written only below a guard.
+        4 => vec![slice(s, lin(at(0), s, dims)).guard(1 + g.below(len)).into()],
         // Column-major over a 2-D range: a bijection that is not the
         // canonical tiling.
         _ if dims[1] > 1 && s == 1 => vec![at(0).item(0, dims[1]).item(1, 1).into()],
@@ -487,9 +427,6 @@ fn read_family(g: &mut Gen, len: usize, dims: [usize; 3]) -> (Vec<Index>, bool) 
                         e = lin(e, c, dims).guard(len);
                     }
                 }
-                if g.one_in(5) {
-                    e = e.conditional();
-                }
                 out.push(e.into());
             }
         }
@@ -509,7 +446,7 @@ fn shape(g: &mut Gen, n: usize) -> Shape {
     }
 }
 
-fn launch(g: &mut Gen, name: &'static str, n: usize, lens: &[usize], case: &mut Case) -> Step {
+fn launch(g: &mut Gen, name: &'static str, n: usize, lens: &[usize], case: &mut Case) -> Launch {
     let shape = shape(g, n);
     let dims = shape.dims();
     let mut objects: Vec<usize> = (0..lens.len()).collect();
@@ -532,7 +469,7 @@ fn launch(g: &mut Gen, name: &'static str, n: usize, lens: &[usize], case: &mut 
             }
         });
     }
-    Step::Launch { name, shape, slots }
+    Launch { name, shape, slots }
 }
 
 fn generate(seed: u64) -> Case {
@@ -541,103 +478,39 @@ fn generate(seed: u64) -> Case {
     let lens: Vec<usize> = (0..4 + g.below(3))
         .map(|_| g.pick(&[n, n, 2 * n, 3 * n, n + 1, n + 3, n.div_ceil(2), 1, 3]))
         .collect();
-    let mut case =
-        Case { lens: lens.clone(), steps: Vec::new(), outputs: Vec::new(), runnable: true, rewrite: None };
-    if g.one_in(4) {
-        // The copy family: save `a` into `b`, then rewrite `a` from `b`
-        // — densely (the ping-pong pass may swap) or partially (it must
-        // not).
-        let s = 1 + g.below(3);
-        let (a, b) = (case.lens.len(), case.lens.len() + 1);
-        case.lens.extend([n * s, n * s]);
-        if g.one_in(2) {
-            let step = launch(g, NAMES[0], n, &lens, &mut case);
-            case.steps.push(step);
-        }
-        case.steps.push(Step::Copy { src: a, dst: b });
-        let shape = shape(g, n);
-        let dims = shape.dims();
-        let own = |e: IndexExpr| Index::from(if s == 1 { e } else { e.aux(1, s) });
-        let writes = write_family(g, n * s, dims).expect("a slice family fits");
-        let slots = vec![
-            Slot { object: b, reads: vec![own(lin(at(0), s, dims))], writes: Vec::new(), whole: false },
-            Slot { object: a, reads: Vec::new(), writes, whole: false },
-        ];
-        case.rewrite = Some(case.steps.len());
-        case.steps.push(Step::Launch { name: NAMES[2], shape, slots });
-        if g.one_in(2) {
-            let step = launch(g, NAMES[3], n, &lens, &mut case);
-            case.steps.push(step);
-        }
-        case.outputs.push(a);
-    } else {
-        for &name in &NAMES[..1 + g.below(4)] {
-            let step = launch(g, name, n, &lens, &mut case);
-            case.steps.push(step);
-        }
+    let mut case = Case { lens: lens.clone(), steps: Vec::new(), runnable: true };
+    for &name in &NAMES[..1 + g.below(4)] {
+        let step = launch(g, name, n, &lens, &mut case);
+        case.steps.push(step);
     }
-    // Outputs: a non-empty subset of what some launch can write (the
-    // rest is fair game for dead-launch elimination).
-    let mut written: Vec<usize> = case
-        .steps
-        .iter()
-        .flat_map(|s| match s {
-            Step::Launch { slots, .. } => {
-                slots.iter().filter(|s| !s.writes.is_empty()).map(|s| s.object).collect()
-            }
-            Step::Copy { dst, .. } => vec![*dst],
-        })
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    while written.len() > 1 && g.one_in(2) {
-        written.swap_remove(g.below(written.len()));
-    }
-    case.outputs.extend(written);
-    case.outputs.sort_unstable();
-    case.outputs.dedup();
     case
 }
 
 fn record(q: &Queue, case: &Case, bufs: &[Buffer<u32>]) -> Graph {
     Graph::record(q, |g| {
-        for step in &case.steps {
-            match step {
-                Step::Copy { src, dst } => {
-                    g.copy("copy", &bufs[*src], &bufs[*dst]);
+        for Launch { name, shape, slots } in &case.steps {
+            let bindings: Vec<Binding> = slots
+                .iter()
+                .map(|s| match s.whole {
+                    true => reads(&bufs[s.object]),
+                    false => reads_writes_at(&bufs[s.object], s.reads.clone(), s.writes.clone()),
+                })
+                .collect();
+            let bound: Vec<BoundSlot> = slots
+                .iter()
+                .map(|s| (bufs[s.object].view(), s.reads.clone(), s.writes.clone()))
+                .collect();
+            let dims = shape.dims();
+            match *shape {
+                Shape::Flat(range) => {
+                    g.parallel_for(name, range, &bindings, move |it| interpret(&bound, dims, it));
                 }
-                Step::Launch { name, shape, slots } => {
-                    let bindings: Vec<Binding> = slots
-                        .iter()
-                        .map(|s| match s.whole {
-                            true => reads(&bufs[s.object]),
-                            false => {
-                                reads_writes_at(&bufs[s.object], s.reads.clone(), s.writes.clone())
-                            }
-                        })
-                        .collect();
-                    let bound: Vec<BoundSlot> = slots
-                        .iter()
-                        .map(|s| (bufs[s.object].view(), s.reads.clone(), s.writes.clone()))
-                        .collect();
-                    let dims = shape.dims();
-                    match *shape {
-                        Shape::Flat(range) => {
-                            g.parallel_for(name, range, &bindings, move |it| {
-                                interpret(&bound, dims, it)
-                            });
-                        }
-                        Shape::Nd(nd) => {
-                            g.nd_range(name, nd, &bindings, move |ctx: &GroupCtx| {
-                                ctx.items(|it| interpret(&bound, dims, it))
-                            });
-                        }
-                    }
+                Shape::Nd(nd) => {
+                    g.nd_range(name, nd, &bindings, move |ctx: &GroupCtx| {
+                        ctx.items(|it| interpret(&bound, dims, it))
+                    });
                 }
             }
-        }
-        for &o in &case.outputs {
-            g.output(&bufs[o]);
         }
     })
     .expect("generated recordings are well-formed")
@@ -674,16 +547,11 @@ impl Touched {
 #[derive(Default, Debug)]
 struct Coverage {
     launches: u64,
-    whole: usize,
-    item: usize,
-    dense: usize,
+    read: usize,
+    write: usize,
+    read_write: usize,
     dropped: usize,
     open_proofs: usize,
-    swapped: usize,
-    copies_kept: usize,
-    eliminated: usize,
-    hoisted: usize,
-    tv_refused: usize,
     edges: usize,
 }
 
@@ -734,7 +602,7 @@ fn check_launch(
         let bound = derived.iter().find(|b| b.object == bufs[slot.object].object_id());
         if slot.whole {
             let b = bound.unwrap_or_else(|| panic!("{at}: stated binding lost"));
-            assert_eq!((b.access, b.footprint), (Access::Read, Footprint::Whole), "{at}");
+            assert_eq!(b.access, Access::Read, "{at}");
             expected += 1;
             continue;
         }
@@ -744,12 +612,16 @@ fn check_launch(
         // binding.
         assert_eq!(bound.map(|b| b.access), access, "{at}: access");
         assert_eq!(inferred.access, access, "{at}: inferred access");
-        let Some(b) = bound else {
-            cov.dropped += 1;
-            continue;
-        };
+        match access {
+            None => {
+                cov.dropped += 1;
+                continue;
+            }
+            Some(Access::Read) => cov.read += 1,
+            Some(Access::Write) => cov.write += 1,
+            Some(Access::ReadWrite) => cov.read_write += 1,
+        }
         expected += 1;
-        assert_eq!(b.footprint, inferred.footprint, "{at}: recorded footprint");
 
         // Bounds: the folded maximum covers every enumerated index, is
         // exact without a guard, and the proof closes iff it is inside.
@@ -763,34 +635,6 @@ fn check_launch(
             assert_eq!(max, Some(folded), "{at}: max index");
         }
         assert_eq!(inferred.bounds_proven, folded < len, "{at}: bounds");
-
-        // Footprint: item or better means no element has two owners.
-        match b.footprint {
-            Footprint::Whole => cov.whole += 1,
-            Footprint::Item => cov.item += 1,
-            Footprint::ItemDense => cov.dense += 1,
-        }
-        if b.footprint != Footprint::Whole {
-            let mut owner = BTreeMap::new();
-            for (item, set) in t.reads.iter().zip(&t.writes).map(|(r, w)| r | w).enumerate() {
-                for e in set {
-                    let first = *owner.entry(e).or_insert(item);
-                    assert_eq!(first, item, "{at}: element {e} touched by two items");
-                }
-            }
-        }
-        // Dense means the writes that certainly execute cover the object
-        // exactly (conditional and data-dependent ones do not count).
-        if b.footprint == Footprint::ItemDense {
-            let certain: Vec<Index> = slot
-                .writes
-                .iter()
-                .filter(|i| matches!(i, Index::Affine(e) if !e.conditional))
-                .cloned()
-                .collect();
-            let cover = Touched::union(&Touched::of(&[], &certain, dims).writes);
-            assert_eq!(cover, (0..len).collect::<BTreeSet<_>>(), "{at}: dense cover");
-        }
     }
     assert_eq!(derived.len(), expected, "seed {seed} launch '{name}': binding count");
 }
@@ -804,17 +648,9 @@ fn node_touches(case: &Case) -> Vec<BTreeMap<usize, Reach>> {
         .iter()
         .map(|step| {
             let mut m = BTreeMap::new();
-            match step {
-                Step::Copy { src, dst } => {
-                    m.insert(*src, ((0..case.lens[*src]).collect(), BTreeSet::new()));
-                    m.insert(*dst, (BTreeSet::new(), (0..case.lens[*dst]).collect()));
-                }
-                Step::Launch { shape, slots, .. } => {
-                    for s in slots {
-                        let t = Touched::of(&s.reads, &s.writes, shape.dims());
-                        m.insert(s.object, (Touched::union(&t.reads), Touched::union(&t.writes)));
-                    }
-                }
+            for s in &step.slots {
+                let t = Touched::of(&s.reads, &s.writes, step.shape.dims());
+                m.insert(s.object, (Touched::union(&t.reads), Touched::union(&t.writes)));
             }
             m
         })
@@ -837,23 +673,7 @@ fn check_case(seed: u64, cov: &mut Coverage) {
     // --- Oracle 1: derived bindings and edges against enumeration -----
     let launches = cov.launches;
     for (node, step) in case.steps.iter().enumerate() {
-        match step {
-            Step::Launch { shape, slots, .. } => {
-                check_launch(seed, &graph, node, *shape, slots, &bufs, cov)
-            }
-            Step::Copy { src, dst } => {
-                cov.launches += 1;
-                let b = graph.node_bindings(node);
-                assert_eq!(
-                    [(b[0].object, b[0].access, b[0].footprint), (b[1].object, b[1].access, b[1].footprint)],
-                    [
-                        (bufs[*src].object_id(), Access::Read, Footprint::Item),
-                        (bufs[*dst].object_id(), Access::Write, Footprint::ItemDense),
-                    ],
-                    "seed {seed}: copy bindings"
-                );
-            }
-        }
+        check_launch(seed, &graph, node, step.shape, &step.slots, &bufs, cov);
     }
     assert_eq!(prove::contracts_inferred() - before, cov.launches - launches, "seed {seed}");
     let touches = node_touches(&case);
@@ -875,31 +695,7 @@ fn check_case(seed: u64, cov: &mut Coverage) {
     }
 
     // --- Oracle 2: four executors of one recording ---------------------
-    // The translation validator may refuse what the passes propose (the
-    // hoist pass does not look for an earlier reader of what it hoists;
-    // the validator does): that compile degrades to a verbatim replay.
-    let refused = hetero_rt::graph_opt::tv_rejected();
-    let optimized = OptimizedGraph::compile(record(&q, &case, &bufs)).unwrap();
-    let verbatim = hetero_rt::graph_opt::tv_rejected() > refused;
-    cov.tv_refused += usize::from(verbatim);
-    let report = optimized.report().clone();
-    cov.eliminated += report.eliminated.len();
-    cov.hoisted += report.hoisted.len();
-    if let Some(step) = case.rewrite {
-        // The swap fires exactly when the rewrite of the copy's source
-        // derived a dense pure write (and the plan was not refused).
-        let Step::Launch { slots, .. } = &case.steps[step] else { unreachable!() };
-        let a = bufs[slots[1].object].object_id();
-        let dense = graph
-            .node_bindings(step)
-            .iter()
-            .any(|b| b.object == a && (b.access, b.footprint) == (Access::Write, Footprint::ItemDense));
-        let swap = dense && !verbatim;
-        assert_eq!(report.swapped == ["copy"], swap, "seed {seed}: {report:?}");
-        cov.swapped += usize::from(swap);
-        cov.copies_kept += usize::from(!dense);
-    }
-    let armed = sanitized();
+    let (seq, armed) = (disarmed().with_parallelism(Parallelism::Sequential), sanitized());
     let run = |what: &str, step: &dyn Fn() -> hetero_rt::Result<()>| -> Vec<Vec<u32>> {
         for (b, v) in bufs.iter().zip(&init) {
             b.write_from(v);
@@ -907,15 +703,11 @@ fn check_case(seed: u64, cov: &mut Coverage) {
         for _ in 0..2 {
             step().unwrap_or_else(|e| panic!("seed {seed}: {what}: {e:?}"));
         }
-        // Without declared outputs nothing is eliminated and every
-        // object is observable.
-        let all: Vec<usize> = (0..bufs.len()).collect();
-        let observed = if case.outputs.is_empty() { &all } else { &case.outputs };
-        observed.iter().map(|&o| bufs[o].to_vec()).collect()
+        bufs.iter().map(Buffer::to_vec).collect()
     };
     let want = run("submit_each", &|| graph.submit_each(&q));
     assert_eq!(run("replay", &|| graph.replay(&q)), want, "seed {seed}: replay");
-    assert_eq!(run("optimized", &|| optimized.replay(&q)), want, "seed {seed}: {report:?}");
+    assert_eq!(run("sequential", &|| graph.replay(&seq)), want, "seed {seed}: sequential");
     assert_eq!(run("sanitized", &|| graph.replay(&armed)), want, "seed {seed}: sanitized");
 }
 
@@ -935,19 +727,14 @@ fn generated_graphs_agree_with_enumeration_and_across_executors() {
         check_case(0x19_0000 + seed, &mut cov);
     }
     println!("{cov:?}");
-    // The generator must reach what it claims to: every footprint, the
-    // no-binding rule, open proofs, both outcomes of the copy family and
-    // the other two passes.
+    // The generator must reach what it claims to: every access mode,
+    // the no-binding rule, open proofs and dependency edges.
     for (what, count) in [
-        ("whole", cov.whole),
-        ("item", cov.item),
-        ("dense", cov.dense),
+        ("read", cov.read),
+        ("write", cov.write),
+        ("read-write", cov.read_write),
         ("dropped", cov.dropped),
         ("open proofs", cov.open_proofs),
-        ("swapped", cov.swapped),
-        ("copies kept", cov.copies_kept),
-        ("eliminated", cov.eliminated),
-        ("hoisted", cov.hoisted),
         ("edges", cov.edges),
     ] {
         assert!(count >= 10, "{what}: {count} of {cov:?}");

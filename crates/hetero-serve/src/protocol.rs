@@ -93,9 +93,6 @@ pub enum Flavor {
     Optimized,
     /// Recorded-graph replay (graph-converted apps only).
     Graph,
-    /// Graph replay with the full optimizer pipeline (graph-converted
-    /// apps only).
-    GraphOpt,
 }
 
 impl Flavor {
@@ -106,14 +103,13 @@ impl Flavor {
             Flavor::Baseline => "baseline",
             Flavor::Optimized => "optimized",
             Flavor::Graph => "graph",
-            Flavor::GraphOpt => "graph-opt",
         }
     }
 
     /// Whether this flavor runs through the record-and-replay graph
     /// path (only available for the graph-converted apps).
     pub fn is_graph(self) -> bool {
-        matches!(self, Flavor::Graph | Flavor::GraphOpt)
+        self == Flavor::Graph
     }
 }
 
@@ -273,7 +269,6 @@ impl JobRequest {
                 Some("baseline") => Flavor::Baseline,
                 Some("optimized") => Flavor::Optimized,
                 Some("graph") => Flavor::Graph,
-                Some("graph-opt") => Flavor::GraphOpt,
                 _ => return Err(bad("flavor", f)),
             };
         }
@@ -464,6 +459,11 @@ mod tests {
         assert!(e(r#"{"tenant":"t"}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"sort","size":9}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"sort","device":"tpu"}"#).is_err());
+        // A retired flavor is refused like any unknown one.
+        for flavor in ["graph-opt", "turbo"] {
+            let err = e(&format!(r#"{{"tenant":"t","app":"srad","flavor":"{flavor}"}}"#));
+            assert_eq!(err.unwrap_err(), bad("flavor", &Json::Str(flavor.to_string())));
+        }
         assert!(e(r#"{"tenant":"t","app":"sort","deadline_ms":0}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"sort","fault_rate":1.5}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"srad","stream_windows":0}"#).is_err());

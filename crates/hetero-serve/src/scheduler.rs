@@ -427,14 +427,10 @@ impl Shared {
 
         let version = match job.req.flavor {
             Flavor::Reference => AppVersion::Reference,
-            Flavor::Baseline | Flavor::Graph | Flavor::GraphOpt => AppVersion::SyclBaseline,
+            Flavor::Baseline | Flavor::Graph => AppVersion::SyclBaseline,
             Flavor::Optimized => AppVersion::SyclOptimized,
         };
-        let mode = match job.req.flavor {
-            Flavor::Graph => ExecMode::Graph,
-            Flavor::GraphOpt => ExecMode::GraphOptimized,
-            _ => ExecMode::PerLaunch,
-        };
+        let mode = if job.req.flavor.is_graph() { ExecMode::Graph } else { ExecMode::PerLaunch };
         let entry = registry_entry(job.app);
 
         let t0 = Instant::now();

@@ -59,9 +59,8 @@ done
 # min(nproc, 4) pool threads; ten-run table in EXPERIMENTS.md); and
 # --matrix re-verifies the five converted apps (FDTD2D, SRAD, CFD,
 # KMeans, ParticleFilter) against golden under sequential, pooled
-# per-launch, pooled graph, AND pooled graph-opt (pass pipeline)
-# execution at size 1 — any diverging cell or a missed gate exits
-# nonzero.
+# per-launch and pooled graph execution at size 1 (15 cells) — any
+# diverging cell or a missed gate exits nonzero.
 ./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --matrix > /dev/null
 
 # Service-layer gates. chaos --serve replays the 13-config fault matrix
@@ -94,9 +93,8 @@ done
 
 # hetero-prove gates: the binding-contract sweep (13 apps + the graph
 # matrix, every indexed launch's bindings inferred at record time, gated
-# as exact counts: 75 contracts inferred, 0 violations, 75 proven in
-# bounds, 6 optimized plans accepted by translation validation, 0
-# rejected) and the 26-design FPGA verifier sweep against the explicit
+# as exact counts: 66 contracts inferred, 66 proven in bounds) and the
+# 26-design FPGA verifier sweep against the explicit
 # DPCT_BASELINE_DEVIATIONS allowlist (stale entries fail too).
 ./target/release/prove /tmp/BENCH_prove.json > /dev/null
 

@@ -44,7 +44,6 @@ fn routes_agree(
     let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
     for (route, rq, mode) in [
         ("graph", q, ExecMode::Graph),
-        ("graph-opt", q, ExecMode::GraphOptimized),
         ("armed", &armed, ExecMode::Graph),
     ] {
         let f = altis_core::fdtd2d::run_with(rq, fp, v, mode);
