@@ -49,7 +49,7 @@
 //!   launch call. An empty binding list hides the launch's data
 //!   accesses from record-time dependency analysis: the launch
 //!   serializes against every other one. Declare the accesses
-//!   (`reads` / `writes_at` / `reads_writes_at` / ...), or justify
+//!   (`reads` / `writes` / `reads_writes`), or justify
 //!   a genuinely access-free body with
 //!   `// lint:allow(graph-empty-bindings)`.
 //! * **no-process-exit** — no `std::process::exit` in library code
@@ -68,12 +68,12 @@
 //!   loop body declares itself (reset each iteration) are bounded and
 //!   allowed. Suppress with `// lint:allow(stream-unbounded-queue)`
 //!   plus the bound that caps the collection.
-//! * **no-unchecked-outside-proven** — no unchecked buffer access
+//! * **no-unchecked-access** — no unchecked buffer access
 //!   (`get_unchecked`, raw `.elem(` accessor calls) in library code
 //!   outside `hetero-rt/src/buffer.rs`, whose checked accessors run the
 //!   bounds check before they dereference. Any other call site would
 //!   bypass the check. Suppress with
-//!   `// lint:allow(no-unchecked-outside-proven)` plus the invariant
+//!   `// lint:allow(no-unchecked-access)` plus the invariant
 //!   that discharges the bounds obligation.
 //! * **lanes-remainder** — every lane loop must carry a scalar
 //!   remainder arm. A `while … LANES …` sweep or a
@@ -826,7 +826,7 @@ fn lint_no_process_exit(
     }
 }
 
-/// The `no-unchecked-outside-proven` rule: unchecked buffer access
+/// The `no-unchecked-access` rule: unchecked buffer access
 /// primitives (`get_unchecked`, raw `.elem(` calls) anywhere in library
 /// code. Only `hetero-rt/src/buffer.rs` may touch them: its checked
 /// accessors run the bounds check *before* dereferencing.
@@ -847,7 +847,7 @@ fn lint_no_unchecked(file: &Path, text: &str, violations: &mut Vec<Violation>) {
                 continue;
             }
             let line = line_of(text, p);
-            if allowed(&allows, "no-unchecked-outside-proven", line) {
+            if allowed(&allows, "no-unchecked-access", line) {
                 continue;
             }
             let snippet = text.lines().nth(line - 1).unwrap_or("").to_string();
@@ -855,7 +855,7 @@ fn lint_no_unchecked(file: &Path, text: &str, violations: &mut Vec<Violation>) {
                 file: file.to_path_buf(),
                 line,
                 offset: p,
-                rule: "no-unchecked-outside-proven",
+                rule: "no-unchecked-access",
                 snippet,
             });
         }
@@ -1100,7 +1100,7 @@ mod tests {
         let src = "fn peek(v: &GlobalView<u32>, s: &[u32]) -> u32 {\n\
             let a = v.elem(3).read();\n\
             let b = *s.get_unchecked(3);\n\
-            // lint:allow(no-unchecked-outside-proven) i < len checked by the caller\n\
+            // lint:allow(no-unchecked-access) i < len checked by the caller\n\
             let c = *s.get_unchecked_mut(2);\n\
             a + b + c\n\
             }\n";

@@ -316,7 +316,6 @@ pub(crate) fn step_graph<T: Real>(
     from: usize,
     to: usize,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, Index};
     let Mesh { state, fluxes, nbrs, norms, vols } = mesh;
     let (old, vars) = (&state[from], &state[to]);
     let n = vols.len();
@@ -371,32 +370,17 @@ pub(crate) fn step_graph<T: Real>(
             }
         }
     };
-    // One affine index per unrolled state variable: e*w + v.
-    let per_var = |w: usize| -> Vec<Index> { (0..w).map(|v| at(v).item(0, w).into()).collect() };
-    // The e-slice reads plus the data-dependent neighbour gather.
-    let mut flux_reads = per_var(NVAR);
-    flux_reads.push(bounded(n * NVAR));
     Graph::record(q, |g| {
         g.parallel_for(
             "compute_flux",
             Range::d1(n),
-            &[
-                reads_at(old, flux_reads),
-                reads_at(nbrs, per_var(NNB)),
-                reads_at(norms, per_var(NNB * 3)),
-                writes_at(fluxes, per_var(NVAR)),
-            ],
+            &[reads(old), reads(nbrs), reads(norms), writes(fluxes)],
             flux_kernel,
         )
         .parallel_for(
             "time_step",
             Range::d1(n),
-            &[
-                reads_at(old, per_var(NVAR)),
-                reads_at(vols, [at(0).item(0, 1)]),
-                reads_at(fluxes, per_var(NVAR)),
-                writes_at(vars, per_var(NVAR)),
-            ],
+            &[reads(old), reads(vols), reads(fluxes), writes(vars)],
             ts_kernel,
         );
     })

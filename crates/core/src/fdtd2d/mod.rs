@@ -43,30 +43,35 @@ fn source(t: usize) -> f32 {
 
 /// Golden reference: sequential leapfrog update.
 pub fn golden(p: &Fdtd2dParams) -> Fields {
-    let n = p.dim;
-    let mut ez = vec![0f32; n * n];
-    let mut hx = vec![0f32; n * n];
-    let mut hy = vec![0f32; n * n];
+    let cells = p.dim * p.dim;
+    let mut f = Fields { ez: vec![0f32; cells], hx: vec![0f32; cells], hy: vec![0f32; cells] };
     for t in 0..p.steps {
-        // H updates.
-        for y in 0..n - 1 {
-            for x in 0..n - 1 {
-                let i = y * n + x;
-                hx[i] -= C_H * (ez[i + n] - ez[i]);
-                hy[i] += C_H * (ez[i + 1] - ez[i]);
-            }
-        }
-        // E update.
-        for y in 1..n - 1 {
-            for x in 1..n - 1 {
-                let i = y * n + x;
-                ez[i] += C_E * ((hy[i] - hy[i - 1]) - (hx[i] - hx[i - n]));
-            }
-        }
-        // Point source in the middle.
-        ez[(n / 2) * n + n / 2] += source(t);
+        golden_step(&mut f, p.dim, t);
     }
-    Fields { ez, hx, hy }
+    f
+}
+
+/// Timestep `t` of the sequential reference on an `n`×`n` grid:
+/// [`golden`]'s loop body, and the streaming stage's reference.
+fn golden_step(f: &mut Fields, n: usize, t: usize) {
+    let Fields { ez, hx, hy } = f;
+    // H updates.
+    for y in 0..n - 1 {
+        for x in 0..n - 1 {
+            let i = y * n + x;
+            hx[i] -= C_H * (ez[i + n] - ez[i]);
+            hy[i] += C_H * (ez[i + 1] - ez[i]);
+        }
+    }
+    // E update.
+    for y in 1..n - 1 {
+        for x in 1..n - 1 {
+            let i = y * n + x;
+            ez[i] += C_E * ((hy[i] - hy[i - 1]) - (hx[i] - hx[i - n]));
+        }
+    }
+    // Point source in the middle.
+    ez[(n / 2) * n + n / 2] += source(t);
 }
 
 /// Runtime version: three kernels per step (hx, hy, ez), as in Altis.
@@ -201,13 +206,6 @@ fn row_kernels(
 /// depends on both. All three fields are declared outputs (the host
 /// reads them after the loop, and ez is also *written* between replays
 /// by the source injection).
-///
-/// Each launch states its index sets — `row(off, w)` is
-/// `off + n·gid + x`, `x < w`, what a row kernel sweeps — and the
-/// bindings are what [`hetero_rt::prove`] infers from them: a gather
-/// that reaches into the next row (hx's of ez, ez's of hx) is a
-/// whole-object read, one that stays on the item's row an item read, and
-/// each field's own row an item read-write.
 pub(crate) fn step_graph(
     q: &Queue,
     n: usize,
@@ -215,36 +213,24 @@ pub(crate) fn step_graph(
     hx: &Buffer<f32>,
     hy: &Buffer<f32>,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::at;
     let (hx_row, hy_row, ez_row) = row_kernels(n, ez, hx, hy);
-    let row = |off: usize, w: usize| at(off).item(0, n).aux(1, w);
     Graph::record(q, |g| {
         g.parallel_for(
             "fdtd_hx",
             Range::d1(n - 1),
-            &[
-                reads_at(ez, [row(n, n - 1), row(0, n - 1)]),
-                reads_writes_at(hx, [row(0, n - 1)], [row(0, n - 1)]),
-            ],
+            &[reads(ez), reads_writes(hx)],
             hx_row,
         )
         .parallel_for(
             "fdtd_hy",
             Range::d1(n - 1),
-            &[
-                reads_at(ez, [row(1, n - 1), row(0, n - 1)]),
-                reads_writes_at(hy, [row(0, n - 1)], [row(0, n - 1)]),
-            ],
+            &[reads(ez), reads_writes(hy)],
             hy_row,
         )
         .parallel_for(
             "fdtd_ez",
             Range::d1(n - 2),
-            &[
-                reads_at(hx, [row(n + 1, n - 2), row(1, n - 2)]),
-                reads_at(hy, [row(n + 1, n - 2), row(n, n - 2)]),
-                reads_writes_at(ez, [row(n + 1, n - 2)], [row(n + 1, n - 2)]),
-            ],
+            &[reads(hx), reads(hy), reads_writes(ez)],
             ez_row,
         );
     })

@@ -10,7 +10,7 @@ use altis_data::Fdtd2dParams;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
-use super::{source, Fields, C_E, C_H};
+use super::{source, Fields};
 
 /// Streaming stage for FDTD2D. State is the carried [`Fields`].
 pub struct FdtdStream {
@@ -71,23 +71,7 @@ impl StreamStage for FdtdStream {
     }
 
     fn reference(&self, state: &mut Fields, window: u64) {
-        // The sequential golden loop body for timestep `window`.
-        let n = self.n;
-        for y in 0..n - 1 {
-            for x in 0..n - 1 {
-                let i = y * n + x;
-                state.hx[i] -= C_H * (state.ez[i + n] - state.ez[i]);
-                state.hy[i] += C_H * (state.ez[i + 1] - state.ez[i]);
-            }
-        }
-        for y in 1..n - 1 {
-            for x in 1..n - 1 {
-                let i = y * n + x;
-                state.ez[i] +=
-                    C_E * ((state.hy[i] - state.hy[i - 1]) - (state.hx[i] - state.hx[i - n]));
-            }
-        }
-        state.ez[(n / 2) * n + n / 2] += source(window as usize);
+        super::golden_step(state, self.n, window as usize);
     }
 
     fn digest(&self, state: &Fields) -> u64 {

@@ -183,7 +183,6 @@ impl Lloyd {
 /// Record one Lloyd pass: map_centers and reset are independent and
 /// replay in one phase; accumulate and finalize each form their own.
 pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded};
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let Lloyd { pts, centers, membership, acc, counts } = lloyd;
 
@@ -271,29 +270,17 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         }
     };
 
-    // Per-feature affine slice of a point/centre row: i*nf + f.
-    let feat = |w: usize| (0..w).map(move |f| at(f).item(0, w));
-    // `w` words of each of an accumulate block's points, the last block
-    // clipped to n.
-    let block = |w: usize| at(0).item(0, ACC_BLOCK * w).aux(1, ACC_BLOCK * w).guard(n * w);
-    let own = || at(0).item(0, 1);
     Graph::record(q, |g| {
         g.parallel_for(
             "map_centers",
             Range::d1(n),
-            &[
-                reads_at(pts, feat(nf)),
-                // Every item scans the whole centre table.
-                reads_at(centers, [bounded(k * nf)]),
-                writes_at(membership, [own()]),
-            ],
+            &[reads(pts), reads(centers), writes(membership)],
             map_kernel,
         )
         .parallel_for(
             "reset",
             Range::d1(k * nf),
-            // The counts clear is guarded to the first k items.
-            &[writes_at(acc, [own()]), writes_at(counts, [own().guard(k)])],
+            &[writes(acc), writes(counts)],
             reset_kernel,
         )
         // Any block may bump any cluster row: the atomic scatter is a
@@ -301,12 +288,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         .parallel_for(
             "accumulate",
             Range::d1(n.div_ceil(ACC_BLOCK)),
-            &[
-                reads_at(pts, [block(nf)]),
-                reads_at(membership, [block(1)]),
-                reads_writes_at(acc, [bounded(k * nf)], [bounded(k * nf)]),
-                reads_writes_at(counts, [bounded(k)], [bounded(k)]),
-            ],
+            &[reads(pts), reads(membership), reads_writes(acc), reads_writes(counts)],
             acc_kernel,
         )
         // finalize writes a centre only for a non-empty cluster; an empty
@@ -314,11 +296,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         .parallel_for(
             "finalize",
             Range::d1(k),
-            &[
-                reads_at(acc, feat(nf)),
-                reads_at(counts, [own()]),
-                writes_at(centers, feat(nf)),
-            ],
+            &[reads(acc), reads(counts), writes(centers)],
             fin_kernel,
         );
     })

@@ -270,11 +270,9 @@ pub(crate) fn propagate_graph(
     variant: PfVariant,
     cloud: &Cloud,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::at;
     let Cloud { xs, ys, seeds, weights, frame, .. } = cloud;
     let n = xs.len();
     let (xv, yv, wv, sv, pv) = (xs.view(), ys.view(), weights.view(), seeds.view(), frame.view());
-    let own = || [at(0).item(0, 1)];
     Graph::record(q, |g| {
         // Every buffer is observable after the replay (the host reads
         // weights/positions; seeds carry RNG state into the next frame),
@@ -283,13 +281,7 @@ pub(crate) fn propagate_graph(
         g.parallel_for(
             "pf_propagate_weight",
             Range::d1(n),
-            &[
-                reads_at(frame, [at(0), at(1)]),
-                reads_writes_at(xs, own(), own()),
-                reads_writes_at(ys, own(), own()),
-                reads_writes_at(seeds, own(), own()),
-                writes_at(weights, own()),
-            ],
+            &[reads(frame), reads_writes(xs), reads_writes(ys), reads_writes(seeds), writes(weights)],
             move |it| {
                 let (tx, ty) = (pv.get(0), pv.get(1));
                 let i = it.gid(0);
@@ -305,7 +297,6 @@ pub(crate) fn propagate_graph(
 
 /// Record the resampling launch, the parallel CDF walk.
 pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded};
     let Cloud { xs, ys, cdf, nxs, nys, frame, .. } = cloud;
     let n = xs.len();
     let (cv, xv, yv, nxv, nyv, pv) =
@@ -314,16 +305,7 @@ pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Grap
         g.parallel_for(
             "pf_find_index",
             Range::d1(n),
-            // The CDF walk scans, and the position gathers land on,
-            // indices < n by construction of the walk.
-            &[
-                reads_at(frame, [at(2)]),
-                reads_at(cdf, [bounded(n)]),
-                reads_at(xs, [bounded(n)]),
-                reads_at(ys, [bounded(n)]),
-                writes_at(nxs, [at(0).item(0, 1)]),
-                writes_at(nys, [at(0).item(0, 1)]),
-            ],
+            &[reads(frame), reads(cdf), reads(xs), reads(ys), writes(nxs), writes(nys)],
             move |it| {
                 let u0 = pv.get(2);
                 let j = it.gid(0);

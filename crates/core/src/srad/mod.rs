@@ -280,51 +280,27 @@ fn row_kernels(
 }
 
 /// Record one diffusion step (every batch route and [`streaming`]
-/// execute the same recording). `own` is the full row `n·gid + x`,
-/// `x < n`, each work-item sweeps; the north/south rows and west/east
-/// columns are clamped into the image, hence `bounded(nn)`. The bindings
-/// are inferred from these sets: `srad_1` gathers the image (a
-/// whole-object read) and writes each row's own cells of the five
-/// derivative planes densely; `srad_2` gathers `c` at the south row,
-/// reads the derivatives at the row's own cells and updates the image
-/// there.
+/// execute the same recording). `srad_1` gathers the image and writes
+/// the five derivative planes; `srad_2` reads them and updates the image.
 pub(crate) fn step_graph(
     q: &Queue,
     n: usize,
     lambda: f32,
     planes: &Planes,
 ) -> hetero_rt::Result<Graph> {
-    use hetero_rt::prove::{at, bounded, Index};
-    let nn = n * n;
     let (srad_1, srad_2) = row_kernels(n, lambda, planes);
-    let own = || -> Index { at(0).item(0, n).aux(1, n).into() };
     let Planes { img, q0, c, dn, ds, de, dw } = planes;
     Graph::record(q, |g| {
         g.parallel_for(
             "srad_1",
             Range::d1(n),
-            &[
-                reads_at(img, [own(), bounded(nn), bounded(nn), bounded(nn), bounded(nn)]),
-                reads_at(q0, [at(0)]),
-                writes_at(c, [own()]),
-                writes_at(dn, [own()]),
-                writes_at(ds, [own()]),
-                writes_at(de, [own()]),
-                writes_at(dw, [own()]),
-            ],
+            &[reads(img), reads(q0), writes(c), writes(dn), writes(ds), writes(de), writes(dw)],
             srad_1,
         )
         .parallel_for(
             "srad_2",
             Range::d1(n),
-            &[
-                reads_at(c, [own(), bounded(nn), bounded(nn)]),
-                reads_at(dn, [own()]),
-                reads_at(ds, [own()]),
-                reads_at(de, [own()]),
-                reads_at(dw, [own()]),
-                reads_writes_at(img, [own()], [own()]),
-            ],
+            &[reads(c), reads(dn), reads(ds), reads(de), reads(dw), reads_writes(img)],
             srad_2,
         );
     })

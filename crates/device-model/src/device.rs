@@ -167,16 +167,6 @@ impl DeviceSpec {
             DeviceSpec::agilex(),
         ]
     }
-
-    /// Effective FP32 throughput after the generic efficiency factor.
-    pub fn effective_f32_gflops(&self) -> f64 {
-        self.peak_f32_gflops * self.compute_efficiency
-    }
-
-    /// Effective bandwidth after the generic efficiency factor.
-    pub fn effective_bw_gbs(&self) -> f64 {
-        self.peak_mem_bw_gbs * self.mem_efficiency
-    }
 }
 
 #[cfg(test)]

@@ -94,12 +94,6 @@ impl WorkProfile {
         self
     }
 
-    /// Set host↔device transfer volume (builder style).
-    pub fn with_transfers(mut self, bytes: u64) -> Self {
-        self.transfer_bytes = bytes;
-        self
-    }
-
     /// Total FLOPs regardless of precision.
     pub fn total_flops(&self) -> u64 {
         self.f32_flops + self.f64_flops

@@ -27,16 +27,11 @@ pub mod builder;
 pub mod dpct;
 pub mod ir;
 pub mod printer;
-pub mod prove;
 pub mod verify;
 
 pub use analysis::{KernelCost, LoopCost};
 pub use builder::{KernelBuilder, LoopBuilder};
 pub use printer::{print_kernel, validate_kernel, ValidationError};
-pub use prove::{
-    at, bounded, infer_contract, ContractReport, Index, IndexExpr, LaunchSpec, PlanAccess,
-    SlotReport, SlotSpec,
-};
 pub use verify::{verify_kernel, verify_kernels, DeviceLimits, KnownDeviation, VerifyError};
 pub use ir::{
     AccessPattern, Kernel, KernelStyle, LocalArrayDecl, Loop, LoopAttrs, OpMix, Scalar,

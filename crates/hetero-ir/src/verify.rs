@@ -484,4 +484,27 @@ mod tests {
         };
         assert!(e.to_string().contains("zero"));
     }
+
+    #[test]
+    fn known_deviation_covers_by_app_rule_and_optimization() {
+        let d = KnownDeviation {
+            app: "SRAD",
+            rule: "work-group-over-capacity",
+            baseline_only: true,
+            why: "DPCT baseline keeps the CUDA block size",
+        };
+        let e = VerifyError::WorkGroupOverCapacity {
+            kernel: "k".into(),
+            device: "fpga",
+            size: 256,
+            limit: 128,
+        };
+        assert!(d.covers("SRAD", false, &e));
+        assert!(!d.covers("SRAD", true, &e)); // optimized designs must be clean
+        assert!(!d.covers("CFD", false, &e));
+        let other = VerifyError::WorkOverflow { kernel: "k".into(), loop_name: "l".into() };
+        assert!(!d.covers("SRAD", false, &other));
+        let any = KnownDeviation { app: "*", ..d };
+        assert!(any.covers("CFD", false, &e));
+    }
 }

@@ -8,8 +8,9 @@
 //! receives a [`GridCtx`] and expresses grid-wide phases, each executed
 //! in parallel over the whole index space before the next begins.
 
-use crate::device::Device;
-use crate::error::Result;
+use std::cell::RefCell;
+
+use crate::error::{Error, Result};
 use crate::event::Event;
 use crate::ndrange::{Item, NdRange};
 use crate::queue::Queue;
@@ -18,6 +19,8 @@ use crate::queue::Queue;
 pub struct GridCtx<'q> {
     queue: &'q Queue,
     nd: NdRange,
+    /// The first phase error; later phases are skipped.
+    failed: RefCell<Option<Error>>,
 }
 
 impl GridCtx<'_> {
@@ -27,14 +30,18 @@ impl GridCtx<'_> {
     }
 
     /// Run `f` once per work-item of the *entire grid* (one grid phase),
-    /// in parallel.
+    /// in parallel. Once a phase has failed, later phases do not run and
+    /// the launch returns that phase's error.
     pub fn items(&self, f: impl Fn(Item) + Sync) {
+        let mut failed = self.failed.borrow_mut();
+        if failed.is_some() {
+            return;
+        }
         // Each phase is itself a parallel sweep; phase completion is the
         // grid barrier.
-        let nd = self.nd;
-        let _ = self.queue.nd_range("coop_phase", nd, |ctx| {
-            ctx.items(&f);
-        });
+        if let Err(e) = self.queue.nd_range("coop_phase", self.nd, |ctx| ctx.items(&f)) {
+            *failed = Some(e);
+        }
     }
 
     /// Grid-wide synchronisation (like `grid.sync()` in CUDA cooperative
@@ -47,33 +54,30 @@ impl Queue {
     /// Launch a cooperative kernel: `kernel` drives grid-wide phases via
     /// [`GridCtx::items`] separated by [`GridCtx::sync`]. Fails if the
     /// ND-range is invalid for the device (same rules as
-    /// [`Queue::nd_range`]).
+    /// [`Queue::nd_range`]) or with the first error of a phase (already
+    /// on the ledger, recorded by the phase's own launch).
     pub fn nd_range_cooperative<K>(&self, name: &'static str, nd: NdRange, kernel: K) -> Result<Event>
     where
         K: FnOnce(&GridCtx<'_>),
     {
         nd.validate()?;
-        let submitted = std::time::Instant::now();
-        let ctx = GridCtx { queue: self, nd };
+        let ctx = GridCtx { queue: self, nd, failed: RefCell::new(None) };
         kernel(&ctx);
+        if let Some(e) = ctx.failed.into_inner() {
+            return Err(e);
+        }
         // Stats for cooperative launches are aggregated per phase by the
         // inner nd_range calls; report the launch itself here.
-        let _ = submitted;
         Ok(self.single_task(name, || {}))
     }
-}
-
-/// Whether a device supports cooperative launches. True everywhere in
-/// this runtime; exposed for API fidelity with
-/// `cudaDevAttrCooperativeLaunch`-style queries.
-pub fn supports_cooperative_launch(_device: &Device) -> bool {
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
+    use crate::device::Device;
+    use std::time::Duration;
 
     #[test]
     fn grid_sync_orders_whole_grid_phases() {
@@ -147,9 +151,44 @@ mod tests {
     }
 
     #[test]
-    fn all_devices_report_cooperative_support() {
-        for d in [Device::cpu(), Device::rtx_2080(), Device::stratix10()] {
-            assert!(supports_cooperative_launch(&d));
-        }
+    fn a_faulting_phase_fails_the_launch_and_skips_later_phases() {
+        let ledger = std::sync::Arc::new(crate::event::ResilienceLedger::new());
+        let q = Queue::new(Device::cpu())
+            .with_fault_plan(None)
+            .with_resilience_ledger(Some(ledger.clone()));
+        let short = Buffer::<u32>::new(8);
+        let later = Buffer::<u32>::new(64);
+        let (sv, lv) = (short.view(), later.view());
+        let err = q
+            .nd_range_cooperative("coop", NdRange::d1(64, 16), |grid| {
+                grid.items(|it| sv.set(it.global_linear, 1));
+                grid.sync();
+                grid.items(|it| lv.set(it.global_linear, 1));
+            })
+            .unwrap_err();
+        assert!(matches!(err, Error::AccessOutOfBounds { len: 1, buffer_len: 8, .. }), "{err:?}");
+        assert!(later.to_vec().iter().all(|&v| v == 0), "the second phase must not run");
+        let snap = ledger.snapshot();
+        assert_eq!((snap.launches, snap.errors), (1, 1), "recorded once, by the phase's launch");
+    }
+
+    #[test]
+    fn an_injected_transient_in_a_phase_fails_the_launch() {
+        use crate::queue::RetryPolicy;
+        // A burst of 5 against 2 attempts: the first phase exhausts its
+        // budget.
+        let plan = std::sync::Arc::new(crate::fault::FaultPlan::transient_burst(5));
+        let q = Queue::new(Device::cpu())
+            .with_fault_plan(Some(plan))
+            .with_retry_policy(RetryPolicy { max_attempts: 2, backoff: Duration::ZERO });
+        let out = Buffer::<u32>::new(64);
+        let ov = out.view();
+        let err = q
+            .nd_range_cooperative("coop", NdRange::d1(64, 16), |grid| {
+                grid.items(|it| ov.set(it.global_linear, 1));
+            })
+            .unwrap_err();
+        assert_eq!(err, Error::TransientLaunchFailure { kernel: "coop_phase", attempts: 2 });
+        assert!(out.to_vec().iter().all(|&v| v == 0));
     }
 }

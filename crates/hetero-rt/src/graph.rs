@@ -15,20 +15,16 @@
 //!
 //! # Bindings drive the schedule
 //!
-//! Each recorded launch names the buffers / USM allocations it touches,
-//! once. A binding is either a whole-object statement ([`reads`] /
-//! [`writes`] / [`reads_writes`]) or the index sets the kernel body may
-//! read and write on the object ([`reads_at`] / [`writes_at`] /
-//! [`reads_writes_at`]), from which record time *infers* the access
-//! mode ([`hetero_ir::infer_contract`], every build profile). Record
-//! time derives dependency edges from the access modes
-//! (read-after-write, write-after-read, write-after-write on the same
-//! object) and merges consecutive *independent* launches into one phase
-//! that executes concurrently; a phase boundary is a full barrier. The
-//! index sets are a statement about the kernel body that nothing checks
-//! statically: an access the kernel performs but does not state can be
-//! scheduled concurrently with a conflicting launch. The dynamic race
-//! sanitizer still sees every access on the slow path, so a
+//! Each recorded launch names the buffers it touches, once, with an
+//! access mode each ([`reads`] / [`writes`] / [`reads_writes`]) — what a
+//! SYCL accessor states. Record time derives dependency edges from the
+//! access modes (read-after-write, write-after-read, write-after-write
+//! on the same object) and merges consecutive *independent* launches
+//! into one phase that executes concurrently; a phase boundary is a full
+//! barrier. A binding is a statement about the kernel body that nothing
+//! checks statically: an access the kernel performs but does not state
+//! can be scheduled concurrently with a conflicting launch. The dynamic
+//! race sanitizer still sees every access on the slow path, so a
 //! `with_sanitizer` replay of the same graph will report unstated
 //! conflicts as races. A launch recorded with **no** bindings is treated
 //! conservatively as conflicting with everything and gets its own phase.
@@ -60,8 +56,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hetero_ir::prove::{infer_contract, Index, LaunchSpec, SlotSpec};
-
 use crate::buffer::Buffer;
 use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
@@ -69,127 +63,53 @@ use crate::event::{LaunchStats, ResilienceInfo};
 use crate::fault::classify_panic;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
 use crate::queue::{Fallback, Queue, Redundancy};
-use crate::usm::UsmAlloc;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Access mode of one recorded launch on one object: stated by
-/// [`reads`] / [`writes`] / [`reads_writes`], inferred from the index
-/// sets of their `_at` forms.
-pub use hetero_ir::PlanAccess as Access;
-
-/// One recorded launch's access to one object, as the scheduler reads
-/// it ([`Graph::node_bindings`]).
+/// Access mode of one recorded launch on one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeBinding {
-    /// Stable runtime object id of the buffer or allocation.
+pub enum Access {
+    /// The launch only reads the object.
+    Read,
+    /// The launch only writes the object.
+    Write,
+    /// The launch both reads and writes the object.
+    ReadWrite,
+}
+
+/// What one recorded launch says about one buffer it touches — a SYCL
+/// accessor; built with [`reads`], [`writes`] or [`reads_writes`], read
+/// back through [`Graph::node_bindings`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Binding {
+    /// Stable runtime object id of the buffer.
     pub object: u64,
-    /// Stated or inferred access mode.
+    /// Stated access mode.
     pub access: Access,
 }
 
-/// What one recorded launch says about one object it touches; built
-/// with [`reads`], [`writes`], [`reads_writes`] or their `_at` forms.
-#[derive(Debug, Clone)]
-pub struct Binding {
-    object: u64,
-    decl: Decl,
+/// Declare that a recorded launch reads `b`.
+pub fn reads<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
+    Binding { object: b.object_id(), access: Access::Read }
 }
 
-#[derive(Debug, Clone)]
-enum Decl {
-    /// The access mode as stated.
-    Whole(Access),
-    /// The index sets the kernel body may touch; record time infers the
-    /// access mode from them.
-    At(SlotSpec),
+/// Declare that a recorded launch writes `b` (without reading it).
+pub fn writes<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
+    Binding { object: b.object_id(), access: Access::Write }
 }
 
-/// Anything with a stable runtime object identity a [`Binding`] can name:
-/// [`Buffer`]s and [`UsmAlloc`]s.
-pub trait GraphResource {
-    /// The object id used for dependency-edge derivation.
-    fn graph_object_id(&self) -> u64;
-    /// Object length in elements: what index sets are proven against.
-    fn graph_object_len(&self) -> usize;
-}
-
-impl<T: Copy + Default + Send + 'static> GraphResource for Buffer<T> {
-    fn graph_object_id(&self) -> u64 {
-        self.object_id()
-    }
-    fn graph_object_len(&self) -> usize {
-        self.len()
-    }
-}
-
-impl<T: Copy + Default + 'static> GraphResource for UsmAlloc<T> {
-    fn graph_object_id(&self) -> u64 {
-        self.object_id()
-    }
-    fn graph_object_len(&self) -> usize {
-        self.len()
-    }
-}
-
-/// Declare that a recorded launch reads `r`.
-pub fn reads(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Read) }
-}
-
-/// Declare that a recorded launch writes `r` (without reading it).
-pub fn writes(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::Write) }
-}
-
-/// Declare that a recorded launch both reads and writes `r`.
-pub fn reads_writes(r: &impl GraphResource) -> Binding {
-    Binding { object: r.graph_object_id(), decl: Decl::Whole(Access::ReadWrite) }
-}
-
-fn indices<I: Into<Index>>(list: impl IntoIterator<Item = I>) -> Vec<Index> {
-    list.into_iter().map(Into::into).collect()
-}
-
-/// State every index of `r` the launch's kernel body may read and every
-/// index it may write, as expressions over the work-item id
-/// ([`crate::prove::at`], [`crate::prove::bounded`]). Record time infers
-/// the binding from them — read, write or both — and proves what it can
-/// of their bounds. An object no stated access of which can execute for
-/// the recorded range (a zero-trip loop, a zero guard) derives no
-/// binding at all.
-pub fn reads_writes_at<R: Into<Index>, W: Into<Index>>(
-    r: &impl GraphResource,
-    reads: impl IntoIterator<Item = R>,
-    writes: impl IntoIterator<Item = W>,
-) -> Binding {
-    let spec = SlotSpec { len: r.graph_object_len(), reads: indices(reads), writes: indices(writes) };
-    Binding { object: r.graph_object_id(), decl: Decl::At(spec) }
-}
-
-/// [`reads_writes_at`] for an object the launch only reads.
-pub fn reads_at<I: Into<Index>>(
-    r: &impl GraphResource,
-    reads: impl IntoIterator<Item = I>,
-) -> Binding {
-    reads_writes_at(r, reads, [] as [Index; 0])
-}
-
-/// [`reads_writes_at`] for an object the launch only writes.
-pub fn writes_at<I: Into<Index>>(
-    r: &impl GraphResource,
-    writes: impl IntoIterator<Item = I>,
-) -> Binding {
-    reads_writes_at(r, [] as [Index; 0], writes)
+/// Declare that a recorded launch both reads and writes `b`.
+pub fn reads_writes<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
+    Binding { object: b.object_id(), access: Access::ReadWrite }
 }
 
 /// Can two launches with these binding lists run concurrently?
 /// Conservative on missing information: an empty binding list conflicts
 /// with everything.
-fn conflicts(a: &[NodeBinding], b: &[NodeBinding]) -> bool {
+fn conflicts(a: &[Binding], b: &[Binding]) -> bool {
     if a.is_empty() || b.is_empty() {
         return true;
     }
@@ -211,7 +131,6 @@ struct NodeSlot {
     barriers_local: AtomicU64,
     barriers_global: AtomicU64,
     local_bytes: AtomicUsize,
-    attempts: AtomicU32,
     replicas: AtomicU32,
 }
 
@@ -221,7 +140,6 @@ impl NodeSlot {
         self.barriers_local.store(0, Ordering::Relaxed);
         self.barriers_global.store(0, Ordering::Relaxed);
         self.local_bytes.store(0, Ordering::Relaxed);
-        self.attempts.store(1, Ordering::Relaxed);
         self.replicas.store(1, Ordering::Relaxed);
     }
 
@@ -230,7 +148,6 @@ impl NodeSlot {
         self.barriers_local.store(stats.barriers_local, Ordering::Relaxed);
         self.barriers_global.store(stats.barriers_global, Ordering::Relaxed);
         self.local_bytes.store(stats.local_bytes, Ordering::Relaxed);
-        self.attempts.store(res.attempts, Ordering::Relaxed);
         self.replicas.store(res.replicas, Ordering::Relaxed);
     }
 }
@@ -242,10 +159,7 @@ struct Node {
     groups_range: Range,
     num_groups: usize,
     reqd_max: Option<usize>,
-    /// Stated or inferred `(object, access)` per bound object.
-    bindings: Vec<NodeBinding>,
-    /// Indices of earlier nodes this node has a dependency edge to.
-    deps: Vec<usize>,
+    bindings: Vec<Binding>,
     kernel: GroupKernel,
     /// Per-participant stealable work spans over `0..num_groups`
     /// (initialised by [`Graph::record`], re-partitioned per replay).
@@ -273,35 +187,6 @@ pub struct GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// The `(object, access)` list of one launch: whole-object bindings
-    /// as stated, indexed ones as [`infer_contract`] reads them for
-    /// `range`. An object no access of which can execute is left out.
-    fn derive(name: &str, range: Range, bindings: &[Binding]) -> Vec<NodeBinding> {
-        let specs: Vec<SlotSpec> = bindings
-            .iter()
-            .filter_map(|b| match &b.decl {
-                Decl::At(spec) => Some(spec.clone()),
-                Decl::Whole(_) => None,
-            })
-            .collect();
-        let mut inferred = Vec::new().into_iter();
-        if !specs.is_empty() {
-            let report = infer_contract(name, range.dims, &LaunchSpec { slots: specs });
-            crate::prove::note_inferred(&report);
-            inferred = report.slots.into_iter();
-        }
-        bindings
-            .iter()
-            .filter_map(|b| {
-                let access = match &b.decl {
-                    Decl::Whole(access) => *access,
-                    Decl::At(_) => inferred.next()?.access?,
-                };
-                Some(NodeBinding { object: b.object, access })
-            })
-            .collect()
-    }
-
     /// Record a barrier-free data-parallel launch — the recorded
     /// equivalent of [`Queue::parallel_for`]. The flat range is chunked
     /// into implicit work-groups exactly the way the live path chunks
@@ -319,7 +204,7 @@ impl GraphBuilder {
         let total = range.size();
         let nd = NdRange::flat(total, self.caps.max_work_group_size);
         let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &f);
-        self.push(name, nd, None, Some(range), bindings, Arc::new(kernel))
+        self.push(name, nd, None, bindings, Arc::new(kernel))
     }
 
     /// Record a work-group launch — the recorded equivalent of
@@ -334,7 +219,7 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, None, None, bindings, Arc::new(kernel))
+        self.push(name, nd, None, bindings, Arc::new(kernel))
     }
 
     /// Like [`GraphBuilder::nd_range`] with an explicit
@@ -350,7 +235,7 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, reqd_max, None, bindings, Arc::new(kernel))
+        self.push(name, nd, reqd_max, bindings, Arc::new(kernel))
     }
 
     /// Record a Single-Task launch. Unlike [`Queue::single_task`] the
@@ -362,7 +247,7 @@ impl GraphBuilder {
     {
         let nd = NdRange { global: Range::d1(1), local: Range::d1(1) };
         let kernel = move |ctx: &GroupCtx| ctx.items(|_| f());
-        self.push(name, nd, None, None, bindings, Arc::new(kernel))
+        self.push(name, nd, None, bindings, Arc::new(kernel))
     }
 
     fn push(
@@ -370,7 +255,6 @@ impl GraphBuilder {
         name: &'static str,
         nd: NdRange,
         reqd_max: Option<usize>,
-        item_range: Option<Range>,
         bindings: &[Binding],
         kernel: GroupKernel,
     ) -> &mut Self {
@@ -387,17 +271,13 @@ impl GraphBuilder {
             return self;
         }
         let num_groups = nd.num_groups();
-        // Index sets are written against the logical item range for
-        // elementwise launches, the global ND-range otherwise.
-        let bindings = Self::derive(name, item_range.unwrap_or(nd.global), bindings);
         self.nodes.push(Node {
             name,
             nd,
             groups_range: nd.groups(),
             num_groups,
             reqd_max,
-            bindings,
-            deps: Vec::new(),
+            bindings: bindings.to_vec(),
             kernel,
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
@@ -450,14 +330,6 @@ impl Graph {
         let GraphBuilder { caps, mut nodes, err } = b;
         if let Some(e) = err {
             return Err(e);
-        }
-
-        // Dependency edges from declared access modes.
-        for j in 1..nodes.len() {
-            let deps: Vec<usize> = (0..j)
-                .filter(|&i| conflicts(&nodes[i].bindings, &nodes[j].bindings))
-                .collect();
-            nodes[j].deps = deps;
         }
 
         // Greedy phase merge: extend the current phase while the next
@@ -732,9 +604,8 @@ impl Graph {
         self.nodes[i].name
     }
 
-    /// The bindings of launch `i` as recorded: whole-object ones as
-    /// stated, indexed ones as inferred.
-    pub fn node_bindings(&self, i: usize) -> &[NodeBinding] {
+    /// The bindings of launch `i` as recorded.
+    pub fn node_bindings(&self, i: usize) -> &[Binding] {
         &self.nodes[i].bindings
     }
 
@@ -757,15 +628,6 @@ impl Graph {
         self.nodes[i].slot.replicas.load(Ordering::Relaxed)
     }
 
-    /// Sum of every node's statistics from the most recent execution.
-    pub fn aggregate_stats(&self) -> LaunchStats {
-        let mut total = LaunchStats::default();
-        for i in 0..self.nodes.len() {
-            total.merge(&self.node_stats(i));
-        }
-        total
-    }
-
     /// Successful executions of this graph, fast or slow path.
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
@@ -776,10 +638,10 @@ impl Graph {
         self.fast_replays.load(Ordering::Relaxed)
     }
 
-    /// Whether recorded launch `later` has a dependency edge on launch
-    /// `earlier` (derived from declared access modes at record time).
+    /// Whether recorded launch `later` must wait for the earlier launch
+    /// `earlier`: their declared access modes conflict on some object.
     pub fn depends_on(&self, later: usize, earlier: usize) -> bool {
-        self.nodes[later].deps.contains(&earlier)
+        earlier < later && conflicts(&self.nodes[earlier].bindings, &self.nodes[later].bindings)
     }
 }
 

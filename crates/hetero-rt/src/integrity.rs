@@ -158,11 +158,6 @@ impl Region {
         self.label
     }
 
-    /// Region length in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
     /// The region's bytes. Caller must hold `state` and honor the
     /// concurrency contract (no kernel in flight).
     fn bytes_slice(&self) -> &[u8] {

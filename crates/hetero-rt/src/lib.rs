@@ -66,7 +66,6 @@ pub mod local;
 pub mod ndrange;
 pub mod pipe;
 pub mod pool;
-pub mod prove;
 pub mod queue;
 pub mod reduction;
 pub mod sanitize;
@@ -81,10 +80,7 @@ pub use device::{Device, DeviceCaps, DeviceKind};
 pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
-pub use graph::{
-    reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Access, Binding, Graph,
-    GraphBuilder, NodeBinding,
-};
+pub use graph::{reads, reads_writes, writes, Access, Binding, Graph, GraphBuilder};
 pub use integrity::{IntegrityStats, Violation};
 pub use lanes::{F32x8, I32x8, U32x8, LANES};
 pub use local::{LocalArray, PrivateArray};
@@ -106,10 +102,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::event::{Event, ResilienceLedger};
     pub use crate::fault::{FaultKind, FaultPlan};
-    pub use crate::graph::{
-        reads, reads_at, reads_writes, reads_writes_at, writes, writes_at, Binding, Graph,
-        GraphBuilder,
-    };
+    pub use crate::graph::{reads, reads_writes, writes, Binding, Graph, GraphBuilder};
     pub use crate::lanes::{F32x8, I32x8, U32x8, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};

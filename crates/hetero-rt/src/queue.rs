@@ -25,7 +25,6 @@ use crate::event::{Event, LaunchStats, ProfilingInfo, ResilienceInfo, Resilience
 use crate::executor::{run_groups_contained, Parallelism};
 use crate::fault::FaultPlan;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
-use crate::usm::{UsmAlloc, UsmKind};
 
 /// Bounded-retry policy for transient launch failures (the fault layer's
 /// [`crate::fault::FaultKind::LaunchTransient`]; on real stacks, a driver
@@ -325,11 +324,6 @@ impl Queue {
     /// The queue's device.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// Whether profiling was enabled at construction.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiling
     }
 
     /// The fault plan driving this queue's injection, if any.
@@ -845,47 +839,6 @@ impl Queue {
         }
     }
 
-    /// [`Queue::alloc_usm`] through the recycling slab: reuses a retired
-    /// USM vector of the exact type and length when one is shelved,
-    /// zero-filled and with fresh identity (new sanitizer id, new
-    /// integrity region). Capability and fault-plan checks are identical
-    /// to a fresh allocation — the paper's FPGAs still refuse, and an
-    /// injected [`Error::UsmAllocFailed`] still fires, regardless of
-    /// what the slab holds.
-    pub fn recycled_usm<T: Copy + Default + Send + 'static>(
-        &self,
-        kind: UsmKind,
-        len: usize,
-    ) -> Result<UsmAlloc<T>> {
-        if !self.device.caps().supports_usm {
-            return Err(Error::UsmUnsupported { device: self.device.name().to_string() });
-        }
-        if self.fault.as_deref().is_some_and(FaultPlan::should_fail_alloc) {
-            return Err(Error::UsmAllocFailed {
-                device: self.device.name().to_string(),
-                bytes: len * std::mem::size_of::<T>(),
-            });
-        }
-        match self.slab.take::<Vec<T>>(len) {
-            Some((mut data, generation)) => {
-                data.fill(T::default());
-                Ok(UsmAlloc::build_gen(data, kind, generation + 1))
-            }
-            // Capability and fault checks already ran above; going back
-            // through `alloc_usm` would consult the fault plan twice.
-            None => Ok(UsmAlloc::build_gen(vec![T::default(); len], kind, 0)),
-        }
-    }
-
-    /// Retire a USM allocation to the recycling slab. USM allocations
-    /// are uniquely owned, so unlike [`Queue::recycle_buffer`] only a
-    /// full shelf can refuse (returns `false`).
-    pub fn recycle_usm<T: Copy + Default + Send + 'static>(&self, alloc: UsmAlloc<T>) -> bool {
-        let (data, generation) = alloc.into_raw_parts();
-        let len = data.len();
-        self.slab.put(len, data, generation)
-    }
-
     /// Traffic counters of the recycling slab shared by every clone of
     /// this queue.
     pub fn slab_stats(&self) -> SlabStats {
@@ -911,9 +864,6 @@ impl Queue {
             t.check(name)?;
         }
         let submitted = Instant::now();
-        if self.device.caps().supports_pipes || kernels.len() <= 1 {
-            // ok — FPGA-style concurrent kernels, or trivially sequential
-        }
         let started = Instant::now();
         let n = kernels.len() as u64;
         let mut first_err = None;
@@ -1246,28 +1196,6 @@ mod tests {
         let clone = q.clone();
         assert!(q.recycle_buffer(q.recycled_buffer::<i64>(8)));
         assert_eq!(clone.recycled_buffer::<i64>(8).generation(), 1);
-    }
-
-    #[test]
-    fn usm_recycling_roundtrips_with_fresh_identity() {
-        let q = Queue::new(Device::cpu());
-        let mut a = q.recycled_usm::<u32>(crate::usm::UsmKind::Shared, 16).unwrap();
-        assert_eq!(a.generation(), 0);
-        let first_id = a.object_id();
-        a.set(5, 42);
-        assert!(q.recycle_usm(a));
-        let b = q.recycled_usm::<u32>(crate::usm::UsmKind::Shared, 16).unwrap();
-        assert_eq!(b.generation(), 1);
-        assert_ne!(b.object_id(), first_id);
-        assert!(b.as_slice().iter().all(|&v| v == 0), "reuse must zero-fill");
-    }
-
-    #[test]
-    fn recycled_usm_still_enforces_device_capability() {
-        // The paper's FPGAs refuse USM; the slab must not change that.
-        let q = Queue::new(Device::stratix10());
-        let e = q.recycled_usm::<f32>(crate::usm::UsmKind::Host, 8).unwrap_err();
-        assert!(matches!(e, Error::UsmUnsupported { .. }));
     }
 
     #[test]

@@ -51,9 +51,6 @@ pub struct UsmAlloc<T> {
     // Process-unique id in the same namespace as buffer ids, so the race
     // sanitizer tracks USM elements with the same shadow machinery.
     id: u64,
-    // How many times this allocation has been through the recycling slab
-    // (0 for a fresh allocation); identity (id, region) is always fresh.
-    generation: u64,
     // Checksummed integrity region; `None` while the layer is disarmed.
     region: Option<Arc<integrity::Region>>,
 }
@@ -91,14 +88,7 @@ impl<T: Copy + Default + 'static> UsmAlloc<T> {
                 bytes: len * std::mem::size_of::<T>(),
             });
         }
-        Ok(Self::build_gen(vec![T::default(); len], kind, 0))
-    }
-
-    /// Construct over an existing host vector with an explicit recycling
-    /// generation. Identity is always fresh (new sanitizer id, newly
-    /// registered integrity region), so reuse never leaks the previous
-    /// tenant's shadow state or page seals.
-    pub(crate) fn build_gen(data: Vec<T>, kind: UsmKind, generation: u64) -> Self {
+        let data = vec![T::default(); len];
         let id = sanitize::next_object_id();
         let region = integrity::register(
             id,
@@ -107,30 +97,13 @@ impl<T: Copy + Default + 'static> UsmAlloc<T> {
             std::mem::size_of_val::<[T]>(&data),
             integrity::bit_safe::<T>(),
         );
-        UsmAlloc { data, kind, advices: Vec::new(), id, generation, region }
-    }
-
-    /// Reclaim the underlying vector for recycling. USM allocations are
-    /// uniquely owned, so unlike [`crate::Buffer::into_raw_parts`] this
-    /// cannot be refused. Unregisters the integrity region (via the drop
-    /// path) before handing the bytes back.
-    pub(crate) fn into_raw_parts(mut self) -> (Vec<T>, u64) {
-        let data = std::mem::take(&mut self.data);
-        let generation = self.generation;
-        // `self` drops here, unregistering the integrity region.
-        (data, generation)
+        Ok(UsmAlloc { data, kind, advices: Vec::new(), id, region })
     }
 
     /// The allocation's process-unique object id (shared between the
     /// race sanitizer and the integrity layer's region ids).
     pub fn object_id(&self) -> u64 {
         self.id
-    }
-
-    /// How many times this allocation has been through the recycling
-    /// slab ([`crate::Queue::recycled_usm`]); 0 for a fresh allocation.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of elements.

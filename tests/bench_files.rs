@@ -46,5 +46,5 @@ fn committed_bench_files_are_stamped_and_gated() {
             );
         }
     }
-    assert_eq!(seen, 7, "committed bench files");
+    assert_eq!(seen, 6, "committed bench files");
 }
