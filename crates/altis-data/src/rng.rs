@@ -59,7 +59,7 @@ impl Pcg32 {
 
     /// Next uniform 64-bit value (two 32-bit draws).
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         ((self.next_u32() as u64) << 32) | self.next_u32() as u64
     }
 

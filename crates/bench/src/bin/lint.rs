@@ -85,6 +85,19 @@
 //!   `remainder`) must appear shortly after the lane loop. Suppress
 //!   with `// lint:allow(lanes-remainder)` plus the reason the range
 //!   is provably lane-aligned.
+//! * **unused-pub** — a `pub fn` / `struct` / `enum` / `const` /
+//!   `trait` / `type` / `static` in library code (`crates/*/src`
+//!   outside `src/bin/`) whose name appears nowhere outside its own file
+//!   and test code (`#[cfg(test)]` modules, `tests/` directories). The
+//!   readers are every crate's sources, bins and benches, `examples/`
+//!   and `e2e/src`. A type is also named by the signature or field of
+//!   another item of its file, since its values reach callers by
+//!   inference; its own `impl` headers do not count. Altis-SYCL's own
+//!   clean-up removed "non-required features" after migration; this
+//!   rule keeps the runtime's surface equal to what the suite runs.
+//!   Delete the item or demote it to `pub(crate)`; suppress with
+//!   `// lint:allow(unused-pub)` naming the paper section it reproduces
+//!   or the test it is the oracle of.
 //!
 //! A violation is suppressed by a `// lint:allow(rule-name)` comment on
 //! the same line or the line above — used where an application
@@ -96,14 +109,12 @@
 use std::path::{Path, PathBuf};
 
 /// Launch entry points whose closure arguments are kernel bodies.
-const LAUNCH_CALLS: [&str; 8] = [
+const LAUNCH_CALLS: [&str; 6] = [
     "parallel_for",
     "try_parallel_for",
     "nd_range",
     "nd_range_with_limit",
-    "nd_range_cooperative",
     "single_task",
-    "try_single_task",
     "submit_concurrent",
 ];
 
@@ -141,9 +152,9 @@ fn main() -> std::process::ExitCode {
 
     // no-process-exit runs workspace-wide: every crate's library
     // sources, bin/ front-ends excluded.
-    let crates_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let crates_root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/ directory");
     let mut lib_files = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&crates_root) {
+    if let Ok(entries) = std::fs::read_dir(crates_root) {
         for e in entries.flatten() {
             let src = e.path().join("src");
             if src.is_dir() {
@@ -160,10 +171,25 @@ fn main() -> std::process::ExitCode {
         lint_stream_unbounded(f, &text, &mut violations);
         lint_lanes_remainder(f, &text, &mut violations);
     }
-    // Launch calls can nest (a cooperative body re-entering nd_range);
-    // report each *site* once. The key is the byte offset, not the
-    // line: one line can hold two distinct same-rule violations, and
-    // collapsing those hid real findings.
+    // unused-pub reads the whole repository: every crate directory
+    // (sources, bins, benches), the examples and the e2e package.
+    let mut readers = Vec::new();
+    collect_rs_files(crates_root, &mut readers);
+    let repo = crates_root.parent().expect("repository root");
+    collect_rs_files(&repo.join("examples"), &mut readers);
+    collect_rs_files(&repo.join("e2e/src"), &mut readers);
+    readers.sort();
+    let sources: Vec<(PathBuf, String)> = readers
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("readable source");
+            (p, text)
+        })
+        .collect();
+    lint_unused_pub(&sources, &mut violations);
+    // Launch calls can nest; report each *site* once. The key is the
+    // byte offset, not the line: one line can hold two distinct
+    // same-rule violations, and collapsing those hid real findings.
     violations.sort_by(|a, b| (&a.file, a.offset, a.rule).cmp(&(&b.file, b.offset, b.rule)));
     violations.dedup_by(|a, b| a.file == b.file && a.offset == b.offset && a.rule == b.rule);
 
@@ -1004,6 +1030,98 @@ fn lint_lanes_remainder(file: &Path, text: &str, violations: &mut Vec<Violation>
     }
 }
 
+/// Identifiers (offset, name) of `masked` outside the `skip` spans.
+fn idents_outside<'a>(masked: &'a [u8], skip: &[(usize, usize)]) -> Vec<(usize, &'a str)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < masked.len() {
+        if !is_ident_byte(masked[i]) {
+            i += 1;
+            continue;
+        }
+        let s = i;
+        while i < masked.len() && is_ident_byte(masked[i]) {
+            i += 1;
+        }
+        if !skip.iter().any(|&(lo, hi)| s >= lo && s < hi) {
+            // Identifier bytes are ASCII, so the slice is valid UTF-8.
+            out.push((s, std::str::from_utf8(&masked[s..i]).unwrap_or("")));
+        }
+    }
+    out
+}
+
+/// The `unused-pub` rule over `sources` (path, text): a `pub` item of a
+/// library file (`crates/…/src/…`, no `bin` component) that no *other*
+/// file names outside test code. Files under a `tests` directory define and
+/// name nothing; everything else — bins, benches, examples, `e2e/src` —
+/// is a reader, and `e2e/src` (pinned, not ours to edit) with its test
+/// modules.
+fn lint_unused_pub(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
+    const ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "const", "trait", "type", "static"];
+    const MANY: usize = usize::MAX;
+    let has = |p: &Path, dir: &str| p.components().any(|c| c.as_os_str() == dir);
+    let masked: Vec<_> = sources
+        .iter()
+        .map(|(p, text)| if has(p, "tests") { (Vec::new(), Vec::new()) } else { mask_source(text) })
+        .collect();
+    let idents: Vec<Vec<(usize, &str)>> = sources
+        .iter()
+        .zip(&masked)
+        .map(|((p, _), (m, _))| {
+            let skip = if has(p, "crates") { cfg_test_spans(m) } else { Vec::new() };
+            idents_outside(m, &skip)
+        })
+        .collect();
+    // name -> the one file naming it outside test code, or MANY.
+    let mut named: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    for (file, ids) in idents.iter().enumerate() {
+        for &(_, name) in ids {
+            let first = named.entry(name).or_insert(file);
+            if *first != file {
+                *first = MANY;
+            }
+        }
+    }
+    for (file, (path, text)) in sources.iter().enumerate() {
+        if !(has(path, "crates") && has(path, "src")) || has(path, "bin") {
+            continue;
+        }
+        let (bytes, allows) = &masked[file];
+        let ids = &idents[file];
+        for (k, &(off, word)) in ids.iter().enumerate() {
+            // `pub ` exactly: `pub(crate)` and `pub(super)` are not public.
+            if word != "pub" || bytes.get(off + 3) != Some(&b' ') {
+                continue;
+            }
+            let (Some(&(_, kind)), Some(&(_, name))) = (ids.get(k + 1), ids.get(k + 2)) else {
+                continue;
+            };
+            if !ITEM_KINDS.contains(&kind) || named.get(name) != Some(&file) {
+                continue;
+            }
+            // A type's values reach callers by inference, through the
+            // signature or a field of another item of its file: those
+            // mentions count, its `impl` headers do not.
+            let line_text = |o: usize| text.lines().nth(line_of(text, o) - 1).unwrap_or("");
+            let is_type = !matches!(kind, "fn" | "const" | "static");
+            if is_type
+                && ids.iter().enumerate().any(|(i, &(o, w))| {
+                    w == name && i != k + 2 && !line_text(o).trim_start().starts_with("impl")
+                })
+            {
+                continue;
+            }
+            let line = line_of(text, off);
+            if allowed(allows, "unused-pub", line) {
+                continue;
+            }
+            let snippet = line_text(off).to_string();
+            violations.push(Violation { file: path.clone(), line, offset: off, rule: "unused-pub", snippet });
+        }
+    }
+}
+
 fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     if from >= hay.len() {
         return None;
@@ -1117,6 +1235,50 @@ mod tests {
             lines.sort_unstable();
             assert_eq!(lines, vec![2, 3], "{file}");
         }
+    }
+
+    fn unused_pub(sources: &[(&str, &str)]) -> Vec<(String, usize)> {
+        let sources: Vec<(PathBuf, String)> =
+            sources.iter().map(|(p, t)| (PathBuf::from(p), t.to_string())).collect();
+        let mut v = Vec::new();
+        lint_unused_pub(&sources, &mut v);
+        v.into_iter().map(|x| (x.file.display().to_string(), x.line)).collect()
+    }
+
+    const LIB: &str = "pub fn used_by_app() {}\n\
+        pub fn used_by_e2e() {}\n\
+        pub fn only_tested() {}\n\
+        // lint:allow(unused-pub) paper §3.2: kept as a model of the finding\n\
+        pub fn annotated() {}\n\
+        pub(crate) fn internal() {}\n\
+        pub struct Reached { pub x: u32 }\n\
+        pub fn makes() -> Reached { Reached { x: 1 } }\n\
+        pub struct Orphan;\n\
+        impl Orphan {}\n\
+        #[cfg(test)]\nmod tests {\nfn t() { super::only_tested(); let _ = super::Orphan; }\n}\n";
+
+    #[test]
+    fn unused_pub_flags_what_only_its_own_file_and_tests_name() {
+        let fired = unused_pub(&[
+            ("crates/rt/src/lib.rs", LIB),
+            ("crates/core/src/app.rs", "fn run() { rt::used_by_app(); rt::makes(); }"),
+            ("e2e/src/main.rs", "#[cfg(test)]\nmod tests {\nfn t() { rt::used_by_e2e(); }\n}\n"),
+            ("crates/rt/tests/it.rs", "fn t() { rt::only_tested(); rt::annotated(); }"),
+        ]);
+        // `only_tested` (line 3) and `Orphan` (line 9): named by the
+        // file's own test module, a `tests/` directory and an `impl`
+        // header only. `Reached` is named by `makes`'s signature.
+        assert_eq!(fired, vec![("crates/rt/src/lib.rs".to_string(), 3), ("crates/rt/src/lib.rs".to_string(), 9)]);
+    }
+
+    #[test]
+    fn unused_pub_reads_bins_but_does_not_hold_them_to_the_rule() {
+        let bin = "pub fn helper_of_the_bin() {}\nfn main() { rt::only_the_bin_calls(); }";
+        let fired = unused_pub(&[
+            ("crates/rt/src/lib.rs", "pub fn only_the_bin_calls() {}"),
+            ("crates/bench/src/bin/tool.rs", bin),
+        ]);
+        assert_eq!(fired, vec![]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn main() -> ExitCode {
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             let (verdict, detail) = match &outcome {
                 ResilienceOutcome::Correct => ("clean", String::new()),
-                ResilienceOutcome::TypedError(e) => ("RACE/ERROR", e.clone()),
+                ResilienceOutcome::TypedError(e) => ("RACE/ERROR", e.to_string()),
                 ResilienceOutcome::Incorrect => {
                     ("INCORRECT", "result diverged from golden".to_string())
                 }

@@ -15,7 +15,7 @@ use fpga_sim::{FpgaPart, Table3Row};
 use hetero_ir::dpct::{migrate, optimize_for_gpu, DiagnosticKind};
 
 /// Geometric mean of a non-empty slice.
-pub fn geomean(values: &[f64]) -> f64 {
+fn geomean(values: &[f64]) -> f64 {
     let n = values.len().max(1) as f64;
     (values.iter().map(|v| v.max(1e-12).ln()).sum::<f64>() / n).exp()
 }

@@ -150,17 +150,6 @@ pub fn bench<R>(name: &str, iters: usize, f: impl FnMut() -> R) -> Duration {
     median
 }
 
-/// Like [`bench`] but reports the *mean per inner operation* for
-/// closures that run `ops` operations per call (launch storms, batched
-/// kernels).
-pub fn bench_per_op<R>(name: &str, iters: usize, ops: u64, f: impl FnMut() -> R) -> Duration {
-    let s = samples(iters, f);
-    let median = Duration::from_secs_f64(median(&s));
-    let per_op = median / ops.max(1) as u32;
-    println!("{name:<44} median {median:>12.3?}  ({per_op:>9.3?}/op, n={})", s.len());
-    median
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,14 +157,6 @@ mod tests {
     #[test]
     fn median_is_positive_for_real_work() {
         let d = bench("timing_selftest", 3, || {
-            (0..10_000u64).map(std::hint::black_box).sum::<u64>()
-        });
-        assert!(d > Duration::ZERO);
-    }
-
-    #[test]
-    fn per_op_divides_by_ops() {
-        let d = bench_per_op("timing_selftest_per_op", 3, 100, || {
             (0..10_000u64).map(std::hint::black_box).sum::<u64>()
         });
         assert!(d > Duration::ZERO);

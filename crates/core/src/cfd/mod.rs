@@ -23,9 +23,9 @@ use hetero_rt::prelude::*;
 use crate::common::{egress, AppVersion, ExecMode, Real, Step};
 
 /// Neighbours per element (tetrahedral mesh faces).
-pub const NNB: usize = 4;
+pub(crate) const NNB: usize = 4;
 /// Conserved variables per element: density, 3 momentum, energy.
-pub const NVAR: usize = 5;
+pub(crate) const NVAR: usize = 5;
 
 const GAMMA: f64 = 1.4;
 const CFL: f64 = 0.4;
@@ -160,87 +160,6 @@ fn step<T: Real>(input: &CfdInput<T>, vars: &[T]) -> Vec<T> {
         }
     }
     out
-}
-
-/// Compute the flux residual for a state (the right-hand side the time
-/// integrators share).
-fn residual<T: Real>(input: &CfdInput<T>, vars: &[T]) -> Vec<T> {
-    let n = input.nelr;
-    let far = {
-        let density = T::from_f64(1.0);
-        let vx = T::from_f64(0.3);
-        let energy =
-            T::from_f64(1.0 / (GAMMA - 1.0)) + T::from_f64(0.5) * density * vx * vx;
-        [density, density * vx, T::default(), T::default(), energy]
-    };
-    let mut fluxes = vec![T::default(); n * NVAR];
-    for e in 0..n {
-        let ve = load_vars(vars, e);
-        let mut flux = [T::default(); NVAR];
-        for f in 0..NNB {
-            let nb = input.neighbors[e * NNB + f];
-            let normal = [
-                input.normals[(e * NNB + f) * 3],
-                input.normals[(e * NNB + f) * 3 + 1],
-                input.normals[(e * NNB + f) * 3 + 2],
-            ];
-            let vn = if nb >= 0 { load_vars(vars, nb as usize) } else { far };
-            let fe = flux_contribution(&ve, &normal);
-            let fn_ = flux_contribution(&vn, &normal);
-            for v in 0..NVAR {
-                flux[v] = flux[v] + T::from_f64(0.5) * (fe[v] + fn_[v]);
-            }
-        }
-        for v in 0..NVAR {
-            fluxes[e * NVAR + v] = flux[v];
-        }
-    }
-    fluxes
-}
-
-/// One three-stage Runge-Kutta step (the integrator the original
-/// `euler3d` uses; our default `step` is the cheaper explicit Euler —
-/// both are exposed, and the substitution is documented in DESIGN.md).
-pub fn step_rk3<T: Real>(input: &CfdInput<T>, vars: &[T]) -> Vec<T> {
-    let n = input.nelr;
-    let apply = |base: &[T], rhs: &[T], coeff: f64| -> Vec<T> {
-        let mut out = vec![T::default(); n * NVAR];
-        for e in 0..n {
-            let factor = T::from_f64(CFL * 0.01 * coeff) / input.volumes[e];
-            for v in 0..NVAR {
-                out[e * NVAR + v] = base[e * NVAR + v] - factor * rhs[e * NVAR + v];
-            }
-        }
-        out
-    };
-    // SSP-RK3 (Shu-Osher) expressed with full-step residual applications.
-    let k1 = residual(input, vars);
-    let u1 = apply(vars, &k1, 1.0);
-    let k2 = residual(input, &u1);
-    // u2 = 3/4 u + 1/4 (u1 - dt k2)
-    let u1k2 = apply(&u1, &k2, 1.0);
-    let mut u2 = vec![T::default(); n * NVAR];
-    for i in 0..n * NVAR {
-        u2[i] = T::from_f64(0.75) * vars[i] + T::from_f64(0.25) * u1k2[i];
-    }
-    let k3 = residual(input, &u2);
-    // u' = 1/3 u + 2/3 (u2 - dt k3)
-    let u2k3 = apply(&u2, &k3, 1.0);
-    let mut out = vec![T::default(); n * NVAR];
-    for i in 0..n * NVAR {
-        out[i] = T::from_f64(1.0 / 3.0) * vars[i] + T::from_f64(2.0 / 3.0) * u2k3[i];
-    }
-    out
-}
-
-/// Golden reference with the RK3 integrator.
-pub fn golden_rk3<T: Real>(p: &CfdParams) -> Vec<T> {
-    let input = generate::<T>(p);
-    let mut vars = input.variables.clone();
-    for _ in 0..p.iterations {
-        vars = step_rk3(&input, &vars);
-    }
-    vars
 }
 
 /// Golden reference: `iterations` sequential steps.
@@ -582,28 +501,6 @@ mod tests {
                 let r64 = run_with::<f64>(&q, &p, AppVersion::SyclOptimized, mode);
                 assert_eq!(r64, golden::<f64>(&p), "f64 {iterations} {mode:?}");
             }
-        }
-    }
-
-    #[test]
-    fn rk3_stays_close_to_euler_for_small_steps() {
-        // Both integrators march the same ODE; over a few small steps
-        // they agree to first order.
-        let p = CfdParams { nelr: 256, iterations: 2 };
-        let euler = golden::<f64>(&p);
-        let rk3 = golden_rk3::<f64>(&p);
-        let err = crate::common::rel_l2_error(&euler, &rk3);
-        assert!(err < 1e-2, "err = {err}");
-        // And they are not identical (RK3 really does extra stages).
-        assert!(err > 0.0);
-    }
-
-    #[test]
-    fn rk3_preserves_uniform_flow_better_than_euler_is_stable() {
-        let p = CfdParams { nelr: 256, iterations: 20 };
-        let vars = golden_rk3::<f64>(&p);
-        for e in 0..p.nelr {
-            assert!(vars[e * NVAR] > 0.0, "negative density at {e}");
         }
     }
 

@@ -152,7 +152,7 @@ impl Real for f64 {
 }
 
 /// Relative L2 error between two vectors (verification helper).
-pub fn rel_l2_error(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn rel_l2_error(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch in rel_l2_error");
     let mut num = 0.0;
     let mut den = 0.0;

@@ -124,8 +124,9 @@ pub fn golden(p: &Dwt2dParams) -> Vec<f32> {
     img
 }
 
-/// Inverse transform (used by the perfect-reconstruction tests).
-pub fn inverse(p: &Dwt2dParams, coeffs: &[f32]) -> Vec<f32> {
+/// Inverse transform: the perfect-reconstruction tests' oracle.
+#[cfg(test)]
+fn inverse(p: &Dwt2dParams, coeffs: &[f32]) -> Vec<f32> {
     let mut img = coeffs.to_vec();
     let mut dims = Vec::new();
     let mut dim = p.dim;

@@ -236,14 +236,6 @@ pub(crate) fn step_graph(
     })
 }
 
-/// Electromagnetic field energy: ½·Σ(Ez² + Hx² + Hy²) — the physical
-/// diagnostic used by the stability tests (a stable leapfrog scheme
-/// keeps it bounded; a broken one blows it up exponentially).
-pub fn field_energy(f: &Fields) -> f64 {
-    let sum_sq = |v: &[f32]| v.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
-    0.5 * (sum_sq(&f.ez) + sum_sq(&f.hx) + sum_sq(&f.hy))
-}
-
 /// Analytic work profile: 3 stencil kernels per step.
 pub fn work_profile(size: InputSize) -> WorkProfile {
     let p = pparams(size);
@@ -360,6 +352,14 @@ mod tests {
         // Cells away from the centre have picked up signal.
         let off_center = g.ez[(n / 2 + 10) * n + n / 2].abs();
         assert!(off_center > 0.0);
+    }
+
+    /// Electromagnetic field energy: ½·Σ(Ez² + Hx² + Hy²). A stable
+    /// leapfrog scheme keeps it bounded; a broken one blows it up
+    /// exponentially.
+    fn field_energy(f: &Fields) -> f64 {
+        let sum_sq = |v: &[f32]| v.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+        0.5 * (sum_sq(&f.ez) + sum_sq(&f.hx) + sum_sq(&f.hy))
     }
 
     #[test]

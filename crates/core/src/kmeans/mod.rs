@@ -371,11 +371,11 @@ fn run_piped(q: &Queue, p: &KmeansParams) -> KmeansOutput {
                 }),
             ],
         )
-        .expect("kmeans dataflow deadlocked");
+        .unwrap_or_else(|e| std::panic::panic_any(e));
 
         let mut new_centers = centers.clone();
         for c in new_centers.iter_mut() {
-            let v = cp_r.read().expect("center pipe closed");
+            let v = cp_r.read().unwrap_or_else(|e| std::panic::panic_any(e));
             if !v.is_nan() {
                 *c = v;
             }

@@ -233,7 +233,7 @@ pub fn run(q: &Queue, p: &LavamdParams, version: AppVersion) -> Vec<ForceOut> {
             }
         });
     })
-    .expect("lavamd launch failed");
+    .unwrap_or_else(|e| std::panic::panic_any(e));
 
     out.read(|o| {
         o.chunks_exact(4)

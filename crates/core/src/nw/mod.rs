@@ -61,58 +61,6 @@ pub fn golden(p: &NwParams) -> Vec<i32> {
     m
 }
 
-/// One step of a reconstructed alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignStep {
-    /// Characters `s1[i]` and `s2[j]` aligned (match or mismatch).
-    Pair(usize, usize),
-    /// Gap in `s2` (consumes `s1[i]`).
-    GapInS2(usize),
-    /// Gap in `s1` (consumes `s2[j]`).
-    GapInS1(usize),
-}
-
-/// Reconstruct the optimal global alignment from a completed score
-/// matrix (the host-side traceback the original Altis performs after
-/// the kernel; steps are returned from the start of the sequences).
-pub fn traceback(p: &NwParams, matrix: &[i32]) -> Vec<AlignStep> {
-    let (s1, s2) = generate_sequences(p);
-    let n = p.len + 1;
-    let mut steps = Vec::with_capacity(2 * p.len);
-    let (mut i, mut j) = (p.len, p.len);
-    while i > 0 || j > 0 {
-        let here = matrix[i * n + j];
-        if i > 0
-            && j > 0
-            && here == matrix[(i - 1) * n + (j - 1)] + substitution(s1[i - 1], s2[j - 1])
-        {
-            steps.push(AlignStep::Pair(i - 1, j - 1));
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && here == matrix[(i - 1) * n + j] - p.penalty {
-            steps.push(AlignStep::GapInS2(i - 1));
-            i -= 1;
-        } else {
-            steps.push(AlignStep::GapInS1(j - 1));
-            j -= 1;
-        }
-    }
-    steps.reverse();
-    steps
-}
-
-/// Score an alignment independently of the DP matrix (verification).
-pub fn score_alignment(p: &NwParams, steps: &[AlignStep]) -> i32 {
-    let (s1, s2) = generate_sequences(p);
-    steps
-        .iter()
-        .map(|s| match *s {
-            AlignStep::Pair(i, j) => substitution(s1[i], s2[j]),
-            AlignStep::GapInS2(_) | AlignStep::GapInS1(_) => -p.penalty,
-        })
-        .sum()
-}
-
 /// Runtime version: blocked wavefront. Blocks along each anti-diagonal
 /// of the block grid are independent and run as one ND-Range launch;
 /// inside a block, cell anti-diagonals are separated by barriers — the
@@ -221,7 +169,7 @@ pub fn run(q: &Queue, p: &NwParams, version: AppVersion) -> Vec<i32> {
                 });
             },
         )
-        .expect("nw launch failed");
+        .unwrap_or_else(|e| std::panic::panic_any(e));
     }
     egress(matrix)
 }
@@ -349,6 +297,59 @@ mod tests {
         };
         count_scopes(AppVersion::SyclBaseline);
         count_scopes(AppVersion::SyclOptimized);
+    }
+
+    /// One step of a reconstructed alignment.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum AlignStep {
+        /// Characters `s1[i]` and `s2[j]` aligned (match or mismatch).
+        Pair(usize, usize),
+        /// Gap in `s2` (consumes `s1[i]`).
+        GapInS2(usize),
+        /// Gap in `s1` (consumes `s2[j]`).
+        GapInS1(usize),
+    }
+
+    /// Reconstruct the optimal global alignment from a completed score
+    /// matrix (the host-side traceback the original Altis performs after
+    /// the kernel; steps are returned from the start of the sequences): the
+    /// oracle that the golden matrix encodes a real alignment.
+    fn traceback(p: &NwParams, matrix: &[i32]) -> Vec<AlignStep> {
+        let (s1, s2) = generate_sequences(p);
+        let n = p.len + 1;
+        let mut steps = Vec::with_capacity(2 * p.len);
+        let (mut i, mut j) = (p.len, p.len);
+        while i > 0 || j > 0 {
+            let here = matrix[i * n + j];
+            if i > 0
+                && j > 0
+                && here == matrix[(i - 1) * n + (j - 1)] + substitution(s1[i - 1], s2[j - 1])
+            {
+                steps.push(AlignStep::Pair(i - 1, j - 1));
+                i -= 1;
+                j -= 1;
+            } else if i > 0 && here == matrix[(i - 1) * n + j] - p.penalty {
+                steps.push(AlignStep::GapInS2(i - 1));
+                i -= 1;
+            } else {
+                steps.push(AlignStep::GapInS1(j - 1));
+                j -= 1;
+            }
+        }
+        steps.reverse();
+        steps
+    }
+
+    /// Score an alignment independently of the DP matrix (verification).
+    fn score_alignment(p: &NwParams, steps: &[AlignStep]) -> i32 {
+        let (s1, s2) = generate_sequences(p);
+        steps
+            .iter()
+            .map(|s| match *s {
+                AlignStep::Pair(i, j) => substitution(s1[i], s2[j]),
+                AlignStep::GapInS2(_) | AlignStep::GapInS1(_) => -p.penalty,
+            })
+            .sum()
     }
 
     #[test]

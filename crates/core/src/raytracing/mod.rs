@@ -23,7 +23,8 @@ use hetero_rt::prelude::*;
 
 use crate::common::{egress, AppVersion};
 
-pub mod virtual_dispatch;
+#[cfg(test)]
+mod virtual_dispatch;
 
 /// 3-vector.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -65,7 +66,7 @@ impl Vec3 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
     /// Euclidean length.
-    pub fn length(self) -> f32 {
+    fn length(self) -> f32 {
         self.dot(self).sqrt()
     }
     /// Normalised copy (zero vector stays zero).
@@ -263,7 +264,7 @@ fn hit_scene(scene: &[Sphere], origin: Vec3, dir: Vec3, t_max: f32) -> Option<Hi
 /// replacement), with the RNG draws passed in explicitly so the enum
 /// path and the CUDA-style virtual path ([`virtual_dispatch`]) can be
 /// compared bit-for-bit.
-pub fn scatter_with_draws(
+pub(crate) fn scatter_with_draws(
     material: &MaterialFused,
     dir: Vec3,
     normal: Vec3,

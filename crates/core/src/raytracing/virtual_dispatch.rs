@@ -98,7 +98,7 @@ impl Material for Dielectric {
 }
 
 /// Build the boxed (virtual) form of a fused material.
-pub fn boxed_material(m: &MaterialFused) -> Box<dyn Material> {
+fn boxed_material(m: &MaterialFused) -> Box<dyn Material> {
     let u = m.unfuse();
     match u.m_type {
         MaterialType::Lambertian => Box::new(Lambertian { albedo: u.m_albedo }),

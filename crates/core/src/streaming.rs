@@ -52,11 +52,6 @@ pub struct StreamScenario {
 }
 
 impl StreamScenario {
-    /// A transient-launch-failure scenario at `rate` faults/launch.
-    pub fn faulty(seed: u64, rate: f64) -> Self {
-        StreamScenario { fault: Some(Arc::new(FaultPlan::new(seed, rate))), ..Self::default() }
-    }
-
     /// A silent-data-corruption scenario (integrity armed for detection).
     pub fn sdc(seed: u64, rate: f64) -> Self {
         StreamScenario {
@@ -297,7 +292,10 @@ mod tests {
             "SRAD",
             InputSize::S1,
             StreamConfig { checkpoint_every: 4, max_retries: 2 },
-            &StreamScenario::faulty(7, 0.3),
+            &StreamScenario {
+                fault: Some(Arc::new(FaultPlan::new(7, 0.3))),
+                ..StreamScenario::default()
+            },
         )
         .unwrap()
         .unwrap();

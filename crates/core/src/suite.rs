@@ -100,7 +100,7 @@ fn digest_f64s(v: &[f64]) -> u64 {
 
 /// The thirteen configuration names in Figure 2's order ([`all_apps`]
 /// carries the same names; a unit test holds the two together).
-pub const CONFIGS: [&str; 13] = [
+pub(crate) const CONFIGS: [&str; 13] = [
     "CFD FP32", "CFD FP64", "DWT2D", "FDTD2D", "KMeans", "LavaMD", "Mandelbrot", "NW",
     "PF Naive", "PF Float", "Raytracing", "SRAD", "Where",
 ];
@@ -156,7 +156,7 @@ impl Output {
     /// 64-bit fingerprint of every bit of every field, for the
     /// validated-output memo (`memo.rs`, `Lanes`; not the
     /// registry digest, which is several times slower).
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         match self {
             Output::F32(v) => Lanes::new(1).words32(v, f32::to_bits),
             Output::F64(v) => Lanes::new(2).words(v.len(), |i| v[i].to_bits()),
@@ -184,6 +184,7 @@ impl Output {
 /// Run `config` on `q`. `mode` is the route of the five graph-converted
 /// apps ([`GRAPH_FLAVOR_APPS`]; their plain `run` is `ExecMode::Graph`)
 /// and of CFD FP64, and means nothing to the other seven.
+// lint:allow(unused-pub) test oracle: tests/validation_memo.rs damages each configuration's output to show the memo never changes a verdict
 pub fn run_output(
     config: &str,
     q: &Queue,
@@ -516,7 +517,7 @@ pub fn verify_suite_ir() -> std::result::Result<usize, Vec<String>> {
 /// The explicit allowlist of verifier findings the unmodified-DPCT
 /// baseline designs are *known* to carry — the paper's documented
 /// pathologies, named per app and rule so nothing else rides along.
-pub const DPCT_BASELINE_DEVIATIONS: &[hetero_ir::KnownDeviation] = &[
+const DPCT_BASELINE_DEVIATIONS: &[hetero_ir::KnownDeviation] = &[
     hetero_ir::KnownDeviation {
         app: "SRAD",
         rule: "misdeclared-access-pattern",
@@ -561,9 +562,9 @@ pub const DPCT_BASELINE_DEVIATIONS: &[hetero_ir::KnownDeviation] = &[
 pub enum ResilienceOutcome {
     /// The app completed and its results matched the golden reference.
     Correct,
-    /// The app surfaced a typed runtime [`Error`] (directly, or as the
-    /// payload/`Debug` text of an `unwrap` on one).
-    TypedError(String),
+    /// The app surfaced a typed runtime [`Error`]: returned by a launch,
+    /// or raised as a panic payload by an infallible wrapper.
+    TypedError(Error),
     /// The app completed but its results diverged from the reference —
     /// the outcome fault injection must never cause (injected faults
     /// either retry cleanly or abort the run with a typed error).
@@ -587,42 +588,14 @@ impl ResilienceOutcome {
     }
 }
 
-/// `Error` variant names as they appear in `Debug`/`unwrap` panic text;
-/// used to recognise "`unwrap()` on a typed error" panics as typed.
-const TYPED_ERROR_MARKERS: [&str; 15] = [
-    "Canceled",
-    "DataRace",
-    "WorkGroupTooLarge",
-    "IndivisibleRange",
-    "LocalMemExceeded",
-    "UsmUnsupported",
-    "UnsupportedFeature",
-    "AccessOutOfBounds",
-    "KernelPanicked",
-    "TransientLaunchFailure",
-    "UsmAllocFailed",
-    "PipeClosed",
-    "PipeDeadlock",
-    "DataCorruption",
-    "ReplicaDivergence",
-];
-
+/// A typed [`Error`] payload is what it carries; any other panic is a
+/// containment failure, reported with its message.
 fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> ResilienceOutcome {
-    let payload = match payload.downcast::<Error>() {
-        Ok(e) => return ResilienceOutcome::TypedError(e.to_string()),
-        Err(p) => p,
-    };
-    let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        return ResilienceOutcome::Panicked("non-string panic payload".to_string());
-    };
-    if TYPED_ERROR_MARKERS.iter().any(|m| message.contains(m)) {
-        ResilienceOutcome::TypedError(message)
-    } else {
-        ResilienceOutcome::Panicked(message)
+    match hetero_rt::fault::classify_panic("<host>", 0, payload) {
+        Error::KernelPanicked { kernel: "<host>", message, .. } => {
+            ResilienceOutcome::Panicked(message)
+        }
+        e => ResilienceOutcome::TypedError(e),
     }
 }
 
@@ -700,8 +673,8 @@ pub fn run_flavored_inline(
 
 /// End-to-end verdict of one run under silent-data-corruption
 /// injection (see [`run_sdc`]). The defense contract is that every run
-/// ends in one of the first three states — [`SdcOutcome::is_defended`]
-/// — never with silently wrong output accepted as success.
+/// ends in one of the first three states, never with silently wrong
+/// output accepted as success.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SdcOutcome {
     /// Output validated and no corruption was detected or corrected
@@ -732,14 +705,6 @@ pub enum SdcOutcome {
     },
 }
 
-impl SdcOutcome {
-    /// Whether the run honoured the defense contract: finished with a
-    /// validated (possibly corrected) output, or rejected loudly.
-    pub fn is_defended(&self) -> bool {
-        !matches!(self, SdcOutcome::Uncontained { .. })
-    }
-}
-
 fn integrity_events() -> u64 {
     hetero_rt::integrity::detections_total() + hetero_rt::integrity::corrected_total()
 }
@@ -754,7 +719,7 @@ fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
         },
         Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason },
         Err(payload) => match classify_payload(payload) {
-            ResilienceOutcome::TypedError(reason) => SdcOutcome::Quarantined { reason },
+            ResilienceOutcome::TypedError(e) => SdcOutcome::Quarantined { reason: e.to_string() },
             other => SdcOutcome::Uncontained {
                 what: format!("{other:?}"),
             },
@@ -845,7 +810,7 @@ pub const GRAPH_FLAVOR_APPS: [&str; 5] =
 /// bodies of the [`graph_mode_matrix`] cells, factored out so the
 /// serving layer can execute a single `(app, flavor)` pair on demand.
 /// Returns `None` when `name` is not in [`GRAPH_FLAVOR_APPS`].
-pub fn verify_graph_flavor(
+fn verify_graph_flavor(
     name: &str,
     q: &Queue,
     size: InputSize,
@@ -929,7 +894,7 @@ pub fn render_golden_registry(rows: &[GoldenRow]) -> String {
 
 /// Parse the committed TSV format back into rows; `#` lines and blank
 /// lines are ignored. Errors name the offending line.
-pub fn parse_golden_registry(text: &str) -> std::result::Result<Vec<GoldenRow>, String> {
+fn parse_golden_registry(text: &str) -> std::result::Result<Vec<GoldenRow>, String> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -952,20 +917,15 @@ pub fn parse_golden_registry(text: &str) -> std::result::Result<Vec<GoldenRow>, 
     Ok(rows)
 }
 
-/// Check freshly computed digests against the committed registry.
-/// Returns the number of rows checked, or one message per drifted /
-/// missing / stale row. A drift here means a reference implementation
-/// or data generator changed output without the registry being
-/// regenerated — exactly the silent drift the registry exists to catch.
-pub fn check_golden_registry() -> std::result::Result<usize, Vec<String>> {
-    check_golden_registry_sizes(&InputSize::all())
-}
-
-/// [`check_golden_registry`] restricted to `sizes` — what the `chaos` /
-/// `sanitize` / `sdc` binaries run at startup, scoped to the sizes
-/// their matrix actually exercises so the check stays cheap. Committed
-/// rows at other sizes are ignored; stale rows are reported only within
-/// `sizes`.
+/// Check freshly computed digests against the committed registry at
+/// `sizes` — what the `chaos` / `sanitize` / `sdc` binaries run at
+/// startup, scoped to the sizes their matrix actually exercises so the
+/// check stays cheap. Returns the number of rows checked, or one message
+/// per drifted / missing / stale row: a drift means a reference
+/// implementation or data generator changed output without the registry
+/// being regenerated — exactly the silent drift the registry exists to
+/// catch. Committed rows at other sizes are ignored; stale rows are
+/// reported only within `sizes`.
 pub fn check_golden_registry_sizes(
     sizes: &[InputSize],
 ) -> std::result::Result<usize, Vec<String>> {
@@ -1260,10 +1220,11 @@ mod tests {
             std::panic::panic_any(Error::PipeDeadlock { waited_secs: 1 })
         });
         let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
-        assert!(matches!(o, ResilienceOutcome::TypedError(_)), "{o:?}");
+        assert_eq!(o, ResilienceOutcome::TypedError(Error::PipeDeadlock { waited_secs: 1 }));
         assert!(o.is_contained());
 
-        // An unwrap() of a typed error: String payload, recognised text.
+        // An unwrap() of a typed error is an ordinary panic: the error
+        // travels as the payload or not at all.
         fn failing_launch() -> hetero_rt::Result<()> {
             Err(Error::TransientLaunchFailure { kernel: "k", attempts: 3 })
         }
@@ -1272,7 +1233,7 @@ mod tests {
             true
         });
         let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
-        assert!(matches!(o, ResilienceOutcome::TypedError(_)), "{o:?}");
+        assert!(matches!(o, ResilienceOutcome::Panicked(_)), "{o:?}");
 
         // An arbitrary panic is containment failure.
         let app = harness_entry(|_, _, _| panic!("application bug"));
@@ -1324,6 +1285,42 @@ mod tests {
         assert_ne!(digest_f32s(&[1.0]), digest_f64s(&[1.0]));
     }
 
+    /// The memo's fingerprint separates content, order, length and kind.
+    #[test]
+    fn fingerprint_separates() {
+        let f32s = |v: &[f32]| Output::F32(v.to_vec()).fingerprint();
+        assert_eq!(f32s(&[1.0, 2.0, 3.0]), f32s(&[1.0, 2.0, 3.0]));
+        assert_ne!(f32s(&[1.0, 2.0, 3.0]), f32s(&[1.0, 2.0]));
+        assert_ne!(f32s(&[1.0, 2.0, 3.0]), f32s(&[3.0, 2.0, 1.0]));
+        assert_ne!(f32s(&[1.0, 2.0, 3.0]), f32s(&[1.0, 2.0, 3.5]));
+        // Zero padding is not free at either parity, nor is an empty output.
+        let zeros: Vec<u64> = (0..12).map(|n| f32s(&vec![0.0; n])).collect();
+        for (i, a) in zeros.iter().enumerate() {
+            assert!(zeros[..i].iter().all(|b| a != b), "{i} zeros collide with a shorter run");
+        }
+        // Equal values, and equal bits, of different kinds.
+        assert_ne!(f32s(&[1.0]), Output::F64(vec![1.0]).fingerprint());
+        assert_ne!(Output::U32(vec![7, 8]).fingerprint(), Output::I32(vec![7, 8]).fingerprint());
+        // Fields cannot trade elements or places.
+        let fields = |ez: &[f32], hx: &[f32], hy: &[f32]| {
+            let (ez, hx, hy) = (ez.to_vec(), hx.to_vec(), hy.to_vec());
+            Output::Fields(crate::fdtd2d::Fields { ez, hx, hy }).fingerprint()
+        };
+        assert_ne!(fields(&[1.0, 2.0], &[3.0], &[]), fields(&[1.0], &[2.0, 3.0], &[]));
+        assert_ne!(fields(&[1.0], &[2.0], &[3.0]), fields(&[2.0], &[1.0], &[3.0]));
+        // Every single-bit change of a ragged vector shows (a step is a
+        // bijection of its lane, so this holds for any data).
+        let base: Vec<f32> = (0..67).map(|i| (i as f32).sin()).collect();
+        let clean = f32s(&base);
+        for i in 0..base.len() {
+            for bit in 0..32 {
+                let mut v = base.clone();
+                v[i] = f32::from_bits(v[i].to_bits() ^ (1 << bit));
+                assert_ne!(f32s(&v), clean, "element {i} bit {bit}");
+            }
+        }
+    }
+
     #[test]
     fn golden_registry_renders_and_parses_roundtrip() {
         let rows = vec![
@@ -1349,7 +1346,6 @@ mod tests {
         let app = sdc_entry(|_, _, _| Validation::Valid);
         let o = run_sdc(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
         assert_eq!(o, SdcOutcome::Correct);
-        assert!(o.is_defended());
 
         // Invalid output: quarantined, naming the failed check.
         let app = sdc_entry(|_, _, _| Validation::Invalid("membership 9 out of range".into()));
@@ -1358,9 +1354,9 @@ mod tests {
             o,
             SdcOutcome::Quarantined { reason: "membership 9 out of range".to_string() }
         );
-        assert!(o.is_defended());
 
-        // A typed corruption error (raised or unwrapped): quarantined.
+        // A typed corruption error raised as the payload: quarantined.
+        // Unwrapped, it is an untyped panic like any other.
         let app = sdc_entry(|_, _, _| {
             std::panic::panic_any(Error::DataCorruption { region: 7, page: 1, epoch: 2 })
         });
@@ -1374,13 +1370,12 @@ mod tests {
             Validation::Valid
         });
         let o = run_sdc(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
-        assert!(matches!(o, SdcOutcome::Quarantined { .. }), "{o:?}");
+        assert!(matches!(o, SdcOutcome::Uncontained { .. }), "{o:?}");
 
         // Untyped panic: defense failure.
         let app = sdc_entry(|_, _, _| panic!("application bug"));
         let o = run_sdc(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
         assert!(matches!(o, SdcOutcome::Uncontained { .. }), "{o:?}");
-        assert!(!o.is_defended());
 
         // Hang: defense failure.
         let app = sdc_entry(|_, _, _| {
@@ -1395,7 +1390,6 @@ mod tests {
             Duration::from_millis(100),
         );
         assert!(matches!(o, SdcOutcome::Uncontained { .. }), "{o:?}");
-        assert!(!o.is_defended());
     }
 
     #[test]
@@ -1414,7 +1408,6 @@ mod tests {
             Duration::from_secs(5),
         );
         assert_eq!(o, SdcOutcome::Corrected { events: 2 });
-        assert!(o.is_defended());
     }
 
     #[test]

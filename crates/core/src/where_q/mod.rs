@@ -56,7 +56,7 @@ pub fn golden(p: &WhereParams) -> Vec<Record> {
 
 /// Scan flavour for a version/device combination: CUDA uses CUB, the
 /// migrated SYCL uses oneDPL, and FPGA queues use the custom scan.
-pub fn scan_flavor_for(version: AppVersion, device: &Device) -> ScanFlavor {
+fn scan_flavor_for(version: AppVersion, device: &Device) -> ScanFlavor {
     if device.is_fpga() {
         ScanFlavor::FpgaCustom
     } else {
@@ -154,14 +154,6 @@ fn run_staged(
     let mut result = egress(out);
     result.truncate(total);
     result
-}
-
-/// Value-distribution histogram of the record table (selectivity
-/// profiling — what a query planner would precompute before choosing a
-/// predicate; built on `par-dpl`'s histogram).
-pub fn selectivity_histogram(p: &WhereParams, bins: usize) -> Vec<u64> {
-    let values: Vec<u32> = generate_records(p).iter().map(|r| r.value).collect();
-    par_dpl::histogram_u32_mod(&values, bins)
 }
 
 /// Analytic work profile.
@@ -318,16 +310,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{e}"));
             }
         }
-    }
-
-    #[test]
-    fn selectivity_histogram_predicts_filter_output() {
-        // The histogram of values mod 100 predicts the predicate's
-        // selectivity exactly (the predicate is `value < threshold`).
-        let p = WhereParams { n_records: 50_000, selectivity_pct: 30 };
-        let hist = selectivity_histogram(&p, 100);
-        let predicted: u64 = hist[..30].iter().sum();
-        assert_eq!(predicted as usize, golden(&p).len());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod regime;
 pub mod roofline;
 
 pub use device::{DeviceClass, DeviceSpec};
-pub use overhead::{OverheadModel, RuntimeFlavor};
+pub use overhead::RuntimeFlavor;
 pub use profile::{EfficiencyHints, WorkProfile};
 pub use regime::{classify, Regime, RegimeReport};
 pub use roofline::{estimate, TimeBreakdown};

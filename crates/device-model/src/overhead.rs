@@ -29,7 +29,7 @@ pub enum RuntimeFlavor {
 
 /// Overhead parameters of one flavour.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadModel {
+pub(crate) struct OverheadModel {
     /// Fixed cost per application run (context creation, JIT, board
     /// bring-up), in microseconds.
     pub fixed_us: f64,
@@ -59,7 +59,7 @@ impl RuntimeFlavor {
     /// * SYCL non-kernel ≈ 2.7 ms at size 1 (≈ 6.7× CUDA's) — the extra
     ///   context/event-management CUDA API calls the paper profiles put
     ///   most of the cost on the per-launch path.
-    pub fn overheads(self) -> OverheadModel {
+    fn overheads(self) -> OverheadModel {
         match self {
             RuntimeFlavor::Cuda => OverheadModel {
                 fixed_us: 40.0,
@@ -122,51 +122,6 @@ pub fn non_kernel_seconds(
     launch_s + transfer_s
 }
 
-impl OverheadModel {
-    /// Per-launch cost when the launch is *replayed* from a recorded
-    /// graph rather than submitted through the full API path, in
-    /// microseconds. CUDA graphs and SYCL command-graph extensions both
-    /// report roughly an order of magnitude less driver work per node
-    /// (validation, dependency analysis and descriptor setup are paid
-    /// once at record time); our own `graph_replay` microbench shows
-    /// the same shape for the executable runtime. Floored so replay
-    /// never models as free: the dispatch itself remains.
-    pub fn replay_per_launch_us(&self) -> f64 {
-        (self.per_launch_us / 10.0).max(0.1)
-    }
-
-    /// Bandwidth a converted streaming kernel is modelled to move under
-    /// this flavour, given the device's achievable (memcpy) peak in
-    /// GB/s.
-    pub fn achieved_bw_gbs(&self, memcpy_peak_gbs: f64) -> f64 {
-        memcpy_peak_gbs * self.achieved_bw_fraction
-    }
-}
-
-/// [`non_kernel_seconds`] when a fraction of the launches run as graph
-/// replays: launches split into `replay_fraction` at the replay rate
-/// and the remainder at the full per-launch rate. `replay_fraction` is
-/// clamped to [0, 1]; transfers and fixed cost are unaffected (graphs
-/// remove per-launch API work, not data movement or JIT).
-pub fn non_kernel_seconds_replayed(
-    profile: &WorkProfile,
-    device: &DeviceSpec,
-    flavor: RuntimeFlavor,
-    replay_fraction: f64,
-) -> f64 {
-    let o = flavor.overheads();
-    let f = replay_fraction.clamp(0.0, 1.0);
-    let launches = profile.kernel_launches as f64;
-    let launch_us = o.per_launch_us * launches * (1.0 - f)
-        + o.replay_per_launch_us() * launches * f;
-    let transfer_s = if device.pcie_bw_gbs.is_infinite() {
-        0.0
-    } else {
-        o.transfer_factor * profile.transfer_bytes as f64 / (device.pcie_bw_gbs * 1e9)
-    };
-    (o.fixed_us + launch_us) * 1e-6 + transfer_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +154,6 @@ mod tests {
         for f in flavors {
             let o = f.overheads();
             assert!(o.achieved_bw_fraction > 0.0 && o.achieved_bw_fraction < 1.0, "{f:?}");
-            assert_eq!(o.achieved_bw_gbs(100.0), 100.0 * o.achieved_bw_fraction);
         }
         // FPGA-vs-CPU comparisons rest on this ordering: a single deep
         // pipeline streams a smaller share of its DDR peak than the
@@ -231,41 +185,6 @@ mod tests {
         let few = non_kernel_seconds(&profile(10, 0), &dev, RuntimeFlavor::SyclOnCuda);
         let many = non_kernel_seconds(&profile(2_000, 0), &dev, RuntimeFlavor::SyclOnCuda);
         assert!(many > 10.0 * few);
-    }
-
-    #[test]
-    fn replay_rate_is_an_order_cheaper_but_never_free() {
-        for flavor in [
-            RuntimeFlavor::Cuda,
-            RuntimeFlavor::SyclOnCuda,
-            RuntimeFlavor::SyclNative,
-            RuntimeFlavor::SyclFpga,
-        ] {
-            let o = flavor.overheads();
-            let r = o.replay_per_launch_us();
-            assert!(r > 0.0, "{flavor:?}");
-            assert!(r <= o.per_launch_us / 2.0, "{flavor:?}: {r}");
-        }
-    }
-
-    #[test]
-    fn full_replay_recovers_most_of_the_launch_overhead() {
-        // FDTD2D size 1 on the paper's stack: replaying the whole loop
-        // collapses the SYCL non-kernel region most of the way back
-        // toward the fixed + transfer floor.
-        let dev = DeviceSpec::rtx_2080();
-        let p = profile(300, 800_000);
-        let none = non_kernel_seconds_replayed(&p, &dev, RuntimeFlavor::SyclOnCuda, 0.0);
-        let all = non_kernel_seconds_replayed(&p, &dev, RuntimeFlavor::SyclOnCuda, 1.0);
-        assert_eq!(none, non_kernel_seconds(&p, &dev, RuntimeFlavor::SyclOnCuda));
-        assert!(all < none / 2.0, "{all} vs {none}");
-        // Half-replayed sits strictly between, and fractions clamp.
-        let half = non_kernel_seconds_replayed(&p, &dev, RuntimeFlavor::SyclOnCuda, 0.5);
-        assert!(all < half && half < none);
-        assert_eq!(
-            non_kernel_seconds_replayed(&p, &dev, RuntimeFlavor::SyclOnCuda, 7.0),
-            all
-        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Work profiles: what a whole application run does, in model terms.
 
-use hetero_ir::analysis::KernelCost;
-
 /// Application-specific efficiency hints, set by each Altis app to
 /// describe how well its kernels map onto a generic device. These are
 /// *structural* properties (divergence, access regularity), not
@@ -53,24 +51,6 @@ impl WorkProfile {
         }
     }
 
-    /// Build a profile from an IR kernel cost, launched `launches` times.
-    pub fn from_kernel_cost(cost: &KernelCost, launches: u64) -> Self {
-        WorkProfile {
-            // `OpMix::flops` reports FP32-weighted totals; split out the
-            // explicitly FP64 portion so devices with poor FP64 are
-            // penalised correctly.
-            f32_flops: (cost.mix.f32_ops
-                + 4 * cost.mix.fdiv_ops
-                + 8 * cost.mix.transcendental_ops)
-                * launches,
-            f64_flops: cost.mix.f64_ops * launches,
-            global_bytes: cost.global_bytes() * launches,
-            kernel_launches: launches,
-            transfer_bytes: 0,
-            hints: EfficiencyHints::default(),
-        }
-    }
-
     /// Accumulate another profile (kernels of the same run).
     pub fn merged(&self, o: &WorkProfile) -> WorkProfile {
         WorkProfile {
@@ -86,12 +66,6 @@ impl WorkProfile {
                 memory: self.hints.memory.min(o.hints.memory),
             },
         }
-    }
-
-    /// Set hints (builder style).
-    pub fn with_hints(mut self, hints: EfficiencyHints) -> Self {
-        self.hints = hints;
-        self
     }
 
     /// Total FLOPs regardless of precision.
@@ -112,21 +86,6 @@ impl WorkProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_ir::builder::{KernelBuilder, LoopBuilder};
-    use hetero_ir::ir::OpMix;
-
-    #[test]
-    fn from_kernel_cost_scales_by_launches() {
-        let l = LoopBuilder::new("l", 10)
-            .body(OpMix { f32_ops: 2, global_read_bytes: 8, ..OpMix::default() })
-            .build();
-        let k = KernelBuilder::nd_range("k", 32).loop_(l).build();
-        let cost = hetero_ir::analysis::kernel_cost(&k, 100);
-        let p = WorkProfile::from_kernel_cost(&cost, 5);
-        assert_eq!(p.f32_flops, 2 * 10 * 100 * 5);
-        assert_eq!(p.global_bytes, 8 * 10 * 100 * 5);
-        assert_eq!(p.kernel_launches, 5);
-    }
 
     #[test]
     fn merge_accumulates_and_keeps_conservative_hints() {

@@ -21,7 +21,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Total run time, seconds.
-    pub fn total_s(&self) -> f64 {
+    fn total_s(&self) -> f64 {
         self.kernel_s + self.non_kernel_s
     }
 
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn hints_scale_kernel_time() {
         let base = compute_profile(1 << 32);
-        let hinted = base.with_hints(EfficiencyHints { compute: 0.5, memory: 1.0 });
+        let hinted = WorkProfile { hints: EfficiencyHints { compute: 0.5, memory: 1.0 }, ..base };
         let dev = DeviceSpec::rtx_2080();
         let t0 = estimate(&base, &dev, RuntimeFlavor::Cuda).kernel_s;
         let t1 = estimate(&hinted, &dev, RuntimeFlavor::Cuda).kernel_s;

@@ -24,7 +24,7 @@ fn count_loops(l: &Loop) -> usize {
 }
 
 /// Structural Fmax derate of a single kernel (1.0 = no penalty).
-pub fn kernel_fmax_derate(kernel: &Kernel) -> f64 {
+fn kernel_fmax_derate(kernel: &Kernel) -> f64 {
     let mut derate: f64 = 1.0;
     if kernel
         .local_arrays

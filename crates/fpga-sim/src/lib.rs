@@ -62,6 +62,6 @@ pub use dse::{replicate_while_beneficial, retarget, sweep, DsePoint};
 pub use fmax::estimate_fmax;
 pub use memsys::{plan_memory_system, MemorySystem};
 pub use part::FpgaPart;
-pub use report::{DesignReport, Table3Row};
+pub use report::Table3Row;
 pub use resources::{FitError, ResourceUsage};
 pub use timing::{simulate, GroupTiming, SimReport};

@@ -17,7 +17,7 @@ use hetero_ir::ir::{AccessPattern, LocalArrayDecl};
 use crate::calibrate::M20K_BYTES;
 
 /// Ports physically available on one M20K block (true dual-port).
-pub const PORTS_PER_BLOCK: u32 = 2;
+const PORTS_PER_BLOCK: u32 = 2;
 
 /// The memory system the compiler would synthesise for one local array
 /// under a given concurrent-access demand.
@@ -106,17 +106,6 @@ pub fn plan_memory_system(
     }
 }
 
-/// Expected stall factor of a planned system (1.0 = stall-free): each
-/// arbitrated port beyond the physical budget serialises one access.
-pub fn stall_factor(sys: &MemorySystem) -> f64 {
-    if sys.stall_free {
-        1.0
-    } else {
-        let total = (sys.read_ports_demanded + sys.write_ports_demanded).max(1);
-        f64::from(total) / f64::from(PORTS_PER_BLOCK.min(total))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +128,6 @@ mod tests {
         assert!(sys.stall_free);
         assert_eq!(sys.arbiters, 0);
         assert!(sys.replicas >= 15, "need replicas for 30 reads: {sys:?}");
-        assert!((stall_factor(&sys) - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -158,7 +146,6 @@ mod tests {
         let sys = plan_memory_system(&array(AccessPattern::Irregular, 289), 3, 1);
         assert!(!sys.stall_free);
         assert!(sys.arbiters >= 1);
-        assert!(stall_factor(&sys) >= 2.0, "{}", stall_factor(&sys));
         // No replication is possible: block count equals footprint.
         assert_eq!(sys.replicas, 1);
     }

@@ -33,7 +33,7 @@ use hetero_ir::ir::{AccessPattern, Kernel, KernelStyle, Loop, OpMix};
 use crate::calibrate::*;
 
 /// Pipeline fill latency implied by a body op mix.
-pub fn body_depth(body: &OpMix) -> u64 {
+fn body_depth(body: &OpMix) -> u64 {
     let fp_ops = body.f32_ops + body.f64_ops + body.fdiv_ops;
     PIPELINE_DEPTH_BASE
         + PIPELINE_DEPTH_PER_FP_OP * fp_ops
@@ -41,7 +41,7 @@ pub fn body_depth(body: &OpMix) -> u64 {
 }
 
 /// Stall multiplier implied by the worst local-memory access pattern.
-pub fn local_stall_factor(pattern: Option<AccessPattern>) -> f64 {
+fn local_stall_factor(pattern: Option<AccessPattern>) -> f64 {
     match pattern {
         Some(AccessPattern::Irregular) => ARBITER_STALL_FACTOR,
         Some(AccessPattern::Regular) => PORT_PRESSURE_STALL_FACTOR,
@@ -81,7 +81,7 @@ pub fn effective_speculation(l: &Loop) -> u32 {
 }
 
 /// Cycles for one entry of a Single-Task loop nest.
-pub fn loop_cycles(l: &Loop, pattern: Option<AccessPattern>) -> f64 {
+fn loop_cycles(l: &Loop, pattern: Option<AccessPattern>) -> f64 {
     let ii = effective_ii(l, pattern);
     let spec = effective_speculation(l) as f64;
     let unroll = l.attrs.unroll.max(1) as f64;
@@ -111,7 +111,7 @@ pub fn loop_cycles(l: &Loop, pattern: Option<AccessPattern>) -> f64 {
 /// the iteration count by replicating the body spatially. This
 /// asymmetry is the structural source of the paper's Single-Task
 /// rewrites (Mandelbrot, ParticleFilter) and unrolling wins (LavaMD).
-pub fn loop_cycles_nonpipelined(l: &Loop, pattern: Option<AccessPattern>) -> f64 {
+fn loop_cycles_nonpipelined(l: &Loop, pattern: Option<AccessPattern>) -> f64 {
     let unroll = l.attrs.unroll.max(1) as f64;
     let trips = (l.trip_count as f64 / unroll).ceil().max(1.0);
     let stall = if l.body.local_accesses() > 0 {

@@ -5,7 +5,6 @@ use crate::design::Design;
 use crate::fmax::estimate_fmax;
 use crate::part::FpgaPart;
 use crate::resources::design_resources;
-use crate::timing::simulate;
 
 /// One row of the paper's Table 3 for one part.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,15 +23,6 @@ pub struct Table3Row {
     pub fmax_mhz: f64,
 }
 
-/// Complete synthesis + timing report for a design on a part.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DesignReport {
-    /// The Table-3 row.
-    pub row: Table3Row,
-    /// Total estimated kernel time in seconds.
-    pub total_seconds: f64,
-}
-
 /// Produce the Table-3 row for a design on a part.
 pub fn table3_row(design: &Design, part: &FpgaPart) -> Table3Row {
     let usage = design_resources(design);
@@ -44,14 +34,6 @@ pub fn table3_row(design: &Design, part: &FpgaPart) -> Table3Row {
         bram_pct: bram * 100.0,
         dsp_pct: dsp * 100.0,
         fmax_mhz: estimate_fmax(design, part),
-    }
-}
-
-/// Produce the full report for a design on a part.
-pub fn design_report(design: &Design, part: &FpgaPart) -> DesignReport {
-    DesignReport {
-        row: table3_row(design, part),
-        total_seconds: simulate(design, part).total_seconds,
     }
 }
 
@@ -90,12 +72,5 @@ mod tests {
         let agx = table3_row(&d, &FpgaPart::agilex());
         assert!(agx.alm_pct > s10.alm_pct);
         assert!(agx.fmax_mhz > s10.fmax_mhz);
-    }
-
-    #[test]
-    fn report_includes_timing() {
-        let r = design_report(&demo_design(), &FpgaPart::agilex());
-        assert!(r.total_seconds > 0.0);
-        assert_eq!(r.row.design, "demo");
     }
 }

@@ -31,7 +31,7 @@ pub struct ResourceUsage {
 
 impl ResourceUsage {
     /// Element-wise sum.
-    pub fn plus(&self, o: &ResourceUsage) -> ResourceUsage {
+    fn plus(&self, o: &ResourceUsage) -> ResourceUsage {
         ResourceUsage {
             alms: self.alms + o.alms,
             brams: self.brams + o.brams,

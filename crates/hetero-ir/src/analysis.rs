@@ -6,16 +6,16 @@ use crate::ir::{Kernel, KernelStyle, Loop, OpMix};
 
 /// Aggregated cost of one loop (including children), for one entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoopCost {
+struct LoopCost {
     /// Total iterations executed across the nest (unroll-invariant:
     /// unrolling changes scheduling, not work).
-    pub iterations: u64,
+    iterations: u64,
     /// Aggregated op mix across the nest.
-    pub mix: OpMix,
+    mix: OpMix,
 }
 
 /// Aggregate the full cost of a loop nest for a single entry.
-pub fn loop_cost(l: &Loop) -> LoopCost {
+fn loop_cost(l: &Loop) -> LoopCost {
     let mut mix = l.body.scaled(l.trip_count);
     let mut iterations = l.trip_count;
     for c in &l.children {

@@ -234,12 +234,12 @@ mod tests {
         let k = KernelBuilder::nd_range("k", 32)
             .dynamic_local_array("sh", Scalar::F64, AccessPattern::Banked)
             .build();
-        assert!(k.has_dynamic_local());
+        assert!(k.local_arrays[0].len.is_none());
         assert!(k.local_arrays[0].passed_as_accessor_object);
         let k2 = KernelBuilder::nd_range("k", 32)
             .local_array("sh", Scalar::F64, 1, AccessPattern::Banked)
             .build();
-        assert!(!k2.has_dynamic_local());
+        assert!(k2.local_arrays[0].len.is_some());
         assert_eq!(k2.synthesized_local_bytes(), 8);
     }
 

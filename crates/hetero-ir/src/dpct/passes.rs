@@ -9,10 +9,10 @@ use super::source::{
 /// DPC++'s (modelled) default inlining threshold, in callee instructions.
 /// The paper raises it to 10 000 via `-finlining-threshold` to recover 2×
 /// on NW.
-pub const DEFAULT_INLINE_THRESHOLD: u32 = 225;
+const DEFAULT_INLINE_THRESHOLD: u32 = 225;
 
 /// The threshold value the paper passes to the compiler.
-pub const RAISED_INLINE_THRESHOLD: u32 = 10_000;
+const RAISED_INLINE_THRESHOLD: u32 = 10_000;
 
 /// FPGA default work-group-size limit in the presence of barriers.
 const FPGA_DEFAULT_WG_LIMIT: usize = 128;

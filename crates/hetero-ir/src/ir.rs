@@ -253,12 +253,6 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Whether the kernel uses any dynamically-sized local array, which
-    /// makes the FPGA compiler over-provision memory (paper Section 4).
-    pub fn has_dynamic_local(&self) -> bool {
-        self.local_arrays.iter().any(|a| a.len.is_none())
-    }
-
     /// Total bytes of local memory the FPGA compiler will synthesise.
     pub fn synthesized_local_bytes(&self) -> usize {
         self.local_arrays.iter().map(|a| a.synthesized_bytes()).sum()
@@ -356,7 +350,6 @@ mod tests {
             dominant_type: Scalar::F32,
         };
         assert_eq!(k.worst_local_pattern(), Some(AccessPattern::Irregular));
-        assert!(!k.has_dynamic_local());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod ir;
 pub mod printer;
 pub mod verify;
 
-pub use analysis::{KernelCost, LoopCost};
+pub use analysis::KernelCost;
 pub use builder::{KernelBuilder, LoopBuilder};
 pub use printer::{print_kernel, validate_kernel, ValidationError};
 pub use verify::{verify_kernel, verify_kernels, DeviceLimits, KnownDeviation, VerifyError};

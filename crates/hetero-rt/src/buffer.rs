@@ -20,7 +20,6 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
@@ -200,7 +199,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
 
     /// Fallible [`Buffer::write_from`]: `Err(Error::AccessOutOfBounds)`
     /// when the source slice length differs from the buffer length.
-    pub fn try_write_from(&self, src: &[T]) -> Result<()> {
+    pub(crate) fn try_write_from(&self, src: &[T]) -> Result<()> {
         let mut guard = self.storage.host();
         if src.len() != guard.len() {
             return Err(Error::AccessOutOfBounds {
@@ -556,8 +555,7 @@ struct SlabEntry {
 }
 
 /// Maximum recycled allocations kept per `(type, length)` size class;
-/// returns beyond this are dropped (counted in
-/// [`SlabStats::rejected`]) so a burst of temporaries cannot pin
+/// returns beyond this are dropped so a burst of temporaries cannot pin
 /// unbounded memory.
 const SLAB_SHELF_CAP: usize = 8;
 
@@ -573,7 +571,7 @@ const SLAB_SHELF_CAP: usize = 8;
 /// by a worker goes to that worker's stripe and is preferentially
 /// re-taken by the same worker, so hot ping-pong bytes stay in the
 /// claiming core's cache; other stripes are stolen from only on a local
-/// miss. Traffic counters stay slab-global.
+/// miss.
 ///
 /// Reuse recycles **bytes only**, never identity: a recycled buffer gets
 /// a fresh sanitizer object id and a freshly registered integrity region
@@ -609,35 +607,11 @@ fn home_stripe() -> usize {
 /// stripe), so a worker's hot buffers stay core-local.
 pub struct BufferSlab {
     stripes: [Mutex<Shelves>; SLAB_STRIPES],
-    reuses: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// Counters describing slab traffic (see [`crate::Queue::slab_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabStats {
-    /// Allocation requests served from a shelf.
-    pub reuses: u64,
-    /// Allocation requests that fell through to a fresh allocation.
-    pub misses: u64,
-    /// Allocations successfully returned to a shelf.
-    pub returns: u64,
-    /// Recycle attempts refused (outstanding views/clones) or dropped
-    /// (shelf at capacity).
-    pub rejected: u64,
 }
 
 impl BufferSlab {
     pub(crate) fn new() -> Self {
-        BufferSlab {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            reuses: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            returns: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
+        BufferSlab { stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
     }
 
     /// Take a retired allocation of erased type `D` and exact length
@@ -656,46 +630,26 @@ impl BufferSlab {
                 shelves.get_mut(&key).and_then(Vec::pop)
             };
             if let Some(e) = entry {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
                 let data = *e.data.downcast::<D>().expect("slab shelf keyed by TypeId");
                 return Some((data, e.generation));
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
     /// Shelve a retired allocation on the calling thread's stripe.
-    /// Returns `false` (and counts a rejection) when that stripe's size
-    /// class is already at capacity.
+    /// Returns `false` when that stripe's size class is already at
+    /// capacity.
     pub(crate) fn put<D: Any + Send>(&self, len: usize, data: D, generation: u64) -> bool {
         let key = (TypeId::of::<D>(), len);
         let mut shelves =
             self.stripes[home_stripe()].lock().unwrap_or_else(PoisonError::into_inner);
         let shelf = shelves.entry(key).or_default();
         if shelf.len() >= SLAB_SHELF_CAP {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         shelf.push(SlabEntry { data: Box::new(data), generation });
-        self.returns.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Count a recycle attempt refused before reaching a shelf (the
-    /// allocation still had views or clones outstanding).
-    pub(crate) fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the traffic counters.
-    pub(crate) fn stats(&self) -> SlabStats {
-        SlabStats {
-            reuses: self.reuses.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            returns: self.returns.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -114,7 +114,7 @@ pub enum Error {
         /// Region id (creation-order object id of the Buffer/USM
         /// allocation).
         region: u64,
-        /// Page index (multiples of [`crate::integrity::PAGE_BYTES`])
+        /// Page index (multiples of `integrity::PAGE_BYTES`)
         /// where the first mismatch was found.
         page: usize,
         /// Seal epoch the contents diverged from.

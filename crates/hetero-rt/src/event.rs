@@ -4,8 +4,8 @@
 //! events to `std::chrono` calls, which also measure kernel-invocation
 //! overhead; the authors convert those back to SYCL events where possible
 //! (Section 3.2.1). We reproduce both views: an [`Event`] records the
-//! *submit*, *start*, and *end* timestamps of a launch, so callers can ask
-//! either for the kernel time (start→end, the SYCL-event view) or the
+//! *submit*, *start*, and *end* timestamps of a launch, so callers can
+//! take either the kernel time (start→end, the SYCL-event view) or the
 //! whole-invocation time (submit→end, the `std::chrono` view).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,19 +28,6 @@ pub struct LaunchStats {
     pub local_bytes: usize,
 }
 
-impl LaunchStats {
-    /// Accumulate another launch's statistics into this one (counters
-    /// add, the local-memory peak takes the max). Used by launch graphs
-    /// to aggregate per-node slots into whole-replay totals.
-    pub fn merge(&mut self, other: &LaunchStats) {
-        self.groups += other.groups;
-        self.items += other.items;
-        self.barriers_local += other.barriers_local;
-        self.barriers_global += other.barriers_global;
-        self.local_bytes = self.local_bytes.max(other.local_bytes);
-    }
-}
-
 /// Profiling timestamps of one kernel launch.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfilingInfo {
@@ -59,29 +46,15 @@ pub struct ProfilingInfo {
 
 impl ProfilingInfo {
     /// Kernel execution time (the SYCL-event / CUDA-event view). This
-    /// window still contains [`ProfilingInfo::dispatch_time`]; subtract
-    /// it (see [`ProfilingInfo::compute_time`]) for pure group execution.
-    pub fn kernel_time(&self) -> Duration {
+    /// window still contains the pool dispatch; subtract it (see
+    /// [`ProfilingInfo::compute_time`]) for pure group execution.
+    pub(crate) fn kernel_time(&self) -> Duration {
         self.ended.duration_since(self.started)
-    }
-
-    /// Whole-invocation time including queueing overhead (the
-    /// `std::chrono` view DPCT produces).
-    pub fn invocation_time(&self) -> Duration {
-        self.ended.duration_since(self.submitted)
     }
 
     /// Launch overhead alone (submit→start).
     pub fn overhead(&self) -> Duration {
         self.started.duration_since(self.submitted)
-    }
-
-    /// Pool-dispatch overhead inside the kernel window: the runtime cost
-    /// of the launch itself, as opposed to the groups' work. This is the
-    /// term the Figure-1 overhead decomposition needs to separate
-    /// per-launch runtime cost from kernel cost.
-    pub fn dispatch_time(&self) -> Duration {
-        self.dispatch
     }
 
     /// Kernel time with the pool-dispatch overhead removed — the closest
@@ -260,11 +233,6 @@ impl Event {
         self.profiling.as_ref()
     }
 
-    /// Kernel execution time, if profiling was enabled.
-    pub fn kernel_time(&self) -> Option<Duration> {
-        self.profiling.map(|p| p.kernel_time())
-    }
-
     /// Executor statistics for this launch.
     pub fn stats(&self) -> LaunchStats {
         self.stats
@@ -292,10 +260,7 @@ mod tests {
             dispatch: Duration::from_micros(5),
         };
         assert_eq!(p.kernel_time(), Duration::from_micros(100));
-        assert_eq!(p.invocation_time(), Duration::from_micros(120));
         assert_eq!(p.overhead(), Duration::from_micros(20));
-        assert!(p.invocation_time() >= p.kernel_time());
-        assert_eq!(p.dispatch_time(), Duration::from_micros(5));
         assert_eq!(p.compute_time(), Duration::from_micros(95));
     }
 
@@ -315,7 +280,6 @@ mod tests {
     fn event_without_profiling_yields_none() {
         let e = Event::new("k", None, LaunchStats::default());
         assert!(e.profiling().is_none());
-        assert!(e.kernel_time().is_none());
         assert_eq!(e.name(), "k");
     }
 

@@ -91,7 +91,7 @@ where
 /// duration (time spent handing the launch to the worker pool before the
 /// submitting thread began executing groups itself). Queues record this
 /// so profiling can split launch overhead from kernel work.
-pub fn run_groups_timed<K>(
+fn run_groups_timed<K>(
     nd: NdRange,
     parallelism: Parallelism,
     local_mem_limit: usize,
@@ -271,63 +271,6 @@ where
     ))
 }
 
-/// The pre-pool executor: spawns a fresh `std::thread::scope` with N OS
-/// threads on every call and hands groups out one at a time through a hot
-/// atomic. Retained solely as the baseline for the launch-overhead
-/// microbenchmark (`launch_storm`) so the pool's win stays measurable;
-/// no queue path uses it.
-pub fn run_groups_spawning<K>(
-    nd: NdRange,
-    parallelism: Parallelism,
-    local_mem_limit: usize,
-    kernel: &K,
-) -> LaunchStats
-where
-    K: Fn(&GroupCtx) + Sync,
-{
-    let num_groups = nd.num_groups();
-    let groups_range = nd.groups();
-    let next = AtomicUsize::new(0);
-    let items = AtomicU64::new(0);
-    let barriers_local = AtomicU64::new(0);
-    let barriers_global = AtomicU64::new(0);
-    let local_bytes_max = AtomicUsize::new(0);
-
-    let worker = || loop {
-        let g = next.fetch_add(1, Ordering::Relaxed);
-        if g >= num_groups {
-            break;
-        }
-        let gid = groups_range.delinearize(g);
-        let ctx = GroupCtx::new(gid, nd, local_mem_limit, None);
-        kernel(&ctx);
-        let (it, bl, bg, lb) = ctx.stats();
-        items.fetch_add(it, Ordering::Relaxed);
-        barriers_local.fetch_add(bl, Ordering::Relaxed);
-        barriers_global.fetch_add(bg, Ordering::Relaxed);
-        local_bytes_max.fetch_max(lb, Ordering::Relaxed);
-    };
-
-    let threads = parallelism.thread_count().min(num_groups.max(1));
-    if threads <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(worker);
-            }
-        });
-    }
-
-    LaunchStats {
-        groups: num_groups as u64,
-        items: items.load(Ordering::Relaxed),
-        barriers_local: barriers_local.load(Ordering::Relaxed),
-        barriers_global: barriers_global.load(Ordering::Relaxed),
-        local_bytes: local_bytes_max.load(Ordering::Relaxed),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,28 +317,6 @@ mod tests {
             b.to_vec()
         };
         assert_eq!(run(Parallelism::Sequential), run(Parallelism::Threads(8)));
-    }
-
-    #[test]
-    fn pooled_and_spawning_executors_agree() {
-        let nd = NdRange::d1(2048, 32);
-        let run = |pooled: bool| {
-            let b = Buffer::<u64>::new(2048);
-            let v = b.view();
-            let k = |ctx: &GroupCtx| {
-                ctx.items(|it| {
-                    let i = it.global_linear;
-                    v.set(i, (i as u64).wrapping_mul(2654435761));
-                });
-            };
-            let stats = if pooled {
-                run_groups(nd, Parallelism::Auto, 1 << 20, &k)
-            } else {
-                run_groups_spawning(nd, Parallelism::Auto, 1 << 20, &k)
-            };
-            (stats, b.to_vec())
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -212,6 +212,7 @@ impl FaultPlan {
 
     /// A plan whose next `n` launch submissions fail transiently (and
     /// nothing else): the deterministic input for retry-policy tests.
+    // lint:allow(unused-pub) test oracle: hetero-rt/tests/{resilience, graph, sdc}.rs count the retries an exact burst costs
     pub fn transient_burst(n: u64) -> Self {
         let p = FaultPlan::new(0, 0.0).with_kinds(&[]);
         p.transient_burst.store(n, Ordering::Relaxed);
@@ -222,20 +223,11 @@ impl FaultPlan {
     /// at the next launch entry, and injects nothing else: the
     /// deterministic input for exact `DataCorruption{region, page}`
     /// tests.
+    // lint:allow(unused-pub) test oracle: hetero-rt/tests/{sdc, graph}.rs pin the exact DataCorruption{region, page} a flip yields
     pub fn flip_at(region: u64, byte: usize, bit: u8) -> Self {
-        FaultPlan::new(0, 0.0).with_kinds(&[]).with_flip_at(region, byte, bit)
-    }
-
-    /// Queue an additional one-shot targeted flip.
-    pub fn with_flip_at(self, region: u64, byte: usize, bit: u8) -> Self {
-        lock(&self.flip_targets).push((region, byte, bit));
-        self
-    }
-
-    /// Pin the stuck-at site instead of letting the seed choose one.
-    pub fn with_stuck_at(self, region: u64, page: usize, bit: u8) -> Self {
-        *lock(&self.stuck) = Some((region, page, bit & 7));
-        self
+        let p = FaultPlan::new(0, 0.0).with_kinds(&[]);
+        lock(&p.flip_targets).push((region, byte, bit));
+        p
     }
 
     /// Build a plan from `HETERO_RT_FAULT_SEED` / `HETERO_RT_FAULT_RATE`.
@@ -326,7 +318,7 @@ impl FaultPlan {
 
     /// Stateless decision: does `kernel` panic at `group`? Independent of
     /// pool scheduling, so a chaos run is reproducible group-for-group.
-    pub fn should_panic(&self, kernel: &str, group: usize) -> bool {
+    pub(crate) fn should_panic(&self, kernel: &str, group: usize) -> bool {
         if let Some((k, g)) = self.target_panic {
             if k == kernel && g == group {
                 return true;
@@ -694,9 +686,6 @@ mod tests {
         let p = FaultPlan::sdc(21, 0.2);
         assert_eq!(p.stuck_draws(), p.stuck_draws());
         assert_eq!(p.stuck_wanted(), p.stuck_wanted());
-        // Targeted pinning overrides the seed's choice.
-        let t = FaultPlan::sdc(21, 0.2).with_stuck_at(5, 2, 3);
-        assert_eq!(*t.stuck_slot(), Some((5, 2, 3)));
     }
 
     #[test]

@@ -53,13 +53,12 @@
 //! (the same rule as `Queue::wait` inside a kernel).
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::buffer::Buffer;
 use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
-use crate::event::{LaunchStats, ResilienceInfo};
 use crate::fault::classify_panic;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
 use crate::queue::{Fallback, Queue, Redundancy};
@@ -122,36 +121,6 @@ fn conflicts(a: &[Binding], b: &[Binding]) -> bool {
 
 type GroupKernel = Arc<dyn Fn(&GroupCtx) + Send + Sync>;
 
-/// Preallocated per-launch slot: the stats / resilience fields an
-/// [`crate::event::Event`] would carry, reset and refilled on every
-/// replay instead of allocated per submission.
-#[derive(Default)]
-struct NodeSlot {
-    items: AtomicU64,
-    barriers_local: AtomicU64,
-    barriers_global: AtomicU64,
-    local_bytes: AtomicUsize,
-    replicas: AtomicU32,
-}
-
-impl NodeSlot {
-    fn reset(&self) {
-        self.items.store(0, Ordering::Relaxed);
-        self.barriers_local.store(0, Ordering::Relaxed);
-        self.barriers_global.store(0, Ordering::Relaxed);
-        self.local_bytes.store(0, Ordering::Relaxed);
-        self.replicas.store(1, Ordering::Relaxed);
-    }
-
-    fn store(&self, stats: LaunchStats, res: ResilienceInfo) {
-        self.items.store(stats.items, Ordering::Relaxed);
-        self.barriers_local.store(stats.barriers_local, Ordering::Relaxed);
-        self.barriers_global.store(stats.barriers_global, Ordering::Relaxed);
-        self.local_bytes.store(stats.local_bytes, Ordering::Relaxed);
-        self.replicas.store(res.replicas, Ordering::Relaxed);
-    }
-}
-
 /// One recorded launch.
 struct Node {
     name: &'static str,
@@ -166,14 +135,12 @@ struct Node {
     spans: crate::pool::SpanSet,
     /// Groups retired (executed or abandoned on cancellation).
     done: AtomicUsize,
-    slot: NodeSlot,
 }
 
 impl Node {
     fn reset(&self) {
         self.spans.reset();
         self.done.store(0, Ordering::Relaxed);
-        self.slot.reset();
     }
 }
 
@@ -281,7 +248,6 @@ impl GraphBuilder {
             kernel,
             spans: crate::pool::SpanSet::empty(),
             done: AtomicUsize::new(0),
-            slot: NodeSlot::default(),
         });
         self
     }
@@ -458,9 +424,7 @@ impl Graph {
         for node in &self.nodes {
             let k = &node.kernel;
             let wrap = |ctx: &GroupCtx| k(ctx);
-            let (stats, _dispatch, res, _started) =
-                q.launch_groups(node.name, node.nd, node.reqd_max, &wrap)?;
-            node.slot.store(stats, res);
+            q.launch_groups(node.name, node.nd, node.reqd_max, &wrap)?;
             node.done.store(node.num_groups, Ordering::Relaxed);
         }
         Ok(())
@@ -528,10 +492,6 @@ impl Graph {
     }
 
     fn run_chunk(&self, node: &Node, start: usize, end: usize) {
-        let mut items = 0u64;
-        let mut bl = 0u64;
-        let mut bg = 0u64;
-        let mut lbytes = 0usize;
         for g in start..end {
             if self.cancel.load(Ordering::Relaxed) {
                 break;
@@ -539,16 +499,7 @@ impl Graph {
             let gid = node.groups_range.delinearize(g);
             let ctx = GroupCtx::new(gid, node.nd, self.local_mem_limit, None);
             (node.kernel)(&ctx);
-            let (it, l, gl, lb) = ctx.stats();
-            items += it;
-            bl += l;
-            bg += gl;
-            lbytes = lbytes.max(lb);
         }
-        node.slot.items.fetch_add(items, Ordering::Relaxed);
-        node.slot.barriers_local.fetch_add(bl, Ordering::Relaxed);
-        node.slot.barriers_global.fetch_add(bg, Ordering::Relaxed);
-        node.slot.local_bytes.fetch_max(lbytes, Ordering::Relaxed);
     }
 
     /// Sequential replay on the calling thread: ascending node order,
@@ -559,25 +510,12 @@ impl Graph {
             if let Some(t) = token {
                 t.check(node.name)?;
             }
-            let mut items = 0u64;
-            let mut bl = 0u64;
-            let mut bg = 0u64;
-            let mut lbytes = 0usize;
             for g in 0..node.num_groups {
                 let gid = node.groups_range.delinearize(g);
                 let ctx = GroupCtx::new(gid, node.nd, self.local_mem_limit, None);
                 std::panic::catch_unwind(AssertUnwindSafe(|| (node.kernel)(&ctx)))
                     .map_err(|p| classify_panic(node.name, g, p))?;
-                let (it, l, gl, lb) = ctx.stats();
-                items += it;
-                bl += l;
-                bg += gl;
-                lbytes = lbytes.max(lb);
             }
-            node.slot.items.store(items, Ordering::Relaxed);
-            node.slot.barriers_local.store(bl, Ordering::Relaxed);
-            node.slot.barriers_global.store(bg, Ordering::Relaxed);
-            node.slot.local_bytes.store(lbytes, Ordering::Relaxed);
             node.done.store(node.num_groups, Ordering::Relaxed);
         }
         Ok(())
@@ -599,33 +537,10 @@ impl Graph {
         self.phases.len()
     }
 
-    /// The recorded name of launch `i`.
-    pub fn node_name(&self, i: usize) -> &'static str {
-        self.nodes[i].name
-    }
-
     /// The bindings of launch `i` as recorded.
+    // lint:allow(unused-pub) test oracle: hetero-rt/tests/graph_agreement.rs holds recorded bindings equal to the stated ones
     pub fn node_bindings(&self, i: usize) -> &[Binding] {
         &self.nodes[i].bindings
-    }
-
-    /// Launch statistics of node `i` from the most recent execution
-    /// (replay or submit_each).
-    pub fn node_stats(&self, i: usize) -> LaunchStats {
-        let n = &self.nodes[i];
-        LaunchStats {
-            groups: n.done.load(Ordering::Relaxed) as u64,
-            items: n.slot.items.load(Ordering::Relaxed),
-            barriers_local: n.slot.barriers_local.load(Ordering::Relaxed),
-            barriers_global: n.slot.barriers_global.load(Ordering::Relaxed),
-            local_bytes: n.slot.local_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Replica count node `i` ran with in the most recent execution
-    /// (&gt; 1 only when the slow path voted under Dmr/Tmr).
-    pub fn node_replicas(&self, i: usize) -> u32 {
-        self.nodes[i].slot.replicas.load(Ordering::Relaxed)
     }
 
     /// Successful executions of this graph, fast or slow path.
@@ -640,6 +555,7 @@ impl Graph {
 
     /// Whether recorded launch `later` must wait for the earlier launch
     /// `earlier`: their declared access modes conflict on some object.
+    // lint:allow(unused-pub) test oracle: hetero-rt/tests/graph_agreement.rs checks phase order against the enumeration oracle
     pub fn depends_on(&self, later: usize, earlier: usize) -> bool {
         earlier < later && conflicts(&self.nodes[earlier].bindings, &self.nodes[later].bindings)
     }
@@ -766,7 +682,6 @@ mod tests {
         g.replay(&q).unwrap();
         assert!(b.to_vec().iter().enumerate().all(|(i, &v)| v == i as u32));
         assert_eq!(g.fast_replays(), 1);
-        assert_eq!(g.node_stats(0).items, 100);
     }
 
     #[test]
@@ -778,8 +693,8 @@ mod tests {
             Range::d1(1000),
             Range::d2(13, 47),
             Range::d2(300, 3),
-            Range::d3(5, 7, 11),
-            Range::d3(1, 259, 2),
+            Range { dims: [5, 7, 11] },
+            Range { dims: [1, 259, 2] },
         ] {
             let total = range.size();
             let visits = Buffer::<u32>::new(total);

@@ -25,7 +25,7 @@
 //! # Host-write protocol
 //!
 //! Coarse host mutations (`Buffer::write_from`, `Buffer::write`,
-//! `UsmAlloc::set`, `as_mut_slice`, …) reseal or unseal their region, so
+//! `UsmAlloc::set`, …) reseal or unseal their region, so
 //! ordinary host-side initialization between launches never trips
 //! verification; a store of one element of a larger buffer between
 //! replays (a point source) goes through `Buffer::host_set`, which
@@ -53,7 +53,7 @@ use crate::fault::FaultPlan;
 
 /// Checksum granularity. Small enough to localize a flip to a useful
 /// page index, large enough that sealing large buffers stays cheap.
-pub const PAGE_BYTES: usize = 1024;
+pub(crate) const PAGE_BYTES: usize = 1024;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -513,6 +513,7 @@ pub fn scrub_step() -> bool {
 
 /// Synchronously scrub every live region (deterministic test hook).
 /// Findings are returned (not parked) and offenders resealed.
+// lint:allow(unused-pub) test oracle: hetero-rt/tests/sdc.rs runs the idle scrubber's walk at a chosen instant
 pub fn scrub_now() -> Vec<Violation> {
     let mut found = Vec::new();
     for region in live_regions() {

@@ -14,9 +14,8 @@
 //! lane ops are **plain elementwise ops in the original per-element
 //! order** — no FMA contraction (each `*` and `+` stays a separate
 //! rounding, exactly as the scalar loop rounds), no horizontal
-//! reassociation of `f32` sums. Horizontal folds exist only for types
-//! whose op is fully associative and commutative (`u32` wrapping adds)
-//! or order-insensitive up to documented IEEE caveats (`f32` min/max).
+//! reassociation of `f32` sums. Horizontal folds exist only where the
+//! op is order-insensitive up to documented IEEE caveats (`f32` min).
 //! Order-sensitive `f32` sum reductions are *refused* vectorization and
 //! keep their deterministic chunk-order tree (see DESIGN.md §10).
 //!
@@ -147,16 +146,6 @@ impl F32x8 {
         F32x8(out)
     }
 
-    /// Elementwise `f32::max`.
-    #[inline]
-    pub fn max(self, rhs: F32x8) -> F32x8 {
-        let mut out = self.0;
-        for k in 0..LANES {
-            out[k] = out[k].max(rhs.0[k]);
-        }
-        F32x8(out)
-    }
-
     /// Elementwise clamp, same semantics as `f32::clamp` per lane.
     #[inline]
     pub fn clamp(self, lo: f32, hi: f32) -> F32x8 {
@@ -166,88 +155,14 @@ impl F32x8 {
         }
         F32x8(out)
     }
-
-    /// Elementwise `self < rhs` as `u32` 0/1 lanes — the compaction
-    /// flag shape (`u32::from(a < b)` per lane).
-    #[inline]
-    pub fn lt_flags(self, rhs: F32x8) -> U32x8 {
-        let mut out = [0u32; LANES];
-        for k in 0..LANES {
-            out[k] = u32::from(self.0[k] < rhs.0[k]);
-        }
-        U32x8(out)
-    }
 }
 
 lane_struct!(
-    /// Eight `u32` lanes; arithmetic is wrapping (fully associative and
-    /// commutative, so horizontal folds are bit-exact in any order).
+    /// Eight `u32` lanes: the load / store shape of `Where`'s flag
+    /// kernel, whose comparisons are written per lane.
     U32x8,
     u32
 );
-
-impl U32x8 {
-    /// Elementwise wrapping add.
-    #[inline]
-    pub fn wrapping_add(self, rhs: U32x8) -> U32x8 {
-        let mut out = self.0;
-        for k in 0..LANES {
-            out[k] = out[k].wrapping_add(rhs.0[k]);
-        }
-        U32x8(out)
-    }
-
-    /// Horizontal wrapping sum. Wrapping addition is associative and
-    /// commutative, so this equals the sequential fold bit-for-bit.
-    #[inline]
-    pub fn hsum_wrapping(self) -> u32 {
-        self.0.iter().fold(0u32, |a, &b| a.wrapping_add(b))
-    }
-
-    /// Elementwise `% m` (lane bucket indices for histograms). Takes a
-    /// scalar modulus, so it is deliberately not `std::ops::Rem`.
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn rem(self, m: u32) -> U32x8 {
-        let mut out = self.0;
-        for k in 0..LANES {
-            out[k] %= m;
-        }
-        U32x8(out)
-    }
-
-    /// In-lane exclusive wrapping prefix plus the lane-group total:
-    /// `out[k] = self[0] + … + self[k-1]`. Wrapping adds make this
-    /// bit-equal to the scalar running prefix.
-    #[inline]
-    pub fn prefix_exclusive_wrapping(self) -> (U32x8, u32) {
-        let mut out = [0u32; LANES];
-        let mut acc = 0u32;
-        for k in 0..LANES {
-            out[k] = acc;
-            acc = acc.wrapping_add(self.0[k]);
-        }
-        (U32x8(out), acc)
-    }
-}
-
-lane_struct!(
-    /// Eight `i32` lanes; wrapping arithmetic like [`U32x8`].
-    I32x8,
-    i32
-);
-
-impl I32x8 {
-    /// Elementwise wrapping add.
-    #[inline]
-    pub fn wrapping_add(self, rhs: I32x8) -> I32x8 {
-        let mut out = self.0;
-        for k in 0..LANES {
-            out[k] = out[k].wrapping_add(rhs.0[k]);
-        }
-        I32x8(out)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -261,35 +176,6 @@ mod tests {
         for k in 0..LANES {
             let s = (a[k] - b[k]) * 0.7 + b[k];
             assert_eq!(v.0[k].to_bits(), s.to_bits(), "lane {k}");
-        }
-    }
-
-    #[test]
-    fn u32_horizontal_sum_is_order_free() {
-        let a: [u32; LANES] = std::array::from_fn(|k| u32::MAX - k as u32 * 1_000_000);
-        let seq = a.iter().fold(0u32, |x, &y| x.wrapping_add(y));
-        assert_eq!(U32x8(a).hsum_wrapping(), seq);
-    }
-
-    #[test]
-    fn exclusive_prefix_matches_running_scalar() {
-        let a: [u32; LANES] = std::array::from_fn(|k| (k as u32 + 1).wrapping_mul(0x9E37_79B9));
-        let (pre, total) = U32x8(a).prefix_exclusive_wrapping();
-        let mut acc = 0u32;
-        for k in 0..LANES {
-            assert_eq!(pre.0[k], acc);
-            acc = acc.wrapping_add(a[k]);
-        }
-        assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn lt_flags_match_scalar_compare() {
-        let a = F32x8([1.0, 2.0, 3.0, f32::NAN, -1.0, 0.0, 5.5, -0.0]);
-        let b = F32x8::splat(2.5);
-        let f = a.lt_flags(b);
-        for k in 0..LANES {
-            assert_eq!(f.0[k], u32::from(a.0[k] < b.0[k]), "lane {k}");
         }
     }
 

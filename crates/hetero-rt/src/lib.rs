@@ -52,14 +52,12 @@
 pub mod buffer;
 pub mod cancel;
 pub mod constant;
-pub mod cooperative;
 pub mod device;
 pub mod error;
 pub mod event;
 pub mod executor;
 pub mod fault;
 pub mod graph;
-pub mod group_algorithms;
 pub mod integrity;
 pub mod lanes;
 pub mod local;
@@ -72,17 +70,16 @@ pub mod sanitize;
 pub mod stream;
 pub mod usm;
 
-pub use buffer::{Buffer, GlobalView, SlabStats};
+pub use buffer::{Buffer, GlobalView};
 pub use cancel::CancelToken;
 pub use constant::ConstantMemory;
-pub use cooperative::GridCtx;
 pub use device::{Device, DeviceCaps, DeviceKind};
 pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{reads, reads_writes, writes, Access, Binding, Graph, GraphBuilder};
 pub use integrity::{IntegrityStats, Violation};
-pub use lanes::{F32x8, I32x8, U32x8, LANES};
+pub use lanes::{F32x8, U32x8, LANES};
 pub use local::{LocalArray, PrivateArray};
 pub use ndrange::{GroupCtx, Item, NdRange, Range};
 pub use pipe::{Pipe, PipeReceiver, PipeSender};
@@ -103,7 +100,7 @@ pub mod prelude {
     pub use crate::event::{Event, ResilienceLedger};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::graph::{reads, reads_writes, writes, Binding, Graph, GraphBuilder};
-    pub use crate::lanes::{F32x8, I32x8, U32x8, LANES};
+    pub use crate::lanes::{F32x8, U32x8, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};
     pub use crate::pipe::{Pipe, PipeReceiver, PipeSender};

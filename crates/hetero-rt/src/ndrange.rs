@@ -31,11 +31,6 @@ impl Range {
         Range { dims: [x, y, 1] }
     }
 
-    /// 3-D range.
-    pub fn d3(x: usize, y: usize, z: usize) -> Self {
-        Range { dims: [x, y, z] }
-    }
-
     /// Total number of indices (product of extents).
     pub fn size(&self) -> usize {
         self.dims[0] * self.dims[1] * self.dims[2]
@@ -50,7 +45,7 @@ impl Range {
     }
 
     /// Convert (x, y, z) coordinates into a linear index.
-    pub fn linearize(&self, idx: [usize; 3]) -> usize {
+    pub(crate) fn linearize(&self, idx: [usize; 3]) -> usize {
         idx[0] + self.dims[0] * (idx[1] + self.dims[1] * idx[2])
     }
 }
@@ -73,12 +68,6 @@ impl NdRange {
     /// 2-D ND-range.
     pub fn d2(gx: usize, gy: usize, lx: usize, ly: usize) -> Self {
         NdRange { global: Range::d2(gx, gy), local: Range::d2(lx, ly) }
-    }
-
-    /// 3-D ND-range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn d3(gx: usize, gy: usize, gz: usize, lx: usize, ly: usize, lz: usize) -> Self {
-        NdRange { global: Range::d3(gx, gy, gz), local: Range::d3(lx, ly, lz) }
     }
 
     /// The ND-range a flat `parallel_for` over `total` indices runs as:
@@ -155,12 +144,6 @@ impl Item {
     pub fn lid(&self, d: usize) -> usize {
         self.local[d]
     }
-
-    /// Group id in dimension `d`.
-    #[inline]
-    pub fn grp(&self, d: usize) -> usize {
-        self.group[d]
-    }
 }
 
 /// Barrier memory scope, mirroring
@@ -207,11 +190,6 @@ impl GroupCtx {
             barriers_global: Cell::new(0),
             items_executed: Cell::new(0),
         }
-    }
-
-    /// This group's id per dimension.
-    pub fn group_id(&self) -> [usize; 3] {
-        self.group_id
     }
 
     /// Linear group id.
@@ -368,7 +346,7 @@ mod tests {
 
     #[test]
     fn range_size_and_linearize_roundtrip() {
-        let r = Range::d3(4, 3, 2);
+        let r = Range { dims: [4, 3, 2] };
         assert_eq!(r.size(), 24);
         for lin in 0..r.size() {
             assert_eq!(r.linearize(r.delinearize(lin)), lin);
@@ -410,7 +388,7 @@ mod tests {
         for nd in [
             NdRange::d1(60, 12),
             NdRange::d2(12, 10, 3, 5),
-            NdRange::d3(6, 8, 6, 3, 2, 6),
+            NdRange { global: Range { dims: [6, 8, 6] }, local: Range { dims: [3, 2, 6] } },
         ] {
             nd.validate().unwrap();
             let groups = nd.groups();

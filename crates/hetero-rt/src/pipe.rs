@@ -134,25 +134,6 @@ impl<T> Inner<T> {
         }
     }
 
-    fn try_write(&self, v: T) -> std::result::Result<(), T> {
-        let mut chan = lock(&self.chan);
-        if chan.receivers == 0 || chan.fifo.len() >= self.capacity {
-            return Err(v);
-        }
-        chan.fifo.push_back(v);
-        drop(chan);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    fn try_read(&self) -> Option<T> {
-        let v = lock(&self.chan).fifo.pop_front();
-        if v.is_some() {
-            self.not_full.notify_one();
-        }
-        v
-    }
-
     fn force_write(&self, v: T) -> Result<Option<T>> {
         let mut chan = lock(&self.chan);
         if chan.receivers == 0 {
@@ -246,6 +227,7 @@ impl<T: Send + 'static> Pipe<T> {
     /// Like [`Pipe::with_capacity`] but with an explicit deadlock-
     /// detection timeout (tests use short timeouts to exercise the
     /// diagnosis quickly).
+    // lint:allow(unused-pub) test oracle: hetero-rt/tests/resilience.rs diagnoses a two-kernel pipe deadlock inside 100 ms
     pub fn with_capacity_and_timeout(capacity: usize, timeout: Duration) -> Self {
         let cap = capacity.max(1);
         Pipe {
@@ -334,18 +316,6 @@ impl<T: Send + 'static> Pipe<T> {
         self.inner.read_blocking(self.timeout, self.cancel.as_ref())
     }
 
-    /// Non-blocking write (like the `success`-flag overload of
-    /// `pipe::write`). Returns the value back if the FIFO is full or
-    /// every receiver is gone.
-    pub fn try_write(&self, v: T) -> std::result::Result<(), T> {
-        self.inner.try_write(v)
-    }
-
-    /// Non-blocking read. Returns `None` if the FIFO is empty.
-    pub fn try_read(&self) -> Option<T> {
-        self.inner.try_read()
-    }
-
     /// Never-blocking overwrite ingress: push `v`, evicting and
     /// returning the *oldest* buffered element if the FIFO is full.
     /// Returns [`Error::PipeClosed`] if every receiver is gone. Stream
@@ -389,11 +359,6 @@ impl<T: Send + 'static> PipeSender<T> {
     pub fn write(&self, v: T) -> Result<()> {
         stall_if_injected(&self.fault);
         self.inner.write_blocking(v, self.timeout, self.cancel.as_ref())
-    }
-
-    /// Non-blocking write; see [`Pipe::try_write`].
-    pub fn try_write(&self, v: T) -> std::result::Result<(), T> {
-        self.inner.try_write(v)
     }
 
     /// Never-blocking overwrite ingress; see [`Pipe::force_write`].
@@ -442,11 +407,6 @@ impl<T: Send + 'static> PipeReceiver<T> {
         self.inner.read_blocking(self.timeout, self.cancel.as_ref())
     }
 
-    /// Non-blocking read; see [`Pipe::try_read`].
-    pub fn try_read(&self) -> Option<T> {
-        self.inner.try_read()
-    }
-
     /// FIFO capacity.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
@@ -466,19 +426,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(p.read().unwrap(), i);
         }
-    }
-
-    #[test]
-    fn try_write_full_returns_value() {
-        let p = Pipe::with_capacity(1);
-        p.try_write(1u8).unwrap();
-        assert_eq!(p.try_write(2u8), Err(2));
-    }
-
-    #[test]
-    fn try_read_empty_returns_none() {
-        let p = Pipe::<u8>::with_capacity(1);
-        assert!(p.try_read().is_none());
     }
 
     #[test]
@@ -503,10 +450,10 @@ mod tests {
     fn capacity_is_respected() {
         let p = Pipe::with_capacity(3);
         assert_eq!(p.capacity(), 3);
-        assert!(p.try_write(1).is_ok());
-        assert!(p.try_write(2).is_ok());
-        assert!(p.try_write(3).is_ok());
-        assert!(p.try_write(4).is_err());
+        for v in 1..=3 {
+            p.write(v).unwrap();
+        }
+        assert_eq!(p.force_write(4).unwrap(), Some(1), "a fourth element does not fit");
     }
 
     #[test]
@@ -611,7 +558,6 @@ mod tests {
         let (tx, rx) = Pipe::channel(4);
         drop(rx);
         assert_eq!(tx.write(1u8).unwrap_err(), Error::PipeClosed);
-        assert!(tx.try_write(2u8).is_err());
         assert_eq!(tx.force_write(3u8).unwrap_err(), Error::PipeClosed);
     }
 
@@ -650,17 +596,6 @@ mod tests {
         token.cancel();
         let e = t.join().unwrap().unwrap_err();
         assert_eq!(e, Error::Canceled { kernel: "pipe_write" });
-    }
-
-    #[test]
-    fn split_ends_survive_token_cancellation_for_nonblocking_ops() {
-        let token = CancelToken::new();
-        let (tx, rx) = Pipe::with_capacity(2).with_cancel_token(Some(token.clone())).split();
-        tx.write(1u8).unwrap();
-        token.cancel();
-        // Non-blocking ops stay usable for draining after cancellation.
-        assert_eq!(rx.try_read(), Some(1));
-        assert!(tx.try_write(2).is_ok());
     }
 
     #[test]

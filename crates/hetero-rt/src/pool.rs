@@ -43,8 +43,6 @@
 //! # Claim modes
 //!
 //! * [`ClaimMode::Stealing`] (default): front halves + back-half steals.
-//! * [`ClaimMode::Static`]: whole-span claims, no redistribution — the
-//!   static-chunking baseline `launch_storm --steal` compares against.
 //! * [`ClaimMode::Ordered`]: one global span claimed front-to-back in
 //!   adaptive chunks — **globally ascending claim order**, the contract
 //!   the chained look-back scan spin-waits rely on
@@ -88,13 +86,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// How claims are handed out from a [`SpanSet`]; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClaimMode {
+pub(crate) enum ClaimMode {
     /// Owner pops front halves of its own span; thieves steal back
     /// halves of victims' spans. The default.
     Stealing,
-    /// Whole-span claims, lowest nonempty span first: classic static
-    /// chunking (the `launch_storm --steal` baseline).
-    Static,
     /// One global span, front-to-back adaptive chunks: globally
     /// ascending claim order for tasks with cross-chunk waits.
     Ordered,
@@ -269,14 +264,6 @@ impl SpanSet {
                     }
                 }
                 None
-            }
-            ClaimMode::Static => {
-                // Whole spans: own first, then lowest-index orphans (the
-                // ascending takeover order keeps chained consumers live).
-                if let Some(r) = self.take_front(home % k, |n| n) {
-                    return Some(r);
-                }
-                (0..k).find_map(|p| self.take_front(p, |n| n))
             }
             ClaimMode::Ordered => {
                 // Single global span, ascending adaptive chunks — the
@@ -637,21 +624,6 @@ pub fn run_job(total: usize, threads: usize, task: &(dyn Fn(usize, usize) + Sync
     dispatch
 }
 
-/// [`run_job`] under [`ClaimMode::Static`]: whole-span claims with no
-/// redistribution. Exists for the `launch_storm --steal` baseline — the
-/// imbalance cost of static chunking measured on the identical pool.
-pub fn run_job_static(
-    total: usize,
-    threads: usize,
-    task: &(dyn Fn(usize, usize) + Sync),
-) -> Duration {
-    let (dispatch, payload, _) = run_job_inner(total, threads, ClaimMode::Static, task);
-    if let Some(p) = payload {
-        std::panic::resume_unwind(p);
-    }
-    dispatch
-}
-
 /// [`run_job`] returning per-job claim telemetry (claims and steals) —
 /// what the chunk-sizing tests pin and `launch_storm --steal` reports.
 pub fn run_job_counted(
@@ -831,14 +803,22 @@ mod tests {
     }
 
     #[test]
-    fn every_index_runs_exactly_once_static_mode() {
-        let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-        run_job_static(hits.len(), auto_threads(), &|s, e| {
-            for h in &hits[s..e] {
+    fn triangular_job_is_rebalanced_by_stealing() {
+        // `launch_storm --steal`'s job: per-index cost grows with the
+        // index, so the first span drains while the last still holds
+        // most of the delay. Its owner must then steal, and every index
+        // still runs exactly once.
+        let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+        let (_, stats) = run_job_counted(hits.len(), 2, &|s, e| {
+            for (i, h) in hits.iter().enumerate().take(e).skip(s) {
+                std::thread::sleep(Duration::from_micros((i as u64 + 1) * 50));
                 h.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        if auto_threads() >= 2 {
+            assert!(stats.steals >= 1, "no steal on the triangular job: {stats:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::buffer::{Buffer, BufferSlab, SlabStats};
+use crate::buffer::{Buffer, BufferSlab};
 use crate::cancel::CancelToken;
 use crate::device::{Device, DeviceKind};
 use crate::error::{Error, Result};
@@ -59,7 +59,7 @@ impl RetryPolicy {
     /// The sleep taken after failed attempt `attempt` (1-based):
     /// deterministic linear backoff `backoff * attempt`, no jitter, so a
     /// seeded chaos run replays the exact same delay sequence.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay_for(&self, attempt: u32) -> Duration {
         self.backoff * attempt
     }
 }
@@ -749,7 +749,7 @@ impl Queue {
     /// bounds/capacity violations). No transient injection or retry here:
     /// the kernel is `FnOnce`, so the runtime cannot guarantee a
     /// side-effect-free re-run.
-    pub fn try_single_task<F>(&self, name: &'static str, f: F) -> Result<Event>
+    pub(crate) fn try_single_task<F>(&self, name: &'static str, f: F) -> Result<Event>
     where
         F: FnOnce(),
     {
@@ -789,6 +789,7 @@ impl Queue {
     /// fault plan: on top of the genuine capability failure
     /// ([`Error::UsmUnsupported`] on the paper's FPGAs), a plan may
     /// deterministically inject [`Error::UsmAllocFailed`].
+    // lint:allow(unused-pub) paper §3.2: USM allocation fails on the FPGA boards, so the FPGA builds strip it
     pub fn alloc_usm<T: Copy + Default + 'static>(
         &self,
         kind: crate::usm::UsmKind,
@@ -823,26 +824,16 @@ impl Queue {
     /// Succeeds only when `buf` is the sole owner of its storage: clones
     /// or outstanding [`crate::GlobalView`]s refuse the recycle (the
     /// handle is still consumed; the storage stays alive through the
-    /// other owners) — returning `false` and counting a rejection. A
-    /// full shelf also drops the allocation rather than pinning
-    /// unbounded memory.
+    /// other owners) — returning `false`. A full shelf also drops the
+    /// allocation rather than pinning unbounded memory.
     pub fn recycle_buffer<T: Copy + Default + Send + 'static>(&self, buf: Buffer<T>) -> bool {
         match buf.into_raw_parts() {
             Ok((data, generation)) => {
                 let len = data.len();
                 self.slab.put(len, data, generation)
             }
-            Err(_) => {
-                self.slab.note_rejected();
-                false
-            }
+            Err(_) => false,
         }
-    }
-
-    /// Traffic counters of the recycling slab shared by every clone of
-    /// this queue.
-    pub fn slab_stats(&self) -> SlabStats {
-        self.slab.stats()
     }
 
     /// Launch several kernels that run *concurrently* (each on its own
@@ -899,28 +890,6 @@ impl Queue {
             stats,
             ResilienceInfo::default(),
         ))
-    }
-
-    /// Device-to-device buffer copy (like `queue.memcpy` between device
-    /// allocations): copies `len` elements from `src[src_off..]` to
-    /// `dst[dst_off..]`, executed as a data-parallel kernel.
-    ///
-    /// As with `memcpy`, the ranges must not overlap when `src` and
-    /// `dst` are views of the same buffer; overlapping copies race and
-    /// produce an unspecified mix of old and new values.
-    pub fn copy<T: Copy + Default + Send + 'static>(
-        &self,
-        src: &crate::buffer::Buffer<T>,
-        src_off: usize,
-        dst: &crate::buffer::Buffer<T>,
-        dst_off: usize,
-        len: usize,
-    ) -> Result<Event> {
-        let sv = src.view_range(src_off, len)?;
-        let dv = dst.view_range(dst_off, len)?;
-        self.try_parallel_for("memcpy", Range::d1(len), move |it| {
-            dv.set(it.gid(0), sv.get(it.gid(0)));
-        })
     }
 
     /// Fill a buffer range with a value (like `queue.fill`).
@@ -1054,7 +1023,6 @@ mod tests {
         let q = Queue::with_profiling(Device::cpu());
         let e = q.single_task("t", || {});
         assert!(e.profiling().is_some());
-        assert!(e.kernel_time().unwrap() <= e.profiling().unwrap().invocation_time());
     }
 
     #[test]
@@ -1123,20 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_moves_subranges() {
-        let q = Queue::new(Device::cpu());
-        let src = Buffer::from_slice(&(0u32..100).collect::<Vec<_>>());
-        let dst = Buffer::<u32>::new(50);
-        q.copy(&src, 10, &dst, 5, 20).unwrap();
-        let out = dst.to_vec();
-        assert!(out[..5].iter().all(|&v| v == 0));
-        assert_eq!(out[5..25], (10..30).collect::<Vec<u32>>()[..]);
-        assert!(out[25..].iter().all(|&v| v == 0));
-        // Out-of-bounds copy is rejected.
-        assert!(q.copy(&src, 90, &dst, 0, 20).is_err());
-    }
-
-    #[test]
     fn fill_writes_constant_range() {
         let q = Queue::new(Device::cpu());
         let b = Buffer::<f32>::new(16);
@@ -1159,9 +1113,6 @@ mod tests {
         assert_eq!(b.generation(), 1, "second request reuses the allocation");
         assert_ne!(b.object_id(), first_id, "identity must be fresh on reuse");
         assert!(b.to_vec().iter().all(|&v| v == 0.0), "reuse must zero-fill");
-        let s = q.slab_stats();
-        assert_eq!((s.reuses, s.returns), (1, 1));
-        assert_eq!(s.misses, 1);
     }
 
     #[test]
@@ -1169,9 +1120,7 @@ mod tests {
         let q = Queue::new(Device::cpu());
         let a = q.recycled_buffer::<u32>(16);
         let view = a.view();
-        let before = q.slab_stats().rejected;
         assert!(!q.recycle_buffer(a), "outstanding view must refuse the recycle");
-        assert_eq!(q.slab_stats().rejected, before + 1);
         // The view alone keeps the storage alive and usable.
         view.set(3, 9);
         assert_eq!(view.get(3), 9);

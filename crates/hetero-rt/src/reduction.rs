@@ -104,26 +104,8 @@ fn fold_blocks<const K: usize>(
     out
 }
 
-/// Reduce an f32 buffer with `op` (plus `identity`) on the device queue,
-/// in the module's pinned association. Deterministic for a fixed buffer
-/// length, whatever the schedule.
-pub fn reduce_f32(
-    q: &Queue,
-    data: &Buffer<f32>,
-    identity: f32,
-    op: impl Fn(f32, f32) -> f32 + Sync + Copy,
-) -> f32 {
-    let [r] = fold_blocks(q, "reduce_f32", data, identity, move |[a], v| [op(a, v)], op);
-    r
-}
-
-/// Sum of an f32 buffer (the common case).
-pub fn sum_f32(q: &Queue, data: &Buffer<f32>) -> f32 {
-    reduce_f32(q, data, 0.0, |a, b| a + b)
-}
-
 /// Sum and sum of squares of an f32 buffer in one pass (SRAD's ROI
-/// moments): bit-equal to `sum_f32` and to a sum over the squared
+/// moments): bit-equal to a sum over the buffer and one over the squared
 /// buffer, because both chains keep the pinned association (the square
 /// is rounded to `f32` before it is added; no FMA).
 pub fn moments_f32(q: &Queue, data: &Buffer<f32>) -> (f32, f32) {
@@ -158,7 +140,7 @@ mod tests {
         let data: Vec<f32> = (0..10_000).map(|i| (i % 7) as f32).collect();
         let b = Buffer::from_slice(&data);
         let expect: f32 = data.iter().sum();
-        assert!((sum_f32(&q, &b) - expect).abs() < expect * 1e-5);
+        assert!((moments_f32(&q, &b).0 - expect).abs() < expect * 1e-5);
     }
 
     #[test]
@@ -166,16 +148,7 @@ mod tests {
         let q = Queue::new(Device::cpu());
         let data: Vec<f32> = (0..1_001).map(|_| 1.0).collect();
         let b = Buffer::from_slice(&data);
-        assert_eq!(sum_f32(&q, &b), 1_001.0);
-    }
-
-    #[test]
-    fn max_reduction() {
-        let q = Queue::new(Device::cpu());
-        let data: Vec<f32> = (0..5_000).map(|i| ((i * 37) % 1000) as f32).collect();
-        let b = Buffer::from_slice(&data);
-        let m = reduce_f32(&q, &b, f32::NEG_INFINITY, f32::max);
-        assert_eq!(m, 999.0);
+        assert_eq!(moments_f32(&q, &b).0, 1_001.0);
     }
 
     #[test]
@@ -204,13 +177,6 @@ mod tests {
             let n = data.len();
             assert_eq!(sum.to_bits(), pinned(data, 0.0, add).to_bits(), "sum, n = {n}");
             assert_eq!(sum_sq.to_bits(), pinned(&squares, 0.0, add).to_bits(), "sum_sq, n = {n}");
-            assert_eq!(sum_f32(&q, &b).to_bits(), sum.to_bits(), "sum_f32, n = {n}");
-            let max = reduce_f32(&q, &b, f32::NEG_INFINITY, f32::max);
-            assert_eq!(
-                max.to_bits(),
-                pinned(data, f32::NEG_INFINITY, f32::max).to_bits(),
-                "max, n = {n}"
-            );
         }
     }
 
@@ -218,27 +184,20 @@ mod tests {
     fn repeated_reductions_reuse_scratch() {
         let q = Queue::new(Device::cpu());
         let b = Buffer::from_slice(&vec![2.0f32; 4096]);
-        let before = q.slab_stats();
         for _ in 0..10 {
-            assert_eq!(sum_f32(&q, &b), 8192.0);
             assert_eq!(moments_f32(&q, &b), (8192.0, 16384.0));
         }
-        let after = q.slab_stats();
-        // One scratch take per call (32 partials for the sum, 64 for the
-        // moments), 20 takes in all; each call retires its scratch and
-        // the next of its kind picks it up, so only the first take of
-        // each of the two sizes may miss.
-        assert!(
-            after.reuses - before.reuses >= 18,
-            "reduction scratch should come from the slab: {after:?}"
-        );
+        // One scratch take per call (64 partials); each call retires its
+        // scratch and the next picks it up, so the allocation an eleventh
+        // take gets has been around ten times.
+        let scratch = q.recycled_buffer::<f32>(64);
+        assert_eq!(scratch.generation(), 10, "reduction scratch should come from the slab");
     }
 
     #[test]
     fn empty_buffer_returns_identity() {
         let q = Queue::new(Device::cpu());
         let b = Buffer::<f32>::new(0);
-        assert_eq!(sum_f32(&q, &b), 0.0);
         assert_eq!(moments_f32(&q, &b), (0.0, 0.0));
     }
 }

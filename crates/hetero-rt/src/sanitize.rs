@@ -33,10 +33,10 @@
 //!   guaranteed zero-initialised by SYCL; this runtime zero-fills, so an
 //!   uninitialised read is another silently-masked portability bug.
 //!
-//! Group collectives ([`crate::group_algorithms`]) run in *uniform*
-//! context — outside `ctx.items(..)` — where a single thread legitimately
-//! reads every item's slot; uniform accesses therefore participate only
-//! in the cross-group analysis, never the intra-group one.
+//! Leader-only code (LavaMD's per-group fold) runs in *uniform* context
+//! — outside `ctx.items(..)` — where a single thread legitimately reads
+//! every item's slot; uniform accesses therefore participate only in the
+//! cross-group analysis, never the intra-group one.
 //! [`crate::PrivateArray`] is per-item by construction and is not
 //! tracked.
 //!
@@ -289,7 +289,7 @@ impl GroupRecorder {
 
     /// Intra-group same-phase conflict detection, shared by all spaces.
     fn check_phase(&mut self, space: MemSpace, object: u64, element: usize, kind: AccessKind) {
-        // Uniform-context accesses (collectives, leader-only code outside
+        // Uniform-context accesses (leader-only code outside
         // `items()`) are inherently single-threaded per group.
         let Some(item) = self.current_item else { return };
         if kind == AccessKind::Atomic {

@@ -280,8 +280,7 @@ impl<S: StreamStage> StreamRunner<S> {
         let w = self.next;
         let t0 = Instant::now();
         let mut rolled_back = false;
-        let run = catch_unwind(AssertUnwindSafe(|| self.stage.recover(&mut self.state, w)));
-        let verdict = match flatten_unwind(run) {
+        let verdict = match contained(|| self.stage.recover(&mut self.state, w)) {
             Ok(()) => WindowVerdict::Shed,
             Err(e) if matches!(e, Error::Canceled { .. }) => return Err(e),
             Err(e) => self.quarantine(w, format!("shed recover failed: {e}"), &mut rolled_back)?,
@@ -326,8 +325,7 @@ impl<S: StreamStage> StreamRunner<S> {
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| self.stage.advance(&mut self.state, w)));
-            match flatten_unwind(run) {
+            match contained(|| self.stage.advance(&mut self.state, w)) {
                 Ok(()) => {
                     return Ok(if attempts == 1 {
                         WindowVerdict::Delivered
@@ -389,8 +387,7 @@ impl<S: StreamStage> StreamRunner<S> {
             });
         }
         for k in self.checkpoint.next..=w {
-            let run = catch_unwind(AssertUnwindSafe(|| self.stage.recover(&mut st, k)));
-            flatten_unwind(run)?;
+            contained(|| self.stage.recover(&mut st, k))?;
             self.stats.replayed += 1;
         }
         self.state = st;
@@ -412,18 +409,12 @@ impl<S: StreamStage> StreamRunner<S> {
     }
 }
 
-fn flatten_unwind(r: std::thread::Result<Result<()>>) -> Result<()> {
-    match r {
-        Ok(inner) => inner,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            Err(Error::KernelPanicked { kernel: "stream_stage", group: 0, message: msg })
-        }
-    }
+/// One stage call with its panics contained: a typed payload (what the
+/// runtime's infallible wrappers raise) is its error, anything else a
+/// `KernelPanicked`.
+fn contained(call: impl FnOnce() -> Result<()>) -> Result<()> {
+    catch_unwind(AssertUnwindSafe(call))
+        .unwrap_or_else(|payload| Err(crate::fault::classify_panic("stream_stage", 0, payload)))
 }
 
 /// Ingress policy for [`run_piped`].
@@ -524,6 +515,9 @@ mod tests {
         panic_on: Vec<u64>,
         transient_on: Vec<u64>,
         transient_seen: Arc<AtomicU64>,
+        /// Raised as a typed panic payload on the first visit to the
+        /// window, the way `Queue::parallel_for` fails.
+        raise_on: Option<(u64, Error)>,
     }
 
     impl CounterStage {
@@ -533,6 +527,7 @@ mod tests {
                 panic_on: vec![],
                 transient_on: vec![],
                 transient_seen: Arc::new(AtomicU64::new(0)),
+                raise_on: None,
             }
         }
     }
@@ -543,6 +538,11 @@ mod tests {
         fn advance(&mut self, state: &mut u64, window: u64) -> Result<()> {
             if self.panic_on.contains(&window) {
                 panic!("injected stage panic at window {window}");
+            }
+            if let Some((_, e)) = self.raise_on.as_ref().filter(|(at, _)| *at == window) {
+                if self.transient_seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::panic::panic_any(e.clone());
+                }
             }
             if self.fail_on.contains(&window) {
                 return Err(Error::KernelPanicked {
@@ -638,6 +638,28 @@ mod tests {
         assert_eq!(retried, 1);
         assert_eq!(r.stats().rollbacks, 0, "retry does not roll back");
         assert_eq!(*r.state(), uninterrupted_sum(10));
+    }
+
+    #[test]
+    fn raised_transient_is_absorbed_as_retried() {
+        let mut stage = CounterStage::clean();
+        stage.raise_on = Some((5, Error::TransientLaunchFailure { kernel: "counter", attempts: 1 }));
+        let mut r = StreamRunner::new(stage, 0, StreamConfig::default());
+        let mut verdicts = vec![];
+        r.run(10, |rep| verdicts.push(rep.verdict)).unwrap();
+        assert_eq!(verdicts[5], WindowVerdict::Retried { attempts: 2 });
+        assert_eq!(r.stats().rollbacks, 0, "a raised transient is retried, not quarantined");
+        assert_eq!(*r.state(), uninterrupted_sum(10));
+    }
+
+    #[test]
+    fn raised_cancellation_ends_the_stream() {
+        let mut stage = CounterStage::clean();
+        stage.raise_on = Some((3, Error::Canceled { kernel: "counter" }));
+        let mut r = StreamRunner::new(stage, 0, StreamConfig::default());
+        assert_eq!(r.run(8, |_| {}).unwrap_err(), Error::Canceled { kernel: "counter" });
+        assert_eq!(r.stats().windows, 3, "windows before the cancellation were delivered");
+        assert_eq!(r.stats().quarantined, 0);
     }
 
     #[test]

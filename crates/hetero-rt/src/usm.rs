@@ -6,10 +6,6 @@
 //! forced the authors to strip USM from the FPGA builds. We reproduce
 //! that behavioural split: allocation against an FPGA device fails with
 //! [`Error::UsmUnsupported`], and application code falls back to buffers.
-//!
-//! The paper also mentions `mem_advise` warnings: the advice constants
-//! are device-dependent, so we expose an advice enum and record advices
-//! per allocation (tests assert the FPGA path never issues any).
 
 use std::sync::Arc;
 
@@ -30,24 +26,11 @@ pub enum UsmKind {
     Device,
 }
 
-/// Memory-usage advice (`queue::mem_advise`). The concrete meaning is
-/// device-dependent, which is exactly why DPCT flags every call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemAdvice {
-    /// Data will mostly be read by the device.
-    ReadMostly,
-    /// Data should preferentially live on the device.
-    PreferredLocationDevice,
-    /// Data should preferentially live on the host.
-    PreferredLocationHost,
-}
-
 /// A USM allocation: a host vector plus the metadata SYCL would track.
 #[derive(Debug)]
 pub struct UsmAlloc<T> {
     data: Vec<T>,
     kind: UsmKind,
-    advices: Vec<MemAdvice>,
     // Process-unique id in the same namespace as buffer ids, so the race
     // sanitizer tracks USM elements with the same shadow machinery.
     id: u64,
@@ -97,7 +80,7 @@ impl<T: Copy + Default + 'static> UsmAlloc<T> {
             std::mem::size_of_val::<[T]>(&data),
             integrity::bit_safe::<T>(),
         );
-        Ok(UsmAlloc { data, kind, advices: Vec::new(), id, region })
+        Ok(UsmAlloc { data, kind, id, region })
     }
 
     /// The allocation's process-unique object id (shared between the
@@ -170,28 +153,9 @@ impl<T: Copy + Default + 'static> UsmAlloc<T> {
         self.kind
     }
 
-    /// Record a `mem_advise` call.
-    pub fn advise(&mut self, advice: MemAdvice) {
-        self.advices.push(advice);
-    }
-
-    /// Advices recorded so far.
-    pub fn advices(&self) -> &[MemAdvice] {
-        &self.advices
-    }
-
     /// Immutable data access.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable data access. Drops the integrity seal while armed (host
-    /// writes are not corruption); the next launch exit reseals.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        if let Some(region) = &self.region {
-            region.unseal_fast();
-        }
-        &mut self.data
     }
 }
 
@@ -202,7 +166,7 @@ mod tests {
     #[test]
     fn usm_works_on_cpu_and_gpu() {
         let mut a = UsmAlloc::<f32>::new(&Device::cpu(), UsmKind::Shared, 8).unwrap();
-        a.as_mut_slice()[3] = 2.5;
+        a.set(3, 2.5);
         assert_eq!(a.as_slice()[3], 2.5);
         assert!(UsmAlloc::<u8>::new(&Device::rtx_2080(), UsmKind::Host, 4).is_ok());
     }
@@ -252,6 +216,7 @@ mod tests {
         ));
         // Bounds survive as the in-bounds slice contents.
         assert_eq!(a.as_slice(), &[0, 0, 99, 0]);
+        assert_eq!(a.kind(), UsmKind::Shared);
     }
 
     #[test]
@@ -262,17 +227,5 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.get(2))).unwrap_err();
         let e = payload.downcast::<Error>().expect("typed payload");
         assert_eq!(*e, Error::AccessOutOfBounds { offset: 2, len: 1, buffer_len: 2 });
-    }
-
-    #[test]
-    fn advices_are_recorded() {
-        let mut a = UsmAlloc::<u32>::new(&Device::rtx_2080(), UsmKind::Shared, 1).unwrap();
-        a.advise(MemAdvice::ReadMostly);
-        a.advise(MemAdvice::PreferredLocationDevice);
-        assert_eq!(
-            a.advices(),
-            &[MemAdvice::ReadMostly, MemAdvice::PreferredLocationDevice]
-        );
-        assert_eq!(a.kind(), UsmKind::Shared);
     }
 }

@@ -180,7 +180,8 @@ fn integrity_detects_flip_through_replay_and_retry_heals() {
 }
 
 /// Dmr/Tmr redundancy applies to replayed nodes: the slow path votes
-/// and records the replica count per node, exactly like live launches.
+/// and accounts the replica runs of both nodes to the queue's ledger,
+/// exactly like live launches.
 /// (Voting runs under the integrity protocol, so the layer is armed
 /// here, as `Queue::with_sdc_defense` would.)
 #[test]
@@ -195,18 +196,22 @@ fn redundancy_votes_on_replayed_nodes() {
     let g = doubling_graph(&src, &mid, &out, &q);
 
     for (red, replicas) in [(Redundancy::Dmr, 2), (Redundancy::Tmr, 3)] {
-        let voting = disarmed().with_integrity(true).with_redundancy(red);
+        let ledger = Arc::new(ResilienceLedger::new());
+        let voting = disarmed()
+            .with_integrity(true)
+            .with_redundancy(red)
+            .with_resilience_ledger(Some(Arc::clone(&ledger)));
         g.replay(&voting).unwrap();
-        assert_eq!(g.node_replicas(0), replicas, "{red:?}");
-        assert_eq!(g.node_replicas(1), replicas, "{red:?}");
+        assert_eq!(ledger.snapshot().replicas, 2 * replicas, "{red:?}");
         assert!(out.to_vec().iter().all(|&v| v == 7));
     }
     assert_eq!(g.fast_replays(), 0);
 
-    // Disarmed single-execution replay resets the recorded replica count.
+    // A disarmed replay runs each node once.
     drop(armed_guard);
-    g.replay(&q).unwrap();
-    assert_eq!(g.node_replicas(0), 1);
+    let ledger = Arc::new(ResilienceLedger::new());
+    g.replay(&q.with_resilience_ledger(Some(Arc::clone(&ledger)))).unwrap();
+    assert_eq!(ledger.snapshot().replicas, 2);
     assert_eq!(g.fast_replays(), 1);
 }
 

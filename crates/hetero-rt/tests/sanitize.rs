@@ -2,11 +2,10 @@
 //! true-positive kernels (cross-group write/write and read/write races,
 //! a missed intra-group barrier, an uninitialised local read) must be
 //! detected with the exact same `(kernel, element, kind)` triple on
-//! every run, and representative clean kernels — including the group
-//! collectives and a cooperative grid launch — must stay silent.
+//! every run, and representative clean kernels — including a
+//! leader-only fold in uniform context — must stay silent.
 
 use hetero_rt::executor::Parallelism;
-use hetero_rt::group_algorithms::{group_all_of, group_broadcast, group_exclusive_scan, group_reduce};
 use hetero_rt::ndrange::FenceSpace;
 use hetero_rt::prelude::*;
 use hetero_rt::sanitize::take_last_reports;
@@ -248,15 +247,16 @@ fn plain_write_vs_atomic_is_detected() {
     );
 }
 
-/// The group collectives run in uniform context (one thread legitimately
-/// walks every item's private slot); they must be race-free under the
+/// Leader-only code runs in uniform context (one thread legitimately
+/// walks every item's private slot and writes the group's result, as
+/// LavaMD's per-box fold does); it must be race-free under the
 /// sanitizer, pinning the uniform-context exemption.
 #[test]
-fn group_collectives_run_clean_under_sanitizer() {
+fn uniform_context_reads_run_clean_under_sanitizer() {
     let q = sanitized_queue();
     let out = Buffer::<u32>::new(4 * 3);
     let ov = out.view();
-    q.nd_range("collectives", NdRange::d1(4 * 16, 16), move |ctx| {
+    q.nd_range("leader_fold", NdRange::d1(4 * 16, 16), move |ctx| {
         let vals = ctx.private_array::<u32>();
         let flags = ctx.private_array::<bool>();
         ctx.items(|it| {
@@ -264,42 +264,21 @@ fn group_collectives_run_clean_under_sanitizer() {
             flags.set(it.lid(0), true);
         });
         ctx.barrier(FenceSpace::Local);
+        // Outside `items()`: sum, one item's value, the prefix below the
+        // last item, and an all-of, each a plain loop over the slots.
         let g = ctx.group_linear();
-        ov.set(g * 3, group_reduce(ctx, &vals, 0, |a, b| a + b));
-        ov.set(g * 3 + 1, group_broadcast(ctx, &vals, 5));
-        let scanned = group_exclusive_scan(ctx, &vals, 0, |a, b| a + b);
-        ov.set(g * 3 + 2, scanned.get(15) + u32::from(group_all_of(ctx, &flags)));
+        let sum: u32 = (0..ctx.group_size()).map(|lid| vals.get(lid)).sum();
+        let prefix_15: u32 = (0..15).map(|lid| vals.get(lid)).sum();
+        let all = (0..ctx.group_size()).all(|lid| flags.get(lid));
+        ov.set(g * 3, sum);
+        ov.set(g * 3 + 1, vals.get(5));
+        ov.set(g * 3 + 2, prefix_15 + u32::from(all));
     })
-    .expect("collectives must be race-free under the sanitizer");
+    .expect("leader-only folds must be race-free under the sanitizer");
     let got = out.to_vec();
     for g in 0..4 {
         assert_eq!(&got[g * 3..g * 3 + 3], &[120, 5, 106]);
     }
-}
-
-/// A cooperative (grid-synchronised) ping-pong runs each grid phase as
-/// its own launch; per-launch race scoping must keep the cross-phase
-/// reads clean while still checking within each phase.
-#[test]
-fn cooperative_grid_phases_run_clean_under_sanitizer() {
-    let q = sanitized_queue();
-    let n = 64;
-    let a = Buffer::<f32>::from_slice(&vec![1.0f32; n]);
-    let bb = Buffer::<f32>::new(n);
-    let (av, bv) = (a.view(), bb.view());
-    q.nd_range_cooperative("ping_pong", NdRange::d1(n, 16), move |grid| {
-        for step in 0..4 {
-            let (src, dst) =
-                if step % 2 == 0 { (av.clone(), bv.clone()) } else { (bv.clone(), av.clone()) };
-            grid.items(move |it| {
-                let i = it.global_linear;
-                dst.set(i, src.get(i) * 2.0);
-            });
-            grid.sync();
-        }
-    })
-    .expect("grid phases write disjoint elements — race-free");
-    assert!(a.to_vec().iter().all(|&x| x == 16.0));
 }
 
 /// `HETERO_RT_SANITIZE` seeds the queue default; `with_sanitizer` both

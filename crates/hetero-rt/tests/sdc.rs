@@ -310,7 +310,7 @@ fn usm_and_buffer_host_apis_keep_protection_coherent() {
     // USM hot writes unseal (no false positive), buffer coarse writes
     // reseal (protection stays active).
     u.set(5, 42);
-    b.try_write_from(&vec![7u32; 512]).unwrap();
+    b.write_from(&vec![7u32; 512]);
     assert!(integrity::verify_all().is_ok());
     let e = q.try_parallel_for("touch", Range::d1(1), |_| {}).unwrap();
     assert_eq!(e.resilience().faults_absorbed, 0);
@@ -406,7 +406,7 @@ fn launch_overhead_covers_the_entry_walk_and_absorbed_transients() {
     let _g = serial();
     let split = |ev: &hetero_rt::Event| {
         let p = ev.profiling().expect("profiling queue");
-        (p.overhead(), p.kernel_time(), p.invocation_time())
+        (p.overhead(), p.ended.duration_since(p.started), p.ended.duration_since(p.submitted))
     };
 
     let plain = Queue::with_profiling(Device::cpu());

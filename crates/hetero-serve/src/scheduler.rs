@@ -30,7 +30,8 @@ use altis_core::suite::{
     GRAPH_FLAVOR_APPS,
 };
 use hetero_rt::{
-    CancelToken, Device, Fallback, FaultPlan, Queue, Redundancy, RetryPolicy, StreamConfig,
+    CancelToken, Device, Error, Fallback, FaultPlan, Queue, Redundancy, RetryPolicy,
+    StreamConfig,
 };
 
 use crate::breaker::{Breaker, BreakerDecision};
@@ -122,7 +123,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Sum of all delivered verdicts.
-    pub fn accounted(&self) -> u64 {
+    fn accounted(&self) -> u64 {
         self.completed + self.corrected + self.quarantined + self.rejected + self.shed
             + self.deadline
     }
@@ -291,19 +292,16 @@ impl Shared {
         }
     }
 
-    /// Whether a quarantine/typed-error reason is a breaker-class
-    /// failure (kernel panic or data corruption — route-health signals,
-    /// unlike deadlines, quota rejections, or wrong-size errors).
-    fn breaker_class(reason: &str) -> bool {
-        const MARKS: [&str; 6] = [
-            "panicked",
-            "KernelPanicked",
-            "data corruption",
-            "DataCorruption",
-            "replica digests",
-            "ReplicaDivergence",
-        ];
-        MARKS.iter().any(|m| reason.contains(m))
+    /// Whether a typed error is a breaker-class failure (kernel panic
+    /// or data corruption — route-health signals, unlike deadlines,
+    /// quota rejections, or wrong-size errors).
+    fn breaker_class(e: &Error) -> bool {
+        matches!(
+            e,
+            Error::KernelPanicked { .. }
+                | Error::DataCorruption { .. }
+                | Error::ReplicaDivergence { .. }
+        )
     }
 
     /// Execute one popped job end to end and deliver its verdict.
@@ -434,34 +432,43 @@ impl Shared {
         let entry = registry_entry(job.app);
 
         let t0 = Instant::now();
-        let verdict = if let Some(windows) = job.req.stream_windows {
+        // The verdict, and whether what stopped the run is a
+        // breaker-class failure.
+        let (verdict, failure) = if let Some(windows) = job.req.stream_windows {
             self.run_stream_job(&job, windows, stream_plan, &token)
         } else if sdc {
             // One SDC job at a time: the integrity counters its verdict
             // is computed from are process-global.
             let _permit = SDC_PERMIT.lock().unwrap_or_else(|p| p.into_inner());
             match run_sdc_inline(entry, &queue, job.req.size, version) {
-                SdcOutcome::Correct => Verdict::Completed,
-                SdcOutcome::Corrected { events } => Verdict::Corrected { events },
-                SdcOutcome::Quarantined { reason } => self.classify_stop(&token, reason),
-                SdcOutcome::Uncontained { what } => {
-                    self.counters.uncontained.fetch_add(1, Ordering::Relaxed);
-                    Verdict::Quarantined { reason: format!("UNCONTAINED: {what}") }
+                SdcOutcome::Correct => (Verdict::Completed, false),
+                SdcOutcome::Corrected { events } => (Verdict::Corrected { events }, false),
+                // The reason is a failed validation check or a typed
+                // error's `Display` text: the one path read as text.
+                SdcOutcome::Quarantined { reason } => {
+                    if token.is_canceled() && reason.contains("canceled") {
+                        (Verdict::Deadline, false)
+                    } else {
+                        let marks = ["panicked", "data corruption", "replica digests"];
+                        let failure = marks.iter().any(|m| reason.contains(m));
+                        (Verdict::Quarantined { reason }, failure)
+                    }
                 }
+                SdcOutcome::Uncontained { what } => (self.uncontained(what), false),
             }
         } else {
             match run_flavored_inline(entry, &queue, job.req.size, version, mode)
                 .expect("graph flavors are admission-checked")
             {
-                ResilienceOutcome::Correct => Verdict::Completed,
-                ResilienceOutcome::TypedError(reason) => self.classify_stop(&token, reason),
-                ResilienceOutcome::Incorrect => Verdict::Quarantined {
-                    reason: "output diverged from the golden reference".to_string(),
-                },
-                ResilienceOutcome::Panicked(what) => {
-                    self.counters.uncontained.fetch_add(1, Ordering::Relaxed);
-                    Verdict::Quarantined { reason: format!("UNCONTAINED: {what}") }
-                }
+                ResilienceOutcome::Correct => (Verdict::Completed, false),
+                ResilienceOutcome::TypedError(e) => Self::classify_stop(&token, &e, e.to_string()),
+                ResilienceOutcome::Incorrect => (
+                    Verdict::Quarantined {
+                        reason: "output diverged from the golden reference".to_string(),
+                    },
+                    false,
+                ),
+                ResilienceOutcome::Panicked(what) => (self.uncontained(what), false),
                 ResilienceOutcome::TimedOut => unreachable!("inline runners cannot time out"),
             }
         };
@@ -471,7 +478,6 @@ impl Shared {
         // Route-health bookkeeping: the verdict is recorded against the
         // route the job actually ran on.
         let ran_route = effective_route.label();
-        let failure = matches!(&verdict, Verdict::Quarantined { reason } if Self::breaker_class(reason));
         {
             let mut breakers = self.breakers.lock().unwrap();
             if let Some(b) = breakers.get_mut(&(job.app, ran_route)) {
@@ -494,7 +500,7 @@ impl Shared {
         windows: u64,
         fault: Option<Arc<FaultPlan>>,
         token: &CancelToken,
-    ) -> Verdict {
+    ) -> (Verdict, bool) {
         let scenario = StreamScenario {
             fault,
             sdc: false,
@@ -505,15 +511,15 @@ impl Shared {
         let mut stream = match opened {
             Ok(Some(s)) => s,
             Ok(None) => unreachable!("stream jobs are admission-checked"),
-            Err(e) => return self.classify_stop(token, format!("stream open failed: {e}")),
+            Err(e) => return Self::classify_stop(token, &e, format!("stream open failed: {e}")),
         };
         for _ in 0..windows {
             if let Err(e) = stream.next_window() {
-                return self.classify_stop(token, format!("stream stopped: {e}"));
+                return Self::classify_stop(token, &e, format!("stream stopped: {e}"));
             }
         }
         let st = stream.stats();
-        if st.dropped > 0 {
+        let verdict = if st.dropped > 0 {
             Verdict::Quarantined {
                 reason: format!("stream dropped {} window(s) past the containment budget", st.dropped),
             }
@@ -521,18 +527,26 @@ impl Shared {
             Verdict::Corrected { events: st.non_delivered() }
         } else {
             Verdict::Completed
+        };
+        (verdict, false)
+    }
+
+    /// Map the typed error that stopped a run to its verdict, and say
+    /// whether it is breaker-class: a fired deadline token whose
+    /// cancellation surfaced through the typed path is a `Deadline`,
+    /// anything else is a quarantine with `reason`.
+    fn classify_stop(token: &CancelToken, e: &Error, reason: String) -> (Verdict, bool) {
+        if token.is_canceled() && matches!(e, Error::Canceled { .. }) {
+            (Verdict::Deadline, false)
+        } else {
+            (Verdict::Quarantined { reason }, Self::breaker_class(e))
         }
     }
 
-    /// Map a typed-error reason to its verdict: a fired deadline token
-    /// whose cancellation surfaced through the typed path is a
-    /// `Deadline`, anything else is a quarantine.
-    fn classify_stop(&self, token: &CancelToken, reason: String) -> Verdict {
-        if token.is_canceled() && (reason.contains("canceled") || reason.contains("Canceled")) {
-            Verdict::Deadline
-        } else {
-            Verdict::Quarantined { reason }
-        }
+    /// An untyped panic: containment failed, and the ledger says so.
+    fn uncontained(&self, what: String) -> Verdict {
+        self.counters.uncontained.fetch_add(1, Ordering::Relaxed);
+        Verdict::Quarantined { reason: format!("UNCONTAINED: {what}") }
     }
 
     fn release_running(&self, job: &Job) {
@@ -767,6 +781,7 @@ impl Scheduler {
     }
 
     /// Per-tenant runtime-accounting snapshot, if the tenant exists.
+    // lint:allow(unused-pub) test oracle: hetero-serve/tests/isolation.rs shows a hostile tenant's errors never reach a clean ledger
     pub fn tenant_ledger(&self, name: &str) -> Option<hetero_rt::LedgerSnapshot> {
         self.shared
             .tenants
@@ -777,6 +792,7 @@ impl Scheduler {
     }
 
     /// Whether a tenant is currently quarantined.
+    // lint:allow(unused-pub) test oracle: hetero-serve/tests/isolation.rs shows quarantine is tenant-scoped
     pub fn tenant_quarantined(&self, name: &str) -> bool {
         self.shared
             .tenants

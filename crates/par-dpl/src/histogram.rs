@@ -1,43 +1,5 @@
 //! Parallel histogram — per-thread private bins merged at the end, the
-//! standard GPU-library formulation (and the shape Altis' `Where`
-//! selectivity analysis uses when profiling predicates).
-
-
-/// Histogram of `data` into `bins` equal-width buckets over
-/// `[lo, hi)`. Out-of-range values are clamped into the edge buckets.
-pub fn histogram_f32(data: &[f32], bins: usize, lo: f32, hi: f32) -> Vec<u64> {
-    assert!(bins > 0, "histogram needs at least one bin");
-    assert!(hi > lo, "empty histogram range");
-    let n = data.len();
-    let width = (hi - lo) / bins as f32;
-    let bucket = |v: f32| -> usize {
-        (((v - lo) / width) as isize).clamp(0, bins as isize - 1) as usize
-    };
-    let threads = crate::util::thread_count_for(n, 8192);
-    if threads <= 1 {
-        let mut h = vec![0u64; bins];
-        for &v in data {
-            h[bucket(v)] += 1;
-        }
-        return h;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![vec![0u64; bins]; threads];
-    hetero_rt::pool::parallel_parts(&mut partials, threads, |t, part| {
-        let lo_i = t * chunk;
-        let hi_i = ((t + 1) * chunk).min(n);
-        for &v in &data[lo_i..hi_i] {
-            part[bucket(v)] += 1;
-        }
-    });
-    let mut out = vec![0u64; bins];
-    for part in partials {
-        for (o, p) in out.iter_mut().zip(part) {
-            *o += p;
-        }
-    }
-    out
-}
+//! standard GPU-library formulation.
 
 /// Histogram of `u32` keys into `bins` buckets by modulo (the integer
 /// bucketing the record-filtering workloads use).
@@ -50,26 +12,8 @@ pub fn histogram_u32_mod(data: &[u32], bins: usize) -> Vec<u64> {
     hetero_rt::pool::parallel_parts(&mut partials, threads, |t, part| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
-        let slice = &data[lo..hi.max(lo)];
-        if hetero_rt::lanes::enabled() && bins <= u32::MAX as usize {
-            // Lane path: bucket indices computed 8 at a time (the modulo
-            // is the expensive op); the scatter increments stay scalar.
-            use hetero_rt::lanes::{LANES, U32x8};
-            let mut it = slice.chunks_exact(LANES);
-            for lane in &mut it {
-                let a: [u32; LANES] = lane.try_into().unwrap();
-                let idx = U32x8::from(a).rem(bins as u32);
-                for k in 0..LANES {
-                    part[idx.0[k] as usize] += 1;
-                }
-            }
-            for &v in it.remainder() {
-                part[v as usize % bins] += 1;
-            }
-        } else {
-            for &v in slice {
-                part[v as usize % bins] += 1;
-            }
+        for &v in &data[lo..hi.max(lo)] {
+            part[v as usize % bins] += 1;
         }
     });
     let mut out = vec![0u64; bins];
@@ -86,28 +30,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_sum_to_input_length() {
-        let data: Vec<f32> = (0..100_000).map(|i| (i % 1000) as f32).collect();
-        let h = histogram_f32(&data, 16, 0.0, 1000.0);
-        assert_eq!(h.iter().sum::<u64>(), data.len() as u64);
-    }
-
-    #[test]
-    fn uniform_data_fills_bins_evenly() {
-        let data: Vec<f32> = (0..64_000).map(|i| (i % 64) as f32 + 0.5).collect();
-        let h = histogram_f32(&data, 64, 0.0, 64.0);
-        assert!(h.iter().all(|&c| c == 1000));
-    }
-
-    #[test]
-    fn out_of_range_values_clamp_to_edges() {
-        // Bins of width 0.5 over [0,1): -5 clamps into bin 0; 0.5 lands
-        // in bin 1; 99 clamps into bin 1.
-        let h = histogram_f32(&[-5.0, 0.5, 99.0], 2, 0.0, 1.0);
-        assert_eq!(h, vec![1, 2]);
-    }
-
-    #[test]
     fn mod_histogram_matches_sequential() {
         let data: Vec<u32> = (0..50_000).map(|i| i * 7 + 3).collect();
         let par = histogram_u32_mod(&data, 10);
@@ -120,7 +42,6 @@ mod tests {
 
     #[test]
     fn empty_input_yields_zero_bins() {
-        assert_eq!(histogram_f32(&[], 4, 0.0, 1.0), vec![0; 4]);
         assert_eq!(histogram_u32_mod(&[], 4), vec![0; 4]);
     }
 
@@ -128,9 +49,8 @@ mod tests {
     fn prop_total_count_preserved() {
         let mut g = crate::testgen::Gen::new(0x4157);
         for _ in 0..crate::testgen::cases(64) {
-            let data = g.f32_vec(0, 2000, -100.0, 100.0);
-            let h = histogram_f32(&data, 7, -100.0, 100.0);
-            assert_eq!(h.iter().sum::<u64>(), data.len() as u64);
+            let data = g.u32_vec(0, 2000, 1000);
+            assert_eq!(histogram_u32_mod(&data, 7).iter().sum::<u64>(), data.len() as u64);
         }
     }
 }

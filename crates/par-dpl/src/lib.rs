@@ -9,9 +9,9 @@
 //!
 //! This crate implements all three flavours as real algorithms with
 //! *structurally different* pass counts (which is exactly where the
-//! performance difference comes from), together with the reduce, compact,
-//! and sort primitives the suite needs. Each flavour also exposes the
-//! kernel-IR descriptor used by the performance models.
+//! performance difference comes from), together with the reduce, dot
+//! and histogram primitives the suite calls. The custom FPGA scan also
+//! exposes the kernel-IR descriptor used by the performance models.
 //!
 //! ## Example
 //!
@@ -26,26 +26,18 @@
 
 #![warn(missing_docs)]
 
-pub mod compact;
 pub mod histogram;
-#[cfg(test)]
-pub(crate) mod testgen;
-pub mod radix_sort;
 pub mod reduce;
 pub mod scan;
-pub mod segmented;
-pub mod sort;
+#[cfg(test)]
+pub(crate) mod testgen;
 pub mod transform;
 pub mod util;
 
-pub use compact::{compact, compact_indices};
-pub use reduce::{reduce_max, reduce_min, reduce_sum};
+pub use histogram::histogram_u32_mod;
+pub use reduce::{reduce_min, reduce_sum};
 pub use scan::{
     exclusive_scan_cub_style, exclusive_scan_fpga_custom, exclusive_scan_onedpl_style,
-    fpga_scan_kernel_ir, inclusive_scan_onedpl_style, ScanFlavor,
+    fpga_scan_kernel_ir, ScanFlavor,
 };
-pub use histogram::{histogram_f32, histogram_u32_mod};
-pub use radix_sort::{radix_sort_pairs_u32, radix_sort_u32};
-pub use segmented::{min_element_index, segmented_exclusive_scan, segmented_max, segmented_sum};
-pub use sort::{sort_by_key, sort_f32};
-pub use transform::{count_if, dot_f32, transform_reduce_f32};
+pub use transform::dot_f32;

@@ -44,28 +44,13 @@ pub fn exclusive_scan_onedpl_style(input: &[u32], output: &mut [u32]) {
     let chunk = n.div_ceil(threads);
 
     // Phase 1: per-chunk reduction (first read of the input), on the
-    // persistent runtime pool — no threads spawned per pass. Wrapping
-    // u32 addition is associative and commutative, so the 8-lane
-    // accumulator fold is bit-equal to the sequential fold.
+    // persistent runtime pool — no threads spawned per pass.
     let mut totals = vec![0u32; threads];
     hetero_rt::pool::parallel_parts(&mut totals, threads, |t, total| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
         if lo < hi {
-            let slice = &input[lo..hi];
-            if hetero_rt::lanes::enabled() {
-                let mut acc = hetero_rt::lanes::U32x8::splat(0);
-                let mut it = slice.chunks_exact(hetero_rt::lanes::LANES);
-                for lane in &mut it {
-                    let a: [u32; hetero_rt::lanes::LANES] = lane.try_into().unwrap();
-                    acc = acc.wrapping_add(hetero_rt::lanes::U32x8::from(a));
-                }
-                let tail =
-                    it.remainder().iter().fold(0u32, |a, &b| a.wrapping_add(b));
-                *total = acc.hsum_wrapping().wrapping_add(tail);
-            } else {
-                *total = slice.iter().fold(0u32, |a, &b| a.wrapping_add(b));
-            }
+            *total = input[lo..hi].iter().fold(0u32, |a, &b| a.wrapping_add(b));
         }
     });
 
@@ -78,39 +63,16 @@ pub fn exclusive_scan_onedpl_style(input: &[u32], output: &mut [u32]) {
     }
 
     // Phase 3: per-chunk exclusive scan + offset (second read, one
-    // write). The lane path computes the in-lane exclusive prefix and
-    // adds the running offset; wrapping adds keep it bit-equal to the
-    // scalar running prefix.
+    // write).
     let mut parts: Vec<&mut [u32]> = output.chunks_mut(chunk).collect();
     hetero_rt::pool::parallel_parts(&mut parts, threads, |t, out_chunk| {
         let lo = t * chunk;
-        let len = out_chunk.len();
         let mut run = offsets[t];
-        let mut k = 0;
-        if hetero_rt::lanes::enabled() {
-            use hetero_rt::lanes::{LANES, U32x8};
-            while k + LANES <= len {
-                let a: [u32; LANES] = input[lo + k..lo + k + LANES].try_into().unwrap();
-                let (pre, lane_total) = U32x8::from(a).prefix_exclusive_wrapping();
-                let v = pre.wrapping_add(U32x8::splat(run));
-                out_chunk[k..k + LANES].copy_from_slice(&v.to_array());
-                run = run.wrapping_add(lane_total);
-                k += LANES;
-            }
-        }
-        for (o, &x) in out_chunk[k..].iter_mut().zip(&input[lo + k..lo + len]) {
+        for (o, &x) in out_chunk.iter_mut().zip(&input[lo..]) {
             *o = run;
             run = run.wrapping_add(x);
         }
     });
-}
-
-/// oneDPL-style inclusive scan (same pass structure).
-pub fn inclusive_scan_onedpl_style(input: &[u32], output: &mut [u32]) {
-    exclusive_scan_onedpl_style(input, output);
-    for (o, &i) in output.iter_mut().zip(input.iter()) {
-        *o = o.wrapping_add(i);
-    }
 }
 
 /// CUB-style single-pass chained exclusive scan: each chunk scans its
@@ -255,17 +217,6 @@ mod tests {
         let mut b = vec![0; input.len()];
         exclusive_scan_cub_style(&input, &mut b);
         assert_eq!(b, expect);
-    }
-
-    #[test]
-    fn inclusive_scan_is_exclusive_plus_self() {
-        let input: Vec<u32> = (0..100).collect();
-        let mut inc = vec![0; 100];
-        inclusive_scan_onedpl_style(&input, &mut inc);
-        let exc = naive_exclusive(&input);
-        for i in 0..100 {
-            assert_eq!(inc[i], exc[i].wrapping_add(input[i]));
-        }
     }
 
     #[test]

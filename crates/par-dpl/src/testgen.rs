@@ -3,7 +3,7 @@
 //! Default iteration counts stay quick; the `heavy-tests` feature
 //! multiplies them for longer soak runs.
 
-pub struct Gen(u64);
+pub(crate) struct Gen(u64);
 
 impl Gen {
     pub fn new(seed: u64) -> Self {
@@ -50,7 +50,7 @@ impl Gen {
 }
 
 /// Iteration count for randomized tests, scaled up by `heavy-tests`.
-pub fn cases(base: usize) -> usize {
+pub(crate) fn cases(base: usize) -> usize {
     if cfg!(feature = "heavy-tests") {
         base * 8
     } else {

@@ -1,18 +1,19 @@
-//! Fused transform primitives: `transform_reduce` and `count_if`, the
-//! remaining oneDPL surface the suite's host paths use (e.g. weighted
-//! sums in ParticleFilter and selectivity estimation in Where).
+//! The weighted dot product ParticleFilter's estimate step calls.
 
-
-/// Map each element with `f` and sum the results, in parallel with
-/// deterministic chunked combination.
-pub fn transform_reduce_f32<T: Sync>(data: &[T], f: impl Fn(&T) -> f32 + Sync) -> f32 {
-    let n = data.len();
+/// Weighted dot product: `Σ a[i]·b[i]`, in parallel with deterministic
+/// chunked combination (per-chunk sums added in chunk order).
+pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot product length mismatch");
+    let n = a.len();
     if n == 0 {
         return 0.0;
     }
+    let dot = |lo: usize, hi: usize| -> f32 {
+        a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum()
+    };
     let threads = crate::util::thread_count_for(n, 8192);
     if threads == 1 {
-        return data.iter().map(&f).sum();
+        return dot(0, n);
     }
     let chunk = n.div_ceil(threads);
     let mut partials = vec![0f32; threads];
@@ -20,62 +21,15 @@ pub fn transform_reduce_f32<T: Sync>(data: &[T], f: impl Fn(&T) -> f32 + Sync) -
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(n);
         if lo < hi {
-            *p = data[lo..hi].iter().map(&f).sum();
+            *p = dot(lo, hi);
         }
     });
     partials.into_iter().sum()
-}
-
-/// Count the elements satisfying `pred`, in parallel.
-pub fn count_if<T: Sync>(data: &[T], pred: impl Fn(&T) -> bool + Sync) -> usize {
-    let n = data.len();
-    if n == 0 {
-        return 0;
-    }
-    let threads = crate::util::thread_count_for(n, 8192);
-    if threads == 1 {
-        return data.iter().filter(|x| pred(x)).count();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![0usize; threads];
-    hetero_rt::pool::parallel_parts(&mut partials, threads, |t, p| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        if lo < hi {
-            *p = data[lo..hi].iter().filter(|x| pred(x)).count();
-        }
-    });
-    partials.into_iter().sum()
-}
-
-/// Weighted dot product: `Σ a[i]·b[i]` (ParticleFilter's estimate step).
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    let n = a.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let idx: Vec<usize> = (0..n).collect();
-    transform_reduce_f32(&idx, |&i| a[i] * b[i])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transform_reduce_matches_sequential() {
-        let data: Vec<i64> = (0..200_000).collect();
-        let par = transform_reduce_f32(&data, |&x| (x % 10) as f32);
-        let seq: f32 = data.iter().map(|&x| (x % 10) as f32).sum();
-        assert!((par - seq).abs() < seq.abs() * 1e-4);
-    }
-
-    #[test]
-    fn count_if_matches_filter_count() {
-        let data: Vec<u32> = (0..150_000).map(|i| i % 97).collect();
-        assert_eq!(count_if(&data, |&x| x < 30), data.iter().filter(|&&x| x < 30).count());
-    }
 
     #[test]
     fn dot_product_basic() {
@@ -85,21 +39,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_inputs() {
-        assert_eq!(transform_reduce_f32::<f32>(&[], |&x| x), 0.0);
-        assert_eq!(count_if::<u8>(&[], |_| true), 0);
-        assert_eq!(dot_f32(&[], &[]), 0.0);
+    fn chunked_dot_matches_sequential() {
+        let a: Vec<f32> = (0..200_000).map(|i| (i % 10) as f32).collect();
+        let b: Vec<f32> = (0..200_000).map(|i| (i % 7) as f32 * 0.5).collect();
+        let seq: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+        assert!((dot_f32(&a, &b) - seq).abs() < seq.abs() * 1e-4);
     }
 
     #[test]
-    fn prop_count_if_bounded_by_len() {
-        let mut g = crate::testgen::Gen::new(0xC0F1);
-        for _ in 0..crate::testgen::cases(64) {
-            let data = g.u32_vec(0, 2000, 100);
-            let c = count_if(&data, |&x| x % 2 == 0);
-            assert!(c <= data.len());
-            let inv = count_if(&data, |&x| x % 2 == 1);
-            assert_eq!(c + inv, data.len());
-        }
+    fn empty_inputs() {
+        assert_eq!(dot_f32(&[], &[]), 0.0);
     }
 }

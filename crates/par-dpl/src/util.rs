@@ -10,16 +10,6 @@ pub fn thread_count_for(n: usize, grain: usize) -> usize {
     hw.min(n.div_ceil(grain.max(1))).max(1)
 }
 
-/// Split `n` items into per-thread half-open ranges of near-equal size.
-pub fn chunk_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let t = threads.max(1);
-    let chunk = n.div_ceil(t).max(1);
-    (0..t)
-        .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,22 +28,5 @@ mod tests {
         assert!(large >= small);
         assert!(large <= hw);
         assert!(small >= 1);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 7, 100, 1001] {
-            for t in [1usize, 2, 3, 8] {
-                let ranges = chunk_ranges(n, t);
-                let total: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
-                assert_eq!(total, n, "n={n} t={t}");
-                // Contiguous and ordered.
-                let mut expect = 0;
-                for (lo, hi) in ranges {
-                    assert_eq!(lo, expect);
-                    expect = hi;
-                }
-            }
-        }
     }
 }

@@ -71,19 +71,12 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
 
     hetero_rt::lanes::force(false);
     let (fdtd_scalar, srad_scalar) = routes_agree(&q, &fp, &sp, "lanes off");
-    let scan_scalar = {
-        let input: Vec<u32> = (0..100_000u32).map(|i| i.wrapping_mul(0x9E37_79B9) >> 20).collect();
-        let mut out = vec![0u32; input.len()];
-        par_dpl::scan::exclusive_scan_onedpl_style(&input, &mut out);
-        out
-    };
+    let wp = altis_data::where_q(InputSize::S1);
+    let where_scalar = altis_core::where_q::run(&q, &wp, AppVersion::SyclOptimized);
+    assert_eq!(where_scalar, altis_core::where_q::golden(&wp), "scalar Where must match the golden");
     let data: Vec<f32> =
         (0..65_536).map(|i| ((i as u32).wrapping_mul(0x9E37_79B9) as f32) * 1e-3).collect();
     let min_scalar = par_dpl::reduce::reduce_min(&data);
-    let hist_scalar = par_dpl::histogram::histogram_u32_mod(
-        &(0..65_536u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect::<Vec<_>>(),
-        257,
-    );
 
     // The scalar arm is the honest baseline; it must still verify.
     let golden = altis_core::fdtd2d::golden(&fp);
@@ -101,17 +94,8 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
 
     hetero_rt::lanes::force(true);
     let (fdtd_lanes, srad_lanes) = routes_agree(&q, &fp, &sp, "lanes on");
-    let scan_lanes = {
-        let input: Vec<u32> = (0..100_000u32).map(|i| i.wrapping_mul(0x9E37_79B9) >> 20).collect();
-        let mut out = vec![0u32; input.len()];
-        par_dpl::scan::exclusive_scan_onedpl_style(&input, &mut out);
-        out
-    };
+    let where_lanes = altis_core::where_q::run(&q, &wp, AppVersion::SyclOptimized);
     let min_lanes = par_dpl::reduce::reduce_min(&data);
-    let hist_lanes = par_dpl::histogram::histogram_u32_mod(
-        &(0..65_536u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect::<Vec<_>>(),
-        257,
-    );
 
     assert_eq!(
         fdtd_lanes.ez.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -131,7 +115,6 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
         srad_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "SRAD lane path must be bitwise identical to scalar"
     );
-    assert_eq!(scan_lanes, scan_scalar, "scan lane path must be exact (wrapping adds)");
+    assert_eq!(where_lanes, where_scalar, "Where's lane flag kernel must select the same records");
     assert_eq!(min_lanes.to_bits(), min_scalar.to_bits(), "min reduction must be exact");
-    assert_eq!(hist_lanes, hist_scalar, "histogram lane path must be exact");
 }

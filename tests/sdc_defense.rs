@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use altis_core::common::AppVersion;
-use altis_core::suite::{all_apps, check_golden_registry, run_sdc, run_sdc_inline, SdcOutcome};
+use altis_core::suite::{
+    all_apps, check_golden_registry_sizes, run_sdc, run_sdc_inline, SdcOutcome,
+};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
 use hetero_rt::{integrity, Redundancy, RetryPolicy};
@@ -148,7 +150,11 @@ fn injected_silent_faults_are_never_silently_wrong() {
                 AppVersion::SyclOptimized,
                 Duration::from_secs(120),
             );
-            assert!(o.is_defended(), "{} seed {seed}: {o:?}", app.name);
+            assert!(
+                !matches!(o, SdcOutcome::Uncontained { .. }),
+                "{} seed {seed}: {o:?}",
+                app.name
+            );
         }
     }
 
@@ -168,6 +174,7 @@ fn golden_registry_matches_reference_outputs() {
     // tests/golden_checksums.tsv must match freshly derived digests for
     // all 13 configurations x 3 sizes.
     let _g = serial();
-    let n = check_golden_registry().unwrap_or_else(|errs| panic!("{}", errs.join("\n")));
+    let n = check_golden_registry_sizes(&InputSize::all())
+        .unwrap_or_else(|errs| panic!("{}", errs.join("\n")));
     assert_eq!(n, 39, "expected 13 configurations x 3 sizes");
 }
