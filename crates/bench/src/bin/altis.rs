@@ -3,14 +3,14 @@
 //! ```text
 //! altis list
 //! altis run <app> [--size 1|2|3] [--device cpu|gpu|fpga]
-//!                 [--version baseline|optimized] [--iterations N]
+//!                 [--version baseline|optimized]
 //! altis run all [--size 1]
 //! altis run <app|all> --stream [--windows N] [--fault-rate R] [--seed N]
 //! ```
 //!
 //! Runs the selected application(s) end-to-end on the portable runtime,
 //! verifies the output against the golden reference, and reports wall
-//! times (min/mean over `--iterations`, Altis-style).
+//! times (min/mean over [`ITERATIONS`] runs, Altis-style).
 //!
 //! With `--stream`, the streaming-converted apps (SRAD, FDTD2D, KMeans,
 //! PF Naive) run as unbounded window sequences under windowed fault
@@ -32,16 +32,18 @@ use altis_data::InputSize;
 use hetero_rt::prelude::*;
 
 const USAGE: &str = "\n  altis list\n  altis run <app|all> [--size 1|2|3] [--device cpu|gpu|fpga] \
-     [--version baseline|optimized] [--iterations N]\n  altis run <app|all> --stream \
+     [--version baseline|optimized]\n  altis run <app|all> --stream \
      [--windows N] [--fault-rate R] [--seed N]";
-const VALUE_FLAGS: [&str; 7] =
-    ["--size", "--device", "--version", "--iterations", "--windows", "--fault-rate", "--seed"];
+const VALUE_FLAGS: [&str; 6] =
+    ["--size", "--device", "--version", "--windows", "--fault-rate", "--seed"];
+
+/// Verified runs per app; the report is their min and mean.
+const ITERATIONS: usize = 3;
 
 struct Options {
     size: InputSize,
     device: Device,
     version: AppVersion,
-    iterations: usize,
     stream: bool,
     windows: u64,
     fault_rate: f64,
@@ -54,7 +56,6 @@ fn parse_options(args: &Args) -> std::result::Result<Options, UsageError> {
         size: args.choice("--size", &SIZES)?.unwrap_or(InputSize::S1),
         device: args.choice("--device", &devices)?.unwrap_or_else(Device::cpu),
         version: args.choice("--version", &VERSIONS)?.unwrap_or(AppVersion::SyclOptimized),
-        iterations: args.get("--iterations", 3)?,
         stream: args.has("--stream"),
         windows: args.get("--windows", 64)?,
         fault_rate: args.get("--fault-rate", 0.0)?,
@@ -68,9 +69,9 @@ fn parse_options(args: &Args) -> std::result::Result<Options, UsageError> {
 
 fn run_app(app: &AppEntry, opts: &Options) -> bool {
     let queue = Queue::with_profiling(opts.device.clone());
-    let mut times = Vec::with_capacity(opts.iterations);
+    let mut times = Vec::with_capacity(ITERATIONS);
     let mut ok = true;
-    for _ in 0..opts.iterations.max(1) {
+    for _ in 0..ITERATIONS {
         let t0 = Instant::now();
         ok &= (app.verify)(&queue, opts.size, opts.version);
         times.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -184,7 +185,7 @@ fn run(target: &str, opts: &Options) -> std::result::Result<ExitCode, UsageError
     } else {
         println!(
             "device: {}   version: {:?}   iterations: {}",
-            opts.device, opts.version, opts.iterations
+            opts.device, opts.version, ITERATIONS
         );
     }
     let apps = all_apps();

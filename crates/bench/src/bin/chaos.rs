@@ -39,15 +39,17 @@ use std::time::{Duration, Instant};
 
 use altis_bench::json::Obj;
 use altis_bench::report::{
-    self, app_matches, golden_registry_ok, validation_summary, verdict, Args, UsageError,
+    self, golden_registry_ok, validation_summary, verdict, Args, UsageError,
 };
 use altis_core::common::AppVersion;
 use altis_core::suite::{all_apps, run_resilient, ResilienceOutcome};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
 
-const USAGE: &str = "chaos [--seed N] [--rate R] [--app SUBSTRING] [--timeout-secs T]\n\
-     \x20            [--serve] [--stream] [--windows N]";
+const USAGE: &str = "chaos [--seed N] [--rate R] [--serve] [--stream] [--windows N]";
+
+/// Watchdog per app run.
+const TIMEOUT: Duration = Duration::from_secs(60);
 
 fn pool_is_healthy() -> bool {
     // A clean, plan-free launch through the shared pool must still
@@ -69,7 +71,7 @@ fn pool_is_healthy() -> bool {
 /// becomes one JSON request line; the line goes through the real
 /// parser (`hetero_serve::json` + `JobRequest::from_json`) and an
 /// in-process scheduler. Returns the number of contract violations.
-fn serve_matrix(seed: u64, rate: f64, filter: Option<&str>) -> u32 {
+fn serve_matrix(seed: u64, rate: f64) -> u32 {
     use std::sync::{Arc, Mutex};
 
     use hetero_serve::json;
@@ -84,9 +86,6 @@ fn serve_matrix(seed: u64, rate: f64, filter: Option<&str>) -> u32 {
 
     let mut submitted = 0u32;
     for (i, app) in all_apps().iter().enumerate() {
-        if !app_matches(filter, app.name) {
-            continue;
-        }
         // Build the actual wire line, then push it through the protocol
         // stack — the point is to exercise what a client would send.
         let line = format!(
@@ -158,7 +157,7 @@ fn serve_matrix(seed: u64, rate: f64, filter: Option<&str>) -> u32 {
 /// primary queue. Violations: the stream dying, a missing or `Dropped`
 /// window verdict, a Delivered window diverging from the golden trail,
 /// or a poisoned pool. Returns the violation count.
-fn stream_matrix(seed: u64, rate: f64, windows: u64, filter: Option<&str>) -> (u32, u64) {
+fn stream_matrix(seed: u64, rate: f64, windows: u64) -> (u32, u64) {
     use std::sync::Arc;
 
     use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
@@ -179,9 +178,6 @@ fn stream_matrix(seed: u64, rate: f64, windows: u64, filter: Option<&str>) -> (u
     let mut broken = 0u32;
     let mut injected_total = 0u64;
     for app in STREAM_APPS {
-        if !app_matches(filter, app) {
-            continue;
-        }
         // Fault-free golden trail: the bit-exactness oracle for every
         // cell of this app's row.
         let mut trail = Vec::with_capacity(windows as usize);
@@ -300,11 +296,9 @@ fn plan_param<T: std::str::FromStr + ToString>(
 }
 
 fn main() -> ExitCode {
-    let value_flags = ["--seed", "--rate", "--app", "--timeout-secs", "--windows"];
+    let value_flags = ["--seed", "--rate", "--windows"];
     report::run(USAGE, &value_flags, &["--serve", "--stream"], |args| {
         args.no_positional()?;
-        let filter: Option<String> = args.opt("--app")?;
-        let timeout = Duration::from_secs(args.get("--timeout-secs", 60)?);
         let windows: u64 = args.get("--windows", 40)?;
         let seed: u64 = plan_param(args, "--seed", "HETERO_RT_FAULT_SEED", 1)?;
         let rate: f64 = plan_param(args, "--rate", "HETERO_RT_FAULT_RATE", 0.05)?;
@@ -316,7 +310,7 @@ fn main() -> ExitCode {
                  4 fault kinds x streaming apps"
             );
             let t0 = Instant::now();
-            let (broken, injected) = stream_matrix(seed, rate, windows, filter.as_deref());
+            let (broken, injected) = stream_matrix(seed, rate, windows);
             println!(
                 "chaos --stream: done in {:.2?}, {injected} faults injected, \
                  {broken} containment violation(s)",
@@ -337,7 +331,7 @@ fn main() -> ExitCode {
                 all_apps().len()
             );
             let t0 = Instant::now();
-            let broken = serve_matrix(seed, rate, filter.as_deref());
+            let broken = serve_matrix(seed, rate);
             println!(
                 "chaos --serve: done in {:.2?}, {broken} contract violation(s); {}",
                 t0.elapsed(),
@@ -353,7 +347,7 @@ fn main() -> ExitCode {
             plan.seed(),
             plan.rate(),
             all_apps().len(),
-            timeout.as_secs()
+            TIMEOUT.as_secs()
         );
         // Scoped to the size this matrix runs.
         let golden_ok = golden_registry_ok("chaos", &[InputSize::S1]);
@@ -361,10 +355,10 @@ fn main() -> ExitCode {
         let mut broken = 0u32;
         let mut runs = 0u32;
         let t0 = Instant::now();
-        for app in all_apps().iter().filter(|a| app_matches(filter.as_deref(), a.name)) {
+        for app in all_apps().iter() {
             runs += 1;
             let q = Queue::new(Device::cpu());
-            let outcome = run_resilient(app, q, InputSize::S1, AppVersion::SyclBaseline, timeout);
+            let outcome = run_resilient(app, q, InputSize::S1, AppVersion::SyclBaseline, TIMEOUT);
             let healthy = pool_is_healthy();
             let verdict = match (&outcome, healthy) {
                 (o, true) if o.is_contained() => "contained",

@@ -33,7 +33,7 @@ use altis_core::suite::graph_mode_matrix;
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
 
-const USAGE: &str = "graph_replay [out.json] [--replays N] [--gate X] [--matrix]";
+const USAGE: &str = "graph_replay [out.json] [--gate X] [--matrix]";
 
 // Two tiny groups per node: enough to engage the pool on both paths (a
 // single-group launch runs inline and measures nothing), small enough
@@ -44,10 +44,11 @@ const ITEMS: usize = 8;
 const GROUP: usize = 4;
 /// Pairs per microbenchmark and per end-to-end comparison.
 const ROUNDS: usize = 9;
+/// Replays of the graph per timed sample.
+const REPLAYS: usize = 2_000;
 
 fn main() -> ExitCode {
-    report::run(USAGE, &["--replays", "--gate"], &["--matrix"], |args| {
-        let replays: usize = args.get("--replays", 2_000)?;
+    report::run(USAGE, &["--gate"], &["--matrix"], |args| {
         let gate: Option<f64> = args.opt("--gate")?;
         let mut report = Report::new("graph_replay");
 
@@ -79,10 +80,10 @@ fn main() -> ExitCode {
         assert_eq!(graph.phase_count(), 1, "independent nodes should share one phase");
 
         println!(
-            "graph replay: {NODES}-node graph x {replays} replays, {ITEMS} items / {GROUP}-item groups, {} threads",
+            "graph replay: {NODES}-node graph x {REPLAYS} replays, {ITEMS} items / {GROUP}-item groups, {} threads",
             report.threads()
         );
-        let times = |f: &dyn Fn()| (0..replays).for_each(|_| f());
+        let times = |f: &dyn Fn()| (0..REPLAYS).for_each(|_| f());
 
         let micro = paired(
             ROUNDS,
@@ -90,7 +91,7 @@ fn main() -> ExitCode {
             || times(&|| graph.replay(&q).expect("replay failed")),
         );
         assert!(graph.fast_replays() > 0, "hardening disarmed but the fast path never ran");
-        let per_launch_us = |s: f64| s / (replays * NODES) as f64 * 1e6;
+        let per_launch_us = |s: f64| s / (REPLAYS * NODES) as f64 * 1e6;
         println!(
             "  replay     (single wake-up): {:>8.4}s total, {:>8.3} us/launch",
             micro.b_s,
@@ -108,7 +109,7 @@ fn main() -> ExitCode {
         );
         report
             .set("nodes", NODES)
-            .set("replays", replays)
+            .set("replays", REPLAYS)
             .set("items_per_launch", ITEMS)
             .set("group_size", GROUP)
             .set("replay_total_s", micro.b_s)

@@ -2,10 +2,11 @@
 //!
 //! A zero-dependency scanner (the workspace is offline, so no `syn`)
 //! that walks `crates/core/src` and enforces portability rules inside
-//! the closures passed to runtime launch calls, and in kernels bound to
-//! a name first (`move |it: Item| { … }`, launched on several routes) —
-//! the code that models device kernels and must stay free of host-only
-//! idioms:
+//! the closures passed to runtime launch calls, in kernels bound to a
+//! name first (`move |it: Item| { … }`, launched on several routes) and
+//! in lane bodies (`fn at<const W: usize>`, run through `lanes::sweep`)
+//! — the code that models device kernels and must stay free of
+//! host-only idioms:
 //!
 //! * **no-unwrap** — no `unwrap()` / `expect(...)` inside kernel bodies.
 //!   A device kernel cannot print-and-abort; the runtime's containment
@@ -75,16 +76,6 @@
 //!   bypass the check. Suppress with
 //!   `// lint:allow(no-unchecked-access)` plus the invariant
 //!   that discharges the bounds obligation.
-//! * **lanes-remainder** — every lane loop must carry a scalar
-//!   remainder arm. A `while … LANES …` sweep or a
-//!   `chunks_exact(LANES)` iterator covers only the widest multiple of
-//!   the lane count; without a trailing scalar loop (or `.remainder()`
-//!   consumption) the last `n % LANES` elements are silently skipped —
-//!   a truncation bug no checksum over lane-aligned sizes will catch.
-//!   Heuristic: a scalar arm (`while` / `for` / `scalar(` /
-//!   `remainder`) must appear shortly after the lane loop. Suppress
-//!   with `// lint:allow(lanes-remainder)` plus the reason the range
-//!   is provably lane-aligned.
 //! * **unused-pub** — a `pub fn` / `struct` / `enum` / `const` /
 //!   `trait` / `type` / `static` in library code (`crates/*/src`
 //!   outside `src/bin/`) whose name appears nowhere outside its own file
@@ -169,7 +160,6 @@ fn main() -> std::process::ExitCode {
         lint_no_process_exit(f, &text, &mut violations);
         lint_no_unchecked(f, &text, &mut violations);
         lint_stream_unbounded(f, &text, &mut violations);
-        lint_lanes_remainder(f, &text, &mut violations);
     }
     // unused-pub reads the whole repository: every crate directory
     // (sources, bins, benches), the examples and the e2e package.
@@ -955,81 +945,6 @@ fn lint_stream_unbounded(file: &Path, text: &str, violations: &mut Vec<Violation
     }
 }
 
-/// The `lanes-remainder` rule: a lane-width loop (`while` header
-/// mentioning `LANES`, or a `chunks_exact(LANES)` iterator) must be
-/// followed shortly by a scalar remainder arm — another `while`/`for`
-/// loop, a `scalar(` call, or a `remainder` consumption. Purely
-/// structural: it cannot prove the trailing loop covers the right
-/// range, but it reliably flags the common failure of writing the lane
-/// sweep and forgetting the tail entirely.
-fn lint_lanes_remainder(file: &Path, text: &str, violations: &mut Vec<Violation>) {
-    let (masked, allows) = mask_source(text);
-    if find(&masked, b"LANES", 0).is_none() {
-        return;
-    }
-    let tests = cfg_test_spans(&masked);
-    // (offset to report, offset the remainder search starts at)
-    let mut sites: Vec<(usize, usize)> = Vec::new();
-
-    let mut i = 0;
-    while i < masked.len() {
-        if masked[i..].starts_with(b"while ") && (i == 0 || !is_ident_byte(masked[i - 1])) {
-            // Header runs to the block's `{` at bracket depth 0.
-            let mut j = i + 6;
-            let mut depth = 0usize;
-            while j < masked.len() {
-                match masked[j] {
-                    b'(' | b'[' => depth += 1,
-                    b')' | b']' => depth = depth.saturating_sub(1),
-                    b'{' if depth == 0 => break,
-                    b';' => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j < masked.len() && masked[j] == b'{' && find(&masked[i..j], b"LANES", 0).is_some() {
-                if let Some(close) = matching_bracket(&masked, j) {
-                    sites.push((i, close + 1));
-                    i = close + 1;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-
-    let mut from = 0;
-    while let Some(p) = find(&masked, b"chunks_exact(LANES)", from) {
-        from = p + 19;
-        sites.push((p, p + 19));
-    }
-
-    for (at, search_from) in sites {
-        if tests.iter().any(|&(lo, hi)| at >= lo && at < hi) {
-            continue;
-        }
-        let window = &masked[search_from..(search_from + 600).min(masked.len())];
-        let has_scalar_arm = [&b"while "[..], &b"for "[..], &b"scalar("[..], &b"remainder"[..]]
-            .iter()
-            .any(|pat| find(window, pat, 0).is_some());
-        if has_scalar_arm {
-            continue;
-        }
-        let line = line_of(text, at);
-        if allowed(&allows, "lanes-remainder", line) {
-            continue;
-        }
-        let snippet = text.lines().nth(line - 1).unwrap_or("").to_string();
-        violations.push(Violation {
-            file: file.to_path_buf(),
-            line,
-            offset: at,
-            rule: "lanes-remainder",
-            snippet,
-        });
-    }
-}
-
 /// Identifiers (offset, name) of `masked` outside the `skip` spans.
 fn idents_outside<'a>(masked: &'a [u8], skip: &[(usize, usize)]) -> Vec<(usize, &'a str)> {
     let mut out = Vec::new();
@@ -1182,18 +1097,26 @@ fn lint_file(file: &Path, text: &str, violations: &mut Vec<Violation>) -> usize 
             }
         }
     }
-    // Kernels bound to a name before any launch call sees them.
-    let mut from = 0;
-    while let Some(p) = find(&masked, b": Item|", from) {
-        from = p + b": Item|".len();
-        let mut b = from;
-        while b < masked.len() && masked[b].is_ascii_whitespace() {
-            b += 1;
-        }
-        if masked.get(b) == Some(&b'{') {
-            if let Some(end) = matching_bracket(&masked, b) {
-                scanned += 1;
-                lint_body(file, text, &masked, &allows, b, end + 1, violations);
+    // Kernels bound to a name before any launch call sees them, and
+    // lane bodies (`lanes::Body::at`), which a kernel runs through
+    // `lanes::sweep`: the braces that follow the closure head, or the
+    // method's signature.
+    for (head, signature) in [(&b": Item|"[..], false), (&b"fn at<const W: usize>("[..], true)] {
+        let mut from = 0;
+        while let Some(p) = find(&masked, head, from) {
+            from = p + head.len();
+            let mut b = from;
+            while b < masked.len()
+                && (masked[b].is_ascii_whitespace()
+                    || (signature && !matches!(masked[b], b'{' | b';')))
+            {
+                b += 1;
+            }
+            if masked.get(b) == Some(&b'{') {
+                if let Some(end) = matching_bracket(&masked, b) {
+                    scanned += 1;
+                    lint_body(file, text, &masked, &allows, b, end + 1, violations);
+                }
             }
         }
     }
@@ -1211,6 +1134,24 @@ mod tests {
         lint_file(Path::new("app/mod.rs"), src, &mut v);
         v.retain(|x| x.rule == "staging-copy");
         v.into_iter().map(|x| (x.line, x.snippet.trim().to_string())).collect()
+    }
+
+    #[test]
+    fn a_lane_body_is_a_kernel_body() {
+        let src = "trait Body {\n\
+            fn at<const W: usize>(&self, x: usize);\n\
+            }\n\
+            impl Body for Flags {\n\
+            fn at<const W: usize>(&self, x: usize) {\n\
+            let v = LUT[x];\n\
+            self.out.set_lanes(x, self.src.get_lanes::<W>(x).unwrap());\n\
+            }\n\
+            }\n";
+        let mut v = Vec::new();
+        assert_eq!(lint_file(Path::new("app/mod.rs"), src, &mut v), 1);
+        let mut fired: Vec<_> = v.iter().map(|x| (x.line, x.rule)).collect();
+        fired.sort_unstable();
+        assert_eq!(fired, vec![(6, "no-raw-index"), (7, "no-unwrap")]);
     }
 
     #[test]

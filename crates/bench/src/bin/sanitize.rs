@@ -14,22 +14,21 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use altis_bench::report::{self, golden_registry_ok, validation_summary, Suite};
+use altis_bench::report::{self, golden_registry_ok, validation_summary, Suite, RUN_TIMEOUT};
 use altis_core::common::AppVersion;
 use altis_core::suite::{run_resilient, verify_suite_ir, ResilienceOutcome};
 use hetero_rt::prelude::*;
 
-const USAGE: &str = "sanitize [--size 1|2|3|all] [--app SUBSTRING] \
-                     [--version baseline|optimized|both] [--timeout-secs T]";
+const USAGE: &str = "sanitize [--size 1|2|3|all] [--version baseline|optimized|both]";
 
 fn main() -> ExitCode {
     // Default on for every queue the applications construct themselves;
     // the explicitly-built queues below opt in regardless.
     std::env::set_var("HETERO_RT_SANITIZE", "1");
 
-    report::run(USAGE, &["--size", "--app", "--version", "--timeout-secs"], &[], |args| {
+    report::run(USAGE, &["--size", "--version"], &[], |args| {
         args.no_positional()?;
-        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 1, 900)?;
+        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 1)?;
 
         match verify_suite_ir() {
             Ok(n) => println!("static IR verification: {n} kernel instances clean"),
@@ -52,7 +51,7 @@ fn main() -> ExitCode {
             runs += 1;
             let q = Queue::new(Device::cpu()).with_sanitizer(true);
             let t0 = Instant::now();
-            let outcome = run_resilient(app, q, size, version, suite.timeout);
+            let outcome = run_resilient(app, q, size, version, RUN_TIMEOUT);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             let (verdict, detail) = match &outcome {
                 ResilienceOutcome::Correct => ("clean", String::new()),

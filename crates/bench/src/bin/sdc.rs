@@ -30,7 +30,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use altis_bench::json::Obj;
-use altis_bench::report::{self, golden_registry_ok, validation_summary, verdict, Suite};
+use altis_bench::report::{
+    self, golden_registry_ok, validation_summary, verdict, Suite, RUN_TIMEOUT,
+};
 use altis_core::common::AppVersion;
 use altis_core::suite::{
     compute_golden_registry, golden_registry_path, render_golden_registry, run_sdc, SdcOutcome,
@@ -38,19 +40,15 @@ use altis_core::suite::{
 use altis_data::InputSize;
 use hetero_rt::{integrity, Device, FaultPlan, Queue, Redundancy, RetryPolicy};
 
-const USAGE: &str = "sdc [--seeds N | --seed N] [--size 1|2|3|all] [--app SUBSTRING]\n\
-     \x20          [--version baseline|optimized|both] [--redundancy none|dmr|tmr]\n\
-     \x20          [--rate R] [--timeout-secs T] [--skip-golden] [--write-golden]";
-const VALUE_FLAGS: [&str; 8] =
-    ["--seeds", "--seed", "--size", "--app", "--version", "--redundancy", "--rate", "--timeout-secs"];
-const REDUNDANCY: [(&str, Redundancy); 3] =
-    [("none", Redundancy::None), ("dmr", Redundancy::Dmr), ("tmr", Redundancy::Tmr)];
+const USAGE: &str = "sdc [--seeds N | --seed N] [--size 1|2|3|all]\n\
+     \x20          [--version baseline|optimized|both] [--rate R] [--skip-golden] [--write-golden]";
+const VALUE_FLAGS: [&str; 5] = ["--seeds", "--seed", "--size", "--version", "--rate"];
 
 fn main() -> ExitCode {
     report::run(USAGE, &VALUE_FLAGS, &["--skip-golden", "--write-golden"], |args| {
         args.no_positional()?;
-        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 5, 900)?;
-        let redundancy = args.choice("--redundancy", &REDUNDANCY)?.unwrap_or(Redundancy::Dmr);
+        let suite = Suite::from_args(args, AppVersion::SyclOptimized, 5)?;
+        let redundancy = Redundancy::Dmr;
         let rate: f64 = args.get("--rate", 0.05)?;
         let skip_golden = args.has("--skip-golden");
 
@@ -79,7 +77,7 @@ fn main() -> ExitCode {
             "sdc: {} seed(s) x {} size(s), rate {rate}, {redundancy:?}, timeout {}s/run",
             suite.seeds.len(),
             suite.sizes.len(),
-            suite.timeout.as_secs()
+            RUN_TIMEOUT.as_secs()
         );
 
         let (mut correct, mut corrected, mut quarantined, mut uncontained) = (0u32, 0u32, 0u32, 0u32);
@@ -92,7 +90,7 @@ fn main() -> ExitCode {
                 .with_redundancy(redundancy)
                 .with_retry_policy(RetryPolicy::resilient())
                 .with_fault_plan(Some(Arc::clone(&plan)));
-            let outcome = run_sdc(app, q, size, version, suite.timeout);
+            let outcome = run_sdc(app, q, size, version, RUN_TIMEOUT);
             flips += plan.flips_injected();
             stuck += plan.stuck_applications();
             let detail = match &outcome {

@@ -43,8 +43,11 @@ use hetero_serve::{
 const STORM_APPS: [&str; 2] = ["Where", "DWT2D"];
 const CLEAN_APP: &str = "KMeans";
 const HOSTILE_APP: &str = "Where";
-const USAGE: &str = "serve_storm [out.json] [--jobs N]... [--samples N] [--rounds N] \
-                     [--workers N] [--skip-isolation]";
+const USAGE: &str = "serve_storm [out.json] [--jobs N]... [--workers N]";
+/// Paired solo / hostile rounds of the isolation gate.
+const ROUNDS: usize = 3;
+/// Clean-tenant samples per round.
+const SAMPLES: usize = 60;
 
 fn req(tenant: &str, app: &str) -> JobRequest {
     JobRequest {
@@ -230,14 +233,11 @@ fn isolation_round(samples: usize, workers: usize, hostile: bool) -> (f64, u64, 
 }
 
 fn main() -> ExitCode {
-    let flags = ["--jobs", "--samples", "--rounds", "--workers"];
-    report::run(USAGE, &flags, &["--skip-isolation"], |args| {
+    report::run(USAGE, &["--jobs", "--workers"], &[], |args| {
         let mut storm_sizes: Vec<usize> = args.all("--jobs")?;
         if storm_sizes.is_empty() {
             storm_sizes = vec![1_000, 10_000];
         }
-        let samples: usize = args.get("--samples", 60)?;
-        let rounds: usize = args.get("--rounds", 3)?;
         let workers: usize = args.get("--workers", ServeConfig::default().workers)?;
         let mut report = Report::new("serve_storm");
         report.set("workers", workers);
@@ -247,45 +247,42 @@ fn main() -> ExitCode {
             storm_sizes.iter().map(|&jobs| storm(jobs, workers, &mut report)).collect();
         report.set("storms", arr(storms));
 
-        let mut isolation = None;
-        if !args.has("--skip-isolation") {
-            println!("isolation gate: {rounds} paired rounds x {samples} clean samples");
-            let (mut solo, mut mixed) = (Vec::new(), Vec::new());
-            let (mut hostile_total, mut leaked) = (0u64, 0u64);
-            for round in 0..rounds {
-                let (s, _, l0) = isolation_round(samples, workers, false);
-                let (m, h, l1) = isolation_round(samples, workers, true);
-                hostile_total += h;
-                leaked += l0 + l1;
-                println!("  round {round}: solo p99 {s:>7.2} ms, hostile p99 {m:>7.2} ms");
-                solo.push(s);
-                mixed.push(m);
-            }
-            let (solo_p99, mixed_p99) = (median(&solo), median(&mixed));
-            let delta_pct = (mixed_p99 / solo_p99 - 1.0) * 100.0;
-            report.gate("clean-tenant jobs lost to hostile faults", leaked as f64, Op::Eq, 0.0);
-            let pass =
-                report.gate("clean-tenant p99 moved by the hostile tenant (%)", delta_pct, Op::Le, 10.0);
-            println!(
-                "  clean-tenant p99: solo {solo_p99:.2} ms, under hostile storm {mixed_p99:.2} ms \
-                 ({delta_pct:+.1}%, {hostile_total} hostile jobs) -> {}",
-                if pass { "PASS" } else { "FAIL" }
-            );
-            isolation = Some(
-                Obj::new()
-                    .set("rounds", rounds)
-                    .set("samples_per_round", samples)
-                    .set("clean_app", CLEAN_APP)
-                    .set("hostile_app", HOSTILE_APP)
-                    .set("hostile_jobs", hostile_total)
-                    .set("solo_p99_ms", solo_p99)
-                    .set("hostile_p99_ms", mixed_p99)
-                    .set("delta_pct", delta_pct)
-                    .set("gate_pct", 10.0)
-                    .set("pass", pass),
-            );
+        println!("isolation gate: {ROUNDS} paired rounds x {SAMPLES} clean samples");
+        let (mut solo, mut mixed) = (Vec::new(), Vec::new());
+        let (mut hostile_total, mut leaked) = (0u64, 0u64);
+        for round in 0..ROUNDS {
+            let (s, _, l0) = isolation_round(SAMPLES, workers, false);
+            let (m, h, l1) = isolation_round(SAMPLES, workers, true);
+            hostile_total += h;
+            leaked += l0 + l1;
+            println!("  round {round}: solo p99 {s:>7.2} ms, hostile p99 {m:>7.2} ms");
+            solo.push(s);
+            mixed.push(m);
         }
-        report.set("isolation", isolation);
+        let (solo_p99, mixed_p99) = (median(&solo), median(&mixed));
+        let delta_pct = (mixed_p99 / solo_p99 - 1.0) * 100.0;
+        report.gate("clean-tenant jobs lost to hostile faults", leaked as f64, Op::Eq, 0.0);
+        let pass =
+            report.gate("clean-tenant p99 moved by the hostile tenant (%)", delta_pct, Op::Le, 10.0);
+        println!(
+            "  clean-tenant p99: solo {solo_p99:.2} ms, under hostile storm {mixed_p99:.2} ms \
+             ({delta_pct:+.1}%, {hostile_total} hostile jobs) -> {}",
+            if pass { "PASS" } else { "FAIL" }
+        );
+        report.set(
+            "isolation",
+            Obj::new()
+                .set("rounds", ROUNDS)
+                .set("samples_per_round", SAMPLES)
+                .set("clean_app", CLEAN_APP)
+                .set("hostile_app", HOSTILE_APP)
+                .set("hostile_jobs", hostile_total)
+                .set("solo_p99_ms", solo_p99)
+                .set("hostile_p99_ms", mixed_p99)
+                .set("delta_pct", delta_pct)
+                .set("gate_pct", 10.0)
+                .set("pass", pass),
+        );
         Ok(report.finish(&args.out("BENCH_serve_storm.json")))
     })
 }

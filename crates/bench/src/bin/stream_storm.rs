@@ -50,8 +50,7 @@ use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
 use altis_data::InputSize;
 use hetero_rt::{FaultKind, FaultPlan, StreamConfig};
 
-const USAGE: &str =
-    "stream_storm [out.json] [--windows N] [--rate R]... [--seed N] [--skip-shed]";
+const USAGE: &str = "stream_storm [out.json] [--windows N] [--rate R]... [--seed N]";
 
 /// Fault-free run: per-window digest trail plus clean throughput. `Err`
 /// says why the oracle could not be built.
@@ -218,7 +217,7 @@ fn shed_run(cfg: StreamConfig, trail: &[u64], report: &mut Report) -> Result<Obj
 }
 
 fn main() -> ExitCode {
-    report::run(USAGE, &["--windows", "--rate", "--seed"], &["--skip-shed"], |args| {
+    report::run(USAGE, &["--windows", "--rate", "--seed"], &[], |args| {
         let windows: u64 = args.get("--windows", 1_280)?;
         let mut rates: Vec<f64> = args.all("--rate")?;
         if rates.is_empty() {
@@ -277,16 +276,12 @@ fn main() -> ExitCode {
         report.gate("windows rolled back across all runs", total_rollbacks as f64, Op::Ge, 1.0);
         report.set("apps", arr(apps)).set("total_faulted_windows", total_windows);
 
-        let mut backpressure = None;
-        if !args.has("--skip-shed") {
-            match golden_trail("SRAD", windows, cfg).and_then(|(t, _)| shed_run(cfg, &t, &mut report)) {
-                Ok(row) => backpressure = Some(row),
-                Err(why) => {
-                    report.require(&why, false);
-                }
-            }
+        let backpressure =
+            golden_trail("SRAD", windows, cfg).and_then(|(t, _)| shed_run(cfg, &t, &mut report));
+        if let Err(why) = &backpressure {
+            report.require(why, false);
         }
-        report.set("backpressure", backpressure);
+        report.set("backpressure", backpressure.ok());
         if report.passed() {
             println!("all gates passed over {total_windows} faulted windows");
         }

@@ -2,7 +2,7 @@
 //! ([`Args`], [`run`]), how a bench result is written ([`Report`]: host
 //! stamp, gates as data, one [`Report::finish`] turning gates into an
 //! exit status), and how `sanitize` / `chaos` / `sdc` walk the suite
-//! ([`Suite`], [`app_matches`], [`golden_registry_ok`], [`verdict`]).
+//! ([`Suite`], [`golden_registry_ok`], [`verdict`]).
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -280,11 +280,6 @@ impl Report {
     }
 }
 
-/// Case-insensitive `--app SUBSTRING` match; no filter matches all.
-pub fn app_matches(filter: Option<&str>, name: &str) -> bool {
-    filter.is_none_or(|f| name.to_lowercase().contains(&f.to_lowercase()))
-}
-
 /// The `--size` spellings every suite bin accepts.
 pub const SIZES: [(&str, InputSize); 3] =
     [("1", InputSize::S1), ("2", InputSize::S2), ("3", InputSize::S3)];
@@ -293,12 +288,14 @@ pub const SIZES: [(&str, InputSize); 3] =
 pub const VERSIONS: [(&str, AppVersion); 2] =
     [("baseline", AppVersion::SyclBaseline), ("optimized", AppVersion::SyclOptimized)];
 
+/// Watchdog per run of the [`Suite`] matrix.
+pub const RUN_TIMEOUT: Duration = Duration::from_secs(900);
+
 /// The seed × app × size × version matrix `sanitize` and `sdc` walk, as
-/// selected by `--app`, `--size`, `--version`, `--seed(s)` and
-/// `--timeout-secs` (each bin declares the subset it takes). `chaos`
-/// runs one size and version per mode and filters with [`app_matches`].
+/// selected by `--size`, `--version` and `--seed(s)` (each bin declares
+/// the subset it takes). `chaos` runs one size and version per mode.
 pub struct Suite {
-    /// Apps matching `--app`.
+    /// Every app of the suite.
     pub apps: Vec<AppEntry>,
     /// One size, or all three with `--size all` / no `--size`.
     pub sizes: Vec<InputSize>,
@@ -306,8 +303,6 @@ pub struct Suite {
     pub versions: Vec<AppVersion>,
     /// `--seed N` is `[N]`, `--seeds N` is `1..=N`.
     pub seeds: Vec<u64>,
-    /// Watchdog per run.
-    pub timeout: Duration,
 }
 
 impl Suite {
@@ -316,9 +311,7 @@ impl Suite {
         args: &Args,
         version: AppVersion,
         seeds: u64,
-        timeout_secs: u64,
     ) -> Result<Suite, UsageError> {
-        let filter: Option<String> = args.opt("--app")?;
         let sizes = match args.opt::<String>("--size")?.as_deref() {
             None | Some("all") => InputSize::all().to_vec(),
             Some(_) => args.choice("--size", &SIZES)?.into_iter().collect(),
@@ -333,11 +326,10 @@ impl Suite {
             None => (1..=args.get("--seeds", seeds)?.max(1)).collect(),
         };
         Ok(Suite {
-            apps: all_apps().into_iter().filter(|a| app_matches(filter.as_deref(), a.name)).collect(),
+            apps: all_apps(),
             sizes,
             versions,
             seeds,
-            timeout: Duration::from_secs(args.get("--timeout-secs", timeout_secs)?),
         })
     }
 

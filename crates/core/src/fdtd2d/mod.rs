@@ -106,11 +106,9 @@ pub fn run_with(q: &Queue, p: &Fdtd2dParams, _version: AppVersion, mode: ExecMod
     Fields { ez: egress(ez), hx: egress(hx), hy: egress(hy) }
 }
 
-/// The three kernels of one timestep, one work-item per lattice row: an
-/// 8-wide lane sweep over x with a scalar arm for the `w % LANES` tail —
-/// and for the whole row under `HETERO_RT_LANES=0`. Each lane op keeps
-/// the scalar op sequence per element (sub, mul, sub — no FMA), so both
-/// arms are bit-identical.
+/// The three kernels of one timestep, one work-item per lattice row,
+/// each the row loop [`golden_step`] has. Scalar on purpose: an 8-wide
+/// body measured 0.92–1.16× of these loops (EXPERIMENTS.md "PR 23").
 fn row_kernels(
     n: usize,
     ez: &Buffer<f32>,
@@ -121,28 +119,12 @@ fn row_kernels(
     impl Fn(Item) + Send + Sync + 'static,
     impl Fn(Item) + Send + Sync + 'static,
 ) {
-    use hetero_rt::lanes::{self, F32x8, LANES};
     let hx_row = {
         let (ezv, hxv) = (ez.view(), hx.view());
         move |it: Item| {
             let row = it.gid(0) * n;
-            let w = n - 1;
-            let mut x = 0;
-            if lanes::enabled() {
-                let ch = F32x8::splat(C_H);
-                while x + LANES <= w {
-                    let i = row + x;
-                    let e0 = F32x8::from(ezv.get_lanes(i));
-                    let e1 = F32x8::from(ezv.get_lanes(i + n));
-                    let h = F32x8::from(hxv.get_lanes(i));
-                    hxv.set_lanes(i, (h - ch * (e1 - e0)).to_array());
-                    x += LANES;
-                }
-            }
-            while x < w {
-                let i = row + x;
+            for i in row..row + n - 1 {
                 hxv.update(i, |h| h - C_H * (ezv.get(i + n) - ezv.get(i)));
-                x += 1;
             }
         }
     };
@@ -150,23 +132,8 @@ fn row_kernels(
         let (ezv, hyv) = (ez.view(), hy.view());
         move |it: Item| {
             let row = it.gid(0) * n;
-            let w = n - 1;
-            let mut x = 0;
-            if lanes::enabled() {
-                let ch = F32x8::splat(C_H);
-                while x + LANES <= w {
-                    let i = row + x;
-                    let e0 = F32x8::from(ezv.get_lanes(i));
-                    let e1 = F32x8::from(ezv.get_lanes(i + 1));
-                    let h = F32x8::from(hyv.get_lanes(i));
-                    hyv.set_lanes(i, (h + ch * (e1 - e0)).to_array());
-                    x += LANES;
-                }
-            }
-            while x < w {
-                let i = row + x;
+            for i in row..row + n - 1 {
                 hyv.update(i, |h| h + C_H * (ezv.get(i + 1) - ezv.get(i)));
-                x += 1;
             }
         }
     };
@@ -174,26 +141,10 @@ fn row_kernels(
         let (ezv, hxv, hyv) = (ez.view(), hx.view(), hy.view());
         move |it: Item| {
             let row = (it.gid(0) + 1) * n;
-            let mut x = 1;
-            if lanes::enabled() {
-                let ce = F32x8::splat(C_E);
-                while x + LANES < n {
-                    let i = row + x;
-                    let hy0 = F32x8::from(hyv.get_lanes(i));
-                    let hy1 = F32x8::from(hyv.get_lanes(i - 1));
-                    let hx0 = F32x8::from(hxv.get_lanes(i));
-                    let hx1 = F32x8::from(hxv.get_lanes(i - n));
-                    let e = F32x8::from(ezv.get_lanes(i));
-                    ezv.set_lanes(i, (e + ce * ((hy0 - hy1) - (hx0 - hx1))).to_array());
-                    x += LANES;
-                }
-            }
-            while x < n - 1 {
-                let i = row + x;
+            for i in row + 1..row + n - 1 {
                 ezv.update(i, |e| {
                     e + C_E * ((hyv.get(i) - hyv.get(i - 1)) - (hxv.get(i) - hxv.get(i - n)))
                 });
-                x += 1;
             }
         }
     };

@@ -86,22 +86,6 @@ impl StreamStage for FdtdStream {
     }
 }
 
-/// Drive `windows` timesteps through the containment runner. Returns the
-/// final fields and the stream counters.
-pub fn run_streaming(
-    primary: &Queue,
-    clean: &Queue,
-    p: &Fdtd2dParams,
-    windows: u64,
-    cfg: hetero_rt::StreamConfig,
-) -> hetero_rt::Result<(Fields, hetero_rt::StreamStats)> {
-    let stage = FdtdStream::new(p, primary, clean)?;
-    let initial = FdtdStream::initial_state(p);
-    let mut runner = hetero_rt::StreamRunner::new(stage, initial, cfg);
-    let stats = runner.run(windows, |_| {})?;
-    Ok((runner.into_state(), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,20 +95,14 @@ mod tests {
         Fdtd2dParams { dim: 32, steps: 10 }
     }
 
-    fn clean_q() -> Queue {
-        Queue::new(Device::cpu())
-            .with_fault_plan(None)
-            .with_integrity(false)
-            .with_redundancy(Redundancy::None)
-            .with_retry_policy(RetryPolicy::default())
-    }
-
     #[test]
     fn run_streaming_is_bit_equal_to_golden() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
+        let stage = FdtdStream::new(&p, &q, &q).unwrap();
+        let initial = FdtdStream::initial_state(&p);
         let (fields, stats) =
-            run_streaming(&q, &q, &p, p.steps as u64, StreamConfig::default()).unwrap();
+            crate::streaming::drive(stage, initial, p.steps as u64, StreamConfig::default()).unwrap();
         let g = crate::fdtd2d::golden(&p);
         assert_eq!(stats.delivered, p.steps as u64);
         assert_eq!(fields.ez, g.ez);
@@ -135,7 +113,7 @@ mod tests {
     #[test]
     fn device_and_reference_paths_agree_bitwise_per_window() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         let stage = FdtdStream::new(&p, &q, &q).unwrap();
         let mut runner = hetero_rt::StreamRunner::new(
             stage,

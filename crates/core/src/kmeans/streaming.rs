@@ -234,21 +234,6 @@ impl StreamStage for KmeansStream {
     }
 }
 
-/// Drive `windows` point batches through the containment runner.
-pub fn run_streaming(
-    primary: &Queue,
-    clean: &Queue,
-    p: &KmeansParams,
-    windows: u64,
-    cfg: hetero_rt::StreamConfig,
-) -> hetero_rt::Result<(KmeansStreamState, hetero_rt::StreamStats)> {
-    let stage = KmeansStream::new(p, primary, clean)?;
-    let initial = KmeansStream::initial_state(p);
-    let mut runner = hetero_rt::StreamRunner::new(stage, initial, cfg);
-    let stats = runner.run(windows, |_| {})?;
-    Ok((runner.into_state(), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,21 +243,15 @@ mod tests {
         KmeansParams { n_points: 256, n_features: 4, k: 3, iterations: 5 }
     }
 
-    fn clean_q() -> Queue {
-        Queue::new(Device::cpu())
-            .with_fault_plan(None)
-            .with_integrity(false)
-            .with_redundancy(Redundancy::None)
-            .with_retry_policy(RetryPolicy::default())
-    }
-
     #[test]
     fn full_passes_reproduce_the_golden_clustering_exactly() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         let windows = p.iterations as u64 * BATCHES_PER_PASS;
+        let stage = KmeansStream::new(&p, &q, &q).unwrap();
+        let initial = KmeansStream::initial_state(&p);
         let (state, stats) =
-            run_streaming(&q, &q, &p, windows, StreamConfig::default()).unwrap();
+            crate::streaming::drive(stage, initial, windows, StreamConfig::default()).unwrap();
         let g = crate::kmeans::golden(&p);
         assert_eq!(stats.delivered, windows);
         assert_eq!(state.membership, g.membership);
@@ -284,7 +263,7 @@ mod tests {
     #[test]
     fn device_and_reference_batches_agree_bitwise() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         let stage = KmeansStream::new(&p, &q, &q).unwrap();
         let mut runner = hetero_rt::StreamRunner::new(
             stage,

@@ -199,22 +199,6 @@ impl StreamStage for PfStream {
     }
 }
 
-/// Drive `windows` observation frames through the containment runner.
-pub fn run_streaming(
-    primary: &Queue,
-    clean: &Queue,
-    p: &PfParams,
-    variant: PfVariant,
-    windows: u64,
-    cfg: hetero_rt::StreamConfig,
-) -> hetero_rt::Result<(PfStreamState, hetero_rt::StreamStats)> {
-    let stage = PfStream::new(p, variant, primary, clean)?;
-    let initial = PfStream::initial_state(p);
-    let mut runner = hetero_rt::StreamRunner::new(stage, initial, cfg);
-    let stats = runner.run(windows, |_| {})?;
-    Ok((runner.into_state(), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,18 +208,10 @@ mod tests {
         PfParams { n_particles: 256, frames: 5, dim: 128 }
     }
 
-    fn clean_q() -> Queue {
-        Queue::new(Device::cpu())
-            .with_fault_plan(None)
-            .with_integrity(false)
-            .with_redundancy(Redundancy::None)
-            .with_retry_policy(RetryPolicy::default())
-    }
-
     #[test]
     fn streaming_estimates_track_the_golden_filter() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         let g = crate::particlefilter::golden(&p, PfVariant::Naive);
         let stage = PfStream::new(&p, PfVariant::Naive, &q, &q).unwrap();
         let mut runner = hetero_rt::StreamRunner::new(
@@ -259,7 +235,7 @@ mod tests {
     #[test]
     fn device_and_reference_frames_agree_bitwise() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         for variant in [PfVariant::Naive, PfVariant::Float] {
             let stage = PfStream::new(&p, variant, &q, &q).unwrap();
             let mut runner = hetero_rt::StreamRunner::new(

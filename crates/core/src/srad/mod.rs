@@ -15,6 +15,7 @@ use fpga_sim::{Design, FpgaPart, KernelInstance};
 use hetero_ir::builder::{KernelBuilder, LoopBuilder};
 use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
+use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 
 use crate::common::{egress, AppVersion, ExecMode, Step};
@@ -153,15 +154,118 @@ impl Planes {
             dw: plane(),
         }
     }
+
+    fn views(&self, n: usize) -> Views {
+        let Planes { img, c, dn, ds, de, dw, .. } = self;
+        let (img, c, dn, ds, de, dw) =
+            (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view());
+        Views { n, img, c, dn, ds, de, dw }
+    }
 }
 
-/// The two kernels of one diffusion step, one work-item per image row.
-/// The north/south row offsets and the clamped west/east columns are
-/// uniform per row, so each row is a scalar west edge, an 8-wide lane
-/// sweep over the interior, and a scalar arm through the east edge — and
-/// over the whole row under `HETERO_RT_LANES=0`. Every lane expression
-/// mirrors the scalar op sequence literally (same associativity, no
-/// FMA), keeping both arms bit-identical.
+/// Views of the image and the planes `srad_1` hands to `srad_2`.
+struct Views {
+    n: usize,
+    img: GlobalView<f32>,
+    c: GlobalView<f32>,
+    dn: GlobalView<f32>,
+    ds: GlobalView<f32>,
+    de: GlobalView<f32>,
+    dw: GlobalView<f32>,
+}
+
+/// Image row `y`: its own offset and those of its clamped north and
+/// south neighbours, uniform along the row.
+struct Row<'a> {
+    v: &'a Views,
+    row: usize,
+    rn: usize,
+    rs: usize,
+}
+
+impl Views {
+    fn row(&self, y: usize) -> Row<'_> {
+        let n = self.n;
+        Row { v: self, row: y * n, rn: y.saturating_sub(1) * n, rs: (y + 1).min(n - 1) * n }
+    }
+}
+
+impl Row<'_> {
+    /// The clamped west / east neighbours of the `W` columns at `x`.
+    /// Exact at `W = 1` anywhere and for a wide block strictly inside
+    /// the row, which is where [`whole`] sweeps.
+    fn west_east<const W: usize>(&self, x: usize) -> (usize, usize) {
+        let n = self.v.n;
+        debug_assert!(W == 1 || (x >= 1 && x + W < n));
+        (self.row + x.saturating_sub(1), self.row + (x + 1).min(n - 1))
+    }
+}
+
+/// `body` over a whole row of `n` columns: the two edge columns at
+/// `W = 1` (their west / east neighbour is the clamped column itself),
+/// the interior through [`lanes::sweep`].
+fn whole(n: usize, body: &impl lanes::Body) {
+    body.at::<1>(0);
+    if n > 1 {
+        lanes::sweep(1, n - 1, body);
+        body.at::<1>(n - 1);
+    }
+}
+
+/// `srad_1` on one row: the four directional derivatives and the
+/// diffusion coefficient, under this iteration's `q0`.
+struct Srad1<'a>(Row<'a>, f32);
+
+impl lanes::Body for Srad1<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, x: usize) {
+        let Srad1(r, q0) = self;
+        let Views { img, c, dn, ds, de, dw, .. } = r.v;
+        let s = Lanes::<f32, W>::splat;
+        let i = r.row + x;
+        let (w, e) = r.west_east::<W>(x);
+        let j = img.get_lanes::<W>(i);
+        let jn = img.get_lanes(r.rn + x);
+        let js = img.get_lanes(r.rs + x);
+        let jw = img.get_lanes(w);
+        let je = img.get_lanes(e);
+        let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
+        dn.set_lanes(i, vn);
+        ds.set_lanes(i, vs);
+        dw.set_lanes(i, vw);
+        de.set_lanes(i, ve);
+        let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
+        let l = (vn + vs + vw + ve) / j;
+        let num = s(0.5) * g2 - s(1.0 / 16.0) * l * l;
+        let den = s(1.0) + s(0.25) * l;
+        let qsq = num / (den * den);
+        let cf = s(1.0) / (s(1.0) + (qsq - s(*q0)) / s(q0 * (1.0 + q0)));
+        c.set_lanes(i, cf.clamp(0.0, 1.0));
+    }
+}
+
+/// `srad_2` on one row: the divergence of the coefficient-weighted
+/// derivatives, scaled by `0.25 * lambda`, added to the image.
+struct Srad2<'a>(Row<'a>, f32);
+
+impl lanes::Body for Srad2<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, x: usize) {
+        let Srad2(r, lscale) = self;
+        let Views { img, c, dn, ds, de, dw, .. } = r.v;
+        let i = r.row + x;
+        let cn = c.get_lanes::<W>(i);
+        let cs = c.get_lanes(r.rs + x);
+        let cw = cn;
+        let ce = c.get_lanes(r.west_east::<W>(x).1);
+        let d = cn * dn.get_lanes(i) + cs * ds.get_lanes(i) + cw * dw.get_lanes(i)
+            + ce * de.get_lanes(i);
+        img.set_lanes(i, img.get_lanes(i) + Lanes::splat(*lscale) * d);
+    }
+}
+
+/// The two kernels of one diffusion step, one work-item per image row:
+/// each a [`lanes::Body`] said once and run over the [`whole`] row.
 fn row_kernels(
     n: usize,
     lambda: f32,
@@ -170,111 +274,13 @@ fn row_kernels(
     impl Fn(Item) + Send + Sync + 'static,
     impl Fn(Item) + Send + Sync + 'static,
 ) {
-    use hetero_rt::lanes::{self, F32x8, LANES};
-    let views = || {
-        let Planes { img, c, dn, ds, de, dw, .. } = planes;
-        (img.view(), c.view(), dn.view(), ds.view(), de.view(), dw.view())
-    };
     let srad_1 = {
-        let (iv, cv, dnv, dsv, dev, dwv) = views();
-        let q0v = planes.q0.view();
-        move |it: Item| {
-            let q0 = q0v.get(0);
-            let y = it.gid(0);
-            let row = y * n;
-            let rn = y.saturating_sub(1) * n;
-            let rs = (y + 1).min(n - 1) * n;
-            let scalar = |x: usize| {
-                let i = row + x;
-                let j = iv.get(i);
-                let jn = iv.get(rn + x);
-                let js = iv.get(rs + x);
-                let jw = iv.get(row + x.saturating_sub(1));
-                let je = iv.get(row + (x + 1).min(n - 1));
-                let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                dnv.set(i, vn);
-                dsv.set(i, vs);
-                dwv.set(i, vw);
-                dev.set(i, ve);
-                let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                let l = (vn + vs + vw + ve) / j;
-                let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-                let den = 1.0 + 0.25 * l;
-                let qsq = num / (den * den);
-                let cf = 1.0 / (1.0 + (qsq - q0) / (q0 * (1.0 + q0)));
-                cv.set(i, cf.clamp(0.0, 1.0));
-            };
-            scalar(0);
-            let mut x = 1;
-            if lanes::enabled() {
-                let inv_den = q0 * (1.0 + q0);
-                while x + LANES < n {
-                    let i = row + x;
-                    let j = F32x8::from(iv.get_lanes(i));
-                    let jn = F32x8::from(iv.get_lanes(rn + x));
-                    let js = F32x8::from(iv.get_lanes(rs + x));
-                    let jw = F32x8::from(iv.get_lanes(i - 1));
-                    let je = F32x8::from(iv.get_lanes(i + 1));
-                    let (vn, vs, vw, ve) = (jn - j, js - j, jw - j, je - j);
-                    dnv.set_lanes(i, vn.to_array());
-                    dsv.set_lanes(i, vs.to_array());
-                    dwv.set_lanes(i, vw.to_array());
-                    dev.set_lanes(i, ve.to_array());
-                    let g2 = (vn * vn + vs * vs + vw * vw + ve * ve) / (j * j);
-                    let l = (vn + vs + vw + ve) / j;
-                    let num = F32x8::splat(0.5) * g2 - F32x8::splat(1.0 / 16.0) * l * l;
-                    let den = F32x8::splat(1.0) + F32x8::splat(0.25) * l;
-                    let qsq = num / (den * den);
-                    let cf = F32x8::splat(1.0)
-                        / (F32x8::splat(1.0) + (qsq - F32x8::splat(q0)) / F32x8::splat(inv_den));
-                    cv.set_lanes(i, cf.clamp(0.0, 1.0).to_array());
-                    x += LANES;
-                }
-            }
-            while x < n {
-                scalar(x);
-                x += 1;
-            }
-        }
+        let (v, q0v) = (planes.views(n), planes.q0.view());
+        move |it: Item| whole(n, &Srad1(v.row(it.gid(0)), q0v.get(0)))
     };
     let srad_2 = {
-        let (iv, cv, dnv, dsv, dev, dwv) = views();
-        move |it: Item| {
-            let y = it.gid(0);
-            let row = y * n;
-            let rs = (y + 1).min(n - 1) * n;
-            let scalar = |x: usize| {
-                let i = row + x;
-                let cn = cv.get(i);
-                let cs = cv.get(rs + x);
-                let cw = cv.get(i);
-                let ce = cv.get(row + (x + 1).min(n - 1));
-                let d = cn * dnv.get(i) + cs * dsv.get(i) + cw * dwv.get(i) + ce * dev.get(i);
-                iv.update(i, |v| v + 0.25 * lambda * d);
-            };
-            let mut x = 0;
-            if lanes::enabled() {
-                let lscale = F32x8::splat(0.25 * lambda);
-                while x + LANES < n {
-                    let i = row + x;
-                    let cn = F32x8::from(cv.get_lanes(i));
-                    let cs = F32x8::from(cv.get_lanes(rs + x));
-                    let cw = cn;
-                    let ce = F32x8::from(cv.get_lanes(i + 1));
-                    let d = cn * F32x8::from(dnv.get_lanes(i))
-                        + cs * F32x8::from(dsv.get_lanes(i))
-                        + cw * F32x8::from(dwv.get_lanes(i))
-                        + ce * F32x8::from(dev.get_lanes(i));
-                    let v = F32x8::from(iv.get_lanes(i));
-                    iv.set_lanes(i, (v + lscale * d).to_array());
-                    x += LANES;
-                }
-            }
-            while x < n {
-                scalar(x);
-                x += 1;
-            }
-        }
+        let v = planes.views(n);
+        move |it: Item| whole(n, &Srad2(v.row(it.gid(0)), 0.25 * lambda))
     };
     (srad_1, srad_2)
 }
@@ -432,6 +438,42 @@ mod tests {
         for (a, b) in r.iter().zip(g.iter()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn each_kernel_is_bit_equal_at_width_one_and_through_sweep() {
+        use lanes::Body;
+        // 21 columns: the west edge, two wide blocks, a three-column
+        // tail, the east edge.
+        let p = SradParams { dim: 21, iterations: 1, lambda: 0.5 };
+        let n = p.dim;
+        let q = Queue::new(Device::cpu());
+        let (swept, narrow) = (Planes::new(generate_image(&p)), Planes::new(generate_image(&p)));
+        let q0 = roi_q0(&q, &swept.img, n);
+        swept.q0.write_from(&[q0]);
+        step_graph(&q, n, p.lambda, &swept).unwrap().replay(&q).unwrap();
+        {
+            let v = narrow.views(n);
+            for y in 0..n {
+                (0..n).for_each(|x| Srad1(v.row(y), q0).at::<1>(x));
+            }
+            for y in 0..n {
+                (0..n).for_each(|x| Srad2(v.row(y), 0.25 * p.lambda).at::<1>(x));
+            }
+        }
+        let bits = |b: &Buffer<f32>| b.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (Planes { img, c, dn, ds, de, dw, .. }, w) = (&swept, &narrow);
+        for (name, a, b) in [
+            ("c", c, &w.c),
+            ("dn", dn, &w.dn),
+            ("ds", ds, &w.ds),
+            ("de", de, &w.de),
+            ("dw", dw, &w.dw),
+            ("img", img, &w.img),
+        ] {
+            assert_eq!(bits(a), bits(b), "{name}");
+        }
+        assert_ne!(bits(img), bits(&Buffer::from_vec(generate_image(&p))), "the step must move the image");
     }
 
     #[test]

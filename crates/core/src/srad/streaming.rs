@@ -89,22 +89,6 @@ impl StreamStage for SradStream {
     }
 }
 
-/// Drive `windows` diffusion iterations through the containment runner.
-/// Returns the final image and the stream counters.
-pub fn run_streaming(
-    primary: &Queue,
-    clean: &Queue,
-    p: &SradParams,
-    windows: u64,
-    cfg: hetero_rt::StreamConfig,
-) -> hetero_rt::Result<(Vec<f32>, hetero_rt::StreamStats)> {
-    let stage = SradStream::new(p, primary, clean)?;
-    let initial = SradStream::initial_state(p);
-    let mut runner = hetero_rt::StreamRunner::new(stage, initial, cfg);
-    let stats = runner.run(windows, |_| {})?;
-    Ok((runner.into_state(), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,18 +98,10 @@ mod tests {
         SradParams { dim: 32, iterations: 3, lambda: 0.5 }
     }
 
-    fn clean_q() -> Queue {
-        Queue::new(Device::cpu())
-            .with_fault_plan(None)
-            .with_integrity(false)
-            .with_redundancy(Redundancy::None)
-            .with_retry_policy(RetryPolicy::default())
-    }
-
     #[test]
     fn streaming_matches_golden_window_by_window() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
         let stage = SradStream::new(&p, &q, &q).unwrap();
         let mut runner =
             hetero_rt::StreamRunner::new(stage, SradStream::initial_state(&p), StreamConfig::default());
@@ -145,9 +121,12 @@ mod tests {
     #[test]
     fn run_streaming_equals_golden_at_app_iterations() {
         let p = tiny();
-        let q = clean_q();
+        let q = crate::streaming::clean_queue(None);
+        let stage = SradStream::new(&p, &q, &q).unwrap();
+        let initial = SradStream::initial_state(&p);
         let (img, stats) =
-            run_streaming(&q, &q, &p, p.iterations as u64, StreamConfig::default()).unwrap();
+            crate::streaming::drive(stage, initial, p.iterations as u64, StreamConfig::default())
+                .unwrap();
         assert_eq!(stats.delivered, p.iterations as u64);
         assert_eq!(img, crate::srad::golden(&p));
     }

@@ -101,6 +101,19 @@ pub(crate) fn replay_verified(graph: &Graph, q: &Queue) -> hetero_rt::Result<()>
     Ok(())
 }
 
+/// Drive `stage` from `initial` through `windows` windows under the
+/// containment runner. Returns the final state and the stream counters.
+pub fn drive<S: StreamStage>(
+    stage: S,
+    initial: S::State,
+    windows: u64,
+    cfg: StreamConfig,
+) -> hetero_rt::Result<(S::State, StreamStats)> {
+    let mut runner = StreamRunner::new(stage, initial, cfg);
+    let stats = runner.run(windows, |_| {})?;
+    Ok((runner.into_state(), stats))
+}
+
 /// Object-safe facade over [`StreamRunner`] so callers can drive any
 /// app's stream without knowing its state type.
 pub trait AppStream {
@@ -216,19 +229,20 @@ pub fn streamed_registry_digest(
     let d = match app {
         "SRAD" => {
             let p = altis_data::srad(size);
-            let (img, _) = crate::srad::streaming::run_streaming(&primary, &clean, &p, windows, cfg)?;
+            let stage = SradStream::new(&p, &primary, &clean)?;
+            let (img, _) = drive(stage, SradStream::initial_state(&p), windows, cfg)?;
             digest_f32s(&img)
         }
         "FDTD2D" => {
             let p = altis_data::fdtd2d(size);
-            let (f, _) =
-                crate::fdtd2d::streaming::run_streaming(&primary, &clean, &p, windows, cfg)?;
+            let stage = FdtdStream::new(&p, &primary, &clean)?;
+            let (f, _) = drive(stage, FdtdStream::initial_state(&p), windows, cfg)?;
             digest_words(f.ez.iter().chain(&f.hx).chain(&f.hy).map(|x| x.to_bits() as u64))
         }
         "KMeans" => {
             let p = altis_data::kmeans(size);
-            let (st, _) =
-                crate::kmeans::streaming::run_streaming(&primary, &clean, &p, windows, cfg)?;
+            let stage = KmeansStream::new(&p, &primary, &clean)?;
+            let (st, _) = drive(stage, KmeansStream::initial_state(&p), windows, cfg)?;
             digest_words(
                 st.centers
                     .iter()

@@ -89,34 +89,16 @@ fn run_staged(
     let values = Buffer::from_vec(records.iter().map(|r| r.value).collect());
     let (fv, vv) = (flags_buf.view(), values.view());
     let sel = p.selectivity_pct;
-    // Chunked flag kernel: each item flags a contiguous block so the
-    // inner loop runs 8 comparisons per lane op (`value < sel` as 0/1
-    // flags — exact in any order), with a scalar remainder arm.
-    {
-        use hetero_rt::lanes::{self, LANES, U32x8};
-        const FLAG_CHUNK: usize = 4096;
-        let blocks = n.div_ceil(FLAG_CHUNK).max(1);
-        q.parallel_for("where_flags", Range::d1(blocks), move |it| {
-            let lo = it.gid(0) * FLAG_CHUNK;
-            let hi = (lo + FLAG_CHUNK).min(n);
-            let mut i = lo;
-            if lanes::enabled() {
-                while i + LANES <= hi {
-                    let v = U32x8::from(vv.get_lanes(i));
-                    let mut f = [0u32; LANES];
-                    for k in 0..LANES {
-                        f[k] = u32::from(v.0[k] < sel);
-                    }
-                    fv.set_lanes(i, f);
-                    i += LANES;
-                }
-            }
-            while i < hi {
-                fv.set(i, u32::from(vv.get(i) < sel));
-                i += 1;
-            }
-        });
-    }
+    // Each work-item flags a contiguous block of records. Scalar on
+    // purpose: an 8-wide body measured 1.02–1.62x of this loop, under
+    // 1.5x in nine runs of ten (EXPERIMENTS.md "PR 24").
+    const FLAG_CHUNK: usize = 4096;
+    q.parallel_for("where_flags", Range::d1(n.div_ceil(FLAG_CHUNK).max(1)), move |it| {
+        let lo = it.gid(0) * FLAG_CHUNK;
+        for i in lo..(lo + FLAG_CHUNK).min(n) {
+            fv.set(i, u32::from(vv.get(i) < sel));
+        }
+    });
 
     // Scan on the host path of the selected library flavour, reading the
     // flags where the kernel left them.

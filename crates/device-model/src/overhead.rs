@@ -78,9 +78,9 @@ impl RuntimeFlavor {
                 fixed_us: 200.0,
                 per_launch_us: 4.0,
                 transfer_factor: 1.1,
-                // Measured: the lane-converted FDTD2D stencil reaches
+                // Measured: the FDTD2D stencil reaches
                 // 0.44 of the pool-parallel memcpy peak (`roofline`
-                // bench, BENCH_roofline.json, `lanes_frac_of_peak`).
+                // bench, BENCH_roofline.json, `frac_of_peak`).
                 achieved_bw_fraction: 0.44,
             },
             RuntimeFlavor::SyclFpga => OverheadModel {
@@ -162,7 +162,7 @@ mod tests {
         let fpga = RuntimeFlavor::SyclFpga.overheads();
         assert!(fpga.achieved_bw_fraction < cpu.achieved_bw_fraction);
         // The CPU value is a measurement, not a guess: pinned to the
-        // roofline bench's fdtd2d_step `lanes_frac_of_peak`.
+        // roofline bench's fdtd2d_step `frac_of_peak`.
         assert_eq!(cpu.achieved_bw_fraction, 0.44);
     }
 

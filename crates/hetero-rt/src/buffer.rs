@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
 use crate::integrity;
+use crate::lanes::Lanes;
 use crate::sanitize::{self, AccessKind};
 
 struct Storage<T> {
@@ -280,7 +281,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
 
     /// Create a view over a sub-range `[offset, offset+len)`.
     pub fn view_range(&self, offset: usize, len: usize) -> Result<GlobalView<T>> {
-        if offset + len > self.storage.len {
+        if !fits(offset, len, self.storage.len) {
             return Err(Error::AccessOutOfBounds {
                 offset,
                 len,
@@ -355,6 +356,14 @@ unsafe impl<T: Send> Sync for GlobalView<T> {}
 #[inline(never)]
 fn oob(offset: usize, len: usize, buffer_len: usize) -> ! {
     std::panic::panic_any(Error::AccessOutOfBounds { offset, len, buffer_len })
+}
+
+/// Whether `[offset, offset + len)` lies inside `total` elements, written
+/// so that no sum of caller-supplied values can wrap: release builds carry
+/// no overflow checks, and `offset` may come from an underflowed `i - 1`.
+#[inline]
+fn fits(offset: usize, len: usize, total: usize) -> bool {
+    offset <= total && total - offset >= len
 }
 
 impl<T: Copy> GlobalView<T> {
@@ -451,48 +460,46 @@ impl<T: Copy> GlobalView<T> {
         self.set(i, f(self.get(i)));
     }
 
-    /// Load [`crate::lanes::LANES`] consecutive elements starting at `i`
-    /// with **one** bounds check — the vector-load shape of the lane
-    /// kernel paths. While a sanitized launch is armed, every element is
-    /// still recorded individually, so race reports are identical to the
-    /// scalar path's.
+    /// The one bounds check and the per-element sanitizer records of a
+    /// `W`-wide access at `i`.
     #[inline]
-    pub fn get_lanes(&self, i: usize) -> [T; crate::lanes::LANES] {
-        const N: usize = crate::lanes::LANES;
-        if i + N > self.len {
-            oob(i, N, self.len);
+    fn span<const W: usize>(&self, i: usize, kind: AccessKind) {
+        if !fits(i, W, self.len) {
+            oob(i, W, self.len);
         }
         if sanitize::hooks_armed() {
-            for k in 0..N {
-                sanitize::record_global(self.object, self.base + i + k, AccessKind::Read);
+            for k in 0..W {
+                sanitize::record_global(self.object, self.base + i + k, kind);
             }
         }
-        // SAFETY: bounds checked above; allocation alive via _keepalive.
-        // Unaligned because `i` is an arbitrary element offset.
-        unsafe { (self.elem(i) as *const [T; N]).read_unaligned() }
     }
 
-    /// Store [`crate::lanes::LANES`] consecutive elements starting at
-    /// `i`; the vector-store counterpart of [`GlobalView::get_lanes`].
+    /// Load `W` consecutive elements starting at `i` with **one** bounds
+    /// check — the vector-load shape of a [`crate::lanes::Body`], and at
+    /// `W = 1` the scalar load. While a sanitized launch is armed every
+    /// element is still recorded individually, so race reports do not
+    /// depend on the width.
     #[inline]
-    pub fn set_lanes(&self, i: usize, v: [T; crate::lanes::LANES]) {
-        const N: usize = crate::lanes::LANES;
-        if i + N > self.len {
-            oob(i, N, self.len);
-        }
-        if sanitize::hooks_armed() {
-            for k in 0..N {
-                sanitize::record_global(self.object, self.base + i + k, AccessKind::Write);
-            }
-        }
+    pub fn get_lanes<const W: usize>(&self, i: usize) -> Lanes<T, W> {
+        self.span::<W>(i, AccessKind::Read);
         // SAFETY: bounds checked above; allocation alive via _keepalive.
-        unsafe { (self.elem(i) as *mut [T; N]).write_unaligned(v) }
+        // Unaligned because `i` is an arbitrary element offset.
+        Lanes(unsafe { (self.elem(i) as *const [T; W]).read_unaligned() })
+    }
+
+    /// Store `W` consecutive elements starting at `i`; the vector-store
+    /// counterpart of [`GlobalView::get_lanes`].
+    #[inline]
+    pub fn set_lanes<const W: usize>(&self, i: usize, v: Lanes<T, W>) {
+        self.span::<W>(i, AccessKind::Write);
+        // SAFETY: bounds checked above; allocation alive via _keepalive.
+        unsafe { (self.elem(i) as *mut [T; W]).write_unaligned(v.0) }
     }
 
     /// Copy `src` into the view starting at `offset`. Out-of-bounds
     /// ranges raise the same typed payload as [`GlobalView::get`].
     pub fn copy_from_slice(&self, offset: usize, src: &[T]) {
-        if offset + src.len() > self.len {
+        if !fits(offset, src.len(), self.len) {
             oob(offset, src.len(), self.len);
         }
         for (k, &v) in src.iter().enumerate() {
@@ -746,6 +753,11 @@ mod tests {
         let b = Buffer::<u32>::new(4);
         let e = b.view_range(2, 3).unwrap_err();
         assert!(matches!(e, Error::AccessOutOfBounds { .. }));
+        // `offset + len` wraps to 2 in a release build; the check must not.
+        assert_eq!(
+            b.view_range(usize::MAX - 1, 4).err(),
+            Some(Error::AccessOutOfBounds { offset: usize::MAX - 1, len: 4, buffer_len: 4 })
+        );
     }
 
     #[test]
@@ -757,6 +769,31 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || v.get(1))).unwrap_err();
         let e = payload.downcast::<Error>().expect("payload should be a typed Error");
         assert_eq!(*e, Error::AccessOutOfBounds { offset: 1, len: 1, buffer_len: 1 });
+    }
+
+    /// An index from an underflowed `i - 1`: `i + LANES` wraps past a
+    /// summed check in a release build and the raw access lands before
+    /// the allocation.
+    #[test]
+    fn oob_lane_access_at_a_wrapping_index_panics_with_typed_payload() {
+        use crate::lanes::LANES;
+        crate::fault::install_quiet_hook();
+        let i = usize::MAX - 3;
+        let b = Buffer::<f32>::new(64);
+        let (load, store) = (b.view(), b.view());
+        let accesses: [Box<dyn FnOnce()>; 2] = [
+            Box::new(move || {
+                load.get_lanes::<LANES>(i);
+            }),
+            Box::new(move || store.set_lanes(i, Lanes([1.0; LANES]))),
+        ];
+        for access in accesses {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(access)).unwrap_err();
+            let e = payload.downcast::<Error>().expect("payload should be a typed Error");
+            assert_eq!(*e, Error::AccessOutOfBounds { offset: i, len: LANES, buffer_len: 64 });
+        }
+        assert_eq!(b.to_vec(), vec![0.0; 64]);
     }
 
     #[test]

@@ -170,10 +170,11 @@ impl fmt::Display for Error {
             Error::UnsupportedFeature { feature, device } => {
                 write!(f, "feature '{feature}' is not supported on device '{device}'")
             }
+            // Saturating: an offset from a wrapped index overflows the sum.
             Error::AccessOutOfBounds { offset, len, buffer_len } => write!(
                 f,
                 "accessor range [{offset}, {}) out of bounds for buffer of length {buffer_len}",
-                offset + len
+                offset.saturating_add(*len)
             ),
             Error::KernelPanicked { kernel, group, message } => write!(
                 f,

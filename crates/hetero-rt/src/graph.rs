@@ -268,7 +268,6 @@ pub struct Graph {
     replay_lock: Mutex<()>,
     cancel: AtomicBool,
     failure: Mutex<Option<Error>>,
-    replays: AtomicU64,
     fast_replays: AtomicU64,
 }
 
@@ -277,7 +276,7 @@ impl std::fmt::Debug for Graph {
         f.debug_struct("Graph")
             .field("nodes", &self.nodes.len())
             .field("phases", &self.phases.len())
-            .field("replays", &self.replays.load(Ordering::Relaxed))
+            .field("fast_replays", &self.fast_replays.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -332,7 +331,6 @@ impl Graph {
             replay_lock: Mutex::new(()),
             cancel: AtomicBool::new(false),
             failure: Mutex::new(None),
-            replays: AtomicU64::new(0),
             fast_replays: AtomicU64::new(0),
         })
     }
@@ -362,9 +360,7 @@ impl Graph {
             return Ok(());
         }
         if !self.fast_eligible(q) {
-            self.submit_each_inner(q)?;
-            self.replays.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+            return self.submit_each_inner(q);
         }
         let token = q.cancel_token();
         if let Some(t) = token {
@@ -398,7 +394,6 @@ impl Graph {
                 return Err(e);
             }
         }
-        self.replays.fetch_add(1, Ordering::Relaxed);
         self.fast_replays.fetch_add(1, Ordering::Relaxed);
         if let Some(ledger) = q.resilience_ledger() {
             ledger.record_replay(self.nodes.len() as u64);
@@ -541,11 +536,6 @@ impl Graph {
     // lint:allow(unused-pub) test oracle: hetero-rt/tests/graph_agreement.rs holds recorded bindings equal to the stated ones
     pub fn node_bindings(&self, i: usize) -> &[Binding] {
         &self.nodes[i].bindings
-    }
-
-    /// Successful executions of this graph, fast or slow path.
-    pub fn replays(&self) -> u64 {
-        self.replays.load(Ordering::Relaxed)
     }
 
     /// Successful single-wake-up (fast path) replays only.
@@ -737,7 +727,6 @@ mod tests {
             g.replay(&q).unwrap();
         }
         assert_eq!(b.to_vec()[0], 5);
-        assert_eq!(g.replays(), 5);
     }
 
     #[test]

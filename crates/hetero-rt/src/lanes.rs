@@ -1,59 +1,46 @@
-//! Fixed-width SIMD lanes for kernel inner loops.
+//! Width-generic SIMD lanes for kernel inner loops.
 //!
 //! `std::simd` is unstable and this build is offline, so vector width is
-//! expressed the portable way: small fixed-size array structs whose
-//! elementwise operator loops LLVM reliably autovectorizes at `-O`
-//! (the same idiom `sycl::vec<float, 8>` lowers to on CPU targets). The
-//! width is fixed at [`LANES`] = 8 — one AVX2 register of `f32`/`u32`,
-//! two NEON registers — matching the `float8`/`uint8` shapes the
+//! expressed the portable way: [`Lanes`], a fixed-size array whose
+//! elementwise operator loops LLVM reliably autovectorizes at `-O` (the
+//! idiom `sycl::vec<float, 8>` lowers to on CPU targets). The wide width
+//! is [`LANES`] = 8: one AVX2 register of `f32`, the `float8` shape the
 //! Altis-SYCL FPGA ports unroll to.
 //!
-//! # Bit-exactness policy
+//! # One body, two widths
 //!
-//! Converted kernels must stay bit-identical to their scalar form, so
-//! lane ops are **plain elementwise ops in the original per-element
-//! order** — no FMA contraction (each `*` and `+` stays a separate
-//! rounding, exactly as the scalar loop rounds), no horizontal
-//! reassociation of `f32` sums. Horizontal folds exist only where the
-//! op is order-insensitive up to documented IEEE caveats (`f32` min).
-//! Order-sensitive `f32` sum reductions are *refused* vectorization and
-//! keep their deterministic chunk-order tree (see DESIGN.md §10).
+//! A lane kernel writes its arithmetic once, as a [`Body`] generic over
+//! the width `W`. Lane ops are plain elementwise ops in the written
+//! order — no FMA contraction, no horizontal reassociation — so `W = 1`
+//! *is* the scalar kernel and the two widths are bit-identical by
+//! construction. (Order-sensitive `f32` sums are refused vectorization
+//! and keep their chunk-order tree, DESIGN.md §10.) [`sweep`] owns "wide
+//! blocks, then a narrow tail"; `HETERO_RT_LANES=0` or [`force`] makes it
+//! run `W = 1` throughout — the same launches, ranges and bindings at
+//! scalar width, which is how `roofline` times the scalar baseline.
 //!
-//! # One kernel, two arms
-//!
-//! A converted launch has one kernel: a coarse work-item (a lattice row,
-//! a block of records) whose body is a lane sweep guarded by [`enabled`]
-//! plus a scalar arm for the remainder (enforced by the `lanes-remainder`
-//! lint). `HETERO_RT_LANES=0` disables all lane sweeps at once — the
-//! scalar arms then run the full range of the same launches, which is
-//! also how the roofline benchmark measures the scalar baseline
-//! in-process via [`force`].
-//!
-//! Lane accessors on [`crate::GlobalView`] amortize the bounds check to
-//! one per [`LANES`] elements but still record **per-element** sanitizer
-//! accesses while a sanitized launch is armed, so race reports are
-//! identical whether a kernel ran its lane path or its scalar path.
+//! The lane accessors on [`crate::GlobalView`] amortize the bounds check
+//! to one per block but record **per-element** sanitizer accesses, so
+//! race reports do not depend on the width a kernel ran at.
 
-// Lane bodies are written as indexed `for k in 0..LANES` loops on
-// purpose: the index form states "lane k of the output is exactly this
-// expression of lane k of the inputs", which is the bit-exactness
-// contract, and it is the shape LLVM's loop vectorizer recognizes.
-// Iterator/assign-op rewrites obscure that without changing codegen.
+// Indexed `for k in 0..W` loops on purpose: "lane k of the output is
+// exactly this expression of lane k of the inputs" is the bit-exactness
+// contract, and the shape LLVM's loop vectorizer recognizes.
 #![allow(clippy::needless_range_loop, clippy::assign_op_pattern)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Fixed lane width of every vector struct in this module.
+/// The wide width [`sweep`] runs a [`Body`] at.
 pub const LANES: usize = 8;
 
 /// Tri-state: 0 = unresolved, 1 = enabled, 2 = disabled.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-/// Whether lane paths are enabled. Resolved once from `HETERO_RT_LANES`
-/// (default: enabled; `0`, `off` or `false` disable), overridable at
-/// runtime with [`force`].
+/// Whether [`sweep`] runs wide blocks. Resolved once from
+/// `HETERO_RT_LANES` (default: enabled; `0`, `off` or `false` disable),
+/// overridable at runtime with [`force`].
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
@@ -71,119 +58,132 @@ fn resolve() -> bool {
     on
 }
 
-/// Force lane paths on or off, overriding the environment. Used by the
-/// roofline benchmark to measure scalar and lane variants of the same
-/// kernel in one process, and by tests pinning lane/scalar equality.
+/// Force wide blocks on or off, overriding the environment. Used by the
+/// roofline benchmark to time both widths of the same kernel in one
+/// process, and by the route-parity test.
 pub fn force(on: bool) {
     STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
-macro_rules! lane_struct {
-    ($(#[$doc:meta])* $name:ident, $elem:ty) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        #[repr(transparent)]
-        pub struct $name(pub [$elem; LANES]);
+/// `W` lanes of `T`. Arithmetic is elementwise with per-lane rounding
+/// identical to the scalar op sequence (no FMA); `Lanes<T, 1>` is the
+/// scalar.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(transparent)]
+pub struct Lanes<T, const W: usize>(pub [T; W]);
 
-        impl $name {
-            /// Broadcast `v` into every lane.
-            #[inline]
-            pub fn splat(v: $elem) -> Self {
-                $name([v; LANES])
-            }
-
-            /// The underlying lane array.
-            #[inline]
-            pub fn to_array(self) -> [$elem; LANES] {
-                self.0
-            }
-        }
-
-        impl From<[$elem; LANES]> for $name {
-            #[inline]
-            fn from(a: [$elem; LANES]) -> Self {
-                $name(a)
-            }
-        }
-    };
+impl<T: Copy, const W: usize> Lanes<T, W> {
+    /// Broadcast `v` into every lane.
+    #[inline]
+    pub fn splat(v: T) -> Self {
+        Lanes([v; W])
+    }
 }
 
 macro_rules! lane_binop {
-    ($name:ident, $trait:ident, $method:ident, $op:tt) => {
-        impl std::ops::$trait for $name {
-            type Output = $name;
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl<T: Copy + std::ops::$trait<Output = T>, const W: usize> std::ops::$trait
+            for Lanes<T, W>
+        {
+            type Output = Self;
             #[inline]
-            fn $method(self, rhs: $name) -> $name {
+            fn $method(self, rhs: Self) -> Self {
                 let mut out = self.0;
-                for k in 0..LANES {
+                for k in 0..W {
                     out[k] = out[k] $op rhs.0[k];
                 }
-                $name(out)
+                Lanes(out)
             }
         }
     };
 }
+lane_binop!(Add, add, +);
+lane_binop!(Sub, sub, -);
+lane_binop!(Mul, mul, *);
+lane_binop!(Div, div, /);
 
-lane_struct!(
-    /// Eight `f32` lanes. Arithmetic is elementwise with per-lane
-    /// rounding identical to the scalar op sequence (no FMA).
-    F32x8,
-    f32
-);
-lane_binop!(F32x8, Add, add, +);
-lane_binop!(F32x8, Sub, sub, -);
-lane_binop!(F32x8, Mul, mul, *);
-lane_binop!(F32x8, Div, div, /);
-
-impl F32x8 {
-    /// Elementwise `f32::min` (NaN-ignoring, like the scalar fold).
-    #[inline]
-    pub fn min(self, rhs: F32x8) -> F32x8 {
-        let mut out = self.0;
-        for k in 0..LANES {
-            out[k] = out[k].min(rhs.0[k]);
-        }
-        F32x8(out)
-    }
-
+impl<const W: usize> Lanes<f32, W> {
     /// Elementwise clamp, same semantics as `f32::clamp` per lane.
     #[inline]
-    pub fn clamp(self, lo: f32, hi: f32) -> F32x8 {
+    pub fn clamp(self, lo: f32, hi: f32) -> Self {
         let mut out = self.0;
-        for k in 0..LANES {
+        for k in 0..W {
             out[k] = out[k].clamp(lo, hi);
         }
-        F32x8(out)
+        Lanes(out)
     }
 }
 
-lane_struct!(
-    /// Eight `u32` lanes: the load / store shape of `Where`'s flag
-    /// kernel, whose comparisons are written per lane.
-    U32x8,
-    u32
-);
+/// A kernel's arithmetic over the `W` consecutive elements starting at
+/// `x`, said once for every width.
+pub trait Body {
+    /// Run the kernel on elements `x..x + W`.
+    fn at<const W: usize>(&self, x: usize);
+}
+
+/// Run `body` over `lo..hi`: at `W = LANES` while a whole block fits,
+/// at `W = 1` for what is left — or at `W = 1` throughout with the lane
+/// switch off. Every index is covered exactly once, in ascending order.
+#[inline]
+pub fn sweep(lo: usize, hi: usize, body: &impl Body) {
+    let mut x = lo;
+    if enabled() {
+        while x + LANES <= hi {
+            body.at::<LANES>(x);
+            x += LANES;
+        }
+    }
+    while x < hi {
+        body.at::<1>(x);
+        x += 1;
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn f32_ops_match_scalar_sequence_bitwise() {
         let a: [f32; LANES] = std::array::from_fn(|k| (k as f32 + 1.0) * 0.3);
         let b: [f32; LANES] = std::array::from_fn(|k| (k as f32 - 3.5) * 1.7);
-        let v = (F32x8(a) - F32x8(b)) * F32x8::splat(0.7) + F32x8(b);
+        let v = ((Lanes(a) - Lanes(b)) * Lanes::splat(0.7) + Lanes(b)) / Lanes(a);
         for k in 0..LANES {
-            let s = (a[k] - b[k]) * 0.7 + b[k];
+            let s = ((a[k] - b[k]) * 0.7 + b[k]) / a[k];
             assert_eq!(v.0[k].to_bits(), s.to_bits(), "lane {k}");
+            let one = ((Lanes([a[k]]) - Lanes([b[k]])) * Lanes::splat(0.7) + Lanes([b[k]]))
+                / Lanes([a[k]]);
+            assert_eq!(one.0[0].to_bits(), s.to_bits(), "W = 1, element {k}");
+        }
+        assert_eq!(Lanes([-1.0f32, 0.5, 2.0]).clamp(0.0, 1.0).0, [0.0, 0.5, 1.0]);
+    }
+
+    struct Trace(RefCell<Vec<(usize, usize)>>);
+
+    impl Body for Trace {
+        fn at<const W: usize>(&self, x: usize) {
+            self.0.borrow_mut().push((x, W));
         }
     }
 
+    /// The only test in this crate that flips the switch.
     #[test]
-    fn force_overrides_environment() {
-        force(false);
-        assert!(!enabled());
-        force(true);
-        assert!(enabled());
+    fn sweep_covers_every_index_exactly_once_under_either_switch_state() {
+        for on in [false, true] {
+            force(on);
+            for lo in [0, 1, 5] {
+                for len in 0..=3 * LANES + 1 {
+                    let trace = Trace(RefCell::new(Vec::new()));
+                    sweep(lo, lo + len, &trace);
+                    let calls = trace.0.into_inner();
+                    let covered: Vec<usize> =
+                        calls.iter().flat_map(|&(x, w)| x..x + w).collect();
+                    assert_eq!(covered, (lo..lo + len).collect::<Vec<_>>(), "on {on} len {len}");
+                    let wide = calls.iter().filter(|c| c.1 == LANES).count();
+                    assert_eq!(wide, if on { len / LANES } else { 0 }, "on {on} len {len}");
+                }
+            }
+        }
     }
 }

@@ -79,7 +79,7 @@ pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInf
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{reads, reads_writes, writes, Access, Binding, Graph, GraphBuilder};
 pub use integrity::{IntegrityStats, Violation};
-pub use lanes::{F32x8, U32x8, LANES};
+pub use lanes::{Lanes, LANES};
 pub use local::{LocalArray, PrivateArray};
 pub use ndrange::{GroupCtx, Item, NdRange, Range};
 pub use pipe::{Pipe, PipeReceiver, PipeSender};
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::event::{Event, ResilienceLedger};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::graph::{reads, reads_writes, writes, Binding, Graph, GraphBuilder};
-    pub use crate::lanes::{F32x8, U32x8, LANES};
+    pub use crate::lanes::{Lanes, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};
     pub use crate::pipe::{Pipe, PipeReceiver, PipeSender};

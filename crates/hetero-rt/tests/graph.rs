@@ -261,7 +261,6 @@ fn fast_path_engages_exactly_when_disarmed() {
     let armed = disarmed().with_sanitizer(true);
     g.replay(&armed).unwrap(); // clean kernels: sanitizer passes, slow path
     let slow = out.to_vec();
-    assert_eq!(g.replays(), 1);
     assert_eq!(g.fast_replays(), 0);
 
     g.replay(&q).unwrap();

@@ -110,29 +110,36 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
     }
 }
 
-/// A lane sweep that runs one window past the last row: views are
-/// checked on the fast replay path too, and the lane load raises the
+/// A sweep that runs one block past the last row, at width `W`: views
+/// are checked on the fast replay path too, and the load raises the
 /// typed out-of-bounds payload instead of reading past the buffer.
-#[test]
-fn lane_sweep_past_the_last_row_raises_typed_oob() {
+fn sweep_past_the_last_row<const W: usize>() -> Error {
     let (rows, w) = (4, 2 * LANES);
-    let sweep = w + LANES;
     let q = disarmed();
     let data = Buffer::from_slice(&vec![1u32; rows * w]);
     let dv = data.view();
     let graph = Graph::record(&q, |g| {
         g.parallel_for("lane_rows", Range::d1(rows), &[reads_writes(&data)], move |it| {
-            for x in (0..sweep).step_by(LANES) {
+            for x in (0..w + W).step_by(W) {
                 let i = it.gid(0) * w + x;
-                dv.set_lanes(i, dv.get_lanes(i).map(|e| e + 1));
+                dv.set_lanes(i, Lanes(dv.get_lanes::<W>(i).0.map(|e| e + 1)));
             }
         });
     })
     .unwrap();
-    let err = graph.replay(&q).unwrap_err();
+    graph.replay(&q).unwrap_err()
+}
+
+#[test]
+fn lane_sweep_past_the_last_row_raises_typed_oob() {
+    let len = 4 * 2 * LANES;
     assert_eq!(
-        err,
-        Error::AccessOutOfBounds { offset: rows * w, len: LANES, buffer_len: rows * w }
+        sweep_past_the_last_row::<LANES>(),
+        Error::AccessOutOfBounds { offset: len, len: LANES, buffer_len: len }
+    );
+    assert_eq!(
+        sweep_past_the_last_row::<1>(),
+        Error::AccessOutOfBounds { offset: len, len: 1, buffer_len: len }
     );
 }
 

@@ -75,25 +75,24 @@ fn race_report_is_identical_across_stolen_schedules() {
 }
 
 /// Lane accessors record the same per-element sanitizer accesses as the
-/// scalar path: the same conflicting write reported through `set_lanes`
-/// and through eight scalar `set`s must yield the same stable triple.
+/// scalar path: the same conflicting write reported through one
+/// `set_lanes::<LANES>`, through eight `set_lanes::<1>` and through
+/// eight scalar `set`s must yield the same stable triple.
 #[test]
 fn lane_accessors_report_races_identically_to_scalar_writes() {
-    let run = |lane: bool| {
+    use hetero_rt::{Lanes, LANES};
+    let run = |name: &'static str| {
         let q = Queue::new(Device::cpu()).with_sanitizer(true);
-        let b = Buffer::<u32>::new(hetero_rt::LANES * 2);
+        let b = Buffer::<u32>::new(LANES * 2);
         let v = b.view();
-        let name = if lane { "lane_racy" } else { "scalar_racy" };
         // Every group writes the same 8-element block.
         let e = q
             .nd_range(name, NdRange::d1(8 * 4, 4), move |ctx| {
                 let g = ctx.group_linear() as u32;
-                if lane {
-                    v.set_lanes(0, [g; hetero_rt::LANES]);
-                } else {
-                    for k in 0..hetero_rt::LANES {
-                        v.set(k, g);
-                    }
+                match name {
+                    "wide" => v.set_lanes(0, Lanes([g; LANES])),
+                    "narrow" => (0..LANES).for_each(|k| v.set_lanes(k, Lanes([g]))),
+                    _ => (0..LANES).for_each(|k| v.set(k, g)),
                 }
             })
             .unwrap_err();
@@ -102,12 +101,9 @@ fn lane_accessors_report_races_identically_to_scalar_writes() {
         assert!(!reports.is_empty());
         reports.iter().map(|r| (r.element, r.kind, r.group, r.other_group)).collect::<Vec<_>>()
     };
-    let lane_reports = run(true);
-    let scalar_reports = run(false);
-    assert_eq!(
-        lane_reports, scalar_reports,
-        "lane and scalar writes must produce identical race reports"
-    );
+    let scalar = run("scalar");
+    assert_eq!(run("wide"), scalar, "W = LANES and scalar writes must report identically");
+    assert_eq!(run("narrow"), scalar, "W = 1 and scalar writes must report identically");
 }
 
 /// Graph replay's per-node span sweeps are stealable; the fast path must

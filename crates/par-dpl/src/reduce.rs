@@ -5,8 +5,6 @@
 //! order, so f32 sums are reproducible run-to-run (important for the
 //! suite's regression tests).
 
-use hetero_rt::lanes::F32x8;
-
 fn chunked_reduce<T, F>(data: &[T], identity: T, f: F) -> T
 where
     T: Copy + Send + Sync,
@@ -41,53 +39,11 @@ pub fn reduce_sum(data: &[f32]) -> f32 {
     chunked_reduce(data, 0.0f32, |a, b| a + b)
 }
 
-/// Chunk fold for min/max with 8 lane accumulators. `f32::min`/`max`
-/// are commutative and associative (NaN-ignoring; zero-sign ties are
-/// unspecified scalar-to-scalar already), so lane reordering cannot
-/// change the selected value.
-fn lanes_fold(slice: &[f32], identity: f32, lane: fn(F32x8, F32x8) -> F32x8) -> f32 {
-    use hetero_rt::lanes::LANES;
-    let mut acc = F32x8::splat(identity);
-    let mut it = slice.chunks_exact(LANES);
-    for c in &mut it {
-        let a: [f32; LANES] = c.try_into().unwrap();
-        acc = lane(acc, F32x8::from(a));
-    }
-    let scalar: fn(f32, f32) -> f32 =
-        if identity == f32::INFINITY { f32::min } else { f32::max };
-    let head = acc.to_array().iter().fold(identity, |a, &b| scalar(a, b));
-    it.remainder().iter().fold(head, |a, &b| scalar(a, b))
-}
-
-fn reduce_minmax(data: &[f32], identity: f32, lane: fn(F32x8, F32x8) -> F32x8) -> f32 {
-    let scalar: fn(f32, f32) -> f32 =
-        if identity == f32::INFINITY { f32::min } else { f32::max };
-    if !hetero_rt::lanes::enabled() {
-        return chunked_reduce(data, identity, scalar);
-    }
-    let n = data.len();
-    if n == 0 {
-        return identity;
-    }
-    let threads = crate::util::thread_count_for(n, 8192);
-    if threads == 1 {
-        return lanes_fold(data, identity, lane);
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![identity; threads];
-    hetero_rt::pool::parallel_parts(&mut partials, threads, |t, p| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        if lo < hi {
-            *p = lanes_fold(&data[lo..hi], identity, lane);
-        }
-    });
-    partials.into_iter().fold(identity, scalar)
-}
-
-/// Parallel minimum; returns `f32::INFINITY` for empty input.
+/// Parallel minimum; returns `f32::INFINITY` for empty input. The fold
+/// names `f32::min` directly so it inlines: through a run-time `fn`
+/// pointer the same loop read a third of this bandwidth.
 pub fn reduce_min(data: &[f32]) -> f32 {
-    reduce_minmax(data, f32::INFINITY, F32x8::min)
+    chunked_reduce(data, f32::INFINITY, f32::min)
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@ cargo test -q --offline
 cargo clippy --all-targets --offline -- -D warnings
 cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 
-# hetero-san layer 3: repo lint over every kernel closure in crates/core
-# (no unwrap/expect, no raw indexing around BufferView, no HashMap
-# iteration-order dependence, no std::time) and every library file
-# (unused-pub: no public item the suite does not call). Exits nonzero on
-# violation.
+# hetero-san layer 3: repo lint over every kernel closure and lane body
+# in crates/core (no unwrap/expect, no raw indexing around BufferView, no
+# HashMap iteration-order dependence, no std::time) and every library
+# file (unused-pub: no public item the suite does not call). Exits
+# nonzero on violation.
 ./target/release/lint
 
 # hetero-san layers 2+1 smoke: static IR verification of every suite
@@ -94,9 +94,10 @@ done
 ./target/release/stream_storm /tmp/BENCH_stream_storm.json --windows 60 > /dev/null
 
 # Data-path gates. roofline measures the streaming kernels' GB/s
-# against the pool-parallel memcpy peak, with each forked kernel's
-# scalar arm timed in-process via lanes::force: at least two kernels
-# must show a >= 1.5x lane-over-scalar speedup. launch_storm --steal
+# against the pool-parallel memcpy peak; a kernel on lanes::sweep is
+# timed at both widths in-process via lanes::force and must show a
+# >= 1.5x lane-over-scalar speedup, and reduce_min must reach 0.15 of
+# the peak (its fold stays inlined). launch_storm --steal
 # runs the NW-wavefront-shaped imbalanced job (per-item cost ~ index, a
 # sleep) and requires the stealing wall x 1.2 to stay under what static
 # whole-span chunking sleeps by construction, with >= 1 steal counted,
@@ -113,4 +114,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + roofline gate + steal gate (analytic bound) + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + roofline gates (two-width kernels, reduce_min floor) + steal gate (analytic bound) + e2e tests + e2e smoke all green"
