@@ -26,18 +26,13 @@
 //!    can deliver from the primary path, so every one exercises
 //!    checkpoint rollback — that run is where rollback cost is
 //!    measured. Same containment and bit-exactness gates apply.
-//! 3. **Backpressure** — drive one app through `run_piped` with `Shed`
-//!    ingress and a tiny pipe so overrun windows shed instead of
-//!    queuing. *Gate*: every window still gets a verdict and the final
-//!    stream digest equals the golden trail's final digest (shed
-//!    windows advance carried state on the clean path).
 //!
 //! Reports per-(app, rate): windows/sec, p50/p99 window latency,
 //! rollback count and mean rollback cost. Writes
 //! `BENCH_stream_storm.json` (or the path given as the first argument).
 //!
-//! Default 1280 windows per (app, rate): 4 apps x 2 rates x 1280 =
-//! 10240 faulted windows per full run.
+//! Default 1280 windows per run: 4 apps x (2 rates + the stuck-group
+//! run) x 1280 = 15360 faulted windows per full run.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -171,51 +166,6 @@ fn faulted_run(
     Ok((row, st.rollbacks))
 }
 
-/// Backpressure phase: a small pipe with `Shed` ingress. Overrun
-/// windows shed (clean-path state advance) instead of queuing, and the
-/// final digest must still match the golden trail's.
-fn shed_run(cfg: StreamConfig, trail: &[u64], report: &mut Report) -> Result<Obj, String> {
-    use altis_core::streaming::{clean_queue, primary_queue};
-    use hetero_rt::{run_piped, Ingress, StreamRunner};
-    // run_piped needs the concrete runner, not the boxed facade; SRAD
-    // is the representative app for the shed gate.
-    let windows = trail.len() as u64;
-    let scenario = StreamScenario::default();
-    let (primary, clean) = (primary_queue(&scenario), clean_queue(None));
-    let p = altis_data::srad(InputSize::S1);
-    let stage = altis_core::srad::streaming::SradStream::new(&p, &primary, &clean)
-        .map_err(|e| format!("shed phase: SRAD stream failed to open: {e}"))?;
-    let initial = altis_core::srad::streaming::SradStream::initial_state(&p);
-    let mut runner = StreamRunner::new(stage, initial, cfg);
-    let mut verdicts = 0u64;
-    let stats = run_piped(&mut runner, windows, 2, Ingress::Shed, |_r| {
-        verdicts += 1;
-    })
-    .map_err(|e| format!("shed phase: stream died: {e}"))?;
-    report.gate("shed phase: verdicts delivered to the sink", verdicts as f64, Op::Eq, windows as f64);
-    report.gate("shed phase: verdicts counted", stats.windows as f64, Op::Eq, windows as f64);
-    report.gate("shed phase: windows dropped", stats.dropped as f64, Op::Eq, 0.0);
-    // Shed windows must advance carried state.
-    let golden = report.require(
-        "shed phase: final digest equals the golden trail's",
-        trail.last() == Some(&runner.digest()),
-    );
-    println!(
-        "  backpressure (SRAD, pipe capacity 2, Shed ingress): {} delivered, {} shed, final state {}",
-        stats.delivered,
-        stats.shed,
-        if golden { "golden" } else { "DIVERGED" }
-    );
-    Ok(Obj::new()
-        .set("app", "SRAD")
-        .set("pipe_capacity", 2)
-        .set("windows", windows)
-        .set("delivered", stats.delivered)
-        .set("shed", stats.shed)
-        .set("dropped", stats.dropped)
-        .set("final_digest_golden", golden))
-}
-
 fn main() -> ExitCode {
     report::run(USAGE, &["--windows", "--rate", "--seed"], &[], |args| {
         let windows: u64 = args.get("--windows", 1_280)?;
@@ -275,13 +225,6 @@ fn main() -> ExitCode {
         // The rollback-cost measurement is live.
         report.gate("windows rolled back across all runs", total_rollbacks as f64, Op::Ge, 1.0);
         report.set("apps", arr(apps)).set("total_faulted_windows", total_windows);
-
-        let backpressure =
-            golden_trail("SRAD", windows, cfg).and_then(|(t, _)| shed_run(cfg, &t, &mut report));
-        if let Err(why) = &backpressure {
-            report.require(why, false);
-        }
-        report.set("backpressure", backpressure.ok());
         if report.passed() {
             println!("all gates passed over {total_windows} faulted windows");
         }

@@ -15,8 +15,6 @@ use super::{source, Fields};
 /// Streaming stage for FDTD2D. State is the carried [`Fields`].
 pub struct FdtdStream {
     n: usize,
-    primary: Queue,
-    clean: Queue,
     ez: Buffer<f32>,
     hx: Buffer<f32>,
     hy: Buffer<f32>,
@@ -24,14 +22,15 @@ pub struct FdtdStream {
 }
 
 impl FdtdStream {
-    /// Record the three-kernel timestep once and build the stage.
-    pub fn new(p: &Fdtd2dParams, primary: &Queue, clean: &Queue) -> hetero_rt::Result<Self> {
+    /// Record the three-kernel timestep once on `q`'s device and build
+    /// the stage.
+    pub fn new(p: &Fdtd2dParams, q: &Queue) -> hetero_rt::Result<Self> {
         let n = p.dim;
         let ez = Buffer::<f32>::new(n * n);
         let hx = Buffer::<f32>::new(n * n);
         let hy = Buffer::<f32>::new(n * n);
-        let graph = super::step_graph(clean, n, &ez, &hx, &hy)?;
-        Ok(FdtdStream { n, primary: primary.clone(), clean: clean.clone(), ez, hx, hy, graph })
+        let graph = super::step_graph(q, n, &ez, &hx, &hy)?;
+        Ok(FdtdStream { n, ez, hx, hy, graph })
     }
 
     /// Initial stream state: zeroed fields.
@@ -39,35 +38,24 @@ impl FdtdStream {
         let n = p.dim;
         Fields { ez: vec![0.0; n * n], hx: vec![0.0; n * n], hy: vec![0.0; n * n] }
     }
-
-    fn step_on(&mut self, q: &Queue, state: &mut Fields, t: u64) -> hetero_rt::Result<()> {
-        self.ez.write_from(&state.ez);
-        self.hx.write_from(&state.hx);
-        self.hy.write_from(&state.hy);
-        crate::streaming::replay_verified(&self.graph, q)?;
-        let n = self.n;
-        let mut ez = self.ez.to_vec();
-        // The point source is a host-side single-element update, exactly
-        // as the batch runner injects it between replays.
-        ez[(n / 2) * n + n / 2] += source(t as usize);
-        state.ez = ez;
-        state.hx = self.hx.to_vec();
-        state.hy = self.hy.to_vec();
-        Ok(())
-    }
 }
 
 impl StreamStage for FdtdStream {
     type State = Fields;
 
-    fn advance(&mut self, state: &mut Fields, window: u64) -> hetero_rt::Result<()> {
-        let q = self.primary.clone();
-        self.step_on(&q, state, window)
-    }
-
-    fn recover(&mut self, state: &mut Fields, window: u64) -> hetero_rt::Result<()> {
-        let q = self.clean.clone();
-        self.step_on(&q, state, window)
+    fn advance(&mut self, q: &Queue, state: &mut Fields, window: u64) -> hetero_rt::Result<()> {
+        self.ez.write_from(&state.ez);
+        self.hx.write_from(&state.hx);
+        self.hy.write_from(&state.hy);
+        self.graph.replay(q)?;
+        let n = self.n;
+        let mut ez = q.read_back(&self.ez)?;
+        // The point source is a host-side single-element update, exactly
+        // as the batch runner injects it between replays.
+        ez[(n / 2) * n + n / 2] += source(window as usize);
+        let (hx, hy) = (q.read_back(&self.hx)?, q.read_back(&self.hy)?);
+        *state = Fields { ez, hx, hy };
+        Ok(())
     }
 
     fn reference(&self, state: &mut Fields, window: u64) {
@@ -89,7 +77,8 @@ impl StreamStage for FdtdStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_rt::StreamConfig;
+    use crate::streaming::{clean_queue, drive};
+    use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> Fdtd2dParams {
         Fdtd2dParams { dim: 32, steps: 10 }
@@ -98,11 +87,11 @@ mod tests {
     #[test]
     fn run_streaming_is_bit_equal_to_golden() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
-        let stage = FdtdStream::new(&p, &q, &q).unwrap();
+        let q = clean_queue(None);
+        let stage = FdtdStream::new(&p, &q).unwrap();
         let initial = FdtdStream::initial_state(&p);
-        let (fields, stats) =
-            crate::streaming::drive(stage, initial, p.steps as u64, StreamConfig::default()).unwrap();
+        let runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
+        let (fields, stats) = drive(runner, p.steps as u64).unwrap();
         let g = crate::fdtd2d::golden(&p);
         assert_eq!(stats.delivered, p.steps as u64);
         assert_eq!(fields.ez, g.ez);
@@ -113,14 +102,12 @@ mod tests {
     #[test]
     fn device_and_reference_paths_agree_bitwise_per_window() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
-        let stage = FdtdStream::new(&p, &q, &q).unwrap();
-        let mut runner = hetero_rt::StreamRunner::new(
-            stage,
-            FdtdStream::initial_state(&p),
-            StreamConfig::default(),
-        );
-        let host_stage = FdtdStream::new(&p, &q, &q).unwrap();
+        let q = clean_queue(None);
+        let stage = FdtdStream::new(&p, &q).unwrap();
+        let initial = FdtdStream::initial_state(&p);
+        let mut runner =
+            StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
+        let host_stage = FdtdStream::new(&p, &q).unwrap();
         let mut host = FdtdStream::initial_state(&p);
         for w in 0..6u64 {
             let rep = runner.next_window().unwrap();

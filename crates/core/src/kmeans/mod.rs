@@ -141,7 +141,7 @@ pub fn run_with(
     mode: ExecMode,
 ) -> KmeansOutput {
     if version == AppVersion::SyclOptimized && q.device().caps().supports_pipes {
-        return run_piped(q, p);
+        return run_dataflow(q, p);
     }
     run_on(q, p, generate_points(p), mode)
 }
@@ -303,7 +303,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
 }
 
 /// Figure 3b: mapCenters ⇄ resetAccFin over pipes, concurrently.
-fn run_piped(q: &Queue, p: &KmeansParams) -> KmeansOutput {
+fn run_dataflow(q: &Queue, p: &KmeansParams) -> KmeansOutput {
     let points = generate_points(p);
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let mut centers = initial_centers(p, &points);

@@ -36,8 +36,6 @@ pub struct KmeansStream {
     nf: usize,
     n: usize,
     points: Vec<f32>,
-    primary: Queue,
-    clean: Queue,
     pts: Buffer<f32>,
     centers_buf: Buffer<f32>,
     batch_params: Buffer<u32>,
@@ -46,8 +44,9 @@ pub struct KmeansStream {
 }
 
 impl KmeansStream {
-    /// Record the batched assignment kernel once and build the stage.
-    pub fn new(p: &KmeansParams, primary: &Queue, clean: &Queue) -> hetero_rt::Result<Self> {
+    /// Record the batched assignment kernel once on `q`'s device and
+    /// build the stage.
+    pub fn new(p: &KmeansParams, q: &Queue) -> hetero_rt::Result<Self> {
         let points = super::generate_points(p);
         let (k, nf, n) = (p.k, p.n_features, p.n_points);
         let max_len = (0..BATCHES_PER_PASS)
@@ -62,7 +61,7 @@ impl KmeansStream {
         // [start, len] of the window's batch, written before each replay.
         let batch_params = Buffer::<u32>::new(2);
         let memb_batch = Buffer::<u32>::new(max_len);
-        let graph = Graph::record(clean, |g| {
+        let graph = Graph::record(q, |g| {
             let (pv, cv, bv, mv) =
                 (pts.view(), centers_buf.view(), batch_params.view(), memb_batch.view());
             g.parallel_for(
@@ -94,19 +93,7 @@ impl KmeansStream {
                 },
             );
         })?;
-        Ok(KmeansStream {
-            k,
-            nf,
-            n,
-            points,
-            primary: primary.clone(),
-            clean: clean.clone(),
-            pts,
-            centers_buf,
-            batch_params,
-            memb_batch,
-            graph,
-        })
+        Ok(KmeansStream { k, nf, n, points, pts, centers_buf, batch_params, memb_batch, graph })
     }
 
     /// Initial stream state: Rodinia first-k-points centres, empty pass.
@@ -165,8 +152,12 @@ impl KmeansStream {
             }
         }
     }
+}
 
-    fn step_on(
+impl StreamStage for KmeansStream {
+    type State = KmeansStreamState;
+
+    fn advance(
         &mut self,
         q: &Queue,
         state: &mut KmeansStreamState,
@@ -176,33 +167,16 @@ impl KmeansStream {
         let len = end - start;
         self.centers_buf.write_from(&state.centers);
         self.batch_params.write_from(&[start as u32, len as u32]);
-        if let Err(e) = crate::streaming::replay_verified(&self.graph, q) {
+        let assigned = self.graph.replay(q).and_then(|()| q.read_back(&self.memb_batch));
+        if let Err(Error::DataCorruption { .. }) = assigned {
             // The point cloud is the one buffer no window rewrites, and a
             // detection reseals whatever it found: restore it from the
             // host copy so neither the retry nor the recovery replay
             // reads corrupted points.
-            if matches!(e, Error::DataCorruption { .. }) {
-                self.pts.write_from(&self.points);
-            }
-            return Err(e);
+            self.pts.write_from(&self.points);
         }
-        let mb = self.memb_batch.to_vec();
-        self.commit_batch(state, window, start, &mb[..len]);
+        self.commit_batch(state, window, start, &assigned?[..len]);
         Ok(())
-    }
-}
-
-impl StreamStage for KmeansStream {
-    type State = KmeansStreamState;
-
-    fn advance(&mut self, state: &mut KmeansStreamState, window: u64) -> hetero_rt::Result<()> {
-        let q = self.primary.clone();
-        self.step_on(&q, state, window)
-    }
-
-    fn recover(&mut self, state: &mut KmeansStreamState, window: u64) -> hetero_rt::Result<()> {
-        let q = self.clean.clone();
-        self.step_on(&q, state, window)
     }
 
     fn reference(&self, state: &mut KmeansStreamState, window: u64) {
@@ -237,7 +211,8 @@ impl StreamStage for KmeansStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_rt::StreamConfig;
+    use crate::streaming::{clean_queue, drive};
+    use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> KmeansParams {
         KmeansParams { n_points: 256, n_features: 4, k: 3, iterations: 5 }
@@ -246,12 +221,12 @@ mod tests {
     #[test]
     fn full_passes_reproduce_the_golden_clustering_exactly() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
+        let q = clean_queue(None);
         let windows = p.iterations as u64 * BATCHES_PER_PASS;
-        let stage = KmeansStream::new(&p, &q, &q).unwrap();
+        let stage = KmeansStream::new(&p, &q).unwrap();
         let initial = KmeansStream::initial_state(&p);
-        let (state, stats) =
-            crate::streaming::drive(stage, initial, windows, StreamConfig::default()).unwrap();
+        let runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
+        let (state, stats) = drive(runner, windows).unwrap();
         let g = crate::kmeans::golden(&p);
         assert_eq!(stats.delivered, windows);
         assert_eq!(state.membership, g.membership);
@@ -263,14 +238,12 @@ mod tests {
     #[test]
     fn device_and_reference_batches_agree_bitwise() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
-        let stage = KmeansStream::new(&p, &q, &q).unwrap();
-        let mut runner = hetero_rt::StreamRunner::new(
-            stage,
-            KmeansStream::initial_state(&p),
-            StreamConfig::default(),
-        );
-        let host_stage = KmeansStream::new(&p, &q, &q).unwrap();
+        let q = clean_queue(None);
+        let stage = KmeansStream::new(&p, &q).unwrap();
+        let initial = KmeansStream::initial_state(&p);
+        let mut runner =
+            StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
+        let host_stage = KmeansStream::new(&p, &q).unwrap();
         let mut host = KmeansStream::initial_state(&p);
         for w in 0..(2 * BATCHES_PER_PASS) {
             let rep = runner.next_window().unwrap();

@@ -37,8 +37,6 @@ pub struct PfStreamState {
 pub struct PfStream {
     params: PfParams,
     variant: PfVariant,
-    primary: Queue,
-    clean: Queue,
     cloud: Cloud,
     propagate: Graph,
     resample: Graph,
@@ -47,25 +45,12 @@ pub struct PfStream {
 impl PfStream {
     /// Record the propagate and resample kernels
     /// ([`super::propagate_graph`], [`super::resample_graph`], the batch
-    /// runner's recordings) once and build the stage.
-    pub fn new(
-        p: &PfParams,
-        variant: PfVariant,
-        primary: &Queue,
-        clean: &Queue,
-    ) -> hetero_rt::Result<Self> {
+    /// runner's recordings) once on `q`'s device and build the stage.
+    pub fn new(p: &PfParams, variant: PfVariant, q: &Queue) -> hetero_rt::Result<Self> {
         let cloud = Cloud::new(p);
-        let propagate = super::propagate_graph(clean, variant, &cloud)?;
-        let resample = super::resample_graph(clean, &cloud)?;
-        Ok(PfStream {
-            params: *p,
-            variant,
-            primary: primary.clone(),
-            clean: clean.clone(),
-            cloud,
-            propagate,
-            resample,
-        })
+        let propagate = super::propagate_graph(q, variant, &cloud)?;
+        let resample = super::resample_graph(q, &cloud)?;
+        Ok(PfStream { params: *p, variant, cloud, propagate, resample })
     }
 
     /// Initial stream state: the golden filter's particle cloud and
@@ -103,8 +88,12 @@ impl PfStream {
     fn frame_u0(frame: usize, n: usize) -> f32 {
         Lcg::new(frame as u64 * 7919).uniform() / n as f32
     }
+}
 
-    fn step_on(
+impl StreamStage for PfStream {
+    type State = PfStreamState;
+
+    fn advance(
         &mut self,
         q: &Queue,
         state: &mut PfStreamState,
@@ -118,35 +107,17 @@ impl PfStream {
         cloud.ys.write_from(&state.ys);
         cloud.seeds.write_from(&state.seeds);
         cloud.frame.write_from(&[tx, ty, Self::frame_u0(frame, n)]);
-        crate::streaming::replay_verified(&self.propagate, q)?;
-        let mut w = cloud.weights.to_vec();
-        let xs_v = cloud.xs.to_vec();
-        let ys_v = cloud.ys.to_vec();
-        let seeds_v = cloud.seeds.to_vec();
-        let (cdf, xe, ye) = Self::frame_tail(&mut w, &xs_v, &ys_v);
+        self.propagate.replay(q)?;
+        let mut w = q.read_back(&cloud.weights)?;
+        let (xs, ys, seeds) =
+            (q.read_back(&cloud.xs)?, q.read_back(&cloud.ys)?, q.read_back(&cloud.seeds)?);
+        let (cdf, xe, ye) = Self::frame_tail(&mut w, &xs, &ys);
         cloud.cdf.write_from(&cdf);
-        crate::streaming::replay_verified(&self.resample, q)?;
+        self.resample.replay(q)?;
         // Commit only after *both* replays succeeded (state-on-success).
-        state.xs = cloud.nxs.to_vec();
-        state.ys = cloud.nys.to_vec();
-        state.seeds = seeds_v;
-        state.xe = xe;
-        state.ye = ye;
+        let (nxs, nys) = (q.read_back(&cloud.nxs)?, q.read_back(&cloud.nys)?);
+        *state = PfStreamState { xs: nxs, ys: nys, seeds, xe, ye };
         Ok(())
-    }
-}
-
-impl StreamStage for PfStream {
-    type State = PfStreamState;
-
-    fn advance(&mut self, state: &mut PfStreamState, window: u64) -> hetero_rt::Result<()> {
-        let q = self.primary.clone();
-        self.step_on(&q, state, window)
-    }
-
-    fn recover(&mut self, state: &mut PfStreamState, window: u64) -> hetero_rt::Result<()> {
-        let q = self.clean.clone();
-        self.step_on(&q, state, window)
     }
 
     fn reference(&self, state: &mut PfStreamState, window: u64) {
@@ -202,7 +173,8 @@ impl StreamStage for PfStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_rt::StreamConfig;
+    use crate::streaming::clean_queue;
+    use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> PfParams {
         PfParams { n_particles: 256, frames: 5, dim: 128 }
@@ -211,14 +183,12 @@ mod tests {
     #[test]
     fn streaming_estimates_track_the_golden_filter() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
+        let q = clean_queue(None);
         let g = crate::particlefilter::golden(&p, PfVariant::Naive);
-        let stage = PfStream::new(&p, PfVariant::Naive, &q, &q).unwrap();
-        let mut runner = hetero_rt::StreamRunner::new(
-            stage,
-            PfStream::initial_state(&p),
-            StreamConfig::default(),
-        );
+        let stage = PfStream::new(&p, PfVariant::Naive, &q).unwrap();
+        let initial = PfStream::initial_state(&p);
+        let mut runner =
+            StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
         for f in 0..p.frames as u64 {
             runner.next_window().unwrap();
             let st = runner.state();
@@ -235,15 +205,13 @@ mod tests {
     #[test]
     fn device_and_reference_frames_agree_bitwise() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
+        let q = clean_queue(None);
         for variant in [PfVariant::Naive, PfVariant::Float] {
-            let stage = PfStream::new(&p, variant, &q, &q).unwrap();
-            let mut runner = hetero_rt::StreamRunner::new(
-                stage,
-                PfStream::initial_state(&p),
-                StreamConfig::default(),
-            );
-            let host_stage = PfStream::new(&p, variant, &q, &q).unwrap();
+            let stage = PfStream::new(&p, variant, &q).unwrap();
+            let initial = PfStream::initial_state(&p);
+            let mut runner =
+                StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
+            let host_stage = PfStream::new(&p, variant, &q).unwrap();
             let mut host = PfStream::initial_state(&p);
             for w in 0..4u64 {
                 let rep = runner.next_window().unwrap();

@@ -19,23 +19,21 @@ use super::Planes;
 pub struct SradStream {
     n: usize,
     lambda: f32,
-    primary: Queue,
-    clean: Queue,
     planes: Planes,
     graph: Graph,
 }
 
 impl SradStream {
     /// Record the two-kernel diffusion step ([`super::step_graph`], the
-    /// batch runner's recording) once and build the stage.
-    /// `primary` is the hardened queue faults are injected on; `clean`
-    /// is the fault-free recovery queue. Both replay the same recording.
-    pub fn new(p: &SradParams, primary: &Queue, clean: &Queue) -> hetero_rt::Result<Self> {
+    /// batch runner's recording) once on `q`'s device and build the
+    /// stage. Every window replays that recording on the queue the
+    /// runner hands it.
+    pub fn new(p: &SradParams, q: &Queue) -> hetero_rt::Result<Self> {
         let n = p.dim;
         let lambda = p.lambda;
         let planes = Planes::new(super::generate_image(p));
-        let graph = super::step_graph(clean, n, lambda, &planes)?;
-        Ok(SradStream { n, lambda, primary: primary.clone(), clean: clean.clone(), planes, graph })
+        let graph = super::step_graph(q, n, lambda, &planes)?;
+        Ok(SradStream { n, lambda, planes, graph })
     }
 
     /// Initial stream state: the speckled input image.
@@ -54,30 +52,20 @@ impl SradStream {
         let var = (sum2 / (n * n) as f64 - mean * mean).max(0.0);
         (var / (mean * mean)) as f32
     }
-
-    fn step_on(&mut self, q: &Queue, state: &mut Vec<f32>) -> hetero_rt::Result<()> {
-        // State-on-success: buffers are rewritten from host state before
-        // every launch, so a failed replay leaves `state` untouched and
-        // partial device writes are harmless.
-        self.planes.q0.write_from(&[self.host_q0(state)]);
-        self.planes.img.write_from(state);
-        crate::streaming::replay_verified(&self.graph, q)?;
-        *state = self.planes.img.to_vec();
-        Ok(())
-    }
 }
 
 impl StreamStage for SradStream {
     type State = Vec<f32>;
 
-    fn advance(&mut self, state: &mut Vec<f32>, _window: u64) -> hetero_rt::Result<()> {
-        let q = self.primary.clone();
-        self.step_on(&q, state)
-    }
-
-    fn recover(&mut self, state: &mut Vec<f32>, _window: u64) -> hetero_rt::Result<()> {
-        let q = self.clean.clone();
-        self.step_on(&q, state)
+    fn advance(&mut self, q: &Queue, state: &mut Vec<f32>, _window: u64) -> hetero_rt::Result<()> {
+        // State-on-success: buffers are rewritten from host state before
+        // every launch, so a failed replay leaves `state` untouched and
+        // partial device writes are harmless.
+        self.planes.q0.write_from(&[self.host_q0(state)]);
+        self.planes.img.write_from(state);
+        self.graph.replay(q)?;
+        *state = q.read_back(&self.planes.img)?;
+        Ok(())
     }
 
     fn reference(&self, state: &mut Vec<f32>, _window: u64) {
@@ -92,7 +80,8 @@ impl StreamStage for SradStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_rt::StreamConfig;
+    use crate::streaming::{clean_queue, drive};
+    use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> SradParams {
         SradParams { dim: 32, iterations: 3, lambda: 0.5 }
@@ -101,10 +90,10 @@ mod tests {
     #[test]
     fn streaming_matches_golden_window_by_window() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
-        let stage = SradStream::new(&p, &q, &q).unwrap();
-        let mut runner =
-            hetero_rt::StreamRunner::new(stage, SradStream::initial_state(&p), StreamConfig::default());
+        let q = clean_queue(None);
+        let stage = SradStream::new(&p, &q).unwrap();
+        let initial = SradStream::initial_state(&p);
+        let mut runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
         let mut host = SradStream::initial_state(&p);
         for w in 0..4u64 {
             let rep = runner.next_window().unwrap();
@@ -121,12 +110,11 @@ mod tests {
     #[test]
     fn run_streaming_equals_golden_at_app_iterations() {
         let p = tiny();
-        let q = crate::streaming::clean_queue(None);
-        let stage = SradStream::new(&p, &q, &q).unwrap();
+        let q = clean_queue(None);
+        let stage = SradStream::new(&p, &q).unwrap();
         let initial = SradStream::initial_state(&p);
-        let (img, stats) =
-            crate::streaming::drive(stage, initial, p.iterations as u64, StreamConfig::default())
-                .unwrap();
+        let runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
+        let (img, stats) = drive(runner, p.iterations as u64).unwrap();
         assert_eq!(stats.delivered, p.iterations as u64);
         assert_eq!(img, crate::srad::golden(&p));
     }

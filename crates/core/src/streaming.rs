@@ -87,29 +87,21 @@ pub fn clean_queue(cancel: Option<CancelToken>) -> Queue {
         .with_cancel_token(cancel)
 }
 
-/// Replay `graph` on `q`, then — on an integrity queue — verify every
-/// sealed region before the stage reads results back into carried
-/// state. The launch protocol only verifies at the *next* launch entry,
-/// so a flip or stuck page landing after a window's last reseal would
-/// otherwise reach the state unseen; here it fails the window with the
-/// typed `DataCorruption` the runner rolls back from.
-pub(crate) fn replay_verified(graph: &Graph, q: &Queue) -> hetero_rt::Result<()> {
-    graph.replay(q)?;
-    if q.integrity_enabled() {
-        hetero_rt::integrity::verify_quiescent()?;
-    }
-    Ok(())
+/// The two queues of a stream under `scenario`: the [`primary_queue`]
+/// every window runs on and the [`clean_queue`] it recovers through.
+/// The primary arms integrity process-wide for an SDC scenario, and a
+/// buffer registers a checksummed region only while armed — so the pair
+/// is built before any stage allocates.
+fn queues(scenario: &StreamScenario) -> (Queue, Queue) {
+    (primary_queue(scenario), clean_queue(scenario.cancel.clone()))
 }
 
-/// Drive `stage` from `initial` through `windows` windows under the
-/// containment runner. Returns the final state and the stream counters.
+/// Drive `runner` through `windows` windows. Returns the final state and
+/// the stream counters.
 pub fn drive<S: StreamStage>(
-    stage: S,
-    initial: S::State,
+    mut runner: StreamRunner<S>,
     windows: u64,
-    cfg: StreamConfig,
 ) -> hetero_rt::Result<(S::State, StreamStats)> {
-    let mut runner = StreamRunner::new(stage, initial, cfg);
     let stats = runner.run(windows, |_| {})?;
     Ok((runner.into_state(), stats))
 }
@@ -163,32 +155,32 @@ pub fn open_stream(
     cfg: StreamConfig,
     scenario: &StreamScenario,
 ) -> hetero_rt::Result<Option<Box<dyn AppStream>>> {
-    let primary = primary_queue(scenario);
-    let clean = clean_queue(scenario.cancel.clone());
-    let runner: Box<dyn AppStream> = match app {
+    let (primary, clean) = queues(scenario);
+    let stream: Box<dyn AppStream> = match app {
         "SRAD" => {
             let p = altis_data::srad(size);
-            let stage = SradStream::new(&p, &primary, &clean)?;
-            Box::new(StreamRunner::new(stage, SradStream::initial_state(&p), cfg))
+            let stage = SradStream::new(&p, &clean)?;
+            Box::new(StreamRunner::new(primary, clean, stage, SradStream::initial_state(&p), cfg))
         }
         "FDTD2D" => {
             let p = altis_data::fdtd2d(size);
-            let stage = FdtdStream::new(&p, &primary, &clean)?;
-            Box::new(StreamRunner::new(stage, FdtdStream::initial_state(&p), cfg))
+            let stage = FdtdStream::new(&p, &clean)?;
+            Box::new(StreamRunner::new(primary, clean, stage, FdtdStream::initial_state(&p), cfg))
         }
         "KMeans" => {
             let p = altis_data::kmeans(size);
-            let stage = KmeansStream::new(&p, &primary, &clean)?;
-            Box::new(StreamRunner::new(stage, KmeansStream::initial_state(&p), cfg))
+            let stage = KmeansStream::new(&p, &clean)?;
+            let initial = KmeansStream::initial_state(&p);
+            Box::new(StreamRunner::new(primary, clean, stage, initial, cfg))
         }
         "PF Naive" => {
             let p = altis_data::particlefilter(size);
-            let stage = PfStream::new(&p, PfVariant::Naive, &primary, &clean)?;
-            Box::new(StreamRunner::new(stage, PfStream::initial_state(&p), cfg))
+            let stage = PfStream::new(&p, PfVariant::Naive, &clean)?;
+            Box::new(StreamRunner::new(primary, clean, stage, PfStream::initial_state(&p), cfg))
         }
         _ => return Ok(None),
     };
-    Ok(Some(runner))
+    Ok(Some(stream))
 }
 
 /// How many windows reproduce the batch (golden) run of `app` at
@@ -223,26 +215,28 @@ pub fn streamed_registry_digest(
     scenario: &StreamScenario,
 ) -> hetero_rt::Result<Option<u64>> {
     use crate::suite::{digest_f32s, digest_words};
-    let primary = primary_queue(scenario);
-    let clean = clean_queue(scenario.cancel.clone());
     let Some(windows) = golden_horizon(app, size) else { return Ok(None) };
+    let (primary, clean) = queues(scenario);
     let d = match app {
         "SRAD" => {
             let p = altis_data::srad(size);
-            let stage = SradStream::new(&p, &primary, &clean)?;
-            let (img, _) = drive(stage, SradStream::initial_state(&p), windows, cfg)?;
+            let stage = SradStream::new(&p, &clean)?;
+            let initial = SradStream::initial_state(&p);
+            let (img, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
             digest_f32s(&img)
         }
         "FDTD2D" => {
             let p = altis_data::fdtd2d(size);
-            let stage = FdtdStream::new(&p, &primary, &clean)?;
-            let (f, _) = drive(stage, FdtdStream::initial_state(&p), windows, cfg)?;
+            let stage = FdtdStream::new(&p, &clean)?;
+            let initial = FdtdStream::initial_state(&p);
+            let (f, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
             digest_words(f.ez.iter().chain(&f.hx).chain(&f.hy).map(|x| x.to_bits() as u64))
         }
         "KMeans" => {
             let p = altis_data::kmeans(size);
-            let stage = KmeansStream::new(&p, &primary, &clean)?;
-            let (st, _) = drive(stage, KmeansStream::initial_state(&p), windows, cfg)?;
+            let stage = KmeansStream::new(&p, &clean)?;
+            let initial = KmeansStream::initial_state(&p);
+            let (st, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
             digest_words(
                 st.centers
                     .iter()

@@ -177,6 +177,17 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         self.storage.host().to_vec()
     }
 
+    /// [`Buffer::to_vec`] after verifying the buffer's integrity region
+    /// against its seal ([`crate::Queue::read_back`]), under the same
+    /// host lock as the copy.
+    pub(crate) fn to_vec_verified(&self) -> Result<Vec<T>> {
+        let guard = self.storage.host();
+        if let Some(region) = &self.storage.region {
+            region.verify_now()?;
+        }
+        Ok(guard.to_vec())
+    }
+
     /// Move the contents out as a host `Vec`, consuming the handle. The
     /// sole owner gets the allocation itself — no copy, and the integrity
     /// region is unregistered by the storage drop. While clones or views
@@ -571,14 +582,11 @@ const SLAB_SHELF_CAP: usize = 8;
 ///
 /// Iterative Altis kernels allocate the same-shaped temporaries every
 /// timestep (reduction partials, per-frame scratch); round-tripping the
-/// system allocator for each is pure non-kernel overhead — the Figure-1
-/// term this PR attacks. The slab keeps retired allocations keyed by
-/// `(element type, exact length)` and hands them back zero-filled.
-/// Shelves are striped per thread ([`SLAB_STRIPES`]): a buffer retired
-/// by a worker goes to that worker's stripe and is preferentially
-/// re-taken by the same worker, so hot ping-pong bytes stay in the
-/// claiming core's cache; other stripes are stolen from only on a local
-/// miss.
+/// system allocator for each is pure non-kernel overhead (Figure 1's
+/// non-kernel bar). The slab keeps retired allocations keyed by
+/// `(element type, exact length)` and hands them back zero-filled. Its
+/// caller takes and returns scratch on the submitting thread, so one
+/// shelf map behind one lock is all the sharing it needs.
 ///
 /// Reuse recycles **bytes only**, never identity: a recycled buffer gets
 /// a fresh sanitizer object id and a freshly registered integrity region
@@ -586,72 +594,31 @@ const SLAB_SHELF_CAP: usize = 8;
 /// its generation counter increments. Sanitizer shadow state and page
 /// seals therefore always start clean — nothing leaks from the previous
 /// tenant.
-/// Shelf stripes per slab. Shelves are sharded by the calling thread's
-/// identity so a hot ping-pong buffer retired and re-taken by the same
-/// worker stays on that worker's stripe (core-local, uncontended lock);
-/// other stripes are searched only on a local miss ("steal on miss").
-const SLAB_STRIPES: usize = 8;
-
-type Shelves = HashMap<(TypeId, usize), Vec<SlabEntry>>;
-
-/// The calling thread's home stripe, hashed once per thread.
-fn home_stripe() -> usize {
-    thread_local! {
-        static HOME: usize = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::hash::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            (h.finish() as usize) % SLAB_STRIPES
-        };
-    }
-    HOME.with(|h| *h)
-}
-
-/// The process-wide recycling slab: striped shelves of retired buffer
-/// allocations keyed by `(element type, capacity)`. Take prefers the
-/// calling thread's home stripe and steals from the others only on a
-/// local miss; put always returns to the home stripe (capped per
-/// stripe), so a worker's hot buffers stay core-local.
 pub struct BufferSlab {
-    stripes: [Mutex<Shelves>; SLAB_STRIPES],
+    shelves: Mutex<HashMap<(TypeId, usize), Vec<SlabEntry>>>,
 }
 
 impl BufferSlab {
     pub(crate) fn new() -> Self {
-        BufferSlab { stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
+        BufferSlab { shelves: Mutex::new(HashMap::new()) }
+    }
+
+    fn shelves(&self) -> MutexGuard<'_, HashMap<(TypeId, usize), Vec<SlabEntry>>> {
+        self.shelves.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Take a retired allocation of erased type `D` and exact length
-    /// `len` off a shelf, with the generation it retired at. The calling
-    /// thread's own stripe is tried first — the cache-warm case, since
-    /// `put` also shelves locally — and the remaining stripes are
-    /// searched only when the local one misses.
+    /// `len` off its shelf, with the generation it retired at.
     pub(crate) fn take<D: Any + Send>(&self, len: usize) -> Option<(D, u64)> {
-        let key = (TypeId::of::<D>(), len);
-        let home = home_stripe();
-        for d in 0..SLAB_STRIPES {
-            let entry = {
-                let mut shelves = self.stripes[(home + d) % SLAB_STRIPES]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                shelves.get_mut(&key).and_then(Vec::pop)
-            };
-            if let Some(e) = entry {
-                let data = *e.data.downcast::<D>().expect("slab shelf keyed by TypeId");
-                return Some((data, e.generation));
-            }
-        }
-        None
+        let e = self.shelves().get_mut(&(TypeId::of::<D>(), len)).and_then(Vec::pop)?;
+        Some((*e.data.downcast::<D>().expect("slab shelf keyed by TypeId"), e.generation))
     }
 
-    /// Shelve a retired allocation on the calling thread's stripe.
-    /// Returns `false` when that stripe's size class is already at
-    /// capacity.
+    /// Shelve a retired allocation. Returns `false` when its size class
+    /// is already at capacity.
     pub(crate) fn put<D: Any + Send>(&self, len: usize, data: D, generation: u64) -> bool {
-        let key = (TypeId::of::<D>(), len);
-        let mut shelves =
-            self.stripes[home_stripe()].lock().unwrap_or_else(PoisonError::into_inner);
-        let shelf = shelves.entry(key).or_default();
+        let mut shelves = self.shelves();
+        let shelf = shelves.entry((TypeId::of::<D>(), len)).or_default();
         if shelf.len() >= SLAB_SHELF_CAP {
             return false;
         }

@@ -139,8 +139,6 @@ pub enum Error {
         /// Kernel name the submission was given.
         kernel: &'static str,
     },
-    /// A pipe operation failed because the other endpoint disconnected.
-    PipeClosed,
     /// A blocking pipe operation timed out; in this runtime that is
     /// diagnosed as a deadlock between communicating kernels.
     PipeDeadlock {
@@ -204,7 +202,6 @@ impl fmt::Display for Error {
                 f,
                 "kernel '{kernel}' canceled before completion"
             ),
-            Error::PipeClosed => write!(f, "pipe endpoint disconnected"),
             Error::PipeDeadlock { waited_secs } => write!(
                 f,
                 "pipe operation blocked for {waited_secs}s; kernels are deadlocked"
@@ -294,7 +291,7 @@ mod tests {
             .is_cpu_fallback_eligible());
         assert!(!Error::KernelPanicked { kernel: "k", group: 0, message: String::new() }
             .is_cpu_fallback_eligible());
-        assert!(!Error::PipeClosed.is_cpu_fallback_eligible());
+        assert!(!Error::PipeDeadlock { waited_secs: 1 }.is_cpu_fallback_eligible());
         // Corruption findings name memory that is already wrong; a CPU
         // re-run would consume the same corrupt bytes.
         assert!(!Error::DataCorruption { region: 3, page: 1, epoch: 2 }
@@ -325,9 +322,9 @@ mod tests {
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(Error::PipeClosed, Error::PipeClosed);
+        assert_eq!(Error::PipeDeadlock { waited_secs: 5 }, Error::PipeDeadlock { waited_secs: 5 });
         assert_ne!(
-            Error::PipeClosed,
+            Error::PipeDeadlock { waited_secs: 1 },
             Error::PipeDeadlock { waited_secs: 5 }
         );
     }

@@ -14,6 +14,9 @@
 //!   mutation between those boundaries that did not go through a host
 //!   write API surfaces as [`Error::DataCorruption`] naming the exact
 //!   region and page;
+//! * a host read-back on an integrity queue (`Queue::read_back`) verifies
+//!   the one region it reads, so a flip landing after a buffer's last
+//!   seal fails the read instead of reaching host state;
 //! * parked pool workers run an idle-time **scrubber**
 //!   ([`scrub_step`], called from `pool.rs`) that sweeps one region per
 //!   idle tick, so corruption in cold data is found before the next
@@ -43,7 +46,9 @@
 //! (a global active-launch count guards both boundaries and the
 //! scrubber), matching the runtime's existing single-host-thread driving
 //! model. Nested or concurrent launches skip the protocol at the inner
-//! boundaries and reseal once at the outermost exit.
+//! boundaries and reseal once at the outermost exit. A read-back touches
+//! only the buffer it copies, under that buffer's host lock — the same
+//! bytes, at the same moment, as the copy itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -226,6 +231,29 @@ impl Region {
         Ok(())
     }
 
+    /// Verify this region alone between launches (a host read-back): a
+    /// finding the idle scrubber parked for it is reported first, then
+    /// the live bytes are checked against the seal, as at a launch entry.
+    pub(crate) fn verify_now(&self) -> Result<(), Error> {
+        take_parked(Some(self.id))?;
+        self.check_locked(&mut lock(&self.state))
+    }
+
+    /// Check a live region against its seal. A mismatch is reported as
+    /// [`Error::DataCorruption`] and the region resealed to its current
+    /// contents, so one fault is reported once.
+    fn check_locked(&self, st: &mut RegionState) -> Result<(), Error> {
+        if !st.alive {
+            return Ok(());
+        }
+        REGIONS_VERIFIED.fetch_add(1, Ordering::Relaxed);
+        let Some(page) = self.verify_locked(st) else { return Ok(()) };
+        let epoch = st.epoch;
+        DETECTIONS.fetch_add(1, Ordering::Relaxed);
+        self.reseal_locked(st);
+        Err(Error::DataCorruption { region: self.id, page, epoch })
+    }
+
     /// First page whose checksum no longer matches the seal, if any.
     fn verify_locked(&self, st: &RegionState) -> Option<usize> {
         let seal = st.seal.as_ref()?;
@@ -375,44 +403,29 @@ impl Drop for LaunchScope {
     }
 }
 
-/// Verify every sealed live region (and surface any parked scrubber
-/// finding). Returns the first corruption as a typed error; the
-/// offending region is resealed to its current contents so one fault is
-/// reported once.
-pub fn verify_all() -> Result<(), Error> {
-    let parked: Vec<Violation> = std::mem::take(&mut *lock(pending()));
-    if let Some(v) = parked.first() {
-        return Err(Error::DataCorruption { region: v.region, page: v.page, epoch: v.epoch });
-    }
-    for region in live_regions() {
-        let mut st = lock(&region.state);
-        if !st.alive {
-            continue;
+/// Report the oldest parked scrubber finding — for `region` only, when
+/// given — and leave the rest parked for the next check.
+fn take_parked(region: Option<u64>) -> Result<(), Error> {
+    let mut parked = lock(pending());
+    match parked.iter().position(|v| region.is_none_or(|r| v.region == r)) {
+        Some(i) => {
+            let v = parked.remove(i);
+            Err(Error::DataCorruption { region: v.region, page: v.page, epoch: v.epoch })
         }
-        REGIONS_VERIFIED.fetch_add(1, Ordering::Relaxed);
-        if let Some(page) = region.verify_locked(&st) {
-            let epoch = st.epoch;
-            DETECTIONS.fetch_add(1, Ordering::Relaxed);
-            region.reseal_locked(&mut st);
-            return Err(Error::DataCorruption { region: region.id, page, epoch });
-        }
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// [`verify_all`] for host code about to consume results between
-/// launches (a stream stage reading a window's output into carried
-/// state): the walk reads every region's bytes, so — like the launch
-/// boundaries and the scrubber — it only runs while no launch is in
-/// flight anywhere in the process. With one in flight it is skipped and
-/// returns `Ok`; the next exclusive launch entry still verifies.
-pub fn verify_quiescent() -> Result<(), Error> {
-    let scope = LaunchScope::enter();
-    if scope.exclusive() {
-        verify_all()
-    } else {
-        Ok(())
+/// Verify every sealed live region (launch entry). One finding per call:
+/// a parked scrubber finding first, the rest staying parked, else the
+/// first region whose bytes diverged from their seal, resealed so one
+/// fault is reported once.
+pub fn verify_all() -> Result<(), Error> {
+    take_parked(None)?;
+    for region in live_regions() {
+        region.check_locked(&mut lock(&region.state))?;
     }
+    Ok(())
 }
 
 /// Reseal every live region to its current contents (launch exit).

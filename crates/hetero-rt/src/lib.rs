@@ -82,12 +82,11 @@ pub use integrity::{IntegrityStats, Violation};
 pub use lanes::{Lanes, LANES};
 pub use local::{LocalArray, PrivateArray};
 pub use ndrange::{GroupCtx, Item, NdRange, Range};
-pub use pipe::{Pipe, PipeReceiver, PipeSender};
+pub use pipe::Pipe;
 pub use queue::{Fallback, Queue, Redundancy, RetryPolicy};
 pub use sanitize::{MemSpace, RaceKind, RaceReport};
 pub use stream::{
-    run_piped, Ingress, StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport,
-    WindowVerdict,
+    StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport, WindowVerdict,
 };
 
 /// Crate-wide prelude bringing the common runtime types into scope,
@@ -103,11 +102,10 @@ pub mod prelude {
     pub use crate::lanes::{Lanes, LANES};
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};
-    pub use crate::pipe::{Pipe, PipeReceiver, PipeSender};
+    pub use crate::pipe::Pipe;
     pub use crate::queue::{Fallback, Queue, Redundancy, RetryPolicy};
     pub use crate::sanitize::{MemSpace, RaceKind, RaceReport};
     pub use crate::stream::{
-        run_piped, Ingress, StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport,
-        WindowVerdict,
+        StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport, WindowVerdict,
     };
 }

@@ -271,11 +271,6 @@ impl Queue {
         self
     }
 
-    /// Whether launches on this queue run the integrity protocol.
-    pub fn integrity_enabled(&self) -> bool {
-        self.integrity
-    }
-
     /// Set the redundant-execution policy (see [`Redundancy`]). Only
     /// effective together with [`Queue::with_integrity`]: replicas
     /// restore and digest the integrity layer's registered regions.
@@ -425,6 +420,25 @@ impl Queue {
                     left = left.saturating_sub(d);
                 }
             }
+        }
+    }
+
+    /// Copy `buf` back to the host for consumption, like a host accessor
+    /// read. On an integrity queue the buffer's own region is verified
+    /// first: a flip or stuck page that landed after its last seal comes
+    /// back as the typed [`Error::DataCorruption`] (the region resealed,
+    /// so it is reported once) instead of reaching host state. No other
+    /// region is read, so the check runs whatever else is in flight. On
+    /// any other queue this is [`Buffer::to_vec`]: plain launches do not
+    /// reseal, so their writes would read as corruption.
+    pub fn read_back<T>(&self, buf: &Buffer<T>) -> Result<Vec<T>>
+    where
+        T: Copy + Default + Send + 'static,
+    {
+        if self.integrity {
+            buf.to_vec_verified()
+        } else {
+            Ok(buf.to_vec())
         }
     }
 
@@ -1061,10 +1075,10 @@ mod tests {
         let q = Queue::new(Device::stratix10());
         let r = q.submit_concurrent(
             "failing",
-            vec![Box::new(|| Err(Error::PipeClosed))
+            vec![Box::new(|| Err(Error::PipeDeadlock { waited_secs: 1 }))
                 as Box<dyn FnOnce() -> Result<()> + Send>],
         );
-        assert_eq!(r.unwrap_err(), Error::PipeClosed);
+        assert_eq!(r.unwrap_err(), Error::PipeDeadlock { waited_secs: 1 });
     }
 
     #[test]

@@ -1,0 +1,52 @@
+//! The generated graphs of `graph_agreement.rs` on an integrity-armed
+//! queue, the sixth route. Arming is process-wide, and `Graph::replay`
+//! reads the armed flag: once it is set, every replay on every queue walks
+//! launch by launch. Here that is the point; in `graph_agreement.rs` it
+//! would quietly turn the pooled-replay route into this one.
+//!
+//! The oracle is each case's per-launch run on a disarmed process, taken
+//! before anything arms; the armed route then runs on buffers registered
+//! after arming, so every launch verifies and reseals them and every
+//! read-back verifies the buffer it reads.
+
+mod graph_cases;
+
+use graph_cases::{cases, generate, initial, pool_of_four, record};
+use hetero_rt::integrity;
+use hetero_rt::prelude::*;
+
+type Step = fn(&Graph, &Queue) -> Result<()>;
+
+/// Two steps of case `seed`'s recording on `q` from its initial contents,
+/// read back through `q`; and the recording.
+fn two_steps(seed: u64, q: &Queue, step: Step) -> (Vec<Vec<u32>>, Graph) {
+    let case = generate(seed);
+    let bufs: Vec<Buffer<u32>> = initial(&case).iter().map(|v| Buffer::from_slice(v)).collect();
+    let graph = record(q, &case, &bufs);
+    for _ in 0..2 {
+        step(&graph, q).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+    }
+    let out = bufs.iter().map(|b| q.read_back(b).unwrap_or_else(|e| panic!("seed {seed}: {e:?}")));
+    (out.collect(), graph)
+}
+
+#[test]
+fn generated_graphs_agree_on_an_integrity_armed_queue() {
+    pool_of_four();
+    let seeds = (0..cases(600)).map(|s| 0x19_0000 + s);
+    let plain = Queue::new(Device::cpu()).with_fault_plan(None).with_sanitizer(false);
+    assert!(!integrity::armed(), "the oracle runs before anything arms");
+    let want: Vec<_> =
+        seeds.clone().map(|seed| two_steps(seed, &plain, Graph::submit_each).0).collect();
+
+    let armed = plain.clone().with_integrity(true);
+    let before = integrity::stats();
+    for (seed, want) in seeds.zip(want) {
+        let (got, graph) = two_steps(seed, &armed, Graph::replay);
+        assert_eq!(got, want, "seed {seed}: armed replay");
+        assert_eq!(graph.fast_replays(), 0, "seed {seed}: an armed replay takes the fast path");
+    }
+    let after = integrity::stats();
+    assert_eq!(after.detections, before.detections, "a clean armed run reads as corruption");
+    assert!(after.regions_verified > before.regions_verified, "nothing was verified");
+}

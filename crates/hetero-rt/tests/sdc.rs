@@ -354,13 +354,19 @@ fn host_set_reseals_its_page_and_keeps_the_rest_protected() {
     assert!(integrity::verify_all().is_ok());
 }
 
+/// A read-back on an integrity queue verifies the one buffer it reads,
+/// whatever else is in flight: a launch half-way through writing another
+/// sealed buffer is neither walked nor flagged, and the read buffer's own
+/// corruption is reported at its region and page, once. A plain queue's
+/// read-back never verifies.
 #[test]
-fn verify_quiescent_leaves_an_in_flight_launch_alone() {
+fn read_back_verifies_its_buffer_while_a_launch_is_in_flight() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let _g = serial();
     let _a = Armed::new();
     let q = Queue::new(Device::cpu()).with_integrity(true);
     let hot = Buffer::<u32>::new(256);
+    let cold = Buffer::<u32>::new(600); // 2400 B -> pages 0..=2
     let (started, release) = (AtomicBool::new(false), AtomicBool::new(false));
     let hv = hot.view();
     std::thread::scope(|s| {
@@ -381,20 +387,57 @@ fn verify_quiescent_leaves_an_in_flight_launch_alone() {
             std::thread::yield_now();
         }
         let before = integrity::detections_total();
-        let skipped = integrity::verify_quiescent();
+        let clean = q.read_back(&cold);
+        cold.view().set(599, 1); // a raw write behind the host APIs: page 2
+        let corrupt = q.read_back(&cold);
+        let again = q.read_back(&cold);
+        let detections = integrity::detections_total() - before;
         release.store(true, Ordering::Release);
-        assert!(skipped.is_ok(), "walked a region with a launch in flight: {skipped:?}");
-        assert_eq!(integrity::detections_total(), before);
+        assert_eq!(clean, Ok(vec![0; 600]));
+        assert!(
+            matches!(
+                corrupt,
+                Err(Error::DataCorruption { region, page: 2, .. }) if region == cold.object_id()
+            ),
+            "{corrupt:?}"
+        );
+        assert_eq!(again.map(|v| v[599]), Ok(1), "reported once, then resealed");
+        assert_eq!(detections, 1, "the in-flight launch's buffer was not walked");
         launch.join().unwrap().unwrap();
     });
-    // Quiescent again: the launch-exit seal covers its write, and a raw
-    // write behind the host APIs is reported at its region and page.
-    assert!(integrity::verify_quiescent().is_ok());
-    hot.view().set(255, 1);
+    cold.view().set(0, 9);
+    assert_eq!(Queue::new(Device::cpu()).read_back(&cold).map(|v| v[0]), Ok(9));
     assert!(matches!(
-        integrity::verify_quiescent(),
-        Err(Error::DataCorruption { region, page: 0, .. }) if region == hot.object_id()
+        q.read_back(&cold),
+        Err(Error::DataCorruption { region, page: 0, .. }) if region == cold.object_id()
     ));
+}
+
+/// Every parked scrubber finding is reported, one per verification: two
+/// buffers corrupted before one sweep are two errors, not one error and a
+/// silent reseal of the other.
+#[test]
+fn verify_all_reports_every_parked_finding_one_per_call() {
+    let _g = serial();
+    let _a = Armed::new();
+    let (a, b) = (Buffer::<u32>::new(300), Buffer::<u32>::new(300));
+    a.view().set(10, 1); // byte 40 -> page 0
+    b.view().set(290, 1); // byte 1160 -> page 1
+    let before = integrity::detections_total();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while integrity::detections_total() - before < 2 {
+        assert!(Instant::now() < deadline, "the scrubber never found both writes");
+        integrity::scrub_step();
+    }
+    let mut found: Vec<(u64, usize)> = (0..2)
+        .map(|_| match integrity::verify_all() {
+            Err(Error::DataCorruption { region, page, .. }) => (region, page),
+            other => panic!("expected a parked finding, got {other:?}"),
+        })
+        .collect();
+    found.sort();
+    assert_eq!(found, [(a.object_id(), 0), (b.object_id(), 1)]);
+    assert_eq!(integrity::verify_all(), Ok(()));
 }
 
 /// `started` is stamped when everything that precedes execution is

@@ -84,9 +84,9 @@ done
 # cell, delivered windows must be bit-equal to the clean trail, and no
 # window may be dropped — quarantine the *window*, never the stream.
 # stream_storm (committed BENCH_stream_storm.json is the long form) is
-# smoked at 60 windows/app: the transient rate sweep, the stuck-group
-# rollback-cost run, and the shed-ingress backpressure phase, with the
-# golden-trail equality and containment-budget gates armed.
+# smoked at 60 windows/app: the transient rate sweep and the stuck-group
+# rollback-cost run, with the golden-trail equality and
+# containment-budget gates armed.
 for seed in 1 2 3; do
   echo "chaos --stream: seed ${seed}"
   ./target/release/chaos --stream --seed "${seed}" --rate 0.05 --windows 24 > /dev/null

@@ -19,7 +19,7 @@ use altis_core::srad::streaming::SradStream;
 use altis_core::streaming::drive;
 use altis_data::{Fdtd2dParams, InputSize, SradParams};
 use hetero_rt::prelude::*;
-use hetero_rt::StreamConfig;
+use hetero_rt::{StreamConfig, StreamRunner};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -54,15 +54,17 @@ fn routes_agree(
         let s = altis_core::srad::run_with(rq, sp, v, mode);
         assert_eq!(bits(&s), bits(&srad), "SRAD: {route} vs per-launch, {what}");
     }
-    let cfg = StreamConfig::default;
-    let stage = FdtdStream::new(fp, q, q).unwrap();
-    let (f, _) = drive(stage, FdtdStream::initial_state(fp), fp.steps as u64, cfg()).unwrap();
+    let cfg = StreamConfig::default();
+    let stage = FdtdStream::new(fp, q).unwrap();
+    let runner = StreamRunner::new(q.clone(), q.clone(), stage, FdtdStream::initial_state(fp), cfg);
+    let (f, _) = drive(runner, fp.steps as u64).unwrap();
     assert_eq!(field_bits(&f), field_bits(&fdtd), "FDTD2D: streamed vs per-launch, {what}");
     // The stream folds q0 on the host in f64; at size 1 that rounds to
     // the device reduction's q0 (both equal the golden bitwise, below).
-    let stage = SradStream::new(sp, q, q).unwrap();
-    let (s, _) = drive(stage, SradStream::initial_state(sp), sp.iterations as u64, cfg()).unwrap();
-    assert_eq!(bits(&s), bits(&srad), "SRAD: streamed vs per-launch, {what}");
+    let stage = SradStream::new(sp, q).unwrap();
+    let runner = StreamRunner::new(q.clone(), q.clone(), stage, SradStream::initial_state(sp), cfg);
+    let (img, _) = drive(runner, sp.iterations as u64).unwrap();
+    assert_eq!(bits(&img), bits(&srad), "SRAD: streamed vs per-launch, {what}");
     (fdtd, srad)
 }
 

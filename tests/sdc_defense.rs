@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use altis_core::common::AppVersion;
+use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
 use altis_core::suite::{
     all_apps, check_golden_registry_sizes, run_sdc, run_sdc_inline, SdcOutcome,
 };
@@ -133,6 +134,31 @@ fn fault_free_armed_graph_apps_raise_no_detections() {
         );
         assert_eq!(o, SdcOutcome::Correct, "{name}: {o:?}");
         assert_eq!(integrity::detections_total(), before, "{name}: false detections");
+    }
+}
+
+/// An SDC stream scenario arms the layer itself, before the stage
+/// allocates: in a process that was disarmed when the stream opened,
+/// every stream app's buffers carry page seals from the first window,
+/// and fault-free windows read back through them raise no detection.
+#[test]
+fn an_sdc_stream_seals_its_stage_buffers_from_the_first_window() {
+    let _g = serial();
+    let _a = Armed; // the scenario arms; the guard disarms
+    for app in STREAM_APPS {
+        integrity::disarm();
+        let regions = integrity::stats().regions;
+        let scenario = StreamScenario::sdc(5, 0.0);
+        let mut s = open_stream(app, InputSize::S1, StreamConfig::default(), &scenario)
+            .unwrap_or_else(|e| panic!("{app}: {e}"))
+            .unwrap_or_else(|| panic!("{app}: no streaming conversion"));
+        assert!(integrity::stats().regions > regions, "{app}: stage buffers allocated disarmed");
+        let before = integrity::detections_total();
+        for w in 0..4 {
+            let r = s.next_window().unwrap_or_else(|e| panic!("{app}: window {w}: {e}"));
+            assert!(r.verdict.is_delivered(), "{app}: window {w}: {:?}", r.verdict);
+        }
+        assert_eq!(integrity::detections_total(), before, "{app}: false detections");
     }
 }
 
