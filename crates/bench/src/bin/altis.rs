@@ -96,7 +96,7 @@ fn stream_app(app: &AppEntry, opts: &Options) -> bool {
     // Transient-only injection: the panic/alloc kinds are stateless per
     // (kernel, group) and would pin a permanently stuck group at any
     // rate, hiding the rate axis. The full mixed matrix lives in
-    // `chaos --stream`.
+    // `matrix --stream`.
     let scenario = if opts.fault_rate > 0.0 {
         StreamScenario {
             fault: Some(std::sync::Arc::new(

@@ -52,7 +52,7 @@ use altis_bench::report::{self, Op, Report};
 use altis_bench::timing::{median, paired, samples, Paired};
 use hetero_rt::executor::{run_groups_contained, Parallelism};
 use hetero_rt::{
-    integrity, Buffer, Device, FaultPlan, GroupCtx, NdRange, Queue, Range, Redundancy,
+    integrity, Buffer, Device, FaultPlan, GroupCtx, Hardening, NdRange, Queue, Range, Redundancy,
 };
 
 const USAGE: &str = "hook_overhead [out.json] [--launches N]";
@@ -75,9 +75,6 @@ fn enqueue<K: Fn(&GroupCtx) + Sync>(q: &Queue, kernel: &K) {
 fn main() -> ExitCode {
     report::run(USAGE, &["--launches"], &[], |args| {
         let launches: usize = args.get("--launches", 20_000)?;
-        // The disarmed hooks are what is measured; make sure nothing in
-        // the environment arms one behind our back.
-        std::env::remove_var("HETERO_RT_SANITIZE");
         let mut report = Report::new("hook_overhead");
         println!(
             "hook overhead: {launches} paired launches x {ITEMS} items / {GROUP}-item groups, \
@@ -213,8 +210,9 @@ fn main() -> ExitCode {
                 armed_view.set(i, (i as f32).mul_add(1.5, 0.25));
             });
         };
-        let qa = Queue::new(Device::cpu()).with_integrity(true);
-        let qd = Queue::new(Device::cpu()).with_integrity(true).with_redundancy(Redundancy::Dmr);
+        let sealed = Hardening { integrity: true, ..Hardening::NONE };
+        let voted = Hardening { redundancy: Redundancy::Dmr, ..sealed.clone() };
+        let (qa, qd) = (Queue::hardened(Device::cpu(), sealed), Queue::hardened(Device::cpu(), voted));
         let dmr =
             paired(launches, || enqueue(&qd, &armed_kernel), || enqueue(&qa, &armed_kernel));
         integrity::disarm();

@@ -1,15 +1,14 @@
 //! What every bin shares at its edges: how arguments are read
 //! ([`Args`], [`run`]), how a bench result is written ([`Report`]: host
 //! stamp, gates as data, one [`Report::finish`] turning gates into an
-//! exit status), and how `sanitize` / `chaos` / `sdc` walk the suite
-//! ([`Suite`], [`golden_registry_ok`], [`verdict`]).
+//! exit status), and how the `matrix` harness checks the suite and says
+//! its verdict ([`golden_registry_ok`], [`verdict`]).
 
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::Duration;
 
 use altis_core::common::AppVersion;
-use altis_core::suite::{all_apps, check_golden_registry_sizes, AppEntry};
+use altis_core::suite::check_golden_registry_sizes;
 use altis_data::InputSize;
 
 use crate::json::{arr, Obj, Val};
@@ -287,63 +286,6 @@ pub const SIZES: [(&str, InputSize); 3] =
 /// The `--version` spellings every suite bin accepts.
 pub const VERSIONS: [(&str, AppVersion); 2] =
     [("baseline", AppVersion::SyclBaseline), ("optimized", AppVersion::SyclOptimized)];
-
-/// Watchdog per run of the [`Suite`] matrix.
-pub const RUN_TIMEOUT: Duration = Duration::from_secs(900);
-
-/// The seed × app × size × version matrix `sanitize` and `sdc` walk, as
-/// selected by `--size`, `--version` and `--seed(s)` (each bin declares
-/// the subset it takes). `chaos` runs one size and version per mode.
-pub struct Suite {
-    /// Every app of the suite.
-    pub apps: Vec<AppEntry>,
-    /// One size, or all three with `--size all` / no `--size`.
-    pub sizes: Vec<InputSize>,
-    /// One version, or both with `--version both`.
-    pub versions: Vec<AppVersion>,
-    /// `--seed N` is `[N]`, `--seeds N` is `1..=N`.
-    pub seeds: Vec<u64>,
-}
-
-impl Suite {
-    /// Read the matrix flags, with the bin's defaults for absent ones.
-    pub fn from_args(
-        args: &Args,
-        version: AppVersion,
-        seeds: u64,
-    ) -> Result<Suite, UsageError> {
-        let sizes = match args.opt::<String>("--size")?.as_deref() {
-            None | Some("all") => InputSize::all().to_vec(),
-            Some(_) => args.choice("--size", &SIZES)?.into_iter().collect(),
-        };
-        let versions = match args.opt::<String>("--version")?.as_deref() {
-            None => vec![version],
-            Some("both") => VERSIONS.map(|(_, v)| v).to_vec(),
-            Some(_) => args.choice("--version", &VERSIONS)?.into_iter().collect(),
-        };
-        let seeds = match args.opt::<u64>("--seed")? {
-            Some(s) => vec![s],
-            None => (1..=args.get("--seeds", seeds)?.max(1)).collect(),
-        };
-        Ok(Suite {
-            apps: all_apps(),
-            sizes,
-            versions,
-            seeds,
-        })
-    }
-
-    /// Every cell, seeds outermost, versions innermost.
-    pub fn cells(&self) -> impl Iterator<Item = (u64, &AppEntry, InputSize, AppVersion)> + '_ {
-        self.seeds.iter().flat_map(move |&seed| {
-            self.apps.iter().flat_map(move |app| {
-                self.sizes.iter().flat_map(move |&size| {
-                    self.versions.iter().map(move |&version| (seed, app, size, version))
-                })
-            })
-        })
-    }
-}
 
 /// Re-derive the reference outputs at `sizes` and compare them with the
 /// committed `tests/golden_checksums.tsv`: a "correct" verdict must mean

@@ -77,7 +77,7 @@ impl StreamStage for FdtdStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{clean_queue, drive};
+    use crate::streaming::drive;
     use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> Fdtd2dParams {
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn run_streaming_is_bit_equal_to_golden() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let stage = FdtdStream::new(&p, &q).unwrap();
         let initial = FdtdStream::initial_state(&p);
         let runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn device_and_reference_paths_agree_bitwise_per_window() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let stage = FdtdStream::new(&p, &q).unwrap();
         let initial = FdtdStream::initial_state(&p);
         let mut runner =

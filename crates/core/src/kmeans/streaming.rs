@@ -211,7 +211,7 @@ impl StreamStage for KmeansStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{clean_queue, drive};
+    use crate::streaming::drive;
     use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> KmeansParams {
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn full_passes_reproduce_the_golden_clustering_exactly() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let windows = p.iterations as u64 * BATCHES_PER_PASS;
         let stage = KmeansStream::new(&p, &q).unwrap();
         let initial = KmeansStream::initial_state(&p);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn device_and_reference_batches_agree_bitwise() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let stage = KmeansStream::new(&p, &q).unwrap();
         let initial = KmeansStream::initial_state(&p);
         let mut runner =

@@ -45,7 +45,7 @@ pub mod where_q;
 
 pub use common::{AppVersion, FpgaVariant, Real};
 pub use streaming::{
-    clean_queue, drive, golden_horizon, open_stream, primary_queue, streamed_registry_digest,
-    supports_streaming, AppStream, StreamScenario, STREAM_APPS,
+    drive, golden_horizon, open_stream, streamed_registry_digest, supports_streaming, AppStream,
+    StreamScenario, STREAM_APPS,
 };
 pub use suite::{all_apps, AppEntry};

@@ -173,7 +173,6 @@ impl StreamStage for PfStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::clean_queue;
     use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> PfParams {
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn streaming_estimates_track_the_golden_filter() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let g = crate::particlefilter::golden(&p, PfVariant::Naive);
         let stage = PfStream::new(&p, PfVariant::Naive, &q).unwrap();
         let initial = PfStream::initial_state(&p);
@@ -205,7 +204,7 @@ mod tests {
     #[test]
     fn device_and_reference_frames_agree_bitwise() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         for variant in [PfVariant::Naive, PfVariant::Float] {
             let stage = PfStream::new(&p, variant, &q).unwrap();
             let initial = PfStream::initial_state(&p);

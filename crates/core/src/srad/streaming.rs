@@ -80,7 +80,7 @@ impl StreamStage for SradStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{clean_queue, drive};
+    use crate::streaming::drive;
     use hetero_rt::{StreamConfig, StreamRunner};
 
     fn tiny() -> SradParams {
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn streaming_matches_golden_window_by_window() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let stage = SradStream::new(&p, &q).unwrap();
         let initial = SradStream::initial_state(&p);
         let mut runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());
@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn run_streaming_equals_golden_at_app_iterations() {
         let p = tiny();
-        let q = clean_queue(None);
+        let q = Queue::new(Device::cpu());
         let stage = SradStream::new(&p, &q).unwrap();
         let initial = SradStream::initial_state(&p);
         let runner = StreamRunner::new(q.clone(), q, stage, initial, StreamConfig::default());

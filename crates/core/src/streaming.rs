@@ -3,12 +3,10 @@
 //! Four suite apps run as unbounded window streams (one recorded graph
 //! replayed per window over carried state): SRAD, FDTD2D, KMeans and
 //! ParticleFilter (naive likelihood). This module gives the serving
-//! layer, the chaos driver and the benches one construction path:
+//! layer, the `matrix` harness and the benches one construction path:
 //!
-//! * [`primary_queue`] / [`clean_queue`] build the hardened and the
-//!   fault-free recovery queues with the exact override set streaming
-//!   requires (a stream must never inherit an ambient env fault plan on
-//!   its recovery path),
+//! * a [`StreamScenario`] says how a stream's primary queue is armed;
+//!   its recovery queue is always a plain one,
 //! * [`open_stream`] constructs a type-erased [`AppStream`] for an app
 //!   name at an input size, and
 //! * [`STREAM_APPS`] is the canonical list gates iterate over.
@@ -62,38 +60,20 @@ impl StreamScenario {
     }
 }
 
-/// Build the hardened primary queue for a scenario. Single-attempt
-/// launches: fault absorption is the *runner's* job (typed `Retried`
-/// verdicts), so queue-level retry must not mask injected faults.
-pub fn primary_queue(s: &StreamScenario) -> Queue {
-    Queue::new(Device::cpu())
-        .with_fault_plan(s.fault.clone())
-        .with_retry_policy(RetryPolicy::default())
-        .with_redundancy(Redundancy::None)
-        .with_integrity(s.sdc)
-        .with_cancel_token(s.cancel.clone())
-        .with_resilience_ledger(s.ledger.clone())
-}
-
-/// Build the fault-free queue streams record on and recover through.
-/// Every hardening knob is explicitly disarmed — recovery correctness
-/// must not depend on ambient `HETERO_RT_FAULT_*` environment state.
-pub fn clean_queue(cancel: Option<CancelToken>) -> Queue {
-    Queue::new(Device::cpu())
-        .with_fault_plan(None)
-        .with_retry_policy(RetryPolicy::default())
-        .with_redundancy(Redundancy::None)
-        .with_integrity(false)
-        .with_cancel_token(cancel)
-}
-
-/// The two queues of a stream under `scenario`: the [`primary_queue`]
-/// every window runs on and the [`clean_queue`] it recovers through.
-/// The primary arms integrity process-wide for an SDC scenario, and a
+/// The two queues of a stream under `scenario`: the primary every
+/// window runs on, armed with the scenario's plan and integrity, and the
+/// plain queue the stream records on and recovers through. The primary
+/// makes single attempts: fault absorption is the *runner's* job (typed
+/// `Retried` verdicts), so queue-level retry must not mask injected
+/// faults. It arms integrity process-wide for an SDC scenario, and a
 /// buffer registers a checksummed region only while armed — so the pair
 /// is built before any stage allocates.
 fn queues(scenario: &StreamScenario) -> (Queue, Queue) {
-    (primary_queue(scenario), clean_queue(scenario.cancel.clone()))
+    let h = Hardening { fault: scenario.fault.clone(), integrity: scenario.sdc, ..Hardening::NONE };
+    let primary = Queue::hardened(Device::cpu(), h)
+        .with_cancel_token(scenario.cancel.clone())
+        .with_resilience_ledger(scenario.ledger.clone());
+    (primary, Queue::new(Device::cpu()).with_cancel_token(scenario.cancel.clone()))
 }
 
 /// Drive `runner` through `windows` windows. Returns the final state and

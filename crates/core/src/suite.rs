@@ -1,11 +1,11 @@
 //! Suite registry: the thirteen benchmark configurations of Figure 2
 //! (twelve applications, CFD in FP32 and FP64), with uniform entry
-//! points for the harness — plus the resilience harness
-//! ([`run_resilient`]) that executes a configuration under fault
-//! injection and classifies how it ended.
+//! points for the harness — plus the hardened verdict [`matrix`], which
+//! runs configurations on armed queues and classifies how each run
+//! ended.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use altis_data::InputSize;
@@ -35,14 +35,14 @@ pub struct AppEntry {
     pub verify: fn(&Queue, InputSize, AppVersion) -> bool,
     /// Deterministic digest of the *reference* output at a size
     /// (host-side, never touches the runtime). Committed in
-    /// `tests/golden_checksums.tsv` and checked by the chaos / sanitize /
-    /// sdc harness binaries, so a silently drifting reference
-    /// implementation or data generator fails loudly.
+    /// `tests/golden_checksums.tsv` and checked by the `matrix` harness
+    /// binary, so a silently drifting reference implementation or data
+    /// generator fails loudly.
     pub golden_digest: fn(InputSize) -> u64,
     /// Run the app and validate its output end-to-end: cheap structural
     /// invariants first (cluster indices in range, boundary rows shaped
     /// by the gap penalty, finite values), then the golden comparison.
-    /// The SDC harness quarantines any [`Validation::Invalid`] result.
+    /// [`run_sdc`] quarantines any [`Validation::Invalid`] result.
     pub validate: fn(&Queue, InputSize, AppVersion) -> Validation,
 }
 
@@ -555,9 +555,9 @@ const DPCT_BASELINE_DEVIATIONS: &[hetero_ir::KnownDeviation] = &[
 ];
 
 /// How one fault-injected run of a suite configuration ended. The
-/// containment contract of the runtime is that every run ends in one of
-/// the first three states — [`ResilienceOutcome::is_contained`] — never
-/// an unclassified panic, a hang, or a poisoned worker pool.
+/// containment contract of the runtime is that every run ends `Correct`
+/// or with a `TypedError` — never wrong output, an unclassified panic,
+/// a hang, or a poisoned worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResilienceOutcome {
     /// The app completed and its results matched the golden reference.
@@ -574,18 +574,6 @@ pub enum ResilienceOutcome {
     Panicked(String),
     /// The watchdog expired: the run hung.
     TimedOut,
-}
-
-impl ResilienceOutcome {
-    /// Whether the run honoured the containment contract (finished, and
-    /// any failure was typed). `Incorrect` is *not* contained: a fault
-    /// that silently corrupts results is the worst failure mode of all.
-    pub fn is_contained(&self) -> bool {
-        matches!(
-            self,
-            ResilienceOutcome::Correct | ResilienceOutcome::TypedError(_)
-        )
-    }
 }
 
 /// A typed [`Error`] payload is what it carries; any other panic is a
@@ -608,34 +596,13 @@ fn resilience_outcome(r: std::thread::Result<bool>) -> ResilienceOutcome {
     }
 }
 
-/// Run one configuration's verify function on `queue` under a watchdog
-/// and classify the outcome. A run past `timeout` is reported as
-/// [`ResilienceOutcome::TimedOut`]; its runaway thread is leaked (this
-/// harness exists to *diagnose* hangs, and a leaked thread per timed-out
-/// run is an acceptable price in a chaos binary).
-pub fn run_resilient(
-    app: &AppEntry,
-    queue: Queue,
-    size: InputSize,
-    version: AppVersion,
-    timeout: Duration,
-) -> ResilienceOutcome {
-    let verify = app.verify;
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| verify(&queue, size, version)));
-        let _ = tx.send(r);
-    });
-    rx.recv_timeout(timeout).map_or(ResilienceOutcome::TimedOut, resilience_outcome)
-}
-
-/// [`run_resilient`] without the watchdog thread: runs the verify
-/// function on the calling thread and classifies panics identically.
-/// This is the serving layer's execution path — deadlines there are
-/// enforced by a [`hetero_rt::CancelToken`] attached to the queue (the
-/// runtime stops the launch and surfaces a typed
-/// `Error::Canceled`), so no thread needs to be leaked per overrun and
-/// the worker executes jobs back to back.
+/// Run one configuration's verify function on `queue` on the calling
+/// thread and classify how it ended. This is the serving layer's
+/// execution path — deadlines there are enforced by a
+/// [`hetero_rt::CancelToken`] attached to the queue (the runtime stops
+/// the launch and surfaces a typed `Error::Canceled`), so no thread
+/// needs to be leaked per overrun and the worker executes jobs back to
+/// back.
 pub fn run_resilient_inline(
     app: &AppEntry,
     queue: &Queue,
@@ -671,9 +638,10 @@ pub fn run_flavored_inline(
     }))))
 }
 
-/// End-to-end verdict of one run under silent-data-corruption
-/// injection (see [`run_sdc`]). The defense contract is that every run
-/// ends in one of the first three states, never with silently wrong
+/// How one validated run ended (see [`run_sdc`]): the outcome of every
+/// [`matrix`] cell, whose [`Tier`] says which endings pass. Under
+/// silent-data-corruption injection the defense contract is that every
+/// run ends in one of the first three states, never with silently wrong
 /// output accepted as success.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SdcOutcome {
@@ -694,11 +662,12 @@ pub enum SdcOutcome {
     Quarantined {
         /// The failed check or typed error text.
         reason: String,
+        /// The typed error that stopped the run, if one did.
+        error: Option<Error>,
     },
     /// Defense failure: an untyped panic or a hang. (A *silently wrong*
     /// output is reported as `Quarantined` here only because `validate`
-    /// caught it; the sdc harness binaries additionally flag any run
-    /// whose invalid output was not preceded by a detection.)
+    /// caught it.)
     Uncontained {
         /// What escaped classification.
         what: String,
@@ -717,9 +686,11 @@ fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
             0 => SdcOutcome::Correct,
             events => SdcOutcome::Corrected { events },
         },
-        Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason },
+        Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason, error: None },
         Err(payload) => match classify_payload(payload) {
-            ResilienceOutcome::TypedError(e) => SdcOutcome::Quarantined { reason: e.to_string() },
+            ResilienceOutcome::TypedError(e) => {
+                SdcOutcome::Quarantined { reason: e.to_string(), error: Some(e) }
+            }
             other => SdcOutcome::Uncontained {
                 what: format!("{other:?}"),
             },
@@ -727,12 +698,13 @@ fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
     }
 }
 
-/// Run one configuration's validator on `queue` under a watchdog and an
-/// SDC verdict. Detection/correction activity is measured as the delta
-/// of the process-global integrity counters across the run, so callers
-/// must not run SDC harnesses concurrently (the harness binaries and
-/// tests serialize runs).
-pub fn run_sdc(
+/// Run one configuration's validator on `queue` under a watchdog and
+/// classify how it ended. A run past `timeout` is
+/// [`SdcOutcome::Uncontained`]; its runaway thread is leaked (the
+/// watchdog exists to *diagnose* hangs). Detection/correction activity
+/// is measured as the delta of the process-global integrity counters
+/// across the run, so callers must not run SDC cells concurrently.
+fn run_sdc(
     app: &AppEntry,
     queue: Queue,
     size: InputSize,
@@ -768,6 +740,154 @@ pub fn run_sdc_inline(
     let validate = app.validate;
     let before = integrity_events();
     sdc_outcome(std::panic::catch_unwind(AssertUnwindSafe(|| validate(queue, size, version))), before)
+}
+
+// --- the hardened verdict matrix -------------------------------------------
+
+/// A hardening tier of [`matrix`]: what arms a cell's queue, and which
+/// endings of the run pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The race detector and no faults.
+    Sanitize,
+    /// Fail-stop faults under bounded retry.
+    Resilient,
+    /// Silent faults against integrity and DMR voting.
+    Sdc,
+}
+
+impl Tier {
+    /// Every tier, by its spelling.
+    pub const ALL: [(&'static str, Tier); 3] =
+        [("sanitize", Tier::Sanitize), ("resilient", Tier::Resilient), ("sdc", Tier::Sdc)];
+
+    /// The tier's spelling.
+    pub fn label(self) -> &'static str {
+        Tier::ALL.iter().find(|(_, t)| *t == self).map_or("?", |(l, _)| l)
+    }
+
+    /// The hardening of one cell, with a plan of its own drawn from
+    /// `(seed, rate)` (the sanitizer tier injects nothing).
+    pub fn hardening(self, seed: u64, rate: f64) -> Hardening {
+        match self {
+            Tier::Sanitize => Hardening::sanitizer(),
+            Tier::Resilient => Hardening::resilient(Some(Arc::new(FaultPlan::new(seed, rate)))),
+            Tier::Sdc => Hardening::sdc(Some(Arc::new(FaultPlan::sdc(seed, rate)))),
+        }
+    }
+
+    /// The pass rule. Sanitized runs must be race-free and correct.
+    /// Resilient runs end correct or stopped by a typed error, never with
+    /// wrong output. SDC runs end correct, corrected or quarantined,
+    /// never uncontained.
+    pub fn passes(self, outcome: &SdcOutcome) -> bool {
+        match self {
+            Tier::Sanitize => *outcome == SdcOutcome::Correct,
+            Tier::Resilient => matches!(
+                outcome,
+                SdcOutcome::Correct | SdcOutcome::Quarantined { error: Some(_), .. }
+            ),
+            Tier::Sdc => !matches!(outcome, SdcOutcome::Uncontained { .. }),
+        }
+    }
+}
+
+/// The cells [`matrix`] runs: seed × rate × app × size × version, at one
+/// tier.
+#[derive(Debug, Clone)]
+pub struct Matrix {
+    /// How every cell's queue is armed.
+    pub tier: Tier,
+    /// Configuration names; all thirteen when empty.
+    pub apps: Vec<&'static str>,
+    /// Input sizes.
+    pub sizes: Vec<InputSize>,
+    /// App versions.
+    pub versions: Vec<AppVersion>,
+    /// Fault-plan seeds.
+    pub seeds: Vec<u64>,
+    /// Fault-plan rates.
+    pub rates: Vec<f64>,
+}
+
+/// The watchdog of one [`matrix`] cell: a run past it is a hang.
+const CELL_TIMEOUT: Duration = Duration::from_secs(900);
+
+/// One run of [`matrix`].
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Configuration name.
+    pub app: &'static str,
+    /// Input size.
+    pub size: InputSize,
+    /// App version.
+    pub version: AppVersion,
+    /// Fault-plan seed.
+    pub seed: u64,
+    /// Fault-plan rate.
+    pub rate: f64,
+    /// The tier the cell ran at.
+    pub tier: Tier,
+    /// How the run ended.
+    pub outcome: SdcOutcome,
+    /// Faults the cell's plan injected.
+    pub injected: u64,
+    /// Whether the shared pool still computed exactly after the run.
+    pub pool_healthy: bool,
+}
+
+impl Cell {
+    /// The tier's pass rule held and the pool survived.
+    pub fn passed(&self) -> bool {
+        self.pool_healthy && self.tier.passes(&self.outcome)
+    }
+}
+
+/// Run `m`'s cells in order, seeds outermost and versions innermost,
+/// each validated on a queue of its own under one watchdog
+/// ([`run_sdc`]), and check the shared pool after each.
+pub fn matrix(m: &Matrix) -> impl Iterator<Item = Cell> + '_ {
+    let apps: Vec<AppEntry> =
+        all_apps().into_iter().filter(|a| m.apps.is_empty() || m.apps.contains(&a.name)).collect();
+    let mut cells = Vec::new();
+    for &seed in &m.seeds {
+        for &rate in &m.rates {
+            for app in 0..apps.len() {
+                for &size in &m.sizes {
+                    cells.extend(m.versions.iter().map(|&v| (seed, rate, app, size, v)));
+                }
+            }
+        }
+    }
+    cells.into_iter().map(move |(seed, rate, app, size, version)| {
+        let hardening = m.tier.hardening(seed, rate);
+        let plan = hardening.fault.clone();
+        let queue = Queue::hardened(Device::cpu(), hardening);
+        let outcome = run_sdc(&apps[app], queue, size, version, CELL_TIMEOUT);
+        Cell {
+            app: apps[app].name,
+            size,
+            version,
+            seed,
+            rate,
+            tier: m.tier,
+            outcome,
+            injected: plan.map_or(0, |p| p.injected()),
+            pool_healthy: pool_is_healthy(),
+        }
+    })
+}
+
+/// A plain launch through the shared pool still produces exact results:
+/// what a fault that wedged or poisoned the pool would break.
+pub fn pool_is_healthy() -> bool {
+    let q = Queue::new(Device::cpu());
+    let b = Buffer::<usize>::new(4096);
+    let v = b.view();
+    let r = q.try_parallel_for("pool_probe", Range::d1(4096), move |it| {
+        v.set(it.gid(0), it.gid(0) ^ 0xA5A5);
+    });
+    r.is_ok() && b.to_vec().iter().enumerate().all(|(i, &x)| x == i ^ 0xA5A5)
 }
 
 // --- graph-equivalence matrix ----------------------------------------------
@@ -858,9 +978,8 @@ pub fn graph_mode_matrix(size: InputSize) -> Vec<GraphMatrixRow> {
 // --- golden-checksum registry ----------------------------------------------
 
 /// Path of the committed golden-checksum registry
-/// (`tests/golden_checksums.tsv` at the workspace root), shared by the
-/// chaos / sanitize / sdc harness binaries. Regenerate with
-/// `sdc --write-golden`.
+/// (`tests/golden_checksums.tsv` at the workspace root), checked by the
+/// `matrix` harness binary. Regenerate with `matrix --write-golden`.
 pub fn golden_registry_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden_checksums.tsv")
 }
@@ -885,7 +1004,7 @@ pub fn compute_golden_registry() -> Vec<GoldenRow> {
 /// a leading `#` comment header.
 pub fn render_golden_registry(rows: &[GoldenRow]) -> String {
     let mut out =
-        String::from("# Altis golden-output digests: app\tsize\tdigest\n# Regenerate with: cargo run --release -p altis-bench --bin sdc -- --write-golden\n");
+        String::from("# Altis golden-output digests: app\tsize\tdigest\n# Regenerate with: cargo run --release -p altis-bench --bin matrix -- --write-golden\n");
     for (name, size, digest) in rows {
         out.push_str(&format!("{name}\t{size}\t{digest:016x}\n"));
     }
@@ -918,14 +1037,13 @@ fn parse_golden_registry(text: &str) -> std::result::Result<Vec<GoldenRow>, Stri
 }
 
 /// Check freshly computed digests against the committed registry at
-/// `sizes` — what the `chaos` / `sanitize` / `sdc` binaries run at
-/// startup, scoped to the sizes their matrix actually exercises so the
-/// check stays cheap. Returns the number of rows checked, or one message
-/// per drifted / missing / stale row: a drift means a reference
-/// implementation or data generator changed output without the registry
-/// being regenerated — exactly the silent drift the registry exists to
-/// catch. Committed rows at other sizes are ignored; stale rows are
-/// reported only within `sizes`.
+/// `sizes` — what the `matrix` binary runs once at startup, scoped to
+/// the sizes its cells exercise so the check stays cheap. Returns the
+/// number of rows checked, or one message per drifted / missing / stale
+/// row: a drift means a reference implementation or data generator
+/// changed output without the registry being regenerated — exactly the
+/// silent drift the registry exists to catch. Committed rows at other
+/// sizes are ignored; stale rows are reported only within `sizes`.
 pub fn check_golden_registry_sizes(
     sizes: &[InputSize],
 ) -> std::result::Result<usize, Vec<String>> {
@@ -1192,8 +1310,8 @@ mod tests {
             }
             for (armed, mode) in [(false, ExecMode::PerLaunch), (true, ExecMode::Graph)] {
                 let ledger = std::sync::Arc::new(hetero_rt::ResilienceLedger::new());
-                let q = Queue::new(Device::cpu())
-                    .with_sanitizer(armed)
+                let h = if armed { Hardening::sanitizer() } else { Hardening::NONE };
+                let q = Queue::hardened(Device::cpu(), h)
                     .with_resilience_ledger(Some(std::sync::Arc::clone(&ledger)));
                 run_output(app.name, &q, InputSize::S1, AppVersion::SyclBaseline, mode);
                 assert_eq!(ledger.snapshot().launches, want, "{} {mode:?}", app.name);
@@ -1202,61 +1320,35 @@ mod tests {
     }
 
     #[test]
-    fn run_resilient_classifies_every_ending() {
-        let t = Duration::from_secs(5);
-        let q = || Queue::new(Device::cpu());
+    fn run_resilient_inline_classifies_every_ending() {
+        let q = Queue::new(Device::cpu());
+        let v = AppVersion::SyclBaseline;
+        let run = |app: &AppEntry| run_resilient_inline(app, &q, InputSize::S1, v);
 
-        let app = harness_entry(|_, _, _| true);
-        assert_eq!(run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t),
-            ResilienceOutcome::Correct);
+        assert_eq!(run(&harness_entry(|_, _, _| true)), ResilienceOutcome::Correct);
 
-        let app = harness_entry(|_, _, _| false);
-        let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
-        assert_eq!(o, ResilienceOutcome::Incorrect);
-        assert!(!o.is_contained());
+        assert_eq!(run(&harness_entry(|_, _, _| false)), ResilienceOutcome::Incorrect);
 
         // A typed Error payload (what Queue::parallel_for re-raises).
-        let app = harness_entry(|_, _, _| {
+        let o = run(&harness_entry(|_, _, _| {
             std::panic::panic_any(Error::PipeDeadlock { waited_secs: 1 })
-        });
-        let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
+        }));
         assert_eq!(o, ResilienceOutcome::TypedError(Error::PipeDeadlock { waited_secs: 1 }));
-        assert!(o.is_contained());
 
         // An unwrap() of a typed error is an ordinary panic: the error
         // travels as the payload or not at all.
         fn failing_launch() -> hetero_rt::Result<()> {
             Err(Error::TransientLaunchFailure { kernel: "k", attempts: 3 })
         }
-        let app = harness_entry(|_, _, _| {
+        let o = run(&harness_entry(|_, _, _| {
             failing_launch().unwrap();
             true
-        });
-        let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
+        }));
         assert!(matches!(o, ResilienceOutcome::Panicked(_)), "{o:?}");
 
         // An arbitrary panic is containment failure.
-        let app = harness_entry(|_, _, _| panic!("application bug"));
-        let o = run_resilient(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
+        let o = run(&harness_entry(|_, _, _| panic!("application bug")));
         assert!(matches!(o, ResilienceOutcome::Panicked(_)), "{o:?}");
-        assert!(!o.is_contained());
-    }
-
-    #[test]
-    fn run_resilient_watchdog_catches_hangs() {
-        let app = harness_entry(|_, _, _| {
-            std::thread::sleep(Duration::from_secs(60));
-            true
-        });
-        let o = run_resilient(
-            &app,
-            Queue::new(Device::cpu()),
-            InputSize::S1,
-            AppVersion::SyclBaseline,
-            Duration::from_millis(100),
-        );
-        assert_eq!(o, ResilienceOutcome::TimedOut);
-        assert!(!o.is_contained());
     }
 
     #[test]
@@ -1352,7 +1444,10 @@ mod tests {
         let o = run_sdc(&app, q(), InputSize::S1, AppVersion::SyclBaseline, t);
         assert_eq!(
             o,
-            SdcOutcome::Quarantined { reason: "membership 9 out of range".to_string() }
+            SdcOutcome::Quarantined {
+                reason: "membership 9 out of range".to_string(),
+                error: None
+            }
         );
 
         // A typed corruption error raised as the payload: quarantined.

@@ -307,7 +307,7 @@ mod tests {
             .find(|p| !predicate(p, generate_records(p).last().unwrap()))
             .unwrap();
         let (g, n) = (golden(&p), p.n_records);
-        let q = Queue::new(Device::cpu()).with_fault_plan(None);
+        let q = Queue::new(Device::cpu());
         let run_flipped = |i: usize, to: u32| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_staged(&q, &p, AppVersion::SyclBaseline, |flags| flags.view().set(i, to))

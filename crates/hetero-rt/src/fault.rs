@@ -9,10 +9,8 @@
 //! * a [`FaultPlan`] is seeded (the same PCG32/SplitMix64 generators that
 //!   drive `altis-data` input generation) and draws each injection
 //!   decision deterministically from the seed;
-//! * plans are attached per-queue ([`crate::Queue::with_fault_plan`]) or
-//!   process-wide through the environment
-//!   (`HETERO_RT_FAULT_SEED` / `HETERO_RT_FAULT_RATE`, see
-//!   [`FaultPlan::from_env`]);
+//! * a plan is handed to a queue at construction, as its
+//!   [`crate::Hardening::fault`];
 //! * four fault kinds are injectable — USM allocation failure, transient
 //!   launch failure, a kernel panic at a chosen (kernel, work-group), and
 //!   pipe stalls — each mapping to a failure mode the paper reports.
@@ -36,7 +34,7 @@
 
 use std::panic::PanicHookInfo;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Duration;
 
 use altis_data::rng::splitmix64;
@@ -68,7 +66,7 @@ pub enum FaultKind {
     /// (Buffer/USM) at launch boundaries, plus flips in `LocalArena`
     /// scratch — no panic, no error, just wrong bytes. Applied by the
     /// integrity layer ([`crate::integrity`]); the *detection* of these
-    /// is the whole point of `HETERO_RT_FAULT_MODE=sdc`.
+    /// is the whole point of [`FaultPlan::sdc`].
     BitFlip,
     /// A "stuck-at" page: one bit position of one seed-chosen page is
     /// OR-masked at every launch boundary, modeling a failed memory
@@ -135,7 +133,7 @@ fn fnv1a(name: &str) -> u64 {
 
 /// A deterministic fault-injection plan.
 ///
-/// Cheap to share: queues hold it behind an [`Arc`] and clones of a queue
+/// Cheap to share: queues hold it behind an `Arc` and clones of a queue
 /// observe the same draw sequence. A plan with rate `0.0` and no targeted
 /// faults never injects anything (the configuration the overhead
 /// microbenchmark measures).
@@ -161,10 +159,6 @@ pub struct FaultPlan {
     /// via [`FaultPlan::with_stuck_at`] or lazily seed-derived at first
     /// application.
     stuck: Mutex<Option<(u64, usize, u8)>>,
-    /// Bit-flips actually applied (observability and tests).
-    flips: AtomicU64,
-    /// Launch boundaries at which the stuck page re-asserted real bits.
-    stuck_hits: AtomicU64,
 }
 
 impl FaultPlan {
@@ -182,16 +176,13 @@ impl FaultPlan {
             transient_burst: AtomicU64::new(0),
             flip_targets: Mutex::new(Vec::new()),
             stuck: Mutex::new(None),
-            flips: AtomicU64::new(0),
-            stuck_hits: AtomicU64::new(0),
         }
     }
 
     /// A plan injecting only *silent* faults (bit-flips and a stuck-at
     /// page) at probability `rate` per launch boundary. The fail-stop
     /// kinds stay off so every wrong answer is genuinely silent — the
-    /// configuration `HETERO_RT_FAULT_MODE=sdc` and the `sdc` binary
-    /// drive.
+    /// plan of the SDC tier ([`crate::Hardening::sdc`]).
     pub fn sdc(seed: u64, rate: f64) -> Self {
         FaultPlan::new(seed, rate).with_kinds(&FaultKind::SDC)
     }
@@ -228,30 +219,6 @@ impl FaultPlan {
         let p = FaultPlan::new(0, 0.0).with_kinds(&[]);
         lock(&p.flip_targets).push((region, byte, bit));
         p
-    }
-
-    /// Build a plan from `HETERO_RT_FAULT_SEED` / `HETERO_RT_FAULT_RATE`.
-    /// Returns `None` unless both are set and parse (`rate` in `[0, 1]`).
-    /// `HETERO_RT_FAULT_MODE=sdc` selects the silent-corruption kinds
-    /// (see [`FaultPlan::sdc`]) instead of the fail-stop default.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed: u64 = std::env::var("HETERO_RT_FAULT_SEED").ok()?.trim().parse().ok()?;
-        let rate: f64 = std::env::var("HETERO_RT_FAULT_RATE").ok()?.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        match std::env::var("HETERO_RT_FAULT_MODE").ok().as_deref().map(str::trim) {
-            Some("sdc") => Some(FaultPlan::sdc(seed, rate)),
-            _ => Some(FaultPlan::new(seed, rate)),
-        }
-    }
-
-    /// The process-wide plan from the environment, resolved once. Queues
-    /// pick this up automatically at construction, which is how the chaos
-    /// smoke matrix drives unmodified application code.
-    pub fn env_plan() -> Option<Arc<FaultPlan>> {
-        static ENV_PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-        ENV_PLAN.get_or_init(|| FaultPlan::from_env().map(Arc::new)).clone()
     }
 
     /// The plan's seed.
@@ -368,13 +335,6 @@ impl FaultPlan {
 
     // --- silent-corruption draws (consumed by crate::integrity) ---------
 
-    /// Does this plan inject silent faults at all? Queues constructed
-    /// from an SDC environment plan arm the integrity layer and default
-    /// to redundant execution when this is set.
-    pub fn is_sdc(&self) -> bool {
-        self.mask & (FaultKind::BitFlip.bit() | FaultKind::StuckPage.bit()) != 0
-    }
-
     /// Sequenced decision: flip bits at this launch boundary? Entry and
     /// exit use separate salts so the two streams stay independent.
     pub(crate) fn wants_flip(&self, exit: bool) -> bool {
@@ -396,14 +356,10 @@ impl FaultPlan {
         std::mem::take(&mut *lock(&self.flip_targets))
     }
 
-    pub(crate) fn note_flips(&self, n: u64) {
-        self.flips.fetch_add(n, Ordering::Relaxed);
+    /// Count `n` silent faults applied: bit-flips, or a stuck page that
+    /// changed real bits at a launch boundary.
+    pub(crate) fn note_silent(&self, n: u64) {
         self.injected.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Bit-flips applied so far (targeted + seeded, global + local).
-    pub fn flips_injected(&self) -> u64 {
-        self.flips.load(Ordering::Relaxed)
     }
 
     pub(crate) fn stuck_slot(&self) -> MutexGuard<'_, Option<(u64, usize, u8)>> {
@@ -431,16 +387,6 @@ impl FaultPlan {
         let b = splitmix64(&mut s);
         let c = splitmix64(&mut s);
         (a as usize, b as usize, (c % 8) as u8)
-    }
-
-    pub(crate) fn note_stuck(&self) {
-        self.stuck_hits.fetch_add(1, Ordering::Relaxed);
-        self.injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Launch boundaries at which the stuck page actually changed bits.
-    pub fn stuck_applications(&self) -> u64 {
-        self.stuck_hits.load(Ordering::Relaxed)
     }
 
     /// Per-(kernel, group) context for local-memory flips, or `None`
@@ -656,14 +602,14 @@ mod tests {
     #[test]
     fn sdc_plan_enables_only_silent_kinds() {
         let p = FaultPlan::sdc(3, 0.5);
-        assert!(p.is_sdc());
+        assert!(p.enabled(FaultKind::BitFlip) && p.enabled(FaultKind::StuckPage));
         for _ in 0..100 {
             assert!(!p.should_fail_alloc());
             assert!(!p.should_fail_launch("k"));
             assert!(!p.should_panic("k", 0));
         }
         assert_eq!(p.maybe_stall(), Duration::ZERO);
-        assert!(!FaultPlan::new(3, 0.5).is_sdc());
+        assert!(!FaultPlan::new(3, 0.5).enabled(FaultKind::BitFlip));
     }
 
     #[test]

@@ -25,18 +25,19 @@
 //! checks statically: an access the kernel performs but does not state
 //! can be scheduled concurrently with a conflicting launch. The dynamic
 //! race sanitizer still sees every access on the slow path, so a
-//! `with_sanitizer` replay of the same graph will report unstated
+//! sanitizer-armed replay of the same graph will report unstated
 //! conflicts as races. A launch recorded with **no** bindings is treated
 //! conservatively as conflicting with everything and gets its own phase.
 //!
 //! # Composition with the resilience stack
 //!
-//! The fast replay path is only taken when every hardening layer is
-//! disarmed. A queue with a fault plan, sanitizer, redundancy, CPU
-//! fallback, or a process with the integrity layer armed transparently
-//! degrades to [`Graph::submit_each`], which routes every recorded node
-//! through the ordinary hardened launch path — armed modes are never
-//! silently skipped, they just forgo the replay speedup.
+//! The fast replay path is only taken on a queue whose
+//! [`crate::Hardening`] is disarmed. A queue with a fault plan,
+//! sanitizer, integrity, redundancy or CPU fallback, or a process with
+//! the integrity layer armed, transparently degrades to
+//! [`Graph::submit_each`], which routes every recorded node through the
+//! ordinary hardened launch path — armed modes are never silently
+//! skipped, they just forgo the replay speedup.
 //!
 //! # Graph lifetime and invalidation
 //!
@@ -61,7 +62,7 @@ use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
 use crate::fault::classify_panic;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
-use crate::queue::{Fallback, Queue, Redundancy};
+use crate::queue::Queue;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -335,15 +336,13 @@ impl Graph {
         })
     }
 
-    /// Whether the single-wake-up replay path may run on `q`: every
-    /// hardening layer must be disarmed and the device capabilities must
-    /// match the recorded snapshot. Anything else re-routes through the
-    /// fully hardened per-launch path.
+    /// Whether the single-wake-up replay path may run on `q`: its
+    /// hardening must be disarmed, no other queue may have armed
+    /// integrity process-wide, and the device capabilities must match the
+    /// recorded snapshot. Anything else re-routes through the fully
+    /// hardened per-launch path.
     fn fast_eligible(&self, q: &Queue) -> bool {
-        !q.sanitizer_enabled()
-            && q.fault_plan().is_none()
-            && q.redundancy() == Redundancy::None
-            && q.fallback_policy() == Fallback::None
+        q.hardening().is_disarmed()
             && !crate::integrity::armed()
             && *q.device().caps() == self.caps
     }
@@ -557,13 +556,9 @@ mod tests {
     use crate::device::Device;
     use crate::executor::Parallelism;
 
-    fn disarmed(q: Queue) -> Queue {
-        q.with_fault_plan(None).with_sanitizer(false)
-    }
-
     #[test]
     fn empty_graph_replays_ok() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let g = Graph::record(&q, |_| {}).unwrap();
         assert!(g.is_empty());
         g.replay(&q).unwrap();
@@ -571,7 +566,7 @@ mod tests {
 
     #[test]
     fn replay_matches_per_launch_results() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let n = 1000;
         let a = Buffer::from_slice(&(0..n as u32).collect::<Vec<_>>());
         let b = Buffer::<u32>::new(n);
@@ -602,7 +597,7 @@ mod tests {
 
     #[test]
     fn independent_nodes_share_a_phase() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let src = Buffer::from_slice(&[1u32; 64]);
         let x = Buffer::<u32>::new(64);
         let y = Buffer::<u32>::new(64);
@@ -626,7 +621,7 @@ mod tests {
 
     #[test]
     fn undeclared_bindings_serialize() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let x = Buffer::<u32>::new(8);
         let xv = x.view();
         let xv2 = x.view();
@@ -644,7 +639,7 @@ mod tests {
 
     #[test]
     fn record_validates_group_size() {
-        let q = disarmed(Queue::new(Device::stratix10()));
+        let q = Queue::new(Device::stratix10());
         let e = Graph::record(&q, |g| {
             g.nd_range("too_big", NdRange::d1(512, 256), &[], |_ctx: &GroupCtx| {});
         })
@@ -660,7 +655,7 @@ mod tests {
 
     #[test]
     fn sequential_queue_replays_inline() {
-        let q = disarmed(Queue::new(Device::cpu())).with_parallelism(Parallelism::Sequential);
+        let q = Queue::new(Device::cpu()).with_parallelism(Parallelism::Sequential);
         let b = Buffer::<u32>::new(100);
         let bv = b.view();
         let g = Graph::record(&q, |g| {
@@ -678,7 +673,7 @@ mod tests {
     fn flat_ranges_visit_every_index_once_on_the_queue_and_in_a_graph() {
         // Sizes that are no multiple of the 256-item chunk, rows shorter
         // and longer than a chunk: the tail is padding, never an item.
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         for range in [
             Range::d1(1000),
             Range::d2(13, 47),
@@ -714,7 +709,7 @@ mod tests {
 
     #[test]
     fn single_task_node_runs_once_per_replay() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let b = Buffer::<u32>::new(1);
         let bv = b.view();
         let g = Graph::record(&q, |g| {
@@ -731,7 +726,7 @@ mod tests {
 
     #[test]
     fn record_does_not_execute() {
-        let q = disarmed(Queue::new(Device::cpu()));
+        let q = Queue::new(Device::cpu());
         let b = Buffer::<u32>::new(4);
         let bv = b.view();
         let _g = Graph::record(&q, |g| {

@@ -98,9 +98,10 @@ pub fn arm() {
 
 /// Disarm the layer (tests and overhead benchmarks). Existing regions
 /// stay registered but are no longer verified, injected into, or
-/// scrubbed until re-armed.
+/// scrubbed until re-armed; findings the scrubber parked are dropped.
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
+    lock(pending()).clear();
 }
 
 /// Is the layer armed?
@@ -137,18 +138,15 @@ struct RegionState {
     epoch: u64,
 }
 
-/// A corruption found by the idle scrubber, parked until the next launch
-/// boundary (or [`take_scrub_reports`]) surfaces it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
+/// A corruption found by the idle scrubber, parked until the next
+/// verification surfaces it as [`Error::DataCorruption`].
+struct Violation {
     /// Region id (sanitizer object-id namespace).
-    pub region: u64,
-    /// `"buffer"` or `"usm"`.
-    pub label: &'static str,
+    region: u64,
     /// Index of the first mismatching [`PAGE_BYTES`] page.
-    pub page: usize,
+    page: usize,
     /// Seal epoch the contents diverged from.
-    pub epoch: u64,
+    epoch: u64,
 }
 
 impl Region {
@@ -485,8 +483,8 @@ pub(crate) fn digest_all() -> u64 {
 
 /// One idle-scrubber tick (called from parked pool workers): verify the
 /// next region in cursor order if armed and no launch is in flight.
-/// A mismatch is parked as a [`Violation`] (surfaced at the next launch
-/// entry or by [`take_scrub_reports`]) and the region is resealed.
+/// A mismatch is parked (surfaced at the next launch entry or
+/// [`verify_all`]) and the region is resealed.
 /// Returns whether a region was actually verified.
 pub fn scrub_step() -> bool {
     if !armed() || ACTIVE_LAUNCHES.load(Ordering::SeqCst) != 0 {
@@ -512,47 +510,11 @@ pub fn scrub_step() -> bool {
         }
         Some(page) => {
             DETECTIONS.fetch_add(1, Ordering::Relaxed);
-            lock(pending()).push(Violation {
-                region: region.id,
-                label: region.label,
-                page,
-                epoch: st.epoch,
-            });
+            lock(pending()).push(Violation { region: region.id, page, epoch: st.epoch });
             region.reseal_locked(&mut st);
             true
         }
     }
-}
-
-/// Synchronously scrub every live region (deterministic test hook).
-/// Findings are returned (not parked) and offenders resealed.
-// lint:allow(unused-pub) test oracle: hetero-rt/tests/sdc.rs runs the idle scrubber's walk at a chosen instant
-pub fn scrub_now() -> Vec<Violation> {
-    let mut found = Vec::new();
-    for region in live_regions() {
-        let mut st = lock(&region.state);
-        if !st.alive {
-            continue;
-        }
-        if let Some(page) = region.verify_locked(&st) {
-            DETECTIONS.fetch_add(1, Ordering::Relaxed);
-            found.push(Violation {
-                region: region.id,
-                label: region.label,
-                page,
-                epoch: st.epoch,
-            });
-            region.reseal_locked(&mut st);
-        } else {
-            SCRUB_PASSES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    found
-}
-
-/// Drain violations parked by the idle scrubber.
-pub fn take_scrub_reports() -> Vec<Violation> {
-    std::mem::take(&mut *lock(pending()))
 }
 
 /// Aggregate counters for reporting and tests.
@@ -637,7 +599,7 @@ fn apply_flip_targets(plan: &FaultPlan) {
                 unsafe {
                     *(region.ptr as *mut u8).add(byte) ^= 1 << (bit & 7);
                 }
-                plan.note_flips(1);
+                plan.note_silent(1);
             }
         }
     }
@@ -666,7 +628,7 @@ fn flip_random(plan: &FaultPlan) {
             *(region.ptr as *mut u8).add(byte) ^= 1 << bit;
         }
     }
-    plan.note_flips(flips);
+    plan.note_silent(flips);
 }
 
 /// Apply the plan's stuck-at page, choosing the site on first
@@ -725,7 +687,7 @@ pub(crate) fn apply_stuck(plan: &FaultPlan) {
         }
     }
     if changed {
-        plan.note_stuck();
+        plan.note_silent(1);
     }
 }
 

@@ -78,12 +78,12 @@ pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{reads, reads_writes, writes, Access, Binding, Graph, GraphBuilder};
-pub use integrity::{IntegrityStats, Violation};
+pub use integrity::IntegrityStats;
 pub use lanes::{Lanes, LANES};
 pub use local::{LocalArray, PrivateArray};
 pub use ndrange::{GroupCtx, Item, NdRange, Range};
 pub use pipe::Pipe;
-pub use queue::{Fallback, Queue, Redundancy, RetryPolicy};
+pub use queue::{Fallback, Hardening, Queue, Redundancy, RetryPolicy};
 pub use sanitize::{MemSpace, RaceKind, RaceReport};
 pub use stream::{
     StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport, WindowVerdict,
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::local::{LocalArray, PrivateArray};
     pub use crate::ndrange::{GroupCtx, Item, NdRange, Range};
     pub use crate::pipe::Pipe;
-    pub use crate::queue::{Fallback, Queue, Redundancy, RetryPolicy};
+    pub use crate::queue::{Fallback, Hardening, Queue, Redundancy, RetryPolicy};
     pub use crate::sanitize::{MemSpace, RaceKind, RaceReport};
     pub use crate::stream::{
         StreamConfig, StreamRunner, StreamStage, StreamStats, WindowReport, WindowVerdict,

@@ -154,6 +154,7 @@ impl<T: Send + 'static> Pipe<T> {
     /// the FIFO, modelling back-pressure hiccups in the FPGA fabric. The
     /// stall happens *before* the deadlock deadline is computed, so a
     /// stalled-but-live pipe graph is never misdiagnosed as deadlocked.
+    // lint:allow(unused-pub) model of the fabric's back-pressure stall: no app pipe carries a plan, pipe.rs's tests attach one
     pub fn with_fault_plan(mut self, plan: Option<Arc<FaultPlan>>) -> Self {
         self.fault = plan;
         self

@@ -49,9 +49,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The policy chaos runs use: three attempts with a 1 ms base backoff.
-    /// Adopted automatically when a fault plan comes from the environment
-    /// (`HETERO_RT_FAULT_SEED`), so injected transients are absorbed.
+    /// The policy of the resilient and SDC [`Hardening`] tiers: three
+    /// attempts with a 1 ms base backoff, so injected transients and
+    /// detected corruption are absorbed.
     pub fn resilient() -> Self {
         RetryPolicy { max_attempts: 3, backoff: Duration::from_millis(1) }
     }
@@ -65,7 +65,7 @@ impl RetryPolicy {
 }
 
 /// Redundant-execution policy for launches on an integrity queue
-/// ([`Queue::with_integrity`]): the modular-redundancy answer to silent
+/// ([`Hardening::integrity`]): the modular-redundancy answer to silent
 /// data corruption that strikes *while* a kernel runs (or between the
 /// kernel and the exit reseal), which no checksum boundary can see.
 ///
@@ -122,6 +122,72 @@ pub enum Fallback {
     Cpu,
 }
 
+/// Everything that arms a queue, handed to it once at construction
+/// ([`Queue::hardened`]) the way a SYCL queue takes its
+/// `property_list`. [`Hardening::NONE`] is the plain queue
+/// [`Queue::new`] builds; the named constructors are the tiers the
+/// harnesses and the serving layer run.
+#[derive(Debug, Clone)]
+pub struct Hardening {
+    /// Seeded fault injection on every launch.
+    pub fault: Option<Arc<FaultPlan>>,
+    /// Bounded retry of transient failures and detected corruption.
+    pub retry: RetryPolicy,
+    /// Capability errors re-run on the CPU.
+    pub fallback: Fallback,
+    /// Every launch runs under the race detector ([`crate::sanitize`]):
+    /// a kernel that violates the SYCL memory model fails with
+    /// [`Error::DataRace`].
+    pub sanitize: bool,
+    /// The integrity protocol: regions are verified against their page
+    /// checksums at launch entry (corruption surfaces as
+    /// [`Error::DataCorruption`]) and resealed at exit. Arms the layer
+    /// process-wide, so buffers allocated afterwards are checksummed.
+    pub integrity: bool,
+    /// Replicated execution with digest voting (needs `integrity`).
+    pub redundancy: Redundancy,
+}
+
+impl Hardening {
+    /// Nothing armed: one attempt, no plan, no checks.
+    pub const NONE: Hardening = Hardening {
+        fault: None,
+        retry: RetryPolicy { max_attempts: 1, backoff: Duration::ZERO },
+        fallback: Fallback::None,
+        sanitize: false,
+        integrity: false,
+        redundancy: Redundancy::None,
+    };
+
+    /// The chaos tier: `plan`'s fail-stop faults under
+    /// [`RetryPolicy::resilient`].
+    pub fn resilient(plan: Option<Arc<FaultPlan>>) -> Self {
+        Hardening { fault: plan, retry: RetryPolicy::resilient(), ..Hardening::NONE }
+    }
+
+    /// The SDC tier: `plan`'s silent faults against the integrity
+    /// protocol, DMR voting and the resilient retry budget.
+    pub fn sdc(plan: Option<Arc<FaultPlan>>) -> Self {
+        Hardening { integrity: true, redundancy: Redundancy::Dmr, ..Hardening::resilient(plan) }
+    }
+
+    /// The sanitizer tier: the race detector and nothing else.
+    pub fn sanitizer() -> Self {
+        Hardening { sanitize: true, ..Hardening::NONE }
+    }
+
+    /// Whether no layer is armed that a launch must run through, so a
+    /// recorded graph may replay on the fast path. A retry budget alone
+    /// has nothing to absorb and does not count.
+    pub fn is_disarmed(&self) -> bool {
+        self.fault.is_none()
+            && !self.sanitize
+            && !self.integrity
+            && self.redundancy == Redundancy::None
+            && self.fallback == Fallback::None
+    }
+}
+
 /// Count of launches currently executing on any clone of a queue, used by
 /// the blocking [`Queue::wait`].
 #[derive(Default)]
@@ -157,12 +223,7 @@ pub struct Queue {
     device: Device,
     profiling: bool,
     parallelism: Parallelism,
-    retry: RetryPolicy,
-    fallback: Fallback,
-    fault: Option<Arc<FaultPlan>>,
-    sanitize: bool,
-    integrity: bool,
-    redundancy: Redundancy,
+    hardening: Hardening,
     cancel: Option<CancelToken>,
     ledger: Option<Arc<ResilienceLedger>>,
     inflight: Arc<InFlight>,
@@ -170,43 +231,38 @@ pub struct Queue {
 }
 
 impl Queue {
-    /// Create a queue on `device` with profiling disabled — the state
-    /// DPCT's helper headers leave you in, which the paper calls out as
-    /// preventing kernel-time measurement.
-    ///
-    /// If `HETERO_RT_FAULT_SEED` is set, the queue adopts the
-    /// process-wide environment fault plan together with
-    /// [`RetryPolicy::resilient`], so chaos runs exercise every
-    /// application without code changes. With
-    /// `HETERO_RT_FAULT_MODE=sdc` the plan injects silent bit flips
-    /// instead of fail-stop faults, and the queue additionally arms the
-    /// integrity layer and adopts [`Redundancy::Dmr`] — the full SDC
-    /// defense, again with no application changes. If
-    /// `HETERO_RT_SANITIZE=1` is set, every launch on the queue runs
-    /// under the dynamic race detector ([`crate::sanitize`]); see
-    /// [`Queue::with_sanitizer`] for the per-queue override.
+    /// Create a plain queue on `device` with profiling disabled — the
+    /// state DPCT's helper headers leave you in, which the paper calls
+    /// out as preventing kernel-time measurement. Equal to
+    /// `Queue::hardened(device, Hardening::NONE)`.
     pub fn new(device: Device) -> Self {
-        let fault = FaultPlan::env_plan();
-        let retry = if fault.is_some() { RetryPolicy::resilient() } else { RetryPolicy::default() };
-        let sdc = fault.as_deref().is_some_and(FaultPlan::is_sdc);
-        if sdc {
-            crate::integrity::arm();
-        }
+        Queue::hardened(device, Hardening::NONE)
+    }
+
+    /// Create a queue on `device` armed as `hardening` says, for its
+    /// whole life.
+    pub fn hardened(device: Device, hardening: Hardening) -> Self {
         Queue {
             device,
             profiling: false,
             parallelism: Parallelism::Auto,
-            retry,
-            fallback: Fallback::None,
-            fault,
-            sanitize: crate::sanitize::env_enabled(),
-            integrity: sdc,
-            redundancy: if sdc { Redundancy::Dmr } else { Redundancy::None },
+            hardening: Hardening::NONE,
             cancel: None,
             ledger: None,
             inflight: Arc::new(InFlight::default()),
             slab: Arc::new(BufferSlab::new()),
         }
+        .arm(hardening)
+    }
+
+    /// Store `hardening`. Integrity is armed process-wide (buffers
+    /// allocated afterwards register checksummed regions), and only here.
+    fn arm(mut self, hardening: Hardening) -> Self {
+        if hardening.integrity {
+            crate::integrity::arm();
+        }
+        self.hardening = hardening;
+        self
     }
 
     /// Create a queue with profiling enabled (the
@@ -222,66 +278,27 @@ impl Queue {
         self
     }
 
-    /// Set the transient-failure retry policy.
+    /// [`Hardening::retry`], set on a built queue.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.hardening.retry = retry;
         self
     }
 
-    /// Set the capability-error fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+    /// [`Hardening::integrity`], set on a built queue.
+    pub fn with_integrity(self, on: bool) -> Self {
+        let hardening = Hardening { integrity: on, ..self.hardening.clone() };
+        self.arm(hardening)
     }
 
-    /// Attach (or, with `None`, detach) a fault-injection plan. Overrides
-    /// any environment plan picked up at construction.
-    pub fn with_fault_plan(mut self, plan: Option<Arc<FaultPlan>>) -> Self {
-        self.fault = plan;
-        self
-    }
-
-    /// Enable or disable the dynamic race sanitizer for launches on this
-    /// queue, overriding the `HETERO_RT_SANITIZE` environment default.
-    /// Sanitized launches record every buffer / USM / local-array element
-    /// access and fail with [`Error::DataRace`] when the kernel violates
-    /// the SYCL memory model (see [`crate::sanitize`]).
-    pub fn with_sanitizer(mut self, on: bool) -> Self {
-        self.sanitize = on;
-        self
-    }
-
-    /// Whether launches on this queue run under the race sanitizer.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitize
-    }
-
-    /// Enable or disable the integrity protocol for launches on this
-    /// queue: regions are verified against their page checksums at
-    /// launch entry (corruption surfaces as [`Error::DataCorruption`],
-    /// absorbed by the retry budget since the offending seal is
-    /// refreshed on detection) and resealed at launch exit. Enabling
-    /// also arms the layer process-wide ([`crate::integrity::arm`]) so
-    /// buffers allocated afterwards register checksummed regions.
-    pub fn with_integrity(mut self, on: bool) -> Self {
-        self.integrity = on;
-        if on {
-            crate::integrity::arm();
-        }
-        self
-    }
-
-    /// Set the redundant-execution policy (see [`Redundancy`]). Only
-    /// effective together with [`Queue::with_integrity`]: replicas
-    /// restore and digest the integrity layer's registered regions.
+    /// [`Hardening::redundancy`], set on a built queue.
     pub fn with_redundancy(mut self, redundancy: Redundancy) -> Self {
-        self.redundancy = redundancy;
+        self.hardening.redundancy = redundancy;
         self
     }
 
-    /// The queue's redundant-execution policy.
-    pub fn redundancy(&self) -> Redundancy {
-        self.redundancy
+    /// What the queue was armed with.
+    pub fn hardening(&self) -> &Hardening {
+        &self.hardening
     }
 
     /// Attach (or, with `None`, detach) a cancellation token. Every
@@ -319,17 +336,6 @@ impl Queue {
     /// The queue's device.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// The fault plan driving this queue's injection, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault.as_ref()
-    }
-
-    /// The queue's capability-error fallback policy (graph replay checks
-    /// it for fast-path eligibility).
-    pub(crate) fn fallback_policy(&self) -> Fallback {
-        self.fallback
     }
 
     /// Worker-thread budget the queue's parallelism mode resolves to.
@@ -396,7 +402,7 @@ impl Queue {
             device.caps().local_mem_bytes,
             name,
             plan,
-            self.sanitize,
+            self.hardening.sanitize,
             self.cancel.as_ref(),
             kernel,
         )
@@ -408,7 +414,7 @@ impl Queue {
     /// Either way the caller's in-flight guard stays held for the whole
     /// cycle, so [`Queue::wait`] blocks across backoffs.
     fn backoff_sleep(&self, attempt: u32) {
-        let delay = self.retry.delay_for(attempt);
+        let delay = self.hardening.retry.delay_for(attempt);
         match &self.cancel {
             None => std::thread::sleep(delay),
             Some(t) => {
@@ -435,7 +441,7 @@ impl Queue {
     where
         T: Copy + Default + Send + 'static,
     {
-        if self.integrity {
+        if self.hardening.integrity {
             buf.to_vec_verified()
         } else {
             Ok(buf.to_vec())
@@ -464,8 +470,8 @@ impl Queue {
     where
         K: Fn(&GroupCtx) + Sync,
     {
-        let need = self.redundancy.need();
-        let budget = need + (self.retry.max_attempts.max(1) - 1);
+        let need = self.hardening.redundancy.need();
+        let budget = need + (self.hardening.retry.max_attempts.max(1) - 1);
         let snap = crate::integrity::snapshot_all();
         let mut digests: Vec<u64> = Vec::new();
         loop {
@@ -524,7 +530,7 @@ impl Queue {
     /// The central hardened launch path shared by every group-shaped
     /// submission. In order:
     ///
-    /// 1. integrity-protocol entry (when [`Queue::with_integrity`] is on
+    /// 1. integrity-protocol entry (when [`Hardening::integrity`] is on
     ///    and this is the only launch in flight): seeded SDC injection,
     ///    then page-checksum verification of every region — corruption
     ///    surfaces as [`Error::DataCorruption`] and is absorbed by the
@@ -561,15 +567,15 @@ impl Queue {
         let scope = crate::integrity::LaunchScope::enter();
         // The protocol needs exclusive access to region bytes; nested or
         // concurrent launches skip it and the outermost exit reseals.
-        let protocol = self.integrity && scope.exclusive();
-        let plan = self.fault.as_deref();
+        let protocol = self.hardening.integrity && scope.exclusive();
+        let plan = self.hardening.fault.as_deref();
         if protocol {
             if let Some(p) = plan {
                 crate::integrity::inject_entry(p);
             }
         }
-        let redundant = if protocol { self.redundancy } else { Redundancy::None };
-        let max_attempts = self.retry.max_attempts.max(1);
+        let redundant = if protocol { self.hardening.redundancy } else { Redundancy::None };
+        let max_attempts = self.hardening.retry.max_attempts.max(1);
         let mut attempts = 0u32;
         let mut absorbed = 0u32;
         let mut replicas = 1u32;
@@ -637,7 +643,7 @@ impl Queue {
                 started,
             )),
             Err(e)
-                if self.fallback == Fallback::Cpu
+                if self.hardening.fallback == Fallback::Cpu
                     && e.is_cpu_fallback_eligible()
                     && self.device.kind() != DeviceKind::Cpu =>
             {
@@ -809,7 +815,8 @@ impl Queue {
         kind: crate::usm::UsmKind,
         len: usize,
     ) -> Result<crate::usm::UsmAlloc<T>> {
-        crate::usm::UsmAlloc::new_with_fault(&self.device, kind, len, self.fault.as_deref())
+        let plan = self.hardening.fault.as_deref();
+        crate::usm::UsmAlloc::new_with_fault(&self.device, kind, len, plan)
     }
 
     /// Allocate a zero-initialised buffer of `len` elements, reusing a

@@ -10,8 +10,8 @@
 //!
 //! # What is checked
 //!
-//! With sanitizing enabled (`HETERO_RT_SANITIZE=1`, or
-//! [`crate::queue::Queue::with_sanitizer`]), every [`crate::GlobalView`],
+//! On a queue built with [`crate::Hardening::sanitize`] (the
+//! [`crate::Hardening::sanitizer`] tier), every [`crate::GlobalView`],
 //! USM and [`crate::LocalArray`] element access inside a launch records
 //! `(kernel, group, phase, element, read|write)` into a per-worker log.
 //! Per-group logs are merged when the launch ends and analysed for:
@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Conflict classes the sanitizer reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,7 +149,7 @@ impl fmt::Display for RaceReport {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide state: the fast-path gate, object ids, env default.
+// Process-wide state: the fast-path gate and object ids.
 // ---------------------------------------------------------------------------
 
 /// Count of sanitized launches currently in flight. The accessor hooks
@@ -170,16 +170,6 @@ pub(crate) fn next_object_id() -> u64 {
 #[inline(always)]
 pub(crate) fn hooks_armed() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
-}
-
-/// Process-wide default from `HETERO_RT_SANITIZE=1`, read once. Queues
-/// adopt it at construction; [`crate::queue::Queue::with_sanitizer`]
-/// overrides per queue.
-pub fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("HETERO_RT_SANITIZE").is_ok_and(|v| v == "1" || v == "true")
-    })
 }
 
 // ---------------------------------------------------------------------------

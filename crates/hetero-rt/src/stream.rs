@@ -426,6 +426,7 @@ mod tests {
     use super::*;
     use crate::device::Device;
     use crate::fault::FaultPlan;
+    use crate::queue::Hardening;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -486,7 +487,7 @@ mod tests {
         type State = u64;
 
         fn advance(&mut self, q: &Queue, state: &mut u64, window: u64) -> Result<()> {
-            let primary = q.fault_plan().is_some();
+            let primary = q.hardening().fault.is_some();
             self.calls.push((window, primary));
             if primary {
                 self.inject(window)?;
@@ -507,9 +508,9 @@ mod tests {
     /// A runner whose primary queue carries a rate-0 fault plan and whose
     /// clean queue carries none.
     fn runner(stage: CounterStage, cfg: StreamConfig) -> StreamRunner<CounterStage> {
-        let primary =
-            Queue::new(Device::cpu()).with_fault_plan(Some(Arc::new(FaultPlan::new(0, 0.0))));
-        let clean = Queue::new(Device::cpu()).with_fault_plan(None);
+        let plan = Some(Arc::new(FaultPlan::new(0, 0.0)));
+        let primary = Queue::hardened(Device::cpu(), Hardening { fault: plan, ..Hardening::NONE });
+        let clean = Queue::new(Device::cpu());
         StreamRunner::new(primary, clean, stage, 0, cfg)
     }
 

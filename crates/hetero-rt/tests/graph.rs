@@ -41,14 +41,21 @@ impl Armed {
 impl Drop for Armed {
     fn drop(&mut self) {
         integrity::disarm();
-        let _ = integrity::take_scrub_reports();
     }
 }
 
 fn disarmed() -> Queue {
     Queue::new(Device::cpu())
-        .with_fault_plan(None)
-        .with_sanitizer(false)
+}
+
+/// A CPU queue armed with `h`.
+fn armed(h: Hardening) -> Queue {
+    Queue::hardened(Device::cpu(), h)
+}
+
+/// `h` with fault plan `plan`.
+fn with_plan(plan: FaultPlan, h: Hardening) -> Hardening {
+    Hardening { fault: Some(Arc::new(plan)), ..h }
 }
 
 /// A two-node graph: `mid = src * 2`, then `out = mid + 1`.
@@ -80,8 +87,8 @@ fn fault_panic_through_replay_is_typed_and_pool_survives() {
     let q = disarmed();
     let g = doubling_graph(&src, &mid, &out, &q);
 
-    let armed = disarmed().with_fault_plan(Some(Arc::new(FaultPlan::panic_at("g_inc", 0))));
-    let e = g.replay(&armed).unwrap_err();
+    let panicking = armed(with_plan(FaultPlan::panic_at("g_inc", 0), Hardening::NONE));
+    let e = g.replay(&panicking).unwrap_err();
     assert!(
         matches!(e, Error::KernelPanicked { kernel: "g_inc", group: 0, .. }),
         "{e:?}"
@@ -110,15 +117,13 @@ fn transient_faults_compose_with_retry_through_replay() {
     let g = doubling_graph(&src, &mid, &out, &q);
 
     // No retry budget: the first transient fault is a typed error.
-    let fragile = disarmed().with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(1))));
+    let fragile = armed(with_plan(FaultPlan::transient_burst(1), Hardening::NONE));
     let e = g.replay(&fragile).unwrap_err();
     assert!(matches!(e, Error::TransientLaunchFailure { attempts: 1, .. }), "{e:?}");
 
     // Resilient policy: a two-fault burst is absorbed and the replay
     // completes with correct results.
-    let sturdy = disarmed()
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(2))))
-        .with_retry_policy(RetryPolicy::resilient());
+    let sturdy = armed(Hardening::resilient(Some(Arc::new(FaultPlan::transient_burst(2)))));
     g.replay(&sturdy).unwrap();
     assert!(out.to_vec().iter().enumerate().all(|(i, &v)| v == i as u32 * 2 + 1));
     assert_eq!(g.fast_replays(), 0);
@@ -140,7 +145,7 @@ fn sanitizer_detects_race_through_replay() {
     })
     .unwrap();
 
-    let watched = disarmed().with_sanitizer(true);
+    let watched = armed(Hardening::sanitizer());
     let e = g.replay(&watched).unwrap_err();
     assert!(matches!(e, Error::DataRace { kernel: "g_racy", element: 0, .. }), "{e:?}");
     assert_eq!(g.fast_replays(), 0);
@@ -161,20 +166,17 @@ fn integrity_detects_flip_through_replay_and_retry_heals() {
     let g = doubling_graph(&src, &mid, &out, &q);
 
     let plan = Arc::new(FaultPlan::flip_at(src.object_id(), 1500, 2));
-    let armed = disarmed()
-        .with_integrity(true)
-        .with_fault_plan(Some(Arc::clone(&plan)));
-    let e = g.replay(&armed).unwrap_err();
+    let integrity = Hardening { integrity: true, ..Hardening::NONE };
+    let flipped = armed(Hardening { fault: Some(Arc::clone(&plan)), ..integrity.clone() });
+    let e = g.replay(&flipped).unwrap_err();
     assert_eq!(e, Error::DataCorruption { region: src.object_id(), page: 1, epoch: 1 });
-    assert_eq!(plan.flips_injected(), 1);
+    assert_eq!(plan.injected(), 1);
 
     // Detection resealed the region; with a retry budget a fresh flip
     // is absorbed and the replay completes.
     let plan2 = Arc::new(FaultPlan::flip_at(mid.object_id(), 100, 7));
-    let healing = disarmed()
-        .with_integrity(true)
-        .with_fault_plan(Some(plan2))
-        .with_retry_policy(RetryPolicy::resilient());
+    let retry = RetryPolicy::resilient();
+    let healing = armed(Hardening { fault: Some(plan2), retry, ..integrity });
     g.replay(&healing).unwrap();
     assert_eq!(g.fast_replays(), 0);
 }
@@ -183,7 +185,7 @@ fn integrity_detects_flip_through_replay_and_retry_heals() {
 /// and accounts the replica runs of both nodes to the queue's ledger,
 /// exactly like live launches.
 /// (Voting runs under the integrity protocol, so the layer is armed
-/// here, as `Queue::with_sdc_defense` would.)
+/// here, as the SDC tier does.)
 #[test]
 fn redundancy_votes_on_replayed_nodes() {
     let _s = serial();
@@ -197,9 +199,7 @@ fn redundancy_votes_on_replayed_nodes() {
 
     for (red, replicas) in [(Redundancy::Dmr, 2), (Redundancy::Tmr, 3)] {
         let ledger = Arc::new(ResilienceLedger::new());
-        let voting = disarmed()
-            .with_integrity(true)
-            .with_redundancy(red)
+        let voting = armed(Hardening { integrity: true, redundancy: red, ..Hardening::NONE })
             .with_resilience_ledger(Some(Arc::clone(&ledger)));
         g.replay(&voting).unwrap();
         assert_eq!(ledger.snapshot().replicas, 2 * replicas, "{red:?}");
@@ -258,8 +258,7 @@ fn fast_path_engages_exactly_when_disarmed() {
     let q = disarmed();
     let g = doubling_graph(&src, &mid, &out, &q);
 
-    let armed = disarmed().with_sanitizer(true);
-    g.replay(&armed).unwrap(); // clean kernels: sanitizer passes, slow path
+    g.replay(&armed(Hardening::sanitizer())).unwrap(); // clean kernels: sanitizer passes, slow path
     let slow = out.to_vec();
     assert_eq!(g.fast_replays(), 0);
 
@@ -272,4 +271,37 @@ fn fast_path_engages_exactly_when_disarmed() {
     g.replay(&seq).unwrap(); // inline, still the fast path
     assert_eq!(out.to_vec(), fast);
     assert_eq!(g.fast_replays(), 2);
+}
+
+/// The fast-path predicate field by field: a value with nothing armed, or
+/// with only a retry budget, replays on the fast path; each other field
+/// armed alone walks the recording launch by launch.
+#[test]
+fn each_hardening_field_alone_decides_the_route() {
+    let _s = serial();
+    let n = 64;
+    let src = Buffer::from_slice(&vec![2u32; n]);
+    let mid = Buffer::<u32>::new(n);
+    let out = Buffer::<u32>::new(n);
+    let g = doubling_graph(&src, &mid, &out, &disarmed());
+    let retry_only = Hardening { retry: RetryPolicy::resilient(), ..Hardening::NONE };
+    for (what, h) in [("NONE", Hardening::NONE), ("retry only", retry_only)] {
+        let before = g.fast_replays();
+        g.replay(&armed(h)).unwrap();
+        assert_eq!(g.fast_replays(), before + 1, "{what} must replay fast");
+    }
+    let slow = [
+        ("a rate-0 plan", with_plan(FaultPlan::new(1, 0.0), Hardening::NONE)),
+        ("the sanitizer", Hardening::sanitizer()),
+        ("DMR", Hardening { redundancy: Redundancy::Dmr, ..Hardening::NONE }),
+        ("CPU fallback", Hardening { fallback: Fallback::Cpu, ..Hardening::NONE }),
+        ("integrity", Hardening { integrity: true, ..Hardening::NONE }),
+    ];
+    let _a = Armed; // the integrity value arms; the guard disarms
+    for (what, h) in slow {
+        let before = g.fast_replays();
+        g.replay(&armed(h)).unwrap();
+        assert_eq!(g.fast_replays(), before, "{what} alone must walk launch by launch");
+    }
+    assert!(out.to_vec().iter().all(|&v| v == 5));
 }

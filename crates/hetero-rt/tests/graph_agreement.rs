@@ -31,12 +31,12 @@ use hetero_rt::{Access, RaceKind, StreamStage, LANES};
 
 fn disarmed() -> Queue {
     pool_of_four();
-    Queue::new(Device::cpu()).with_fault_plan(None).with_sanitizer(false)
+    Queue::new(Device::cpu())
 }
 
 fn sanitized() -> Queue {
     pool_of_four();
-    Queue::new(Device::cpu()).with_sanitizer(true)
+    Queue::hardened(Device::cpu(), Hardening::sanitizer())
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +278,11 @@ fn check_case(seed: u64, cov: &mut Coverage) {
     // retry budget, so every hit window rolls back and replays on the
     // clean queue — and the two windows still end where two replays do.
     let plan = FaultPlan::new(seed, 0.3).with_kinds(&[FaultKind::LaunchTransient]);
-    let primary = disarmed().with_fault_plan(Some(Arc::new(plan)));
+    pool_of_four();
+    let primary = Queue::hardened(
+        Device::cpu(),
+        Hardening { fault: Some(Arc::new(plan)), ..Hardening::NONE },
+    );
     let cfg = StreamConfig { max_retries: 0, ..StreamConfig::default() };
     let stage = Replayed { graph: &graph, bufs: &bufs };
     let mut stream = StreamRunner::new(primary, q.clone(), stage, init.clone(), cfg);

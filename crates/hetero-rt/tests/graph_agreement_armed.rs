@@ -34,12 +34,12 @@ fn two_steps(seed: u64, q: &Queue, step: Step) -> (Vec<Vec<u32>>, Graph) {
 fn generated_graphs_agree_on_an_integrity_armed_queue() {
     pool_of_four();
     let seeds = (0..cases(600)).map(|s| 0x19_0000 + s);
-    let plain = Queue::new(Device::cpu()).with_fault_plan(None).with_sanitizer(false);
+    let plain = Queue::new(Device::cpu());
     assert!(!integrity::armed(), "the oracle runs before anything arms");
     let want: Vec<_> =
         seeds.clone().map(|seed| two_steps(seed, &plain, Graph::submit_each).0).collect();
 
-    let armed = plain.clone().with_integrity(true);
+    let armed = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
     let before = integrity::stats();
     for (seed, want) in seeds.zip(want) {
         let (got, graph) = two_steps(seed, &armed, Graph::replay);

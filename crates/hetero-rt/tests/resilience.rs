@@ -11,15 +11,24 @@ use hetero_rt::prelude::*;
 use hetero_rt::usm::UsmKind;
 use hetero_rt::{DeviceCaps, DeviceKind, Fallback, RetryPolicy};
 
+/// A CPU queue injecting `plan`, with `retry`.
+fn injecting(plan: FaultPlan, retry: RetryPolicy) -> Queue {
+    let h = Hardening { fault: Some(Arc::new(plan)), retry, ..Hardening::NONE };
+    Queue::hardened(Device::cpu(), h)
+}
+
+/// `attempts` attempts with no back-off between them.
+fn instant_retries(attempts: u32) -> RetryPolicy {
+    RetryPolicy { max_attempts: attempts, backoff: Duration::ZERO }
+}
+
 /// A panicking kernel becomes a typed error — and the shared pool stays
 /// healthy for many subsequent clean launches, on both execution modes.
 #[test]
 fn kernel_panic_is_contained_and_pool_stays_reusable() {
     for par in [Parallelism::Sequential, Parallelism::Auto] {
-        let plan = Arc::new(FaultPlan::panic_at("victim", 3));
-        let q = Queue::new(Device::cpu())
-            .with_parallelism(par)
-            .with_fault_plan(Some(plan));
+        let q = injecting(FaultPlan::panic_at("victim", 3), RetryPolicy::default())
+            .with_parallelism(par);
         let e = q
             .nd_range("victim", NdRange::d1(64 * 8, 8), |_ctx| {})
             .unwrap_err();
@@ -85,7 +94,7 @@ fn local_mem_exceeded_falls_back_to_cpu() {
     assert!(matches!(e, Error::LocalMemExceeded { .. }), "{e:?}");
 
     // With fallback: success, computed on the CPU, recorded as such.
-    let q = Queue::new(dev).with_fallback(Fallback::Cpu);
+    let q = Queue::hardened(dev, Hardening { fallback: Fallback::Cpu, ..Hardening::NONE });
     let ev = q.nd_range("needs_local", NdRange::d1(128, 32), kernel).unwrap();
     assert_eq!(
         ev.resilience().fallback_device.as_deref(),
@@ -99,7 +108,8 @@ fn local_mem_exceeded_falls_back_to_cpu() {
 /// the paper's manual porting decision expressed as policy.
 #[test]
 fn oversize_work_group_falls_back_to_cpu() {
-    let q = Queue::new(Device::stratix10()).with_fallback(Fallback::Cpu);
+    let fallback = Hardening { fallback: Fallback::Cpu, ..Hardening::NONE };
+    let q = Queue::hardened(Device::stratix10(), fallback);
     let b = Buffer::<u32>::new(512);
     let v = b.view();
     let ev = q
@@ -123,10 +133,8 @@ fn oversize_work_group_falls_back_to_cpu() {
 #[test]
 fn kernel_panic_is_never_retried_or_fallen_back() {
     let plan = Arc::new(FaultPlan::panic_at("once", 0));
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(plan.clone()))
-        .with_retry_policy(RetryPolicy::resilient())
-        .with_fallback(Fallback::Cpu);
+    let h = Hardening { fallback: Fallback::Cpu, ..Hardening::resilient(Some(plan.clone())) };
+    let q = Queue::hardened(Device::cpu(), h);
     let e = q.nd_range("once", NdRange::d1(8, 8), |_| {}).unwrap_err();
     assert!(matches!(e, Error::KernelPanicked { .. }));
     // Exactly one injection: no retry re-executed the kernel.
@@ -138,9 +146,7 @@ fn kernel_panic_is_never_retried_or_fallen_back() {
 #[test]
 fn transient_faults_respect_the_retry_budget() {
     // Burst of 2 with 3 attempts: succeeds on the third.
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(2))))
-        .with_retry_policy(RetryPolicy { max_attempts: 3, backoff: Duration::ZERO });
+    let q = injecting(FaultPlan::transient_burst(2), instant_retries(3));
     let b = Buffer::<u32>::new(64);
     let v = b.view();
     let ev = q
@@ -151,9 +157,7 @@ fn transient_faults_respect_the_retry_budget() {
     assert!(b.to_vec().iter().all(|&x| x == 1));
 
     // Burst of 5 with 3 attempts: budget exhausted, typed error.
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(5))))
-        .with_retry_policy(RetryPolicy { max_attempts: 3, backoff: Duration::ZERO });
+    let q = injecting(FaultPlan::transient_burst(5), instant_retries(3));
     let e = q
         .try_parallel_for("flaky", Range::d1(64), |_| {})
         .unwrap_err();
@@ -169,12 +173,8 @@ fn retry_backoff_sequence_is_deterministic() {
     // launch that absorbs two transients must sleep at least
     // 5 ms + 10 ms — the wall clock pins that the sequence is linear
     // and actually taken in order.
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(2))))
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(5),
-        });
+    let backoff = Duration::from_millis(5);
+    let q = injecting(FaultPlan::transient_burst(2), RetryPolicy { max_attempts: 3, backoff });
     let t0 = std::time::Instant::now();
     let ev = q.try_parallel_for("slow_flaky", Range::d1(8), |_| {}).unwrap();
     assert_eq!(ev.resilience().attempts, 3);
@@ -185,8 +185,7 @@ fn retry_backoff_sequence_is_deterministic() {
 /// immediately, preserving the pre-fault-layer behaviour.
 #[test]
 fn default_policy_does_not_retry() {
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(1))));
+    let q = injecting(FaultPlan::transient_burst(1), RetryPolicy::default());
     let e = q.try_parallel_for("flaky", Range::d1(8), |_| {}).unwrap_err();
     assert_eq!(e, Error::TransientLaunchFailure { kernel: "flaky", attempts: 1 });
 }
@@ -280,8 +279,8 @@ fn wait_blocks_on_outstanding_concurrent_submissions() {
 /// USM allocation failures are injectable on capable devices and typed.
 #[test]
 fn injected_usm_failure_is_typed() {
-    let plan = Arc::new(FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::AllocFail]));
-    let q = Queue::new(Device::cpu()).with_fault_plan(Some(plan));
+    let plan = FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::AllocFail]);
+    let q = injecting(plan, RetryPolicy::default());
     let e = q.alloc_usm::<f32>(UsmKind::Shared, 16).unwrap_err();
     assert_eq!(
         e,
@@ -301,9 +300,9 @@ fn injected_usm_failure_is_typed() {
 fn chaos_outcomes_reproduce_from_the_seed() {
     let run = || -> (u64, Vec<std::result::Result<u32, Error>>) {
         let plan = Arc::new(FaultPlan::new(0xC0FFEE, 0.08));
-        let q = Queue::new(Device::cpu())
-            .with_fault_plan(Some(plan.clone()))
-            .with_retry_policy(RetryPolicy { max_attempts: 3, backoff: Duration::ZERO });
+        let retry = instant_retries(3);
+        let h = Hardening { fault: Some(plan.clone()), retry, ..Hardening::NONE };
+        let q = Queue::hardened(Device::cpu(), h);
         let mut outcomes = Vec::new();
         for k in 0..20u32 {
             let b = Buffer::<u32>::new(256);
@@ -331,13 +330,8 @@ fn chaos_outcomes_reproduce_from_the_seed() {
 /// sees the completed launch when `wait()` returns.
 #[test]
 fn wait_blocks_across_full_retry_backoff_cycle() {
-    let plan = Arc::new(FaultPlan::transient_burst(2));
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(plan))
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(150),
-        });
+    let backoff = Duration::from_millis(150);
+    let q = injecting(FaultPlan::transient_burst(2), RetryPolicy { max_attempts: 3, backoff });
     let worker_q = q.clone();
     let submitted = Arc::new(AtomicU32::new(0));
     let submitted2 = Arc::clone(&submitted);
@@ -410,14 +404,9 @@ fn cancel_token_stops_launch_mid_run_and_queue_survives() {
 #[test]
 fn cancel_token_cuts_retry_backoff_short() {
     let token = CancelToken::new();
-    let plan = Arc::new(FaultPlan::transient_burst(1000));
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(plan))
-        .with_cancel_token(Some(token.clone()))
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 1000,
-            backoff: Duration::from_millis(50),
-        });
+    let backoff = Duration::from_millis(50);
+    let q = injecting(FaultPlan::transient_burst(1000), RetryPolicy { max_attempts: 1000, backoff })
+        .with_cancel_token(Some(token.clone()));
     let t = std::thread::spawn(move || {
         let start = std::time::Instant::now();
         let r = q.try_parallel_for("doomed", Range::d1(16), |_| {});
@@ -466,14 +455,9 @@ fn canceled_graph_replay_is_typed_and_graph_stays_usable() {
 #[test]
 fn resilience_ledger_accounts_launches_retries_and_cancellations() {
     let ledger = Arc::new(ResilienceLedger::new());
-    let plan = Arc::new(FaultPlan::transient_burst(2));
-    let q = Queue::new(Device::cpu())
-        .with_fault_plan(Some(plan))
-        .with_resilience_ledger(Some(Arc::clone(&ledger)))
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-        });
+    let retry = RetryPolicy { max_attempts: 3, backoff: Duration::from_millis(1) };
+    let q = injecting(FaultPlan::transient_burst(2), retry)
+        .with_resilience_ledger(Some(Arc::clone(&ledger)));
     q.try_parallel_for("retried", Range::d1(16), |_| {}).unwrap();
     let s = ledger.snapshot();
     assert_eq!((s.launches, s.attempts, s.faults_absorbed), (1, 3, 2));

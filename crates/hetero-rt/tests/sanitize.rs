@@ -11,7 +11,7 @@ use hetero_rt::prelude::*;
 use hetero_rt::sanitize::take_last_reports;
 
 fn sanitized_queue() -> Queue {
-    Queue::new(Device::cpu()).with_sanitizer(true)
+    Queue::hardened(Device::cpu(), Hardening::sanitizer())
 }
 
 /// Stable projection of a report: everything except the process-global
@@ -281,19 +281,13 @@ fn uniform_context_reads_run_clean_under_sanitizer() {
     }
 }
 
-/// `HETERO_RT_SANITIZE` seeds the queue default; `with_sanitizer` both
-/// overrides it and is introspectable.
+/// The sanitizer runs only where a queue's hardening asks for it.
 #[test]
 fn sanitizer_toggle_is_explicit_and_introspectable() {
-    let q = Queue::new(Device::cpu());
-    // Env is unset in the test harness: default off, opt-in works.
-    assert!(!q.sanitizer_enabled());
-    assert!(q.with_sanitizer(true).sanitizer_enabled());
-
     // With the sanitizer off, the seeded racy kernel is (wrongly but
     // silently) accepted — demonstrating the detector is the only thing
     // standing between this bug class and a clean exit code.
-    let q = Queue::new(Device::cpu()).with_sanitizer(false);
+    let q = Queue::new(Device::cpu());
     let b = Buffer::<u32>::new(1);
     let v = b.view();
     q.nd_range("racy_unchecked", NdRange::d1(8 * 4, 4), move |ctx| {

@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 use hetero_rt::executor::Parallelism;
 use hetero_rt::fault::FaultKind;
 use hetero_rt::integrity;
-use hetero_rt::{
-    Buffer, Device, Error, FaultPlan, Queue, Range, Redundancy, RetryPolicy,
-};
+use hetero_rt::{Buffer, Device, Error, FaultPlan, Hardening, Queue, Range, RetryPolicy};
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -32,8 +30,8 @@ fn serial() -> MutexGuard<'static, ()> {
     .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arms the integrity layer for one test; disarms and drains parked
-/// scrubber reports on drop (even on panic).
+/// Arms the integrity layer for one test; disarms on drop (even on
+/// panic), which also drops parked scrubber findings.
 struct Armed;
 
 impl Armed {
@@ -46,19 +44,28 @@ impl Armed {
 impl Drop for Armed {
     fn drop(&mut self) {
         integrity::disarm();
-        let _ = integrity::take_scrub_reports();
     }
+}
+
+/// An integrity queue injecting `plan`, with `retry`.
+fn integrity_queue(plan: &Arc<FaultPlan>, retry: RetryPolicy) -> Queue {
+    let fault = Some(Arc::clone(plan));
+    Queue::hardened(Device::cpu(), Hardening { fault, retry, integrity: true, ..Hardening::NONE })
+}
+
+/// The SDC tier on `plan`.
+fn sdc(plan: &Arc<FaultPlan>) -> Queue {
+    Queue::hardened(Device::cpu(), Hardening::sdc(Some(Arc::clone(plan))))
 }
 
 #[test]
 fn targeted_flip_detected_at_exact_region_and_page() {
     let _g = serial();
     let _a = Armed::new();
-    let q = Queue::new(Device::cpu()).with_integrity(true);
     let b = Buffer::<u32>::new(600); // 2400 B -> pages 0..=2
     // Flip bit 2 of byte 1500: page 1 of this exact region.
     let plan = Arc::new(FaultPlan::flip_at(b.object_id(), 1500, 2));
-    let q = q.with_fault_plan(Some(Arc::clone(&plan)));
+    let q = integrity_queue(&plan, RetryPolicy::default());
     // Default policy = 1 attempt, so entry verification surfaces the
     // corruption as a typed error naming region, page, and seal epoch.
     let err = q.try_parallel_for("probe", Range::d1(1), |_| {}).unwrap_err();
@@ -66,7 +73,7 @@ fn targeted_flip_detected_at_exact_region_and_page() {
         err,
         Error::DataCorruption { region: b.object_id(), page: 1, epoch: 1 }
     );
-    assert_eq!(plan.flips_injected(), 1);
+    assert_eq!(plan.injected(), 1);
     // Detect-once: the offender was resealed, so a clean retry passes.
     let e = q.try_parallel_for("again", Range::d1(1), |_| {}).unwrap();
     assert_eq!(e.resilience().faults_absorbed, 0);
@@ -85,7 +92,7 @@ fn adopted_buffers_are_protected_and_move_out_unregistered() {
     // launch entry exactly like a copied one.
     for b in [&adopted, &copied] {
         let plan = Arc::new(FaultPlan::flip_at(b.object_id(), 1500, 2));
-        let q = Queue::new(Device::cpu()).with_integrity(true).with_fault_plan(Some(plan));
+        let q = integrity_queue(&plan, RetryPolicy::default());
         let err = q.try_parallel_for("probe", Range::d1(1), |_| {}).unwrap_err();
         assert!(
             matches!(err, Error::DataCorruption { region, page: 1, .. } if region == b.object_id()),
@@ -96,7 +103,7 @@ fn adopted_buffers_are_protected_and_move_out_unregistered() {
 
     // Kernel writes through a view that dies with the launch, then the
     // sole owner moves the bytes out and its region goes with them.
-    let q = Queue::new(Device::cpu()).with_integrity(true);
+    let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
     let v = adopted.view();
     q.try_parallel_for("bump", Range::d1(600), move |it| v.update(it.gid(0), |x| x + 1)).unwrap();
     let out = adopted.into_vec();
@@ -116,12 +123,9 @@ fn adopted_buffers_are_protected_and_move_out_unregistered() {
 fn detection_is_absorbed_by_retry_budget() {
     let _g = serial();
     let _a = Armed::new();
-    let q = Queue::new(Device::cpu())
-        .with_integrity(true)
-        .with_retry_policy(RetryPolicy::resilient());
     let b = Buffer::<f32>::new(256);
     let plan = Arc::new(FaultPlan::flip_at(b.object_id(), 100, 7));
-    let q = q.with_fault_plan(Some(plan));
+    let q = integrity_queue(&plan, RetryPolicy::resilient());
     let before = integrity::detections_total();
     let v = b.view();
     let e = q
@@ -141,15 +145,21 @@ fn scrubber_finds_host_corruption_between_launches() {
     // Raw view writes from host code are deliberately unhooked: the
     // documented corruption primitive.
     b.view().set(200, 0xDEAD); // byte 1600 -> page 1
-    let reports = integrity::scrub_now();
+    let before = integrity::detections_total();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while integrity::detections_total() == before {
+        assert!(Instant::now() < deadline, "a scrub sweep never found the write");
+        integrity::scrub_step();
+    }
+    // The finding is parked and localized, then reported once.
     assert!(
-        reports
-            .iter()
-            .any(|v| v.region == b.object_id() && v.page == 1),
-        "scrub_now should localize the flip: {reports:?}"
+        matches!(
+            integrity::verify_all(),
+            Err(Error::DataCorruption { region, page: 1, .. }) if region == b.object_id()
+        ),
+        "the scrubber should localize the flip"
     );
-    // Detect-once again: a second sweep is clean.
-    assert!(integrity::scrub_now().is_empty());
+    assert_eq!(integrity::verify_all(), Ok(()));
 }
 
 #[test]
@@ -161,19 +171,22 @@ fn parked_pool_workers_scrub_while_idle() {
     let q = Queue::new(Device::cpu()).with_parallelism(Parallelism::Threads(2));
     q.try_parallel_for("warm", Range::d1(2048), |_| {}).unwrap();
     let b = Buffer::<u32>::new(1024);
+    let before = integrity::detections_total();
     b.view().set(10, 77);
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut found = Vec::new();
-    while Instant::now() < deadline {
-        found = integrity::take_scrub_reports();
-        if !found.is_empty() {
-            break;
-        }
+    while integrity::detections_total() == before {
+        assert!(
+            Instant::now() < deadline,
+            "idle scrubber should find the flip within its park cadence"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(
-        found.iter().any(|v| v.region == b.object_id() && v.page == 0),
-        "idle scrubber should find the flip within its park cadence: {found:?}"
+        matches!(
+            integrity::verify_all(),
+            Err(Error::DataCorruption { region, page: 0, .. }) if region == b.object_id()
+        ),
+        "the parked finding names the region and page"
     );
 }
 
@@ -183,12 +196,7 @@ fn dmr_outvotes_exit_window_flips() {
     let _a = Armed::new();
     let mut corrected_runs = 0u32;
     for seed in 1..=30u64 {
-        let plan = Arc::new(FaultPlan::new(seed, 0.7).with_kinds(&[FaultKind::BitFlip]));
-        let q = Queue::new(Device::cpu())
-            .with_integrity(true)
-            .with_redundancy(Redundancy::Dmr)
-            .with_retry_policy(RetryPolicy::resilient())
-            .with_fault_plan(Some(plan));
+        let q = sdc(&Arc::new(FaultPlan::new(seed, 0.7).with_kinds(&[FaultKind::BitFlip])));
         let b = Buffer::<u32>::new(512);
         let v = b.view();
         let r = q.try_parallel_for("vote", Range::d1(512), move |it| {
@@ -226,12 +234,7 @@ fn replica_divergence_is_typed_when_digests_never_converge() {
     let _a = Armed::new();
     // Rate 1.0: every replica takes an exit-window flip at a fresh
     // sequenced site, so digests can never reach a 2-vote agreement.
-    let plan = Arc::new(FaultPlan::new(99, 1.0).with_kinds(&[FaultKind::BitFlip]));
-    let q = Queue::new(Device::cpu())
-        .with_integrity(true)
-        .with_redundancy(Redundancy::Dmr)
-        .with_retry_policy(RetryPolicy::resilient())
-        .with_fault_plan(Some(plan));
+    let q = sdc(&Arc::new(FaultPlan::new(99, 1.0).with_kinds(&[FaultKind::BitFlip])));
     let b = Buffer::<u32>::new(2048);
     let v = b.view();
     let err = q
@@ -246,17 +249,13 @@ fn stuck_page_survives_voting_but_never_silently() {
     let _g = serial();
     let _a = Armed::new();
     let plan = Arc::new(FaultPlan::new(5, 1.0).with_kinds(&[FaultKind::StuckPage]));
-    let q = Queue::new(Device::cpu())
-        .with_integrity(true)
-        .with_redundancy(Redundancy::Dmr)
-        .with_retry_policy(RetryPolicy::resilient())
-        .with_fault_plan(Some(Arc::clone(&plan)));
+    let q = sdc(&plan);
     let b = Buffer::<u8>::new(4096);
     let v = b.view();
     q.try_parallel_for("s1", Range::d1(4096), move |it| v.set(it.gid(0), 0))
         .unwrap();
     // The stuck-at page was OR-masked onto the sealed exit image.
-    assert!(plan.stuck_applications() >= 1);
+    assert!(plan.injected() >= 1);
     assert!(b.to_vec().iter().any(|&x| x != 0));
     // The next launch's entry verification sees it — deterministic
     // corruption is detectable even though replicas agree on it.
@@ -275,10 +274,8 @@ fn stuck_page_survives_voting_but_never_silently() {
 fn armed_rate_zero_launches_stay_clean() {
     let _g = serial();
     let _a = Armed::new();
-    let q = Queue::new(Device::cpu())
-        .with_integrity(true)
-        .with_redundancy(Redundancy::Dmr)
-        .with_fault_plan(Some(Arc::new(FaultPlan::sdc(3, 0.0))));
+    let dmr = Hardening::sdc(Some(Arc::new(FaultPlan::sdc(3, 0.0))));
+    let q = Queue::hardened(Device::cpu(), Hardening { retry: RetryPolicy::default(), ..dmr });
     let b = Buffer::<f32>::new(1000);
     let before = integrity::detections_total();
     for round in 0..5 {
@@ -304,7 +301,7 @@ fn armed_rate_zero_launches_stay_clean() {
 fn usm_and_buffer_host_apis_keep_protection_coherent() {
     let _g = serial();
     let _a = Armed::new();
-    let q = Queue::new(Device::cpu()).with_integrity(true);
+    let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
     let mut u = q.alloc_usm::<u32>(hetero_rt::usm::UsmKind::Shared, 512).unwrap();
     let b = Buffer::<u32>::new(512);
     // USM hot writes unseal (no false positive), buffer coarse writes
@@ -364,7 +361,7 @@ fn read_back_verifies_its_buffer_while_a_launch_is_in_flight() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let _g = serial();
     let _a = Armed::new();
-    let q = Queue::new(Device::cpu()).with_integrity(true);
+    let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
     let hot = Buffer::<u32>::new(256);
     let cold = Buffer::<u32>::new(600); // 2400 B -> pages 0..=2
     let (started, release) = (AtomicBool::new(false), AtomicBool::new(false));
@@ -443,7 +440,7 @@ fn verify_all_reports_every_parked_finding_one_per_call() {
 /// `started` is stamped when everything that precedes execution is
 /// behind the launch, so an event's `overhead()` is what the launch
 /// spent before its first work-group: the integrity entry walk on an
-/// armed queue, the back-off of an absorbed transient.
+/// armed queue, the back-off of an absorbed fault.
 #[test]
 fn launch_overhead_covers_the_entry_walk_and_absorbed_transients() {
     let _g = serial();
@@ -457,26 +454,26 @@ fn launch_overhead_covers_the_entry_walk_and_absorbed_transients() {
         split(&plain.try_parallel_for("plain", Range::d1(64), |_| {}).unwrap());
     assert!(kernel <= invocation);
 
-    // One absorbed transient: the retry's back-off lies before `started`.
-    let backoff = Duration::from_millis(2);
-    let flaky = Queue::with_profiling(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::transient_burst(1))))
-        .with_retry_policy(RetryPolicy { max_attempts: 2, backoff });
-    let ev = flaky.try_parallel_for("flaky", Range::d1(64), |_| {}).unwrap();
-    assert_eq!(ev.resilience().faults_absorbed, 1);
-    let (overhead, kernel, invocation) = split(&ev);
-    assert!(overhead >= backoff, "the back-off is launch overhead: {overhead:?}");
-    assert!(kernel < invocation);
-
     // Armed: 8 MiB of sealed pages are verified before the kernel runs.
     let _a = Armed::new();
     let armed = Queue::with_profiling(Device::cpu()).with_integrity(true);
-    let _sealed = Buffer::<u64>::new(1 << 20);
+    let sealed = Buffer::<u64>::new(1 << 20);
     let ev = armed.try_parallel_for("armed", Range::d1(64), |_| {}).unwrap();
     let (overhead, kernel, invocation) = split(&ev);
     assert!(
         overhead > Duration::from_micros(50),
         "the entry walk is launch overhead: {overhead:?}"
     );
+    assert!(kernel < invocation);
+
+    // One absorbed fault: the retry's back-off after a detected flip lies
+    // before `started`.
+    let backoff = Duration::from_millis(2);
+    let healing = armed.with_retry_policy(RetryPolicy { max_attempts: 2, backoff });
+    sealed.view().set(7, 1); // a raw write behind the host APIs
+    let ev = healing.try_parallel_for("healed", Range::d1(64), |_| {}).unwrap();
+    assert_eq!(ev.resilience().faults_absorbed, 1);
+    let (overhead, kernel, invocation) = split(&ev);
+    assert!(overhead >= backoff, "the back-off is launch overhead: {overhead:?}");
     assert!(kernel < invocation);
 }

@@ -51,7 +51,8 @@ fn chunk_panic_under_stealing_drains_every_deque_and_pool_survives() {
 fn race_report_is_identical_across_stolen_schedules() {
     let mut triples = Vec::new();
     for _ in 0..10 {
-        let q = Queue::new(Device::cpu()).with_sanitizer(true).with_parallelism(Parallelism::Auto);
+        let q = Queue::hardened(Device::cpu(), Hardening::sanitizer())
+            .with_parallelism(Parallelism::Auto);
         let b = Buffer::<u32>::new(16);
         let v = b.view();
         let e = q
@@ -82,7 +83,7 @@ fn race_report_is_identical_across_stolen_schedules() {
 fn lane_accessors_report_races_identically_to_scalar_writes() {
     use hetero_rt::{Lanes, LANES};
     let run = |name: &'static str| {
-        let q = Queue::new(Device::cpu()).with_sanitizer(true);
+        let q = Queue::hardened(Device::cpu(), Hardening::sanitizer());
         let b = Buffer::<u32>::new(LANES * 2);
         let v = b.view();
         // Every group writes the same 8-element block.
@@ -113,7 +114,7 @@ fn lane_accessors_report_races_identically_to_scalar_writes() {
 #[test]
 fn replay_with_stealable_spans_stays_bit_equal_to_per_launch() {
     let n = 4096;
-    let q = Queue::new(Device::cpu()).with_fault_plan(None).with_sanitizer(false);
+    let q = Queue::new(Device::cpu());
 
     let src = Buffer::<u32>::from_slice(
         &(0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect::<Vec<_>>(),

@@ -4,9 +4,8 @@
 //! A request names a suite configuration the way the paper's figures
 //! do — `(app, size, device, flavor)` — plus the service-level fields:
 //! tenant identity, hardening mode, priority lane, deadline, and an
-//! optional tenant-scoped fault plan (the chaos matrix replayed through
-//! the service attaches its seeds here, so injection never leaks across
-//! tenants the way a process-wide `HETERO_RT_FAULT_SEED` would).
+//! optional tenant-scoped fault plan (the `matrix --serve` harness
+//! attaches its seeds here, and a plan arms only its own job's queue).
 
 use altis_data::InputSize;
 use hetero_rt::Device;

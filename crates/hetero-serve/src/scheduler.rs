@@ -29,14 +29,13 @@ use altis_core::suite::{
     all_apps, run_flavored_inline, run_sdc_inline, AppEntry, ResilienceOutcome, SdcOutcome,
     GRAPH_FLAVOR_APPS,
 };
-use hetero_rt::{
-    CancelToken, Device, Error, Fallback, FaultPlan, Queue, Redundancy, RetryPolicy,
-    StreamConfig,
-};
+use hetero_rt::{CancelToken, Error, Fallback, FaultKind, FaultPlan, Queue, StreamConfig};
 
 use crate::breaker::{Breaker, BreakerDecision};
 use crate::clock::Clock;
-use crate::protocol::{DeviceRoute, Flavor, Hardening, JobRequest, JobResult, Verdict};
+use crate::protocol::{
+    DeviceRoute, FaultKindSel, Flavor, Hardening, JobRequest, JobResult, Verdict,
+};
 use crate::tenant::TenantState;
 
 /// Where a job's final [`JobResult`] is delivered. Called exactly once
@@ -370,51 +369,22 @@ impl Shared {
             return;
         }
 
-        // Build the per-job hardened queue. The fault plan is attached
-        // explicitly (even when `None`) so a process-wide
-        // HETERO_RT_FAULT_SEED can never leak into another tenant's job.
+        // The per-job queue is armed by the job's tier around its
+        // tenant-scoped plan, and by nothing else.
         let token = CancelToken::new();
-        let sdc = job.req.hardening == Hardening::Sdc;
-        let plan = job.req.fault_seed.map(|seed| {
-            use crate::protocol::FaultKindSel;
-            use hetero_rt::FaultKind;
-            let p = if sdc {
-                FaultPlan::sdc(seed, job.req.fault_rate)
-            } else {
-                let p = FaultPlan::new(seed, job.req.fault_rate);
-                match job.req.fault_kind {
-                    FaultKindSel::Mixed => p,
-                    FaultKindSel::Transient => p.with_kinds(&[FaultKind::LaunchTransient]),
-                    FaultKindSel::Panic => p.with_kinds(&[FaultKind::KernelPanic]),
-                    FaultKindSel::Alloc => p.with_kinds(&[FaultKind::AllocFail]),
-                    FaultKindSel::Stall => p.with_kinds(&[FaultKind::PipeStall]),
-                }
-            };
-            Arc::new(p)
-        });
+        let effective_route = if degraded { DeviceRoute::Cpu } else { job.req.device };
+        // Capability mismatches on modelled accelerators re-run on the
+        // host (the paper's porting workflow as policy); real route-health
+        // failures still surface and trip the breaker.
+        let fallback =
+            if effective_route == DeviceRoute::Cpu { Fallback::None } else { Fallback::Cpu };
+        let hardening = hetero_rt::Hardening { fallback, ..queue_hardening(&job.req) };
         // Stream jobs reuse the tenant-scoped plan but build their own
         // primary/clean queue pair inside `open_stream`.
-        let stream_plan = plan.clone();
-        let effective_route = if degraded { DeviceRoute::Cpu } else { job.req.device };
-        let device: Device = effective_route.device();
-        let retry = match job.req.hardening {
-            Hardening::None => RetryPolicy::default(),
-            Hardening::Resilient | Hardening::Sdc => RetryPolicy::resilient(),
-        };
-        let mut queue = Queue::new(device)
-            .with_fault_plan(plan)
-            .with_retry_policy(retry)
+        let stream_plan = hardening.fault.clone();
+        let queue = Queue::hardened(effective_route.device(), hardening)
             .with_cancel_token(Some(token.clone()))
             .with_resilience_ledger(Some(job.tenant.ledger.clone()));
-        if effective_route != DeviceRoute::Cpu {
-            // Capability mismatches on modelled accelerators re-run on
-            // the host (the paper's porting workflow as policy); real
-            // route-health failures still surface and trip the breaker.
-            queue = queue.with_fallback(Fallback::Cpu);
-        }
-        if sdc {
-            queue = queue.with_integrity(true).with_redundancy(Redundancy::Dmr);
-        }
 
         if let Some(d) = job.abs_deadline_ms {
             self.watch
@@ -436,23 +406,18 @@ impl Shared {
         // breaker-class failure.
         let (verdict, failure) = if let Some(windows) = job.req.stream_windows {
             self.run_stream_job(&job, windows, stream_plan, &token)
-        } else if sdc {
+        } else if job.req.hardening == Hardening::Sdc {
             // One SDC job at a time: the integrity counters its verdict
             // is computed from are process-global.
             let _permit = SDC_PERMIT.lock().unwrap_or_else(|p| p.into_inner());
             match run_sdc_inline(entry, &queue, job.req.size, version) {
                 SdcOutcome::Correct => (Verdict::Completed, false),
                 SdcOutcome::Corrected { events } => (Verdict::Corrected { events }, false),
-                // The reason is a failed validation check or a typed
-                // error's `Display` text: the one path read as text.
-                SdcOutcome::Quarantined { reason } => {
-                    if token.is_canceled() && reason.contains("canceled") {
-                        (Verdict::Deadline, false)
-                    } else {
-                        let marks = ["panicked", "data corruption", "replica digests"];
-                        let failure = marks.iter().any(|m| reason.contains(m));
-                        (Verdict::Quarantined { reason }, failure)
-                    }
+                SdcOutcome::Quarantined { reason, error: Some(e) } => {
+                    Self::classify_stop(&token, &e, reason)
+                }
+                SdcOutcome::Quarantined { reason, error: None } => {
+                    (Verdict::Quarantined { reason }, false)
                 }
                 SdcOutcome::Uncontained { what } => (self.uncontained(what), false),
             }
@@ -555,6 +520,28 @@ impl Shared {
         let (lock, cv) = &self.idle;
         let _g = lock.lock().unwrap();
         cv.notify_all();
+    }
+}
+
+/// The runtime hardening of `req`'s tier around its tenant-scoped
+/// plan: silent kinds for the SDC tier, the requested fail-stop kinds
+/// otherwise.
+fn queue_hardening(req: &JobRequest) -> hetero_rt::Hardening {
+    let plan = req.fault_seed.map(|seed| {
+        let p = FaultPlan::new(seed, req.fault_rate);
+        Arc::new(match (req.hardening, req.fault_kind) {
+            (Hardening::Sdc, _) => FaultPlan::sdc(seed, req.fault_rate),
+            (_, FaultKindSel::Mixed) => p,
+            (_, FaultKindSel::Transient) => p.with_kinds(&[FaultKind::LaunchTransient]),
+            (_, FaultKindSel::Panic) => p.with_kinds(&[FaultKind::KernelPanic]),
+            (_, FaultKindSel::Alloc) => p.with_kinds(&[FaultKind::AllocFail]),
+            (_, FaultKindSel::Stall) => p.with_kinds(&[FaultKind::PipeStall]),
+        })
+    });
+    match req.hardening {
+        Hardening::None => hetero_rt::Hardening { fault: plan, ..hetero_rt::Hardening::NONE },
+        Hardening::Resilient => hetero_rt::Hardening::resilient(plan),
+        Hardening::Sdc => hetero_rt::Hardening::sdc(plan),
     }
 }
 

@@ -75,22 +75,37 @@ fn every_submitted_job_gets_exactly_one_verdict() {
 #[test]
 fn deadline_fires_and_is_typed_not_hung() {
     let _serial = serialize();
-    let s = scheduler(ServeConfig { workers: 1, watchdog_tick_ms: 1, ..ServeConfig::default() });
+    // One breaker-class failure would open the route's breaker.
+    let s = scheduler(ServeConfig {
+        workers: 1,
+        watchdog_tick_ms: 1,
+        breaker_open_after: 1,
+        ..ServeConfig::default()
+    });
     let (sink, results) = collector();
     // FDTD2D at S1 runs ~20ms debug-much-longer; a 1 ms deadline always
-    // fires mid-run and must come back as a Deadline verdict.
-    s.submit(
-        JobRequest { deadline_ms: Some(1), ..req("acme", "FDTD2D") },
-        sink.clone(),
-    );
-    s.wait_idle();
+    // fires mid-run and must come back as a Deadline verdict, on the
+    // plain tier and on the SDC tier alike, and never charge the breaker.
+    for hardening in [Hardening::None, Hardening::Sdc] {
+        s.submit(
+            JobRequest { deadline_ms: Some(1), hardening, ..req("acme", "FDTD2D") },
+            sink.clone(),
+        );
+        s.wait_idle();
+    }
     let got = results.lock().unwrap();
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0].verdict, Verdict::Deadline, "got {:?}", got[0]);
+    assert_eq!(got.len(), 2);
+    for r in got.iter() {
+        assert_eq!(r.verdict, Verdict::Deadline, "got {r:?}");
+    }
     let stats = s.stats();
-    assert_eq!(stats.deadline, 1);
+    assert_eq!(stats.deadline, 2);
     assert_eq!(stats.uncontained, 0, "cancellation must stay typed");
+    assert_eq!(stats.breaker_trips, 0, "a deadline is not a route failure");
     drop(got);
+    // The SDC job armed integrity process-wide; later tests in this
+    // binary expect the disarmed process they would otherwise find.
+    hetero_rt::integrity::disarm();
 
     // The scheduler (and the shared pool) survive: a clean job on the
     // same worker completes.

@@ -17,34 +17,25 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # nonzero on violation.
 ./target/release/lint
 
-# hetero-san layers 2+1 smoke: static IR verification of every suite
-# configuration, then the full 13-config matrix at size 1 under the
-# dynamic race detector. Any race report, verifier error, or containment
-# break exits nonzero. (The full 13x3 matrix is the long-form gate:
-# `./target/release/sanitize` with no flags, ~7 minutes.)
-./target/release/sanitize --size 1
-
-# Chaos smoke matrix: the whole suite under seeded fault injection. Every
-# run must stay contained (correct results or a typed error; never a
-# hang, untyped panic, or poisoned pool) — the chaos binary exits nonzero
-# otherwise. Seeds x rates are fixed so failures reproduce exactly.
-for seed in 1 2 3 4 5; do
-  for rate in 0.01 0.1; do
-    echo "chaos: seed ${seed} rate ${rate}"
-    HETERO_RT_FAULT_SEED="${seed}" HETERO_RT_FAULT_RATE="${rate}" \
-      ./target/release/chaos > /dev/null
-  done
-done
-
-# SDC defense matrix: the whole suite at size 1 under seeded *silent*
-# fault plans (memory bit-flips and stuck-at pages), with the integrity
-# layer armed and DMR voting on. Every run must end Correct, Corrected,
-# or Quarantined — never silently wrong output accepted as success —
-# and (first invocation) the committed golden-checksum registry in
-# tests/golden_checksums.tsv must still match the reference outputs.
-./target/release/sdc --seed 1 --size 1 > /dev/null
-./target/release/sdc --seed 2 --size 1 --skip-golden > /dev/null
-./target/release/sdc --seed 3 --size 1 --skip-golden > /dev/null
+# The hardened verdict matrix: every run on an armed queue must end as
+# its tier says, and the shared pool must survive every cell. Each
+# invocation first verifies every configuration's kernel IR statically
+# and re-derives the committed golden-checksum registry
+# (tests/golden_checksums.tsv) at the sizes it runs; any failed cell,
+# IR finding or registry drift exits nonzero. Seeds and rates are fixed
+# so failures reproduce exactly.
+#  - sanitize: hetero-san layer 1, the 13 configurations at size 1 under
+#    the dynamic race detector (the full 13x3 long form is
+#    `matrix --hardening sanitize --size all --version both`);
+#  - resilient: seeded fail-stop faults under bounded retry, seeds 1-5 x
+#    rates 0.01 / 0.1: correct results or a typed error, never a hang,
+#    an untyped panic or wrong output;
+#  - sdc: seeded *silent* faults (bit-flips, stuck-at pages) against the
+#    integrity layer and DMR voting: correct, corrected or quarantined,
+#    never silently wrong output accepted as success.
+./target/release/matrix --hardening sanitize --size 1 > /dev/null
+./target/release/matrix --hardening resilient --seeds 5 --rate 0.01 --rate 0.1 --version baseline > /dev/null
+./target/release/matrix --hardening sdc --seeds 3 > /dev/null
 
 # Disabled-hook cost gates: a process that never turns a robustness
 # layer on pays an idle fault-plan check per launch and group, one
@@ -65,7 +56,7 @@ done
 # diverging cell or a missed gate exits nonzero.
 ./target/release/graph_replay /tmp/BENCH_graph_replay.json --gate 3 --matrix > /dev/null
 
-# Service-layer gates. chaos --serve replays the 13-config fault matrix
+# Service-layer gates. matrix --serve replays the resilient tier
 # through the real JSON protocol and an in-process scheduler: every job
 # must get exactly one typed verdict (none uncontained) and the shared
 # pool must survive. serve_storm floods the scheduler with 1k queued
@@ -75,22 +66,19 @@ done
 # and then runs the hostile-tenant isolation gate: a
 # saturating fault-rate-1.0 tenant must not move a clean tenant's
 # closed-loop p99 by more than 10%.
-./target/release/chaos --serve > /dev/null
+./target/release/matrix --serve > /dev/null
 ./target/release/serve_storm /tmp/BENCH_serve_storm.json --jobs 1000 > /dev/null
 
-# Streaming gates. chaos --stream runs the seeded fault matrix
-# (transient / kernel-panic / alloc / mixed) against live window
-# streams of the four converted apps: the stream must survive every
-# cell, delivered windows must be bit-equal to the clean trail, and no
-# window may be dropped — quarantine the *window*, never the stream.
-# stream_storm (committed BENCH_stream_storm.json is the long form) is
-# smoked at 60 windows/app: the transient rate sweep and the stuck-group
+# Streaming gates. matrix --stream runs seeded transient / kernel-panic
+# / mixed faults against live window streams of the four converted
+# apps: the stream must survive every cell, delivered windows must be
+# bit-equal to the clean trail, and no window may be dropped —
+# quarantine the *window*, never the stream. stream_storm (committed
+# BENCH_stream_storm.json is the long form) is smoked at 60
+# windows/app: the transient rate sweep and the stuck-group
 # rollback-cost run, with the golden-trail equality and
 # containment-budget gates armed.
-for seed in 1 2 3; do
-  echo "chaos --stream: seed ${seed}"
-  ./target/release/chaos --stream --seed "${seed}" --rate 0.05 --windows 24 > /dev/null
-done
+./target/release/matrix --stream --seeds 3 --windows 24 > /dev/null
 ./target/release/stream_storm /tmp/BENCH_stream_storm.json --windows 60 > /dev/null
 
 # Data-path gates. roofline measures the streaming kernels' GB/s
@@ -114,4 +102,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + sanitize smoke + chaos matrix + sdc matrix + hook overhead gates + graph replay + serve gates + stream chaos + stream storm smoke + roofline gates (two-width kernels, reduce_min floor) + steal gate (analytic bound) + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + verdict matrix (sanitize, resilient, sdc) + hook overhead gates + graph replay + serve gates + stream matrix + stream storm smoke + roofline gates (two-width kernels, reduce_min floor) + steal gate (analytic bound) + e2e tests + e2e smoke all green"

@@ -158,7 +158,7 @@ fn arguments_are_checked_against_what_the_bin_declares() {
     assert_eq!(bare.get("--launches", 10_000usize), Ok(10_000));
     assert!(!bare.has("--steal") && bare.no_positional().is_ok());
 
-    // What `sanitize` / `sdc` answer with usage text and exit 2.
+    // What `matrix` answers with usage text and exit 2.
     assert!(parse(&["--bogus"]).is_err());
     assert!(parse(&["--launches"]).is_err());
     assert!(parse(&["--launches", "many"]).unwrap().get("--launches", 1usize).is_err());

@@ -2,71 +2,42 @@
 //! injection must end bit-correct or with a typed error — never an
 //! unclassified panic, a hang, or a poisoned worker pool. The full
 //! 13-app × seed × rate matrix runs in `scripts/verify.sh` through the
-//! `chaos` binary; this test keeps a small in-process slice of it in the
-//! tier-1 suite.
-
-use std::sync::Arc;
-use std::time::Duration;
+//! `matrix` binary; this test keeps a small slice of the same
+//! `suite::matrix` in the tier-1 suite.
 
 use altis_core::common::AppVersion;
-use altis_core::suite::{all_apps, run_resilient, ResilienceOutcome};
+use altis_core::suite::{matrix, Cell, Matrix, SdcOutcome, Tier};
 use altis_data::InputSize;
-use hetero_rt::prelude::*;
-use hetero_rt::RetryPolicy;
 
-fn chaos_queue(seed: u64, rate: f64) -> Queue {
-    Queue::new(Device::cpu())
-        .with_fault_plan(Some(Arc::new(FaultPlan::new(seed, rate))))
-        .with_retry_policy(RetryPolicy::resilient())
+/// The resilient tier's cells for `apps` × `seeds` at `rate`.
+fn resilient(apps: &[&'static str], seeds: Vec<u64>, rate: f64) -> Vec<Cell> {
+    matrix(&Matrix {
+        tier: Tier::Resilient,
+        apps: apps.to_vec(),
+        sizes: vec![InputSize::S1],
+        versions: vec![AppVersion::SyclBaseline],
+        seeds,
+        rates: vec![rate],
+    })
+    .collect()
 }
 
 #[test]
 fn injected_faults_stay_contained_across_apps() {
     let picks = ["Mandelbrot", "NW", "SRAD", "KMeans"];
-    let apps: Vec<_> = all_apps()
-        .into_iter()
-        .filter(|a| picks.contains(&a.name))
-        .collect();
-    assert_eq!(apps.len(), picks.len());
-    for app in &apps {
-        for seed in [1u64, 2] {
-            let outcome = run_resilient(
-                app,
-                chaos_queue(seed, 0.05),
-                InputSize::S1,
-                AppVersion::SyclBaseline,
-                Duration::from_secs(60),
-            );
-            assert!(
-                outcome.is_contained(),
-                "{} seed {seed}: {outcome:?}",
-                app.name
-            );
-        }
+    let cells = resilient(&picks, vec![1, 2], 0.05);
+    assert_eq!(cells.len(), picks.len() * 2);
+    // Every cell passes its tier's rule, and the shared pool computed
+    // exactly after each.
+    for c in &cells {
+        assert!(c.passed(), "{} seed {}: {:?}", c.app, c.seed, c);
     }
-
-    // The shared pool must still produce exact results afterwards.
-    let q = Queue::new(Device::cpu());
-    let b = Buffer::<u32>::new(1024);
-    let v = b.view();
-    q.parallel_for("after_chaos", Range::d1(1024), move |it| {
-        v.set(it.gid(0), it.gid(0) as u32);
-    });
-    assert!(b.to_vec().iter().enumerate().all(|(i, &x)| x == i as u32));
 }
 
 #[test]
 fn zero_rate_plan_changes_nothing() {
-    let app = all_apps()
-        .into_iter()
-        .find(|a| a.name == "Mandelbrot")
-        .unwrap();
-    let outcome = run_resilient(
-        &app,
-        chaos_queue(7, 0.0),
-        InputSize::S1,
-        AppVersion::SyclBaseline,
-        Duration::from_secs(60),
-    );
-    assert_eq!(outcome, ResilienceOutcome::Correct);
+    let cells = resilient(&["Mandelbrot"], vec![7], 0.0);
+    assert_eq!(cells.len(), 1);
+    assert_eq!(cells[0].outcome, SdcOutcome::Correct);
+    assert_eq!(cells[0].injected, 0);
 }

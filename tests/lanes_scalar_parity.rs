@@ -42,7 +42,8 @@ fn routes_agree(
     let v = AppVersion::SyclOptimized;
     // A rate-0 fault plan arms the queue: replay degrades to the checked
     // node-by-node walk (`submit_each`).
-    let armed = q.clone().with_fault_plan(Some(Arc::new(FaultPlan::new(1, 0.0))));
+    let fault = Some(Arc::new(FaultPlan::new(1, 0.0)));
+    let armed = Queue::hardened(Device::cpu(), Hardening { fault, ..Hardening::NONE });
     let fdtd = altis_core::fdtd2d::run_with(q, fp, v, ExecMode::PerLaunch);
     let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
     for (route, rq, mode) in [

@@ -3,23 +3,22 @@
 //! the integrity layer armed and DMR voting on must end Correct,
 //! Corrected, or Quarantined — never with silently wrong output
 //! accepted as success. The full seeds × sizes matrix runs in
-//! `scripts/verify.sh` through the `sdc` binary; this test keeps an
-//! in-process slice of it in the tier-1 suite.
+//! `scripts/verify.sh` through the `matrix` binary; these tests keep
+//! slices of the same `suite::matrix` in the tier-1 suite.
 //!
 //! Arming the integrity layer is process-global, so every test here
 //! serializes on one mutex and disarms through an RAII guard.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use altis_core::common::AppVersion;
 use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
 use altis_core::suite::{
-    all_apps, check_golden_registry_sizes, run_sdc, run_sdc_inline, SdcOutcome,
+    all_apps, check_golden_registry_sizes, matrix, run_sdc_inline, Matrix, SdcOutcome, Tier,
 };
 use altis_data::InputSize;
+use hetero_rt::integrity;
 use hetero_rt::prelude::*;
-use hetero_rt::{integrity, Redundancy, RetryPolicy};
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -35,8 +34,8 @@ fn serial() -> MutexGuard<'static, ()> {
     .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arms the integrity layer for one test; disarms and drains parked
-/// scrubber reports on drop (even on panic).
+/// Arms the integrity layer for one test; disarms on drop (even on
+/// panic), which also drops parked scrubber findings.
 struct Armed;
 
 impl Armed {
@@ -49,16 +48,20 @@ impl Armed {
 impl Drop for Armed {
     fn drop(&mut self) {
         integrity::disarm();
-        let _ = integrity::take_scrub_reports();
     }
 }
 
-fn sdc_queue(seed: u64, rate: f64) -> Queue {
-    Queue::new(Device::cpu())
-        .with_integrity(true)
-        .with_redundancy(Redundancy::Dmr)
-        .with_retry_policy(RetryPolicy::resilient())
-        .with_fault_plan(Some(Arc::new(FaultPlan::sdc(seed, rate))))
+/// `tier`'s cells for `apps` (all thirteen when empty) × `seeds` at
+/// `rate`, size 1, optimized.
+fn slice(tier: Tier, apps: &[&'static str], seeds: Vec<u64>, rate: f64) -> Matrix {
+    Matrix {
+        tier,
+        apps: apps.to_vec(),
+        sizes: vec![InputSize::S1],
+        versions: vec![AppVersion::SyclOptimized],
+        seeds,
+        rates: vec![rate],
+    }
 }
 
 #[test]
@@ -69,15 +72,10 @@ fn armed_rate_zero_suite_slice_is_correct() {
     // come back Correct: no false detections from the apps' own host
     // write patterns, no divergence from running replicas.
     let picks = ["Mandelbrot", "NW", "KMeans", "Where"];
-    for app in all_apps().iter().filter(|a| picks.contains(&a.name)) {
-        let o = run_sdc(
-            app,
-            sdc_queue(7, 0.0),
-            InputSize::S1,
-            AppVersion::SyclOptimized,
-            Duration::from_secs(120),
-        );
-        assert_eq!(o, SdcOutcome::Correct, "{}: {o:?}", app.name);
+    let cells: Vec<_> = matrix(&slice(Tier::Sdc, &picks, vec![7], 0.0)).collect();
+    assert_eq!(cells.len(), picks.len());
+    for c in cells {
+        assert_eq!(c.outcome, SdcOutcome::Correct, "{}: {c:?}", c.app);
     }
 }
 
@@ -90,24 +88,16 @@ fn every_configuration_verifies_sanitized_and_hardened() {
     // of an integrity + DMR queue (adopted allocations sealed, moved-out
     // ones unregistered).
     let _g = serial();
-    let apps = all_apps();
-    assert_eq!(apps.len(), 13);
-    let plain = Queue::new(Device::cpu()).with_fault_plan(None);
-    let sanitized = plain.clone().with_sanitizer(true);
-    for app in &apps {
-        assert!(
-            (app.verify)(&sanitized, InputSize::S1, AppVersion::SyclOptimized),
-            "{} failed on the sanitizer queue",
-            app.name
-        );
+    let sanitized: Vec<_> = matrix(&slice(Tier::Sanitize, &[], vec![0], 0.0)).collect();
+    assert_eq!(sanitized.len(), 13);
+    for c in sanitized {
+        assert!(c.passed(), "{} failed on the sanitizer queue: {c:?}", c.app);
     }
     let _a = Armed::new();
-    let hardened = plain.with_integrity(true).with_redundancy(Redundancy::Dmr);
     let regions = integrity::stats().regions;
-    for app in &apps {
-        let o = run_sdc_inline(app, &hardened, InputSize::S1, AppVersion::SyclOptimized);
-        assert_eq!(o, SdcOutcome::Correct, "{}: {o:?}", app.name);
-        assert_eq!(integrity::stats().regions, regions, "{} left a region behind", app.name);
+    for c in matrix(&slice(Tier::Sdc, &[], vec![0], 0.0)) {
+        assert_eq!(c.outcome, SdcOutcome::Correct, "{}: {c:?}", c.app);
+        assert_eq!(integrity::stats().regions, regions, "{} left a region behind", c.app);
     }
 }
 
@@ -125,13 +115,8 @@ fn fault_free_armed_graph_apps_raise_no_detections() {
     for name in picks {
         let app = apps.iter().find(|a| a.name == name).expect("graph app is registered");
         let before = integrity::detections_total();
-        let o = run_sdc(
-            app,
-            Queue::new(Device::cpu()).with_fault_plan(None).with_integrity(true),
-            InputSize::S1,
-            AppVersion::SyclOptimized,
-            Duration::from_secs(120),
-        );
+        let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
+        let o = run_sdc_inline(app, &q, InputSize::S1, AppVersion::SyclOptimized);
         assert_eq!(o, SdcOutcome::Correct, "{name}: {o:?}");
         assert_eq!(integrity::detections_total(), before, "{name}: false detections");
     }
@@ -166,32 +151,14 @@ fn an_sdc_stream_seals_its_stage_buffers_from_the_first_window() {
 fn injected_silent_faults_are_never_silently_wrong() {
     let _g = serial();
     let _a = Armed::new();
+    // Never uncontained, and the shared pool computes exactly after
+    // every cell.
     let picks = ["Mandelbrot", "NW", "SRAD", "KMeans"];
-    for app in all_apps().iter().filter(|a| picks.contains(&a.name)) {
-        for seed in [1u64, 2] {
-            let o = run_sdc(
-                app,
-                sdc_queue(seed, 0.05),
-                InputSize::S1,
-                AppVersion::SyclOptimized,
-                Duration::from_secs(120),
-            );
-            assert!(
-                !matches!(o, SdcOutcome::Uncontained { .. }),
-                "{} seed {seed}: {o:?}",
-                app.name
-            );
-        }
+    let cells: Vec<_> = matrix(&slice(Tier::Sdc, &picks, vec![1, 2], 0.05)).collect();
+    assert_eq!(cells.len(), picks.len() * 2);
+    for c in cells {
+        assert!(c.passed(), "{} seed {}: {c:?}", c.app, c.seed);
     }
-
-    // The shared pool must still produce exact results afterwards.
-    let q = Queue::new(Device::cpu());
-    let b = Buffer::<u32>::new(1024);
-    let v = b.view();
-    q.parallel_for("after_sdc", Range::d1(1024), move |it| {
-        v.set(it.gid(0), it.gid(0) as u32);
-    });
-    assert!(b.to_vec().iter().enumerate().all(|(i, &x)| x == i as u32));
 }
 
 #[test]

@@ -198,14 +198,14 @@ fn corruption_is_rejected_by_a_fresh_reference(q: &Queue) {
     let mut caught = 0;
     for seed in 1..=8 {
         let faulted = || {
-            let plan = Arc::new(FaultPlan::sdc(seed, 0.05));
-            Queue::new(Device::cpu()).with_integrity(true).with_fault_plan(Some(plan))
+            let fault = Some(Arc::new(FaultPlan::sdc(seed, 0.05)));
+            Queue::hardened(Device::cpu(), Hardening { fault, integrity: true, ..Hardening::NONE })
         };
         let (sdc, reference, recognised) =
             spent(|| run_sdc_inline(app, &faulted(), S1, AppVersion::SyclOptimized));
         let resilient = run_resilient_inline(app, &faulted(), S1, AppVersion::SyclOptimized);
         match &sdc {
-            SdcOutcome::Quarantined { reason } if reason.contains("golden") => {
+            SdcOutcome::Quarantined { reason, .. } if reason.contains("golden") => {
                 assert_eq!((reference, recognised), (1, 0), "seed {seed}");
                 assert_eq!(resilient, ResilienceOutcome::Incorrect, "seed {seed}");
                 caught += 1;
@@ -218,13 +218,12 @@ fn corruption_is_rejected_by_a_fresh_reference(q: &Queue) {
         }
     }
     hetero_rt::integrity::disarm();
-    let _ = hetero_rt::integrity::take_scrub_reports();
     assert!(caught >= 2, "only {caught} of 8 seeds corrupted the output");
 }
 
 #[test]
 fn an_output_is_validated_once_and_recognised_after() {
-    let q = Queue::new(Device::cpu()).with_fault_plan(None);
+    let q = Queue::new(Device::cpu());
     twenty_runs_one_reference(&q);
     verdicts_match_the_direct_comparison(&q);
     ninth_fingerprint_evicts(&q);
