@@ -25,10 +25,14 @@
 //!    of the window graph's first kernel panics every time): no window
 //!    can deliver from the primary path, so every one exercises
 //!    checkpoint rollback — that run is where rollback cost is
-//!    measured. Same containment and bit-exactness gates apply.
+//!    measured. Same containment and bit-exactness gates apply, plus a
+//!    count: every rollback replays exactly one window
+//!    (`replayed == rollbacks`), because each recovery seals the state
+//!    it recovered.
 //!
 //! Reports per-(app, rate): windows/sec, p50/p99 window latency,
-//! rollback count and mean rollback cost. Writes
+//! rollback count and mean rollback cost, and per app the stuck-group
+//! run's windows/sec over the clean run's (`stuck_over_clean`). Writes
 //! `BENCH_stream_storm.json` (or the path given as the first argument).
 //!
 //! Default 1280 windows per run: 4 apps x (2 rates + the stuck-group
@@ -79,7 +83,7 @@ const STUCK_KERNELS: [&str; 4] =
     ["srad_1", "fdtd_hx", "stream_map_centers", "pf_propagate_weight"];
 
 /// Live-fault run against the golden trail; records every gate under
-/// the run's tag and returns its row and rollback count.
+/// the run's tag and returns its row, rollback count and windows/sec.
 /// `stuck = None` injects transient launch failures (per-launch rate,
 /// absorbed by window retry); `Some(kernel)` makes work-group 0 of
 /// `kernel` panic on every launch — the permanent stuck-group run that
@@ -92,7 +96,7 @@ fn faulted_run(
     stuck: Option<&'static str>,
     trail: &[u64],
     report: &mut Report,
-) -> Result<(Obj, u64), String> {
+) -> Result<(Obj, u64, f64), String> {
     let (kind, plan) = match stuck {
         None => (
             "transient",
@@ -135,6 +139,16 @@ fn faulted_run(
         // Injection is live: at the high rate some window needed containment.
         report.gate(&format!("{tag}: windows contained"), st.non_delivered() as f64, Op::Ge, 1.0);
     }
+    if stuck.is_some() {
+        // Each recovery seals what it recovered: the next rollback
+        // restores the window before and replays one.
+        report.gate(
+            &format!("{tag}: windows replayed per rollback"),
+            st.replayed as f64,
+            Op::Eq,
+            st.rollbacks as f64,
+        );
+    }
     let windows_per_s = windows as f64 / wall_s;
     let (p50_us, p99_us) = (percentile(&lat_us, 0.50), percentile(&lat_us, 0.99));
     let rollback_cost_us = if st.rollbacks > 0 {
@@ -163,7 +177,7 @@ fn faulted_run(
         .set("checkpoints", st.checkpoints)
         .set("injected", injected)
         .set("rollback_cost_us", rollback_cost_us);
-    Ok((row, st.rollbacks))
+    Ok((row, st.rollbacks, windows_per_s))
 }
 
 fn main() -> ExitCode {
@@ -203,22 +217,28 @@ fn main() -> ExitCode {
             // under sustained load.
             let sweep = rates.iter().map(|&r| (r, None)).chain([(1.0, Some(stuck_kernel))]);
             let mut runs = Vec::new();
+            let mut stuck_over_clean = 0.0;
             for (i, (rate, stuck)) in sweep.enumerate() {
                 match faulted_run(app, cfg, seed + i as u64, rate, stuck, &trail, &mut report) {
-                    Ok((row, rollbacks)) => {
+                    Ok((row, rollbacks, wps)) => {
                         runs.push(row);
                         total_windows += windows;
                         total_rollbacks += rollbacks;
+                        if stuck.is_some() {
+                            stuck_over_clean = wps / clean_wps;
+                        }
                     }
                     Err(why) => {
                         report.require(&why, false);
                     }
                 }
             }
+            println!("  {app}: stuck-group / clean windows/s {stuck_over_clean:.3}");
             apps.push(
                 Obj::new()
                     .set("app", *app)
                     .set("clean_windows_per_s", clean_wps)
+                    .set("stuck_over_clean", stuck_over_clean)
                     .set("runs", arr(runs)),
             );
         }

@@ -37,7 +37,11 @@
 //! the integrity layer armed, transparently degrades to
 //! [`Graph::submit_each`], which routes every recorded node through the
 //! ordinary hardened launch path — armed modes are never silently
-//! skipped, they just forgo the replay speedup.
+//! skipped, they just forgo the replay speedup. A walk on a queue that
+//! runs no integrity protocol while another queue has the layer armed (a
+//! stream's recovery queue) reseals, after it succeeds, exactly the
+//! buffers its nodes bind [`writes`] or [`reads_writes`]; a buffer it
+//! only reads keeps its seal.
 //!
 //! # Graph lifetime and invalidation
 //!
@@ -412,6 +416,12 @@ impl Graph {
     }
 
     fn submit_each_inner(&self, q: &Queue) -> Result<()> {
+        // A queue that runs no integrity protocol seals nothing at its
+        // launch exits: while the layer is armed, reseal what the walk
+        // wrote, under one scope so the idle scrubber cannot park those
+        // writes as a finding in between.
+        let reseal = crate::integrity::armed() && !q.hardening().integrity;
+        let _scope = reseal.then(crate::integrity::LaunchScope::enter);
         for n in &self.nodes {
             n.reset();
         }
@@ -420,6 +430,12 @@ impl Graph {
             let wrap = |ctx: &GroupCtx| k(ctx);
             q.launch_groups(node.name, node.nd, node.reqd_max, &wrap)?;
             node.done.store(node.num_groups, Ordering::Relaxed);
+        }
+        if reseal {
+            let written = self.nodes.iter().flat_map(|n| &n.bindings);
+            crate::integrity::reseal_regions(
+                written.filter(|b| b.access != Access::Read).map(|b| b.object),
+            );
         }
         Ok(())
     }

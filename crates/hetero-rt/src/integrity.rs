@@ -433,6 +433,18 @@ pub fn reseal_all() {
     }
 }
 
+/// Reseal the live regions named in `ids` to their current contents —
+/// what a recorded walk on a queue that runs no protocol wrote. Every
+/// other region keeps its seal, so a flip there still surfaces.
+pub(crate) fn reseal_regions(ids: impl Iterator<Item = u64>) {
+    let ids: Vec<u64> = ids.collect();
+    for region in live_regions() {
+        if ids.contains(&region.id) {
+            region.reseal_now();
+        }
+    }
+}
+
 /// A full copy of every live region's bytes, for replica restore.
 pub(crate) struct Snapshot {
     entries: Vec<(Arc<Region>, Vec<u8>)>,

@@ -435,8 +435,7 @@ impl Queue {
     /// back as the typed [`Error::DataCorruption`] (the region resealed,
     /// so it is reported once) instead of reaching host state. No other
     /// region is read, so the check runs whatever else is in flight. On
-    /// any other queue this is [`Buffer::to_vec`]: plain launches do not
-    /// reseal, so their writes would read as corruption.
+    /// any other queue this is [`Buffer::to_vec`].
     pub fn read_back<T>(&self, buf: &Buffer<T>) -> Result<Vec<T>>
     where
         T: Copy + Default + Send + 'static,

@@ -18,8 +18,9 @@
 //!   typed [`WindowVerdict`]; an injected kernel panic, transient fault
 //!   or SDC detection triggers **checkpoint/rollback recovery**: the
 //!   runner restores the last sealed snapshot of stream state, replays
-//!   the intervening windows on the clean queue, and resumes — one
-//!   poisoned window never kills or silently corrupts the stream.
+//!   the intervening windows on the clean queue, seals the state it
+//!   recovered as the new checkpoint, and resumes — one poisoned window
+//!   never kills or silently corrupts the stream.
 //!
 //! ## Containment invariants
 //!
@@ -36,6 +37,17 @@
 //! 4. Cancellation ([`Error::Canceled`]) is stream-fatal by design (a
 //!    deadline watchdog fired) and is surfaced as an `Err` from the
 //!    runner, not as a window verdict.
+//!
+//! ## Seals
+//!
+//! The runner holds exactly one checkpoint. It seals one on schedule
+//! (every [`StreamConfig::checkpoint_every`] windows) and one after every
+//! `Quarantined` window, at most one per position, and verifies the seal
+//! before every restore; a fault that persists therefore replays one
+//! window per rollback, not the span back to the last scheduled seal. A clean-queue replay of a recorded graph reseals
+//! the page checksums of the buffers it writes while the integrity layer
+//! is armed ([`crate::Graph::submit_each`]), so the primary's next launch
+//! entry does not read the recovery's own writes as corruption.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -117,7 +129,8 @@ pub struct WindowReport {
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Seal a snapshot of stream state every this many windows (the
-    /// rollback granularity). Must be ≥ 1.
+    /// rollback granularity; a recovered window seals as well). Must be
+    /// ≥ 1.
     pub checkpoint_every: u64,
     /// Whole-window re-execution budget for transient launch failures
     /// (on top of any per-launch retry policy the stage's queue has).
@@ -308,18 +321,21 @@ impl<S: StreamStage> StreamRunner<S> {
             WindowVerdict::Dropped { .. } => self.stats.dropped += 1,
             WindowVerdict::Shed => self.stats.shed += 1,
         }
-        if self.next.is_multiple_of(self.cfg.checkpoint_every) {
-            self.checkpoint = Checkpoint {
-                next: self.next,
-                state: self.state.clone(),
-                seal: self.stage.digest(&self.state),
-            };
+        // One digest per window: the report's, and the seal's when this
+        // window seals. A quarantined window's state was recovered on the
+        // clean queue from a verified seal, so it is sealed at once, and
+        // the next rollback replays from here — once per position, even
+        // on a schedule boundary.
+        let digest = self.stage.digest(&self.state);
+        let recovered = matches!(verdict, WindowVerdict::Quarantined { .. });
+        if recovered || self.next.is_multiple_of(self.cfg.checkpoint_every) {
+            self.checkpoint = Checkpoint { next: self.next, state: self.state.clone(), seal: digest };
             self.stats.checkpoints += 1;
         }
         Ok(WindowReport {
             index: w,
             verdict,
-            digest: self.stage.digest(&self.state),
+            digest,
             micros: t0.elapsed().as_micros() as u64,
             rolled_back,
         })
@@ -351,7 +367,8 @@ impl<S: StreamStage> StreamRunner<S> {
 
     /// Roll back to the last sealed checkpoint and recover windows
     /// `checkpoint.next ..= w` on the clean path. On success the stream
-    /// state is bit-identical to an uninterrupted run through `w`.
+    /// state is bit-identical to an uninterrupted run through `w`, and
+    /// [`StreamRunner::finish_window`] seals it.
     fn quarantine(
         &mut self,
         w: u64,
@@ -591,6 +608,40 @@ mod tests {
             ]
         );
         assert_eq!(*r.state(), uninterrupted_sum(6));
+    }
+
+    #[test]
+    fn a_persistent_fault_replays_one_window_per_rollback() {
+        let total = 20;
+        let mut stage = CounterStage::clean();
+        stage.fail_on = (0..total).collect();
+        let mut r = runner(stage, StreamConfig::default());
+        let stats = r.run(total, |rep| assert!(rep.rolled_back)).unwrap();
+        assert_eq!(stats.quarantined, total);
+        // Each recovery seals what it recovered, so the next rollback
+        // restores the window before it and replays one window.
+        assert_eq!(stats.replayed, stats.rollbacks);
+        let log: Vec<_> = (0..total).flat_map(|w| [(w, true), (w, false)]).collect();
+        assert_eq!(r.stage.calls, log);
+        assert_eq!(*r.state(), uninterrupted_sum(total));
+    }
+
+    #[test]
+    fn a_recovery_on_a_schedule_boundary_seals_once() {
+        let cfg = StreamConfig { checkpoint_every: 4, max_retries: 0 };
+        // Window 3's recovery lands on the boundary at 4: one seal there.
+        let mut stage = CounterStage::clean();
+        stage.fail_on = vec![3];
+        let mut r = runner(stage, cfg);
+        r.run(12, |_| {}).unwrap();
+        assert_eq!(r.stats().checkpoints, 1 + 3);
+        // Window 5's recovery lands between boundaries: a seal of its own.
+        let mut stage = CounterStage::clean();
+        stage.fail_on = vec![5];
+        let mut r = runner(stage, cfg);
+        r.run(12, |_| {}).unwrap();
+        assert_eq!(r.stats().checkpoints, 1 + 3 + 1);
+        assert_eq!(*r.state(), uninterrupted_sum(12));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use hetero_rt::executor::Parallelism;
 use hetero_rt::fault::FaultKind;
 use hetero_rt::integrity;
+use hetero_rt::{reads, reads_writes, writes, Graph};
 use hetero_rt::{Buffer, Device, Error, FaultPlan, Hardening, Queue, Range, RetryPolicy};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -476,4 +477,45 @@ fn launch_overhead_covers_the_entry_walk_and_absorbed_transients() {
     let (overhead, kernel, invocation) = split(&ev);
     assert!(overhead >= backoff, "the back-off is launch overhead: {overhead:?}");
     assert!(kernel < invocation);
+}
+
+/// A recorded graph walked on a plain queue while the layer is armed
+/// reseals the buffers its nodes write, so the next protocol entry does
+/// not read the walk's own writes as corruption. A buffer it only reads
+/// keeps its seal: a flip planted there still comes back at its region
+/// and page.
+#[test]
+fn a_plain_queue_graph_walk_reseals_only_what_it_writes() {
+    let _g = serial();
+    let _a = Armed::new();
+    let n = 600; // 2400 B -> pages 0..=2
+    let src = Buffer::from_slice(&vec![1u32; n]);
+    let (dst, acc) = (Buffer::<u32>::new(n), Buffer::<u32>::new(n));
+    let (sv, dv, dv2, av) = (src.view(), dst.view(), dst.view(), acc.view());
+    let plain = Queue::new(Device::cpu());
+    let g = Graph::record(&plain, |g| {
+        g.parallel_for("copy", Range::d1(n), &[reads(&src), writes(&dst)], move |it| {
+            dv.set(it.gid(0), sv.get(it.gid(0)) + 1);
+        })
+        .parallel_for("acc", Range::d1(n), &[reads(&dst), reads_writes(&acc)], move |it| {
+            av.update(it.gid(0), |x| x + dv2.get(it.gid(0)));
+        });
+    })
+    .unwrap();
+    let protocol = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
+    let before = integrity::detections_total();
+    g.replay(&plain).unwrap();
+    assert_eq!(g.fast_replays(), 0, "an armed process walks the graph launch by launch");
+    protocol.try_parallel_for("entry", Range::d1(1), |_| {}).unwrap();
+    assert_eq!(integrity::detections_total(), before, "the walk's writes read as corruption");
+    assert_eq!(acc.to_vec()[0], 2);
+
+    src.view().set(n - 1, 5); // a raw write behind the host APIs: page 2
+    g.replay(&plain).unwrap();
+    let err = protocol.try_parallel_for("entry", Range::d1(1), |_| {}).unwrap_err();
+    assert!(
+        matches!(err, Error::DataCorruption { region, page: 2, .. } if region == src.object_id()),
+        "{err:?}"
+    );
+    assert_eq!(integrity::verify_all(), Ok(()), "only the read buffer diverged");
 }

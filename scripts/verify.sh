@@ -77,7 +77,8 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # BENCH_stream_storm.json is the long form) is smoked at 60
 # windows/app: the transient rate sweep and the stuck-group
 # rollback-cost run, with the golden-trail equality and
-# containment-budget gates armed.
+# containment-budget gates armed, and the count gate that a stuck-group
+# rollback replays one window (replayed == rollbacks).
 ./target/release/matrix --stream --seeds 3 --windows 24 > /dev/null
 ./target/release/stream_storm /tmp/BENCH_stream_storm.json --windows 60 > /dev/null
 

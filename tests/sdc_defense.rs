@@ -9,7 +9,7 @@
 //! Arming the integrity layer is process-global, so every test here
 //! serializes on one mutex and disarms through an RAII guard.
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use altis_core::common::AppVersion;
 use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
@@ -144,6 +144,34 @@ fn an_sdc_stream_seals_its_stage_buffers_from_the_first_window() {
             assert!(r.verdict.is_delivered(), "{app}: window {w}: {:?}", r.verdict);
         }
         assert_eq!(integrity::detections_total(), before, "{app}: false detections");
+    }
+}
+
+/// One SDC rollback does not cause the next. A single flip fails window
+/// 0 at its first launch entry; the recovery replays it on the clean
+/// queue, which reseals what it wrote, so every later window — none with
+/// a flip of its own — is delivered.
+#[test]
+fn the_windows_after_an_sdc_rollback_are_delivered() {
+    let _g = serial();
+    let _a = Armed; // the scenario arms; the guard disarms
+    for app in STREAM_APPS {
+        // Object ids run in creation order: the first buffer the stage
+        // allocates takes the id after this probe's.
+        let first = Buffer::<u8>::new(1).object_id() + 1;
+        let plan = Arc::new(FaultPlan::flip_at(first, 0, 0));
+        let scenario =
+            StreamScenario { fault: Some(plan.clone()), sdc: true, ..StreamScenario::default() };
+        let mut s = open_stream(app, InputSize::S1, StreamConfig::default(), &scenario)
+            .unwrap_or_else(|e| panic!("{app}: {e}"))
+            .unwrap_or_else(|| panic!("{app}: no streaming conversion"));
+        let verdicts: Vec<_> = (0..6)
+            .map(|w| s.next_window().unwrap_or_else(|e| panic!("{app}: window {w}: {e}")).verdict)
+            .collect();
+        assert_eq!(plan.injected(), 1, "{app}: the flip missed the stage's first buffer");
+        assert!(matches!(verdicts[0], WindowVerdict::Quarantined { .. }), "{app}: {verdicts:?}");
+        assert!(verdicts[1..].iter().all(WindowVerdict::is_delivered), "{app}: {verdicts:?}");
+        assert_eq!(s.stats().rollbacks, 1, "{app}");
     }
 }
 
