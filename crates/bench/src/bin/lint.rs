@@ -28,8 +28,8 @@
 //!   wrapped index or accumulator corrupts data with no fault for the
 //!   SDC defense to catch. Suppress with `// lint:allow(as-cast)` plus
 //!   the invariant that makes the cast lossless.
-//! * **no-alloc-in-loop** — no `Buffer::new` / `Buffer::from_slice` /
-//!   `UsmAlloc::new` / `alloc_usm` inside `for`/`while`/`loop` bodies
+//! * **no-alloc-in-loop** — no `Buffer::new` / `Buffer::from_slice`
+//!   inside `for`/`while`/`loop` bodies
 //!   (host code included, `#[cfg(test)]` modules excluded). The paper's
 //!   Figure 1 non-kernel overhead is exactly this pattern at runtime
 //!   scale: allocations inside a timestep loop defeat the recycling
@@ -80,8 +80,8 @@
 //!   `trait` / `type` / `static` in library code (`crates/*/src`
 //!   outside `src/bin/`) whose name appears nowhere outside its own file
 //!   and test code (`#[cfg(test)]` modules, `tests/` directories). The
-//!   readers are every crate's sources, bins and benches, `examples/`
-//!   and `e2e/src`. A type is also named by the signature or field of
+//!   readers are every crate's sources, bins and benches, and
+//!   `e2e/src`. A type is also named by the signature or field of
 //!   another item of its file, since its values reach callers by
 //!   inference; its own `impl` headers do not count. Altis-SYCL's own
 //!   clean-up removed "non-required features" after migration; this
@@ -162,11 +162,10 @@ fn main() -> std::process::ExitCode {
         lint_stream_unbounded(f, &text, &mut violations);
     }
     // unused-pub reads the whole repository: every crate directory
-    // (sources, bins, benches), the examples and the e2e package.
+    // (sources, bins, benches) and the e2e package.
     let mut readers = Vec::new();
     collect_rs_files(crates_root, &mut readers);
     let repo = crates_root.parent().expect("repository root");
-    collect_rs_files(&repo.join("examples"), &mut readers);
     collect_rs_files(&repo.join("e2e/src"), &mut readers);
     readers.sort();
     let sources: Vec<(PathBuf, String)> = readers
@@ -718,24 +717,10 @@ fn lint_allocs_in_loops(
         return;
     }
     let tests = cfg_test_spans(masked);
-    let mut sites: Vec<usize> = Vec::new();
-
-    for ty in [&b"Buffer::"[..], &b"UsmAlloc::"[..]] {
-        for (p, meth, _) in assoc_calls(masked, ty) {
-            if meth == b"new" || meth == b"new_with_fault" || meth == b"from_slice" {
-                sites.push(p);
-            }
-        }
-    }
-    let mut from = 0;
-    while let Some(p) = find(masked, b"alloc_usm", from) {
-        from = p + 9;
-        let pre_ok = p == 0 || !is_ident_byte(masked[p - 1]);
-        let post_ok = !masked.get(p + 9).copied().is_some_and(is_ident_byte);
-        if pre_ok && post_ok {
-            sites.push(p);
-        }
-    }
+    let sites = assoc_calls(masked, b"Buffer::")
+        .into_iter()
+        .filter(|(_, meth, _)| *meth == b"new" || *meth == b"from_slice")
+        .map(|(p, _, _)| p);
 
     for p in sites {
         let in_loop = loops.iter().any(|&(lo, hi)| p >= lo && p < hi);
@@ -969,7 +954,7 @@ fn idents_outside<'a>(masked: &'a [u8], skip: &[(usize, usize)]) -> Vec<(usize, 
 /// The `unused-pub` rule over `sources` (path, text): a `pub` item of a
 /// library file (`crates/…/src/…`, no `bin` component) that no *other*
 /// file names outside test code. Files under a `tests` directory define and
-/// name nothing; everything else — bins, benches, examples, `e2e/src` —
+/// name nothing; everything else — bins, benches, `e2e/src` —
 /// is a reader, and `e2e/src` (pinned, not ours to edit) with its test
 /// modules.
 fn lint_unused_pub(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {

@@ -41,7 +41,7 @@ use altis_core::suite::{
     render_golden_registry, verify_suite_ir, Matrix, SdcOutcome, Tier,
 };
 use altis_data::InputSize;
-use hetero_rt::FaultKind::{self, AllocFail, KernelPanic, LaunchTransient, PipeStall};
+use hetero_rt::FaultKind::{self, KernelPanic, LaunchTransient};
 use hetero_rt::{FaultPlan, StreamConfig};
 use hetero_serve::{
     json, JobRequest, MonotonicClock, ResultSink, Scheduler, ServeConfig, Verdict,
@@ -53,13 +53,12 @@ const USAGE: &str = "matrix [--hardening sanitize|resilient|sdc] [--seed N]... [
 const VALUE_FLAGS: [&str; 7] =
     ["--hardening", "--seed", "--seeds", "--rate", "--size", "--version", "--windows"];
 
-/// The fault kinds of the stream cells. `AllocFail` draws only on a USM
-/// allocation, which no stream stage makes, so it has no cell of its
-/// own; the mixed cell keeps it.
+/// The fault kinds of the stream cells: each fail-stop kind alone, then
+/// both.
 const STREAM_CELLS: [(&str, &[FaultKind]); 3] = [
     ("transient", &[LaunchTransient]),
     ("panic", &[KernelPanic]),
-    ("mixed", &[LaunchTransient, KernelPanic, AllocFail, PipeStall]),
+    ("mixed", &[LaunchTransient, KernelPanic]),
 ];
 
 /// The coordinates a row starts with: app, size, version, seed, rate,

@@ -42,7 +42,7 @@ pub fn generate_records(p: &WhereParams) -> Vec<Record> {
 
 /// The benchmark predicate: keep records with `value <` selectivity.
 #[inline]
-pub fn predicate(p: &WhereParams, r: &Record) -> bool {
+fn predicate(p: &WhereParams, r: &Record) -> bool {
     r.value < p.selectivity_pct
 }
 

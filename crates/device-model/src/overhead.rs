@@ -7,7 +7,7 @@
 //! model each runtime flavour with three parameters: a fixed per-run
 //! cost, a per-launch cost, and an interconnect efficiency for transfers.
 
-use crate::device::{DeviceClass, DeviceSpec};
+use crate::device::DeviceSpec;
 use crate::profile::WorkProfile;
 
 /// The software stack a measurement runs under.
@@ -93,15 +93,6 @@ impl RuntimeFlavor {
                 // paper's FPGA designs leave most DDR channels idle.
                 achieved_bw_fraction: 0.25,
             },
-        }
-    }
-
-    /// Default flavour for a device class (what you'd measure with).
-    pub fn default_for(class: DeviceClass) -> Self {
-        match class {
-            DeviceClass::Cpu => RuntimeFlavor::SyclNative,
-            DeviceClass::Gpu => RuntimeFlavor::SyclOnCuda,
-            DeviceClass::Fpga => RuntimeFlavor::SyclFpga,
         }
     }
 }

@@ -6,8 +6,7 @@
 //! possible, while ensuring that each further replication attempt
 //! continues to provide substantial performance improvements". This
 //! module implements that loop as an algorithm over the simulator, plus
-//! a generic sweep utility the ablation benches and the
-//! `fpga_design_space` example build on.
+//! a generic sweep utility the ablation benches build on.
 
 use crate::design::Design;
 use crate::part::FpgaPart;

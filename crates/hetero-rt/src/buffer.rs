@@ -116,7 +116,6 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
             let base = guard.as_mut_ptr();
             let region = integrity::register(
                 id,
-                "buffer",
                 guard.as_ptr() as *const u8,
                 std::mem::size_of_val::<[T]>(&guard),
                 integrity::bit_safe::<T>(),
@@ -285,27 +284,8 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
             ptr: self.storage.base,
             len: self.storage.len,
             object: self.storage.id,
-            base: 0,
             _keepalive: Arc::clone(&self.storage) as Arc<dyn Send + Sync>,
         }
-    }
-
-    /// Create a view over a sub-range `[offset, offset+len)`.
-    pub fn view_range(&self, offset: usize, len: usize) -> Result<GlobalView<T>> {
-        if !fits(offset, len, self.storage.len) {
-            return Err(Error::AccessOutOfBounds {
-                offset,
-                len,
-                buffer_len: self.storage.len,
-            });
-        }
-        Ok(GlobalView {
-            ptr: self.storage.base.wrapping_add(offset),
-            len,
-            object: self.storage.id,
-            base: offset,
-            _keepalive: Arc::clone(&self.storage) as Arc<dyn Send + Sync>,
-        })
     }
 }
 
@@ -315,21 +295,18 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
 unsafe impl<T: Send> Send for Storage<T> {}
 unsafe impl<T: Send> Sync for Storage<T> {}
 
-/// A device-side "global memory pointer" over a buffer (sub-)range.
+/// A device-side "global memory pointer" over a buffer.
 ///
 /// Semantically this is `T* __restrict__`-less CUDA global memory: any
 /// work-item may load or store any element concurrently. Element access is
 /// bounds-checked (indexing past the view panics, the debug behaviour of a
 /// GPU with compute-sanitizer).
 pub struct GlobalView<T> {
-    // Element 0 of the view inside the storage's allocation.
+    // Element 0 of the storage's allocation.
     ptr: *mut T,
     len: usize,
-    // Sanitizer identity: the owning buffer's id and this view's element
-    // offset into it, so sub-range views alias correctly in the shadow
-    // state (element identity is `base + i`).
+    // Sanitizer identity: the owning buffer's id.
     object: u64,
-    base: usize,
     _keepalive: Arc<dyn Send + Sync>,
 }
 
@@ -345,7 +322,6 @@ impl<T> Clone for GlobalView<T> {
             ptr: self.ptr,
             len: self.len,
             object: self.object,
-            base: self.base,
             _keepalive: Arc::clone(&self._keepalive),
         }
     }
@@ -409,21 +385,9 @@ impl<T: Copy> GlobalView<T> {
         if i >= self.len {
             oob(i, 1, self.len);
         }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Read);
+        sanitize::record_global(self.object, i, AccessKind::Read);
         // SAFETY: bounds checked above; allocation alive via _keepalive.
         unsafe { self.elem(i).read() }
-    }
-
-    /// Fallible load: `Err(Error::AccessOutOfBounds)` instead of a panic.
-    /// The host-side accessor shape for code that handles errors locally.
-    #[inline]
-    pub fn try_get(&self, i: usize) -> Result<T> {
-        if i >= self.len {
-            return Err(Error::AccessOutOfBounds { offset: i, len: 1, buffer_len: self.len });
-        }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Read);
-        // SAFETY: bounds checked above; allocation alive via _keepalive.
-        Ok(unsafe { self.elem(i).read() })
     }
 
     /// Store `v` into element `i`. Out-of-bounds behaves as in
@@ -433,21 +397,9 @@ impl<T: Copy> GlobalView<T> {
         if i >= self.len {
             oob(i, 1, self.len);
         }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Write);
+        sanitize::record_global(self.object, i, AccessKind::Write);
         // SAFETY: bounds checked above; allocation alive via _keepalive.
         unsafe { self.elem(i).write(v) }
-    }
-
-    /// Fallible store: `Err(Error::AccessOutOfBounds)` instead of a panic.
-    #[inline]
-    pub fn try_set(&self, i: usize, v: T) -> Result<()> {
-        if i >= self.len {
-            return Err(Error::AccessOutOfBounds { offset: i, len: 1, buffer_len: self.len });
-        }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Write);
-        // SAFETY: bounds checked above; allocation alive via _keepalive.
-        unsafe { self.elem(i).write(v) }
-        Ok(())
     }
 
     /// Store without the sanitizer hook (bounds check still applies).
@@ -480,7 +432,7 @@ impl<T: Copy> GlobalView<T> {
         }
         if sanitize::hooks_armed() {
             for k in 0..W {
-                sanitize::record_global(self.object, self.base + i + k, kind);
+                sanitize::record_global(self.object, i + k, kind);
             }
         }
     }
@@ -527,7 +479,7 @@ impl GlobalView<u32> {
         if i >= self.len {
             oob(i, 1, self.len);
         }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Atomic);
+        sanitize::record_global(self.object, i, AccessKind::Atomic);
         // SAFETY: element is within the allocation; AtomicU32 has the same
         // layout as u32 and all concurrent accesses to this element in
         // kernels using atomics go through this method.
@@ -544,7 +496,7 @@ impl GlobalView<f32> {
         if i >= self.len {
             oob(i, 1, self.len);
         }
-        sanitize::record_global(self.object, self.base + i, AccessKind::Atomic);
+        sanitize::record_global(self.object, i, AccessKind::Atomic);
         // SAFETY: as in atomic_add_u32; f32 is reinterpreted bitwise.
         let a = unsafe { &*(self.elem(i) as *const std::sync::atomic::AtomicU32) };
         let mut cur = a.load(std::sync::atomic::Ordering::Relaxed);
@@ -564,8 +516,7 @@ impl GlobalView<f32> {
 }
 
 /// A recycled allocation waiting on a slab shelf. The payload is the
-/// type-erased raw allocation (`Box<[T]>` for buffers, `Vec<T>` for USM);
-/// the generation travels with it so the next tenant can report how many
+/// type-erased raw allocation (a buffer's `Box<[T]>`); the generation travels with it so the next tenant can report how many
 /// times the bytes have been around.
 struct SlabEntry {
     data: Box<dyn Any + Send>,
@@ -706,28 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn view_range_is_offset() {
-        let b = Buffer::from_slice(&[0u32, 1, 2, 3, 4, 5]);
-        let v = b.view_range(2, 3).unwrap();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.get(0), 2);
-        v.set(2, 99);
-        assert_eq!(b.to_vec(), vec![0, 1, 2, 3, 99, 5]);
-    }
-
-    #[test]
-    fn view_range_out_of_bounds_is_error() {
-        let b = Buffer::<u32>::new(4);
-        let e = b.view_range(2, 3).unwrap_err();
-        assert!(matches!(e, Error::AccessOutOfBounds { .. }));
-        // `offset + len` wraps to 2 in a release build; the check must not.
-        assert_eq!(
-            b.view_range(usize::MAX - 1, 4).err(),
-            Some(Error::AccessOutOfBounds { offset: usize::MAX - 1, len: 4, buffer_len: 4 })
-        );
-    }
-
-    #[test]
     fn oob_load_panics_with_typed_payload() {
         crate::fault::install_quiet_hook();
         let b = Buffer::<u8>::new(1);
@@ -766,19 +695,11 @@ mod tests {
     #[test]
     fn try_accessors_report_bounds_without_panicking() {
         let b = Buffer::from_slice(&[5u32, 6]);
-        let v = b.view();
-        assert_eq!(v.try_get(1).unwrap(), 6);
-        assert!(matches!(
-            v.try_get(2),
-            Err(Error::AccessOutOfBounds { offset: 2, len: 1, buffer_len: 2 })
-        ));
-        v.try_set(0, 9).unwrap();
-        assert!(v.try_set(5, 0).is_err());
-        assert_eq!(b.to_vec(), vec![9, 6]);
         assert!(matches!(
             b.try_write_from(&[1, 2, 3]),
             Err(Error::AccessOutOfBounds { buffer_len: 2, .. })
         ));
+        assert_eq!(b.to_vec(), vec![5, 6]);
     }
 
     #[test]

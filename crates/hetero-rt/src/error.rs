@@ -2,9 +2,8 @@
 //!
 //! These mirror the failure modes the paper runs into while porting Altis
 //! to FPGAs: work-group sizes larger than the device limit cause runtime
-//! errors (Section 4, "Default work-group sizes"), USM allocations return
-//! null on the FPGA boards, and features such as virtual functions are
-//! simply unsupported by a device.
+//! errors (Section 4, "Default work-group sizes"), and features such as
+//! virtual functions are simply unsupported by a device.
 
 use std::fmt;
 
@@ -35,12 +34,6 @@ pub enum Error {
         requested: usize,
         /// Device local-memory capacity in bytes.
         limit: usize,
-    },
-    /// USM allocation is not supported by this device (the paper's
-    /// Stratix 10 and Agilex boards return `nullptr`).
-    UsmUnsupported {
-        /// Device name for diagnostics.
-        device: String,
     },
     /// A feature (e.g. virtual functions) is not supported on the device.
     UnsupportedFeature {
@@ -80,15 +73,6 @@ pub enum Error {
         /// Submission attempts made before giving up.
         attempts: u32,
     },
-    /// A USM allocation returned null on a device whose capability record
-    /// says USM works — the transient flavour of the paper's FPGA
-    /// `malloc_host` failures, injectable by the fault layer.
-    UsmAllocFailed {
-        /// Device name for diagnostics.
-        device: String,
-        /// Requested allocation size in bytes.
-        bytes: usize,
-    },
     /// The dynamic race sanitizer ([`crate::sanitize`]) observed a
     /// SYCL-memory-model violation during the launch: conflicting
     /// accesses to the same element from different work-groups, from
@@ -111,8 +95,7 @@ pub enum Error {
     /// scrubber. Never retried in place (the corrupt bytes are already
     /// at rest); the suite harness quarantines the run.
     DataCorruption {
-        /// Region id (creation-order object id of the Buffer/USM
-        /// allocation).
+        /// Region id (creation-order object id of the buffer).
         region: u64,
         /// Page index (multiples of `integrity::PAGE_BYTES`)
         /// where the first mismatch was found.
@@ -162,9 +145,6 @@ impl fmt::Display for Error {
                 f,
                 "local memory request of {requested} B exceeds device capacity {limit} B"
             ),
-            Error::UsmUnsupported { device } => {
-                write!(f, "USM allocations are not supported on device '{device}'")
-            }
             Error::UnsupportedFeature { feature, device } => {
                 write!(f, "feature '{feature}' is not supported on device '{device}'")
             }
@@ -181,10 +161,6 @@ impl fmt::Display for Error {
             Error::TransientLaunchFailure { kernel, attempts } => write!(
                 f,
                 "kernel '{kernel}' failed to launch after {attempts} attempt(s)"
-            ),
-            Error::UsmAllocFailed { device, bytes } => write!(
-                f,
-                "USM allocation of {bytes} B returned null on device '{device}'"
             ),
             Error::DataRace { kernel, element, kind } => write!(
                 f,
@@ -221,8 +197,7 @@ impl Error {
     pub fn is_cpu_fallback_eligible(&self) -> bool {
         matches!(
             self,
-            Error::UsmUnsupported { .. }
-                | Error::UnsupportedFeature { .. }
+            Error::UnsupportedFeature { .. }
                 | Error::LocalMemExceeded { .. }
                 | Error::WorkGroupTooLarge { .. }
         )
@@ -247,9 +222,6 @@ mod tests {
         let e = Error::IndivisibleRange { global: 100, local: 32, dim: 1 };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("dim 1"));
-
-        let e = Error::UsmUnsupported { device: "Stratix 10".into() };
-        assert!(e.to_string().contains("Stratix 10"));
     }
 
     #[test]
@@ -264,9 +236,6 @@ mod tests {
 
         let e = Error::TransientLaunchFailure { kernel: "nw", attempts: 3 };
         assert!(e.to_string().contains("3 attempt"));
-
-        let e = Error::UsmAllocFailed { device: "Agilex FPGA".into(), bytes: 4096 };
-        assert!(e.to_string().contains("4096"));
     }
 
     #[test]
@@ -285,7 +254,8 @@ mod tests {
 
     #[test]
     fn fallback_eligibility_matches_pre_side_effect_errors() {
-        assert!(Error::UsmUnsupported { device: "x".into() }.is_cpu_fallback_eligible());
+        assert!(Error::UnsupportedFeature { feature: "f", device: "x".into() }
+            .is_cpu_fallback_eligible());
         assert!(Error::LocalMemExceeded { requested: 1, limit: 0 }.is_cpu_fallback_eligible());
         assert!(Error::WorkGroupTooLarge { requested: 256, limit: 128 }
             .is_cpu_fallback_eligible());

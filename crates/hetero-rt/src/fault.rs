@@ -1,7 +1,6 @@
 //! Deterministic, seeded fault injection.
 //!
 //! The paper's FPGA port is a story of runtime failures survived:
-//! `sycl::malloc_host` returning null on Stratix 10/Agilex (Section 4),
 //! work-group sizes exceeding device limits, kernels crashing on
 //! unsupported features. This module lets tests and the chaos harness
 //! *provoke* those failure modes on demand, reproducibly:
@@ -11,17 +10,17 @@
 //!   decision deterministically from the seed;
 //! * a plan is handed to a queue at construction, as its
 //!   [`crate::Hardening::fault`];
-//! * four fault kinds are injectable — USM allocation failure, transient
-//!   launch failure, a kernel panic at a chosen (kernel, work-group), and
-//!   pipe stalls — each mapping to a failure mode the paper reports.
+//! * two fail-stop kinds are injectable — a transient launch failure and
+//!   a kernel panic at a chosen (kernel, work-group) — and two silent
+//!   ones, bit-flips and a stuck-at page, for the SDC defense.
 //!
 //! # Determinism
 //!
 //! Kernel-panic decisions are *stateless*: they hash (seed, kernel name,
 //! group index), so the same plan panics the same groups of the same
-//! kernels regardless of how the pool schedules them. Allocation, launch,
-//! and pipe-stall decisions are *sequenced*: each consumes one draw from a
-//! shared counter, so they are reproducible for a fixed submission order
+//! kernels regardless of how the pool schedules them. Launch and bit-flip
+//! decisions are *sequenced*: each consumes one draw from a shared
+//! counter, so they are reproducible for a fixed submission order
 //! (the common case: a single host thread driving a queue).
 //!
 //! # Containment contract
@@ -35,7 +34,6 @@
 use std::panic::PanicHookInfo;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
-use std::time::Duration;
 
 use altis_data::rng::splitmix64;
 
@@ -44,10 +42,6 @@ use crate::error::Error;
 /// One injectable failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A USM allocation returns null (`Error::UsmAllocFailed`) — the
-    /// paper's Stratix 10/Agilex `malloc_host` behaviour, injected even on
-    /// devices whose capability record says USM works.
-    AllocFail,
     /// A kernel submission fails before any group runs
     /// (`Error::TransientLaunchFailure`); absorbed by
     /// [`crate::queue::RetryPolicy`]. Because the failure precedes all
@@ -57,14 +51,9 @@ pub enum FaultKind {
     /// (`Error::KernelPanicked`); contained by the executor, never
     /// retried (groups may already have produced side effects).
     KernelPanic,
-    /// A blocking pipe operation stalls for a few milliseconds before
-    /// proceeding, adding the backpressure jitter that flushes out
-    /// marginal kernel graphs (diagnosed as `Error::PipeDeadlock` by the
-    /// pipe timeout when the graph cannot absorb it).
-    PipeStall,
-    /// Silent single/multi bit-flips in checksummed memory regions
-    /// (Buffer/USM) at launch boundaries, plus flips in `LocalArena`
-    /// scratch — no panic, no error, just wrong bytes. Applied by the
+    /// Silent single/multi bit-flips in checksummed buffer regions at
+    /// launch boundaries, plus flips in `LocalArena` scratch — no panic,
+    /// no error, just wrong bytes. Applied by the
     /// integrity layer ([`crate::integrity`]); the *detection* of these
     /// is the whole point of [`FaultPlan::sdc`].
     BitFlip,
@@ -76,27 +65,18 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The fail-stop kinds [`FaultPlan::new`] enables: the original
-    /// chaos-layer fault model, kept exact so existing seeded draw
-    /// sequences replay unchanged.
-    const ALL: [FaultKind; 4] = [
-        FaultKind::AllocFail,
-        FaultKind::LaunchTransient,
-        FaultKind::KernelPanic,
-        FaultKind::PipeStall,
-    ];
+    /// The fail-stop kinds [`FaultPlan::new`] enables.
+    const ALL: [FaultKind; 2] = [FaultKind::LaunchTransient, FaultKind::KernelPanic];
 
     /// The silent-corruption kinds [`FaultPlan::sdc`] enables.
     const SDC: [FaultKind; 2] = [FaultKind::BitFlip, FaultKind::StuckPage];
 
     fn bit(self) -> u8 {
         match self {
-            FaultKind::AllocFail => 1,
-            FaultKind::LaunchTransient => 2,
-            FaultKind::KernelPanic => 4,
-            FaultKind::PipeStall => 8,
-            FaultKind::BitFlip => 16,
-            FaultKind::StuckPage => 32,
+            FaultKind::LaunchTransient => 1,
+            FaultKind::KernelPanic => 2,
+            FaultKind::BitFlip => 4,
+            FaultKind::StuckPage => 8,
         }
     }
 }
@@ -107,9 +87,7 @@ impl FaultKind {
 pub(crate) struct Injected(pub(crate) Error);
 
 /// Salt constants separating the draw streams of the sequenced sites.
-const SALT_ALLOC: u64 = 0x0041_4c4c_4f43;
 const SALT_LAUNCH: u64 = 0x4c41_554e_4348;
-const SALT_STALL: u64 = 0x0053_5441_4c4c;
 const SALT_FLIP_ENTRY: u64 = 0x464c_4950_0045;
 const SALT_FLIP_EXIT: u64 = 0x464c_4950_0058;
 const SALT_SITE: u64 = 0x0053_4954_4500;
@@ -142,7 +120,7 @@ pub struct FaultPlan {
     seed: u64,
     rate: f64,
     mask: u8,
-    /// Sequenced-draw counter (alloc / launch / stall sites).
+    /// Sequenced-draw counter (launch and bit-flip sites).
     draws: AtomicU64,
     /// Total faults injected so far, for observability and tests.
     injected: AtomicU64,
@@ -262,11 +240,6 @@ impl FaultPlan {
         hit
     }
 
-    /// Should the next USM allocation return null?
-    pub fn should_fail_alloc(&self) -> bool {
-        self.hit(FaultKind::AllocFail, SALT_ALLOC)
-    }
-
     /// Should this kernel submission fail transiently (before any group
     /// executes)?
     pub fn should_fail_launch(&self, _kernel: &str) -> bool {
@@ -311,26 +284,6 @@ impl FaultPlan {
                 message: "injected fault".to_string(),
             }));
         }
-    }
-
-    /// Sleep for a short deterministic stall if the plan injects one at
-    /// this pipe operation. Returns the stall duration (zero if none),
-    /// which tests use to assert injection happened.
-    pub fn maybe_stall(&self) -> Duration {
-        if !self.enabled(FaultKind::PipeStall) || self.rate <= 0.0 {
-            return Duration::ZERO;
-        }
-        let u = self.draw(SALT_STALL);
-        if u >= self.rate {
-            return Duration::ZERO;
-        }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        // 1–5 ms, derived from the draw so the stall length is as
-        // reproducible as the decision.
-        let ms = 1 + ((u * 1e9) as u64 % 5);
-        let d = Duration::from_millis(ms);
-        std::thread::sleep(d);
-        d
     }
 
     // --- silent-corruption draws (consumed by crate::integrity) ---------
@@ -498,7 +451,6 @@ mod tests {
     fn zero_rate_never_injects() {
         let p = FaultPlan::new(42, 0.0);
         for _ in 0..1000 {
-            assert!(!p.should_fail_alloc());
             assert!(!p.should_fail_launch("k"));
             assert!(!p.should_panic("k", 0));
         }
@@ -508,7 +460,7 @@ mod tests {
     #[test]
     fn full_rate_always_injects() {
         let p = FaultPlan::new(7, 1.0);
-        assert!(p.should_fail_alloc());
+        assert!(p.should_fail_launch("k"));
         assert!(p.should_fail_launch("k"));
         assert!(p.should_panic("k", 3));
         assert!(p.injected() >= 2);
@@ -519,7 +471,6 @@ mod tests {
         let a = FaultPlan::new(1234, 0.3);
         let b = FaultPlan::new(1234, 0.3);
         for _ in 0..500 {
-            assert_eq!(a.should_fail_alloc(), b.should_fail_alloc());
             assert_eq!(a.should_fail_launch("x"), b.should_fail_launch("x"));
         }
         assert_eq!(a.injected(), b.injected());
@@ -529,8 +480,8 @@ mod tests {
     fn different_seeds_differ() {
         let a = FaultPlan::new(1, 0.5);
         let b = FaultPlan::new(2, 0.5);
-        let da: Vec<bool> = (0..64).map(|_| a.should_fail_alloc()).collect();
-        let db: Vec<bool> = (0..64).map(|_| b.should_fail_alloc()).collect();
+        let da: Vec<bool> = (0..64).map(|_| a.should_fail_launch("x")).collect();
+        let db: Vec<bool> = (0..64).map(|_| b.should_fail_launch("x")).collect();
         assert_ne!(da, db);
     }
 
@@ -556,7 +507,6 @@ mod tests {
         assert!(!p.should_panic("victim", 4));
         assert!(!p.should_panic("other", 5));
         assert!(!p.should_fail_launch("victim"));
-        assert!(!p.should_fail_alloc());
     }
 
     #[test]
@@ -604,11 +554,9 @@ mod tests {
         let p = FaultPlan::sdc(3, 0.5);
         assert!(p.enabled(FaultKind::BitFlip) && p.enabled(FaultKind::StuckPage));
         for _ in 0..100 {
-            assert!(!p.should_fail_alloc());
             assert!(!p.should_fail_launch("k"));
             assert!(!p.should_panic("k", 0));
         }
-        assert_eq!(p.maybe_stall(), Duration::ZERO);
         assert!(!FaultPlan::new(3, 0.5).enabled(FaultKind::BitFlip));
     }
 
@@ -653,13 +601,5 @@ mod tests {
         assert_eq!(p.take_flip_targets(), vec![(7, 123, 2)]);
         assert!(p.take_flip_targets().is_empty());
         assert!(!p.wants_flip(false));
-    }
-
-    #[test]
-    fn stall_respects_mask() {
-        let p = FaultPlan::new(5, 1.0).with_kinds(&[FaultKind::KernelPanic]);
-        assert_eq!(p.maybe_stall(), Duration::ZERO);
-        let p = FaultPlan::new(5, 1.0).with_kinds(&[FaultKind::PipeStall]);
-        assert!(p.maybe_stall() > Duration::ZERO);
     }
 }

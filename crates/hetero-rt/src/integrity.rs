@@ -1,12 +1,12 @@
 //! Silent-data-corruption detection: region-granular page checksums.
 //!
 //! The chaos layer (see [`crate::fault`]) defends against *fail-stop*
-//! faults — panics, allocation failures, transient launches. A bit that
-//! silently flips inside a [`crate::Buffer`] or USM region produces no
-//! panic at all: the wrong answer sails straight through to the benchmark
-//! report. This module is the detection half of the SDC defense:
+//! faults — panics and transient launches. A bit that silently flips
+//! inside a [`crate::Buffer`] produces no panic at all: the wrong answer
+//! sails straight through to the benchmark report. This module is the
+//! detection half of the SDC defense:
 //!
-//! * every `Buffer`/`UsmAlloc` backing allocation registers a [`Region`]
+//! * every `Buffer` backing allocation registers a [`Region`]
 //!   while the layer is armed ([`arm`]), carrying per-page (1 KiB)
 //!   checksums of its contents;
 //! * regions are **sealed** (checksummed) after every kernel launch on an
@@ -27,10 +27,9 @@
 //!
 //! # Host-write protocol
 //!
-//! Coarse host mutations (`Buffer::write_from`, `Buffer::write`,
-//! `UsmAlloc::set`, …) reseal or unseal their region, so
-//! ordinary host-side initialization between launches never trips
-//! verification; a store of one element of a larger buffer between
+//! Coarse host mutations (`Buffer::write_from`, `Buffer::write`) reseal
+//! their region, so ordinary host-side initialization between launches
+//! never trips verification; a store of one element of a larger buffer between
 //! replays (a point source) goes through `Buffer::host_set`, which
 //! verifies and reseals only the page it touches. Raw
 //! [`crate::GlobalView`] writes from host code outside
@@ -89,9 +88,9 @@ fn pending() -> &'static Mutex<Vec<Violation>> {
     PENDING.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Arm the integrity layer process-wide. Buffers and USM allocations
-/// created from now on register checksummed regions; integrity queues
-/// start verifying at launch boundaries; parked pool workers scrub.
+/// Arm the integrity layer process-wide. Buffers created from now on
+/// register checksummed regions; integrity queues start verifying at
+/// launch boundaries; parked pool workers scrub.
 pub fn arm() {
     ARMED.store(true, Ordering::SeqCst);
 }
@@ -110,28 +109,23 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// One checksummed backing allocation (a `Buffer` or USM region).
+/// One checksummed backing allocation: a `Buffer`'s storage.
 #[derive(Debug)]
 pub struct Region {
     id: u64,
-    label: &'static str,
     ptr: usize,
     bytes: usize,
     /// Faults are only injected into regions whose element type tolerates
     /// arbitrary bit patterns (primitive numerics). Detection and voting
     /// still cover non-injectable regions.
     injectable: bool,
-    /// Fast-path mirror of `state.seal.is_some()`, so hot host-write
-    /// hooks can skip the mutex when the region is already unsealed.
-    sealed_hint: AtomicBool,
     state: Mutex<RegionState>,
 }
 
 #[derive(Debug)]
 struct RegionState {
     alive: bool,
-    /// Per-page checksums from the last seal; `None` while host writes
-    /// have the region deliberately unsealed.
+    /// Per-page checksums from the last seal; `None` once unregistered.
     seal: Option<Vec<u64>>,
     /// Bumped on every reseal; reported in [`Error::DataCorruption`] so a
     /// violation names *which* seal the contents diverged from.
@@ -156,11 +150,6 @@ impl Region {
         self.id
     }
 
-    /// `"buffer"` or `"usm"`.
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
     /// The region's bytes. Caller must hold `state` and honor the
     /// concurrency contract (no kernel in flight).
     fn bytes_slice(&self) -> &[u8] {
@@ -177,7 +166,6 @@ impl Region {
     fn reseal_locked(&self, st: &mut RegionState) {
         st.seal = Some(self.checksums());
         st.epoch += 1;
-        self.sealed_hint.store(true, Ordering::Release);
     }
 
     /// Recompute checksums after a coarse host write (keeps protection
@@ -189,20 +177,12 @@ impl Region {
         }
     }
 
-    /// Drop the seal (hot host-write hook, e.g. `UsmAlloc::set`):
-    /// verification skips the region until the next launch-exit reseal.
-    pub(crate) fn unseal_fast(&self) {
-        if self.sealed_hint.swap(false, Ordering::AcqRel) {
-            lock(&self.state).seal = None;
-        }
-    }
-
     /// Host store of `len` bytes at byte `offset`, between launches:
     /// the pages it touches are verified against the seal, `write` runs,
     /// and only those pages are resealed — the rest of the region keeps
     /// the protection of its last seal. A page that already diverged is
     /// reported once as [`Error::DataCorruption`] (region resealed to its
-    /// current contents, `write` not run). Unsealed regions just write.
+    /// current contents, `write` not run).
     pub(crate) fn host_store(
         &self,
         offset: usize,
@@ -314,7 +294,6 @@ pub(crate) fn bit_safe<T: 'static>() -> bool {
 /// overhead-free default). The region is sealed immediately.
 pub(crate) fn register(
     id: u64,
-    label: &'static str,
     ptr: *const u8,
     bytes: usize,
     injectable: bool,
@@ -324,11 +303,9 @@ pub(crate) fn register(
     }
     let region = Arc::new(Region {
         id,
-        label,
         ptr: ptr as usize,
         bytes,
         injectable,
-        sealed_hint: AtomicBool::new(false),
         state: Mutex::new(RegionState { alive: true, seal: None, epoch: 0 }),
     });
     region.reseal_now();
@@ -344,7 +321,6 @@ pub(crate) fn unregister(region: &Arc<Region>) {
         st.alive = false;
         st.seal = None;
     }
-    region.sealed_hint.store(false, Ordering::Release);
     lock(registry()).retain(|r| r.id != region.id);
 }
 

@@ -14,9 +14,7 @@
 //! * Single-Task kernel execution (the FPGA-style flavour the paper's
 //!   Section 5.3 rewrites ND-Range kernels into),
 //! * [`Pipe`]s — bounded FIFOs connecting concurrently running kernels,
-//!   used by the paper's optimized KMeans design (Figure 3),
-//! * USM-style allocations whose availability depends on the device
-//!   (the paper's FPGAs return null for `sycl::malloc_host`).
+//!   used by the paper's optimized KMeans design (Figure 3).
 //!
 //! ## Execution model
 //!
@@ -51,7 +49,6 @@
 
 pub mod buffer;
 pub mod cancel;
-pub mod constant;
 pub mod device;
 pub mod error;
 pub mod event;
@@ -68,11 +65,9 @@ pub mod queue;
 pub mod reduction;
 pub mod sanitize;
 pub mod stream;
-pub mod usm;
 
 pub use buffer::{Buffer, GlobalView};
 pub use cancel::CancelToken;
-pub use constant::ConstantMemory;
 pub use device::{Device, DeviceCaps, DeviceKind};
 pub use error::{Error, Result};
 pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};

@@ -9,11 +9,9 @@
 //! concurrent host threads (see
 //! [`crate::queue::Queue::submit_concurrent`]).
 //!
-//! A blocked `read`/`write` stops at the first of three events: the
-//! peer makes room or data, a [`CancelToken`] attached via
-//! [`Pipe::with_cancel_token`] fires ([`Error::Canceled`]), or a generous
-//! timeout runs out. Every handle is both ends of the FIFO, so a peer
-//! can never be observed as gone: a mis-designed kernel graph (e.g. a
+//! A blocked `read`/`write` stops at the first of two events: the peer
+//! makes room or data, or a generous timeout runs out. Every handle is
+//! both ends of the FIFO, so a peer can never be observed as gone: a mis-designed kernel graph (e.g. a
 //! consumer that reads more items than the producer writes) is diagnosed
 //! as [`Error::PipeDeadlock`] instead of hanging the test suite.
 
@@ -21,16 +19,10 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
-use crate::fault::FaultPlan;
 
 /// Default blocking-op timeout before a deadlock is diagnosed.
 const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Wait-slice used when a cancel token is attached: blocked ops wake at
-/// this cadence to poll the token even if no peer ever signals.
-const CANCEL_POLL: Duration = Duration::from_millis(5);
 
 struct Inner<T> {
     fifo: Mutex<VecDeque<T>>,
@@ -46,12 +38,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl<T> Inner<T> {
-    fn write_blocking(
-        &self,
-        v: T,
-        timeout: Duration,
-        cancel: Option<&CancelToken>,
-    ) -> Result<()> {
+    fn write_blocking(&self, v: T, timeout: Duration) -> Result<()> {
         let deadline = Instant::now() + timeout;
         let mut fifo = lock(&self.fifo);
         loop {
@@ -61,22 +48,18 @@ impl<T> Inner<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            if let Some(t) = cancel {
-                t.check("pipe_write")?;
-            }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return Err(Error::PipeDeadlock { waited_secs: timeout.as_secs() });
             };
-            let slice = if cancel.is_some() { remaining.min(CANCEL_POLL) } else { remaining };
             fifo = self
                 .not_full
-                .wait_timeout(fifo, slice)
+                .wait_timeout(fifo, remaining)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
 
-    fn read_blocking(&self, timeout: Duration, cancel: Option<&CancelToken>) -> Result<T> {
+    fn read_blocking(&self, timeout: Duration) -> Result<T> {
         let deadline = Instant::now() + timeout;
         let mut fifo = lock(&self.fifo);
         loop {
@@ -85,16 +68,12 @@ impl<T> Inner<T> {
                 self.not_full.notify_one();
                 return Ok(v);
             }
-            if let Some(t) = cancel {
-                t.check("pipe_read")?;
-            }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return Err(Error::PipeDeadlock { waited_secs: timeout.as_secs() });
             };
-            let slice = if cancel.is_some() { remaining.min(CANCEL_POLL) } else { remaining };
             fifo = self
                 .not_empty
-                .wait_timeout(fifo, slice)
+                .wait_timeout(fifo, remaining)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
@@ -109,17 +88,6 @@ impl<T> Inner<T> {
 pub struct Pipe<T> {
     inner: Arc<Inner<T>>,
     timeout: Duration,
-    fault: Option<Arc<FaultPlan>>,
-    cancel: Option<CancelToken>,
-}
-
-fn stall_if_injected(fault: &Option<Arc<FaultPlan>>) {
-    if let Some(p) = fault {
-        let d = p.maybe_stall();
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-    }
 }
 
 impl<T: Send + 'static> Pipe<T> {
@@ -144,42 +112,19 @@ impl<T: Send + 'static> Pipe<T> {
                 capacity: cap,
             }),
             timeout,
-            fault: None,
-            cancel: None,
         }
     }
 
-    /// Attach a fault plan: blocking operations on this endpoint may be
-    /// deterministically stalled for a few milliseconds before touching
-    /// the FIFO, modelling back-pressure hiccups in the FPGA fabric. The
-    /// stall happens *before* the deadlock deadline is computed, so a
-    /// stalled-but-live pipe graph is never misdiagnosed as deadlocked.
-    // lint:allow(unused-pub) model of the fabric's back-pressure stall: no app pipe carries a plan, pipe.rs's tests attach one
-    pub fn with_fault_plan(mut self, plan: Option<Arc<FaultPlan>>) -> Self {
-        self.fault = plan;
-        self
-    }
-
-    /// Attach a cancellation token: blocking `read`/`write` on this
-    /// endpoint poll the token and return [`Error::Canceled`] when it
-    /// fires, instead of waiting out the deadlock timeout.
-    pub fn with_cancel_token(mut self, token: Option<CancelToken>) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Blocking write (like `pipe::write`). Propagates an attached
-    /// [`CancelToken`] and diagnoses deadlock after a timeout.
+    /// Blocking write (like `pipe::write`). Diagnoses deadlock after a
+    /// timeout.
     pub fn write(&self, v: T) -> Result<()> {
-        stall_if_injected(&self.fault);
-        self.inner.write_blocking(v, self.timeout, self.cancel.as_ref())
+        self.inner.write_blocking(v, self.timeout)
     }
 
-    /// Blocking read (like `pipe::read`). Propagates an attached
-    /// [`CancelToken`] and diagnoses deadlock after a timeout.
+    /// Blocking read (like `pipe::read`). Diagnoses deadlock after a
+    /// timeout.
     pub fn read(&self) -> Result<T> {
-        stall_if_injected(&self.fault);
-        self.inner.read_blocking(self.timeout, self.cancel.as_ref())
+        self.inner.read_blocking(self.timeout)
     }
 }
 
@@ -255,23 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_pipe_still_delivers_in_order() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let plan = Arc::new(FaultPlan::new(5, 1.0).with_kinds(&[FaultKind::PipeStall]));
-        let p = Pipe::with_capacity(4).with_fault_plan(Some(plan.clone()));
-        let t0 = Instant::now();
-        for i in 0..4u8 {
-            p.write(i).unwrap();
-        }
-        for i in 0..4u8 {
-            assert_eq!(p.read().unwrap(), i);
-        }
-        // Every op at rate 1.0 stalls at least 1 ms.
-        assert!(t0.elapsed() >= Duration::from_millis(8));
-        assert!(plan.injected() >= 8);
-    }
-
-    #[test]
     fn blocked_writer_resumes_when_reader_drains() {
         let p = Pipe::with_capacity(1);
         p.write(1u32).unwrap();
@@ -281,31 +209,5 @@ mod tests {
         assert_eq!(p.read().unwrap(), 1);
         t.join().unwrap().unwrap();
         assert_eq!(p.read().unwrap(), 2);
-    }
-
-    #[test]
-    fn cancel_unblocks_read() {
-        let token = CancelToken::new();
-        let p = Pipe::<u8>::with_capacity(1).with_cancel_token(Some(token.clone()));
-        let t = std::thread::spawn(move || p.read());
-        std::thread::sleep(Duration::from_millis(20));
-        let t0 = Instant::now();
-        token.cancel();
-        let e = t.join().unwrap().unwrap_err();
-        assert_eq!(e, Error::Canceled { kernel: "pipe_read" });
-        assert!(t0.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn cancel_unblocks_write() {
-        let token = CancelToken::new();
-        let p = Pipe::with_capacity(1).with_cancel_token(Some(token.clone()));
-        p.write(1u8).unwrap();
-        let q = p.clone();
-        let t = std::thread::spawn(move || q.write(2u8));
-        std::thread::sleep(Duration::from_millis(20));
-        token.cancel();
-        let e = t.join().unwrap().unwrap_err();
-        assert_eq!(e, Error::Canceled { kernel: "pipe_write" });
     }
 }

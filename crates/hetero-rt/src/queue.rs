@@ -105,8 +105,8 @@ impl Redundancy {
 /// What to do when the primary device rejects a launch with a
 /// *pre-side-effect* capability error (see
 /// [`Error::is_cpu_fallback_eligible`]): capability mismatches such as
-/// `UsmUnsupported`, `UnsupportedFeature`, `LocalMemExceeded` and
-/// `WorkGroupTooLarge` are raised before any work-group writes global
+/// `UnsupportedFeature`, `LocalMemExceeded` and `WorkGroupTooLarge` are
+/// raised before any work-group writes global
 /// memory, so a clean re-run elsewhere cannot observe partial results.
 /// This is the paper's manual "if the FPGA can't, run it on the host"
 /// porting workflow promoted into a runtime policy. `KernelPanicked` is
@@ -804,20 +804,6 @@ impl Queue {
         ))
     }
 
-    /// Allocate USM memory on this queue's device, subject to the queue's
-    /// fault plan: on top of the genuine capability failure
-    /// ([`Error::UsmUnsupported`] on the paper's FPGAs), a plan may
-    /// deterministically inject [`Error::UsmAllocFailed`].
-    // lint:allow(unused-pub) paper §3.2: USM allocation fails on the FPGA boards, so the FPGA builds strip it
-    pub fn alloc_usm<T: Copy + Default + 'static>(
-        &self,
-        kind: crate::usm::UsmKind,
-        len: usize,
-    ) -> Result<crate::usm::UsmAlloc<T>> {
-        let plan = self.hardening.fault.as_deref();
-        crate::usm::UsmAlloc::new_with_fault(&self.device, kind, len, plan)
-    }
-
     /// Allocate a zero-initialised buffer of `len` elements, reusing a
     /// retired allocation from the queue's recycling slab when one of the
     /// exact type and length is shelved (see [`Queue::recycle_buffer`]).
@@ -910,20 +896,6 @@ impl Queue {
             stats,
             ResilienceInfo::default(),
         ))
-    }
-
-    /// Fill a buffer range with a value (like `queue.fill`).
-    pub fn fill<T: Copy + Default + Send + Sync + 'static>(
-        &self,
-        dst: &crate::buffer::Buffer<T>,
-        offset: usize,
-        len: usize,
-        value: T,
-    ) -> Result<Event> {
-        let dv = dst.view_range(offset, len)?;
-        self.try_parallel_for("fill", Range::d1(len), move |it| {
-            dv.set(it.gid(0), value);
-        })
     }
 
     /// Block until no launch is in flight on this queue or any clone of
@@ -1108,17 +1080,6 @@ mod tests {
         for wave in 0..4 {
             assert!(out[wave * 16..(wave + 1) * 16].iter().all(|&x| x == wave as u32 + 1));
         }
-    }
-
-    #[test]
-    fn fill_writes_constant_range() {
-        let q = Queue::new(Device::cpu());
-        let b = Buffer::<f32>::new(16);
-        q.fill(&b, 4, 8, 2.5).unwrap();
-        let out = b.to_vec();
-        assert!(out[..4].iter().all(|&v| v == 0.0));
-        assert!(out[4..12].iter().all(|&v| v == 2.5));
-        assert!(out[12..].iter().all(|&v| v == 0.0));
     }
 
     #[test]

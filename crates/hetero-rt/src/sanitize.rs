@@ -11,8 +11,8 @@
 //! # What is checked
 //!
 //! On a queue built with [`crate::Hardening::sanitize`] (the
-//! [`crate::Hardening::sanitizer`] tier), every [`crate::GlobalView`],
-//! USM and [`crate::LocalArray`] element access inside a launch records
+//! [`crate::Hardening::sanitizer`] tier), every [`crate::GlobalView`]
+//! and [`crate::LocalArray`] element access inside a launch records
 //! `(kernel, group, phase, element, read|write)` into a per-worker log.
 //! Per-group logs are merged when the launch ends and analysed for:
 //!
@@ -92,7 +92,7 @@ impl fmt::Display for RaceKind {
 /// Which memory space a report refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemSpace {
-    /// Buffer ([`crate::GlobalView`]) or USM memory, identified by the
+    /// Buffer memory ([`crate::GlobalView`]), identified by the
     /// allocation's process-unique id.
     Global,
     /// A group-local shared array, identified by its per-group
@@ -111,7 +111,7 @@ pub struct RaceReport {
     pub kind: RaceKind,
     /// Memory space of the racing object.
     pub space: MemSpace,
-    /// Buffer/USM allocation id, or local-array index within the group.
+    /// Buffer allocation id, or local-array index within the group.
     pub object: u64,
     /// Element index within the object.
     pub element: usize,
@@ -157,7 +157,7 @@ impl fmt::Display for RaceReport {
 /// disabled-mode cost.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Monotonic id source for buffers and USM allocations. Host-side
+/// Monotonic id source for buffers. Host-side
 /// allocation order is program order, so ids are deterministic.
 static NEXT_OBJECT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -247,7 +247,7 @@ pub(crate) struct GroupRecorder {
     phase: u64,
     current_item: Option<usize>,
     /// Per-element access-class bits for the cross-group merge, keyed by
-    /// (allocation id, element). Global/USM space only.
+    /// (allocation id, element). Global space only.
     global: FastMap<(u64, usize), u8>,
     /// Per-element intra-phase conflict state, keyed by
     /// (space, object, element); cleared at every barrier.
@@ -366,10 +366,10 @@ thread_local! {
 }
 
 // ---------------------------------------------------------------------------
-// Hook entry points (called from buffer/local/usm/ndrange).
+// Hook entry points (called from buffer/local/ndrange).
 // ---------------------------------------------------------------------------
 
-/// Record a global-space (buffer/USM) element access. No-op unless a
+/// Record a global-space (buffer) element access. No-op unless a
 /// sanitized launch is in flight *and* this thread is executing one of
 /// its groups.
 #[inline(always)]

@@ -159,19 +159,3 @@ fn buffer_roundtrip_preserves_bits() {
         assert_eq!(b.to_vec(), data);
     }
 }
-
-#[test]
-fn view_range_windows_compose() {
-    let mut g = Gen::new(0x07);
-    for _ in 0..cases(48) {
-        let len = g.range(1, 1_000);
-        let off = g.range(0, len + 1).min(len);
-        let data: Vec<u32> = (0..len as u32).collect();
-        let b = Buffer::from_slice(&data);
-        let sub_len = len - off;
-        let v = b.view_range(off, sub_len).unwrap();
-        for i in 0..sub_len {
-            assert_eq!(v.get(i), (off + i) as u32);
-        }
-    }
-}

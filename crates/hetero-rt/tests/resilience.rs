@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use hetero_rt::executor::Parallelism;
 use hetero_rt::prelude::*;
-use hetero_rt::usm::UsmKind;
 use hetero_rt::{DeviceCaps, DeviceKind, Fallback, RetryPolicy};
 
 /// A CPU queue injecting `plan`, with `retry`.
@@ -274,24 +273,6 @@ fn wait_blocks_on_outstanding_concurrent_submissions() {
     // Every store of the launch must be visible once wait() returns.
     assert!(b.to_vec().iter().all(|&x| x == 1));
     t.join().unwrap();
-}
-
-/// USM allocation failures are injectable on capable devices and typed.
-#[test]
-fn injected_usm_failure_is_typed() {
-    let plan = FaultPlan::new(3, 1.0).with_kinds(&[FaultKind::AllocFail]);
-    let q = injecting(plan, RetryPolicy::default());
-    let e = q.alloc_usm::<f32>(UsmKind::Shared, 16).unwrap_err();
-    assert_eq!(
-        e,
-        Error::UsmAllocFailed { device: Device::cpu().name().to_string(), bytes: 64 }
-    );
-    // The genuine capability error still wins on USM-less devices.
-    let q = Queue::new(Device::agilex());
-    assert!(matches!(
-        q.alloc_usm::<f32>(UsmKind::Host, 16),
-        Err(Error::UsmUnsupported { .. })
-    ));
 }
 
 /// The same seed and rate reproduce the same faults and the same final

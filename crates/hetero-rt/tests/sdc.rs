@@ -299,26 +299,21 @@ fn armed_rate_zero_launches_stay_clean() {
 }
 
 #[test]
-fn usm_and_buffer_host_apis_keep_protection_coherent() {
+fn write_from_reseals_and_a_raw_view_store_is_caught() {
     let _g = serial();
     let _a = Armed::new();
     let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
-    let mut u = q.alloc_usm::<u32>(hetero_rt::usm::UsmKind::Shared, 512).unwrap();
     let b = Buffer::<u32>::new(512);
-    // USM hot writes unseal (no false positive), buffer coarse writes
-    // reseal (protection stays active).
-    u.set(5, 42);
+    // A coarse host write reseals: no false positive, protection stays.
     b.write_from(&vec![7u32; 512]);
     assert!(integrity::verify_all().is_ok());
     let e = q.try_parallel_for("touch", Range::d1(1), |_| {}).unwrap();
     assert_eq!(e.resilience().faults_absorbed, 0);
-    // After the launch-exit reseal, USM is protected again: a raw
-    // region write would now be caught (exercised via the buffer's view
-    // primitive on the buffer region).
+    // A raw store through a view bypasses the host-write protocol, so
+    // the next launch entry reports it against the buffer's region.
     b.view().set(100, 1);
     let err = q.try_parallel_for("catch", Range::d1(1), |_| {}).unwrap_err();
     assert!(matches!(err, Error::DataCorruption { region, .. } if region == b.object_id()));
-    let _ = u.as_slice();
 }
 
 #[test]

@@ -140,17 +140,13 @@ impl Hardening {
 /// (SDC hardening ignores this: its plan is always the silent kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultKindSel {
-    /// All four fail-stop kinds (the chaos matrix's mix; default).
+    /// Both fail-stop kinds (the chaos matrix's mix; default).
     #[default]
     Mixed,
     /// Transient launch failures only (absorbed by retry).
     Transient,
     /// Kernel panics only (breaker-class failures).
     Panic,
-    /// USM allocation failures only.
-    Alloc,
-    /// Pipe stalls only.
-    Stall,
 }
 
 impl FaultKindSel {
@@ -160,8 +156,6 @@ impl FaultKindSel {
             FaultKindSel::Mixed => "mixed",
             FaultKindSel::Transient => "transient",
             FaultKindSel::Panic => "panic",
-            FaultKindSel::Alloc => "alloc",
-            FaultKindSel::Stall => "stall",
         }
     }
 }
@@ -310,8 +304,6 @@ impl JobRequest {
                 Some("mixed") => FaultKindSel::Mixed,
                 Some("transient") => FaultKindSel::Transient,
                 Some("panic") => FaultKindSel::Panic,
-                Some("alloc") => FaultKindSel::Alloc,
-                Some("stall") => FaultKindSel::Stall,
                 _ => return Err(bad("fault_kind", k)),
             };
         }
@@ -467,6 +459,11 @@ mod tests {
         assert!(e(r#"{"tenant":"t","app":"sort","fault_rate":1.5}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"srad","stream_windows":0}"#).is_err());
         assert!(e(r#"{"tenant":"t","app":"srad","stream_windows":"many"}"#).is_err());
+        // Retired fault kinds are refused like any unknown one.
+        for kind in ["alloc", "stall"] {
+            let err = e(&format!(r#"{{"tenant":"t","app":"srad","fault_kind":"{kind}"}}"#));
+            assert_eq!(err.unwrap_err(), bad("fault_kind", &Json::Str(kind.to_string())));
+        }
     }
 
     #[test]

@@ -534,8 +534,6 @@ fn queue_hardening(req: &JobRequest) -> hetero_rt::Hardening {
             (_, FaultKindSel::Mixed) => p,
             (_, FaultKindSel::Transient) => p.with_kinds(&[FaultKind::LaunchTransient]),
             (_, FaultKindSel::Panic) => p.with_kinds(&[FaultKind::KernelPanic]),
-            (_, FaultKindSel::Alloc) => p.with_kinds(&[FaultKind::AllocFail]),
-            (_, FaultKindSel::Stall) => p.with_kinds(&[FaultKind::PipeStall]),
         })
     });
     match req.hardening {

@@ -97,8 +97,8 @@ fn replication_strategy_agrees_with_paper_scale_choices() {
 #[test]
 fn dse_sweep_covers_fit_failures_gracefully() {
     use fpga_sim::{Design, KernelInstance};
-    use hetero_ir::builder::KernelBuilder;
-    use hetero_ir::ir::OpMix;
+    use hetero_ir::builder::{KernelBuilder, LoopBuilder};
+    use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 
     let part = FpgaPart::agilex();
     let points = fpga_sim::sweep(&part, &[1, 4, 16, 256], |cu| {
@@ -112,6 +112,42 @@ fn dse_sweep_covers_fit_failures_gracefully() {
     assert!(points[3].seconds.is_none(), "256 replicas of an FP64 kernel cannot fit");
     // Utilization grows monotonically with replication.
     assert!(points.windows(2).all(|w| w[1].alm_utilization > w[0].alm_utilization));
+
+    for part in [FpgaPart::stratix10(), FpgaPart::agilex()] {
+        // LavaMD's unroll factor (Case 1): every point fits, and each
+        // step buys time for area.
+        let unroll = fpga_sim::sweep(&part, &[1, 4, 8, 16, 30, 64, 128], |u| {
+            let inner = LoopBuilder::new("particles_j", 128)
+                .body(OpMix { f32_ops: 11, transcendental_ops: 1, local_reads: 4, ..OpMix::default() })
+                .unroll(u)
+                .build();
+            let nbrs = LoopBuilder::new("neighbors", 19).child(inner).build();
+            let k = KernelBuilder::nd_range("lavamd_force", 128)
+                .loop_(nbrs)
+                .local_array("stage", Scalar::F32, 128 * 4, AccessPattern::Banked)
+                .restrict()
+                .build();
+            Design::new(format!("lavamd-u{u}")).with(KernelInstance::new(k).items(128_000))
+        });
+        let secs: Vec<f64> = unroll.iter().map(|p| p.seconds.expect("every unroll fits")).collect();
+        assert!(secs.windows(2).all(|w| w[1] < w[0]), "{}: unroll times {secs:?}", part.name);
+        assert!(unroll.windows(2).all(|w| w[1].alm_utilization > w[0].alm_utilization));
+
+        // Mandelbrot's speculated iterations: each one costs time on a
+        // data-dependent exit, so the paper's 0 is the fastest setting.
+        let spec = fpga_sim::sweep(&part, &[0, 1, 2, 4, 8, 16], |n| {
+            let inner = LoopBuilder::new("escape", 2300)
+                .body(OpMix { f32_ops: 7, cmp_sel_ops: 2, ..OpMix::default() })
+                .speculated(n)
+                .data_dependent_exit()
+                .build();
+            let pixels = LoopBuilder::new("pixels", 1 << 16).ii(1).child(inner).build();
+            let k = KernelBuilder::single_task("mandel").loop_(pixels).restrict().build();
+            Design::new(format!("mandel-s{n}")).with(KernelInstance::new(k))
+        });
+        let secs: Vec<f64> = spec.iter().map(|p| p.seconds.expect("every setting fits")).collect();
+        assert!(secs.windows(2).all(|w| w[1] > w[0]), "{}: speculation times {secs:?}", part.name);
+    }
 }
 
 #[test]
