@@ -12,7 +12,8 @@
 //! ([`hetero_rt::lanes::force`]: the same launches at `W = 1`) and
 //! forced on, and also reports the scalar GB/s and the lane-over-scalar
 //! speedup (median pair ratio). Every other kernel has one width and
-//! reports bandwidth only.
+//! reports bandwidth only. Mandelbrot's escape loop is compute-bound and
+//! rides along for its speedup.
 //!
 //! `--gate R` makes both a hard gate: every kernel that keeps two
 //! widths must read a lane-over-scalar speedup ≥ R (the acceptance bar
@@ -77,8 +78,10 @@ fn measure_fork(name: &'static str, bytes: f64, run: &dyn Fn()) -> KernelRow {
     let t = paired(5, || with(false), || with(true));
     let (scalar_gbps, gbps) = (bytes / t.a_s / 1e9, bytes / t.b_s / 1e9);
     println!(
-        "  {name:<14} scalar {scalar_gbps:>7.2} GB/s   lanes {gbps:>7.2} GB/s   {:.2}x",
-        t.ratio
+        "  {name:<14} scalar {scalar_gbps:>7.2} GB/s   lanes {gbps:>7.2} GB/s   {:.2}x   ({:.1} -> {:.1} ms)",
+        t.ratio,
+        t.a_s * 1e3,
+        t.b_s * 1e3
     );
     KernelRow { name, bytes, gbps, fork: Some((scalar_gbps, t.ratio, t.spread)) }
 }
@@ -127,6 +130,16 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
         let bytes = p.iterations as f64 * 80.0 * (n * n) as f64;
         rows.push(measure_fork("srad_iter", bytes, &|| {
             let out = altis_core::srad::run_with(&q, &p, AppVersion::SyclOptimized, ExecMode::PerLaunch);
+            std::hint::black_box(out[0]);
+        }));
+    }
+
+    // Mandelbrot at size 2: the only traffic is the image write.
+    {
+        let p = altis_data::mandelbrot(altis_data::InputSize::S2);
+        let bytes = 4.0 * (p.dim * p.dim) as f64;
+        rows.push(measure_fork("mandelbrot", bytes, &|| {
+            let out = altis_core::mandelbrot::run(&q, &p, AppVersion::SyclOptimized);
             std::hint::black_box(out[0]);
         }));
     }

@@ -7,6 +7,14 @@
 //! the loop, plus replicating compute units per input size (Table 3 ships
 //! three Mandelbrot bitstreams), yields the ~240–476× optimized-over-
 //! baseline speedups of Figure 4.
+//!
+//! The CPU kernel runs one [`LANES`]-pixel block of a row per work-item,
+//! through a [`lanes::Body`] that advances `W` pixels' escape loops side
+//! by side under a per-lane live mask ([`lanes::sweep`]: the block at
+//! `W = LANES`, a ragged row end at `W = 1`); `W = 1` is the scalar
+//! loop, and [`golden`] keeps its own scalar [`escape`]. [`work_profile`] and [`fpga_design`] model Altis'
+//! kernels — one work-item per pixel, the scalar loop — at the image's
+//! [`MEAN_ESCAPE_FRAC`].
 
 use altis_data::{InputSize, MandelbrotParams};
 use altis_data::paper_scale::mandelbrot as pparams;
@@ -15,9 +23,15 @@ use fpga_sim::{Design, FpgaPart, KernelInstance};
 use hetero_ir::builder::{KernelBuilder, LoopBuilder};
 use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{OpMix, Scalar};
+use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 
 use crate::common::{egress, AppVersion};
+
+/// Mean escape count of the image as a fraction of `max_iters`: the
+/// golden image reads 0.2306 / 0.2221 / 0.2200 at sizes 1 / 2 / 3.
+/// Interior points run all `max_iters`; exterior ones escape fast.
+const MEAN_ESCAPE_FRAC: f64 = 0.225;
 
 /// Complex-plane viewport the image maps onto.
 const X_MIN: f64 = -2.0;
@@ -63,30 +77,70 @@ pub fn golden(p: &MandelbrotParams) -> Vec<u32> {
     img
 }
 
-/// Run the kernel on the runtime. Baseline and optimized GPU versions
-/// compute identical results; their modelled performance differs through
-/// the migration-effects machinery, not through the functional kernel.
+/// One image row: the escape counts of the `W` pixels from column `x`,
+/// written into `img`.
+struct Row<'a> {
+    p: &'a MandelbrotParams,
+    img: &'a GlobalView<u32>,
+    y: usize,
+}
+
+impl lanes::Body for Row<'_> {
+    /// [`escape`] on `W` lanes in its op order. A lane's count stops at
+    /// its first failed check and the loop ends when no lane is live. A
+    /// live lane has `|z| <= 2`, so its `r2` is never NaN and `<=` is
+    /// the negation of `escape`'s `>`.
+    #[inline]
+    fn at<const W: usize>(&self, x: usize) {
+        let Row { p, img, y } = *self;
+        let cx = Lanes::<f64, W>(std::array::from_fn(|k| pixel_coords(p, x + k, y).0));
+        let cy = Lanes::splat(pixel_coords(p, x, y).1);
+        let (mut zx, mut zy) = (Lanes::splat(0.0), Lanes::splat(0.0));
+        let (mut count, mut live) = ([0u32; W], [true; W]);
+        for _ in 0..p.max_iters {
+            let zx2 = zx * zx;
+            let zy2 = zy * zy;
+            let r2 = zx2 + zy2;
+            let mut any = false;
+            for k in 0..W {
+                live[k] &= r2.0[k] <= 4.0;
+                count[k] += u32::from(live[k]);
+                any |= live[k];
+            }
+            if !any {
+                break;
+            }
+            let nzx = zx2 - zy2 + cx;
+            zy = Lanes::splat(2.0) * zx * zy + cy;
+            zx = nzx;
+        }
+        img.set_lanes(y * p.dim + x, Lanes(count));
+    }
+}
+
+/// Run the kernel on the runtime, one work-item per [`LANES`]-pixel
+/// block of a [`Row`]. A work-item per row would idle pool threads: the
+/// runtime packs a flat range 256 items to a work-group, so an image of
+/// up to 256 rows would be one group. Baseline and optimized GPU
+/// versions compute identical results; their modelled performance
+/// differs through the migration-effects machinery, not through the
+/// functional kernel.
 pub fn run(q: &Queue, p: &MandelbrotParams, _version: AppVersion) -> Vec<u32> {
     let out = Buffer::<u32>::new(p.dim * p.dim);
-    let v = out.view();
-    let dim = p.dim;
-    let max_iters = p.max_iters;
+    let img = out.view();
     let pp = *p;
-    q.parallel_for("mandelbrot", Range::d2(dim, dim), move |it| {
-        let (x, y) = (it.gid(0), it.gid(1));
-        let (cx, cy) = pixel_coords(&pp, x, y);
-        v.set(y * dim + x, escape(cx, cy, max_iters));
+    q.parallel_for("mandelbrot", Range::d2(p.dim.div_ceil(LANES), p.dim), move |it| {
+        let x = it.gid(0) * LANES;
+        lanes::sweep(x, (x + LANES).min(pp.dim), &Row { p: &pp, img: &img, y: it.gid(1) });
     });
     egress(out)
 }
 
-/// Analytic work profile for the device models. Average escape count is
-/// measured from the golden image so the profile tracks the actual work.
+/// Analytic work profile for the device models: Altis' per-pixel
+/// scalar loop at the golden image's [`MEAN_ESCAPE_FRAC`].
 pub fn work_profile(size: InputSize) -> WorkProfile {
     let p = pparams(size);
-    // Interior points run all `max_iters`; exterior escape fast. The
-    // measured mean for this viewport is ~28 % of max.
-    let avg_iters = 0.28 * p.max_iters as f64;
+    let avg_iters = MEAN_ESCAPE_FRAC * p.max_iters as f64;
     let pixels = (p.dim * p.dim) as f64;
     // 9 FLOPs per escape iteration (3 mul, 3 add/sub, 1 cmp-ish, fused).
     let flops = pixels * avg_iters * 9.0;
@@ -112,7 +166,7 @@ pub fn work_profile(size: InputSize) -> WorkProfile {
 pub fn fpga_design(size: InputSize, optimized: bool, part: &FpgaPart) -> Design {
     let p = pparams(size);
     let pixels = (p.dim * p.dim) as u64;
-    let avg_iters = (0.28 * p.max_iters as f64) as u64;
+    let avg_iters = (MEAN_ESCAPE_FRAC * p.max_iters as f64) as u64;
     let body = OpMix { f32_ops: 7, cmp_sel_ops: 2, ..OpMix::default() };
 
     if !optimized {
@@ -185,6 +239,42 @@ mod tests {
         let p = tiny();
         let q = Queue::new(Device::cpu());
         assert_eq!(run(&q, &p, AppVersion::SyclBaseline), golden(&p));
+    }
+
+    #[test]
+    fn row_body_is_bit_equal_at_width_one_and_lanes() {
+        use lanes::Body;
+        // 37 columns: four wide blocks and a five-column tail; a last
+        // wide block at 29 runs the tail's columns at `LANES` too.
+        for max_iters in [0, 1, 2, 64] {
+            let p = MandelbrotParams { dim: 37, max_iters };
+            let (narrow, wide) = (Buffer::<u32>::new(37 * 37), Buffer::<u32>::new(37 * 37));
+            let (nv, wv) = (narrow.view(), wide.view());
+            for y in 0..p.dim {
+                (0..p.dim).for_each(|x| Row { p: &p, img: &nv, y }.at::<1>(x));
+                for x in (0..p.dim - LANES).step_by(LANES).chain([p.dim - LANES]) {
+                    Row { p: &p, img: &wv, y }.at::<LANES>(x);
+                }
+            }
+            let g = golden(&p);
+            assert_eq!(narrow.to_vec(), g, "W = 1, max_iters {max_iters}");
+            assert_eq!(wide.to_vec(), g, "W = LANES, max_iters {max_iters}");
+            // The corners lie outside |c| = 2 and escape after one step;
+            // the interior runs out of iterations.
+            assert_eq!(g[0], max_iters.min(1), "corner");
+            assert!(g.iter().filter(|&&c| c == max_iters).count() > 37, "interior");
+        }
+    }
+
+    #[test]
+    fn mean_escape_fraction_is_the_golden_images() {
+        for size in [InputSize::S1, InputSize::S2] {
+            let p = altis_data::mandelbrot(size);
+            let img = golden(&p);
+            let total: u64 = img.iter().map(|&c| c as u64).sum();
+            let frac = total as f64 / (img.len() as f64 * p.max_iters as f64);
+            assert!((frac - MEAN_ESCAPE_FRAC).abs() <= 0.01, "{size}: mean {frac:.4}");
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! `a*a`, making the *SYCL* version up to 6× faster until the authors
 //! ported the fix back to CUDA (Section 3.3). The deep Single-Task
 //! control keeps achieved Fmax near 102–108 MHz on both parts (Table 3).
+//!
+//! The CPU kernel `pf_find_index`, [`golden`] and the stream reference
+//! resample through one binary search over the CDF ([`search_cdf`]),
+//! which returns the walk's index. [`work_profile`] and [`fpga_design`]
+//! model Altis' kernels: the GPU walk from index 0 and the FPGA rewrite's
+//! windowed walk.
 
 use altis_data::{InputSize, PfParams};
 use altis_data::paper_scale::particlefilter as pparams;
@@ -107,14 +113,30 @@ fn likelihood(variant: PfVariant, px: f32, py: f32, tx: f32, ty: f32) -> f32 {
     (-d2 / 200.0).exp()
 }
 
-/// CDF walk with data-dependent exit — the `findIndex` branch storm.
+/// `findIndex` on a host CDF: see [`search_cdf`].
 fn find_index(cdf: &[f32], u: f32) -> usize {
-    for (i, &c) in cdf.iter().enumerate() {
-        if c >= u {
-            return i;
+    search_cdf(cdf.len(), |i| cdf[i], u)
+}
+
+/// The first index `i` of an `n`-entry CDF with `at(i) >= u`, or `n - 1`
+/// when there is none: the answer of Altis' `findIndex`, which walks the
+/// CDF from index 0. Found by binary search, `⌈log2(n + 1)⌉` reads of
+/// `at` in place of about `n / 2`. The CDF is a running sum of
+/// non-negative weights, so it is non-decreasing with no NaN: `at(i) <
+/// u` holds on a prefix of the indices and the walk stops where that
+/// prefix ends.
+fn search_cdf(n: usize, at: impl Fn(usize) -> f32, u: f32) -> usize {
+    // Every entry below `lo` is `< u`; every entry from `hi` on is `>= u`.
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if at(mid) < u {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
-    cdf.len() - 1
+    lo.min(n - 1)
 }
 
 /// Golden reference: sequential bootstrap particle filter.
@@ -295,7 +317,8 @@ pub(crate) fn propagate_graph(
     })
 }
 
-/// Record the resampling launch, the parallel CDF walk.
+/// Record the resampling launch: each particle's [`search_cdf`] over the
+/// device CDF, read through the checked accessor.
 pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Graph> {
     let Cloud { xs, ys, cdf, nxs, nys, frame, .. } = cloud;
     let n = xs.len();
@@ -310,14 +333,7 @@ pub(crate) fn resample_graph(q: &Queue, cloud: &Cloud) -> hetero_rt::Result<Grap
                 let u0 = pv.get(2);
                 let j = it.gid(0);
                 let u = u0 + j as f32 / n as f32;
-                // The branch-heavy CDF walk.
-                let mut idx = cv.len() - 1;
-                for i in 0..cv.len() {
-                    if cv.get(i) >= u {
-                        idx = i;
-                        break;
-                    }
-                }
+                let idx = search_cdf(cv.len(), |i| cv.get(i), u);
                 nxv.set(j, xv.get(idx));
                 nyv.set(j, yv.get(idx));
             },
@@ -556,6 +572,46 @@ mod tests {
         assert_eq!(find_index(&cdf, 0.69), 2);
         assert_eq!(find_index(&cdf, 0.99), 3);
         assert_eq!(find_index(&cdf, 2.0), 3); // past the end
+    }
+
+    #[test]
+    fn cdf_search_returns_the_linear_walks_index() {
+        // Altis' `findIndex` walk, the oracle: the first entry `>= u`,
+        // else the last index.
+        fn walk(cdf: &[f32], u: f32) -> usize {
+            cdf.iter().position(|&c| c >= u).unwrap_or(cdf.len() - 1)
+        }
+        let mut cdfs = vec![
+            vec![0.5],
+            vec![0.0],
+            vec![1.0, 1.0, 1.0],
+            vec![0.0, 0.0, 0.25, 0.25, 0.25, 0.75, 1.0, 1.0],
+        ];
+        // Running sums of weights of which about a third are zero, so
+        // the CDF has plateaus, at every length from 1 to 64.
+        let mut rng = Lcg::new(29);
+        for n in 1..=64 {
+            let mut acc = 0.0f32;
+            let cdf = (0..n)
+                .map(|_| {
+                    let r = rng.uniform();
+                    acc += if r < 0.33 { 0.0 } else { r };
+                    acc
+                })
+                .collect();
+            cdfs.push(cdf);
+        }
+        for cdf in &cdfs {
+            let last = cdf[cdf.len() - 1];
+            let mut us = vec![-1.0, 0.0, last + 1.0, f32::INFINITY];
+            for &c in cdf {
+                us.extend([c, c.next_down(), c.next_up(), 0.5 * c]);
+            }
+            us.extend((0..32).map(|_| rng.uniform() * last));
+            for u in us {
+                assert_eq!(find_index(cdf, u), walk(cdf, u), "u = {u} in {cdf:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! spelling to compare; what this pins is the switch. With lanes forced
 //! *off* `lanes::sweep` runs every SRAD row whole at `W = 1`, with lanes
 //! forced *on* in wide blocks, and both must equal the golden
-//! **bitwise** (as must FDTD2D, which has one width). Under either
+//! **bitwise** (as must FDTD2D, which has one width, and Mandelbrot,
+//! whose escape loops run eight pixels at a time). Under either
 //! setting FDTD2D's and SRAD's row kernels must also give the same bits
 //! on every route that runs them: per launch, recorded graph, the armed
 //! per-node walk, and the window stream.
@@ -76,11 +77,15 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
     let sp = altis_data::srad(InputSize::S1);
     let fdtd_golden = altis_core::fdtd2d::golden(&fp);
     let srad_golden = altis_core::srad::golden(&sp);
+    let mp = altis_data::mandelbrot(InputSize::S1);
+    let mandel_golden = altis_core::mandelbrot::golden(&mp);
 
     for (on, what) in [(false, "lanes off"), (true, "lanes on")] {
         hetero_rt::lanes::force(on);
         let (fdtd, srad) = routes_agree(&q, &fp, &sp, what);
         assert_eq!(field_bits(&fdtd), field_bits(&fdtd_golden), "FDTD2D vs golden, {what}");
         assert_eq!(bits(&srad), bits(&srad_golden), "SRAD vs golden, {what}");
+        let mandel = altis_core::mandelbrot::run(&q, &mp, AppVersion::SyclOptimized);
+        assert_eq!(mandel, mandel_golden, "Mandelbrot vs golden, {what}");
     }
 }
