@@ -36,7 +36,7 @@
 //! fails the gate (about 11 ns either way with a `delinearize` per item).
 //!
 //! Reported, not gated: the disarmed queue against the bare executor
-//! (the whole queue layer — retry loop, event and stats bookkeeping —
+//! (the whole queue layer — retry loop and event bookkeeping —
 //! mostly predating the defense) and the armed arms: page-checksum
 //! verify and reseal per launch, and DMR voting on top (about 2x by
 //! construction).

@@ -572,8 +572,6 @@ pub enum ResilienceOutcome {
     /// The app panicked with a payload that is not a typed [`Error`]:
     /// containment failed.
     Panicked(String),
-    /// The watchdog expired: the run hung.
-    TimedOut,
 }
 
 /// A typed [`Error`] payload is what it carries; any other panic is a

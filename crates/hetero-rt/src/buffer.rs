@@ -18,8 +18,6 @@
 //! CUDA originals, so that concurrent writes target disjoint elements or
 //! go through the provided atomics.
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
@@ -38,10 +36,6 @@ struct Storage<T> {
     // allocation order is program order, so ids are deterministic. The
     // integrity layer reuses the same id as its region id.
     id: u64,
-    // How many times this allocation has been through the recycling slab
-    // (0 for a fresh allocation). The *identity* (id, region) is always
-    // fresh — reuse recycles bytes, never shadow state.
-    generation: u64,
     // Checksummed integrity region; `None` while the layer is disarmed
     // (the zero-overhead default).
     region: Option<Arc<integrity::Region>>,
@@ -99,15 +93,10 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         Buffer::build(src.into_boxed_slice())
     }
 
+    /// Construct over `data` with a fresh identity: a new sanitizer
+    /// object id and, while the integrity layer is armed, a newly
+    /// registered region.
     fn build(data: Box<[T]>) -> Self {
-        Buffer::build_gen(data, 0)
-    }
-
-    /// Construct over an existing allocation with an explicit recycling
-    /// generation. Identity is always fresh: a new sanitizer object id
-    /// and a newly registered integrity region, so reuse can never leak
-    /// the previous tenant's shadow state or page seals.
-    pub(crate) fn build_gen(data: Box<[T]>, generation: u64) -> Self {
         let len = data.len();
         let id = sanitize::next_object_id();
         let data = Mutex::new(data);
@@ -122,21 +111,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
             );
             (base, region)
         };
-        Buffer { storage: Arc::new(Storage { data, base, len, id, generation, region }) }
-    }
-
-    /// Reclaim the underlying allocation (for recycling, or for
-    /// [`Buffer::into_vec`]). Succeeds only when this handle is the
-    /// *sole* owner ([`Buffer::is_sole_owner`]); otherwise the handle
-    /// comes back untouched as the `Err`. On success the integrity region
-    /// is unregistered (the storage drop path) before the raw bytes are
-    /// handed back.
-    pub(crate) fn into_raw_parts(self) -> std::result::Result<(Box<[T]>, u64), Self> {
-        let storage = Arc::try_unwrap(self.storage).map_err(|storage| Buffer { storage })?;
-        let generation = storage.generation;
-        let data = std::mem::take(&mut *storage.host());
-        // `storage` drops here, unregistering the integrity region.
-        Ok((data, generation))
+        Buffer { storage: Arc::new(Storage { data, base, len, id, region }) }
     }
 
     /// Whether this handle is the only owner of the storage: no clones
@@ -151,13 +126,6 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
     /// creation order, so targeted SDC tests can address a region.
     pub fn object_id(&self) -> u64 {
         self.storage.id
-    }
-
-    /// How many times this buffer's allocation has been through the
-    /// recycling slab ([`crate::Queue::recycled_buffer`]); 0 for a fresh
-    /// allocation.
-    pub fn generation(&self) -> u64 {
-        self.storage.generation
     }
 
     /// Number of elements.
@@ -194,9 +162,13 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
     /// this falls back to the [`Buffer::to_vec`] copy: the result is the
     /// same either way, only its cost depends on what was dropped first.
     pub fn into_vec(self) -> Vec<T> {
-        match self.into_raw_parts() {
-            Ok((data, _)) => data.into_vec(),
-            Err(shared) => shared.to_vec(),
+        match Arc::try_unwrap(self.storage) {
+            Ok(storage) => {
+                let data = std::mem::take(&mut *storage.host());
+                // `storage` drops here, unregistering the integrity region.
+                data.into_vec()
+            }
+            Err(shared) => Buffer { storage: shared }.to_vec(),
         }
     }
 
@@ -512,69 +484,6 @@ impl GlobalView<f32> {
                 Err(actual) => cur = actual,
             }
         }
-    }
-}
-
-/// A recycled allocation waiting on a slab shelf. The payload is the
-/// type-erased raw allocation (a buffer's `Box<[T]>`); the generation travels with it so the next tenant can report how many
-/// times the bytes have been around.
-struct SlabEntry {
-    data: Box<dyn Any + Send>,
-    generation: u64,
-}
-
-/// Maximum recycled allocations kept per `(type, length)` size class;
-/// returns beyond this are dropped so a burst of temporaries cannot pin
-/// unbounded memory.
-const SLAB_SHELF_CAP: usize = 8;
-
-/// Buffer-recycling slab: size-class free lists of retired allocations,
-/// shared by every clone of a [`crate::Queue`].
-///
-/// Iterative Altis kernels allocate the same-shaped temporaries every
-/// timestep (reduction partials, per-frame scratch); round-tripping the
-/// system allocator for each is pure non-kernel overhead (Figure 1's
-/// non-kernel bar). The slab keeps retired allocations keyed by
-/// `(element type, exact length)` and hands them back zero-filled. Its
-/// caller takes and returns scratch on the submitting thread, so one
-/// shelf map behind one lock is all the sharing it needs.
-///
-/// Reuse recycles **bytes only**, never identity: a recycled buffer gets
-/// a fresh sanitizer object id and a freshly registered integrity region
-/// (the old region was unregistered when the allocation was retired), and
-/// its generation counter increments. Sanitizer shadow state and page
-/// seals therefore always start clean — nothing leaks from the previous
-/// tenant.
-pub struct BufferSlab {
-    shelves: Mutex<HashMap<(TypeId, usize), Vec<SlabEntry>>>,
-}
-
-impl BufferSlab {
-    pub(crate) fn new() -> Self {
-        BufferSlab { shelves: Mutex::new(HashMap::new()) }
-    }
-
-    fn shelves(&self) -> MutexGuard<'_, HashMap<(TypeId, usize), Vec<SlabEntry>>> {
-        self.shelves.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Take a retired allocation of erased type `D` and exact length
-    /// `len` off its shelf, with the generation it retired at.
-    pub(crate) fn take<D: Any + Send>(&self, len: usize) -> Option<(D, u64)> {
-        let e = self.shelves().get_mut(&(TypeId::of::<D>(), len)).and_then(Vec::pop)?;
-        Some((*e.data.downcast::<D>().expect("slab shelf keyed by TypeId"), e.generation))
-    }
-
-    /// Shelve a retired allocation. Returns `false` when its size class
-    /// is already at capacity.
-    pub(crate) fn put<D: Any + Send>(&self, len: usize, data: D, generation: u64) -> bool {
-        let mut shelves = self.shelves();
-        let shelf = shelves.entry((TypeId::of::<D>(), len)).or_default();
-        if shelf.len() >= SLAB_SHELF_CAP {
-            return false;
-        }
-        shelf.push(SlabEntry { data: Box::new(data), generation });
-        true
     }
 }
 

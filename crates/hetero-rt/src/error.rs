@@ -2,8 +2,7 @@
 //!
 //! These mirror the failure modes the paper runs into while porting Altis
 //! to FPGAs: work-group sizes larger than the device limit cause runtime
-//! errors (Section 4, "Default work-group sizes"), and features such as
-//! virtual functions are simply unsupported by a device.
+//! errors (Section 4, "Default work-group sizes").
 
 use std::fmt;
 
@@ -11,11 +10,11 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A kernel was launched with a work-group size larger than the
-    /// device's limit (or the kernel's declared `reqd_work_group_size`).
+    /// device's limit.
     WorkGroupTooLarge {
         /// Requested work-group size (product over dimensions).
         requested: usize,
-        /// Device or kernel-attribute limit that was exceeded.
+        /// Device limit that was exceeded.
         limit: usize,
     },
     /// The global range is not divisible by the local range in some
@@ -34,13 +33,6 @@ pub enum Error {
         requested: usize,
         /// Device local-memory capacity in bytes.
         limit: usize,
-    },
-    /// A feature (e.g. virtual functions) is not supported on the device.
-    UnsupportedFeature {
-        /// Human-readable feature name.
-        feature: &'static str,
-        /// Device name for diagnostics.
-        device: String,
     },
     /// An accessor requested a range that lies outside the buffer.
     AccessOutOfBounds {
@@ -145,9 +137,6 @@ impl fmt::Display for Error {
                 f,
                 "local memory request of {requested} B exceeds device capacity {limit} B"
             ),
-            Error::UnsupportedFeature { feature, device } => {
-                write!(f, "feature '{feature}' is not supported on device '{device}'")
-            }
             // Saturating: an offset from a wrapped index overflows the sum.
             Error::AccessOutOfBounds { offset, len, buffer_len } => write!(
                 f,
@@ -197,9 +186,7 @@ impl Error {
     pub fn is_cpu_fallback_eligible(&self) -> bool {
         matches!(
             self,
-            Error::UnsupportedFeature { .. }
-                | Error::LocalMemExceeded { .. }
-                | Error::WorkGroupTooLarge { .. }
+            Error::LocalMemExceeded { .. } | Error::WorkGroupTooLarge { .. }
         )
     }
 }
@@ -254,8 +241,6 @@ mod tests {
 
     #[test]
     fn fallback_eligibility_matches_pre_side_effect_errors() {
-        assert!(Error::UnsupportedFeature { feature: "f", device: "x".into() }
-            .is_cpu_fallback_eligible());
         assert!(Error::LocalMemExceeded { requested: 1, limit: 0 }.is_cpu_fallback_eligible());
         assert!(Error::WorkGroupTooLarge { requested: 256, limit: 128 }
             .is_cpu_fallback_eligible());

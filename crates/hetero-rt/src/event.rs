@@ -11,23 +11,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Statistics the executor gathers while running a kernel. These feed
-//  tests (e.g. "this kernel executed every work-item exactly once") and
-/// the work profiles consumed by the performance models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaunchStats {
-    /// Work-groups executed.
-    pub groups: u64,
-    /// Work-items executed (summed over groups and phases).
-    pub items: u64,
-    /// Local-scope barriers observed.
-    pub barriers_local: u64,
-    /// Global-scope barriers observed.
-    pub barriers_global: u64,
-    /// Peak local-memory bytes allocated by any single work-group.
-    pub local_bytes: usize,
-}
-
 /// Profiling timestamps of one kernel launch.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfilingInfo {
@@ -198,18 +181,13 @@ impl ResilienceLedger {
 #[derive(Debug, Clone)]
 pub struct Event {
     profiling: Option<ProfilingInfo>,
-    stats: LaunchStats,
     resilience: ResilienceInfo,
     name: &'static str,
 }
 
 impl Event {
-    pub(crate) fn new(
-        name: &'static str,
-        profiling: Option<ProfilingInfo>,
-        stats: LaunchStats,
-    ) -> Self {
-        Event { profiling, stats, resilience: ResilienceInfo::default(), name }
+    pub(crate) fn new(name: &'static str, profiling: Option<ProfilingInfo>) -> Self {
+        Event { profiling, resilience: ResilienceInfo::default(), name }
     }
 
     pub(crate) fn with_resilience(mut self, resilience: ResilienceInfo) -> Self {
@@ -231,11 +209,6 @@ impl Event {
     /// device-selection helpers forget to enable queue profiling.
     pub fn profiling(&self) -> Option<&ProfilingInfo> {
         self.profiling.as_ref()
-    }
-
-    /// Executor statistics for this launch.
-    pub fn stats(&self) -> LaunchStats {
-        self.stats
     }
 
     /// What the retry/fallback machinery did to complete this launch.
@@ -278,14 +251,14 @@ mod tests {
 
     #[test]
     fn event_without_profiling_yields_none() {
-        let e = Event::new("k", None, LaunchStats::default());
+        let e = Event::new("k", None);
         assert!(e.profiling().is_none());
         assert_eq!(e.name(), "k");
     }
 
     #[test]
     fn resilience_defaults_to_quiet_launch() {
-        let e = Event::new("k", None, LaunchStats::default());
+        let e = Event::new("k", None);
         assert_eq!(
             *e.resilience(),
             ResilienceInfo {

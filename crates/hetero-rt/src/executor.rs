@@ -6,17 +6,14 @@
 //! claimed from the pool in adaptive chunks (see [`crate::pool`]), which
 //! balances irregular group costs (e.g. Mandelbrot rows near the set take
 //! far longer than rows far from it) without serialising thousands of
-//! tiny groups on one hot atomic. Per-group statistics are accumulated
-//! thread-locally per chunk and folded into the launch totals once per
-//! chunk instead of five atomic RMWs per group.
+//! tiny groups on one hot atomic.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::error::{Error, Result};
-use crate::event::LaunchStats;
 use crate::fault::{classify_panic, FaultPlan};
 use crate::ndrange::{GroupCtx, NdRange};
 
@@ -45,29 +42,7 @@ impl Parallelism {
     }
 }
 
-/// Plain accumulator for one chunk of groups; folded into the shared
-/// atomics once per chunk.
-#[derive(Default)]
-struct ChunkStats {
-    items: u64,
-    barriers_local: u64,
-    barriers_global: u64,
-    local_bytes: usize,
-}
-
-impl ChunkStats {
-    #[inline]
-    fn absorb(&mut self, ctx: &GroupCtx) {
-        let (it, bl, bg, lb) = ctx.stats();
-        self.items += it;
-        self.barriers_local += bl;
-        self.barriers_global += bg;
-        self.local_bytes = self.local_bytes.max(lb);
-    }
-}
-
-/// Execute `kernel` once per work-group of `nd`, in parallel, returning
-/// aggregated launch statistics.
+/// Execute `kernel` once per work-group of `nd`, in parallel.
 ///
 /// `local_mem_limit` bounds each group's shared-memory allocations (the
 /// device capacity).
@@ -75,36 +50,19 @@ impl ChunkStats {
 /// A panicking kernel does not abort the process: the panic is contained
 /// (see [`run_groups_contained`]) and re-raised here on the calling
 /// thread as a typed [`Error`] payload.
-pub fn run_groups<K>(
-    nd: NdRange,
-    parallelism: Parallelism,
-    local_mem_limit: usize,
-    kernel: &K,
-) -> LaunchStats
-where
-    K: Fn(&GroupCtx) + Sync,
-{
-    run_groups_timed(nd, parallelism, local_mem_limit, kernel).0
-}
-
-/// Like [`run_groups`], additionally returning the pool-dispatch
-/// duration (time spent handing the launch to the worker pool before the
-/// submitting thread began executing groups itself). Queues record this
-/// so profiling can split launch overhead from kernel work.
-fn run_groups_timed<K>(
-    nd: NdRange,
-    parallelism: Parallelism,
-    local_mem_limit: usize,
-    kernel: &K,
-) -> (LaunchStats, Duration)
+pub fn run_groups<K>(nd: NdRange, parallelism: Parallelism, local_mem_limit: usize, kernel: &K)
 where
     K: Fn(&GroupCtx) + Sync,
 {
     run_groups_contained(nd, parallelism, local_mem_limit, "<kernel>", None, false, None, kernel)
-        .unwrap_or_else(|e| std::panic::panic_any(e))
+        .unwrap_or_else(|e| std::panic::panic_any(e));
 }
 
 /// The containment-aware executor core every queue launch runs through.
+/// Returns the pool-dispatch duration: the time spent handing the launch
+/// to the worker pool before the submitting thread began executing
+/// groups itself (zero on the sequential path). Queues record it so
+/// profiling can split launch overhead from kernel work.
 ///
 /// Each work-group executes under `catch_unwind`; the first panic cancels
 /// the launch (remaining groups are skipped via a shared flag, already
@@ -135,7 +93,7 @@ pub fn run_groups_contained<K>(
     sanitize: bool,
     cancel: Option<&crate::cancel::CancelToken>,
     kernel: &K,
-) -> Result<(LaunchStats, Duration)>
+) -> Result<Duration>
 where
     K: Fn(&GroupCtx) + Sync,
 {
@@ -145,7 +103,7 @@ where
     let threads = parallelism.thread_count().min(num_groups.max(1));
     let session = sanitize.then(|| crate::sanitize::LaunchSession::begin(kernel_name));
 
-    let run_one = |g: usize, acc: &mut ChunkStats| -> std::result::Result<(), Error> {
+    let run_one = |g: usize| -> std::result::Result<(), Error> {
         let gid = groups_range.delinearize(g);
         // Local-memory SDC flips: `local_ctx` is None unless the plan
         // injects bit-flips, so the common path pays one branch here.
@@ -164,13 +122,7 @@ where
             // restore any enclosing launch's recorder on this thread.
             s.finish_group(prev_recorder.flatten(), r.is_ok());
         }
-        match r {
-            Ok(()) => {
-                acc.absorb(&ctx);
-                Ok(())
-            }
-            Err(payload) => Err(classify_panic(kernel_name, g, payload)),
-        }
+        r.map_err(|payload| classify_panic(kernel_name, g, payload))
     };
 
     // After all groups finished cleanly: cross-group race analysis. The
@@ -192,35 +144,20 @@ where
     if threads <= 1 {
         // Deterministic path: ascending group order on the calling
         // thread, no pool involvement, no atomics.
-        let mut acc = ChunkStats::default();
         for g in 0..num_groups {
             if let Some(t) = cancel {
                 t.check(kernel_name)?;
             }
-            run_one(g, &mut acc)?;
+            run_one(g)?;
         }
         analyze(session)?;
-        return Ok((
-            LaunchStats {
-                groups: num_groups as u64,
-                items: acc.items,
-                barriers_local: acc.barriers_local,
-                barriers_global: acc.barriers_global,
-                local_bytes: acc.local_bytes,
-            },
-            Duration::ZERO,
-        ));
+        return Ok(Duration::ZERO);
     }
 
-    let items = AtomicU64::new(0);
-    let barriers_local = AtomicU64::new(0);
-    let barriers_global = AtomicU64::new(0);
-    let local_bytes_max = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<Error>> = Mutex::new(None);
 
     let (dispatch, stray_payload) = crate::pool::run_job_catch(num_groups, threads, &|start, end| {
-        let mut acc = ChunkStats::default();
         for g in start..end {
             if abort.load(Ordering::Relaxed) {
                 break; // launch canceled: drain the claimed chunk cheaply
@@ -229,7 +166,7 @@ where
                 Some(t) => t.check(kernel_name),
                 None => Ok(()),
             }
-            .and_then(|()| run_one(g, &mut acc));
+            .and_then(|()| run_one(g));
             if let Err(e) = r {
                 abort.store(true, Ordering::Relaxed);
                 failure
@@ -239,14 +176,10 @@ where
                 break;
             }
         }
-        items.fetch_add(acc.items, Ordering::Relaxed);
-        barriers_local.fetch_add(acc.barriers_local, Ordering::Relaxed);
-        barriers_global.fetch_add(acc.barriers_global, Ordering::Relaxed);
-        local_bytes_max.fetch_max(acc.local_bytes, Ordering::Relaxed);
     });
 
     // Per-group catch_unwind means chunks themselves cannot panic; a
-    // stray payload would indicate a bug in the stat folding above.
+    // stray payload would indicate a bug in the claim loop above.
     if let Some(payload) = stray_payload {
         return Err(classify_panic(kernel_name, usize::MAX, payload));
     }
@@ -258,17 +191,7 @@ where
         return Err(e);
     }
     analyze(session)?;
-
-    Ok((
-        LaunchStats {
-            groups: num_groups as u64,
-            items: items.load(Ordering::Relaxed),
-            barriers_local: barriers_local.load(Ordering::Relaxed),
-            barriers_global: barriers_global.load(Ordering::Relaxed),
-            local_bytes: local_bytes_max.load(Ordering::Relaxed),
-        },
-        dispatch,
-    ))
+    Ok(dispatch)
 }
 
 #[cfg(test)]
@@ -279,27 +202,34 @@ mod tests {
 
     #[test]
     fn all_groups_execute_exactly_once() {
+        // Whatever the chunk boundaries, in every parallelism mode.
         let nd = NdRange::d1(1024, 32);
-        let b = Buffer::<u32>::new(nd.num_groups());
-        let v = b.view();
-        let stats = run_groups(nd, Parallelism::Auto, 1 << 20, &|ctx: &GroupCtx| {
-            v.atomic_add_u32(ctx.group_linear(), 1);
-        });
-        assert_eq!(stats.groups, 32);
-        assert!(b.to_vec().iter().all(|&c| c == 1));
+        for p in [Parallelism::Sequential, Parallelism::Auto, Parallelism::Threads(3)] {
+            let b = Buffer::<u32>::new(nd.num_groups());
+            let v = b.view();
+            run_groups(nd, p, 1 << 20, &|ctx: &GroupCtx| {
+                v.atomic_add_u32(ctx.group_linear(), 1);
+            });
+            assert!(b.to_vec().iter().all(|&c| c == 1), "{p:?}");
+        }
     }
 
     #[test]
     fn item_counts_aggregate_over_phases() {
         let nd = NdRange::d1(64, 16);
-        let stats = run_groups(nd, Parallelism::Sequential, 1 << 20, &|ctx: &GroupCtx| {
-            ctx.items(|_| {});
+        let count = Buffer::<u32>::new(1);
+        let v = count.view();
+        run_groups(nd, Parallelism::Sequential, 1 << 20, &|ctx: &GroupCtx| {
+            ctx.items(|_| {
+                v.atomic_add_u32(0, 1);
+            });
             ctx.barrier(FenceSpace::Local);
-            ctx.items(|_| {});
+            ctx.items(|_| {
+                v.atomic_add_u32(0, 1);
+            });
         });
         // Two phases × 64 items.
-        assert_eq!(stats.items, 128);
-        assert_eq!(stats.barriers_local, 4); // one per group
+        assert_eq!(count.to_vec()[0], 128);
     }
 
     #[test]
@@ -317,38 +247,6 @@ mod tests {
             b.to_vec()
         };
         assert_eq!(run(Parallelism::Sequential), run(Parallelism::Threads(8)));
-    }
-
-    #[test]
-    fn stats_identical_across_parallelism_modes() {
-        // Per-chunk folding must produce the same totals as per-group
-        // accumulation, whatever the chunk boundaries were.
-        let nd = NdRange::d1(4096, 16);
-        let run = |p| {
-            run_groups(nd, p, 1 << 20, &|ctx: &GroupCtx| {
-                let _l = ctx.local_array::<u32>(64);
-                ctx.items(|_| {});
-                ctx.barrier(FenceSpace::Local);
-                ctx.items(|_| {});
-                ctx.barrier(FenceSpace::Global);
-            })
-        };
-        let seq = run(Parallelism::Sequential);
-        assert_eq!(seq, run(Parallelism::Auto));
-        assert_eq!(seq, run(Parallelism::Threads(3)));
-        assert_eq!(seq.items, 8192);
-        assert_eq!(seq.barriers_local, 256);
-        assert_eq!(seq.barriers_global, 256);
-        assert_eq!(seq.local_bytes, 256);
-    }
-
-    #[test]
-    fn local_bytes_reports_group_peak() {
-        let nd = NdRange::d1(8, 4);
-        let stats = run_groups(nd, Parallelism::Sequential, 1 << 20, &|ctx: &GroupCtx| {
-            let _a = ctx.local_array::<f32>(100); // 400 B per group
-        });
-        assert_eq!(stats.local_bytes, 400);
     }
 
     #[test]
@@ -467,9 +365,16 @@ mod tests {
     #[test]
     fn dispatch_time_zero_for_sequential() {
         let nd = NdRange::d1(256, 16);
-        let (_, d) = run_groups_timed(nd, Parallelism::Sequential, 1 << 20, &|ctx: &GroupCtx| {
-            ctx.items(|_| {});
-        });
-        assert_eq!(d, Duration::ZERO);
+        let d = run_groups_contained(
+            nd,
+            Parallelism::Sequential,
+            1 << 20,
+            "seq",
+            None,
+            false,
+            None,
+            &|ctx: &GroupCtx| ctx.items(|_| {}),
+        );
+        assert_eq!(d, Ok(Duration::ZERO));
     }
 }

@@ -132,7 +132,6 @@ struct Node {
     nd: NdRange,
     groups_range: Range,
     num_groups: usize,
-    reqd_max: Option<usize>,
     bindings: Vec<Binding>,
     kernel: GroupKernel,
     /// Per-participant stealable work spans over `0..num_groups`
@@ -176,7 +175,7 @@ impl GraphBuilder {
         let total = range.size();
         let nd = NdRange::flat(total, self.caps.max_work_group_size);
         let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &f);
-        self.push(name, nd, None, bindings, Arc::new(kernel))
+        self.push(name, nd, bindings, Arc::new(kernel))
     }
 
     /// Record a work-group launch — the recorded equivalent of
@@ -191,42 +190,13 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, None, bindings, Arc::new(kernel))
-    }
-
-    /// Like [`GraphBuilder::nd_range`] with an explicit
-    /// `reqd_work_group_size`-style limit, checked at record time.
-    pub fn nd_range_with_limit<K>(
-        &mut self,
-        name: &'static str,
-        nd: NdRange,
-        reqd_max: Option<usize>,
-        bindings: &[Binding],
-        kernel: K,
-    ) -> &mut Self
-    where
-        K: Fn(&GroupCtx) + Send + Sync + 'static,
-    {
-        self.push(name, nd, reqd_max, bindings, Arc::new(kernel))
-    }
-
-    /// Record a Single-Task launch. Unlike [`Queue::single_task`] the
-    /// kernel must be `Fn` (not `FnOnce`): a replayed graph runs it once
-    /// per replay.
-    pub fn single_task<F>(&mut self, name: &'static str, bindings: &[Binding], f: F) -> &mut Self
-    where
-        F: Fn() + Send + Sync + 'static,
-    {
-        let nd = NdRange { global: Range::d1(1), local: Range::d1(1) };
-        let kernel = move |ctx: &GroupCtx| ctx.items(|_| f());
-        self.push(name, nd, None, bindings, Arc::new(kernel))
+        self.push(name, nd, bindings, Arc::new(kernel))
     }
 
     fn push(
         &mut self,
         name: &'static str,
         nd: NdRange,
-        reqd_max: Option<usize>,
         bindings: &[Binding],
         kernel: GroupKernel,
     ) -> &mut Self {
@@ -237,7 +207,7 @@ impl GraphBuilder {
             self.err = Some(e);
             return self;
         }
-        let limit = reqd_max.unwrap_or(usize::MAX).min(self.caps.max_work_group_size);
+        let limit = self.caps.max_work_group_size;
         if nd.group_size() > limit {
             self.err = Some(Error::WorkGroupTooLarge { requested: nd.group_size(), limit });
             return self;
@@ -248,7 +218,6 @@ impl GraphBuilder {
             nd,
             groups_range: nd.groups(),
             num_groups,
-            reqd_max,
             bindings: bindings.to_vec(),
             kernel,
             spans: crate::pool::SpanSet::empty(),
@@ -428,7 +397,7 @@ impl Graph {
         for node in &self.nodes {
             let k = &node.kernel;
             let wrap = |ctx: &GroupCtx| k(ctx);
-            q.launch_groups(node.name, node.nd, node.reqd_max, &wrap)?;
+            q.launch_groups(node.name, node.nd, &wrap)?;
             node.done.store(node.num_groups, Ordering::Relaxed);
         }
         if reseal {
@@ -661,12 +630,6 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e, Error::WorkGroupTooLarge { requested: 256, limit: 128 });
-
-        let e = Graph::record(&q, |g| {
-            g.nd_range_with_limit("attr", NdRange::d1(128, 64), Some(32), &[], |_: &GroupCtx| {});
-        })
-        .unwrap_err();
-        assert_eq!(e, Error::WorkGroupTooLarge { requested: 64, limit: 32 });
     }
 
     #[test]
@@ -721,23 +684,6 @@ mod tests {
             assert!(visits.to_vec().iter().all(|&c| c == 2), "graph, {range:?}");
             assert_eq!(g.fast_replays(), 1);
         }
-    }
-
-    #[test]
-    fn single_task_node_runs_once_per_replay() {
-        let q = Queue::new(Device::cpu());
-        let b = Buffer::<u32>::new(1);
-        let bv = b.view();
-        let g = Graph::record(&q, |g| {
-            g.single_task("bump", &[reads_writes(&b)], move || {
-                bv.update(0, |v| v + 1);
-            });
-        })
-        .unwrap();
-        for _ in 0..5 {
-            g.replay(&q).unwrap();
-        }
-        assert_eq!(b.to_vec()[0], 5);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! * [`Buffer`]s with host/device accessors,
 //! * ND-Range kernel execution with work-groups, work-items, local
 //!   (shared) memory and barrier phases ([`ndrange`]),
-//! * Single-Task kernel execution (the FPGA-style flavour the paper's
-//!   Section 5.3 rewrites ND-Range kernels into),
 //! * [`Pipe`]s — bounded FIFOs connecting concurrently running kernels,
 //!   used by the paper's optimized KMeans design (Figure 3).
+//!
+//! The Single-Task kernels the paper's Section 5.3 rewrites ND-Range
+//! kernels into are `hetero-ir` descriptors that `fpga-sim` times; every
+//! app runs its ND-Range form here.
 //!
 //! ## Execution model
 //!
@@ -70,7 +72,7 @@ pub use buffer::{Buffer, GlobalView};
 pub use cancel::CancelToken;
 pub use device::{Device, DeviceCaps, DeviceKind};
 pub use error::{Error, Result};
-pub use event::{Event, LaunchStats, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
+pub use event::{Event, LedgerSnapshot, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 pub use fault::{FaultKind, FaultPlan};
 pub use graph::{reads, reads_writes, writes, Access, Binding, Graph, GraphBuilder};
 pub use integrity::IntegrityStats;

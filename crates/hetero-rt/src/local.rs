@@ -226,10 +226,6 @@ impl LocalArena {
             _ => arr,
         }
     }
-
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 #[cfg(test)]
@@ -255,9 +251,9 @@ mod tests {
     fn arena_tracks_bytes_and_enforces_limit() {
         let mut arena = LocalArena::new(64, None);
         let _a = arena.alloc::<f64>(4); // 32 B
-        assert_eq!(arena.bytes(), 32);
+        assert_eq!(arena.bytes, 32);
         let _b = arena.alloc::<u8>(32); // 32 B more, exactly at limit
-        assert_eq!(arena.bytes(), 64);
+        assert_eq!(arena.bytes, 64);
     }
 
     #[test]

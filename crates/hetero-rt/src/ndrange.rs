@@ -9,7 +9,7 @@
 //! direction, where ND-Range structure is kept explicit so it can later be
 //! refactored for FPGA consumption.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use crate::local::{LocalArena, LocalArray, PrivateArray};
 
@@ -149,8 +149,8 @@ impl Item {
 /// Barrier memory scope, mirroring
 /// `sycl::access::fence_space`. The paper's Section 3.2.1 narrows DPCT's
 /// conservative global-scope barriers to local scope where safe; the
-/// runtime records which scopes were requested so tests (and the
-/// migration-pass crate) can observe the distinction.
+/// migration-pass crate (`hetero-ir`'s dpct model) observes the
+/// distinction, and every phase boundary executes the same here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FenceSpace {
     /// Fence local (shared) memory only — the cheap barrier.
@@ -170,9 +170,6 @@ pub struct GroupCtx {
     group_id: [usize; 3],
     nd: NdRange,
     arena: RefCell<LocalArena>,
-    barriers_local: Cell<u64>,
-    barriers_global: Cell<u64>,
-    items_executed: Cell<u64>,
 }
 
 impl GroupCtx {
@@ -186,9 +183,6 @@ impl GroupCtx {
             group_id,
             nd,
             arena: RefCell::new(LocalArena::new(local_mem_limit, local_fault)),
-            barriers_local: Cell::new(0),
-            barriers_global: Cell::new(0),
-            items_executed: Cell::new(0),
         }
     }
 
@@ -220,11 +214,6 @@ impl GroupCtx {
     /// in the group, used to carry "register" state across barrier phases.
     pub fn private_array<T: Copy + Default + 'static>(&self) -> PrivateArray<T> {
         PrivateArray::new(self.group_size())
-    }
-
-    /// Bytes of local memory allocated so far by this group.
-    pub fn local_bytes(&self) -> usize {
-        self.arena.borrow().bytes()
     }
 
     /// Run `f` once per work-item of this group (one *phase*), local
@@ -307,36 +296,20 @@ impl GroupCtx {
         self.end_phase(armed);
     }
 
-    /// Leave per-item context and count the phase's work-items (padding
-    /// slots of a flat chunk included, as the launch statistics always
-    /// have).
+    /// Leave per-item context.
     #[inline]
     fn end_phase(&self, armed: bool) {
         if armed {
             crate::sanitize::set_current_item(None);
         }
-        self.items_executed.set(self.items_executed.get() + self.nd.local.size() as u64);
     }
 
     /// End the current phase. Since phases already run to completion this
-    /// only records the barrier for profiling; the *scope* distinction is
-    /// kept so migration passes and tests can verify the paper's
-    /// barrier-narrowing optimisation was applied.
-    pub fn barrier(&self, space: FenceSpace) {
+    /// only advances the race detector's phase; the *scope* is kept so
+    /// the kernels read like their SYCL sources, whose barrier narrowing
+    /// the paper's Section 3.2.1 describes.
+    pub fn barrier(&self, _space: FenceSpace) {
         crate::sanitize::phase_bump();
-        match space {
-            FenceSpace::Local => self.barriers_local.set(self.barriers_local.get() + 1),
-            FenceSpace::Global => self.barriers_global.set(self.barriers_global.get() + 1),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> (u64, u64, u64, usize) {
-        (
-            self.items_executed.get(),
-            self.barriers_local.get(),
-            self.barriers_global.get(),
-            self.local_bytes(),
-        )
     }
 }
 
@@ -408,20 +381,8 @@ mod tests {
                     next += 1;
                 });
                 assert_eq!(next, nd.group_size());
-                assert_eq!(ctx.stats().0, nd.group_size() as u64);
             }
         }
-    }
-
-    #[test]
-    fn barriers_are_counted_by_scope() {
-        let nd = NdRange::d1(4, 4);
-        let ctx = GroupCtx::new([0, 0, 0], nd, 1 << 20, None);
-        ctx.barrier(FenceSpace::Local);
-        ctx.barrier(FenceSpace::Local);
-        ctx.barrier(FenceSpace::Global);
-        let (_, bl, bg, _) = ctx.stats();
-        assert_eq!((bl, bg), (2, 1));
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   work-item), the most common migrated shape;
 //! * [`Queue::nd_range`] — work-group kernels with local memory and
 //!   barrier phases;
-//! * [`Queue::single_task`] — the FPGA-style single-threaded kernels the
-//!   paper rewrites ND-Range kernels into (Section 5.3);
 //! * [`Queue::submit_concurrent`] — launch several kernels that run
 //!   simultaneously and communicate through [`crate::pipe::Pipe`]s, the
 //!   structure of the optimized KMeans design (Figure 3).
@@ -17,11 +15,11 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::buffer::{Buffer, BufferSlab};
+use crate::buffer::Buffer;
 use crate::cancel::CancelToken;
 use crate::device::{Device, DeviceKind};
 use crate::error::{Error, Result};
-use crate::event::{Event, LaunchStats, ProfilingInfo, ResilienceInfo, ResilienceLedger};
+use crate::event::{Event, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 use crate::executor::{run_groups_contained, Parallelism};
 use crate::fault::FaultPlan;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
@@ -87,27 +85,14 @@ pub enum Redundancy {
     None,
     /// Dual modular redundancy: two runs must agree.
     Dmr,
-    /// Triple modular redundancy: three runs, majority (≥ 2) wins.
-    Tmr,
-}
-
-impl Redundancy {
-    /// Minimum replica runs before a 2-vote agreement can be accepted.
-    fn need(self) -> u32 {
-        match self {
-            Redundancy::None => 1,
-            Redundancy::Dmr => 2,
-            Redundancy::Tmr => 3,
-        }
-    }
 }
 
 /// What to do when the primary device rejects a launch with a
 /// *pre-side-effect* capability error (see
-/// [`Error::is_cpu_fallback_eligible`]): capability mismatches such as
-/// `UnsupportedFeature`, `LocalMemExceeded` and `WorkGroupTooLarge` are
-/// raised before any work-group writes global
-/// memory, so a clean re-run elsewhere cannot observe partial results.
+/// [`Error::is_cpu_fallback_eligible`]): the capability mismatches
+/// `LocalMemExceeded` and `WorkGroupTooLarge` are raised before any
+/// work-group writes global memory, so a clean re-run elsewhere cannot
+/// observe partial results.
 /// This is the paper's manual "if the FPGA can't, run it on the host"
 /// porting workflow promoted into a runtime policy. `KernelPanicked` is
 /// deliberately ineligible — groups may already have written.
@@ -227,7 +212,6 @@ pub struct Queue {
     cancel: Option<CancelToken>,
     ledger: Option<Arc<ResilienceLedger>>,
     inflight: Arc<InFlight>,
-    slab: Arc<BufferSlab>,
 }
 
 impl Queue {
@@ -250,7 +234,6 @@ impl Queue {
             cancel: None,
             ledger: None,
             inflight: Arc::new(InFlight::default()),
-            slab: Arc::new(BufferSlab::new()),
         }
         .arm(hardening)
     }
@@ -272,7 +255,7 @@ impl Queue {
     }
 
     /// Restrict the executor's host parallelism (useful for deterministic
-    /// tests and for Single-Task-like sequential execution).
+    /// tests).
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self
@@ -355,7 +338,6 @@ impl Queue {
         submitted: Instant,
         started: Instant,
         dispatch: Duration,
-        stats: LaunchStats,
         resilience: ResilienceInfo,
     ) -> Event {
         let profiling = self.profiling.then(|| ProfilingInfo {
@@ -364,13 +346,11 @@ impl Queue {
             ended: Instant::now(),
             dispatch,
         });
-        Event::new(name, profiling, stats).with_resilience(resilience)
+        Event::new(name, profiling).with_resilience(resilience)
     }
 
-    fn check_group_size(device: &Device, nd: &NdRange, reqd_max: Option<usize>) -> Result<()> {
-        let limit = reqd_max
-            .unwrap_or(usize::MAX)
-            .min(device.caps().max_work_group_size);
+    fn check_group_size(device: &Device, nd: &NdRange) -> Result<()> {
+        let limit = device.caps().max_work_group_size;
         let size = nd.group_size();
         if size > limit {
             return Err(Error::WorkGroupTooLarge { requested: size, limit });
@@ -381,21 +361,19 @@ impl Queue {
     /// One contained execution of `kernel` over `nd` on `device`:
     /// group-size check against that device's caps, then phase-wise group
     /// execution with per-group panic containment.
-    #[allow(clippy::too_many_arguments)]
     fn run_on<K>(
         &self,
         device: &Device,
         plan: Option<&FaultPlan>,
         name: &'static str,
         nd: NdRange,
-        reqd_max: Option<usize>,
         par: Parallelism,
         kernel: &K,
-    ) -> Result<(LaunchStats, Duration)>
+    ) -> Result<Duration>
     where
         K: Fn(&GroupCtx) + Sync,
     {
-        Self::check_group_size(device, &nd, reqd_max)?;
+        Self::check_group_size(device, &nd)?;
         run_groups_contained(
             nd,
             par,
@@ -447,8 +425,8 @@ impl Queue {
         }
     }
 
-    /// Redundant execution with digest voting: run the launch `need`
-    /// times (restoring the pre-launch memory image between runs), each
+    /// Redundant execution with digest voting: run the launch twice
+    /// (restoring the pre-launch memory image between runs), each
     /// replica strictly sequential so schedule-dependent results
     /// reproduce bit-exactly, and accept once the latest whole-memory
     /// digest agrees with at least one earlier run. Divergent replicas
@@ -456,37 +434,35 @@ impl Queue {
     /// the retry budget; exhaustion restores the pre-launch image and
     /// fails with [`Error::ReplicaDivergence`].
     ///
-    /// Returns `(stats, dispatch, runs, corrected)` where `corrected`
-    /// counts distinct minority digests that were outvoted.
+    /// Returns `(dispatch, runs, corrected)` where `corrected` counts
+    /// distinct minority digests that were outvoted.
     fn run_redundant<K>(
         &self,
         plan: Option<&FaultPlan>,
         name: &'static str,
         nd: NdRange,
-        reqd_max: Option<usize>,
         kernel: &K,
-    ) -> Result<(LaunchStats, Duration, u32, u32)>
+    ) -> Result<(Duration, u32, u32)>
     where
         K: Fn(&GroupCtx) + Sync,
     {
-        let need = self.hardening.redundancy.need();
-        let budget = need + (self.hardening.retry.max_attempts.max(1) - 1);
+        // Two runs, plus one per retry the budget allows.
+        let budget = self.hardening.retry.max_attempts.max(1) + 1;
         let snap = crate::integrity::snapshot_all();
         let mut digests: Vec<u64> = Vec::new();
         loop {
             if !digests.is_empty() {
                 crate::integrity::restore(&snap);
             }
-            let out = match self.run_on(
+            let dispatch = match self.run_on(
                 &self.device,
                 plan,
                 name,
                 nd,
-                reqd_max,
                 Parallelism::Sequential,
                 kernel,
             ) {
-                Ok(out) => out,
+                Ok(dispatch) => dispatch,
                 Err(e) => {
                     // A failed replica may have written partially; put the
                     // pre-launch image back before surfacing the error.
@@ -504,7 +480,7 @@ impl Queue {
             digests.push(digest);
             let runs = digests.len() as u32;
             let agree = digests.iter().filter(|&&d| d == digest).count() as u32;
-            if runs >= need && agree >= 2 {
+            if agree >= 2 {
                 // Memory currently holds the run whose digest won.
                 let mut distinct: Vec<u64> = Vec::new();
                 for &d in &digests {
@@ -516,8 +492,7 @@ impl Queue {
                 if corrected > 0 {
                     crate::integrity::record_corrected(corrected as u64);
                 }
-                let (stats, dispatch) = out;
-                return Ok((stats, dispatch, runs, corrected));
+                return Ok((dispatch, runs, corrected));
             }
             if runs >= budget {
                 crate::integrity::restore(&snap);
@@ -540,7 +515,7 @@ impl Queue {
     ///    never replays side effects;
     /// 3. contained execution on the primary device (kernel panics become
     ///    typed errors, the pool survives), redundantly with digest
-    ///    voting under [`Redundancy::Dmr`]/[`Redundancy::Tmr`];
+    ///    voting under [`Redundancy::Dmr`];
     /// 4. on a fallback-eligible capability error, one clean re-run on
     ///    the CPU device with injection disabled ([`Fallback::Cpu`]);
     /// 5. integrity-protocol exit (last launch out): reseal every region,
@@ -555,9 +530,8 @@ impl Queue {
         &self,
         name: &'static str,
         nd: NdRange,
-        reqd_max: Option<usize>,
         kernel: &K,
-    ) -> Result<(LaunchStats, Duration, ResilienceInfo, Instant)>
+    ) -> Result<(Duration, ResilienceInfo, Instant)>
     where
         K: Fn(&GroupCtx) + Sync,
     {
@@ -616,21 +590,21 @@ impl Queue {
             }
             let started = Instant::now();
             let run = match redundant {
-                Redundancy::None => self
-                    .run_on(&self.device, plan, name, nd, reqd_max, self.parallelism, kernel),
-                _ => self
-                    .run_redundant(plan, name, nd, reqd_max, kernel)
-                    .map(|(stats, dispatch, runs, fixed)| {
+                Redundancy::None => {
+                    self.run_on(&self.device, plan, name, nd, self.parallelism, kernel)
+                }
+                Redundancy::Dmr => {
+                    self.run_redundant(plan, name, nd, kernel).map(|(dispatch, runs, fixed)| {
                         replicas = runs;
                         corrected = fixed;
-                        (stats, dispatch)
-                    }),
+                        dispatch
+                    })
+                }
             };
-            break run.map(|(stats, dispatch)| (stats, dispatch, started));
+            break run.map(|dispatch| (dispatch, started));
         };
         let result = match primary {
-            Ok((stats, dispatch, started)) => Ok((
-                stats,
+            Ok((dispatch, started)) => Ok((
                 dispatch,
                 ResilienceInfo {
                     attempts,
@@ -648,10 +622,8 @@ impl Queue {
             {
                 let cpu = Device::cpu();
                 let started = Instant::now();
-                let (stats, dispatch) =
-                    self.run_on(&cpu, None, name, nd, reqd_max, self.parallelism, kernel)?;
+                let dispatch = self.run_on(&cpu, None, name, nd, self.parallelism, kernel)?;
                 Ok((
-                    stats,
                     dispatch,
                     ResilienceInfo {
                         attempts,
@@ -682,7 +654,7 @@ impl Queue {
         }
         if let Some(ledger) = &self.ledger {
             match &result {
-                Ok((_, _, info, _)) => ledger.record(info),
+                Ok((_, info, _)) => ledger.record(info),
                 Err(e) => ledger.record_error(e),
             }
         }
@@ -714,138 +686,29 @@ impl Queue {
         let submitted = Instant::now();
         let total = range.size();
         let nd = NdRange::flat(total, self.device.caps().max_work_group_size);
-        let (stats, dispatch, resilience, started) =
-            self.launch_groups(name, nd, None, &|ctx: &GroupCtx| {
-                ctx.flat_items(range, total, &f)
-            })?;
-        Ok(self.finish_event(name, submitted, started, dispatch, stats, resilience))
+        let (dispatch, resilience, started) =
+            self.launch_groups(name, nd, &|ctx: &GroupCtx| ctx.flat_items(range, total, &f))?;
+        Ok(self.finish_event(name, submitted, started, dispatch, resilience))
     }
 
     /// Launch a work-group kernel over `nd`. `kernel` receives each
-    /// group's [`GroupCtx`] and drives its work-items in phases.
+    /// group's [`GroupCtx`] and drives its work-items in phases. A group
+    /// larger than the device's limit is a launch error (or, under
+    /// [`Fallback::Cpu`], a recorded re-run on the host).
     pub fn nd_range<K>(&self, name: &'static str, nd: NdRange, kernel: K) -> Result<Event>
     where
         K: Fn(&GroupCtx) + Sync,
     {
-        self.nd_range_with_limit(name, nd, None, kernel)
-    }
-
-    /// Like [`Queue::nd_range`] but with an explicit
-    /// `reqd_work_group_size`-style limit attribute. The paper adds these
-    /// attributes to every FPGA kernel; exceeding them is a launch error
-    /// (or, under [`Fallback::Cpu`], a recorded re-run on the host).
-    pub fn nd_range_with_limit<K>(
-        &self,
-        name: &'static str,
-        nd: NdRange,
-        reqd_max: Option<usize>,
-        kernel: K,
-    ) -> Result<Event>
-    where
-        K: Fn(&GroupCtx) + Sync,
-    {
         let submitted = Instant::now();
-        let (stats, dispatch, resilience, started) =
-            self.launch_groups(name, nd, reqd_max, &kernel)?;
-        Ok(self.finish_event(name, submitted, started, dispatch, stats, resilience))
-    }
-
-    /// Launch a Single-Task kernel: one logical thread, as in the paper's
-    /// FPGA rewrites (Section 5.3). Infallible wrapper over
-    /// [`Queue::try_single_task`]; a contained kernel panic re-raises the
-    /// typed [`Error`] as panic payload.
-    pub fn single_task<F>(&self, name: &'static str, f: F) -> Event
-    where
-        F: FnOnce(),
-    {
-        self.try_single_task(name, f)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible Single-Task launch with panic containment: a panic inside
-    /// `f` is caught and classified into a typed [`Error`]
-    /// (`KernelPanicked`, or the panic's own `Error` payload for typed
-    /// bounds/capacity violations). No transient injection or retry here:
-    /// the kernel is `FnOnce`, so the runtime cannot guarantee a
-    /// side-effect-free re-run.
-    pub(crate) fn try_single_task<F>(&self, name: &'static str, f: F) -> Result<Event>
-    where
-        F: FnOnce(),
-    {
-        let _guard = InFlightGuard::enter(&self.inflight);
-        crate::fault::install_quiet_hook();
-        if let Some(t) = &self.cancel {
-            if let Err(e) = t.check(name) {
-                if let Some(ledger) = &self.ledger {
-                    ledger.record_error(&e);
-                }
-                return Err(e);
-            }
-        }
-        let submitted = Instant::now();
-        let started = Instant::now();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .map_err(|payload| crate::fault::classify_panic(name, 0, payload));
-        if let Some(ledger) = &self.ledger {
-            match &run {
-                Ok(()) => ledger.record(&ResilienceInfo::default()),
-                Err(e) => ledger.record_error(e),
-            }
-        }
-        run?;
-        let stats = LaunchStats { groups: 1, items: 1, ..LaunchStats::default() };
-        Ok(self.finish_event(
-            name,
-            submitted,
-            started,
-            Duration::ZERO,
-            stats,
-            ResilienceInfo::default(),
-        ))
-    }
-
-    /// Allocate a zero-initialised buffer of `len` elements, reusing a
-    /// retired allocation from the queue's recycling slab when one of the
-    /// exact type and length is shelved (see [`Queue::recycle_buffer`]).
-    ///
-    /// Indistinguishable from [`Buffer::new`] except for allocator
-    /// traffic: contents are zero-filled, and identity is fresh — a new
-    /// sanitizer object id and a newly registered integrity region, so no
-    /// shadow state or page seals survive from the previous tenant. The
-    /// [`Buffer::generation`] counter records how many reuses the bytes
-    /// have seen (0 on a slab miss).
-    pub fn recycled_buffer<T: Copy + Default + Send + 'static>(&self, len: usize) -> Buffer<T> {
-        match self.slab.take::<Box<[T]>>(len) {
-            Some((mut data, generation)) => {
-                data.fill(T::default());
-                Buffer::build_gen(data, generation + 1)
-            }
-            None => Buffer::new(len),
-        }
-    }
-
-    /// Retire a buffer to the recycling slab for a later
-    /// [`Queue::recycled_buffer`] of the same type and length.
-    ///
-    /// Succeeds only when `buf` is the sole owner of its storage: clones
-    /// or outstanding [`crate::GlobalView`]s refuse the recycle (the
-    /// handle is still consumed; the storage stays alive through the
-    /// other owners) — returning `false`. A full shelf also drops the
-    /// allocation rather than pinning unbounded memory.
-    pub fn recycle_buffer<T: Copy + Default + Send + 'static>(&self, buf: Buffer<T>) -> bool {
-        match buf.into_raw_parts() {
-            Ok((data, generation)) => {
-                let len = data.len();
-                self.slab.put(len, data, generation)
-            }
-            Err(_) => false,
-        }
+        let (dispatch, resilience, started) = self.launch_groups(name, nd, &kernel)?;
+        Ok(self.finish_event(name, submitted, started, dispatch, resilience))
     }
 
     /// Launch several kernels that run *concurrently* (each on its own
     /// host thread) and usually communicate through pipes. Returns when
     /// all complete. Errors from any kernel (e.g. pipe deadlock) are
-    /// propagated; the first error wins.
+    /// propagated; the first error wins. The submission is accounted to
+    /// the queue's [`ResilienceLedger`] like any other launch.
     ///
     /// Deliberately **not** routed through the persistent pool: pipe
     /// kernels block on FIFO reads/writes for unbounded stretches, and a
@@ -857,18 +720,32 @@ impl Queue {
     {
         let _guard = InFlightGuard::enter(&self.inflight);
         crate::fault::install_quiet_hook();
-        if let Some(t) = &self.cancel {
-            t.check(name)?;
-        }
         let submitted = Instant::now();
-        let started = Instant::now();
-        let n = kernels.len() as u64;
+        let run = match &self.cancel {
+            Some(t) => t.check(name),
+            None => Ok(()),
+        }
+        .and_then(|()| Self::join_concurrent(name, kernels));
+        if let Some(ledger) = &self.ledger {
+            match &run {
+                Ok(()) => ledger.record(&ResilienceInfo::default()),
+                Err(e) => ledger.record_error(e),
+            }
+        }
+        run?;
+        let resilience = ResilienceInfo::default();
+        Ok(self.finish_event(name, submitted, submitted, Duration::ZERO, resilience))
+    }
+
+    /// Run each of `kernels` on a scoped thread of its own and join them
+    /// all; the first error (in kernel order) wins.
+    fn join_concurrent<F>(name: &'static str, kernels: Vec<F>) -> Result<()>
+    where
+        F: FnOnce() -> Result<()> + Send,
+    {
         let mut first_err = None;
         std::thread::scope(|s| {
-            let handles: Vec<_> = kernels
-                .into_iter()
-                .map(|k| s.spawn(k))
-                .collect();
+            let handles: Vec<_> = kernels.into_iter().map(|k| s.spawn(k)).collect();
             for (i, h) in handles.into_iter().enumerate() {
                 match h.join() {
                     Ok(Ok(())) => {}
@@ -884,18 +761,7 @@ impl Queue {
                 }
             }
         });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let stats = LaunchStats { groups: n, items: n, ..LaunchStats::default() };
-        Ok(self.finish_event(
-            name,
-            submitted,
-            started,
-            Duration::ZERO,
-            stats,
-            ResilienceInfo::default(),
-        ))
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Block until no launch is in flight on this queue or any clone of
@@ -999,21 +865,12 @@ mod tests {
     }
 
     #[test]
-    fn reqd_attribute_tightens_limit() {
-        let q = Queue::new(Device::cpu());
-        let err = q
-            .nd_range_with_limit("attr", NdRange::d1(128, 64), Some(32), |_| {})
-            .unwrap_err();
-        assert_eq!(err, Error::WorkGroupTooLarge { requested: 64, limit: 32 });
-    }
-
-    #[test]
     fn profiling_none_without_enable() {
         let q = Queue::new(Device::cpu());
-        let e = q.single_task("t", || {});
+        let e = q.parallel_for("t", Range::d1(1), |_| {});
         assert!(e.profiling().is_none());
         let q = Queue::with_profiling(Device::cpu());
-        let e = q.single_task("t", || {});
+        let e = q.parallel_for("t", Range::d1(1), |_| {});
         assert!(e.profiling().is_some());
     }
 
@@ -1060,15 +917,49 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_submissions_account_to_the_ledger() {
+        type Kernel = Box<dyn FnOnce() -> Result<()> + Send>;
+        let ledger = Arc::new(ResilienceLedger::new());
+        let q = Queue::new(Device::stratix10()).with_resilience_ledger(Some(ledger.clone()));
+        let pipe = Pipe::with_capacity(4);
+        let (tx, rx) = (pipe.clone(), pipe);
+        let clean: Vec<Kernel> = vec![Box::new(move || tx.write(7u32)), Box::new(move || {
+            rx.read()?;
+            Ok(())
+        })];
+        q.submit_concurrent("clean_pair", clean).unwrap();
+        let s = ledger.snapshot();
+        assert_eq!((s.launches, s.errors), (1, 0));
+
+        // Each kernel waits on the other: a read of an empty pipe that is
+        // never written, a write to a full one that is never read.
+        let timeout = Duration::from_millis(50);
+        let empty = Pipe::<u32>::with_capacity_and_timeout(1, timeout);
+        let full = Pipe::<u32>::with_capacity_and_timeout(1, timeout);
+        full.write(0).unwrap();
+        let deadlocked: Vec<Kernel> = vec![
+            Box::new(move || {
+                empty.read()?;
+                Ok(())
+            }),
+            Box::new(move || full.write(1)),
+        ];
+        let e = q.submit_concurrent("deadlocked_pair", deadlocked).unwrap_err();
+        assert!(matches!(e, Error::PipeDeadlock { .. }), "{e:?}");
+        let s = ledger.snapshot();
+        assert_eq!((s.launches, s.errors), (2, 1));
+    }
+
+    #[test]
     fn nested_parallelism_launches_child_kernels() {
         // Altis exercises CUDA nested parallelism (device-side launch);
-        // here a Single-Task "parent" kernel launches child grids
-        // through a captured queue handle.
+        // here a one-item "parent" kernel launches child grids through a
+        // captured queue handle.
         let parent_q = Queue::new(Device::cpu());
         let child_q = parent_q.clone();
         let b = Buffer::<u32>::new(64);
         let v = b.view();
-        parent_q.single_task("parent", move || {
+        parent_q.parallel_for("parent", Range::d1(1), move |_| {
             for wave in 0..4u32 {
                 let v = v.clone();
                 child_q.parallel_for("child", Range::d1(16), move |it| {
@@ -1080,61 +971,5 @@ mod tests {
         for wave in 0..4 {
             assert!(out[wave * 16..(wave + 1) * 16].iter().all(|&x| x == wave as u32 + 1));
         }
-    }
-
-    #[test]
-    fn recycled_buffer_reuses_bytes_with_fresh_identity() {
-        let q = Queue::new(Device::cpu());
-        let a = q.recycled_buffer::<f32>(64);
-        assert_eq!(a.generation(), 0, "first request is a slab miss");
-        let first_id = a.object_id();
-        a.write(|s| s.fill(7.5));
-        assert!(q.recycle_buffer(a));
-        let b = q.recycled_buffer::<f32>(64);
-        assert_eq!(b.generation(), 1, "second request reuses the allocation");
-        assert_ne!(b.object_id(), first_id, "identity must be fresh on reuse");
-        assert!(b.to_vec().iter().all(|&v| v == 0.0), "reuse must zero-fill");
-    }
-
-    #[test]
-    fn recycle_refused_while_views_outstanding() {
-        let q = Queue::new(Device::cpu());
-        let a = q.recycled_buffer::<u32>(16);
-        let view = a.view();
-        assert!(!q.recycle_buffer(a), "outstanding view must refuse the recycle");
-        // The view alone keeps the storage alive and usable.
-        view.set(3, 9);
-        assert_eq!(view.get(3), 9);
-        // Nothing was shelved, so the next request misses.
-        assert_eq!(q.recycled_buffer::<u32>(16).generation(), 0);
-    }
-
-    #[test]
-    fn slab_is_keyed_by_type_and_exact_length() {
-        let q = Queue::new(Device::cpu());
-        assert!(q.recycle_buffer(q.recycled_buffer::<f32>(32)));
-        // Different length and different element type both miss.
-        assert_eq!(q.recycled_buffer::<f32>(33).generation(), 0);
-        assert_eq!(q.recycled_buffer::<u32>(32).generation(), 0);
-        // Exact match hits.
-        assert_eq!(q.recycled_buffer::<f32>(32).generation(), 1);
-    }
-
-    #[test]
-    fn slab_is_shared_across_queue_clones() {
-        let q = Queue::new(Device::cpu());
-        let clone = q.clone();
-        assert!(q.recycle_buffer(q.recycled_buffer::<i64>(8)));
-        assert_eq!(clone.recycled_buffer::<i64>(8).generation(), 1);
-    }
-
-    #[test]
-    fn single_task_runs_once() {
-        let q = Queue::new(Device::agilex());
-        let b = Buffer::<u32>::new(1);
-        let v = b.view();
-        let e = q.single_task("st", || v.set(0, 42));
-        assert_eq!(b.to_vec()[0], 42);
-        assert_eq!(e.stats().groups, 1);
     }
 }

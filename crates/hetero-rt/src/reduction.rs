@@ -70,11 +70,8 @@ fn fold_blocks<const K: usize>(
         return [identity; K];
     }
     let blocks = n.div_ceil(WG);
-    // Iterative apps call this every timestep with the same `n`: route
-    // the partials scratch (accumulator `k` of block `b` at
-    // `k * blocks + b`) through the queue's recycling slab instead of
-    // the allocator.
-    let partials = q.recycled_buffer::<f32>(K * blocks);
+    // Accumulator `k` of block `b` at `k * blocks + b`.
+    let partials = Buffer::<f32>::new(K * blocks);
     let (dv, pv) = (data.view(), partials.view());
     let publish = move |b: usize, acc: [f32; K]| {
         for (k, &a) in acc.iter().enumerate() {
@@ -97,11 +94,9 @@ fn fold_blocks<const K: usize>(
             }
         }
     });
-    let out = partials.read(|p| {
+    partials.read(|p| {
         std::array::from_fn(|k| p[k * blocks..][..blocks].iter().copied().fold(identity, &op))
-    });
-    q.recycle_buffer(partials);
-    out
+    })
 }
 
 /// Sum and sum of squares of an f32 buffer in one pass (SRAD's ROI
@@ -178,20 +173,6 @@ mod tests {
             assert_eq!(sum.to_bits(), pinned(data, 0.0, add).to_bits(), "sum, n = {n}");
             assert_eq!(sum_sq.to_bits(), pinned(&squares, 0.0, add).to_bits(), "sum_sq, n = {n}");
         }
-    }
-
-    #[test]
-    fn repeated_reductions_reuse_scratch() {
-        let q = Queue::new(Device::cpu());
-        let b = Buffer::from_slice(&vec![2.0f32; 4096]);
-        for _ in 0..10 {
-            assert_eq!(moments_f32(&q, &b), (8192.0, 16384.0));
-        }
-        // One scratch take per call (64 partials); each call retires its
-        // scratch and the next picks it up, so the allocation an eleventh
-        // take gets has been around ten times.
-        let scratch = q.recycled_buffer::<f32>(64);
-        assert_eq!(scratch.generation(), 10, "reduction scratch should come from the slab");
     }
 
     #[test]

@@ -181,9 +181,9 @@ fn integrity_detects_flip_through_replay_and_retry_heals() {
     assert_eq!(g.fast_replays(), 0);
 }
 
-/// Dmr/Tmr redundancy applies to replayed nodes: the slow path votes
-/// and accounts the replica runs of both nodes to the queue's ledger,
-/// exactly like live launches.
+/// DMR applies to replayed nodes: the slow path votes and accounts the
+/// replica runs of both nodes to the queue's ledger, exactly like live
+/// launches.
 /// (Voting runs under the integrity protocol, so the layer is armed
 /// here, as the SDC tier does.)
 #[test]
@@ -197,14 +197,12 @@ fn redundancy_votes_on_replayed_nodes() {
     let q = disarmed();
     let g = doubling_graph(&src, &mid, &out, &q);
 
-    for (red, replicas) in [(Redundancy::Dmr, 2), (Redundancy::Tmr, 3)] {
-        let ledger = Arc::new(ResilienceLedger::new());
-        let voting = armed(Hardening { integrity: true, redundancy: red, ..Hardening::NONE })
-            .with_resilience_ledger(Some(Arc::clone(&ledger)));
-        g.replay(&voting).unwrap();
-        assert_eq!(ledger.snapshot().replicas, 2 * replicas, "{red:?}");
-        assert!(out.to_vec().iter().all(|&v| v == 7));
-    }
+    let ledger = Arc::new(ResilienceLedger::new());
+    let dmr = Hardening { integrity: true, redundancy: Redundancy::Dmr, ..Hardening::NONE };
+    let voting = armed(dmr).with_resilience_ledger(Some(Arc::clone(&ledger)));
+    g.replay(&voting).unwrap();
+    assert_eq!(ledger.snapshot().replicas, 2 * 2);
+    assert!(out.to_vec().iter().all(|&v| v == 7));
     assert_eq!(g.fast_replays(), 0);
 
     // A disarmed replay runs each node once.

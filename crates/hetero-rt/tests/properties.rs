@@ -83,13 +83,11 @@ fn nd_range_group_count_matches_geometry() {
         let n = groups * wg;
         let counter = Buffer::<u32>::new(1);
         let cv = counter.view();
-        let e = q
-            .nd_range("count", NdRange::d1(n, wg), move |_ctx| {
-                cv.atomic_add_u32(0, 1);
-            })
-            .unwrap();
+        q.nd_range("count", NdRange::d1(n, wg), move |_ctx| {
+            cv.atomic_add_u32(0, 1);
+        })
+        .unwrap();
         assert_eq!(counter.to_vec()[0] as usize, groups);
-        assert_eq!(e.stats().groups as usize, groups);
     }
 }
 

@@ -118,13 +118,6 @@ fn oversize_work_group_falls_back_to_cpu() {
         .unwrap();
     assert!(ev.resilience().fallback_device.is_some());
     assert!(b.to_vec().iter().all(|&x| x == 7));
-
-    // A kernel-level `reqd_work_group_size` attribute binds on every
-    // device, so fallback cannot rescue it.
-    let e = q
-        .nd_range_with_limit("attr_bound", NdRange::d1(512, 256), Some(128), |_| {})
-        .unwrap_err();
-    assert!(matches!(e, Error::WorkGroupTooLarge { .. }));
 }
 
 /// A kernel panic is NOT retried and NOT re-run on the CPU: groups may

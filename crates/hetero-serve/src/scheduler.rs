@@ -434,7 +434,6 @@ impl Shared {
                     false,
                 ),
                 ResilienceOutcome::Panicked(what) => (self.uncontained(what), false),
-                ResilienceOutcome::TimedOut => unreachable!("inline runners cannot time out"),
             }
         };
         let run_us = t0.elapsed().as_micros() as u64;
@@ -835,7 +834,13 @@ impl Scheduler {
                 0,
             );
         }
-        sh.stop.store(true, Ordering::Release);
+        {
+            // Under the lane lock: a worker in `pop` checks `stop` and
+            // parks while holding it, so the store lands either before its
+            // check or after it parked, and the notify below wakes it.
+            let _lanes = sh.lanes.lock().unwrap();
+            sh.stop.store(true, Ordering::Release);
+        }
         sh.work_cv.notify_all();
         let threads: Vec<_> = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
