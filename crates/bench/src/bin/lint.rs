@@ -48,13 +48,17 @@
 //!   through `Buffer::read`. Suppress with
 //!   `// lint:allow(staging-copy)` plus the reason the source has to
 //!   outlive the copy (a stream stage whose buffers persist).
-//! * **graph-empty-bindings** — no literal `&[]` binding list in a
-//!   launch call. An empty binding list hides the launch's data
-//!   accesses from record-time dependency analysis: the launch
-//!   serializes against every other one. Declare the accesses
-//!   (`reads` / `writes` / `reads_writes`), or justify
-//!   a genuinely access-free body with
-//!   `// lint:allow(graph-empty-bindings)`.
+//! * **graph-empty-bindings** — every launch states its bindings: no
+//!   literal `&[]` binding list in a launch call or its `submit(..)`,
+//!   and no direct launch through the unbound queue shortcuts
+//!   (`q.parallel_for(name, range, f)`, `try_parallel_for`,
+//!   `nd_range`) instead of `q.submit(&[..]).parallel_for(..)`. An
+//!   empty binding list hides the launch's data accesses from
+//!   record-time dependency analysis (the launch serializes against
+//!   every other one), from the sanitizer's binding check, and from an
+//!   integrity queue, which refuses it. Declare the accesses (`reads` /
+//!   `writes` / `reads_writes`), or justify a genuinely access-free
+//!   body with `// lint:allow(graph-empty-bindings)`.
 //! * **no-process-exit** — no `std::process::exit` in library code
 //!   (every `crates/*/src` file outside a `src/bin/` directory). The
 //!   benchmark service runs many tenants' jobs in one process; a
@@ -1028,6 +1032,51 @@ fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
         .map(|p| p + from)
 }
 
+/// The argument span of the `submit(..)` call a method call at `p` is
+/// made on (`q.submit(&[..]).parallel_for(..)`), if it is made on one.
+fn submit_receiver(masked: &[u8], p: usize) -> Option<(usize, usize)> {
+    let back = |mut i: usize| {
+        while i > 0 && masked[i - 1].is_ascii_whitespace() {
+            i -= 1;
+        }
+        i
+    };
+    let dot = back(p);
+    if dot == 0 || masked[dot - 1] != b'.' {
+        return None;
+    }
+    let close = back(dot - 1).checked_sub(1)?;
+    if masked[close] != b')' {
+        return None;
+    }
+    let mut depth = 0usize;
+    let open = (0..=close).rev().find(|&i| {
+        match masked[i] {
+            b')' => depth += 1,
+            b'(' => depth -= 1,
+            _ => {}
+        }
+        depth == 0
+    })?;
+    let name = masked[..open].iter().rev().take_while(|&&b| is_ident_byte(b)).count();
+    (&masked[open - name..open] == b"submit").then_some((open + 1, close))
+}
+
+/// The comma-separated arguments of an argument list, each with its
+/// leading whitespace trimmed.
+fn top_level_args(args: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut depth = 0i32;
+    args.split(move |&b| {
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            _ => {}
+        }
+        b == b',' && depth == 0
+    })
+    .map(|a| &a[a.iter().take_while(|b| b.is_ascii_whitespace()).count()..])
+}
+
 /// Lint one file; returns how many kernel closures were scanned.
 fn lint_file(file: &Path, text: &str, violations: &mut Vec<Violation>) -> usize {
     let (masked, allows) = mask_source(text);
@@ -1047,28 +1096,41 @@ fn lint_file(file: &Path, text: &str, violations: &mut Vec<Violation>) -> usize 
                 continue;
             }
             let Some(close) = matching_bracket(&masked, q) else { continue };
-            // graph-empty-bindings: a literal `&[]` anywhere in the
-            // argument list means this launch declares no accesses.
-            let args = &masked[q + 1..close];
-            let mut a = 0;
-            while let Some(amp) = find(args, b"&[", a) {
-                a = amp + 2;
-                let mut j = amp + 2;
-                while j < args.len() && args[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if args.get(j) == Some(&b']') {
-                    let line = line_of(text, q + 1 + amp);
-                    if !allowed(&allows, "graph-empty-bindings", line) {
-                        let snippet = text.lines().nth(line - 1).unwrap_or("").to_string();
-                        violations.push(Violation {
-                            file: file.to_path_buf(),
-                            line,
-                            offset: q + 1 + amp,
-                            rule: "graph-empty-bindings",
-                            snippet,
-                        });
+            // graph-empty-bindings: a launch states its accesses through
+            // the `submit(..)` it is called on, or as an argument.
+            let submit = submit_receiver(&masked, p);
+            let mut empty = Vec::new();
+            for (lo, hi) in [Some((q + 1, close)), submit].into_iter().flatten() {
+                let args = &masked[lo..hi];
+                let mut a = 0;
+                while let Some(amp) = find(args, b"&[", a) {
+                    a = amp + 2;
+                    let mut j = amp + 2;
+                    while j < args.len() && args[j].is_ascii_whitespace() {
+                        j += 1;
                     }
+                    if args.get(j) == Some(&b']') {
+                        empty.push(lo + amp);
+                    }
+                }
+            }
+            let method = masked[..p].iter().rev().find(|b| !b.is_ascii_whitespace()) == Some(&b'.');
+            let listed = top_level_args(&masked[q + 1..close]).any(|a| a.starts_with(b"&["));
+            let stated = submit.is_some() || listed;
+            if method && call != "submit_concurrent" && !stated {
+                empty.push(p);
+            }
+            for offset in empty {
+                let line = line_of(text, offset);
+                if !allowed(&allows, "graph-empty-bindings", line) {
+                    let snippet = text.lines().nth(line - 1).unwrap_or("").to_string();
+                    violations.push(Violation {
+                        file: file.to_path_buf(),
+                        line,
+                        offset,
+                        rule: "graph-empty-bindings",
+                        snippet,
+                    });
                 }
             }
             let bodies = closure_bodies(&masked, q + 1, close);
@@ -1143,14 +1205,32 @@ mod tests {
     #[test]
     fn an_unwrap_inside_each_launch_call_fires() {
         let src = "fn run(q: &Queue, g: &mut GraphBuilder, b: &[u32]) {\n\
-            q.parallel_for(\"a\", r, move |it| v.set(it.gid(0), f(it).unwrap()));\n\
-            q.try_parallel_for(\"b\", r, move |it| v.set(it.gid(0), f(it).unwrap()));\n\
+            q.submit(&[writes(&o)]).parallel_for(\"a\", r, move |it| f(it).unwrap());\n\
+            q.submit(&[writes(&o)]).try_parallel_for(\"b\", r, move |it| f(it).unwrap());\n\
             g.nd_range(\"c\", nd, &[writes(&o)], move |ctx| f(ctx).unwrap());\n\
             q.submit_concurrent(\"d\", vec![Box::new(move || f().unwrap())]);\n\
             let host = b.first().unwrap();\n\
             }\n";
         assert_eq!(lint_file(Path::new("app/mod.rs"), src, &mut Vec::new()), LAUNCH_CALLS.len());
         assert_eq!(fired(src), (2..=5).map(|l| (l, "no-unwrap")).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_launch_that_states_no_bindings_fires_unless_allowed() {
+        let src = "fn run(q: &Queue, g: &mut GraphBuilder) {\n\
+            q.parallel_for(\"shortcut\", r, move |it| v.set(it.gid(0), 1));\n\
+            q.submit(&[]).try_parallel_for(\"empty\", r, move |it| v.set(it.gid(0), 1));\n\
+            g.nd_range(\"recorded\", nd, &[], move |ctx| f(ctx));\n\
+            q.submit(&[writes(&o)])\n\
+                .nd_range(\"bound\", nd, move |ctx| f(ctx));\n\
+            g.parallel_for(\"listed\", r, &[reads(&i), writes(&o)], move |it| f(it));\n\
+            let k = KernelBuilder::nd_range(\"descriptor\", 64);\n\
+            // lint:allow(graph-empty-bindings) the probe touches one fresh buffer\n\
+            q.nd_range(\"probe\", nd, move |ctx| f(ctx));\n\
+            }\n";
+        let mut fired = fired(src);
+        fired.retain(|f| f.1 == "graph-empty-bindings");
+        assert_eq!(fired, (2..=4).map(|l| (l, "graph-empty-bindings")).collect::<Vec<_>>());
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn run(q: &Queue, p: &Dwt2dParams, _version: AppVersion) -> Vec<f32> {
     let mut dim = p.dim;
     for _ in 0..p.levels {
         let v = img.view();
-        q.parallel_for("dwt_rows", Range::d1(dim), move |it| {
+        q.submit(&[reads_writes(&img)]).parallel_for("dwt_rows", Range::d1(dim), move |it| {
             let y = it.gid(0);
             let mut row = vec![0f32; dim];
             for x in 0..dim {
@@ -161,7 +161,7 @@ pub fn run(q: &Queue, p: &Dwt2dParams, _version: AppVersion) -> Vec<f32> {
             }
         });
         let v = img.view();
-        q.parallel_for("dwt_cols", Range::d1(dim), move |it| {
+        q.submit(&[reads_writes(&img)]).parallel_for("dwt_cols", Range::d1(dim), move |it| {
             let x = it.gid(0);
             let mut col = vec![0f32; dim];
             for y in 0..dim {

@@ -181,7 +181,9 @@ pub fn run(q: &Queue, p: &LavamdParams, version: AppVersion) -> Vec<ForceOut> {
     let out = Buffer::<f32>::new(input.particles.len() * 4);
 
     let (pv, nv, ov, outv) = (parts.view(), nbrs.view(), offs.view(), out.view());
-    q.nd_range("lavamd_force", NdRange::d1(total_boxes * ppb, ppb), move |ctx| {
+    let bindings = [reads(&parts), reads(&nbrs), reads(&offs), writes(&out)];
+    let nd = NdRange::d1(total_boxes * ppb, ppb);
+    q.submit(&bindings).nd_range("lavamd_force", nd, move |ctx| {
         let b = ctx.group_linear();
         let lo = ov.get(b) as usize;
         let hi = ov.get(b + 1) as usize;

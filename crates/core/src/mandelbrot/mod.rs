@@ -129,7 +129,8 @@ pub fn run(q: &Queue, p: &MandelbrotParams, _version: AppVersion) -> Vec<u32> {
     let out = Buffer::<u32>::new(p.dim * p.dim);
     let img = out.view();
     let pp = *p;
-    q.parallel_for("mandelbrot", Range::d2(p.dim.div_ceil(LANES), p.dim), move |it| {
+    let range = Range::d2(p.dim.div_ceil(LANES), p.dim);
+    q.submit(&[writes(&out)]).parallel_for("mandelbrot", range, move |it| {
         let x = it.gid(0) * LANES;
         lanes::sweep(x, (x + LANES).min(pp.dim), &Row { p: &pp, img: &img, y: it.gid(1) });
     });

@@ -113,7 +113,8 @@ pub fn run(q: &Queue, p: &NwParams, version: AppVersion) -> Vec<i32> {
         let (s1v, s2v) = (s1b.view(), s2b.view());
         blocks_buf.write(|b| b[..blocks.len()].copy_from_slice(&blocks));
         let bv = blocks_buf.view();
-        q.nd_range(
+        let bindings = [reads_writes(&matrix), reads(&s1b), reads(&s2b), reads(&blocks_buf)];
+        q.submit(&bindings).nd_range(
             "nw_block_wave",
             NdRange::d1(blocks.len() * BLOCK, BLOCK),
             move |ctx| {

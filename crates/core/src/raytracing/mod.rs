@@ -384,7 +384,7 @@ pub fn run(q: &Queue, p: &RaytracingParams, _version: AppVersion) -> Vec<f32> {
     let v = out.view();
     let scene_ref = &scene;
     let pp = *p;
-    q.parallel_for("raytrace", Range::d2(p.width, p.height), move |it| {
+    q.submit(&[writes(&out)]).parallel_for("raytrace", Range::d2(p.width, p.height), move |it| {
         let (x, y) = (it.gid(0), it.gid(1));
         let c = render_pixel(&pp, scene_ref, x, y);
         let i = (y * pp.width + x) * 3;

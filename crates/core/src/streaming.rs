@@ -65,9 +65,8 @@ impl StreamScenario {
 /// plain queue the stream records on and recovers through. The primary
 /// makes single attempts: fault absorption is the *runner's* job (typed
 /// `Retried` verdicts), so queue-level retry must not mask injected
-/// faults. It arms integrity process-wide for an SDC scenario, and a
-/// buffer registers a checksummed region only while armed — so the pair
-/// is built before any stage allocates.
+/// faults. Under an SDC scenario the primary seals each stage buffer at
+/// the first launch that binds it.
 fn queues(scenario: &StreamScenario) -> (Queue, Queue) {
     let h = Hardening { fault: scenario.fault.clone(), integrity: scenario.sdc, ..Hardening::NONE };
     let primary = Queue::hardened(Device::cpu(), h)

@@ -672,18 +672,18 @@ pub enum SdcOutcome {
     },
 }
 
-fn integrity_events() -> u64 {
-    hetero_rt::integrity::detections_total() + hetero_rt::integrity::corrected_total()
-}
-
-/// How a caught `validate` call ended, given the integrity events
-/// counted before it began.
-fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
+/// How a caught `validate` call ended, given what its launches absorbed
+/// on the run's own ledger: detected corruptions retried past, and
+/// divergent replicas outvoted.
+fn sdc_outcome(r: std::thread::Result<Validation>, ledger: &ResilienceLedger) -> SdcOutcome {
     match r {
-        Ok(Validation::Valid) => match integrity_events() - before {
-            0 => SdcOutcome::Correct,
-            events => SdcOutcome::Corrected { events },
-        },
+        Ok(Validation::Valid) => {
+            let s = ledger.snapshot();
+            match s.detections_absorbed + s.divergences_corrected {
+                0 => SdcOutcome::Correct,
+                events => SdcOutcome::Corrected { events },
+            }
+        }
         Ok(Validation::Invalid(reason)) => SdcOutcome::Quarantined { reason, error: None },
         Err(payload) => match classify_payload(payload) {
             ResilienceOutcome::TypedError(e) => {
@@ -696,12 +696,25 @@ fn sdc_outcome(r: std::thread::Result<Validation>, before: u64) -> SdcOutcome {
     }
 }
 
+/// `queue` accounting to a ledger of the run's own, and the ledger. The
+/// run's counts are folded into `queue`'s ledger, if it has one, by
+/// [`fold_ledger`].
+fn own_ledger(queue: &Queue) -> (Queue, Arc<ResilienceLedger>) {
+    let ledger = Arc::new(ResilienceLedger::new());
+    (queue.clone().with_resilience_ledger(Some(Arc::clone(&ledger))), ledger)
+}
+
+fn fold_ledger(queue: &Queue, run: &ResilienceLedger) {
+    if let Some(outer) = queue.resilience_ledger() {
+        outer.absorb(&run.snapshot());
+    }
+}
+
 /// Run one configuration's validator on `queue` under a watchdog and
 /// classify how it ended. A run past `timeout` is
 /// [`SdcOutcome::Uncontained`]; its runaway thread is leaked (the
 /// watchdog exists to *diagnose* hangs). Detection/correction activity
-/// is measured as the delta of the process-global integrity counters
-/// across the run, so callers must not run SDC cells concurrently.
+/// is counted on the run's own ledger, so runs may overlap.
 fn run_sdc(
     app: &AppEntry,
     queue: Queue,
@@ -710,14 +723,17 @@ fn run_sdc(
     timeout: Duration,
 ) -> SdcOutcome {
     let validate = app.validate;
-    let before = integrity_events();
+    let (q, ledger) = own_ledger(&queue);
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| validate(&queue, size, version)));
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| validate(&q, size, version)));
         let _ = tx.send(r);
     });
     match rx.recv_timeout(timeout) {
-        Ok(r) => sdc_outcome(r, before),
+        Ok(r) => {
+            fold_ledger(&queue, &ledger);
+            sdc_outcome(r, &ledger)
+        }
         Err(_) => SdcOutcome::Uncontained {
             what: format!("timed out after {timeout:?}"),
         },
@@ -725,10 +741,7 @@ fn run_sdc(
 }
 
 /// [`run_sdc`] without the watchdog thread (see [`run_resilient_inline`]
-/// for why the serving layer wants that). The global-integrity-counter
-/// caveat applies unchanged: callers must serialize SDC runs
-/// process-wide — the serving layer holds an exclusive permit around
-/// every SDC-hardened job for exactly this reason.
+/// for why the serving layer wants that).
 pub fn run_sdc_inline(
     app: &AppEntry,
     queue: &Queue,
@@ -736,8 +749,10 @@ pub fn run_sdc_inline(
     version: AppVersion,
 ) -> SdcOutcome {
     let validate = app.validate;
-    let before = integrity_events();
-    sdc_outcome(std::panic::catch_unwind(AssertUnwindSafe(|| validate(queue, size, version))), before)
+    let (q, ledger) = own_ledger(queue);
+    let r = std::panic::catch_unwind(AssertUnwindSafe(|| validate(&q, size, version)));
+    fold_ledger(queue, &ledger);
+    sdc_outcome(r, &ledger)
 }
 
 // --- the hardened verdict matrix -------------------------------------------
@@ -882,7 +897,7 @@ pub fn pool_is_healthy() -> bool {
     let q = Queue::new(Device::cpu());
     let b = Buffer::<usize>::new(4096);
     let v = b.view();
-    let r = q.try_parallel_for("pool_probe", Range::d1(4096), move |it| {
+    let r = q.submit(&[writes(&b)]).try_parallel_for("pool_probe", Range::d1(4096), move |it| {
         v.set(it.gid(0), it.gid(0) ^ 0xA5A5);
     });
     r.is_ok() && b.to_vec().iter().enumerate().all(|(i, &x)| x == i ^ 0xA5A5)
@@ -1487,20 +1502,31 @@ mod tests {
 
     #[test]
     fn run_sdc_counts_correction_events() {
-        // Simulate the corrected path by bumping the global corrected
-        // counter from inside the validator, as queue voting would.
-        let app = sdc_entry(|_, _, _| {
-            hetero_rt::integrity::record_corrected(2);
+        // Simulate the corrected path by accounting one absorbed
+        // detection and one outvoted divergence to the run's ledger from
+        // inside the validator, as the queue's launches would.
+        let app = sdc_entry(|q, _, _| {
+            let ledger = q.resilience_ledger().expect("a run accounts to its own ledger");
+            let info = hetero_rt::ResilienceInfo {
+                faults_absorbed: 2,
+                detections_absorbed: 1,
+                divergences_corrected: 1,
+                ..Default::default()
+            };
+            ledger.record(&info);
             Validation::Valid
         });
+        let tenant = Arc::new(ResilienceLedger::new());
         let o = run_sdc(
             &app,
-            Queue::new(Device::cpu()),
+            Queue::new(Device::cpu()).with_resilience_ledger(Some(Arc::clone(&tenant))),
             InputSize::S1,
             AppVersion::SyclBaseline,
             Duration::from_secs(5),
         );
         assert_eq!(o, SdcOutcome::Corrected { events: 2 });
+        let s = tenant.snapshot();
+        assert_eq!((s.launches, s.divergences_corrected), (1, 1), "folded into the queue's ledger");
     }
 
     #[test]

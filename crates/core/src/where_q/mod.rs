@@ -93,7 +93,8 @@ fn run_staged(
     // purpose: an 8-wide body measured 1.02–1.62x of this loop, under
     // 1.5x in nine runs of ten (EXPERIMENTS.md "PR 24").
     const FLAG_CHUNK: usize = 4096;
-    q.parallel_for("where_flags", Range::d1(n.div_ceil(FLAG_CHUNK).max(1)), move |it| {
+    let range = Range::d1(n.div_ceil(FLAG_CHUNK).max(1));
+    q.submit(&[reads(&values), writes(&flags_buf)]).parallel_for("where_flags", range, move |it| {
         let lo = it.gid(0) * FLAG_CHUNK;
         for i in lo..(lo + FLAG_CHUNK).min(n) {
             fv.set(i, u32::from(vv.get(i) < sel));
@@ -127,12 +128,14 @@ fn run_staged(
     let offs = Buffer::from_vec(offsets);
     let recs = Buffer::from_vec(records);
     let (ov, offv, rv, fv) = (out.view(), offs.view(), recs.view(), flags_buf.view());
-    q.parallel_for("where_scatter", Range::d1(n), move |it| {
+    let scatter = move |it: Item| {
         let i = it.gid(0);
         if fv.get(i) == 1 {
             ov.set(offv.get(i) as usize, rv.get(i));
         }
-    });
+    };
+    q.submit(&[reads(&flags_buf), reads(&offs), reads(&recs), writes(&out)])
+        .parallel_for("where_scatter", Range::d1(n), scatter);
     let mut result = egress(out);
     result.truncate(total);
     result

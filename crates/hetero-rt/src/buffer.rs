@@ -18,7 +18,7 @@
 //! CUDA originals, so that concurrent writes target disjoint elements or
 //! go through the provided atomics.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::error::{Error, Result};
 use crate::integrity;
@@ -36,9 +36,9 @@ struct Storage<T> {
     // allocation order is program order, so ids are deterministic. The
     // integrity layer reuses the same id as its region id.
     id: u64,
-    // Checksummed integrity region; `None` while the layer is disarmed
-    // (the zero-overhead default).
-    region: Option<Arc<integrity::Region>>,
+    // Checksummed integrity region, set the first time a launch on an
+    // integrity queue binds the buffer.
+    region: OnceLock<integrity::Region>,
 }
 
 impl<T> Storage<T> {
@@ -49,11 +49,28 @@ impl<T> Storage<T> {
     }
 }
 
-impl<T> Drop for Storage<T> {
-    fn drop(&mut self) {
-        if let Some(region) = self.region.take() {
-            integrity::unregister(&region);
-        }
+/// What a [`crate::Binding`] holds of the buffer it names: the storage,
+/// reached through its integrity region.
+pub(crate) trait Bound: Send + Sync {
+    /// The buffer's region, registered and sealed on first use.
+    fn region(&self) -> &integrity::Region;
+    /// The buffer's region, if a hardened launch has registered it.
+    fn registered(&self) -> Option<&integrity::Region>;
+}
+
+impl<T: Send + 'static> Bound for Storage<T> {
+    fn region(&self) -> &integrity::Region {
+        self.region.get_or_init(|| {
+            // Under the host lock, so a concurrent host write lands
+            // wholly before or after the first seal.
+            let guard = self.host();
+            let (ptr, bytes) = (guard.as_ptr().cast(), std::mem::size_of_val::<[T]>(&guard));
+            integrity::Region::sealed(self.id, ptr, bytes, integrity::bit_safe::<T>())
+        })
+    }
+
+    fn registered(&self) -> Option<&integrity::Region> {
+        self.region.get()
     }
 }
 
@@ -86,32 +103,23 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
 
     /// Adopt a host `Vec` as the buffer's storage: no copy (spare
     /// capacity, if any, is shrunk away first). Identity is as fresh as
-    /// [`Buffer::from_slice`]'s — a new sanitizer object id and, while
-    /// the integrity layer is armed, a newly registered and sealed region
-    /// over the adopted bytes.
+    /// [`Buffer::from_slice`]'s: a new object id.
     pub fn from_vec(src: Vec<T>) -> Self {
         Buffer::build(src.into_boxed_slice())
     }
 
-    /// Construct over `data` with a fresh identity: a new sanitizer
-    /// object id and, while the integrity layer is armed, a newly
-    /// registered region.
-    fn build(data: Box<[T]>) -> Self {
-        let len = data.len();
+    /// Construct over `data` with a fresh identity: a new object id,
+    /// and no integrity region until a hardened launch binds it.
+    fn build(mut data: Box<[T]>) -> Self {
+        let (len, base) = (data.len(), data.as_mut_ptr());
         let id = sanitize::next_object_id();
-        let data = Mutex::new(data);
-        let (base, region) = {
-            let mut guard = data.lock().unwrap_or_else(PoisonError::into_inner);
-            let base = guard.as_mut_ptr();
-            let region = integrity::register(
-                id,
-                guard.as_ptr() as *const u8,
-                std::mem::size_of_val::<[T]>(&guard),
-                integrity::bit_safe::<T>(),
-            );
-            (base, region)
-        };
-        Buffer { storage: Arc::new(Storage { data, base, len, id, region }) }
+        let region = OnceLock::new();
+        Buffer { storage: Arc::new(Storage { data: Mutex::new(data), base, len, id, region }) }
+    }
+
+    /// The storage, as a binding holds it.
+    pub(crate) fn bound(&self) -> Arc<dyn Bound> {
+        Arc::clone(&self.storage) as Arc<dyn Bound>
     }
 
     /// Whether this handle is the only owner of the storage: no clones
@@ -149,15 +157,15 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
     /// host lock as the copy.
     pub(crate) fn to_vec_verified(&self) -> Result<Vec<T>> {
         let guard = self.storage.host();
-        if let Some(region) = &self.storage.region {
-            region.verify_now()?;
+        if let Some(region) = self.storage.region.get() {
+            region.verify()?;
         }
         Ok(guard.to_vec())
     }
 
     /// Move the contents out as a host `Vec`, consuming the handle. The
     /// sole owner gets the allocation itself — no copy, and the integrity
-    /// region is unregistered by the storage drop. While clones or views
+    /// region, if any, goes with the storage. While clones or views
     /// are still alive the allocation cannot move from under them, so
     /// this falls back to the [`Buffer::to_vec`] copy: the result is the
     /// same either way, only its cost depends on what was dropped first.
@@ -165,7 +173,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         match Arc::try_unwrap(self.storage) {
             Ok(storage) => {
                 let data = std::mem::take(&mut *storage.host());
-                // `storage` drops here, unregistering the integrity region.
+                // `storage` drops here, and its integrity region with it.
                 data.into_vec()
             }
             Err(shared) => Buffer { storage: shared }.to_vec(),
@@ -191,11 +199,12 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
                 buffer_len: guard.len(),
             });
         }
-        guard.copy_from_slice(src);
-        if let Some(region) = &self.storage.region {
-            // Coarse host write: recompute the seal so verification keeps
-            // protecting the region instead of flagging this write.
-            region.reseal_now();
+        // Coarse host write: copy and reseal under the region's lock, so
+        // verification keeps protecting the region instead of flagging
+        // this write, and never sees it half-done.
+        match self.storage.region.get() {
+            Some(region) => region.host_write(|| guard.copy_from_slice(src)),
+            None => guard.copy_from_slice(src),
         }
         Ok(())
     }
@@ -205,21 +214,19 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
         f(&self.storage.host())
     }
 
-    /// Run `f` with mutable host access (host-side initialisation).
+    /// Run `f` with mutable host access (host-side initialisation),
+    /// resealed as [`Buffer::write_from`] is before the host lock drops.
     pub fn write<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
-        let r = {
-            let mut guard = self.storage.host();
-            f(&mut guard)
-        };
-        if let Some(region) = &self.storage.region {
-            region.reseal_now();
+        let mut guard = self.storage.host();
+        match self.storage.region.get() {
+            Some(region) => region.host_write(|| f(&mut guard)),
+            None => f(&mut guard),
         }
-        r
     }
 
     /// Host-side store of element `i` between launches (a point-source
     /// injection, one scalar of a larger parameter block). Unlike a
-    /// store through a [`GlobalView`], it keeps an armed integrity seal
+    /// store through a [`GlobalView`], it keeps an integrity seal
     /// truthful: the element's page is verified, written and resealed
     /// alone, so the next launch neither flags this write as corruption
     /// nor loses protection of the rest of the buffer. An out-of-range
@@ -234,7 +241,7 @@ impl<T: Copy + Default + Send + 'static> Buffer<T> {
             drop(guard);
             oob(i, 1, len);
         }
-        let stored = match &self.storage.region {
+        let stored = match self.storage.region.get() {
             Some(region) => {
                 let size = std::mem::size_of::<T>();
                 region.host_store(i * size, size, || guard[i] = v)

@@ -68,14 +68,17 @@ pub enum Error {
     /// The dynamic race sanitizer ([`crate::sanitize`]) observed a
     /// SYCL-memory-model violation during the launch: conflicting
     /// accesses to the same element from different work-groups, from
-    /// work-items of one group without a separating barrier, or a read
-    /// of local memory that was never written. Carries the first report
-    /// in the launch's deterministic (element-sorted) ordering; the full
+    /// work-items of one group without a separating barrier, a read of
+    /// local memory that was never written, or an access its stated
+    /// bindings do not allow. Carries the first report in the launch's
+    /// deterministic (object- and element-sorted) ordering; the full
     /// report list is available via
     /// [`crate::sanitize::take_last_reports`].
     DataRace {
         /// Kernel name the submission was given.
         kernel: &'static str,
+        /// Buffer object id, or local-array index within the group.
+        object: u64,
         /// Element index within the racing buffer / local array.
         element: usize,
         /// Conflict class.
@@ -83,8 +86,8 @@ pub enum Error {
     },
     /// The integrity layer ([`crate::integrity`]) found a checksummed
     /// memory region whose contents diverged from their seal — silent
-    /// data corruption detected at a launch boundary or by the idle
-    /// scrubber. Never retried in place (the corrupt bytes are already
+    /// data corruption detected at the entry of a launch that binds the
+    /// region or at a host read-back. Never retried in place (the corrupt bytes are already
     /// at rest); the suite harness quarantines the run.
     DataCorruption {
         /// Region id (creation-order object id of the buffer).
@@ -111,6 +114,13 @@ pub enum Error {
     /// contained panic's, so partial writes are possible — which is why
     /// cancellation is deliberately *not* CPU-fallback eligible.
     Canceled {
+        /// Kernel name the submission was given.
+        kernel: &'static str,
+    },
+    /// A launch on an integrity queue stated no bindings, so there is no
+    /// region to scope the protocol to. Refused before anything runs;
+    /// never retried, never re-run elsewhere.
+    UnboundLaunch {
         /// Kernel name the submission was given.
         kernel: &'static str,
     },
@@ -151,9 +161,9 @@ impl fmt::Display for Error {
                 f,
                 "kernel '{kernel}' failed to launch after {attempts} attempt(s)"
             ),
-            Error::DataRace { kernel, element, kind } => write!(
+            Error::DataRace { kernel, object, element, kind } => write!(
                 f,
-                "kernel '{kernel}': data race on element {element} ({kind})"
+                "kernel '{kernel}': data race on object {object} element {element} ({kind})"
             ),
             Error::DataCorruption { region, page, epoch } => write!(
                 f,
@@ -166,6 +176,10 @@ impl fmt::Display for Error {
             Error::Canceled { kernel } => write!(
                 f,
                 "kernel '{kernel}' canceled before completion"
+            ),
+            Error::UnboundLaunch { kernel } => write!(
+                f,
+                "kernel '{kernel}' states no bindings on an integrity queue"
             ),
             Error::PipeDeadlock { waited_secs } => write!(
                 f,
@@ -229,11 +243,13 @@ mod tests {
     fn data_race_displays_triple_and_is_not_fallback_eligible() {
         let e = Error::DataRace {
             kernel: "racy",
+            object: 3,
             element: 12,
             kind: crate::sanitize::RaceKind::WriteWrite,
         };
         let s = e.to_string();
-        assert!(s.contains("racy") && s.contains("12") && s.contains("write-write"), "{s}");
+        assert!(s.contains("racy") && s.contains("object 3") && s.contains("12"), "{s}");
+        assert!(s.contains("write-write"), "{s}");
         // Groups already wrote global memory by the time a race is
         // detected, so a CPU re-run could observe partial results.
         assert!(!e.is_cpu_fallback_eligible());
@@ -255,6 +271,8 @@ mod tests {
         // A canceled launch may have written partially, and re-running it
         // elsewhere would defeat the deadline that canceled it.
         assert!(!Error::Canceled { kernel: "k" }.is_cpu_fallback_eligible());
+        // An unbound launch on an integrity queue is refused anywhere.
+        assert!(!Error::UnboundLaunch { kernel: "k" }.is_cpu_fallback_eligible());
     }
 
     #[test]
@@ -273,6 +291,9 @@ mod tests {
         let e = Error::ReplicaDivergence { kernel: "nw_diag", runs: 4 };
         let s = e.to_string();
         assert!(s.contains("nw_diag") && s.contains("4 run"), "{s}");
+
+        let s = Error::UnboundLaunch { kernel: "probe" }.to_string();
+        assert!(s.contains("probe") && s.contains("no bindings"), "{s}");
     }
 
     #[test]

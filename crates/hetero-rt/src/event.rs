@@ -50,7 +50,8 @@ impl ProfilingInfo {
 /// Resilience record of one launch: what the retry/fallback/redundancy
 /// machinery in [`crate::queue`] did to get the submission to complete.
 /// All-quiet launches read `{ attempts: 1, faults_absorbed: 0,
-/// fallback_device: None, replicas: 1, divergences_corrected: 0 }`.
+/// detections_absorbed: 0, fallback_device: None, replicas: 1,
+/// divergences_corrected: 0 }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceInfo {
     /// Submission attempts made (≥ 1; > 1 means transient faults or
@@ -59,6 +60,9 @@ pub struct ResilienceInfo {
     /// Transient faults absorbed by [`crate::queue::RetryPolicy`] before
     /// the launch succeeded.
     pub faults_absorbed: u32,
+    /// Of `faults_absorbed`, the corruptions the integrity entry check
+    /// detected.
+    pub detections_absorbed: u32,
     /// Device name the launch was re-run on when the primary device
     /// rejected it (see [`crate::queue::Fallback`]); `None` when the
     /// primary device executed it.
@@ -75,6 +79,7 @@ impl Default for ResilienceInfo {
         ResilienceInfo {
             attempts: 1,
             faults_absorbed: 0,
+            detections_absorbed: 0,
             fallback_device: None,
             replicas: 1,
             divergences_corrected: 0,
@@ -95,6 +100,7 @@ pub struct ResilienceLedger {
     launches: AtomicU64,
     attempts: AtomicU64,
     faults_absorbed: AtomicU64,
+    detections_absorbed: AtomicU64,
     replicas: AtomicU64,
     divergences_corrected: AtomicU64,
     fallbacks: AtomicU64,
@@ -111,6 +117,8 @@ pub struct LedgerSnapshot {
     pub attempts: u64,
     /// Transient faults / detected corruptions absorbed by retries.
     pub faults_absorbed: u64,
+    /// Of `faults_absorbed`, detected corruptions.
+    pub detections_absorbed: u64,
     /// Replica runs executed under redundancy.
     pub replicas: u64,
     /// Divergent replica digests outvoted.
@@ -135,6 +143,8 @@ impl ResilienceLedger {
         self.attempts.fetch_add(u64::from(info.attempts), Ordering::Relaxed);
         self.faults_absorbed
             .fetch_add(u64::from(info.faults_absorbed), Ordering::Relaxed);
+        self.detections_absorbed
+            .fetch_add(u64::from(info.detections_absorbed), Ordering::Relaxed);
         self.replicas.fetch_add(u64::from(info.replicas), Ordering::Relaxed);
         self.divergences_corrected
             .fetch_add(u64::from(info.divergences_corrected), Ordering::Relaxed);
@@ -160,12 +170,28 @@ impl ResilienceLedger {
         self.replicas.fetch_add(launches, Ordering::Relaxed);
     }
 
+    /// Add another ledger's counts (a job's own ledger, folded into its
+    /// tenant's once the job ends).
+    pub fn absorb(&self, s: &LedgerSnapshot) {
+        let add = |c: &AtomicU64, n: u64| c.fetch_add(n, Ordering::Relaxed);
+        add(&self.launches, s.launches);
+        add(&self.attempts, s.attempts);
+        add(&self.faults_absorbed, s.faults_absorbed);
+        add(&self.detections_absorbed, s.detections_absorbed);
+        add(&self.replicas, s.replicas);
+        add(&self.divergences_corrected, s.divergences_corrected);
+        add(&self.fallbacks, s.fallbacks);
+        add(&self.errors, s.errors);
+        add(&self.canceled, s.canceled);
+    }
+
     /// Current counter values.
     pub fn snapshot(&self) -> LedgerSnapshot {
         LedgerSnapshot {
             launches: self.launches.load(Ordering::Relaxed),
             attempts: self.attempts.load(Ordering::Relaxed),
             faults_absorbed: self.faults_absorbed.load(Ordering::Relaxed),
+            detections_absorbed: self.detections_absorbed.load(Ordering::Relaxed),
             replicas: self.replicas.load(Ordering::Relaxed),
             divergences_corrected: self.divergences_corrected.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
@@ -264,6 +290,7 @@ mod tests {
             ResilienceInfo {
                 attempts: 1,
                 faults_absorbed: 0,
+                detections_absorbed: 0,
                 fallback_device: None,
                 replicas: 1,
                 divergences_corrected: 0,
@@ -272,6 +299,7 @@ mod tests {
         let e = e.with_resilience(ResilienceInfo {
             attempts: 3,
             faults_absorbed: 2,
+            detections_absorbed: 1,
             fallback_device: Some("cpu".into()),
             replicas: 2,
             divergences_corrected: 1,

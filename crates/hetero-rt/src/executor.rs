@@ -54,7 +54,7 @@ pub fn run_groups<K>(nd: NdRange, parallelism: Parallelism, local_mem_limit: usi
 where
     K: Fn(&GroupCtx) + Sync,
 {
-    run_groups_contained(nd, parallelism, local_mem_limit, "<kernel>", None, false, None, kernel)
+    run_groups_contained(nd, parallelism, local_mem_limit, "<kernel>", None, None, None, kernel)
         .unwrap_or_else(|e| std::panic::panic_any(e));
 }
 
@@ -77,9 +77,10 @@ where
 /// `None`, the per-group cost is one branch — the overhead bounded by the
 /// `hook_overhead` microbenchmark.
 ///
-/// When `sanitize` is true, the launch runs under the dynamic race
-/// detector ([`crate::sanitize`]): every group records shadow access
-/// logs, merged and analysed here at launch end. Findings surface as a
+/// When `sanitize` is `Some(bindings)`, the launch runs under the dynamic
+/// race detector ([`crate::sanitize`]): every group records shadow access
+/// logs, merged and analysed here at launch end, and checked against
+/// `bindings` when the launch states any. Findings surface as a
 /// typed [`Error::DataRace`] (first finding in the deterministic report
 /// order); the full list is stashed for
 /// [`crate::sanitize::take_last_reports`] on the submitting thread.
@@ -90,7 +91,7 @@ pub fn run_groups_contained<K>(
     local_mem_limit: usize,
     kernel_name: &'static str,
     plan: Option<&FaultPlan>,
-    sanitize: bool,
+    sanitize: Option<&[crate::Binding]>,
     cancel: Option<&crate::cancel::CancelToken>,
     kernel: &K,
 ) -> Result<Duration>
@@ -101,7 +102,7 @@ where
     let num_groups = nd.num_groups();
     let groups_range = nd.groups();
     let threads = parallelism.thread_count().min(num_groups.max(1));
-    let session = sanitize.then(|| crate::sanitize::LaunchSession::begin(kernel_name));
+    let session = sanitize.map(|_| crate::sanitize::LaunchSession::begin(kernel_name));
 
     let run_one = |g: usize| -> std::result::Result<(), Error> {
         let gid = groups_range.delinearize(g);
@@ -130,10 +131,11 @@ where
     // launch's typed error.
     let analyze = |session: Option<crate::sanitize::LaunchSession>| -> Result<()> {
         let Some(s) = session else { return Ok(()) };
-        let reports = s.finish();
+        let reports = s.finish(sanitize.unwrap_or_default());
         let Some(first) = reports.first() else { return Ok(()) };
         let err = Error::DataRace {
             kernel: kernel_name,
+            object: first.object,
             element: first.element,
             kind: first.kind,
         };
@@ -271,7 +273,7 @@ mod tests {
     fn kernel_panic_contained_in_both_modes() {
         for p in [Parallelism::Sequential, Parallelism::Auto, Parallelism::Threads(3)] {
             let nd = NdRange::d1(1024, 32);
-            let e = run_groups_contained(nd, p, 1 << 20, "boomer", None, false, None, &|ctx: &GroupCtx| {
+            let e = run_groups_contained(nd, p, 1 << 20, "boomer", None, None, None, &|ctx: &GroupCtx| {
                 if ctx.group_linear() == 7 {
                     panic!("deliberate kernel bug");
                 }
@@ -310,7 +312,7 @@ mod tests {
             1 << 20,
             "victim",
             Some(&plan),
-            false,
+            None,
             None,
             &|_ctx: &GroupCtx| {},
         )
@@ -330,7 +332,7 @@ mod tests {
             1 << 20,
             "bystander",
             Some(&plan),
-            false,
+            None,
             None,
             &|_ctx: &GroupCtx| {},
         );
@@ -349,7 +351,7 @@ mod tests {
             1 << 20,
             "oob",
             None,
-            false,
+            None,
             None,
             &|ctx: &GroupCtx| {
                 ctx.items(|it| v.set(it.global_linear, 1)); // 8..15 out of bounds
@@ -371,7 +373,7 @@ mod tests {
             1 << 20,
             "seq",
             None,
-            false,
+            None,
             None,
             &|ctx: &GroupCtx| ctx.items(|_| {}),
         );

@@ -131,7 +131,8 @@ pub struct FaultPlan {
     transient_burst: AtomicU64,
     /// One-shot targeted bit-flips (region id, byte offset, bit): the
     /// deterministic input for exact `DataCorruption{region, page}`
-    /// true-positive tests. Consumed at the next launch entry.
+    /// true-positive tests. Consumed at the entry of the next launch
+    /// that binds the region.
     flip_targets: Mutex<Vec<(u64, usize, u8)>>,
     /// The stuck-at site (region id, page, bit) once chosen — targeted
     /// via [`FaultPlan::with_stuck_at`] or lazily seed-derived at first
@@ -189,7 +190,8 @@ impl FaultPlan {
     }
 
     /// A plan that flips exactly `bit` of byte `byte` in region `region`
-    /// at the next launch entry, and injects nothing else: the
+    /// at the entry of the next launch that binds it, and injects nothing
+    /// else: the
     /// deterministic input for exact `DataCorruption{region, page}`
     /// tests.
     // lint:allow(unused-pub) test oracle: hetero-rt/tests/{sdc, graph}.rs pin the exact DataCorruption{region, page} a flip yields
@@ -305,8 +307,13 @@ impl FaultPlan {
         ((self.draw(SALT_SITE) * n as f64) as usize).min(n - 1)
     }
 
-    pub(crate) fn take_flip_targets(&self) -> Vec<(u64, usize, u8)> {
-        std::mem::take(&mut *lock(&self.flip_targets))
+    /// Take the pending targeted flips whose region `bound` accepts;
+    /// the rest wait for a launch that binds their region.
+    pub(crate) fn take_flip_targets(&self, bound: impl Fn(u64) -> bool) -> Vec<(u64, usize, u8)> {
+        let mut targets = lock(&self.flip_targets);
+        let (taken, rest) = targets.drain(..).partition(|&(region, _, _)| bound(region));
+        *targets = rest;
+        taken
     }
 
     /// Count `n` silent faults applied: bit-flips, or a stuck page that
@@ -598,8 +605,9 @@ mod tests {
     #[test]
     fn targeted_flips_are_one_shot() {
         let p = FaultPlan::flip_at(7, 123, 2);
-        assert_eq!(p.take_flip_targets(), vec![(7, 123, 2)]);
-        assert!(p.take_flip_targets().is_empty());
+        assert!(p.take_flip_targets(|r| r == 8).is_empty(), "waits for its region");
+        assert_eq!(p.take_flip_targets(|r| r == 7), vec![(7, 123, 2)]);
+        assert!(p.take_flip_targets(|_| true).is_empty());
         assert!(!p.wants_flip(false));
     }
 }

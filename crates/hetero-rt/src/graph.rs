@@ -31,17 +31,17 @@
 //!
 //! # Composition with the resilience stack
 //!
-//! The fast replay path is only taken on a queue whose
-//! [`crate::Hardening`] is disarmed. A queue with a fault plan,
-//! sanitizer, integrity, redundancy or CPU fallback, or a process with
-//! the integrity layer armed, transparently degrades to
-//! [`Graph::submit_each`], which routes every recorded node through the
-//! ordinary hardened launch path — armed modes are never silently
-//! skipped, they just forgo the replay speedup. A walk on a queue that
-//! runs no integrity protocol while another queue has the layer armed (a
-//! stream's recovery queue) reseals, after it succeeds, exactly the
-//! buffers its nodes bind [`writes`] or [`reads_writes`]; a buffer it
-//! only reads keeps its seal.
+//! The fast replay path is taken on a queue whose [`crate::Hardening`]
+//! is disarmed, whatever other queues in the process are armed with. A
+//! queue with a fault plan, sanitizer, integrity, redundancy or CPU
+//! fallback transparently degrades to [`Graph::submit_each`], which
+//! routes every recorded node, with its bindings, through the ordinary
+//! hardened launch path — armed modes are never silently skipped, they
+//! just forgo the replay speedup. A walk on a queue that runs no
+//! integrity protocol (a stream's recovery queue), fast replay or
+//! `submit_each`, reseals after it succeeds the registered regions of
+//! the buffers its nodes bind [`writes`] or [`reads_writes`]; a buffer
+//! it only reads keeps its seal.
 //!
 //! # Graph lifetime and invalidation
 //!
@@ -61,10 +61,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::buffer::Buffer;
+use crate::buffer::{Bound, Buffer};
 use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
 use crate::fault::classify_panic;
+use crate::integrity::Region;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
 use crate::queue::Queue;
 
@@ -84,30 +85,64 @@ pub enum Access {
     ReadWrite,
 }
 
-/// What one recorded launch says about one buffer it touches — a SYCL
-/// accessor; built with [`reads`], [`writes`] or [`reads_writes`], read
-/// back through [`Graph::node_bindings`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one launch says about one buffer it touches — a SYCL accessor;
+/// built with [`reads`], [`writes`] or [`reads_writes`], stated to
+/// [`Queue::submit`] or a recorded launch, read back through
+/// [`Graph::node_bindings`]. It holds the buffer's storage, so an
+/// integrity queue can reach the buffer's region through it.
+#[derive(Clone)]
 pub struct Binding {
     /// Stable runtime object id of the buffer.
     pub object: u64,
     /// Stated access mode.
     pub access: Access,
+    storage: Arc<dyn Bound>,
 }
 
-/// Declare that a recorded launch reads `b`.
+impl std::fmt::Debug for Binding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("Binding");
+        s.field("object", &self.object).field("access", &self.access).finish()
+    }
+}
+
+impl PartialEq for Binding {
+    fn eq(&self, other: &Self) -> bool {
+        (self.object, self.access) == (other.object, other.access)
+    }
+}
+
+impl Eq for Binding {}
+
+impl Binding {
+    fn new<T: Copy + Default + Send + 'static>(b: &Buffer<T>, access: Access) -> Self {
+        Binding { object: b.object_id(), access, storage: b.bound() }
+    }
+
+    /// The buffer's integrity region, registered and sealed on first use.
+    pub(crate) fn region(&self) -> &Region {
+        self.storage.region()
+    }
+
+    /// Whether the launch writes the buffer.
+    pub(crate) fn writes(&self) -> bool {
+        self.access != Access::Read
+    }
+}
+
+/// Declare that a launch reads `b`.
 pub fn reads<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
-    Binding { object: b.object_id(), access: Access::Read }
+    Binding::new(b, Access::Read)
 }
 
-/// Declare that a recorded launch writes `b` (without reading it).
+/// Declare that a launch writes `b` (without reading it).
 pub fn writes<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
-    Binding { object: b.object_id(), access: Access::Write }
+    Binding::new(b, Access::Write)
 }
 
-/// Declare that a recorded launch both reads and writes `b`.
+/// Declare that a launch both reads and writes `b`.
 pub fn reads_writes<T: Copy + Default + Send + 'static>(b: &Buffer<T>) -> Binding {
-    Binding { object: b.object_id(), access: Access::ReadWrite }
+    Binding::new(b, Access::ReadWrite)
 }
 
 /// Can two launches with these binding lists run concurrently?
@@ -159,7 +194,7 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// Record a barrier-free data-parallel launch — the recorded
-    /// equivalent of [`Queue::parallel_for`]. The flat range is chunked
+    /// equivalent of [`crate::queue::CommandGroup::parallel_for`]. The flat range is chunked
     /// into implicit work-groups exactly the way the live path chunks
     /// it, so replayed launches produce identical group structure.
     pub fn parallel_for<F>(
@@ -179,7 +214,7 @@ impl GraphBuilder {
     }
 
     /// Record a work-group launch — the recorded equivalent of
-    /// [`Queue::nd_range`].
+    /// [`crate::queue::CommandGroup::nd_range`].
     pub fn nd_range<K>(
         &mut self,
         name: &'static str,
@@ -310,14 +345,11 @@ impl Graph {
     }
 
     /// Whether the single-wake-up replay path may run on `q`: its
-    /// hardening must be disarmed, no other queue may have armed
-    /// integrity process-wide, and the device capabilities must match the
-    /// recorded snapshot. Anything else re-routes through the fully
+    /// hardening must be disarmed and the device capabilities must match
+    /// the recorded snapshot. Anything else re-routes through the fully
     /// hardened per-launch path.
     fn fast_eligible(&self, q: &Queue) -> bool {
-        q.hardening().is_disarmed()
-            && !crate::integrity::armed()
-            && *q.device().caps() == self.caps
+        q.hardening().is_disarmed() && *q.device().caps() == self.caps
     }
 
     /// Execute the recorded plan. On a fully disarmed queue this is the
@@ -339,9 +371,6 @@ impl Graph {
             t.check("<graph>")?;
         }
         let _guard = q.enter_inflight();
-        // Keeps the idle scrubber out of the replay window, mirroring
-        // the per-launch path's scope accounting.
-        let _scope = crate::integrity::LaunchScope::enter();
         crate::fault::install_quiet_hook();
         for n in &self.nodes {
             n.reset();
@@ -366,6 +395,7 @@ impl Graph {
                 return Err(e);
             }
         }
+        self.reseal_written();
         self.fast_replays.fetch_add(1, Ordering::Relaxed);
         if let Some(ledger) = q.resilience_ledger() {
             ledger.record_replay(self.nodes.len() as u64);
@@ -385,28 +415,34 @@ impl Graph {
     }
 
     fn submit_each_inner(&self, q: &Queue) -> Result<()> {
-        // A queue that runs no integrity protocol seals nothing at its
-        // launch exits: while the layer is armed, reseal what the walk
-        // wrote, under one scope so the idle scrubber cannot park those
-        // writes as a finding in between.
-        let reseal = crate::integrity::armed() && !q.hardening().integrity;
-        let _scope = reseal.then(crate::integrity::LaunchScope::enter);
         for n in &self.nodes {
             n.reset();
         }
         for node in &self.nodes {
             let k = &node.kernel;
             let wrap = |ctx: &GroupCtx| k(ctx);
-            q.launch_groups(node.name, node.nd, &wrap)?;
+            q.launch_groups(node.name, node.nd, &node.bindings, &wrap)?;
             node.done.store(node.num_groups, Ordering::Relaxed);
         }
-        if reseal {
-            let written = self.nodes.iter().flat_map(|n| &n.bindings);
-            crate::integrity::reseal_regions(
-                written.filter(|b| b.access != Access::Read).map(|b| b.object),
-            );
+        // An integrity queue resealed at each launch exit; any other
+        // seals nothing there.
+        if !q.hardening().integrity {
+            self.reseal_written();
         }
         Ok(())
+    }
+
+    /// Reseal the registered regions the recording writes — what a walk
+    /// on a queue that runs no integrity protocol wrote. A buffer no
+    /// hardened launch has bound carries no region and costs one load; a
+    /// buffer the walk only reads keeps its seal, so a flip there still
+    /// surfaces.
+    fn reseal_written(&self) {
+        for b in self.nodes.iter().flat_map(|n| &n.bindings).filter(|b| b.writes()) {
+            if let Some(region) = b.storage.registered() {
+                region.reseal();
+            }
+        }
     }
 
     /// One participant's pass over the whole plan. Work is claimed from

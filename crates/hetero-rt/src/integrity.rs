@@ -1,56 +1,52 @@
-//! Silent-data-corruption detection: region-granular page checksums.
+//! Silent-data-corruption detection: region-granular page checksums,
+//! scoped to what a launch binds.
 //!
 //! The chaos layer (see [`crate::fault`]) defends against *fail-stop*
 //! faults — panics and transient launches. A bit that silently flips
 //! inside a [`crate::Buffer`] produces no panic at all: the wrong answer
 //! sails straight through to the benchmark report. This module is the
-//! detection half of the SDC defense:
+//! detection half of the SDC defense. Its scope is a launch's accessors
+//! ([`crate::Binding`]), as a SYCL command group's accessors are what it
+//! touches:
 //!
-//! * every `Buffer` backing allocation registers a [`Region`]
-//!   while the layer is armed ([`arm`]), carrying per-page (1 KiB)
-//!   checksums of its contents;
-//! * regions are **sealed** (checksummed) after every kernel launch on an
-//!   integrity queue and **verified** at the next launch entry — any
-//!   mutation between those boundaries that did not go through a host
-//!   write API surfaces as [`Error::DataCorruption`] naming the exact
-//!   region and page;
+//! * a buffer's [`Region`] — per-page (1 KiB) checksums of its contents
+//!   — is registered and sealed the first time a launch on an integrity
+//!   queue binds the buffer, and lives as long as the buffer;
+//! * a launch on an integrity queue verifies the regions it binds at
+//!   entry — a mutation since their last seal that did not go through a
+//!   host write API surfaces as [`Error::DataCorruption`] naming the
+//!   exact region and page — and reseals at exit the regions it binds
+//!   `writes` / `reads_writes`;
 //! * a host read-back on an integrity queue (`Queue::read_back`) verifies
 //!   the one region it reads, so a flip landing after a buffer's last
 //!   seal fails the read instead of reaching host state;
-//! * parked pool workers run an idle-time **scrubber**
-//!   ([`scrub_step`], called from `pool.rs`) that sweeps one region per
-//!   idle tick, so corruption in cold data is found before the next
-//!   launch consumes it;
-//! * redundant execution (see `Redundancy` in [`crate::queue`]) uses
-//!   [`digest_all`]/[`snapshot_all`]/[`restore`] to vote on whole-memory
-//!   digests across replica runs.
+//! * redundant execution (see `Redundancy` in [`crate::queue`]) snapshots,
+//!   restores and digests the launch's bound regions to vote across
+//!   replica runs, and seeded flips and stuck pages land in them only.
+//!
+//! A buffer no hardened launch has bound carries no region, and a launch
+//! on a plain queue makes no call into this module; a plain graph walk
+//! reseals the registered regions it binds for writing (see
+//! [`crate::Graph`]).
 //!
 //! # Host-write protocol
 //!
-//! Coarse host mutations (`Buffer::write_from`, `Buffer::write`) reseal
-//! their region, so ordinary host-side initialization between launches
-//! never trips verification; a store of one element of a larger buffer between
-//! replays (a point source) goes through `Buffer::host_set`, which
-//! verifies and reseals only the page it touches. Raw
-//! [`crate::GlobalView`] writes from host code outside
-//! a kernel are **not** hooked — while armed they are indistinguishable
-//! from corruption, which is exactly why the SDC tests use them as the
-//! corruption primitive. Application code keeps host writes on the
-//! coarse APIs; the rate-0 armed clean-run of the whole suite pins that.
-//!
-//! # Concurrency contract
-//!
-//! Verify/seal/snapshot walks read region bytes through raw pointers.
-//! The launch protocol only runs them when no kernel is in flight
-//! (a global active-launch count guards both boundaries and the
-//! scrubber), matching the runtime's existing single-host-thread driving
-//! model. Nested or concurrent launches skip the protocol at the inner
-//! boundaries and reseal once at the outermost exit. A read-back touches
-//! only the buffer it copies, under that buffer's host lock — the same
-//! bytes, at the same moment, as the copy itself.
+//! Coarse host mutations (`Buffer::write_from`, `Buffer::write`) hold
+//! their region's lock across the copy and the reseal, so ordinary
+//! host-side initialization between launches never trips verification,
+//! and a verification on another thread sees the bytes before or after
+//! the write, never half of it. A store of one element of a larger
+//! buffer between replays (a point source) goes through
+//! `Buffer::host_set`, which verifies and reseals only the page it
+//! touches. Raw [`crate::GlobalView`] writes from host code outside a
+//! kernel are **not** hooked — to a sealed region they are
+//! indistinguishable from corruption, which is exactly why the SDC tests
+//! use them as the corruption primitive. Application code keeps host
+//! writes on the coarse APIs; the rate-0 clean run of the whole suite on
+//! an integrity queue pins that.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::error::Error;
 use crate::fault::FaultPlan;
@@ -63,55 +59,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether the integrity layer is armed process-wide. Disarmed (the
-/// default), registration is skipped entirely and every hook is a single
-/// relaxed atomic load — the configuration `hook_overhead` pins <2%.
-static ARMED: AtomicBool = AtomicBool::new(false);
-/// Launches currently in flight (counted only while armed). Boundary
-/// verification and the scrubber only touch memory when they hold the
-/// only active slot / no slot at all.
-static ACTIVE_LAUNCHES: AtomicUsize = AtomicUsize::new(0);
-
+/// Regions alive in the process.
+static LIVE_REGIONS: AtomicUsize = AtomicUsize::new(0);
 static DETECTIONS: AtomicU64 = AtomicU64::new(0);
-static CORRECTED: AtomicU64 = AtomicU64::new(0);
-static SCRUB_PASSES: AtomicU64 = AtomicU64::new(0);
 static REGIONS_VERIFIED: AtomicU64 = AtomicU64::new(0);
-static SCRUB_CURSOR: AtomicUsize = AtomicUsize::new(0);
 
-fn registry() -> &'static Mutex<Vec<Arc<Region>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Region>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn pending() -> &'static Mutex<Vec<Violation>> {
-    static PENDING: OnceLock<Mutex<Vec<Violation>>> = OnceLock::new();
-    PENDING.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Arm the integrity layer process-wide. Buffers created from now on
-/// register checksummed regions; integrity queues start verifying at
-/// launch boundaries; parked pool workers scrub.
-pub fn arm() {
-    ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Disarm the layer (tests and overhead benchmarks). Existing regions
-/// stay registered but are no longer verified, injected into, or
-/// scrubbed until re-armed; findings the scrubber parked are dropped.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    lock(pending()).clear();
-}
-
-/// Is the layer armed?
-#[inline]
+/// Does any buffer in the process carry a sealed region — has a launch
+/// on an integrity queue bound a buffer that is still alive?
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    LIVE_REGIONS.load(Ordering::Relaxed) != 0
 }
 
-/// One checksummed backing allocation: a `Buffer`'s storage.
+/// One checksummed backing allocation: a `Buffer`'s storage, from the
+/// first hardened launch that binds it to the buffer's drop.
 #[derive(Debug)]
-pub struct Region {
+pub(crate) struct Region {
+    /// The buffer's object id (deterministic program-creation order).
     id: u64,
     ptr: usize,
     bytes: usize,
@@ -124,57 +87,56 @@ pub struct Region {
 
 #[derive(Debug)]
 struct RegionState {
-    alive: bool,
-    /// Per-page checksums from the last seal; `None` once unregistered.
-    seal: Option<Vec<u64>>,
+    /// Per-page checksums from the last seal.
+    seal: Vec<u64>,
     /// Bumped on every reseal; reported in [`Error::DataCorruption`] so a
     /// violation names *which* seal the contents diverged from.
     epoch: u64,
 }
 
-/// A corruption found by the idle scrubber, parked until the next
-/// verification surfaces it as [`Error::DataCorruption`].
-struct Violation {
-    /// Region id (sanitizer object-id namespace).
-    region: u64,
-    /// Index of the first mismatching [`PAGE_BYTES`] page.
-    page: usize,
-    /// Seal epoch the contents diverged from.
-    epoch: u64,
-}
-
 impl Region {
-    /// Stable region id (shared namespace with the sanitizer's object
-    /// ids: deterministic program-creation order).
-    pub fn id(&self) -> u64 {
-        self.id
+    /// Register the `bytes` bytes at `ptr` as region `id`, sealed to
+    /// their current contents. The owner keeps the allocation alive and
+    /// unmoved for the region's life, and holds its host lock here.
+    pub(crate) fn sealed(id: u64, ptr: *const u8, bytes: usize, injectable: bool) -> Region {
+        LIVE_REGIONS.fetch_add(1, Ordering::Relaxed);
+        let region = Region {
+            id,
+            ptr: ptr as usize,
+            bytes,
+            injectable,
+            state: Mutex::new(RegionState { seal: Vec::new(), epoch: 0 }),
+        };
+        region.reseal();
+        region
     }
 
-    /// The region's bytes. Caller must hold `state` and honor the
-    /// concurrency contract (no kernel in flight).
+    /// The region's bytes. Callers hold `state`.
     fn bytes_slice(&self) -> &[u8] {
-        // SAFETY: `ptr`/`bytes` come from a live allocation registered by
-        // its owner, which unregisters (under the state lock) before
-        // freeing; callers check `alive` under that same lock.
+        // SAFETY: `ptr`/`bytes` describe the owning buffer's allocation,
+        // which outlives the region (the region is a field of the
+        // buffer's storage) and never moves.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.bytes) }
     }
 
-    fn checksums(&self) -> Vec<u64> {
-        self.bytes_slice().chunks(PAGE_BYTES).map(page_checksum).collect()
-    }
-
     fn reseal_locked(&self, st: &mut RegionState) {
-        st.seal = Some(self.checksums());
+        st.seal = self.bytes_slice().chunks(PAGE_BYTES).map(page_checksum).collect();
         st.epoch += 1;
     }
 
-    /// Recompute checksums after a coarse host write (keeps protection
-    /// active across host-side initialization).
-    pub(crate) fn reseal_now(&self) {
+    /// Seal the region to its current contents.
+    pub(crate) fn reseal(&self) {
+        self.reseal_locked(&mut lock(&self.state));
+    }
+
+    /// A coarse host write: `write` runs and the region is resealed under
+    /// one hold of the region's lock, so no verification sees the bytes
+    /// half-written or the seal stale.
+    pub(crate) fn host_write<R>(&self, write: impl FnOnce() -> R) -> R {
         let mut st = lock(&self.state);
-        if st.alive {
-            self.reseal_locked(&mut st);
-        }
+        let r = write();
+        self.reseal_locked(&mut st);
+        r
     }
 
     /// Host store of `len` bytes at byte `offset`, between launches:
@@ -192,55 +154,59 @@ impl Region {
         let mut st = lock(&self.state);
         let pages = offset / PAGE_BYTES..(offset + len).div_ceil(PAGE_BYTES);
         let page = |p: usize| &self.bytes_slice()[p * PAGE_BYTES..((p + 1) * PAGE_BYTES).min(self.bytes)];
-        if let Some(seal) = &st.seal {
-            if let Some(p) = pages.clone().find(|&p| seal.get(p).copied() != Some(page_checksum(page(p)))) {
-                let epoch = st.epoch;
-                DETECTIONS.fetch_add(1, Ordering::Relaxed);
-                self.reseal_locked(&mut st);
-                return Err(Error::DataCorruption { region: self.id, page: p, epoch });
-            }
+        let stale = |p: usize, seal: &[u64]| seal.get(p).copied() != Some(page_checksum(page(p)));
+        if let Some(p) = pages.clone().find(|&p| stale(p, &st.seal)) {
+            return Err(self.detected(&mut st, p));
         }
         write();
-        if let Some(seal) = &mut st.seal {
-            for (p, sum) in seal.iter_mut().enumerate().take(pages.end).skip(pages.start) {
-                *sum = page_checksum(page(p));
-            }
+        for (p, sum) in st.seal.iter_mut().enumerate().take(pages.end).skip(pages.start) {
+            *sum = page_checksum(page(p));
         }
         Ok(())
     }
 
-    /// Verify this region alone between launches (a host read-back): a
-    /// finding the idle scrubber parked for it is reported first, then
-    /// the live bytes are checked against the seal, as at a launch entry.
-    pub(crate) fn verify_now(&self) -> Result<(), Error> {
-        take_parked(Some(self.id))?;
-        self.check_locked(&mut lock(&self.state))
+    /// Check the region against its seal (a launch entry, a host
+    /// read-back). A mismatch is reported as [`Error::DataCorruption`]
+    /// and the region resealed to its current contents, so one fault is
+    /// reported once.
+    pub(crate) fn verify(&self) -> Result<(), Error> {
+        let mut st = lock(&self.state);
+        REGIONS_VERIFIED.fetch_add(1, Ordering::Relaxed);
+        let diverged = self.bytes_slice().chunks(PAGE_BYTES).enumerate().find(|&(page, chunk)| {
+            st.seal.get(page).copied() != Some(page_checksum(chunk))
+        });
+        match diverged {
+            Some((page, _)) => Err(self.detected(&mut st, page)),
+            None => Ok(()),
+        }
     }
 
-    /// Check a live region against its seal. A mismatch is reported as
-    /// [`Error::DataCorruption`] and the region resealed to its current
-    /// contents, so one fault is reported once.
-    fn check_locked(&self, st: &mut RegionState) -> Result<(), Error> {
-        if !st.alive {
-            return Ok(());
-        }
-        REGIONS_VERIFIED.fetch_add(1, Ordering::Relaxed);
-        let Some(page) = self.verify_locked(st) else { return Ok(()) };
+    /// Count a finding at `page`, reseal, and name it.
+    fn detected(&self, st: &mut RegionState, page: usize) -> Error {
         let epoch = st.epoch;
         DETECTIONS.fetch_add(1, Ordering::Relaxed);
         self.reseal_locked(st);
-        Err(Error::DataCorruption { region: self.id, page, epoch })
+        Error::DataCorruption { region: self.id, page, epoch }
     }
 
-    /// First page whose checksum no longer matches the seal, if any.
-    fn verify_locked(&self, st: &RegionState) -> Option<usize> {
-        let seal = st.seal.as_ref()?;
-        for (page, chunk) in self.bytes_slice().chunks(PAGE_BYTES).enumerate() {
-            if seal.get(page).copied() != Some(page_checksum(chunk)) {
-                return Some(page);
-            }
+    /// XOR `mask` into byte `byte`, if the region tolerates injection.
+    fn flip(&self, byte: usize, mask: u8) -> bool {
+        let _st = lock(&self.state);
+        if !self.injectable || byte >= self.bytes {
+            return false;
         }
-        None
+        // SAFETY: in-bounds byte of a bit-safe region, at a launch
+        // boundary of a launch that binds it.
+        unsafe {
+            *(self.ptr as *mut u8).add(byte) ^= mask;
+        }
+        true
+    }
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        LIVE_REGIONS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -290,219 +256,48 @@ pub(crate) fn bit_safe<T: 'static>() -> bool {
         || t == TypeId::of::<f64>()
 }
 
-/// Register a backing allocation. Returns `None` while disarmed (the
-/// overhead-free default). The region is sealed immediately.
-pub(crate) fn register(
-    id: u64,
-    ptr: *const u8,
-    bytes: usize,
-    injectable: bool,
-) -> Option<Arc<Region>> {
-    if !armed() {
-        return None;
-    }
-    let region = Arc::new(Region {
-        id,
-        ptr: ptr as usize,
-        bytes,
-        injectable,
-        state: Mutex::new(RegionState { alive: true, seal: None, epoch: 0 }),
-    });
-    region.reseal_now();
-    lock(registry()).push(Arc::clone(&region));
-    Some(region)
+// --- a launch's bound regions ----------------------------------------------
+
+/// Verify every region a launch binds (launch entry). One finding per
+/// call: the first region whose bytes diverged from their seal, resealed
+/// so one fault is reported once.
+pub(crate) fn verify(regions: &[&Region]) -> Result<(), Error> {
+    regions.iter().try_for_each(|r| r.verify())
 }
 
-/// Unregister a region before its allocation is freed. Taking the state
-/// lock here synchronizes with any in-flight verify/scrub touching it.
-pub(crate) fn unregister(region: &Arc<Region>) {
-    {
-        let mut st = lock(&region.state);
-        st.alive = false;
-        st.seal = None;
-    }
-    lock(registry()).retain(|r| r.id != region.id);
+/// A full copy of a launch's bound regions, for replica restore.
+pub(crate) struct Snapshot<'a> {
+    entries: Vec<(&'a Region, Vec<u8>)>,
 }
 
-fn live_regions() -> Vec<Arc<Region>> {
-    lock(registry()).clone()
-}
-
-/// Execute exactly the per-launch work the defense performs when it is
-/// disarmed — the launch-scope enter/exit and the armed/exclusive
-/// branch loads — and report whether the boundary protocol would run.
-/// Exists so the `hook_overhead` benchmark can time the dormant hook
-/// sequence directly; it is not part of the defense API.
-pub fn disarmed_hook_probe() -> bool {
-    let scope = LaunchScope::enter();
-    scope.exclusive() && armed()
-}
-
-/// RAII active-launch accounting. Counted only while armed, so the
-/// disarmed cost is one relaxed load.
-pub(crate) struct LaunchScope {
-    counted: bool,
-    depth: usize,
-}
-
-impl LaunchScope {
-    pub(crate) fn enter() -> Self {
-        if armed() {
-            let prev = ACTIVE_LAUNCHES.fetch_add(1, Ordering::SeqCst);
-            LaunchScope { counted: true, depth: prev + 1 }
-        } else {
-            LaunchScope { counted: false, depth: 0 }
-        }
-    }
-
-    /// Was this the outermost (only) launch at entry? Boundary
-    /// verification and redundancy only run in that exclusive position.
-    pub(crate) fn exclusive(&self) -> bool {
-        self.counted && self.depth == 1
-    }
-
-    /// Is this now the only launch still in flight? The exit reseal runs
-    /// at the last launch out, so concurrent launches cannot seal each
-    /// other's in-flux writes.
-    pub(crate) fn sole_remaining(&self) -> bool {
-        self.counted && ACTIVE_LAUNCHES.load(Ordering::SeqCst) == 1
-    }
-}
-
-impl Drop for LaunchScope {
-    fn drop(&mut self) {
-        if self.counted {
-            ACTIVE_LAUNCHES.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Report the oldest parked scrubber finding — for `region` only, when
-/// given — and leave the rest parked for the next check.
-fn take_parked(region: Option<u64>) -> Result<(), Error> {
-    let mut parked = lock(pending());
-    match parked.iter().position(|v| region.is_none_or(|r| v.region == r)) {
-        Some(i) => {
-            let v = parked.remove(i);
-            Err(Error::DataCorruption { region: v.region, page: v.page, epoch: v.epoch })
-        }
-        None => Ok(()),
-    }
-}
-
-/// Verify every sealed live region (launch entry). One finding per call:
-/// a parked scrubber finding first, the rest staying parked, else the
-/// first region whose bytes diverged from their seal, resealed so one
-/// fault is reported once.
-pub fn verify_all() -> Result<(), Error> {
-    take_parked(None)?;
-    for region in live_regions() {
-        region.check_locked(&mut lock(&region.state))?;
-    }
-    Ok(())
-}
-
-/// Reseal every live region to its current contents (launch exit).
-pub fn reseal_all() {
-    for region in live_regions() {
-        region.reseal_now();
-    }
-}
-
-/// Reseal the live regions named in `ids` to their current contents —
-/// what a recorded walk on a queue that runs no protocol wrote. Every
-/// other region keeps its seal, so a flip there still surfaces.
-pub(crate) fn reseal_regions(ids: impl Iterator<Item = u64>) {
-    let ids: Vec<u64> = ids.collect();
-    for region in live_regions() {
-        if ids.contains(&region.id) {
-            region.reseal_now();
-        }
-    }
-}
-
-/// A full copy of every live region's bytes, for replica restore.
-pub(crate) struct Snapshot {
-    entries: Vec<(Arc<Region>, Vec<u8>)>,
-}
-
-pub(crate) fn snapshot_all() -> Snapshot {
-    let mut entries = Vec::new();
-    for region in live_regions() {
-        let st = lock(&region.state);
-        if st.alive {
-            entries.push((Arc::clone(&region), region.bytes_slice().to_vec()));
-        }
-    }
-    Snapshot { entries }
+pub(crate) fn snapshot<'a>(regions: &[&'a Region]) -> Snapshot<'a> {
+    let copy = |r: &Region| {
+        let _st = lock(&r.state);
+        r.bytes_slice().to_vec()
+    };
+    Snapshot { entries: regions.iter().map(|&r| (r, copy(r))).collect() }
 }
 
 /// Write every snapshotted region's bytes back (between replica runs).
-pub(crate) fn restore(snap: &Snapshot) {
+pub(crate) fn restore(snap: &Snapshot<'_>) {
     for (region, bytes) in &snap.entries {
-        let st = lock(&region.state);
-        if st.alive && bytes.len() == region.bytes {
-            // SAFETY: restoring bytes previously read from this same live
-            // allocation; every value written was a valid value of the
-            // element type. No kernel is in flight (caller holds the
-            // exclusive launch slot).
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), region.ptr as *mut u8, bytes.len());
-            }
+        let _st = lock(&region.state);
+        // SAFETY: restoring bytes previously read from this same
+        // allocation; every value written was a valid value of the
+        // element type. No replica of the launch is running.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), region.ptr as *mut u8, bytes.len());
         }
     }
 }
 
-/// Order-insensitive-free digest over all live regions' contents, in
-/// deterministic (creation-order) region order. Replica voting compares
-/// these.
-pub(crate) fn digest_all() -> u64 {
-    let mut h = 0x5DEE_CE66_D47A_11E5u64;
-    for region in live_regions() {
-        let st = lock(&region.state);
-        if !st.alive {
-            continue;
-        }
-        h = fold_word(h, region.id);
-        h = fold_word(h, page_checksum(region.bytes_slice()));
-    }
-    h
-}
-
-/// One idle-scrubber tick (called from parked pool workers): verify the
-/// next region in cursor order if armed and no launch is in flight.
-/// A mismatch is parked (surfaced at the next launch entry or
-/// [`verify_all`]) and the region is resealed.
-/// Returns whether a region was actually verified.
-pub fn scrub_step() -> bool {
-    if !armed() || ACTIVE_LAUNCHES.load(Ordering::SeqCst) != 0 {
-        return false;
-    }
-    let regions = live_regions();
-    if regions.is_empty() {
-        return false;
-    }
-    let region = &regions[SCRUB_CURSOR.fetch_add(1, Ordering::Relaxed) % regions.len()];
-    let mut st = lock(&region.state);
-    // Re-check under the lock: a launch that started meanwhile blocks in
-    // verify_all on this same lock, so contents are still stable, but a
-    // finding while kernels queue up is better re-discovered at the
-    // boundary itself.
-    if !st.alive || ACTIVE_LAUNCHES.load(Ordering::SeqCst) != 0 {
-        return false;
-    }
-    match region.verify_locked(&st) {
-        None => {
-            SCRUB_PASSES.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Some(page) => {
-            DETECTIONS.fetch_add(1, Ordering::Relaxed);
-            lock(pending()).push(Violation { region: region.id, page, epoch: st.epoch });
-            region.reseal_locked(&mut st);
-            true
-        }
-    }
+/// Digest of a launch's bound regions' contents, in binding order.
+/// Replica voting compares these.
+pub(crate) fn digest(regions: &[&Region]) -> u64 {
+    regions.iter().fold(0x5DEE_CE66_D47A_11E5u64, |h, r| {
+        let _st = lock(&r.state);
+        fold_word(fold_word(h, r.id), page_checksum(r.bytes_slice()))
+    })
 }
 
 /// Aggregate counters for reporting and tests.
@@ -510,136 +305,85 @@ pub fn scrub_step() -> bool {
 pub struct IntegrityStats {
     /// Live registered regions.
     pub regions: usize,
-    /// Region verifications at launch boundaries.
+    /// Region verifications at launch entries and read-backs.
     pub regions_verified: u64,
-    /// Corruptions detected (boundary + scrubber).
+    /// Corruptions detected.
     pub detections: u64,
-    /// Clean idle-scrubber region sweeps.
-    pub scrub_passes: u64,
-    /// Divergent replica digests outvoted by redundancy.
-    pub corrected: u64,
 }
 
 /// Current aggregate counters (process-wide).
 pub fn stats() -> IntegrityStats {
     IntegrityStats {
-        regions: lock(registry()).len(),
+        regions: LIVE_REGIONS.load(Ordering::Relaxed),
         regions_verified: REGIONS_VERIFIED.load(Ordering::Relaxed),
         detections: DETECTIONS.load(Ordering::Relaxed),
-        scrub_passes: SCRUB_PASSES.load(Ordering::Relaxed),
-        corrected: CORRECTED.load(Ordering::Relaxed),
     }
-}
-
-/// Record `n` outvoted divergences. Called by the queue's redundant
-/// launch path when voting rejects a minority digest; public so
-/// out-of-tree recovery layers (and harness tests) can report
-/// corrections into the same counter the suite harness diffs.
-pub fn record_corrected(n: u64) {
-    CORRECTED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total divergences outvoted by redundant execution since process
-/// start. The suite harness diffs this around a run to distinguish
-/// `Corrected` from `Correct`.
-pub fn corrected_total() -> u64 {
-    CORRECTED.load(Ordering::Relaxed)
-}
-
-/// Total corruptions detected since process start.
-pub fn detections_total() -> u64 {
-    DETECTIONS.load(Ordering::Relaxed)
 }
 
 // --- injection (driven by a FaultPlan at launch boundaries) ---------------
 
-/// Launch-entry injection: targeted one-shot flips first (exact
-/// deterministic true-positive tests), then the seeded at-rest flip the
-/// entry verification must catch.
-pub(crate) fn inject_entry(plan: &FaultPlan) {
-    apply_flip_targets(plan);
+/// The bound regions a seeded flip or stuck page may land in.
+fn injectable<'a>(regions: &[&'a Region]) -> Vec<&'a Region> {
+    regions.iter().copied().filter(|r| r.injectable && r.bytes > 0).collect()
+}
+
+/// Launch-entry injection: targeted one-shot flips into the launch's
+/// bound regions first (exact deterministic true-positive tests), then
+/// the seeded at-rest flip the entry verification must catch.
+pub(crate) fn inject_entry(plan: &FaultPlan, regions: &[&Region]) {
+    let targets = plan.take_flip_targets(|id| regions.iter().any(|r| r.id == id));
+    for (rid, byte, bit) in targets {
+        let region = regions.iter().find(|r| r.id == rid);
+        if region.is_some_and(|r| r.flip(byte, 1 << (bit & 7))) {
+            plan.note_silent(1);
+        }
+    }
     if plan.wants_flip(false) {
-        flip_random(plan);
+        flip_random(plan, regions);
     }
 }
 
 /// Launch-exit injection: an in-flight flip landing after the kernel ran
 /// but before the reseal — the case only redundant execution can vote
 /// away (the corrupt bytes get sealed otherwise).
-pub(crate) fn inject_exit(plan: &FaultPlan) {
+pub(crate) fn inject_exit(plan: &FaultPlan, regions: &[&Region]) {
     if plan.wants_flip(true) {
-        flip_random(plan);
+        flip_random(plan, regions);
     }
 }
 
-fn apply_flip_targets(plan: &FaultPlan) {
-    let targets = plan.take_flip_targets();
-    if targets.is_empty() {
-        return;
-    }
-    let regions = live_regions();
-    for (rid, byte, bit) in targets {
-        if let Some(region) = regions.iter().find(|r| r.id == rid) {
-            let st = lock(&region.state);
-            if st.alive && region.injectable && byte < region.bytes {
-                // SAFETY: in-bounds byte of a live, bit-safe region; no
-                // kernel in flight at a launch boundary.
-                unsafe {
-                    *(region.ptr as *mut u8).add(byte) ^= 1 << (bit & 7);
-                }
-                plan.note_silent(1);
-            }
-        }
-    }
-}
-
-fn flip_random(plan: &FaultPlan) {
-    let regions: Vec<Arc<Region>> = live_regions()
-        .into_iter()
-        .filter(|r| r.injectable && r.bytes > 0)
-        .collect();
+fn flip_random(plan: &FaultPlan, regions: &[&Region]) {
+    let regions = injectable(regions);
     if regions.is_empty() {
         return;
     }
-    let region = &regions[plan.pick(regions.len())];
-    let st = lock(&region.state);
-    if !st.alive {
-        return;
-    }
+    let region = regions[plan.pick(regions.len())];
     // Single or multi-bit event (1–3 flips), all sites sequenced draws.
     let flips = 1 + plan.pick(3) as u64;
     for _ in 0..flips {
         let byte = plan.pick(region.bytes);
         let bit = plan.pick(8) as u8;
-        // SAFETY: as in apply_flip_targets.
-        unsafe {
-            *(region.ptr as *mut u8).add(byte) ^= 1 << bit;
-        }
+        region.flip(byte, 1 << bit);
     }
     plan.note_silent(flips);
 }
 
 /// Apply the plan's stuck-at page, choosing the site on first
-/// application (stateless seed-derived draws over the then-live
-/// regions). The same page gets the same OR-mask every launch, so the
-/// corruption is deterministic across replicas — it survives voting by
-/// design and must be caught by the suite's output validators.
-pub(crate) fn apply_stuck(plan: &FaultPlan) {
-    let site = {
+/// application (stateless seed-derived draws over the launch's bound
+/// regions). The same page gets the same OR-mask at the exit of every
+/// launch that binds its region, so the corruption is deterministic
+/// across replicas — it survives voting by design and must be caught by
+/// the suite's output validators.
+pub(crate) fn apply_stuck(plan: &FaultPlan, regions: &[&Region]) {
+    let (rid, page, bit) = {
         let mut slot = plan.stuck_slot();
         if slot.is_none() {
-            if !plan.stuck_wanted() {
-                return;
-            }
-            let regions: Vec<Arc<Region>> = live_regions()
-                .into_iter()
-                .filter(|r| r.injectable && r.bytes > 0)
-                .collect();
-            if regions.is_empty() {
+            let candidates = injectable(regions);
+            if !plan.stuck_wanted() || candidates.is_empty() {
                 return;
             }
             let (ri, pi, bit) = plan.stuck_draws();
-            let region = &regions[ri % regions.len()];
+            let region = candidates[ri % candidates.len()];
             let pages = region.bytes.div_ceil(PAGE_BYTES);
             *slot = Some((region.id, pi % pages.max(1), bit & 7));
         }
@@ -648,24 +392,15 @@ pub(crate) fn apply_stuck(plan: &FaultPlan) {
             None => return,
         }
     };
-    let (rid, page, bit) = site;
-    let Some(region) = live_regions().into_iter().find(|r| r.id == rid) else {
-        return;
-    };
-    let st = lock(&region.state);
-    if !st.alive {
-        return;
-    }
+    let Some(region) = regions.iter().find(|r| r.id == rid) else { return };
+    let _st = lock(&region.state);
     let start = page * PAGE_BYTES;
-    if start >= region.bytes {
-        return;
-    }
     let end = (start + PAGE_BYTES).min(region.bytes);
     let mask = 1u8 << bit;
     let mut changed = false;
     for off in start..end {
-        // SAFETY: in-bounds bytes of a live, bit-safe region at a launch
-        // boundary.
+        // SAFETY: in-bounds bytes of a bit-safe region at the exit of a
+        // launch that binds it.
         unsafe {
             let p = (region.ptr as *mut u8).add(off);
             if *p & mask == 0 {

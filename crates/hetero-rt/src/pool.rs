@@ -425,11 +425,6 @@ struct Shared {
     allocated: AtomicUsize,
 }
 
-/// How long a worker parks before waking to run one integrity-scrubber
-/// tick. Bounded work (one region's checksums) at a low duty cycle; when
-/// the integrity layer is disarmed the wake-up is a single relaxed load.
-const SCRUB_PARK: Duration = Duration::from_millis(200);
-
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let job = {
@@ -439,19 +434,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 if let Some(j) = jobs.iter().find(|j| j.wants_help()) {
                     break Arc::clone(j);
                 }
-                let (guard, timeout) = shared
-                    .work_cv
-                    .wait_timeout(jobs, SCRUB_PARK)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                jobs = guard;
-                if timeout.timed_out() && jobs.is_empty() && crate::integrity::armed() {
-                    // Idle-time SDC scrubbing: verify one region per tick
-                    // while no work (and no launch) is in flight, without
-                    // holding the job-queue lock.
-                    drop(jobs);
-                    crate::integrity::scrub_step();
-                    jobs = lock(&shared.jobs);
-                }
+                jobs = shared.work_cv.wait(jobs).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
         job.help();

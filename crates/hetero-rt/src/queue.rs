@@ -1,16 +1,21 @@
 //! Command queues.
 //!
 //! [`Queue`] reproduces `sycl::queue`: kernels are submitted against a
-//! device and return profiling [`Event`]s. Three submission styles exist,
-//! matching the three kernel shapes in Altis-SYCL:
+//! device and return profiling [`Event`]s. A launch is a command group
+//! ([`Queue::submit`]) that states its accessors, the [`Binding`]s, and
+//! then runs one of the kernel shapes in Altis-SYCL:
 //!
-//! * [`Queue::parallel_for`] — barrier-free ND kernels (one closure per
-//!   work-item), the most common migrated shape;
-//! * [`Queue::nd_range`] — work-group kernels with local memory and
-//!   barrier phases;
-//! * [`Queue::submit_concurrent`] — launch several kernels that run
-//!   simultaneously and communicate through [`crate::pipe::Pipe`]s, the
-//!   structure of the optimized KMeans design (Figure 3).
+//! * [`CommandGroup::parallel_for`] — barrier-free ND kernels (one
+//!   closure per work-item), the most common migrated shape;
+//! * [`CommandGroup::nd_range`] — work-group kernels with local memory
+//!   and barrier phases.
+//!
+//! [`Queue::parallel_for`] and [`Queue::nd_range`] are SYCL 2020's queue
+//! shortcuts: the same launches, stating no accessors, which an
+//! integrity queue refuses. [`Queue::submit_concurrent`] launches several
+//! kernels that run simultaneously and communicate through
+//! [`crate::pipe::Pipe`]s, the structure of the optimized KMeans design
+//! (Figure 3).
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -22,6 +27,8 @@ use crate::error::{Error, Result};
 use crate::event::{Event, ProfilingInfo, ResilienceInfo, ResilienceLedger};
 use crate::executor::{run_groups_contained, Parallelism};
 use crate::fault::FaultPlan;
+use crate::graph::Binding;
+use crate::integrity::Region;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
 
 /// Bounded-retry policy for transient launch failures (the fault layer's
@@ -68,16 +75,15 @@ impl RetryPolicy {
 /// kernel and the exit reseal), which no checksum boundary can see.
 ///
 /// Replicas re-run the same launch from a byte-exact restore of the
-/// pre-launch memory image, **sequentially** (so schedule-dependent
+/// regions it binds, **sequentially** (so schedule-dependent
 /// floating-point reductions reproduce bit-exactly), and vote on a
-/// whole-memory digest. A divergent replica is outvoted and re-run
+/// digest of those regions. A divergent replica is outvoted and re-run
 /// within the [`RetryPolicy`] budget; if the digests never reach a
 /// 2-vote agreement the launch fails with
 /// [`Error::ReplicaDivergence`] rather than returning unvalidated data.
 ///
-/// Requires the integrity layer to be armed and the launch to be the
-/// only one in flight; otherwise the launch silently degrades to a
-/// single run (there is no memory image to restore between replicas).
+/// Requires [`Hardening::integrity`]; without it the launch runs once
+/// (there are no regions to restore between replicas).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Redundancy {
     /// Single execution (default).
@@ -124,10 +130,11 @@ pub struct Hardening {
     /// a kernel that violates the SYCL memory model fails with
     /// [`Error::DataRace`].
     pub sanitize: bool,
-    /// The integrity protocol: regions are verified against their page
-    /// checksums at launch entry (corruption surfaces as
-    /// [`Error::DataCorruption`]) and resealed at exit. Arms the layer
-    /// process-wide, so buffers allocated afterwards are checksummed.
+    /// The integrity protocol: the regions a launch binds are verified
+    /// against their page checksums at entry (corruption surfaces as
+    /// [`Error::DataCorruption`]) and those it writes resealed at exit.
+    /// A launch that binds nothing is refused
+    /// ([`Error::UnboundLaunch`]).
     pub integrity: bool,
     /// Replicated execution with digest voting (needs `integrity`).
     pub redundancy: Redundancy,
@@ -230,22 +237,11 @@ impl Queue {
             device,
             profiling: false,
             parallelism: Parallelism::Auto,
-            hardening: Hardening::NONE,
+            hardening,
             cancel: None,
             ledger: None,
             inflight: Arc::new(InFlight::default()),
         }
-        .arm(hardening)
-    }
-
-    /// Store `hardening`. Integrity is armed process-wide (buffers
-    /// allocated afterwards register checksummed regions), and only here.
-    fn arm(mut self, hardening: Hardening) -> Self {
-        if hardening.integrity {
-            crate::integrity::arm();
-        }
-        self.hardening = hardening;
-        self
     }
 
     /// Create a queue with profiling enabled (the
@@ -268,9 +264,9 @@ impl Queue {
     }
 
     /// [`Hardening::integrity`], set on a built queue.
-    pub fn with_integrity(self, on: bool) -> Self {
-        let hardening = Hardening { integrity: on, ..self.hardening.clone() };
-        self.arm(hardening)
+    pub fn with_integrity(mut self, on: bool) -> Self {
+        self.hardening.integrity = on;
+        self
     }
 
     /// [`Hardening::redundancy`], set on a built queue.
@@ -361,12 +357,14 @@ impl Queue {
     /// One contained execution of `kernel` over `nd` on `device`:
     /// group-size check against that device's caps, then phase-wise group
     /// execution with per-group panic containment.
+    #[allow(clippy::too_many_arguments)]
     fn run_on<K>(
         &self,
         device: &Device,
         plan: Option<&FaultPlan>,
         name: &'static str,
         nd: NdRange,
+        bindings: &[Binding],
         par: Parallelism,
         kernel: &K,
     ) -> Result<Duration>
@@ -380,7 +378,7 @@ impl Queue {
             device.caps().local_mem_bytes,
             name,
             plan,
-            self.hardening.sanitize,
+            self.hardening.sanitize.then_some(bindings),
             self.cancel.as_ref(),
             kernel,
         )
@@ -426,13 +424,13 @@ impl Queue {
     }
 
     /// Redundant execution with digest voting: run the launch twice
-    /// (restoring the pre-launch memory image between runs), each
-    /// replica strictly sequential so schedule-dependent results
-    /// reproduce bit-exactly, and accept once the latest whole-memory
-    /// digest agrees with at least one earlier run. Divergent replicas
-    /// (e.g. an exit-window bit flip) are outvoted by extra runs within
-    /// the retry budget; exhaustion restores the pre-launch image and
-    /// fails with [`Error::ReplicaDivergence`].
+    /// (restoring the bound `regions` between runs), each replica
+    /// strictly sequential so schedule-dependent results reproduce
+    /// bit-exactly, and accept once the latest digest of `regions` agrees
+    /// with at least one earlier run. Divergent replicas (e.g. an
+    /// exit-window bit flip) are outvoted by extra runs within the retry
+    /// budget; exhaustion restores the pre-launch regions and fails with
+    /// [`Error::ReplicaDivergence`].
     ///
     /// Returns `(dispatch, runs, corrected)` where `corrected` counts
     /// distinct minority digests that were outvoted.
@@ -441,6 +439,8 @@ impl Queue {
         plan: Option<&FaultPlan>,
         name: &'static str,
         nd: NdRange,
+        bindings: &[Binding],
+        regions: &[&Region],
         kernel: &K,
     ) -> Result<(Duration, u32, u32)>
     where
@@ -448,20 +448,15 @@ impl Queue {
     {
         // Two runs, plus one per retry the budget allows.
         let budget = self.hardening.retry.max_attempts.max(1) + 1;
-        let snap = crate::integrity::snapshot_all();
+        let snap = crate::integrity::snapshot(regions);
         let mut digests: Vec<u64> = Vec::new();
         loop {
             if !digests.is_empty() {
                 crate::integrity::restore(&snap);
             }
-            let dispatch = match self.run_on(
-                &self.device,
-                plan,
-                name,
-                nd,
-                Parallelism::Sequential,
-                kernel,
-            ) {
+            let sequential = Parallelism::Sequential;
+            let run = self.run_on(&self.device, plan, name, nd, bindings, sequential, kernel);
+            let dispatch = match run {
                 Ok(dispatch) => dispatch,
                 Err(e) => {
                     // A failed replica may have written partially; put the
@@ -474,9 +469,9 @@ impl Queue {
             // one corruption case a boundary checksum can never catch,
             // and exactly what the vote is for.
             if let Some(p) = plan {
-                crate::integrity::inject_exit(p);
+                crate::integrity::inject_exit(p, regions);
             }
-            let digest = crate::integrity::digest_all();
+            let digest = crate::integrity::digest(regions);
             digests.push(digest);
             let runs = digests.len() as u32;
             let agree = digests.iter().filter(|&&d| d == digest).count() as u32;
@@ -489,9 +484,6 @@ impl Queue {
                     }
                 }
                 let corrected = (distinct.len() - 1) as u32;
-                if corrected > 0 {
-                    crate::integrity::record_corrected(corrected as u64);
-                }
                 return Ok((dispatch, runs, corrected));
             }
             if runs >= budget {
@@ -502,25 +494,28 @@ impl Queue {
     }
 
     /// The central hardened launch path shared by every group-shaped
-    /// submission. In order:
+    /// submission, direct or a recorded node, with the launch's
+    /// `bindings`. In order:
     ///
-    /// 1. integrity-protocol entry (when [`Hardening::integrity`] is on
-    ///    and this is the only launch in flight): seeded SDC injection,
-    ///    then page-checksum verification of every region — corruption
-    ///    surfaces as [`Error::DataCorruption`] and is absorbed by the
-    ///    retry budget (detection reseals the offender, so the retry
-    ///    proceeds on detected-and-accepted contents);
+    /// 1. integrity-protocol entry (when [`Hardening::integrity`] is on):
+    ///    a launch that binds nothing is refused with
+    ///    [`Error::UnboundLaunch`]; otherwise seeded SDC injection into
+    ///    the bound regions, then page-checksum verification of each —
+    ///    corruption surfaces as [`Error::DataCorruption`] and is
+    ///    absorbed by the retry budget (detection reseals the offender,
+    ///    so the retry proceeds on detected-and-accepted contents);
     /// 2. transient-fault injection with bounded deterministic retry
     ///    ([`RetryPolicy`]) — injected before any group runs, so a retry
     ///    never replays side effects;
     /// 3. contained execution on the primary device (kernel panics become
     ///    typed errors, the pool survives), redundantly with digest
-    ///    voting under [`Redundancy::Dmr`];
+    ///    voting over the bound regions under [`Redundancy::Dmr`];
     /// 4. on a fallback-eligible capability error, one clean re-run on
     ///    the CPU device with injection disabled ([`Fallback::Cpu`]);
-    /// 5. integrity-protocol exit (last launch out): reseal every region,
-    ///    then land the plan's exit-window flip and stuck-at page on the
-    ///    sealed image so the *next* entry verification must detect them.
+    /// 5. integrity-protocol exit: reseal the regions bound for writing,
+    ///    then land the plan's exit-window flip and stuck-at page in the
+    ///    bound regions so the *next* entry that binds them must detect
+    ///    them.
     ///
     /// The returned [`Instant`] is the event's `started` stamp: taken
     /// when steps 1–2 are behind the launch (validation, the entry walk,
@@ -530,6 +525,7 @@ impl Queue {
         &self,
         name: &'static str,
         nd: NdRange,
+        bindings: &[Binding],
         kernel: &K,
     ) -> Result<(Duration, ResilienceInfo, Instant)>
     where
@@ -537,20 +533,24 @@ impl Queue {
     {
         let _guard = InFlightGuard::enter(&self.inflight);
         nd.validate()?; // a malformed range is a programming error: no retry, no fallback
-        let scope = crate::integrity::LaunchScope::enter();
-        // The protocol needs exclusive access to region bytes; nested or
-        // concurrent launches skip it and the outermost exit reseals.
-        let protocol = self.hardening.integrity && scope.exclusive();
+        let protocol = self.hardening.integrity;
+        if protocol && bindings.is_empty() {
+            // Nothing to scope the protocol to: refused, never retried.
+            return Err(Error::UnboundLaunch { kernel: name });
+        }
+        let regions: Vec<&Region> =
+            if protocol { bindings.iter().map(Binding::region).collect() } else { Vec::new() };
         let plan = self.hardening.fault.as_deref();
         if protocol {
             if let Some(p) = plan {
-                crate::integrity::inject_entry(p);
+                crate::integrity::inject_entry(p, &regions);
             }
         }
         let redundant = if protocol { self.hardening.redundancy } else { Redundancy::None };
         let max_attempts = self.hardening.retry.max_attempts.max(1);
         let mut attempts = 0u32;
         let mut absorbed = 0u32;
+        let mut detected = 0u32;
         let mut replicas = 1u32;
         let mut corrected = 0u32;
         let primary = loop {
@@ -576,12 +576,13 @@ impl Queue {
                 }
             }
             if protocol {
-                if let Err(e) = crate::integrity::verify_all() {
+                if let Err(e) = crate::integrity::verify(&regions) {
                     // Detection refreshed the offending seal, so a retry
                     // re-verifies clean and runs on contents the caller
                     // has been *told* diverged — detected, never silent.
                     if attempts < max_attempts {
                         absorbed += 1;
+                        detected += 1;
                         self.backoff_sleep(attempts);
                         continue;
                     }
@@ -591,15 +592,15 @@ impl Queue {
             let started = Instant::now();
             let run = match redundant {
                 Redundancy::None => {
-                    self.run_on(&self.device, plan, name, nd, self.parallelism, kernel)
+                    self.run_on(&self.device, plan, name, nd, bindings, self.parallelism, kernel)
                 }
-                Redundancy::Dmr => {
-                    self.run_redundant(plan, name, nd, kernel).map(|(dispatch, runs, fixed)| {
+                Redundancy::Dmr => self
+                    .run_redundant(plan, name, nd, bindings, &regions, kernel)
+                    .map(|(dispatch, runs, fixed)| {
                         replicas = runs;
                         corrected = fixed;
                         dispatch
-                    })
-                }
+                    }),
             };
             break run.map(|dispatch| (dispatch, started));
         };
@@ -609,6 +610,7 @@ impl Queue {
                 ResilienceInfo {
                     attempts,
                     faults_absorbed: absorbed,
+                    detections_absorbed: detected,
                     fallback_device: None,
                     replicas,
                     divergences_corrected: corrected,
@@ -622,12 +624,14 @@ impl Queue {
             {
                 let cpu = Device::cpu();
                 let started = Instant::now();
-                let dispatch = self.run_on(&cpu, None, name, nd, self.parallelism, kernel)?;
+                let dispatch =
+                    self.run_on(&cpu, None, name, nd, bindings, self.parallelism, kernel)?;
                 Ok((
                     dispatch,
                     ResilienceInfo {
                         attempts,
                         faults_absorbed: absorbed,
+                        detections_absorbed: detected,
                         fallback_device: Some(cpu.name().to_string()),
                         replicas,
                         divergences_corrected: corrected,
@@ -637,19 +641,19 @@ impl Queue {
             }
             Err(e) => Err(e),
         };
-        if protocol && scope.sole_remaining() {
+        if protocol {
             // Reseal even on error so the next protocol launch does not
             // false-positive on this launch's partial writes.
-            crate::integrity::reseal_all();
-            if result.is_ok() {
-                if let Some(p) = plan {
-                    if redundant == Redundancy::None {
-                        // Redundant runs already injected (and voted on)
-                        // their exit flips pre-digest.
-                        crate::integrity::inject_exit(p);
-                    }
-                    crate::integrity::apply_stuck(p);
+            for b in bindings.iter().filter(|b| b.writes()) {
+                b.region().reseal();
+            }
+            if let (Ok(_), Some(p)) = (&result, plan) {
+                if redundant == Redundancy::None {
+                    // Redundant runs already injected (and voted on)
+                    // their exit flips pre-digest.
+                    crate::integrity::inject_exit(p, &regions);
                 }
+                crate::integrity::apply_stuck(p, &regions);
             }
         }
         if let Some(ledger) = &self.ledger {
@@ -661,47 +665,37 @@ impl Queue {
         result
     }
 
-    /// Launch a barrier-free data-parallel kernel: `f` runs once per
-    /// global index of `range` (like `parallel_for(range, ...)`).
-    ///
-    /// Infallible wrapper over [`Queue::try_parallel_for`] for API
-    /// fidelity with the SYCL sources: a launch error unwinds with the
-    /// typed [`Error`] as panic payload (recoverable via `catch_unwind`,
-    /// as the suite-level chaos harness does).
+    /// Begin a command group that states `bindings` — the launch's
+    /// accessors, as a SYCL handler declares them — and launch one
+    /// kernel through it. An integrity queue scopes its protocol to
+    /// them, and the sanitizer tier checks the kernel against them.
+    pub fn submit<'a>(&'a self, bindings: &'a [Binding]) -> CommandGroup<'a> {
+        CommandGroup { queue: self, bindings }
+    }
+
+    /// [`CommandGroup::parallel_for`] stating no accessors (SYCL's
+    /// `queue::parallel_for` shortcut): refused by an integrity queue.
     pub fn parallel_for<F>(&self, name: &'static str, range: Range, f: F) -> Event
     where
         F: Fn(Item) + Sync,
     {
-        self.try_parallel_for(name, range, f)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
+        self.submit(&[]).parallel_for(name, range, f)
     }
 
-    /// Fallible [`Queue::parallel_for`]: launch errors (injected
-    /// transients past the retry budget, contained kernel panics, …) come
-    /// back as typed `Err` values.
+    /// [`CommandGroup::try_parallel_for`] stating no accessors.
     pub fn try_parallel_for<F>(&self, name: &'static str, range: Range, f: F) -> Result<Event>
     where
         F: Fn(Item) + Sync,
     {
-        let submitted = Instant::now();
-        let total = range.size();
-        let nd = NdRange::flat(total, self.device.caps().max_work_group_size);
-        let (dispatch, resilience, started) =
-            self.launch_groups(name, nd, &|ctx: &GroupCtx| ctx.flat_items(range, total, &f))?;
-        Ok(self.finish_event(name, submitted, started, dispatch, resilience))
+        self.submit(&[]).try_parallel_for(name, range, f)
     }
 
-    /// Launch a work-group kernel over `nd`. `kernel` receives each
-    /// group's [`GroupCtx`] and drives its work-items in phases. A group
-    /// larger than the device's limit is a launch error (or, under
-    /// [`Fallback::Cpu`], a recorded re-run on the host).
+    /// [`CommandGroup::nd_range`] stating no accessors.
     pub fn nd_range<K>(&self, name: &'static str, nd: NdRange, kernel: K) -> Result<Event>
     where
         K: Fn(&GroupCtx) + Sync,
     {
-        let submitted = Instant::now();
-        let (dispatch, resilience, started) = self.launch_groups(name, nd, &kernel)?;
-        Ok(self.finish_event(name, submitted, started, dispatch, resilience))
+        self.submit(&[]).nd_range(name, nd, kernel)
     }
 
     /// Launch several kernels that run *concurrently* (each on its own
@@ -785,6 +779,56 @@ impl Queue {
         while *c > 0 {
             c = self.inflight.cv.wait(c).unwrap();
         }
+    }
+}
+
+/// One launch on a queue with the accessors it states
+/// ([`Queue::submit`]).
+pub struct CommandGroup<'a> {
+    queue: &'a Queue,
+    bindings: &'a [Binding],
+}
+
+impl CommandGroup<'_> {
+    /// Launch a barrier-free data-parallel kernel: `f` runs once per
+    /// global index of `range` (like `parallel_for(range, ...)`).
+    ///
+    /// Infallible wrapper over [`CommandGroup::try_parallel_for`] for API
+    /// fidelity with the SYCL sources: a launch error unwinds with the
+    /// typed [`Error`] as panic payload (recoverable via `catch_unwind`,
+    /// as the suite-level chaos harness does).
+    pub fn parallel_for<F>(self, name: &'static str, range: Range, f: F) -> Event
+    where
+        F: Fn(Item) + Sync,
+    {
+        self.try_parallel_for(name, range, f)
+            .unwrap_or_else(|e| std::panic::panic_any(e))
+    }
+
+    /// Fallible [`CommandGroup::parallel_for`]: launch errors (injected
+    /// transients past the retry budget, contained kernel panics, …) come
+    /// back as typed `Err` values.
+    pub fn try_parallel_for<F>(self, name: &'static str, range: Range, f: F) -> Result<Event>
+    where
+        F: Fn(Item) + Sync,
+    {
+        let total = range.size();
+        let nd = NdRange::flat(total, self.queue.device.caps().max_work_group_size);
+        self.nd_range(name, nd, |ctx: &GroupCtx| ctx.flat_items(range, total, &f))
+    }
+
+    /// Launch a work-group kernel over `nd`. `kernel` receives each
+    /// group's [`GroupCtx`] and drives its work-items in phases. A group
+    /// larger than the device's limit is a launch error (or, under
+    /// [`Fallback::Cpu`], a recorded re-run on the host).
+    pub fn nd_range<K>(self, name: &'static str, nd: NdRange, kernel: K) -> Result<Event>
+    where
+        K: Fn(&GroupCtx) + Sync,
+    {
+        let q = self.queue;
+        let submitted = Instant::now();
+        let (dispatch, resilience, started) = q.launch_groups(name, nd, self.bindings, &kernel)?;
+        Ok(q.finish_event(name, submitted, started, dispatch, resilience))
     }
 }
 

@@ -27,6 +27,7 @@
 //! threads it is unverified and may leave them idle.
 
 use crate::buffer::Buffer;
+use crate::graph::{reads, writes};
 use crate::ndrange::Range;
 use crate::queue::Queue;
 
@@ -78,7 +79,9 @@ fn fold_blocks<const K: usize>(
             pv.set(k * blocks + b, a);
         }
     };
-    q.parallel_for(name, Range::d1(blocks.div_ceil(SIDE)), move |it| {
+    let bindings = [reads(data), writes(&partials)];
+    let range = Range::d1(blocks.div_ceil(SIDE));
+    q.submit(&bindings).parallel_for(name, range, move |it| {
         let first = it.gid(0) * SIDE;
         if (first + SIDE) * WG <= n {
             let acc = fold_side::<K, SIDE>(first, identity, |i| dv.get(i), step);

@@ -32,6 +32,13 @@
 //!   ([`RaceKind::UninitRead`]) — local (shared) memory is *not*
 //!   guaranteed zero-initialised by SYCL; this runtime zero-fills, so an
 //!   uninitialised read is another silently-masked portability bug.
+//! * **accesses the launch's bindings do not allow** — when a launch
+//!   states bindings ([`crate::Queue::submit`], a recorded node), a
+//!   buffer it touches without binding it ([`RaceKind::Unbound`]) or
+//!   stores to through a `reads` binding ([`RaceKind::ReadOnlyStore`]).
+//!   In SYCL an accessor of the wrong mode does not compile; here the
+//!   bindings are checked facts at run time. One report per object, at
+//!   its smallest offending element.
 //!
 //! Leader-only code (LavaMD's per-group fold) runs in *uniform* context
 //! — outside `ctx.items(..)` — where a single thread legitimately reads
@@ -76,6 +83,10 @@ pub enum RaceKind {
     MissedBarrier,
     /// A local (shared) element was read before any work-item wrote it.
     UninitRead,
+    /// A buffer the launch touched without binding it.
+    Unbound,
+    /// A store (plain or atomic) through a `reads` binding.
+    ReadOnlyStore,
 }
 
 impl fmt::Display for RaceKind {
@@ -85,6 +96,8 @@ impl fmt::Display for RaceKind {
             RaceKind::ReadWrite => write!(f, "read-write"),
             RaceKind::MissedBarrier => write!(f, "missed-barrier"),
             RaceKind::UninitRead => write!(f, "uninit-read"),
+            RaceKind::Unbound => write!(f, "unbound access"),
+            RaceKind::ReadOnlyStore => write!(f, "store through a reads binding"),
         }
     }
 }
@@ -577,14 +590,45 @@ impl LaunchSession {
         }
     }
 
-    /// Run the cross-group analysis and return the launch's findings,
-    /// sorted by (space, object, element, kind).
-    pub(crate) fn finish(self) -> Vec<RaceReport> {
+    /// Run the cross-group analysis, and the binding check when the
+    /// launch states `bindings`, and return the launch's findings, sorted
+    /// by (space, object, element, kind).
+    pub(crate) fn finish(self, bindings: &[crate::Binding]) -> Vec<RaceReport> {
         // `Drop` (the ACTIVE decrement) prevents moving fields out, so
         // drain the merged state through the lock instead.
         let mut m = std::mem::take(
             &mut *self.merged.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
         );
+        // Per object, the binding misuse at its smallest element.
+        let mut misuse: FastMap<u64, RaceReport> = FastMap::default();
+        for (&(object, element), eg) in m.global.iter().filter(|_| !bindings.is_empty()) {
+            let stored = eg.writers.min().or(eg.atomics.min());
+            let kind = match bindings.iter().find(|b| b.object == object) {
+                None => RaceKind::Unbound,
+                Some(b) if b.access == crate::Access::Read && stored.is_some() => {
+                    RaceKind::ReadOnlyStore
+                }
+                Some(_) => continue,
+            };
+            if misuse.get(&object).is_some_and(|r| r.element < element) {
+                continue;
+            }
+            let group = stored.or(eg.readers.min()).unwrap_or(0);
+            misuse.insert(
+                object,
+                RaceReport {
+                    kernel: self.kernel,
+                    kind,
+                    space: MemSpace::Global,
+                    object,
+                    element,
+                    group,
+                    other_group: None,
+                    phase: None,
+                },
+            );
+        }
+        m.reports.extend(misuse.into_values());
         for (&(object, element), eg) in m.global.iter() {
             let ww = eg.writers.two().or_else(|| {
                 // A non-atomic write racing another group's atomic is
@@ -760,7 +804,7 @@ mod tests {
                 }
                 drop(m);
             }
-            session.finish()
+            session.finish(&[])
         };
         let a = run(&[2, 5, 7]);
         let b = run(&[7, 5, 2]);
@@ -777,7 +821,7 @@ mod tests {
             let mut m = session.merged.lock().unwrap();
             m.global.entry((1, 0)).or_default().atomics.add(g);
         }
-        assert!(session.finish().is_empty());
+        assert!(session.finish(&[]).is_empty());
     }
 
     #[test]

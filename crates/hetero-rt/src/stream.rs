@@ -45,9 +45,9 @@
 //! `Quarantined` window, at most one per position, and verifies the seal
 //! before every restore; a fault that persists therefore replays one
 //! window per rollback, not the span back to the last scheduled seal. A clean-queue replay of a recorded graph reseals
-//! the page checksums of the buffers it writes while the integrity layer
-//! is armed ([`crate::Graph::submit_each`]), so the primary's next launch
-//! entry does not read the recovery's own writes as corruption.
+//! the page checksums of the sealed buffers it writes ([`crate::Graph`]),
+//! so the primary's next launch entry does not read the recovery's own
+//! writes as corruption.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;

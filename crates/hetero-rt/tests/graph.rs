@@ -6,14 +6,12 @@
 //! — same typed errors, same voting, same detection — and that the fast
 //! path re-engages the moment the queue is disarmed.
 //!
-//! Arming the integrity layer is process-global, so the tests that use
-//! it serialize on one mutex and arm through an RAII guard (same
-//! pattern as `tests/sdc.rs`).
+//! The integrity counters are process-wide, so the tests serialize on
+//! one mutex.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hetero_rt::executor::Parallelism;
-use hetero_rt::integrity;
 use hetero_rt::prelude::*;
 use hetero_rt::{Redundancy, RetryPolicy};
 
@@ -27,21 +25,6 @@ fn serial() -> MutexGuard<'static, ()> {
     })
     .lock()
     .unwrap_or_else(PoisonError::into_inner)
-}
-
-struct Armed;
-
-impl Armed {
-    fn new() -> Self {
-        integrity::arm();
-        Armed
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        integrity::disarm();
-    }
 }
 
 fn disarmed() -> Queue {
@@ -157,7 +140,6 @@ fn sanitizer_detects_race_through_replay() {
 #[test]
 fn integrity_detects_flip_through_replay_and_retry_heals() {
     let _s = serial();
-    let _a = Armed::new();
     let n = 600; // 2400 B -> pages 0..=2
     let src = Buffer::from_slice(&vec![5u32; n]);
     let mid = Buffer::<u32>::new(n);
@@ -184,12 +166,10 @@ fn integrity_detects_flip_through_replay_and_retry_heals() {
 /// DMR applies to replayed nodes: the slow path votes and accounts the
 /// replica runs of both nodes to the queue's ledger, exactly like live
 /// launches.
-/// (Voting runs under the integrity protocol, so the layer is armed
-/// here, as the SDC tier does.)
+/// (Voting runs under the integrity protocol, as the SDC tier does.)
 #[test]
 fn redundancy_votes_on_replayed_nodes() {
     let _s = serial();
-    let armed_guard = Armed::new();
     let n = 128;
     let src = Buffer::from_slice(&vec![3u32; n]);
     let mid = Buffer::<u32>::new(n);
@@ -206,7 +186,6 @@ fn redundancy_votes_on_replayed_nodes() {
     assert_eq!(g.fast_replays(), 0);
 
     // A disarmed replay runs each node once.
-    drop(armed_guard);
     let ledger = Arc::new(ResilienceLedger::new());
     g.replay(&q.with_resilience_ledger(Some(Arc::clone(&ledger)))).unwrap();
     assert_eq!(ledger.snapshot().replicas, 2);
@@ -295,7 +274,6 @@ fn each_hardening_field_alone_decides_the_route() {
         ("CPU fallback", Hardening { fallback: Fallback::Cpu, ..Hardening::NONE }),
         ("integrity", Hardening { integrity: true, ..Hardening::NONE }),
     ];
-    let _a = Armed; // the integrity value arms; the guard disarms
     for (what, h) in slow {
         let before = g.fast_replays();
         g.replay(&armed(h)).unwrap();

@@ -15,8 +15,7 @@
 //! dependency edge — and five routes through one recording (per-launch,
 //! pooled replay, sequential replay, sanitized, and a window stream whose
 //! primary queue drops launches) must agree bit for bit. The sixth route,
-//! an integrity-armed queue, arms the whole process and has a binary of
-//! its own (`graph_agreement_armed.rs`).
+//! an integrity queue, is in `graph_agreement_armed.rs`.
 
 mod graph_cases;
 
@@ -65,7 +64,7 @@ fn over_narrow_scatter_race_caught_dynamically_at_replay() {
         assert!(
             matches!(
                 e,
-                Error::DataRace { kernel: "scatter0", element: 0, kind: RaceKind::WriteWrite }
+                Error::DataRace { kernel: "scatter0", element: 0, kind: RaceKind::WriteWrite, .. }
             ),
             "{e:?}"
         );
@@ -97,7 +96,7 @@ fn undeclared_read_race_caught_dynamically_at_replay() {
         assert!(
             matches!(
                 e,
-                Error::DataRace { kernel: "peek_far", element: 256, kind: RaceKind::ReadWrite }
+                Error::DataRace { kernel: "peek_far", element: 256, kind: RaceKind::ReadWrite, .. }
             ),
             "{e:?}"
         );

@@ -1,13 +1,10 @@
 //! The generated graphs of `graph_agreement.rs` on an integrity-armed
-//! queue, the sixth route. Arming is process-wide, and `Graph::replay`
-//! reads the armed flag: once it is set, every replay on every queue walks
-//! launch by launch. Here that is the point; in `graph_agreement.rs` it
-//! would quietly turn the pooled-replay route into this one.
+//! queue, the sixth route: every replay walks launch by launch, each
+//! launch verifying the buffers it binds and resealing those it writes,
+//! and every read-back verifying the buffer it reads.
 //!
-//! The oracle is each case's per-launch run on a disarmed process, taken
-//! before anything arms; the armed route then runs on buffers registered
-//! after arming, so every launch verifies and reseals them and every
-//! read-back verifies the buffer it reads.
+//! The oracle is each case's per-launch run on a plain queue, taken
+//! before any buffer carries a region.
 
 mod graph_cases;
 

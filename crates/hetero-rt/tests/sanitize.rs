@@ -40,7 +40,7 @@ fn seeded_write_write_race_is_detected_deterministically() {
             assert!(
                 matches!(
                     e,
-                    Error::DataRace { kernel: "racy", element: 0, kind: RaceKind::WriteWrite }
+                    Error::DataRace { kernel: "racy", element: 0, kind: RaceKind::WriteWrite, .. }
                 ),
                 "{par:?}: {e:?}"
             );
@@ -71,7 +71,10 @@ fn seeded_read_write_race_is_detected() {
         })
         .unwrap_err();
     assert!(
-        matches!(e, Error::DataRace { kernel: "rw_racy", element: 5, kind: RaceKind::ReadWrite }),
+        matches!(
+            e,
+            Error::DataRace { kernel: "rw_racy", element: 5, kind: RaceKind::ReadWrite, .. }
+        ),
         "{e:?}"
     );
     let reports = take_last_reports();
@@ -94,7 +97,12 @@ fn seeded_missed_barrier_is_detected_deterministically() {
         assert!(
             matches!(
                 e,
-                Error::DataRace { kernel: "no_barrier", element: 0, kind: RaceKind::MissedBarrier }
+                Error::DataRace {
+                    kernel: "no_barrier",
+                    element: 0,
+                    kind: RaceKind::MissedBarrier,
+                    ..
+                }
             ),
             "{e:?}"
         );
@@ -123,7 +131,7 @@ fn intra_group_race_reads_the_same_through_every_item_loop() {
         move |it: Item| v.set(it.global_linear / 8 * 8, it.local_linear as u32)
     };
     let observe = |r: Result<()>| {
-        let Err(Error::DataRace { kernel, element, kind }) = r else {
+        let Err(Error::DataRace { kernel, element, kind, .. }) = r else {
             panic!("expected a DataRace, got {r:?}")
         };
         let reports: Vec<_> = take_last_reports()
@@ -202,7 +210,10 @@ fn seeded_uninitialised_local_read_is_detected() {
         })
         .unwrap_err();
     assert!(
-        matches!(e, Error::DataRace { kernel: "uninit", element: 3, kind: RaceKind::UninitRead }),
+        matches!(
+            e,
+            Error::DataRace { kernel: "uninit", element: 3, kind: RaceKind::UninitRead, .. }
+        ),
         "{e:?}"
     );
     assert_eq!(triple(&take_last_reports()[0]), ("uninit", 3, RaceKind::UninitRead, 0, None));
@@ -242,7 +253,10 @@ fn plain_write_vs_atomic_is_detected() {
         })
         .unwrap_err();
     assert!(
-        matches!(e, Error::DataRace { kernel: "mixed", element: 0, kind: RaceKind::WriteWrite }),
+        matches!(
+            e,
+            Error::DataRace { kernel: "mixed", element: 0, kind: RaceKind::WriteWrite, .. }
+        ),
         "{e:?}"
     );
 }
@@ -294,4 +308,37 @@ fn sanitizer_toggle_is_explicit_and_introspectable() {
         v.set(0, ctx.group_linear() as u32);
     })
     .expect("without the sanitizer the race is silent");
+}
+
+/// A launch that states bindings is checked against them: touching a
+/// buffer it does not bind, or storing through a `reads` binding, fails
+/// with the typed error naming the kernel and the object, at the
+/// object's smallest offending element. A launch that states none is not
+/// checked.
+#[test]
+fn a_launch_is_checked_against_its_bindings() {
+    let q = sanitized_queue();
+    let (src, dst) = (Buffer::<u32>::new(64), Buffer::<u32>::new(64));
+    let (sv, dv) = (src.view(), dst.view());
+    let copy = move |it: Item| dv.set(it.gid(0), sv.get(it.gid(0)) + 1);
+
+    let e = q.submit(&[reads(&src)]).try_parallel_for("unbound", Range::d1(64), copy.clone());
+    let object = dst.object_id();
+    assert_eq!(
+        e.unwrap_err(),
+        Error::DataRace { kernel: "unbound", object, element: 0, kind: RaceKind::Unbound }
+    );
+    let read_only = [reads(&src), reads(&dst)];
+    let e = q.submit(&read_only).try_parallel_for("mode", Range::d1(64), copy.clone());
+    assert_eq!(
+        e.unwrap_err(),
+        Error::DataRace { kernel: "mode", object, element: 0, kind: RaceKind::ReadOnlyStore }
+    );
+    let reports = take_last_reports();
+    assert_eq!(reports.len(), 1, "one report per object: {reports:?}");
+
+    let bound = [reads(&src), writes(&dst)];
+    q.submit(&bound).try_parallel_for("bound", Range::d1(64), copy.clone()).unwrap();
+    q.try_parallel_for("unstated", Range::d1(64), copy).unwrap();
+    assert!(dst.to_vec().iter().all(|&v| v == 1));
 }

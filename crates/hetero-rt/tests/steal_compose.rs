@@ -62,7 +62,7 @@ fn race_report_is_identical_across_stolen_schedules() {
             .unwrap_err();
         assert!(matches!(
             e,
-            Error::DataRace { kernel: "steal_racy", element: 3, kind: RaceKind::WriteWrite }
+            Error::DataRace { kernel: "steal_racy", element: 3, kind: RaceKind::WriteWrite, .. }
         ));
         let reports = take_last_reports();
         assert_eq!(reports.len(), 1);

@@ -43,13 +43,6 @@ use crate::tenant::TenantState;
 /// from [`Scheduler::submit`] (immediate rejections and sheds).
 pub type ResultSink = Arc<dyn Fn(JobResult) + Send + Sync>;
 
-/// SDC-hardened jobs measure detection/correction activity through the
-/// process-global integrity counters, so at most one may run at a time
-/// (see `altis_core::suite::run_sdc_inline`). The permit is
-/// process-wide: it also serializes SDC jobs across schedulers in the
-/// same process (tests spawn several).
-static SDC_PERMIT: Mutex<()> = Mutex::new(());
-
 /// Scheduler tuning knobs. `Default` is sized for tests and the serve
 /// binary; the storm bench overrides capacity and workers.
 #[derive(Debug, Clone)]
@@ -407,9 +400,6 @@ impl Shared {
         let (verdict, failure) = if let Some(windows) = job.req.stream_windows {
             self.run_stream_job(&job, windows, stream_plan, &token)
         } else if job.req.hardening == Hardening::Sdc {
-            // One SDC job at a time: the integrity counters its verdict
-            // is computed from are process-global.
-            let _permit = SDC_PERMIT.lock().unwrap_or_else(|p| p.into_inner());
             match run_sdc_inline(entry, &queue, job.req.size, version) {
                 SdcOutcome::Correct => (Verdict::Completed, false),
                 SdcOutcome::Corrected { events } => (Verdict::Corrected { events }, false),

@@ -9,8 +9,7 @@ use hetero_serve::{
     ResultSink, Scheduler, ServeConfig, Verdict,
 };
 
-/// Tests in this binary run one at a time: SDC-hardened jobs use the
-/// process-global integrity layer, and timing-sensitive assertions
+/// Tests in this binary run one at a time: timing-sensitive assertions
 /// (deadlines, lane ordering) want an unloaded machine.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -103,9 +102,6 @@ fn deadline_fires_and_is_typed_not_hung() {
     assert_eq!(stats.uncontained, 0, "cancellation must stay typed");
     assert_eq!(stats.breaker_trips, 0, "a deadline is not a route failure");
     drop(got);
-    // The SDC job armed integrity process-wide; later tests in this
-    // binary expect the disarmed process they would otherwise find.
-    hetero_rt::integrity::disarm();
 
     // The scheduler (and the shared pool) survive: a clean job on the
     // same worker completes.
@@ -276,6 +272,63 @@ fn sdc_hardened_jobs_get_corruption_verdicts() {
         );
     }
     s.shutdown();
+}
+
+/// Plain and SDC jobs share the process and the pool: a plain job's
+/// writes are never read as an SDC job's corruption, nor is an SDC job's
+/// verdict computed from another job's launches. Over a pinned deck that
+/// mixes both, every plain job completes, and the SDC verdicts at two
+/// workers equal those of one worker, job by job.
+#[test]
+fn plain_and_sdc_jobs_overlap_without_sharing_verdicts() {
+    let _serial = serialize();
+    let deck = || {
+        let plain = ["Where", "FDTD2D", "NW", "Mandelbrot", "SRAD", "KMeans"];
+        let sdc = ["Where", "NW", "SRAD", "KMeans", "Mandelbrot", "FDTD2D"];
+        let plain = plain.into_iter().enumerate().map(|(i, app)| (i as u64, req("plain", app)));
+        let sdc = sdc.into_iter().enumerate().map(|(i, app)| {
+            let id = 100 + i as u64;
+            let tenant = format!("sdc{i}");
+            let r = JobRequest {
+                hardening: Hardening::Sdc,
+                fault_seed: Some(id),
+                fault_rate: 0.05,
+                ..req(&tenant, app)
+            };
+            (id, r)
+        });
+        // Interleaved, so the two workers run a plain and an SDC job side
+        // by side.
+        plain.zip(sdc).flat_map(|(a, b)| [a, b]).map(|(id, r)| JobRequest { id, ..r })
+    };
+    let run = |workers: usize| {
+        let s = scheduler(ServeConfig { workers, ..ServeConfig::default() });
+        let (sink, results) = collector();
+        for r in deck() {
+            s.submit(r, sink.clone());
+        }
+        s.wait_idle();
+        s.shutdown();
+        let mut got: Vec<(u64, Verdict)> =
+            results.lock().unwrap().iter().map(|r| (r.id, r.verdict.clone())).collect();
+        got.sort_by_key(|&(id, _)| id);
+        got
+    };
+    // A quarantine's reason names the region by its process-wide id; the
+    // verdict kind and the correction count are the job's own.
+    let kind = |v: &Verdict| match v {
+        Verdict::Quarantined { .. } => "quarantined".to_string(),
+        other => format!("{other:?}"),
+    };
+    let (one, two) = (run(1), run(2));
+    assert_eq!(two.len(), 12);
+    for (id, v) in two.iter().filter(|(id, _)| *id < 100) {
+        assert_eq!(*v, Verdict::Completed, "plain job {id}");
+    }
+    let sdc = |got: &[(u64, Verdict)]| -> Vec<(u64, String)> {
+        got.iter().filter(|(id, _)| *id >= 100).map(|(id, v)| (*id, kind(v))).collect()
+    };
+    assert_eq!(sdc(&two), sdc(&one));
 }
 
 #[test]

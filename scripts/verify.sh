@@ -38,10 +38,11 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 ./target/release/matrix --hardening sdc --seeds 3 > /dev/null
 
 # Disabled-hook cost gates: a process that never turns a robustness
-# layer on pays an idle fault-plan check per launch and group, one
-# relaxed load per accessor call, and the SDC launch-scope counter plus
-# two branch loads per launch. hook_overhead isolates each by paired
-# launches and fails if any reaches 2% of a pooled launch_storm launch.
+# layer on pays an idle fault-plan check per launch and group and one
+# relaxed load per accessor call (the SDC layer makes no call on a plain
+# launch at all, a count pinned in hetero-rt/tests/sdc.rs).
+# hook_overhead isolates each by paired launches and fails if any
+# reaches 2% of a pooled launch_storm launch.
 # Its item_loop section gates the runtime's own charge per work-item: a
 # one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns.
 ./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null

@@ -6,8 +6,8 @@
 //! `scripts/verify.sh` through the `matrix` binary; these tests keep
 //! slices of the same `suite::matrix` in the tier-1 suite.
 //!
-//! Arming the integrity layer is process-global, so every test here
-//! serializes on one mutex and disarms through an RAII guard.
+//! The integrity counters are process-wide, so every test here
+//! serializes on one mutex.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -34,23 +34,6 @@ fn serial() -> MutexGuard<'static, ()> {
     .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arms the integrity layer for one test; disarms on drop (even on
-/// panic), which also drops parked scrubber findings.
-struct Armed;
-
-impl Armed {
-    fn new() -> Self {
-        integrity::arm();
-        Armed
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        integrity::disarm();
-    }
-}
-
 /// `tier`'s cells for `apps` (all thirteen when empty) × `seeds` at
 /// `rate`, size 1, optimized.
 fn slice(tier: Tier, apps: &[&'static str], seeds: Vec<u64>, rate: f64) -> Matrix {
@@ -67,7 +50,6 @@ fn slice(tier: Tier, apps: &[&'static str], seeds: Vec<u64>, rate: f64) -> Matri
 #[test]
 fn armed_rate_zero_suite_slice_is_correct() {
     let _g = serial();
-    let _a = Armed::new();
     // With the full defense armed but injection off, every app must
     // come back Correct: no false detections from the apps' own host
     // write patterns, no divergence from running replicas.
@@ -93,7 +75,6 @@ fn every_configuration_verifies_sanitized_and_hardened() {
     for c in sanitized {
         assert!(c.passed(), "{} failed on the sanitizer queue: {c:?}", c.app);
     }
-    let _a = Armed::new();
     let regions = integrity::stats().regions;
     for c in matrix(&slice(Tier::Sdc, &[], vec![0], 0.0)) {
         assert_eq!(c.outcome, SdcOutcome::Correct, "{}: {c:?}", c.app);
@@ -104,7 +85,6 @@ fn every_configuration_verifies_sanitized_and_hardened() {
 #[test]
 fn fault_free_armed_graph_apps_raise_no_detections() {
     let _g = serial();
-    let _a = Armed::new();
     // Integrity armed, nothing injected and *no* retry policy to absorb
     // a false alarm: the host stores between replays (FDTD2D's source
     // injection, SRAD's q0, the particle filter's frame scalars) must
@@ -114,36 +94,39 @@ fn fault_free_armed_graph_apps_raise_no_detections() {
     let apps = all_apps();
     for name in picks {
         let app = apps.iter().find(|a| a.name == name).expect("graph app is registered");
-        let before = integrity::detections_total();
+        let before = integrity::stats().detections;
         let q = Queue::hardened(Device::cpu(), Hardening { integrity: true, ..Hardening::NONE });
         let o = run_sdc_inline(app, &q, InputSize::S1, AppVersion::SyclOptimized);
         assert_eq!(o, SdcOutcome::Correct, "{name}: {o:?}");
-        assert_eq!(integrity::detections_total(), before, "{name}: false detections");
+        assert_eq!(integrity::stats().detections, before, "{name}: false detections");
     }
 }
 
-/// An SDC stream scenario arms the layer itself, before the stage
-/// allocates: in a process that was disarmed when the stream opened,
-/// every stream app's buffers carry page seals from the first window,
-/// and fault-free windows read back through them raise no detection.
+/// An SDC stream's stage buffers are sealed by the first window's
+/// launches that bind them, whenever they were allocated: every stream
+/// app's buffers carry page seals from the first window, fault-free
+/// windows read back through them raise no detection, and the regions
+/// go with the stream.
 #[test]
 fn an_sdc_stream_seals_its_stage_buffers_from_the_first_window() {
     let _g = serial();
-    let _a = Armed; // the scenario arms; the guard disarms
     for app in STREAM_APPS {
-        integrity::disarm();
         let regions = integrity::stats().regions;
         let scenario = StreamScenario::sdc(5, 0.0);
         let mut s = open_stream(app, InputSize::S1, StreamConfig::default(), &scenario)
             .unwrap_or_else(|e| panic!("{app}: {e}"))
             .unwrap_or_else(|| panic!("{app}: no streaming conversion"));
-        assert!(integrity::stats().regions > regions, "{app}: stage buffers allocated disarmed");
-        let before = integrity::detections_total();
+        let before = integrity::stats().detections;
         for w in 0..4 {
             let r = s.next_window().unwrap_or_else(|e| panic!("{app}: window {w}: {e}"));
             assert!(r.verdict.is_delivered(), "{app}: window {w}: {:?}", r.verdict);
+            if w == 0 {
+                assert!(integrity::stats().regions > regions, "{app}: no stage buffer sealed");
+            }
         }
-        assert_eq!(integrity::detections_total(), before, "{app}: false detections");
+        assert_eq!(integrity::stats().detections, before, "{app}: false detections");
+        drop(s);
+        assert_eq!(integrity::stats().regions, regions, "{app}: a region outlived its stream");
     }
 }
 
@@ -154,7 +137,6 @@ fn an_sdc_stream_seals_its_stage_buffers_from_the_first_window() {
 #[test]
 fn the_windows_after_an_sdc_rollback_are_delivered() {
     let _g = serial();
-    let _a = Armed; // the scenario arms; the guard disarms
     for app in STREAM_APPS {
         // Object ids run in creation order: the first buffer the stage
         // allocates takes the id after this probe's.
@@ -178,7 +160,6 @@ fn the_windows_after_an_sdc_rollback_are_delivered() {
 #[test]
 fn injected_silent_faults_are_never_silently_wrong() {
     let _g = serial();
-    let _a = Armed::new();
     // Never uncontained, and the shared pool computes exactly after
     // every cell.
     let picks = ["Mandelbrot", "NW", "SRAD", "KMeans"];

@@ -30,8 +30,8 @@ use altis_core::streaming::{
 use altis_data::InputSize;
 use hetero_rt::{FaultKind, FaultPlan, StreamConfig};
 
-/// The SDC test arms the process-global integrity layer; keep the
-/// tests in this binary from interleaving with it.
+/// Keep the tests in this binary from interleaving: each drives its
+/// streams through the shared pool at full width.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialize() -> std::sync::MutexGuard<'static, ()> {

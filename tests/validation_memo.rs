@@ -217,7 +217,6 @@ fn corruption_is_rejected_by_a_fresh_reference(q: &Queue) {
             ),
         }
     }
-    hetero_rt::integrity::disarm();
     assert!(caught >= 2, "only {caught} of 8 seeds corrupted the output");
 }
 
