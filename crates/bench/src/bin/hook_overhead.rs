@@ -5,8 +5,8 @@
 //! Each gate is one hook's own cost per launch held against the cost of
 //! a pooled launch, and must stay **under 2%**:
 //!
-//! * **fault hooks** — the hardened executor consults an optional fault
-//!   plan on every launch and work-group: an idle plan (rate 0, every
+//! * **fault hooks** — the walk every launch runs consults an optional
+//!   fault plan on every launch and work-group: an idle plan (rate 0, every
 //!   hook runs, nothing injects) against no plan;
 //! * **sanitizer hook** — every `GlobalView` accessor calls into
 //!   `hetero_rt::sanitize` (one relaxed load and a predictable branch
@@ -23,8 +23,8 @@
 //! pair ratio: clock drift between separately timed blocks easily
 //! exceeds the 2% being measured, while wake-up jitter on single
 //! launches only widens a spread the median ignores. The fault and
-//! sanitizer hooks are isolated on the executor's inline
-//! (`Parallelism::Sequential`) path: pooled, a few nanoseconds per group
+//! sanitizer hooks are isolated on the walk's inline arm
+//! (`Parallelism::Sequential`): pooled, a few nanoseconds per group
 //! tip the work-stealing schedule into a different regime for the life
 //! of the process and the same pair reads anywhere from −5% to +8%
 //! (EXPERIMENTS.md, PR 13), which measures the pool, not the hook.
@@ -37,11 +37,11 @@
 //! accessor — and a division or a thread-local access per item in it
 //! fails the gate (about 11 ns either way with a `delinearize` per item).
 //!
-//! Reported, not gated: the disarmed queue against the bare executor
-//! (the whole queue layer — retry loop and event bookkeeping —
-//! mostly predating the defense) and the armed arms: page-checksum
-//! verify and reseal per launch, and DMR voting on top (about 2x by
-//! construction).
+//! Reported, not gated: the disarmed queue against the walk's
+//! direct-launch entry, `run_groups_contained` (the whole queue layer —
+//! retry loop and event bookkeeping — mostly predating the defense), and
+//! the armed arms: page-checksum verify and reseal per launch, and DMR
+//! voting on top (about 2x by construction).
 //!
 //! Writes `BENCH_hook_overhead.json` (or the positional argument).
 
@@ -61,8 +61,8 @@ const USAGE: &str = "hook_overhead [out.json] [--launches N]";
 const ITEMS: usize = 4096;
 const GROUP: usize = 64;
 
-/// One launch straight through the executor, monomorphised per kernel
-/// so each arm's body inlines as it would in an application.
+/// One direct launch through the walk's one-node entry, monomorphised per
+/// kernel so each arm's body inlines as it would in an application.
 fn launch<K: Fn(&GroupCtx) + Sync>(how: Parallelism, plan: Option<&FaultPlan>, kernel: &K) {
     let nd = NdRange::d1(ITEMS, GROUP);
     run_groups_contained(nd, how, 1 << 20, "storm", plan, None, None, kernel)

@@ -2,9 +2,10 @@
 //! worker pool.
 //!
 //! Fires a storm of small kernel launches (default 10,000 launches of a
-//! 4096-item / 64-group kernel) through the pooled executor every queue
-//! path uses (`run_groups`): workers park on a condvar between launches,
-//! so a launch costs one mutex push + wake. Prints the per-launch
+//! 4096-item / 64-group kernel) through the executor's direct-launch
+//! entry (`run_groups_contained`, the one-node case of the walk every
+//! launch and graph replay runs): workers park on a condvar between
+//! launches, so a launch costs one mutex push + wake. Prints the per-launch
 //! median, gates the pool's dispatch and allocation counts, and writes
 //! `BENCH_launch_storm.json` (or the path given as the first argument).
 //!
@@ -19,7 +20,7 @@ use std::time::Duration;
 
 use altis_bench::report::{self, Op, Report};
 use altis_bench::timing::{median, samples};
-use hetero_rt::executor::{run_groups, Parallelism};
+use hetero_rt::executor::{run_groups_contained, Parallelism};
 use hetero_rt::{pool, Buffer, GroupCtx, NdRange};
 
 const USAGE: &str = "launch_storm [out.json] [--launches N] [--steal]";
@@ -52,7 +53,9 @@ fn main() -> ExitCode {
         let (d0, a0) = (pool::jobs_dispatched(), pool::jobs_allocated());
         let pooled = median(&samples(ROUNDS, || {
             for _ in 0..launches {
-                run_groups(nd, Parallelism::Auto, 1 << 20, &kernel);
+                let auto = Parallelism::Auto;
+                run_groups_contained(nd, auto, 1 << 20, "storm", None, None, None, &kernel)
+                    .expect("clean launch");
             }
         }));
         let dispatched = pool::jobs_dispatched() - d0;

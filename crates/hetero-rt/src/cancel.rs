@@ -2,10 +2,11 @@
 //!
 //! A [`CancelToken`] lets a supervisor — the serving layer's deadline
 //! watchdog, a chaos harness, an interactive caller — stop a launch that
-//! is already in flight *without* tearing anything down: the executor,
-//! the retry loop and the graph-replay sweep all poll the token at group
-//! / chunk / attempt boundaries and surface [`Error::Canceled`] through
-//! the ordinary typed-error path. The worker pool is untouched, partial
+//! is already in flight *without* tearing anything down: the executor's
+//! walk polls the token before every work-group (of a direct launch and
+//! of a graph replay alike) and the retry loop at every attempt, and
+//! both surface [`Error::Canceled`] through the ordinary typed-error
+//! path. The worker pool is untouched, partial
 //! writes are contained exactly like a kernel panic's, and the queue
 //! stays usable for the next submission.
 //!
@@ -33,14 +34,14 @@ impl CancelToken {
     }
 
     /// Fire the token: every launch polling it observes the request at
-    /// its next group / chunk / retry boundary and fails with
+    /// its next group or retry boundary and fails with
     /// [`Error::Canceled`]. Idempotent.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has fired. One relaxed-acquire load; cheap
-    /// enough to poll per executor chunk.
+    /// Whether the token has fired. One acquire load; cheap enough to
+    /// poll per work-group.
     pub fn is_canceled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }

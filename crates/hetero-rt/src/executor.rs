@@ -1,21 +1,34 @@
-//! Work-group executor: distributes independent work-groups over the
-//! persistent host thread pool.
+//! The walk: the one place work-groups run.
 //!
-//! SYCL guarantees no synchronisation between work-groups within a kernel,
-//! so running groups concurrently is semantics-preserving. Groups are
-//! claimed from the pool in adaptive chunks (see [`crate::pool`]), which
-//! balances irregular group costs (e.g. Mandelbrot rows near the set take
-//! far longer than rows far from it) without serialising thousands of
-//! tiny groups on one hot atomic.
+//! A plan is a list of launches ([`Node`]s), each with its stealable group
+//! spans and a retired-group count, grouped into phases of mutually
+//! independent launches. A direct launch is the one-node, one-phase plan
+//! ([`run_groups_contained`]); a recorded graph's fast replay is the same
+//! walk over its recorded nodes and phases. SYCL guarantees no
+//! synchronisation between the work-groups of a kernel, so running them
+//! concurrently preserves its semantics.
+//!
+//! Every group runs through one body: the group id delinearized, the
+//! [`GroupCtx`] built (with local-memory flips only under a fault plan),
+//! the cancel token polled, the kernel run under `catch_unwind` with the
+//! fault plan's panic and the sanitizer's recorder, and a panic
+//! classified with the exact group that raised it. Groups are claimed
+//! from per-participant spans (see [`crate::pool`]): a participant drains
+//! its own span first and steals back halves of the others', which
+//! balances irregular group costs (Mandelbrot rows near the set take far
+//! longer than rows far from it).
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
 use crate::fault::{classify_panic, FaultPlan};
-use crate::ndrange::{GroupCtx, NdRange};
+use crate::ndrange::{GroupCtx, NdRange, Range};
+use crate::pool::{ClaimMode, SpanSet};
 
 /// How many worker threads a launch may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,157 +55,215 @@ impl Parallelism {
     }
 }
 
-/// Execute `kernel` once per work-group of `nd`, in parallel.
-///
-/// `local_mem_limit` bounds each group's shared-memory allocations (the
-/// device capacity).
-///
-/// A panicking kernel does not abort the process: the panic is contained
-/// (see [`run_groups_contained`]) and re-raised here on the calling
-/// thread as a typed [`Error`] payload.
-pub fn run_groups<K>(nd: NdRange, parallelism: Parallelism, local_mem_limit: usize, kernel: &K)
-where
-    K: Fn(&GroupCtx) + Sync,
-{
-    run_groups_contained(nd, parallelism, local_mem_limit, "<kernel>", None, None, None, kernel)
-        .unwrap_or_else(|e| std::panic::panic_any(e));
+/// One launch of a plan: its range and kernel, the stealable spans over
+/// its groups, and how many of them are retired (counted where a phase
+/// barrier waits on them).
+pub(crate) struct Node<K> {
+    pub(crate) name: &'static str,
+    pub(crate) nd: NdRange,
+    groups: Range,
+    pub(crate) kernel: K,
+    spans: SpanSet,
+    done: AtomicUsize,
 }
 
-/// The containment-aware executor core every queue launch runs through.
-/// Returns the pool-dispatch duration: the time spent handing the launch
-/// to the worker pool before the submitting thread began executing
-/// groups itself (zero on the sequential path). Queues record it so
-/// profiling can split launch overhead from kernel work.
-///
-/// Each work-group executes under `catch_unwind`; the first panic cancels
-/// the launch (remaining groups are skipped via a shared flag, already
-/// claimed pool chunks drain cheaply) and is classified into a typed
-/// error: typed payloads (injected faults, buffer bounds panics,
-/// local-memory capacity panics) unwrap to their [`Error`], anything else
-/// becomes [`Error::KernelPanicked`] carrying the panic message. The
-/// worker pool is untouched by the panic and stays usable.
-///
-/// When `plan` is `Some`, the fault layer is consulted before every group
-/// (a stateless hash decision, see [`FaultPlan::should_panic`]); when
-/// `None`, the per-group cost is one branch — the overhead bounded by the
-/// `hook_overhead` microbenchmark.
-///
-/// When `sanitize` is `Some(bindings)`, the launch runs under the dynamic
-/// race detector ([`crate::sanitize`]): every group records shadow access
-/// logs, merged and analysed here at launch end, and checked against
-/// `bindings` when the launch states any. Findings surface as a
-/// typed [`Error::DataRace`] (first finding in the deterministic report
-/// order); the full list is stashed for
-/// [`crate::sanitize::take_last_reports`] on the submitting thread.
+impl<K> Node<K> {
+    pub(crate) fn new(name: &'static str, nd: NdRange, kernel: K, spans: SpanSet) -> Self {
+        Node { name, nd, groups: nd.groups(), kernel, spans, done: AtomicUsize::new(0) }
+    }
+}
+
+thread_local! {
+    /// The spans of this thread's last direct launch, reused by the next
+    /// (a launch nested in a kernel finds the slot empty and allocates).
+    static SPANS: Cell<Option<SpanSet>> = const { Cell::new(None) };
+}
+
+/// Lock a mutex, recovering the guard if a previous holder panicked.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Execute `kernel` once per work-group of `nd`: a direct launch, the
+/// one-node case of [`walk`], which documents the arguments. Returns the
+/// pool-dispatch duration.
 #[allow(clippy::too_many_arguments)]
 pub fn run_groups_contained<K>(
     nd: NdRange,
     parallelism: Parallelism,
     local_mem_limit: usize,
     kernel_name: &'static str,
-    plan: Option<&FaultPlan>,
+    faults: Option<&FaultPlan>,
     sanitize: Option<&[crate::Binding]>,
-    cancel: Option<&crate::cancel::CancelToken>,
+    cancel: Option<&CancelToken>,
     kernel: &K,
 ) -> Result<Duration>
 where
     K: Fn(&GroupCtx) + Sync,
 {
-    crate::fault::install_quiet_hook();
-    let num_groups = nd.num_groups();
-    let groups_range = nd.groups();
-    let threads = parallelism.thread_count().min(num_groups.max(1));
-    let session = sanitize.map(|_| crate::sanitize::LaunchSession::begin(kernel_name));
+    let mut spans = SPANS.take().unwrap_or_else(SpanSet::empty);
+    let parts = parallelism.thread_count();
+    spans.init(nd.num_groups(), parts, parts);
+    let nodes = [Node::new(kernel_name, nd, kernel, spans)];
+    let r = walk(&nodes, &[(0, 1)], parallelism, local_mem_limit, faults, sanitize, cancel);
+    let [node] = nodes;
+    SPANS.set(Some(node.spans));
+    r
+}
 
-    let run_one = |g: usize| -> std::result::Result<(), Error> {
-        let gid = groups_range.delinearize(g);
-        // Local-memory SDC flips: `local_ctx` is None unless the plan
-        // injects bit-flips, so the common path pays one branch here.
-        let local_fault = plan.and_then(|p| p.local_ctx(kernel_name, g));
-        let ctx = GroupCtx::new(gid, nd, local_mem_limit, local_fault);
+/// Run every group of every node of a plan: `phases` are half-open node
+/// ranges, run in order, whose nodes run concurrently. Returns the
+/// pool-dispatch duration: the time spent handing the plan to the pool
+/// before the submitting thread began running groups itself (zero
+/// inline). Queues record it so profiling can split launch overhead from
+/// kernel work.
+///
+/// With one participant — `Parallelism::Sequential`, `Auto` on a
+/// one-thread pool, or a single group — the walk runs inline: nodes in
+/// order, groups in ascending order, on the calling thread. Otherwise it
+/// is one pool job of one index per participant; each sweeps the phases, claiming groups
+/// from every node's spans, and waits at a phase boundary until every
+/// group of the phase is retired (on work, never on participants, so any
+/// subset of the pool completes the plan). The pool job's completion is
+/// the last phase's barrier.
+///
+/// The first failing group stops the walk (other participants drain
+/// what they claimed without running it) and is its error: a fired
+/// `cancel` token is [`Error::Canceled`], typed panic payloads (injected
+/// faults, bounds and local-memory capacity panics) unwrap to their
+/// [`Error`], anything else is [`Error::KernelPanicked`] naming the
+/// group. The pool survives.
+///
+/// `faults` is consulted before every group (a stateless hash, see
+/// [`FaultPlan::should_panic`]); without one, the per-group cost is one
+/// branch, what `hook_overhead` bounds. `sanitize` (a one-node plan's
+/// bindings) runs the walk under the race detector ([`crate::sanitize`]):
+/// the groups' shadow logs are merged and analysed when they all
+/// finished and checked against the bindings; the first finding in the
+/// deterministic report order is the typed [`Error::DataRace`], and the
+/// full list is stashed for [`crate::sanitize::take_last_reports`].
+pub(crate) fn walk<K>(
+    nodes: &[Node<K>],
+    phases: &[(usize, usize)],
+    parallelism: Parallelism,
+    local_mem_limit: usize,
+    faults: Option<&FaultPlan>,
+    sanitize: Option<&[crate::Binding]>,
+    cancel: Option<&CancelToken>,
+) -> Result<Duration>
+where
+    K: Fn(&GroupCtx) + Sync,
+{
+    crate::fault::install_quiet_hook();
+    let session = sanitize.map(|_| crate::sanitize::LaunchSession::begin(nodes[0].name));
+    let run_one = |node: &Node<K>, g: usize| -> Result<()> {
+        if let Some(t) = cancel {
+            t.check(node.name)?;
+        }
+        let local_fault = faults.and_then(|p| p.local_ctx(node.name, g));
+        let ctx = GroupCtx::new(node.groups.delinearize(g), node.nd, local_mem_limit, local_fault);
         let prev_recorder = session.as_ref().map(|s| s.install_recorder(g));
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(p) = plan {
-                p.maybe_panic(kernel_name, g);
+            if let Some(p) = faults {
+                p.maybe_panic(node.name, g);
             }
-            kernel(&ctx);
+            (node.kernel)(&ctx);
         }));
         if let Some(s) = session.as_ref() {
-            // Merge the group's shadow log (discarded on panic: the
-            // launch already fails with the panic's own error) and
-            // restore any enclosing launch's recorder on this thread.
+            // Merge the group's shadow log (discarded on panic: the walk
+            // already fails with the panic's own error) and restore any
+            // enclosing launch's recorder on this thread.
             s.finish_group(prev_recorder.flatten(), r.is_ok());
         }
-        r.map_err(|payload| classify_panic(kernel_name, g, payload))
+        r.map_err(|payload| classify_panic(node.name, g, payload))
     };
 
-    // After all groups finished cleanly: cross-group race analysis. The
-    // first report (in the deterministic sorted order) becomes the
-    // launch's typed error.
-    let analyze = |session: Option<crate::sanitize::LaunchSession>| -> Result<()> {
-        let Some(s) = session else { return Ok(()) };
-        let reports = s.finish(sanitize.unwrap_or_default());
-        let Some(first) = reports.first() else { return Ok(()) };
-        let err = Error::DataRace {
-            kernel: kernel_name,
-            object: first.object,
-            element: first.element,
-            kind: first.kind,
+    let max_groups = nodes.iter().map(|n| n.groups.size()).max().unwrap_or(0);
+    let participants = parallelism.thread_count().min(max_groups).max(1);
+    let dispatch = if participants == 1 {
+        for node in nodes {
+            for g in 0..node.groups.size() {
+                run_one(node, g)?;
+            }
+        }
+        Duration::ZERO
+    } else {
+        for node in nodes {
+            node.spans.reset();
+            node.done.store(0, Ordering::Relaxed);
+        }
+        let abort = AtomicBool::new(false);
+        let failure: Mutex<Option<Error>> = Mutex::new(None);
+        // A participant's pool index is its home span in every node.
+        let sweep = |home: usize, _: usize| {
+            for (i, &(ps, pe)) in phases.iter().enumerate() {
+                let last = i + 1 == phases.len();
+                for node in &nodes[ps..pe] {
+                    while !abort.load(Ordering::Relaxed) {
+                        let Some((start, end)) = node.spans.claim(home, ClaimMode::Stealing) else {
+                            break;
+                        };
+                        for g in start..end {
+                            if abort.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            if let Err(e) = run_one(node, g) {
+                                lock(&failure).get_or_insert(e);
+                                abort.store(true, Ordering::Relaxed);
+                            }
+                        }
+                        // Release: publishes the chunk's writes to whoever
+                        // observes the phase complete below.
+                        if !last {
+                            node.done.fetch_add(end - start, Ordering::AcqRel);
+                        }
+                    }
+                }
+                if last {
+                    return;
+                }
+                for node in &nodes[ps..pe] {
+                    let mut spins = 0u32;
+                    while node.done.load(Ordering::Acquire) < node.groups.size() {
+                        if abort.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        spins += 1;
+                        if spins < 128 {
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            }
         };
-        crate::sanitize::stash_reports(reports);
-        Err(err)
+        let (dispatch, stray) = crate::pool::run_job_catch(participants, participants, &sweep);
+        // Groups run under their own catch_unwind; a stray payload is a
+        // bug in the sweep itself.
+        if let Some(payload) = stray {
+            return Err(classify_panic(nodes[0].name, usize::MAX, payload));
+        }
+        if let Some(e) = lock(&failure).take() {
+            return Err(e);
+        }
+        dispatch
     };
 
-    if threads <= 1 {
-        // Deterministic path: ascending group order on the calling
-        // thread, no pool involvement, no atomics.
-        for g in 0..num_groups {
-            if let Some(t) = cancel {
-                t.check(kernel_name)?;
-            }
-            run_one(g)?;
+    // Every group finished cleanly: the cross-group race analysis.
+    if let (Some(s), Some(bindings)) = (session, sanitize) {
+        let reports = s.finish(bindings);
+        if let Some(first) = reports.first() {
+            let err = Error::DataRace {
+                kernel: nodes[0].name,
+                object: first.object,
+                element: first.element,
+                kind: first.kind,
+            };
+            crate::sanitize::stash_reports(reports);
+            return Err(err);
         }
-        analyze(session)?;
-        return Ok(Duration::ZERO);
     }
-
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<Error>> = Mutex::new(None);
-
-    let (dispatch, stray_payload) = crate::pool::run_job_catch(num_groups, threads, &|start, end| {
-        for g in start..end {
-            if abort.load(Ordering::Relaxed) {
-                break; // launch canceled: drain the claimed chunk cheaply
-            }
-            let r = match cancel {
-                Some(t) => t.check(kernel_name),
-                None => Ok(()),
-            }
-            .and_then(|()| run_one(g));
-            if let Err(e) = r {
-                abort.store(true, Ordering::Relaxed);
-                failure
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get_or_insert(e);
-                break;
-            }
-        }
-    });
-
-    // Per-group catch_unwind means chunks themselves cannot panic; a
-    // stray payload would indicate a bug in the claim loop above.
-    if let Some(payload) = stray_payload {
-        return Err(classify_panic(kernel_name, usize::MAX, payload));
-    }
-    if let Some(e) = failure
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        return Err(e);
-    }
-    analyze(session)?;
     Ok(dispatch)
 }
 
@@ -202,6 +273,11 @@ mod tests {
     use crate::buffer::Buffer;
     use crate::ndrange::FenceSpace;
 
+    /// A clean direct launch with no hooks.
+    fn launch<K: Fn(&GroupCtx) + Sync>(nd: NdRange, p: Parallelism, kernel: &K) {
+        run_groups_contained(nd, p, 1 << 20, "<kernel>", None, None, None, kernel).unwrap();
+    }
+
     #[test]
     fn all_groups_execute_exactly_once() {
         // Whatever the chunk boundaries, in every parallelism mode.
@@ -209,7 +285,7 @@ mod tests {
         for p in [Parallelism::Sequential, Parallelism::Auto, Parallelism::Threads(3)] {
             let b = Buffer::<u32>::new(nd.num_groups());
             let v = b.view();
-            run_groups(nd, p, 1 << 20, &|ctx: &GroupCtx| {
+            launch(nd, p, &|ctx: &GroupCtx| {
                 v.atomic_add_u32(ctx.group_linear(), 1);
             });
             assert!(b.to_vec().iter().all(|&c| c == 1), "{p:?}");
@@ -221,7 +297,7 @@ mod tests {
         let nd = NdRange::d1(64, 16);
         let count = Buffer::<u32>::new(1);
         let v = count.view();
-        run_groups(nd, Parallelism::Sequential, 1 << 20, &|ctx: &GroupCtx| {
+        launch(nd, Parallelism::Sequential, &|ctx: &GroupCtx| {
             ctx.items(|_| {
                 v.atomic_add_u32(0, 1);
             });
@@ -240,7 +316,7 @@ mod tests {
         let run = |p| {
             let b = Buffer::<f32>::new(4096);
             let v = b.view();
-            run_groups(nd, p, 1 << 20, &|ctx: &GroupCtx| {
+            launch(nd, p, &|ctx: &GroupCtx| {
                 ctx.items(|it| {
                     let i = it.global_linear;
                     v.set(i, (i as f32).sqrt());
@@ -258,7 +334,7 @@ mod tests {
         let nd = NdRange::d1(64, 1);
         let b = Buffer::<u32>::new(64);
         let v = b.view();
-        run_groups(nd, Parallelism::Threads(4), 1 << 20, &|ctx: &GroupCtx| {
+        launch(nd, Parallelism::Threads(4), &|ctx: &GroupCtx| {
             let g = ctx.group_linear();
             let mut acc = 0u64;
             for i in 0..(g * 1000) {
@@ -281,12 +357,7 @@ mod tests {
             .unwrap_err();
             match e {
                 crate::error::Error::KernelPanicked { kernel, group, message } => {
-                    assert_eq!(kernel, "boomer");
-                    // Sequential hits group 7 exactly; pooled may observe
-                    // it from whichever chunk got there first.
-                    if p == Parallelism::Sequential {
-                        assert_eq!(group, 7);
-                    }
+                    assert_eq!((kernel, group), ("boomer", 7), "{p:?}");
                     assert!(message.contains("deliberate"), "{message}");
                 }
                 other => panic!("expected KernelPanicked, got {other:?}"),
@@ -295,7 +366,7 @@ mod tests {
             // The executor (and pool) must still run clean work.
             let b = Buffer::<u32>::new(64);
             let v = b.view();
-            run_groups(NdRange::d1(64, 8), p, 1 << 20, &|ctx: &GroupCtx| {
+            launch(NdRange::d1(64, 8), p, &|ctx: &GroupCtx| {
                 ctx.items(|it| v.set(it.global_linear, 1));
             });
             assert!(b.to_vec().iter().all(|&x| x == 1));

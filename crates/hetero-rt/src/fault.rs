@@ -144,7 +144,6 @@ impl FaultPlan {
     /// A plan injecting every [`FaultKind`] at probability `rate` per
     /// injection point, driven by `seed`.
     pub fn new(seed: u64, rate: f64) -> Self {
-        install_quiet_hook();
         FaultPlan {
             seed,
             rate: rate.clamp(0.0, 1.0),

@@ -2,16 +2,18 @@
 //!
 //! The paper's Figure 1 shows SYCL losing to CUDA on FDTD2D almost
 //! entirely on *non-kernel* time — per-launch runtime overhead repeated
-//! every timestep. The per-launch path in [`crate::queue`] re-validates
-//! the ND-range, re-derives the chunk partition, re-checks the (usually
+//! every timestep. Every launch runs through the one walk in
+//! [`crate::executor`]; a direct launch is its one-node plan, and each
+//! one re-validates its ND-range, re-checks the queue's (usually
 //! disarmed) fault / sanitizer / integrity / redundancy branches and
-//! wakes the worker pool once per submission. A [`Graph`] amortises all
-//! of that across an iteration: [`Graph::record`] captures the launch
-//! sequence into an immutable plan (validated ranges, precomputed chunk
-//! partitions, dependency phases derived from declared buffer access
-//! modes, preallocated per-launch stat slots), and [`Graph::replay`]
-//! executes the whole plan with a **single pool wake-up** — the same
-//! shape as CUDA Graphs or the SYCL command-graph extension.
+//! wakes the worker pool. A [`Graph`] amortises that across an
+//! iteration: [`Graph::record`] captures the launch sequence into an
+//! immutable plan (validated ranges, per-node group spans, dependency
+//! phases derived from declared buffer access modes), and
+//! [`Graph::replay`] hands the whole plan to the same walk with a
+//! **single pool wake-up** — the shape of CUDA Graphs or the SYCL
+//! command-graph extension. Panics and fired deadlines surface as they
+//! do from a direct launch: the exact group, [`Error::Canceled`].
 //!
 //! # Bindings drive the schedule
 //!
@@ -57,16 +59,16 @@
 //! kernels: the replay lock is not re-entrant and the call deadlocks
 //! (the same rule as `Queue::wait` inside a kernel).
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::buffer::{Bound, Buffer};
 use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
-use crate::fault::classify_panic;
+use crate::executor::Node;
 use crate::integrity::Region;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
+use crate::pool::SpanSet;
 use crate::queue::Queue;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
@@ -159,36 +161,15 @@ fn conflicts(a: &[Binding], b: &[Binding]) -> bool {
     })
 }
 
-type GroupKernel = Arc<dyn Fn(&GroupCtx) + Send + Sync>;
-
-/// One recorded launch.
-struct Node {
-    name: &'static str,
-    nd: NdRange,
-    groups_range: Range,
-    num_groups: usize,
-    bindings: Vec<Binding>,
-    kernel: GroupKernel,
-    /// Per-participant stealable work spans over `0..num_groups`
-    /// (initialised by [`Graph::record`], re-partitioned per replay).
-    spans: crate::pool::SpanSet,
-    /// Groups retired (executed or abandoned on cancellation).
-    done: AtomicUsize,
-}
-
-impl Node {
-    fn reset(&self) {
-        self.spans.reset();
-        self.done.store(0, Ordering::Relaxed);
-    }
-}
+type GroupKernel = Box<dyn Fn(&GroupCtx) + Send + Sync>;
 
 /// Builder handed to the [`Graph::record`] closure; each method records
 /// one launch without executing it. Validation errors (malformed range,
 /// work-group limit) are deferred: the first one fails `record`.
 pub struct GraphBuilder {
     caps: DeviceCaps,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<GroupKernel>>,
+    bindings: Vec<Vec<Binding>>,
     err: Option<Error>,
 }
 
@@ -210,7 +191,7 @@ impl GraphBuilder {
         let total = range.size();
         let nd = NdRange::flat(total, self.caps.max_work_group_size);
         let kernel = move |ctx: &GroupCtx| ctx.flat_items(range, total, &f);
-        self.push(name, nd, bindings, Arc::new(kernel))
+        self.push(name, nd, bindings, Box::new(kernel))
     }
 
     /// Record a work-group launch — the recorded equivalent of
@@ -225,7 +206,7 @@ impl GraphBuilder {
     where
         K: Fn(&GroupCtx) + Send + Sync + 'static,
     {
-        self.push(name, nd, bindings, Arc::new(kernel))
+        self.push(name, nd, bindings, Box::new(kernel))
     }
 
     fn push(
@@ -247,17 +228,12 @@ impl GraphBuilder {
             self.err = Some(Error::WorkGroupTooLarge { requested: nd.group_size(), limit });
             return self;
         }
-        let num_groups = nd.num_groups();
-        self.nodes.push(Node {
-            name,
-            nd,
-            groups_range: nd.groups(),
-            num_groups,
-            bindings: bindings.to_vec(),
-            kernel,
-            spans: crate::pool::SpanSet::empty(),
-            done: AtomicUsize::new(0),
-        });
+        // One stealable span per pool thread; the walk's halving front
+        // claims adapt the granularity and back-half steals rebalance
+        // uneven nodes.
+        let spans = SpanSet::new(nd.num_groups(), crate::pool::auto_threads());
+        self.nodes.push(Node::new(name, nd, kernel, spans));
+        self.bindings.push(bindings.to_vec());
         self
     }
 }
@@ -265,18 +241,16 @@ impl GraphBuilder {
 /// An immutable, executable launch plan. See the module docs for the
 /// recording contract and lifetime rules.
 pub struct Graph {
-    nodes: Vec<Node>,
+    nodes: Vec<Node<GroupKernel>>,
+    /// Each node's bindings, by node index.
+    bindings: Vec<Vec<Binding>>,
     /// Half-open node-index ranges; nodes within one phase are mutually
     /// independent and execute concurrently, phases execute in order.
     phases: Vec<(usize, usize)>,
     caps: DeviceCaps,
-    local_mem_limit: usize,
-    max_groups: usize,
-    /// Serialises replays of this graph (the per-node claim/done state
-    /// is single-replay).
+    /// Serialises replays of this graph (the per-node claim state is
+    /// single-replay).
     replay_lock: Mutex<()>,
-    cancel: AtomicBool,
-    failure: Mutex<Option<Error>>,
     fast_replays: AtomicU64,
 }
 
@@ -298,10 +272,10 @@ impl Graph {
     where
         F: FnOnce(&mut GraphBuilder),
     {
-        let mut b =
-            GraphBuilder { caps: q.device().caps().clone(), nodes: Vec::new(), err: None };
+        let caps = q.device().caps().clone();
+        let mut b = GraphBuilder { caps, nodes: Vec::new(), bindings: Vec::new(), err: None };
         build(&mut b);
-        let GraphBuilder { caps, mut nodes, err } = b;
+        let GraphBuilder { caps, nodes, bindings, err } = b;
         if let Some(e) = err {
             return Err(e);
         }
@@ -311,8 +285,7 @@ impl Graph {
         let mut phases = Vec::new();
         let mut start = 0;
         for j in 1..nodes.len() {
-            let conflicting = (start..j)
-                .any(|i| conflicts(&nodes[i].bindings, &nodes[j].bindings));
+            let conflicting = (start..j).any(|i| conflicts(&bindings[i], &bindings[j]));
             if conflicting {
                 phases.push((start, j));
                 start = j;
@@ -322,24 +295,12 @@ impl Graph {
             phases.push((start, nodes.len()));
         }
 
-        // One stealable span per pool thread; halving front claims give
-        // the adaptive granularity the old fixed chunk partition
-        // approximated, and back-half steals rebalance uneven nodes.
-        let basis = crate::pool::auto_threads().max(1);
-        for node in &mut nodes {
-            node.spans.init(node.num_groups, basis, basis);
-        }
-
-        let max_groups = nodes.iter().map(|n| n.num_groups).max().unwrap_or(0);
         Ok(Graph {
             nodes,
+            bindings,
             phases,
-            local_mem_limit: caps.local_mem_bytes,
             caps,
-            max_groups,
             replay_lock: Mutex::new(()),
-            cancel: AtomicBool::new(false),
-            failure: Mutex::new(None),
             fast_replays: AtomicU64::new(0),
         })
     }
@@ -353,48 +314,21 @@ impl Graph {
     }
 
     /// Execute the recorded plan. On a fully disarmed queue this is the
-    /// fast path: one in-flight entry, one pool wake-up, no
-    /// re-validation, no re-chunking, no per-launch arming checks. On an
-    /// armed queue (fault plan, sanitizer, integrity, redundancy, CPU
-    /// fallback) or a capability-mismatched device it degrades to
-    /// [`Graph::submit_each`] so every check still runs.
+    /// fast path: one in-flight entry and one walk of the whole plan (see
+    /// [`crate::executor`]) with a single pool wake-up, no re-validation
+    /// and no per-launch arming checks. On an armed queue (fault plan,
+    /// sanitizer, integrity, redundancy, CPU fallback) or a
+    /// capability-mismatched device it degrades to [`Graph::submit_each`]
+    /// so every check still runs.
     pub fn replay(&self, q: &Queue) -> Result<()> {
+        if !self.fast_eligible(q) {
+            return self.submit_each(q);
+        }
         let _lock = lock(&self.replay_lock);
         if self.nodes.is_empty() {
             return Ok(());
         }
-        if !self.fast_eligible(q) {
-            return self.submit_each_inner(q);
-        }
-        let token = q.cancel_token();
-        if let Some(t) = token {
-            t.check("<graph>")?;
-        }
-        let _guard = q.enter_inflight();
-        crate::fault::install_quiet_hook();
-        for n in &self.nodes {
-            n.reset();
-        }
-        self.cancel.store(false, Ordering::Relaxed);
-        *lock(&self.failure) = None;
-
-        let participants = q.parallelism_threads().min(self.max_groups).max(1);
-        if participants == 1 {
-            self.run_inline(token)?;
-        } else {
-            // The participant's claimed index is its home span in every
-            // node's SpanSet: participants sweep their own partition
-            // first and steal back halves from stragglers' spans.
-            let sweep = |s: usize, _e: usize| self.sweep(s, token);
-            let (_dispatch, stray) =
-                crate::pool::run_job_catch(participants, participants, &sweep);
-            if let Some(p) = stray {
-                return Err(classify_panic("<graph>", usize::MAX, p));
-            }
-            if let Some(e) = lock(&self.failure).take() {
-                return Err(e);
-            }
-        }
+        q.run_plan(&self.nodes, &self.phases)?;
         self.reseal_written();
         self.fast_replays.fetch_add(1, Ordering::Relaxed);
         if let Some(ledger) = q.resilience_ledger() {
@@ -411,18 +345,8 @@ impl Graph {
     /// microbenchmark measures against.
     pub fn submit_each(&self, q: &Queue) -> Result<()> {
         let _lock = lock(&self.replay_lock);
-        self.submit_each_inner(q)
-    }
-
-    fn submit_each_inner(&self, q: &Queue) -> Result<()> {
-        for n in &self.nodes {
-            n.reset();
-        }
-        for node in &self.nodes {
-            let k = &node.kernel;
-            let wrap = |ctx: &GroupCtx| k(ctx);
-            q.launch_groups(node.name, node.nd, &node.bindings, &wrap)?;
-            node.done.store(node.num_groups, Ordering::Relaxed);
+        for (node, bindings) in self.nodes.iter().zip(&self.bindings) {
+            q.launch_groups(node.name, node.nd, bindings, &node.kernel)?;
         }
         // An integrity queue resealed at each launch exit; any other
         // seals nothing there.
@@ -438,102 +362,11 @@ impl Graph {
     /// buffer the walk only reads keeps its seal, so a flip there still
     /// surfaces.
     fn reseal_written(&self) {
-        for b in self.nodes.iter().flat_map(|n| &n.bindings).filter(|b| b.writes()) {
+        for b in self.bindings.iter().flatten().filter(|b| b.writes()) {
             if let Some(region) = b.storage.registered() {
                 region.reseal();
             }
         }
-    }
-
-    /// One participant's pass over the whole plan. Work is claimed from
-    /// per-node stealable spans (own span's front half first, then back
-    /// halves of other participants' spans), so any subset of pool
-    /// workers — including the submitter alone — completes the graph;
-    /// phase barriers wait on *work completion* (`done == num_groups`),
-    /// never on participant arrival, which is what makes the
-    /// single-wake-up design deadlock-free under a busy pool.
-    fn sweep(&self, home: usize, token: Option<&crate::cancel::CancelToken>) {
-        'phases: for &(ps, pe) in &self.phases {
-            for node in &self.nodes[ps..pe] {
-                loop {
-                    if self.cancel.load(Ordering::Relaxed) {
-                        break 'phases;
-                    }
-                    if let Some(t) = token {
-                        // A fired deadline cancels the whole replay: the
-                        // first participant to notice records the typed
-                        // error and trips the shared flag the others
-                        // (and the chunk loops) already poll.
-                        if t.is_canceled() {
-                            lock(&self.failure)
-                                .get_or_insert(Error::Canceled { kernel: node.name });
-                            self.cancel.store(true, Ordering::Relaxed);
-                            break 'phases;
-                        }
-                    }
-                    let Some((start, end)) =
-                        node.spans.claim(home, crate::pool::ClaimMode::Stealing)
-                    else {
-                        break;
-                    };
-                    let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.run_chunk(node, start, end)
-                    }));
-                    if let Err(payload) = r {
-                        lock(&self.failure)
-                            .get_or_insert_with(|| classify_panic(node.name, start, payload));
-                        self.cancel.store(true, Ordering::Relaxed);
-                    }
-                    // Release: publishes this chunk's buffer writes to
-                    // whichever participant observes completion below.
-                    node.done.fetch_add(end - start, Ordering::AcqRel);
-                }
-            }
-            for node in &self.nodes[ps..pe] {
-                let mut spins = 0u32;
-                while node.done.load(Ordering::Acquire) < node.num_groups {
-                    if self.cancel.load(Ordering::Relaxed) {
-                        break 'phases;
-                    }
-                    spins += 1;
-                    if spins < 128 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_chunk(&self, node: &Node, start: usize, end: usize) {
-        for g in start..end {
-            if self.cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            let gid = node.groups_range.delinearize(g);
-            let ctx = GroupCtx::new(gid, node.nd, self.local_mem_limit, None);
-            (node.kernel)(&ctx);
-        }
-    }
-
-    /// Sequential replay on the calling thread: ascending node order,
-    /// ascending group order — the deterministic path, matching
-    /// `Parallelism::Sequential` per-launch execution.
-    fn run_inline(&self, token: Option<&crate::cancel::CancelToken>) -> Result<()> {
-        for node in &self.nodes {
-            if let Some(t) = token {
-                t.check(node.name)?;
-            }
-            for g in 0..node.num_groups {
-                let gid = node.groups_range.delinearize(g);
-                let ctx = GroupCtx::new(gid, node.nd, self.local_mem_limit, None);
-                std::panic::catch_unwind(AssertUnwindSafe(|| (node.kernel)(&ctx)))
-                    .map_err(|p| classify_panic(node.name, g, p))?;
-            }
-            node.done.store(node.num_groups, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// Number of recorded launches.
@@ -555,7 +388,7 @@ impl Graph {
     /// The bindings of launch `i` as recorded.
     // lint:allow(unused-pub) test oracle: hetero-rt/tests/graph_agreement.rs holds recorded bindings equal to the stated ones
     pub fn node_bindings(&self, i: usize) -> &[Binding] {
-        &self.nodes[i].bindings
+        &self.bindings[i]
     }
 
     /// Successful single-wake-up (fast path) replays only.
@@ -567,7 +400,7 @@ impl Graph {
     /// `earlier`: their declared access modes conflict on some object.
     // lint:allow(unused-pub) test oracle: hetero-rt/tests/graph_agreement.rs checks phase order against the enumeration oracle
     pub fn depends_on(&self, later: usize, earlier: usize) -> bool {
-        earlier < later && conflicts(&self.nodes[earlier].bindings, &self.nodes[later].bindings)
+        earlier < later && conflicts(&self.bindings[earlier], &self.bindings[later])
     }
 }
 

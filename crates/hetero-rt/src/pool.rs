@@ -108,8 +108,8 @@ fn unpack(v: u64) -> (u32, u32) {
 }
 
 /// Per-participant work spans with two-ended atomic claiming — the
-/// work-stealing deque structure shared by [`run_job`] and graph
-/// replay's per-node group sweeps (crate-internal).
+/// work-stealing deque structure shared by [`run_job`] and the
+/// executor's walk, which claims each node's groups from one (crate-internal).
 pub(crate) struct SpanSet {
     /// One packed `(lo, hi)` span per participant.
     spans: Box<[AtomicU64]>,
@@ -126,7 +126,7 @@ pub(crate) struct SpanSet {
 }
 
 impl SpanSet {
-    /// A zero-length set (builder placeholder; re-initialised later).
+    /// A zero-length set, re-initialised before use.
     pub(crate) fn empty() -> SpanSet {
         SpanSet::new(0, 1)
     }
@@ -165,7 +165,7 @@ impl SpanSet {
     }
 
     /// Restore the initial partition. Callers must ensure no claimer is
-    /// concurrently active (between replays / before dispatch).
+    /// concurrently active (between walks / before dispatch).
     pub(crate) fn reset(&self) {
         let parts = self.spans.len();
         for (p, s) in self.spans.iter().enumerate() {
@@ -641,7 +641,6 @@ fn run_job_inner(
     mode: ClaimMode,
     task: &(dyn Fn(usize, usize) + Sync),
 ) -> (Duration, Option<Box<dyn std::any::Any + Send>>, JobStats) {
-    crate::fault::install_quiet_hook();
     let pool = global();
     if total == 0 {
         // An empty job never wakes a worker or claims a chunk, so it is

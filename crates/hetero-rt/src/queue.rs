@@ -25,7 +25,7 @@ use crate::cancel::CancelToken;
 use crate::device::{Device, DeviceKind};
 use crate::error::{Error, Result};
 use crate::event::{Event, ProfilingInfo, ResilienceInfo, ResilienceLedger};
-use crate::executor::{run_groups_contained, Parallelism};
+use crate::executor::{run_groups_contained, walk, Node, Parallelism};
 use crate::fault::FaultPlan;
 use crate::graph::Binding;
 use crate::integrity::Region;
@@ -190,7 +190,7 @@ struct InFlight {
 
 /// RAII in-flight marker: decrements and notifies on drop, so a panicking
 /// launch still releases waiters.
-pub(crate) struct InFlightGuard<'a>(&'a InFlight);
+struct InFlightGuard<'a>(&'a InFlight);
 
 impl<'a> InFlightGuard<'a> {
     fn enter(inflight: &'a InFlight) -> Self {
@@ -282,19 +282,14 @@ impl Queue {
 
     /// Attach (or, with `None`, detach) a cancellation token. Every
     /// launch on this queue (and clones made *after* this call) polls
-    /// the token at group / chunk / retry-attempt boundaries — including
-    /// backoff sleeps and graph-replay sweeps — and fails fast with
+    /// the token before each work-group — a fast graph replay's too —
+    /// and at each retry attempt and backoff sleep, and fails fast with
     /// [`Error::Canceled`] once it fires. The serving layer attaches one
     /// token per job so a deadline watchdog can contain overruns through
     /// the typed-error path.
     pub fn with_cancel_token(mut self, token: Option<CancelToken>) -> Self {
         self.cancel = token;
         self
-    }
-
-    /// The cancellation token launches on this queue poll, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Attach (or, with `None`, detach) an accumulating resilience
@@ -315,17 +310,6 @@ impl Queue {
     /// The queue's device.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// Worker-thread budget the queue's parallelism mode resolves to.
-    pub(crate) fn parallelism_threads(&self) -> usize {
-        self.parallelism.thread_count()
-    }
-
-    /// Enter the queue's in-flight count (used by graph replay, which
-    /// bypasses `launch_groups` but must still block [`Queue::wait`]).
-    pub(crate) fn enter_inflight(&self) -> InFlightGuard<'_> {
-        InFlightGuard::enter(&self.inflight)
     }
 
     fn finish_event(
@@ -355,8 +339,8 @@ impl Queue {
     }
 
     /// One contained execution of `kernel` over `nd` on `device`:
-    /// group-size check against that device's caps, then phase-wise group
-    /// execution with per-group panic containment.
+    /// group-size check against that device's caps, then the walk's
+    /// one-node plan ([`run_groups_contained`]).
     #[allow(clippy::too_many_arguments)]
     fn run_on<K>(
         &self,
@@ -382,6 +366,19 @@ impl Queue {
             self.cancel.as_ref(),
             kernel,
         )
+    }
+
+    /// The fast replay of a recorded plan: one in-flight entry, like a
+    /// launch's, and one walk on the queue's parallelism, polling its
+    /// token, with no fault plan and no sanitizer.
+    pub(crate) fn run_plan<K>(&self, nodes: &[Node<K>], phases: &[(usize, usize)]) -> Result<()>
+    where
+        K: Fn(&GroupCtx) + Sync,
+    {
+        let _guard = InFlightGuard::enter(&self.inflight);
+        let local_mem = self.device.caps().local_mem_bytes;
+        walk(nodes, phases, self.parallelism, local_mem, None, None, self.cancel.as_ref())?;
+        Ok(())
     }
 
     /// Sleep one retry backoff. With a cancellation token attached the

@@ -9,6 +9,7 @@
 //! The integrity counters are process-wide, so the tests serialize on
 //! one mutex.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hetero_rt::executor::Parallelism;
@@ -84,6 +85,77 @@ fn fault_panic_through_replay_is_typed_and_pool_survives() {
         assert_eq!(g.fast_replays(), round);
     }
     assert!(out.to_vec().iter().all(|&v| v == 3));
+}
+
+/// A node can run four ways: launched directly, walked by `submit_each`,
+/// or replayed fast, pooled or inline. Each reports a panic with the
+/// exact group that raised it and stops on a deadline that fires inside
+/// a group; run sequentially, it stops right after that group.
+#[test]
+fn every_route_reports_the_panicking_group_and_a_fired_deadline() {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Route {
+        Direct,
+        SubmitEach,
+        Replay,
+    }
+    const GROUPS: usize = 64;
+    let _s = serial();
+    let out = Buffer::<u32>::new(GROUPS);
+    let nd = NdRange::d1(GROUPS, 1);
+    let mut wrong = Vec::new();
+    let rows = [
+        (Route::Direct, Parallelism::Sequential),
+        (Route::Direct, Parallelism::Threads(2)),
+        (Route::SubmitEach, Parallelism::Sequential),
+        (Route::SubmitEach, Parallelism::Threads(2)),
+        (Route::Replay, Parallelism::Threads(2)),
+        (Route::Replay, Parallelism::Sequential),
+    ];
+    for (route, par) in rows {
+        for deadline in [false, true] {
+            let ran = Arc::new(AtomicUsize::new(0));
+            let token = CancelToken::new();
+            let q = disarmed().with_parallelism(par).with_cancel_token(Some(token.clone()));
+            let (counter, view) = (Arc::clone(&ran), out.view());
+            let kernel = move |ctx: &GroupCtx| {
+                let g = ctx.group_linear();
+                counter.fetch_add(1, Ordering::SeqCst);
+                view.set(g, 1);
+                match (deadline, g) {
+                    (false, 5) => panic!("group five"),
+                    (true, 3) => token.cancel(),
+                    _ => {}
+                }
+            };
+            let r = if route == Route::Direct {
+                q.submit(&[writes(&out)]).nd_range("t", nd, kernel).map(drop)
+            } else {
+                let g = Graph::record(&q, |g| {
+                    g.nd_range("t", nd, &[writes(&out)], kernel);
+                })
+                .unwrap();
+                if route == Route::Replay {
+                    g.replay(&q)
+                } else {
+                    g.submit_each(&q)
+                }
+            };
+            let ran = ran.load(Ordering::SeqCst);
+            let ok = match (&r, deadline) {
+                (Err(Error::Canceled { kernel: "t" }), true) => {
+                    par != Parallelism::Sequential || ran == 4
+                }
+                (Err(Error::KernelPanicked { kernel: "t", group: 5, .. }), false) => true,
+                _ => false,
+            };
+            if !ok {
+                let what = if deadline { "deadline in group 3" } else { "panic in group 5" };
+                wrong.push(format!("{route:?} on {par:?}, {what}: {r:?} after {ran} groups"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }
 
 /// Transient launch failures inside a replay are absorbed by the

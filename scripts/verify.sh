@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --offline
+# The walk's inline arm: one pool thread collapses every `Auto`
+# participant count to one, so direct launches and fast replays both
+# run inline, where a sequential replay once lost a fired deadline.
+HETERO_RT_THREADS=1 cargo test -q --offline -p hetero-rt --test graph --test graph_agreement
 cargo clippy --all-targets --offline -- -D warnings
 cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 
