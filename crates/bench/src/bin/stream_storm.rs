@@ -35,6 +35,15 @@
 //! run's windows/sec over the clean run's (`stuck_over_clean`). Writes
 //! `BENCH_stream_storm.json` (or the path given as the first argument).
 //!
+//! Per app it also splits a clean window into its state digest and the
+//! rest: `window_us` (mean clean window), `digest_us` (median of
+//! [`DIGEST_CALLS`] `AppStream::digest` calls on the warmed stream) and
+//! `digest_frac`. *Gate*: FDTD2D's digest costs at most
+//! [`DIGEST_NS_PER_WORD`] per 4-byte word of carried state, a per-unit
+//! cost like `hook_overhead`'s `item_loop`, not a share of a window that
+//! moves with the kernels. Splitting the rest into replay, copies and
+//! runner waits is left to span tracing inside the runtime (ROADMAP).
+//!
 //! Default 1280 windows per run: 4 apps x (2 rates + the stuck-group
 //! run) x 1280 = 15360 faulted windows per full run.
 
@@ -44,16 +53,22 @@ use std::time::Instant;
 
 use altis_bench::json::{arr, Obj};
 use altis_bench::report::{self, Op, Report};
-use altis_bench::timing::percentile;
+use altis_bench::timing::{median, percentile};
 use altis_core::streaming::{open_stream, StreamScenario, STREAM_APPS};
 use altis_data::InputSize;
 use hetero_rt::{FaultKind, FaultPlan, StreamConfig};
 
 const USAGE: &str = "stream_storm [out.json] [--windows N] [--rate R]... [--seed N]";
 
-/// Fault-free run: per-window digest trail plus clean throughput. `Err`
-/// says why the oracle could not be built.
-fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> Result<(Vec<u64>, f64), String> {
+/// Digest calls timed per app on the warmed clean stream.
+const DIGEST_CALLS: usize = 500;
+/// Bound on FDTD2D's stage digest per 4-byte word of carried state.
+const DIGEST_NS_PER_WORD: f64 = 1.5;
+
+/// Fault-free run: per-window digest trail, clean throughput, and the
+/// median cost of one state digest afterwards, in µs. `Err` says why the
+/// oracle could not be built.
+fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> Result<(Vec<u64>, f64, f64), String> {
     let mut s = open_stream(app, InputSize::S1, cfg, &StreamScenario::default())
         .map_err(|e| format!("{app}: clean stream failed to open: {e}"))?
         .ok_or_else(|| format!("{app}: no streaming conversion"))?;
@@ -72,7 +87,14 @@ fn golden_trail(app: &str, windows: u64, cfg: StreamConfig) -> Result<(Vec<u64>,
         trail.push(r.digest);
     }
     let clean_wps = windows as f64 / t0.elapsed().as_secs_f64();
-    Ok((trail, clean_wps))
+    let digest_us: Vec<f64> = (0..DIGEST_CALLS)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(s.digest());
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    Ok((trail, clean_wps, median(&digest_us)))
 }
 
 /// First kernel of each app's window graph, in [`STREAM_APPS`] order:
@@ -204,14 +226,31 @@ fn main() -> ExitCode {
         let mut apps = Vec::new();
         let (mut total_windows, mut total_rollbacks) = (0u64, 0u64);
         for (app, stuck_kernel) in STREAM_APPS.iter().zip(STUCK_KERNELS) {
-            let (trail, clean_wps) = match golden_trail(app, windows, cfg) {
+            let (trail, clean_wps, digest_us) = match golden_trail(app, windows, cfg) {
                 Ok(t) => t,
                 Err(why) => {
                     report.require(&why, false);
                     continue;
                 }
             };
-            println!("  {app}: clean {clean_wps:>8.1} windows/s");
+            let window_us = 1e6 / clean_wps;
+            let digest_frac = digest_us / window_us;
+            println!(
+                "  {app}: clean {clean_wps:>8.1} windows/s, window {window_us:>6.1} us, \
+                 digest {digest_us:>6.1} us ({:.1} %)",
+                digest_frac * 100.0
+            );
+            if *app == "FDTD2D" {
+                let dim = altis_data::fdtd2d(InputSize::S1).dim;
+                let ns_per_word = digest_us * 1e3 / (3 * dim * dim) as f64;
+                println!("  {app}: digest {ns_per_word:.2} ns per 4-byte word");
+                report.gate(
+                    "FDTD2D: stage digest ns per 4-byte word",
+                    ns_per_word,
+                    Op::Le,
+                    DIGEST_NS_PER_WORD,
+                );
+            }
             // The rate sweep, then a permanently stuck group: every
             // window rolls back, so that run measures rollback cost
             // under sustained load.
@@ -238,6 +277,9 @@ fn main() -> ExitCode {
                 Obj::new()
                     .set("app", *app)
                     .set("clean_windows_per_s", clean_wps)
+                    .set("window_us", window_us)
+                    .set("digest_us", digest_us)
+                    .set("digest_frac", digest_frac)
                     .set("stuck_over_clean", stuck_over_clean)
                     .set("runs", arr(runs)),
             );

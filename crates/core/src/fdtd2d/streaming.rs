@@ -11,6 +11,7 @@ use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
 use super::{source, Fields};
+use crate::suite::Fingerprint;
 
 /// Streaming stage for FDTD2D. State is the carried [`Fields`].
 pub struct FdtdStream {
@@ -63,14 +64,7 @@ impl StreamStage for FdtdStream {
     }
 
     fn digest(&self, state: &Fields) -> u64 {
-        crate::suite::digest_words(
-            state
-                .ez
-                .iter()
-                .chain(&state.hx)
-                .chain(&state.hy)
-                .map(|x| x.to_bits() as u64),
-        )
+        Fingerprint::fields(state).finish()
     }
 }
 

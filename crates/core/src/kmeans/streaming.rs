@@ -14,6 +14,8 @@ use altis_data::KmeansParams;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
+use crate::suite::Fingerprint;
+
 /// Number of point batches per Lloyd pass.
 pub const BATCHES_PER_PASS: u64 = 4;
 
@@ -196,15 +198,9 @@ impl StreamStage for KmeansStream {
     }
 
     fn digest(&self, state: &KmeansStreamState) -> u64 {
-        crate::suite::digest_words(
-            state
-                .centers
-                .iter()
-                .map(|x| x.to_bits() as u64)
-                .chain(state.membership.iter().map(|&m| u64::from(m)))
-                .chain(state.acc.iter().map(|x| x.to_bits() as u64))
-                .chain(state.counts.iter().map(|&c| u64::from(c))),
-        )
+        let f = Fingerprint::new(10).words32(&state.centers, f32::to_bits);
+        let f = f.words32(&state.membership, |m| m).words32(&state.acc, f32::to_bits);
+        f.words32(&state.counts, |c| c).finish()
     }
 }
 

@@ -1,8 +1,8 @@
-//! The validated-output memo behind [`crate::suite::check`]: a fast
-//! fingerprint of an app output, and a small process-wide set of the
-//! fingerprints whose outputs have already passed the real golden
-//! comparison, so an output seen before is recognised instead of
-//! compared again.
+//! The validated-output memo behind [`crate::suite::check`]: a small
+//! process-wide set of the output fingerprints
+//! ([`crate::suite::Fingerprint`]) whose outputs have already passed the
+//! real golden comparison, so an output seen before is recognised
+//! instead of compared again.
 //!
 //! The set is bounded by construction — 13 configurations × 3 sizes ×
 //! [`WAYS`] fingerprints, under 3 KiB whatever is run — so it has no
@@ -10,64 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-use crate::suite::mix64;
-
-/// The four lanes of [`crate::suite::Output::fingerprint`]: 8 bytes a
-/// step, four independent multiply chains (the registry's `digest_words`
-/// is one dependent two-multiply chain per 4-byte element). A step is a
-/// bijection of its lane and so is the final fold, so a change confined
-/// to one 8-byte word always changes the result; every field's length
-/// goes in ahead of its data, so fields cannot trade elements.
-pub(crate) struct Lanes([u64; 4]);
-
-pub(crate) fn pack(lo: u32, hi: u32) -> u64 {
-    u64::from(lo) | u64::from(hi) << 32
-}
-
-impl Lanes {
-    /// `kind` keeps equal bits of different output kinds apart (an f32
-    /// 1.0 is not an f64 1.0).
-    pub(crate) fn new(kind: u64) -> Self {
-        let seed = 0xA076_1D64_78BD_642F;
-        Lanes([mix64(seed, kind), seed, !seed, seed.rotate_left(32)])
-    }
-
-    /// The added constant keeps a lane from resting at zero, where runs
-    /// of zero words would otherwise leave no trace.
-    fn step(h: u64, w: u64) -> u64 {
-        let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD6E8_FEB8_6659_FD93);
-        x ^ (x >> 32)
-    }
-
-    /// Absorb one field of `n` 8-byte words, its length first.
-    pub(crate) fn words(mut self, n: usize, word: impl Fn(usize) -> u64) -> Self {
-        let h = &mut self.0;
-        h[0] = Self::step(h[0], n as u64);
-        let whole = n - n % 4;
-        for i in (0..whole).step_by(4) {
-            for (l, h) in h.iter_mut().enumerate() {
-                *h = Self::step(*h, word(i + l));
-            }
-        }
-        for i in whole..n {
-            h[i % 4] = Self::step(h[i % 4], word(i));
-        }
-        self
-    }
-
-    /// Absorb one field of 4-byte values, two to a word.
-    pub(crate) fn words32<T: Copy>(self, v: &[T], bits: impl Fn(T) -> u32) -> Self {
-        let n = v.len();
-        let s = self.words(n / 2, |i| pack(bits(v[2 * i]), bits(v[2 * i + 1])));
-        // The odd value out, as a field of one word or none.
-        s.words(n % 2, |_| u64::from(bits(v[n - 1])))
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0.into_iter().fold(0, mix64)
-    }
-}
 
 /// Fingerprints kept per `(config, size)`.
 const WAYS: usize = 8;

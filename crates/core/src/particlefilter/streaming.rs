@@ -16,6 +16,7 @@ use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
 use super::{likelihood, true_pos, Cloud, Lcg, PfVariant};
+use crate::suite::{pack, Fingerprint};
 
 /// Carried filter state across windows.
 #[derive(Clone, Debug)]
@@ -158,15 +159,9 @@ impl StreamStage for PfStream {
     }
 
     fn digest(&self, state: &PfStreamState) -> u64 {
-        crate::suite::digest_words(
-            state
-                .xs
-                .iter()
-                .chain(&state.ys)
-                .map(|x| x.to_bits() as u64)
-                .chain(state.seeds.iter().copied())
-                .chain([state.xe.to_bits() as u64, state.ye.to_bits() as u64]),
-        )
+        let f = Fingerprint::new(11).words32(&state.xs, f32::to_bits);
+        let f = f.words32(&state.ys, f32::to_bits).words(state.seeds.len(), |i| state.seeds[i]);
+        f.words(1, |_| pack(state.xe.to_bits(), state.ye.to_bits())).finish()
     }
 }
 

@@ -14,6 +14,7 @@ use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
 use super::Planes;
+use crate::suite::Fingerprint;
 
 /// Streaming stage for SRAD. State is the carried image (`dim × dim`).
 pub struct SradStream {
@@ -73,7 +74,7 @@ impl StreamStage for SradStream {
     }
 
     fn digest(&self, state: &Vec<f32>) -> u64 {
-        crate::suite::digest_f32s(state)
+        Fingerprint::f32s(state).finish()
     }
 }
 
@@ -101,7 +102,7 @@ mod tests {
             host = crate::srad::srad_step(&host, p.dim, p.lambda);
             assert_eq!(
                 rep.digest,
-                crate::suite::digest_f32s(&host),
+                Fingerprint::f32s(&host).finish(),
                 "window {w}: device trail diverged from the host reference"
             );
         }

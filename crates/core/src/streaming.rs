@@ -193,44 +193,186 @@ pub fn streamed_registry_digest(
     cfg: StreamConfig,
     scenario: &StreamScenario,
 ) -> hetero_rt::Result<Option<u64>> {
-    use crate::suite::{digest_f32s, digest_words};
+    use crate::suite::Output;
     let Some(windows) = golden_horizon(app, size) else { return Ok(None) };
     let (primary, clean) = queues(scenario);
-    let d = match app {
+    let out = match app {
         "SRAD" => {
             let p = altis_data::srad(size);
             let stage = SradStream::new(&p, &clean)?;
             let initial = SradStream::initial_state(&p);
-            let (img, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
-            digest_f32s(&img)
+            Output::F32(drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?.0)
         }
         "FDTD2D" => {
             let p = altis_data::fdtd2d(size);
             let stage = FdtdStream::new(&p, &clean)?;
             let initial = FdtdStream::initial_state(&p);
-            let (f, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
-            digest_words(f.ez.iter().chain(&f.hx).chain(&f.hy).map(|x| x.to_bits() as u64))
+            Output::Fields(drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?.0)
         }
         "KMeans" => {
             let p = altis_data::kmeans(size);
             let stage = KmeansStream::new(&p, &clean)?;
             let initial = KmeansStream::initial_state(&p);
             let (st, _) = drive(StreamRunner::new(primary, clean, stage, initial, cfg), windows)?;
-            digest_words(
-                st.centers
-                    .iter()
-                    .map(|x| x.to_bits() as u64)
-                    .chain(st.membership.iter().map(|&m| u64::from(m))),
-            )
+            let (centers, membership) = (st.centers, st.membership);
+            Output::Kmeans(crate::kmeans::KmeansOutput { centers, membership })
         }
         _ => return Ok(None),
     };
-    Ok(Some(d))
+    Ok(Some(out.digest()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::streaming::KmeansStreamState;
+    use crate::particlefilter::streaming::PfStreamState;
+    use crate::suite::Output;
+    use altis_data::{Fdtd2dParams, KmeansParams, PfParams, SradParams};
+
+    type Digest = Box<dyn Fn(&[Vec<u64>]) -> u64>;
+
+    /// One stage's state as named fields in digest order, each element
+    /// widened to a `u64` of the given bit width, and the stage's digest
+    /// of the state a list of such fields describes.
+    struct Row {
+        app: &'static str,
+        fields: Vec<(&'static str, u32, Vec<u64>)>,
+        /// The leading fields whose length may change (the rest are
+        /// scalars).
+        vectors: usize,
+        digest: Digest,
+        /// The fingerprint of the same state as a suite [`Output`], for
+        /// the stages whose state is one.
+        output: Option<u64>,
+    }
+
+    fn bits32<T: Copy>(v: &[T], bits: impl Fn(T) -> u32) -> Vec<u64> {
+        v.iter().map(|&x| u64::from(bits(x))).collect()
+    }
+
+    fn f32s(w: &[u64]) -> Vec<f32> {
+        w.iter().map(|&b| f32::from_bits(b as u32)).collect()
+    }
+
+    fn u32s(w: &[u64]) -> Vec<u32> {
+        w.iter().map(|&b| b as u32).collect()
+    }
+
+    /// The four stages at tiny sizes, two windows into their streams (host
+    /// reference path), so every carry holds data.
+    fn rows() -> Vec<Row> {
+        let q = Queue::new(Device::cpu());
+        let p = SradParams { dim: 16, iterations: 2, lambda: 0.5 };
+        let (srad, mut img) = (SradStream::new(&p, &q).unwrap(), SradStream::initial_state(&p));
+        let p = Fdtd2dParams { dim: 16, steps: 2 };
+        let (fdtd, mut f) = (FdtdStream::new(&p, &q).unwrap(), FdtdStream::initial_state(&p));
+        let p = KmeansParams { n_points: 256, n_features: 4, k: 3, iterations: 2 };
+        let (km, mut k) = (KmeansStream::new(&p, &q).unwrap(), KmeansStream::initial_state(&p));
+        let p = PfParams { n_particles: 256, frames: 2, dim: 128 };
+        let pf = PfStream::new(&p, PfVariant::Naive, &q).unwrap();
+        let mut s = PfStream::initial_state(&p);
+        for w in 0..2 {
+            srad.reference(&mut img, w);
+            fdtd.reference(&mut f, w);
+            // Window 1 is mid-pass: the sums and counts are live carries.
+            km.reference(&mut k, w);
+            pf.reference(&mut s, w);
+        }
+        let bits = f32::to_bits;
+        vec![
+            Row {
+                app: "SRAD",
+                fields: vec![("img", 32, bits32(&img, bits))],
+                vectors: 1,
+                digest: Box::new(move |v| srad.digest(&f32s(&v[0]))),
+                output: Some(Output::F32(img).fingerprint()),
+            },
+            Row {
+                app: "FDTD2D",
+                fields: vec![
+                    ("ez", 32, bits32(&f.ez, bits)),
+                    ("hx", 32, bits32(&f.hx, bits)),
+                    ("hy", 32, bits32(&f.hy, bits)),
+                ],
+                vectors: 3,
+                digest: Box::new(move |v| {
+                    let (ez, hx, hy) = (f32s(&v[0]), f32s(&v[1]), f32s(&v[2]));
+                    fdtd.digest(&crate::fdtd2d::Fields { ez, hx, hy })
+                }),
+                output: Some(Output::Fields(f).fingerprint()),
+            },
+            Row {
+                app: "KMeans",
+                fields: vec![
+                    ("centers", 32, bits32(&k.centers, bits)),
+                    ("membership", 32, bits32(&k.membership, |m| m)),
+                    ("acc", 32, bits32(&k.acc, bits)),
+                    ("counts", 32, bits32(&k.counts, |c| c)),
+                ],
+                vectors: 4,
+                digest: Box::new(move |v| {
+                    let (centers, membership) = (f32s(&v[0]), u32s(&v[1]));
+                    let (acc, counts) = (f32s(&v[2]), u32s(&v[3]));
+                    km.digest(&KmeansStreamState { centers, membership, acc, counts })
+                }),
+                output: None,
+            },
+            Row {
+                app: "PF Naive",
+                fields: vec![
+                    ("xs", 32, bits32(&s.xs, bits)),
+                    ("ys", 32, bits32(&s.ys, bits)),
+                    ("seeds", 64, s.seeds.clone()),
+                    ("xe", 32, bits32(&[s.xe], bits)),
+                    ("ye", 32, bits32(&[s.ye], bits)),
+                ],
+                vectors: 3,
+                digest: Box::new(move |v| {
+                    let (xs, ys, seeds) = (f32s(&v[0]), f32s(&v[1]), v[2].clone());
+                    let (xe, ye) = (f32s(&v[3])[0], f32s(&v[4])[0]);
+                    pf.digest(&PfStreamState { xs, ys, seeds, xe, ye })
+                }),
+                output: None,
+            },
+        ]
+    }
+
+    /// Every field of every stage is in its digest, bit by bit, and its
+    /// length is too: no element can move across a field boundary
+    /// unseen. FDTD2D and SRAD digest with their outputs' fingerprint,
+    /// so that format is written once.
+    #[test]
+    fn each_stage_digest_sees_every_bit_of_every_field_and_every_boundary() {
+        for row in rows() {
+            let base: Vec<Vec<u64>> = row.fields.iter().map(|(_, _, v)| v.clone()).collect();
+            let d0 = (row.digest)(&base);
+            let app = row.app;
+            if let Some(fp) = row.output {
+                assert_eq!(d0, fp, "{app}: stage digest is not the output fingerprint");
+            }
+            for (f, (name, bits, v)) in row.fields.iter().enumerate() {
+                assert!(!v.is_empty(), "{app}: {name} is empty");
+                // Every element at one bit, and every bit of the first and
+                // the last element.
+                let last = v.len() - 1;
+                let one = (0..v.len()).map(|i| (i, i as u32 % bits));
+                let all = (0..*bits).flat_map(|b| [(0, b), (last, b)]);
+                for (i, b) in one.chain(all) {
+                    let mut flipped = base.clone();
+                    flipped[f][i] ^= 1 << b;
+                    assert_ne!((row.digest)(&flipped), d0, "{app}: {name}[{i}] bit {b}");
+                }
+            }
+            for f in 1..row.vectors {
+                let mut moved = base.clone();
+                let x = moved[f - 1].pop().unwrap();
+                moved[f].insert(0, x);
+                let (from, to) = (row.fields[f - 1].0, row.fields[f].0);
+                assert_ne!((row.digest)(&moved), d0, "{app}: last of {from} moved to {to}");
+            }
+        }
+    }
 
     #[test]
     fn stream_apps_are_exactly_the_graph_flavor_subset_that_streams() {

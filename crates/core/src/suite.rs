@@ -15,7 +15,7 @@ use hetero_ir::dpct::CudaModule;
 use hetero_rt::prelude::*;
 
 use crate::common::{AppVersion, ExecMode};
-use crate::memo::{self, pack, Lanes};
+use crate::memo;
 pub use crate::memo::{validation_stats, ValidationStats};
 use crate::particlefilter::PfVariant;
 
@@ -64,21 +64,23 @@ fn validation_from(matches_reference: bool) -> Validation {
     }
 }
 
-// --- golden-output digests -------------------------------------------------
+// --- digests and fingerprints ----------------------------------------------
 //
-// Digests are computed over *reference* outputs (deterministic, host-side,
-// sequential), never over app outputs: several kernels accumulate f32
-// atomically, so their bit patterns may depend on the schedule even when
-// numerically correct. (The validated-output memo does fingerprint app
-// outputs; there a schedule-dependent bit pattern only costs a miss.)
+// Registry digests are computed over *reference* outputs (deterministic,
+// host-side, sequential), never over app outputs: several kernels
+// accumulate f32 atomically, so their bit patterns may depend on the
+// schedule even when numerically correct. Fingerprints are taken of app
+// outputs and stream states and compared only within a process: the
+// validated-output memo, where a schedule-dependent bit pattern only
+// costs a miss, and stream trails and seals.
 
-pub(crate) fn mix64(h: u64, w: u64) -> u64 {
+fn mix64(h: u64, w: u64) -> u64 {
     let mut x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 32;
     x.wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
 
-pub(crate) fn digest_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
+fn digest_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     let mut h = 0xA076_1D64_78BD_642Fu64;
     let mut n = 0u64;
     for w in words {
@@ -88,12 +90,79 @@ pub(crate) fn digest_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     mix64(h, n)
 }
 
-pub(crate) fn digest_f32s(v: &[f32]) -> u64 {
+fn digest_f32s(v: &[f32]) -> u64 {
     digest_words(v.iter().map(|x| x.to_bits() as u64))
 }
 
 fn digest_f64s(v: &[f64]) -> u64 {
     digest_words(v.iter().map(|x| x.to_bits()))
+}
+
+/// A 64-bit fingerprint: 8 bytes a step, four independent multiply
+/// chains (the registry's `digest_words` is one dependent two-multiply
+/// chain per 4-byte element). A step is a bijection of its lane and so
+/// is the final fold, so a change confined to one 8-byte word always
+/// changes the result; every field's length goes in ahead of its data,
+/// so fields cannot trade elements.
+pub(crate) struct Fingerprint([u64; 4]);
+
+pub(crate) fn pack(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
+}
+
+impl Fingerprint {
+    /// `kind` keeps equal bits of different kinds of value apart (an f32
+    /// 1.0 is not an f64 1.0).
+    pub(crate) fn new(kind: u64) -> Self {
+        let seed = 0xA076_1D64_78BD_642F;
+        Fingerprint([mix64(seed, kind), seed, !seed, seed.rotate_left(32)])
+    }
+
+    /// The added constant keeps a lane from resting at zero, where runs
+    /// of zero words would otherwise leave no trace.
+    fn step(h: u64, w: u64) -> u64 {
+        let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD6E8_FEB8_6659_FD93);
+        x ^ (x >> 32)
+    }
+
+    /// Absorb one field of `n` 8-byte words, its length first.
+    pub(crate) fn words(mut self, n: usize, word: impl Fn(usize) -> u64) -> Self {
+        let h = &mut self.0;
+        h[0] = Self::step(h[0], n as u64);
+        let whole = n - n % 4;
+        for i in (0..whole).step_by(4) {
+            for (l, h) in h.iter_mut().enumerate() {
+                *h = Self::step(*h, word(i + l));
+            }
+        }
+        for i in whole..n {
+            h[i % 4] = Self::step(h[i % 4], word(i));
+        }
+        self
+    }
+
+    /// Absorb one field of 4-byte values, two to a word.
+    pub(crate) fn words32<T: Copy>(self, v: &[T], bits: impl Fn(T) -> u32) -> Self {
+        let n = v.len();
+        let s = self.words(n / 2, |i| pack(bits(v[2 * i]), bits(v[2 * i + 1])));
+        // The odd value out, as a field of one word or none.
+        s.words(n % 2, |_| u64::from(bits(v[n - 1])))
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0.into_iter().fold(0, mix64)
+    }
+
+    /// [`Output::F32`]'s fingerprint, and SRAD's stream stage's.
+    pub(crate) fn f32s(v: &[f32]) -> Self {
+        Fingerprint::new(1).words32(v, f32::to_bits)
+    }
+
+    /// [`Output::Fields`]' fingerprint, and FDTD2D's stream stage's.
+    pub(crate) fn fields(o: &crate::fdtd2d::Fields) -> Self {
+        let f = Fingerprint::new(5).words32(&o.ez, f32::to_bits);
+        f.words32(&o.hx, f32::to_bits).words32(&o.hy, f32::to_bits)
+    }
 }
 
 // --- outputs, and the one validation path ------------------------------------
@@ -132,7 +201,7 @@ pub enum Output {
 impl Output {
     /// The registry digest (`tests/golden_checksums.tsv`): one
     /// [`digest_words`] fold over every field, element by element.
-    fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let f = |x: &f32| u64::from(x.to_bits());
         match self {
             Output::F32(v) => digest_f32s(v),
@@ -153,29 +222,30 @@ impl Output {
         }
     }
 
-    /// 64-bit fingerprint of every bit of every field, for the
-    /// validated-output memo (`memo.rs`, `Lanes`; not the
-    /// registry digest, which is several times slower).
+    /// [`Fingerprint`] of every bit of every field, for the
+    /// validated-output memo (not the registry digest, which is several
+    /// times slower).
     pub(crate) fn fingerprint(&self) -> u64 {
         match self {
-            Output::F32(v) => Lanes::new(1).words32(v, f32::to_bits),
-            Output::F64(v) => Lanes::new(2).words(v.len(), |i| v[i].to_bits()),
-            Output::U32(v) => Lanes::new(3).words32(v, |x| x),
-            Output::I32(v) => Lanes::new(4).words32(v, |x| x as u32),
-            Output::Fields(o) => Lanes::new(5)
-                .words32(&o.ez, f32::to_bits)
-                .words32(&o.hx, f32::to_bits)
-                .words32(&o.hy, f32::to_bits),
+            Output::F32(v) => Fingerprint::f32s(v),
+            Output::F64(v) => Fingerprint::new(2).words(v.len(), |i| v[i].to_bits()),
+            Output::U32(v) => Fingerprint::new(3).words32(v, |x| x),
+            Output::I32(v) => Fingerprint::new(4).words32(v, |x| x as u32),
+            Output::Fields(o) => Fingerprint::fields(o),
             Output::Kmeans(o) => {
-                Lanes::new(6).words32(&o.centers, f32::to_bits).words32(&o.membership, |m| m)
+                Fingerprint::new(6).words32(&o.centers, f32::to_bits).words32(&o.membership, |m| m)
             }
-            Output::Forces(v) => Lanes::new(7).words(2 * v.len(), |i| {
+            Output::Forces(v) => Fingerprint::new(7).words(2 * v.len(), |i| {
                 let o = &v[i / 2];
                 let [lo, hi] = if i % 2 == 0 { [o.v, o.fx] } else { [o.fy, o.fz] };
                 pack(lo.to_bits(), hi.to_bits())
             }),
-            Output::Pf(o) => Lanes::new(8).words32(&o.xe, f32::to_bits).words32(&o.ye, f32::to_bits),
-            Output::Records(v) => Lanes::new(9).words(v.len(), |i| pack(v[i].value, v[i].payload)),
+            Output::Pf(o) => {
+                Fingerprint::new(8).words32(&o.xe, f32::to_bits).words32(&o.ye, f32::to_bits)
+            }
+            Output::Records(v) => {
+                Fingerprint::new(9).words(v.len(), |i| pack(v[i].value, v[i].payload))
+            }
         }
         .finish()
     }

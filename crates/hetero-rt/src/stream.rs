@@ -202,8 +202,10 @@ pub trait StreamStage {
     /// app's golden loop body). Last-resort continuation only.
     fn reference(&self, state: &mut Self::State, window: u64);
 
-    /// Order-independent digest of the carried state (used for seals and
-    /// per-window delivery checks).
+    /// Digest of the carried state, for the seals and the per-window
+    /// reports. A change to any one word of the state must change it.
+    /// It is compared only within a process (trails and seals), never
+    /// against a committed value, so a stage may change its format.
     fn digest(&self, state: &Self::State) -> u64;
 }
 
@@ -642,6 +644,30 @@ mod tests {
         r.run(12, |_| {}).unwrap();
         assert_eq!(r.stats().checkpoints, 1 + 3 + 1);
         assert_eq!(*r.state(), uninterrupted_sum(12));
+    }
+
+    #[test]
+    fn a_snapshot_that_no_longer_matches_its_seal_is_not_replayed() {
+        let mut stage = CounterStage::clean();
+        stage.fail_on = vec![5];
+        let mut r = runner(stage, StreamConfig { checkpoint_every: 4, max_retries: 0 });
+        r.run(5, |rep| assert!(rep.verdict.is_delivered())).unwrap();
+        // Window 3 sealed the sum through it; one bit of the snapshot rots.
+        assert_eq!((r.checkpoint.next, r.checkpoint.state), (4, uninterrupted_sum(4)));
+        r.checkpoint.state ^= 1 << 7;
+        let snapshot = r.checkpoint.state;
+        let rep = r.next_window().unwrap();
+        let WindowVerdict::Dropped { reason } = &rep.verdict else {
+            panic!("window 5: {:?}", rep.verdict)
+        };
+        let named = reason.contains("silent data corruption") && reason.contains("seal epoch 4");
+        assert!(named, "{reason}");
+        // No clean replay ran from the snapshot: the host reference path
+        // continued from it through windows 4 and 5.
+        assert_eq!(*r.state(), snapshot + 5 + 6);
+        let st = r.stats();
+        assert_eq!((st.quarantined, st.dropped, st.replayed), (0, 1, 0));
+        assert!(!r.stage.calls.contains(&(4, false)), "{:?}", r.stage.calls);
     }
 
     #[test]
