@@ -2,7 +2,11 @@
 
 use crate::rng::Pcg32;
 
-/// A seeded RNG wrapper so every workload is reproducible.
+/// A seeded RNG wrapper so every workload is reproducible. A clone
+/// continues the same stream; with [`SeededRng::advance`] it can start
+/// anywhere in it, so a generator may be split across threads without
+/// changing a bit.
+#[derive(Clone)]
 pub struct SeededRng {
     rng: Pcg32,
 }
@@ -40,10 +44,32 @@ impl SeededRng {
         self.rng.below(bound as u32) as usize
     }
 
-    /// Standard-normal-ish value via the sum of uniforms (cheap, smooth).
+    /// Unit draws one [`SeededRng::gaussian`] consumes.
+    pub const GAUSSIAN_DRAWS: u64 = 12;
+
+    /// Skip `draws` unit draws in O(log draws) (PCG32 jump-ahead): the
+    /// generator continues exactly as after `draws` serial ones. Every
+    /// uniform `f32` / `u32` / `index` draw is one unit draw, a `f64` two
+    /// and a `gaussian` [`SeededRng::GAUSSIAN_DRAWS`].
+    pub fn advance(&mut self, draws: u64) {
+        self.rng.advance(draws);
+    }
+
+    /// Standard-normal-ish value: the Irwin–Hall sum of twelve uniform
+    /// `[0, 1)` draws, added in draw order, minus 6 (mean 0, variance 1).
+    /// [`SeededRng::gaussians`] is its bulk form, bit for bit.
     pub fn gaussian(&mut self) -> f32 {
-        let s: f32 = (0..12).map(|_| self.rng.f32_unit()).sum();
+        let s: f32 = (0..Self::GAUSSIAN_DRAWS).map(|_| self.rng.f32_unit()).sum();
         s - 6.0
+    }
+
+    /// Fill `out` with what `out.len()` calls of
+    /// [`SeededRng::gaussian`] return, bit for bit, eight sums at a time.
+    pub fn gaussians(&mut self, out: &mut [f32]) {
+        self.rng.unit_sums_into(Self::GAUSSIAN_DRAWS as usize, out);
+        for g in out {
+            *g -= 6.0;
+        }
     }
 
     /// Vector of uniform f32 values.
@@ -118,6 +144,26 @@ mod tests {
         let mut r = SeededRng::new("nw", 3);
         let s = r.dna(1000);
         assert!(s.iter().all(|&c| c < 4));
+    }
+
+    #[test]
+    fn gaussians_equal_a_gaussian_loop_at_every_length() {
+        for offset in [0, 5] {
+            for len in 0..=17 {
+                let mut bulk = SeededRng::new("kmeans", 7);
+                bulk.advance(offset);
+                let mut serial = SeededRng::new("kmeans", 7);
+                for _ in 0..offset {
+                    serial.f32(0.0, 1.0);
+                }
+                let mut out = vec![f32::NAN; len];
+                bulk.gaussians(&mut out);
+                let expect: Vec<u32> = (0..len).map(|_| serial.gaussian().to_bits()).collect();
+                let got: Vec<u32> = out.iter().map(|g| g.to_bits()).collect();
+                assert_eq!(got, expect, "offset {offset}, len {len}");
+                assert_eq!(bulk.u32(u32::MAX), serial.u32(u32::MAX), "offset {offset}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,18 @@
 //! reports bandwidth only. Mandelbrot's escape loop is compute-bound and
 //! rides along for its speedup.
 //!
-//! `--gate R` makes both a hard gate: every kernel that keeps two
+//! One row is input generation, not a kernel: KMeans' point cloud at
+//! `bw_large`'s shape, `generate_points` (eight lanes wide, split across
+//! the pool by PCG jump-ahead) timed in alternating pairs against the
+//! serial `gaussian()` loop that specifies it, in ns per value; the two
+//! outputs must be equal bit for bit.
+//!
+//! `--gate R` makes all of them hard gates: every kernel that keeps two
 //! widths must read a lane-over-scalar speedup ≥ R (the acceptance bar
-//! is 1.5; a width that does not pay is deleted, not kept), and
-//! `reduce_min` must reach [`REDUCE_MIN_FRAC`] of the memcpy peak.
+//! is 1.5; a width that does not pay is deleted, not kept),
+//! `reduce_min` must reach [`REDUCE_MIN_FRAC`] of the memcpy peak, and
+//! the cloud must be drawn [`CLOUD_SPEEDUP`] times faster than the
+//! serial loop.
 
 use std::process::ExitCode;
 
@@ -58,6 +66,54 @@ fn memcpy_peak_gbps(threads: usize) -> f64 {
     }));
     std::hint::black_box(&dst);
     (2 * N * 4) as f64 / t / 1e9
+}
+
+/// `generate_points`' floor over the serial `gaussian()` loop at the
+/// stamped host's pool width (2 threads: 1.87–2.33 over ten runs; a
+/// serial `generate_points` reads about 1.0, EXPERIMENTS.md "PR 34").
+const CLOUD_SPEEDUP: f64 = 1.5;
+
+/// The KMeans cloud's specification: `k · nf` uniform blob centres, then
+/// one serial `gaussian()` per value, row-major.
+fn serial_cloud(p: &altis_data::KmeansParams) -> Vec<f32> {
+    let mut rng = altis_data::SeededRng::new("kmeans", p.n_points);
+    let blobs: Vec<f32> = (0..p.k * p.n_features).map(|_| rng.f32(-10.0, 10.0)).collect();
+    let mut pts = Vec::with_capacity(p.n_points * p.n_features);
+    for i in 0..p.n_points {
+        for f in 0..p.n_features {
+            pts.push(blobs[(i % p.k) * p.n_features + f] + 0.5 * rng.gaussian());
+        }
+    }
+    pts
+}
+
+/// Serial-loop and `generate_points` ns per value, and the serial over
+/// `generate_points` ratio with its spread.
+struct CloudRow {
+    values: usize,
+    serial_ns: f64,
+    ns: f64,
+    speedup: f64,
+    spread: f64,
+    /// Values whose bits differ between the two (must be 0).
+    mismatched: usize,
+}
+
+fn measure_cloud() -> CloudRow {
+    // `bw_large`'s KMeans: 256 Ki points × 16 features.
+    let p = altis_data::KmeansParams { n_points: 256 << 10, n_features: 16, k: 5, iterations: 1 };
+    let values = p.n_points * p.n_features;
+    let (pooled, serial) = (altis_core::kmeans::generate_points(&p), serial_cloud(&p));
+    let mismatched = pooled.len().abs_diff(serial.len())
+        + pooled.iter().zip(&serial).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
+    drop((pooled, serial));
+    let t = paired(5, || serial_cloud(&p), || altis_core::kmeans::generate_points(&p));
+    let (serial_ns, ns) = (t.a_s * 1e9 / values as f64, t.b_s * 1e9 / values as f64);
+    println!(
+        "  {:<14} serial {serial_ns:>7.2} ns/value  pooled {ns:>7.2} ns/value  {:.2}x   {mismatched} values differ",
+        "kmeans_cloud", t.ratio
+    );
+    CloudRow { values, serial_ns, ns, speedup: t.ratio, spread: t.spread, mismatched }
 }
 
 struct KernelRow {
@@ -184,6 +240,7 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
     }
 
     hetero_rt::lanes::force(true);
+    let cloud = measure_cloud();
     report
         .set("memcpy_peak_gbps", peak)
         .set(
@@ -201,8 +258,21 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
                 }
             })),
         )
+        .set(
+            "input_generation",
+            arr([Obj::new()
+                .set("name", "kmeans_cloud")
+                .set("values", cloud.values)
+                .set("serial_ns_per_value", cloud.serial_ns)
+                .set("ns_per_value", cloud.ns)
+                .set("speedup", cloud.speedup)
+                .set("spread", cloud.spread)
+                .set("mismatched_values", cloud.mismatched)]),
+        )
         .set("gate", gate);
+    report.gate("kmeans_cloud values differing from the serial loop", cloud.mismatched as f64, Op::Eq, 0.0);
     if let Some(r) = gate {
+        report.gate("kmeans_cloud serial-over-generate_points", cloud.speedup, Op::Ge, CLOUD_SPEEDUP);
         for k in &rows {
             if let Some((_, speedup, _)) = k.fork {
                 report.gate(&format!("{} lane-over-scalar", k.name), speedup, Op::Ge, r);

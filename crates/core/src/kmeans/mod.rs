@@ -38,20 +38,52 @@ pub struct KmeansOutput {
     pub membership: Vec<u32>,
 }
 
-/// Generate the deterministic input point cloud: k Gaussian blobs.
-pub fn generate_points(p: &KmeansParams) -> Vec<f32> {
-    let mut rng = SeededRng::new("kmeans", p.n_points);
-    let mut blob_centers = Vec::with_capacity(p.k * p.n_features);
-    for _ in 0..p.k * p.n_features {
-        blob_centers.push(rng.f32(-10.0, 10.0));
+/// The input point cloud's generator: `k` blob centres drawn serially,
+/// then point `i`'s feature `f` is `blob[i % k][f] + 0.5 · gaussian()`,
+/// the gaussians drawn in row-major order. The stream is positioned
+/// after the centres, so any row range can jump straight to its first
+/// draw.
+struct Cloud {
+    rng: SeededRng,
+    blobs: Vec<f32>,
+    k: usize,
+    nf: usize,
+}
+
+impl Cloud {
+    fn new(p: &KmeansParams) -> Self {
+        let mut rng = SeededRng::new("kmeans", p.n_points);
+        let blobs = (0..p.k * p.n_features).map(|_| rng.f32(-10.0, 10.0)).collect();
+        Cloud { rng, blobs, k: p.k, nf: p.n_features }
     }
-    let mut pts = Vec::with_capacity(p.n_points * p.n_features);
-    for i in 0..p.n_points {
-        let b = i % p.k;
-        for f in 0..p.n_features {
-            pts.push(blob_centers[b * p.n_features + f] + 0.5 * rng.gaussian());
+
+    /// Write rows `first..first + out.len() / nf` into `out`: bit for bit
+    /// the words a serial pass over the whole cloud puts there.
+    fn fill(&self, first: usize, out: &mut [f32]) {
+        let mut rng = self.rng.clone();
+        rng.advance(SeededRng::GAUSSIAN_DRAWS * (first * self.nf) as u64);
+        rng.gaussians(out);
+        for (i, row) in (first..).zip(out.chunks_exact_mut(self.nf)) {
+            let blob = &self.blobs[(i % self.k) * self.nf..][..self.nf];
+            for (x, &c) in row.iter_mut().zip(blob) {
+                *x = c + 0.5 * *x;
+            }
         }
     }
+}
+
+/// Generate the deterministic input point cloud: k Gaussian blobs,
+/// filled in contiguous row ranges across the pool.
+pub fn generate_points(p: &KmeansParams) -> Vec<f32> {
+    let cloud = Cloud::new(p);
+    let mut pts = vec![0f32; p.n_points * p.n_features];
+    if pts.is_empty() {
+        return pts;
+    }
+    let threads = hetero_rt::pool::auto_threads().min(p.n_points);
+    let rows = p.n_points.div_ceil(threads);
+    let mut parts: Vec<&mut [f32]> = pts.chunks_mut(rows * p.n_features).collect();
+    hetero_rt::pool::parallel_parts(&mut parts, threads, |t, part| cloud.fill(t * rows, part));
     pts
 }
 
@@ -668,5 +700,51 @@ mod tests {
     fn generated_points_are_deterministic() {
         let p = tiny();
         assert_eq!(generate_points(&p), generate_points(&p));
+    }
+
+    /// The cloud's specification: one serial pass of `gaussian()` draws.
+    fn serial_points(p: &KmeansParams) -> Vec<u32> {
+        let mut rng = SeededRng::new("kmeans", p.n_points);
+        let blobs: Vec<f32> = (0..p.k * p.n_features).map(|_| rng.f32(-10.0, 10.0)).collect();
+        let mut pts = Vec::with_capacity(p.n_points * p.n_features);
+        for i in 0..p.n_points {
+            for f in 0..p.n_features {
+                pts.push((blobs[(i % p.k) * p.n_features + f] + 0.5 * rng.gaussian()).to_bits());
+            }
+        }
+        pts
+    }
+
+    /// Index of the first value whose bits differ from the serial
+    /// cloud's, if any (a vector diff would print megabytes).
+    fn first_mismatch(got: &[f32], serial: &[u32]) -> Option<usize> {
+        assert_eq!(got.len(), serial.len());
+        got.iter().zip(serial).position(|(g, s)| g.to_bits() != *s)
+    }
+
+    #[test]
+    fn range_filler_equals_the_serial_cloud_at_every_split() {
+        // 45 rows of 7 features: neither a multiple of the eight lanes.
+        let p = KmeansParams { n_points: 45, n_features: 7, k: 3, iterations: 1 };
+        let (n, nf) = (p.n_points, p.n_features);
+        let cloud = Cloud::new(&p);
+        for split in [0, 1, 7, n - 1, n] {
+            let mut pts = vec![f32::NAN; n * nf];
+            let (head, tail) = pts.split_at_mut(split * nf);
+            cloud.fill(0, head);
+            cloud.fill(split, tail);
+            assert_eq!(first_mismatch(&pts, &serial_points(&p)), None, "split at row {split}");
+        }
+    }
+
+    #[test]
+    fn generated_points_equal_the_serial_cloud() {
+        for p in [
+            altis_data::kmeans(InputSize::S1),
+            altis_data::kmeans(InputSize::S2),
+            KmeansParams { n_points: 1_237, n_features: 7, k: 3, iterations: 1 },
+        ] {
+            assert_eq!(first_mismatch(&generate_points(&p), &serial_points(&p)), None, "{p:?}");
+        }
     }
 }

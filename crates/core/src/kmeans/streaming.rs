@@ -99,10 +99,12 @@ impl KmeansStream {
     }
 
     /// Initial stream state: Rodinia first-k-points centres, empty pass.
+    /// Only those `k` rows of the cloud are drawn.
     pub fn initial_state(p: &KmeansParams) -> KmeansStreamState {
-        let points = super::generate_points(p);
+        let mut centers = vec![0.0; p.k * p.n_features];
+        super::Cloud::new(p).fill(0, &mut centers);
         KmeansStreamState {
-            centers: super::initial_centers(p, &points),
+            centers,
             membership: vec![0; p.n_points],
             acc: vec![0.0; p.k * p.n_features],
             counts: vec![0; p.k],
@@ -212,6 +214,17 @@ mod tests {
 
     fn tiny() -> KmeansParams {
         KmeansParams { n_points: 256, n_features: 4, k: 3, iterations: 5 }
+    }
+
+    #[test]
+    fn initial_centres_are_the_clouds_first_rows() {
+        for size in [altis_data::InputSize::S1, altis_data::InputSize::S2] {
+            let p = altis_data::kmeans(size);
+            let points = crate::kmeans::generate_points(&p);
+            let centers = KmeansStream::initial_state(&p).centers;
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&centers), bits(&points[..p.k * p.n_features]), "{size:?}");
+        }
     }
 
     #[test]

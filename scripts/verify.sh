@@ -90,8 +90,10 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # Data-path gates. roofline measures the streaming kernels' GB/s
 # against the pool-parallel memcpy peak; a kernel on lanes::sweep is
 # timed at both widths in-process via lanes::force and must show a
-# >= 1.5x lane-over-scalar speedup, and reduce_min must reach 0.15 of
-# the peak (its fold stays inlined). launch_storm --steal
+# >= 1.5x lane-over-scalar speedup, reduce_min must reach 0.15 of
+# the peak (its fold stays inlined), and KMeans' input cloud must be
+# drawn >= 1.5x faster than its serial gaussian() loop and equal to it
+# bit for bit. launch_storm --steal
 # runs the NW-wavefront-shaped imbalanced job (per-item cost ~ index, a
 # sleep) and requires the stealing wall x 1.2 to stay under what static
 # whole-span chunking sleeps by construction, with >= 1 steal counted,
@@ -108,4 +110,4 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
   run --workload launch_bound_s1 --workload bw_large --seconds 2 > /dev/null
 
-echo "verify: build + tests + clippy + lint + verdict matrix (sanitize, resilient, sdc) + hook overhead gates + graph replay + serve gates + stream matrix + stream storm smoke + roofline gates (two-width kernels, reduce_min floor) + steal gate (analytic bound) + e2e tests + e2e smoke all green"
+echo "verify: build + tests + clippy + lint + verdict matrix (sanitize, resilient, sdc) + hook overhead gates + graph replay + serve gates + stream matrix + stream storm smoke + roofline gates (two-width kernels, reduce_min floor, input generation) + steal gate (analytic bound) + e2e tests + e2e smoke all green"
