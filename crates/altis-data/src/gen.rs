@@ -82,20 +82,23 @@ impl SeededRng {
         (0..n).map(|_| self.u32(bound)).collect()
     }
 
-    /// A synthetic grayscale image with smooth structure plus speckle
-    /// noise (the SRAD/DWT2D input shape): base sinusoidal pattern
-    /// multiplied by noise.
-    pub fn speckled_image(&mut self, w: usize, h: usize) -> Vec<f32> {
-        let mut img = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
+    /// Rows `first..` of a `w`-wide synthetic grayscale image with smooth
+    /// structure plus speckle noise (the SRAD/DWT2D input shape): a base
+    /// sinusoidal pattern multiplied by one uniform draw per pixel, in
+    /// row-major order from this generator's position. Any row range
+    /// jumps straight to its first draw, so `out` holds bit for bit what
+    /// a serial pass over the whole image puts there.
+    pub fn speckled_rows(&self, w: usize, first: usize, out: &mut [f32]) {
+        let mut rng = self.clone();
+        rng.advance((first * w) as u64);
+        for (y, row) in (first..).zip(out.chunks_mut(w.max(1))) {
+            for (x, px) in row.iter_mut().enumerate() {
                 let base = 128.0
                     + 60.0 * ((x as f32 * 0.05).sin() + (y as f32 * 0.08).cos());
-                let speckle = 1.0 + 0.3 * (self.f32(0.0, 1.0) - 0.5);
-                img.push((base * speckle).clamp(1.0, 255.0));
+                let speckle = 1.0 + 0.3 * (rng.f32(0.0, 1.0) - 0.5);
+                *px = (base * speckle).clamp(1.0, 255.0);
             }
         }
-        img
     }
 
     /// A random DNA-style sequence of values in 0..4.
@@ -133,10 +136,40 @@ mod tests {
 
     #[test]
     fn image_values_in_range() {
-        let mut r = SeededRng::new("srad", 2);
-        let img = r.speckled_image(64, 32);
-        assert_eq!(img.len(), 64 * 32);
+        let mut img = vec![0.0; 64 * 32];
+        SeededRng::new("srad", 2).speckled_rows(64, 0, &mut img);
         assert!(img.iter().all(|&v| (1.0..=255.0).contains(&v)));
+    }
+
+    /// The image's specification: one serial pass, one `f32` draw per
+    /// pixel, row-major.
+    fn serial_image(rng: &mut SeededRng, w: usize, h: usize) -> Vec<u32> {
+        let mut img = Vec::with_capacity(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let base = 128.0 + 60.0 * ((x as f32 * 0.05).sin() + (y as f32 * 0.08).cos());
+                let speckle = 1.0 + 0.3 * (rng.f32(0.0, 1.0) - 0.5);
+                img.push((base * speckle).clamp(1.0, 255.0).to_bits());
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn speckled_rows_equal_the_serial_image_at_every_split() {
+        // 13 rows of 11 pixels, after 3 draws the image does not own.
+        let (w, h) = (11, 13);
+        let mut rng = SeededRng::new("srad", 2);
+        rng.advance(3);
+        let serial = serial_image(&mut rng.clone(), w, h);
+        for split in [0, 1, 7, h - 1, h] {
+            let mut img = vec![f32::NAN; w * h];
+            let (head, tail) = img.split_at_mut(split * w);
+            rng.speckled_rows(w, 0, head);
+            rng.speckled_rows(w, split, tail);
+            let bits: Vec<u32> = img.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, serial, "split at row {split}");
+        }
     }
 
     #[test]

@@ -200,6 +200,15 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
         }));
     }
 
+    // KMeans' map_centers at `bw_large`'s shape: each point's row read
+    // once and its assignment written (the k × nf centres stay cached).
+    {
+        let p = altis_data::KmeansParams { n_points: 256 << 10, n_features: 16, k: 5, iterations: 1 };
+        let bytes = (p.n_points * (4 * p.n_features + 4)) as f64;
+        let pass = altis_core::kmeans::map_pass(&p);
+        rows.push(measure_fork("kmeans_map", bytes, &|| pass(&q)));
+    }
+
     // Exclusive scan: phase 1 reads every element, phase 3 reads and
     // writes every element — 12 B per element.
     {

@@ -82,6 +82,28 @@ pub(crate) fn egress<T: Copy + Default + Send + 'static>(buf: hetero_rt::Buffer<
     buf.into_vec()
 }
 
+/// `rows` rows of `width` values, filled in contiguous row ranges across
+/// the pool: `fill(first, part)` writes rows `first..` into `part`. A
+/// generator whose values are a fixed number of draws each jumps to its
+/// first row by `SeededRng::advance`, so the split changes no bit. Eight
+/// ranges a thread: with one, a worker that wakes late finds the
+/// submitter already running its range and the fill runs serially.
+pub(crate) fn fill_rows<T: Clone + Default + Send>(
+    rows: usize,
+    width: usize,
+    fill: impl Fn(usize, &mut [T]) + Sync,
+) -> Vec<T> {
+    let mut out = vec![T::default(); rows * width];
+    if out.is_empty() {
+        return out;
+    }
+    let threads = hetero_rt::pool::auto_threads().min(rows);
+    let per = rows.div_ceil(8 * threads);
+    let mut parts: Vec<&mut [T]> = out.chunks_mut(per * width).collect();
+    hetero_rt::pool::parallel_parts(&mut parts, threads, |t, part| fill(t * per, part));
+    out
+}
+
 /// Which FPGA design of an application to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpgaVariant {

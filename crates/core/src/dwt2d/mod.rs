@@ -16,12 +16,12 @@ use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion};
+use crate::common::{egress, fill_rows, AppVersion};
 
-/// Generate the input image.
+/// Generate the input image, filled across the pool.
 pub fn generate_image(p: &Dwt2dParams) -> Vec<f32> {
-    let mut rng = SeededRng::new("dwt2d", p.dim);
-    rng.speckled_image(p.dim, p.dim)
+    let rng = SeededRng::new("dwt2d", p.dim);
+    fill_rows(p.dim, p.dim, |first, rows| rng.speckled_rows(p.dim, first, rows))
 }
 
 /// 1-D forward CDF 5/3 lifting step on `row` (length must be even):

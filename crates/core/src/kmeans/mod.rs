@@ -10,6 +10,9 @@
 //! (Figure 4). Our runtime reproduces the dataflow functionally with
 //! concurrent kernels and a real pipe; the FPGA IR design reproduces the
 //! cost mechanics.
+//!
+//! mapCenters is one [`lanes::Body`], [`Nearest`], run [`LANES`] points
+//! at a time by the batch pass and the stream stage ([`streaming`]) alike.
 
 use altis_data::{InputSize, KmeansParams, SeededRng};
 use altis_data::paper_scale::kmeans as pparams;
@@ -18,9 +21,10 @@ use fpga_sim::{Design, FpgaPart, KernelInstance};
 use hetero_ir::builder::{KernelBuilder, LoopBuilder};
 use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
+use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode, Step};
+use crate::common::{egress, fill_rows, AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
@@ -76,15 +80,7 @@ impl Cloud {
 /// filled in contiguous row ranges across the pool.
 pub fn generate_points(p: &KmeansParams) -> Vec<f32> {
     let cloud = Cloud::new(p);
-    let mut pts = vec![0f32; p.n_points * p.n_features];
-    if pts.is_empty() {
-        return pts;
-    }
-    let threads = hetero_rt::pool::auto_threads().min(p.n_points);
-    let rows = p.n_points.div_ceil(threads);
-    let mut parts: Vec<&mut [f32]> = pts.chunks_mut(rows * p.n_features).collect();
-    hetero_rt::pool::parallel_parts(&mut parts, threads, |t, part| cloud.fill(t * rows, part));
-    pts
+    fill_rows(p.n_points, p.n_features, |first, part| cloud.fill(first, part))
 }
 
 fn initial_centers(p: &KmeansParams, points: &[f32]) -> Vec<f32> {
@@ -212,33 +208,85 @@ impl Lloyd {
     }
 }
 
+/// The nearest-centre scan of points `first + x..` into `out[x..x + W]`,
+/// each lane in [`nearest_center`]'s op order, so `W = 1` is the scalar
+/// kernel. A feature column is one checked load per block (reloaded per
+/// cluster past [`FEATURE_TILE`] features), a centre row one copy.
+struct Nearest<'a> {
+    pts: &'a GlobalView<f32>,
+    centers: &'a GlobalView<f32>,
+    out: &'a GlobalView<u32>,
+    k: usize,
+    nf: usize,
+    first: usize,
+}
+
+/// Feature columns one [`Nearest`] block holds on the stack.
+const FEATURE_TILE: usize = 16;
+
+impl lanes::Body for Nearest<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, x: usize) {
+        let Nearest { pts, centers, out, k, nf, first } = *self;
+        let mut cols = [Lanes::<f32, W>::splat(0.0); FEATURE_TILE];
+        let mut row = [0f32; FEATURE_TILE];
+        let (mut best, mut best_d) = ([0u32; W], [f32::INFINITY; W]);
+        for c in 0..k {
+            let mut d = Lanes::splat(0.0);
+            for f0 in (0..nf).step_by(FEATURE_TILE) {
+                let tile = (nf - f0).min(FEATURE_TILE);
+                if c == 0 || nf > FEATURE_TILE {
+                    for f in 0..tile {
+                        cols[f] = pts.get_strided((first + x) * nf + f0 + f, nf);
+                    }
+                }
+                centers.copy_to_slice(c * nf + f0, &mut row[..tile]);
+                for f in 0..tile {
+                    let diff = cols[f] - Lanes::splat(row[f]);
+                    d = d + diff * diff;
+                }
+            }
+            for l in 0..W {
+                if d.0[l] < best_d[l] {
+                    best_d[l] = d.0[l];
+                    // lint:allow(as-cast) cluster index < k, far below u32::MAX
+                    best[l] = c as u32;
+                }
+            }
+        }
+        out.set_lanes(x, Lanes(best));
+    }
+}
+
+/// map_centers: one work-item per [`LANES`]-point block of the cloud.
+fn map_kernel(p: &KmeansParams, lloyd: &Lloyd) -> impl Fn(Item) + Send + Sync + 'static {
+    let (k, nf, n) = (p.k, p.n_features, p.n_points);
+    let (pv, cv, mv) = (lloyd.pts.view(), lloyd.centers.view(), lloyd.membership.view());
+    move |it: Item| {
+        let (x, body) = (it.gid(0) * LANES, Nearest { pts: &pv, centers: &cv, out: &mv, k, nf, first: 0 });
+        lanes::sweep(x, (x + LANES).min(n), &body);
+    }
+}
+
+/// One map_centers launch per call over `p`'s cloud, its first `k` rows
+/// as the centres: the pass `roofline` times at both widths.
+pub fn map_pass(p: &KmeansParams) -> impl Fn(&Queue) {
+    let lloyd = Lloyd::new(p, generate_points(p));
+    let (kernel, range) = (map_kernel(p, &lloyd), Range::d1(p.n_points.div_ceil(LANES)));
+    move |q| {
+        let Lloyd { pts, centers, membership, .. } = &lloyd;
+        let bindings = [reads(pts), reads(centers), writes(membership)];
+        q.submit(&bindings).parallel_for("map_centers", range, &kernel);
+    }
+}
+
 /// Record one Lloyd pass: map_centers and reset are independent and
 /// replay in one phase; accumulate and finalize each form their own.
 pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
     let Lloyd { pts, centers, membership, acc, counts } = lloyd;
 
-    let map_kernel = {
-        let (pv, cv, mv) = (pts.view(), centers.view(), membership.view());
-        move |it: Item| {
-            let i = it.gid(0);
-            let mut best = 0u32;
-            let mut best_d = f32::INFINITY;
-            for c in 0..k {
-                let mut d = 0.0f32;
-                for f in 0..nf {
-                    let diff = pv.get(i * nf + f) - cv.get(c * nf + f);
-                    d += diff * diff;
-                }
-                if d < best_d {
-                    best_d = d;
-                    // lint:allow(as-cast) cluster index < k, far below u32::MAX
-                    best = c as u32;
-                }
-            }
-            mv.set(i, best);
-        }
-    };
+    let map_kernel = map_kernel(p, lloyd);
     let reset_kernel = {
         let (av, ctv) = (acc.view(), counts.view());
         move |it: Item| {
@@ -254,6 +302,9 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         move |it: Item| {
             let lo = it.gid(0) * ACC_BLOCK;
             let hi = (lo + ACC_BLOCK).min(n);
+            let mut assigned = [0u32; ACC_BLOCK];
+            mv.copy_to_slice(lo, &mut assigned[..hi - lo]);
+            let mut words = [0f32; ACC_WORDS];
             // The private table holds words [base, end) of the k × nf
             // sums; a larger table is folded in several sweeps of the
             // block. `hits` counts a cluster at its row's first word.
@@ -261,19 +312,22 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
                 let end = (base + ACC_WORDS).min(table);
                 let mut sums = [0f32; ACC_WORDS];
                 let mut hits = [0u32; ACC_WORDS];
-                for i in lo..hi {
-                    let m = mv.get(i) as usize;
-                    let row = m * nf;
+                for (i, &m) in (lo..hi).zip(&assigned) {
+                    let row = m as usize * nf;
                     if row >= table {
                         // A corrupted assignment: the checked accessor
                         // raises the typed out-of-bounds payload.
-                        ctv.atomic_add_u32(m, 1);
+                        ctv.atomic_add_u32(m as usize, 1);
                     }
                     if (base..end).contains(&row) {
                         hits[row - base] += 1;
                     }
-                    for w in row.max(base)..(row + nf).min(end) {
-                        sums[w - base] += pv.get(i * nf + (w - row));
+                    let (from, to) = (row.max(base), (row + nf).min(end));
+                    if from < to {
+                        pv.copy_to_slice(i * nf + (from - row), &mut words[..to - from]);
+                        for w in from..to {
+                            sums[w - base] += words[w - from];
+                        }
                     }
                 }
                 // Publish once per block; words the block left at zero
@@ -305,7 +359,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
     Graph::record(q, |g| {
         g.parallel_for(
             "map_centers",
-            Range::d1(n),
+            Range::d1(n.div_ceil(LANES)),
             &[reads(pts), reads(centers), writes(membership)],
             map_kernel,
         )
@@ -640,6 +694,39 @@ mod tests {
                 for (a, b) in r.centers.iter().zip(&g.centers) {
                     assert!((a - b).abs() < 1e-4, "{name} {mode:?}: {a} vs {b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_body_is_bit_equal_to_the_scalar_scan_at_both_widths() {
+        use lanes::Body;
+        // Points around the 16-column tile (a wider one reloads its
+        // columns per cluster), one cluster and many; `first` offsets the
+        // points as the stream stage does. Centres are rows of the cloud,
+        // so some distances are exactly 0, and the last repeats the first,
+        // which must win every tie.
+        for (nf, k) in [(1, 1), (7, 3), (16, 5), (17, 4), (40, 12)] {
+            let p = KmeansParams { n_points: 3 * LANES + 5, n_features: nf, k, iterations: 1 };
+            let points = generate_points(&p);
+            let mut centers = points[nf..][..k * nf].to_vec();
+            centers.copy_within(..nf, (k - 1) * nf);
+            let centers = &centers[..];
+            let (pts, cb) = (Buffer::from_slice(&points), Buffer::from_slice(centers));
+            for first in [0, 3] {
+                let len = p.n_points - first;
+                let expect: Vec<u32> = (first..p.n_points)
+                    .map(|i| nearest_center(&points[i * nf..][..nf], centers, k, nf))
+                    .collect();
+                let (narrow, wide) = (Buffer::<u32>::new(len), Buffer::<u32>::new(len));
+                let (pv, cv, nv, wv) = (pts.view(), cb.view(), narrow.view(), wide.view());
+                let body = |out| Nearest { pts: &pv, centers: &cv, out, k, nf, first };
+                (0..len).for_each(|x| body(&nv).at::<1>(x));
+                for x in (0..len - LANES).step_by(LANES).chain([len - LANES]) {
+                    body(&wv).at::<LANES>(x);
+                }
+                assert_eq!(narrow.to_vec(), expect, "W = 1, nf {nf}, k {k}, first {first}");
+                assert_eq!(wide.to_vec(), expect, "W = LANES, nf {nf}, k {k}, first {first}");
             }
         }
     }

@@ -4,16 +4,19 @@
 //! finalizes the centres — so `iterations × B` windows reproduce the
 //! batch golden output exactly.
 //!
-//! The device half is the assignment kernel only (the branchless
-//! nearest-centre scan, bit-identical to the host [`super::nearest_center`]);
+//! The device half is the assignment kernel only: the batch pass's own
+//! [`Nearest`] body, offset by the window's batch start, so it is
+//! bit-identical to the host [`super::nearest_center`];
 //! accumulation runs on the host *in point order*, deliberately avoiding
 //! the batch path's atomic f32 scatter so the streaming trail is
 //! bit-deterministic and rollback-replayable.
 
 use altis_data::KmeansParams;
+use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
+use super::Nearest;
 use crate::suite::Fingerprint;
 
 /// Number of point batches per Lloyd pass.
@@ -68,30 +71,13 @@ impl KmeansStream {
                 (pts.view(), centers_buf.view(), batch_params.view(), memb_batch.view());
             g.parallel_for(
                 "stream_map_centers",
-                Range::d1(max_len),
+                Range::d1(max_len.div_ceil(LANES)),
                 &[reads(&pts), reads(&centers_buf), reads(&batch_params), writes(&memb_batch)],
                 move |it| {
-                    let t = it.gid(0);
-                    let len = bv.get(1) as usize;
-                    if t >= len {
-                        return;
-                    }
-                    let i = bv.get(0) as usize + t;
-                    let mut best = 0u32;
-                    let mut best_d = f32::INFINITY;
-                    for c in 0..k {
-                        let mut d = 0.0f32;
-                        for f in 0..nf {
-                            let diff = pv.get(i * nf + f) - cv.get(c * nf + f);
-                            d += diff * diff;
-                        }
-                        if d < best_d {
-                            best_d = d;
-                            // lint:allow(as-cast) cluster index < k, far below u32::MAX
-                            best = c as u32;
-                        }
-                    }
-                    mv.set(t, best);
+                    let (x, len) = (it.gid(0) * LANES, bv.get(1) as usize);
+                    let first = bv.get(0) as usize;
+                    let body = Nearest { pts: &pv, centers: &cv, out: &mv, k, nf, first };
+                    lanes::sweep(x, (x + LANES).min(len), &body);
                 },
             );
         })?;

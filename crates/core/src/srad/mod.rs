@@ -18,14 +18,14 @@ use hetero_ir::ir::{AccessPattern, OpMix, Scalar};
 use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 
-use crate::common::{egress, AppVersion, ExecMode, Step};
+use crate::common::{egress, fill_rows, AppVersion, ExecMode, Step};
 
 pub mod streaming;
 
-/// Generate the speckled input image.
+/// Generate the speckled input image, filled across the pool.
 pub fn generate_image(p: &SradParams) -> Vec<f32> {
-    let mut rng = SeededRng::new("srad", p.dim);
-    rng.speckled_image(p.dim, p.dim)
+    let rng = SeededRng::new("srad", p.dim);
+    fill_rows(p.dim, p.dim, |first, rows| rng.speckled_rows(p.dim, first, rows))
 }
 
 /// One SRAD iteration, sequential: returns the updated image.

@@ -18,7 +18,7 @@ use hetero_ir::ir::OpMix;
 use hetero_rt::prelude::*;
 use par_dpl::scan::{exclusive_scan, ScanFlavor};
 
-use crate::common::{egress, AppVersion};
+use crate::common::{egress, fill_rows, AppVersion};
 
 /// A data record (the Altis benchmark filters on integer fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,15 +29,20 @@ pub struct Record {
     pub payload: u32,
 }
 
-/// Generate the deterministic record table.
+/// Generate the deterministic record table, filled across the pool.
 pub fn generate_records(p: &WhereParams) -> Vec<Record> {
-    let mut rng = SeededRng::new("where", p.n_records);
-    (0..p.n_records)
-        .map(|i| Record {
-            value: rng.u32(100),
-            payload: i as u32,
-        })
-        .collect()
+    let rng = SeededRng::new("where", p.n_records);
+    fill_rows(p.n_records, 1, |first, part| fill_records(&rng, first, part))
+}
+
+/// Records `first..first + out.len()` into `out`, one draw each: bit for
+/// bit what a serial pass from `rng`'s position puts there.
+fn fill_records(rng: &SeededRng, first: usize, out: &mut [Record]) {
+    let mut rng = rng.clone();
+    rng.advance(first as u64);
+    for (i, r) in (first..).zip(out) {
+        *r = Record { value: rng.u32(100), payload: i as u32 };
+    }
 }
 
 /// The benchmark predicate: keep records with `value <` selectivity.
@@ -246,6 +251,33 @@ mod tests {
 
     fn tiny() -> WhereParams {
         WhereParams { n_records: 4096, selectivity_pct: 30 }
+    }
+
+    /// The table's specification: one serial pass, one draw per record.
+    fn serial_records(n: usize) -> Vec<Record> {
+        let mut rng = SeededRng::new("where", n);
+        (0..n).map(|i| Record { value: rng.u32(100), payload: i as u32 }).collect()
+    }
+
+    #[test]
+    fn record_filler_equals_the_serial_table_at_every_split() {
+        let n = 45;
+        let rng = SeededRng::new("where", n);
+        for split in [0, 1, 7, n - 1, n] {
+            let mut recs = vec![Record { value: u32::MAX, payload: u32::MAX }; n];
+            let (head, tail) = recs.split_at_mut(split);
+            fill_records(&rng, 0, head);
+            fill_records(&rng, split, tail);
+            assert_eq!(recs, serial_records(n), "split at record {split}");
+        }
+    }
+
+    #[test]
+    fn generated_records_equal_the_serial_table() {
+        for n in [params(InputSize::S1).n_records, params(InputSize::S2).n_records, 1_237] {
+            let p = WhereParams { n_records: n, selectivity_pct: 30 };
+            assert!(generate_records(&p) == serial_records(n), "{n} records");
+        }
     }
 
     #[test]

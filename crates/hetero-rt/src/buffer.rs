@@ -438,6 +438,47 @@ impl<T: Copy> GlobalView<T> {
         unsafe { (self.elem(i) as *mut [T; W]).write_unaligned(v.0) }
     }
 
+    /// Load `W` elements `stride` apart starting at `i` (lane `k` is
+    /// element `i + k·stride`, a column of a row-major table) with **one**
+    /// bounds check on the last lane's index. An index whose last lane
+    /// would wrap raises the typed payload with `len` saturated. While a
+    /// sanitized launch is armed every element is recorded, as by `W`
+    /// [`GlobalView::get`]s.
+    #[inline]
+    pub fn get_strided<const W: usize>(&self, i: usize, stride: usize) -> Lanes<T, W> {
+        let span = W.saturating_sub(1).saturating_mul(stride).saturating_add(1);
+        if W > 0 && !fits(i, span, self.len) {
+            oob(i, span, self.len);
+        }
+        if sanitize::hooks_armed() {
+            for k in 0..W {
+                sanitize::record_global(self.object, i + k * stride, AccessKind::Read);
+            }
+        }
+        // SAFETY: every lane's index lies in `i..i + span`, checked above;
+        // allocation alive via _keepalive.
+        Lanes(std::array::from_fn(|k| unsafe { self.elem(i + k * stride).read() }))
+    }
+
+    /// Copy `dst.len()` elements starting at `offset` out of the view with
+    /// **one** bounds check; the mirror of [`GlobalView::copy_from_slice`].
+    /// While a sanitized launch is armed every element is recorded, as by
+    /// one [`GlobalView::get`] each.
+    #[inline]
+    pub fn copy_to_slice(&self, offset: usize, dst: &mut [T]) {
+        if !fits(offset, dst.len(), self.len) {
+            oob(offset, dst.len(), self.len);
+        }
+        if sanitize::hooks_armed() {
+            for k in 0..dst.len() {
+                sanitize::record_global(self.object, offset + k, AccessKind::Read);
+            }
+        }
+        // SAFETY: `offset..offset + dst.len()` checked above; a `&mut`
+        // destination cannot overlap the view's shared allocation.
+        unsafe { std::ptr::copy_nonoverlapping(self.elem(offset), dst.as_mut_ptr(), dst.len()) }
+    }
+
     /// Copy `src` into the view starting at `offset`. Out-of-bounds
     /// ranges raise the same typed payload as [`GlobalView::get`].
     pub fn copy_from_slice(&self, offset: usize, src: &[T]) {
@@ -606,6 +647,44 @@ mod tests {
             assert_eq!(*e, Error::AccessOutOfBounds { offset: i, len: LANES, buffer_len: 64 });
         }
         assert_eq!(b.to_vec(), vec![0.0; 64]);
+    }
+
+    /// The strided load checks its last lane and the slice copy its
+    /// whole range, each without a sum that can wrap: a stride large
+    /// enough that `i + (W - 1)·stride` wraps must not land before the
+    /// allocation.
+    #[test]
+    fn oob_strided_load_and_slice_copy_panic_with_typed_payload() {
+        use crate::lanes::LANES;
+        crate::fault::install_quiet_hook();
+        let b = Buffer::<f32>::new(64);
+        let expect = |offset, len| Error::AccessOutOfBounds { offset, len, buffer_len: 64 };
+        let wrap = usize::MAX / 4;
+        let cases: [(Box<dyn FnOnce()>, Error); 6] = [
+            (Box::new(|| { b.view().get_strided::<LANES>(8, 8); }), expect(8, 57)),
+            (Box::new(|| { b.view().get_strided::<LANES>(64, 0); }), expect(64, 1)),
+            (Box::new(|| { b.view().get_strided::<LANES>(3, wrap); }), expect(3, usize::MAX)),
+            // 10 + (usize::MAX - 5) wraps to 4, inside the buffer.
+            (Box::new(|| { b.view().get_strided::<2>(10, usize::MAX - 5); }), expect(10, usize::MAX - 4)),
+            (Box::new(|| b.view().copy_to_slice(60, &mut [0.0; 5])), expect(60, 5)),
+            (Box::new(|| b.view().copy_to_slice(usize::MAX - 1, &mut [0.0; 3])), expect(usize::MAX - 1, 3)),
+        ];
+        for (access, want) in cases {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(access)).unwrap_err();
+            let e = payload.downcast::<Error>().expect("payload should be a typed Error");
+            assert_eq!(*e, want);
+        }
+        // In bounds: the last lane and the last element exactly.
+        let data: Vec<f32> = (0..64).map(|x| x as f32).collect();
+        let b = Buffer::from_vec(data);
+        let col = b.view().get_strided::<LANES>(7, 8);
+        assert_eq!(col.0, std::array::from_fn(|k| (7 + 8 * k) as f32));
+        assert_eq!(b.view().get_strided::<LANES>(63, 0).0, [63.0; LANES]);
+        let mut tail = [0.0; 4];
+        b.view().copy_to_slice(60, &mut tail);
+        assert_eq!(tail, [60.0, 61.0, 62.0, 63.0]);
+        b.view().copy_to_slice(64, &mut []);
     }
 
     #[test]

@@ -342,3 +342,46 @@ fn a_launch_is_checked_against_its_bindings() {
     q.try_parallel_for("unstated", Range::d1(64), copy).unwrap();
     assert!(dst.to_vec().iter().all(|&v| v == 1));
 }
+
+/// A lane accessor records each element it reads, so a race reads the
+/// same through one strided load or one slice copy as through the
+/// scalar `get`s it replaces: the same typed error and the same report
+/// list, element by element.
+#[test]
+fn strided_and_slice_reads_report_as_their_scalar_gets() {
+    let q = sanitized_queue();
+    // Group 3 writes elements 5, 13 and 21; the other groups read.
+    let run = |read: fn(&GlobalView<u32>)| {
+        let b = Buffer::<u32>::new(64);
+        let v = b.view();
+        let e = q
+            .submit(&[reads_writes(&b)])
+            .nd_range("lane_reads", NdRange::d1(4 * 8, 8), move |ctx| {
+                if ctx.group_linear() == 3 {
+                    (5..64).step_by(8).take(3).for_each(|i| v.set(i, 1));
+                } else {
+                    read(&v);
+                }
+            })
+            .unwrap_err();
+        let Error::DataRace { kernel, element, kind, .. } = e else { panic!("{e:?}") };
+        let reports: Vec<_> =
+            take_last_reports().iter().map(|r| (triple(r), r.space, r.phase)).collect();
+        ((kernel, element, kind), reports)
+    };
+    fn gets(v: &GlobalView<u32>, from: usize, step: usize, n: usize) {
+        (from..).step_by(step).take(n).for_each(|i| {
+            std::hint::black_box(v.get(i));
+        });
+    }
+
+    let strided = run(|v| {
+        std::hint::black_box(v.get_strided::<4>(5, 8));
+    });
+    assert_eq!(strided.1.len(), 3, "one report per raced element: {:?}", strided.1);
+    assert_eq!(strided, run(|v| gets(v, 5, 8, 4)), "get_strided vs four gets");
+
+    let copied = run(|v| v.copy_to_slice(2, &mut [0; 20]));
+    assert_eq!(copied.1.len(), 3, "one report per raced element: {:?}", copied.1);
+    assert_eq!(copied, run(|v| gets(v, 2, 1, 20)), "copy_to_slice vs twenty gets");
+}

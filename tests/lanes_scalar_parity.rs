@@ -10,15 +10,19 @@
 //! whose escape loops run eight pixels at a time). Under either
 //! setting FDTD2D's and SRAD's row kernels must also give the same bits
 //! on every route that runs them: per launch, recorded graph, the armed
-//! per-node walk, and the window stream.
+//! per-node walk, and the window stream. KMeans' nearest-centre scan,
+//! eight points at a time, must give the golden membership bitwise on
+//! the same four routes, at ragged point counts and at shapes wider
+//! than its stack tiles.
 
 use std::sync::Arc;
 
 use altis_core::common::{AppVersion, ExecMode};
 use altis_core::fdtd2d::streaming::FdtdStream;
+use altis_core::kmeans::streaming::{KmeansStream, BATCHES_PER_PASS};
 use altis_core::srad::streaming::SradStream;
 use altis_core::streaming::drive;
-use altis_data::{Fdtd2dParams, InputSize, SradParams};
+use altis_data::{Fdtd2dParams, InputSize, KmeansParams, SradParams};
 use hetero_rt::prelude::*;
 use hetero_rt::{StreamConfig, StreamRunner};
 
@@ -41,10 +45,7 @@ fn routes_agree(
     what: &str,
 ) -> (altis_core::fdtd2d::Fields, Vec<f32>) {
     let v = AppVersion::SyclOptimized;
-    // A rate-0 fault plan arms the queue: replay degrades to the checked
-    // node-by-node walk (`submit_each`).
-    let fault = Some(Arc::new(FaultPlan::new(1, 0.0)));
-    let armed = Queue::hardened(Device::cpu(), Hardening { fault, ..Hardening::NONE });
+    let armed = armed_queue();
     let fdtd = altis_core::fdtd2d::run_with(q, fp, v, ExecMode::PerLaunch);
     let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
     for (route, rq, mode) in [
@@ -70,6 +71,39 @@ fn routes_agree(
     (fdtd, srad)
 }
 
+/// A rate-0 fault plan arms the queue: replay degrades to the checked
+/// node-by-node walk (`submit_each`).
+fn armed_queue() -> Queue {
+    let fault = Some(Arc::new(FaultPlan::new(1, 0.0)));
+    Queue::hardened(Device::cpu(), Hardening { fault, ..Hardening::NONE })
+}
+
+/// KMeans membership equals the golden bitwise on every route, under
+/// whatever lane setting is in force; centres agree to the suite
+/// tolerance (the batch path sums them with atomics) and bitwise on the
+/// stream (host-order sums).
+fn kmeans_routes_match_golden(q: &Queue, p: &KmeansParams, what: &str) {
+    let g = altis_core::kmeans::golden(p);
+    let armed = armed_queue();
+    for (route, rq, mode) in [
+        ("per-launch", q, ExecMode::PerLaunch),
+        ("graph", q, ExecMode::Graph),
+        ("armed", &armed, ExecMode::Graph),
+    ] {
+        let r = altis_core::kmeans::run_with(rq, p, AppVersion::SyclBaseline, mode);
+        assert_eq!(r.membership, g.membership, "KMeans {route}, {p:?}, {what}");
+        for (a, b) in r.centers.iter().zip(&g.centers) {
+            assert!((a - b).abs() < 1e-4, "KMeans {route}, {p:?}, {what}: {a} vs {b}");
+        }
+    }
+    let stage = KmeansStream::new(p, q).unwrap();
+    let (cfg, initial) = (StreamConfig::default(), KmeansStream::initial_state(p));
+    let runner = StreamRunner::new(q.clone(), q.clone(), stage, initial, cfg);
+    let (s, _) = drive(runner, p.iterations as u64 * BATCHES_PER_PASS).unwrap();
+    assert_eq!(s.membership, g.membership, "KMeans streamed, {p:?}, {what}");
+    assert_eq!(bits(&s.centers), bits(&g.centers), "KMeans streamed, {p:?}, {what}");
+}
+
 #[test]
 fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
     let q = Queue::new(Device::cpu());
@@ -87,5 +121,22 @@ fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
         assert_eq!(bits(&srad), bits(&srad_golden), "SRAD vs golden, {what}");
         let mandel = altis_core::mandelbrot::run(&q, &mp, AppVersion::SyclOptimized);
         assert_eq!(mandel, mandel_golden, "Mandelbrot vs golden, {what}");
+        // Ragged point counts around a lane block and accumulate's
+        // 256-point block (an empty cloud has no centres), a centre
+        // table wider than accumulate's 128 words and a point wider than
+        // the scan's 16-column tile.
+        let shape = |n, nf, k| KmeansParams { n_points: n, n_features: nf, k, iterations: 3 };
+        for p in [
+            altis_data::kmeans(InputSize::S1),
+            shape(0, 16, 0),
+            shape(1, 16, 1),
+            shape(LANES - 1, 16, 3),
+            shape(LANES + 1, 16, 5),
+            shape(2 * 256 + 77, 16, 5),
+            shape(600, 12, 12),
+            shape(203, 40, 4),
+        ] {
+            kmeans_routes_match_golden(&q, &p, what);
+        }
     }
 }
