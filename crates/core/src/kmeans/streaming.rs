@@ -108,8 +108,7 @@ impl KmeansStream {
     }
 
     /// Fold one batch's assignments into the carried state. This is the
-    /// *only* place state mutates, shared verbatim by the hardened,
-    /// recovery and reference paths.
+    /// *only* place state mutates.
     fn commit_batch(
         &self,
         state: &mut KmeansStreamState,
@@ -169,22 +168,6 @@ impl StreamStage for KmeansStream {
         Ok(())
     }
 
-    fn reference(&self, state: &mut KmeansStreamState, window: u64) {
-        let (start, end) = self.batch_bounds(window);
-        let nf = self.nf;
-        let assignments: Vec<u32> = (start..end)
-            .map(|i| {
-                super::nearest_center(
-                    &self.points[i * nf..(i + 1) * nf],
-                    &state.centers,
-                    self.k,
-                    nf,
-                )
-            })
-            .collect();
-        self.commit_batch(state, window, start, &assignments);
-    }
-
     fn digest(&self, state: &KmeansStreamState) -> u64 {
         let f = Fingerprint::new(10).words32(&state.centers, f32::to_bits);
         let f = f.words32(&state.membership, |m| m).words32(&state.acc, f32::to_bits);
@@ -228,22 +211,5 @@ mod tests {
         // Host-order accumulation makes the streamed centres *bit-equal*
         // to the sequential golden (no atomic scatter on this path).
         assert_eq!(state.centers, g.centers);
-    }
-
-    #[test]
-    fn device_and_reference_batches_agree_bitwise() {
-        let p = tiny();
-        let q = Queue::new(Device::cpu());
-        let stage = KmeansStream::new(&p, &q).unwrap();
-        let initial = KmeansStream::initial_state(&p);
-        let mut runner =
-            StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
-        let host_stage = KmeansStream::new(&p, &q).unwrap();
-        let mut host = KmeansStream::initial_state(&p);
-        for w in 0..(2 * BATCHES_PER_PASS) {
-            let rep = runner.next_window().unwrap();
-            host_stage.reference(&mut host, w);
-            assert_eq!(rep.digest, host_stage.digest(&host), "window {w}");
-        }
     }
 }

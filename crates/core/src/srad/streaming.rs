@@ -5,7 +5,7 @@
 //! the carried state with the same sequential f64 fold as the golden
 //! [`super::srad_step`], so the device stencils — whose per-item writes
 //! are schedule-independent — advance the image bit-identically to the
-//! host reference. That bit-equality is what makes checkpoint/rollback
+//! golden step. That bit-equality is what makes checkpoint/rollback
 //! replay on the clean queue indistinguishable from an uninterrupted
 //! hardened run (stream invariant 2).
 
@@ -19,7 +19,6 @@ use crate::suite::Fingerprint;
 /// Streaming stage for SRAD. State is the carried image (`dim × dim`).
 pub struct SradStream {
     n: usize,
-    lambda: f32,
     planes: Planes,
     graph: Graph,
 }
@@ -31,10 +30,9 @@ impl SradStream {
     /// runner hands it.
     pub fn new(p: &SradParams, q: &Queue) -> hetero_rt::Result<Self> {
         let n = p.dim;
-        let lambda = p.lambda;
         let planes = Planes::new(super::generate_image(p));
-        let graph = super::step_graph(q, n, lambda, &planes)?;
-        Ok(SradStream { n, lambda, planes, graph })
+        let graph = super::step_graph(q, n, p.lambda, &planes)?;
+        Ok(SradStream { n, planes, graph })
     }
 
     /// Initial stream state: the speckled input image.
@@ -43,8 +41,8 @@ impl SradStream {
     }
 
     /// Host-side ROI statistic over carried state — the same sequential
-    /// f64 fold as [`super::srad_step`], so device and reference paths
-    /// see bit-identical `q0`.
+    /// f64 fold as [`super::srad_step`], so the device step sees the
+    /// golden step's `q0` bit for bit.
     fn host_q0(&self, state: &[f32]) -> f32 {
         let n = self.n;
         let sum: f64 = state.iter().map(|&v| v as f64).sum();
@@ -67,10 +65,6 @@ impl StreamStage for SradStream {
         self.graph.replay(q)?;
         *state = q.read_back(&self.planes.img)?;
         Ok(())
-    }
-
-    fn reference(&self, state: &mut Vec<f32>, _window: u64) {
-        *state = super::srad_step(state, self.n, self.lambda);
     }
 
     fn digest(&self, state: &Vec<f32>) -> u64 {

@@ -259,25 +259,25 @@ mod tests {
         w.iter().map(|&b| b as u32).collect()
     }
 
-    /// The four stages at tiny sizes, two windows into their streams (host
-    /// reference path), so every carry holds data.
+    /// The four stages at tiny sizes, two windows into their streams on
+    /// a plain queue, so every carry holds data.
     fn rows() -> Vec<Row> {
         let q = Queue::new(Device::cpu());
         let p = SradParams { dim: 16, iterations: 2, lambda: 0.5 };
-        let (srad, mut img) = (SradStream::new(&p, &q).unwrap(), SradStream::initial_state(&p));
+        let (mut srad, mut img) = (SradStream::new(&p, &q).unwrap(), SradStream::initial_state(&p));
         let p = Fdtd2dParams { dim: 16, steps: 2 };
-        let (fdtd, mut f) = (FdtdStream::new(&p, &q).unwrap(), FdtdStream::initial_state(&p));
+        let (mut fdtd, mut f) = (FdtdStream::new(&p, &q).unwrap(), FdtdStream::initial_state(&p));
         let p = KmeansParams { n_points: 256, n_features: 4, k: 3, iterations: 2 };
-        let (km, mut k) = (KmeansStream::new(&p, &q).unwrap(), KmeansStream::initial_state(&p));
+        let (mut km, mut k) = (KmeansStream::new(&p, &q).unwrap(), KmeansStream::initial_state(&p));
         let p = PfParams { n_particles: 256, frames: 2, dim: 128 };
-        let pf = PfStream::new(&p, PfVariant::Naive, &q).unwrap();
+        let mut pf = PfStream::new(&p, PfVariant::Naive, &q).unwrap();
         let mut s = PfStream::initial_state(&p);
         for w in 0..2 {
-            srad.reference(&mut img, w);
-            fdtd.reference(&mut f, w);
+            srad.advance(&q, &mut img, w).unwrap();
+            fdtd.advance(&q, &mut f, w).unwrap();
             // Window 1 is mid-pass: the sums and counts are live carries.
-            km.reference(&mut k, w);
-            pf.reference(&mut s, w);
+            km.advance(&q, &mut k, w).unwrap();
+            pf.advance(&q, &mut s, w).unwrap();
         }
         let bits = f32::to_bits;
         vec![

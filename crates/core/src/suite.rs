@@ -1512,6 +1512,14 @@ mod tests {
         assert!(parse_golden_registry("# x\n\n").unwrap().is_empty());
     }
 
+    /// The committed file is exactly what `matrix --write-golden` would
+    /// write for its own rows, header included.
+    #[test]
+    fn committed_golden_registry_is_in_rendered_form() {
+        let text = std::fs::read_to_string(golden_registry_path()).unwrap();
+        assert_eq!(render_golden_registry(&parse_golden_registry(&text).unwrap()), text);
+    }
+
     #[test]
     fn run_sdc_classifies_every_ending() {
         let t = Duration::from_secs(5);

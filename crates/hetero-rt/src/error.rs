@@ -124,6 +124,16 @@ pub enum Error {
         /// Kernel name the submission was given.
         kernel: &'static str,
     },
+    /// A stream run ended ([`crate::stream::StreamRunner`]): a rollback
+    /// found no checkpoint that still matches its seal, or the clean
+    /// replay from one failed. The window that ended it is `Dropped`, and
+    /// every later window call returns this error.
+    StreamEnded {
+        /// The window whose recovery failed.
+        window: u64,
+        /// Its failure, the seal epochs held and the recovery error.
+        reason: String,
+    },
     /// A blocking pipe operation timed out; in this runtime that is
     /// diagnosed as a deadlock between communicating kernels.
     PipeDeadlock {
@@ -181,6 +191,9 @@ impl fmt::Display for Error {
                 f,
                 "kernel '{kernel}' states no bindings on an integrity queue"
             ),
+            Error::StreamEnded { window, reason } => {
+                write!(f, "stream ended at window {window}: {reason}")
+            }
             Error::PipeDeadlock { waited_secs } => write!(
                 f,
                 "pipe operation blocked for {waited_secs}s; kernels are deadlocked"

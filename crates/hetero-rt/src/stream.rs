@@ -8,8 +8,7 @@
 //! fail. This module provides the app-agnostic half of that mode:
 //!
 //! * [`StreamStage`] — the contract an application implements: advance
-//!   carried state by one window on the queue it is handed, or advance
-//!   it with infallible host math (the last-resort reference path).
+//!   carried state by one window on the queue it is handed.
 //! * [`StreamRunner`] — drives windows through a stage inside a
 //!   containment scope, and is the one place a window's queue is picked:
 //!   the hardened *primary* (fault injection, integrity, retries all
@@ -17,17 +16,20 @@
 //!   queue for recovery and shedding. Every window ends in exactly one
 //!   typed [`WindowVerdict`]; an injected kernel panic, transient fault
 //!   or SDC detection triggers **checkpoint/rollback recovery**: the
-//!   runner restores the last sealed snapshot of stream state, replays
-//!   the intervening windows on the clean queue, seals the state it
-//!   recovered as the new checkpoint, and resumes — one poisoned window
-//!   never kills or silently corrupts the stream.
+//!   runner restores the newest sealed snapshot of stream state that
+//!   still matches its seal, replays the intervening windows on the clean
+//!   queue, seals the state it recovered as the new checkpoint, and
+//!   resumes — one poisoned window never kills or silently corrupts the
+//!   stream.
 //!
 //! ## Containment invariants
 //!
 //! 1. A window whose hardened advance fails is **never delivered**: it
 //!    ends `Retried` (transient absorbed within the attempt budget),
 //!    `Quarantined` (rollback + clean replay recovered the state), or
-//!    `Dropped` (recovery itself failed; host-reference continuation).
+//!    `Dropped` (no seal verified, or the clean replay failed: the run
+//!    ends there, and every later call returns [`Error::StreamEnded`]).
+//!    No window is delivered from, or advanced from, unverified state.
 //! 2. After a `Quarantined` verdict the stream state is **bit-identical**
 //!    to what an uninterrupted run would carry: rollback restores a
 //!    sealed snapshot and the clean replay recomputes every window since.
@@ -40,13 +42,16 @@
 //!
 //! ## Seals
 //!
-//! The runner holds exactly one checkpoint. It seals one on schedule
-//! (every [`StreamConfig::checkpoint_every`] windows) and one after every
-//! `Quarantined` window, at most one per position, and verifies the seal
-//! before every restore; a fault that persists therefore replays one
-//! window per rollback, not the span back to the last scheduled seal. A clean-queue replay of a recorded graph reseals
-//! the page checksums of the sealed buffers it writes ([`crate::Graph`]),
-//! so the primary's next launch entry does not read the recovery's own
+//! The runner holds two checkpoints, the newest and the one before it,
+//! sealed on schedule (every [`StreamConfig::checkpoint_every`] windows)
+//! and after every `Quarantined` window, at most one per position. A seal
+//! retires the older before it clones the state: at most three copies of
+//! the state live. A rollback verifies the newest seal, falls back to the
+//! older, and replays at most `2 × checkpoint_every` windows; a fault
+//! that persists replays one window per rollback, since each recovered
+//! window seals. A clean-queue replay of a recorded graph reseals the
+//! page checksums of the sealed buffers it writes ([`crate::Graph`]), so
+//! the primary's next launch entry does not read the recovery's own
 //! writes as corruption.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,11 +84,13 @@ pub enum WindowVerdict {
         /// Human-readable failure that triggered the quarantine.
         reason: String,
     },
-    /// Recovery itself failed; the stream continued on the host
-    /// reference path. Gates treat any `Dropped` window as a failure of
-    /// the recovery machinery.
+    /// Recovery itself failed: no seal verified, or the clean replay
+    /// failed. The run ends here; every later call returns
+    /// [`Error::StreamEnded`]. Gates treat any `Dropped` window as a
+    /// failure of the recovery machinery.
     Dropped {
-        /// Original failure plus the recovery error.
+        /// The window, the original failure, the seal epochs and the
+        /// recovery error.
         reason: String,
     },
     /// The caller shed the window under backpressure
@@ -154,7 +161,7 @@ pub struct StreamStats {
     pub retried: u64,
     /// `Quarantined` verdicts.
     pub quarantined: u64,
-    /// `Dropped` verdicts.
+    /// `Dropped` verdicts: runs that ended (at most one).
     pub dropped: u64,
     /// `Shed` verdicts.
     pub shed: u64,
@@ -176,8 +183,7 @@ impl StreamStats {
 }
 
 /// The application half of a stream: one window's worth of computation
-/// over carried state, on a device queue or in host math, which must
-/// agree bit-for-bit on success.
+/// over carried state, on whichever queue the runner hands it.
 ///
 /// The runner relies on two contracts:
 ///
@@ -197,10 +203,6 @@ pub trait StreamStage {
     /// Advance `state` by window `window`, submitting the window's device
     /// work to `q`.
     fn advance(&mut self, q: &Queue, state: &mut Self::State, window: u64) -> Result<()>;
-
-    /// Advance `state` by window `window` with infallible host math (the
-    /// app's golden loop body). Last-resort continuation only.
-    fn reference(&self, state: &mut Self::State, window: u64);
 
     /// Digest of the carried state, for the seals and the per-window
     /// reports. A change to any one word of the state must change it.
@@ -226,9 +228,12 @@ pub struct StreamRunner<S: StreamStage> {
     stage: S,
     state: S::State,
     cfg: StreamConfig,
-    checkpoint: Checkpoint<S::State>,
+    /// The one or two newest checkpoints, oldest first.
+    seals: Vec<Checkpoint<S::State>>,
     stats: StreamStats,
     next: u64,
+    /// Set by a `Dropped` window; returned by every later call.
+    ended: Option<Error>,
 }
 
 impl<S: StreamStage> StreamRunner<S> {
@@ -248,12 +253,13 @@ impl<S: StreamStage> StreamRunner<S> {
         StreamRunner {
             primary,
             clean,
-            checkpoint: Checkpoint { next: 0, state: initial.clone(), seal },
+            seals: vec![Checkpoint { next: 0, state: initial.clone(), seal }],
             stage,
             state: initial,
             cfg,
             stats,
             next: 0,
+            ended: None,
         }
     }
 
@@ -283,10 +289,10 @@ impl<S: StreamStage> StreamRunner<S> {
     }
 
     /// Execute the next window under containment. Returns `Err` only for
-    /// stream-fatal conditions (cancellation); every per-window failure
-    /// is converted into a typed verdict.
+    /// stream-fatal conditions (cancellation, a run that ended); every
+    /// per-window failure is converted into a typed verdict.
     pub fn next_window(&mut self) -> Result<WindowReport> {
-        let w = self.next;
+        let w = self.live()?;
         let t0 = Instant::now();
         let mut rolled_back = false;
         let verdict = self.execute_contained(w, &mut rolled_back)?;
@@ -296,7 +302,7 @@ impl<S: StreamStage> StreamRunner<S> {
     /// Shed the next window: skip hardened execution and delivery, but
     /// advance carried state on the clean path (invariant 3).
     pub fn shed_window(&mut self) -> Result<WindowReport> {
-        let w = self.next;
+        let w = self.live()?;
         let t0 = Instant::now();
         let mut rolled_back = false;
         let verdict = match contained(|| self.stage.advance(&self.clean, &mut self.state, w)) {
@@ -305,6 +311,11 @@ impl<S: StreamStage> StreamRunner<S> {
             Err(e) => self.quarantine(w, format!("shed window failed: {e}"), &mut rolled_back)?,
         };
         self.finish_window(w, verdict, t0, rolled_back)
+    }
+
+    /// The next window's index, or the error that ended the run.
+    fn live(&self) -> Result<u64> {
+        self.ended.clone().map_or(Ok(self.next), Err)
     }
 
     fn finish_window(
@@ -330,8 +341,14 @@ impl<S: StreamStage> StreamRunner<S> {
         // on a schedule boundary.
         let digest = self.stage.digest(&self.state);
         let recovered = matches!(verdict, WindowVerdict::Quarantined { .. });
-        if recovered || self.next.is_multiple_of(self.cfg.checkpoint_every) {
-            self.checkpoint = Checkpoint { next: self.next, state: self.state.clone(), seal: digest };
+        let due = recovered || self.next.is_multiple_of(self.cfg.checkpoint_every);
+        if due && self.ended.is_none() {
+            // Retire the older seal before cloning: at most three copies.
+            if self.seals.len() == 2 {
+                self.seals.remove(0);
+            }
+            let state = self.state.clone();
+            self.seals.push(Checkpoint { next: self.next, state, seal: digest });
             self.stats.checkpoints += 1;
         }
         Ok(WindowReport {
@@ -367,10 +384,11 @@ impl<S: StreamStage> StreamRunner<S> {
         }
     }
 
-    /// Roll back to the last sealed checkpoint and recover windows
-    /// `checkpoint.next ..= w` on the clean path. On success the stream
-    /// state is bit-identical to an uninterrupted run through `w`, and
-    /// [`StreamRunner::finish_window`] seals it.
+    /// Roll back to the newest checkpoint that matches its seal and
+    /// recover windows `checkpoint.next ..= w` on the clean path. On
+    /// success the stream state is bit-identical to an uninterrupted run
+    /// through `w`, and [`StreamRunner::finish_window`] seals it. On
+    /// failure the run ends with a `Dropped` window.
     fn quarantine(
         &mut self,
         w: u64,
@@ -380,38 +398,61 @@ impl<S: StreamStage> StreamRunner<S> {
         *rolled_back = true;
         self.stats.rollbacks += 1;
         let t0 = Instant::now();
-        let recovered = self.roll_back_and_replay(w);
+        let recovered = self.roll_back_and_replay(w, &reason);
         self.stats.rollback_nanos += t0.elapsed().as_nanos();
         match recovered {
             Ok(()) => Ok(WindowVerdict::Quarantined { reason }),
-            Err(e) if matches!(e, Error::Canceled { .. }) => Err(e),
-            Err(e) => {
-                // Last resort: continue on the host reference path from
-                // the snapshot so the stream survives, and say so.
-                let mut st = self.checkpoint.state.clone();
-                for k in self.checkpoint.next..=w {
-                    self.stage.reference(&mut st, k);
-                }
-                self.state = st;
-                Ok(WindowVerdict::Dropped { reason: format!("{reason}; recovery failed: {e}") })
+            Err(e @ Error::StreamEnded { .. }) => {
+                let reason = e.to_string();
+                self.ended = Some(e);
+                Ok(WindowVerdict::Dropped { reason })
             }
+            Err(e) => Err(e),
         }
     }
 
-    fn roll_back_and_replay(&mut self, w: u64) -> Result<()> {
-        let mut st = self.checkpoint.state.clone();
-        if self.stage.digest(&st) != self.checkpoint.seal {
-            // The snapshot itself no longer matches its seal — refuse to
-            // resume from silently corrupted recovery state.
-            return Err(Error::DataCorruption {
-                region: u64::MAX,
-                page: 0,
-                epoch: self.checkpoint.next,
-            });
+    fn roll_back_and_replay(&mut self, w: u64, reason: &str) -> Result<()> {
+        let epochs: Vec<u64> = self.seals.iter().map(|cp| cp.next).collect();
+        let ended = |cause: String| Error::StreamEnded {
+            window: w,
+            reason: format!("{reason}; seals at epochs {epochs:?}: {cause}"),
+        };
+        // Newest first; a snapshot that no longer matches its seal is
+        // never resumed from.
+        let stage = &self.stage;
+        let verified = self.seals.iter().rposition(|cp| stage.digest(&cp.state) == cp.seal);
+        let Some(i) = verified else {
+            return Err(ended("no snapshot matches its seal".to_string()));
+        };
+        // Keep only the checkpoint restored: the recovered window's seal
+        // follows it. Restored from the older, the replay reseals the
+        // rotten newest's position, so the two held stay the run's last
+        // two seals. Either way at most three copies of the state live.
+        let reseal = self.seals.get(i + 1).map_or(w + 1, |cp| cp.next);
+        self.seals.swap(0, i);
+        self.seals.truncate(1);
+        let (from, mut st) = (self.seals[0].next, self.seals[0].state.clone());
+        let replay = |this: &mut Self, st: &mut S::State, k: u64| -> Result<()> {
+            match contained(|| this.stage.advance(&this.clean, st, k)) {
+                Ok(()) => {
+                    this.stats.replayed += 1;
+                    Ok(())
+                }
+                Err(e) if matches!(e, Error::Canceled { .. }) => Err(e),
+                Err(e) => Err(ended(format!("clean replay of window {k} from epoch {from}: {e}"))),
+            }
+        };
+        for k in from..reseal {
+            replay(self, &mut st, k)?;
         }
-        for k in self.checkpoint.next..=w {
-            contained(|| self.stage.advance(&self.clean, &mut st, k))?;
-            self.stats.replayed += 1;
+        if reseal <= w {
+            self.seals.clear();
+            let seal = self.stage.digest(&st);
+            self.seals.push(Checkpoint { next: reseal, state: st.clone(), seal });
+            self.stats.checkpoints += 1;
+        }
+        for k in reseal..=w {
+            replay(self, &mut st, k)?;
         }
         self.state = st;
         Ok(())
@@ -419,7 +460,7 @@ impl<S: StreamStage> StreamRunner<S> {
 
     /// Sequential convenience driver: execute `total` windows, passing
     /// each report to `on_report`. Stops early only on a stream-fatal
-    /// error (cancellation).
+    /// error (cancellation, a run that ended).
     pub fn run(
         &mut self,
         total: u64,
@@ -446,45 +487,38 @@ mod tests {
     use crate::device::Device;
     use crate::fault::FaultPlan;
     use crate::queue::Hardening;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Host-only counter stage: state is a running sum; window w adds
     /// `w + 1`. Fault hooks fail specific windows on the primary queue
-    /// (the one carrying a fault plan); every call is logged with the
-    /// queue it was handed.
+    /// (the one carrying a fault plan) or on the clean one; every call is
+    /// logged with the queue it was handed.
+    #[derive(Default)]
     struct CounterStage {
         fail_on: Vec<u64>,
         panic_on: Vec<u64>,
+        /// Fail the first primary visit to the window transiently.
         transient_on: Vec<u64>,
-        transient_seen: Arc<AtomicU64>,
-        /// Raised as a typed panic payload on the first visit to the
-        /// window, the way `Queue::parallel_for` fails.
-        raise_on: Option<(u64, Error)>,
+        /// Raised as a typed panic payload on the first primary visit to
+        /// the window, the way `Queue::parallel_for` fails.
+        raise_on: Vec<(u64, Error)>,
+        /// Fail every clean-queue visit to the window.
+        replay_fail_on: Vec<u64>,
         /// `(window, on the primary queue)` per `advance`.
         calls: Vec<(u64, bool)>,
     }
 
     impl CounterStage {
         fn clean() -> Self {
-            CounterStage {
-                fail_on: vec![],
-                panic_on: vec![],
-                transient_on: vec![],
-                transient_seen: Arc::new(AtomicU64::new(0)),
-                raise_on: None,
-                calls: vec![],
-            }
+            CounterStage::default()
         }
 
-        fn inject(&self, window: u64) -> Result<()> {
+        fn inject(&self, window: u64, first: bool) -> Result<()> {
             if self.panic_on.contains(&window) {
                 panic!("injected stage panic at window {window}");
             }
-            if let Some((_, e)) = self.raise_on.as_ref().filter(|(at, _)| *at == window) {
-                if self.transient_seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::panic::panic_any(e.clone());
-                }
+            if let Some((_, e)) = self.raise_on.iter().find(|(at, _)| first && *at == window) {
+                std::panic::panic_any(e.clone());
             }
             if self.fail_on.contains(&window) {
                 return Err(Error::KernelPanicked {
@@ -493,9 +527,7 @@ mod tests {
                     message: format!("injected at {window}"),
                 });
             }
-            if self.transient_on.contains(&window)
-                && self.transient_seen.fetch_add(1, Ordering::SeqCst) == 0
-            {
+            if first && self.transient_on.contains(&window) {
                 return Err(Error::TransientLaunchFailure { kernel: "counter", attempts: 1 });
             }
             Ok(())
@@ -507,16 +539,16 @@ mod tests {
 
         fn advance(&mut self, q: &Queue, state: &mut u64, window: u64) -> Result<()> {
             let primary = q.hardening().fault.is_some();
+            let first = !self.calls.contains(&(window, primary));
             self.calls.push((window, primary));
             if primary {
-                self.inject(window)?;
+                self.inject(window, first)?;
+            } else if self.replay_fail_on.contains(&window) {
+                let message = format!("replay injected at {window}");
+                return Err(Error::KernelPanicked { kernel: "counter", group: 0, message });
             }
             *state += window + 1;
             Ok(())
-        }
-
-        fn reference(&self, state: &mut u64, window: u64) {
-            *state += window + 1;
         }
 
         fn digest(&self, state: &u64) -> u64 {
@@ -646,28 +678,168 @@ mod tests {
         assert_eq!(*r.state(), uninterrupted_sum(12));
     }
 
+    /// Flip one bit of every held snapshot for which `which` holds (by
+    /// position, oldest first); returns whether none still verifies.
+    fn rot(r: &mut StreamRunner<CounterStage>, which: impl Fn(usize) -> bool) -> bool {
+        for (i, cp) in r.seals.iter_mut().enumerate() {
+            if which(i) {
+                cp.state ^= 1 << 7;
+            }
+        }
+        r.seals.iter().all(|cp| r.stage.digest(&cp.state) != cp.seal)
+    }
+
     #[test]
     fn a_snapshot_that_no_longer_matches_its_seal_is_not_replayed() {
         let mut stage = CounterStage::clean();
         stage.fail_on = vec![5];
         let mut r = runner(stage, StreamConfig { checkpoint_every: 4, max_retries: 0 });
         r.run(5, |rep| assert!(rep.verdict.is_delivered())).unwrap();
-        // Window 3 sealed the sum through it; one bit of the snapshot rots.
-        assert_eq!((r.checkpoint.next, r.checkpoint.state), (4, uninterrupted_sum(4)));
-        r.checkpoint.state ^= 1 << 7;
-        let snapshot = r.checkpoint.state;
+        // Windows 0 and 4 sealed; one bit of the newest snapshot rots.
+        assert_eq!(r.seals.iter().map(|cp| cp.next).collect::<Vec<_>>(), [0, 4]);
+        assert!(!rot(&mut r, |i| i == 1));
+        let rep = r.next_window().unwrap();
+        assert!(matches!(rep.verdict, WindowVerdict::Quarantined { .. }), "{:?}", rep.verdict);
+        // Recovered from the seal at epoch 0: windows 0..=5 replayed.
+        assert_eq!(*r.state(), uninterrupted_sum(6));
+        let st = r.stats();
+        assert_eq!((st.quarantined, st.dropped, st.replayed), (1, 0, 6));
+        assert!(r.next_window().unwrap().verdict.is_delivered());
+        assert_eq!(*r.state(), uninterrupted_sum(7));
+    }
+
+    #[test]
+    fn a_run_whose_seals_both_rot_ends_without_advancing() {
+        let mut stage = CounterStage::clean();
+        stage.fail_on = vec![5];
+        let mut r = runner(stage, StreamConfig { checkpoint_every: 4, max_retries: 0 });
+        r.run(5, |rep| assert!(rep.verdict.is_delivered())).unwrap();
+        assert!(rot(&mut r, |_| true));
         let rep = r.next_window().unwrap();
         let WindowVerdict::Dropped { reason } = &rep.verdict else {
             panic!("window 5: {:?}", rep.verdict)
         };
-        let named = reason.contains("silent data corruption") && reason.contains("seal epoch 4");
-        assert!(named, "{reason}");
-        // No clean replay ran from the snapshot: the host reference path
-        // continued from it through windows 4 and 5.
-        assert_eq!(*r.state(), snapshot + 5 + 6);
+        let named = ["window 5", "injected at 5", "epochs [0, 4]", "no snapshot matches"];
+        assert!(named.iter().all(|n| reason.contains(n)), "{reason}");
+        let ended = Error::StreamEnded { window: 5, reason: String::new() };
+        let same = |e: Error| std::mem::discriminant(&e) == std::mem::discriminant(&ended);
+        assert!(same(r.next_window().unwrap_err()));
+        assert!(same(r.shed_window().unwrap_err()));
+        // Nothing ran from the rotten snapshots, and the state stayed put.
+        assert_eq!(*r.state(), uninterrupted_sum(5));
         let st = r.stats();
-        assert_eq!((st.quarantined, st.dropped, st.replayed), (0, 1, 0));
-        assert!(!r.stage.calls.contains(&(4, false)), "{:?}", r.stage.calls);
+        assert_eq!((st.windows, st.quarantined, st.dropped, st.replayed), (6, 0, 1, 0));
+        assert!(!r.stage.calls.iter().any(|&(_, primary)| !primary), "{:?}", r.stage.calls);
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Fault {
+        Transient,
+        Panic,
+        Sdc,
+        /// Rot the newest, the older or both seals; the window then fails.
+        RotNewest,
+        RotOlder,
+        RotBoth,
+        /// The window fails, and so does every clean replay of it.
+        ReplayFails,
+    }
+
+    /// A faulted window: its index, its fault, and whether it is shed.
+    type Slot = (u64, Fault, bool);
+
+    const WINDOWS: u64 = 12;
+
+    /// Every schedule of at most two faults on distinct windows, each
+    /// faulted window run or shed.
+    fn schedules() -> Vec<Vec<Slot>> {
+        use Fault::*;
+        let kinds = [Transient, Panic, Sdc, RotNewest, RotOlder, RotBoth, ReplayFails];
+        let one: Vec<_> = (0..WINDOWS)
+            .flat_map(|w| kinds.into_iter().flat_map(move |f| [(w, f, false), (w, f, true)]))
+            .collect();
+        let mut all = vec![vec![]];
+        all.extend(one.iter().map(|&a| vec![a]));
+        for (i, &a) in one.iter().enumerate() {
+            all.extend(one[i..].iter().filter(|b| b.0 > a.0).map(|&b| vec![a, b]));
+        }
+        all
+    }
+
+    /// Drive one schedule; every verdict short of `Dropped` leaves the
+    /// uninterrupted sum, and a `Dropped` one ends the run unadvanced.
+    /// Returns whether the run ended.
+    fn run_schedule(cfg: StreamConfig, faults: &[Slot]) -> bool {
+        let mut stage = CounterStage::clean();
+        for &(w, f, _) in faults {
+            let message = String::new();
+            match f {
+                Fault::Transient => stage.transient_on.push(w),
+                Fault::Panic => {
+                    let e = Error::KernelPanicked { kernel: "counter", group: 0, message };
+                    stage.raise_on.push((w, e));
+                }
+                Fault::Sdc => {
+                    let e = Error::DataCorruption { region: 1, page: 0, epoch: w };
+                    stage.raise_on.push((w, e));
+                }
+                Fault::RotNewest | Fault::RotOlder | Fault::RotBoth => stage.fail_on.push(w),
+                Fault::ReplayFails => {
+                    stage.fail_on.push(w);
+                    stage.replay_fail_on.push(w);
+                }
+            }
+        }
+        let mut r = runner(stage, cfg);
+        for w in 0..WINDOWS {
+            let slot = faults.iter().find(|s| s.0 == w);
+            let newest = r.seals.len() - 1;
+            let rotten = match slot.map(|s| s.1) {
+                Some(Fault::RotNewest) => rot(&mut r, |i| i == newest),
+                Some(Fault::RotOlder) => rot(&mut r, |i| i < newest),
+                Some(Fault::RotBoth) => rot(&mut r, |_| true),
+                _ => rot(&mut r, |_| false),
+            };
+            let replayed = r.stats().replayed;
+            let rep = if slot.is_some_and(|s| s.2) { r.shed_window() } else { r.next_window() };
+            let rep = rep.unwrap();
+            assert_eq!(rep.index, w);
+            let at = || format!("{faults:?} every {}: window {w}", cfg.checkpoint_every);
+            assert!(r.stats().replayed - replayed <= 2 * cfg.checkpoint_every, "{}", at());
+            if let WindowVerdict::Dropped { reason } = &rep.verdict {
+                assert!(reason.contains(&format!("window {w}")), "{}: {reason}", at());
+                // It ended because it had to: the replay failed, or no
+                // snapshot held still matched its seal.
+                assert!(slot.is_some_and(|s| s.1 == Fault::ReplayFails) || rotten, "{}", at());
+                assert_eq!(*r.state(), uninterrupted_sum(w), "{}: advanced", at());
+                assert!(r.next_window().is_err() && r.shed_window().is_err(), "{}", at());
+                assert_eq!(r.stats().dropped, 1, "{}", at());
+                return true;
+            }
+            assert_eq!(*r.state(), uninterrupted_sum(w + 1), "{}: {:?}", at(), rep.verdict);
+        }
+        false
+    }
+
+    #[test]
+    fn every_schedule_of_two_faults_delivers_the_uninterrupted_sum_or_ends() {
+        // Raised faults print one line each, not a backtrace.
+        crate::fault::install_quiet_hook();
+        let all = schedules();
+        assert_eq!(all.len(), 1 + 12 * 14 + 66 * 14 * 14);
+        // Only a rotten newest seal or a failing replay can end a run.
+        let can_end = |f| matches!(f, Fault::RotNewest | Fault::RotBoth | Fault::ReplayFails);
+        for checkpoint_every in [1, 3, 4] {
+            let cfg = StreamConfig { checkpoint_every, max_retries: 1 };
+            let mut ended = 0;
+            for faults in &all {
+                if run_schedule(cfg, faults) {
+                    ended += 1;
+                    assert!(faults.iter().any(|s| can_end(s.1)), "{faults:?}");
+                }
+            }
+            assert!(ended > 0);
+        }
     }
 
     #[test]
@@ -709,7 +881,8 @@ mod tests {
     #[test]
     fn raised_transient_is_absorbed_as_retried() {
         let mut stage = CounterStage::clean();
-        stage.raise_on = Some((5, Error::TransientLaunchFailure { kernel: "counter", attempts: 1 }));
+        let e = Error::TransientLaunchFailure { kernel: "counter", attempts: 1 };
+        stage.raise_on = vec![(5, e)];
         let mut r = runner(stage, StreamConfig::default());
         let mut verdicts = vec![];
         r.run(10, |rep| verdicts.push(rep.verdict)).unwrap();
@@ -721,7 +894,7 @@ mod tests {
     #[test]
     fn raised_cancellation_ends_the_stream() {
         let mut stage = CounterStage::clean();
-        stage.raise_on = Some((3, Error::Canceled { kernel: "counter" }));
+        stage.raise_on = vec![(3, Error::Canceled { kernel: "counter" })];
         let mut r = runner(stage, StreamConfig::default());
         assert_eq!(r.run(8, |_| {}).unwrap_err(), Error::Canceled { kernel: "counter" });
         assert_eq!(r.stats().windows, 3, "windows before the cancellation were delivered");

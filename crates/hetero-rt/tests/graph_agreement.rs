@@ -209,10 +209,6 @@ impl StreamStage for Replayed<'_> {
         Ok(())
     }
 
-    fn reference(&self, _state: &mut Vec<Vec<u32>>, window: u64) {
-        unreachable!("window {window}: recovery on the clean queue failed");
-    }
-
     fn digest(&self, state: &Vec<Vec<u32>>) -> u64 {
         let mut h = DefaultHasher::new();
         state.hash(&mut h);

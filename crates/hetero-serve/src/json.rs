@@ -6,7 +6,8 @@
 //! what the protocol needs: one object per line, string/number/bool/null
 //! scalars, nested arrays and objects, UTF-8 strings with the standard
 //! escapes. Numbers are kept as `f64` (every protocol field fits
-//! losslessly: ids and deadlines stay well under 2^53).
+//! losslessly: ids and deadlines stay well under 2^53). Nesting deeper
+//! than 32 levels is an error, so no line can exhaust the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -74,12 +75,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Requests are flat
+/// objects; the parser recurses once per level.
+const MAX_DEPTH: usize = 32;
+
 /// Parse one JSON document from `s`, requiring it to span the whole
 /// string (trailing whitespace allowed).
 pub fn parse(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -93,12 +98,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects around this value.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => parse_str(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -180,7 +189,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -189,7 +198,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -202,7 +211,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -221,7 +230,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -287,6 +296,22 @@ mod tests {
         assert!(parse(r#"{"a": 1} trailing"#).is_err());
         assert!(parse(r#""unterminated"#).is_err());
         assert!(parse("01a").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let deep_arr = "[".repeat(50_000);
+        let deep_obj = r#"{"a":"#.repeat(50_000);
+        for line in [&deep_arr, &deep_obj] {
+            let e = parse(line).unwrap_err();
+            assert!(e.contains("nesting deeper than 32"), "{e}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+        let v = parse(r#"{"op": "submit", "id": 1}"#).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -475,7 +475,7 @@ impl Shared {
         let st = stream.stats();
         let verdict = if st.dropped > 0 {
             Verdict::Quarantined {
-                reason: format!("stream dropped {} window(s) past the containment budget", st.dropped),
+                reason: "stream ended: no verified recovery for a failed window".to_string(),
             }
         } else if st.non_delivered() > 0 {
             Verdict::Corrected { events: st.non_delivered() }
