@@ -275,6 +275,11 @@ fn mask_source(text: &str) -> (Vec<u8>, Vec<(usize, String)>) {
                 i += 1;
                 while i < bytes.len() {
                     if bytes[i] == b'\\' {
+                        // A `\` that continues the literal on the next
+                        // line still ends this one.
+                        if bytes.get(i + 1) == Some(&b'\n') {
+                            line += 1;
+                        }
                         i += 2;
                     } else if bytes[i] == b'"' {
                         i += 1;
@@ -1302,6 +1307,21 @@ mod tests {
         // file's own test module, a `tests/` directory and an `impl`
         // header only. `Reached` is named by `makes`'s signature.
         assert_eq!(fired, vec![("crates/rt/src/lib.rs".to_string(), 3), ("crates/rt/src/lib.rs".to_string(), 9)]);
+    }
+
+    #[test]
+    fn an_allow_below_a_continued_string_literal_still_applies() {
+        let lib = "pub fn reason() -> &'static str {\n\
+            \"stream ended: no verified recovery \\\n\
+            for a failed window\"\n\
+            }\n\
+            // lint:allow(unused-pub) named by an integration test only\n\
+            pub fn tenant_ledger() {}\n";
+        let fired = unused_pub(&[
+            ("crates/rt/src/lib.rs", lib),
+            ("crates/core/src/app.rs", "fn run() { rt::reason(); }"),
+        ]);
+        assert_eq!(fired, vec![]);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! the cloud must be drawn [`CLOUD_SPEEDUP`] times faster than the
 //! serial loop.
 
+use std::cell::RefCell;
 use std::process::ExitCode;
 
 use altis_bench::json::{arr, Obj};
@@ -209,17 +210,15 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
         rows.push(measure_fork("kmeans_map", bytes, &|| pass(&q)));
     }
 
-    // Exclusive scan: phase 1 reads every element, phase 3 reads and
-    // writes every element — 12 B per element.
+    // Exclusive scan: the block-totals launch reads every element, the
+    // scan-and-add launch reads and writes every element — 12 B each.
     {
         const N: usize = 4 << 20;
         let input: Vec<u32> = (0..N as u32).map(|i| i.wrapping_mul(0x9E37_79B9) >> 24).collect();
-        let mut output = vec![0u32; N];
-        let out_addr = &mut output as *mut Vec<u32> as usize;
-        let input_ref = &input;
+        let output = RefCell::new(vec![0u32; N]);
         rows.push(measure("scan_u32", 12.0 * N as f64, &|| {
-            let out = unsafe { &mut *(out_addr as *mut Vec<u32>) };
-            par_dpl::scan::exclusive_scan_onedpl_style(input_ref, out);
+            let mut out = output.borrow_mut();
+            par_dpl::scan::exclusive_scan_onedpl_style(&input, &mut out);
             std::hint::black_box(out[N - 1]);
         }));
     }
@@ -237,7 +236,7 @@ fn roofline(gate: Option<f64>, out_path: &str) -> ExitCode {
     }
 
     // Min reduction: one streaming read per element, a sequential
-    // `f32::min` fold per pool chunk.
+    // `f32::min` fold per block.
     {
         const N: usize = 4 << 20;
         let data: Vec<f32> =

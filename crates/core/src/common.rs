@@ -1,6 +1,7 @@
 //! Shared types for all applications.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::sync::{Mutex, PoisonError};
 
 /// Which implementation stage of an application to run, mirroring the
 /// paper's migration pipeline on the GPU side.
@@ -99,8 +100,13 @@ pub(crate) fn fill_rows<T: Clone + Default + Send>(
     }
     let threads = hetero_rt::pool::auto_threads().min(rows);
     let per = rows.div_ceil(8 * threads);
-    let mut parts: Vec<&mut [T]> = out.chunks_mut(per * width).collect();
-    hetero_rt::pool::parallel_parts(&mut parts, threads, |t, part| fill(t * per, part));
+    // Each range is claimed once, so its lock is never contended.
+    let parts: Vec<Mutex<&mut [T]>> = out.chunks_mut(per * width).map(Mutex::new).collect();
+    hetero_rt::pool::run_job(parts.len(), threads, &|start, end| {
+        for (t, part) in (start..).zip(&parts[start..end]) {
+            fill(t * per, &mut part.lock().unwrap_or_else(PoisonError::into_inner));
+        }
+    });
     out
 }
 

@@ -190,14 +190,15 @@ pub fn golden(p: &PfParams, variant: PfVariant) -> PfOutput {
 }
 
 /// Runtime version: propagate/weight as a parallel kernel (per-particle
-/// RNG streams keep it bit-identical to the golden run), reductions on
-/// the host, resampling as a parallel CDF walk.
+/// RNG streams keep it bit-identical to the golden run), the estimate
+/// and CDF in [`frame_tail`] on the host, resampling as a parallel CDF
+/// walk.
 pub fn run(q: &Queue, p: &PfParams, variant: PfVariant, version: AppVersion) -> PfOutput {
     run_with(q, p, variant, version, ExecMode::Graph)
 }
 
-/// [`run`] with an explicit execution mode. The host reductions, CDF
-/// build and particle swap stay between kernels in every mode; each
+/// [`run`] with an explicit execution mode. The host tail and particle
+/// swap stay between kernels in every mode; each
 /// mode executes the one recorded pair ([`propagate_graph`],
 /// [`resample_graph`]), whose frame-varying scalars the host writes
 /// into [`Cloud::frame`] before each step.
@@ -220,26 +221,10 @@ pub fn run_with(
         cloud.frame.host_set(1, ty);
         propagate.run(q);
 
-        // Normalise + estimate, using the library reductions (the
-        // original uses reduction kernels; par-dpl's primitives are the
-        // oneDPL stand-ins).
-        // The host reductions borrow the three arrays where the kernel
-        // left them; the CDF is built straight into its buffer.
+        // The host tail reads the kernel's arrays in place and builds
+        // the CDF straight into its buffer.
         let (xe, ye) = cloud.weights.read(|w| {
-            let sum = par_dpl::reduce_sum(w);
-            let sum = if sum <= 0.0 { 1.0 } else { sum };
-            let xe: f32 = cloud.xs.read(|x| par_dpl::dot_f32(x, w)) / sum;
-            let ye: f32 = cloud.ys.read(|y| par_dpl::dot_f32(y, w)) / sum;
-
-            // CDF + systematic resample.
-            cloud.cdf.write(|cdf| {
-                let mut acc = 0.0;
-                for i in 0..n {
-                    acc += w[i] / sum;
-                    cdf[i] = acc;
-                }
-            });
-            (xe, ye)
+            cloud.xs.read(|x| cloud.ys.read(|y| cloud.cdf.write(|cdf| frame_tail(w, x, y, cdf))))
         });
         out.xe.push(xe);
         out.ye.push(ye);
@@ -250,6 +235,31 @@ pub fn run_with(
         cloud.nys.read(|v| cloud.ys.write_from(v));
     }
     out
+}
+
+/// The host tail of a frame, shared by [`run_with`] and
+/// [`streaming`]: normalise `weights` into `cdf`, dot the positions with
+/// it for the estimate `(xe, ye)`, then prefix-sum `cdf` in place.
+/// Sequential folds, so the estimate never depends on the pool's width.
+pub(crate) fn frame_tail(
+    weights: &[f32],
+    xs: &[f32],
+    ys: &[f32],
+    cdf: &mut [f32],
+) -> (f32, f32) {
+    let sum: f32 = weights.iter().sum();
+    let sum = if sum <= 0.0 { 1.0 } else { sum };
+    for (c, &w) in cdf.iter_mut().zip(weights) {
+        *c = w / sum;
+    }
+    let xe: f32 = xs.iter().zip(cdf.iter()).map(|(x, w)| x * w).sum();
+    let ye: f32 = ys.iter().zip(cdf.iter()).map(|(y, w)| y * w).sum();
+    let mut acc = 0.0;
+    for c in cdf.iter_mut() {
+        acc += *c;
+        *c = acc;
+    }
+    (xe, ye)
 }
 
 /// Device state of the filter: the particle cloud with its per-particle

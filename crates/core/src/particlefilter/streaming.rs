@@ -3,19 +3,19 @@
 //! golden 1-based frame clock).
 //!
 //! The device half replays the batch runner's recorded propagate/weight
-//! and resample kernels; the normalisation, estimate and CDF build run as
-//! *sequential host folds* (replacing the batch path's parallel
-//! reductions), so the hardened and recovery trails are bit-identical —
-//! the property checkpoint/rollback replay depends on.
-//! Estimates track the golden filter to the suite's 0.05 tolerance
-//! (association order of the host folds differs from the golden text,
-//! same as the batch runner).
+//! and resample kernels, and the host half is the batch runner's
+//! [`super::frame_tail`]: sequential folds for the normalisation,
+//! estimate and CDF, so a window's estimate equals the batch frame's bit
+//! for bit, and the hardened and recovery trails are bit-identical — the
+//! property checkpoint/rollback replay depends on. Estimates track the
+//! golden filter to the suite's 0.05 tolerance (the host folds associate
+//! differently from the golden text).
 
 use altis_data::PfParams;
 use hetero_rt::prelude::*;
 use hetero_rt::stream::StreamStage;
 
-use super::{true_pos, Cloud, Lcg, PfVariant};
+use super::{frame_tail, true_pos, Cloud, Lcg, PfVariant};
 use crate::suite::{pack, Fingerprint};
 
 /// Carried filter state across windows.
@@ -66,25 +66,6 @@ impl PfStream {
         }
     }
 
-    /// Host frame tail shared by every path: normalise, estimate, CDF.
-    /// Returns (normalised weights as CDF, xe, ye).
-    fn frame_tail(weights: &mut [f32], xs: &[f32], ys: &[f32]) -> (Vec<f32>, f32, f32) {
-        let sum: f32 = weights.iter().sum();
-        let sum = if sum <= 0.0 { 1.0 } else { sum };
-        for w in weights.iter_mut() {
-            *w /= sum;
-        }
-        let xe: f32 = xs.iter().zip(weights.iter()).map(|(x, w)| x * w).sum();
-        let ye: f32 = ys.iter().zip(weights.iter()).map(|(y, w)| y * w).sum();
-        let mut cdf = vec![0f32; weights.len()];
-        let mut acc = 0.0;
-        for (c, &w) in cdf.iter_mut().zip(weights.iter()) {
-            acc += w;
-            *c = acc;
-        }
-        (cdf, xe, ye)
-    }
-
     fn frame_u0(frame: usize, n: usize) -> f32 {
         Lcg::new(frame as u64 * 7919).uniform() / n as f32
     }
@@ -108,11 +89,10 @@ impl StreamStage for PfStream {
         cloud.seeds.write_from(&state.seeds);
         cloud.frame.write_from(&[tx, ty, Self::frame_u0(frame, n)]);
         self.propagate.replay(q)?;
-        let mut w = q.read_back(&cloud.weights)?;
+        let w = q.read_back(&cloud.weights)?;
         let (xs, ys, seeds) =
             (q.read_back(&cloud.xs)?, q.read_back(&cloud.ys)?, q.read_back(&cloud.seeds)?);
-        let (cdf, xe, ye) = Self::frame_tail(&mut w, &xs, &ys);
-        cloud.cdf.write_from(&cdf);
+        let (xe, ye) = cloud.cdf.write(|cdf| frame_tail(&w, &xs, &ys, cdf));
         self.resample.replay(q)?;
         // Commit only after *both* replays succeeded (state-on-success).
         let (nxs, nys) = (q.read_back(&cloud.nxs)?, q.read_back(&cloud.nys)?);
@@ -134,6 +114,29 @@ mod tests {
 
     fn tiny() -> PfParams {
         PfParams { n_particles: 256, frames: 5, dim: 128 }
+    }
+
+    #[test]
+    fn batch_estimates_equal_the_stream_windows_bit_for_bit() {
+        let q = Queue::new(Device::cpu());
+        let size1 = altis_data::particlefilter(altis_data::InputSize::S1);
+        for p in [tiny(), size1] {
+            for variant in [PfVariant::Naive, PfVariant::Float] {
+                let v = crate::common::AppVersion::SyclOptimized;
+                let batch = crate::particlefilter::run(&q, &p, variant, v);
+                let stage = PfStream::new(&p, variant, &q).unwrap();
+                let initial = PfStream::initial_state(&p);
+                let mut runner =
+                    StreamRunner::new(q.clone(), q.clone(), stage, initial, StreamConfig::default());
+                for f in 0..p.frames {
+                    runner.next_window().unwrap();
+                    let st = runner.state();
+                    let what = format!("{variant:?}, {} particles, frame {f}", p.n_particles);
+                    assert_eq!(st.xe.to_bits(), batch.xe[f].to_bits(), "xe: {what}");
+                    assert_eq!(st.ye.to_bits(), batch.ye[f].to_bits(), "ye: {what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
 use crate::fault::{classify_panic, FaultPlan};
 use crate::ndrange::{GroupCtx, NdRange, Range};
-use crate::pool::{ClaimMode, SpanSet};
+use crate::pool::SpanSet;
 
 /// How many worker threads a launch may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +102,7 @@ where
     K: Fn(&GroupCtx) + Sync,
 {
     let mut spans = SPANS.take().unwrap_or_else(SpanSet::empty);
-    let parts = parallelism.thread_count();
-    spans.init(nd.num_groups(), parts, parts);
+    spans.init(nd.num_groups(), parallelism.thread_count());
     let nodes = [Node::new(kernel_name, nd, kernel, spans)];
     let r = walk(&nodes, &[(0, 1)], parallelism, local_mem_limit, faults, sanitize, cancel);
     let [node] = nodes;
@@ -200,7 +199,7 @@ where
                 let last = i + 1 == phases.len();
                 for node in &nodes[ps..pe] {
                     while !abort.load(Ordering::Relaxed) {
-                        let Some((start, end)) = node.spans.claim(home, ClaimMode::Stealing) else {
+                        let Some((start, end)) = node.spans.claim(home) else {
                             break;
                         };
                         for g in start..end {

@@ -40,16 +40,12 @@
 //! atomic word; every caller (group counts, item counts, part counts) is
 //! orders of magnitude below that.
 //!
-//! # Claim modes
+//! # One claim mode
 //!
-//! * [`ClaimMode::Stealing`] (default): front halves + back-half steals.
-//! * [`ClaimMode::Ordered`]: one global span claimed front-to-back in
-//!   adaptive chunks — **globally ascending claim order**, the contract
-//!   the chained look-back scan spin-waits rely on
-//!   ([`parallel_parts_ordered`]). Stealing would hand out a successor
-//!   chunk while its predecessor is still unclaimed, and a single active
-//!   thread spinning on that predecessor would never run it: ordered
-//!   callers must never run under stealing.
+//! Chunk boundaries and their order depend on the schedule: a thief can
+//! hold chunk `t` while chunk `t - 1` is still unclaimed. So a task must
+//! never wait on another index of its own job; a computation whose chunks
+//! depend on each other (a scan's carry) runs as two launches instead.
 //!
 //! # Deadlock freedom for nested launches
 //!
@@ -84,17 +80,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// How claims are handed out from a [`SpanSet`]; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ClaimMode {
-    /// Owner pops front halves of its own span; thieves steal back
-    /// halves of victims' spans. The default.
-    Stealing,
-    /// One global span, front-to-back adaptive chunks: globally
-    /// ascending claim order for tasks with cross-chunk waits.
-    Ordered,
-}
-
 /// Pack a span's bounds into one atomic word: `lo` in the high half,
 /// `hi` in the low half. Empty when `lo >= hi`.
 #[inline]
@@ -115,8 +100,6 @@ pub(crate) struct SpanSet {
     spans: Box<[AtomicU64]>,
     /// Total indices the set was initialised with.
     total: usize,
-    /// Thread basis for [`ClaimMode::Ordered`] chunk sizing.
-    basis: usize,
     /// Indices not yet claimed (advisory; exactness lives in the spans).
     unclaimed: AtomicUsize,
     /// Successful claims since the last reset (owner + stolen).
@@ -137,20 +120,17 @@ impl SpanSet {
         let mut s = SpanSet {
             spans: (0..parts).map(|_| AtomicU64::new(0)).collect(),
             total,
-            basis: parts,
             unclaimed: AtomicUsize::new(0),
             claims: AtomicUsize::new(0),
             steals: AtomicUsize::new(0),
         };
-        s.init(total, parts, parts);
+        s.init(total, parts);
         s
     }
 
     /// Re-initialise in place (job-scratch reuse path; exclusivity is
-    /// guaranteed by the caller holding `&mut`). `basis` is the thread
-    /// count [`ClaimMode::Ordered`] sizing divides by; equal to `parts`
-    /// except in ordered mode, where `parts == 1`.
-    pub(crate) fn init(&mut self, total: usize, parts: usize, basis: usize) {
+    /// guaranteed by the caller holding `&mut`).
+    pub(crate) fn init(&mut self, total: usize, parts: usize) {
         assert!(
             total <= u32::MAX as usize,
             "pool jobs are bounded to u32::MAX indices (got {total})"
@@ -160,7 +140,6 @@ impl SpanSet {
             self.spans = (0..parts).map(|_| AtomicU64::new(0)).collect();
         }
         self.total = total;
-        self.basis = basis.max(1);
         self.reset();
     }
 
@@ -192,8 +171,8 @@ impl SpanSet {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Take up to `size(n)` indices from the front of span `p`.
-    fn take_front(&self, p: usize, size: impl Fn(usize) -> usize) -> Option<(usize, usize)> {
+    /// Take the front half (rounded up) of span `p`.
+    fn take_front(&self, p: usize) -> Option<(usize, usize)> {
         let span = &self.spans[p];
         let mut cur = span.load(Ordering::Relaxed);
         loop {
@@ -201,8 +180,7 @@ impl SpanSet {
             if lo >= hi {
                 return None;
             }
-            let n = (hi - lo) as usize;
-            let take = size(n).clamp(1, n) as u32;
+            let take = (hi - lo).div_ceil(2);
             match span.compare_exchange_weak(
                 cur,
                 pack(lo + take, hi),
@@ -246,33 +224,13 @@ impl SpanSet {
         }
     }
 
-    /// Claim the next chunk for participant `home` under `mode`, or
-    /// `None` when every span is empty.
-    pub(crate) fn claim(&self, home: usize, mode: ClaimMode) -> Option<(usize, usize)> {
+    /// Claim the next chunk for participant `home`, or `None` when every
+    /// span is empty: a front half of its own span (ascending,
+    /// cache-warm), else a back half of the nearest nonempty victim's.
+    pub(crate) fn claim(&self, home: usize) -> Option<(usize, usize)> {
         let k = self.spans.len();
-        match mode {
-            ClaimMode::Stealing => {
-                // Own span first: front halves, ascending, cache-warm.
-                let own = home % k;
-                if let Some(r) = self.take_front(own, |n| n.div_ceil(2)) {
-                    return Some(r);
-                }
-                // Steal a back half from the nearest nonempty victim.
-                for d in 1..k {
-                    if let Some(r) = self.take_back((own + d) % k) {
-                        return Some(r);
-                    }
-                }
-                None
-            }
-            ClaimMode::Ordered => {
-                // Single global span, ascending adaptive chunks — the
-                // original shared-counter behaviour, preserved for
-                // callers whose tasks wait on lower-indexed chunks.
-                let basis = self.basis.max(1);
-                self.take_front(0, |n| (n / (basis * 4)).max(1))
-            }
-        }
+        let own = home % k;
+        self.take_front(own).or_else(|| (1..k).find_map(|d| self.take_back((own + d) % k)))
     }
 
     /// Empty every span, returning how many indices were drained.
@@ -312,8 +270,6 @@ struct Job {
     done: AtomicUsize,
     /// Total indices in the job.
     total: usize,
-    /// How claims are handed out.
-    mode: ClaimMode,
     /// How many pool workers may help (the submitter is always extra).
     max_helpers: usize,
     /// Pool workers currently helping.
@@ -359,7 +315,7 @@ impl Job {
             if self.canceled.load(Ordering::Acquire) {
                 return;
             }
-            let Some((start, end)) = self.spans.claim(home, self.mode) else {
+            let Some((start, end)) = self.spans.claim(home) else {
                 return;
             };
             // SAFETY: chunk successfully claimed, so the submitter is
@@ -525,20 +481,17 @@ fn acquire_job(
     pool: &Shared,
     task: *const (dyn Fn(usize, usize) + Sync),
     total: usize,
-    parts: usize,
-    basis: usize,
-    mode: ClaimMode,
     max_helpers: usize,
 ) -> Arc<Job> {
+    let parts = max_helpers + 1;
     JOB_SCRATCH.with(|s| {
         let mut slot = s.borrow_mut();
         if let Some(mut job) = slot.take() {
             if let Some(j) = Arc::get_mut(&mut job) {
                 j.task = task;
                 j.total = total;
-                j.mode = mode;
                 j.max_helpers = max_helpers;
-                j.spans.init(total, parts, basis);
+                j.spans.init(total, parts);
                 j.done.store(0, Ordering::Relaxed);
                 j.helpers.store(0, Ordering::Relaxed);
                 j.joiners.store(0, Ordering::Relaxed);
@@ -555,14 +508,11 @@ fn acquire_job(
             *slot = Some(job);
         }
         pool.allocated.fetch_add(1, Ordering::Relaxed);
-        let mut spans = SpanSet::new(total, parts);
-        spans.init(total, parts, basis);
         Arc::new(Job {
             task,
-            spans,
+            spans: SpanSet::new(total, parts),
             done: AtomicUsize::new(0),
             total,
-            mode,
             max_helpers,
             helpers: AtomicUsize::new(0),
             joiners: AtomicUsize::new(0),
@@ -590,15 +540,14 @@ fn stash_job(job: Arc<Job>) {
 /// `threads - 1` pool workers). `task(start, end)` is invoked with
 /// disjoint, collectively exhaustive sub-ranges; chunk boundaries *and
 /// their order* are nondeterministic under contention (thieves run
-/// back halves), so tasks must not depend on them — tasks that wait on
-/// lower-indexed chunks must use [`parallel_parts_ordered`].
+/// back halves), so tasks must not depend on them or wait on each other.
 ///
 /// Returns the dispatch duration: the time spent publishing the job to
 /// the pool before the submitting thread started executing work itself.
 /// This is the "pool handoff" component of launch overhead, recorded
 /// separately from kernel time in profiling events.
 pub fn run_job(total: usize, threads: usize, task: &(dyn Fn(usize, usize) + Sync)) -> Duration {
-    let (dispatch, payload, _) = run_job_inner(total, threads, ClaimMode::Stealing, task);
+    let (dispatch, payload, _) = run_job_inner(total, threads, task);
     if let Some(p) = payload {
         // Re-raise on the submitting thread: callers keep ordinary panic
         // semantics while the pool workers stay alive and parked.
@@ -614,7 +563,7 @@ pub fn run_job_counted(
     threads: usize,
     task: &(dyn Fn(usize, usize) + Sync),
 ) -> (Duration, JobStats) {
-    let (dispatch, payload, stats) = run_job_inner(total, threads, ClaimMode::Stealing, task);
+    let (dispatch, payload, stats) = run_job_inner(total, threads, task);
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }
@@ -631,14 +580,13 @@ pub fn run_job_catch(
     threads: usize,
     task: &(dyn Fn(usize, usize) + Sync),
 ) -> (Duration, Option<Box<dyn std::any::Any + Send>>) {
-    let (dispatch, payload, _) = run_job_inner(total, threads, ClaimMode::Stealing, task);
+    let (dispatch, payload, _) = run_job_inner(total, threads, task);
     (dispatch, payload)
 }
 
 fn run_job_inner(
     total: usize,
     threads: usize,
-    mode: ClaimMode,
     task: &(dyn Fn(usize, usize) + Sync),
 ) -> (Duration, Option<Box<dyn std::any::Any + Send>>, JobStats) {
     let pool = global();
@@ -652,13 +600,6 @@ fn run_job_inner(
     pool.dispatched.fetch_add(1, Ordering::Relaxed);
     let threads = threads.max(1).min(pool.threads.max(1));
     let max_helpers = threads.saturating_sub(1).min(total.saturating_sub(1));
-    // Ordered mode keeps a single global span; sizing still divides by
-    // the thread basis, so SpanSet records it via `parts` on a 1-span
-    // set (see `SpanSet::claim`).
-    let parts = match mode {
-        ClaimMode::Ordered => 1,
-        _ => max_helpers + 1,
-    };
     // SAFETY: lifetime erasure only; run_job blocks until done == total,
     // so the referent outlives every dereference (module-level argument).
     let task = unsafe {
@@ -667,7 +608,7 @@ fn run_job_inner(
             *const (dyn Fn(usize, usize) + Sync),
         >(task)
     };
-    let job = acquire_job(pool, task, total, parts, threads, mode, max_helpers);
+    let job = acquire_job(pool, task, total, max_helpers);
 
     let handoff = Instant::now();
     if max_helpers > 0 {
@@ -703,69 +644,6 @@ fn run_job_inner(
     };
     stash_job(job);
     (dispatch, payload, stats)
-}
-
-/// Raw-pointer wrapper so disjoint `&mut` parts can cross threads.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole `Sync` wrapper, not the bare `*mut T` field — 2021-edition
-    /// closures capture individual fields otherwise.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Apply `f(index, &mut part)` to every element of `parts` on the pool,
-/// with at most `threads` threads. Each element is visited exactly once,
-/// so handing out disjoint `&mut` references is sound. This is the shape
-/// `par-dpl` fan-outs need: per-thread partial slots or `chunks_mut`
-/// pieces processed concurrently without spawning scoped threads.
-pub fn parallel_parts<T, F>(parts: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    parallel_parts_mode(parts, threads, ClaimMode::Stealing, f);
-}
-
-/// [`parallel_parts`] with **globally ascending claim order**: by the
-/// time any thread works on part `t`, part `t-1` has already been
-/// claimed by a running thread. The chained look-back scan spin-waits on
-/// its predecessor's published total and would deadlock under stealing
-/// (a back-half thief can hold part `t` while `t-1` is unclaimed and no
-/// free thread remains to claim it); this mode keeps the original
-/// shared-counter hand-out for exactly such tasks.
-pub fn parallel_parts_ordered<T, F>(parts: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    parallel_parts_mode(parts, threads, ClaimMode::Ordered, f);
-}
-
-fn parallel_parts_mode<T, F>(parts: &mut [T], threads: usize, mode: ClaimMode, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let base = SendPtr(parts.as_mut_ptr());
-    let total = parts.len();
-    let task = move |start: usize, end: usize| {
-        for i in start..end {
-            // SAFETY: the pool claims each index exactly once, so this
-            // &mut is exclusive; `base` stays valid while run_job blocks.
-            let part = unsafe { &mut *base.get().add(i) };
-            f(i, part);
-        }
-    };
-    let (_, payload, _) = run_job_inner(total, threads, mode, &task);
-    if let Some(p) = payload {
-        std::panic::resume_unwind(p);
-    }
 }
 
 #[cfg(test)]
@@ -821,22 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_mode_claims_ascend_globally() {
-        // The claim *starts* must ascend even under contention — the
-        // contract the chained look-back scan builds on.
-        let starts = Mutex::new(Vec::new());
-        let mut parts = vec![0u8; 64];
-        parallel_parts_ordered(&mut parts, auto_threads(), |i, _| {
-            lock(&starts).push(i);
-            // Parts are claimed ascending; the execution *interleaving*
-            // may still overlap, which is fine for the scan (it waits on
-            // published predecessors, not on execution order).
-        });
-        let s = lock(&starts);
-        assert_eq!(s.len(), 64);
-    }
-
-    #[test]
     fn chunk_ranges_partition_the_total() {
         let covered = AtomicU64::new(0);
         run_job(1_000, 4, &|s, e| {
@@ -871,28 +733,6 @@ mod tests {
         // alone used to cost `threads*4` claims; the whole job must now
         // cost fewer than that tail did.
         assert!(stats.claims < total / 16, "claims did not amortise: {}", stats.claims);
-    }
-
-    #[test]
-    fn parallel_parts_gives_exclusive_access() {
-        let mut parts = vec![0u64; 257];
-        parallel_parts(&mut parts, auto_threads(), |i, p| {
-            *p += i as u64 + 1;
-        });
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(*p, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn parallel_parts_ordered_visits_every_part_once() {
-        let mut parts = vec![0u64; 57];
-        parallel_parts_ordered(&mut parts, auto_threads(), |i, p| {
-            *p += i as u64 + 1;
-        });
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(*p, i as u64 + 1);
-        }
     }
 
     #[test]
@@ -966,9 +806,9 @@ mod tests {
         let mut turn = 0usize;
         loop {
             let r = if turn.is_multiple_of(3) {
-                set.claim(turn % 4, ClaimMode::Stealing)
+                set.claim(turn % 4)
             } else {
-                set.claim((turn + 1) % 4, ClaimMode::Stealing)
+                set.claim((turn + 1) % 4)
             };
             let Some((s, e)) = r else { break };
             for (i, slot) in seen.iter_mut().enumerate().take(e).skip(s) {
@@ -986,7 +826,7 @@ mod tests {
         let set = SpanSet::new(1_000, 4);
         let mut claimed = 0usize;
         for home in 0..4 {
-            if let Some((s, e)) = set.claim(home, ClaimMode::Stealing) {
+            if let Some((s, e)) = set.claim(home) {
                 claimed += e - s;
             }
         }

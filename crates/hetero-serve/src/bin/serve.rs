@@ -21,12 +21,12 @@
 //! Responses carry the submitting line's `id`; on stdin they interleave
 //! in completion order, so clients correlate by id, not by order.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hetero_serve::json::{self, Json};
-use hetero_serve::protocol::JobRequest;
+use hetero_serve::protocol::{JobRequest, LineReader};
 use hetero_serve::{MonotonicClock, ResultSink, Scheduler, ServeConfig, ServeStats};
 
 fn stats_line(s: &ServeStats) -> String {
@@ -48,16 +48,24 @@ fn stats_line(s: &ServeStats) -> String {
     )
 }
 
-/// Handle one protocol line. Returns false when the connection should
+/// Handle one protocol line, or the reason a line was unreadable (over
+/// the length cap, not UTF-8). Returns false when the connection should
 /// close (a drain request).
 fn handle_line(
-    line: &str,
+    line: Result<&str, String>,
     scheduler: &Scheduler,
     sink: &ResultSink,
     errors: &AtomicU64,
     reply: &dyn Fn(String),
 ) -> bool {
-    let line = line.trim();
+    let line = match line {
+        Ok(line) => line.trim(),
+        Err(e) => {
+            errors.fetch_add(1, Ordering::Relaxed);
+            reply(format!("{{\"error\":\"{}\"}}", json::escape(&e)));
+            return true;
+        }
+    };
     if line.is_empty() {
         return true;
     }
@@ -113,10 +121,9 @@ fn run_stdin(scheduler: Arc<Scheduler>) {
         let _ = o.flush();
     };
     let errors = AtomicU64::new(0);
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if !handle_line(&line, &scheduler, &sink, &errors, &reply) {
+    let mut lines = LineReader::new(std::io::stdin().lock());
+    while let Ok(Some(line)) = lines.next_line() {
+        if !handle_line(line, &scheduler, &sink, &errors, &reply) {
             return; // drained: shutdown already ran
         }
     }
@@ -152,10 +159,9 @@ fn run_socket(scheduler: Arc<Scheduler>, path: &str) {
                 let _ = writeln!(o, "{s}");
             };
             let errors = AtomicU64::new(0);
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if !handle_line(&line, &scheduler, &sink, &errors, &reply) {
+            let mut lines = LineReader::new(BufReader::new(stream));
+            while let Ok(Some(line)) = lines.next_line() {
+                if !handle_line(line, &scheduler, &sink, &errors, &reply) {
                     // A drain over a socket stops the whole server; the
                     // accept loop ends when the process exits.
                     std::process::exit(0);

@@ -410,6 +410,61 @@ impl JobResult {
     }
 }
 
+/// The longest request line the service reads, newline excluded.
+pub(crate) const MAX_LINE_BYTES: usize = 64 << 10;
+
+/// Reads request lines through a 64 KiB length cap. The line
+/// buffer is allocated once and never grows: the rest of an over-long
+/// line is read and dropped chunk by chunk, never stored.
+pub struct LineReader<R> {
+    inner: R,
+    line: Vec<u8>,
+}
+
+impl<R: std::io::BufRead> LineReader<R> {
+    /// Read lines from `inner`.
+    pub fn new(inner: R) -> Self {
+        LineReader { inner, line: Vec::with_capacity(MAX_LINE_BYTES) }
+    }
+
+    /// The next line without its newline, `None` at end of input. A line
+    /// over the cap, or not UTF-8, is consumed whole and comes back as
+    /// the reason to reply with, so the next call reads the line after.
+    pub fn next_line(&mut self) -> std::io::Result<Option<Result<&str, String>>> {
+        self.line.clear();
+        let (mut seen, mut over) = (false, false);
+        loop {
+            let chunk = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                if !seen {
+                    return Ok(None);
+                }
+                break;
+            }
+            seen = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let len = newline.unwrap_or(chunk.len());
+            over |= self.line.len() + len > MAX_LINE_BYTES;
+            if !over {
+                self.line.extend_from_slice(&chunk[..len]);
+            }
+            self.inner.consume(len + usize::from(newline.is_some()));
+            if newline.is_some() {
+                break;
+            }
+        }
+        if over {
+            return Ok(Some(Err(format!("line longer than {MAX_LINE_BYTES} bytes"))));
+        }
+        let text = std::str::from_utf8(&self.line).map_err(|e| format!("line is not UTF-8: {e}"));
+        Ok(Some(text))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,5 +549,25 @@ mod tests {
         assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("run_ms").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("run_us").and_then(Json::as_u64), Some(7_412));
+    }
+
+    #[test]
+    fn an_over_long_line_is_dropped_without_growing_the_buffer() {
+        const CHUNK: usize = 8 << 10;
+        let mut wire = vec![b'['; 16 << 20];
+        wire.extend_from_slice(b"\n{\"id\":1}\n");
+        wire.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES));
+        wire.extend_from_slice(b"\n\xff\nlast");
+        let mut lines = LineReader::new(std::io::BufReader::with_capacity(CHUNK, &wire[..]));
+        let too_long = format!("line longer than {MAX_LINE_BYTES} bytes");
+        assert_eq!(lines.next_line().unwrap(), Some(Err(too_long)));
+        assert!(lines.line.capacity() <= MAX_LINE_BYTES + CHUNK, "{}", lines.line.capacity());
+        assert_eq!(lines.next_line().unwrap(), Some(Ok(r#"{"id":1}"#)));
+        let at_cap = lines.next_line().unwrap().unwrap().unwrap().len();
+        assert_eq!(at_cap, MAX_LINE_BYTES);
+        assert!(matches!(lines.next_line().unwrap(), Some(Err(e)) if e.contains("UTF-8")));
+        assert_eq!(lines.next_line().unwrap(), Some(Ok("last")));
+        assert_eq!(lines.next_line().unwrap(), None);
+        assert!(lines.line.capacity() <= MAX_LINE_BYTES + CHUNK);
     }
 }

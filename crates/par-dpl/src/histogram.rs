@@ -1,27 +1,36 @@
-//! Parallel histogram — per-thread private bins merged at the end, the
-//! standard GPU-library formulation.
+//! Parallel histogram: each work-group counts its block into a private
+//! table, publishes it once, and the tables merge on the host in group
+//! order — the standard GPU-library formulation.
+
+use hetero_rt::{writes, Buffer};
+
+use crate::util::{block, for_blocks, BLOCK};
 
 /// Histogram of `u32` keys into `bins` buckets by modulo (the integer
-/// bucketing the record-filtering workloads use).
+/// bucketing the record-filtering workloads use). A block holds at least
+/// `bins` keys, so the published tables never outgrow the input by more
+/// than one table.
 pub fn histogram_u32_mod(data: &[u32], bins: usize) -> Vec<u64> {
     assert!(bins > 0, "histogram needs at least one bin");
-    let n = data.len();
-    let threads = crate::util::thread_count_for(n, 8192);
-    let chunk = n.div_ceil(threads).max(1);
-    let mut partials = vec![vec![0u64; bins]; threads];
-    hetero_rt::pool::parallel_parts(&mut partials, threads, |t, part| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        for &v in &data[lo..hi.max(lo)] {
-            part[v as usize % bins] += 1;
+    let per = BLOCK.max(bins);
+    let blocks = data.len().div_ceil(per);
+    let tables = Buffer::<u32>::new(blocks * bins);
+    let tv = tables.view();
+    for_blocks("histogram_u32_mod", blocks, &[writes(&tables)], |b| {
+        let mut table = vec![0u32; bins];
+        for &v in block(data, per, b) {
+            table[v as usize % bins] += 1;
         }
+        tv.copy_from_slice(b * bins, &table);
     });
     let mut out = vec![0u64; bins];
-    for part in partials {
-        for (o, p) in out.iter_mut().zip(part) {
-            *o += p;
+    tables.read(|t| {
+        for table in t.chunks(bins) {
+            for (o, &c) in out.iter_mut().zip(table) {
+                *o += u64::from(c);
+            }
         }
-    }
+    });
     out
 }
 
@@ -29,15 +38,25 @@ pub fn histogram_u32_mod(data: &[u32], bins: usize) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    fn sequential(data: &[u32], bins: usize) -> Vec<u64> {
+        let mut seq = vec![0u64; bins];
+        for &v in data {
+            seq[v as usize % bins] += 1;
+        }
+        seq
+    }
+
     #[test]
     fn mod_histogram_matches_sequential() {
         let data: Vec<u32> = (0..50_000).map(|i| i * 7 + 3).collect();
-        let par = histogram_u32_mod(&data, 10);
-        let mut seq = vec![0u64; 10];
-        for &v in &data {
-            seq[v as usize % 10] += 1;
-        }
-        assert_eq!(par, seq);
+        assert_eq!(histogram_u32_mod(&data, 10), sequential(&data, 10));
+    }
+
+    #[test]
+    fn tables_wider_than_a_block_still_merge() {
+        let data: Vec<u32> = (0..100_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let bins = BLOCK + 3;
+        assert_eq!(histogram_u32_mod(&data, bins), sequential(&data, bins));
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! Single-Task scan (Listing 2) that is up to 100× faster on Stratix 10
 //! than the GPU-shaped oneDPL one.
 //!
-//! This crate implements all three flavours as real algorithms with
-//! *structurally different* pass counts (which is exactly where the
-//! performance difference comes from), together with the reduce, dot
-//! and histogram primitives the suite calls. The custom FPGA scan also
-//! exposes the kernel-IR descriptor used by the performance models.
+//! This crate runs the oneDPL scan, and the reduce and histogram
+//! primitives the suite calls, as kernels on a plain CPU queue of their
+//! own, the queue oneDPL's `dpcpp_default` policy carries: one work-group
+//! per fixed block of 16 Ki elements, reading the caller's slice in
+//! place and writing partials and tables through bound buffers, which
+//! the host folds in block order. No result depends on the pool's width.
+//! The CUB flavour runs the same two-phase scan on the host; its
+//! single-pass advantage is a model constant (`core::migration`). The
+//! custom FPGA scan is a sequential loop plus the kernel-IR descriptor
+//! the performance models time.
 //!
 //! ## Example
 //!
@@ -31,13 +36,10 @@ pub mod reduce;
 pub mod scan;
 #[cfg(test)]
 pub(crate) mod testgen;
-pub mod transform;
-pub mod util;
+mod util;
 
 pub use histogram::histogram_u32_mod;
-pub use reduce::{reduce_min, reduce_sum};
+pub use reduce::reduce_min;
 pub use scan::{
-    exclusive_scan_cub_style, exclusive_scan_fpga_custom, exclusive_scan_onedpl_style,
-    fpga_scan_kernel_ir, ScanFlavor,
+    exclusive_scan_fpga_custom, exclusive_scan_onedpl_style, fpga_scan_kernel_ir, ScanFlavor,
 };
-pub use transform::dot_f32;

@@ -1,62 +1,26 @@
-//! Parallel reductions (sum / min) over slices.
-//!
-//! Deterministic chunked tree reductions: each thread reduces a
-//! contiguous chunk, then the chunk results reduce sequentially in chunk
-//! order, so f32 sums are reproducible run-to-run (important for the
-//! suite's regression tests).
+//! Parallel minimum over a slice: one partial per block, folded on the
+//! host in block order.
 
-fn chunked_reduce<T, F>(data: &[T], identity: T, f: F) -> T
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Send + Sync,
-{
-    let n = data.len();
-    if n == 0 {
-        return identity;
-    }
-    let threads = crate::util::thread_count_for(n, 8192);
-    if threads == 1 {
-        return data.iter().fold(identity, |a, &b| f(a, b));
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![identity; threads];
-    hetero_rt::pool::parallel_parts(&mut partials, threads, |t, p| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        if lo < hi {
-            *p = data[lo..hi].iter().fold(identity, |a, &b| f(a, b));
-        }
-    });
-    partials.into_iter().fold(identity, f)
-}
+use hetero_rt::{writes, Buffer};
 
-/// Parallel sum of f32 values (deterministic chunk order).
-///
-/// Deliberately **not** lane-vectorized: f32 addition is order-sensitive
-/// and this fold's chunk-order tree is the reproducibility contract the
-/// regression suites pin (DESIGN.md §10's refusal rule).
-pub fn reduce_sum(data: &[f32]) -> f32 {
-    chunked_reduce(data, 0.0f32, |a, b| a + b)
-}
+use crate::util::{block, for_blocks, BLOCK};
 
 /// Parallel minimum; returns `f32::INFINITY` for empty input. The fold
 /// names `f32::min` directly so it inlines: through a run-time `fn`
 /// pointer the same loop read a third of this bandwidth.
 pub fn reduce_min(data: &[f32]) -> f32 {
-    chunked_reduce(data, f32::INFINITY, f32::min)
+    let blocks = data.len().div_ceil(BLOCK);
+    let partials = Buffer::<f32>::new(blocks);
+    let pv = partials.view();
+    for_blocks("reduce_min", blocks, &[writes(&partials)], |b| {
+        pv.set(b, block(data, BLOCK, b).iter().copied().fold(f32::INFINITY, f32::min));
+    });
+    partials.read(|p| p.iter().copied().fold(f32::INFINITY, f32::min))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_matches_sequential() {
-        let data: Vec<f32> = (0..100_000).map(|i| (i % 13) as f32 * 0.25).collect();
-        let seq: f32 = data.iter().sum();
-        let par = reduce_sum(&data);
-        assert!((par - seq).abs() < seq.abs() * 1e-4);
-    }
 
     #[test]
     fn min_matches_sequential() {
@@ -66,16 +30,15 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_identities() {
-        assert_eq!(reduce_sum(&[]), 0.0);
         assert_eq!(reduce_min(&[]), f32::INFINITY);
     }
 
     #[test]
     fn reduction_is_deterministic() {
         let data: Vec<f32> = (0..200_000).map(|i| (i as f32).sin()).collect();
-        let a = reduce_sum(&data);
-        let b = reduce_sum(&data);
-        assert_eq!(a, b);
+        let a = reduce_min(&data);
+        let b = reduce_min(&data);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

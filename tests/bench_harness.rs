@@ -69,12 +69,17 @@ fn paired_recovers_a_known_cost_ratio_and_alternates_the_order() {
 fn paired_cancels_an_advantage_of_running_second() {
     // Two equal arms, but whichever runs second in a round is twice as
     // fast: every single pair reads 2.0 or 0.5, the comparison 1.0.
+    // Tens of milliseconds and seven rounds, not a few ms and five: a
+    // sleep overshoots by milliseconds on a loaded host, now and then by
+    // tens when its CPU quota runs out, and 4 ms against 2 ms read as
+    // 0.49 or 1.38 in about one run in twenty. With three or more rounds
+    // of each order, each median drops one stalled round.
     let calls = std::cell::Cell::new(0u32);
     let arm = || {
         calls.set(calls.get() + 1);
-        std::thread::sleep(Duration::from_millis(if calls.get() % 2 == 1 { 4 } else { 2 }));
+        std::thread::sleep(Duration::from_millis(if calls.get() % 2 == 1 { 40 } else { 20 }));
     };
-    let p = paired(5, arm, arm);
+    let p = paired(7, arm, arm);
     assert!((0.8..1.25).contains(&p.ratio), "equal arms read as {}", p.ratio);
     assert!(p.spread > 0.5, "the order effect shows in the spread, read {}", p.spread);
 }
