@@ -37,6 +37,15 @@
 //! accessor — and a division or a thread-local access per item in it
 //! fails the gate (about 11 ns either way with a `delinearize` per item).
 //!
+//! A fifth section, `lane_access`, prices a disarmed lane access: an
+//! 8-wide stencil body (FDTD2D's hx update, `h - c·(a - b)`, through
+//! `lanes::sweep` over `GlobalView`s) against the same stencil as a
+//! plain slice loop, over a 256² plane on the calling thread, in ns per
+//! element. The body's excess over the loop is **at most 1 ns** per
+//! element: it read 0.32–0.63 ns in ten of ten runs on the stamped host,
+//! and 1.6–2.1 ns while every lane access carried its armed-sanitizer
+//! loop inline (EXPERIMENTS.md).
+//!
 //! Reported, not gated: the disarmed queue against the walk's
 //! direct-launch entry, `run_groups_contained` (the whole queue layer —
 //! retry loop and event bookkeeping — mostly predating the defense), and
@@ -52,9 +61,10 @@ use altis_bench::json::Obj;
 use altis_bench::report::{self, Op, Report};
 use altis_bench::timing::{median, paired, samples, Paired};
 use hetero_rt::executor::{run_groups_contained, Parallelism};
+use hetero_rt::lanes::{self, Lanes};
 use hetero_rt::{
-    integrity, writes, Binding, Buffer, Device, FaultPlan, GroupCtx, Hardening, NdRange, Queue,
-    Range, Redundancy,
+    integrity, writes, Binding, Buffer, Device, FaultPlan, GlobalView, GroupCtx, Hardening,
+    NdRange, Queue, Range, Redundancy,
 };
 
 const USAGE: &str = "hook_overhead [out.json] [--launches N]";
@@ -74,6 +84,75 @@ fn enqueue<K: Fn(&GroupCtx) + Sync>(q: &Queue, bindings: &[Binding], kernel: &K)
     q.submit(bindings)
         .nd_range("storm", NdRange::d1(ITEMS, GROUP), |ctx| kernel(ctx))
         .expect("clean launch");
+}
+
+/// The `lane_access` plane's side: size 2's FDTD2D grid.
+const SIDE: usize = 256;
+
+/// FDTD2D's hx update at flat indices `i..i + W`.
+struct HxBody<'a> {
+    ez: &'a GlobalView<f32>,
+    hx: &'a GlobalView<f32>,
+}
+
+impl lanes::Body for HxBody<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, i: usize) {
+        let h = self.hx.get_lanes::<W>(i);
+        let d = self.ez.get_lanes(i + SIDE) - self.ez.get_lanes(i);
+        self.hx.set_lanes(i, h - Lanes::splat(0.7) * d);
+    }
+}
+
+/// One hx pass over the plane's `SIDE - 1` rows of `SIDE - 1`
+/// elements, as a slice loop.
+fn hx_slices(ez: &[f32], hx: &mut [f32]) {
+    for row in (0..SIDE - 1).map(|y| y * SIDE) {
+        for i in row..row + SIDE - 1 {
+            hx[i] -= 0.7 * (ez[i + SIDE] - ez[i]);
+        }
+    }
+}
+
+/// The same pass through the lane body and its accessors.
+fn hx_lanes(body: &HxBody) {
+    for row in (0..SIDE - 1).map(|y| y * SIDE) {
+        lanes::sweep(row, row + SIDE - 1, body);
+    }
+}
+
+/// `lane_access`: ns per element of the body and of the slice loop, in
+/// alternating pairs of 16-pass samples, and the body's excess.
+fn lane_access(rounds: usize) -> (Obj, f64) {
+    const PASSES: usize = 16;
+    let ez_host: Vec<f32> = (0..SIDE * SIDE).map(|i| (i % 97) as f32 * 0.01).collect();
+    let (ez, hx) = (Buffer::from_slice(&ez_host), Buffer::<f32>::new(SIDE * SIDE));
+    let (ezv, hxv) = (ez.view(), hx.view());
+    let body = HxBody { ez: &ezv, hx: &hxv };
+    let mut hx_host = vec![0f32; SIDE * SIDE];
+    lanes::force(true);
+    let t = paired(
+        rounds,
+        || (0..PASSES).for_each(|_| hx_lanes(std::hint::black_box(&body))),
+        || (0..PASSES).for_each(|_| hx_slices(&ez_host, std::hint::black_box(&mut hx_host))),
+    );
+    let elements = (PASSES * (SIDE - 1) * (SIDE - 1)) as f64;
+    let (body_ns, slice_ns) = (t.a_s * 1e9 / elements, t.b_s * 1e9 / elements);
+    println!(
+        "  lane access       : {body_ns:>8.3} ns/element body, {slice_ns:.3} slice loop \
+         ({:+.3} ns, {:.2}x, spread {:.1}%)",
+        body_ns - slice_ns,
+        t.ratio,
+        t.spread * 100.0
+    );
+    let row = Obj::new()
+        .set("elements_per_sample", elements)
+        .set("body_ns_per_element", body_ns)
+        .set("slice_ns_per_element", slice_ns)
+        .set("excess_ns_per_element", body_ns - slice_ns)
+        .set("ratio", t.ratio)
+        .set("spread", t.spread);
+    (row, body_ns - slice_ns)
 }
 
 fn main() -> ExitCode {
@@ -188,6 +267,9 @@ fn main() -> ExitCode {
             report.gate(&format!("item_loop {key} ns per work-item"), ns, Op::Le, 5.0);
         }
         report.set("item_loop", item_loop);
+        let (lane_row, excess_ns) = lane_access(31);
+        report.set("lane_access", lane_row);
+        report.gate("lane_access excess ns per element", excess_ns, Op::Le, 1.0);
 
         // The same launch on integrity queues: its one bound buffer is
         // sealed by the first, then verified and resealed by every one.

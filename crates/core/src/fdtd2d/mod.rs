@@ -16,6 +16,7 @@ use fpga_sim::{Design, FpgaPart, KernelInstance};
 use hetero_ir::builder::KernelBuilder;
 use hetero_ir::dpct::{Construct, CudaModule, TimingApi};
 use hetero_ir::ir::OpMix;
+use hetero_rt::lanes;
 use hetero_rt::prelude::*;
 
 use crate::common::{egress, AppVersion, ExecMode, Step};
@@ -106,9 +107,55 @@ pub fn run_with(q: &Queue, p: &Fdtd2dParams, _version: AppVersion, mode: ExecMod
     Fields { ez: egress(ez), hx: egress(hx), hy: egress(hy) }
 }
 
+/// Views of the three planes of an `n`-wide grid, as each row kernel
+/// holds them.
+struct Grid {
+    ez: GlobalView<f32>,
+    hx: GlobalView<f32>,
+    hy: GlobalView<f32>,
+    n: usize,
+}
+
+/// The hx update at flat indices `i..i + W`, in [`golden_step`]'s op
+/// order per element; so are [`Hy`] and [`Ez`]. Each element reads
+/// planes its kernel does not write, so `W = 1` is the scalar kernel.
+struct Hx<'a>(&'a Grid);
+
+impl lanes::Body for Hx<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, i: usize) {
+        let Grid { ez, hx, n, .. } = self.0;
+        let h = hx.get_lanes::<W>(i);
+        hx.set_lanes(i, h - Lanes::splat(C_H) * (ez.get_lanes(i + n) - ez.get_lanes(i)));
+    }
+}
+
+struct Hy<'a>(&'a Grid);
+
+impl lanes::Body for Hy<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, i: usize) {
+        let Grid { ez, hy, .. } = self.0;
+        let h = hy.get_lanes::<W>(i);
+        hy.set_lanes(i, h + Lanes::splat(C_H) * (ez.get_lanes(i + 1) - ez.get_lanes(i)));
+    }
+}
+
+struct Ez<'a>(&'a Grid);
+
+impl lanes::Body for Ez<'_> {
+    #[inline]
+    fn at<const W: usize>(&self, i: usize) {
+        let Grid { ez, hx, hy, n } = self.0;
+        let dy = hy.get_lanes::<W>(i) - hy.get_lanes(i - 1);
+        let dx = hx.get_lanes(i) - hx.get_lanes(i - n);
+        ez.set_lanes(i, ez.get_lanes(i) + Lanes::splat(C_E) * (dy - dx));
+    }
+}
+
 /// The three kernels of one timestep, one work-item per lattice row,
-/// each the row loop [`golden_step`] has. Scalar on purpose: an 8-wide
-/// body measured 0.92–1.16× of these loops (EXPERIMENTS.md "PR 23").
+/// each sweeping the row [`golden_step`] updates through
+/// [`lanes::sweep`].
 fn row_kernels(
     n: usize,
     ez: &Buffer<f32>,
@@ -119,33 +166,26 @@ fn row_kernels(
     impl Fn(Item) + Send + Sync + 'static,
     impl Fn(Item) + Send + Sync + 'static,
 ) {
+    let grid = || Grid { ez: ez.view(), hx: hx.view(), hy: hy.view(), n };
     let hx_row = {
-        let (ezv, hxv) = (ez.view(), hx.view());
+        let g = grid();
         move |it: Item| {
             let row = it.gid(0) * n;
-            for i in row..row + n - 1 {
-                hxv.update(i, |h| h - C_H * (ezv.get(i + n) - ezv.get(i)));
-            }
+            lanes::sweep(row, row + n - 1, &Hx(&g));
         }
     };
     let hy_row = {
-        let (ezv, hyv) = (ez.view(), hy.view());
+        let g = grid();
         move |it: Item| {
             let row = it.gid(0) * n;
-            for i in row..row + n - 1 {
-                hyv.update(i, |h| h + C_H * (ezv.get(i + 1) - ezv.get(i)));
-            }
+            lanes::sweep(row, row + n - 1, &Hy(&g));
         }
     };
     let ez_row = {
-        let (ezv, hxv, hyv) = (ez.view(), hx.view(), hy.view());
+        let g = grid();
         move |it: Item| {
             let row = (it.gid(0) + 1) * n;
-            for i in row + 1..row + n - 1 {
-                ezv.update(i, |e| {
-                    e + C_E * ((hyv.get(i) - hyv.get(i - 1)) - (hxv.get(i) - hxv.get(i - n)))
-                });
-            }
+            lanes::sweep(row + 1, row + n - 1, &Ez(&g));
         }
     };
     (hx_row, hy_row, ez_row)

@@ -148,9 +148,11 @@ fn golden_on(p: &KmeansParams, points: &[f32]) -> KmeansOutput {
 ///
 /// * `SyclBaseline` / `SyclOptimized`: mapCenters as a parallel kernel;
 ///   reset/accumulate/finalize as separate launches. accumulate folds
-///   each block of [`ACC_BLOCK`] points into a private table and
-///   publishes it once with atomics — the CPU-sized form of Figure 3b's
-///   on-chip accumulator: per-point updates never cross shared memory.
+///   each block of [`ACC_BLOCK`] points into a private table and stores
+///   it once in the block's own slot — the CPU-sized form of Figure 3b's
+///   on-chip accumulator: per-point updates never cross shared memory —
+///   and finalize folds the slots in block order, so the centres do not
+///   depend on which thread ran which block.
 /// * On FPGA-capable queues the optimized path runs mapCenters and the
 ///   fused resetAccFin concurrently, streaming assignments through a
 ///   pipe (Figure 3b).
@@ -186,12 +188,13 @@ fn run_on(q: &Queue, p: &KmeansParams, points: Vec<f32>, mode: ExecMode) -> Kmea
 }
 
 /// Device state of a Lloyd pass: the point cloud, the carried centres
-/// and assignments, and the per-cluster sums and counts one pass folds.
+/// and assignments, each accumulate block's `k × nf` feature sums, and
+/// the per-cluster counts one pass folds.
 pub(crate) struct Lloyd {
     pts: Buffer<f32>,
     centers: Buffer<f32>,
     membership: Buffer<u32>,
-    acc: Buffer<f32>,
+    partials: Buffer<f32>,
     counts: Buffer<u32>,
 }
 
@@ -202,7 +205,7 @@ impl Lloyd {
             pts: Buffer::from_vec(points),
             centers: Buffer::from_vec(initial),
             membership: Buffer::new(p.n_points),
-            acc: Buffer::new(p.k * p.n_features),
+            partials: Buffer::new(p.n_points.div_ceil(ACC_BLOCK) * p.k * p.n_features),
             counts: Buffer::new(p.k),
         }
     }
@@ -284,21 +287,16 @@ pub fn map_pass(p: &KmeansParams) -> impl Fn(&Queue) {
 /// replay in one phase; accumulate and finalize each form their own.
 pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_rt::Result<Graph> {
     let (k, nf, n) = (p.k, p.n_features, p.n_points);
-    let Lloyd { pts, centers, membership, acc, counts } = lloyd;
+    let Lloyd { pts, centers, membership, partials, counts } = lloyd;
+    let (table, blocks) = (k * nf, n.div_ceil(ACC_BLOCK));
 
     let map_kernel = map_kernel(p, lloyd);
     let reset_kernel = {
-        let (av, ctv) = (acc.view(), counts.view());
-        move |it: Item| {
-            av.set(it.gid(0), 0.0);
-            if it.gid(0) < k {
-                ctv.set(it.gid(0), 0);
-            }
-        }
+        let ctv = counts.view();
+        move |it: Item| ctv.set(it.gid(0), 0)
     };
     let acc_kernel = {
-        let (pv, mv, av, ctv) = (pts.view(), membership.view(), acc.view(), counts.view());
-        let table = k * nf;
+        let (pv, mv, sv, ctv) = (pts.view(), membership.view(), partials.view(), counts.view());
         move |it: Item| {
             let lo = it.gid(0) * ACC_BLOCK;
             let hi = (lo + ACC_BLOCK).min(n);
@@ -330,27 +328,30 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
                         }
                     }
                 }
-                // Publish once per block; words the block left at zero
-                // have nothing to add.
+                // Publish once per block: the counts by atomics (an
+                // integer sum has one result in any order), the sums
+                // into the block's own slot.
                 for w in base..end {
                     if hits[w - base] > 0 {
                         ctv.atomic_add_u32(w / nf, hits[w - base]);
                     }
-                    if sums[w - base] != 0.0 {
-                        av.atomic_add_f32(w, sums[w - base]);
-                    }
                 }
+                sv.copy_from_slice(it.gid(0) * table + base, &sums[..end - base]);
             }
         }
     };
+    // The slots fold in block order from +0.0, as the atomics did, so
+    // one block's table is its sums exactly; a zero slot (±0.0) adds
+    // nothing to a sum that starts at +0.0, so none needs skipping.
     let fin_kernel = {
-        let (cv, av, ctv) = (centers.view(), acc.view(), counts.view());
+        let (cv, sv, ctv) = (centers.view(), partials.view(), counts.view());
         move |it: Item| {
             let c = it.gid(0);
             let cnt = ctv.get(c);
             if cnt > 0 {
-                for f in 0..nf {
-                    cv.set(c * nf + f, av.get(c * nf + f) / cnt as f32);
+                for w in c * nf..(c + 1) * nf {
+                    let sum = (0..blocks).fold(0f32, |sum, b| sum + sv.get(b * table + w));
+                    cv.set(w, sum / cnt as f32);
                 }
             }
         }
@@ -365,16 +366,16 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         )
         .parallel_for(
             "reset",
-            Range::d1(k * nf),
-            &[writes(acc), writes(counts)],
+            Range::d1(k),
+            &[writes(counts)],
             reset_kernel,
         )
-        // Any block may bump any cluster row: the atomic scatter is a
-        // read-write of acc and counts, ordered after reset.
+        // Any block may bump any cluster's count: the atomic scatter is
+        // a read-write of counts, ordered after reset.
         .parallel_for(
             "accumulate",
-            Range::d1(n.div_ceil(ACC_BLOCK)),
-            &[reads(pts), reads(membership), reads_writes(acc), reads_writes(counts)],
+            Range::d1(blocks),
+            &[reads(pts), reads(membership), writes(partials), reads_writes(counts)],
             acc_kernel,
         )
         // finalize writes a centre only for a non-empty cluster; an empty
@@ -382,7 +383,7 @@ pub(crate) fn step_graph(q: &Queue, p: &KmeansParams, lloyd: &Lloyd) -> hetero_r
         .parallel_for(
             "finalize",
             Range::d1(k),
-            &[reads(acc), reads(counts), writes(centers)],
+            &[reads(partials), reads(counts), writes(centers)],
             fin_kernel,
         );
     })

@@ -7,9 +7,10 @@
 //! The device half is the assignment kernel only: the batch pass's own
 //! [`Nearest`] body, offset by the window's batch start, so it is
 //! bit-identical to the host [`super::nearest_center`];
-//! accumulation runs on the host *in point order*, deliberately avoiding
-//! the batch path's atomic f32 scatter so the streaming trail is
-//! bit-deterministic and rollback-replayable.
+//! accumulation runs on the host *in point order*, the golden's
+//! association (the batch path folds per-block partials instead), so
+//! the streaming trail is bit-equal to the golden and
+//! rollback-replayable.
 
 use altis_data::KmeansParams;
 use hetero_rt::lanes;

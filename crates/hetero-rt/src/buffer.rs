@@ -402,17 +402,27 @@ impl<T: Copy> GlobalView<T> {
         self.set(i, f(self.get(i)));
     }
 
-    /// The one bounds check and the per-element sanitizer records of a
-    /// `W`-wide access at `i`.
+    /// The one bounds check of a `W`-wide access at `i`, and its
+    /// per-element records while a sanitized launch is armed.
     #[inline]
     fn span<const W: usize>(&self, i: usize, kind: AccessKind) {
         if !fits(i, W, self.len) {
             oob(i, W, self.len);
         }
         if sanitize::hooks_armed() {
-            for k in 0..W {
-                sanitize::record_global(self.object, i + k, kind);
-            }
+            self.record_run(i, W, 1, kind);
+        }
+    }
+
+    /// Record elements `first + k·stride` for `k < count`, each as one
+    /// scalar access would: the armed half of every multi-element
+    /// accessor, out of line so the disarmed half is one compare and
+    /// one relaxed load.
+    #[cold]
+    #[inline(never)]
+    fn record_run(&self, first: usize, count: usize, stride: usize, kind: AccessKind) {
+        for k in 0..count {
+            sanitize::record_global(self.object, first + k * stride, kind);
         }
     }
 
@@ -451,9 +461,7 @@ impl<T: Copy> GlobalView<T> {
             oob(i, span, self.len);
         }
         if sanitize::hooks_armed() {
-            for k in 0..W {
-                sanitize::record_global(self.object, i + k * stride, AccessKind::Read);
-            }
+            self.record_run(i, W, stride, AccessKind::Read);
         }
         // SAFETY: every lane's index lies in `i..i + span`, checked above;
         // allocation alive via _keepalive.
@@ -470,24 +478,29 @@ impl<T: Copy> GlobalView<T> {
             oob(offset, dst.len(), self.len);
         }
         if sanitize::hooks_armed() {
-            for k in 0..dst.len() {
-                sanitize::record_global(self.object, offset + k, AccessKind::Read);
-            }
+            self.record_run(offset, dst.len(), 1, AccessKind::Read);
         }
         // SAFETY: `offset..offset + dst.len()` checked above; a `&mut`
         // destination cannot overlap the view's shared allocation.
         unsafe { std::ptr::copy_nonoverlapping(self.elem(offset), dst.as_mut_ptr(), dst.len()) }
     }
 
-    /// Copy `src` into the view starting at `offset`. Out-of-bounds
-    /// ranges raise the same typed payload as [`GlobalView::get`].
+    /// Copy `src` into the view starting at `offset` with **one** bounds
+    /// check; out-of-bounds ranges raise the same typed payload as
+    /// [`GlobalView::get`]. While a sanitized launch is armed every
+    /// element is recorded, as by one [`GlobalView::set`] each.
+    #[inline]
     pub fn copy_from_slice(&self, offset: usize, src: &[T]) {
         if !fits(offset, src.len(), self.len) {
             oob(offset, src.len(), self.len);
         }
-        for (k, &v) in src.iter().enumerate() {
-            self.set(offset + k, v);
+        if sanitize::hooks_armed() {
+            self.record_run(offset, src.len(), 1, AccessKind::Write);
         }
+        // SAFETY: `offset..offset + src.len()` checked above. `src` is a
+        // shared borrow, so nothing may write its elements while it lives:
+        // it cannot overlap the elements this store writes.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.elem(offset), src.len()) }
     }
 }
 
@@ -505,33 +518,6 @@ impl GlobalView<u32> {
         // kernels using atomics go through this method.
         let a = unsafe { &*(self.elem(i) as *const std::sync::atomic::AtomicU32) };
         a.fetch_add(v, std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl GlobalView<f32> {
-    /// Atomic fetch-add on an `f32` element via compare-exchange, the
-    /// same technique SYCL uses on devices without native float atomics.
-    #[inline]
-    pub fn atomic_add_f32(&self, i: usize, v: f32) -> f32 {
-        if i >= self.len {
-            oob(i, 1, self.len);
-        }
-        sanitize::record_global(self.object, i, AccessKind::Atomic);
-        // SAFETY: as in atomic_add_u32; f32 is reinterpreted bitwise.
-        let a = unsafe { &*(self.elem(i) as *const std::sync::atomic::AtomicU32) };
-        let mut cur = a.load(std::sync::atomic::Ordering::Relaxed);
-        loop {
-            let new = f32::from_bits(cur) + v;
-            match a.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                std::sync::atomic::Ordering::Relaxed,
-                std::sync::atomic::Ordering::Relaxed,
-            ) {
-                Ok(prev) => return f32::from_bits(prev),
-                Err(actual) => cur = actual,
-            }
-        }
     }
 }
 
@@ -649,7 +635,7 @@ mod tests {
         assert_eq!(b.to_vec(), vec![0.0; 64]);
     }
 
-    /// The strided load checks its last lane and the slice copy its
+    /// The strided load checks its last lane and the slice copies their
     /// whole range, each without a sum that can wrap: a stride large
     /// enough that `i + (W - 1)·stride` wraps must not land before the
     /// allocation.
@@ -660,7 +646,7 @@ mod tests {
         let b = Buffer::<f32>::new(64);
         let expect = |offset, len| Error::AccessOutOfBounds { offset, len, buffer_len: 64 };
         let wrap = usize::MAX / 4;
-        let cases: [(Box<dyn FnOnce()>, Error); 6] = [
+        let cases: [(Box<dyn FnOnce()>, Error); 8] = [
             (Box::new(|| { b.view().get_strided::<LANES>(8, 8); }), expect(8, 57)),
             (Box::new(|| { b.view().get_strided::<LANES>(64, 0); }), expect(64, 1)),
             (Box::new(|| { b.view().get_strided::<LANES>(3, wrap); }), expect(3, usize::MAX)),
@@ -668,6 +654,8 @@ mod tests {
             (Box::new(|| { b.view().get_strided::<2>(10, usize::MAX - 5); }), expect(10, usize::MAX - 4)),
             (Box::new(|| b.view().copy_to_slice(60, &mut [0.0; 5])), expect(60, 5)),
             (Box::new(|| b.view().copy_to_slice(usize::MAX - 1, &mut [0.0; 3])), expect(usize::MAX - 1, 3)),
+            (Box::new(|| b.view().copy_from_slice(62, &[1.0; 3])), expect(62, 3)),
+            (Box::new(|| b.view().copy_from_slice(usize::MAX - 1, &[1.0; 3])), expect(usize::MAX - 1, 3)),
         ];
         for (access, want) in cases {
             let payload =
@@ -685,6 +673,7 @@ mod tests {
         b.view().copy_to_slice(60, &mut tail);
         assert_eq!(tail, [60.0, 61.0, 62.0, 63.0]);
         b.view().copy_to_slice(64, &mut []);
+        b.view().copy_from_slice(64, &[]);
     }
 
     #[test]
@@ -712,23 +701,6 @@ mod tests {
             }
         });
         assert_eq!(b.to_vec()[0], 8000);
-    }
-
-    #[test]
-    fn atomic_add_f32_accumulates_across_threads() {
-        let b = Buffer::<f32>::new(1);
-        let v = b.view();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let v = v.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        v.atomic_add_f32(0, 0.5);
-                    }
-                });
-            }
-        });
-        assert!((b.to_vec()[0] - 2000.0).abs() < 1e-3);
     }
 
     #[test]

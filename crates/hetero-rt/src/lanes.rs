@@ -20,8 +20,9 @@
 //! scalar width, which is how `roofline` times the scalar baseline.
 //!
 //! The lane accessors on [`crate::GlobalView`] amortize the bounds check
-//! to one per block but record **per-element** sanitizer accesses, so
-//! race reports do not depend on the width a kernel ran at.
+//! to one per block but record **per-element** sanitizer accesses (out
+//! of line, while armed), so race reports do not depend on the width a
+//! kernel ran at.
 
 // Indexed `for k in 0..W` loops on purpose: "lane k of the output is
 // exactly this expression of lane k of the inputs" is the bit-exactness

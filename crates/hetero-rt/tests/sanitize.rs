@@ -343,45 +343,76 @@ fn a_launch_is_checked_against_its_bindings() {
     assert!(dst.to_vec().iter().all(|&v| v == 1));
 }
 
-/// A lane accessor records each element it reads, so a race reads the
-/// same through one strided load or one slice copy as through the
-/// scalar `get`s it replaces: the same typed error and the same report
-/// list, element by element.
+/// Group 3 of a sanitized launch writes elements 5, 13 and 21 of a
+/// 64-element buffer while every other group runs `access`: the launch's
+/// typed race and its report list, element by element.
+type Races = ((&'static str, usize, RaceKind), Vec<(Triple, MemSpace, Option<u64>)>);
+type Triple = (&'static str, usize, RaceKind, usize, Option<usize>);
+
+type Access = fn(&GlobalView<u32>);
+
+fn races_against(access: Access) -> Races {
+    let q = sanitized_queue();
+    let b = Buffer::<u32>::new(64);
+    let v = b.view();
+    let e = q
+        .submit(&[reads_writes(&b)])
+        .nd_range("lane_access", NdRange::d1(4 * 8, 8), move |ctx| {
+            if ctx.group_linear() == 3 {
+                (5..64).step_by(8).take(3).for_each(|i| v.set(i, 1));
+            } else {
+                access(&v);
+            }
+        })
+        .unwrap_err();
+    let Error::DataRace { kernel, element, kind, .. } = e else { panic!("{e:?}") };
+    let reports: Vec<_> =
+        take_last_reports().iter().map(|r| (triple(r), r.space, r.phase)).collect();
+    ((kernel, element, kind), reports)
+}
+
+/// Each wide access against the scalar accesses it replaces: the same
+/// typed error and the same report list, one report for each of the
+/// `raced` elements.
+fn same_races(raced: usize, cases: &[(&str, Access, Access)]) {
+    for &(what, wide, scalar) in cases {
+        let got = races_against(wide);
+        assert_eq!(got.1.len(), raced, "{what}: one report per raced element: {:?}", got.1);
+        assert_eq!(got, races_against(scalar), "{what}");
+    }
+}
+
+/// A lane or slice accessor records each element it reads (out of line,
+/// while armed), so a race reads the same through one wide load,
+/// strided load or slice copy as through the scalar `get`s it replaces.
 #[test]
 fn strided_and_slice_reads_report_as_their_scalar_gets() {
-    let q = sanitized_queue();
-    // Group 3 writes elements 5, 13 and 21; the other groups read.
-    let run = |read: fn(&GlobalView<u32>)| {
-        let b = Buffer::<u32>::new(64);
-        let v = b.view();
-        let e = q
-            .submit(&[reads_writes(&b)])
-            .nd_range("lane_reads", NdRange::d1(4 * 8, 8), move |ctx| {
-                if ctx.group_linear() == 3 {
-                    (5..64).step_by(8).take(3).for_each(|i| v.set(i, 1));
-                } else {
-                    read(&v);
-                }
-            })
-            .unwrap_err();
-        let Error::DataRace { kernel, element, kind, .. } = e else { panic!("{e:?}") };
-        let reports: Vec<_> =
-            take_last_reports().iter().map(|r| (triple(r), r.space, r.phase)).collect();
-        ((kernel, element, kind), reports)
-    };
     fn gets(v: &GlobalView<u32>, from: usize, step: usize, n: usize) {
         (from..).step_by(step).take(n).for_each(|i| {
             std::hint::black_box(v.get(i));
         });
     }
+    same_races(3, &[
+        ("get_strided vs four gets", |v| {
+            std::hint::black_box(v.get_strided::<4>(5, 8));
+        }, |v| gets(v, 5, 8, 4)),
+        ("get_lanes vs twenty gets", |v| {
+            std::hint::black_box(v.get_lanes::<20>(2));
+        }, |v| gets(v, 2, 1, 20)),
+        ("copy_to_slice vs twenty gets", |v| v.copy_to_slice(2, &mut [0; 20]), |v| gets(v, 2, 1, 20)),
+    ]);
+}
 
-    let strided = run(|v| {
-        std::hint::black_box(v.get_strided::<4>(5, 8));
-    });
-    assert_eq!(strided.1.len(), 3, "one report per raced element: {:?}", strided.1);
-    assert_eq!(strided, run(|v| gets(v, 5, 8, 4)), "get_strided vs four gets");
-
-    let copied = run(|v| v.copy_to_slice(2, &mut [0; 20]));
-    assert_eq!(copied.1.len(), 3, "one report per raced element: {:?}", copied.1);
-    assert_eq!(copied, run(|v| gets(v, 2, 1, 20)), "copy_to_slice vs twenty gets");
+/// The store side: one wide store or one slice copy into the view
+/// races as the scalar `set`s it replaces. Groups 0–2 all store
+/// elements 2..22, so each of the twenty is raced.
+#[test]
+fn lane_and_slice_writes_report_as_their_scalar_sets() {
+    fn sets(v: &GlobalView<u32>) {
+        (2..22).for_each(|i| v.set(i, 0));
+    }
+    same_races(20, &[
+        ("set_lanes vs twenty sets", |v| v.set_lanes(2, Lanes([0; 20])), sets),
+        ("copy_from_slice vs twenty sets", |v| v.copy_from_slice(2, &[0; 20]), sets),
+    ]);
 }

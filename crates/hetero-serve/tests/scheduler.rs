@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use altis_data::InputSize;
 use hetero_serve::{
     FaultKindSel, Flavor, Hardening, JobRequest, JobResult, MonotonicClock, Priority,
     ResultSink, Scheduler, ServeConfig, Verdict,
@@ -82,12 +83,20 @@ fn deadline_fires_and_is_typed_not_hung() {
         ..ServeConfig::default()
     });
     let (sink, results) = collector();
-    // FDTD2D at S1 runs ~20ms debug-much-longer; a 1 ms deadline always
-    // fires mid-run and must come back as a Deadline verdict, on the
-    // plain tier and on the SDC tier alike, and never charge the breaker.
+    // FDTD2D at size 3 moves 80 steps × 768² cells × 44 B ≈ 2 GB, over
+    // 50 ms at 40 GB/s, so a 1 ms deadline fires mid-run by construction
+    // (at size 1 an optimized build can finish first). It must come back
+    // as a Deadline verdict, on the plain tier and on the SDC tier
+    // alike, and never charge the breaker; the walk stops at the next
+    // work-group.
     for hardening in [Hardening::None, Hardening::Sdc] {
         s.submit(
-            JobRequest { deadline_ms: Some(1), hardening, ..req("acme", "FDTD2D") },
+            JobRequest {
+                deadline_ms: Some(1),
+                hardening,
+                size: InputSize::S3,
+                ..req("acme", "FDTD2D")
+            },
             sink.clone(),
         );
         s.wait_idle();

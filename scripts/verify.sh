@@ -48,7 +48,10 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # hook_overhead isolates each by paired launches and fails if any
 # reaches 2% of a pooled launch_storm launch.
 # Its item_loop section gates the runtime's own charge per work-item: a
-# one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns.
+# one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns;
+# its lane_access section gates a disarmed lane access: an 8-wide
+# stencil body over GlobalViews at most 1 ns per element above the same
+# stencil as a slice loop.
 ./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null
 
 # Record-and-replay gates: the graph_replay microbench must show the
@@ -90,7 +93,8 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # Data-path gates. roofline measures the streaming kernels' GB/s
 # against the pool-parallel memcpy peak; a kernel on lanes::sweep is
 # timed at both widths in-process via lanes::force and must show a
-# >= 1.5x lane-over-scalar speedup, reduce_min must reach 0.15 of
+# >= 1.5x lane-over-scalar speedup (FDTD2D at its 256² size-2 shape;
+# its 1536² row, near the memcpy peak, is reported), reduce_min must reach 0.15 of
 # the peak (its fold stays inlined), and KMeans' input cloud must be
 # drawn >= 1.5x faster than its serial gaussian() loop and equal to it
 # bit for bit. launch_storm --steal

@@ -4,16 +4,17 @@
 //!
 //! A lane kernel is one body run at two widths, so there is no second
 //! spelling to compare; what this pins is the switch. With lanes forced
-//! *off* `lanes::sweep` runs every SRAD row whole at `W = 1`, with lanes
-//! forced *on* in wide blocks, and both must equal the golden
-//! **bitwise** (as must FDTD2D, which has one width, and Mandelbrot,
-//! whose escape loops run eight pixels at a time). Under either
-//! setting FDTD2D's and SRAD's row kernels must also give the same bits
-//! on every route that runs them: per launch, recorded graph, the armed
-//! per-node walk, and the window stream. KMeans' nearest-centre scan,
-//! eight points at a time, must give the golden membership bitwise on
-//! the same four routes, at ragged point counts and at shapes wider
-//! than its stack tiles.
+//! *off* `lanes::sweep` runs every SRAD and FDTD2D row whole at `W = 1`,
+//! with lanes forced *on* in wide blocks and a scalar tail, and both
+//! must equal the golden **bitwise** (as must Mandelbrot, whose escape
+//! loops run eight pixels at a time). FDTD2D runs at size 1 and on a
+//! ragged grid whose row spans (`n − 1`, `n − 2`) are no multiple of
+//! `LANES`. Under either setting FDTD2D's and SRAD's row kernels must
+//! also give the same bits on every route that runs them: per launch,
+//! recorded graph, the armed per-node walk, and the window stream.
+//! KMeans' nearest-centre scan, eight points at a time, must give the
+//! golden membership bitwise on the same four routes, at ragged point
+//! counts and at shapes wider than its stack tiles.
 
 use std::sync::Arc;
 
@@ -35,40 +36,47 @@ fn field_bits(f: &altis_core::fdtd2d::Fields) -> Vec<u32> {
     [&f.ez, &f.hx, &f.hy].into_iter().flat_map(|v| bits(v)).collect()
 }
 
-/// Run both apps per launch and check every other route against it,
-/// under whatever lane setting is in force. Returns the per-launch
-/// outputs.
-fn routes_agree(
-    q: &Queue,
-    fp: &Fdtd2dParams,
-    sp: &SradParams,
-    what: &str,
-) -> (altis_core::fdtd2d::Fields, Vec<f32>) {
-    let v = AppVersion::SyclOptimized;
-    let armed = armed_queue();
-    let fdtd = altis_core::fdtd2d::run_with(q, fp, v, ExecMode::PerLaunch);
-    let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
+/// FDTD2D on every route equals its golden bitwise, under whatever
+/// lane setting is in force.
+fn fdtd_routes_match_golden(q: &Queue, fp: &Fdtd2dParams, what: &str) {
+    let (v, armed) = (AppVersion::SyclOptimized, armed_queue());
+    let golden = field_bits(&altis_core::fdtd2d::golden(fp));
     for (route, rq, mode) in [
+        ("per-launch", q, ExecMode::PerLaunch),
         ("graph", q, ExecMode::Graph),
         ("armed", &armed, ExecMode::Graph),
     ] {
         let f = altis_core::fdtd2d::run_with(rq, fp, v, mode);
-        assert_eq!(field_bits(&f), field_bits(&fdtd), "FDTD2D: {route} vs per-launch, {what}");
-        let s = altis_core::srad::run_with(rq, sp, v, mode);
-        assert_eq!(bits(&s), bits(&srad), "SRAD: {route} vs per-launch, {what}");
+        assert_eq!(field_bits(&f), golden, "FDTD2D {route} vs golden, {fp:?}, {what}");
     }
     let cfg = StreamConfig::default();
     let stage = FdtdStream::new(fp, q).unwrap();
     let runner = StreamRunner::new(q.clone(), q.clone(), stage, FdtdStream::initial_state(fp), cfg);
     let (f, _) = drive(runner, fp.steps as u64).unwrap();
-    assert_eq!(field_bits(&f), field_bits(&fdtd), "FDTD2D: streamed vs per-launch, {what}");
+    assert_eq!(field_bits(&f), golden, "FDTD2D streamed vs golden, {fp:?}, {what}");
+}
+
+/// Run SRAD per launch and check every other route against it, under
+/// whatever lane setting is in force. Returns the per-launch output.
+fn srad_routes_agree(q: &Queue, sp: &SradParams, what: &str) -> Vec<f32> {
+    let v = AppVersion::SyclOptimized;
+    let armed = armed_queue();
+    let srad = altis_core::srad::run_with(q, sp, v, ExecMode::PerLaunch);
+    for (route, rq, mode) in [
+        ("graph", q, ExecMode::Graph),
+        ("armed", &armed, ExecMode::Graph),
+    ] {
+        let s = altis_core::srad::run_with(rq, sp, v, mode);
+        assert_eq!(bits(&s), bits(&srad), "SRAD: {route} vs per-launch, {what}");
+    }
+    let cfg = StreamConfig::default();
     // The stream folds q0 on the host in f64; at size 1 that rounds to
     // the device reduction's q0 (both equal the golden bitwise, below).
     let stage = SradStream::new(sp, q).unwrap();
     let runner = StreamRunner::new(q.clone(), q.clone(), stage, SradStream::initial_state(sp), cfg);
     let (img, _) = drive(runner, sp.iterations as u64).unwrap();
     assert_eq!(bits(&img), bits(&srad), "SRAD: streamed vs per-launch, {what}");
-    (fdtd, srad)
+    srad
 }
 
 /// A rate-0 fault plan arms the queue: replay degrades to the checked
@@ -80,7 +88,7 @@ fn armed_queue() -> Queue {
 
 /// KMeans membership equals the golden bitwise on every route, under
 /// whatever lane setting is in force; centres agree to the suite
-/// tolerance (the batch path sums them with atomics) and bitwise on the
+/// tolerance (the batch path folds per-block partials) and bitwise on the
 /// stream (host-order sums).
 fn kmeans_routes_match_golden(q: &Queue, p: &KmeansParams, what: &str) {
     let g = altis_core::kmeans::golden(p);
@@ -107,17 +115,19 @@ fn kmeans_routes_match_golden(q: &Queue, p: &KmeansParams, what: &str) {
 #[test]
 fn lane_and_scalar_paths_are_bitwise_identical_and_both_verify() {
     let q = Queue::new(Device::cpu());
-    let fp = altis_data::fdtd2d(InputSize::S1);
+    // Size 1 (128²) and a ragged 37² grid: rows of 36 and 35 elements.
+    let fdtd = [altis_data::fdtd2d(InputSize::S1), Fdtd2dParams { dim: 37, steps: 12 }];
     let sp = altis_data::srad(InputSize::S1);
-    let fdtd_golden = altis_core::fdtd2d::golden(&fp);
     let srad_golden = altis_core::srad::golden(&sp);
     let mp = altis_data::mandelbrot(InputSize::S1);
     let mandel_golden = altis_core::mandelbrot::golden(&mp);
 
     for (on, what) in [(false, "lanes off"), (true, "lanes on")] {
         hetero_rt::lanes::force(on);
-        let (fdtd, srad) = routes_agree(&q, &fp, &sp, what);
-        assert_eq!(field_bits(&fdtd), field_bits(&fdtd_golden), "FDTD2D vs golden, {what}");
+        for fp in &fdtd {
+            fdtd_routes_match_golden(&q, fp, what);
+        }
+        let srad = srad_routes_agree(&q, &sp, what);
         assert_eq!(bits(&srad), bits(&srad_golden), "SRAD vs golden, {what}");
         let mandel = altis_core::mandelbrot::run(&q, &mp, AppVersion::SyclOptimized);
         assert_eq!(mandel, mandel_golden, "Mandelbrot vs golden, {what}");

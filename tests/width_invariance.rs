@@ -2,10 +2,11 @@
 //! process, so the test runs itself as one child process per pool width
 //! and compares what the children print.
 //!
-//! PF's estimate folds and Where's scan are the host and library code
-//! between the kernels; their association must not follow the pool's
-//! width, so the outputs of PF Naive, PF Float and Where at sizes 1–3
-//! must be equal bit for bit at widths 1, 2 and 3.
+//! PF's estimate folds, Where's scan and KMeans' per-block centre sums
+//! are the host, library and kernel code whose association must not
+//! follow the pool's width, so the outputs of PF Naive, PF Float, Where
+//! and KMeans at sizes 1–3 must be equal bit for bit at widths 1, 2
+//! and 3.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -15,6 +16,9 @@ use altis_core::common::{AppVersion, ExecMode};
 use altis_core::suite::{run_output, Output};
 use altis_data::InputSize;
 use hetero_rt::prelude::*;
+
+/// The configurations whose outputs are fingerprinted.
+const CONFIGS: [&str; 4] = ["PF Naive", "PF Float", "Where", "KMeans"];
 
 /// Set in a child: print the fingerprints instead of spawning.
 const CHILD: &str = "WIDTH_INVARIANCE_CHILD";
@@ -27,7 +31,11 @@ fn fingerprint(out: &Output) -> u64 {
             o.xe.iter().chain(&o.ye).for_each(|x| x.to_bits().hash(&mut h));
         }
         Output::Records(v) => v.iter().for_each(|r| (r.value, r.payload).hash(&mut h)),
-        other => panic!("not a PF or Where output: {other:?}"),
+        Output::Kmeans(o) => {
+            o.centers.iter().for_each(|x| x.to_bits().hash(&mut h));
+            o.membership.hash(&mut h);
+        }
+        other => panic!("not a PF, Where or KMeans output: {other:?}"),
     }
     h.finish()
 }
@@ -36,7 +44,7 @@ fn fingerprint(out: &Output) -> u64 {
 fn fingerprints() -> String {
     let q = Queue::new(Device::cpu());
     let mut lines = String::new();
-    for config in ["PF Naive", "PF Float", "Where"] {
+    for config in CONFIGS {
         for size in InputSize::all() {
             let out = run_output(config, &q, size, AppVersion::SyclOptimized, ExecMode::Graph);
             lines += &format!("{config} {size} {:016x}\n", fingerprint(&out));
@@ -46,7 +54,7 @@ fn fingerprints() -> String {
 }
 
 #[test]
-fn pf_and_where_outputs_do_not_depend_on_the_pool_width() {
+fn outputs_do_not_depend_on_the_pool_width() {
     if std::env::var_os(CHILD).is_some() {
         print!("{}", fingerprints());
         return;
@@ -55,7 +63,7 @@ fn pf_and_where_outputs_do_not_depend_on_the_pool_width() {
     let children: Vec<_> = [1, 2, 3]
         .map(|width| {
             let child = Command::new(&exe)
-                .args(["--exact", "pf_and_where_outputs_do_not_depend_on_the_pool_width"])
+                .args(["--exact", "outputs_do_not_depend_on_the_pool_width"])
                 .args(["--nocapture", "--test-threads", "1", "--quiet"])
                 .env(CHILD, "1")
                 .env("HETERO_RT_THREADS", width.to_string())
@@ -72,10 +80,10 @@ fn pf_and_where_outputs_do_not_depend_on_the_pool_width() {
         let text = String::from_utf8(out.stdout).unwrap();
         let lines: Vec<String> = text
             .lines()
-            .filter(|l| l.starts_with("PF ") || l.starts_with("Where "))
+            .filter(|l| CONFIGS.iter().any(|c| l.starts_with(&format!("{c} "))))
             .map(String::from)
             .collect();
-        assert_eq!(lines.len(), 9, "width {width} printed:\n{text}");
+        assert_eq!(lines.len(), 3 * CONFIGS.len(), "width {width} printed:\n{text}");
         rows.push((width, lines));
     }
     let (_, first) = &rows[0];
