@@ -374,6 +374,47 @@ mod tests {
         }
     }
 
+    /// Fingerprints and stage digests are compared only within a
+    /// process, so nothing else holds their format still: these literals
+    /// do, for four output kinds on fixed words, KMeans' output at size 1
+    /// and each stage's digest of its fields filled with fixed words.
+    #[test]
+    fn fingerprints_and_stage_digests_are_pinned() {
+        use crate::common::{AppVersion, ExecMode};
+        let word = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let f32s = |n: usize| (0..n).map(|i| f32::from_bits(word(i) as u32)).collect::<Vec<_>>();
+        let q = Queue::new(Device::cpu());
+        let (v, mode) = (AppVersion::SyclOptimized, ExecMode::Graph);
+        let kmeans = crate::suite::run_output("KMeans", &q, InputSize::S1, v, mode);
+        let fields = crate::fdtd2d::Fields { ez: f32s(37), hx: f32s(36), hy: f32s(35) };
+        let outputs = [
+            ("F32", Output::F32(f32s(37))),
+            ("F64", Output::F64((0..37).map(|i| f64::from_bits(word(i))).collect())),
+            ("U32", Output::U32((0..37).map(|i| word(i) as u32).collect())),
+            ("Fields", Output::Fields(fields)),
+            ("KMeans S1", kmeans),
+        ];
+        let mut got: Vec<_> = outputs.iter().map(|(k, o)| (*k, o.fingerprint())).collect();
+        for row in rows() {
+            let fill = |(_, bits, v): &(_, u32, Vec<u64>)| {
+                (0..v.len()).map(|i| word(i) >> (64 - bits)).collect::<Vec<_>>()
+            };
+            got.push((row.app, (row.digest)(&row.fields.iter().map(fill).collect::<Vec<_>>())));
+        }
+        let pinned = [
+            ("F32", 0xA64C_14DF_7DD9_4D7D),
+            ("F64", 0xA963_D848_921F_BAB9),
+            ("U32", 0x2EAB_A938_7899_F534),
+            ("Fields", 0x1B1A_0296_E7D0_E9F9),
+            ("KMeans S1", 0x6CC0_C2E6_79C8_30CF),
+            ("SRAD", 0x6526_F5FC_011F_A7A0),
+            ("FDTD2D", 0x5B37_1045_0D04_2DED),
+            ("KMeans", 0x5DF1_F699_0BA0_C3F0),
+            ("PF Naive", 0x7817_5E89_18C2_FCFB),
+        ];
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     fn stream_apps_are_exactly_the_graph_flavor_subset_that_streams() {
         for app in STREAM_APPS {

@@ -12,6 +12,7 @@ use altis_data::InputSize;
 use device_model::WorkProfile;
 use fpga_sim::{Design, FpgaPart};
 use hetero_ir::dpct::CudaModule;
+use hetero_rt::fold::{mix, Fold};
 use hetero_rt::prelude::*;
 
 use crate::common::{AppVersion, ExecMode};
@@ -74,20 +75,14 @@ fn validation_from(matches_reference: bool) -> Validation {
 // validated-output memo, where a schedule-dependent bit pattern only
 // costs a miss, and stream trails and seals.
 
-fn mix64(h: u64, w: u64) -> u64 {
-    let mut x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 32;
-    x.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-}
-
 fn digest_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     let mut h = 0xA076_1D64_78BD_642Fu64;
     let mut n = 0u64;
     for w in words {
-        h = mix64(h, w);
+        h = mix(h, w);
         n += 1;
     }
-    mix64(h, n)
+    mix(h, n)
 }
 
 fn digest_f32s(v: &[f32]) -> u64 {
@@ -98,47 +93,23 @@ fn digest_f64s(v: &[f64]) -> u64 {
     digest_words(v.iter().map(|x| x.to_bits()))
 }
 
-/// A 64-bit fingerprint: 8 bytes a step, four independent multiply
-/// chains (the registry's `digest_words` is one dependent two-multiply
-/// chain per 4-byte element). A step is a bijection of its lane and so
-/// is the final fold, so a change confined to one 8-byte word always
-/// changes the result; every field's length goes in ahead of its data,
-/// so fields cannot trade elements.
-pub(crate) struct Fingerprint([u64; 4]);
+/// A 64-bit fingerprint: the runtime's four-lane [`Fold`], framed by
+/// field. Every field's length goes in ahead of its data, so fields
+/// cannot trade elements.
+pub(crate) struct Fingerprint(Fold);
 
 pub(crate) fn pack(lo: u32, hi: u32) -> u64 {
     u64::from(lo) | u64::from(hi) << 32
 }
 
 impl Fingerprint {
-    /// `kind` keeps equal bits of different kinds of value apart (an f32
-    /// 1.0 is not an f64 1.0).
     pub(crate) fn new(kind: u64) -> Self {
-        let seed = 0xA076_1D64_78BD_642F;
-        Fingerprint([mix64(seed, kind), seed, !seed, seed.rotate_left(32)])
-    }
-
-    /// The added constant keeps a lane from resting at zero, where runs
-    /// of zero words would otherwise leave no trace.
-    fn step(h: u64, w: u64) -> u64 {
-        let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD6E8_FEB8_6659_FD93);
-        x ^ (x >> 32)
+        Fingerprint(Fold::new(kind))
     }
 
     /// Absorb one field of `n` 8-byte words, its length first.
-    pub(crate) fn words(mut self, n: usize, word: impl Fn(usize) -> u64) -> Self {
-        let h = &mut self.0;
-        h[0] = Self::step(h[0], n as u64);
-        let whole = n - n % 4;
-        for i in (0..whole).step_by(4) {
-            for (l, h) in h.iter_mut().enumerate() {
-                *h = Self::step(*h, word(i + l));
-            }
-        }
-        for i in whole..n {
-            h[i % 4] = Self::step(h[i % 4], word(i));
-        }
-        self
+    pub(crate) fn words(self, n: usize, word: impl Fn(usize) -> u64) -> Self {
+        Fingerprint(self.0.words(1, |_| n as u64).words(n, word))
     }
 
     /// Absorb one field of 4-byte values, two to a word.
@@ -150,7 +121,7 @@ impl Fingerprint {
     }
 
     pub(crate) fn finish(self) -> u64 {
-        self.0.into_iter().fold(0, mix64)
+        self.0.finish()
     }
 
     /// [`Output::F32`]'s fingerprint, and SRAD's stream stage's.

@@ -257,8 +257,8 @@ impl FaultPlan {
         self.hit(FaultKind::LaunchTransient, SALT_LAUNCH)
     }
 
-    /// Stateless decision: does `kernel` panic at `group`? Independent of
-    /// pool scheduling, so a chaos run is reproducible group-for-group.
+    /// Stateless decision: does `kernel` panic at `group`? The same in every
+    /// run; how many drawn groups run before the walk stops is not.
     pub(crate) fn should_panic(&self, kernel: &str, group: usize) -> bool {
         if let Some((k, g)) = self.target_panic {
             if k == kernel && g == group {

@@ -56,6 +56,7 @@ pub mod error;
 pub mod event;
 pub mod executor;
 pub mod fault;
+pub mod fold;
 pub mod graph;
 pub mod integrity;
 pub mod lanes;

@@ -70,6 +70,27 @@ fn targeted_flip_detected_at_exact_region_and_page() {
     assert_eq!(e.resilience().faults_absorbed, 0);
 }
 
+/// A flip in each of the four lanes of one 32-byte block (bytes 1024,
+/// 1032, 1040 and 1048 open page 1) and one in the zero-padded last word
+/// of a partial last page: each is found at its exact region and page,
+/// and once.
+#[test]
+fn a_flip_in_every_lane_and_in_a_partial_tail_is_found_at_its_page_once() {
+    let _g = serial();
+    // 599 words are 2396 B: page 2 holds 348 B and ends in half a word.
+    for (byte, page) in [(1024, 1), (1032, 1), (1040, 1), (1048, 1), (2395, 2)] {
+        let b = Buffer::<u32>::new(599);
+        let plan = Arc::new(FaultPlan::flip_at(b.object_id(), byte, 5));
+        let q = integrity_queue(&plan, RetryPolicy::default());
+        let before = detections();
+        let err = touch(&q, &b).unwrap_err();
+        assert_eq!(err, Error::DataCorruption { region: b.object_id(), page, epoch: 1 }, "{byte}");
+        assert_eq!((plan.injected(), detections() - before), (1, 1), "byte {byte}");
+        touch(&q, &b).unwrap();
+        assert_eq!(detections() - before, 1, "byte {byte} reported twice");
+    }
+}
+
 #[test]
 fn adopted_buffers_are_protected_and_move_out_unregistered() {
     let _g = serial();

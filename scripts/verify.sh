@@ -26,8 +26,10 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # invocation first verifies every configuration's kernel IR statically
 # and re-derives the committed golden-checksum registry
 # (tests/golden_checksums.tsv) at the sizes it runs; any failed cell,
-# IR finding or registry drift exits nonzero. Seeds and rates are fixed
-# so failures reproduce exactly.
+# IR finding or registry drift exits nonzero. Seeds and rates are fixed,
+# so every cell's verdict reproduces. The resilient tier's injected
+# counts need not: a launch stops at its first panicking group, and how
+# many drawn panics ran before the stop is the pool's schedule.
 #  - sanitize: hetero-san layer 1, the 13 configurations at size 1 under
 #    the dynamic race detector (the full 13x3 long form is
 #    `matrix --hardening sanitize --size all --version both`);
