@@ -49,12 +49,17 @@
 //! Reported, not gated: the disarmed queue against the walk's
 //! direct-launch entry, `run_groups_contained` (the whole queue layer —
 //! retry loop and event bookkeeping — mostly predating the defense), and
-//! the armed arms: page-checksum verify and reseal per launch, and DMR
-//! voting on top (two replica runs, a snapshot, a restore and two
-//! digests: 1.3–1.9× the armed launch in ten runs on the stamped host).
-//! `armed_vs_disarmed_pct` sets the armed launch of the DMR pair against
-//! the disarmed launch of the first pair, taken seconds apart; it read
-//! 20–78 % in ten runs, so it carries `"gated": false`.
+//! DMR voting on top of an armed launch (two replica runs, a snapshot, a
+//! restore and two digests: 1.3–2.1× the armed launch on the stamped
+//! host).
+//!
+//! The armed launch itself — page-checksum verify and reseal per launch
+//! — is gated: `sdc.armed_vs_disarmed_pct` pairs an integrity queue's
+//! launch with a plain queue's, launch by launch, each on a buffer of
+//! its own (a plain launch on a sealed buffer would fail the armed entry
+//! verify), and must stay **at most 80%**. Paired, it read 33.6–60.1 % in
+//! twenty-one runs on the stamped host (2 threads); timed seconds apart
+//! from its baseline it had read 19.5–78.3 % (EXPERIMENTS.md).
 //!
 //! Writes `BENCH_hook_overhead.json` (or the positional argument).
 
@@ -74,6 +79,9 @@ use hetero_rt::{
 const USAGE: &str = "hook_overhead [out.json] [--launches N]";
 const ITEMS: usize = 4096;
 const GROUP: usize = 64;
+/// `sdc.armed_vs_disarmed_pct`'s bound: it read 33.6–60.1 % paired in
+/// twenty-one runs on the stamped host.
+const ARMED_PCT: f64 = 80.0;
 
 /// One direct launch through the walk's one-node entry, monomorphised per
 /// kernel so each arm's body inlines as it would in an application.
@@ -88,6 +96,16 @@ fn enqueue<K: Fn(&GroupCtx) + Sync>(q: &Queue, bindings: &[Binding], kernel: &K)
     q.submit(bindings)
         .nd_range("storm", NdRange::d1(ITEMS, GROUP), |ctx| kernel(ctx))
         .expect("clean launch");
+}
+
+/// The storm kernel: one store per work-item into `view`.
+fn storm(view: GlobalView<f32>) -> impl Fn(&GroupCtx) + Sync {
+    move |ctx| {
+        ctx.items(|item| {
+            let i = item.global_linear;
+            view.set(i, (i as f32).mul_add(1.5, 0.25));
+        });
+    }
 }
 
 /// The `lane_access` plane's side: size 2's FDTD2D grid.
@@ -175,13 +193,8 @@ fn main() -> ExitCode {
             .set("target_pct", 2.0);
 
         let buf = Buffer::<f32>::new(ITEMS);
-        let (hooked_view, unhooked_view) = (buf.view(), buf.view());
-        let kernel = move |ctx: &GroupCtx| {
-            ctx.items(|item| {
-                let i = item.global_linear;
-                hooked_view.set(i, (i as f32).mul_add(1.5, 0.25));
-            });
-        };
+        let unhooked_view = buf.view();
+        let kernel = storm(buf.view());
         let unhooked_kernel = move |ctx: &GroupCtx| {
             ctx.items(|item| {
                 let i = item.global_linear;
@@ -275,27 +288,39 @@ fn main() -> ExitCode {
         report.set("lane_access", lane_row);
         report.gate("lane_access excess ns per element", excess_ns, Op::Le, 1.0);
 
-        // The same launch on integrity queues: its one bound buffer is
-        // sealed by the first, then verified and resealed by every one.
+        // The same launch on integrity queues, on a buffer of its own: the
+        // first launch seals it, every one verifies and reseals it. Paired
+        // launch by launch with the plain queue, whose launches keep `buf`:
+        // a plain write to a sealed buffer would fail the next entry verify.
+        let sealed_buf = Buffer::<f32>::new(ITEMS);
+        let sealed_kernel = storm(sealed_buf.view());
+        let sealed_bound = [writes(&sealed_buf)];
         let sealed = Hardening { integrity: true, ..Hardening::NONE };
         let voted = Hardening { redundancy: Redundancy::Dmr, ..sealed.clone() };
         let (qa, qd) = (Queue::hardened(Device::cpu(), sealed), Queue::hardened(Device::cpu(), voted));
-        let dmr = paired(launches, || enqueue(&qd, &bound, &kernel), || enqueue(&qa, &bound, &kernel));
-        let armed_pct = pct(dmr.b_s / disarmed_s);
-        println!("  queue, armed      : {:>8.2} us/launch  ({armed_pct:+.2}% vs disarmed)", us(dmr.b_s));
+        let armed_launch = || enqueue(&qa, &sealed_bound, &sealed_kernel);
+        let armed = paired(launches, armed_launch, || enqueue(&q, &bound, &kernel));
+        let dmr = paired(launches, || enqueue(&qd, &sealed_bound, &sealed_kernel), armed_launch);
+        let armed_pct = pct(armed.ratio);
+        println!(
+            "  queue, armed      : {:>8.2} us/launch  ({armed_pct:+.2}% vs disarmed, spread {:.1}%)",
+            us(armed.a_s),
+            armed.spread * 100.0
+        );
         println!("  queue, armed + DMR: {:>8.2} us/launch  ({:.2}x armed)", us(dmr.a_s), dmr.ratio);
         report.set(
             "sdc",
             Obj::new()
                 .set("executor_direct_us_per_launch", us(floor_s))
                 .set("queue_disarmed_us_per_launch", us(disarmed_s))
-                .set("queue_armed_us_per_launch", us(dmr.b_s))
+                .set("queue_armed_us_per_launch", us(armed.a_s))
                 .set("queue_armed_dmr_us_per_launch", us(dmr.a_s))
                 .set("queue_layer_vs_floor_pct", pct(layer.ratio))
                 .set("armed_vs_disarmed_pct", armed_pct)
-                .set("gated", false)
+                .set("armed_vs_disarmed_spread", armed.spread)
                 .set("dmr_vs_armed_ratio", dmr.ratio),
         );
+        report.gate("armed integrity launch vs disarmed pct", armed_pct, Op::Le, ARMED_PCT);
         Ok(report.finish(&args.out("BENCH_hook_overhead.json")))
     })
 }

@@ -9,11 +9,11 @@
 //! median, gates the pool's dispatch and allocation counts, and writes
 //! `BENCH_launch_storm.json` (or the path given as the first argument).
 //!
-//! A second, *imbalanced* phase runs the work-stealing pool on a
-//! workload whose per-item cost grows linearly with the index — the
-//! triangular cost profile of NW's wavefronts, where static spans would
-//! leave the last worker holding most of the work. `--steal` gates the
-//! measured wall against that static schedule's analytic cost.
+//! A second, *imbalanced* phase runs the walk's work-stealing spans on a
+//! one-node launch whose per-group cost grows linearly with the group
+//! index — the triangular cost profile of NW's wavefronts, where static
+//! spans would leave the last worker holding most of the work. `--steal`
+//! gates the measured wall against that static schedule's analytic cost.
 //!
 use std::process::ExitCode;
 use std::time::Duration;
@@ -85,42 +85,44 @@ fn main() -> ExitCode {
         report.gate("pooled jobs dispatched", dispatched as f64, Op::Eq, expected);
         report.gate("pooled job blocks allocated", allocated as f64, Op::Le, expected / 2.0);
 
-        // Imbalanced phase: per-item cost ∝ index — the triangular profile of
-        // an NW wavefront. Per-item cost is a simulated device-occupancy
-        // delay (sleep, like a kernel holding an accelerator lane), not a
-        // CPU spin: a spin would serialize on single-core CI boxes and
-        // measure the OS scheduler's time-slicing instead of the pool's
+        // Imbalanced phase: per-group cost ∝ group index — the triangular
+        // profile of an NW wavefront — as a one-node walk of one-item
+        // groups. Per-group cost is a simulated device-occupancy delay
+        // (sleep, like a kernel holding an accelerator lane), not a CPU
+        // spin: a spin would serialize on single-core CI boxes and
+        // measure the OS scheduler's time-slicing instead of the walk's
         // schedule quality. Delays overlap across participants regardless
         // of host core count, so static whole-span chunking takes what its
         // last span sleeps — (2T−1)/T² of the summed delay (75% at T = 2,
         // ≈ 44% at T = 4) — by construction, and stealing is held against
-        // that bound rather than against a second claim mode run beside it.
-        const STEAL_ITEMS: usize = 32;
+        // that bound rather than against a second claim mode run beside
+        // it. Without a steal the last span alone sleeps the bound, so the
+        // gate cannot pass unless the walk steals.
+        const STEAL_GROUPS: usize = 32;
         const STEAL_US_PER_STEP: u64 = 200;
-        let wave = |s: usize, e: usize| {
-            for i in s..e {
-                std::thread::sleep(Duration::from_micros((i as u64 + 1) * STEAL_US_PER_STEP));
-            }
+        let wave = |ctx: &GroupCtx| {
+            let g = ctx.group_linear() as u64;
+            std::thread::sleep(Duration::from_micros((g + 1) * STEAL_US_PER_STEP));
         };
-        let stealing = median(&samples(ROUNDS, || pool::run_job(STEAL_ITEMS, threads, &wave)));
-        let (_, steal_stats) = pool::run_job_counted(STEAL_ITEMS, threads, &wave);
-        let summed_steps = (STEAL_ITEMS * (STEAL_ITEMS + 1) / 2) as f64;
+        let steal_nd = NdRange::d1(STEAL_GROUPS, 1);
+        let stealing = median(&samples(ROUNDS, || {
+            let auto = Parallelism::Auto;
+            run_groups_contained(steal_nd, auto, 1 << 20, "wave", None, None, None, &wave)
+                .expect("clean launch")
+        }));
+        let summed_steps = (STEAL_GROUPS * (STEAL_GROUPS + 1) / 2) as f64;
         let t = threads as f64;
         let static_bound =
             summed_steps * STEAL_US_PER_STEP as f64 * 1e-6 * (2.0 * t - 1.0) / (t * t);
         println!(
-            "  imbalanced (cost ∝ index, {STEAL_ITEMS} items, {STEAL_US_PER_STEP} us/step): \
-             stealing {stealing:.4}s against a static bound of {static_bound:.4}s \
-             ({} claims, {} steals per job)",
-            steal_stats.claims, steal_stats.steals
+            "  imbalanced (cost ∝ group, {STEAL_GROUPS} groups, {STEAL_US_PER_STEP} us/step): \
+             stealing {stealing:.4}s against a static bound of {static_bound:.4}s"
         );
         report
-            .set("steal_items", STEAL_ITEMS)
+            .set("steal_items", STEAL_GROUPS)
             .set("steal_us_per_step", STEAL_US_PER_STEP)
             .set("steal_static_bound_s", static_bound)
-            .set("steal_stealing_s", stealing)
-            .set("steal_claims_per_job", steal_stats.claims)
-            .set("steal_steals_per_job", steal_stats.steals);
+            .set("steal_stealing_s", stealing);
         if args.has("--steal") {
             report.gate(
                 "stealing wall x 1.2 on the imbalanced phase",
@@ -128,7 +130,6 @@ fn main() -> ExitCode {
                 Op::Le,
                 static_bound,
             );
-            report.gate("steals per imbalanced job", steal_stats.steals as f64, Op::Ge, 1.0);
         }
         Ok(report.finish(&args.out("BENCH_launch_storm.json")))
     })

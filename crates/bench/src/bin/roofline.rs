@@ -50,18 +50,20 @@ const USAGE: &str = "roofline [out.json] [--gate R]";
 const REDUCE_MIN_FRAC: f64 = 0.15;
 
 /// Pool-parallel memcpy bandwidth in GB/s: the measured ceiling every
-/// kernel row is normalized against. Counts both the read and the write
-/// stream, like the kernel rows do.
+/// kernel row is normalized against, copied in eight chunks a thread.
+/// Counts both the read and the write stream, like the kernel rows do.
 fn memcpy_peak_gbps(threads: usize) -> f64 {
     const N: usize = 4 << 20; // 16 MiB src + 16 MiB dst of f32
     let src = vec![1.0f32; N];
     let mut dst = vec![0.0f32; N];
     let dst_addr = dst.as_mut_ptr() as usize;
     let src_ref = &src;
+    let chunk = N.div_ceil(threads * 8);
     let t = median(&samples(3, || {
-        hetero_rt::pool::run_job(N, threads, &|s, e| unsafe {
-            // Disjoint [s, e) chunks; the job barrier orders all writes
-            // before `dst` is touched again.
+        hetero_rt::pool::run(N.div_ceil(chunk), &|c| unsafe {
+            // Disjoint chunks; the job barrier orders all writes before
+            // `dst` is touched again.
+            let (s, e) = (c * chunk, ((c + 1) * chunk).min(N));
             std::ptr::copy_nonoverlapping(
                 src_ref.as_ptr().add(s),
                 (dst_addr as *mut f32).add(s),

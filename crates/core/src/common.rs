@@ -84,11 +84,13 @@ pub(crate) fn egress<T: Copy + Default + Send + 'static>(buf: hetero_rt::Buffer<
 }
 
 /// `rows` rows of `width` values, filled in contiguous row ranges across
-/// the pool: `fill(first, part)` writes rows `first..` into `part`. A
-/// generator whose values are a fixed number of draws each jumps to its
-/// first row by `SeededRng::advance`, so the split changes no bit. Eight
-/// ranges a thread: with one, a worker that wakes late finds the
-/// submitter already running its range and the fill runs serially.
+/// the pool (`hetero_rt::pool::run`, one index per range):
+/// `fill(first, part)` writes rows `first..` into `part`. A generator
+/// whose values are a fixed number of draws each jumps to its first row
+/// by `SeededRng::advance`, so the split changes no bit. Eight ranges a
+/// thread: with one, a worker that wakes late finds the submitter
+/// already running its range and the fill runs serially. A panic in
+/// `fill` is re-raised here once every range is done or retired.
 pub(crate) fn fill_rows<T: Clone + Default + Send>(
     rows: usize,
     width: usize,
@@ -102,11 +104,12 @@ pub(crate) fn fill_rows<T: Clone + Default + Send>(
     let per = rows.div_ceil(8 * threads);
     // Each range is claimed once, so its lock is never contended.
     let parts: Vec<Mutex<&mut [T]>> = out.chunks_mut(per * width).map(Mutex::new).collect();
-    hetero_rt::pool::run_job(parts.len(), threads, &|start, end| {
-        for (t, part) in (start..).zip(&parts[start..end]) {
-            fill(t * per, &mut part.lock().unwrap_or_else(PoisonError::into_inner));
-        }
+    let (_, payload) = hetero_rt::pool::run(parts.len(), &|t| {
+        fill(t * per, &mut parts[t].lock().unwrap_or_else(PoisonError::into_inner));
     });
+    if let Some(p) = payload {
+        std::panic::resume_unwind(p);
+    }
     out
 }
 

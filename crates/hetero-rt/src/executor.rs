@@ -13,14 +13,38 @@
 //! the cancel token polled, the kernel run under `catch_unwind` with the
 //! fault plan's panic and the sanitizer's recorder, and a panic
 //! classified with the exact group that raised it. Groups are claimed
-//! from per-participant spans (see [`crate::pool`]): a participant drains
-//! its own span first and steals back halves of the others', which
-//! balances irregular group costs (Mandelbrot rows near the set take far
-//! longer than rows far from it).
+//! from per-participant spans ([`SpanSet`], the one work-stealing
+//! structure of the runtime): a participant drains its own span first
+//! and steals back halves of the others', which balances irregular
+//! group costs (Mandelbrot rows near the set take far longer than rows
+//! far from it). The pool under the walk only gathers participants
+//! ([`crate::pool::run`], one index each).
+//!
+//! # The span deque
+//!
+//! A [`SpanSet`] holds one span per participant, each packed as
+//! `(lo, hi)` halves of a single `AtomicU64` so both ends move with one
+//! CAS. The owner takes the *front* half (`lo` side, rounded up) —
+//! ascending order, next to what it just ran — while thieves take the
+//! *back* half (`hi` side), the work furthest from the owner. This is the
+//! Chase–Lev split: owner and thieves work opposite ends and only collide
+//! when one index remains, where the CAS arbitrates. Halving claims mean
+//! a node of `n` groups costs `O(participants · log n)` claims, and the
+//! smallest claim is half of whatever remains, so the end of a node is
+//! never a storm of one-group claims on one hot word.
+//!
+//! The claim arithmetic is two pure functions on the packed word,
+//! [`front`] and [`back`], and one CAS, [`commit`]; `tests` drives the
+//! three through every interleaving of loads and CASes for two and three
+//! participants over up to six groups. Chunk boundaries and their order
+//! depend on the schedule — a thief can hold chunk `t` while chunk
+//! `t - 1` is unclaimed — so no group may wait on another group of its
+//! own launch. Nodes are bounded to `u32::MAX` groups so both ends fit
+//! one word.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -28,7 +52,122 @@ use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
 use crate::fault::{classify_panic, FaultPlan};
 use crate::ndrange::{GroupCtx, NdRange, Range};
-use crate::pool::SpanSet;
+
+/// Pack a span's bounds into one word: `lo` in the high half, `hi` in
+/// the low half. Empty when `lo >= hi`.
+fn pack(lo: u32, hi: u32) -> u64 {
+    (u64::from(lo) << 32) | u64::from(hi)
+}
+
+fn unpack(v: u64) -> (u32, u32) {
+    ((v >> 32) as u32, v as u32)
+}
+
+/// A claim computed from a span's word: the word to leave behind and
+/// the claimed `lo..hi`, or `None` when the span is empty.
+type Cut = fn(u64) -> Option<(u64, u32, u32)>;
+
+/// The owner's claim: the front half of the span, rounded up.
+fn front(word: u64) -> Option<(u64, u32, u32)> {
+    let (lo, hi) = unpack(word);
+    if lo >= hi {
+        return None;
+    }
+    let take = (hi - lo).div_ceil(2);
+    Some((pack(lo + take, hi), lo, lo + take))
+}
+
+/// A thief's claim: the back half of the span, rounded up.
+fn back(word: u64) -> Option<(u64, u32, u32)> {
+    let (lo, hi) = unpack(word);
+    if lo >= hi {
+        return None;
+    }
+    let take = (hi - lo).div_ceil(2);
+    Some((pack(lo, hi - take), hi - take, hi))
+}
+
+/// Which claim a participant makes on the `d`-th span of its scan (its
+/// own span is the 0th).
+fn cut(d: usize) -> Cut {
+    if d == 0 {
+        front
+    } else {
+        back
+    }
+}
+
+/// Publish a claim computed from `seen`: the protocol's one CAS. On
+/// failure it returns the word found instead.
+fn commit(span: &AtomicU64, seen: u64, new: u64) -> std::result::Result<u64, u64> {
+    span.compare_exchange(seen, new, Ordering::Relaxed, Ordering::Relaxed)
+}
+
+/// One node's groups as per-participant spans with two-ended claiming.
+pub(crate) struct SpanSet {
+    /// One packed `(lo, hi)` span per participant.
+    spans: Box<[AtomicU64]>,
+    /// Total indices the set was initialised with.
+    total: usize,
+}
+
+impl SpanSet {
+    /// A zero-length set, re-initialised before use.
+    fn empty() -> SpanSet {
+        SpanSet::new(0, 1)
+    }
+
+    /// Partition `0..total` into `parts` near-equal spans.
+    pub(crate) fn new(total: usize, parts: usize) -> SpanSet {
+        let mut s = SpanSet { spans: Box::new([]), total };
+        s.init(total, parts);
+        s
+    }
+
+    /// Re-initialise in place for a new launch of `total` groups.
+    fn init(&mut self, total: usize, parts: usize) {
+        assert!(total <= u32::MAX as usize, "a launch is bounded to u32::MAX groups (got {total})");
+        let parts = parts.max(1);
+        if self.spans.len() != parts {
+            self.spans = (0..parts).map(|_| AtomicU64::new(0)).collect();
+        }
+        self.total = total;
+        self.reset();
+    }
+
+    /// Restore the initial partition. Callers must ensure no claimer is
+    /// concurrently active (between walks).
+    fn reset(&self) {
+        let parts = self.spans.len();
+        for (p, s) in self.spans.iter().enumerate() {
+            let lo = (p * self.total / parts) as u32;
+            let hi = ((p + 1) * self.total / parts) as u32;
+            s.store(pack(lo, hi), Ordering::Relaxed);
+        }
+    }
+
+    /// Claim from span `p` with `cut`, retrying on the word a failed CAS
+    /// found until the claim lands or the span is empty.
+    fn take(&self, p: usize, cut: Cut) -> Option<(usize, usize)> {
+        let span = &self.spans[p];
+        let mut seen = span.load(Ordering::Relaxed);
+        loop {
+            let (new, lo, hi) = cut(seen)?;
+            match commit(span, seen, new) {
+                Ok(_) => return Some((lo as usize, hi as usize)),
+                Err(found) => seen = found,
+            }
+        }
+    }
+
+    /// Claim the next chunk for participant `home`, or `None` when every
+    /// span is empty: a front half of its own span, else a back half of
+    /// the nearest nonempty victim's.
+    fn claim(&self, home: usize) -> Option<(usize, usize)> {
+        let k = self.spans.len();
+        (0..k).find_map(|d| self.take((home + d) % k, cut(d)))
+    }
+}
 
 /// How many worker threads a launch may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +333,7 @@ where
         let abort = AtomicBool::new(false);
         let failure: Mutex<Option<Error>> = Mutex::new(None);
         // A participant's pool index is its home span in every node.
-        let sweep = |home: usize, _: usize| {
+        let sweep = |home: usize| {
             for (i, &(ps, pe)) in phases.iter().enumerate() {
                 let last = i + 1 == phases.len();
                 for node in &nodes[ps..pe] {
@@ -237,7 +376,7 @@ where
                 }
             }
         };
-        let (dispatch, stray) = crate::pool::run_job_catch(participants, participants, &sweep);
+        let (dispatch, stray) = crate::pool::run(participants, &sweep);
         // Groups run under their own catch_unwind; a stray payload is a
         // bug in the sweep itself.
         if let Some(payload) = stray {
@@ -275,6 +414,105 @@ mod tests {
     /// A clean direct launch with no hooks.
     fn launch<K: Fn(&GroupCtx) + Sync>(nd: NdRange, p: Parallelism, kernel: &K) {
         run_groups_contained(nd, p, 1 << 20, "<kernel>", None, None, None, kernel).unwrap();
+    }
+
+    /// One participant of the claim model: how far its scan of the spans
+    /// has got (`d`, its own span first), and the word it last read there,
+    /// if any. `None` once it gave up.
+    type Pc = Option<(usize, Option<u64>)>;
+
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct Model {
+        spans: Vec<u64>,
+        pcs: Vec<Pc>,
+        /// Bit `i` set once group `i` was claimed.
+        claimed: u64,
+        claims: usize,
+        steals: usize,
+    }
+
+    /// Every schedule of `parts` participants claiming `n` groups, as
+    /// [`SpanSet::claim`] does, one load or one CAS at a time: checks
+    /// that each group is claimed exactly once, that a participant gives
+    /// up only when every span is empty, and that the claim count stays
+    /// within the halving bound. Returns the number of states visited.
+    fn enumerate_claims(parts: usize, n: usize) -> usize {
+        let set = SpanSet::new(n, parts);
+        let start = Model {
+            spans: set.spans.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            pcs: vec![Some((0, None)); parts],
+            claimed: 0,
+            claims: 0,
+            steals: 0,
+        };
+        let per_span = n.div_ceil(parts).next_power_of_two().trailing_zeros() as usize + 2;
+        let mut seen = std::collections::HashSet::from([start.clone()]);
+        let mut stack = vec![start];
+        while let Some(m) = stack.pop() {
+            if m.pcs.iter().all(Option::is_none) {
+                assert_eq!(m.claimed, (1u64 << n) - 1, "{parts} x {n}: groups left unclaimed");
+                let bound = parts * per_span + 2 * m.steals;
+                assert!(m.claims <= bound, "{parts} x {n}: {} claims, bound {bound}", m.claims);
+                continue;
+            }
+            for p in 0..parts {
+                let Some((d, word)) = m.pcs[p] else { continue };
+                let mut next = m.clone();
+                let s = (p + d) % parts;
+                match word {
+                    // Load.
+                    None => next.pcs[p] = Some((d, Some(m.spans[s]))),
+                    Some(w) => match cut(d)(w) {
+                        // An empty span: on to the next, or give up.
+                        None if d + 1 < parts => next.pcs[p] = Some((d + 1, None)),
+                        None => {
+                            assert!(
+                                m.spans.iter().all(|&v| front(v).is_none()),
+                                "{parts} x {n}: participant {p} gave up with work left"
+                            );
+                            next.pcs[p] = None;
+                        }
+                        // CAS.
+                        Some((new, lo, hi)) => {
+                            let span = AtomicU64::new(m.spans[s]);
+                            let r = commit(&span, w, new);
+                            next.spans[s] = span.into_inner();
+                            match r {
+                                Ok(_) => {
+                                    for g in lo..hi {
+                                        assert_eq!(
+                                            next.claimed & (1 << g),
+                                            0,
+                                            "{parts} x {n}: group {g} claimed twice"
+                                        );
+                                        next.claimed |= 1 << g;
+                                    }
+                                    next.claims += 1;
+                                    next.steals += usize::from(d > 0);
+                                    next.pcs[p] = Some((0, None));
+                                }
+                                Err(found) => next.pcs[p] = Some((d, Some(found))),
+                            }
+                        }
+                    },
+                }
+                if seen.insert(next.clone()) {
+                    stack.push(next);
+                }
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn every_claim_schedule_of_two_and_three_participants_is_sound() {
+        let mut states = 0;
+        for parts in [2, 3] {
+            for n in 0..=6 {
+                states += enumerate_claims(parts, n);
+            }
+        }
+        assert!(states > 10_000, "the enumeration reached only {states} states");
     }
 
     #[test]

@@ -65,10 +65,9 @@ use std::sync::{Arc, Mutex};
 use crate::buffer::{Bound, Buffer};
 use crate::device::DeviceCaps;
 use crate::error::{Error, Result};
-use crate::executor::Node;
+use crate::executor::{Node, SpanSet};
 use crate::integrity::Region;
 use crate::ndrange::{GroupCtx, Item, NdRange, Range};
-use crate::pool::SpanSet;
 use crate::queue::Queue;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.

@@ -13,7 +13,7 @@ use hetero_rt::prelude::*;
 #[test]
 fn dispatch_and_allocation_counts_are_exact() {
     // Warm the pool (spawns workers, may allocate the first scratch Job).
-    pool::run_job(64, pool::auto_threads(), &|_, _| {});
+    pool::run(64, &|_| {});
 
     // 0. Sequential launches bypass the pool: no job is enqueued. (Lived
     //    in tests/pool.rs, where sibling tests' launches raced the
@@ -31,7 +31,7 @@ fn dispatch_and_allocation_counts_are_exact() {
     //    pool.
     let before = pool::jobs_dispatched();
     for _ in 0..10 {
-        pool::run_job(0, pool::auto_threads(), &|_, _| panic!("must not run"));
+        pool::run(0, &|_| panic!("must not run"));
     }
     assert_eq!(pool::jobs_dispatched(), before, "empty jobs must not count as dispatches");
 
@@ -40,8 +40,8 @@ fn dispatch_and_allocation_counts_are_exact() {
     let before = pool::jobs_dispatched();
     const N: usize = 1000;
     for _ in 0..N {
-        pool::run_job(256, pool::auto_threads(), &|s, e| {
-            std::hint::black_box(e - s);
+        pool::run(256, &|i| {
+            std::hint::black_box(i);
         });
     }
     assert_eq!(pool::jobs_dispatched() - before, N, "one dispatch per non-empty job");
@@ -57,8 +57,8 @@ fn dispatch_and_allocation_counts_are_exact() {
         let a0 = pool::jobs_allocated();
         let d0 = pool::jobs_dispatched();
         for _ in 0..N {
-            pool::run_job(256, pool::auto_threads(), &|s, e| {
-                std::hint::black_box(e - s);
+            pool::run(256, &|i| {
+                std::hint::black_box(i);
             });
         }
         assert_eq!(pool::jobs_dispatched() - d0, N);
@@ -69,9 +69,9 @@ fn dispatch_and_allocation_counts_are_exact() {
         "scratch reuse should absorb most Job allocations: {alloc_delta} allocations for {N} dispatches"
     );
 
-    // 4. Sequential-path launches (total <= 1 thread) still count: the
+    // 4. A job no helper can join (one index) still counts: the
     //    submitter is a participant. A 1-index job is a real dispatch.
     let before = pool::jobs_dispatched();
-    pool::run_job(1, pool::auto_threads(), &|_, _| {});
+    pool::run(1, &|_| {});
     assert_eq!(pool::jobs_dispatched() - before, 1);
 }

@@ -1,7 +1,7 @@
 //! Composition tests for the work-stealing data path: stealing must not
-//! weaken any contract the shared-counter pool upheld. A panicking chunk
-//! still cancels the whole job (every deque drains, done-accounting
-//! stays exact, the pool survives); the race sanitizer reports the same
+//! weaken any contract the shared-counter pool upheld. A panicking index
+//! still cancels the whole pool job (done-accounting stays exact, the
+//! pool survives); the race sanitizer reports the same
 //! `(kernel, element, kind)` triple no matter which worker stole which
 //! span — including through the lane accessors, which record the same
 //! per-element accesses as the scalar path; and graph replay's stealable
@@ -15,32 +15,32 @@ use hetero_rt::prelude::*;
 use hetero_rt::sanitize::take_last_reports;
 use hetero_rt::{pool, RaceKind};
 
-/// A chunk panic mid-job cancels the remaining spans of *every* deque:
-/// the catch variant returns the payload promptly, the done-accounting
-/// still completes the job exactly once, and the pool keeps scheduling
-/// clean jobs afterwards. Repeated so the panicking chunk lands on
-/// owners and thieves in different interleavings.
+/// A panicking index mid-job cancels the rest of the job: the payload
+/// comes back promptly, the done-accounting still completes the job
+/// exactly once, and the pool keeps scheduling clean jobs afterwards.
+/// Repeated so the panicking index lands on the submitter and on
+/// helpers in different interleavings.
 #[test]
 fn chunk_panic_under_stealing_drains_every_deque_and_pool_survives() {
-    let threads = pool::auto_threads();
     for round in 0..25 {
-        let trip = 997 * (round + 1); // lands in a different span each round
-        let (_, payload) = pool::run_job_catch(1_000_000, threads, &|s, e| {
-            if (s..e).contains(&trip) {
+        let trip = 397 * (round + 1); // a different index each round
+        let (_, payload) = pool::run(10_000, &|i| {
+            if i == trip {
                 panic!("boom");
             }
-            std::hint::black_box(e - s);
+            std::hint::black_box(i);
         });
-        let payload = payload.expect("the panicking chunk must surface its payload");
+        let payload = payload.expect("the panicking index must surface its payload");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
 
         // The pool must be fully reusable with exact coverage: every
         // index of a follow-up job runs exactly once.
         let hits = AtomicUsize::new(0);
-        pool::run_job(100_000, threads, &|s, e| {
-            hits.fetch_add(e - s, Ordering::Relaxed);
+        let (_, payload) = pool::run(10_000, &|i| {
+            hits.fetch_add(i + 1, Ordering::Relaxed);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 100_000, "round {round}");
+        assert!(payload.is_none());
+        assert_eq!(hits.load(Ordering::Relaxed), 10_000 * 10_001 / 2, "round {round}");
     }
 }
 

@@ -145,6 +145,11 @@ fn run_socket(scheduler: Arc<Scheduler>, path: &str) {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { break };
         let scheduler = scheduler.clone();
+        // Join finished connections first: a thread never joined keeps
+        // its stack mapped after it exits.
+        for h in handles.extract_if(.., |h: &mut std::thread::JoinHandle<()>| h.is_finished()) {
+            let _ = h.join();
+        }
         handles.push(std::thread::spawn(move || {
             let writer = Arc::new(Mutex::new(
                 stream.try_clone().expect("clone unix stream"),

@@ -53,7 +53,8 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # one-store parallel_for over 2^20 indices, 1-D and 2-D, at most 5 ns;
 # its lane_access section gates a disarmed lane access: an 8-wide
 # stencil body over GlobalViews at most 1 ns per element above the same
-# stencil as a slice loop.
+# stencil as a slice loop; its sdc row gates an integrity-queue launch,
+# paired launch by launch with a plain queue's, at most 80% above it.
 ./target/release/hook_overhead /tmp/BENCH_hook_overhead.json > /dev/null
 
 # Record-and-replay gates: the graph_replay microbench must show the
@@ -100,10 +101,11 @@ cargo clippy --all-targets --offline --features heavy-tests -- -D warnings
 # the peak (its fold stays inlined), and KMeans' input cloud must be
 # drawn >= 1.5x faster than its serial gaussian() loop and equal to it
 # bit for bit. launch_storm --steal
-# runs the NW-wavefront-shaped imbalanced job (per-item cost ~ index, a
-# sleep) and requires the stealing wall x 1.2 to stay under what static
-# whole-span chunking sleeps by construction, with >= 1 steal counted,
-# on top of the exact-dispatch-count and scratch-reuse accounting gates.
+# runs the NW-wavefront-shaped imbalanced launch (one node of 32
+# one-item groups, per-group cost ~ index, a sleep) and requires the
+# walk's wall x 1.2 to stay under what static whole-span chunking
+# sleeps by construction, which no schedule without a steal meets, on
+# top of the exact-dispatch-count and scratch-reuse accounting gates.
 ./target/release/roofline /tmp/BENCH_roofline.json --gate 1.5 > /dev/null
 ./target/release/launch_storm /tmp/BENCH_launch_storm.json --steal > /dev/null
 
